@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards bench-json lint lint-json selfcheck telemetry-lint soak scenarios ci
+.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck telemetry-lint soak scenarios ci
 
 all: ci
 
@@ -45,6 +45,8 @@ test-shuffle:
 race:
 	$(GO) test -race ./...
 
+# The paper's tables as root-package benchmarks. Performance claims are
+# measured with `go run ./bench` instead (bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -run '^$$'
 
@@ -61,19 +63,6 @@ bench-smoke:
 bench-smoke-shards:
 	$(GO) test -race -count=1 -run 'TestMultiRackSharded' ./ask
 	$(GO) test -run='^$$' -bench='BenchmarkMultiRackShards|BenchmarkFatTreeShards' -benchtime=1x .
-
-# Perf-trajectory artifact (see DESIGN.md "Performance engineering"): run
-# the headline macro-benchmarks and serialize wall ns/op, allocs/op, and
-# simulated throughput to JSON. Compare two checkouts by saving each
-# phase's raw output and feeding both to benchjson (seed=… after=…), or
-# point benchstat at the raw files directly.
-BENCH_JSON ?= BENCH_current.json
-BENCH_PAT  ?= BenchmarkFig3$$|BenchmarkFig7$$|BenchmarkMultiRack$$|BenchmarkScenarios$$|BenchmarkScaling$$|BenchmarkMultiRackShards|BenchmarkFatTreeShards
-bench-json:
-	$(GO) test -run='^$$' -bench='$(BENCH_PAT)' -benchmem . | tee bench_raw.txt
-	$(GO) run ./cmd/benchjson -o $(BENCH_JSON) current=bench_raw.txt
-	@rm -f bench_raw.txt
-	@echo "wrote $(BENCH_JSON)"
 
 # Bounded chaos soak (README "Failure model"): 12 fixed seeds of randomized
 # fault schedules — switch outages, black-holes, loss/corruption bursts,

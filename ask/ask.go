@@ -25,14 +25,10 @@ package ask
 
 import (
 	"fmt"
-	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpumodel"
 	"repro/internal/hostd"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -60,31 +56,21 @@ type Options struct {
 	// tasks are active. Zero value: disabled (components fall back to
 	// private registries so Stats accessors still work).
 	Telemetry telemetry.Config
-	// Shards exists for flag symmetry with the multi-rack and fat-tree
-	// deployments (-shards on asksim/askbench): a single-rack cluster has
-	// exactly one switch and therefore no partition boundary, so every value
-	// runs the serial scheduler (netsim.EffectiveShards clamps to serial
-	// when there is at most one block to cut).
-	Shards int
 }
 
-// Cluster is a simulated rack running the ASK service.
+// Cluster is a simulated rack running the ASK service: the cluster core
+// over a one-switch fabric. The core supplies the task API (StartTask,
+// Aggregate, ...), the accessors, and the promoted fields Sim (the
+// simulation) and Tel (the telemetry set, nil when disabled).
 type Cluster struct {
-	Sim    *sim.Simulation
+	cluster
 	Net    *netsim.Network
 	Switch *switchd.Switch
-	// Tel is the cluster observability set (nil unless Options.Telemetry
-	// is enabled): registry, tracer, and sampler.
-	Tel     *telemetry.Set
-	opts    Options
-	daemons map[core.HostID]*hostd.Daemon
-	cpus    map[core.HostID]*cpumodel.Host
-	// activeTasks gates the telemetry sampler: it runs only while tasks
-	// are in flight so Sim.Run(0) still quiesces.
-	activeTasks int
 }
 
-// controllerAdapter narrows switchd.Switch to the hostd.Controller surface.
+// controllerAdapter narrows switchd.Switch to the hostd.Controller surface:
+// the control plane of a host whose flows and regions live on one switch
+// (the rack's, or the host's own TOR).
 type controllerAdapter struct{ sw *switchd.Switch }
 
 func (c controllerAdapter) RegisterFlow(fk core.FlowKey) (uint32, error) {
@@ -118,70 +104,31 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Hosts <= 0 {
 		return nil, fmt.Errorf("ask: Hosts must be positive")
 	}
-	if opts.Config.NumAAs == 0 {
-		opts.Config = core.DefaultConfig()
-	}
-	if opts.Link.BandwidthBps == 0 {
-		opts.Link = netsim.DefaultLinkConfig()
-	}
-	if opts.Cores == 0 {
-		opts.Cores = cpumodel.DefaultCores
-	}
-	if opts.Switch.MaxFlows == 0 {
-		opts.Switch = switchd.DefaultOptions()
-	}
-	s := sim.New(opts.Seed)
-	tel := telemetry.NewSet(s, opts.Telemetry)
-	sink := tel.Sink()
-	n := netsim.New(s, opts.Link)
-	n.Instrument(sink)
+	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.Link)
+	cl := &Cluster{}
+	cl.cluster = newCluster(cl, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	// Construction order — network, switch, hosts in ID order — is part of
+	// the simulated record: bench/'s traced rack rebuilds it step for step.
+	sink := cl.Tel.Sink()
+	cl.Net = netsim.New(cl.Sim, opts.Link)
+	cl.Net.Instrument(sink)
 	// Hand links the byte codec so the corruption fault path can deliver
 	// real damaged bytes (never SkipVerify here — the on-wire encoding is
 	// always checksummed; verification policy lives at the receivers).
-	n.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
+	cl.Net.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
 	swOpts := opts.Switch
 	swOpts.Telemetry = sink
-	sw, err := switchd.New(s, n, opts.Config, swOpts)
+	sw, err := switchd.New(cl.Sim, cl.Net, opts.Config, swOpts)
 	if err != nil {
 		return nil, err
 	}
-	cl := &Cluster{
-		Sim:     s,
-		Net:     n,
-		Switch:  sw,
-		Tel:     tel,
-		opts:    opts,
-		daemons: make(map[core.HostID]*hostd.Daemon),
-		cpus:    make(map[core.HostID]*cpumodel.Host),
-	}
+	cl.Switch = sw
 	for h := 0; h < opts.Hosts; h++ {
-		id := core.HostID(h)
-		cpu := cpumodel.NewHost(s, opts.Cores)
-		d, err := hostd.New(s, n, cpu, opts.Config, id, controllerAdapter{sw}, sink)
-		if err != nil {
+		if _, err := cl.addHost(cl.Sim, cl.Net, core.HostID(h), controllerAdapter{sw}, sink); err != nil {
 			return nil, err
 		}
-		cl.daemons[id] = d
-		cl.cpus[id] = cpu
 	}
 	return cl, nil
-}
-
-// taskStarted/taskFinished bracket the telemetry sampler around the span of
-// in-flight tasks: the sampler self-reschedules on the sim clock, so leaving
-// it running on an idle cluster would keep Sim.Run(0) from quiescing.
-func (c *Cluster) taskStarted() {
-	c.activeTasks++
-	if c.activeTasks == 1 && c.Tel != nil && c.Tel.Sampler != nil {
-		c.Tel.Sampler.Start()
-	}
-}
-
-func (c *Cluster) taskFinished() {
-	c.activeTasks--
-	if c.activeTasks == 0 && c.Tel != nil && c.Tel.Sampler != nil {
-		c.Tel.Sampler.Stop()
-	}
 }
 
 // TheSwitch is the fabric address of the rack's only switch for the
@@ -190,206 +137,29 @@ func (c *Cluster) taskFinished() {
 // netsim.LeafAddr/SpineAddr range instead.
 const TheSwitch core.HostID = 0
 
-// Simulation returns the deterministic virtual-time kernel (the
-// chaos.Fabric surface).
-func (c *Cluster) Simulation() *sim.Simulation { return c.Sim }
+// The one-switch fabric: per-switch incarnations (a reboot advances only the
+// switch's own epoch), and the switch is the task's single aggregation point.
 
-// TelemetrySet returns the cluster observability set, nil when telemetry is
-// disabled (the chaos.Fabric surface).
-func (c *Cluster) TelemetrySet() *telemetry.Set { return c.Tel }
+func (c *Cluster) switches() []*switchd.Switch         { return []*switchd.Switch{c.Switch} }
+func (c *Cluster) uplink(h core.HostID) *netsim.Link   { return c.Net.Uplink(h) }
+func (c *Cluster) downlink(h core.HostID) *netsim.Link { return c.Net.Downlink(h) }
 
-// CrashSwitch crashes the rack's switch: every frame black-holes until
-// RebootSwitch. The only valid address is TheSwitch (0) — any other addr
-// returns an error, since the rack has exactly one switch.
-func (c *Cluster) CrashSwitch(addr core.HostID) error {
+func (c *Cluster) taskStats(spec core.TaskSpec) switchd.TaskStats {
+	return *c.Switch.TaskStatsOf(spec.ID)
+}
+
+func (c *Cluster) setSwitchDown(addr core.HostID, down bool) error {
 	if addr != TheSwitch {
-		return fmt.Errorf("ask: rack has no switch at fabric address %#x", addr)
+		return fmt.Errorf("ask: no switch at fabric address %#x", addr)
 	}
-	c.Switch.Crash()
+	if down {
+		c.Switch.Crash()
+	} else {
+		c.Switch.Reboot()
+	}
 	return nil
 }
 
-// RebootSwitch reboots the rack's switch as a fresh incarnation (state
-// wiped, epoch advanced). Like CrashSwitch it returns an error for any
-// address other than TheSwitch.
-func (c *Cluster) RebootSwitch(addr core.HostID) error {
-	if addr != TheSwitch {
-		return fmt.Errorf("ask: rack has no switch at fabric address %#x", addr)
-	}
-	c.Switch.Reboot()
-	return nil
-}
-
-// HostUplink returns a host's uplink to the switch (fault injection, stats).
-func (c *Cluster) HostUplink(h core.HostID) *netsim.Link { return c.Net.Uplink(h) }
-
-// HostDownlink returns a host's downlink from the switch.
-func (c *Cluster) HostDownlink(h core.HostID) *netsim.Link { return c.Net.Downlink(h) }
-
-// Daemon returns the host daemon of a server.
-func (c *Cluster) Daemon(h core.HostID) *hostd.Daemon { return c.daemons[h] }
-
-// CPU returns the CPU model of a server.
-func (c *Cluster) CPU(h core.HostID) *cpumodel.Host { return c.cpus[h] }
-
-// Config returns the deployment configuration.
-func (c *Cluster) Config() core.Config { return c.opts.Config }
-
-// TaskResult is the outcome of one aggregation task.
-type TaskResult struct {
-	Result core.Result
-	// Elapsed is the virtual time from submission to completion.
-	Elapsed sim.Time
-	// Recv holds the receiver-side counters.
-	Recv hostd.RecvTaskStats
-	// Switch holds the switch-side counters for the task.
-	Switch switchd.TaskStats
-	// Degraded is the longest time any participating daemon spent in
-	// degraded (host-only) mode while the task ran; zero on a fault-free
-	// run or when Config.Failover is off.
-	Degraded time.Duration
-}
-
-// RevokeRegion mimics the controller reclaiming a task's aggregator rows
-// mid-flight (e.g. to make room for a higher-priority tenant): the switch
-// stops aggregating for the task immediately, and after one control-RPC
-// latency the receiver daemon learns of the revocation, drains the absorbed
-// state, and continues host-only. Requires Config.Failover: it returns an
-// error when failover is disabled or the receiver daemon is unknown.
-func (c *Cluster) RevokeRegion(task core.TaskID, receiver core.HostID) error {
-	if !c.opts.Config.Failover {
-		return fmt.Errorf("ask: RevokeRegion requires Config.Failover")
-	}
-	d, ok := c.daemons[receiver]
-	if !ok {
-		return fmt.Errorf("ask: receiver host %d not in cluster", receiver)
-	}
-	if err := c.Switch.RevokeRegion(task); err != nil {
-		return err
-	}
-	c.Sim.After(cpumodel.ControlRPCLatency, func() { d.OnRegionRevoked(task) })
-	return nil
-}
-
-// Aggregate runs one complete aggregation task to completion: the receiver
-// submits the task, each sender streams its tuples, and the merged result
-// is returned once every FIN is in and switch state is fetched. It blocks
-// until the virtual cluster quiesces. Setup errors are returned as from
-// StartTask, task-execution errors as from Get.
-func (c *Cluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	res, err := c.StartTask(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	c.Sim.Run(0)
-	return res.Get()
-}
-
-// AggregateTimed runs one aggregation task whose sender streams carry
-// arrival timestamps: each daemon consumes its stream on the sim clock —
-// tuples enter the packetizer at their arrival offsets, partial packets
-// flush on lulls — so the task experiences the trace's temporal shape
-// (bursts, diurnal cycles, idle gaps) instead of back-to-back pressure.
-// Its error behaviour matches Aggregate.
-func (c *Cluster) AggregateTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*TaskResult, error) {
-	res, err := c.StartTaskTimed(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	c.Sim.Run(0)
-	return res.Get()
-}
-
-// PendingTask is a task started with StartTask whose result becomes
-// available after the simulation runs.
-type PendingTask struct {
-	c      *Cluster
-	spec   core.TaskSpec
-	start  sim.Time
-	handle *hostd.RecvHandle
-	result *TaskResult
-	err    error
-}
-
-// StartTask submits a task and its sender streams without running the
-// simulation, so several tasks can run concurrently; call Sim.Run(0) (or
-// Aggregate another task) and then Get. It returns an error when the spec
-// names hosts outside the cluster or a sender has no stream; errors from
-// the task's execution surface later, from Get.
-func (c *Cluster) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSend(spec.ID, streams[h]) }
-	return c.startTask(spec, has, submit)
-}
-
-// StartTaskTimed is StartTask for timed sender streams (see
-// AggregateTimed); its error behaviour matches StartTask.
-func (c *Cluster) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*PendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSendTimed(spec.ID, streams[h]) }
-	return c.startTask(spec, has, submit)
-}
-
-func (c *Cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool, submit func(*hostd.Daemon, core.HostID)) (*PendingTask, error) {
-	if len(spec.Senders) == 0 {
-		return nil, fmt.Errorf("ask: task %d has no senders", spec.ID)
-	}
-	for _, s := range spec.Senders {
-		if _, ok := c.daemons[s]; !ok {
-			return nil, fmt.Errorf("ask: sender host %d not in cluster", s)
-		}
-		if !hasStream(s) {
-			return nil, fmt.Errorf("ask: no stream for sender host %d", s)
-		}
-	}
-	if _, ok := c.daemons[spec.Receiver]; !ok {
-		return nil, fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
-	}
-	pt := &PendingTask{c: c, spec: spec, start: c.Sim.Now()}
-	c.taskStarted()
-	c.Sim.Spawn(fmt.Sprintf("driver-task%d", spec.ID), func(p *sim.Proc) {
-		defer c.taskFinished()
-		h, err := c.daemons[spec.Receiver].Submit(p, spec)
-		if err != nil {
-			pt.err = err
-			return
-		}
-		pt.handle = h
-		// Deterministic sender start order.
-		senders := append([]core.HostID(nil), spec.Senders...)
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-		for _, s := range senders {
-			submit(c.daemons[s], s)
-		}
-		result := h.Wait(p)
-		var degraded time.Duration
-		for _, hid := range append([]core.HostID{spec.Receiver}, senders...) {
-			if dt := c.daemons[hid].FailoverStats().DegradedTime; dt > degraded {
-				degraded = dt
-			}
-		}
-		// A region revocation degrades only the task, not the daemon.
-		if dt := h.Stats().Degraded; dt > degraded {
-			degraded = dt
-		}
-		pt.result = &TaskResult{
-			Result:   result,
-			Elapsed:  p.Now() - pt.start,
-			Recv:     h.Stats(),
-			Switch:   *c.Switch.TaskStatsOf(spec.ID),
-			Degraded: degraded,
-		}
-	})
-	return pt, nil
-}
-
-// Get returns the task outcome; it errors if the task has not completed.
-func (pt *PendingTask) Get() (*TaskResult, error) {
-	if pt.err != nil {
-		return nil, pt.err
-	}
-	if pt.result == nil {
-		return nil, fmt.Errorf("ask: task %d did not complete (run the simulation to quiescence)", pt.spec.ID)
-	}
-	return pt.result, nil
+func (c *Cluster) revokeRegion(task core.TaskID, _ core.HostID) error {
+	return c.Switch.RevokeRegion(task)
 }

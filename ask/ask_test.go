@@ -244,38 +244,6 @@ func TestSequentialTasksReuseChannels(t *testing.T) {
 	}
 }
 
-func TestConcurrentTasksSharedChannels(t *testing.T) {
-	// Two tasks with different receivers running at once, multiplexing the
-	// same daemons and switch.
-	cl, err := NewCluster(Options{Hosts: 4, Seed: 13})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataA := map[core.HostID][]core.KV{2: genStream(50, 4000, 150), 3: genStream(51, 4000, 150)}
-	dataB := map[core.HostID][]core.KV{2: genStream(52, 4000, 150), 3: genStream(53, 4000, 150)}
-	ptA, err := cl.StartTask(core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{2, 3}},
-		map[core.HostID]core.Stream{2: core.SliceStream(dataA[2]), 3: core.SliceStream(dataA[3])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ptB, err := cl.StartTask(core.TaskSpec{ID: 2, Receiver: 1, Senders: []core.HostID{2, 3}},
-		map[core.HostID]core.Stream{2: core.SliceStream(dataB[2]), 3: core.SliceStream(dataB[3])})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.Sim.Run(0)
-	resA, err := ptA.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, err := ptB.Get()
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExact(t, resA, core.OpSum, dataA)
-	checkExact(t, resB, core.OpSum, dataB)
-}
-
 func TestDeterministicRuns(t *testing.T) {
 	make_ := func() *TaskResult {
 		link := netsim.DefaultLinkConfig()
@@ -313,27 +281,6 @@ func TestEmptyStream(t *testing.T) {
 	res := run(t, Options{Hosts: 2, Seed: 15}, spec, data)
 	if len(res.Result) != 0 {
 		t.Fatalf("empty stream produced %v", res.Result)
-	}
-}
-
-func TestInvalidSubmissions(t *testing.T) {
-	cl, err := NewCluster(Options{Hosts: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cl.StartTask(core.TaskSpec{ID: 1, Receiver: 0}, nil); err == nil {
-		t.Error("no senders accepted")
-	}
-	if _, err := cl.StartTask(core.TaskSpec{ID: 1, Receiver: 9, Senders: []core.HostID{1}},
-		map[core.HostID]core.Stream{1: core.SliceStream(nil)}); err == nil {
-		t.Error("unknown receiver accepted")
-	}
-	if _, err := cl.StartTask(core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}},
-		map[core.HostID]core.Stream{}); err == nil {
-		t.Error("missing stream accepted")
-	}
-	if _, err := NewCluster(Options{Hosts: 0}); err == nil {
-		t.Error("zero hosts accepted")
 	}
 }
 

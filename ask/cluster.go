@@ -1,0 +1,374 @@
+package ask
+
+import (
+	"fmt"
+	"sort"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/cpumodel"
+	"repro/internal/hostd"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/streaming"
+	"repro/internal/switchd"
+	"repro/internal/telemetry"
+)
+
+// fabric is what differs between deployments. Everything else — task
+// validation, the driver proc, accounting, accessors — is the one cluster
+// core below. The cluster layer runs at task set-up and teardown only: a
+// fabric is never on the per-frame path (daemons attach straight to netsim).
+type fabric interface {
+	// switches lists every ASK switch in fabric order.
+	switches() []*switchd.Switch
+	// uplink / downlink resolve a host's links to its first-hop switch.
+	uplink(h core.HostID) *netsim.Link
+	downlink(h core.HostID) *netsim.Link
+	// taskStats returns a task's switch-side counters: the rack's switch,
+	// the receiver's TOR, or the sum over the task's aggregation tree.
+	taskStats(spec core.TaskSpec) switchd.TaskStats
+	// setSwitchDown is the outage-epoch policy: crash (down) or reboot the
+	// switch at addr and advance whatever incarnation numbering the fabric
+	// keeps — the rack's per-switch epoch, the fat-tree's fabric-wide one.
+	setSwitchDown(addr core.HostID, down bool) error
+	// revokeRegion marks a task's region revoked at the single switch that
+	// holds it, or reports that the fabric has no such single point.
+	revokeRegion(task core.TaskID, receiver core.HostID) error
+}
+
+// UnsupportedError reports a control or fault-injection operation a fabric
+// cannot perform; match with errors.As.
+type UnsupportedError struct {
+	Op, Fabric, Reason string
+}
+
+func (e *UnsupportedError) Error() string {
+	return fmt.Sprintf("ask: %s is not supported on the %s (%s)", e.Op, e.Fabric, e.Reason)
+}
+
+// cluster is the deployment-independent core that Cluster, MultiRackCluster
+// and FatTreeCluster embed: the simulation, the telemetry set, the hosts,
+// and everything that runs a task. Its exported fields and methods are
+// promoted onto the three shells.
+type cluster struct {
+	Sim *sim.Simulation
+	// Tel is the cluster observability set (nil unless the deployment's
+	// Telemetry option is enabled): registry, tracer, and sampler.
+	Tel *telemetry.Set
+
+	cfg     core.Config
+	cores   int
+	fab     fabric
+	hosts   []core.HostID
+	daemons map[core.HostID]*hostd.Daemon
+	cpus    map[core.HostID]*cpumodel.Host
+	// activeTasks gates the telemetry sampler: it runs only while tasks
+	// are in flight so Sim.Run(0) still quiesces.
+	activeTasks int
+}
+
+// defaults fills the zero values every deployment's options share: the
+// paper's configuration, 56 cores, default switch tables, 100 Gbps / 1 µs
+// links.
+func defaults(cfg *core.Config, cores *int, sw *switchd.Options, links ...*netsim.LinkConfig) {
+	if cfg.NumAAs == 0 {
+		*cfg = core.DefaultConfig()
+	}
+	if *cores == 0 {
+		*cores = cpumodel.DefaultCores
+	}
+	if sw.MaxFlows == 0 {
+		*sw = switchd.DefaultOptions()
+	}
+	for _, l := range links {
+		if l.BandwidthBps == 0 {
+			*l = netsim.DefaultLinkConfig()
+		}
+	}
+}
+
+func newCluster(fab fabric, seed int64, cfg core.Config, cores int, tel telemetry.Config) cluster {
+	s := sim.New(seed)
+	return cluster{
+		Sim:     s,
+		Tel:     telemetry.NewSet(s, tel),
+		cfg:     cfg,
+		cores:   cores,
+		fab:     fab,
+		daemons: make(map[core.HostID]*hostd.Daemon),
+		cpus:    make(map[core.HostID]*cpumodel.Host),
+	}
+}
+
+// addHost builds one server — CPU model, then daemon — on simulation lane s,
+// attached to the network at `at` with ctrl as its control plane.
+// Constructors call it in host-ID order; that order is part of the simulated
+// record bench/ reproduces.
+func (c *cluster) addHost(s *sim.Simulation, at netsim.HostFabric, id core.HostID, ctrl hostd.Controller, sink telemetry.Sink) (*hostd.Daemon, error) {
+	cpu := cpumodel.NewHost(s, c.cores)
+	d, err := hostd.New(s, at, cpu, c.cfg, id, ctrl, sink)
+	if err != nil {
+		return nil, err
+	}
+	c.hosts = append(c.hosts, id)
+	c.daemons[id] = d
+	c.cpus[id] = cpu
+	return d, nil
+}
+
+// Simulation returns the deterministic virtual-time kernel.
+func (c *cluster) Simulation() *sim.Simulation { return c.Sim }
+
+// TelemetrySet returns the cluster observability set, nil when telemetry is
+// disabled.
+func (c *cluster) TelemetrySet() *telemetry.Set { return c.Tel }
+
+// Config returns the deployment configuration.
+func (c *cluster) Config() core.Config { return c.cfg }
+
+// Hosts lists the servers in host-ID order.
+func (c *cluster) Hosts() []core.HostID { return c.hosts }
+
+// Switches lists every ASK switch: the rack's one, the TORs in rack order,
+// or the leaves followed by the spines.
+func (c *cluster) Switches() []*switchd.Switch { return c.fab.switches() }
+
+// Daemon returns the host daemon of a server.
+func (c *cluster) Daemon(h core.HostID) *hostd.Daemon { return c.daemons[h] }
+
+// CPU returns the CPU model of a server.
+func (c *cluster) CPU(h core.HostID) *cpumodel.Host { return c.cpus[h] }
+
+// HostUplink returns a host's uplink to its first-hop switch (fault
+// injection, stats).
+func (c *cluster) HostUplink(h core.HostID) *netsim.Link { return c.fab.uplink(h) }
+
+// HostDownlink returns a host's downlink from its first-hop switch.
+func (c *cluster) HostDownlink(h core.HostID) *netsim.Link { return c.fab.downlink(h) }
+
+// CrashSwitch takes the switch at fabric address addr down: it black-holes
+// every frame until RebootSwitch. The rack's only switch answers to
+// TheSwitch; fat-tree switches to netsim.LeafAddr / netsim.SpineAddr, and a
+// crash there also advances the fabric epoch (crashing an already-crashed
+// switch is a no-op) and requires Config.Failover. It returns an error when
+// addr names no switch, and an *UnsupportedError on the multi-rack fabric:
+// netsim.TwoTier has no TOR addressing and no per-rack epoch story, so
+// switch outages there are out of scope.
+func (c *cluster) CrashSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, true) }
+
+// RebootSwitch brings the switch at addr back up as a fresh incarnation
+// (state wiped, epoch advanced — fabric-wide on the fat-tree, which
+// triggers the recovery that re-registers flows and re-allocates regions).
+// It returns an error under the same conditions as CrashSwitch.
+func (c *cluster) RebootSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, false) }
+
+// RevokeRegion mimics the controller reclaiming a task's aggregator rows
+// mid-flight (e.g. to make room for a higher-priority tenant): the switch
+// stops aggregating for the task immediately, and after one control-RPC
+// latency the receiver daemon learns of the revocation, drains the absorbed
+// state, and continues host-only. It returns an error when Config.Failover
+// is off or the receiver daemon is unknown, and an *UnsupportedError on the
+// fat-tree — a task's absorbed state is spread over several aggregation
+// points and the single-point drain cannot reclaim it exactly-once; fabric
+// capacity pressure is modeled by admission control instead — and on the
+// multi-rack fabric (see CrashSwitch).
+func (c *cluster) RevokeRegion(task core.TaskID, receiver core.HostID) error {
+	if !c.cfg.Failover {
+		return fmt.Errorf("ask: RevokeRegion requires Config.Failover")
+	}
+	d, ok := c.daemons[receiver]
+	if !ok {
+		return fmt.Errorf("ask: receiver host %d not in cluster", receiver)
+	}
+	if err := c.fab.revokeRegion(task, receiver); err != nil {
+		return err
+	}
+	c.Sim.After(cpumodel.ControlRPCLatency, func() { d.OnRegionRevoked(task) })
+	return nil
+}
+
+// TaskResult is the outcome of one aggregation task.
+type TaskResult struct {
+	Result core.Result
+	// Elapsed is the virtual time from submission to completion.
+	Elapsed sim.Time
+	// Recv holds the receiver-side counters.
+	Recv hostd.RecvTaskStats
+	// Switch holds the switch-side counters for the task: the rack switch's,
+	// the receiver TOR's, or the sum over the fat-tree's aggregation points.
+	Switch switchd.TaskStats
+	// Degraded is the longest time any participating daemon spent in
+	// degraded (host-only) mode while the task ran; zero on a fault-free
+	// run or when Config.Failover is off.
+	Degraded time.Duration
+}
+
+// PendingTask is a task started with StartTask whose result becomes
+// available after the simulation runs.
+type PendingTask struct {
+	spec   core.TaskSpec
+	start  sim.Time
+	result *TaskResult
+	err    error
+}
+
+// Get returns the task outcome; it errors if the task has not completed.
+func (pt *PendingTask) Get() (*TaskResult, error) {
+	if pt.err != nil {
+		return nil, pt.err
+	}
+	if pt.result == nil {
+		return nil, fmt.Errorf("ask: task %d did not complete (run the simulation to quiescence)", pt.spec.ID)
+	}
+	return pt.result, nil
+}
+
+// StartTask submits a task and its sender streams without running the
+// simulation, so several tasks (e.g. one per tenant) can run concurrently;
+// call Sim.Run(0) (or Aggregate another task) and then Get. It returns an
+// error when the spec has no senders, names hosts outside the cluster, or a
+// sender has no stream. Errors from the task's execution — including, on
+// tenant-partitioned fat-trees, admission rejections (match with errors.As
+// against *tenancy.OverloadError) — surface later, from Get.
+func (c *cluster) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
+	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
+	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSend(spec.ID, streams[h]) }
+	return c.startTask(spec, has, submit)
+}
+
+// StartTaskTimed is StartTask for timed sender streams (see
+// AggregateTimed); its error behaviour matches StartTask.
+func (c *cluster) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*PendingTask, error) {
+	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
+	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSendTimed(spec.ID, streams[h]) }
+	return c.startTask(spec, has, submit)
+}
+
+// Aggregate runs one complete aggregation task to completion: the receiver
+// submits the task, each sender streams its tuples, and the merged result
+// is returned once every FIN is in and switch state is fetched. It blocks
+// until the virtual cluster quiesces. Setup errors are returned as from
+// StartTask, task-execution errors as from Get.
+func (c *cluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
+	pt, err := c.StartTask(spec, streams)
+	if err != nil {
+		return nil, err
+	}
+	c.Sim.Run(0)
+	return pt.Get()
+}
+
+// AggregateTimed runs one aggregation task whose sender streams carry
+// arrival timestamps: each daemon consumes its stream on the sim clock —
+// tuples enter the packetizer at their arrival offsets, partial packets
+// flush on lulls — so the task experiences the trace's temporal shape
+// (bursts, diurnal cycles, idle gaps) instead of back-to-back pressure.
+// Its error behaviour matches Aggregate.
+func (c *cluster) AggregateTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*TaskResult, error) {
+	pt, err := c.StartTaskTimed(spec, streams)
+	if err != nil {
+		return nil, err
+	}
+	c.Sim.Run(0)
+	return pt.Get()
+}
+
+// validate is the one task validator: same checks, same order, same errors
+// on every fabric.
+func (c *cluster) validate(spec core.TaskSpec, hasStream func(core.HostID) bool) error {
+	if len(spec.Senders) == 0 {
+		return fmt.Errorf("ask: task %d has no senders", spec.ID)
+	}
+	for _, s := range spec.Senders {
+		if _, ok := c.daemons[s]; !ok {
+			return fmt.Errorf("ask: sender host %d not in cluster", s)
+		}
+		if !hasStream(s) {
+			return fmt.Errorf("ask: no stream for sender host %d", s)
+		}
+	}
+	if _, ok := c.daemons[spec.Receiver]; !ok {
+		return fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
+	}
+	return nil
+}
+
+// startTask validates the task and spawns its driver proc: submit at the
+// receiver, start the senders in host-ID order, wait, account.
+func (c *cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool, submit func(*hostd.Daemon, core.HostID)) (*PendingTask, error) {
+	if err := c.validate(spec, hasStream); err != nil {
+		return nil, err
+	}
+	pt := &PendingTask{spec: spec, start: c.Sim.Now()}
+	// The sampler self-reschedules on the sim clock, so it runs only while
+	// tasks are in flight: left running on an idle cluster it would keep
+	// Sim.Run(0) from quiescing.
+	c.activeTasks++
+	if c.activeTasks == 1 && c.Tel != nil && c.Tel.Sampler != nil {
+		c.Tel.Sampler.Start()
+	}
+	c.Sim.Spawn(fmt.Sprintf("driver-task%d", spec.ID), func(p *sim.Proc) {
+		defer func() {
+			c.activeTasks--
+			if c.activeTasks == 0 && c.Tel != nil && c.Tel.Sampler != nil {
+				c.Tel.Sampler.Stop()
+			}
+		}()
+		h, err := c.daemons[spec.Receiver].Submit(p, spec)
+		if err != nil {
+			pt.err = err
+			return
+		}
+		// Deterministic sender start order.
+		senders := append([]core.HostID(nil), spec.Senders...)
+		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
+		for _, s := range senders {
+			submit(c.daemons[s], s)
+		}
+		result := h.Wait(p)
+		// A region revocation degrades only the task, not the daemon.
+		degraded := h.Stats().Degraded
+		for _, hid := range append([]core.HostID{spec.Receiver}, senders...) {
+			if dt := c.daemons[hid].FailoverStats().DegradedTime; dt > degraded {
+				degraded = dt
+			}
+		}
+		pt.result = &TaskResult{
+			Result:   result,
+			Elapsed:  p.Now() - pt.start,
+			Recv:     h.Stats(),
+			Switch:   c.fab.taskStats(spec),
+			Degraded: degraded,
+		}
+	})
+	return pt, nil
+}
+
+// Streaming adapts the cluster to the windowed-stream API of
+// internal/streaming: unbounded per-source streams are aggregated in
+// tumbling windows, one ASK task per window, pipelined over the persistent
+// channels.
+func (c *cluster) Streaming() streaming.Service { return clusterStream{c} }
+
+type clusterStream struct{ c *cluster }
+
+func (cs clusterStream) Start(spec core.TaskSpec, streams map[core.HostID]core.Stream) (streaming.Pending, error) {
+	pt, err := cs.c.StartTask(spec, streams)
+	if err != nil {
+		return nil, err
+	}
+	return pendingAdapter{pt}, nil
+}
+
+func (cs clusterStream) Run() { cs.c.Sim.Run(0) }
+
+type pendingAdapter struct{ pt *PendingTask }
+
+func (pa pendingAdapter) Result() (core.Result, sim.Time, error) {
+	res, err := pa.pt.Get()
+	if err != nil {
+		return nil, 0, err
+	}
+	return res.Result, res.Elapsed, nil
+}

@@ -1,0 +1,305 @@
+package ask_test
+
+// One service, three fabrics: every way of running a task must give the
+// exact keyed reduce of its input on every deployment. The table below is
+// the fabric-independent contract of the cluster core; the per-fabric tests
+// next to it (multirack_test.go, fattree_test.go) only check what a fabric
+// adds — where tuples are absorbed, what state a switch holds.
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/ask"
+	"repro/internal/chaos"
+	"repro/internal/core"
+	"repro/internal/netsim"
+	"repro/internal/tenancy"
+)
+
+// reduceByKey is the reference model: groupByKey().reduce(+) as a plain map
+// fold, sharing no code with the system under test.
+func reduceByKey(streams map[core.HostID][]core.KV) core.Result {
+	out := make(map[string]int64)
+	for _, kvs := range streams {
+		for _, kv := range kvs {
+			out[kv.Key] += kv.Val
+		}
+	}
+	return out
+}
+
+// service is the task-running surface the three shells share.
+type service interface {
+	chaos.Fabric
+	StartTaskTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.PendingTask, error)
+	Aggregate(core.TaskSpec, map[core.HostID]core.Stream) (*ask.TaskResult, error)
+	AggregateTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.TaskResult, error)
+}
+
+// Every fabric is built with nine hosts in three groups of three (the rack
+// ignores the grouping), so one layout serves all: task i receives at host i
+// of group 0 and has a group-local sender plus one sender in each other
+// group.
+var conformanceFabrics = []struct {
+	name    string
+	tenants int
+	build   func(seed int64, cfg core.Config) (service, error)
+}{
+	{"rack", 0, func(seed int64, cfg core.Config) (service, error) {
+		return ask.NewCluster(ask.Options{Hosts: 9, Seed: seed, Config: cfg})
+	}},
+	{"multirack", 0, func(seed int64, cfg core.Config) (service, error) {
+		return ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg})
+	}},
+	{"multirack+lossy", 0, func(seed int64, cfg core.Config) (service, error) {
+		host, fabric := netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
+		host.Fault.LossProb = 0.03
+		fabric.Fault = netsim.Fault{LossProb: 0.03, ReorderProb: 0.05, ReorderDelay: 40 * time.Microsecond}
+		return ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg, HostLink: host, CoreLink: fabric})
+	}},
+	{"fattree", 0, func(seed int64, cfg core.Config) (service, error) {
+		return ask.NewFatTreeCluster(ask.FatTreeOptions{Spines: 2, Leaves: 3, HostsPerLeaf: 3, Seed: seed, Config: cfg})
+	}},
+	{"fattree+2tenants", 2, func(seed int64, cfg core.Config) (service, error) {
+		return ask.NewFatTreeCluster(ask.FatTreeOptions{
+			Spines: 2, Leaves: 3, HostsPerLeaf: 3, Seed: seed, Config: cfg,
+			Tenants: []tenancy.TenantSpec{{ID: 1, Weight: 1}, {ID: 2, Weight: 2}},
+		})
+	}},
+}
+
+// conformanceTask lays out task i and generates its input: mixed-length
+// keys so short, medium and long paths all carry tuples.
+func conformanceTask(i, tenants int, seed int64) (core.TaskSpec, map[core.HostID][]core.KV) {
+	spec := core.TaskSpec{
+		ID: core.TaskID(i + 1), Receiver: core.HostID(i), Op: core.OpSum,
+		Senders: []core.HostID{2, core.HostID(3 + i), core.HostID(6 + i)},
+	}
+	if tenants > 0 {
+		spec.ID = core.MakeTaskID(core.TenantID(i%tenants+1), uint32(i+1))
+	}
+	data := make(map[core.HostID][]core.KV)
+	for j, h := range spec.Senders {
+		kvs := make([]core.KV, 4000)
+		for n := range kvs {
+			k := (int64(n)*2654435761 + seed + int64(j)) % 700
+			key := fmt.Sprintf("k%d", k)
+			if k%3 == 0 {
+				key = fmt.Sprintf("a_rather_long_key_%06d", k)
+			}
+			kvs[n] = core.KV{Key: key, Val: k%9 + 1}
+		}
+		data[h] = kvs
+	}
+	return spec, data
+}
+
+func plain(data map[core.HostID][]core.KV) map[core.HostID]core.Stream {
+	m := make(map[core.HostID]core.Stream, len(data))
+	for h, kvs := range data {
+		m[h] = core.SliceStream(kvs)
+	}
+	return m
+}
+
+// timed spreads each sender's tuples over the sim clock, 50 ns apart.
+func timed(data map[core.HostID][]core.KV) map[core.HostID]core.TimedStream {
+	m := make(map[core.HostID]core.TimedStream, len(data))
+	for h, kvs := range data {
+		tkvs := make([]core.TimedKV, len(kvs))
+		for i, kv := range kvs {
+			tkvs[i] = core.TimedKV{KV: kv, At: time.Duration(i) * 50 * time.Nanosecond}
+		}
+		m[h] = core.SliceTimedStream(tkvs)
+	}
+	return m
+}
+
+func checkExact(t *testing.T, what string, res *ask.TaskResult, data map[core.HostID][]core.KV) {
+	t.Helper()
+	if want := reduceByKey(data); !res.Result.Equal(want) {
+		t.Fatalf("%s differs from the keyed reduce: %s", what, res.Result.Diff(want, 8))
+	}
+	if res.Degraded != 0 {
+		t.Fatalf("%s reports %v degraded on a fault-free run", what, res.Degraded)
+	}
+}
+
+func TestConformance(t *testing.T) {
+	for _, fab := range conformanceFabrics {
+		fab := fab
+		build := func(t *testing.T) service {
+			t.Helper()
+			s, err := fab.build(31, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		t.Run(fab.name+"/plain", func(t *testing.T) {
+			spec, data := conformanceTask(0, fab.tenants, 1)
+			res, err := build(t).Aggregate(spec, plain(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExact(t, "Aggregate", res, data)
+		})
+		t.Run(fab.name+"/timed", func(t *testing.T) {
+			spec, data := conformanceTask(0, fab.tenants, 2)
+			res, err := build(t).AggregateTimed(spec, timed(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkExact(t, "AggregateTimed", res, data)
+			if span := 3999 * 50 * time.Nanosecond; time.Duration(res.Elapsed) < span {
+				t.Fatalf("timed task finished in %v, before its last arrival at %v", time.Duration(res.Elapsed), span)
+			}
+		})
+		t.Run(fab.name+"/concurrent", func(t *testing.T) {
+			s := build(t)
+			var pending [2]*ask.PendingTask
+			var inputs [2]map[core.HostID][]core.KV
+			for i := range pending {
+				spec, data := conformanceTask(i, fab.tenants, int64(3+i))
+				pt, err := s.StartTask(spec, plain(data))
+				if err != nil {
+					t.Fatal(err)
+				}
+				pending[i], inputs[i] = pt, data
+			}
+			if _, err := pending[0].Get(); err == nil {
+				t.Fatal("Get succeeded before the simulation ran")
+			}
+			s.Simulation().Run(0)
+			for i, pt := range pending {
+				res, err := pt.Get()
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkExact(t, fmt.Sprintf("concurrent task %d", i), res, inputs[i])
+			}
+		})
+	}
+}
+
+// TestInvalidSubmissions is the one task validator seen from outside: the
+// same malformed submission draws the same error on every fabric.
+func TestInvalidSubmissions(t *testing.T) {
+	some := map[core.HostID]core.Stream{1: core.SliceStream(nil), 77: core.SliceStream(nil)}
+	for _, tc := range []struct {
+		name    string
+		spec    core.TaskSpec
+		streams map[core.HostID]core.Stream
+		want    string
+	}{
+		{"no senders", core.TaskSpec{ID: 1, Receiver: 0}, some, "ask: task 1 has no senders"},
+		{"unknown sender", core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 77}}, some, "ask: sender host 77 not in cluster"},
+		{"unknown receiver", core.TaskSpec{ID: 1, Receiver: 99, Senders: []core.HostID{1}}, some, "ask: receiver host 99 not in cluster"},
+		{"sender without stream", core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 2}}, some, "ask: no stream for sender host 2"},
+	} {
+		for _, fab := range conformanceFabrics {
+			if fab.tenants > 0 || fab.name == "multirack+lossy" {
+				continue // same types as the rows above
+			}
+			s, err := fab.build(1, core.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.StartTask(tc.spec, tc.streams); err == nil || err.Error() != tc.want {
+				t.Errorf("%s on %s: StartTask returned %v, want %q", tc.name, fab.name, err, tc.want)
+			}
+			if _, err := s.Aggregate(tc.spec, tc.streams); err == nil || err.Error() != tc.want {
+				t.Errorf("%s on %s: Aggregate returned %v, want %q", tc.name, fab.name, err, tc.want)
+			}
+		}
+	}
+	if _, err := ask.NewCluster(ask.Options{}); err == nil {
+		t.Error("rack with zero hosts accepted")
+	}
+	if _, err := ask.NewMultiRackCluster(ask.MultiRackOptions{}); err == nil {
+		t.Error("multi-rack with zero racks accepted")
+	}
+	if _, err := ask.NewFatTreeCluster(ask.FatTreeOptions{}); err == nil {
+		t.Error("fat-tree with zero leaves accepted")
+	}
+}
+
+// TestMultiRackUnderChaos drives the two-tier fabric through the chaos
+// orchestrator: the link and host half of chaos.Fabric works there with no
+// multi-rack-specific driver code, conservation stays exact, and the switch
+// half reports a typed refusal instead of a half-modelled outage.
+func TestMultiRackUnderChaos(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Failover = true
+	cfg.ShadowCopy = false
+	golden, err := conformanceFabrics[1].build(7, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, data := conformanceTask(0, 0, 5)
+	res, err := golden.Aggregate(spec, plain(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkExact(t, "golden run", res, data)
+	scale := time.Duration(res.Elapsed)
+
+	for _, sc := range []struct {
+		name   string
+		inject func(o *chaos.Orchestrator)
+	}{
+		// Host 2 is the receiver's rack-mate (its tuples aggregate at the
+		// TOR), host 6 sits two racks away (its tuples cross the core).
+		// Faults start at 1/20 of the fault-free duration: senders finish
+		// streaming in its first third, the rest is the receiver's merge.
+		{"blackhole-local-link", func(o *chaos.Orchestrator) { o.LinkBlackhole(scale/20, scale/4, 2) }},
+		{"blackhole-remote-link", func(o *chaos.Orchestrator) { o.LinkBlackhole(scale/20, scale/4, 6) }},
+		{"stall-remote-host", func(o *chaos.Orchestrator) { o.HostStall(scale/20, scale/4, 6) }},
+		{"lossy-link-and-stall", func(o *chaos.Orchestrator) {
+			o.LinkDegrade(0, scale, 3, netsim.Fault{LossProb: 0.1, DupProb: 0.02})
+			o.HostStall(scale/20, scale/5, 2)
+		}},
+	} {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			mc, err := conformanceFabrics[1].build(7, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			orch := chaos.New(mc)
+			sc.inject(orch)
+			res, err := mc.Aggregate(spec, plain(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := reduceByKey(data); !res.Result.Equal(want) {
+				t.Fatalf("conservation violated: %s", res.Result.Diff(want, 8))
+			}
+			if len(orch.Log()) < 2 {
+				t.Fatalf("script fired %d injections, want the fault and its heal", len(orch.Log()))
+			}
+			if time.Duration(res.Elapsed) <= scale {
+				t.Fatalf("faulted run took %v, no longer than the fault-free %v: the fault missed the task", time.Duration(res.Elapsed), scale)
+			}
+			for _, h := range mc.Hosts() {
+				if mc.Daemon(h).Degraded() {
+					t.Fatalf("host %d still degraded at quiescence", h)
+				}
+			}
+		})
+	}
+
+	var unsupported *ask.UnsupportedError
+	if err := golden.CrashSwitch(ask.TheSwitch); !errors.As(err, &unsupported) {
+		t.Fatalf("CrashSwitch on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
+	}
+	if err := golden.RebootSwitch(ask.TheSwitch); !errors.As(err, &unsupported) {
+		t.Fatalf("RebootSwitch on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
+	}
+	if err := golden.RevokeRegion(spec.ID, spec.Receiver); !errors.As(err, &unsupported) {
+		t.Fatalf("RevokeRegion on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
+	}
+}

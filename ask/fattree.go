@@ -3,14 +3,11 @@ package ask
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/core"
-	"repro/internal/cpumodel"
 	"repro/internal/hostd"
 	"repro/internal/keyspace"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
 	"repro/internal/tenancy"
@@ -41,9 +38,10 @@ type FatTreeOptions struct {
 	Tenants []tenancy.TenantSpec
 	// Telemetry, when enabled, builds a cluster-level telemetry.Set carrying
 	// the tenancy allocator's per-tenant gauges (quota/in-use/borrowed rows,
-	// admission outcomes, labeled `tenant`). Switches and daemons keep their
-	// private registries either way — their unlabeled instrument names would
-	// collide across the fabric.
+	// admission outcomes, labeled `tenant`), sampled while tasks are in
+	// flight as on the rack. Switches and daemons keep their private
+	// registries either way — their unlabeled instrument names would collide
+	// across the fabric.
 	Telemetry telemetry.Config
 	// Shards, when > 1, partitions the fabric into that many parallel event
 	// lanes of contiguous leaves (spines spread round-robin); the leaf↔spine
@@ -56,26 +54,23 @@ type FatTreeOptions struct {
 	Shards int
 }
 
-// FatTreeCluster is a spine/leaf deployment with hierarchical
-// re-aggregation: a task's tuples are absorbed first at the sender's leaf,
-// its cross-leaf residue gets a second chance at the task's spine, and the
-// receiver merges the remaining residue plus the entries fetched from every
-// aggregation point. Each tuple is absorbed at exactly one switch, so the
-// partial aggregates compose without double counting.
+// FatTreeCluster is a spine/leaf deployment: the cluster core over a fabric
+// with hierarchical re-aggregation. A task's tuples are absorbed first at
+// the sender's leaf, its cross-leaf residue gets a second chance at the
+// task's spine, and the receiver merges the remaining residue plus the
+// entries fetched from every aggregation point. Each tuple is absorbed at
+// exactly one switch, so the partial aggregates compose without double
+// counting. With Telemetry enabled, Tel carries the per-tenant allocation
+// gauges.
 type FatTreeCluster struct {
-	Sim    *sim.Simulation
+	cluster
 	Net    *netsim.FatTree
 	Leaves []*switchd.Switch
 	Spines []*switchd.Switch
 	// Tenancy is the admission/partition manager; nil without Tenants.
 	Tenancy *tenancy.Manager
-	// Tel is the cluster observability set (nil unless Options.Telemetry
-	// is enabled); it carries the per-tenant allocation gauges.
-	Tel *telemetry.Set
 
-	opts    FatTreeOptions
-	daemons map[core.HostID]*hostd.Daemon
-	cpus    map[core.HostID]*cpumodel.Host
+	tenants []tenancy.TenantSpec
 	allocs  map[core.TaskID]fatAlloc
 	// fabricEpoch is the fabric-wide incarnation number (starts at 1). Every
 	// switch outage event — crash AND reboot — bumps it and pushes it into
@@ -107,51 +102,33 @@ func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 	if opts.Spines <= 0 || opts.Leaves <= 0 || opts.HostsPerLeaf <= 0 {
 		return nil, fmt.Errorf("ask: need positive Spines, Leaves and HostsPerLeaf")
 	}
-	if opts.Config.NumAAs == 0 {
-		opts.Config = core.DefaultConfig()
-	}
+	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.FabricLink)
 	if opts.Config.Failover && opts.Config.ShadowCopy {
 		// Same restriction the rack soak runs under: failover replay cannot
 		// attribute swap fetches, so hierarchical failover requires shadow
 		// copies off.
 		return nil, fmt.Errorf("ask: fat-tree failover requires Config.ShadowCopy off (replay cannot attribute swap fetches)")
 	}
-	if opts.HostLink.BandwidthBps == 0 {
-		opts.HostLink = netsim.DefaultLinkConfig()
-	}
-	if opts.FabricLink.BandwidthBps == 0 {
-		opts.FabricLink = netsim.DefaultLinkConfig()
-	}
-	if opts.Cores == 0 {
-		opts.Cores = cpumodel.DefaultCores
-	}
-	if opts.Switch.MaxFlows == 0 {
-		opts.Switch = switchd.DefaultOptions()
-	}
-	s := sim.New(opts.Seed)
-	ft, _ := netsim.NewFatTreeSharded(s, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
-	ft.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
 	fc := &FatTreeCluster{
-		Sim:         s,
-		Net:         ft,
-		opts:        opts,
-		daemons:     make(map[core.HostID]*hostd.Daemon),
-		cpus:        make(map[core.HostID]*cpumodel.Host),
+		tenants:     opts.Tenants,
 		allocs:      make(map[core.TaskID]fatAlloc),
 		tenantTasks: make(map[core.TenantID][]core.TaskID),
 		fabricEpoch: 1,
 	}
+	fc.cluster = newCluster(fc, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	ft, _ := netsim.NewFatTreeSharded(fc.Sim, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
+	ft.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
+	fc.Net = ft
 	if len(opts.Tenants) > 0 {
 		mgr, err := tenancy.NewManager(opts.Tenants, opts.Config)
 		if err != nil {
 			return nil, err
 		}
 		mgr.SetHotness(fc.tenantHotness)
+		if fc.Tel != nil {
+			mgr.Instrument(fc.Tel.Registry)
+		}
 		fc.Tenancy = mgr
-	}
-	fc.Tel = telemetry.NewSet(s, opts.Telemetry)
-	if fc.Tenancy != nil && fc.Tel != nil {
-		fc.Tenancy.Instrument(fc.Tel.Registry)
 	}
 	for l := 0; l < opts.Leaves; l++ {
 		// Zero telemetry sink: like the multi-rack deployment, every switch
@@ -182,14 +159,10 @@ func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 	}
 	for l := 0; l < opts.Leaves; l++ {
 		for i := 0; i < opts.HostsPerLeaf; i++ {
-			id := opts.HostAt(l, i)
-			cpu := cpumodel.NewHost(ft.LeafSim(l), opts.Cores)
-			d, err := hostd.New(ft.LeafSim(l), leafFabric{ft, l}, cpu, opts.Config, id, fabricController{fc, l}, telemetry.Sink{})
+			d, err := fc.addHost(ft.LeafSim(l), leafFabric{ft, l}, opts.HostAt(l, i), fabricController{fc, l}, telemetry.Sink{})
 			if err != nil {
 				return nil, err
 			}
-			fc.daemons[id] = d
-			fc.cpus[id] = cpu
 			if err := fc.assignTenantChannels(d); err != nil {
 				return nil, err
 			}
@@ -206,13 +179,13 @@ func (fc *FatTreeCluster) assignTenantChannels(d *hostd.Daemon) error {
 	if fc.Tenancy == nil {
 		return nil
 	}
-	total := fc.opts.Config.DataChannels
+	total := fc.cfg.DataChannels
 	sum := 0
-	for _, t := range fc.opts.Tenants {
+	for _, t := range fc.tenants {
 		sum += t.Weight
 	}
 	cum := 0
-	for _, t := range fc.opts.Tenants {
+	for _, t := range fc.tenants {
 		lo := total * cum / sum
 		cum += t.Weight
 		hi := total * cum / sum
@@ -244,7 +217,8 @@ func (fc *FatTreeCluster) tenantHotness(tn core.TenantID) float64 {
 	return float64(conflicted) / float64(in)
 }
 
-// switchAt resolves a fabric address to its switch.
+// switchAt resolves a fabric address to its switch, nil when addr names
+// none. Addresses recorded in allocs always resolve.
 func (fc *FatTreeCluster) switchAt(addr core.HostID) *switchd.Switch {
 	if sp, ok := netsim.SpineIndex(addr, len(fc.Spines)); ok {
 		return fc.Spines[sp]
@@ -252,7 +226,7 @@ func (fc *FatTreeCluster) switchAt(addr core.HostID) *switchd.Switch {
 	if l, ok := netsim.LeafIndex(addr, len(fc.Leaves)); ok {
 		return fc.Leaves[l]
 	}
-	panic(fmt.Sprintf("ask: no switch at fabric address %#x", addr))
+	return nil
 }
 
 // leafFabric narrows the fat-tree to one leaf's host attach point.
@@ -370,7 +344,7 @@ func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.A
 		if fc.Tenancy != nil && tenant != 0 {
 			rows = fc.Tenancy.Quota(tenant) / 4
 		} else {
-			rows = fc.opts.Config.AARows / 4
+			rows = fc.cfg.AARows / 4
 		}
 		rows &^= 1
 		if rows < 2 {
@@ -460,17 +434,21 @@ func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.A
 	return hostd.AllocInfo{Partition: part, FetchFrom: points}, nil
 }
 
-// freeRegion releases a task's regions at every aggregation point and
-// returns its rows to the tenant quota.
+// freeRegion releases a task's regions at every live aggregation point (a
+// crashed switch's reboot wipes its own) and returns its rows to the tenant
+// quota. The fabric-wide epoch bump discards allocations through it too.
 func (fc *FatTreeCluster) freeRegion(task core.TaskID) error {
 	a, ok := fc.allocs[task]
 	if !ok {
 		return fmt.Errorf("ask: task %d has no allocation", task)
 	}
 	delete(fc.allocs, task)
+	var first error
 	for _, addr := range a.points {
-		if err := fc.switchAt(addr).FreeRegion(task); err != nil {
-			return err
+		if sw := fc.switchAt(addr); !sw.Down() {
+			if err := sw.FreeRegion(task); err != nil && first == nil {
+				first = err
+			}
 		}
 	}
 	if fc.Tenancy != nil {
@@ -483,141 +461,31 @@ func (fc *FatTreeCluster) freeRegion(task core.TaskID) error {
 		}
 		fc.tenantTasks[a.tenant] = live
 	}
-	return nil
+	return first
 }
-
-// Daemon returns a host's daemon.
-func (fc *FatTreeCluster) Daemon(h core.HostID) *hostd.Daemon { return fc.daemons[h] }
-
-// CPU returns a host's CPU model.
-func (fc *FatTreeCluster) CPU(h core.HostID) *cpumodel.Host { return fc.cpus[h] }
-
-// Config returns the deployment configuration.
-func (fc *FatTreeCluster) Config() core.Config { return fc.opts.Config }
 
 // TaskSwitchStats sums the switch-side counters of a task over every
 // aggregation point on its tree (or, after teardown, over all switches).
 func (fc *FatTreeCluster) TaskSwitchStats(task core.TaskID) switchd.TaskStats {
 	var sum switchd.TaskStats
-	add := func(sw *switchd.Switch) {
-		st := sw.TaskStatsOf(task)
-		sum.TuplesIn += st.TuplesIn
-		sum.TuplesAggregated += st.TuplesAggregated
-		sum.TuplesConflicted += st.TuplesConflicted
-		sum.DataPackets += st.DataPackets
-		sum.AckedPackets += st.AckedPackets
-		sum.ForwardedPackets += st.ForwardedPackets
-	}
-	for _, sw := range fc.Leaves {
-		add(sw)
-	}
-	for _, sw := range fc.Spines {
-		add(sw)
+	for _, sw := range fc.switches() {
+		sum.Add(sw.TaskStatsOf(task))
 	}
 	return sum
 }
 
-// StartTask submits a task and its sender streams without running the
-// simulation, so several tasks (e.g. one per tenant) can run concurrently;
-// call Sim.Run(0) and then Get. Setup failures — hosts outside the
-// cluster, senders without streams, and on tenant-partitioned fabrics
-// admission rejections (match with errors.As against
-// *tenancy.OverloadError) — are returned here; errors from the task's
-// execution surface later, from Get.
-func (fc *FatTreeCluster) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*FatTreePendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSend(spec.ID, streams[h]) }
-	return fc.startTask(spec, has, submit)
+// The spine/leaf fabric (its outage-epoch policy is in fattree_failover.go).
+
+func (fc *FatTreeCluster) switches() []*switchd.Switch {
+	return append(append([]*switchd.Switch(nil), fc.Leaves...), fc.Spines...)
+}
+func (fc *FatTreeCluster) uplink(h core.HostID) *netsim.Link   { return fc.Net.Uplink(h) }
+func (fc *FatTreeCluster) downlink(h core.HostID) *netsim.Link { return fc.Net.Downlink(h) }
+
+func (fc *FatTreeCluster) taskStats(spec core.TaskSpec) switchd.TaskStats {
+	return fc.TaskSwitchStats(spec.ID)
 }
 
-// StartTaskTimed is StartTask for timed sender streams: tuples enter each
-// sending daemon at their recorded arrival offsets on the sim clock (see
-// Cluster.AggregateTimed). Its error behaviour matches StartTask.
-func (fc *FatTreeCluster) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*FatTreePendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSendTimed(spec.ID, streams[h]) }
-	return fc.startTask(spec, has, submit)
-}
-
-func (fc *FatTreeCluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool, submit func(*hostd.Daemon, core.HostID)) (*FatTreePendingTask, error) {
-	recv, ok := fc.daemons[spec.Receiver]
-	if !ok {
-		return nil, fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
-	}
-	if len(spec.Senders) == 0 {
-		return nil, fmt.Errorf("ask: task %d has no senders", spec.ID)
-	}
-	for _, s := range spec.Senders {
-		if _, ok := fc.daemons[s]; !ok {
-			return nil, fmt.Errorf("ask: sender host %d not in cluster", s)
-		}
-		if !hasStream(s) {
-			return nil, fmt.Errorf("ask: no stream for sender host %d", s)
-		}
-	}
-	pt := &FatTreePendingTask{fc: fc, spec: spec, start: fc.Sim.Now()}
-	fc.Sim.Spawn(fmt.Sprintf("ft-driver-task%d", spec.ID), func(p *sim.Proc) {
-		h, err := recv.Submit(p, spec)
-		if err != nil {
-			pt.err = err
-			return
-		}
-		senders := append([]core.HostID(nil), spec.Senders...)
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-		for _, s := range senders {
-			submit(fc.daemons[s], s)
-		}
-		res := h.Wait(p)
-		var degraded time.Duration
-		for _, hid := range append([]core.HostID{spec.Receiver}, senders...) {
-			if dt := fc.daemons[hid].FailoverStats().DegradedTime; dt > degraded {
-				degraded = dt
-			}
-		}
-		if dt := h.Stats().Degraded; dt > degraded {
-			degraded = dt
-		}
-		pt.result = &TaskResult{
-			Result:   res,
-			Elapsed:  p.Now() - pt.start,
-			Recv:     h.Stats(),
-			Switch:   fc.TaskSwitchStats(spec.ID),
-			Degraded: degraded,
-		}
-	})
-	return pt, nil
-}
-
-// FatTreePendingTask is a task started on the fat-tree whose result becomes
-// available after the simulation runs.
-type FatTreePendingTask struct {
-	fc     *FatTreeCluster
-	spec   core.TaskSpec
-	start  sim.Time
-	result *TaskResult
-	err    error
-}
-
-// Get returns the task outcome; it errors if the task has not completed.
-func (pt *FatTreePendingTask) Get() (*TaskResult, error) {
-	if pt.err != nil {
-		return nil, pt.err
-	}
-	if pt.result == nil {
-		return nil, fmt.Errorf("ask: task %d did not complete (run the simulation to quiescence)", pt.spec.ID)
-	}
-	return pt.result, nil
-}
-
-// Aggregate runs one task to completion on the fat-tree. Setup and
-// admission errors (including *tenancy.OverloadError, an errors.As
-// target) are returned as from StartTask, task-execution errors as from
-// Get.
-func (fc *FatTreeCluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	pt, err := fc.StartTask(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	fc.Sim.Run(0)
-	return pt.Get()
+func (fc *FatTreeCluster) revokeRegion(task core.TaskID, _ core.HostID) error {
+	return &UnsupportedError{Op: "RevokeRegion", Fabric: "fat-tree", Reason: fmt.Sprintf("task %d spans multiple aggregation points", task)}
 }

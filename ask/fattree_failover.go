@@ -39,8 +39,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/sim"
-	"repro/internal/switchd"
 	"repro/internal/telemetry"
 )
 
@@ -55,31 +53,9 @@ type DegradedError = core.DegradedError
 func (fc *FatTreeCluster) FabricEpoch() uint32 { return fc.fabricEpoch }
 
 // SwitchDown reports whether the switch at fabric address addr is crashed.
-// It panics, like every fabric-address lookup, when addr names no switch.
+// It panics, like every trusted fabric-address lookup, when addr names no
+// switch.
 func (fc *FatTreeCluster) SwitchDown(addr core.HostID) bool { return fc.switchAt(addr).Down() }
-
-// lookupSwitch is switchAt with an error instead of a panic, for the
-// chaos-facing surface where a bad address is a script bug to report.
-func (fc *FatTreeCluster) lookupSwitch(addr core.HostID) (*switchd.Switch, error) {
-	if sp, ok := netsim.SpineIndex(addr, len(fc.Spines)); ok {
-		return fc.Spines[sp], nil
-	}
-	if l, ok := netsim.LeafIndex(addr, len(fc.Leaves)); ok {
-		return fc.Leaves[l], nil
-	}
-	return nil, fmt.Errorf("ask: no switch at fabric address %#x", addr)
-}
-
-// setNetDown mirrors a switch's crash state into the fabric's routing.
-func (fc *FatTreeCluster) setNetDown(addr core.HostID, down bool) {
-	if sp, ok := netsim.SpineIndex(addr, len(fc.Spines)); ok {
-		fc.Net.SetSpineDown(sp, down)
-		return
-	}
-	if l, ok := netsim.LeafIndex(addr, len(fc.Leaves)); ok {
-		fc.Net.SetLeafDown(l, down)
-	}
-}
 
 // liveSpine returns the task's spine after re-election: the first live
 // candidate in task-hashed order, matching netsim's frame routing. ok is
@@ -92,45 +68,35 @@ func (fc *FatTreeCluster) liveSpine(t core.TaskID) (int, bool) {
 	return s, true
 }
 
-// CrashSwitch takes the switch at fabric address addr down: the switch
-// black-holes every frame (and, for a leaf, so does its host-delivery
-// path), and the fabric epoch advances so live switches and hosts converge
-// on the new incarnation. Crashing an already-crashed switch is a no-op.
-// It returns an error when addr names no switch in this fabric or the
+// setSwitchDown is the fat-tree's outage-epoch policy (CrashSwitch /
+// RebootSwitch): the switch crashes or reboots as a fresh incarnation, the
+// fabric's routing mirrors its state (a down leaf also black-holes its
+// host-delivery path), and the fabric epoch advances so live switches and
+// hosts converge on the new incarnation. Crashing an already-crashed switch
+// is a no-op. It returns an error when addr names no switch or the
 // deployment was built without Config.Failover (a crash would deadlock
 // in-flight tasks).
-func (fc *FatTreeCluster) CrashSwitch(addr core.HostID) error {
-	if !fc.opts.Config.Failover {
-		return fmt.Errorf("ask: CrashSwitch requires Config.Failover")
+func (fc *FatTreeCluster) setSwitchDown(addr core.HostID, down bool) error {
+	if !fc.cfg.Failover {
+		return fmt.Errorf("ask: fat-tree switch outages require Config.Failover")
 	}
-	sw, err := fc.lookupSwitch(addr)
-	if err != nil {
-		return err
+	sw := fc.switchAt(addr)
+	if sw == nil {
+		return fmt.Errorf("ask: no switch at fabric address %#x", addr)
 	}
-	if sw.Down() {
-		return nil
+	if down {
+		if sw.Down() {
+			return nil
+		}
+		sw.Crash()
+	} else {
+		sw.Reboot()
 	}
-	sw.Crash()
-	fc.setNetDown(addr, true)
-	fc.bumpFabricEpoch()
-	return nil
-}
-
-// RebootSwitch brings the switch at fabric address addr back up as a fresh
-// incarnation (its state wiped, exactly like the rack's reboot) and
-// advances the fabric epoch again, which triggers the fabric-wide recovery
-// that re-registers flows and re-allocates regions on the healed topology.
-// It returns an error under the same conditions as CrashSwitch.
-func (fc *FatTreeCluster) RebootSwitch(addr core.HostID) error {
-	if !fc.opts.Config.Failover {
-		return fmt.Errorf("ask: RebootSwitch requires Config.Failover")
+	if sp, ok := netsim.SpineIndex(addr, len(fc.Spines)); ok {
+		fc.Net.SetSpineDown(sp, down)
+	} else if l, ok := netsim.LeafIndex(addr, len(fc.Leaves)); ok {
+		fc.Net.SetLeafDown(l, down)
 	}
-	sw, err := fc.lookupSwitch(addr)
-	if err != nil {
-		return err
-	}
-	sw.Reboot()
-	fc.setNetDown(addr, false)
 	fc.bumpFabricEpoch()
 	return nil
 }
@@ -142,12 +108,7 @@ func (fc *FatTreeCluster) RebootSwitch(addr core.HostID) error {
 // Tenancy rows return to their quotas; receivers re-admit on re-attach.
 func (fc *FatTreeCluster) bumpFabricEpoch() {
 	fc.fabricEpoch++
-	for _, sw := range fc.Leaves {
-		if !sw.Down() {
-			sw.SetEpoch(fc.fabricEpoch)
-		}
-	}
-	for _, sw := range fc.Spines {
+	for _, sw := range fc.switches() {
 		if !sw.Down() {
 			sw.SetEpoch(fc.fabricEpoch)
 		}
@@ -160,49 +121,12 @@ func (fc *FatTreeCluster) bumpFabricEpoch() {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		a := fc.allocs[id]
-		delete(fc.allocs, id)
-		for _, addr := range a.points {
-			if sw := fc.switchAt(addr); !sw.Down() {
-				_ = sw.FreeRegion(id)
-			}
-		}
-		if fc.Tenancy != nil {
-			fc.Tenancy.Release(a.tenant, a.rows)
-			live := fc.tenantTasks[a.tenant][:0]
-			for _, t := range fc.tenantTasks[a.tenant] {
-				if t != id {
-					live = append(live, t)
-				}
-			}
-			fc.tenantTasks[a.tenant] = live
-		}
+		// The live switches just held these regions and cannot refuse.
+		_ = fc.freeRegion(id)
 	}
 	if fc.Tel != nil {
 		fc.Tel.Registry.Counter("fabric.epoch_bumps").Inc()
 		fc.Tel.Tracer.EmitNote(telemetry.CompChaos, "fabric_epoch",
 			int64(fc.fabricEpoch), fmt.Sprintf("epoch %d, %d regions discarded", fc.fabricEpoch, len(ids)))
 	}
-}
-
-// Simulation returns the deterministic virtual-time kernel (the
-// chaos.Fabric surface).
-func (fc *FatTreeCluster) Simulation() *sim.Simulation { return fc.Sim }
-
-// TelemetrySet returns the cluster observability set, nil when telemetry is
-// disabled (the chaos.Fabric surface).
-func (fc *FatTreeCluster) TelemetrySet() *telemetry.Set { return fc.Tel }
-
-// HostUplink returns a host's uplink to its leaf (fault injection, stats).
-func (fc *FatTreeCluster) HostUplink(h core.HostID) *netsim.Link { return fc.Net.Uplink(h) }
-
-// HostDownlink returns a host's downlink from its leaf.
-func (fc *FatTreeCluster) HostDownlink(h core.HostID) *netsim.Link { return fc.Net.Downlink(h) }
-
-// RevokeRegion always returns an error on the fat-tree: a task's absorbed
-// state is spread over several aggregation points and the single-point
-// revocation drain cannot reclaim it exactly-once. Rack clusters support
-// it; fabric capacity pressure is modeled by admission control instead.
-func (fc *FatTreeCluster) RevokeRegion(task core.TaskID, receiver core.HostID) error {
-	return fmt.Errorf("ask: RevokeRegion is not supported on the fat-tree (task %d spans multiple aggregation points)", task)
 }

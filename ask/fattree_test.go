@@ -118,7 +118,7 @@ func fatTreeTenantOpts(seed int64, weights ...int) FatTreeOptions {
 // returns each tenant's result alongside its host-computed reference.
 func runTenantTasks(t *testing.T, fc *FatTreeCluster, opts FatTreeOptions) map[core.TenantID]*TaskResult {
 	t.Helper()
-	pending := make(map[core.TenantID]*FatTreePendingTask)
+	pending := make(map[core.TenantID]*PendingTask)
 	for i, ts := range opts.Tenants {
 		receiver := opts.HostAt(0, i%opts.HostsPerLeaf)
 		senders := []core.HostID{opts.HostAt(1, i%opts.HostsPerLeaf)}

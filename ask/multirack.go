@@ -2,13 +2,9 @@ package ask
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
-	"repro/internal/cpumodel"
-	"repro/internal/hostd"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -38,19 +34,16 @@ type MultiRackOptions struct {
 	Shards int
 }
 
-// MultiRackCluster is a two-tier deployment. Aggregation tasks get
+// MultiRackCluster is a two-tier deployment: the cluster core over a fabric
+// of per-rack TORs joined by a forwarding core. Aggregation tasks get
 // in-network aggregation from the receiver's TOR for rack-local senders;
 // cross-rack traffic bypasses the receiver's TOR and is aggregated at the
 // receiver host (§7), so no TOR ever holds state for another rack's
 // channels.
 type MultiRackCluster struct {
-	Sim  *sim.Simulation
+	cluster
 	Net  *netsim.TwoTier
 	TORs []*switchd.Switch
-
-	opts    MultiRackOptions
-	daemons map[core.HostID]*hostd.Daemon
-	cpus    map[core.HostID]*cpumodel.Host
 }
 
 // HostAt returns the host ID of slot i in rack r.
@@ -66,31 +59,12 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 	if opts.Racks <= 0 || opts.HostsPerRack <= 0 {
 		return nil, fmt.Errorf("ask: need positive Racks and HostsPerRack")
 	}
-	if opts.Config.NumAAs == 0 {
-		opts.Config = core.DefaultConfig()
-	}
-	if opts.HostLink.BandwidthBps == 0 {
-		opts.HostLink = netsim.DefaultLinkConfig()
-	}
-	if opts.CoreLink.BandwidthBps == 0 {
-		opts.CoreLink = netsim.DefaultLinkConfig()
-	}
-	if opts.Cores == 0 {
-		opts.Cores = cpumodel.DefaultCores
-	}
-	if opts.Switch.MaxFlows == 0 {
-		opts.Switch = switchd.DefaultOptions()
-	}
-	s := sim.New(opts.Seed)
-	tt, _ := netsim.NewTwoTierSharded(s, opts.Racks, opts.Shards, opts.HostLink, opts.CoreLink)
+	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.CoreLink)
+	mc := &MultiRackCluster{}
+	mc.cluster = newCluster(mc, opts.Seed, opts.Config, opts.Cores, telemetry.Config{})
+	tt, _ := netsim.NewTwoTierSharded(mc.Sim, opts.Racks, opts.Shards, opts.HostLink, opts.CoreLink)
 	tt.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
-	mc := &MultiRackCluster{
-		Sim:     s,
-		Net:     tt,
-		opts:    opts,
-		daemons: make(map[core.HostID]*hostd.Daemon),
-		cpus:    make(map[core.HostID]*cpumodel.Host),
-	}
+	mc.Net = tt
 	for r := 0; r < opts.Racks; r++ {
 		// RackSim is the rack's shard lane for a sharded build and the
 		// fabric-wide simulation otherwise; every piece of rack-local state
@@ -103,8 +77,6 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 	}
 	for r := 0; r < opts.Racks; r++ {
 		for i := 0; i < opts.HostsPerRack; i++ {
-			id := opts.HostAt(r, i)
-			cpu := cpumodel.NewHost(tt.RackSim(r), opts.Cores)
 			// Each daemon's control plane is its own rack's TOR: channels
 			// register there, and a receiver allocates its task region
 			// there — never on a remote TOR. That same locality is what
@@ -113,12 +85,9 @@ func NewMultiRackCluster(opts MultiRackOptions) (*MultiRackCluster, error) {
 			// Zero telemetry sink: multi-rack daemons keep private
 			// registries (per-host/per-task label sets would collide on
 			// a shared registry across TORs).
-			d, err := hostd.New(tt.RackSim(r), rackFabric{tt, r}, cpu, opts.Config, id, controllerAdapter{mc.TORs[r]}, telemetry.Sink{})
-			if err != nil {
+			if _, err := mc.addHost(tt.RackSim(r), rackFabric{tt, r}, opts.HostAt(r, i), controllerAdapter{mc.TORs[r]}, telemetry.Sink{}); err != nil {
 				return nil, err
 			}
-			mc.daemons[id] = d
-			mc.cpus[id] = cpu
 		}
 	}
 	return mc, nil
@@ -136,63 +105,28 @@ func (rf rackFabric) AttachHost(id core.HostID, h netsim.HostHandler) {
 func (rf rackFabric) HostSend(f *netsim.Frame)           { rf.tt.HostSend(f) }
 func (rf rackFabric) Uplink(id core.HostID) *netsim.Link { return rf.tt.Uplink(id) }
 
-// Daemon returns a host's daemon.
-func (mc *MultiRackCluster) Daemon(h core.HostID) *hostd.Daemon { return mc.daemons[h] }
-
-// CPU returns a host's CPU model.
-func (mc *MultiRackCluster) CPU(h core.HostID) *cpumodel.Host { return mc.cpus[h] }
-
 // ReceiverTOR returns the switch that serves a task at the given receiver.
 func (mc *MultiRackCluster) ReceiverTOR(receiver core.HostID) *switchd.Switch {
 	return mc.TORs[mc.Net.RackOf(receiver)]
 }
 
-// Aggregate runs one task to completion, exactly as Cluster.Aggregate but
-// on the two-tier fabric: rack-local senders are aggregated at the
-// receiver's TOR, remote senders at the receiver host. It returns an
-// error when the spec names hosts outside the cluster or a sender has no
-// stream, and propagates task-execution errors unchanged.
-func (mc *MultiRackCluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	recv, ok := mc.daemons[spec.Receiver]
-	if !ok {
-		return nil, fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
-	}
-	for _, s := range spec.Senders {
-		if _, ok := mc.daemons[s]; !ok {
-			return nil, fmt.Errorf("ask: sender host %d not in cluster", s)
-		}
-		if _, ok := streams[s]; !ok {
-			return nil, fmt.Errorf("ask: no stream for sender host %d", s)
-		}
-	}
-	var result *TaskResult
-	var err error
-	start := mc.Sim.Now()
-	mc.Sim.Spawn(fmt.Sprintf("mr-driver-task%d", spec.ID), func(p *sim.Proc) {
-		h, e := recv.Submit(p, spec)
-		if e != nil {
-			err = e
-			return
-		}
-		senders := append([]core.HostID(nil), spec.Senders...)
-		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
-		for _, s := range senders {
-			mc.daemons[s].SubmitSend(spec.ID, streams[s])
-		}
-		res := h.Wait(p)
-		result = &TaskResult{
-			Result:  res,
-			Elapsed: p.Now() - start,
-			Recv:    h.Stats(),
-			Switch:  *mc.ReceiverTOR(spec.Receiver).TaskStatsOf(spec.ID),
-		}
-	})
-	mc.Sim.Run(0)
-	if err != nil {
-		return nil, err
-	}
-	if result == nil {
-		return nil, fmt.Errorf("ask: task %d did not complete", spec.ID)
-	}
-	return result, nil
+// The two-tier fabric: a task's only aggregation point is the receiver's
+// TOR. The switch half of the fault surface is out of scope: netsim.TwoTier
+// has no TOR addressing and there is no per-rack epoch story, so outages and
+// revocation report *UnsupportedError, as the fat-tree does for revocation.
+
+func (mc *MultiRackCluster) switches() []*switchd.Switch         { return mc.TORs }
+func (mc *MultiRackCluster) uplink(h core.HostID) *netsim.Link   { return mc.Net.Uplink(h) }
+func (mc *MultiRackCluster) downlink(h core.HostID) *netsim.Link { return mc.Net.Downlink(h) }
+
+func (mc *MultiRackCluster) taskStats(spec core.TaskSpec) switchd.TaskStats {
+	return *mc.ReceiverTOR(spec.Receiver).TaskStatsOf(spec.ID)
+}
+
+func (mc *MultiRackCluster) setSwitchDown(core.HostID, bool) error {
+	return &UnsupportedError{Op: "a switch outage", Fabric: "multi-rack fabric", Reason: "TORs have no fabric address and no per-rack epoch"}
+}
+
+func (mc *MultiRackCluster) revokeRegion(core.TaskID, core.HostID) error {
+	return &UnsupportedError{Op: "RevokeRegion", Fabric: "multi-rack fabric", Reason: "the revocation drain is not wired to rack lanes"}
 }

@@ -139,7 +139,7 @@ func TestScenarioCorpusFatTreeTenantRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending := make(map[core.TenantID]*FatTreePendingTask)
+		pending := make(map[core.TenantID]*PendingTask)
 		wants := make(map[core.TenantID]core.Result)
 		for i, tn := range []core.TenantID{1, 2} {
 			spec := core.TaskSpec{

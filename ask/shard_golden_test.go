@@ -214,7 +214,7 @@ func TestFatTreeShardedTenantTimedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending := make(map[core.TenantID]*FatTreePendingTask)
+		pending := make(map[core.TenantID]*PendingTask)
 		for i, tn := range []core.TenantID{1, 2} {
 			spec := core.TaskSpec{
 				ID: core.MakeTaskID(tn, 1), Receiver: opts.HostAt(0, i), Op: core.OpSum,

@@ -39,8 +39,7 @@ func benchExperiment(b *testing.B, name string) {
 	}
 	b.StopTimer()
 	// Peak simulated aggregation rate (virtual-time tuples/s) observed by
-	// the experiment — recorded alongside the wall-clock numbers so
-	// BENCH_*.json tracks simulated throughput, not just harness speed.
+	// the experiment, reported alongside the wall-clock numbers.
 	if rate := experiments.PeakAKV(); rate > 0 {
 		b.ReportMetric(rate, "sim-AKV/s")
 	}
@@ -125,9 +124,8 @@ func BenchmarkScaling(b *testing.B) {
 	benchExperiment(b, "scaling")
 }
 
-// benchShards times one topology's scaling workload per shard count, so
-// BENCH_*.json carries a wall-clock point for every (topology, shards)
-// pair. On a single-CPU host the per-shard numbers are expected to be flat:
+// benchShards times one topology's scaling workload per shard count: a
+// wall-clock point for every (topology, shards) pair. On a single-CPU host the per-shard numbers are expected to be flat:
 // lanes interleave on one core and the windows only add barrier overhead.
 func benchShards(b *testing.B, topology string) {
 	for _, shards := range []int{1, 2, 4, 8} {

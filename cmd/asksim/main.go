@@ -9,6 +9,11 @@
 //
 //	askgen -scenario flash-crowd -out flash.askt
 //	asksim -replay flash.askt          # timed replay on the sim clock
+//
+// Every -topology (rack, multirack, fattree) runs the same path: build the
+// deployment, lay out one task per tenant (or a single task), start, run,
+// verify against the host-computed reference, report. A flag the chosen
+// topology cannot honour is rejected, never ignored.
 package main
 
 import (
@@ -19,12 +24,31 @@ import (
 	"time"
 
 	"repro/ask"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/switchd"
 	"repro/internal/telemetry"
+	"repro/internal/tenancy"
 	"repro/internal/workload"
 )
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "asksim: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// rejectFlags fails on the first explicitly set flag that table lists: a
+// silently ignored flag would make the command line lie about what ran.
+func rejectFlags(table map[string]string, context string) {
+	flag.Visit(func(f *flag.Flag) {
+		if why, bad := table[f.Name]; bad {
+			fail("-%s does not apply to %s: %s", f.Name, context, why)
+		}
+	})
+}
 
 // writeSnapshot writes one exporter's output to path ("-" = stdout).
 func writeSnapshot(path string, write func(w io.Writer) error) {
@@ -32,22 +56,170 @@ func writeSnapshot(path string, write func(w io.Writer) error) {
 	if path != "-" {
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		defer f.Close()
 		out = f
 	}
 	if err := write(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
+}
+
+// deployment is the surface the run path needs; all three ask clusters
+// provide it through their shared core.
+type deployment interface {
+	StartTask(core.TaskSpec, map[core.HostID]core.Stream) (*ask.PendingTask, error)
+	StartTaskTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.PendingTask, error)
+	Simulation() *sim.Simulation
+	TelemetrySet() *telemetry.Set
+	Config() core.Config
+	Switches() []*switchd.Switch
+	HostUplink(core.HostID) *netsim.Link
+	HostDownlink(core.HostID) *netsim.Link
+}
+
+// shape is what the flags ask for, topology-independent: groups of hosts
+// (the rack is one group; -leaves racks or leaves otherwise), the ASK
+// configuration and the fault model of every link.
+type shape struct {
+	groups, hosts, spines, tenants, shards int
+	seed                                   int64
+	cfg                                    core.Config
+	link                                   netsim.LinkConfig
+	tel                                    telemetry.Config
+}
+
+// topology is one -topology table entry.
+type topology struct {
+	// rejects names the flags this topology cannot honour, with the reason.
+	rejects map[string]string
+	build   func(shape) (deployment, *tenancy.Manager, error)
+	// header describes the fabric above the report (nil prints nothing).
+	header func(shape) string
+	// switchName labels entry i of Switches() in the per-switch lines.
+	switchName func(s shape, i int) string
+}
+
+var topologies = map[string]topology{
+	"rack": {
+		rejects: map[string]string{
+			"spines": "a rack has one switch", "leaves": "a rack is a single group of -hosts",
+			"tenants": "tenancy runs on the fat-tree", "shards": "a single rack has no partition boundary to cut",
+		},
+		build: func(s shape) (deployment, *tenancy.Manager, error) {
+			cl, err := ask.NewCluster(ask.Options{Hosts: s.hosts, Config: s.cfg, Link: s.link, Seed: s.seed, Telemetry: s.tel})
+			return cl, nil, err
+		},
+	},
+	"multirack": {
+		rejects: map[string]string{
+			"spines": "the racks join at one forwarding core", "tenants": "tenancy runs on the fat-tree",
+			"telemetry": "the multi-rack deployment has no cluster telemetry set", "prom": "the multi-rack deployment has no cluster telemetry set",
+			"json": "the multi-rack deployment has no cluster telemetry set",
+		},
+		build: func(s shape) (deployment, *tenancy.Manager, error) {
+			mc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
+				Racks: s.groups, HostsPerRack: s.hosts, Config: s.cfg,
+				HostLink: s.link, CoreLink: s.link, Seed: s.seed, Shards: s.shards,
+			})
+			return mc, nil, err
+		},
+		header:     func(s shape) string { return fmt.Sprintf("multi-rack: %d racks × %d hosts/rack", s.groups, s.hosts) },
+		switchName: func(_ shape, i int) string { return fmt.Sprintf("TOR %d:", i) },
+	},
+	"fattree": {
+		build: func(s shape) (deployment, *tenancy.Manager, error) {
+			opts := ask.FatTreeOptions{
+				Spines: s.spines, Leaves: s.groups, HostsPerLeaf: s.hosts, Config: s.cfg,
+				HostLink: s.link, FabricLink: s.link, Seed: s.seed, Telemetry: s.tel, Shards: s.shards,
+			}
+			for i := 0; i < s.tenants; i++ {
+				opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
+			}
+			fc, err := ask.NewFatTreeCluster(opts)
+			if err != nil {
+				return nil, nil, err
+			}
+			return fc, fc.Tenancy, nil
+		},
+		header: func(s shape) string {
+			h := fmt.Sprintf("fat-tree: %d spines × %d leaves × %d hosts/leaf", s.spines, s.groups, s.hosts)
+			if s.tenants > 0 {
+				h += fmt.Sprintf(", %d tenants (equal weights)", s.tenants)
+			}
+			return h
+		},
+		switchName: func(s shape, i int) string {
+			if i < s.groups {
+				return fmt.Sprintf("leaf %d:", i)
+			}
+			return fmt.Sprintf("spine %d:", i-s.groups)
+		},
+	},
+}
+
+// plan is one task: with tenants, tenant i's receiver sits in slot i of group
+// 0 and a sender in slot i of every other group; on a single group the
+// -senders hosts after the receiver send.
+type plan struct {
+	label   string
+	spec    core.TaskSpec
+	streams map[core.HostID]core.Stream
+	timed   map[core.HostID]core.TimedStream
+	want    core.Result
+	tuples  int64
+}
+
+// sender is one stream slot of the layout: seedOff separates the generated
+// workloads exactly as each topology always has.
+type sender struct {
+	plan    *plan
+	host    core.HostID
+	seedOff int64
+}
+
+func layout(s shape, senders, rows int) ([]*plan, []sender) {
+	ntasks := s.tenants
+	if ntasks == 0 {
+		ntasks = 1
+	}
+	var plans []*plan
+	var slots []sender
+	for i := 0; i < ntasks; i++ {
+		p := &plan{
+			label:   "task",
+			spec:    core.TaskSpec{ID: core.TaskID(i + 1), Receiver: core.HostID(i), Op: core.OpSum, Rows: rows},
+			streams: make(map[core.HostID]core.Stream),
+			timed:   make(map[core.HostID]core.TimedStream),
+			want:    make(core.Result),
+		}
+		if s.tenants > 0 {
+			p.label = fmt.Sprintf("tenant %d", i+1)
+			p.spec.ID = core.MakeTaskID(core.TenantID(i+1), uint32(i+1))
+		}
+		add := func(h core.HostID, seedOff int) {
+			p.spec.Senders = append(p.spec.Senders, h)
+			slots = append(slots, sender{p, h, int64(seedOff)})
+		}
+		if s.groups == 1 {
+			for j := i + 1; j <= i+senders; j++ {
+				add(core.HostID(j), j)
+			}
+		} else {
+			for g := 1; g < s.groups; g++ {
+				add(core.HostID(g*s.hosts+i), i*s.groups+g)
+			}
+		}
+		plans = append(plans, p)
+	}
+	return plans, slots
 }
 
 func main() {
 	var (
-		hosts    = flag.Int("hosts", 4, "servers in the rack (receiver is host 0)")
-		senders  = flag.Int("senders", 3, "sending hosts (1..senders)")
+		hosts    = flag.Int("hosts", 4, "servers per group: in the rack, or per rack / per leaf (receiver is host 0)")
+		senders  = flag.Int("senders", 3, "sending hosts after the receiver on a single-group run (grouped fabrics send from one host per other group)")
 		tuples   = flag.Int64("tuples", 500_000, "tuples per sender")
 		distinct = flag.Int("distinct", 8192, "distinct keys per sender")
 		skew     = flag.Float64("skew", 0, "Zipf exponent (0 = uniform)")
@@ -60,16 +232,16 @@ func main() {
 		verify   = flag.Bool("verify", true, "check the result against a host-computed reference")
 		trace    = flag.String("trace", "", "replay a TSV trace (from askgen) instead of generating (split round-robin across senders)")
 		replay   = flag.String("replay", "", "replay a timed trace (askgen -scenario; v1 TSV also accepted) on the sim clock: tuples enter the senders at their recorded arrival offsets")
-		layout   = flag.Bool("layout", false, "print the switch pipeline layout and exit")
+		layoutF  = flag.Bool("layout", false, "print the switch pipeline layout and exit")
 		telem    = flag.Bool("telemetry", false, "enable the cluster telemetry stack and print the metric report")
 		promOut  = flag.String("prom", "", "write a Prometheus text snapshot to this file ('-' = stdout; implies -telemetry)")
 		jsonOut  = flag.String("json", "", "write a JSON telemetry snapshot (metrics, series, trace events) to this file ('-' = stdout; implies -telemetry)")
 
-		topology = flag.String("topology", "rack", "deployment: rack (single switch) or fattree (spine/leaf fabric)")
+		topoName = flag.String("topology", "rack", "deployment: rack (single switch), multirack (TORs under a forwarding core) or fattree (spine/leaf fabric)")
 		spines   = flag.Int("spines", 2, "fat-tree spine switches (topology=fattree)")
-		leaves   = flag.Int("leaves", 3, "fat-tree leaf switches; -hosts is then hosts per leaf (topology=fattree)")
+		leaves   = flag.Int("leaves", 3, "host groups: fat-tree leaves or multirack racks, of -hosts each")
 		tenants  = flag.Int("tenants", 0, "tenants sharing the fat-tree, one task each, equal weights (0 = untenanted; topology=fattree)")
-		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, and topologies too small to cut (rack, 1 rack/leaf) always do (DESIGN.md \"Parallel DES\")")
+		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, as do fabrics with a single rack/leaf (DESIGN.md \"Parallel DES\")")
 
 		soak        = flag.Bool("soak", false, "run the chaos soak harness instead of a single task (honors -topology)")
 		soakRuns    = flag.Int("soak.runs", 1, "consecutive soak seeds to run (soak.seed, soak.seed+1, ...)")
@@ -84,188 +256,214 @@ func main() {
 		soakShards  = flag.Int("soak.shards", 0, "run the fat-tree soak on the parallel scheduler with this many shards (0/1 = serial; topology=fattree)")
 	)
 	flag.Parse()
-	if *promOut != "" || *jsonOut != "" {
-		*telem = true
-	}
 	if *soak {
-		runSoak(soakFlags{
-			Topology: *topology, Runs: *soakRuns, Seed: *soakSeed,
-			Events: *soakEvents, Senders: *soakSenders, Tuples: *soakTuples,
-			Corrupt: *soakCorrupt, BreakChecksums: *soakBreak,
+		runSoak(*topoName, *soakRuns, chaos.Config{
+			Seed: *soakSeed, Events: *soakEvents, Senders: *soakSenders, Tuples: *soakTuples,
 			Spines: *soakSpines, Leaves: *soakLeaves, Shards: *soakShards,
+			Base: netsim.Fault{CorruptProb: *soakCorrupt}, DisableChecksumVerify: *soakBreak,
 		})
 		return
 	}
 
-	switch *topology {
-	case "rack":
-	case "fattree":
-		runFatTree(fatTreeFlags{
-			Spines: *spines, Leaves: *leaves, HostsPerLeaf: *hosts,
-			Tenants: *tenants, Tuples: *tuples, Distinct: *distinct,
-			Skew: *skew, Rows: *rows, Seed: *seed, Verify: *verify,
-			Telemetry: *telem, Shards: *shards,
-		})
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "asksim: unknown -topology %q (rack or fattree)\n", *topology)
-		os.Exit(1)
+	topo, ok := topologies[*topoName]
+	if !ok {
+		fail("unknown -topology %q (rack, multirack or fattree)", *topoName)
+	}
+	rejectFlags(topo.rejects, "-topology "+*topoName)
+	s := shape{
+		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, shards: *shards, seed: *seed,
+		cfg: core.DefaultConfig(), link: netsim.DefaultLinkConfig(),
+		tel: telemetry.Config{Enabled: *telem || *promOut != "" || *jsonOut != ""},
+	}
+	if _, single := topo.rejects["leaves"]; !single {
+		s.groups = *leaves
+	}
+	s.cfg.DataChannels = *channels
+	s.cfg.SwapThreshold = *swap
+	s.cfg.ShadowCopy = *swap > 0
+	s.link.Fault.LossProb = *loss
+	s.link.Fault.DupProb = *dup
+	switch {
+	case s.groups > 1:
+		rejectFlags(map[string]string{"senders": "every task sends from one host per other group"}, "a run over several groups")
+		if s.tenants > s.hosts {
+			fail("need -tenants <= -hosts (one receiver slot per tenant)")
+		}
+	case s.tenants == 0 && *senders >= s.hosts:
+		fail("need senders < hosts (host 0 is the receiver)")
+	case s.tenants+*senders > s.hosts:
+		fail("need -tenants + -senders <= -hosts on a single group (tenant i receives in slot i, slots i+1.. send)")
 	}
 
-	if *senders >= *hosts {
-		fmt.Fprintln(os.Stderr, "asksim: need senders < hosts (host 0 is the receiver)")
-		os.Exit(1)
-	}
-	cfg := core.DefaultConfig()
-	cfg.DataChannels = *channels
-	cfg.SwapThreshold = *swap
-	cfg.ShadowCopy = *swap > 0
-	link := netsim.DefaultLinkConfig()
-	link.Fault.LossProb = *loss
-	link.Fault.DupProb = *dup
-
-	cl, err := ask.NewCluster(ask.Options{
-		Hosts: *hosts, Config: cfg, Link: link, Seed: *seed,
-		Telemetry: telemetry.Config{Enabled: *telem},
-		Shards:    *shards,
-	})
+	d, tenancyMgr, err := topo.build(s)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fail("%v", err)
 	}
-	if *layout {
-		fmt.Print(cl.Switch.Pipeline().Describe())
+	switches := d.Switches()
+	if *layoutF {
+		fmt.Print(switches[0].Pipeline().Describe())
 		return
 	}
+	if topo.header != nil {
+		fmt.Println(topo.header(s))
+	}
 
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: *rows}
-	streams := make(map[core.HostID]core.Stream)
-	timed := make(map[core.HostID]core.TimedStream)
-	want := make(core.Result)
-	var total int64
-	if *replay != "" {
+	// Build plans: fill every sender slot from the chosen workload source.
+	plans, slots := layout(s, *senders, *rows)
+	switch {
+	case *replay != "":
 		f, err := os.Open(*replay)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		hdr, tkvs, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		if hdr.Scenario != "" {
 			fmt.Printf("replaying scenario %q (trace v%d, seed %d, %d records)\n",
 				hdr.Scenario, hdr.Version, hdr.Seed, hdr.Records)
 		}
-		total = int64(len(tkvs))
-		parts := workload.SplitTimedRoundRobin(tkvs, *senders)
-		for i := 1; i <= *senders; i++ {
-			h := core.HostID(i)
-			spec.Senders = append(spec.Senders, h)
-			timed[h] = core.SliceTimedStream(parts[i-1])
-			for _, tkv := range parts[i-1] {
-				want.MergeKV(tkv.KV, core.OpSum)
+		for i, part := range workload.SplitTimedRoundRobin(tkvs, len(slots)) {
+			p := slots[i].plan
+			p.timed[slots[i].host] = core.SliceTimedStream(part)
+			p.tuples += int64(len(part))
+			for _, tkv := range part {
+				p.want.MergeKV(tkv.KV, core.OpSum)
 			}
 		}
-	} else if *trace != "" {
+	case *trace != "":
 		f, err := os.Open(*trace)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		kvs, err := workload.ReadTSV(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
-		total = int64(len(kvs))
-		parts := workload.SplitRoundRobin(kvs, *senders)
-		for i := 1; i <= *senders; i++ {
-			h := core.HostID(i)
-			spec.Senders = append(spec.Senders, h)
-			streams[h] = core.SliceStream(parts[i-1])
-			want.Merge(core.Reference(core.OpSum, parts[i-1]), core.OpSum)
+		for i, part := range workload.SplitRoundRobin(kvs, len(slots)) {
+			p := slots[i].plan
+			p.streams[slots[i].host] = core.SliceStream(part)
+			p.tuples += int64(len(part))
+			p.want.Merge(core.Reference(core.OpSum, part), core.OpSum)
 		}
-	} else {
-		total = *tuples * int64(*senders)
-		for i := 1; i <= *senders; i++ {
-			h := core.HostID(i)
-			spec.Senders = append(spec.Senders, h)
+	default:
+		for _, sl := range slots {
 			w := workload.Spec{
 				Name: "cli", Distinct: *distinct, Tuples: *tuples,
-				Skew: *skew, Seed: *seed + int64(i),
+				Skew: *skew, Seed: *seed + sl.seedOff,
 				KeyLens: workload.NaturalLanguage(0),
 			}
-			streams[h] = w.Stream()
-			want.Merge(w.Reference(core.OpSum), core.OpSum)
+			sl.plan.streams[sl.host] = w.Stream()
+			sl.plan.tuples += *tuples
+			sl.plan.want.Merge(w.Reference(core.OpSum), core.OpSum)
 		}
 	}
 
-	var res *ask.TaskResult
-	if len(timed) > 0 {
-		res, err = cl.AggregateTimed(spec, timed)
-	} else {
-		res, err = cl.Aggregate(spec, streams)
+	// Start every task, run to quiescence, collect and verify.
+	pending := make([]*ask.PendingTask, len(plans))
+	for i, p := range plans {
+		if *replay != "" {
+			pending[i], err = d.StartTaskTimed(p.spec, p.timed)
+		} else {
+			pending[i], err = d.StartTask(p.spec, p.streams)
+		}
+		if err != nil {
+			fail("%s: %v", p.label, err)
+		}
 	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	d.Simulation().Run(0)
+	results := make([]*ask.TaskResult, len(plans))
+	for i, p := range plans {
+		if results[i], err = pending[i].Get(); err != nil {
+			fail("%s: %v", p.label, err)
+		}
+		if *verify && !results[i].Result.Equal(p.want) {
+			fail("RESULT MISMATCH (%s): %s", p.label, results[i].Result.Diff(p.want, 10))
+		}
 	}
-
 	if *verify {
-		if !res.Result.Equal(want) {
-			fmt.Fprintf(os.Stderr, "asksim: RESULT MISMATCH: %s\n", res.Result.Diff(want, 10))
-			os.Exit(1)
-		}
 		fmt.Println("result verified exact against host-computed reference ✓")
 	}
 
-	el := time.Duration(res.Elapsed)
-	fmt.Printf("\ntask completed in %v (virtual time)\n", el)
-	fmt.Printf("  distinct result keys:  %d\n", len(res.Result))
-	fmt.Printf("  aggregation rate:      %.1f M tuples/s\n", float64(total)/el.Seconds()/1e6)
-
-	sw := res.Switch
+	// Report: per-task summary, switch totals, per-task receiver and links.
+	var sw switchd.TaskStats
+	for i, p := range plans {
+		res := results[i]
+		el := time.Duration(res.Elapsed)
+		fmt.Printf("\n%s completed in %v (virtual time)\n", p.label, el)
+		fmt.Printf("  distinct result keys:  %d\n", len(res.Result))
+		fmt.Printf("  aggregation rate:      %.1f M tuples/s\n", float64(p.tuples)/el.Seconds()/1e6)
+		sw.Add(&res.Switch)
+	}
 	fmt.Printf("\nswitch:\n")
 	fmt.Printf("  tuples aggregated:     %d / %d eligible (%.2f%%)\n",
 		sw.TuplesAggregated, sw.TuplesIn, 100*sw.AggregatedTupleRatio())
 	fmt.Printf("  packets fully ACKed:   %d / %d (%.2f%%)\n",
 		sw.AckedPackets, sw.DataPackets, 100*sw.AckedPacketRatio())
-	gs := cl.Switch.Stats()
+	var gs switchd.Stats
+	for _, x := range switches {
+		st := x.Stats()
+		gs.DupPackets += st.DupPackets
+		gs.StaleDropped += st.StaleDropped
+		gs.Swaps += st.Swaps
+	}
 	fmt.Printf("  dup pkts / stale pkts: %d / %d\n", gs.DupPackets, gs.StaleDropped)
 	fmt.Printf("  shadow-copy swaps:     %d\n", gs.Swaps)
-
-	fmt.Printf("\nreceiver (host 0):\n")
-	fmt.Printf("  residue tuples:        %d\n", res.Recv.ResidueTuples)
-	fmt.Printf("  long-key tuples:       %d\n", res.Recv.LongTuples)
-	fmt.Printf("  switch entries merged: %d\n", res.Recv.SwitchEntries)
-	fmt.Printf("  completed swaps:       %d\n", res.Recv.Swaps)
-
-	fmt.Printf("\nnetwork:\n")
-	for i := 1; i <= *senders; i++ {
-		up := cl.Net.Uplink(core.HostID(i)).Stats()
-		fmt.Printf("  host %d uplink:        %.2f Gbps wire, %.2f Gbps goodput, %d frames (%d dropped)\n",
-			i, stats.Gbps(up.TxWireBytes, el), stats.Gbps(up.TxGoodBytes, el), up.TxFrames, up.Dropped)
+	if len(switches) > 1 {
+		// Per-tuple counters are per-task (switchd.TaskStats), so sum the
+		// plans' tasks at each switch to show where the fabric absorbed the
+		// stream.
+		for i, x := range switches {
+			var at switchd.TaskStats
+			for _, p := range plans {
+				at.Add(x.TaskStatsOf(p.spec.ID))
+			}
+			fmt.Printf("  %-22s %d tuples absorbed\n", topo.switchName(s, i), at.TuplesAggregated)
+		}
 	}
-	down := cl.Net.Downlink(0).Stats()
-	fmt.Printf("  receiver downlink:    %.2f Gbps wire (%d frames)\n", stats.Gbps(down.TxWireBytes, el), down.TxFrames)
+	for i, p := range plans {
+		res := results[i]
+		fmt.Printf("\nreceiver (host %d):\n", p.spec.Receiver)
+		fmt.Printf("  residue tuples:        %d\n", res.Recv.ResidueTuples)
+		fmt.Printf("  long-key tuples:       %d\n", res.Recv.LongTuples)
+		fmt.Printf("  switch entries merged: %d\n", res.Recv.SwitchEntries)
+		fmt.Printf("  completed swaps:       %d\n", res.Recv.Swaps)
+	}
+	fmt.Printf("\nnetwork:\n")
+	for i, p := range plans {
+		el := time.Duration(results[i].Elapsed)
+		for _, h := range p.spec.Senders {
+			up := d.HostUplink(h).Stats()
+			fmt.Printf("  host %d uplink:        %.2f Gbps wire, %.2f Gbps goodput, %d frames (%d dropped)\n",
+				h, stats.Gbps(up.TxWireBytes, el), stats.Gbps(up.TxGoodBytes, el), up.TxFrames, up.Dropped)
+		}
+		down := d.HostDownlink(p.spec.Receiver).Stats()
+		fmt.Printf("  receiver downlink:    %.2f Gbps wire (%d frames)\n", stats.Gbps(down.TxWireBytes, el), down.TxFrames)
+	}
+	if tenancyMgr != nil {
+		fmt.Printf("\ntenancy (AA rows of %d):\n", d.Config().AARows)
+		for _, u := range tenancyMgr.Snapshot() {
+			fmt.Printf("  tenant %d: quota %5d rows, in use %d, borrowed %d\n",
+				u.Tenant, u.Quota, u.InUse, u.Borrowed)
+		}
+	}
 
-	if *telem {
+	if tel := d.TelemetrySet(); tel != nil {
 		if *promOut != "" {
 			writeSnapshot(*promOut, func(w io.Writer) error {
-				return telemetry.WritePrometheus(w, cl.Tel.Registry)
+				return telemetry.WritePrometheus(w, tel.Registry)
 			})
 		}
 		if *jsonOut != "" {
-			writeSnapshot(*jsonOut, cl.Tel.WriteJSON)
+			writeSnapshot(*jsonOut, tel.WriteJSON)
 		}
 		if *promOut == "" && *jsonOut == "" {
 			fmt.Println()
-			fmt.Println(telemetry.Report(cl.Tel.Registry).String())
-			if tr := cl.Tel.Tracer; tr != nil {
+			fmt.Println(telemetry.Report(tel.Registry).String())
+			if tr := tel.Tracer; tr != nil {
 				fmt.Printf("trace: %d events captured (%d dropped)\n", len(tr.Events()), tr.Dropped())
 			}
 		}

@@ -1,92 +1,48 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 
 	"repro/internal/chaos"
-	"repro/internal/netsim"
 )
 
-// soakFlags carries the -soak.* flag values into the topology dispatch.
-type soakFlags struct {
-	Topology       string
-	Runs           int
-	Seed           int64
-	Events         int
-	Senders        int
-	Tuples         int64
-	Corrupt        float64
-	BreakChecksums bool
-	Spines, Leaves int
-	Shards         int
+// soaks maps -topology to its soak kind and the -soak.* flags that kind has
+// no use for (rejected up front, see rejectFlags).
+var soaks = map[string]struct {
+	kind    chaos.Kind
+	rejects map[string]string
+}{
+	"rack": {chaos.Rack, map[string]string{
+		"soak.spines": "the rack has a single switch", "soak.leaves": "the rack has a single switch",
+		"soak.shards": "a single rack has no partition boundary to cut",
+	}},
+	"fattree": {chaos.FabricOutage, map[string]string{
+		"soak.senders":         "the fat-tree soak derives its senders from -soak.leaves (one per non-receiver leaf, per tenant)",
+		"soak.break-checksums": "the checksum fault hook demo runs on the rack soak",
+	}},
 }
 
-// runSoak dispatches the soak harness by -topology: the rack soak
-// (chaos.Soak) or the fat-tree fabric soak (chaos.FabricSoak). Flags that
-// only exist on the other topology are rejected up front — a silently
-// ignored flag would make a reproducer line lie about what ran.
-func runSoak(sf soakFlags) {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-
-	fail := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "asksim: "+format+"\n", args...)
-		os.Exit(1)
-	}
-
-	ok := true
-	switch sf.Topology {
-	case "rack":
-		if set["soak.spines"] || set["soak.leaves"] {
-			fail("-soak.spines/-soak.leaves need -topology fattree (the rack has a single switch)")
-		}
-		if set["soak.shards"] {
-			fail("-soak.shards needs -topology fattree (a single rack has no partition boundary to cut)")
-		}
-		for i := 0; i < sf.Runs; i++ {
-			rep, err := chaos.Soak(chaos.SoakConfig{
-				Seed:                  sf.Seed + int64(i),
-				Events:                sf.Events,
-				Senders:               sf.Senders,
-				Tuples:                sf.Tuples,
-				Base:                  netsim.Fault{CorruptProb: sf.Corrupt},
-				DisableChecksumVerify: sf.BreakChecksums,
-			})
-			if err != nil {
-				fail("%v", err)
-			}
-			fmt.Print(rep)
-			ok = ok && rep.Passed()
-		}
-	case "fattree":
-		if set["soak.senders"] {
-			fail("-soak.senders is rack-only; the fat-tree soak derives its senders from -soak.leaves (one per non-receiver leaf, per tenant)")
-		}
-		if sf.BreakChecksums {
-			fail("-soak.break-checksums is rack-only (the checksum fault hook demo runs on the rack soak)")
-		}
-		for i := 0; i < sf.Runs; i++ {
-			rep, err := chaos.FabricSoak(chaos.FabricSoakConfig{
-				Seed:   sf.Seed + int64(i),
-				Events: sf.Events,
-				Spines: sf.Spines,
-				Leaves: sf.Leaves,
-				Tuples: sf.Tuples,
-				Base:   netsim.Fault{CorruptProb: sf.Corrupt},
-				Shards: sf.Shards,
-			})
-			if err != nil {
-				fail("%v", err)
-			}
-			fmt.Print(rep)
-			ok = ok && rep.Passed()
-		}
-	default:
-		fail("unknown -topology %q (rack or fattree)", sf.Topology)
-	}
+// runSoak runs the topology's soak kind on `runs` consecutive seeds starting
+// at cfg.Seed.
+func runSoak(topology string, runs int, cfg chaos.Config) {
+	soak, ok := soaks[topology]
 	if !ok {
+		fail("-soak has no %q schedule (rack or fattree; switch outages are out of scope on the multi-rack fabric)", topology)
+	}
+	rejectFlags(soak.rejects, "the "+topology+" soak")
+	cfg.Kind = soak.kind
+	passed := true
+	for i := 0; i < runs; i++ {
+		rep, err := chaos.Soak(cfg)
+		if err != nil {
+			fail("%v", err)
+		}
+		fmt.Print(rep)
+		passed = passed && rep.Passed()
+		cfg.Seed++
+	}
+	if !passed {
 		os.Exit(1)
 	}
 }

@@ -5,13 +5,13 @@
 // stalls — on the deterministic virtual clock, so every chaos run is exactly
 // reproducible for a given seed and script.
 //
-// The orchestrator is a thin scheduling layer over a Fabric (the rack's
-// ask.Cluster or the spine/leaf ask.FatTreeCluster): each injected event is
-// a named closure fired at an absolute virtual time via sim.At, and every
-// firing is appended to a log that experiments and tests can assert
-// against. Faults must heal within the script (a crash needs a matching
-// reboot, a black-hole a matching clear), otherwise in-flight tasks cannot
-// complete and the simulation will not quiesce.
+// The orchestrator is a thin scheduling layer over a Fabric (any of the ask
+// deployments): each injected event is a named closure fired at an absolute
+// virtual time via sim.At, and every firing is appended to a log that
+// experiments and tests can assert against. Faults must heal within the
+// script (a crash needs a matching reboot, a black-hole a matching clear),
+// otherwise in-flight tasks cannot complete and the simulation will not
+// quiesce.
 package chaos
 
 import (
@@ -23,12 +23,14 @@ import (
 	"repro/internal/hostd"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/switchd"
 	"repro/internal/telemetry"
 )
 
-// Fabric is the deployment surface the orchestrator injects faults into.
-// Both ask.Cluster (single switch, address ask.TheSwitch) and
-// ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr) implement it.
+// Fabric is the deployment surface the orchestrator injects faults into and
+// the soak harness drives. ask.Cluster (single switch, address
+// ask.TheSwitch), ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr)
+// and ask.MultiRackCluster (link and host faults only) implement it.
 type Fabric interface {
 	// Simulation returns the deterministic virtual-time kernel faults are
 	// scheduled on.
@@ -37,7 +39,8 @@ type Fabric interface {
 	// telemetry is disabled).
 	TelemetrySet() *telemetry.Set
 	// CrashSwitch / RebootSwitch address a switch by fabric address; they
-	// return an error for an address that names no switch (a script bug).
+	// return an error for an address that names no switch (a script bug)
+	// and on fabrics without switch outages (the multi-rack).
 	CrashSwitch(addr core.HostID) error
 	RebootSwitch(addr core.HostID) error
 	// HostUplink / HostDownlink expose a host's links for black-holes and
@@ -50,10 +53,16 @@ type Fabric interface {
 	// drain a revoked region exactly-once (the fat-tree) return an error,
 	// which the orchestrator treats as a no-op fault.
 	RevokeRegion(task core.TaskID, receiver core.HostID) error
+	// StartTask submits a task without running the simulation.
+	StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*ask.PendingTask, error)
+	// Hosts and Switches enumerate the deployment for invariant checks.
+	Hosts() []core.HostID
+	Switches() []*switchd.Switch
 }
 
 var (
 	_ Fabric = (*ask.Cluster)(nil)
+	_ Fabric = (*ask.MultiRackCluster)(nil)
 	_ Fabric = (*ask.FatTreeCluster)(nil)
 )
 
@@ -74,14 +83,10 @@ type Orchestrator struct {
 	tr         *telemetry.Tracer
 }
 
-// New wraps a rack cluster in an orchestrator. The cluster should run with
+// New wraps a deployment in an orchestrator. The deployment should run with
 // Config.Failover on; injecting switch faults into a non-failover cluster
 // deadlocks tasks whose state died with the switch.
-func New(cl *ask.Cluster) *Orchestrator { return NewFabric(cl) }
-
-// NewFabric wraps any deployment (rack or fat-tree) in an orchestrator;
-// the same failover caveat as New applies.
-func NewFabric(f Fabric) *Orchestrator {
+func New(f Fabric) *Orchestrator {
 	o := &Orchestrator{fab: f}
 	if ts := f.TelemetrySet(); ts != nil && ts.Registry != nil {
 		o.injections = ts.Registry.Counter("chaos.injections")

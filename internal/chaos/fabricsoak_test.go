@@ -14,8 +14,8 @@ import (
 // epoch coherence, transport sanity) to hold against analytic ground truth.
 func TestFabricSoakPassesUnderRandomFaults(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		rep, err := chaos.FabricSoak(chaos.FabricSoakConfig{
-			Seed: seed,
+		rep, err := chaos.Soak(chaos.Config{
+			Kind: chaos.FabricOutage, Seed: seed,
 			Base: netsim.Fault{CorruptProb: 1e-3},
 		})
 		if err != nil {
@@ -34,12 +34,12 @@ func TestFabricSoakPassesUnderRandomFaults(t *testing.T) {
 // outcomes (elapsed virtual time, replay and retransmit counts, corruption
 // tallies) must be byte-identical.
 func TestFabricSoakIsDeterministic(t *testing.T) {
-	cfg := chaos.FabricSoakConfig{Seed: 4, Base: netsim.Fault{CorruptProb: 5e-4}}
-	r1, err := chaos.FabricSoak(cfg)
+	cfg := chaos.Config{Kind: chaos.FabricOutage, Seed: 4, Base: netsim.Fault{CorruptProb: 5e-4}}
+	r1, err := chaos.Soak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := chaos.FabricSoak(cfg)
+	r2, err := chaos.Soak(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,8 +62,8 @@ func TestFabricSoakIsDeterministic(t *testing.T) {
 // sender hosts (leaves 1+) without per-host overlap.
 func TestGenerateFabricScheduleRespectsConstraints(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		cfg := chaos.FabricSoakConfig{Seed: seed, Events: 8}
-		sched := chaos.GenerateFabricSchedule(cfg)
+		cfg := chaos.Config{Kind: chaos.FabricOutage, Seed: seed, Events: 8}
+		sched := chaos.GenerateSchedule(cfg)
 		if len(sched) == 0 {
 			t.Fatalf("seed %d: empty schedule", seed)
 		}
@@ -124,8 +124,8 @@ func TestGenerateFabricScheduleRespectsConstraints(t *testing.T) {
 // fat-tree flags alongside the seed — a reproducer that omits them would
 // replay a rack soak and "pass".
 func TestFabricReproducerCarriesTopologyFlags(t *testing.T) {
-	rep := chaos.FabricReport{Cfg: chaos.FabricSoakConfig{
-		Seed: 7, Events: 5, Spines: 3, Leaves: 4, Tuples: 1000,
+	rep := chaos.Report{Cfg: chaos.Config{
+		Kind: chaos.FabricOutage, Seed: 7, Events: 5, Spines: 3, Leaves: 4, Tuples: 1000,
 		Base: netsim.Fault{CorruptProb: 2e-3},
 	}}
 	line := rep.Reproducer()
@@ -153,20 +153,20 @@ func TestFabricReproducerCarriesTopologyFlags(t *testing.T) {
 // schedule (one spine, one leaf) at a realistic scale and checks the outcome
 // invariants directly — the soak path without the random draw.
 func TestFabricSpineOutageScheduleReplays(t *testing.T) {
-	cfg := chaos.FabricSoakConfig{Seed: 11}
+	cfg := chaos.Config{Kind: chaos.FabricOutage, Seed: 11}
 	sched := chaos.Schedule{
 		{Kind: chaos.EvSpineOutage, Addr: netsim.SpineAddr(0), StartMil: 300, DurMil: 150},
 		{Kind: chaos.EvLeafOutage, Addr: netsim.LeafAddr(2), StartMil: 600, DurMil: 150},
 	}
-	scale, err := chaos.FabricGoldenScale(cfg)
+	scale, err := chaos.GoldenScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := chaos.RunFabricSchedule(cfg, sched, scale)
+	out := chaos.Run(cfg, sched, scale)
 	if !out.OK() {
 		t.Fatalf("handcrafted schedule violated an invariant: %s", out.Violation)
 	}
-	out2 := chaos.RunFabricSchedule(cfg, sched, scale)
+	out2 := chaos.Run(cfg, sched, scale)
 	if out != out2 {
 		t.Fatalf("schedule replay diverged:\n%+v\n%+v", out, out2)
 	}

@@ -3,27 +3,28 @@ package chaos
 // Chaos soak: seeded random-walk fault schedules over full end-to-end
 // aggregation runs, with an invariant harness and a shrinker.
 //
-// A soak run is three deterministic steps:
+// A soak is three deterministic steps, the same for every soak kind:
 //
-//  1. GenerateSchedule draws a fault script — switch outages, link
-//     black-holes, loss/duplication degradation, corruption bursts, host
-//     stalls — from a seeded PRNG, with event times expressed in
-//     thousandths of the fault-free task duration so the same schedule
-//     lands mid-task at any workload size.
-//  2. RunSchedule replays the script against a fresh cluster and checks
-//     the conservation invariant (the aggregated result equals the
-//     analytic per-key ground truth) plus a set of consistency
-//     invariants (no host stuck degraded, epochs coherent, no transport
-//     aborts under an unbounded retry budget).
-//  3. On violation, Shrink re-runs prefixes and single-event elisions of
+//  1. GenerateSchedule draws a fault script from a seeded PRNG, with event
+//     times expressed in thousandths of the fault-free task duration so the
+//     same schedule lands mid-task at any workload size.
+//  2. Run replays the script against a fresh deployment and checks the
+//     kind's invariants against host-computed ground truth.
+//  3. On violation, ShrinkWith re-runs prefixes and single-event elisions of
 //     the schedule until no event can be removed without the failure
 //     disappearing, and the Report prints the minimal schedule plus a
 //     one-line reproducer (`asksim -soak -soak.seed=N ...`).
 //
-// Everything is derived from SoakConfig.Seed — the workload, the
-// schedule, the link-fault RNG — so a reproducer seed replays the exact
-// failure. The harness itself is deterministic: no wall clock, no global
-// randomness (simdeterminism-checked).
+// The harness is topology-blind: it drives any Fabric through StartTask,
+// Hosts and Switches. What distinguishes the three kinds — the rack soak,
+// the fat-tree fabric-outage soak and the tenant-kill isolation soak — is
+// data in the kinds table: deployment options, task plans, the event table
+// and its draw order, the invariant list, and the reproducer flags.
+//
+// Everything is derived from Config.Seed — the workloads, the schedule, the
+// link-fault RNG — so a reproducer seed replays the exact failure. The
+// harness itself is deterministic: no wall clock, no global randomness
+// (simdeterminism-checked).
 
 import (
 	"fmt"
@@ -36,49 +37,279 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/tenancy"
 	"repro/internal/workload"
 )
 
-// SoakConfig parameterizes one soak run. The zero value of every field
-// except Seed is replaced by a default; two runs with equal configs are
-// identical.
-type SoakConfig struct {
+// Kind selects a soak flavour.
+type Kind int
+
+const (
+	// Rack soaks one rack: switch outages, link black-holes, loss and
+	// corruption bursts and host stalls against a single task.
+	Rack Kind = iota
+	// FabricOutage soaks a multi-tenant fat-tree: addressed spine and leaf
+	// outages mixed with link black-holes and corruption bursts, one
+	// fabric-spanning task per tenant.
+	FabricOutage
+	// TenantKill black-holes one tenant's sender on a multi-tenant fat-tree
+	// past a bounded retry budget and checks that the blast radius stops at
+	// the tenant boundary: every other tenant finishes exactly, the victim
+	// bridges the holes or aborts cleanly (never a silent partial result).
+	TenantKill
+)
+
+// Config parameterizes one soak. Zero fields other than Kind, Seed, Base,
+// DisableChecksumVerify and Shards are replaced by the kind's defaults; two
+// runs with equal configs are identical.
+type Config struct {
+	Kind Kind
 	// Seed drives everything: workload contents, schedule generation, and
-	// the cluster's fault RNG.
+	// the deployment's fault RNG.
 	Seed int64
-	// Events is the number of fault events to draw (default 6).
+	// Events is the number of fault events to draw (default 6; TenantKill 3).
 	Events int
-	// Senders is the number of sending hosts (default 2; the receiver is
-	// host 0, so the cluster has Senders+1 hosts).
+	// Senders is the Rack soak's sending hosts (default 2; the receiver is
+	// host 0, so the rack has Senders+1 hosts).
 	Senders int
-	// Tuples per sender (default 30 000) over Keys distinct keys
-	// (default 512).
+	// Spines and Leaves size the FabricOutage fat-tree (defaults 2 and 3:
+	// receivers on leaf 0, senders on every other leaf, so every task has
+	// cross-leaf residue for the spine tier). TenantKill runs on 2×2.
+	Spines, Leaves int
+	// Tenants is the number of concurrent fat-tree tenants (FabricOutage
+	// default 2, TenantKill 3), each with weight 1, one host per leaf, and
+	// one task.
+	Tenants int
+	// Victim is the TenantKill tenant whose sender gets black-holed
+	// (default 1).
+	Victim core.TenantID
+	// Tuples per sender (default 30 000 on the rack, 20 000 on the fat-tree)
+	// over Keys distinct keys (default 512).
 	Tuples int64
 	Keys   int
-	// Base is a fault model applied to every link for the whole run, on
-	// top of the scheduled events — e.g. Fault{CorruptProb: 1e-3} soaks
+	// Retries bounds TenantKill's per-packet retransmissions (default 4): a
+	// hole longer than the budget aborts the victim's stream instead of
+	// stalling the fabric forever. The other kinds retry without bound — an
+	// abort there is an invariant violation, not a scripted outcome.
+	Retries int
+	// Base is a fault model applied to every host link for the whole run,
+	// on top of the scheduled events — e.g. Fault{CorruptProb: 1e-3} soaks
 	// the checksum path continuously.
 	Base netsim.Fault
-	// DisableChecksumVerify mirrors core.Config.DisableChecksumVerify
-	// into the cluster under test: the deliberately-broken build the
-	// harness must catch. Never set outside tests of the harness itself.
+	// DisableChecksumVerify mirrors core.Config.DisableChecksumVerify into
+	// the rack under test: the deliberately-broken build the harness must
+	// catch. Never set outside tests of the harness itself.
 	DisableChecksumVerify bool
+	// Shards, when > 1, runs the FabricOutage fat-tree on the conservative
+	// parallel scheduler (ask.FatTreeOptions.Shards): the soak then
+	// additionally proves that failover epochs, replay, and conservation
+	// survive parallel execution and its control rendezvous.
+	Shards int
 }
 
-func (c SoakConfig) withDefaults() SoakConfig {
-	if c.Events == 0 {
-		c.Events = 6
+// Plan is one task of a soak with its host-computed ground truth. The truth
+// comes from the workload spec, never from a cluster run — a broken
+// datapath cannot contaminate it.
+type Plan struct {
+	// Tenant owns the task; 0 on the untenanted rack.
+	Tenant  core.TenantID
+	Spec    core.TaskSpec
+	Streams map[core.HostID]core.Stream
+	Want    core.Result
+}
+
+func (pl Plan) label() string {
+	if pl.Tenant == 0 {
+		return "task"
 	}
-	if c.Senders == 0 {
-		c.Senders = 2
-	}
-	if c.Tuples == 0 {
-		c.Tuples = 30_000
-	}
-	if c.Keys == 0 {
-		c.Keys = 512
-	}
+	return fmt.Sprintf("tenant %d", pl.Tenant)
+}
+
+// kind is everything that distinguishes one soak flavour, as data.
+type kind struct {
+	name     string
+	defaults Config
+	// build constructs the deployment under test.
+	build func(Config) (Fabric, error)
+	// plans lays out the tasks (fresh streams on every call).
+	plans func(Config) []Plan
+	// events is the table a schedule draws its event kinds from, in draw
+	// order; a one-entry table draws nothing. Start and duration are then
+	// drawn from [startLo, startLo+startSpan) and [durLo, durLo+durSpan)
+	// millis of scale, then the target: a switch address for the addressed
+	// outages, host(rng) for link and stall faults. Reordering any of this
+	// reshuffles every seed of the kind.
+	events                             []EventKind
+	startLo, startSpan, durLo, durSpan int64
+	host                               func(*rand.Rand, Config) core.HostID
+	// invariants are checked in order at quiescence; each returns "" or a
+	// one-line violation.
+	invariants []func(*replay) string
+	// note qualifies a passing report's summary line; flags are the kind's
+	// reproducer flags ("" when asksim cannot run the kind).
+	note  func(Report) string
+	flags func(Config) string
+}
+
+// soakConfig is the configuration the outage soaks run under: failover on
+// (switch outages must not deadlock), shadow copies off (failover replay
+// cannot attribute swap fetches), retries unbounded (black-holes must be
+// bridged, not aborted), and the checksum-verification fault hook mirrored
+// in.
+func soakConfig(cfg Config) core.Config {
+	c := core.DefaultConfig()
+	c.ShadowCopy = false
+	c.Failover = true
+	c.MaxRetries = 0
+	c.DisableChecksumVerify = cfg.DisableChecksumVerify
 	return c
+}
+
+// fatTree builds the multi-tenant fat-tree both fabric kinds run on: one
+// host per tenant per leaf (leaf-major IDs, so slot i of leaf l is host
+// l·Tenants+i), equal weights.
+func fatTree(cfg Config, c core.Config, spines, leaves int) (Fabric, error) {
+	link := netsim.DefaultLinkConfig()
+	link.Fault = cfg.Base
+	opts := ask.FatTreeOptions{
+		Spines: spines, Leaves: leaves, HostsPerLeaf: cfg.Tenants,
+		Config: c, HostLink: link, Seed: cfg.Seed, Shards: cfg.Shards,
+	}
+	for i := 0; i < cfg.Tenants; i++ {
+		opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
+	}
+	return ask.NewFatTreeCluster(opts)
+}
+
+// tenantPlans gives every tenant one task: receiver in its slot of leaf 0,
+// a sender in its slot of every leaf in [1, leaves), stream seeds offset by
+// seedOff(tenant index, leaf).
+func tenantPlans(cfg Config, leaves int, seedOff func(i, l int) int64) []Plan {
+	plans := make([]Plan, 0, cfg.Tenants)
+	for i := 0; i < cfg.Tenants; i++ {
+		tn := core.TenantID(i + 1)
+		pl := Plan{
+			Tenant:  tn,
+			Streams: make(map[core.HostID]core.Stream),
+			Want:    make(core.Result),
+			Spec:    core.TaskSpec{ID: core.MakeTaskID(tn, uint32(i+1)), Receiver: core.HostID(i), Op: core.OpSum},
+		}
+		for l := 1; l < leaves; l++ {
+			h := core.HostID(l*cfg.Tenants + i)
+			pl.Spec.Senders = append(pl.Spec.Senders, h)
+			w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+seedOff(i, l))
+			pl.Streams[h] = w.Stream()
+			pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+		}
+		plans = append(plans, pl)
+	}
+	return plans
+}
+
+var kinds = [...]kind{
+	Rack: {
+		name:     "soak",
+		defaults: Config{Events: 6, Senders: 2, Tuples: 30_000, Keys: 512},
+		build: func(cfg Config) (Fabric, error) {
+			link := netsim.DefaultLinkConfig()
+			link.Fault = cfg.Base
+			return ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: soakConfig(cfg), Link: link, Seed: cfg.Seed})
+		},
+		plans: func(cfg Config) []Plan {
+			pl := Plan{
+				Spec:    core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum},
+				Streams: make(map[core.HostID]core.Stream),
+				Want:    make(core.Result),
+			}
+			for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
+				pl.Spec.Senders = append(pl.Spec.Senders, h)
+				w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h))
+				pl.Streams[h] = w.Stream()
+				pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+			}
+			return []Plan{pl}
+		},
+		events:  []EventKind{EvSwitchOutage, EvLinkBlackhole, EvLinkDegrade, EvCorruptBurst, EvHostStall},
+		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
+		// Only senders are targeted: the receiver's link must stay up for
+		// the task to finish.
+		host:       func(rng *rand.Rand, cfg Config) core.HostID { return core.HostID(1 + rng.Intn(cfg.Senders)) },
+		invariants: []func(*replay) string{conservation, recovery, switchEpochs, transportSanity},
+		note:       func(Report) string { return "" },
+		flags:      func(cfg Config) string { return fmt.Sprintf(" -soak.senders=%d", cfg.Senders) },
+	},
+	FabricOutage: {
+		name:     "fabric soak",
+		defaults: Config{Events: 6, Spines: 2, Leaves: 3, Tenants: 2, Tuples: 20_000, Keys: 512},
+		build:    func(cfg Config) (Fabric, error) { return fatTree(cfg, soakConfig(cfg), cfg.Spines, cfg.Leaves) },
+		plans: func(cfg Config) []Plan {
+			return tenantPlans(cfg, cfg.Leaves, func(i, l int) int64 { return int64(i*cfg.Leaves + l) })
+		},
+		events:  []EventKind{EvSpineOutage, EvLeafOutage, EvLinkBlackhole, EvCorruptBurst},
+		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
+		// Senders are exactly the hosts of leaves 1 and up.
+		host: func(rng *rand.Rand, cfg Config) core.HostID {
+			return core.HostID(cfg.Tenants + rng.Intn((cfg.Leaves-1)*cfg.Tenants))
+		},
+		invariants: []func(*replay) string{conservation, recovery, fabricEpoch, transportSanity},
+		note: func(r Report) string {
+			return fmt.Sprintf(" (%d spines, %d leaves, %d tenants)", r.Cfg.Spines, r.Cfg.Leaves, r.Cfg.Tenants)
+		},
+		flags: func(cfg Config) string {
+			return fmt.Sprintf(" -topology fattree -soak.spines=%d -soak.leaves=%d", cfg.Spines, cfg.Leaves)
+		},
+	},
+	TenantKill: {
+		name:     "tenant soak",
+		defaults: Config{Events: 3, Tenants: 3, Victim: 1, Tuples: 20_000, Keys: 512, Retries: 4},
+		build: func(cfg Config) (Fabric, error) {
+			c := core.DefaultConfig()
+			c.MaxRetries = cfg.Retries
+			return fatTree(cfg, c, 2, 2)
+		},
+		plans: func(cfg Config) []Plan {
+			return tenantPlans(cfg, 2, func(i, _ int) int64 { return int64(i) })
+		},
+		// Black-hole windows only, long against the retry budget so
+		// mid-stream holes genuinely kill the flow, all on the victim's
+		// sender (its slot of leaf 1) — nothing but the window is drawn.
+		events:  []EventKind{EvLinkBlackhole},
+		startLo: 100, startSpan: 700, durLo: 100, durSpan: 200,
+		host: func(_ *rand.Rand, cfg Config) core.HostID {
+			return core.HostID(cfg.Tenants) + core.HostID(cfg.Victim) - 1
+		},
+		invariants: []func(*replay) string{conservation, victimContained, isolation},
+		note: func(r Report) string {
+			verdict := "bridged the holes"
+			if r.Outcome.VictimAborted {
+				verdict = "aborted cleanly"
+			}
+			return fmt.Sprintf(" (%d tenants, victim %d %s)", r.Cfg.Tenants, r.Cfg.Victim, verdict)
+		},
+		flags: func(Config) string { return "" },
+	},
+}
+
+func (c Config) withDefaults() Config {
+	d := kinds[c.Kind].defaults
+	c.Events = or(c.Events, d.Events)
+	c.Senders = or(c.Senders, d.Senders)
+	c.Spines = or(c.Spines, d.Spines)
+	c.Leaves = or(c.Leaves, d.Leaves)
+	c.Tenants = or(c.Tenants, d.Tenants)
+	c.Victim = or(c.Victim, d.Victim)
+	c.Tuples = or(c.Tuples, d.Tuples)
+	c.Keys = or(c.Keys, d.Keys)
+	c.Retries = or(c.Retries, d.Retries)
+	return c
+}
+
+func or[T comparable](v, def T) T {
+	var zero T
+	if v == zero {
+		return def
+	}
+	return v
 }
 
 // EventKind enumerates the fault types a schedule can contain.
@@ -90,12 +321,8 @@ const (
 	EvLinkDegrade
 	EvCorruptBurst
 	EvHostStall
-	// numRackEventKinds bounds the rack schedule generator's draw. The
-	// fabric-only kinds below must stay after it: inserting before it would
-	// silently reshuffle every existing rack soak seed.
-	numRackEventKinds
 	// EvSpineOutage / EvLeafOutage crash-and-reboot one addressed fat-tree
-	// switch (Event.Addr). Only the fabric soak generator draws them.
+	// switch (Event.Addr). Only the FabricOutage table draws them.
 	EvSpineOutage
 	EvLeafOutage
 )
@@ -201,46 +428,54 @@ func overlapsAny(ivs [][2]int64, start, end int64) bool {
 	return false
 }
 
-// GenerateSchedule draws a fault script from cfg.Seed. Constraints keep
-// every draw runnable: switch outages never overlap each other, per-host
-// faults never overlap on the same host, and only sender hosts are
-// targeted (the receiver's link must stay up for the task to finish).
-// Events land in [50, 900)millis of scale with durations in [50, 250), so
-// every fault heals within the script.
-func GenerateSchedule(cfg SoakConfig) Schedule {
+// GenerateSchedule draws a fault script from cfg.Seed off the kind's event
+// table. Constraints keep every draw runnable: switch outages never overlap
+// each other — so the fabric always has a heal window between incarnation
+// bumps — per-host faults never overlap on the same host, and only sender
+// hosts are targeted. Every window ends by 1150 millis of scale, so every
+// fault heals within the script.
+func GenerateSchedule(cfg Config) Schedule {
 	cfg = cfg.withDefaults()
+	k := &kinds[cfg.Kind]
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var sched Schedule
-	var outages [][2]int64
-	busy := make(map[core.HostID][][2]int64)
+	// busy holds the taken windows per target: one entry per host, and
+	// switchTier for the switches, whose outages exclude each other
+	// fabric-wide.
+	const switchTier = -1
+	busy := make(map[int][][2]int64)
 	for attempts := 0; len(sched) < cfg.Events && attempts < cfg.Events*64; attempts++ {
-		kind := EventKind(rng.Intn(int(numRackEventKinds)))
-		start := 50 + rng.Int63n(850)
-		dur := 50 + rng.Int63n(200)
-		ev := Event{Kind: kind, StartMil: start, DurMil: dur}
-		if kind == EvSwitchOutage {
-			if overlapsAny(outages, start, start+dur) {
-				continue
+		ev := Event{Kind: k.events[0]}
+		if len(k.events) > 1 {
+			ev.Kind = k.events[rng.Intn(len(k.events))]
+		}
+		ev.StartMil = k.startLo + rng.Int63n(k.startSpan)
+		ev.DurMil = k.durLo + rng.Int63n(k.durSpan)
+		target := switchTier
+		switch ev.Kind {
+		case EvSwitchOutage:
+		case EvSpineOutage:
+			ev.Addr = netsim.SpineAddr(rng.Intn(cfg.Spines))
+		case EvLeafOutage:
+			ev.Addr = netsim.LeafAddr(rng.Intn(cfg.Leaves))
+		default:
+			ev.Host = k.host(rng, cfg)
+			target = int(ev.Host)
+		}
+		if overlapsAny(busy[target], ev.StartMil, ev.StartMil+ev.DurMil) {
+			continue
+		}
+		busy[target] = append(busy[target], [2]int64{ev.StartMil, ev.StartMil + ev.DurMil})
+		switch ev.Kind {
+		case EvLinkDegrade:
+			ev.Fault = netsim.Fault{
+				LossProb: 0.05 + rng.Float64()*0.20,
+				DupProb:  rng.Float64() * 0.05,
 			}
-			outages = append(outages, [2]int64{start, start + dur})
-		} else {
-			host := core.HostID(1 + rng.Intn(cfg.Senders))
-			if overlapsAny(busy[host], start, start+dur) {
-				continue
-			}
-			busy[host] = append(busy[host], [2]int64{start, start + dur})
-			ev.Host = host
-			switch kind {
-			case EvLinkDegrade:
-				ev.Fault = netsim.Fault{
-					LossProb: 0.05 + rng.Float64()*0.20,
-					DupProb:  rng.Float64() * 0.05,
-				}
-			case EvCorruptBurst:
-				ev.Fault = netsim.Fault{
-					CorruptProb:  0.002 + rng.Float64()*0.02,
-					TruncateProb: rng.Float64() * 0.004,
-				}
+		case EvCorruptBurst:
+			ev.Fault = netsim.Fault{
+				CorruptProb:  0.002 + rng.Float64()*0.02,
+				TruncateProb: rng.Float64() * 0.004,
 			}
 		}
 		sched = append(sched, ev)
@@ -249,69 +484,12 @@ func GenerateSchedule(cfg SoakConfig) Schedule {
 	return sched
 }
 
-// soakOptions is the cluster configuration a soak runs under: failover on
-// (switch outages must not deadlock), shadow copies off (failover replay
-// cannot attribute swap fetches), retries unbounded (black-holes must not
-// abort streams — an abort is an invariant violation, not a scripted
-// outcome), and the checksum-verification fault hook mirrored in.
-func soakOptions(cfg SoakConfig) ask.Options {
-	c := core.DefaultConfig()
-	c.ShadowCopy = false
-	c.Failover = true
-	c.MaxRetries = 0
-	c.DisableChecksumVerify = cfg.DisableChecksumVerify
-	link := netsim.DefaultLinkConfig()
-	link.Fault = cfg.Base
-	return ask.Options{Hosts: cfg.Senders + 1, Config: c, Link: link, Seed: cfg.Seed}
-}
-
-// soakWorkload builds the task, per-sender streams, and the analytic
-// ground truth the conservation invariant checks against. The ground
-// truth is computed host-side from the workload spec, never from a
-// cluster run — a broken datapath cannot contaminate it.
-func soakWorkload(cfg SoakConfig) (core.TaskSpec, map[core.HostID]core.Stream, core.Result) {
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum}
-	streams := make(map[core.HostID]core.Stream)
-	want := make(core.Result)
-	for i := 0; i < cfg.Senders; i++ {
-		h := core.HostID(i + 1)
-		spec.Senders = append(spec.Senders, h)
-		w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h))
-		streams[h] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
-	}
-	return spec, streams, want
-}
-
-// goldenScale runs the task once on a fault-free, verification-enabled
-// cluster and returns its duration — the timing scale schedules are
-// expressed in. It errors if even the clean run violates conservation
-// (the build is broken beyond what fault injection can reveal).
-func goldenScale(cfg SoakConfig) (time.Duration, error) {
-	opts := soakOptions(cfg)
-	opts.Link.Fault = netsim.Fault{}
-	opts.Config.DisableChecksumVerify = false
-	spec, streams, want := soakWorkload(cfg)
-	cl, err := ask.NewCluster(opts)
-	if err != nil {
-		return 0, err
-	}
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		return 0, fmt.Errorf("chaos: golden run failed: %w", err)
-	}
-	if !res.Result.Equal(want) {
-		return 0, fmt.Errorf("chaos: golden run violates conservation: %s", res.Result.Diff(want, 5))
-	}
-	return time.Duration(res.Elapsed), nil
-}
-
 // Outcome is the verdict of one schedule replay.
 type Outcome struct {
 	// Violation is empty on a clean run, else a one-line description of
 	// the first invariant that failed.
 	Violation string
-	// Elapsed is the task's virtual duration (zero if it never finished).
+	// Elapsed is the slowest completed task's virtual duration.
 	Elapsed time.Duration
 	// Evidence counters: quarantined frames prove the integrity path was
 	// exercised; retransmits and replays prove the reliability path was.
@@ -319,107 +497,237 @@ type Outcome struct {
 	HostCorruptDropped   int64
 	Retransmits          int64
 	Replays              int64
+	// VictimAborted reports whether the TenantKill victim's stream hit the
+	// bounded retry budget (false when the holes were short enough to
+	// bridge).
+	VictimAborted bool
 }
 
 // OK reports whether every invariant held.
 func (o Outcome) OK() bool { return o.Violation == "" }
 
-func violationf(format string, args ...any) Outcome {
-	return Outcome{Violation: fmt.Sprintf(format, args...)}
+// replay is one finished run as the invariants see it.
+type replay struct {
+	cfg   Config
+	fab   Fabric
+	sched Schedule
+	plans []Plan
+	// res[i] / errs[i] are plan i's outcome; errs[i] != nil means the task
+	// never completed.
+	res  []*ask.TaskResult
+	errs []error
+	// capped is set when the run was cut off at the virtual-time cap.
+	capped bool
 }
 
-// RunSchedule replays one schedule on a fresh cluster and checks the
-// invariants. It is deterministic: equal (cfg, sched, scale) triples
-// produce equal Outcomes.
-func RunSchedule(cfg SoakConfig, sched Schedule, scale time.Duration) Outcome {
-	cfg = cfg.withDefaults()
-	spec, streams, want := soakWorkload(cfg)
-	cl, err := ask.NewCluster(soakOptions(cfg))
-	if err != nil {
-		return violationf("cluster build failed: %v", err)
-	}
-	orch := New(cl)
-	sched.Apply(orch, scale)
-	pt, err := cl.StartTask(spec, streams)
-	if err != nil {
-		return violationf("task submission failed: %v", err)
-	}
-	// Run under a virtual-time cap: a broken datapath can livelock (e.g.
-	// forged sequence state retransmitting forever), and an uncapped run
-	// would never return. Every fault heals by 1.15x scale, so 25x is far
-	// beyond any legitimate recovery tail.
-	deadline := sim.Time(0).Add(25 * scale)
-	end := cl.Sim.Run(deadline)
-	res, err := pt.Get()
-	if err != nil {
-		if end >= deadline {
-			return violationf("task still running at virtual-time cap %v (livelock)", 25*scale)
+func (r *replay) victim(pl Plan) bool { return r.cfg.Kind == TenantKill && pl.Tenant == r.cfg.Victim }
+
+// aborts sums transport aborts over the channels of the given hosts.
+func (r *replay) aborts(hosts ...core.HostID) int64 {
+	var n int64
+	for _, h := range hosts {
+		for _, cs := range r.fab.Daemon(h).ChannelStats() {
+			n += cs.Aborts
 		}
-		// The cluster quiesced with the receiver still waiting.
-		return violationf("task did not complete: %v", err)
 	}
-	out := Outcome{
-		Elapsed:              time.Duration(res.Elapsed),
-		SwitchCorruptDropped: cl.Switch.Stats().CorruptDropped,
+	return n
+}
+
+// incomplete words the violation for a task that never finished.
+func (r *replay) incomplete(pl Plan, err error) string {
+	if r.capped {
+		// A broken datapath can livelock (e.g. forged sequence state
+		// retransmitting forever); the cap turns that into a verdict.
+		return fmt.Sprintf("%s still running at the virtual-time cap (livelock)", pl.label())
 	}
-	for h := core.HostID(0); h < core.HostID(cfg.Senders+1); h++ {
-		d := cl.Daemon(h)
+	// The cluster quiesced with the receiver still waiting.
+	return fmt.Sprintf("%s did not complete: %v", pl.label(), err)
+}
+
+// conservation: every task outside the victim's aggregates to exactly its
+// host-computed ground truth. Every tuple counted once, none lost to faults
+// or outages, none double-counted by retransmission or replay across a
+// reboot, spine re-election or leaf heal, none fabricated from corrupted
+// bytes.
+func conservation(r *replay) string {
+	for i, pl := range r.plans {
+		switch {
+		case r.victim(pl):
+		case r.errs[i] != nil:
+			return r.incomplete(pl, r.errs[i])
+		case !r.res[i].Result.Equal(pl.Want):
+			return pl.label() + " conservation violated: " + r.res[i].Result.Diff(pl.Want, 5)
+		}
+	}
+	return ""
+}
+
+// recovery: every fault healed, so no host may still be degraded once the
+// deployment quiesces.
+func recovery(r *replay) string {
+	for _, h := range r.fab.Hosts() {
+		if r.fab.Daemon(h).Degraded() {
+			return fmt.Sprintf("host %d still degraded at quiescence", h)
+		}
+	}
+	return ""
+}
+
+// hostsBehind checks that no host believes in an incarnation past epoch.
+func hostsBehind(r *replay, epoch uint32) string {
+	for _, h := range r.fab.Hosts() {
+		if he := r.fab.Daemon(h).Epoch(); he > epoch {
+			return fmt.Sprintf("host %d epoch %d ahead of switch epoch %d", h, he, epoch)
+		}
+	}
+	return ""
+}
+
+// switchEpochs is epoch coherence under per-switch incarnations (the rack):
+// a switch's epoch advances once per reboot, and no host is ahead of it.
+func switchEpochs(r *replay) string {
+	var newest uint32
+	for i, sw := range r.fab.Switches() {
+		if got, want := int64(sw.Epoch()), 1+sw.Stats().Reboots; got != want {
+			return fmt.Sprintf("switch %d epoch %d != 1+reboots %d", i, got, want)
+		}
+		if sw.Epoch() > newest {
+			newest = sw.Epoch()
+		}
+	}
+	return hostsBehind(r, newest)
+}
+
+// fabricEpoch is epoch coherence under the fat-tree's shared epoch: each
+// switch outage bumps it twice (crash and reboot), every switch converges on
+// the final incarnation, and no host is ahead of it.
+func fabricEpoch(r *replay) string {
+	outages := 0
+	for _, ev := range r.sched {
+		if ev.Kind == EvSpineOutage || ev.Kind == EvLeafOutage {
+			outages++
+		}
+	}
+	want := uint32(1 + 2*outages)
+	if fe, ok := r.fab.(interface{ FabricEpoch() uint32 }); ok && fe.FabricEpoch() != want {
+		return fmt.Sprintf("fabric epoch %d != 1+2x%d outages = %d", fe.FabricEpoch(), outages, want)
+	}
+	for i, sw := range r.fab.Switches() {
+		if got := sw.Epoch(); got != want {
+			return fmt.Sprintf("switch %d epoch %d != fabric epoch %d", i, got, want)
+		}
+	}
+	return hostsBehind(r, want)
+}
+
+// transportSanity: with an unbounded retry budget no flight may abort, and
+// no channel may ACK more than it sent.
+func transportSanity(r *replay) string {
+	for _, h := range r.fab.Hosts() {
+		for ch, cs := range r.fab.Daemon(h).ChannelStats() {
+			if cs.Aborts != 0 {
+				return fmt.Sprintf("host %d channel %d aborted %d flights under unbounded retries", h, ch, cs.Aborts)
+			}
+			if cs.Acked > cs.Sent {
+				return fmt.Sprintf("host %d channel %d acked %d > sent %d", h, ch, cs.Acked, cs.Sent)
+			}
+		}
+	}
+	return ""
+}
+
+// victimContained: the black-holed tenant either bridges the holes — and
+// must then still be exact, a partial result would be silent data loss — or
+// aborts on its bounded retry budget; it never just stops.
+func victimContained(r *replay) string {
+	for i, pl := range r.plans {
+		switch {
+		case !r.victim(pl):
+		case r.errs[i] == nil:
+			if !r.res[i].Result.Equal(pl.Want) {
+				return fmt.Sprintf("victim %s completed with a wrong result: %s", pl.label(), r.res[i].Result.Diff(pl.Want, 5))
+			}
+		case r.aborts(pl.Spec.Senders...) == 0:
+			return "victim " + r.incomplete(pl, r.errs[i]) + " without a transport abort"
+		}
+	}
+	return ""
+}
+
+// isolation: no tenant but the victim sees a transport abort on its hosts.
+func isolation(r *replay) string {
+	for _, pl := range r.plans {
+		if n := r.aborts(append(pl.Spec.Senders, pl.Spec.Receiver)...); n != 0 && !r.victim(pl) {
+			return fmt.Sprintf("%s (not the victim) saw %d transport aborts", pl.label(), n)
+		}
+	}
+	return ""
+}
+
+// Run replays one schedule on a fresh deployment and checks the kind's
+// invariants. It is deterministic: equal (cfg, sched, scale) triples produce
+// equal Outcomes. A zero scale runs uncapped (GoldenScale's fault-free run).
+func Run(cfg Config, sched Schedule, scale time.Duration) Outcome {
+	cfg = cfg.withDefaults()
+	k := &kinds[cfg.Kind]
+	fab, err := k.build(cfg)
+	if err != nil {
+		return Outcome{Violation: fmt.Sprintf("deployment build failed: %v", err)}
+	}
+	r := &replay{cfg: cfg, fab: fab, sched: sched, plans: k.plans(cfg)}
+	sched.Apply(New(fab), scale)
+	pending := make([]*ask.PendingTask, len(r.plans))
+	for i, pl := range r.plans {
+		if pending[i], err = fab.StartTask(pl.Spec, pl.Streams); err != nil {
+			return Outcome{Violation: fmt.Sprintf("%s submission failed: %v", pl.label(), err)}
+		}
+	}
+	// Run under a virtual-time cap: every fault heals by 1.15x scale, so 25x
+	// is far beyond any legitimate recovery tail.
+	deadline := sim.Time(0).Add(25 * scale)
+	r.capped = fab.Simulation().Run(deadline) >= deadline && scale > 0
+
+	var out Outcome
+	r.res, r.errs = make([]*ask.TaskResult, len(r.plans)), make([]error, len(r.plans))
+	for i, pl := range r.plans {
+		if r.res[i], r.errs[i] = pending[i].Get(); r.errs[i] != nil {
+			out.VictimAborted = out.VictimAborted || r.victim(pl) && r.aborts(pl.Spec.Senders...) > 0
+		} else if d := time.Duration(r.res[i].Elapsed); d > out.Elapsed {
+			out.Elapsed = d
+		}
+	}
+	for _, sw := range fab.Switches() {
+		out.SwitchCorruptDropped += sw.Stats().CorruptDropped
+	}
+	for _, h := range fab.Hosts() {
+		d := fab.Daemon(h)
 		out.HostCorruptDropped += d.Stats().CorruptDropped
 		out.Replays += d.FailoverStats().ReplaysSent
 		for _, cs := range d.ChannelStats() {
 			out.Retransmits += cs.Retransmits
 		}
 	}
-	// Invariant 1 — conservation: the aggregated result is exactly the
-	// analytic per-key ground truth. Every tuple counted once, none lost
-	// to faults, none double-counted by retransmission or replay, none
-	// fabricated from corrupted bytes.
-	if !res.Result.Equal(want) {
-		out.Violation = "conservation violated: " + res.Result.Diff(want, 5)
-		return out
-	}
-	// Invariant 2 — recovery: every fault healed, so no host may still be
-	// degraded once the cluster quiesces.
-	for h := core.HostID(0); h < core.HostID(cfg.Senders+1); h++ {
-		if cl.Daemon(h).Degraded() {
-			out.Violation = fmt.Sprintf("host %d still degraded at quiescence", h)
-			return out
-		}
-	}
-	// Invariant 3 — epoch coherence: the switch epoch advances once per
-	// reboot, and no host believes in a future incarnation.
-	if got, want := int64(cl.Switch.Epoch()), 1+cl.Switch.Stats().Reboots; got != want {
-		out.Violation = fmt.Sprintf("switch epoch %d != 1+reboots %d", got, want)
-		return out
-	}
-	for h := core.HostID(0); h < core.HostID(cfg.Senders+1); h++ {
-		if he := cl.Daemon(h).Epoch(); he > cl.Switch.Epoch() {
-			out.Violation = fmt.Sprintf("host %d epoch %d ahead of switch epoch %d", h, he, cl.Switch.Epoch())
-			return out
-		}
-	}
-	// Invariant 4 — transport sanity: with an unbounded retry budget no
-	// flight may abort, and no channel may ACK more than it sent.
-	for h := core.HostID(0); h < core.HostID(cfg.Senders+1); h++ {
-		for ch, cs := range cl.Daemon(h).ChannelStats() {
-			if cs.Aborts != 0 {
-				out.Violation = fmt.Sprintf("host %d channel %d aborted %d flights under unbounded retries", h, ch, cs.Aborts)
-				return out
-			}
-			if cs.Acked > cs.Sent {
-				out.Violation = fmt.Sprintf("host %d channel %d acked %d > sent %d", h, ch, cs.Acked, cs.Sent)
-				return out
-			}
+	for _, inv := range k.invariants {
+		if out.Violation = inv(r); out.Violation != "" {
+			break
 		}
 	}
 	return out
 }
 
-// Shrink minimizes a failing schedule against the rack soak's replay.
-func Shrink(cfg SoakConfig, sched Schedule, scale time.Duration) (Schedule, int) {
-	return ShrinkWith(func(s Schedule) bool {
-		return !RunSchedule(cfg, s, scale).OK()
-	}, sched)
+// GoldenScale runs the kind's workload once on a fault-free,
+// verification-enabled deployment and returns the slowest task's duration —
+// the timing scale schedules are expressed in. It returns an error if even
+// the clean run violates an invariant (the build is broken beyond what
+// fault injection can reveal).
+func GoldenScale(cfg Config) (time.Duration, error) {
+	cfg.Base = netsim.Fault{}
+	cfg.DisableChecksumVerify = false
+	out := Run(cfg, nil, 0)
+	if !out.OK() {
+		return 0, fmt.Errorf("chaos: golden run failed: %s", out.Violation)
+	}
+	return out.Elapsed, nil
 }
 
 // ShrinkWith minimizes a failing schedule against an arbitrary replay
@@ -462,7 +770,7 @@ func ShrinkWith(fails func(Schedule) bool, sched Schedule) (Schedule, int) {
 // schedule, its outcome, and — on failure — the shrunken schedule and a
 // reproducer line.
 type Report struct {
-	Cfg      SoakConfig
+	Cfg      Config
 	Scale    time.Duration
 	Schedule Schedule
 	Outcome  Outcome
@@ -476,12 +784,21 @@ type Report struct {
 // Passed reports whether every invariant held on the full schedule.
 func (r Report) Passed() bool { return r.Outcome.OK() }
 
-// Reproducer is the one-line command that replays this exact soak.
+// Reproducer is the one-line command that replays this exact soak, topology
+// flags included — a reproducer that omitted them would replay a rack soak
+// and "pass". It is empty for kinds asksim cannot run (TenantKill).
 func (r Report) Reproducer() string {
-	s := fmt.Sprintf("asksim -soak -soak.seed=%d -soak.events=%d -soak.senders=%d -soak.tuples=%d",
-		r.Cfg.Seed, r.Cfg.Events, r.Cfg.Senders, r.Cfg.Tuples)
+	flags := kinds[r.Cfg.Kind].flags(r.Cfg)
+	if flags == "" {
+		return ""
+	}
+	s := fmt.Sprintf("asksim -soak -soak.seed=%d -soak.events=%d -soak.tuples=%d%s",
+		r.Cfg.Seed, r.Cfg.Events, r.Cfg.Tuples, flags)
 	if r.Cfg.Base.CorruptProb != 0 {
 		s += fmt.Sprintf(" -soak.corrupt=%g", r.Cfg.Base.CorruptProb)
+	}
+	if r.Cfg.Shards > 1 {
+		s += fmt.Sprintf(" -soak.shards=%d", r.Cfg.Shards)
 	}
 	if r.Cfg.DisableChecksumVerify {
 		s += " -soak.break-checksums"
@@ -490,39 +807,41 @@ func (r Report) Reproducer() string {
 }
 
 func (r Report) String() string {
+	k := &kinds[r.Cfg.Kind]
 	var b strings.Builder
 	if r.Passed() {
-		fmt.Fprintf(&b, "soak seed=%d PASS: %d events over %v, elapsed %v\n",
-			r.Cfg.Seed, len(r.Schedule), r.Scale, r.Outcome.Elapsed)
+		fmt.Fprintf(&b, "%s seed=%d PASS: %d events over %v%s, elapsed %v\n",
+			k.name, r.Cfg.Seed, len(r.Schedule), r.Scale, k.note(r), r.Outcome.Elapsed)
 		fmt.Fprintf(&b, "  evidence: corrupt_dropped switch=%d host=%d, retransmits=%d, replays=%d\n",
 			r.Outcome.SwitchCorruptDropped, r.Outcome.HostCorruptDropped,
 			r.Outcome.Retransmits, r.Outcome.Replays)
 		return b.String()
 	}
-	fmt.Fprintf(&b, "soak seed=%d FAIL: %s\n", r.Cfg.Seed, r.Outcome.Violation)
+	fmt.Fprintf(&b, "%s seed=%d FAIL: %s\n", k.name, r.Cfg.Seed, r.Outcome.Violation)
 	fmt.Fprintf(&b, "minimal failing schedule (%d of %d events, %d replays):\n",
 		len(r.Shrunk), len(r.Schedule), r.Runs)
 	fmt.Fprintf(&b, "%s\n", r.Shrunk)
-	fmt.Fprintf(&b, "reproduce with: %s\n", r.Reproducer())
+	if line := r.Reproducer(); line != "" {
+		fmt.Fprintf(&b, "reproduce with: %s\n", line)
+	}
 	return b.String()
 }
 
-// Soak runs one full soak for cfg: golden timing run, schedule
-// generation, replay, and — on violation — shrinking. The only error
-// return is a golden-run failure; fault-induced violations are reported
-// in the Report, reproducer included.
-func Soak(cfg SoakConfig) (Report, error) {
+// Soak runs one full soak for cfg: golden timing run, schedule generation,
+// replay, and — on violation — shrinking. The only error return is a
+// golden-run failure; fault-induced violations are reported in the Report,
+// reproducer included.
+func Soak(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
-	scale, err := goldenScale(cfg)
+	scale, err := GoldenScale(cfg)
 	if err != nil {
 		return Report{}, err
 	}
 	sched := GenerateSchedule(cfg)
-	rep := Report{Cfg: cfg, Scale: scale, Schedule: sched}
-	rep.Outcome = RunSchedule(cfg, sched, scale)
-	rep.Runs = 1
+	rep := Report{Cfg: cfg, Scale: scale, Schedule: sched, Runs: 1}
+	rep.Outcome = Run(cfg, sched, scale)
 	if !rep.Outcome.OK() {
-		shrunk, runs := Shrink(cfg, sched, scale)
+		shrunk, runs := ShrinkWith(func(s Schedule) bool { return !Run(cfg, s, scale).OK() }, sched)
 		rep.Shrunk = shrunk
 		rep.Runs += runs
 	}

@@ -12,6 +12,7 @@ package chaos_test
 //     seed.
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSoakPassesUnderRandomFaults(t *testing.T) {
 	// outages that once triggered a replay double-count (see
 	// TestBackToBackOutagesDoNotDoubleCount); they stay pinned here.
 	for _, seed := range []int64{1, 2, 3, 6, 9, 20} {
-		rep, err := chaos.Soak(chaos.SoakConfig{Seed: seed})
+		rep, err := chaos.Soak(chaos.Config{Seed: seed})
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -46,7 +47,7 @@ func TestSoakConvergesUnderContinuousCorruption(t *testing.T) {
 	// Acceptance criterion 1: CorruptProb=1e-3 on every link for the whole
 	// run; the result must still be exact and the corrupt-drop counters
 	// must show the integrity path fired.
-	rep, err := chaos.Soak(chaos.SoakConfig{
+	rep, err := chaos.Soak(chaos.Config{
 		Seed: 11,
 		Base: netsim.Fault{CorruptProb: 1e-3},
 	})
@@ -71,7 +72,7 @@ func TestSoakCatchesDisabledChecksumVerification(t *testing.T) {
 	// reproducer. The heavy base corruption rate makes every corrupt burst
 	// redundant, so the shrinker should reduce the schedule drastically —
 	// often to empty (the base config alone fails).
-	cfg := chaos.SoakConfig{
+	cfg := chaos.Config{
 		Seed:                  5,
 		Base:                  netsim.Fault{CorruptProb: 5e-3},
 		DisableChecksumVerify: true,
@@ -101,13 +102,13 @@ func TestSoakCatchesDisabledChecksumVerification(t *testing.T) {
 	}
 	// The shrunken schedule must still fail on replay — that is what makes
 	// it a reproducer.
-	if out := chaos.RunSchedule(cfg, rep.Shrunk, rep.Scale); out.OK() {
+	if out := chaos.Run(cfg, rep.Shrunk, rep.Scale); out.OK() {
 		t.Fatal("shrunken schedule does not reproduce the violation")
 	}
 }
 
 func TestSoakIsDeterministic(t *testing.T) {
-	cfg := chaos.SoakConfig{Seed: 4, Base: netsim.Fault{CorruptProb: 5e-4}}
+	cfg := chaos.Config{Seed: 4, Base: netsim.Fault{CorruptProb: 5e-4}}
 	r1, err := chaos.Soak(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +132,7 @@ func TestSoakIsDeterministic(t *testing.T) {
 
 func TestGenerateScheduleRespectsConstraints(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		cfg := chaos.SoakConfig{Seed: seed, Events: 8, Senders: 3}
+		cfg := chaos.Config{Seed: seed, Events: 8, Senders: 3}
 		sched := chaos.GenerateSchedule(cfg)
 		if len(sched) == 0 {
 			t.Fatalf("seed %d: empty schedule", seed)
@@ -176,5 +177,34 @@ func TestGenerateScheduleRespectsConstraints(t *testing.T) {
 		for h, evs := range perHost {
 			check(evs, "host faults on host "+string(rune('0'+h)))
 		}
+	}
+}
+
+// TestSoakReportsMatchGolden pins "same seeds, same schedules, same
+// outcomes" as a standing contract: testdata/soak.golden holds the report
+// text (scale, elapsed, evidence counters) of the first rack and fabric
+// seeds of `make soak`, generated before the three soak harnesses were
+// collapsed into one. A diff means a schedule draw, a construction order or
+// the simulated datapath moved.
+func TestSoakReportsMatchGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/soak.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	for _, run := range []struct {
+		kind  chaos.Kind
+		seeds int64
+	}{{chaos.Rack, 4}, {chaos.FabricOutage, 2}} {
+		for seed := int64(1); seed <= run.seeds; seed++ {
+			rep, err := chaos.Soak(chaos.Config{Kind: run.kind, Seed: seed, Base: netsim.Fault{CorruptProb: 1e-3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got.WriteString(rep.String())
+		}
+	}
+	if got.String() != string(want) {
+		t.Fatalf("soak reports moved off testdata/soak.golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }

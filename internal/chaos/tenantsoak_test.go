@@ -2,18 +2,20 @@ package chaos
 
 import (
 	"testing"
+
+	"repro/internal/core"
 )
 
 func TestTenantSoakVictimKilledOthersExact(t *testing.T) {
 	// A hand-written hole far longer than the retry budget: the victim's
 	// stream must abort, and every other tenant must finish exactly.
-	cfg := TenantSoakConfig{Seed: 41, Retries: 2}.withDefaults()
-	scale, err := tenantGoldenScale(cfg)
+	cfg := Config{Kind: TenantKill, Seed: 41, Retries: 2}.withDefaults()
+	scale, err := GoldenScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule{{Kind: EvLinkBlackhole, StartMil: 200, DurMil: 500}}
-	out := RunTenantSchedule(cfg, sched, scale)
+	sched := Schedule{{Kind: EvLinkBlackhole, Host: core.HostID(cfg.Tenants), StartMil: 200, DurMil: 500}}
+	out := Run(cfg, sched, scale)
 	if !out.OK() {
 		t.Fatalf("isolation violated: %s", out.Violation)
 	}
@@ -23,7 +25,7 @@ func TestTenantSoakVictimKilledOthersExact(t *testing.T) {
 }
 
 func TestTenantSoakEndToEnd(t *testing.T) {
-	rep, err := TenantSoak(TenantSoakConfig{Seed: 7})
+	rep, err := Soak(Config{Kind: TenantKill, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,14 +38,14 @@ func TestTenantSoakEndToEnd(t *testing.T) {
 }
 
 func TestTenantSoakDeterministic(t *testing.T) {
-	cfg := TenantSoakConfig{Seed: 13}.withDefaults()
-	scale, err := tenantGoldenScale(cfg)
+	cfg := Config{Kind: TenantKill, Seed: 13}.withDefaults()
+	scale, err := GoldenScale(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := GenerateTenantSchedule(cfg)
-	a := RunTenantSchedule(cfg, sched, scale)
-	b := RunTenantSchedule(cfg, sched, scale)
+	sched := GenerateSchedule(cfg)
+	a := Run(cfg, sched, scale)
+	b := Run(cfg, sched, scale)
 	if a != b {
 		t.Fatalf("two identical replays diverged: %+v vs %+v", a, b)
 	}
@@ -90,7 +92,7 @@ func TestShrinkWithEmptyScheduleFailure(t *testing.T) {
 }
 
 func TestGenerateTenantScheduleWindowsDisjoint(t *testing.T) {
-	sched := GenerateTenantSchedule(TenantSoakConfig{Seed: 3, Events: 5})
+	sched := GenerateSchedule(Config{Kind: TenantKill, Seed: 3, Events: 5})
 	for i := 1; i < len(sched); i++ {
 		prevEnd := sched[i-1].StartMil + sched[i-1].DurMil
 		if sched[i].StartMil < prevEnd {

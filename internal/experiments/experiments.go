@@ -106,8 +106,8 @@ func singleSenderTask(spec workload.Spec, rows int, colocated bool) (core.TaskSp
 
 // peakAKV tracks the highest simulated aggregation rate (tuples/s of
 // virtual time) computed by any experiment since the last reset. The
-// benchmark harness reports it next to wall-clock numbers so BENCH_*.json
-// records simulated throughput per experiment. Atomic because RunParallel
+// root-package benchmarks report it next to their wall-clock numbers.
+// Atomic because RunParallel
 // may compute rates from several worker goroutines; rates are non-negative,
 // so the IEEE-754 bit pattern is monotone and a CAS-max is exact.
 var peakAKV atomic.Uint64

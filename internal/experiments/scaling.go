@@ -53,9 +53,9 @@ type ScalingConfig struct {
 	HostsPerRack int
 	// Spines/Leaves/HostsPerLeaf size the fat-tree; one sender per
 	// non-receiver leaf keeps the leaf↔spine mesh busy.
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
+	Spines          int
+	Leaves          int
+	HostsPerLeaf    int
 	TuplesPerSender int64
 	Distinct        int
 	Seed            int64
@@ -169,8 +169,8 @@ func scalingFatTree(cfg ScalingConfig, shards int) (*ask.TaskResult, sim.Time, s
 }
 
 // ScalingPoint runs one topology's scaling workload at one shard count and
-// discards the outcome — the per-shard-count benchmark hook (BENCH_*.json's
-// MultiRackShards/FatTreeShards entries time it from the root package).
+// discards the outcome — the per-shard-count benchmark hook
+// (BenchmarkMultiRackShards/FatTreeShards time it from the root package).
 func ScalingPoint(topology string, cfg ScalingConfig, shards int) error {
 	var err error
 	switch topology {

@@ -111,7 +111,7 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	type job struct {
 		spec core.TaskSpec
 		want core.Result
-		pt   *ask.FatTreePendingTask
+		pt   *ask.PendingTask
 	}
 	jobs := make([]job, k)
 	slot := 0 // next sender slot on each sender leaf (layout identical per leaf)
@@ -184,7 +184,7 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 		tenant int // index into weights
 		spec   core.TaskSpec
 		want   core.Result
-		pt     *ask.FatTreePendingTask
+		pt     *ask.PendingTask
 	}
 
 	// First pass sizes the cluster: admitted counts follow from the quotas,
@@ -219,7 +219,7 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 	}
 
 	var plans []*taskPlan
-	over := make([]*ask.FatTreePendingTask, k)
+	over := make([]*ask.PendingTask, k)
 	runs := make([]tenantFairRun, k)
 	t := 0
 	leafSlot := make([]int, cfg.Leaves)

@@ -17,9 +17,9 @@ import (
 	"repro/internal/sim"
 )
 
-// Service is the slice of the ASK API the windower needs (both
-// ask.Cluster and ask.MultiRackCluster satisfy it via small adapters; see
-// the ask package's streaming helpers).
+// Service is the slice of the ASK API the windower needs. Every ask
+// deployment (Cluster, MultiRackCluster, FatTreeCluster) provides it through
+// the Streaming() adapter of the shared cluster core.
 type Service interface {
 	// Start submits a task without running the simulation.
 	Start(spec core.TaskSpec, streams map[core.HostID]core.Stream) (Pending, error)

@@ -44,6 +44,18 @@ type TaskStats struct {
 	ForwardedPackets int64
 }
 
+// Add accumulates o into t: the counters of one task summed over several
+// switches. TestTaskStatsAddCoversEveryField fails if a new field is left
+// out.
+func (t *TaskStats) Add(o *TaskStats) {
+	t.TuplesIn += o.TuplesIn
+	t.TuplesAggregated += o.TuplesAggregated
+	t.TuplesConflicted += o.TuplesConflicted
+	t.DataPackets += o.DataPackets
+	t.AckedPackets += o.AckedPackets
+	t.ForwardedPackets += o.ForwardedPackets
+}
+
 // AggregatedTupleRatio is Table 1's first row: aggregated/incoming tuples.
 func (t *TaskStats) AggregatedTupleRatio() float64 {
 	if t.TuplesIn == 0 {

@@ -1,31 +1,17 @@
 package repro
 
-// Micro benchmarks on the core data structures and hot paths, including the
-// compact-vs-naïve seen ablation (§3.3's 50% memory saving must not cost
-// classification speed).
+// Micro benchmarks with no counterpart among bench/'s per-layer timings
+// (`go run ./bench -trace 1`, bench/layers.go): the 2W-bit baseline of the
+// seen ablation — §3.3's compact window, which the benchmark times as
+// window.seen_observe_ns, must not be slower than it — and the workload
+// generator.
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/keyspace"
-	"repro/internal/pisa"
 	"repro/internal/window"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
-
-// BenchmarkAblationSeenCompact measures the W-bit compact receive window
-// (set_bit/clr_bitc design, W bits of state).
-func BenchmarkAblationSeenCompact(b *testing.B) {
-	s := window.NewCompactSeen(256)
-	b.ReportMetric(float64(s.Bits()), "state-bits")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Observe(uint32(i))
-	}
-}
 
 // BenchmarkAblationSeenNaive measures the straightforward 2W-bit receive
 // window (Eq. 5–7, twice the state).
@@ -35,96 +21,6 @@ func BenchmarkAblationSeenNaive(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Observe(uint32(i))
-	}
-}
-
-// BenchmarkHostDedup measures the host receiver's exact windowed dedup.
-func BenchmarkHostDedup(b *testing.B) {
-	d := window.NewHostDedup(256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.Observe(uint32(i))
-	}
-}
-
-// BenchmarkKeyPlacement measures the sender-assisted addressing: classify,
-// partition, and pack one key.
-func BenchmarkKeyPlacement(b *testing.B) {
-	layout, err := keyspace.NewLayout(core.DefaultConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = workload.Word(i, workload.NaturalLanguage(0))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = layout.Place(keys[i&1023])
-	}
-}
-
-// BenchmarkPipelinePass measures one full ASK-like PISA pass: a stale
-// check, a seen update, 32 aggregator RMWs, and a PktState write.
-func BenchmarkPipelinePass(b *testing.B) {
-	p := pisa.NewPipeline(pisa.DefaultConfig())
-	maxSeq := p.MustAddArray(0, "max_seq", 512, 32)
-	seen := p.MustAddArray(1, "seen", 512*256, 1)
-	var aas []*pisa.RegisterArray
-	for i := 0; i < 32; i++ {
-		aas = append(aas, p.MustAddArray(2+i/4, fmt.Sprintf("aa%d", i), 32768, 64))
-	}
-	pktState := p.MustAddArray(10, "pkt_state", 512*256, 32)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ps := p.Begin()
-		seq := uint32(i)
-		maxSeq.RMW(ps, 0, func(cur uint64) (uint64, uint64) { return uint64(seq), 0 })
-		seen.RMW(ps, int(seq%256), func(cur uint64) (uint64, uint64) {
-			next, _ := window.SeenUpdate(cur, (seq/256)&1 == 1)
-			return next, 0
-		})
-		for j, aa := range aas {
-			row := (i*31 + j*7) & 32767
-			aa.RMW(ps, row, func(cur uint64) (uint64, uint64) { return cur + 1, 1 })
-		}
-		pktState.RMW(ps, int(seq%256), func(cur uint64) (uint64, uint64) { return 0xffffffff, 0 })
-	}
-}
-
-// BenchmarkCodecMarshal measures encoding a full 32-slot data packet.
-func BenchmarkCodecMarshal(b *testing.B) {
-	c := wire.Codec{KPartBytes: 4}
-	pkt := &wire.Packet{Type: wire.TypeData, Slots: make([]wire.Slot, 32)}
-	for i := range pkt.Slots {
-		pkt.Slots[i] = wire.Slot{KPart: wire.PackKPart([]byte("abcd"), 4), Val: int64(i)}
-		pkt.Bitmap = pkt.Bitmap.Set(i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Marshal(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCodecUnmarshal measures decoding a full 32-slot data packet.
-func BenchmarkCodecUnmarshal(b *testing.B) {
-	c := wire.Codec{KPartBytes: 4}
-	pkt := &wire.Packet{Type: wire.TypeData, Slots: make([]wire.Slot, 32)}
-	for i := range pkt.Slots {
-		pkt.Slots[i] = wire.Slot{KPart: wire.PackKPart([]byte("abcd"), 4), Val: int64(i)}
-		pkt.Bitmap = pkt.Bitmap.Set(i)
-	}
-	buf, err := c.Marshal(pkt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Unmarshal(buf); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
