@@ -1,8 +1,9 @@
-# Development targets. CI (.github/workflows/ci.yml) runs `make ci`.
+# Development targets. CI (.github/workflows/ci.yml) runs the prerequisites
+# of `make ci`, one workflow step per target, in this order.
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck telemetry-lint soak scenarios ci
+.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck soak scenarios examples ci
 
 all: ci
 
@@ -25,12 +26,6 @@ lint-json:
 # that cannot survive its own rules.
 selfcheck:
 	$(GO) run ./cmd/askcheck ./internal/analysis/... ./cmd/askcheck
-
-# Historical alias: the metric-name checks formerly lived in the standalone
-# cmd/telemetrylint binary, now folded into askcheck's telemetrynames
-# analyzer.
-telemetry-lint:
-	$(GO) run ./cmd/askcheck -run telemetrynames ./...
 
 build:
 	$(GO) build ./...
@@ -69,12 +64,14 @@ bench-smoke-shards:
 # host stalls — each run end-to-end against the analytic ground truth with
 # a continuous per-link corruption baseline, then a fat-tree smoke pass
 # (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md "Fabric
-# soak"). Deterministic and fast (a few seconds); a failure prints a
-# shrunken schedule and a reproducer line carrying the topology flags.
+# soak") and a multi-rack pass (TOR outages under the forwarding core).
+# Deterministic and fast (a few seconds); a failure prints a shrunken
+# schedule and a reproducer line carrying the topology flags.
 soak:
 	$(GO) run ./cmd/asksim -soak -soak.seed=1 -soak.runs=12 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=6 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
+	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=6 -soak.corrupt=1e-3
 
 # Scenario-corpus round trip (README "Workloads & traces"): every committed
 # scenario regenerated from its seed (byte-identical), encoded to the v2
@@ -84,4 +81,11 @@ scenarios:
 	$(GO) test -count=1 -run 'TestCorpusDeterminism|TestTraceRoundTripCorpus' ./internal/workload/scenario
 	$(GO) test -count=1 -run 'TestScenarioCorpus' ./ask
 
-ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke-shards
+# The library surface, run: every example exits non-zero on an error, and
+# the three that compute a host-side reference (groupby, streaming,
+# multirack) also when their aggregate is wrong. Six programs, a few
+# seconds each at most. CI runs this.
+examples:
+	for e in quickstart wordcount groupby training streaming multirack; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
+
+ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke bench-smoke-shards examples

@@ -69,8 +69,8 @@ type Cluster struct {
 }
 
 // controllerAdapter narrows switchd.Switch to the hostd.Controller surface:
-// the control plane of a host whose flows and regions live on one switch
-// (the rack's, or the host's own TOR).
+// the control plane of a host whose flows and regions live on the rack's one
+// switch.
 type controllerAdapter struct{ sw *switchd.Switch }
 
 func (c controllerAdapter) RegisterFlow(fk core.FlowKey) (uint32, error) {

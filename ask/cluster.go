@@ -25,8 +25,8 @@ type fabric interface {
 	// uplink / downlink resolve a host's links to its first-hop switch.
 	uplink(h core.HostID) *netsim.Link
 	downlink(h core.HostID) *netsim.Link
-	// taskStats returns a task's switch-side counters: the rack's switch,
-	// the receiver's TOR, or the sum over the task's aggregation tree.
+	// taskStats returns a task's switch-side counters: the rack's switch, or
+	// the sum over the task's aggregation points.
 	taskStats(spec core.TaskSpec) switchd.TaskStats
 	// setSwitchDown is the outage-epoch policy: crash (down) or reboot the
 	// switch at addr and advance whatever incarnation numbering the fabric
@@ -47,10 +47,10 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("ask: %s is not supported on the %s (%s)", e.Op, e.Fabric, e.Reason)
 }
 
-// cluster is the deployment-independent core that Cluster, MultiRackCluster
-// and FatTreeCluster embed: the simulation, the telemetry set, the hosts,
-// and everything that runs a task. Its exported fields and methods are
-// promoted onto the three shells.
+// cluster is the deployment-independent core that Cluster and FatTreeCluster
+// (which the multi-rack deployment is a preset of) embed: the simulation, the
+// telemetry set, the hosts, and everything that runs a task. Its exported
+// fields and methods are promoted onto the two shells.
 type cluster struct {
 	Sim *sim.Simulation
 	// Tel is the cluster observability set (nil unless the deployment's
@@ -130,8 +130,8 @@ func (c *cluster) Config() core.Config { return c.cfg }
 // Hosts lists the servers in host-ID order.
 func (c *cluster) Hosts() []core.HostID { return c.hosts }
 
-// Switches lists every ASK switch: the rack's one, the TORs in rack order,
-// or the leaves followed by the spines.
+// Switches lists every ASK switch: the rack's one, or the leaves (the TORs
+// of a multi-rack deployment) followed by the spines.
 func (c *cluster) Switches() []*switchd.Switch { return c.fab.switches() }
 
 // Daemon returns the host daemon of a server.
@@ -149,12 +149,11 @@ func (c *cluster) HostDownlink(h core.HostID) *netsim.Link { return c.fab.downli
 
 // CrashSwitch takes the switch at fabric address addr down: it black-holes
 // every frame until RebootSwitch. The rack's only switch answers to
-// TheSwitch; fat-tree switches to netsim.LeafAddr / netsim.SpineAddr, and a
-// crash there also advances the fabric epoch (crashing an already-crashed
-// switch is a no-op) and requires Config.Failover. It returns an error when
-// addr names no switch, and an *UnsupportedError on the multi-rack fabric:
-// netsim.TwoTier has no TOR addressing and no per-rack epoch story, so
-// switch outages there are out of scope.
+// TheSwitch; fat-tree switches to netsim.LeafAddr / netsim.SpineAddr (a
+// multi-rack TOR is the leaf of its rack; the forwarding core has no address),
+// and a crash there also advances the fabric epoch (crashing an
+// already-crashed switch is a no-op) and requires Config.Failover. It returns
+// an error when addr names no switch.
 func (c *cluster) CrashSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, true) }
 
 // RebootSwitch brings the switch at addr back up as a fresh incarnation
@@ -169,10 +168,10 @@ func (c *cluster) RebootSwitch(addr core.HostID) error { return c.fab.setSwitchD
 // latency the receiver daemon learns of the revocation, drains the absorbed
 // state, and continues host-only. It returns an error when Config.Failover
 // is off or the receiver daemon is unknown, and an *UnsupportedError on the
-// fat-tree — a task's absorbed state is spread over several aggregation
-// points and the single-point drain cannot reclaim it exactly-once; fabric
-// capacity pressure is modeled by admission control instead — and on the
-// multi-rack fabric (see CrashSwitch).
+// fat-tree and its multi-rack preset — a task's absorbed state can be spread
+// over several aggregation points and the single-point drain cannot reclaim
+// it exactly-once; fabric capacity pressure is modeled by admission control
+// instead.
 func (c *cluster) RevokeRegion(task core.TaskID, receiver core.HostID) error {
 	if !c.cfg.Failover {
 		return fmt.Errorf("ask: RevokeRegion requires Config.Failover")
@@ -196,7 +195,8 @@ type TaskResult struct {
 	// Recv holds the receiver-side counters.
 	Recv hostd.RecvTaskStats
 	// Switch holds the switch-side counters for the task: the rack switch's,
-	// the receiver TOR's, or the sum over the fat-tree's aggregation points.
+	// or the sum over its fat-tree aggregation points (on the multi-rack
+	// preset that is the receiver's TOR alone).
 	Switch switchd.TaskStats
 	// Degraded is the longest time any participating daemon spent in
 	// degraded (host-only) mode while the task ran; zero on a fault-free

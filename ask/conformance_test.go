@@ -9,6 +9,8 @@ package ask_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -219,18 +221,53 @@ func TestInvalidSubmissions(t *testing.T) {
 	if _, err := ask.NewCluster(ask.Options{}); err == nil {
 		t.Error("rack with zero hosts accepted")
 	}
-	if _, err := ask.NewMultiRackCluster(ask.MultiRackOptions{}); err == nil {
-		t.Error("multi-rack with zero racks accepted")
+}
+
+// TestInvalidTopologies: topology dimensions come from outside (flags,
+// configs), so the constructors refuse what the fabric cannot address with an
+// error instead of panicking inside netsim.
+func TestInvalidTopologies(t *testing.T) {
+	failoverWithShadow := core.DefaultConfig()
+	failoverWithShadow.Failover = true
+	for _, tc := range []struct {
+		name string
+		opts ask.FatTreeOptions
+		want string
+	}{
+		{"zero", ask.FatTreeOptions{}, "need positive"},
+		{"no spines", ask.FatTreeOptions{Leaves: 2, HostsPerLeaf: 2}, "need positive"},
+		{"negative hosts", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: -1}, "need positive"},
+		{"too many leaves", ask.FatTreeOptions{Spines: 1, Leaves: 0x801, HostsPerLeaf: 1}, "fabric address space"},
+		{"too many spines", ask.FatTreeOptions{Spines: 0x801, Leaves: 2, HostsPerLeaf: 1}, "fabric address space"},
+		{"host IDs reach the switch range", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 0xF000/2 + 1}, "fabric address space"},
+		{"host count overflows", ask.FatTreeOptions{Spines: 1, Leaves: 0x800, HostsPerLeaf: 1 << 62}, "fabric address space"},
+		{"failover with shadow copies", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 1, Config: failoverWithShadow}, "ShadowCopy off"},
+	} {
+		if _, err := ask.NewFatTreeCluster(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("fat-tree, %s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
-	if _, err := ask.NewFatTreeCluster(ask.FatTreeOptions{}); err == nil {
-		t.Error("fat-tree with zero leaves accepted")
+	for _, tc := range []struct {
+		name string
+		opts ask.MultiRackOptions
+		want string
+	}{
+		{"zero", ask.MultiRackOptions{}, "need positive Racks"},
+		{"negative hosts", ask.MultiRackOptions{Racks: 2, HostsPerRack: -1}, "need positive Racks"},
+		{"too many racks", ask.MultiRackOptions{Racks: 0x801, HostsPerRack: 1}, "fabric address space"},
+		{"host IDs reach the switch range", ask.MultiRackOptions{Racks: 3, HostsPerRack: 0xF000/3 + 1}, "fabric address space"},
+		{"failover with shadow copies", ask.MultiRackOptions{Racks: 2, HostsPerRack: 1, Config: failoverWithShadow}, "ShadowCopy off"},
+	} {
+		if _, err := ask.NewMultiRackCluster(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("multi-rack, %s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
-// TestMultiRackUnderChaos drives the two-tier fabric through the chaos
-// orchestrator: the link and host half of chaos.Fabric works there with no
-// multi-rack-specific driver code, conservation stays exact, and the switch
-// half reports a typed refusal instead of a half-modelled outage.
+// TestMultiRackUnderChaos drives the multi-rack deployment through the chaos
+// orchestrator with no multi-rack-specific driver code: link and host faults
+// keep conservation exact, and the switch half is the fat-tree's — outages
+// need Config.Failover, region revocation stays a typed refusal.
 func TestMultiRackUnderChaos(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Failover = true
@@ -292,14 +329,111 @@ func TestMultiRackUnderChaos(t *testing.T) {
 		})
 	}
 
+	// The switch half of the surface: TORs answer to their leaf address and
+	// take outages (TestMultiRackTOROutage runs them mid-stream); without
+	// Config.Failover an outage is refused, as on the fat-tree.
+	if err := golden.CrashSwitch(netsim.LeafAddr(1)); err != nil {
+		t.Fatalf("CrashSwitch on a multi-rack TOR: %v", err)
+	}
+	if err := golden.RebootSwitch(netsim.LeafAddr(1)); err != nil {
+		t.Fatalf("RebootSwitch on a multi-rack TOR: %v", err)
+	}
+	if err := golden.CrashSwitch(netsim.SpineAddr(0)); err == nil {
+		t.Fatal("the forwarding core has no fabric address, yet CrashSwitch accepted one")
+	}
+	plainCluster, err := conformanceFabrics[1].build(7, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, outage := range []func(core.HostID) error{plainCluster.CrashSwitch, plainCluster.RebootSwitch} {
+		if err := outage(netsim.LeafAddr(0)); err == nil || !strings.Contains(err.Error(), "require Config.Failover") {
+			t.Fatalf("switch outage without Config.Failover returned %v, want the require-Failover error", err)
+		}
+	}
 	var unsupported *ask.UnsupportedError
-	if err := golden.CrashSwitch(ask.TheSwitch); !errors.As(err, &unsupported) {
-		t.Fatalf("CrashSwitch on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
-	}
-	if err := golden.RebootSwitch(ask.TheSwitch); !errors.As(err, &unsupported) {
-		t.Fatalf("RebootSwitch on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
-	}
 	if err := golden.RevokeRegion(spec.ID, spec.Receiver); !errors.As(err, &unsupported) {
 		t.Fatalf("RevokeRegion on the multi-rack fabric returned %v, want *ask.UnsupportedError", err)
+	}
+}
+
+// TestMultiRackTOROutage is what folding the multi-rack fabric into the
+// fat-tree buys: a TOR crashes and reboots mid-stream — the receiver's, then
+// a remote sender's — and the task, with one rack-local and two remote
+// senders, still aggregates exactly, through the fat-tree's fabric-wide epoch
+// and replay recovery and no multi-rack failover code. Serial and on two
+// shard lanes (the latter is what `go test -race` watches).
+func TestMultiRackTOROutage(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Failover = true
+	cfg.ShadowCopy = false
+	// Receiver 0 and sender 2 share rack 0; senders 3 and 6 sit in racks 1
+	// and 2. 20 000 tuples per sender arrive 50 ns apart, so the streams span
+	// exactly 1 ms and an outage over [400 µs, 600 µs) is mid-stream.
+	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Senders: []core.HostID{2, 3, 6}}
+	data := make(map[core.HostID][]core.KV)
+	for j, h := range spec.Senders {
+		kvs := make([]core.KV, 20000)
+		for n := range kvs {
+			k := (int64(n)*2654435761 + int64(j)) % 900
+			kvs[n] = core.KV{Key: fmt.Sprintf("k%d", k), Val: k%7 + 1}
+		}
+		data[h] = kvs
+	}
+	type outcome struct {
+		res     *ask.TaskResult
+		now     int64
+		replays int64
+	}
+	run := func(t *testing.T, tor, shards int) outcome {
+		t.Helper()
+		fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: 5, Config: cfg, Shards: shards})
+		if err != nil {
+			t.Fatal(err)
+		}
+		orch := chaos.New(fc)
+		orch.SwitchOutage(netsim.LeafAddr(tor), 400*time.Microsecond, 200*time.Microsecond)
+		res, err := fc.AggregateTimed(spec, timed(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := reduceByKey(data); !res.Result.Equal(want) {
+			t.Fatalf("conservation violated: %s", res.Result.Diff(want, 8))
+		}
+		if got := fc.FabricEpoch(); got != 3 {
+			t.Fatalf("fabric epoch %d, want 3 (crash and reboot each bump it)", got)
+		}
+		// The receiver TOR stays the task's one aggregation point across the
+		// re-allocation the epoch bumps force.
+		if want := *fc.Leaves[0].TaskStatsOf(spec.ID); res.Switch != want {
+			t.Fatalf("TaskResult.Switch %+v is not the receiver TOR's %+v", res.Switch, want)
+		}
+		out := outcome{res: res, now: int64(fc.Sim.Now())}
+		for _, h := range fc.Hosts() {
+			if fc.Daemon(h).Degraded() {
+				t.Fatalf("host %d still degraded at quiescence", h)
+			}
+			out.replays += fc.Daemon(h).FailoverStats().ReplaysSent
+		}
+		if out.replays == 0 {
+			t.Fatal("no replays: the outage missed the stream")
+		}
+		if res.Degraded == 0 {
+			t.Fatal("task reports no degraded time across a TOR outage")
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		tor  int
+	}{{"receiver-TOR", 0}, {"remote-sender-TOR", 2}} {
+		for _, shards := range []int{0, 2} {
+			tc, shards := tc, shards
+			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
+				first, second := run(t, tc.tor, shards), run(t, tc.tor, shards)
+				if !reflect.DeepEqual(first, second) {
+					t.Fatalf("two runs of the same outage differ:\n%+v\n%+v", first, second)
+				}
+			})
+		}
 	}
 }

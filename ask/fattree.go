@@ -2,6 +2,7 @@ package ask
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -62,6 +63,11 @@ type FatTreeOptions struct {
 // exactly one switch, so the partial aggregates compose without double
 // counting. With Telemetry enabled, Tel carries the per-tenant allocation
 // gauges.
+//
+// NewMultiRackCluster returns the same type configured as §7's TORs under a
+// forwarding core. Renaming it, or folding the rack's Cluster into it, is out
+// of scope here: bench/ compiles against both shells' topology fields
+// (ROADMAP 3(a)).
 type FatTreeCluster struct {
 	cluster
 	Net    *netsim.FatTree
@@ -80,6 +86,15 @@ type FatTreeCluster struct {
 	// tenantTasks lists each tenant's live tasks in admission order, for the
 	// telemetry-driven hotness callback (slice, not map: iterated).
 	tenantTasks map[core.TenantID][]core.TaskID
+	// taskPoints remembers every aggregation point a task was ever placed
+	// at — past teardown and across the re-allocations an epoch bump forces —
+	// so TaskSwitchStats sums exactly the switches that held its state.
+	taskPoints map[core.TaskID][]core.HostID
+	// receiverLeafOnly is the §7 multi-rack placement (NewMultiRackCluster):
+	// a task's single region sits at the receiver's leaf, so a TOR holds task
+	// state only for receivers in its own rack. Off, regions follow the
+	// task's tree: every sender leaf plus its spine.
+	receiverLeafOnly bool
 }
 
 // fatAlloc records where a task's regions live, for teardown and release.
@@ -96,11 +111,26 @@ func (o FatTreeOptions) HostAt(l, i int) core.HostID {
 
 // NewFatTreeCluster builds the deployment. Host IDs are assigned leaf-major:
 // leaf l holds IDs [l·HostsPerLeaf, (l+1)·HostsPerLeaf). It returns an
-// error only for invalid options (non-positive topology dimensions, or a
+// error only for invalid options (topology dimensions that are not positive
+// or overflow the fabric address space, Failover with ShadowCopy, or a
 // tenant configuration the keyspace cannot be partitioned for).
 func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
+	return newFatTreeCluster(opts, false)
+}
+
+// newFatTreeCluster builds the fabric both exported constructors share. With
+// forwardingCore the spine tier only forwards and regions sit at the
+// receiver's leaf: the §7 multi-rack deployment (multirack.go).
+func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluster, error) {
 	if opts.Spines <= 0 || opts.Leaves <= 0 || opts.HostsPerLeaf <= 0 {
 		return nil, fmt.Errorf("ask: need positive Spines, Leaves and HostsPerLeaf")
+	}
+	// Switches are addressed from a reserved range above the host IDs; netsim
+	// panics past it, so outside input is refused here.
+	hostIDs, perTier := int(netsim.LeafAddr(0)), int(netsim.SpineAddr(0)-netsim.LeafAddr(0))
+	if opts.Leaves > perTier || opts.Spines > perTier || opts.HostsPerLeaf > hostIDs/opts.Leaves {
+		return nil, fmt.Errorf("ask: %d spines, %d leaves × %d hosts exceed the fabric address space (%d switches per tier, %d hosts)",
+			opts.Spines, opts.Leaves, opts.HostsPerLeaf, perTier, hostIDs)
 	}
 	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.FabricLink)
 	if opts.Config.Failover && opts.Config.ShadowCopy {
@@ -113,7 +143,11 @@ func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 		tenants:     opts.Tenants,
 		allocs:      make(map[core.TaskID]fatAlloc),
 		tenantTasks: make(map[core.TenantID][]core.TaskID),
+		taskPoints:  make(map[core.TaskID][]core.HostID),
 		fabricEpoch: 1,
+		// The two halves of §7 go together: a core that only forwards, and
+		// task state only at the receiver's TOR.
+		receiverLeafOnly: forwardingCore,
 	}
 	fc.cluster = newCluster(fc, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
 	ft, _ := netsim.NewFatTreeSharded(fc.Sim, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
@@ -131,8 +165,8 @@ func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 		fc.Tenancy = mgr
 	}
 	for l := 0; l < opts.Leaves; l++ {
-		// Zero telemetry sink: like the multi-rack deployment, every switch
-		// keeps a private registry (shared label sets would collide).
+		// Zero telemetry sink: every switch keeps a private registry (shared
+		// label sets would collide).
 		lo := opts.Switch
 		lo.Addr = netsim.LeafAddr(l)
 		// LeafSim/SpineSim are the switch's shard lane on a sharded build,
@@ -145,6 +179,12 @@ func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 		fc.Leaves = append(fc.Leaves, sw)
 	}
 	for sp := 0; sp < opts.Spines; sp++ {
+		if forwardingCore {
+			// No switchd.Switch on the core: Spines stays empty, so the core
+			// has no fabric address, takes no registrations and cannot crash.
+			ft.Spine(sp).AttachSwitch(&netsim.ForwardingSwitch{Net: ft.Spine(sp)})
+			continue
+		}
 		so := opts.Switch
 		so.Addr = netsim.SpineAddr(sp)
 		// Spines aggregate the leaves' conflict residuals, whose sequence
@@ -246,9 +286,8 @@ func (lf leafFabric) Uplink(id core.HostID) *netsim.Link { return lf.ft.Uplink(i
 // carry the flow's fabric-crossing packets), and task regions are placed at
 // every aggregation point on the task's tree.
 //
-// Unlike the multi-rack controller (whose calls never leave the caller's
-// rack), every method here touches switches and cluster maps owned by other
-// shard lanes, so on a sharded fabric each method first enters the group's
+// Every method here touches switches and cluster maps owned by other shard
+// lanes, so on a sharded fabric each method first enters the group's
 // control rendezvous: the calling lane suspends its window and the operation
 // executes while no other lane runs. Fault-free runs never take this path
 // during a parallel window (registration and allocation are driven by root
@@ -322,8 +361,9 @@ func (c fabricController) FreeRegion(task core.TaskID) error {
 // allocRegion admits the task against its tenant's quota and places one
 // region per aggregation point: each distinct sender leaf (ascending), plus
 // the task's spine when any sender sits on a different leaf than the
-// receiver. The returned AllocInfo carries the tenant's keyspace partition
-// and the fetch points in allocation order.
+// receiver — or, under the multi-rack placement, the receiver's leaf alone.
+// The returned AllocInfo carries the tenant's keyspace partition and the
+// fetch points in allocation order.
 //
 // Crashed switches are skipped rather than failing the allocation — this is
 // the re-attach path during a fabric outage, and partial in-network
@@ -367,19 +407,20 @@ func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.A
 			return hostd.AllocInfo{}, err
 		}
 	}
-	leafSet := make(map[int]bool)
-	for _, s := range spec.Senders {
-		leafSet[fc.Net.LeafOf(s)] = true
+	leaves := []int{recvLeaf}
+	if !fc.receiverLeafOnly {
+		leaves = nil
+		for _, s := range spec.Senders {
+			if l := fc.Net.LeafOf(s); !slices.Contains(leaves, l) {
+				leaves = append(leaves, l)
+			}
+		}
+		sort.Ints(leaves)
 	}
-	senderLeaves := make([]int, 0, len(leafSet))
-	for l := range leafSet {
-		senderLeaves = append(senderLeaves, l)
-	}
-	sort.Ints(senderLeaves)
 	cross := false
 	skipped := 0
-	points := make([]core.HostID, 0, len(senderLeaves)+1)
-	for _, l := range senderLeaves {
+	points := make([]core.HostID, 0, len(leaves)+1)
+	for _, l := range leaves {
 		if l != recvLeaf {
 			cross = true
 		}
@@ -428,6 +469,11 @@ func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.A
 		return hostd.AllocInfo{}, &core.DegradedError{Op: "alloc-region", Attempts: skipped}
 	}
 	fc.allocs[spec.ID] = fatAlloc{points: points, rows: rows, tenant: tenant}
+	for _, a := range points {
+		if !slices.Contains(fc.taskPoints[spec.ID], a) {
+			fc.taskPoints[spec.ID] = append(fc.taskPoints[spec.ID], a)
+		}
+	}
 	if fc.Tenancy != nil {
 		fc.tenantTasks[tenant] = append(fc.tenantTasks[tenant], spec.ID)
 	}
@@ -465,11 +511,12 @@ func (fc *FatTreeCluster) freeRegion(task core.TaskID) error {
 }
 
 // TaskSwitchStats sums the switch-side counters of a task over every
-// aggregation point on its tree (or, after teardown, over all switches).
+// aggregation point it was placed at (also after teardown). Switches that
+// only forwarded its packets — a multi-rack sender's TOR — are left out.
 func (fc *FatTreeCluster) TaskSwitchStats(task core.TaskID) switchd.TaskStats {
 	var sum switchd.TaskStats
-	for _, sw := range fc.switches() {
-		sum.Add(sw.TaskStatsOf(task))
+	for _, addr := range fc.taskPoints[task] {
+		sum.Add(fc.switchAt(addr).TaskStatsOf(task))
 	}
 	return sum
 }

@@ -32,6 +32,11 @@ package ask
 // outages cut that leaf's hosts off entirely; they degrade via probe
 // timeouts and recover — replaying their history, restoring cross-leaf
 // residue — at the heal-time bump.
+//
+// The multi-rack preset (a forwarding core, regions at the receiver's TOR)
+// runs this policy unchanged: a TOR outage is a leaf outage. The epoch stays
+// fabric-wide there too — a per-rack epoch would be a second policy nobody
+// needs, and the fabric-wide bump is the one the soak has verified.
 
 import (
 	"fmt"

@@ -30,11 +30,11 @@ func TestMultiRackRemoteTORsHoldNoTaskState(t *testing.T) {
 	}
 	// The remote sender's TOR never allocated a region for the task and
 	// aggregated nothing; it only maintained its own rack's flow state.
-	remote := mc.TORs[1].TaskStatsOf(1)
+	remote := mc.Leaves[1].TaskStatsOf(1)
 	if remote.TuplesAggregated != 0 {
 		t.Fatalf("remote TOR aggregated %d tuples", remote.TuplesAggregated)
 	}
-	if mc.TORs[1].RegionOf(1) != nil {
+	if mc.Leaves[1].RegionOf(1) != nil {
 		t.Fatal("remote TOR holds a region for the task")
 	}
 	// All aggregation happened at the receiver host.
@@ -73,5 +73,41 @@ func TestMultiRackLocalSendersGetINA(t *testing.T) {
 	}
 	if res.Recv.ResidueTuples < 8000 {
 		t.Fatalf("host aggregated %d residue tuples; the remote sender alone brings 8000", res.Recv.ResidueTuples)
+	}
+}
+
+// TestMultiRackTaskStatsAreTheReceiverTORs pins TaskSwitchStats to the task's
+// aggregation points: the remote senders' TORs run the program on the task's
+// packets (flow state, forwarding) and count them, but hold no region, so
+// their counters must not leak into TaskResult.Switch — summing over every
+// switch would.
+func TestMultiRackTaskStatsAreTheReceiverTORs(t *testing.T) {
+	opts := mrOptions(4)
+	mc, err := NewMultiRackCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver := opts.HostAt(0, 0)
+	senders := []core.HostID{opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 0)}
+	streams := make(map[core.HostID]core.Stream)
+	for i, s := range senders {
+		streams[s] = workload.Uniform(512, 5000, int64(9+i)).Stream()
+	}
+	res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recvTOR := *mc.Leaves[0].TaskStatsOf(1)
+	if res.Switch != recvTOR {
+		t.Fatalf("TaskResult.Switch is not the receiver TOR's stats:\n got: %+v\nwant: %+v", res.Switch, recvTOR)
+	}
+	if got := mc.TaskSwitchStats(1); got != recvTOR {
+		t.Fatalf("TaskSwitchStats after teardown = %+v, want the receiver TOR's %+v", got, recvTOR)
+	}
+	for _, r := range []int{1, 2} {
+		fwd := mc.Leaves[r].TaskStatsOf(1)
+		if fwd.DataPackets == 0 || fwd.ForwardedPackets == 0 {
+			t.Fatalf("sender TOR %d counted no forwarded packets of the task (%+v): the test no longer distinguishes the two sums", r, *fwd)
+		}
 	}
 }

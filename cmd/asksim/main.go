@@ -66,7 +66,7 @@ func writeSnapshot(path string, write func(w io.Writer) error) {
 	}
 }
 
-// deployment is the surface the run path needs; all three ask clusters
+// deployment is the surface the run path needs; both ask cluster types
 // provide it through their shared core.
 type deployment interface {
 	StartTask(core.TaskSpec, map[core.HostID]core.Stream) (*ask.PendingTask, error)
@@ -119,11 +119,11 @@ var topologies = map[string]topology{
 			"json": "the multi-rack deployment has no cluster telemetry set",
 		},
 		build: func(s shape) (deployment, *tenancy.Manager, error) {
-			mc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
+			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
 				Racks: s.groups, HostsPerRack: s.hosts, Config: s.cfg,
 				HostLink: s.link, CoreLink: s.link, Seed: s.seed, Shards: s.shards,
 			})
-			return mc, nil, err
+			return fc, nil, err
 		},
 		header:     func(s shape) string { return fmt.Sprintf("multi-rack: %d racks × %d hosts/rack", s.groups, s.hosts) },
 		switchName: func(_ shape, i int) string { return fmt.Sprintf("TOR %d:", i) },
@@ -252,8 +252,8 @@ func main() {
 		soakCorrupt = flag.Float64("soak.corrupt", 1e-3, "baseline per-link corruption probability during the soak")
 		soakBreak   = flag.Bool("soak.break-checksums", false, "disable checksum verification (fault hook) to demo harness detection (topology=rack)")
 		soakSpines  = flag.Int("soak.spines", 0, "fat-tree soak spine switches (0 = default 2; topology=fattree)")
-		soakLeaves  = flag.Int("soak.leaves", 0, "fat-tree soak leaf switches (0 = default 3; topology=fattree)")
-		soakShards  = flag.Int("soak.shards", 0, "run the fat-tree soak on the parallel scheduler with this many shards (0/1 = serial; topology=fattree)")
+		soakLeaves  = flag.Int("soak.leaves", 0, "fat-tree soak leaf switches or multi-rack soak racks (0 = default 3; topology=fattree or multirack)")
+		soakShards  = flag.Int("soak.shards", 0, "run the fat-tree or multi-rack soak on the parallel scheduler with this many shards (0/1 = serial)")
 	)
 	flag.Parse()
 	if *soak {

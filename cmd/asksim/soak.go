@@ -21,6 +21,11 @@ var soaks = map[string]struct {
 		"soak.senders":         "the fat-tree soak derives its senders from -soak.leaves (one per non-receiver leaf, per tenant)",
 		"soak.break-checksums": "the checksum fault hook demo runs on the rack soak",
 	}},
+	"multirack": {chaos.MultiRackOutage, map[string]string{
+		"soak.senders":         "the multi-rack soak sends from one host per rack (-soak.leaves racks)",
+		"soak.spines":          "the racks join at one forwarding core",
+		"soak.break-checksums": "the checksum fault hook demo runs on the rack soak",
+	}},
 }
 
 // runSoak runs the topology's soak kind on `runs` consecutive seeds starting
@@ -28,7 +33,7 @@ var soaks = map[string]struct {
 func runSoak(topology string, runs int, cfg chaos.Config) {
 	soak, ok := soaks[topology]
 	if !ok {
-		fail("-soak has no %q schedule (rack or fattree; switch outages are out of scope on the multi-rack fabric)", topology)
+		fail("-soak has no %q schedule (rack, multirack or fattree)", topology)
 	}
 	rejectFlags(soak.rejects, "the "+topology+" soak")
 	cfg.Kind = soak.kind

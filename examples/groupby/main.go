@@ -73,11 +73,10 @@ func main() {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		marker := ""
-		if res.Result[k] != want[k] {
-			marker = "  << WRONG"
-		}
-		fmt.Printf("  %-8s %14.2f%s\n", k, float64(res.Result[k])/100, marker)
+		fmt.Printf("  %-8s %14.2f\n", k, float64(res.Result[k])/100)
+	}
+	if !res.Result.Equal(want) {
+		log.Fatalf("WRONG aggregate: %s", res.Result.Diff(want, 3))
 	}
 	fmt.Printf("\n%d rows scanned across 3 partitions in %v; the switch summed %.1f%%\n",
 		3*rowsPerPartition, time.Duration(res.Elapsed).Round(time.Microsecond),

@@ -2,7 +2,8 @@
 // forwarding core between racks. Rack-local senders get in-network
 // aggregation at the receiver's TOR; cross-rack traffic bypasses it and is
 // aggregated at the receiver host, so no TOR ever holds another rack's
-// channel state.
+// channel state. The deployment is a preset of the fat-tree (TORs are its
+// Leaves), so a TOR can also crash and reboot mid-task under Config.Failover.
 //
 //	go run ./examples/multirack
 package main
@@ -19,7 +20,7 @@ import (
 
 func main() {
 	opts := ask.MultiRackOptions{Racks: 3, HostsPerRack: 4, Seed: 11}
-	mc, err := ask.NewMultiRackCluster(opts)
+	fc, err := ask.NewMultiRackCluster(opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,24 +39,23 @@ func main() {
 		want.Merge(w.Reference(core.OpSum), core.OpSum)
 	}
 
-	res, err := mc.Aggregate(core.TaskSpec{
+	res, err := fc.Aggregate(core.TaskSpec{
 		ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum,
 	}, streams)
 	if err != nil {
 		log.Fatal(err)
 	}
-	status := "EXACT"
 	if !res.Result.Equal(want) {
-		status = "WRONG"
+		log.Fatalf("WRONG aggregate: %s", res.Result.Diff(want, 3))
 	}
 	total := int64(len(senders) * perSender)
-	fmt.Printf("aggregated %d tuples from %d senders across 3 racks in %v [%s]\n",
-		total, len(senders), time.Duration(res.Elapsed).Round(time.Microsecond), status)
+	fmt.Printf("aggregated %d tuples from %d senders across 3 racks in %v [EXACT]\n",
+		total, len(senders), time.Duration(res.Elapsed).Round(time.Microsecond))
 	fmt.Printf("  receiver TOR absorbed:  %d tuples (%.1f%% of total — the two rack-local senders)\n",
 		res.Switch.TuplesAggregated, 100*float64(res.Switch.TuplesAggregated)/float64(total))
 	fmt.Printf("  receiver host residue:  %d tuples (cross-rack bypass, §7)\n", res.Recv.ResidueTuples)
 	for r := 0; r < opts.Racks; r++ {
-		ts := mc.TORs[r].TaskStatsOf(1)
+		ts := fc.Leaves[r].TaskStatsOf(1)
 		fmt.Printf("  TOR %d aggregated %d tuples of this task\n", r, ts.TuplesAggregated)
 	}
 	fmt.Println("\nonly the receiver's TOR ever held task state (freed at teardown);")

@@ -29,8 +29,8 @@ import (
 
 // Fabric is the deployment surface the orchestrator injects faults into and
 // the soak harness drives. ask.Cluster (single switch, address
-// ask.TheSwitch), ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr)
-// and ask.MultiRackCluster (link and host faults only) implement it.
+// ask.TheSwitch) and ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr;
+// the multi-rack deployment is one, its TORs the leaves) implement it.
 type Fabric interface {
 	// Simulation returns the deterministic virtual-time kernel faults are
 	// scheduled on.
@@ -39,8 +39,7 @@ type Fabric interface {
 	// telemetry is disabled).
 	TelemetrySet() *telemetry.Set
 	// CrashSwitch / RebootSwitch address a switch by fabric address; they
-	// return an error for an address that names no switch (a script bug)
-	// and on fabrics without switch outages (the multi-rack).
+	// return an error for an address that names no switch (a script bug).
 	CrashSwitch(addr core.HostID) error
 	RebootSwitch(addr core.HostID) error
 	// HostUplink / HostDownlink expose a host's links for black-holes and
@@ -62,7 +61,6 @@ type Fabric interface {
 
 var (
 	_ Fabric = (*ask.Cluster)(nil)
-	_ Fabric = (*ask.MultiRackCluster)(nil)
 	_ Fabric = (*ask.FatTreeCluster)(nil)
 )
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/netsim"
 )
 
@@ -137,6 +138,13 @@ func TestFabricReproducerCarriesTopologyFlags(t *testing.T) {
 			t.Errorf("reproducer %q lacks %q", line, want)
 		}
 	}
+	// The multi-rack row names its topology and rack count the same way.
+	mr := chaos.Report{Cfg: chaos.Config{Kind: chaos.MultiRackOutage, Seed: 3, Events: 6, Leaves: 5, Tuples: 1000, Shards: 2}}
+	for _, want := range []string{"-topology multirack", "-soak.seed=3", "-soak.leaves=5", "-soak.shards=2"} {
+		if !strings.Contains(mr.Reproducer(), want) {
+			t.Errorf("reproducer %q lacks %q", mr.Reproducer(), want)
+		}
+	}
 	// A failing report prints the reproducer and its minimal schedule.
 	rep.Outcome.Violation = "synthetic"
 	rep.Shrunk = chaos.Schedule{{Kind: chaos.EvSpineOutage, Addr: netsim.SpineAddr(1), StartMil: 100, DurMil: 80}}
@@ -169,5 +177,50 @@ func TestFabricSpineOutageScheduleReplays(t *testing.T) {
 	out2 := chaos.Run(cfg, sched, scale)
 	if out != out2 {
 		t.Fatalf("schedule replay diverged:\n%+v\n%+v", out, out2)
+	}
+}
+
+// TestMultiRackSoak is the multi-rack row of the kinds table end to end: its
+// schedules draw TOR outages (the receiver's rack included) and host faults
+// on sender hosts only, and the soak passes — serial and on two shard lanes —
+// with replay evidence, i.e. TOR outages really hit the stream.
+func TestMultiRackSoak(t *testing.T) {
+	senders := map[core.HostID]bool{1: true, 3: true, 5: true} // withDefaults: 3 racks of 2, second host sends
+	outageAt := make(map[int]int)
+	for seed := int64(0); seed < 20; seed++ {
+		for _, ev := range chaos.GenerateSchedule(chaos.Config{Kind: chaos.MultiRackOutage, Seed: seed, Events: 8}) {
+			switch ev.Kind {
+			case chaos.EvLeafOutage:
+				rack, ok := netsim.LeafIndex(ev.Addr, 3)
+				if !ok {
+					t.Fatalf("seed %d: TOR outage with bad address: %s", seed, ev)
+				}
+				outageAt[rack]++
+			case chaos.EvSpineOutage, chaos.EvSwitchOutage:
+				t.Fatalf("seed %d: the forwarding core cannot crash, yet the schedule has %s", seed, ev)
+			default:
+				if !senders[ev.Host] {
+					t.Fatalf("seed %d: host fault on non-sender host %d: %s", seed, ev.Host, ev)
+				}
+			}
+		}
+	}
+	if outageAt[0] == 0 || outageAt[1]+outageAt[2] == 0 {
+		t.Fatalf("20 seeds never crashed both the receiver's TOR and a sender's: %v", outageAt)
+	}
+	var replays int64
+	for _, cfg := range []chaos.Config{{Seed: 2}, {Seed: 4}, {Seed: 2, Shards: 2}} {
+		cfg.Kind, cfg.Base = chaos.MultiRackOutage, netsim.Fault{CorruptProb: 1e-3}
+		rep, err := chaos.Soak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Passed() {
+			t.Fatalf("multi-rack soak failed:\n%s", rep)
+		}
+		replays += rep.Outcome.Replays
+	}
+	if replays == 0 {
+		t.Fatal("no replays across three multi-rack soaks: no TOR outage hit a stream")
 	}
 }

@@ -16,10 +16,11 @@ package chaos
 //     one-line reproducer (`asksim -soak -soak.seed=N ...`).
 //
 // The harness is topology-blind: it drives any Fabric through StartTask,
-// Hosts and Switches. What distinguishes the three kinds — the rack soak,
-// the fat-tree fabric-outage soak and the tenant-kill isolation soak — is
-// data in the kinds table: deployment options, task plans, the event table
-// and its draw order, the invariant list, and the reproducer flags.
+// Hosts and Switches. What distinguishes the four kinds — the rack soak,
+// the fat-tree fabric-outage soak, the tenant-kill isolation soak and the
+// multi-rack TOR-outage soak — is data in the kinds table: deployment
+// options, task plans, the event table and its draw order, the invariant
+// list, and the reproducer flags.
 //
 // Everything is derived from Config.Seed — the workloads, the schedule, the
 // link-fault RNG — so a reproducer seed replays the exact failure. The
@@ -57,6 +58,11 @@ const (
 	// the tenant boundary: every other tenant finishes exactly, the victim
 	// bridges the holes or aborts cleanly (never a silent partial result).
 	TenantKill
+	// MultiRackOutage soaks the §7 multi-rack deployment: addressed TOR
+	// outages (the receiver's rack included) mixed with link black-holes,
+	// loss and corruption bursts and host stalls, against one task with a
+	// rack-local sender and a sender in every other rack.
+	MultiRackOutage
 )
 
 // Config parameterizes one soak. Zero fields other than Kind, Seed, Base,
@@ -75,6 +81,7 @@ type Config struct {
 	// Spines and Leaves size the FabricOutage fat-tree (defaults 2 and 3:
 	// receivers on leaf 0, senders on every other leaf, so every task has
 	// cross-leaf residue for the spine tier). TenantKill runs on 2×2.
+	// MultiRackOutage has Leaves racks of two hosts under its forwarding core.
 	Spines, Leaves int
 	// Tenants is the number of concurrent fat-tree tenants (FabricOutage
 	// default 2, TenantKill 3), each with weight 1, one host per leaf, and
@@ -100,8 +107,8 @@ type Config struct {
 	// the rack under test: the deliberately-broken build the harness must
 	// catch. Never set outside tests of the harness itself.
 	DisableChecksumVerify bool
-	// Shards, when > 1, runs the FabricOutage fat-tree on the conservative
-	// parallel scheduler (ask.FatTreeOptions.Shards): the soak then
+	// Shards, when > 1, runs the FabricOutage fat-tree or the MultiRackOutage
+	// racks on the conservative parallel scheduler: the soak then
 	// additionally proves that failover epochs, replay, and conservation
 	// survive parallel execution and its control rendezvous.
 	Shards int
@@ -288,6 +295,41 @@ var kinds = [...]kind{
 		},
 		flags: func(Config) string { return "" },
 	},
+	MultiRackOutage: {
+		name:     "multirack soak",
+		defaults: Config{Events: 6, Leaves: 3, Tuples: 20_000, Keys: 512},
+		build: func(cfg Config) (Fabric, error) {
+			link := netsim.DefaultLinkConfig()
+			link.Fault = cfg.Base
+			return ask.NewMultiRackCluster(ask.MultiRackOptions{
+				Racks: cfg.Leaves, HostsPerRack: 2, Config: soakConfig(cfg), HostLink: link, Seed: cfg.Seed, Shards: cfg.Shards,
+			})
+		},
+		// Host 0 receives and the second host of every rack sends: its
+		// rack-mate's tuples aggregate at the TOR, the rest cross the core and
+		// merge at the host.
+		plans: func(cfg Config) []Plan {
+			pl := Plan{
+				Spec:    core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum},
+				Streams: make(map[core.HostID]core.Stream),
+				Want:    make(core.Result),
+			}
+			for r := 0; r < cfg.Leaves; r++ {
+				h := core.HostID(2*r + 1)
+				pl.Spec.Senders = append(pl.Spec.Senders, h)
+				w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h))
+				pl.Streams[h] = w.Stream()
+				pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+			}
+			return []Plan{pl}
+		},
+		events:  []EventKind{EvLeafOutage, EvLinkBlackhole, EvLinkDegrade, EvCorruptBurst, EvHostStall},
+		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
+		host:       func(rng *rand.Rand, cfg Config) core.HostID { return core.HostID(2*rng.Intn(cfg.Leaves) + 1) },
+		invariants: []func(*replay) string{conservation, recovery, fabricEpoch, transportSanity},
+		note:       func(r Report) string { return fmt.Sprintf(" (%d racks)", r.Cfg.Leaves) },
+		flags:      func(cfg Config) string { return fmt.Sprintf(" -topology multirack -soak.leaves=%d", cfg.Leaves) },
+	},
 }
 
 func (c Config) withDefaults() Config {
@@ -322,7 +364,8 @@ const (
 	EvCorruptBurst
 	EvHostStall
 	// EvSpineOutage / EvLeafOutage crash-and-reboot one addressed fat-tree
-	// switch (Event.Addr). Only the FabricOutage table draws them.
+	// switch (Event.Addr); a multi-rack TOR is a leaf. Only the FabricOutage
+	// and MultiRackOutage tables draw them.
 	EvSpineOutage
 	EvLeafOutage
 )

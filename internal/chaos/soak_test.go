@@ -184,8 +184,9 @@ func TestGenerateScheduleRespectsConstraints(t *testing.T) {
 // outcomes" as a standing contract: testdata/soak.golden holds the report
 // text (scale, elapsed, evidence counters) of the first rack and fabric
 // seeds of `make soak`, generated before the three soak harnesses were
-// collapsed into one. A diff means a schedule draw, a construction order or
-// the simulated datapath moved.
+// collapsed into one, and of the first multi-rack seeds, generated when that
+// row was added. A diff means a schedule draw, a construction order or the
+// simulated datapath moved.
 func TestSoakReportsMatchGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/soak.golden")
 	if err != nil {
@@ -195,7 +196,7 @@ func TestSoakReportsMatchGolden(t *testing.T) {
 	for _, run := range []struct {
 		kind  chaos.Kind
 		seeds int64
-	}{{chaos.Rack, 4}, {chaos.FabricOutage, 2}} {
+	}{{chaos.Rack, 4}, {chaos.FabricOutage, 2}, {chaos.MultiRackOutage, 2}} {
 		for seed := int64(1); seed <= run.seeds; seed++ {
 			rep, err := chaos.Soak(chaos.Config{Kind: run.kind, Seed: seed, Base: netsim.Fault{CorruptProb: 1e-3}})
 			if err != nil {

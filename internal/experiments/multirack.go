@@ -47,7 +47,7 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 			HostsPerRack: cfg.HostsPerRack,
 			Seed:         cfg.Seed,
 		}
-		mc, err := ask.NewMultiRackCluster(opts)
+		fc, err := ask.NewMultiRackCluster(opts)
 		if err != nil {
 			return nil, err
 		}
@@ -69,7 +69,7 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 			streams[s] = w.Stream()
 			want.Merge(w.Reference(core.OpSum), core.OpSum)
 		}
-		res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
+		res, err := fc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
 		if err != nil {
 			return nil, err
 		}

@@ -47,8 +47,8 @@ type ScalingConfig struct {
 	// Shards lists the shard counts to sweep; 1 runs the exact serial code
 	// path and is the baseline wall measurement.
 	Shards []int
-	// Racks/HostsPerRack size the two-tier fabric; one sender per non-receiver
-	// rack keeps every TOR→core cut busy.
+	// Racks/HostsPerRack size the multi-rack fabric; one sender per
+	// non-receiver rack keeps every TOR↔core cut busy.
 	Racks        int
 	HostsPerRack int
 	// Spines/Leaves/HostsPerLeaf size the fat-tree; one sender per
@@ -91,96 +91,62 @@ type scalingRun struct {
 	wall    time.Duration // zero when no wall clock is installed
 }
 
-// timeRun wraps f with the injected wall clock (zero duration without one).
-func timeRun(f func() (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error)) (scalingRun, error) {
+// scalingCluster builds one partitionable topology at a shard count and
+// reports its group count and hosts per group (host IDs are group-major).
+func scalingCluster(topology string, cfg ScalingConfig, shards int) (fc *ask.FatTreeCluster, groups, perGroup int, err error) {
+	switch topology {
+	case "multirack":
+		fc, err = ask.NewMultiRackCluster(ask.MultiRackOptions{
+			Racks: cfg.Racks, HostsPerRack: cfg.HostsPerRack, Seed: cfg.Seed, Shards: shards,
+		})
+		return fc, cfg.Racks, cfg.HostsPerRack, err
+	case "fattree":
+		fc, err = ask.NewFatTreeCluster(ask.FatTreeOptions{
+			Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: cfg.HostsPerLeaf, Seed: cfg.Seed, Shards: shards,
+		})
+		return fc, cfg.Leaves, cfg.HostsPerLeaf, err
+	}
+	return nil, 0, 0, fmt.Errorf("experiments: unknown scaling topology %q", topology)
+}
+
+// runScaling measures one point: the topology's workload — host 0 receives,
+// the first host of every other rack or leaf sends, so every cut is busy —
+// at the given shard count, timed by the injected wall clock if there is one.
+func runScaling(topology string, cfg ScalingConfig, shards int) (scalingRun, error) {
 	var start time.Duration
 	if wallClock != nil {
 		start = wallClock()
 	}
-	res, virtual, st, lanes, err := f()
-	var run scalingRun
+	fc, groups, perGroup, err := scalingCluster(topology, cfg, shards)
 	if err != nil {
-		return run, err
+		return scalingRun{}, err
 	}
-	run = scalingRun{res: res, virtual: virtual, stats: st, lanes: lanes}
+	var senders []core.HostID
+	streams := make(map[core.HostID]core.Stream)
+	for g := 1; g < groups; g++ {
+		h := core.HostID(g * perGroup)
+		senders = append(senders, h)
+		streams[h] = workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(g)).Stream()
+	}
+	res, err := fc.Aggregate(core.TaskSpec{ID: 1, Receiver: 0, Senders: senders, Op: core.OpSum}, streams)
+	if err != nil {
+		return scalingRun{}, err
+	}
+	run := scalingRun{res: res, virtual: fc.Sim.Now()}
+	if g := fc.Net.Group(); g != nil {
+		run.stats, run.lanes = g.Stats(), g.Lanes()
+	}
 	if wallClock != nil {
 		run.wall = wallClock() - start
 	}
 	return run, nil
 }
 
-// scalingMultiRack runs the two-tier workload at the given shard count.
-func scalingMultiRack(cfg ScalingConfig, shards int) (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error) {
-	opts := ask.MultiRackOptions{
-		Racks: cfg.Racks, HostsPerRack: cfg.HostsPerRack, Seed: cfg.Seed, Shards: shards,
-	}
-	mc, err := ask.NewMultiRackCluster(opts)
-	if err != nil {
-		return nil, 0, sim.ShardGroupStats{}, 0, err
-	}
-	receiver := opts.HostAt(0, 0)
-	var senders []core.HostID
-	streams := make(map[core.HostID]core.Stream)
-	for r := 1; r < cfg.Racks; r++ {
-		h := opts.HostAt(r, 0)
-		senders = append(senders, h)
-		streams[h] = workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(r)).Stream()
-	}
-	res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
-	if err != nil {
-		return nil, 0, sim.ShardGroupStats{}, 0, err
-	}
-	var st sim.ShardGroupStats
-	lanes := 0
-	if g := mc.Net.Group(); g != nil {
-		st, lanes = g.Stats(), g.Lanes()
-	}
-	return res, mc.Sim.Now(), st, lanes, nil
-}
-
-// scalingFatTree runs the spine/leaf workload at the given shard count.
-func scalingFatTree(cfg ScalingConfig, shards int) (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error) {
-	opts := ask.FatTreeOptions{
-		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: cfg.HostsPerLeaf,
-		Seed: cfg.Seed, Shards: shards,
-	}
-	fc, err := ask.NewFatTreeCluster(opts)
-	if err != nil {
-		return nil, 0, sim.ShardGroupStats{}, 0, err
-	}
-	receiver := opts.HostAt(0, 0)
-	var senders []core.HostID
-	streams := make(map[core.HostID]core.Stream)
-	for l := 1; l < cfg.Leaves; l++ {
-		h := opts.HostAt(l, 0)
-		senders = append(senders, h)
-		streams[h] = workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(l)).Stream()
-	}
-	res, err := fc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
-	if err != nil {
-		return nil, 0, sim.ShardGroupStats{}, 0, err
-	}
-	var st sim.ShardGroupStats
-	lanes := 0
-	if g := fc.Net.Group(); g != nil {
-		st, lanes = g.Stats(), g.Lanes()
-	}
-	return res, fc.Sim.Now(), st, lanes, nil
-}
-
 // ScalingPoint runs one topology's scaling workload at one shard count and
 // discards the outcome — the per-shard-count benchmark hook
 // (BenchmarkMultiRackShards/FatTreeShards time it from the root package).
 func ScalingPoint(topology string, cfg ScalingConfig, shards int) error {
-	var err error
-	switch topology {
-	case "multirack":
-		_, _, _, _, err = scalingMultiRack(cfg, shards)
-	case "fattree":
-		_, _, _, _, err = scalingFatTree(cfg, shards)
-	default:
-		err = fmt.Errorf("experiments: unknown scaling topology %q", topology)
-	}
+	_, err := runScaling(topology, cfg, shards)
 	return err
 }
 
@@ -196,41 +162,29 @@ func Scaling(cfg ScalingConfig) (*stats.Table, error) {
 		Header: []string{"topology", "shards", "lanes", "wall s", "speedup", "efficiency %",
 			"parallel windows", "inline windows", "injects", "virtual elapsed"},
 	}
-	for _, topo := range []struct {
-		name string
-		run  func(int) (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error)
-	}{
-		{"multirack", func(n int) (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error) {
-			return scalingMultiRack(cfg, n)
-		}},
-		{"fattree", func(n int) (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error) {
-			return scalingFatTree(cfg, n)
-		}},
-	} {
+	for _, topo := range []string{"multirack", "fattree"} {
 		var base scalingRun
 		for i, shards := range cfg.Shards {
-			run, err := timeRun(func() (*ask.TaskResult, sim.Time, sim.ShardGroupStats, int, error) {
-				return topo.run(shards)
-			})
+			run, err := runScaling(topo, cfg, shards)
 			if err != nil {
-				return nil, fmt.Errorf("scaling %s shards=%d: %w", topo.name, shards, err)
+				return nil, fmt.Errorf("scaling %s shards=%d: %w", topo, shards, err)
 			}
 			if i == 0 {
 				if shards > 1 {
-					return nil, fmt.Errorf("scaling %s: Shards[0] must be the serial baseline (<= 1), got %d", topo.name, shards)
+					return nil, fmt.Errorf("scaling %s: Shards[0] must be the serial baseline (<= 1), got %d", topo, shards)
 				}
 				base = run
 			} else {
 				if !run.res.Result.Equal(base.res.Result) {
 					return nil, fmt.Errorf("scaling %s shards=%d: result diverged from serial: %s",
-						topo.name, shards, run.res.Result.Diff(base.res.Result, 5))
+						topo, shards, run.res.Result.Diff(base.res.Result, 5))
 				}
 				if run.res.Elapsed != base.res.Elapsed || run.virtual != base.virtual {
 					return nil, fmt.Errorf("scaling %s shards=%d: virtual time diverged from serial (%v vs %v)",
-						topo.name, shards, run.res.Elapsed, base.res.Elapsed)
+						topo, shards, run.res.Elapsed, base.res.Elapsed)
 				}
 				if run.res.Recv != base.res.Recv || run.res.Switch != base.res.Switch {
-					return nil, fmt.Errorf("scaling %s shards=%d: counters diverged from serial", topo.name, shards)
+					return nil, fmt.Errorf("scaling %s shards=%d: counters diverged from serial", topo, shards)
 				}
 			}
 			wall, speedup, eff := "-", "-", "-"
@@ -242,7 +196,7 @@ func Scaling(cfg ScalingConfig) (*stats.Table, error) {
 					eff = fmt.Sprintf("%.0f", 100*s/float64(run.lanes))
 				}
 			}
-			t.AddRow(topo.name, shards, run.lanes, wall, speedup, eff,
+			t.AddRow(topo, shards, run.lanes, wall, speedup, eff,
 				run.stats.ParallelWindows, run.stats.InlineWindows, run.stats.Injects,
 				run.res.Elapsed.Sub(0))
 		}

@@ -40,14 +40,19 @@ func SpineIndex(addr core.HostID, spines int) (int, bool) {
 }
 
 // FatTree is the spine/leaf fabric: L leaves of hosts, S spines, and a full
-// bipartite mesh of leaf↔spine links. Both tiers run ASK programs, which is
-// what distinguishes it from TwoTier's forwarding core: a leaf aggregates
-// traffic entering from its own hosts, and residue crossing the fabric gets
-// a second aggregation chance at the spine before reaching the receiver
-// (hierarchical re-aggregation). Traffic arriving at a leaf FROM a spine
-// follows §7's state-bounding rule — addressed to the leaf itself it enters
-// the leaf's program (fetch/swap of that leaf's regions); addressed to a
-// host it bypasses the program and is delivered directly.
+// bipartite mesh of leaf↔spine links. Which tiers aggregate is a matter of
+// what is attached: with an ASK program on both, a leaf aggregates traffic
+// entering from its own hosts and residue crossing the fabric gets a second
+// aggregation chance at the spine before reaching the receiver (hierarchical
+// re-aggregation); with a ForwardingSwitch on a single spine the fabric is
+// the §7 multi-rack deployment — TORs under a core that only forwards.
+// Traffic arriving at a leaf FROM a spine follows §7's state-bounding rule
+// either way — addressed to the leaf itself it enters the leaf's program
+// (fetch/swap of that leaf's regions); addressed to a host it bypasses the
+// program and is delivered directly.
+//
+// The one-switch rack stays a separate fabric (Network): it has no tier to
+// configure, and bench/ is compiled against it.
 //
 // Every frame of a task crosses the fabric through one spine, chosen by
 // Task ID (SpineFor), so a task's packet order is preserved end to end and

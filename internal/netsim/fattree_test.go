@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -149,5 +150,132 @@ func TestFatTreeAddressHelpers(t *testing.T) {
 	}
 	if _, ok := LeafIndex(3, 4); ok {
 		t.Fatal("a host ID must not resolve as a leaf")
+	}
+}
+
+// countingSwitch counts frames its program sees and forwards them.
+type countingSwitch struct {
+	fab  SwitchFabric
+	seen int
+}
+
+func (c *countingSwitch) HandleIngress(f *Frame) {
+	c.seen++
+	c.fab.SwitchSend(f)
+}
+
+// buildForwardingCore is the §7 multi-rack configuration of the fabric: two
+// leaves (TORs) with counting programs under one spine that only forwards.
+// Hosts 0,1 sit on leaf 0; hosts 2,3 on leaf 1.
+func buildForwardingCore(t *testing.T) (*sim.Simulation, *FatTree, map[core.HostID]*collector, []*countingSwitch) {
+	t.Helper()
+	s := sim.New(1)
+	ft := NewFatTree(s, 1, 2, DefaultLinkConfig(), DefaultLinkConfig())
+	ft.Spine(0).AttachSwitch(&ForwardingSwitch{Net: ft.Spine(0)})
+	tors := make([]*countingSwitch, 2)
+	for l := range tors {
+		tors[l] = &countingSwitch{fab: ft.Leaf(l)}
+		ft.Leaf(l).AttachSwitch(tors[l])
+	}
+	cs := make(map[core.HostID]*collector)
+	for h := core.HostID(0); h < 4; h++ {
+		cs[h] = &collector{s: s}
+		ft.AttachHostLeaf(int(h)/2, h, cs[h])
+	}
+	return s, ft, cs, tors
+}
+
+// TestFatTreeForwardingSpine pins what the forwarding-core configuration
+// must do — §7's routing rule, hop by hop.
+func TestFatTreeForwardingSpine(t *testing.T) {
+	t.Run("intra-rack stays on the leaf", func(t *testing.T) {
+		s, ft, cs, tors := buildForwardingCore(t)
+		ft.HostSend(frame(0, 1, 4))
+		s.Run(0)
+		if len(cs[1].frames) != 1 {
+			t.Fatalf("intra-rack frame not delivered")
+		}
+		if tors[0].seen != 1 || tors[1].seen != 0 {
+			t.Fatalf("TOR programs saw %d/%d frames, want 1/0", tors[0].seen, tors[1].seen)
+		}
+		if tx := ft.SpineUplink(0, 0).Stats().TxFrames; tx != 0 {
+			t.Fatalf("intra-rack frame crossed the core (%d frames)", tx)
+		}
+	})
+	t.Run("cross-rack bypasses the remote program", func(t *testing.T) {
+		s, ft, cs, tors := buildForwardingCore(t)
+		ft.HostSend(frame(0, 3, 4)) // leaf 0 → leaf 1
+		s.Run(0)
+		if len(cs[3].frames) != 1 {
+			t.Fatal("cross-rack frame not delivered")
+		}
+		// §7: only the sender's TOR runs the program; the receiver's TOR is
+		// bypassed for traffic arriving from the core.
+		if tors[0].seen != 1 || tors[1].seen != 0 {
+			t.Fatalf("TOR programs saw %d/%d frames, want 1 (sender) / 0 (bypass)", tors[0].seen, tors[1].seen)
+		}
+	})
+	t.Run("three-hop latency", func(t *testing.T) {
+		s, ft, cs, _ := buildForwardingCore(t)
+		ft.HostSend(frame(0, 3, 32)) // 334 B
+		s.Run(0)
+		// Path: host ser + prop, TOR latency, TOR→core ser + prop, core
+		// latency, core→TOR ser + prop, TOR latency, TOR→host ser + prop.
+		bw := 100e9
+		ser := time.Duration(float64(334*8) / bw * float64(time.Second))
+		want := sim.Time(0).Add(4*ser + 4*time.Microsecond + 3*ft.SwitchLatency)
+		if got := cs[3].at[0]; got != want {
+			t.Fatalf("arrival %v, want %v", got, want)
+		}
+	})
+	t.Run("core-link bottleneck", func(t *testing.T) {
+		// Cross-rack flows share the TOR→core uplink: its stats must account
+		// every cross-rack frame and no intra-rack ones.
+		s, ft, _, _ := buildForwardingCore(t)
+		for i := 0; i < 50; i++ {
+			ft.HostSend(frame(0, 3, 32)) // cross
+			ft.HostSend(frame(0, 1, 32)) // intra
+		}
+		s.Run(0)
+		if got := ft.SpineUplink(0, 0).Stats().TxFrames; got != 50 {
+			t.Fatalf("core uplink carried %d frames, want 50", got)
+		}
+	})
+	t.Run("lookups", func(t *testing.T) {
+		_, ft, _, _ := buildForwardingCore(t)
+		if ft.Leaves() != 2 || ft.Spines() != 1 {
+			t.Fatalf("Leaves, Spines = %d, %d", ft.Leaves(), ft.Spines())
+		}
+		if ft.LeafOf(0) != 0 || ft.LeafOf(3) != 1 {
+			t.Fatal("LeafOf wrong")
+		}
+		if ft.Uplink(2) == nil || ft.Downlink(2) == nil || ft.SpineUplink(1, 0) == nil {
+			t.Fatal("link accessors nil")
+		}
+	})
+}
+
+func TestFatTreePanicsOnMisuse(t *testing.T) {
+	s := sim.New(1)
+	ft := NewFatTree(s, 1, 1, DefaultLinkConfig(), DefaultLinkConfig())
+	c := &collector{s: s}
+	ft.AttachHostLeaf(0, 1, c)
+	for name, fn := range map[string]func(){
+		"double attach":        func() { ft.AttachHostLeaf(0, 1, c) },
+		"bad leaf":             func() { ft.AttachHostLeaf(5, 2, c) },
+		"host in switch range": func() { ft.AttachHostLeaf(0, LeafAddr(0), c) },
+		"unattached send":      func() { ft.HostSend(frame(9, 1, 1)) },
+		"zero leaves":          func() { NewFatTree(s, 1, 0, DefaultLinkConfig(), DefaultLinkConfig()) },
+		"zero spines":          func() { NewFatTree(s, 0, 1, DefaultLinkConfig(), DefaultLinkConfig()) },
+		"too many leaves":      func() { NewFatTree(s, 1, 0x801, DefaultLinkConfig(), DefaultLinkConfig()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
 	}
 }

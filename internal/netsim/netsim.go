@@ -77,8 +77,8 @@ type HostHandler interface {
 
 // SwitchFabric is the surface a switch program needs from its fabric: where
 // it is attached and how it emits frames toward hosts. *Network implements
-// it for the single-switch rack; TwoTier's per-TOR ports implement it for
-// the multi-rack deployment (§7).
+// it for the single-switch rack; FatTree's leaf and spine ports implement it
+// for the multi-switch deployments.
 type SwitchFabric interface {
 	AttachSwitch(h SwitchHandler)
 	SwitchSend(f *Frame)
@@ -568,8 +568,9 @@ func (n *Network) Hosts() []core.HostID {
 }
 
 // ForwardingSwitch is a trivial SwitchHandler that forwards every frame to
-// its destination host — the "NoAggr" fabric used by baselines.
-type ForwardingSwitch struct{ Net *Network }
+// its destination: the "NoAggr" rack used by baselines, and — attached to a
+// FatTree spine — the forwarding core of the §7 multi-rack deployment.
+type ForwardingSwitch struct{ Net SwitchFabric }
 
 // HandleIngress implements SwitchHandler.
 func (fs *ForwardingSwitch) HandleIngress(f *Frame) { fs.Net.SwitchSend(f) }

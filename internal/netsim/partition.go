@@ -1,10 +1,9 @@
 // Topology partitioner for the conservative parallel DES (DESIGN.md
-// "Parallel DES"). A fabric is partitioned at its switch boundaries —
-// racks for TwoTier, leaves (plus spines) for FatTree — into contiguous
-// lane blocks; every host, switch, and intra-shard link is constructed on
-// its lane's simulation, and the inter-shard links (TOR↔core, leaf↔spine)
-// become mailbox cuts whose minimum model delay (propagation + switch
-// pipeline latency) is the group's lookahead.
+// "Parallel DES"). The fat-tree is partitioned at its switch boundaries —
+// leaves in contiguous lane blocks, spines round-robin; every host, switch,
+// and intra-shard link is constructed on its lane's simulation, and the
+// leaf↔spine links become mailbox cuts whose minimum model delay
+// (propagation + switch pipeline latency) is the group's lookahead.
 package netsim
 
 import (
@@ -14,7 +13,7 @@ import (
 )
 
 // EffectiveShards clamps a requested shard count to what a topology with
-// `blocks` partitionable units (racks or leaves) supports. 0 means run
+// `blocks` partitionable units (leaves) supports. 0 means run
 // serial: a request of one lane, or a topology too small to cut.
 func EffectiveShards(requested, blocks int) int {
 	if requested > blocks {
@@ -28,8 +27,8 @@ func EffectiveShards(requested, blocks int) int {
 
 // laneOfBlock maps partition unit i of n to one of `shards` contiguous,
 // balanced lane blocks (unit i -> lane i*shards/n). Contiguity keeps
-// rack/leaf neighbourhoods together, matching how the ask layer numbers
-// hosts rack-major.
+// leaf neighbourhoods together, matching how the ask layer numbers
+// hosts leaf-major.
 func laneOfBlock(i, n, shards int) int {
 	return i * shards / n
 }
@@ -40,15 +39,21 @@ func laneOfBlock(i, n, shards int) int {
 type ShardLayout struct {
 	// Lanes is the shard count (0 = serial).
 	Lanes int
-	// BlockLane maps rack (TwoTier) or leaf (FatTree) index to its lane.
+	// BlockLane maps leaf index to its lane.
 	BlockLane []int
-	// SpineLane maps spine index to its lane (FatTree only).
+	// SpineLane maps spine index to its lane.
 	SpineLane []int
 	// CutLinks counts directed links rewired into cross-lane mailboxes.
 	CutLinks int
 	// Lookahead is the minimum cross-lane model delay the cuts guarantee.
 	Lookahead time.Duration
 }
+
+// defaultSwitchLatency is the pipeline traversal latency the fat-tree
+// starts with; the shard lookahead is computed from it at construction, so
+// lowering SwitchLatency on a sharded fabric afterwards is rejected by
+// the kernel's lookahead check at the first cut delivery.
+const defaultSwitchLatency = 800 * time.Nanosecond
 
 // cutDelay returns the conservative lookahead of a fabric cut over links
 // with the given config: one-way propagation plus the switch pipeline

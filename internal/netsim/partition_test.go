@@ -56,107 +56,6 @@ func TestEffectiveShards(t *testing.T) {
 	}
 }
 
-func TestTwoTierPartition(t *testing.T) {
-	cases := []struct {
-		name         string
-		racks, req   int
-		wantLanes    int // 0 = serial
-	}{
-		{"serial-1shard", 4, 1, 0},
-		{"serial-1rack", 1, 8, 0},
-		{"2of4", 4, 2, 2},
-		{"4of4", 4, 4, 4},
-		{"clamp8to4", 4, 8, 4},
-		{"3of8", 8, 3, 3},
-		{"2of5", 5, 2, 2},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			root := sim.New(1)
-			hostLink := DefaultLinkConfig()
-			coreLink := LinkConfig{BandwidthBps: 400e9, Propagation: 2 * time.Microsecond}
-			tt, g := NewTwoTierSharded(root, c.racks, c.req, hostLink, coreLink)
-			// Two hosts per rack so host-link ownership is exercised.
-			for r := 0; r < c.racks; r++ {
-				tt.AttachHostRack(r, core.HostID(2*r), nullHost{})
-				tt.AttachHostRack(r, core.HostID(2*r+1), nullHost{})
-			}
-			if c.wantLanes == 0 {
-				if g != nil || tt.Group() != nil {
-					t.Fatalf("expected serial build, got group %v", g)
-				}
-				lay := tt.Layout()
-				if lay.Lanes != 0 {
-					t.Fatalf("serial layout reports %d lanes", lay.Lanes)
-				}
-				// Serial seam: every link lives on the root simulation with no
-				// mailbox rewiring.
-				for r := 0; r < c.racks; r++ {
-					if tt.RackSim(r) != root {
-						t.Fatalf("serial rack %d not on root sim", r)
-					}
-					tp := tt.racks[r]
-					for _, l := range []*Link{tp.up, tp.down} {
-						if l.sim != root || l.xroute != nil {
-							t.Fatalf("serial rack %d TOR link rewired", r)
-						}
-					}
-				}
-				for id, p := range tt.hostPorts {
-					if p.up.sim != root || p.down.sim != root || p.up.xroute != nil || p.down.xroute != nil {
-						t.Fatalf("serial host %d link rewired", id)
-					}
-				}
-				return
-			}
-			if g == nil || g.Lanes() != c.wantLanes {
-				t.Fatalf("got group %v, want %d lanes", g, c.wantLanes)
-			}
-			lay := tt.Layout()
-			if lay.Lanes != c.wantLanes {
-				t.Fatalf("layout lanes = %d, want %d", lay.Lanes, c.wantLanes)
-			}
-			checkLayout(t, lay)
-			if want := coreLink.Propagation + tt.SwitchLatency; lay.Lookahead != want {
-				t.Fatalf("lookahead = %v, want %v", lay.Lookahead, want)
-			}
-			// Exactly one TOR→core cut per rack.
-			if lay.CutLinks != c.racks {
-				t.Fatalf("cut links = %d, want %d", lay.CutLinks, c.racks)
-			}
-			for r := 0; r < c.racks; r++ {
-				tp := tt.racks[r]
-				lane := g.Lane(lay.BlockLane[r])
-				if tp.ls != lane || tt.RackSim(r) != lane {
-					t.Fatalf("rack %d state not on its lane", r)
-				}
-				// The uplink is the mailbox cut; the downlink and both host
-				// links are lane-local.
-				if tp.up.sim != lane || tp.up.xroute == nil || tp.up.xdelay != tt.SwitchLatency {
-					t.Fatalf("rack %d uplink not a cut on its lane", r)
-				}
-				if tp.down.sim != lane || tp.down.xroute != nil {
-					t.Fatalf("rack %d downlink not lane-local", r)
-				}
-			}
-			for id, p := range tt.hostPorts {
-				lane := g.Lane(lay.BlockLane[tt.hostRack[id]])
-				if p.up.sim != lane || p.down.sim != lane || p.up.xroute != nil || p.down.xroute != nil {
-					t.Fatalf("host %d links not lane-local", id)
-				}
-			}
-			// The cut routes by destination rack lane.
-			src := tt.racks[0]
-			for r := 0; r < c.racks; r++ {
-				f := &Frame{Dst: core.HostID(2 * r)}
-				if got := src.up.xroute(f); got != g.Lane(lay.BlockLane[r]) {
-					t.Fatalf("cut route for rack %d landed on lane %d", r, got.ShardLane())
-				}
-			}
-		})
-	}
-}
-
 func TestFatTreePartition(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -170,6 +69,16 @@ func TestFatTreePartition(t *testing.T) {
 		{"4of4", 2, 4, 4, 4},
 		{"clamp8to4", 2, 4, 8, 4},
 		{"3of8-3spines", 3, 8, 4, 4},
+		// One spine over R leaves is the multi-rack shape (racks under a
+		// forwarding core): the same partitioner, one up and one down cut per
+		// rack.
+		{"core-serial-1shard", 1, 4, 1, 0},
+		{"core-serial-1rack", 1, 1, 8, 0},
+		{"core-2of4", 1, 4, 2, 2},
+		{"core-4of4", 1, 4, 4, 4},
+		{"core-clamp8to4", 1, 4, 8, 4},
+		{"core-3of8", 1, 8, 3, 3},
+		{"core-2of5", 1, 5, 2, 2},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -184,6 +93,16 @@ func TestFatTreePartition(t *testing.T) {
 			if c.wantLanes == 0 {
 				if g != nil || ft.Group() != nil {
 					t.Fatalf("expected serial build, got group %v", g)
+				}
+				if lay := ft.Layout(); lay.Lanes != 0 {
+					t.Fatalf("serial layout reports %d lanes", lay.Lanes)
+				}
+				// Serial seam: every link lives on the root simulation with no
+				// mailbox rewiring.
+				for id, p := range ft.hostPorts {
+					if p.up.sim != root || p.down.sim != root || p.up.xroute != nil || p.down.xroute != nil {
+						t.Fatalf("serial host %d link rewired", id)
+					}
 				}
 				for l := 0; l < c.leaves; l++ {
 					if ft.LeafSim(l) != root {
@@ -211,6 +130,9 @@ func TestFatTreePartition(t *testing.T) {
 				t.Fatalf("got group %v, want %d lanes", g, c.wantLanes)
 			}
 			lay := ft.Layout()
+			if lay.Lanes != c.wantLanes {
+				t.Fatalf("layout lanes = %d, want %d", lay.Lanes, c.wantLanes)
+			}
 			checkLayout(t, lay)
 			if want := fabricLink.Propagation + ft.SwitchLatency; lay.Lookahead != want {
 				t.Fatalf("lookahead = %v, want %v", lay.Lookahead, want)
@@ -247,7 +169,7 @@ func TestFatTreePartition(t *testing.T) {
 					t.Fatalf("spine %d state not on its lane", s)
 				}
 				for l, lk := range spp.down {
-					if lk.sim != lane || lk.xroute == nil {
+					if lk.sim != lane || lk.xroute == nil || lk.xdelay != ft.SwitchLatency {
 						t.Fatalf("spine %d downlink %d not a cut on its lane", s, l)
 					}
 					if got := lk.xroute(nil); got != ft.leaves[l].ls {
@@ -265,10 +187,11 @@ func TestFatTreePartition(t *testing.T) {
 	}
 }
 
-// TestShardedTwoTierTrafficMatchesSerial pushes frames host→TOR→core→
-// TOR→host across racks on both builds and requires identical delivery
-// traces — the netsim-level determinism check below the full ask stack.
-func TestShardedTwoTierTrafficMatchesSerial(t *testing.T) {
+// TestShardedForwardingCoreTrafficMatchesSerial pushes frames host→TOR→
+// core→TOR→host across racks (leaves under one forwarding spine) on both
+// builds and requires identical delivery traces — the netsim-level
+// determinism check below the full ask stack.
+func TestShardedForwardingCoreTrafficMatchesSerial(t *testing.T) {
 	type delivery struct {
 		at  sim.Time
 		src core.HostID
@@ -277,33 +200,34 @@ func TestShardedTwoTierTrafficMatchesSerial(t *testing.T) {
 		root := sim.New(3)
 		hostLink := DefaultLinkConfig()
 		coreLink := LinkConfig{BandwidthBps: 400e9, Propagation: 2 * time.Microsecond}
-		tt, _ := NewTwoTierSharded(root, 4, shards, hostLink, coreLink)
+		ft, _ := NewFatTreeSharded(root, 1, 4, shards, hostLink, coreLink)
+		ft.Spine(0).AttachSwitch(&ForwardingSwitch{Net: ft.Spine(0)})
 		// Per-host slots in a fixed array: lanes append concurrently during
 		// parallel windows, and distinct array elements share no state.
 		var got [8][]delivery
 		for r := 0; r < 4; r++ {
 			for i := 0; i < 2; i++ {
 				id := core.HostID(2*r + i)
-				ls := tt.RackSim(r)
+				ls := ft.LeafSim(r)
 				slot := &got[id]
-				tt.AttachHostRack(r, id, hostFunc(func(f *Frame) {
+				ft.AttachHostLeaf(r, id, hostFunc(func(f *Frame) {
 					*slot = append(*slot, delivery{at: ls.Now(), src: f.Src})
 					f.Release()
 				}))
 			}
-			tt.TOR(r).AttachSwitch(forwardAll{tt.TOR(r)})
+			ft.Leaf(r).AttachSwitch(&ForwardingSwitch{Net: ft.Leaf(r)})
 		}
 		// Every host streams 5 frames to the "opposite" host two racks away.
 		for r := 0; r < 4; r++ {
 			for i := 0; i < 2; i++ {
 				src := core.HostID(2*r + i)
 				dst := core.HostID((2*r + 4 + i) % 8)
-				ls := tt.RackSim(r)
+				ls := ft.LeafSim(r)
 				for k := 0; k < 5; k++ {
 					f := &Frame{Src: src, Dst: dst, WireBytes: 128 + 16*k, Owned: true}
 					at := sim.Time((k + 1) * int(time.Microsecond))
 					func(f *Frame, at sim.Time) {
-						ls.At(at, func() { tt.HostSend(f) })
+						ls.At(at, func() { ft.HostSend(f) })
 					}(f, at)
 				}
 			}
@@ -312,6 +236,11 @@ func TestShardedTwoTierTrafficMatchesSerial(t *testing.T) {
 		return got
 	}
 	serial := run(1)
+	for id, d := range serial {
+		if len(d) != 5 {
+			t.Fatalf("serial host %d got %d deliveries, want 5", id, len(d))
+		}
+	}
 	for _, shards := range []int{2, 4} {
 		sharded := run(shards)
 		for id, want := range serial {
@@ -332,8 +261,3 @@ func TestShardedTwoTierTrafficMatchesSerial(t *testing.T) {
 type hostFunc func(*Frame)
 
 func (h hostFunc) HandleFrame(f *Frame) { h(f) }
-
-// forwardAll forwards every ingress frame to its destination.
-type forwardAll struct{ fab SwitchFabric }
-
-func (fw forwardAll) HandleIngress(f *Frame) { fw.fab.SwitchSend(f) }

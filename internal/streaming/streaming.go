@@ -18,7 +18,7 @@ import (
 )
 
 // Service is the slice of the ASK API the windower needs. Every ask
-// deployment (Cluster, MultiRackCluster, FatTreeCluster) provides it through
+// deployment (Cluster, FatTreeCluster) provides it through
 // the Streaming() adapter of the shared cluster core.
 type Service interface {
 	// Start submits a task without running the simulation.

@@ -125,17 +125,18 @@ func TestPipelinePassCounting(t *testing.T) {
 	}
 }
 
-func TestSwitchdWithTwoTierFabric(t *testing.T) {
-	// The switch program runs unchanged on a TwoTier TOR port.
+func TestSwitchdOnFatTreeLeaf(t *testing.T) {
+	// The switch program runs unchanged on a fat-tree leaf port — a TOR of
+	// the multi-rack deployment.
 	s := sim.New(1)
-	tt := netsim.NewTwoTier(s, 1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig())
-	sw, err := New(s, tt.TOR(0), smallConfig(), DefaultOptions())
+	tt := netsim.NewFatTree(s, 1, 1, netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig())
+	sw, err := New(s, tt.Leaf(0), smallConfig(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink1, sink2 := &frameSink{new([]*netsim.Frame)}, &frameSink{new([]*netsim.Frame)}
-	tt.AttachHostRack(0, 1, sink1)
-	tt.AttachHostRack(0, 2, sink2)
+	tt.AttachHostLeaf(0, 1, sink1)
+	tt.AttachHostLeaf(0, 2, sink2)
 	if _, err := sw.RegisterFlow(core.FlowKey{Host: 1, Channel: 0}); err != nil {
 		t.Fatal(err)
 	}
