@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck soak scenarios examples ci
+.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck soak scenarios experiments-golden examples ci
 
 all: ci
 
@@ -51,12 +51,11 @@ bench:
 bench-smoke:
 	$(GO) test -run='^$$' -bench='BenchmarkFig3$$|BenchmarkTable1$$|BenchmarkMultiRack$$|BenchmarkTenancy$$' -benchtime=1x .
 
-# Parallel-scheduler smoke (DESIGN.md "Parallel DES"): a short MultiRack
-# run at -shards 4 under the race detector — the sharded goldens assert
-# byte-identical results while -race watches the lane goroutines — plus
-# one iteration of the shard-sweep benchmarks. CI runs this.
+# Parallel-scheduler smoke (DESIGN.md "Parallel DES"): one iteration of the
+# shard-sweep benchmarks. (The sharded goldens under the race detector —
+# `go test -race -run TestMultiRackSharded ./ask` — are part of `make race`.)
+# CI runs this.
 bench-smoke-shards:
-	$(GO) test -race -count=1 -run 'TestMultiRackSharded' ./ask
 	$(GO) test -run='^$$' -bench='BenchmarkMultiRackShards|BenchmarkFatTreeShards' -benchtime=1x .
 
 # Bounded chaos soak (README "Failure model"): 12 fixed seeds of randomized
@@ -81,6 +80,14 @@ scenarios:
 	$(GO) test -count=1 -run 'TestCorpusDeterminism|TestTraceRoundTripCorpus' ./internal/workload/scenario
 	$(GO) test -count=1 -run 'TestScenarioCorpus' ./ask
 
+# The experiment golden: `askbench -run all -quick -json` is a function of
+# the code alone (no wall clock, no process-global state), so its bytes are
+# committed and every PR diffs against them. After an intended table change,
+# regenerate with `go run ./cmd/askbench -run all -quick -json >
+# internal/experiments/testdata/quick.json` and review the diff. CI runs this.
+experiments-golden:
+	$(GO) run ./cmd/askbench -run all -quick -json | cmp - internal/experiments/testdata/quick.json
+
 # The library surface, run: every example exits non-zero on an error, and
 # the three that compute a host-side reference (groupby, streaming,
 # multirack) also when their aggregate is wrong. Six programs, a few
@@ -88,4 +95,4 @@ scenarios:
 examples:
 	for e in quickstart wordcount groupby training streaming multirack; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
 
-ci: vet build lint selfcheck test test-shuffle race soak scenarios bench-smoke bench-smoke-shards examples
+ci: vet build lint selfcheck test test-shuffle race soak scenarios experiments-golden bench-smoke bench-smoke-shards examples

@@ -14,7 +14,6 @@ package repro
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/stats"
@@ -29,20 +28,14 @@ func benchExperiment(b *testing.B, name string) {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
-	experiments.ResetPeakAKV()
 	var tables []*stats.Table
 	for i := 0; i < b.N; i++ {
-		tables, err = r.Full()
+		tables, err = r.Run(false)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	// Peak simulated aggregation rate (virtual-time tuples/s) observed by
-	// the experiment, reported alongside the wall-clock numbers.
-	if rate := experiments.PeakAKV(); rate > 0 {
-		b.ReportMetric(rate, "sim-AKV/s")
-	}
 	for _, t := range tables {
 		fmt.Println(t.String())
 	}
@@ -112,21 +105,16 @@ func BenchmarkScenarios(b *testing.B) { benchExperiment(b, "scenarios") }
 // the single-tenant baseline.
 func BenchmarkTenancy(b *testing.B) { benchExperiment(b, "tenancy") }
 
-// BenchmarkScaling sweeps shard counts over the two-tier and fat-tree
+// BenchmarkScaling sweeps shard counts over the multi-rack and fat-tree
 // fabrics (DESIGN.md "Parallel DES"), verifying serial equivalence per
-// point and reporting wall speedup/efficiency. The wall clock lives here —
-// the experiments package is forbidden from reading real time — so the
-// benchmark installs one for the duration of the run.
-func BenchmarkScaling(b *testing.B) {
-	start := time.Now()
-	experiments.SetWallClock(func() time.Duration { return time.Since(start) })
-	defer experiments.SetWallClock(nil)
-	benchExperiment(b, "scaling")
-}
+// point; wall time per shard count is what the two *Shards benchmarks below
+// measure.
+func BenchmarkScaling(b *testing.B) { benchExperiment(b, "scaling") }
 
 // benchShards times one topology's scaling workload per shard count: a
-// wall-clock point for every (topology, shards) pair. On a single-CPU host the per-shard numbers are expected to be flat:
-// lanes interleave on one core and the windows only add barrier overhead.
+// wall-clock point for every (topology, shards) pair. On a single-CPU host
+// the per-shard numbers are expected to be flat: lanes interleave on one core
+// and the windows only add barrier overhead.
 func benchShards(b *testing.B, topology string) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -18,9 +18,10 @@
 // simulation is single-goroutine deterministic and shares no state with its
 // siblings, so the output is byte-identical to a serial run (outcomes are
 // printed in registry order regardless of completion order); only the wall
-// clock shrinks. -json emits the outcomes as deterministic JSON — the
-// format the serial-vs-parallel golden test locks down — instead of the
-// human-readable tables.
+// clock shrinks. -json emits the outcomes as deterministic JSON instead of
+// the human-readable tables: a function of the code, the experiment and the
+// preset alone, so two runs are byte-identical and `-run all -quick -json`
+// equals the committed internal/experiments/testdata/quick.json.
 package main
 
 import (
@@ -79,16 +80,8 @@ func main() {
 		runners = []experiments.Runner{r}
 	}
 
-	// Wall-clock measurement stays in this package: the model packages are
-	// forbidden (by the simdeterminism analyzer) from reading real time.
-	// The scaling experiment's speedup columns borrow this clock through
-	// the SetWallClock seam. Note wall readings are only meaningful when
-	// the scaling experiment runs alone (-parallel 1); concurrent sibling
-	// experiments steal its CPU.
 	start := time.Now()
-	experiments.SetWallClock(func() time.Duration { return time.Since(start) })
 	outcomes := experiments.RunParallel(runners, *quick, *parallel)
-	experiments.SetWallClock(nil)
 
 	failed := false
 	if *jsonOut {

@@ -375,6 +375,7 @@ func main() {
 		}
 	}
 	d.Simulation().Run(0)
+	d.Simulation().Close() // the report below reads counters only
 	results := make([]*ask.TaskResult, len(plans))
 	for i, p := range plans {
 		if results[i], err = pending[i].Get(); err != nil {

@@ -188,10 +188,11 @@ func (o *Orchestrator) HostStall(at, dur time.Duration, host core.HostID) {
 type Scenario struct {
 	Name string
 	Desc string
-	// Inject schedules the scenario's events; timings are expressed as
-	// fractions of scale, the expected fault-free task duration, so the
-	// faults land mid-task at any workload size.
-	Inject func(o *Orchestrator, scale time.Duration)
+	// Schedule is the script, as data: the same Event type the soak
+	// generates, shrinks and prints. Event times are thousandths of the
+	// expected fault-free task duration (the scale Schedule.Apply takes), so
+	// the faults land mid-task at any workload size.
+	Schedule Schedule
 }
 
 // Scenarios is the standard library of fault scripts used by the chaos
@@ -199,59 +200,46 @@ type Scenario struct {
 // the aggregation task the revocation scenario targets; sender is the host
 // whose link/daemon the network scenarios disturb.
 func Scenarios(task core.TaskID, receiver core.HostID, sender core.HostID) []Scenario {
-	frac := func(scale time.Duration, num, den int64) time.Duration {
-		return scale * time.Duration(num) / time.Duration(den)
-	}
 	return []Scenario{
 		{
-			Name: "switch-reboot",
-			Desc: "switch crashes mid-task, reboots; hosts re-attach",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.SwitchOutage(ask.TheSwitch, frac(s, 1, 4), frac(s, 1, 4))
-			},
+			Name:     "switch-reboot",
+			Desc:     "switch crashes mid-task, reboots; hosts re-attach",
+			Schedule: Schedule{{Kind: EvSwitchOutage, StartMil: 250, DurMil: 250}},
 		},
 		{
 			Name: "double-reboot",
 			Desc: "two switch outages in one task",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.SwitchOutage(ask.TheSwitch, frac(s, 1, 5), frac(s, 3, 20))
-				o.SwitchOutage(ask.TheSwitch, frac(s, 3, 5), frac(s, 3, 20))
+			Schedule: Schedule{
+				{Kind: EvSwitchOutage, StartMil: 200, DurMil: 150},
+				{Kind: EvSwitchOutage, StartMil: 600, DurMil: 150},
 			},
 		},
 		{
-			Name: "region-revoked",
-			Desc: "controller reclaims the task's AA rows mid-task",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.RevokeRegion(frac(s, 3, 10), task, receiver)
-			},
+			Name:     "region-revoked",
+			Desc:     "controller reclaims the task's AA rows mid-task",
+			Schedule: Schedule{{Kind: EvRevokeRegion, StartMil: 300, Task: task, Host: receiver}},
 		},
 		{
-			Name: "link-loss",
-			Desc: "one sender's link drops 20% of frames for half the task",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.LinkDegrade(frac(s, 1, 5), frac(s, 1, 2), sender, netsim.Fault{LossProb: 0.2})
-			},
+			Name:     "link-loss",
+			Desc:     "one sender's link drops 20% of frames for half the task",
+			Schedule: Schedule{{Kind: EvLinkDegrade, StartMil: 200, DurMil: 500, Host: sender, Fault: netsim.Fault{LossProb: 0.2}}},
 		},
 		{
-			Name: "link-blackhole",
-			Desc: "one sender's link goes dark briefly; retransmission bridges it",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.LinkBlackhole(frac(s, 3, 10), frac(s, 1, 10), sender)
-			},
+			Name:     "link-blackhole",
+			Desc:     "one sender's link goes dark briefly; retransmission bridges it",
+			Schedule: Schedule{{Kind: EvLinkBlackhole, StartMil: 300, DurMil: 100, Host: sender}},
 		},
 		{
-			Name: "host-stall",
-			Desc: "one sender daemon freezes briefly, then resumes",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.HostStall(frac(s, 3, 10), frac(s, 1, 10), sender)
-			},
+			Name:     "host-stall",
+			Desc:     "one sender daemon freezes briefly, then resumes",
+			Schedule: Schedule{{Kind: EvHostStall, StartMil: 300, DurMil: 100, Host: sender}},
 		},
 		{
 			Name: "reboot-under-loss",
 			Desc: "switch outage while every frame also risks 5% loss",
-			Inject: func(o *Orchestrator, s time.Duration) {
-				o.LinkDegrade(0, s, sender, netsim.Fault{LossProb: 0.05})
-				o.SwitchOutage(ask.TheSwitch, frac(s, 1, 4), frac(s, 1, 4))
+			Schedule: Schedule{
+				{Kind: EvLinkDegrade, StartMil: 0, DurMil: 1000, Host: sender, Fault: netsim.Fault{LossProb: 0.05}},
+				{Kind: EvSwitchOutage, StartMil: 250, DurMil: 250},
 			},
 		},
 	}

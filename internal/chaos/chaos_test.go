@@ -6,6 +6,8 @@ package chaos_test
 // replays, bounded retries) must reflect what the script injected.
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,7 +78,7 @@ func TestEveryScenarioMatchesGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			orch := chaos.New(cl)
-			sc.Inject(orch, scale)
+			sc.Schedule.Apply(orch, scale)
 			_, streams, _ := buildTask()
 			res, err := cl.Aggregate(spec, streams)
 			if err != nil {
@@ -174,32 +176,97 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestRegionRevocationDrainsExactlyOnce revokes the task's region at 40% of
+// the golden run, once through the orchestrator directly and once as an
+// EvRevokeRegion event through Schedule.Apply: both must drain the absorbed
+// partials exactly once.
 func TestRegionRevocationDrainsExactlyOnce(t *testing.T) {
 	scale := goldenElapsed(t)
-	spec, streams, want := buildTask()
-	cl, err := ask.NewCluster(failoverOptions())
-	if err != nil {
-		t.Fatal(err)
+	spec, _, want := buildTask()
+	for _, inject := range []struct {
+		name   string
+		revoke func(*chaos.Orchestrator)
+	}{
+		{"orchestrator", func(o *chaos.Orchestrator) { o.RevokeRegion(scale*2/5, spec.ID, spec.Receiver) }},
+		{"event", func(o *chaos.Orchestrator) {
+			chaos.Schedule{{Kind: chaos.EvRevokeRegion, StartMil: 400, Task: spec.ID, Host: spec.Receiver}}.Apply(o, scale)
+		}},
+	} {
+		revoke := inject.revoke
+		t.Run(inject.name, func(t *testing.T) {
+			cl, err := ask.NewCluster(failoverOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			orch := chaos.New(cl)
+			revoke(orch)
+			_, streams, _ := buildTask()
+			res, err := cl.Aggregate(spec, streams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Result.Equal(want) {
+				t.Fatalf("revocation run diverged: %s", res.Result.Diff(want, 5))
+			}
+			if cl.Switch.Stats().Revocations != 1 || len(orch.Log()) != 1 {
+				t.Fatalf("Revocations = %d, injections = %d", cl.Switch.Stats().Revocations, len(orch.Log()))
+			}
+			// Aggregation stopped at revocation: strictly less in-switch work than
+			// the fault-free run (which absorbs the entire stream).
+			if agg := res.Switch.TuplesAggregated; agg <= 0 || agg >= int64(testSenders)*testTuples {
+				t.Fatalf("TuplesAggregated = %d, want partial absorption", agg)
+			}
+			if res.Recv.Degraded <= 0 {
+				t.Fatalf("receiver task Degraded = %v, want > 0 (post-revocation host-only time)", res.Recv.Degraded)
+			}
+		})
 	}
-	orch := chaos.New(cl)
-	orch.RevokeRegion(scale*2/5, spec.ID, spec.Receiver)
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestScenarioLibraryKeepsItsFractions pins the data library to the
+// fractions of the golden duration its scripts were written in (the
+// pre-data closures: 1/4, 3/20, ...): every one is exact in thousandths, so
+// an event lands on the same nanosecond at any scale, and Schedule.String
+// prints the window those fractions give.
+func TestScenarioLibraryKeepsItsFractions(t *testing.T) {
+	type frac struct{ num, den int64 }
+	type window struct{ start, dur frac }
+	want := map[string][]window{
+		"switch-reboot":     {{frac{1, 4}, frac{1, 4}}},
+		"double-reboot":     {{frac{1, 5}, frac{3, 20}}, {frac{3, 5}, frac{3, 20}}},
+		"region-revoked":    {{frac{3, 10}, frac{0, 1}}},
+		"link-loss":         {{frac{1, 5}, frac{1, 2}}},
+		"link-blackhole":    {{frac{3, 10}, frac{1, 10}}},
+		"host-stall":        {{frac{3, 10}, frac{1, 10}}},
+		"reboot-under-loss": {{frac{0, 1}, frac{1, 1}}, {frac{1, 4}, frac{1, 4}}},
 	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("revocation run diverged: %s", res.Result.Diff(want, 5))
+	lib := chaos.Scenarios(1, 0, 1)
+	if len(lib) != len(want) {
+		t.Fatalf("library has %d scenarios, want %d", len(lib), len(want))
 	}
-	if cl.Switch.Stats().Revocations != 1 {
-		t.Fatalf("Revocations = %d", cl.Switch.Stats().Revocations)
-	}
-	// Aggregation stopped at revocation: strictly less in-switch work than
-	// the fault-free run (which absorbs the entire stream).
-	if agg := res.Switch.TuplesAggregated; agg <= 0 || agg >= int64(testSenders)*testTuples {
-		t.Fatalf("TuplesAggregated = %d, want partial absorption", agg)
-	}
-	if res.Recv.Degraded <= 0 {
-		t.Fatalf("receiver task Degraded = %v, want > 0 (post-revocation host-only time)", res.Recv.Degraded)
+	for _, sc := range lib {
+		ws := want[sc.Name]
+		if len(ws) != len(sc.Schedule) {
+			t.Fatalf("%s: %d events, want %d", sc.Name, len(sc.Schedule), len(ws))
+		}
+		printed := strings.Split(sc.Schedule.String(), "\n")
+		for i, ev := range sc.Schedule {
+			for _, scale := range []time.Duration{1, 778_044, 2_553_127, 3_011_003, time.Second + 7} {
+				for _, c := range []struct {
+					mil int64
+					f   frac
+				}{{ev.StartMil, ws[i].start}, {ev.DurMil, ws[i].dur}} {
+					if got, was := scale*time.Duration(c.mil)/1000, scale*time.Duration(c.f.num)/time.Duration(c.f.den); got != was {
+						t.Errorf("%s[%d] at scale %v: %d/1000 lands at %v, %d/%d at %v", sc.Name, i, scale, c.mil, got, c.f.num, c.f.den, was)
+					}
+				}
+			}
+			start := 1000 * ws[i].start.num / ws[i].start.den
+			end := start + 1000*ws[i].dur.num/ws[i].dur.den
+			if w := fmt.Sprintf("t=[%4d,%4d)millis-of-scale", start, end); !strings.Contains(printed[i], w) {
+				t.Errorf("%s[%d] prints %q, want window %q", sc.Name, i, printed[i], w)
+			}
+		}
 	}
 }
 

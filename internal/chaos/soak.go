@@ -368,6 +368,10 @@ const (
 	// and MultiRackOutage tables draw them.
 	EvSpineOutage
 	EvLeafOutage
+	// EvRevokeRegion reclaims Event.Task's aggregator rows at StartMil
+	// (Event.Host is the task's receiver; there is no duration). No kinds
+	// table draws it — only the scenario library scripts it.
+	EvRevokeRegion
 )
 
 func (k EventKind) String() string {
@@ -386,6 +390,8 @@ func (k EventKind) String() string {
 		return "spine-outage"
 	case EvLeafOutage:
 		return "leaf-outage"
+	case EvRevokeRegion:
+		return "revoke-region"
 	}
 	return fmt.Sprintf("EventKind(%d)", int(k))
 }
@@ -398,8 +404,10 @@ type Event struct {
 	StartMil int64 // start, in 1/1000 of scale
 	DurMil   int64 // duration, in 1/1000 of scale
 	// Host is the target of link and stall faults (unused for switch
-	// outages).
+	// outages), and the receiver of the task an EvRevokeRegion targets.
 	Host core.HostID
+	// Task is the task whose region an EvRevokeRegion reclaims.
+	Task core.TaskID
 	// Addr is the fabric address of the switch an EvSpineOutage /
 	// EvLeafOutage targets (unused for the rack's EvSwitchOutage, which
 	// always hits ask.TheSwitch).
@@ -415,6 +423,8 @@ func (e Event) String() string {
 		return s
 	case EvSpineOutage, EvLeafOutage:
 		return fmt.Sprintf("%s addr=%#x", s, uint16(e.Addr))
+	case EvRevokeRegion:
+		return fmt.Sprintf("%s task=%d receiver=%d", s, e.Task, e.Host)
 	case EvLinkDegrade:
 		return fmt.Sprintf("%s host=%d loss=%.3f dup=%.3f", s, e.Host, e.Fault.LossProb, e.Fault.DupProb)
 	case EvCorruptBurst:
@@ -444,6 +454,8 @@ func (s Schedule) Apply(o *Orchestrator, scale time.Duration) {
 			o.LinkDegrade(start, dur, ev.Host, ev.Fault)
 		case EvHostStall:
 			o.HostStall(start, dur, ev.Host)
+		case EvRevokeRegion:
+			o.RevokeRegion(start, ev.Task, ev.Host)
 		}
 	}
 }
@@ -717,6 +729,9 @@ func Run(cfg Config, sched Schedule, scale time.Duration) Outcome {
 	if err != nil {
 		return Outcome{Violation: fmt.Sprintf("deployment build failed: %v", err)}
 	}
+	// The shrinker replays dozens of fabrics; a finished one must not stay
+	// pinned by its parked processes.
+	defer fab.Simulation().Close()
 	r := &replay{cfg: cfg, fab: fab, sched: sched, plans: k.plans(cfg)}
 	sched.Apply(New(fab), scale)
 	pending := make([]*ask.PendingTask, len(r.plans))

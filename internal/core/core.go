@@ -368,13 +368,6 @@ type Config struct {
 	// attributed to individual packets, which the exactly-once replay
 	// reconciliation needs.
 	Failover bool
-	// ProbeInterval is the idle spacing between health probes when Failover
-	// is on (zero selects the 200µs default).
-	ProbeInterval time.Duration
-	// ProbeMisses is the number of consecutive unanswered probes after which
-	// a daemon declares the switch down and enters degraded mode (zero
-	// selects the default of 3).
-	ProbeMisses int
 	// MaxRetries bounds per-packet retransmissions on the data channels
 	// before the sender aborts the window (the degradation ladder's last
 	// rung). Zero means retry forever — the right setting under Failover,
@@ -441,17 +434,16 @@ func (c Config) Validate() error {
 	if c.Failover && c.ShadowCopy {
 		return fmt.Errorf("core: Failover requires ShadowCopy off (replay reconciliation cannot attribute swap fetches to packets)")
 	}
-	if c.ProbeInterval < 0 {
-		return fmt.Errorf("core: ProbeInterval must be non-negative")
-	}
-	if c.ProbeMisses < 0 || c.MaxRetries < 0 {
-		return fmt.Errorf("core: ProbeMisses and MaxRetries must be non-negative")
+	if c.MaxRetries < 0 {
+		return fmt.Errorf("core: MaxRetries must be non-negative")
 	}
 	return nil
 }
 
-// DefaultProbeInterval and DefaultProbeMisses are the failover prober's
-// defaults when the corresponding Config fields are zero.
+// The failover prober (Config.Failover): DefaultProbeInterval is the idle
+// spacing between health probes, DefaultProbeMisses the number of consecutive
+// unanswered probes after which a daemon declares the switch down and enters
+// degraded mode. Constants, not Config fields: no deployment sets them.
 const (
 	DefaultProbeInterval = 200 * time.Microsecond
 	DefaultProbeMisses   = 3

@@ -68,12 +68,8 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 		c.ShadowCopy = th > 0
 		c.SwapThreshold = th
 		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, cfg.Skew, workload.ColdFirst, cfg.Seed)
-		task, streams := singleSenderTask(spec, rows, false)
-		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, task, streams)
+		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, rows))
 		if err != nil {
-			return nil, err
-		}
-		if err := checkExact(res, spec); err != nil {
 			return nil, fmt.Errorf("threshold %d: %w", th, err)
 		}
 		t.AddRow(th, 100*res.Switch.AggregatedTupleRatio(), res.Recv.Swaps)
@@ -129,17 +125,9 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 		// respects with 512 flows; W=1024 trades flows for window).
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 64
-		spec := workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed)
-		task, streams := singleSenderTask(spec, 0, false)
-		cl, err := ask.NewCluster(ask.Options{Hosts: 2, Config: c, Link: link, Seed: cfg.Seed, Switch: swOpts})
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Link: link, Seed: cfg.Seed, Switch: swOpts},
+			singleSenderTask(workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed), 0))
 		if err != nil {
-			return nil, err
-		}
-		res, err := cl.Aggregate(task, streams)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkExact(res, spec); err != nil {
 			return nil, fmt.Errorf("W=%d: %w", w, err)
 		}
 		stateBytes := (w + w*c.NumAAs) / 8
@@ -188,12 +176,8 @@ func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
 			KeyLens:  workload.NaturalLanguage(2),
 			Seed:     cfg.Seed,
 		}
-		task, streams := singleSenderTask(spec, 0, false)
-		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, task, streams)
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, 0))
 		if err != nil {
-			return nil, err
-		}
-		if err := checkExact(res, spec); err != nil {
 			return nil, fmt.Errorf("m=%d: %w", v.m, err)
 		}
 		ds := cl.Daemon(1).Stats()
@@ -248,26 +232,13 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		c.SwapThreshold = 0
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 8 * (cfg.Senders + 2) // fit W=1024 pkt_state in a stage
-		cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed, Switch: swOpts})
-		if err != nil {
-			return nil, err
-		}
-		spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1}
-		streams := make(map[core.HostID]core.Stream)
-		want := make(core.Result)
+		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})
 		for i := 1; i <= cfg.Senders; i++ {
-			h := core.HostID(i)
-			spec.Senders = append(spec.Senders, h)
-			w := workload.Uniform(2048, cfg.TuplesPerSender, cfg.Seed+int64(i))
-			streams[h] = w.Stream()
-			want.Merge(w.Reference(core.OpSum), core.OpSum)
+			j.send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, cfg.Seed+int64(i)))
 		}
-		res, err := cl.Aggregate(spec, streams)
+		res, cl, err := runAggregation(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed, Switch: swOpts}, j)
 		if err != nil {
-			return nil, err
-		}
-		if !res.Result.Equal(want) {
-			return nil, fmt.Errorf("congestion cc=%v: wrong result: %s", cc, res.Result.Diff(want, 5))
+			return nil, fmt.Errorf("congestion cc=%v: %w", cc, err)
 		}
 		var retrans, sent int64
 		for i := 1; i <= cfg.Senders; i++ {

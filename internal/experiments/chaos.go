@@ -7,16 +7,21 @@ import (
 	"repro/ask"
 	"repro/internal/chaos"
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// ChaosConfig parameterizes the fault-injection study: every scenario of the
-// standard chaos library runs against the same multi-sender aggregation task
-// and must produce a result bit-identical to the fault-free golden run at the
-// same seed, while the table reports what the fault cost (elapsed inflation,
-// degraded-mode time, replay traffic, in-network work retained).
+// The two fault-injection studies are one table function over two rows of
+// data (chaosStudy): a golden fault-free run sets the timing scale, then
+// every scenario replays the same task on a fresh deployment with its fault
+// script applied, must reproduce the host-computed reference exactly, and
+// reports what the fault cost (elapsed inflation, degraded-mode time, replay
+// traffic) plus the study's own trailing columns. They run a fixed task, not
+// chaos.Run's soak workloads — moving them there would move their tables.
+
+// ChaosConfig parameterizes the rack study: every scenario of the standard
+// chaos library against one multi-sender aggregation task.
 type ChaosConfig struct {
 	// Senders is the number of sending hosts (receiver is host 0).
 	Senders int
@@ -39,104 +44,167 @@ func QuickChaos() ChaosConfig {
 	return ChaosConfig{Senders: 2, Distinct: 512, Tuples: 40_000, Seed: 1}
 }
 
-// chaosOptions is the cluster configuration every chaos run uses: the
-// failover machinery on (which requires the shadow-copy prioritization off)
-// and unbounded retries so faults stretch tasks instead of aborting them.
-func chaosOptions(cfg ChaosConfig) ask.Options {
-	c := core.DefaultConfig()
-	c.ShadowCopy = false
-	c.Failover = true
-	// The chaos table reads its fault-cost columns (degraded time, replay
-	// traffic) from the cluster telemetry registry, so every run carries one.
-	return ask.Options{
-		Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed,
-		Telemetry: telemetry.Config{Enabled: true},
-	}
+// FabricChaosConfig parameterizes the hierarchical study: one cross-leaf
+// task on the spine/leaf fabric under each switch outage scenario.
+type FabricChaosConfig struct {
+	Spines       int
+	Leaves       int
+	HostsPerLeaf int
+	// Distinct is the per-sender distinct-key count.
+	Distinct int
+	// Tuples is the per-sender stream length.
+	Tuples int64
+	Seed   int64
 }
 
-// chaosTask builds the task spec and per-sender streams (plus the reference
-// aggregation) shared by the golden and every fault run.
-func chaosTask(cfg ChaosConfig) (core.TaskSpec, map[core.HostID]core.Stream, core.Result) {
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum}
-	streams := make(map[core.HostID]core.Stream, cfg.Senders)
-	want := make(core.Result)
-	for i := 0; i < cfg.Senders; i++ {
-		h := core.HostID(i + 1)
-		spec.Senders = append(spec.Senders, h)
-		w := workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h))
-		streams[h] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
-	}
-	return spec, streams, want
+// DefaultFabricChaos is the benchmark-scale preset: streams long enough that
+// an outage window spans several probe intervals on every affected host.
+func DefaultFabricChaos() FabricChaosConfig {
+	return FabricChaosConfig{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Distinct: 2048, Tuples: 200_000, Seed: 1}
 }
 
-// Chaos runs the fault-injection sweep. The first row is the golden
-// (fault-free) run; each subsequent row is one scenario of the standard
-// library, checked bit-identical against the golden result.
-func Chaos(cfg ChaosConfig) (*stats.Table, error) {
-	spec, streams, want := chaosTask(cfg)
+// QuickFabricChaos is the test-scale preset.
+func QuickFabricChaos() FabricChaosConfig {
+	return FabricChaosConfig{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Distinct: 512, Tuples: 20_000, Seed: 1}
+}
 
-	// Golden run: failover machinery armed, no faults injected. Its elapsed
-	// time is the timing scale the scenarios use to land faults mid-task.
-	golden, goldenCl, err := runAggregation(chaosOptions(cfg), spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	if !golden.Result.Equal(want) {
-		return nil, fmt.Errorf("chaos: golden run wrong: %s", golden.Result.Diff(want, 5))
-	}
-	scale := time.Duration(golden.Elapsed)
+// faultable is a deployment the orchestrator can inject into: the union of
+// the two existing views, declaring no method of its own.
+type faultable interface {
+	deployment
+	chaos.Fabric
+}
 
+// chaosStudy is one fault-injection table as data, over cluster type C.
+type chaosStudy[C faultable] struct {
+	title, note string
+	// build constructs a fresh deployment with the failover machinery on
+	// (which requires the shadow-copy prioritization off) and unbounded
+	// retries, so faults stretch tasks instead of aborting them.
+	build func() (C, error)
+	// task builds the study's task; streams are single-use generators, so
+	// every run gets its own.
+	task      func() *job
+	scenarios []chaos.Scenario
+	// tailHeader names the study's trailing columns; tail fills them.
+	tailHeader []string
+	tail       func(fab C, res *ask.TaskResult, orch *chaos.Orchestrator) []any
+}
+
+// chaosTable runs a study. The first row is the golden run — the empty
+// script — whose elapsed time is the scale every scenario's script is timed
+// in, so faults land mid-task at any workload size.
+func chaosTable[C faultable](st chaosStudy[C]) (*stats.Table, error) {
 	t := &stats.Table{
-		Title: "Chaos: fault injection vs fault-free golden run",
-		Note: fmt.Sprintf("%d senders x %d tuples; every scenario must reproduce the golden result exactly; degraded = host-only time",
-			cfg.Senders, cfg.Tuples),
-		Header: []string{"scenario", "elapsed", "x golden", "exact", "degraded", "replays", "replay-merged", "sw-aggr", "events"},
+		Title:  st.title,
+		Note:   st.note,
+		Header: append([]string{"scenario", "elapsed", "x golden", "exact", "degraded", "replays", "replay-merged"}, st.tailHeader...),
 	}
-	goldenAgg := golden.Switch.TuplesAggregated
-	t.AddRow("golden", time.Duration(golden.Elapsed), 1.0, true, time.Duration(0), int64(0), int64(0), goldenAgg, 0)
-	_ = goldenCl
-
-	for _, sc := range chaos.Scenarios(spec.ID, spec.Receiver, spec.Senders[0]) {
-		cl, err := ask.NewCluster(chaosOptions(cfg))
+	var golden time.Duration
+	for _, sc := range append([]chaos.Scenario{{Name: "golden"}}, st.scenarios...) {
+		fab, err := st.build()
 		if err != nil {
 			return nil, err
 		}
-		orch := chaos.New(cl)
-		sc.Inject(orch, scale)
-		// Streams are deterministic generators; rebuild them per run.
-		_, runStreams, _ := chaosTask(cfg)
-		res, err := cl.Aggregate(spec, runStreams)
+		orch := chaos.New(fab)
+		sc.Schedule.Apply(orch, golden)
+		res, err := runOne(fab, st.task())
 		if err != nil {
-			return nil, fmt.Errorf("chaos: scenario %s: %w", sc.Name, err)
+			return nil, fmt.Errorf("%s: scenario %s: %w", st.title, sc.Name, err)
 		}
-		exact := res.Result.Equal(want)
-		if !exact {
-			return nil, fmt.Errorf("chaos: scenario %s diverged from golden: %s",
-				sc.Name, res.Result.Diff(want, 5))
+		if golden == 0 {
+			golden = time.Duration(res.Elapsed)
 		}
-		// Fault-cost columns come straight off the cluster registry: the
-		// per-host hostd.* counters are summed across the label dimension
-		// rather than hand-carried through the daemons' Stats accessors.
-		reg := cl.Tel.Registry
-		replays := reg.Total("hostd.replays_sent")
-		replayMerged := reg.Total("hostd.replay_tuples_merged")
-		// Degraded-time: the longest closed per-daemon interval on the
-		// registry; a task-only (revocation) degradation is tracked by the
-		// receiver task itself, so take whichever is larger.
-		degraded := time.Duration(reg.Max("hostd.degraded_time_ns"))
-		if res.Degraded > degraded {
-			degraded = res.Degraded
+		// Degraded time: the task's own (a revocation degrades only the
+		// task) or the longest any daemon spent host-only, whichever is
+		// larger.
+		degraded := res.Degraded
+		var replays, merged int64
+		for _, h := range fab.Hosts() {
+			fs := fab.Daemon(h).FailoverStats()
+			replays += fs.ReplaysSent
+			merged += fs.ReplayTuplesMerged
+			if fs.DegradedTime > degraded {
+				degraded = fs.DegradedTime
+			}
 		}
-		t.AddRow(sc.Name,
-			time.Duration(res.Elapsed),
-			float64(res.Elapsed)/float64(golden.Elapsed),
-			exact,
-			degraded,
-			replays,
-			replayMerged,
-			res.Switch.TuplesAggregated,
-			len(orch.Log()))
+		row := []any{sc.Name, time.Duration(res.Elapsed), float64(res.Elapsed) / float64(golden), true, degraded, replays, merged}
+		t.AddRow(append(row, st.tail(fab, res, orch)...)...)
 	}
 	return t, nil
+}
+
+// Chaos runs the rack fault-injection sweep over the standard scenario
+// library.
+func Chaos(cfg ChaosConfig) (*stats.Table, error) {
+	c := core.DefaultConfig()
+	c.ShadowCopy = false
+	c.Failover = true
+	const taskID, receiver, firstSender = 1, 0, 1
+	task := func() *job {
+		j := newJob(core.TaskSpec{ID: taskID, Receiver: receiver, Op: core.OpSum})
+		for h := core.HostID(firstSender); h < firstSender+core.HostID(cfg.Senders); h++ {
+			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+		}
+		return j
+	}
+	return chaosTable(chaosStudy[*ask.Cluster]{
+		title: "Chaos: fault injection vs fault-free golden run",
+		note: fmt.Sprintf("%d senders x %d tuples; every scenario must reproduce the golden result exactly; degraded = host-only time",
+			cfg.Senders, cfg.Tuples),
+		build: func() (*ask.Cluster, error) {
+			return newCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed})
+		},
+		task:       task,
+		scenarios:  chaos.Scenarios(taskID, receiver, firstSender),
+		tailHeader: []string{"sw-aggr", "events"},
+		tail: func(_ *ask.Cluster, res *ask.TaskResult, orch *chaos.Orchestrator) []any {
+			return []any{res.Switch.TuplesAggregated, len(orch.Log())}
+		},
+	})
+}
+
+// FabricChaos runs the hierarchical sweep: receiver on leaf 0, one sender on
+// every other leaf, and one crash+reboot window per scenario against the
+// task's elected spine (forcing re-election onto the alternate), the standby
+// spine, and a sender's leaf. Outages land at 40–60% of the golden elapsed:
+// task setup costs two control RPCs, so the stream occupies roughly the
+// middle of the interval and earlier windows would miss it.
+func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
+	c := core.DefaultConfig()
+	c.ShadowCopy = false
+	c.Failover = true
+	c.MaxRetries = 0
+	opts := ask.FatTreeOptions{
+		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: cfg.HostsPerLeaf,
+		Config: c, Seed: cfg.Seed,
+	}
+	const taskID = 1 // the fabric elects spine taskID mod Spines for it
+	task := func() *job {
+		j := newJob(core.TaskSpec{ID: taskID, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
+		for l := 1; l < cfg.Leaves; l++ {
+			h := opts.HostAt(l, 0)
+			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+		}
+		return j
+	}
+	outage := func(name string, kind chaos.EventKind, addr core.HostID) chaos.Scenario {
+		return chaos.Scenario{Name: name, Schedule: chaos.Schedule{{Kind: kind, StartMil: 400, DurMil: 200, Addr: addr}}}
+	}
+	return chaosTable(chaosStudy[*ask.FatTreeCluster]{
+		title: "Fabric chaos: spine/leaf outages vs fault-free golden run",
+		note: fmt.Sprintf("%d spines x %d leaves, %d senders x %d tuples; one crash+reboot window at 40-60%% of golden; every scenario must reproduce the golden result exactly",
+			cfg.Spines, cfg.Leaves, cfg.Leaves-1, cfg.Tuples),
+		build: func() (*ask.FatTreeCluster, error) { return ask.NewFatTreeCluster(opts) },
+		task:  task,
+		scenarios: []chaos.Scenario{
+			outage("spine-outage", chaos.EvSpineOutage, netsim.SpineAddr(taskID%cfg.Spines)),
+			outage("standby-spine-outage", chaos.EvSpineOutage, netsim.SpineAddr((taskID+1)%cfg.Spines)),
+			outage("leaf-outage", chaos.EvLeafOutage, netsim.LeafAddr(1)),
+		},
+		tailHeader: []string{"epoch"},
+		tail: func(fc *ask.FatTreeCluster, _ *ask.TaskResult, _ *chaos.Orchestrator) []any {
+			return []any{fc.FabricEpoch()}
+		},
+	})
 }

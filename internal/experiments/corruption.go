@@ -54,14 +54,6 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 	if len(cfg.Probs) == 0 || cfg.Probs[0] != 0 {
 		return nil, fmt.Errorf("corruption: Probs must start with the clean baseline 0")
 	}
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum}
-	want := make(core.Result)
-	for i := 0; i < cfg.Senders; i++ {
-		h := core.HostID(i + 1)
-		spec.Senders = append(spec.Senders, h)
-		w := workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h))
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
-	}
 	total := int64(cfg.Senders) * cfg.Tuples
 
 	t := &stats.Table{
@@ -75,25 +67,18 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 	for _, prob := range cfg.Probs {
 		link := netsim.DefaultLinkConfig()
 		link.Fault.CorruptProb = prob
-		cl, err := ask.NewCluster(ask.Options{
+		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
+			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+		}
+		// The quarantine and retransmission columns come off the cluster
+		// registry, so every run carries one.
+		res, cl, err := runAggregation(ask.Options{
 			Hosts: cfg.Senders + 1, Link: link, Seed: cfg.Seed,
 			Telemetry: telemetry.Config{Enabled: true},
-		})
-		if err != nil {
-			return nil, err
-		}
-		streams := make(map[core.HostID]core.Stream, cfg.Senders)
-		for i := 0; i < cfg.Senders; i++ {
-			h := core.HostID(i + 1)
-			streams[h] = workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)).Stream()
-		}
-		res, err := cl.Aggregate(spec, streams)
+		}, j)
 		if err != nil {
 			return nil, fmt.Errorf("corruption: prob %g: %w", prob, err)
-		}
-		exact := res.Result.Equal(want)
-		if !exact {
-			return nil, fmt.Errorf("corruption: prob %g diverged: %s", prob, res.Result.Diff(want, 5))
 		}
 		elapsed := time.Duration(res.Elapsed)
 		if prob == 0 {
@@ -119,7 +104,7 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 			reg.Total("switchd.corrupt_dropped"),
 			reg.Total("hostd.corrupt_dropped"),
 			reg.Total("window.retransmits"),
-			exact)
+			true) // run verified the result
 	}
 	return t, nil
 }

@@ -9,15 +9,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/ask"
 	"repro/internal/core"
 	"repro/internal/keyspace"
+	"repro/internal/sim"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -55,8 +55,11 @@ func LastTelemetry() *telemetry.Set {
 	return lastTelemetry
 }
 
-// newCluster is the shared-helper cluster constructor: it folds in the
-// CLI-level default telemetry and records the instrumented set.
+// newCluster is the one rack constructor of the package: it folds in the
+// CLI-level default telemetry and records the instrumented set, so askbench
+// -telemetry applies to every rack experiment. (SetDefaultTelemetry and
+// LastTelemetry stay process-wide on purpose: removing them means threading
+// an environment through 22 experiment signatures or dropping the flag.)
 func newCluster(opts ask.Options) (*ask.Cluster, error) {
 	if !opts.Telemetry.Enabled {
 		telemetryMu.Lock()
@@ -72,85 +75,119 @@ func newCluster(opts ask.Options) (*ask.Cluster, error) {
 	return cl, err
 }
 
-// runAggregation spins up a fresh cluster and runs one task to completion,
-// returning the outcome plus the cluster (for link/daemon statistics).
-func runAggregation(opts ask.Options, spec core.TaskSpec, streams map[core.HostID]core.Stream) (*ask.TaskResult, *ask.Cluster, error) {
+// deployment lists exactly what run calls on a cluster; both ask shells
+// promote these from their shared core. (chaos.Fabric, asksim's deployment
+// and bench's cluster are wider views of that core for their own callers.)
+type deployment interface {
+	StartTask(core.TaskSpec, map[core.HostID]core.Stream) (*ask.PendingTask, error)
+	StartTaskTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.PendingTask, error)
+	Simulation() *sim.Simulation
+}
+
+// job is one task of a run with the reference its result must equal: the
+// plain keyed reduce of the same input (Eq. 2), folded on the host from the
+// workload, never taken from a cluster.
+type job struct {
+	spec    core.TaskSpec
+	streams map[core.HostID]core.Stream
+	// timed replaces streams for a task paced on the sim clock.
+	timed map[core.HostID]core.TimedStream
+	want  core.Result
+	// refused, when set, inverts the job: its submission must fail with an
+	// error errors.As can assign to it (tenancy's over-quota probes).
+	refused any
+}
+
+// newJob starts a job for spec; send adds its senders.
+func newJob(spec core.TaskSpec) *job {
+	return &job{spec: spec, streams: make(map[core.HostID]core.Stream), want: make(core.Result)}
+}
+
+// send makes h a sender streaming w and folds w into the reference.
+func (j *job) send(h core.HostID, w workload.Spec) {
+	j.spec.Senders = append(j.spec.Senders, h)
+	j.streams[h] = w.Stream()
+	j.want.Merge(w.Reference(j.spec.Op), j.spec.Op)
+}
+
+// run is the one run-and-verify path of the package: start the jobs in
+// order, run the simulation to quiescence, and hand back each task's outcome
+// only if it equals the job's reference — experiments fail loudly rather
+// than report timings for wrong answers. The cluster's processes are released
+// on every path (sim.Simulation.Close); its counters stay readable. A refused
+// job's slot in the results is nil.
+func run(cl deployment, jobs ...*job) ([]*ask.TaskResult, error) {
+	defer cl.Simulation().Close()
+	pending := make([]*ask.PendingTask, len(jobs))
+	for i, j := range jobs {
+		var err error
+		if j.timed != nil {
+			pending[i], err = cl.StartTaskTimed(j.spec, j.timed)
+		} else {
+			pending[i], err = cl.StartTask(j.spec, j.streams)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: task %d: %w", j.spec.ID, err)
+		}
+	}
+	cl.Simulation().Run(0)
+	results := make([]*ask.TaskResult, len(jobs))
+	for i, j := range jobs {
+		res, err := pending[i].Get()
+		if j.refused != nil {
+			if err == nil {
+				return nil, fmt.Errorf("experiments: task %d was admitted, want it refused", j.spec.ID)
+			}
+			if !errors.As(err, j.refused) {
+				return nil, fmt.Errorf("experiments: task %d: refusal is not typed: %w", j.spec.ID, err)
+			}
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiments: task %d: %w", j.spec.ID, err)
+		}
+		if !res.Result.Equal(j.want) {
+			return nil, fmt.Errorf("experiments: task %d: wrong aggregation result: %s", j.spec.ID, res.Result.Diff(j.want, 5))
+		}
+		results[i] = res
+	}
+	return results, nil
+}
+
+// runOne is run for a single task.
+func runOne(cl deployment, j *job) (*ask.TaskResult, error) {
+	results, err := run(cl, j)
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
+}
+
+// runAggregation builds a rack and runs one task on it, returning the
+// outcome plus the cluster (for link/daemon statistics).
+func runAggregation(opts ask.Options, j *job) (*ask.TaskResult, *ask.Cluster, error) {
 	cl, err := newCluster(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, cl, nil
+	res, err := runOne(cl, j)
+	return res, cl, err
 }
 
-// singleSenderTask builds the 1-sender → 1-receiver task used by the
-// microbenchmarks. colocated puts sender and receiver on the same host
-// (Fig. 3's single-machine setup).
-func singleSenderTask(spec workload.Spec, rows int, colocated bool) (core.TaskSpec, map[core.HostID]core.Stream) {
-	sender := core.HostID(1)
-	if colocated {
-		sender = 0
-	}
-	task := core.TaskSpec{
-		ID:       1,
-		Receiver: 0,
-		Senders:  []core.HostID{sender},
-		Op:       core.OpSum,
-		Rows:     rows,
-	}
-	return task, map[core.HostID]core.Stream{sender: spec.Stream()}
+// singleSenderTask builds the host 1 → host 0 task used by the
+// microbenchmarks.
+func singleSenderTask(w workload.Spec, rows int) *job {
+	j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: rows})
+	j.send(1, w)
+	return j
 }
-
-// peakAKV tracks the highest simulated aggregation rate (tuples/s of
-// virtual time) computed by any experiment since the last reset. The
-// root-package benchmarks report it next to their wall-clock numbers.
-// Atomic because RunParallel
-// may compute rates from several worker goroutines; rates are non-negative,
-// so the IEEE-754 bit pattern is monotone and a CAS-max is exact.
-var peakAKV atomic.Uint64
-
-// ResetPeakAKV clears the peak simulated-rate tracker.
-func ResetPeakAKV() { peakAKV.Store(0) }
-
-// PeakAKV returns the highest tuples/s (virtual time) computed since the
-// last ResetPeakAKV, 0 if none.
-func PeakAKV() float64 { return math.Float64frombits(peakAKV.Load()) }
 
 // akvPerSec computes aggregated key-value tuples per second.
 func akvPerSec(tuples int64, elapsed time.Duration) float64 {
 	if elapsed <= 0 {
 		return 0
 	}
-	rate := float64(tuples) / elapsed.Seconds()
-	for {
-		cur := peakAKV.Load()
-		if math.Float64frombits(cur) >= rate || peakAKV.CompareAndSwap(cur, math.Float64bits(rate)) {
-			break
-		}
-	}
-	return rate
-}
-
-// checkExact verifies an experiment's functional output against the
-// workload's reference aggregation; experiments fail loudly rather than
-// report timings for wrong answers.
-func checkExact(res *ask.TaskResult, spec workload.Spec) error {
-	want := spec.Reference(core.OpSum)
-	if !res.Result.Equal(want) {
-		return fmt.Errorf("experiments: wrong aggregation result: %s", res.Result.Diff(want, 5))
-	}
-	return nil
-}
-
-// parallelRun is the outcome of a striped multi-task run.
-type parallelRun struct {
-	Elapsed time.Duration
-	Cluster *ask.Cluster
-	Results []*ask.TaskResult
-	Merged  core.Result
+	return float64(tuples) / elapsed.Seconds()
 }
 
 // runParallelTasks runs K concurrent aggregation tasks on one cluster, one
@@ -158,65 +195,37 @@ type parallelRun struct {
 // (§3.1), so a single task uses a single channel thread — the "N data
 // channels" microbenchmarks therefore stripe the workload across N tasks,
 // exactly as N applications multiplexing the service would. makeSpec gives
-// task i's per-sender workload; every task runs senders → receiver.
+// task i's per-sender workload; every task runs senders → receiver. It
+// returns the cluster and the virtual time at which the last task finished.
 func runParallelTasks(opts ask.Options, k, rowsPerTask int, senders []core.HostID,
-	receiver core.HostID, makeSpec func(task int, sender core.HostID) workload.Spec) (*parallelRun, error) {
+	receiver core.HostID, makeSpec func(task int, sender core.HostID) workload.Spec) (*ask.Cluster, time.Duration, error) {
+	jobs := make([]*job, k)
+	for i := range jobs {
+		jobs[i] = newJob(core.TaskSpec{ID: core.TaskID(i + 1), Receiver: receiver, Op: core.OpSum, Rows: rowsPerTask})
+		for _, h := range senders {
+			jobs[i].send(h, makeSpec(i, h))
+		}
+	}
 	cl, err := newCluster(opts)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	want := make(core.Result)
-	var pts []*ask.PendingTask
-	for i := 0; i < k; i++ {
-		streams := make(map[core.HostID]core.Stream, len(senders))
-		for _, h := range senders {
-			spec := makeSpec(i, h)
-			streams[h] = spec.Stream()
-			want.Merge(spec.Reference(core.OpSum), core.OpSum)
-		}
-		pt, err := cl.StartTask(core.TaskSpec{
-			ID:       core.TaskID(i + 1),
-			Receiver: receiver,
-			Senders:  senders,
-			Op:       core.OpSum,
-			Rows:     rowsPerTask,
-		}, streams)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, pt)
+	if _, err := run(cl, jobs...); err != nil {
+		return nil, 0, err
 	}
-	end := cl.Sim.Run(0)
-	run := &parallelRun{Elapsed: time.Duration(end), Cluster: cl, Merged: make(core.Result)}
-	for _, pt := range pts {
-		res, err := pt.Get()
-		if err != nil {
-			return nil, err
-		}
-		run.Results = append(run.Results, res)
-		run.Merged.Merge(res.Result, core.OpSum)
-	}
-	if !run.Merged.Equal(want) {
-		return nil, fmt.Errorf("experiments: striped run result wrong: %s", run.Merged.Diff(want, 5))
-	}
-	return run, nil
+	return cl, cl.Sim.Now().Sub(0), nil
 }
 
-// balancedUniform builds a uniform workload whose vocabulary is balanced
+// balancedUniformRows builds a uniform workload whose vocabulary is balanced
 // across the packet's tuple slots: every subspace 𝕂ᵢ holds exactly
 // distinct/slots keys, so a uniform stream keeps every slot busy and
 // packets pack full. The paper's goodput microbenchmarks (Fig. 3, 7, 8(a),
 // 13) are in this regime; naturally hashed vocabularies carry a permanent
-// ±√(keys/slot) imbalance that shows up in Fig. 8(b) instead.
-func balancedUniform(layout *keyspace.Layout, distinct int, tuples, seed int64) workload.Spec {
-	return balancedUniformRows(layout, distinct, tuples, seed, 0)
-}
-
-// balancedUniformRows additionally makes the pool collision-free in the
-// switch's row addressing for a region of rowsPerCopy rows: every key of a
-// subspace owns a distinct aggregator, the §2.2.2 "all keys fit in switch
-// memory" regime the goodput microbenchmarks assume. rowsPerCopy == 0 skips
-// the filter.
+// ±√(keys/slot) imbalance that shows up in Fig. 8(b) instead. The pool is
+// also collision-free in the switch's row addressing for a region of
+// rowsPerCopy rows: every key of a subspace owns a distinct aggregator, the
+// §2.2.2 "all keys fit in switch memory" regime the goodput microbenchmarks
+// assume. rowsPerCopy == 0 skips the filter.
 func balancedUniformRows(layout *keyspace.Layout, distinct int, tuples, seed int64, rowsPerCopy int) workload.Spec {
 	slots := layout.ShortSlots()
 	// The 4-byte word encoding yields at most ~15.6k distinct keys; leave

@@ -65,7 +65,7 @@ func fig13ASKRun(tuples int64, distinct, channels int, seed int64) (good, wire f
 	c.ShadowCopy = false
 	c.SwapThreshold = 0
 	rows := (c.AARows / channels) &^ 1
-	run, err := runParallelTasks(
+	cl, elapsed, err := runParallelTasks(
 		ask.Options{Hosts: 2, Config: c, Seed: seed},
 		channels, rows,
 		[]core.HostID{1}, 0,
@@ -75,8 +75,8 @@ func fig13ASKRun(tuples int64, distinct, channels int, seed int64) (good, wire f
 	if err != nil {
 		return 0, 0, fmt.Errorf("fig13a ch=%d: %w", channels, err)
 	}
-	up := run.Cluster.Net.Uplink(1).Stats()
-	return stats.Gbps(up.TxGoodBytes, run.Elapsed), stats.Gbps(up.TxWireBytes, run.Elapsed), nil
+	up := cl.Net.Uplink(1).Stats()
+	return stats.Gbps(up.TxGoodBytes, elapsed), stats.Gbps(up.TxWireBytes, elapsed), nil
 }
 
 // Fig13bConfig parameterizes the scalability study (Fig. 13(b)): average
@@ -134,19 +134,18 @@ func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
 	// Four tasks stripe every sender's stream across its four channels.
 	const k = 4
 	rows := (c.AARows / k) &^ 1
-	run, err := runParallelTasks(
+	cl, elapsed, err := runParallelTasks(
 		ask.Options{Hosts: senders + 1, Config: c, Seed: cfg.Seed},
 		k, rows, hosts, 0,
 		func(task int, h core.HostID) workload.Spec {
-			spec := balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.TuplesPerSender/k, cfg.Seed+int64(task)*100+int64(h), rows)
-			return spec
+			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.TuplesPerSender/k, cfg.Seed+int64(task)*100+int64(h), rows)
 		})
 	if err != nil {
 		return 0, fmt.Errorf("fig13b n=%d: %w", senders, err)
 	}
 	var goodBytes int64
 	for _, h := range hosts {
-		goodBytes += run.Cluster.Net.Uplink(h).Stats().TxGoodBytes
+		goodBytes += cl.Net.Uplink(h).Stats().TxGoodBytes
 	}
-	return stats.Gbps(goodBytes, run.Elapsed) / float64(senders), nil
+	return stats.Gbps(goodBytes, elapsed) / float64(senders), nil
 }

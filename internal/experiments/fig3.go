@@ -86,25 +86,15 @@ func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
 		tuples /= 8
 	}
 	// One task per data channel: cores channels aggregate in parallel.
-	run, err := runParallelTasks(
+	_, elapsed, err := runParallelTasks(
 		ask.Options{Hosts: 1, Config: c, Seed: cfg.Seed},
 		cores, rows,
 		[]core.HostID{0}, 0,
 		func(task int, _ core.HostID) workload.Spec {
-			spec := balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, tuples/int64(cores), cfg.Seed+int64(task), rows)
-			spec.Seed = cfg.Seed + int64(task)
-			return spec
+			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, tuples/int64(cores), cfg.Seed+int64(task), rows)
 		})
 	if err != nil {
 		return 0, err
 	}
-	return akvPerSec(tuples/int64(cores)*int64(cores), run.Elapsed), nil
-}
-
-func nextPow2(v int) int {
-	p := 1
-	for p < v {
-		p <<= 1
-	}
-	return p
+	return akvPerSec(tuples/int64(cores)*int64(cores), elapsed), nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+
 	"repro/ask"
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -69,22 +70,20 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 		c.ShadowCopy = false
 		c.SwapThreshold = 0
 		rows := (c.AARows / ch) &^ 1
-		run, err := runParallelTasks(
+		cl, elapsed, err := runParallelTasks(
 			ask.Options{Hosts: 2, Config: c, Cores: cfg.Cores, Seed: cfg.Seed},
 			ch, rows,
 			[]core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
-				spec := balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.Tuples/int64(ch), cfg.Seed+int64(task), rows)
-				return spec
+				return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.Tuples/int64(ch), cfg.Seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("ASK %d dCh: %w", ch, err)
 		}
-		busy := run.Cluster.CPU(1).BusyTime() // sender-side work
 		t.AddRow(fmt.Sprintf("ASK %d dCh", ch),
-			run.Elapsed,
+			elapsed,
 			100*float64(ch)/float64(cfg.Cores),
-			busy)
+			cl.CPU(1).BusyTime()) // sender-side work
 	}
 
 	for _, th := range cfg.Threads {

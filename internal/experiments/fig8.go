@@ -68,15 +68,14 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 			opts.Switch.Pipeline = pc
 		}
 		// One task per data channel (see runParallelTasks).
-		run, err := runParallelTasks(opts, ch, rows, []core.HostID{1}, 0,
+		cl, elapsed, err := runParallelTasks(opts, ch, rows, []core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
 				return balancedUniformRows(shortLayout(x), cfg.Distinct, cfg.Tuples/int64(ch), cfg.Seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("x=%d: %w", x, err)
 		}
-		up := run.Cluster.Net.Uplink(1).Stats()
-		measured := stats.Gbps(up.TxGoodBytes, run.Elapsed)
+		measured := stats.Gbps(cl.Net.Uplink(1).Stats().TxGoodBytes, elapsed)
 		ideal := float64(8*x) / float64(8*x+wire.PerPacketOverhead) * 100
 		t.AddRow(x, measured, ideal, measured/ideal)
 	}
@@ -108,12 +107,8 @@ func Fig8b(cfg Fig8bConfig) (*stats.Table, error) {
 		specs = append(specs, workload.Dataset(name, cfg.Tuples, cfg.Seed))
 	}
 	for _, spec := range specs {
-		task, streams := singleSenderTask(spec, 0, false)
-		res, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: cfg.Seed}, task, streams)
+		_, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: cfg.Seed}, singleSenderTask(spec, 0))
 		if err != nil {
-			return nil, err
-		}
-		if err := checkExact(res, spec); err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
 		hist := cl.Daemon(1).Stats().SlotFill

@@ -106,12 +106,8 @@ func fig9Run(cfg Fig9Config, spec workload.Spec, rows int, prio bool) (float64, 
 	if prio {
 		c.SwapThreshold = cfg.SwapThreshold
 	}
-	task, streams := singleSenderTask(spec, rows, false)
-	res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, task, streams)
+	res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, rows))
 	if err != nil {
-		return 0, err
-	}
-	if err := checkExact(res, spec); err != nil {
 		return 0, err
 	}
 	return 100 * res.Switch.AggregatedTupleRatio(), nil

@@ -62,19 +62,13 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 			}
 		}
 		senders = dedupHosts(senders)
-		streams := make(map[core.HostID]core.Stream)
-		want := make(core.Result)
+		j := newJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 		for i, s := range senders {
-			w := workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(i))
-			streams[s] = w.Stream()
-			want.Merge(w.Reference(core.OpSum), core.OpSum)
+			j.send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(i)))
 		}
-		res, err := fc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
+		res, err := runOne(fc, j)
 		if err != nil {
-			return nil, err
-		}
-		if !res.Result.Equal(want) {
-			return nil, fmt.Errorf("multirack remote=%d: wrong result: %s", remote, res.Result.Diff(want, 5))
+			return nil, fmt.Errorf("multirack remote=%d: %w", remote, err)
 		}
 		total := cfg.TuplesPerSender * int64(len(senders))
 		t.AddRow(remote,

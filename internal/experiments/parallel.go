@@ -36,13 +36,8 @@ type Outcome struct {
 func RunParallel(runners []Runner, quick bool, workers int) []Outcome {
 	out := make([]Outcome, len(runners))
 	runOne := func(i int) {
-		r := runners[i]
-		f := r.Full
-		if quick {
-			f = r.Quick
-		}
-		tables, err := f()
-		out[i] = Outcome{Name: r.Name, Tables: tables}
+		tables, err := runners[i].Run(quick)
+		out[i] = Outcome{Name: runners[i].Name, Tables: tables}
 		if err != nil {
 			out[i].Err = err.Error()
 		}

@@ -17,16 +17,17 @@ import (
 // checksum). Everything in the table comes from virtual time, so the bytes
 // depend only on the seed — the property the golden test locks down.
 func seedRunner(seed int64) Runner {
-	run := func() ([]*stats.Table, error) {
+	run := func(bool) ([]*stats.Table, error) {
 		spec := workload.Spec{
 			Name:     fmt.Sprintf("golden-%d", seed),
 			Distinct: 300,
 			Tuples:   6000,
 			Seed:     seed,
 		}
-		task := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 2}, Op: core.OpSum}
-		streams := map[core.HostID]core.Stream{1: spec.Stream(), 2: spec.Stream()}
-		res, _, err := runAggregation(ask.Options{Hosts: 3, Seed: seed}, task, streams)
+		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		j.send(1, spec)
+		j.send(2, spec)
+		res, _, err := runAggregation(ask.Options{Hosts: 3, Seed: seed}, j)
 		if err != nil {
 			return nil, err
 		}
@@ -43,10 +44,9 @@ func seedRunner(seed int64) Runner {
 		return []*stats.Table{t}, nil
 	}
 	return Runner{
-		Name:  fmt.Sprintf("golden-%d", seed),
-		Desc:  "serial-vs-parallel determinism fixture",
-		Quick: run,
-		Full:  run,
+		Name: fmt.Sprintf("golden-%d", seed),
+		Desc: "serial-vs-parallel determinism fixture",
+		Run:  run,
 	}
 }
 

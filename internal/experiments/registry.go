@@ -8,18 +8,30 @@ import (
 	"repro/internal/workload/scenario"
 )
 
-// Runner names one reproducible experiment with its two scale presets.
+// Runner names one reproducible experiment.
 type Runner struct {
 	Name string
 	Desc string
-	// Quick runs the test-scale preset; Full runs the benchmark-scale one.
-	Quick func() ([]*stats.Table, error)
-	Full  func() ([]*stats.Table, error)
+	// Run runs the experiment at its test-scale preset (quick) or its
+	// benchmark-scale one.
+	Run func(quick bool) ([]*stats.Table, error)
 }
 
-func one(f func() (*stats.Table, error)) func() ([]*stats.Table, error) {
-	return func() ([]*stats.Table, error) {
-		t, err := f()
+// runner is the one adapter from an experiment's documented preset pair and
+// its function to a registry entry.
+func runner[C any](name, desc string, quick, full func() C, run func(C) ([]*stats.Table, error)) Runner {
+	return Runner{Name: name, Desc: desc, Run: func(q bool) ([]*stats.Table, error) {
+		if q {
+			return run(quick())
+		}
+		return run(full())
+	}}
+}
+
+// one lifts a single-table experiment to the registry's table list.
+func one[C any](f func(C) (*stats.Table, error)) func(C) ([]*stats.Table, error) {
+	return func(cfg C) ([]*stats.Table, error) {
+		t, err := f(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -30,138 +42,28 @@ func one(f func() (*stats.Table, error)) func() ([]*stats.Table, error) {
 // All lists every experiment, in the paper's order.
 func All() []Runner {
 	return []Runner{
-		{
-			Name:  "fig3",
-			Desc:  "single-machine AKV/s: Spark vs strawman INA vs ASK",
-			Quick: one(func() (*stats.Table, error) { return Fig3(QuickFig3()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig3(DefaultFig3()) }),
-		},
-		{
-			Name:  "fig7",
-			Desc:  "computation offload: ASK data channels vs PreAggr threads",
-			Quick: one(func() (*stats.Table, error) { return Fig7(QuickFig7()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig7(DefaultFig7()) }),
-		},
-		{
-			Name:  "table1",
-			Desc:  "traffic reduction on production-corpus stand-ins",
-			Quick: one(func() (*stats.Table, error) { return Table1(QuickTable1()) }),
-			Full:  one(func() (*stats.Table, error) { return Table1(DefaultTable1()) }),
-		},
-		{
-			Name:  "fig8a",
-			Desc:  "goodput vs tuples per packet",
-			Quick: one(func() (*stats.Table, error) { return Fig8a(QuickFig8a()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig8a(DefaultFig8a()) }),
-		},
-		{
-			Name:  "fig8b",
-			Desc:  "non-blank tuple slots per packet per dataset",
-			Quick: one(func() (*stats.Table, error) { return Fig8b(QuickFig8b()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig8b(DefaultFig8b()) }),
-		},
-		{
-			Name:  "fig9",
-			Desc:  "hot-key prioritization vs aggregator:key ratio",
-			Quick: one(func() (*stats.Table, error) { return Fig9(QuickFig9()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig9(DefaultFig9()) }),
-		},
-		{
-			Name:  "fig10",
-			Desc:  "WordCount JCT: Spark/SHM/RDMA/ASK",
-			Quick: one(func() (*stats.Table, error) { return Fig10(QuickFig10()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig10(DefaultFig10()) }),
-		},
-		{
-			Name:  "fig11",
-			Desc:  "mapper/reducer task completion times",
-			Quick: one(func() (*stats.Table, error) { return Fig11(QuickFig10()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig11(DefaultFig10()) }),
-		},
-		{
-			Name:  "fig12",
-			Desc:  "distributed training throughput: ASK/ATP/SwitchML/HostPS",
-			Quick: one(func() (*stats.Table, error) { return Fig12(QuickFig12()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig12(DefaultFig12()) }),
-		},
-		{
-			Name:  "fig13a",
-			Desc:  "throughput and bandwidth overhead vs data channels",
-			Quick: one(func() (*stats.Table, error) { return Fig13a(QuickFig13a()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig13a(DefaultFig13a()) }),
-		},
-		{
-			Name:  "fig13b",
-			Desc:  "per-sender throughput vs sender count",
-			Quick: one(func() (*stats.Table, error) { return Fig13b(QuickFig13b()) }),
-			Full:  one(func() (*stats.Table, error) { return Fig13b(DefaultFig13b()) }),
-		},
-		{
-			Name:  "ablation-swap",
-			Desc:  "shadow-copy swap threshold sweep",
-			Quick: one(func() (*stats.Table, error) { return AblationSwap(QuickAblationSwap()) }),
-			Full:  one(func() (*stats.Table, error) { return AblationSwap(DefaultAblationSwap()) }),
-		},
-		{
-			Name:  "ablation-window",
-			Desc:  "sliding-window size under loss",
-			Quick: one(func() (*stats.Table, error) { return AblationWindow(QuickAblationWindow()) }),
-			Full:  one(func() (*stats.Table, error) { return AblationWindow(DefaultAblationWindow()) }),
-		},
-		{
-			Name:  "ablation-congestion",
-			Desc:  "AIMD congestion window vs fixed window under incast",
-			Quick: one(func() (*stats.Table, error) { return AblationCongestion(QuickAblationCongestion()) }),
-			Full:  one(func() (*stats.Table, error) { return AblationCongestion(DefaultAblationCongestion()) }),
-		},
-		{
-			Name:  "multirack",
-			Desc:  "§7 multi-rack: absorption vs remote-sender fraction",
-			Quick: one(func() (*stats.Table, error) { return MultiRack(QuickMultiRack()) }),
-			Full:  one(func() (*stats.Table, error) { return MultiRack(DefaultMultiRack()) }),
-		},
-		{
-			Name:  "ablation-medium",
-			Desc:  "coalesced medium-key group width",
-			Quick: one(func() (*stats.Table, error) { return AblationMedium(QuickAblationMedium()) }),
-			Full:  one(func() (*stats.Table, error) { return AblationMedium(DefaultAblationMedium()) }),
-		},
-		{
-			Name:  "scenarios",
-			Desc:  "scenario corpus: AA hit rate / promotions / goodput per shape",
-			Quick: one(func() (*stats.Table, error) { return Scenarios(QuickScenarios()) }),
-			Full:  one(func() (*stats.Table, error) { return Scenarios(DefaultScenarios()) }),
-		},
-		{
-			Name:  "chaos",
-			Desc:  "fault injection: switch failover + degradation vs golden run",
-			Quick: one(func() (*stats.Table, error) { return Chaos(QuickChaos()) }),
-			Full:  one(func() (*stats.Table, error) { return Chaos(DefaultChaos()) }),
-		},
-		{
-			Name:  "fabric-chaos",
-			Desc:  "fat-tree fault injection: spine re-election + leaf recovery vs golden run",
-			Quick: one(func() (*stats.Table, error) { return FabricChaos(QuickFabricChaos()) }),
-			Full:  one(func() (*stats.Table, error) { return FabricChaos(DefaultFabricChaos()) }),
-		},
-		{
-			Name:  "tenancy",
-			Desc:  "multi-tenant fabric: weighted goodput fairness + AA pool utilization",
-			Quick: func() ([]*stats.Table, error) { return Tenancy(QuickTenancy()) },
-			Full:  func() ([]*stats.Table, error) { return Tenancy(DefaultTenancy()) },
-		},
-		{
-			Name:  "scaling",
-			Desc:  "parallel DES: shard-count sweep, serial-equivalence + speedup/efficiency per topology",
-			Quick: one(func() (*stats.Table, error) { return Scaling(QuickScaling()) }),
-			Full:  one(func() (*stats.Table, error) { return Scaling(DefaultScaling()) }),
-		},
-		{
-			Name:  "corruption",
-			Desc:  "link corruption sweep: CRC32C quarantine cost vs goodput",
-			Quick: one(func() (*stats.Table, error) { return Corruption(QuickCorruption()) }),
-			Full:  one(func() (*stats.Table, error) { return Corruption(DefaultCorruption()) }),
-		},
+		runner("fig3", "single-machine AKV/s: Spark vs strawman INA vs ASK", QuickFig3, DefaultFig3, one(Fig3)),
+		runner("fig7", "computation offload: ASK data channels vs PreAggr threads", QuickFig7, DefaultFig7, one(Fig7)),
+		runner("table1", "traffic reduction on production-corpus stand-ins", QuickTable1, DefaultTable1, one(Table1)),
+		runner("fig8a", "goodput vs tuples per packet", QuickFig8a, DefaultFig8a, one(Fig8a)),
+		runner("fig8b", "non-blank tuple slots per packet per dataset", QuickFig8b, DefaultFig8b, one(Fig8b)),
+		runner("fig9", "hot-key prioritization vs aggregator:key ratio", QuickFig9, DefaultFig9, one(Fig9)),
+		runner("fig10", "WordCount JCT: Spark/SHM/RDMA/ASK", QuickFig10, DefaultFig10, one(Fig10)),
+		runner("fig11", "mapper/reducer task completion times", QuickFig10, DefaultFig10, one(Fig11)),
+		runner("fig12", "distributed training throughput: ASK/ATP/SwitchML/HostPS", QuickFig12, DefaultFig12, one(Fig12)),
+		runner("fig13a", "throughput and bandwidth overhead vs data channels", QuickFig13a, DefaultFig13a, one(Fig13a)),
+		runner("fig13b", "per-sender throughput vs sender count", QuickFig13b, DefaultFig13b, one(Fig13b)),
+		runner("ablation-swap", "shadow-copy swap threshold sweep", QuickAblationSwap, DefaultAblationSwap, one(AblationSwap)),
+		runner("ablation-window", "sliding-window size under loss", QuickAblationWindow, DefaultAblationWindow, one(AblationWindow)),
+		runner("ablation-congestion", "AIMD congestion window vs fixed window under incast", QuickAblationCongestion, DefaultAblationCongestion, one(AblationCongestion)),
+		runner("multirack", "§7 multi-rack: absorption vs remote-sender fraction", QuickMultiRack, DefaultMultiRack, one(MultiRack)),
+		runner("ablation-medium", "coalesced medium-key group width", QuickAblationMedium, DefaultAblationMedium, one(AblationMedium)),
+		runner("scenarios", "scenario corpus: AA hit rate / promotions / goodput per shape", QuickScenarios, DefaultScenarios, one(Scenarios)),
+		runner("chaos", "fault injection: switch failover + degradation vs golden run", QuickChaos, DefaultChaos, one(Chaos)),
+		runner("fabric-chaos", "fat-tree fault injection: spine re-election + leaf recovery vs golden run", QuickFabricChaos, DefaultFabricChaos, one(FabricChaos)),
+		runner("tenancy", "multi-tenant fabric: weighted goodput fairness + AA pool utilization", QuickTenancy, DefaultTenancy, Tenancy),
+		runner("scaling", "parallel DES: shard-count sweep, serial-equivalence + scheduler structure per topology", QuickScaling, DefaultScaling, one(Scaling)),
+		runner("corruption", "link corruption sweep: CRC32C quarantine cost vs goodput", QuickCorruption, DefaultCorruption, one(Corruption)),
 	}
 }
 
@@ -172,31 +74,20 @@ func ScenarioRunner(name string) (Runner, error) {
 	if _, err := scenario.ByName(name); err != nil {
 		return Runner{}, err
 	}
-	pick := func(cfg ScenariosConfig) ([]*stats.Table, error) {
-		cfg.Names = []string{name}
-		t, err := Scenarios(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return []*stats.Table{t}, nil
-	}
-	return Runner{
-		Name:  "scenario:" + name,
-		Desc:  "scenario corpus sweep restricted to " + name,
-		Quick: func() ([]*stats.Table, error) { return pick(QuickScenarios()) },
-		Full:  func() ([]*stats.Table, error) { return pick(DefaultScenarios()) },
-	}, nil
+	return runner("scenario:"+name, "scenario corpus sweep restricted to "+name, QuickScenarios, DefaultScenarios,
+		one(func(cfg ScenariosConfig) (*stats.Table, error) {
+			cfg.Names = []string{name}
+			return Scenarios(cfg)
+		})), nil
 }
 
 // ByName finds an experiment runner.
 func ByName(name string) (Runner, error) {
+	var names []string
 	for _, r := range All() {
 		if r.Name == name {
 			return r, nil
 		}
-	}
-	var names []string
-	for _, r := range All() {
 		names = append(names, r.Name)
 	}
 	sort.Strings(names)

@@ -7,21 +7,16 @@ package experiments
 // golden by a byte fails the experiment rather than reporting a number for
 // a broken scheduler.
 //
-// The table's structural columns (virtual elapsed, window and mailbox
-// counters) are fully deterministic. Wall-clock columns (run seconds,
-// speedup, parallel efficiency) need a real clock, which this package is
-// forbidden to read (simdeterminism); the harness that owns wall time —
-// cmd/askbench, the root-package benchmarks — injects one via SetWallClock,
-// and without it those columns report "-". Speedup is serial wall time over
-// sharded wall time; efficiency divides that by the shard count. On a
-// single-CPU host (GOMAXPROCS=1) the honest expectation is speedup ≈ 1× or
-// slightly below: the lanes only interleave, and the windows add barrier
-// overhead. The scheduler-structure columns still prove the partition
-// exists and carries the traffic.
+// Every column is deterministic: virtual elapsed and the scheduler's window
+// and mailbox counters, which prove the partition exists and carries the
+// traffic. Wall time per shard count is a wall-clock measurement and lives
+// where those belong: BenchmarkMultiRackShards / BenchmarkFatTreeShards time
+// ScalingPoint through testing.B. (On a single-CPU host the honest
+// expectation there is ≈ 1× or slightly below: the lanes only interleave, and
+// the windows add barrier overhead.)
 
 import (
 	"fmt"
-	"time"
 
 	"repro/ask"
 	"repro/internal/core"
@@ -30,22 +25,10 @@ import (
 	"repro/internal/workload"
 )
 
-// wallClock, when installed, returns monotonically increasing wall time.
-// It lives behind a setter so the deterministic experiment code never
-// touches time.Now itself; only wall-clock-owning harnesses install it.
-var wallClock func() time.Duration
-
-// SetWallClock installs the wall-time source used for the scaling study's
-// speedup columns (e.g. a time.Since closure). Pass nil to uninstall.
-// Callers in deterministic packages must not install one — wall readings
-// make the scaling table's bytes machine-dependent, which is exactly what
-// this package's other experiments promise never to be.
-func SetWallClock(f func() time.Duration) { wallClock = f }
-
 // ScalingConfig parameterizes the shard-scaling sweep.
 type ScalingConfig struct {
 	// Shards lists the shard counts to sweep; 1 runs the exact serial code
-	// path and is the baseline wall measurement.
+	// path and is the baseline every other row is compared with.
 	Shards []int
 	// Racks/HostsPerRack size the multi-rack fabric; one sender per
 	// non-receiver rack keeps every TOR↔core cut busy.
@@ -88,7 +71,6 @@ type scalingRun struct {
 	virtual sim.Time
 	stats   sim.ShardGroupStats
 	lanes   int
-	wall    time.Duration // zero when no wall clock is installed
 }
 
 // scalingCluster builds one partitionable topology at a shard count and
@@ -111,33 +93,23 @@ func scalingCluster(topology string, cfg ScalingConfig, shards int) (fc *ask.Fat
 
 // runScaling measures one point: the topology's workload — host 0 receives,
 // the first host of every other rack or leaf sends, so every cut is busy —
-// at the given shard count, timed by the injected wall clock if there is one.
+// at the given shard count.
 func runScaling(topology string, cfg ScalingConfig, shards int) (scalingRun, error) {
-	var start time.Duration
-	if wallClock != nil {
-		start = wallClock()
-	}
 	fc, groups, perGroup, err := scalingCluster(topology, cfg, shards)
 	if err != nil {
 		return scalingRun{}, err
 	}
-	var senders []core.HostID
-	streams := make(map[core.HostID]core.Stream)
+	j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 	for g := 1; g < groups; g++ {
-		h := core.HostID(g * perGroup)
-		senders = append(senders, h)
-		streams[h] = workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(g)).Stream()
+		j.send(core.HostID(g*perGroup), workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(g)))
 	}
-	res, err := fc.Aggregate(core.TaskSpec{ID: 1, Receiver: 0, Senders: senders, Op: core.OpSum}, streams)
+	res, err := runOne(fc, j)
 	if err != nil {
 		return scalingRun{}, err
 	}
 	run := scalingRun{res: res, virtual: fc.Sim.Now()}
 	if g := fc.Net.Group(); g != nil {
 		run.stats, run.lanes = g.Stats(), g.Lanes()
-	}
-	if wallClock != nil {
-		run.wall = wallClock() - start
 	}
 	return run, nil
 }
@@ -157,10 +129,9 @@ func ScalingPoint(topology string, cfg ScalingConfig, shards int) error {
 func Scaling(cfg ScalingConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Parallel DES: shard-scaling sweep (serial-equivalence enforced per row)",
-		Note: fmt.Sprintf("multirack %d racks, fattree %d×%d, %d tuples/sender; wall columns need a harness clock (askbench, make bench)",
+		Note: fmt.Sprintf("multirack %d racks, fattree %d×%d, %d tuples/sender; wall time per shard count: BenchmarkMultiRackShards / BenchmarkFatTreeShards",
 			cfg.Racks, cfg.Spines, cfg.Leaves, cfg.TuplesPerSender),
-		Header: []string{"topology", "shards", "lanes", "wall s", "speedup", "efficiency %",
-			"parallel windows", "inline windows", "injects", "virtual elapsed"},
+		Header: []string{"topology", "shards", "lanes", "parallel windows", "inline windows", "injects", "virtual elapsed"},
 	}
 	for _, topo := range []string{"multirack", "fattree"} {
 		var base scalingRun
@@ -187,16 +158,7 @@ func Scaling(cfg ScalingConfig) (*stats.Table, error) {
 					return nil, fmt.Errorf("scaling %s shards=%d: counters diverged from serial", topo, shards)
 				}
 			}
-			wall, speedup, eff := "-", "-", "-"
-			if wallClock != nil && run.wall > 0 {
-				wall = fmt.Sprintf("%.3f", run.wall.Seconds())
-				if i > 0 && base.wall > 0 {
-					s := base.wall.Seconds() / run.wall.Seconds()
-					speedup = fmt.Sprintf("%.2fx", s)
-					eff = fmt.Sprintf("%.0f", 100*s/float64(run.lanes))
-				}
-			}
-			t.AddRow(topo, shards, run.lanes, wall, speedup, eff,
+			t.AddRow(topo, shards, run.lanes,
 				run.stats.ParallelWindows, run.stats.InlineWindows, run.stats.Injects,
 				run.res.Elapsed.Sub(0))
 		}

@@ -35,13 +35,8 @@ func Table1(cfg Table1Config) (*stats.Table, error) {
 	}
 	for _, name := range workload.DatasetNames() {
 		spec := workload.Dataset(name, cfg.Tuples, cfg.Seed)
-		task, streams := singleSenderTask(spec, 0, false)
-		opts := ask.Options{Hosts: 2, Seed: cfg.Seed}
-		res, cl, err := runAggregation(opts, task, streams)
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: cfg.Seed}, singleSenderTask(spec, 0))
 		if err != nil {
-			return nil, err
-		}
-		if err := checkExact(res, spec); err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}
 		sw := res.Switch

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -99,67 +98,44 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	}
 	opts := ask.FatTreeOptions{
 		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: hostsPerLeaf,
-		Seed: cfg.Seed,
-	}
-	for i, w := range weights {
-		opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: w})
+		Seed: cfg.Seed, Tenants: tenantSpecs(weights),
 	}
 	fc, err := ask.NewFatTreeCluster(opts)
 	if err != nil {
 		return nil, err
 	}
-	type job struct {
-		spec core.TaskSpec
-		want core.Result
-		pt   *ask.PendingTask
-	}
-	jobs := make([]job, k)
+	jobs := make([]*job, k)
 	slot := 0 // next sender slot on each sender leaf (layout identical per leaf)
 	for i, w := range weights {
 		tn := core.TenantID(i + 1)
 		rows := fc.Tenancy.Quota(tn) / cfg.RowFrac
 		rows &^= 1
-		spec := core.TaskSpec{
+		j := newJob(core.TaskSpec{
 			ID: core.MakeTaskID(tn, uint32(i+1)), Receiver: opts.HostAt(0, i),
 			Op: core.OpSum, Rows: rows,
-		}
-		streams := make(map[core.HostID]core.Stream)
-		want := make(core.Result)
-		distinct := cfg.KeysPerRow * rows
+		})
 		for l := 1; l < cfg.Leaves; l++ {
 			for s := 0; s < w; s++ {
-				h := opts.HostAt(l, slot+s)
-				spec.Senders = append(spec.Senders, h)
-				wl := workload.Uniform(distinct, cfg.TuplesPerSender, cfg.Seed+int64(i*cfg.Leaves*wsum+l*wsum+s))
-				streams[h] = wl.Stream()
-				want.Merge(wl.Reference(core.OpSum), core.OpSum)
+				j.send(opts.HostAt(l, slot+s),
+					workload.Uniform(cfg.KeysPerRow*rows, cfg.TuplesPerSender, cfg.Seed+int64(i*cfg.Leaves*wsum+l*wsum+s)))
 			}
 		}
 		slot += w
-		pt, err := fc.StartTask(spec, streams)
-		if err != nil {
-			return nil, fmt.Errorf("tenancy: tenant %d (weight %d): %w", tn, w, err)
-		}
-		jobs[i] = job{spec: spec, want: want, pt: pt}
+		jobs[i] = j
 	}
-	fc.Sim.Run(0)
+	results, err := run(fc, jobs...)
+	if err != nil {
+		return nil, fmt.Errorf("tenancy: weights %v: %w", weights, err)
+	}
 
 	runs := make([]tenantRun, k)
 	for i, j := range jobs {
-		res, err := j.pt.Get()
-		if err != nil {
-			return nil, fmt.Errorf("tenancy: tenant %d: %w", i+1, err)
-		}
-		if !res.Result.Equal(j.want) {
-			return nil, fmt.Errorf("tenancy: tenant %d: wrong result: %s", i+1, res.Result.Diff(j.want, 5))
-		}
-		st := fc.TaskSwitchStats(j.spec.ID)
 		runs[i] = tenantRun{
 			weight:   weights[i],
 			rows:     j.spec.Rows,
-			absorbed: st.TuplesAggregated,
+			absorbed: fc.TaskSwitchStats(j.spec.ID).TuplesAggregated,
 			offered:  cfg.TuplesPerSender * int64(len(j.spec.Senders)),
-			elapsed:  time.Duration(res.Elapsed),
+			elapsed:  time.Duration(results[i].Elapsed),
 		}
 	}
 	return runs, nil
@@ -180,12 +156,6 @@ func (r tenantFairRun) goodput() float64 { return r.goodputV }
 // OVERLOAD rejection, and runs all admitted tasks concurrently.
 func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 	k := len(weights)
-	type taskPlan struct {
-		tenant int // index into weights
-		spec   core.TaskSpec
-		want   core.Result
-		pt     *ask.PendingTask
-	}
 
 	// First pass sizes the cluster: admitted counts follow from the quotas,
 	// which depend only on weights and the config.
@@ -218,67 +188,49 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 		return nil, err
 	}
 
-	var plans []*taskPlan
-	over := make([]*ask.PendingTask, k)
+	var jobs []*job // every submission, in order
 	runs := make([]tenantFairRun, k)
 	t := 0
 	leafSlot := make([]int, cfg.Leaves)
 	for i, w := range weights {
-		runs[i] = tenantFairRun{weight: w, admitted: admitted[i]}
+		runs[i] = tenantFairRun{weight: w, admitted: admitted[i], rejected: 1}
 		for n := 0; n < admitted[i]; n++ {
 			leaf := 1 + t%senderLeaves
 			sender := opts.HostAt(leaf, leafSlot[leaf])
 			leafSlot[leaf]++
-			spec := core.TaskSpec{
-				ID: core.MakeTaskID(core.TenantID(i+1), uint32(n+1)), Receiver: opts.HostAt(0, t),
-				Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{sender},
-			}
 			wl := workload.Uniform(cfg.TaskKeys, cfg.TuplesPerSender, cfg.Seed+int64(t))
-			pt, err := fc.StartTaskTimed(spec, map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), cfg.Pace)})
-			if err != nil {
-				return nil, fmt.Errorf("tenancy: tenant %d task %d: %w", i+1, n+1, err)
-			}
-			plans = append(plans, &taskPlan{tenant: i, spec: spec, want: wl.Reference(core.OpSum), pt: pt})
+			jobs = append(jobs, &job{
+				spec: core.TaskSpec{
+					ID: core.MakeTaskID(core.TenantID(i+1), uint32(n+1)), Receiver: opts.HostAt(0, t),
+					Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{sender},
+				},
+				timed: map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), cfg.Pace)},
+				want:  wl.Reference(core.OpSum),
+			})
 			t++
 		}
 		// One task past the quota: its admission runs on the sim clock after
 		// the tenant's real tasks have filled the quota (driver processes run
 		// in submission order), so it must be rejected with the typed
-		// overload error, observable at Get below.
-		spec := core.TaskSpec{
-			ID: core.MakeTaskID(core.TenantID(i+1), uint32(admitted[i]+1)), Receiver: opts.HostAt(0, 0),
-			Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{opts.HostAt(1, 0)},
-		}
-		pt, err := fc.StartTaskTimed(spec, map[core.HostID]core.TimedStream{opts.HostAt(1, 0): core.SliceStream(nil).Timed()})
-		if err != nil {
-			return nil, fmt.Errorf("tenancy: tenant %d over-quota probe: %w", i+1, err)
-		}
-		over[i] = pt
+		// overload error; run enforces that.
+		jobs = append(jobs, &job{
+			spec: core.TaskSpec{
+				ID: core.MakeTaskID(core.TenantID(i+1), uint32(admitted[i]+1)), Receiver: opts.HostAt(0, 0),
+				Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{opts.HostAt(1, 0)},
+			},
+			timed:   map[core.HostID]core.TimedStream{opts.HostAt(1, 0): core.SliceStream(nil).Timed()},
+			refused: new(*tenancy.OverloadError),
+		})
 	}
-	fc.Sim.Run(0)
-
-	for i, pt := range over {
-		if _, err := pt.Get(); err == nil {
-			return nil, fmt.Errorf("tenancy: tenant %d admitted past its quota", i+1)
-		} else {
-			var oe *tenancy.OverloadError
-			if !errors.As(err, &oe) {
-				return nil, fmt.Errorf("tenancy: tenant %d over-quota rejection is not typed: %w", i+1, err)
-			}
-			runs[i].rejected++
-		}
+	results, err := run(fc, jobs...)
+	if err != nil {
+		return nil, fmt.Errorf("tenancy: weights %v: %w", weights, err)
 	}
-
-	for _, p := range plans {
-		res, err := p.pt.Get()
-		if err != nil {
-			return nil, fmt.Errorf("tenancy: task %d: %w", p.spec.ID, err)
+	for n, res := range results {
+		if res != nil { // nil: the refused probe
+			id := jobs[n].spec.ID
+			runs[id.Tenant()-1].goodputV += float64(fc.TaskSwitchStats(id).TuplesAggregated) / time.Duration(res.Elapsed).Seconds()
 		}
-		if !res.Result.Equal(p.want) {
-			return nil, fmt.Errorf("tenancy: task %d: wrong result: %s", p.spec.ID, res.Result.Diff(p.want, 5))
-		}
-		st := fc.TaskSwitchStats(p.spec.ID)
-		runs[p.tenant].goodputV += float64(st.TuplesAggregated) / time.Duration(res.Elapsed).Seconds()
 	}
 	return runs, nil
 }

@@ -21,7 +21,7 @@ import (
 // cooperate:
 //
 //  1. Detection. While the daemon has active tasks, a prober sends periodic
-//     TypeProbe packets; ProbeMisses consecutive unanswered probes put the
+//     TypeProbe packets; core.DefaultProbeMisses consecutive unanswered probes put the
 //     daemon in degraded mode (the switch is silent). Independently, ANY
 //     stamped packet whose epoch exceeds the daemon's reveals a reboot the
 //     moment traffic resumes.
@@ -176,21 +176,6 @@ func (d *Daemon) exitDegraded() {
 	d.tr.Emit(telemetry.CompHostd, "failover_exit", int64(d.host), int64(d.epoch), int64(interval))
 }
 
-// probeInterval returns the configured (or default) idle probe spacing.
-func (d *Daemon) probeInterval() time.Duration {
-	if d.cfg.ProbeInterval > 0 {
-		return d.cfg.ProbeInterval
-	}
-	return core.DefaultProbeInterval
-}
-
-func (d *Daemon) probeMisses() int {
-	if d.cfg.ProbeMisses > 0 {
-		return d.cfg.ProbeMisses
-	}
-	return core.DefaultProbeMisses
-}
-
 // probeLoop is the health prober: while the daemon has active tasks it sends
 // switch-terminated TypeProbe packets and watches for replies. Misses back
 // off exponentially so a long outage is probed gently; the first reply from
@@ -203,7 +188,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 			misses = 0
 			p.Wait(d.activitySig)
 		}
-		iv := d.probeInterval()
+		iv := core.DefaultProbeInterval
 		if misses > 0 {
 			shift := misses
 			if shift > 5 {
@@ -236,7 +221,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 		}
 		misses++
 		d.met.probeTimeouts.Inc()
-		if misses >= d.probeMisses() {
+		if misses >= core.DefaultProbeMisses {
 			d.enterDegraded()
 		}
 	}

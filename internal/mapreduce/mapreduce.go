@@ -197,6 +197,7 @@ func runASK(cfg Config) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	defer cl.Sim.Close() // a finished cluster must not stay pinned by its parked daemons
 	R := cfg.reducers()
 	rows := cfg.RowsPerTask
 	if rows == 0 {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -35,14 +36,44 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
 		yield: make(chan struct{}),
 	}
 	p.dispatchFn = p.dispatch
+	s.procs = append(s.procs, p)
 	go func() {
-		<-p.wake
-		fn(p)
-		p.done = true
-		p.yield <- struct{}{}
+		// Deferred so a process unwound by Close (runtime.Goexit in park)
+		// reports back exactly like one that returned.
+		defer func() {
+			p.done = true
+			p.yield <- struct{}{}
+		}()
+		if _, ok := <-p.wake; ok {
+			fn(p)
+		}
 	}()
 	s.At(s.now, p.dispatchFn)
 	return p
+}
+
+// Close ends every process that has not finished, so a simulation that is
+// no longer needed stops pinning its model state: a parked Proc is a
+// goroutine blocked on a channel, which the garbage collector never frees.
+// Each process is unwound in spawn order, one at a time — its deferred calls
+// run, as model code always does, with no other simulation goroutine active.
+// The root of a ShardGroup closes its lanes too. Close must not be called
+// while the simulation is running; Run must not be called after it; a second
+// Close is a no-op.
+func (s *Simulation) Close() {
+	if s.running {
+		panic("sim: Close called during Run")
+	}
+	for _, p := range s.procs {
+		if !p.done {
+			close(p.wake)
+			<-p.yield
+		}
+	}
+	s.procs = nil
+	if s.group != nil && s.lane == laneRoot {
+		s.group.closeLanes()
+	}
 }
 
 // dispatch transfers control to the process and waits until it parks or
@@ -62,7 +93,9 @@ func (p *Proc) dispatch() {
 // caller must already have scheduled something that will call p.dispatch.
 func (p *Proc) park() {
 	p.yield <- struct{}{}
-	<-p.wake
+	if _, ok := <-p.wake; !ok {
+		runtime.Goexit() // the simulation was closed
+	}
 }
 
 // Sim returns the simulation this process belongs to.

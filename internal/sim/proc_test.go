@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -274,5 +276,55 @@ func TestWaitTimeoutRepeated(t *testing.T) {
 	}
 	if end != Time(95*Microsecond) {
 		t.Fatalf("end = %v", end)
+	}
+}
+
+// TestCloseUnwindsUnfinishedProcs covers the three states Close meets — a
+// process that never started, one parked mid-body and one that finished —
+// on a standalone simulation and on a shard group's root and lanes: every
+// goroutine exits, the parked bodies' deferred calls run once each in spawn
+// order, and a second Close is a no-op.
+func TestCloseUnwindsUnfinishedProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	var unwound []string
+	populate := func(s *Simulation, name string) {
+		s.Spawn("finished", func(p *Proc) {})
+		s.Spawn("parked", func(p *Proc) {
+			defer func() { unwound = append(unwound, name) }()
+			p.Wait(NewSignal(s)) // never fired
+			t.Error("parked process resumed")
+		})
+	}
+	unstarted := func(s *Simulation) {
+		s.Spawn("unstarted", func(p *Proc) { t.Error("unstarted process ran") })
+	}
+
+	alone := New(2)
+	populate(alone, "alone")
+	alone.Run(0)
+	unstarted(alone)
+	alone.Close()
+	alone.Close()
+
+	root := New(1)
+	g := NewShardGroup(root, 2, Microsecond)
+	populate(root, "root")
+	populate(g.Lane(0), "lane0")
+	populate(g.Lane(1), "lane1")
+	root.Run(0)
+	unstarted(root)
+	unstarted(g.Lane(1))
+	root.Close()
+	root.Close()
+
+	if got, want := fmt.Sprint(unwound), "[alone root lane0 lane1]"; got != want {
+		t.Fatalf("unwound %s, want %s", got, want)
+	}
+	// A goroutine has handed its yield over slightly before it is gone.
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after Close", before, n)
 	}
 }

@@ -341,6 +341,17 @@ func (g *ShardGroup) run(limit Time) Time {
 	return r.now
 }
 
+// closeLanes ends the unfinished processes of every shard lane; the root's
+// Close delegates here. Like run, this is the coordinator's side of the
+// fence: Close requires a group that is not running, so no lane is executing.
+//
+//askcheck:mailbox
+func (g *ShardGroup) closeLanes() {
+	for _, l := range g.lanes {
+		l.Close()
+	}
+}
+
 // rootBusy reports whether the root lane has an event inside the window.
 func (g *ShardGroup) rootBusy(safe Time) bool {
 	t, ok := g.root.peekNext()

@@ -132,6 +132,8 @@ type Simulation struct {
 	// current non-nil while the loop is inside an event callback; used to
 	// catch illegal blocking calls from plain callbacks.
 	inProc *Proc
+	// procs lists every spawned process, for Close.
+	procs []*Proc
 
 	// Sharded parallel execution (see shard.go). group and lane are fixed at
 	// construction: nil/laneRoot for a standalone serial simulation, which

@@ -29,9 +29,10 @@ type Codec struct {
 }
 
 // NewCodec returns a Codec for the given key-part width, validating it once
-// at construction. Widths outside 1..8 are a programming error and panic.
+// at construction. Widths outside 1..4 (the range core.Config.Validate
+// accepts) are a programming error and panic.
 func NewCodec(kPartBytes int) Codec {
-	if kPartBytes <= 0 || kPartBytes > 8 {
+	if kPartBytes <= 0 || kPartBytes > 4 {
 		panic(fmt.Sprintf("wire: invalid KPartBytes %d", kPartBytes))
 	}
 	return Codec{KPartBytes: kPartBytes}
@@ -109,27 +110,16 @@ func (c Codec) AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
 			binary.BigEndian.PutUint32(body[0:], p.OrigSeq)
 			off = 4
 		}
-		// Width-specialized slot loops: the generic putUintN byte loop costs
-		// ~2N data-dependent iterations per slot; the common widths compile
-		// to single bounds-checked stores.
+		// The deployed width (DefaultConfig's 4) gets a specialized slot
+		// loop: the generic putUintN byte loop costs ~2N data-dependent
+		// iterations per slot, this one compiles to single bounds-checked
+		// stores.
 		switch k {
 		case 4:
 			for _, s := range p.Slots {
 				binary.BigEndian.PutUint32(body[off:], uint32(s.KPart>>32))
 				binary.BigEndian.PutUint32(body[off+4:], uint32(s.Val))
 				off += 8
-			}
-		case 8:
-			for _, s := range p.Slots {
-				binary.BigEndian.PutUint64(body[off:], s.KPart)
-				binary.BigEndian.PutUint64(body[off+8:], uint64(s.Val))
-				off += 16
-			}
-		case 2:
-			for _, s := range p.Slots {
-				binary.BigEndian.PutUint16(body[off:], uint16(s.KPart>>48))
-				binary.BigEndian.PutUint16(body[off+2:], uint16(s.Val))
-				off += 4
 			}
 		default:
 			for _, s := range p.Slots {
@@ -221,18 +211,6 @@ func (c Codec) Unmarshal(buf []byte) (*Packet, error) {
 				p.Slots[i].KPart = uint64(binary.BigEndian.Uint32(body[off:])) << 32
 				p.Slots[i].Val = int64(int32(binary.BigEndian.Uint32(body[off+4:])))
 				off += 8
-			}
-		case 8:
-			for i := 0; i < n; i++ {
-				p.Slots[i].KPart = binary.BigEndian.Uint64(body[off:])
-				p.Slots[i].Val = int64(binary.BigEndian.Uint64(body[off+8:]))
-				off += 16
-			}
-		case 2:
-			for i := 0; i < n; i++ {
-				p.Slots[i].KPart = uint64(binary.BigEndian.Uint16(body[off:])) << 48
-				p.Slots[i].Val = int64(int16(binary.BigEndian.Uint16(body[off+2:])))
-				off += 4
 			}
 		default:
 			for i := 0; i < n; i++ {

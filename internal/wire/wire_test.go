@@ -103,6 +103,11 @@ func randomDataPacket(rng *rand.Rand, numSlots, kPartBytes int) *Packet {
 		Flow: core.FlowKey{Host: core.HostID(rng.Intn(64)), Channel: core.ChannelID(rng.Intn(8))},
 		Seq:  rng.Uint32(),
 	}
+	// Values must fit the width's signed range: 20 bits, fewer below 3 bytes.
+	valBits := 20
+	if 8*kPartBytes-1 < valBits {
+		valBits = 8*kPartBytes - 1
+	}
 	p.Slots = make([]Slot, numSlots)
 	for i := range p.Slots {
 		if rng.Intn(3) == 0 {
@@ -115,32 +120,46 @@ func randomDataPacket(rng *rand.Rand, numSlots, kPartBytes int) *Packet {
 		}
 		p.Slots[i] = Slot{
 			KPart: PackKPart(seg, kPartBytes),
-			Val:   int64(rng.Intn(1<<20)) - 1<<19,
+			Val:   int64(rng.Intn(1<<valBits)) - 1<<(valBits-1),
 		}
 		p.Bitmap = p.Bitmap.Set(i)
 	}
 	return p
 }
 
+// TestCodecDataRoundtrip covers every width core.Config.Validate accepts:
+// 4 takes the specialized slot loop, 1..3 the generic one.
 func TestCodecDataRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	c := Codec{KPartBytes: 4}
-	for trial := 0; trial < 200; trial++ {
-		p := randomDataPacket(rng, 32, 4)
-		buf, err := c.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
+	for k := 1; k <= 4; k++ {
+		c := NewCodec(k)
+		for trial := 0; trial < 200; trial++ {
+			p := randomDataPacket(rng, 32, k)
+			buf, err := c.Marshal(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(buf) != p.BufferBytes(k) {
+				t.Fatalf("width %d: encoded %d bytes, BufferBytes says %d", k, len(buf), p.BufferBytes(k))
+			}
+			q, err := c.Unmarshal(buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(p, q) {
+				t.Fatalf("width %d: roundtrip mismatch:\n p=%+v\n q=%+v", k, p, q)
+			}
 		}
-		if len(buf) != p.BufferBytes(4) {
-			t.Fatalf("encoded %d bytes, BufferBytes says %d", len(buf), p.BufferBytes(4))
-		}
-		q, err := c.Unmarshal(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(p, q) {
-			t.Fatalf("roundtrip mismatch:\n p=%+v\n q=%+v", p, q)
-		}
+	}
+	for _, k := range []int{0, 5, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewCodec(%d) accepted a width Config.Validate rejects", k)
+				}
+			}()
+			NewCodec(k)
+		}()
 	}
 }
 
