@@ -1,6 +1,6 @@
 module repro
 
-go 1.22
+go 1.23
 
 // No external requirements by design: the build must stay hermetic (offline
 // module cache). In particular cmd/askcheck's analyzers run on a small

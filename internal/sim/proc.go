@@ -2,21 +2,26 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
+	"iter"
 	"time"
 )
 
-// Proc is a goroutine-backed simulation process. A Proc's body runs
+// Proc is a coroutine-backed simulation process. A Proc's body runs
 // interleaved with the event loop: whenever it blocks (Sleep, Wait, Acquire)
-// it schedules its own wake-up and parks, returning control to the scheduler.
-// At most one Proc or event callback runs at any moment.
+// it schedules its own wake-up and parks, switching straight back to the
+// event callback that resumed it. At most one Proc or event callback runs at
+// any moment.
 type Proc struct {
 	sim  *Simulation
 	name string
 
-	wake  chan struct{} // scheduler -> proc: you may run
-	yield chan struct{} // proc -> scheduler: I parked or finished
-	done  bool
+	// resume, yield and stop are the three ends of the body's iter.Pull
+	// coroutine: resume (Pull's next) runs the body until it parks or
+	// returns, yield parks it, stop unwinds it (see Close).
+	resume func() (struct{}, bool)
+	yield  func(struct{}) bool
+	stop   func()
+	done   bool
 
 	// dispatchFn is the method value p.dispatch, bound once at Spawn. Every
 	// blocking call (Sleep, Wait, Acquire) schedules the proc's own wake-up;
@@ -25,49 +30,53 @@ type Proc struct {
 	dispatchFn func()
 }
 
+// procClosed is the panic value park raises to unwind a body on Close. It
+// is private, so no model code can raise or match it.
+type procClosed struct{}
+
 // Spawn starts fn as a new process at the current virtual time. The process
 // begins executing when the event loop reaches the spawn event. name is used
 // in diagnostics only.
 func (s *Simulation) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		sim:   s,
-		name:  name,
-		wake:  make(chan struct{}),
-		yield: make(chan struct{}),
-	}
+	p := &Proc{sim: s, name: name}
 	p.dispatchFn = p.dispatch
-	s.procs = append(s.procs, p)
-	go func() {
-		// Deferred so a process unwound by Close (runtime.Goexit in park)
-		// reports back exactly like one that returned.
+	p.resume, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		// Close unwinds a parked body with procClosed; it ends here. Any
+		// other panic continues, and Pull re-raises it — value intact — in
+		// whoever resumed the body: Run's caller.
 		defer func() {
-			p.done = true
-			p.yield <- struct{}{}
+			if r := recover(); r != nil && r != (procClosed{}) {
+				panic(r)
+			}
 		}()
-		if _, ok := <-p.wake; ok {
-			fn(p)
-		}
-	}()
+		fn(p)
+	})
+	s.procs = append(s.procs, p)
 	s.At(s.now, p.dispatchFn)
 	return p
 }
 
 // Close ends every process that has not finished, so a simulation that is
 // no longer needed stops pinning its model state: a parked Proc is a
-// goroutine blocked on a channel, which the garbage collector never frees.
-// Each process is unwound in spawn order, one at a time — its deferred calls
-// run, as model code always does, with no other simulation goroutine active.
-// The root of a ShardGroup closes its lanes too. Close must not be called
-// while the simulation is running; Run must not be called after it; a second
-// Close is a no-op.
+// suspended coroutine — a goroutine to the runtime — which the garbage
+// collector never frees. Each process is unwound in spawn order, one at a
+// time, on the caller's goroutine: a process that never started is simply
+// dropped; a parked one panics out of its blocking call with a private
+// value that is recovered at the root of its body, so its deferred calls
+// run, as model code always does, with nothing else executing. (Goexit
+// would not do: iter.Pull forwards it to the caller of stop.) Processes
+// spawned by those deferred calls are closed too. The root of a ShardGroup
+// closes its lanes as well. Close must not be called while the simulation
+// is running; Run must not be called after it; a second Close is a no-op.
 func (s *Simulation) Close() {
 	if s.running {
 		panic("sim: Close called during Run")
 	}
-	for _, p := range s.procs {
-		if !p.done {
-			close(p.wake)
-			<-p.yield
+	for i := 0; i < len(s.procs); i++ {
+		if p := s.procs[i]; !p.done {
+			p.done = true
+			p.stop()
 		}
 	}
 	s.procs = nil
@@ -76,25 +85,29 @@ func (s *Simulation) Close() {
 	}
 }
 
-// dispatch transfers control to the process and waits until it parks or
-// finishes. It runs in event-callback context.
+// dispatch switches to the process and returns when it parks or finishes. A
+// panic in the body surfaces here, on the event loop's goroutine. It runs in
+// event-callback context.
 func (p *Proc) dispatch() {
 	if p.done {
 		return
 	}
-	prev := p.sim.inProc
 	p.sim.inProc = p
-	p.wake <- struct{}{}
-	<-p.yield
-	p.sim.inProc = prev
+	_, parked := p.resume()
+	p.sim.inProc = nil
+	p.done = !parked
 }
 
-// park returns control to the scheduler and blocks until re-dispatched. The
+// park switches back to the event loop and returns when re-dispatched. The
 // caller must already have scheduled something that will call p.dispatch.
+// Only the process's own body may block: from an event callback or another
+// process's body there is nothing to switch away from.
 func (p *Proc) park() {
-	p.yield <- struct{}{}
-	if _, ok := <-p.wake; !ok {
-		runtime.Goexit() // the simulation was closed
+	if p.sim.inProc != p {
+		panic(fmt.Sprintf("sim: proc %s blocked outside its own body", p.name))
+	}
+	if !p.yield(struct{}{}) {
+		panic(procClosed{}) // the simulation was closed
 	}
 }
 
@@ -195,10 +208,13 @@ func (sg *Signal) subscribeFrom(home *Simulation, fn func()) {
 // Fire schedules all pending subscribers to run at the current virtual time.
 func (sg *Signal) Fire() {
 	ws := sg.waiters
-	sg.waiters = nil
 	for _, w := range ws {
 		sg.sim.wakeTo(w.home, w.fn)
 	}
+	// wakeTo only schedules, so nothing subscribed during the loop: keep the
+	// backing array for the next Wait, but not the fired closures.
+	clear(ws)
+	sg.waiters = ws[:0]
 }
 
 // Waiting returns the number of pending subscribers.

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -320,11 +322,141 @@ func TestCloseUnwindsUnfinishedProcs(t *testing.T) {
 	if got, want := fmt.Sprint(unwound), "[alone root lane0 lane1]"; got != want {
 		t.Fatalf("unwound %s, want %s", got, want)
 	}
-	// A goroutine has handed its yield over slightly before it is gone.
+	// A lane worker has seen its start channel close slightly before it is gone.
 	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
 		time.Sleep(time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
 		t.Fatalf("%d goroutines before, %d after Close", before, n)
+	}
+}
+
+// TestCloseParkedStates covers the parked states TestCloseUnwindsUnfinishedProcs
+// does not: a process parked in WaitTimeout (two wakers outstanding), and one
+// whose deferred call spawns another process while Close is unwinding it —
+// the late spawn is closed by the same Close and its body never runs.
+func TestCloseParkedStates(t *testing.T) {
+	before := runtime.NumGoroutine()
+	s := New(1)
+	var unwound []string
+	s.Spawn("timeout", func(p *Proc) {
+		defer func() { unwound = append(unwound, "timeout") }()
+		p.WaitTimeout(NewSignal(s), time.Second)
+		t.Error("process parked in WaitTimeout resumed")
+	})
+	s.Spawn("spawner", func(p *Proc) {
+		defer func() {
+			unwound = append(unwound, "spawner")
+			s.Spawn("late", func(p *Proc) { t.Error("process spawned during Close ran") })
+		}()
+		p.Sleep(time.Second)
+		t.Error("sleeping process resumed")
+	})
+	s.RunFor(time.Millisecond)
+	s.Close()
+	if got, want := fmt.Sprint(unwound), "[timeout spawner]"; got != want {
+		t.Fatalf("unwound %s, want %s", got, want)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after Close", before, n)
+	}
+}
+
+// TestSpawnCloseCyclesLeakNoGoroutines: a coroutine is a goroutine to the
+// runtime, so every spawned process must be gone once Close returns,
+// whichever state Close found it in.
+func TestSpawnCloseCyclesLeakNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 10000; i++ {
+		s := New(int64(i))
+		s.Spawn("parked", func(p *Proc) { p.Sleep(time.Second) })
+		s.Spawn("finished", func(p *Proc) {})
+		s.RunFor(time.Millisecond)
+		s.Spawn("unstarted", func(p *Proc) {})
+		s.Close()
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines before, %d after 10000 spawn/close cycles", before, n)
+	}
+}
+
+// runRecovering runs s to quiescence and returns the value Run panicked
+// with, nil if it returned.
+func runRecovering(s *Simulation) (panicked any) {
+	defer func() { panicked = recover() }()
+	s.Run(0)
+	return nil
+}
+
+// TestProcPanicSurfacesFromRun: a panic in a process body — at its start or
+// after it has parked and been resumed — unwinds Run on the caller's
+// goroutine with the original value, where a test or fuzz target can recover
+// it; the simulation can still be closed afterwards.
+func TestProcPanicSurfacesFromRun(t *testing.T) {
+	boom := errors.New("boom")
+	for _, sleep := range []time.Duration{0, Microsecond} {
+		s := New(1)
+		s.Spawn("bystander", func(p *Proc) { p.Sleep(time.Second) })
+		s.Spawn("faulty", func(p *Proc) {
+			p.Sleep(sleep)
+			panic(boom)
+		})
+		if got := runRecovering(s); got != boom {
+			t.Fatalf("sleep %v: Run panicked with %v, want %v", sleep, got, boom)
+		}
+		s.Close()
+	}
+}
+
+// TestBlockOutsideOwnBodyPanics: a blocking call on p from an event callback
+// or from another process's body names p instead of hanging.
+func TestBlockOutsideOwnBodyPanics(t *testing.T) {
+	cases := map[string]func(s *Simulation, victim *Proc){
+		"event callback": func(s *Simulation, victim *Proc) {
+			s.After(Microsecond, func() { victim.Sleep(Microsecond) })
+		},
+		"another process": func(s *Simulation, victim *Proc) {
+			s.Spawn("intruder", func(p *Proc) { victim.Wait(NewSignal(s)) })
+		},
+	}
+	for name, misuse := range cases {
+		s := New(1)
+		victim := s.Spawn("victim", func(p *Proc) { p.Sleep(time.Second) })
+		misuse(s, victim)
+		got := runRecovering(s)
+		if msg, _ := got.(string); !strings.Contains(msg, "proc victim blocked outside its own body") {
+			t.Errorf("%s: Run panicked with %v, want a message naming proc victim", name, got)
+		}
+		s.Close()
+	}
+}
+
+// TestSignalWaitSteadyStateAllocs pins Fire keeping its waiter slice: a
+// process that waits on the same signal over and over allocates nothing per
+// wait, and a fired closure is not kept reachable by the spare capacity.
+func TestSignalWaitSteadyStateAllocs(t *testing.T) {
+	s := New(1)
+	sg := NewSignal(s)
+	s.Spawn("waiter", func(p *Proc) {
+		for {
+			p.Wait(sg)
+		}
+	})
+	defer s.Close()
+	fire := sg.Fire // bound once: a fresh method value would be the test's allocation
+	cycle := func() {
+		s.After(Nanosecond, fire)
+		s.Run(0)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm up the event store
+	}
+	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
+		t.Fatalf("steady-state Wait+Fire allocates %.2f objects/op, want 0", avg)
+	}
+	sg.Subscribe(func() {})
+	sg.Fire()
+	if w := sg.waiters[:1][0]; w.fn != nil || w.home != nil {
+		t.Fatalf("Fire left a fired waiter in the spare capacity: %+v", w)
 	}
 }

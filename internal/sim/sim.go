@@ -10,13 +10,15 @@
 //
 //   - Callback style: schedule closures with At/After and build state
 //     machines (used by the network and switch models).
-//   - Process style: Spawn a goroutine-backed Proc that can Sleep, wait on
+//   - Process style: Spawn a coroutine-backed Proc that can Sleep, wait on
 //     Signals, and acquire Resources, which reads like straight-line code
 //     (used by host threads, mappers, reducers, and trainers).
 //
-// Only one goroutine executes simulation logic at any moment; the kernel
-// hands control back and forth between the event loop and at most one parked
-// process, so no locking is required in model code.
+// Only one thread of control executes simulation logic at any moment: a
+// process is an iter.Pull coroutine that the event loop resumes and that
+// parks by switching straight back to it — no channel, no trip through the
+// Go scheduler — so no locking is required in model code, and a panic in a
+// process body surfaces from Run like one in an event callback.
 //
 // # Event kernel
 //
@@ -129,8 +131,9 @@ type Simulation struct {
 	running bool
 	stopped bool
 
-	// current non-nil while the loop is inside an event callback; used to
-	// catch illegal blocking calls from plain callbacks.
+	// inProc is the process whose body is executing, nil inside a plain
+	// event callback; park checks it to reject a blocking call made from
+	// anywhere but the process's own body.
 	inProc *Proc
 	// procs lists every spawned process, for Close.
 	procs []*Proc

@@ -100,6 +100,10 @@ type Sender struct {
 	backoff    bool // exponential per-flight retransmission backoff
 	err        error
 
+	// onTimeoutFn is the method value s.onTimeout, bound once at NewSender
+	// so arming a flight's timer allocates no closure per packet.
+	onTimeoutFn func(any)
+
 	cc   *congestion // nil unless EnableCongestionControl
 	met  senderMetrics
 	tr   *telemetry.Tracer
@@ -125,7 +129,7 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 	if transmit == nil {
 		panic("window: nil transmit")
 	}
-	return &Sender{
+	snd := &Sender{
 		sim:      s,
 		w:        uint32(w),
 		timeout:  timeout,
@@ -142,6 +146,8 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 			resets:      &telemetry.Counter{},
 		},
 	}
+	snd.onTimeoutFn = snd.onTimeout
+	return snd
 }
 
 // Instrument moves the window's counters onto a shared registry under
@@ -331,21 +337,25 @@ func (s *Sender) arm(f *flight) {
 		}
 		to = s.timeout << uint(shift)
 	}
-	f.timer = s.sim.After(to, func() {
-		// Still unacked: retransmit and re-arm, unless the retry budget is
-		// exhausted — then the peer is presumed dead and the window aborts.
-		if s.maxRetries > 0 && f.tries >= s.maxRetries {
-			s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
-			return
-		}
-		f.tries++
-		s.met.retransmits.Inc()
-		if s.cc != nil {
-			s.cc.onTimeout()
-		}
-		s.transmit(f.pkt)
-		s.arm(f)
-	})
+	f.timer = s.sim.AfterCall(to, s.onTimeoutFn, f)
+}
+
+// onTimeout is a flight's retransmission timer firing, with the *flight as
+// argument. Still unacked: retransmit and re-arm, unless the retry budget is
+// exhausted — then the peer is presumed dead and the window aborts.
+func (s *Sender) onTimeout(arg any) {
+	f := arg.(*flight)
+	if s.maxRetries > 0 && f.tries >= s.maxRetries {
+		s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
+		return
+	}
+	f.tries++
+	s.met.retransmits.Inc()
+	if s.cc != nil {
+		s.cc.onTimeout()
+	}
+	s.transmit(f.pkt)
+	s.arm(f)
 }
 
 // Ack processes an acknowledgment for seq. Duplicate or unknown ACKs are
