@@ -1,102 +1,75 @@
 # Development targets. CI (.github/workflows/ci.yml) runs the prerequisites
 # of `make ci`, one workflow step per target, in this order.
+#
+# Every check has one entry point and runs once. Budget, on the 2-vCPU
+# development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
+# measured for each target when the budget was set (PR 17; warm build cache,
+# empty test cache) stands next to it and sums to 4 min 36 s; no target is a
+# subset of another, and each says why.
 
 GO ?= go
 
-.PHONY: all vet build test test-shuffle race bench bench-smoke bench-smoke-shards lint lint-json selfcheck soak scenarios experiments-golden examples ci
+.PHONY: all vet lint test race soak examples ci
 
 all: ci
 
+# 2 s. Type-checks and builds every package and every test (so there is no
+# separate build step) and is the only run of go vet's own analyzers.
 vet:
 	$(GO) vet ./...
 
-# Static-analysis suite (cmd/askcheck): PISA access legality, sim-clock
-# determinism, lock-across-wait, and metric-name hygiene. See DESIGN.md's
-# "Static verification" section.
+# 3 s. The only run of the static-analysis suite (cmd/askcheck): PISA access
+# legality, sim-clock determinism, metric-name hygiene, packet-pool ownership,
+# shard safety, error taxonomy — over every package, the analyzers' own
+# included. See DESIGN.md "Static verification".
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# Same diagnostics as `lint`, emitted as NDJSON (one JSON object per line:
-# file/line/col/analyzer/message) for CI annotation tooling to stream-parse.
-lint-json:
-	$(GO) run ./cmd/askcheck -json ./...
-
-# The analysis engine and driver pass their own analyzers: askcheck checks
-# askcheck. Guards against the embarrassing failure mode of a lint suite
-# that cannot survive its own rules.
-selfcheck:
-	$(GO) run ./cmd/askcheck ./internal/analysis/... ./cmd/askcheck
-
-build:
-	$(GO) build ./...
-
+# 42 s. The whole suite once, in shuffled order (which also catches
+# inter-test state dependencies). The only step that runs the experiment
+# registry: internal/experiments' TestQuickGolden runs every quick preset once
+# (≈ 21 s) and requires `askbench -run all -quick -json` to equal
+# internal/experiments/testdata/quick.json byte for byte; the shape tests
+# judge the committed tables, the scenario corpus round trip (ask's
+# TestScenarioCorpus*, scenario's TestCorpusDeterminism/TestTraceRoundTripCorpus)
+# is part of it. After an intended table change regenerate the file with the
+# command the failure prints and review the diff.
 test:
-	$(GO) test ./...
-
-# Shuffled test order catches inter-test state dependencies.
-test-shuffle:
 	$(GO) test -shuffle=on ./...
 
-# The timeout is per package and equals go test's default; it is written down
-# so the budget is a reviewed number. The slowest package under the race
-# detector is internal/experiments: 426 s inside this target on the 2-vCPU
-# development host (TestFig8aShape alone 203 s; the whole target 8 min 24 s).
+# 3 min 34 s. The same suite under the race detector, in source order — what
+# `test` cannot see. The registry run is skipped by build tag here (22
+# single-goroutine simulations: minutes of detector time that race nothing;
+# the sharded lanes and the experiment worker pool keep their raced tests),
+# -short is not used. The timeout is per package and equals go test's
+# default; it is written down so the budget is a reviewed number. The slowest
+# package under the detector is ask: 81 s inside this target on the 2-vCPU
+# host (internal/chaos 72 s, internal/wire 67 s, internal/experiments 8 s —
+# 426 s until PR 17).
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# The paper's tables as root-package benchmarks. Performance claims are
-# measured with `go run ./bench` instead (bench/README.md).
-bench:
-	$(GO) test -bench=. -benchmem -run '^$$'
-
-# One iteration of the headline macro-benchmarks: catches harness rot (a
-# benchmark that no longer compiles or errors out) without paying full
-# measurement time. CI runs this.
-bench-smoke:
-	$(GO) test -run='^$$' -bench='BenchmarkFig3$$|BenchmarkTable1$$|BenchmarkMultiRack$$|BenchmarkTenancy$$' -benchtime=1x .
-
-# Parallel-scheduler smoke (DESIGN.md "Parallel DES"): one iteration of the
-# shard-sweep benchmarks. (The sharded goldens under the race detector —
-# `go test -race -run TestMultiRackSharded ./ask` — are part of `make race`.)
-# CI runs this.
-bench-smoke-shards:
-	$(GO) test -run='^$$' -bench='BenchmarkMultiRackShards|BenchmarkFatTreeShards' -benchtime=1x .
-
-# Bounded chaos soak (README "Failure model"): 12 fixed seeds of randomized
-# fault schedules — switch outages, black-holes, loss/corruption bursts,
-# host stalls — each run end-to-end against the analytic ground truth with
-# a continuous per-link corruption baseline, then a fat-tree smoke pass
+# 4 s. Bounded chaos soak (README "Failure model"): 12 fixed seeds of
+# randomized fault schedules — switch outages, black-holes, loss/corruption
+# bursts, host stalls — each run end-to-end against the analytic ground truth
+# with a continuous per-link corruption baseline, then a fat-tree smoke pass
 # (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md "Fabric
-# soak") and a multi-rack pass (TOR outages under the forwarding core).
-# Deterministic and fast (a few seconds); a failure prints a shrunken
-# schedule and a reproducer line carrying the topology flags.
+# soak"), one of them on four shards, and a multi-rack pass (TOR outages under
+# the forwarding core). The tests pin the first seeds of each kind
+# (internal/chaos/testdata/soak.golden); this is the wider seed range, through
+# the asksim command line. A failure prints a shrunken schedule and a
+# reproducer line carrying the topology flags.
 soak:
 	$(GO) run ./cmd/asksim -soak -soak.seed=1 -soak.runs=12 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=6 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=6 -soak.corrupt=1e-3
 
-# Scenario-corpus round trip (README "Workloads & traces"): every committed
-# scenario regenerated from its seed (byte-identical), encoded to the v2
-# timed trace format, decoded back, and replayed through the full stack on
-# the sim clock against a direct run. CI runs this.
-scenarios:
-	$(GO) test -count=1 -run 'TestCorpusDeterminism|TestTraceRoundTripCorpus' ./internal/workload/scenario
-	$(GO) test -count=1 -run 'TestScenarioCorpus' ./ask
-
-# The experiment golden: `askbench -run all -quick -json` is a function of
-# the code alone (no wall clock, no process-global state), so its bytes are
-# committed and every PR diffs against them. After an intended table change,
-# regenerate with `go run ./cmd/askbench -run all -quick -json >
-# internal/experiments/testdata/quick.json` and review the diff. CI runs this.
-experiments-golden:
-	$(GO) run ./cmd/askbench -run all -quick -json | cmp - internal/experiments/testdata/quick.json
-
-# The library surface, run: every example exits non-zero on an error, and
-# the three that compute a host-side reference (groupby, streaming,
-# multirack) also when their aggregate is wrong. Six programs, a few
-# seconds each at most. CI runs this.
+# 12 s. The library surface, run: vet only compiles the six programs under
+# examples/. Every example exits non-zero on an error, and the three that
+# compute a host-side reference (groupby, streaming, multirack) also when
+# their aggregate is wrong.
 examples:
 	for e in quickstart wordcount groupby training streaming multirack; do $(GO) run ./examples/$$e > /dev/null || exit 1; done
 
-ci: vet build lint selfcheck test test-shuffle race soak scenarios experiments-golden bench-smoke bench-smoke-shards examples
+ci: vet lint test race soak examples

@@ -31,7 +31,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/telemetry"
 )
 
 func main() {
@@ -39,15 +38,11 @@ func main() {
 		run      = flag.String("run", "", "experiment to run (or 'all')")
 		quick    = flag.Bool("quick", false, "use test-scale presets")
 		list     = flag.Bool("list", false, "list available experiments")
-		telem    = flag.Bool("telemetry", false, "instrument experiment clusters and print a metric report per experiment")
 		parallel = flag.Int("parallel", 1, "run up to N experiments concurrently (results stay in order and byte-identical)")
 		jsonOut  = flag.Bool("json", false, "emit outcomes as deterministic JSON instead of tables")
 		scen     = flag.String("scenario", "", "run the scenario-corpus sweep for one named scenario (see askgen -list-scenarios)")
 	)
 	flag.Parse()
-	if *telem {
-		experiments.SetDefaultTelemetry(telemetry.Config{Enabled: true})
-	}
 
 	if *list || (*run == "" && *scen == "") {
 		fmt.Println("Available experiments:")
@@ -103,11 +98,6 @@ func main() {
 			}
 			for _, t := range o.Tables {
 				fmt.Println(t.String())
-			}
-		}
-		if *telem {
-			if set := experiments.LastTelemetry(); set != nil {
-				fmt.Println(telemetry.Report(set.Registry).String())
 			}
 		}
 		fmt.Printf("(%d experiment(s) completed in %v wall time, parallel=%d)\n",

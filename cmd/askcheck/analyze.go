@@ -6,8 +6,6 @@ import (
 	"io"
 	"path/filepath"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/analysis/framework"
 )
@@ -21,17 +19,13 @@ type result struct {
 }
 
 // analyze expands patterns, loads every matched package, and runs the
-// analyzers over the packages on `jobs` workers.
+// analyzers over them in directory order.
 //
-// Loading is strictly serial — the recursive type-checker shares loader
-// state — and completes before any analyzer runs, so whole-universe
-// analyzers (shardsafety's annotation scan, poolrelease's cross-package
-// facts) see the full load universe no matter which package is analyzed
-// first. Analysis then fans out: packages are handed to workers in index
-// order and results are joined back by index, so the diagnostic order is
-// identical for any jobs value (each package's diagnostics are already
-// position-sorted by RunAnalyzers).
-func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer, jobs int) (*result, error) {
+// Loading completes before any analyzer runs, so whole-universe analyzers
+// (shardsafety's annotation scan, poolrelease's cross-package facts) see the
+// full load universe no matter which package is analyzed first. Each
+// package's diagnostics are already position-sorted by RunAnalyzers.
+func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer) (*result, error) {
 	dirs, err := framework.ExpandPatterns(cwd, patterns)
 	if err != nil {
 		return nil, err
@@ -46,38 +40,13 @@ func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer, job
 			return nil, err
 		}
 	}
-
-	if jobs < 1 {
-		jobs = 1
-	}
-	if jobs > len(pkgs) {
-		jobs = len(pkgs)
-	}
-	perPkg := make([][]framework.Diagnostic, len(pkgs))
-	errs := make([]error, len(pkgs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < jobs; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(pkgs) {
-					return
-				}
-				perPkg[i], errs[i] = framework.RunAnalyzers(pkgs[i], analyzers...)
-			}
-		}()
-	}
-	wg.Wait()
-
 	res := &result{fset: loader.Fset, pkgs: len(pkgs)}
-	for i := range perPkg {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, pkg := range pkgs {
+		diags, err := framework.RunAnalyzers(pkg, analyzers...)
+		if err != nil {
+			return nil, err
 		}
-		res.diags = append(res.diags, perPkg[i]...)
+		res.diags = append(res.diags, diags...)
 	}
 	return res, nil
 }
@@ -96,9 +65,4 @@ func (r *result) writeText(w io.Writer, base string) error {
 		}
 	}
 	return nil
-}
-
-// writeJSON renders diagnostics as NDJSON records for CI annotation.
-func (r *result) writeJSON(w io.Writer, base string) error {
-	return framework.WriteJSON(w, r.fset, base, r.diags)
 }

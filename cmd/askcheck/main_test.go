@@ -9,51 +9,23 @@ import (
 
 var fixturePatterns = []string{"./testdata/src/hostd", "./testdata/src/toy"}
 
-func runFixture(t *testing.T, jobs int) (*result, string, string) {
-	t.Helper()
+// TestAnalyzeGolden pins the exact driver output over the fixture tree —
+// file, position, analyzer, and message for every diagnostic, in order.
+// Regenerate with: ASKCHECK_UPDATE_GOLDEN=1 go test ./cmd/askcheck -run TestAnalyzeGolden
+func TestAnalyzeGolden(t *testing.T) {
 	cwd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analyze(cwd, fixturePatterns, all, jobs)
+	res, err := analyze(cwd, fixturePatterns, all)
 	if err != nil {
-		t.Fatalf("analyze(jobs=%d): %v", jobs, err)
+		t.Fatal(err)
 	}
-	var text, ndjson bytes.Buffer
+	var text bytes.Buffer
 	if err := res.writeText(&text, cwd); err != nil {
 		t.Fatal(err)
 	}
-	if err := res.writeJSON(&ndjson, cwd); err != nil {
-		t.Fatal(err)
-	}
-	return res, text.String(), ndjson.String()
-}
-
-// TestAnalyzeDeterministicUnderConcurrency locks the satellite guarantee:
-// the parallel worker pool must produce byte-identical output to a serial
-// run, in both text and JSON modes.
-func TestAnalyzeDeterministicUnderConcurrency(t *testing.T) {
-	_, serialText, serialJSON := runFixture(t, 1)
-	for _, jobs := range []int{2, 8} {
-		_, text, ndjson := runFixture(t, jobs)
-		if text != serialText {
-			t.Errorf("jobs=%d text output differs from serial:\n--- serial ---\n%s--- jobs=%d ---\n%s",
-				jobs, serialText, jobs, text)
-		}
-		if ndjson != serialJSON {
-			t.Errorf("jobs=%d JSON output differs from serial:\n--- serial ---\n%s--- jobs=%d ---\n%s",
-				jobs, serialJSON, jobs, ndjson)
-		}
-	}
-}
-
-// TestAnalyzeGolden pins the exact driver output over the fixture tree —
-// file, position, analyzer, and message for every diagnostic, in order.
-// Regenerate with: go test ./cmd/askcheck -run TestAnalyzeGolden -update
-func TestAnalyzeGolden(t *testing.T) {
-	_, text, ndjson := runFixture(t, 4)
-	checkGolden(t, filepath.Join("testdata", "golden.txt"), text)
-	checkGolden(t, filepath.Join("testdata", "golden.json"), ndjson)
+	checkGolden(t, filepath.Join("testdata", "golden.txt"), text.String())
 }
 
 var update = os.Getenv("ASKCHECK_UPDATE_GOLDEN") != ""

@@ -9,11 +9,13 @@
 //
 //	askgen -scenario flash-crowd -out flash.askt
 //	asksim -replay flash.askt          # timed replay on the sim clock
+//	askgen -dataset yelp -out yelp.tsv
+//	asksim -replay yelp.tsv            # plain TSV: the same path, back to back
 //
 // Every -topology (rack, multirack, fattree) runs the same path: build the
 // deployment, lay out one task per tenant (or a single task), start, run,
 // verify against the host-computed reference, report. A flag the chosen
-// topology cannot honour is rejected, never ignored.
+// topology or workload source cannot honour is rejected, never ignored.
 package main
 
 import (
@@ -230,8 +232,7 @@ func main() {
 		rows     = flag.Int("rows", 0, "switch region rows (0 = default)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		verify   = flag.Bool("verify", true, "check the result against a host-computed reference")
-		trace    = flag.String("trace", "", "replay a TSV trace (from askgen) instead of generating (split round-robin across senders)")
-		replay   = flag.String("replay", "", "replay a timed trace (askgen -scenario; v1 TSV also accepted) on the sim clock: tuples enter the senders at their recorded arrival offsets")
+		replay   = flag.String("replay", "", "replay a trace from askgen instead of generating, dealt round-robin across the senders: a timed trace (-scenario) enters at its recorded arrival offsets on the sim clock, a plain TSV back to back")
 		layoutF  = flag.Bool("layout", false, "print the switch pipeline layout and exit")
 		telem    = flag.Bool("telemetry", false, "enable the cluster telemetry stack and print the metric report")
 		promOut  = flag.String("prom", "", "write a Prometheus text snapshot to this file ('-' = stdout; implies -telemetry)")
@@ -270,6 +271,13 @@ func main() {
 		fail("unknown -topology %q (rack, multirack or fattree)", *topoName)
 	}
 	rejectFlags(topo.rejects, "-topology "+*topoName)
+	if *replay != "" {
+		rejectFlags(map[string]string{
+			"tuples":   "the trace supplies the tuples",
+			"distinct": "the trace supplies the keys",
+			"skew":     "the trace supplies the key distribution",
+		}, "-replay")
+	}
 	s := shape{
 		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, shards: *shards, seed: *seed,
 		cfg: core.DefaultConfig(), link: netsim.DefaultLinkConfig(),
@@ -332,22 +340,6 @@ func main() {
 			for _, tkv := range part {
 				p.want.MergeKV(tkv.KV, core.OpSum)
 			}
-		}
-	case *trace != "":
-		f, err := os.Open(*trace)
-		if err != nil {
-			fail("%v", err)
-		}
-		kvs, err := workload.ReadTSV(f)
-		f.Close()
-		if err != nil {
-			fail("%v", err)
-		}
-		for i, part := range workload.SplitRoundRobin(kvs, len(slots)) {
-			p := slots[i].plan
-			p.streams[slots[i].host] = core.SliceStream(part)
-			p.tuples += int64(len(part))
-			p.want.Merge(core.Reference(core.OpSum, part), core.OpSum)
 		}
 	default:
 		for _, sl := range slots {

@@ -1,0 +1,85 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the tests drive the real main, exit status included: the
+// test binary re-executed with "-asksim" as its first argument is the
+// command.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-asksim" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// asksim runs the command with args and returns its output and exit status.
+func asksim(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-asksim"}, args...)...)
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatal(err)
+		}
+		exit = ee.ExitCode()
+	}
+	return out.String(), errb.String(), exit
+}
+
+// TestFlagsThatCannotBeHonouredAreRejected covers every rejectFlags site: a
+// flag the topology, the layout, the soak kind or the workload source would
+// ignore exits 1 naming the flag and the reason, before anything runs.
+func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-replay", "f.askt", "-tuples", "7"}, "asksim: -tuples does not apply to -replay: the trace supplies the tuples\n"},
+		{[]string{"-replay", "f.askt", "-distinct", "7"}, "asksim: -distinct does not apply to -replay: the trace supplies the keys\n"},
+		{[]string{"-replay", "f.askt", "-skew", "2"}, "asksim: -skew does not apply to -replay: the trace supplies the key distribution\n"},
+		{[]string{"-spines", "3"}, "asksim: -spines does not apply to -topology rack: a rack has one switch\n"},
+		{[]string{"-topology", "multirack", "-telemetry"}, "asksim: -telemetry does not apply to -topology multirack: the multi-rack deployment has no cluster telemetry set\n"},
+		{[]string{"-topology", "fattree", "-senders", "2"}, "asksim: -senders does not apply to a run over several groups: every task sends from one host per other group\n"},
+		{[]string{"-soak", "-soak.spines", "3"}, "asksim: -soak.spines does not apply to the rack soak: the rack has a single switch\n"},
+	} {
+		stdout, stderr, exit := asksim(t, c.args...)
+		if exit != 1 || stdout != "" || stderr != c.want {
+			t.Errorf("asksim %s: exit %d, stdout %q, stderr %q; want exit 1 and %q",
+				strings.Join(c.args, " "), exit, stdout, stderr, c.want)
+		}
+	}
+}
+
+// TestReplayAcceptsPlainTSV replays an untimed askgen-style trace: -replay
+// sniffs the format, deals the tuples across the senders and verifies the
+// aggregate against the fold of the file.
+func TestReplayAcceptsPlainTSV(t *testing.T) {
+	var tsv strings.Builder
+	for i := 0; i < 300; i++ {
+		tsv.WriteString([]string{"alpha", "beta", "gamma", "a-rather-longer-key"}[i%4] + "\t1\n")
+	}
+	path := filepath.Join(t.TempDir(), "p.tsv")
+	if err := os.WriteFile(path, []byte(tsv.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stdout, stderr, exit := asksim(t, "-replay", path, "-hosts", "3", "-senders", "2")
+	if exit != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", exit, stderr)
+	}
+	for _, want := range []string{"result verified exact against host-computed reference ✓", "distinct result keys:  4\n"} {
+		if !strings.Contains(stdout, want) {
+			t.Fatalf("output lacks %q:\n%s", want, stdout)
+		}
+	}
+}

@@ -7,7 +7,7 @@
 // through one FileSet and one package cache, type-checker objects are
 // canonical across packages, so the store is a plain map on the engine: a
 // fact exported while analyzing package A is immediately visible when the
-// same analyzer later (or concurrently) analyzes package B. Facts are
+// same analyzer later analyzes package B. Facts are
 // namespaced per analyzer; one analyzer can never observe another's.
 package framework
 
@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"go/types"
 	"reflect"
-	"sync"
 )
 
 // A Fact is analyzer-private information attached to a types.Object. The
@@ -45,8 +44,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if t.Kind() != reflect.Pointer {
 		panic(fmt.Sprintf("framework: fact %T must be a pointer", fact))
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.facts[factKey{p.Analyzer.Name, obj, t}] = fact
 }
 
@@ -62,9 +59,7 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	t := reflect.TypeOf(fact)
-	e.mu.Lock()
 	stored, ok := e.facts[factKey{p.Analyzer.Name, obj, t}]
-	e.mu.Unlock()
 	if !ok {
 		return false
 	}
@@ -76,7 +71,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 // through one Loader: the static call graph over the load universe, the
 // memoized escape summaries, and the cross-package fact store.
 type engine struct {
-	mu      sync.Mutex
 	gen     int // loader generation the graph was built at
 	graph   *CallGraph
 	escapes map[*CallNode]*FuncEscape
@@ -103,30 +97,18 @@ func (p *Pass) EscapeOf(n *CallNode) *FuncEscape {
 	if e == nil {
 		return escapeFunc(n)
 	}
-	e.mu.Lock()
 	fe, ok := e.escapes[n]
-	e.mu.Unlock()
-	if ok {
-		return fe
-	}
-	fe = escapeFunc(n) // outside the lock: summaries are deterministic
-	e.mu.Lock()
-	if prev, ok := e.escapes[n]; ok {
-		fe = prev
-	} else {
+	if !ok {
+		fe = escapeFunc(n)
 		e.escapes[n] = fe
 	}
-	e.mu.Unlock()
 	return fe
 }
 
 func (e *engine) callGraph(l *Loader) *CallGraph {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	gen := l.generation()
-	if e.graph == nil || e.gen != gen {
+	if e.graph == nil || e.gen != l.gen {
 		e.graph = buildCallGraph(l.loadedPackages())
-		e.gen = gen
+		e.gen = l.gen
 		e.escapes = make(map[*CallNode]*FuncEscape)
 	}
 	return e.graph

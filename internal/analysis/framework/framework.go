@@ -83,7 +83,7 @@ func (p *Pass) engine() *engine {
 	if l == nil {
 		return nil
 	}
-	return l.engine()
+	return l.eng
 }
 
 // Universe returns every package the pass's loader has type-checked so

@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package.
@@ -42,10 +41,9 @@ type Loader struct {
 	std  types.ImporterFrom
 	pkgs map[string]*loadEntry
 
-	// mu guards gen and eng; loads themselves stay single-threaded (the
-	// recursive type-checker is not), but analyzers read the engine from
-	// concurrent passes.
-	mu  sync.Mutex
+	// gen counts completed loads; the engine uses it to notice a stale call
+	// graph. Loads and passes are single-threaded (the recursive
+	// type-checker is not safe to share).
 	gen int
 	eng *engine
 }
@@ -78,6 +76,7 @@ func NewLoader(dir string) (*Loader, error) {
 		ModPath: modPath,
 		std:     std,
 		pkgs:    make(map[string]*loadEntry),
+		eng:     &engine{facts: make(map[factKey]Fact)},
 	}, nil
 }
 
@@ -174,18 +173,8 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	if pkg != nil {
 		pkg.loader = l
 	}
-	l.mu.Lock()
 	l.gen++
-	l.mu.Unlock()
 	return pkg, err
-}
-
-// generation counts completed loads; the engine uses it to notice a stale
-// call graph.
-func (l *Loader) generation() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.gen
 }
 
 // loadedPackages returns every successfully loaded package, sorted by
@@ -199,17 +188,6 @@ func (l *Loader) loadedPackages() []*Package {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out
-}
-
-// Engine returns the loader's interprocedural engine, creating it on first
-// use.
-func (l *Loader) engine() *engine {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.eng == nil {
-		l.eng = &engine{facts: make(map[factKey]Fact)}
-	}
-	return l.eng
 }
 
 func (l *Loader) loadUncached(dir, path string) (*Package, error) {

@@ -12,7 +12,7 @@
 // per-packet allocation churn the pool exists to eliminate, which is
 // exactly the kind of regression that survives every functional test.
 //
-// Since v2 the analyzer is INTERPROCEDURAL: it composes the framework's
+// The analyzer is INTERPROCEDURAL: it composes the framework's
 // escape lattice along the static call graph into per-function release
 // facts ("this callee releases or retains its i-th parameter"), exported
 // through the pass fact store and imported at call sites anywhere in the
@@ -27,10 +27,10 @@
 //     callee whose release fact says the corresponding value is released
 //     or retained there (transitively, to a fixed point).
 //
-// Version 1 stopped at "passed to any call satisfies", so a helper that
-// merely read the packet and dropped it hid the leak from the analyzer;
-// that blind spot is gone (see the v1-pin regression test). Diagnostics
-// still fire only on DEFINITE leaks; the rare intentional one can carry
+// A helper that merely reads the packet and drops it therefore does not
+// hide the leak (testdata/src/switchd/v1pin.go pins that: "passed to any
+// call satisfies" was version 1's blind spot). Diagnostics fire only on
+// DEFINITE leaks; the rare intentional one can carry
 // //askcheck:allow(poolrelease).
 package poolrelease
 
@@ -70,11 +70,6 @@ var Analyzer = &framework.Analyzer{
 	Run:       run,
 	FactTypes: []framework.Fact{(*releaseFact)(nil)},
 }
-
-// interprocedural gates the v2 call-composition. Tests flip it to false to
-// pin the exact blind spot version 1 had (any call argument satisfied the
-// obligation, even when the callee dropped the packet).
-var interprocedural = true
 
 // pooledPkgs are the last path elements of the packages on the pooled
 // fast path, where a leaked acquisition defeats the free list.
@@ -202,13 +197,6 @@ func satisfied(pass *framework.Pass, ve *framework.ValueEscape, visiting map[*ty
 		return true, false
 	}
 	for _, edge := range ve.Calls {
-		if !interprocedural {
-			// v1 semantics: any call the packet reaches satisfies.
-			if edge.Param >= 0 {
-				return true, false
-			}
-			continue
-		}
 		c, t := consumes(pass, edge.Callee, edge.Param, visiting)
 		if c {
 			return true, false

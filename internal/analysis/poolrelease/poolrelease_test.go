@@ -1,52 +1,12 @@
 package poolrelease_test
 
 import (
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/framework"
 	"repro/internal/analysis/poolrelease"
 )
 
 func TestPoolRelease(t *testing.T) {
 	analysistest.Run(t, "testdata", []string{"hostd", "other", "switchd"}, poolrelease.Analyzer)
-}
-
-// TestV1BlindSpotPinned proves the interprocedural upgrade closes a real
-// hole: under v1 semantics (any call argument counts as a hand-off) the
-// callee-dropped packet in testdata/src/switchd goes unreported, while v2
-// composes the callee's release fact and flags the acquisition.
-func TestV1BlindSpotPinned(t *testing.T) {
-	dir := filepath.Join("testdata", "src", "switchd")
-	loader, err := framework.NewLoader(dir)
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	pkg, err := loader.LoadDir(dir)
-	if err != nil {
-		t.Fatalf("LoadDir: %v", err)
-	}
-
-	restore := poolrelease.SetInterprocedural(false)
-	v1, err := framework.RunAnalyzers(pkg, poolrelease.Analyzer)
-	restore()
-	if err != nil {
-		t.Fatalf("v1 run: %v", err)
-	}
-	if len(v1) != 0 {
-		t.Errorf("v1 semantics reported %d diagnostics, want 0 (the blind spot): %v", len(v1), v1)
-	}
-
-	v2, err := framework.RunAnalyzers(pkg, poolrelease.Analyzer)
-	if err != nil {
-		t.Fatalf("v2 run: %v", err)
-	}
-	if len(v2) != 1 {
-		t.Fatalf("v2 semantics reported %d diagnostics, want exactly 1: %v", len(v2), v2)
-	}
-	if !strings.Contains(v2[0].Message, "neither released nor handed off") {
-		t.Errorf("v2 diagnostic = %q, want the leak message", v2[0].Message)
-	}
 }

@@ -1,9 +1,7 @@
-// Package v1pin is the corpus for the regression test pinning the v1
-// blind spot: a packet handed to a callee that provably drops it. Version
-// 1 accepted any call argument as a hand-off; version 2 composes the
-// callee's release fact and reports the leak. The want comment asserts
-// the v2 behaviour; TestV1BlindSpotPinned re-runs the analyzer with
-// interprocedural composition disabled and asserts the leak vanishes.
+// Package v1pin pins call composition: a packet handed to a callee that
+// provably drops it. Version 1 accepted any call argument as a hand-off;
+// the analyzer composes the callee's release fact and reports the leak, so
+// the want comment fails if that composition regresses.
 package v1pin
 
 import "repro/internal/wire"

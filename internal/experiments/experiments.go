@@ -11,7 +11,6 @@ package experiments
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/ask"
@@ -19,60 +18,12 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/sim"
 	"repro/internal/switchd"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// defaultTelemetry, when enabled, is applied to every cluster the shared
-// helpers build for experiments that did not configure their own telemetry;
-// cmd/askbench's -telemetry flag sets it. lastTelemetry retains the most
-// recently built instrumented cluster's observability set so the CLI can
-// report it after an experiment finishes.
-//
-// telemetryMu guards both: with RunParallel, experiments build clusters from
-// several worker goroutines concurrently. Each simulation itself remains
-// single-goroutine deterministic — the mutex only protects this CLI-level
-// reporting state.
-var (
-	telemetryMu      sync.Mutex
-	defaultTelemetry telemetry.Config
-	lastTelemetry    *telemetry.Set
-)
-
-// SetDefaultTelemetry configures the telemetry applied to experiment
-// clusters built through the shared helpers.
-func SetDefaultTelemetry(cfg telemetry.Config) {
-	telemetryMu.Lock()
-	defaultTelemetry = cfg
-	telemetryMu.Unlock()
-}
-
-// LastTelemetry returns the observability set of the most recent
-// instrumented experiment cluster (nil if telemetry was never enabled).
-func LastTelemetry() *telemetry.Set {
-	telemetryMu.Lock()
-	defer telemetryMu.Unlock()
-	return lastTelemetry
-}
-
-// newCluster is the one rack constructor of the package: it folds in the
-// CLI-level default telemetry and records the instrumented set, so askbench
-// -telemetry applies to every rack experiment. (SetDefaultTelemetry and
-// LastTelemetry stay process-wide on purpose: removing them means threading
-// an environment through 22 experiment signatures or dropping the flag.)
+// newCluster is the one rack constructor of the package.
 func newCluster(opts ask.Options) (*ask.Cluster, error) {
-	if !opts.Telemetry.Enabled {
-		telemetryMu.Lock()
-		opts.Telemetry = defaultTelemetry
-		telemetryMu.Unlock()
-	}
-	cl, err := ask.NewCluster(opts)
-	if err == nil && cl.Tel != nil {
-		telemetryMu.Lock()
-		lastTelemetry = cl.Tel
-		telemetryMu.Unlock()
-	}
-	return cl, err
+	return ask.NewCluster(opts)
 }
 
 // deployment lists exactly what run calls on a cluster; both ask shells

@@ -93,38 +93,3 @@ func TestParallelMatchesSerialGolden(t *testing.T) {
 		t.Fatal("repeat serial run diverged — state leaked between experiments")
 	}
 }
-
-// TestParallelRealExperiments runs a slice of the actual registry through
-// the pool and asserts order preservation and serial/parallel byte
-// identity on the real table output.
-func TestParallelRealExperiments(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs several quick experiments twice")
-	}
-	var runners []Runner
-	for _, name := range []string{"fig3", "table1", "fig12"} {
-		r, err := ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		runners = append(runners, r)
-	}
-	serialJSON, err := OutcomesJSON(RunParallel(runners, true, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallelJSON, err := OutcomesJSON(RunParallel(runners, true, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(serialJSON, parallelJSON) {
-		t.Fatalf("parallel registry run diverged from serial:\nserial:\n%s\nparallel:\n%s",
-			serialJSON, parallelJSON)
-	}
-	out := RunParallel(runners, true, 3)
-	for i, o := range out {
-		if o.Name != runners[i].Name {
-			t.Fatalf("outcome %d out of order: got %s want %s", i, o.Name, runners[i].Name)
-		}
-	}
-}

@@ -10,10 +10,10 @@ package experiments
 // Every column is deterministic: virtual elapsed and the scheduler's window
 // and mailbox counters, which prove the partition exists and carries the
 // traffic. Wall time per shard count is a wall-clock measurement and lives
-// where those belong: BenchmarkMultiRackShards / BenchmarkFatTreeShards time
-// ScalingPoint through testing.B. (On a single-CPU host the honest
-// expectation there is ≈ 1× or slightly below: the lanes only interleave, and
-// the windows add barrier overhead.)
+// where those belong: bench/'s fattree-sharded workload against
+// fattree-serial (bench/README.md). (The table's Note still names the two
+// root-package benchmarks that used to time it; the string is pinned by
+// testdata/quick.json and changes with the next intended regeneration.)
 
 import (
 	"fmt"
@@ -112,14 +112,6 @@ func runScaling(topology string, cfg ScalingConfig, shards int) (scalingRun, err
 		run.stats, run.lanes = g.Stats(), g.Lanes()
 	}
 	return run, nil
-}
-
-// ScalingPoint runs one topology's scaling workload at one shard count and
-// discards the outcome — the per-shard-count benchmark hook
-// (BenchmarkMultiRackShards/FatTreeShards time it from the root package).
-func ScalingPoint(topology string, cfg ScalingConfig, shards int) error {
-	_, err := runScaling(topology, cfg, shards)
-	return err
 }
 
 // Scaling sweeps shard counts over both partitionable topologies. Every

@@ -348,3 +348,16 @@ func TestTagSeenValidation(t *testing.T) {
 		}()
 	}
 }
+
+// BenchmarkAblationSeenNaive measures the straightforward 2W-bit receive
+// window (Eq. 5–7, twice the state): the baseline of the seen ablation.
+// §3.3's compact window, which bench/ times as window.seen_observe_ns, must
+// not be slower than it.
+func BenchmarkAblationSeenNaive(b *testing.B) {
+	s := NewNaiveSeen(256)
+	b.ReportMetric(float64(s.Bits()), "state-bits")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Observe(uint32(i))
+	}
+}

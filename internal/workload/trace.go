@@ -70,12 +70,3 @@ func ReadTSV(r io.Reader) ([]core.KV, error) {
 	}
 	return out, nil
 }
-
-// SplitRoundRobin deals a trace to n senders, preserving per-sender order.
-func SplitRoundRobin(kvs []core.KV, n int) [][]core.KV {
-	out := make([][]core.KV, n)
-	for i, kv := range kvs {
-		out[i%n] = append(out[i%n], kv)
-	}
-	return out
-}

@@ -67,15 +67,3 @@ func TestReadTSVErrors(t *testing.T) {
 		t.Fatalf("blank-line handling: %v %v", got, err)
 	}
 }
-
-func TestSplitRoundRobin(t *testing.T) {
-	kvs := []core.KV{{Key: "a", Val: 1}, {Key: "b", Val: 2}, {Key: "c", Val: 3}, {Key: "d", Val: 4}, {Key: "e", Val: 5}}
-	parts := SplitRoundRobin(kvs, 2)
-	if len(parts[0]) != 3 || len(parts[1]) != 2 {
-		t.Fatalf("split sizes %d/%d", len(parts[0]), len(parts[1]))
-	}
-	all := append(append([]core.KV{}, parts[0]...), parts[1]...)
-	if !core.Reference(core.OpSum, all).Equal(core.Reference(core.OpSum, kvs)) {
-		t.Fatal("split lost tuples")
-	}
-}

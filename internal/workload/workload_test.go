@@ -192,3 +192,14 @@ func TestValueFunction(t *testing.T) {
 		t.Fatalf("value function not applied: sum %d", sum)
 	}
 }
+
+// BenchmarkWorkloadZipf measures the Zipf stream generator.
+func BenchmarkWorkloadZipf(b *testing.B) {
+	s := Zipf(1<<16, int64(b.N)+1, 1.1, Shuffled, 1).Stream()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok := s(); !ok {
+			b.Fatal("stream exhausted")
+		}
+	}
+}
