@@ -3,24 +3,37 @@
 // (He et al., "A Generic Service to Provide In-Network Aggregation for
 // Key-Value Streams", ASPLOS 2023).
 //
-// A Cluster wires together the simulated substrate — a virtual-time kernel,
-// a single-switch 100 Gbps network, a PISA-constrained ASK switch program,
-// and one host daemon per server — behind a small surface:
+// There is one deployment type, Deployment: the simulation, the hosts and
+// everything that runs a task, on whatever fabric it was built over. The
+// constructors return it inside a shell that adds only topology fields —
+// NewCluster a rack (a virtual-time kernel, a single-switch 100 Gbps network,
+// a PISA-constrained ASK switch program, one host daemon per server),
+// NewFatTreeCluster a spine/leaf fabric, NewMultiRackCluster its §7 preset —
+// and promotes every Deployment method; code that must run on any of them
+// holds the *Deployment (&cl.Deployment).
+//
+// A task and its verdict are one Job: the spec, each sender's stream, and the
+// plain keyed reduce of those streams that the result must equal (§2.1.1,
+// Eq. 2), folded on the host as the senders are added.
 //
 //	cl, _ := ask.NewCluster(ask.Options{Hosts: 4})
-//	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 2, 3}}
-//	res, _ := cl.Aggregate(spec, map[core.HostID]core.Stream{
-//	    1: core.SliceStream(streamA),
-//	    2: core.SliceStream(streamB),
-//	    3: core.SliceStream(streamC),
-//	})
+//	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+//	for h := core.HostID(1); h <= 3; h++ {
+//	    job.Send(h, workload.Uniform(4096, 100_000, int64(h)))
+//	}
+//	res, err := cl.Run(job) // a wrong aggregate is a *core.MismatchError
 //
-// Aggregate runs the full protocol of the paper: task setup over the control
+// Run executes the full protocol of the paper: task setup over the control
 // channel, multi-key vectorized switch aggregation, sliding-window
 // reliability, shadow-copy hot-key prioritization, FIN-driven teardown, and
 // the switch-state fetch/merge — returning the exact aggregation of all
-// streams. Everything executes on deterministic virtual time, so results
-// and performance measurements are reproducible for a given Seed.
+// streams. Start, Sim.Run and Job.Result are its three steps for callers that
+// run the clock themselves; Aggregate and StartTask take bare streams without
+// a reference. A stream is a sequence of arrivals on the sim clock
+// (core.TimedStream); a plain core.Stream is the same thing with every
+// arrival at offset zero, and takes the same path. Everything executes on
+// deterministic virtual time, so results and performance measurements are
+// reproducible for a given Seed.
 package ask
 
 import (
@@ -58,12 +71,12 @@ type Options struct {
 	Telemetry telemetry.Config
 }
 
-// Cluster is a simulated rack running the ASK service: the cluster core
-// over a one-switch fabric. The core supplies the task API (StartTask,
+// Cluster is a simulated rack running the ASK service: the Deployment over a
+// one-switch fabric. The core supplies the task API (Run, StartTask,
 // Aggregate, ...), the accessors, and the promoted fields Sim (the
 // simulation) and Tel (the telemetry set, nil when disabled).
 type Cluster struct {
-	cluster
+	Deployment
 	Net    *netsim.Network
 	Switch *switchd.Switch
 }
@@ -106,7 +119,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 	}
 	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.Link)
 	cl := &Cluster{}
-	cl.cluster = newCluster(cl, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	cl.Deployment = newDeployment(cl, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
 	// Construction order — network, switch, hosts in ID order — is part of
 	// the simulated record: bench/'s traced rack rebuilds it step for step.
 	sink := cl.Tel.Sink()
@@ -132,7 +145,7 @@ func NewCluster(opts Options) (*Cluster, error) {
 }
 
 // TheSwitch is the fabric address of the rack's only switch for the
-// addressed fault-injection surface (chaos.Fabric): rack deployments have a
+// addressed fault-injection surface (CrashSwitch): rack deployments have a
 // single switch, and it answers to address 0. Fat-tree switches use the
 // netsim.LeafAddr/SpineAddr range instead.
 const TheSwitch core.HostID = 0
@@ -143,6 +156,7 @@ const TheSwitch core.HostID = 0
 func (c *Cluster) switches() []*switchd.Switch         { return []*switchd.Switch{c.Switch} }
 func (c *Cluster) uplink(h core.HostID) *netsim.Link   { return c.Net.Uplink(h) }
 func (c *Cluster) downlink(h core.HostID) *netsim.Link { return c.Net.Downlink(h) }
+func (c *Cluster) epoch() uint32                       { return c.Switch.Epoch() }
 
 func (c *Cluster) taskStats(spec core.TaskSpec) switchd.TaskStats {
 	return *c.Switch.TaskStatsOf(spec.ID)

@@ -32,6 +32,9 @@ type fabric interface {
 	// switch at addr and advance whatever incarnation numbering the fabric
 	// keeps — the rack's per-switch epoch, the fat-tree's fabric-wide one.
 	setSwitchDown(addr core.HostID, down bool) error
+	// epoch is the newest incarnation the fabric has announced: the rack
+	// switch's own, or the fat-tree's fabric-wide one.
+	epoch() uint32
 	// revokeRegion marks a task's region revoked at the single switch that
 	// holds it, or reports that the fabric has no such single point.
 	revokeRegion(task core.TaskID, receiver core.HostID) error
@@ -47,11 +50,15 @@ func (e *UnsupportedError) Error() string {
 	return fmt.Sprintf("ask: %s is not supported on the %s (%s)", e.Op, e.Fabric, e.Reason)
 }
 
-// cluster is the deployment-independent core that Cluster and FatTreeCluster
-// (which the multi-rack deployment is a preset of) embed: the simulation, the
-// telemetry set, the hosts, and everything that runs a task. Its exported
-// fields and methods are promoted onto the two shells.
-type cluster struct {
+// Deployment is the deployment-independent core — the simulation, the
+// telemetry set, the hosts, and everything that runs a task — and the one
+// type code that must work on every fabric holds. Cluster and FatTreeCluster
+// (which the multi-rack deployment is a preset of) embed it and add only their
+// topology fields, so its exported fields and methods are promoted onto the
+// two shells and &cl.Deployment is the shell's core. Build one through a
+// shell's constructor.
+type Deployment struct {
+	// Sim is the deterministic virtual-time kernel.
 	Sim *sim.Simulation
 	// Tel is the cluster observability set (nil unless the deployment's
 	// Telemetry option is enabled): registry, tracer, and sampler.
@@ -88,9 +95,9 @@ func defaults(cfg *core.Config, cores *int, sw *switchd.Options, links ...*netsi
 	}
 }
 
-func newCluster(fab fabric, seed int64, cfg core.Config, cores int, tel telemetry.Config) cluster {
+func newDeployment(fab fabric, seed int64, cfg core.Config, cores int, tel telemetry.Config) Deployment {
 	s := sim.New(seed)
-	return cluster{
+	return Deployment{
 		Sim:     s,
 		Tel:     telemetry.NewSet(s, tel),
 		cfg:     cfg,
@@ -105,7 +112,7 @@ func newCluster(fab fabric, seed int64, cfg core.Config, cores int, tel telemetr
 // attached to the network at `at` with ctrl as its control plane.
 // Constructors call it in host-ID order; that order is part of the simulated
 // record bench/ reproduces.
-func (c *cluster) addHost(s *sim.Simulation, at netsim.HostFabric, id core.HostID, ctrl hostd.Controller, sink telemetry.Sink) (*hostd.Daemon, error) {
+func (c *Deployment) addHost(s *sim.Simulation, at netsim.HostFabric, id core.HostID, ctrl hostd.Controller, sink telemetry.Sink) (*hostd.Daemon, error) {
 	cpu := cpumodel.NewHost(s, c.cores)
 	d, err := hostd.New(s, at, cpu, c.cfg, id, ctrl, sink)
 	if err != nil {
@@ -117,35 +124,28 @@ func (c *cluster) addHost(s *sim.Simulation, at netsim.HostFabric, id core.HostI
 	return d, nil
 }
 
-// Simulation returns the deterministic virtual-time kernel.
-func (c *cluster) Simulation() *sim.Simulation { return c.Sim }
-
-// TelemetrySet returns the cluster observability set, nil when telemetry is
-// disabled.
-func (c *cluster) TelemetrySet() *telemetry.Set { return c.Tel }
-
 // Config returns the deployment configuration.
-func (c *cluster) Config() core.Config { return c.cfg }
+func (c *Deployment) Config() core.Config { return c.cfg }
 
 // Hosts lists the servers in host-ID order.
-func (c *cluster) Hosts() []core.HostID { return c.hosts }
+func (c *Deployment) Hosts() []core.HostID { return c.hosts }
 
 // Switches lists every ASK switch: the rack's one, or the leaves (the TORs
 // of a multi-rack deployment) followed by the spines.
-func (c *cluster) Switches() []*switchd.Switch { return c.fab.switches() }
+func (c *Deployment) Switches() []*switchd.Switch { return c.fab.switches() }
 
 // Daemon returns the host daemon of a server.
-func (c *cluster) Daemon(h core.HostID) *hostd.Daemon { return c.daemons[h] }
+func (c *Deployment) Daemon(h core.HostID) *hostd.Daemon { return c.daemons[h] }
 
 // CPU returns the CPU model of a server.
-func (c *cluster) CPU(h core.HostID) *cpumodel.Host { return c.cpus[h] }
+func (c *Deployment) CPU(h core.HostID) *cpumodel.Host { return c.cpus[h] }
 
 // HostUplink returns a host's uplink to its first-hop switch (fault
 // injection, stats).
-func (c *cluster) HostUplink(h core.HostID) *netsim.Link { return c.fab.uplink(h) }
+func (c *Deployment) HostUplink(h core.HostID) *netsim.Link { return c.fab.uplink(h) }
 
 // HostDownlink returns a host's downlink from its first-hop switch.
-func (c *cluster) HostDownlink(h core.HostID) *netsim.Link { return c.fab.downlink(h) }
+func (c *Deployment) HostDownlink(h core.HostID) *netsim.Link { return c.fab.downlink(h) }
 
 // CrashSwitch takes the switch at fabric address addr down: it black-holes
 // every frame until RebootSwitch. The rack's only switch answers to
@@ -154,13 +154,19 @@ func (c *cluster) HostDownlink(h core.HostID) *netsim.Link { return c.fab.downli
 // and a crash there also advances the fabric epoch (crashing an
 // already-crashed switch is a no-op) and requires Config.Failover. It returns
 // an error when addr names no switch.
-func (c *cluster) CrashSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, true) }
+func (c *Deployment) CrashSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, true) }
 
 // RebootSwitch brings the switch at addr back up as a fresh incarnation
 // (state wiped, epoch advanced — fabric-wide on the fat-tree, which
 // triggers the recovery that re-registers flows and re-allocates regions).
 // It returns an error under the same conditions as CrashSwitch.
-func (c *cluster) RebootSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, false) }
+func (c *Deployment) RebootSwitch(addr core.HostID) error { return c.fab.setSwitchDown(addr, false) }
+
+// FabricEpoch returns the fabric's incarnation number. It starts at 1; on the
+// rack it is the switch's epoch (each reboot advances it), on the fat-tree
+// the fabric-wide epoch (each switch crash and each reboot advances it by
+// one).
+func (c *Deployment) FabricEpoch() uint32 { return c.fab.epoch() }
 
 // RevokeRegion mimics the controller reclaiming a task's aggregator rows
 // mid-flight (e.g. to make room for a higher-priority tenant): the switch
@@ -172,7 +178,7 @@ func (c *cluster) RebootSwitch(addr core.HostID) error { return c.fab.setSwitchD
 // over several aggregation points and the single-point drain cannot reclaim
 // it exactly-once; fabric capacity pressure is modeled by admission control
 // instead.
-func (c *cluster) RevokeRegion(task core.TaskID, receiver core.HostID) error {
+func (c *Deployment) RevokeRegion(task core.TaskID, receiver core.HostID) error {
 	if !c.cfg.Failover {
 		return fmt.Errorf("ask: RevokeRegion requires Config.Failover")
 	}
@@ -224,80 +230,34 @@ func (pt *PendingTask) Get() (*TaskResult, error) {
 	return pt.result, nil
 }
 
-// StartTask submits a task and its sender streams without running the
+// StartTask is StartTaskTimed for plain streams: every arrival at offset
+// zero, so each sender drains its stream back to back. Its error behaviour
+// matches StartTaskTimed.
+func (c *Deployment) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
+	return c.StartTaskTimed(spec, timedStreams(streams))
+}
+
+// timedStreams lifts plain sender streams to arrival offset zero.
+func timedStreams(streams map[core.HostID]core.Stream) map[core.HostID]core.TimedStream {
+	timed := make(map[core.HostID]core.TimedStream, len(streams))
+	for h, s := range streams {
+		timed[h] = s.Timed()
+	}
+	return timed
+}
+
+// StartTaskTimed submits a task and its sender streams without running the
 // simulation, so several tasks (e.g. one per tenant) can run concurrently;
-// call Sim.Run(0) (or Aggregate another task) and then Get. It returns an
-// error when the spec has no senders, names hosts outside the cluster, or a
-// sender has no stream. Errors from the task's execution — including, on
+// call Sim.Run(0) (or Aggregate another task) and then Get. Each daemon
+// consumes its stream on the sim clock — tuples enter the packetizer at their
+// arrival offsets, partial packets flush on lulls — so the task experiences
+// the trace's temporal shape (bursts, diurnal cycles, idle gaps). It returns
+// an error when the spec has no senders, names hosts outside the cluster, or
+// a sender has no stream. Errors from the task's execution — including, on
 // tenant-partitioned fat-trees, admission rejections (match with errors.As
 // against *tenancy.OverloadError) — surface later, from Get.
-func (c *cluster) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSend(spec.ID, streams[h]) }
-	return c.startTask(spec, has, submit)
-}
-
-// StartTaskTimed is StartTask for timed sender streams (see
-// AggregateTimed); its error behaviour matches StartTask.
-func (c *cluster) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*PendingTask, error) {
-	has := func(h core.HostID) bool { _, ok := streams[h]; return ok }
-	submit := func(d *hostd.Daemon, h core.HostID) { d.SubmitSendTimed(spec.ID, streams[h]) }
-	return c.startTask(spec, has, submit)
-}
-
-// Aggregate runs one complete aggregation task to completion: the receiver
-// submits the task, each sender streams its tuples, and the merged result
-// is returned once every FIN is in and switch state is fetched. It blocks
-// until the virtual cluster quiesces. Setup errors are returned as from
-// StartTask, task-execution errors as from Get.
-func (c *cluster) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	pt, err := c.StartTask(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	c.Sim.Run(0)
-	return pt.Get()
-}
-
-// AggregateTimed runs one aggregation task whose sender streams carry
-// arrival timestamps: each daemon consumes its stream on the sim clock —
-// tuples enter the packetizer at their arrival offsets, partial packets
-// flush on lulls — so the task experiences the trace's temporal shape
-// (bursts, diurnal cycles, idle gaps) instead of back-to-back pressure.
-// Its error behaviour matches Aggregate.
-func (c *cluster) AggregateTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*TaskResult, error) {
-	pt, err := c.StartTaskTimed(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	c.Sim.Run(0)
-	return pt.Get()
-}
-
-// validate is the one task validator: same checks, same order, same errors
-// on every fabric.
-func (c *cluster) validate(spec core.TaskSpec, hasStream func(core.HostID) bool) error {
-	if len(spec.Senders) == 0 {
-		return fmt.Errorf("ask: task %d has no senders", spec.ID)
-	}
-	for _, s := range spec.Senders {
-		if _, ok := c.daemons[s]; !ok {
-			return fmt.Errorf("ask: sender host %d not in cluster", s)
-		}
-		if !hasStream(s) {
-			return fmt.Errorf("ask: no stream for sender host %d", s)
-		}
-	}
-	if _, ok := c.daemons[spec.Receiver]; !ok {
-		return fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
-	}
-	return nil
-}
-
-// startTask validates the task and spawns its driver proc: submit at the
-// receiver, start the senders in host-ID order, wait, account.
-func (c *cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool, submit func(*hostd.Daemon, core.HostID)) (*PendingTask, error) {
-	if err := c.validate(spec, hasStream); err != nil {
+func (c *Deployment) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*PendingTask, error) {
+	if err := c.validate(spec, streams); err != nil {
 		return nil, err
 	}
 	pt := &PendingTask{spec: spec, start: c.Sim.Now()}
@@ -308,6 +268,8 @@ func (c *cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool
 	if c.activeTasks == 1 && c.Tel != nil && c.Tel.Sampler != nil {
 		c.Tel.Sampler.Start()
 	}
+	// The driver proc: submit at the receiver, start the senders in host-ID
+	// order, wait, account.
 	c.Sim.Spawn(fmt.Sprintf("driver-task%d", spec.ID), func(p *sim.Proc) {
 		defer func() {
 			c.activeTasks--
@@ -324,7 +286,7 @@ func (c *cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool
 		senders := append([]core.HostID(nil), spec.Senders...)
 		sort.Slice(senders, func(i, j int) bool { return senders[i] < senders[j] })
 		for _, s := range senders {
-			submit(c.daemons[s], s)
+			c.daemons[s].SubmitSendTimed(spec.ID, streams[s])
 		}
 		result := h.Wait(p)
 		// A region revocation degrades only the task, not the daemon.
@@ -345,13 +307,54 @@ func (c *cluster) startTask(spec core.TaskSpec, hasStream func(core.HostID) bool
 	return pt, nil
 }
 
+// Aggregate is AggregateTimed for plain streams (see StartTask). Its error
+// behaviour matches AggregateTimed.
+func (c *Deployment) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
+	return c.AggregateTimed(spec, timedStreams(streams))
+}
+
+// AggregateTimed runs one complete aggregation task to completion: the
+// receiver submits the task, each sender streams its tuples at their arrival
+// offsets, and the merged result is returned once every FIN is in and switch
+// state is fetched. It blocks until the virtual cluster quiesces. Setup
+// errors are returned as from StartTaskTimed, task-execution errors as from
+// Get.
+func (c *Deployment) AggregateTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*TaskResult, error) {
+	pt, err := c.StartTaskTimed(spec, streams)
+	if err != nil {
+		return nil, err
+	}
+	c.Sim.Run(0)
+	return pt.Get()
+}
+
+// validate is the one task validator: same checks, same order, same errors
+// on every fabric.
+func (c *Deployment) validate(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) error {
+	if len(spec.Senders) == 0 {
+		return fmt.Errorf("ask: task %d has no senders", spec.ID)
+	}
+	for _, s := range spec.Senders {
+		if _, ok := c.daemons[s]; !ok {
+			return fmt.Errorf("ask: sender host %d not in cluster", s)
+		}
+		if _, ok := streams[s]; !ok {
+			return fmt.Errorf("ask: no stream for sender host %d", s)
+		}
+	}
+	if _, ok := c.daemons[spec.Receiver]; !ok {
+		return fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
+	}
+	return nil
+}
+
 // Streaming adapts the cluster to the windowed-stream API of
 // internal/streaming: unbounded per-source streams are aggregated in
 // tumbling windows, one ASK task per window, pipelined over the persistent
 // channels.
-func (c *cluster) Streaming() streaming.Service { return clusterStream{c} }
+func (c *Deployment) Streaming() streaming.Service { return clusterStream{c} }
 
-type clusterStream struct{ c *cluster }
+type clusterStream struct{ c *Deployment }
 
 func (cs clusterStream) Start(spec core.TaskSpec, streams map[core.HostID]core.Stream) (streaming.Pending, error) {
 	pt, err := cs.c.StartTask(spec, streams)

@@ -33,12 +33,19 @@ func reduceByKey(streams map[core.HostID][]core.KV) core.Result {
 	return out
 }
 
-// service is the task-running surface the three shells share.
-type service interface {
-	chaos.Fabric
-	StartTaskTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.PendingTask, error)
-	Aggregate(core.TaskSpec, map[core.HostID]core.Stream) (*ask.TaskResult, error)
-	AggregateTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.TaskResult, error)
+// rack and fatTree hand a shell's core to the table below.
+func rack(cl *ask.Cluster, err error) (*ask.Deployment, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &cl.Deployment, nil
+}
+
+func fatTree(fc *ask.FatTreeCluster, err error) (*ask.Deployment, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &fc.Deployment, nil
 }
 
 // Every fabric is built with nine hosts in three groups of three (the rack
@@ -48,28 +55,28 @@ type service interface {
 var conformanceFabrics = []struct {
 	name    string
 	tenants int
-	build   func(seed int64, cfg core.Config) (service, error)
+	build   func(seed int64, cfg core.Config) (*ask.Deployment, error)
 }{
-	{"rack", 0, func(seed int64, cfg core.Config) (service, error) {
-		return ask.NewCluster(ask.Options{Hosts: 9, Seed: seed, Config: cfg})
+	{"rack", 0, func(seed int64, cfg core.Config) (*ask.Deployment, error) {
+		return rack(ask.NewCluster(ask.Options{Hosts: 9, Seed: seed, Config: cfg}))
 	}},
-	{"multirack", 0, func(seed int64, cfg core.Config) (service, error) {
-		return ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg})
+	{"multirack", 0, func(seed int64, cfg core.Config) (*ask.Deployment, error) {
+		return fatTree(ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg}))
 	}},
-	{"multirack+lossy", 0, func(seed int64, cfg core.Config) (service, error) {
+	{"multirack+lossy", 0, func(seed int64, cfg core.Config) (*ask.Deployment, error) {
 		host, fabric := netsim.DefaultLinkConfig(), netsim.DefaultLinkConfig()
 		host.Fault.LossProb = 0.03
 		fabric.Fault = netsim.Fault{LossProb: 0.03, ReorderProb: 0.05, ReorderDelay: 40 * time.Microsecond}
-		return ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg, HostLink: host, CoreLink: fabric})
+		return fatTree(ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: seed, Config: cfg, HostLink: host, CoreLink: fabric}))
 	}},
-	{"fattree", 0, func(seed int64, cfg core.Config) (service, error) {
-		return ask.NewFatTreeCluster(ask.FatTreeOptions{Spines: 2, Leaves: 3, HostsPerLeaf: 3, Seed: seed, Config: cfg})
+	{"fattree", 0, func(seed int64, cfg core.Config) (*ask.Deployment, error) {
+		return fatTree(ask.NewFatTreeCluster(ask.FatTreeOptions{Spines: 2, Leaves: 3, HostsPerLeaf: 3, Seed: seed, Config: cfg}))
 	}},
-	{"fattree+2tenants", 2, func(seed int64, cfg core.Config) (service, error) {
-		return ask.NewFatTreeCluster(ask.FatTreeOptions{
+	{"fattree+2tenants", 2, func(seed int64, cfg core.Config) (*ask.Deployment, error) {
+		return fatTree(ask.NewFatTreeCluster(ask.FatTreeOptions{
 			Spines: 2, Leaves: 3, HostsPerLeaf: 3, Seed: seed, Config: cfg,
 			Tenants: []tenancy.TenantSpec{{ID: 1, Weight: 1}, {ID: 2, Weight: 2}},
-		})
+		}))
 	}},
 }
 
@@ -133,7 +140,7 @@ func checkExact(t *testing.T, what string, res *ask.TaskResult, data map[core.Ho
 func TestConformance(t *testing.T) {
 	for _, fab := range conformanceFabrics {
 		fab := fab
-		build := func(t *testing.T) service {
+		build := func(t *testing.T) *ask.Deployment {
 			t.Helper()
 			s, err := fab.build(31, core.Config{})
 			if err != nil {
@@ -175,7 +182,7 @@ func TestConformance(t *testing.T) {
 			if _, err := pending[0].Get(); err == nil {
 				t.Fatal("Get succeeded before the simulation ran")
 			}
-			s.Simulation().Run(0)
+			s.Sim.Run(0)
 			for i, pt := range pending {
 				res, err := pt.Get()
 				if err != nil {
@@ -390,7 +397,7 @@ func TestMultiRackTOROutage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orch := chaos.New(fc)
+		orch := chaos.New(&fc.Deployment)
 		orch.SwitchOutage(netsim.LeafAddr(tor), 400*time.Microsecond, 200*time.Microsecond)
 		res, err := fc.AggregateTimed(spec, timed(data))
 		if err != nil {

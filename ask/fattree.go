@@ -55,7 +55,7 @@ type FatTreeOptions struct {
 	Shards int
 }
 
-// FatTreeCluster is a spine/leaf deployment: the cluster core over a fabric
+// FatTreeCluster is a spine/leaf deployment: the Deployment over a fabric
 // with hierarchical re-aggregation. A task's tuples are absorbed first at
 // the sender's leaf, its cross-leaf residue gets a second chance at the
 // task's spine, and the receiver merges the remaining residue plus the
@@ -67,9 +67,9 @@ type FatTreeOptions struct {
 // NewMultiRackCluster returns the same type configured as §7's TORs under a
 // forwarding core. Renaming it, or folding the rack's Cluster into it, is out
 // of scope here: bench/ compiles against both shells' topology fields
-// (ROADMAP 3(a)).
+// (ROADMAP 6(a)).
 type FatTreeCluster struct {
-	cluster
+	Deployment
 	Net    *netsim.FatTree
 	Leaves []*switchd.Switch
 	Spines []*switchd.Switch
@@ -149,7 +149,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		// task state only at the receiver's TOR.
 		receiverLeafOnly: forwardingCore,
 	}
-	fc.cluster = newCluster(fc, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	fc.Deployment = newDeployment(fc, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
 	ft, _ := netsim.NewFatTreeSharded(fc.Sim, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
 	ft.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
 	fc.Net = ft
@@ -528,6 +528,7 @@ func (fc *FatTreeCluster) switches() []*switchd.Switch {
 }
 func (fc *FatTreeCluster) uplink(h core.HostID) *netsim.Link   { return fc.Net.Uplink(h) }
 func (fc *FatTreeCluster) downlink(h core.HostID) *netsim.Link { return fc.Net.Downlink(h) }
+func (fc *FatTreeCluster) epoch() uint32                       { return fc.fabricEpoch }
 
 func (fc *FatTreeCluster) taskStats(spec core.TaskSpec) switchd.TaskStats {
 	return fc.TaskSwitchStats(spec.ID)

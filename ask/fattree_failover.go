@@ -53,15 +53,6 @@ import (
 // core.DegradedError for the fields.
 type DegradedError = core.DegradedError
 
-// FabricEpoch returns the fabric-wide incarnation number (starts at 1; each
-// switch crash and each reboot advances it by one).
-func (fc *FatTreeCluster) FabricEpoch() uint32 { return fc.fabricEpoch }
-
-// SwitchDown reports whether the switch at fabric address addr is crashed.
-// It panics, like every trusted fabric-address lookup, when addr names no
-// switch.
-func (fc *FatTreeCluster) SwitchDown(addr core.HostID) bool { return fc.switchAt(addr).Down() }
-
 // liveSpine returns the task's spine after re-election: the first live
 // candidate in task-hashed order, matching netsim's frame routing. ok is
 // false when every spine is down.

@@ -24,25 +24,15 @@ func runTimed(t *testing.T, seed int64, parts [][]core.TimedKV) *TaskResult {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum}
-	streams := make(map[core.HostID]core.TimedStream, len(parts))
-	want := make(core.Result)
+	j := NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 	for i, part := range parts {
-		h := core.HostID(i + 1)
-		spec.Senders = append(spec.Senders, h)
-		streams[h] = core.SliceTimedStream(part)
-		for _, tkv := range part {
-			want.MergeKV(tkv.KV, core.OpSum)
-		}
+		j.SendTimed(core.HostID(i+1), part)
 	}
-	res, err := cl.AggregateTimed(spec, streams)
+	res, err := cl.Run(j)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("aggregation incorrect: %s", res.Result.Diff(want, 8))
-	}
-	return res
+	return res[0]
 }
 
 // TestScenarioCorpusReplayMatchesDirect is the record/replay golden lock:
@@ -139,39 +129,21 @@ func TestScenarioCorpusFatTreeTenantRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending := make(map[core.TenantID]*PendingTask)
-		wants := make(map[core.TenantID]core.Result)
-		for i, tn := range []core.TenantID{1, 2} {
-			spec := core.TaskSpec{
-				ID: core.MakeTaskID(tn, 1), Receiver: opts.HostAt(0, i), Op: core.OpSum,
-			}
-			streams := make(map[core.HostID]core.TimedStream, senders)
-			want := make(core.Result)
+		tenants := []core.TenantID{1, 2}
+		jobs := make([]*Job, len(tenants))
+		for i, tn := range tenants {
+			jobs[i] = NewJob(core.TaskSpec{ID: core.MakeTaskID(tn, 1), Receiver: opts.HostAt(0, i), Op: core.OpSum})
 			for j, part := range parts[tn] {
-				h := opts.HostAt(1+j, i) // tenants side by side on the sender leaves
-				spec.Senders = append(spec.Senders, h)
-				streams[h] = core.SliceTimedStream(part)
-				for _, tkv := range part {
-					want.MergeKV(tkv.KV, core.OpSum)
-				}
+				jobs[i].SendTimed(opts.HostAt(1+j, i), part) // tenants side by side on the sender leaves
 			}
-			pt, err := fc.StartTaskTimed(spec, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending[tn], wants[tn] = pt, want
 		}
-		fc.Sim.Run(0)
+		results, err := fc.Run(jobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		out := make(map[core.TenantID]*TaskResult)
-		for tn, pt := range pending {
-			res, err := pt.Get()
-			if err != nil {
-				t.Fatalf("tenant %d: %v", tn, err)
-			}
-			if !res.Result.Equal(wants[tn]) {
-				t.Fatalf("tenant %d aggregation wrong: %s", tn, res.Result.Diff(wants[tn], 8))
-			}
-			out[tn] = res
+		for i, tn := range tenants {
+			out[tn] = results[i]
 		}
 		return out
 	}
@@ -219,7 +191,11 @@ func TestScenarioCorpusTimedDeterminism(t *testing.T) {
 
 // TestTimedMatchesUntimedResult checks the timed path changes *when*
 // tuples move, never *what* they aggregate to: the same records replayed
-// with and without timestamps produce the same result.
+// with and without timestamps produce the same result. And it is the
+// regression test of the lift that makes a plain stream a timed one: the
+// records with every arrival at offset zero, replayed through the timed API,
+// are indistinguishable from the plain streams — same result, same virtual
+// completion time, same receiver and switch counters.
 func TestTimedMatchesUntimedResult(t *testing.T) {
 	s, err := scenario.ByName("flash-crowd")
 	if err != nil {
@@ -232,15 +208,25 @@ func TestTimedMatchesUntimedResult(t *testing.T) {
 
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 2}, Op: core.OpSum}
 	data := map[core.HostID][]core.KV{}
+	zeroed := make([][]core.TimedKV, len(parts))
 	for i, part := range parts {
 		kvs := make([]core.KV, len(part))
 		for j, tkv := range part {
 			kvs[j] = tkv.KV
+			zeroed[i] = append(zeroed[i], core.TimedKV{KV: tkv.KV})
 		}
 		data[core.HostID(i+1)] = kvs
 	}
 	untimed := run(t, Options{Hosts: 3, Seed: s.Seed}, spec, data)
 	if !timed.Result.Equal(untimed.Result) {
 		t.Fatalf("timed and untimed runs disagree: %s", timed.Result.Diff(untimed.Result, 8))
+	}
+	if timed.Elapsed <= untimed.Elapsed {
+		t.Fatalf("the paced replay took %v, no longer than the back-to-back %v", timed.Elapsed, untimed.Elapsed)
+	}
+	zero := runTimed(t, s.Seed, zeroed)
+	if !zero.Result.Equal(untimed.Result) || zero.Elapsed != untimed.Elapsed || zero.Recv != untimed.Recv || zero.Switch != untimed.Switch {
+		t.Fatalf("a zero-offset trace and the plain streams diverged:\ntimed   %v %+v %+v\nuntimed %v %+v %+v",
+			zero.Elapsed, zero.Recv, zero.Switch, untimed.Elapsed, untimed.Recv, untimed.Switch)
 	}
 }

@@ -13,12 +13,13 @@
 //	asksim -replay yelp.tsv            # plain TSV: the same path, back to back
 //
 // Every -topology (rack, multirack, fattree) runs the same path: build the
-// deployment, lay out one task per tenant (or a single task), start, run,
+// deployment, lay out one ask.Job per tenant (or a single one), start, run,
 // verify against the host-computed reference, report. A flag the chosen
 // topology or workload source cannot honour is rejected, never ignored.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,7 +30,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
@@ -68,19 +68,6 @@ func writeSnapshot(path string, write func(w io.Writer) error) {
 	}
 }
 
-// deployment is the surface the run path needs; both ask cluster types
-// provide it through their shared core.
-type deployment interface {
-	StartTask(core.TaskSpec, map[core.HostID]core.Stream) (*ask.PendingTask, error)
-	StartTaskTimed(core.TaskSpec, map[core.HostID]core.TimedStream) (*ask.PendingTask, error)
-	Simulation() *sim.Simulation
-	TelemetrySet() *telemetry.Set
-	Config() core.Config
-	Switches() []*switchd.Switch
-	HostUplink(core.HostID) *netsim.Link
-	HostDownlink(core.HostID) *netsim.Link
-}
-
 // shape is what the flags ask for, topology-independent: groups of hosts
 // (the rack is one group; -leaves racks or leaves otherwise), the ASK
 // configuration and the fault model of every link.
@@ -96,7 +83,7 @@ type shape struct {
 type topology struct {
 	// rejects names the flags this topology cannot honour, with the reason.
 	rejects map[string]string
-	build   func(shape) (deployment, *tenancy.Manager, error)
+	build   func(shape) (*ask.Deployment, *tenancy.Manager, error)
 	// header describes the fabric above the report (nil prints nothing).
 	header func(shape) string
 	// switchName labels entry i of Switches() in the per-switch lines.
@@ -109,9 +96,12 @@ var topologies = map[string]topology{
 			"spines": "a rack has one switch", "leaves": "a rack is a single group of -hosts",
 			"tenants": "tenancy runs on the fat-tree", "shards": "a single rack has no partition boundary to cut",
 		},
-		build: func(s shape) (deployment, *tenancy.Manager, error) {
+		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			cl, err := ask.NewCluster(ask.Options{Hosts: s.hosts, Config: s.cfg, Link: s.link, Seed: s.seed, Telemetry: s.tel})
-			return cl, nil, err
+			if err != nil {
+				return nil, nil, err
+			}
+			return &cl.Deployment, nil, nil
 		},
 	},
 	"multirack": {
@@ -120,18 +110,21 @@ var topologies = map[string]topology{
 			"telemetry": "the multi-rack deployment has no cluster telemetry set", "prom": "the multi-rack deployment has no cluster telemetry set",
 			"json": "the multi-rack deployment has no cluster telemetry set",
 		},
-		build: func(s shape) (deployment, *tenancy.Manager, error) {
+		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
 				Racks: s.groups, HostsPerRack: s.hosts, Config: s.cfg,
 				HostLink: s.link, CoreLink: s.link, Seed: s.seed, Shards: s.shards,
 			})
-			return fc, nil, err
+			if err != nil {
+				return nil, nil, err
+			}
+			return &fc.Deployment, nil, nil
 		},
 		header:     func(s shape) string { return fmt.Sprintf("multi-rack: %d racks × %d hosts/rack", s.groups, s.hosts) },
 		switchName: func(_ shape, i int) string { return fmt.Sprintf("TOR %d:", i) },
 	},
 	"fattree": {
-		build: func(s shape) (deployment, *tenancy.Manager, error) {
+		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			opts := ask.FatTreeOptions{
 				Spines: s.spines, Leaves: s.groups, HostsPerLeaf: s.hosts, Config: s.cfg,
 				HostLink: s.link, FabricLink: s.link, Seed: s.seed, Telemetry: s.tel, Shards: s.shards,
@@ -143,7 +136,7 @@ var topologies = map[string]topology{
 			if err != nil {
 				return nil, nil, err
 			}
-			return fc, fc.Tenancy, nil
+			return &fc.Deployment, fc.Tenancy, nil
 		},
 		header: func(s shape) string {
 			h := fmt.Sprintf("fat-tree: %d spines × %d leaves × %d hosts/leaf", s.spines, s.groups, s.hosts)
@@ -161,61 +154,38 @@ var topologies = map[string]topology{
 	},
 }
 
-// plan is one task: with tenants, tenant i's receiver sits in slot i of group
-// 0 and a sender in slot i of every other group; on a single group the
-// -senders hosts after the receiver send.
-type plan struct {
-	label   string
-	spec    core.TaskSpec
-	streams map[core.HostID]core.Stream
-	timed   map[core.HostID]core.TimedStream
-	want    core.Result
-	tuples  int64
-}
-
 // sender is one stream slot of the layout: seedOff separates the generated
 // workloads exactly as each topology always has.
 type sender struct {
-	plan    *plan
+	job     *ask.Job
 	host    core.HostID
 	seedOff int64
 }
 
-func layout(s shape, senders, rows int) ([]*plan, []sender) {
-	ntasks := s.tenants
-	if ntasks == 0 {
-		ntasks = 1
-	}
-	var plans []*plan
+// layout lays out one job per tenant (or a single one) and its sender slots:
+// with tenants, tenant i's receiver sits in slot i of group 0 and a sender in
+// slot i of every other group; on a single group the -senders hosts after the
+// receiver send.
+func layout(s shape, senders, rows int) ([]*ask.Job, []sender) {
+	var jobs []*ask.Job
 	var slots []sender
-	for i := 0; i < ntasks; i++ {
-		p := &plan{
-			label:   "task",
-			spec:    core.TaskSpec{ID: core.TaskID(i + 1), Receiver: core.HostID(i), Op: core.OpSum, Rows: rows},
-			streams: make(map[core.HostID]core.Stream),
-			timed:   make(map[core.HostID]core.TimedStream),
-			want:    make(core.Result),
-		}
+	for i := 0; i < max(s.tenants, 1); i++ {
+		j := ask.NewJob(core.TaskSpec{ID: core.TaskID(i + 1), Receiver: core.HostID(i), Op: core.OpSum, Rows: rows})
 		if s.tenants > 0 {
-			p.label = fmt.Sprintf("tenant %d", i+1)
-			p.spec.ID = core.MakeTaskID(core.TenantID(i+1), uint32(i+1))
-		}
-		add := func(h core.HostID, seedOff int) {
-			p.spec.Senders = append(p.spec.Senders, h)
-			slots = append(slots, sender{p, h, int64(seedOff)})
+			j.Spec.ID = core.MakeTaskID(core.TenantID(i+1), uint32(i+1))
 		}
 		if s.groups == 1 {
-			for j := i + 1; j <= i+senders; j++ {
-				add(core.HostID(j), j)
+			for h := i + 1; h <= i+senders; h++ {
+				slots = append(slots, sender{j, core.HostID(h), int64(h)})
 			}
 		} else {
 			for g := 1; g < s.groups; g++ {
-				add(core.HostID(g*s.hosts+i), i*s.groups+g)
+				slots = append(slots, sender{j, core.HostID(g*s.hosts + i), int64(i*s.groups + g)})
 			}
 		}
-		plans = append(plans, p)
+		jobs = append(jobs, j)
 	}
-	return plans, slots
+	return jobs, slots
 }
 
 func main() {
@@ -316,10 +286,11 @@ func main() {
 		fmt.Println(topo.header(s))
 	}
 
-	// Build plans: fill every sender slot from the chosen workload source.
-	plans, slots := layout(s, *senders, *rows)
-	switch {
-	case *replay != "":
+	// Lay out the jobs and fill every sender slot from the chosen workload
+	// source; Send folds each into its job's host-computed reference.
+	jobs, slots := layout(s, *senders, *rows)
+	sent := make(map[*ask.Job]int64) // tuples streamed, for the rate line
+	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {
 			fail("%v", err)
@@ -334,47 +305,36 @@ func main() {
 				hdr.Scenario, hdr.Version, hdr.Seed, hdr.Records)
 		}
 		for i, part := range workload.SplitTimedRoundRobin(tkvs, len(slots)) {
-			p := slots[i].plan
-			p.timed[slots[i].host] = core.SliceTimedStream(part)
-			p.tuples += int64(len(part))
-			for _, tkv := range part {
-				p.want.MergeKV(tkv.KV, core.OpSum)
-			}
+			slots[i].job.SendTimed(slots[i].host, part)
+			sent[slots[i].job] += int64(len(part))
 		}
-	default:
+	} else {
 		for _, sl := range slots {
-			w := workload.Spec{
+			sl.job.Send(sl.host, workload.Spec{
 				Name: "cli", Distinct: *distinct, Tuples: *tuples,
 				Skew: *skew, Seed: *seed + sl.seedOff,
 				KeyLens: workload.NaturalLanguage(0),
-			}
-			sl.plan.streams[sl.host] = w.Stream()
-			sl.plan.tuples += *tuples
-			sl.plan.want.Merge(w.Reference(core.OpSum), core.OpSum)
+			})
+			sent[sl.job] += *tuples
 		}
 	}
 
-	// Start every task, run to quiescence, collect and verify.
-	pending := make([]*ask.PendingTask, len(plans))
-	for i, p := range plans {
-		if *replay != "" {
-			pending[i], err = d.StartTaskTimed(p.spec, p.timed)
-		} else {
-			pending[i], err = d.StartTask(p.spec, p.streams)
-		}
-		if err != nil {
-			fail("%s: %v", p.label, err)
-		}
+	// Start every task, run to quiescence, collect and verify: -verify=false
+	// ignores a wrong aggregate and nothing else.
+	if err := d.Start(jobs...); err != nil {
+		fail("%v", err)
 	}
-	d.Simulation().Run(0)
-	d.Simulation().Close() // the report below reads counters only
-	results := make([]*ask.TaskResult, len(plans))
-	for i, p := range plans {
-		if results[i], err = pending[i].Get(); err != nil {
-			fail("%s: %v", p.label, err)
-		}
-		if *verify && !results[i].Result.Equal(p.want) {
-			fail("RESULT MISMATCH (%s): %s", p.label, results[i].Result.Diff(p.want, 10))
+	d.Sim.Run(0)
+	d.Sim.Close() // the report below reads counters only
+	results := make([]*ask.TaskResult, len(jobs))
+	for i, j := range jobs {
+		var wrong *core.MismatchError
+		if results[i], err = j.Result(); errors.As(err, &wrong) {
+			if *verify {
+				fail("RESULT MISMATCH (%s): %s", j.Label(), wrong.Diff)
+			}
+		} else if err != nil {
+			fail("%s: %v", j.Label(), err)
 		}
 	}
 	if *verify {
@@ -383,12 +343,12 @@ func main() {
 
 	// Report: per-task summary, switch totals, per-task receiver and links.
 	var sw switchd.TaskStats
-	for i, p := range plans {
+	for i, j := range jobs {
 		res := results[i]
 		el := time.Duration(res.Elapsed)
-		fmt.Printf("\n%s completed in %v (virtual time)\n", p.label, el)
+		fmt.Printf("\n%s completed in %v (virtual time)\n", j.Label(), el)
 		fmt.Printf("  distinct result keys:  %d\n", len(res.Result))
-		fmt.Printf("  aggregation rate:      %.1f M tuples/s\n", float64(p.tuples)/el.Seconds()/1e6)
+		fmt.Printf("  aggregation rate:      %.1f M tuples/s\n", float64(sent[j])/el.Seconds()/1e6)
 		sw.Add(&res.Switch)
 	}
 	fmt.Printf("\nswitch:\n")
@@ -407,33 +367,33 @@ func main() {
 	fmt.Printf("  shadow-copy swaps:     %d\n", gs.Swaps)
 	if len(switches) > 1 {
 		// Per-tuple counters are per-task (switchd.TaskStats), so sum the
-		// plans' tasks at each switch to show where the fabric absorbed the
+		// jobs' tasks at each switch to show where the fabric absorbed the
 		// stream.
 		for i, x := range switches {
 			var at switchd.TaskStats
-			for _, p := range plans {
-				at.Add(x.TaskStatsOf(p.spec.ID))
+			for _, j := range jobs {
+				at.Add(x.TaskStatsOf(j.Spec.ID))
 			}
 			fmt.Printf("  %-22s %d tuples absorbed\n", topo.switchName(s, i), at.TuplesAggregated)
 		}
 	}
-	for i, p := range plans {
+	for i, j := range jobs {
 		res := results[i]
-		fmt.Printf("\nreceiver (host %d):\n", p.spec.Receiver)
+		fmt.Printf("\nreceiver (host %d):\n", j.Spec.Receiver)
 		fmt.Printf("  residue tuples:        %d\n", res.Recv.ResidueTuples)
 		fmt.Printf("  long-key tuples:       %d\n", res.Recv.LongTuples)
 		fmt.Printf("  switch entries merged: %d\n", res.Recv.SwitchEntries)
 		fmt.Printf("  completed swaps:       %d\n", res.Recv.Swaps)
 	}
 	fmt.Printf("\nnetwork:\n")
-	for i, p := range plans {
+	for i, j := range jobs {
 		el := time.Duration(results[i].Elapsed)
-		for _, h := range p.spec.Senders {
+		for _, h := range j.Spec.Senders {
 			up := d.HostUplink(h).Stats()
 			fmt.Printf("  host %d uplink:        %.2f Gbps wire, %.2f Gbps goodput, %d frames (%d dropped)\n",
 				h, stats.Gbps(up.TxWireBytes, el), stats.Gbps(up.TxGoodBytes, el), up.TxFrames, up.Dropped)
 		}
-		down := d.HostDownlink(p.spec.Receiver).Stats()
+		down := d.HostDownlink(j.Spec.Receiver).Stats()
 		fmt.Printf("  receiver downlink:    %.2f Gbps wire (%d frames)\n", stats.Gbps(down.TxWireBytes, el), down.TxFrames)
 	}
 	if tenancyMgr != nil {
@@ -444,7 +404,7 @@ func main() {
 		}
 	}
 
-	if tel := d.TelemetrySet(); tel != nil {
+	if tel := d.Tel; tel != nil {
 		if *promOut != "" {
 			writeSnapshot(*promOut, func(w io.Writer) error {
 				return telemetry.WritePrometheus(w, tel.Registry)

@@ -83,3 +83,29 @@ func TestReplayAcceptsPlainTSV(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyFalseIgnoresExactlyTheMismatch: the command line cannot supply a
+// wrong reference — it is folded from the very input the senders stream — but
+// it can supply an input the switch aggregates wrongly: values inside the
+// 32-bit vPart whose per-key sum is not (§3.2.1; core.KV). The run then fails
+// with the Diff, -verify=false prints the report instead, and an error that
+// is not a mismatch still fails under -verify=false.
+func TestVerifyFalseIgnoresExactlyTheMismatch(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wraps.tsv")
+	if err := os.WriteFile(path, []byte(strings.Repeat("k\t2000000000\n", 6)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-replay", path, "-hosts", "2", "-senders", "1"}
+	stdout, stderr, exit := asksim(t, args...)
+	if want := "asksim: RESULT MISMATCH (task): 1 diffs: [\"k\": -884901888 vs 12000000000]\n"; exit != 1 || stdout != "" || stderr != want {
+		t.Fatalf("exit %d, stdout %q, stderr %q; want exit 1 and %q", exit, stdout, stderr, want)
+	}
+	stdout, stderr, exit = asksim(t, append(args, "-verify=false")...)
+	if exit != 0 || stderr != "" || !strings.Contains(stdout, "distinct result keys:  1\n") || strings.Contains(stdout, "verified") {
+		t.Fatalf("-verify=false: exit %d, stderr %q, stdout:\n%s", exit, stderr, stdout)
+	}
+	_, stderr, exit = asksim(t, append(args, "-verify=false", "-rows", "1073741824")...)
+	if exit != 1 || !strings.HasPrefix(stderr, "asksim: task: ") {
+		t.Fatalf("-verify=false with a region no switch can allocate: exit %d, stderr %q; want the task's own error", exit, stderr)
+	}
+}

@@ -64,8 +64,8 @@ func main() {
 			kv, _ = ref2()
 			want.MergeKV(kv, core.OpSum)
 		}
-		if !res.Result.Equal(want) {
-			log.Fatalf("window %d WRONG: %s", res.Index, res.Result.Diff(want, 3))
+		if err := res.Result.Verify(want); err != nil {
+			log.Fatalf("window %d: %v", res.Index, err)
 		}
 		fmt.Printf("window %d: %6d events  %4d keys  %9v  [EXACT]\n",
 			res.Index, 2*eventsPerWindow, len(res.Result),

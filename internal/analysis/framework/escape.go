@@ -48,9 +48,6 @@ const (
 // FlowAny covers every escape destination.
 const FlowAny = FlowGlobal | FlowReturn | FlowChannel | FlowCaptured | FlowHeap | FlowUnknownCall
 
-// Has reports whether f includes every bit of mask.
-func (f Flow) Has(mask Flow) bool { return f&mask == mask }
-
 // ArgFlow records one value flowing into a resolved static call.
 type ArgFlow struct {
 	// Callee is the statically-resolved target.

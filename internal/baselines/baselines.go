@@ -245,11 +245,7 @@ func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
 			s.Spawn("noaggr-tx", func(p *sim.Proc) {
 				for sent := int64(0); sent < share; sent += mtuPayload {
 					thread.Run(p, cpumodel.PacketIOCost)
-					// Bounded TX ring: do not queue more wire time than
-					// the ring holds (models DPDK descriptor backpressure).
-					if up.Backlog() > 50*time.Microsecond {
-						p.SleepUntil(up.NextFree().Add(-25 * time.Microsecond))
-					}
+					up.Throttle(p, 50*time.Microsecond)
 					win.SendBlocking(p, &wire.Packet{Type: wire.TypeData, Flow: flow})
 				}
 				win.WaitIdle(p)

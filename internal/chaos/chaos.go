@@ -5,10 +5,10 @@
 // stalls — on the deterministic virtual clock, so every chaos run is exactly
 // reproducible for a given seed and script.
 //
-// The orchestrator is a thin scheduling layer over a Fabric (any of the ask
-// deployments): each injected event is a named closure fired at an absolute
-// virtual time via sim.At, and every firing is appended to a log that
-// experiments and tests can assert against. Faults must heal within the
+// The orchestrator is a thin scheduling layer over an *ask.Deployment (the
+// core of every ask cluster): each injected event is a named closure fired at
+// an absolute virtual time via sim.At, and every firing is appended to a log
+// that experiments and tests can assert against. Faults must heal within the
 // script (a crash needs a matching reboot, a black-hole a matching clear),
 // otherwise in-flight tasks cannot complete and the simulation will not
 // quiesce.
@@ -20,48 +20,9 @@ import (
 
 	"repro/ask"
 	"repro/internal/core"
-	"repro/internal/hostd"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/switchd"
 	"repro/internal/telemetry"
-)
-
-// Fabric is the deployment surface the orchestrator injects faults into and
-// the soak harness drives. ask.Cluster (single switch, address
-// ask.TheSwitch) and ask.FatTreeCluster (switches at netsim.LeafAddr/SpineAddr;
-// the multi-rack deployment is one, its TORs the leaves) implement it.
-type Fabric interface {
-	// Simulation returns the deterministic virtual-time kernel faults are
-	// scheduled on.
-	Simulation() *sim.Simulation
-	// TelemetrySet returns the cluster observability set (nil when
-	// telemetry is disabled).
-	TelemetrySet() *telemetry.Set
-	// CrashSwitch / RebootSwitch address a switch by fabric address; they
-	// return an error for an address that names no switch (a script bug).
-	CrashSwitch(addr core.HostID) error
-	RebootSwitch(addr core.HostID) error
-	// HostUplink / HostDownlink expose a host's links for black-holes and
-	// fault-model overrides.
-	HostUplink(h core.HostID) *netsim.Link
-	HostDownlink(h core.HostID) *netsim.Link
-	// Daemon returns a host's daemon (stalls, stats).
-	Daemon(h core.HostID) *hostd.Daemon
-	// RevokeRegion reclaims a task's aggregator rows. Fabrics that cannot
-	// drain a revoked region exactly-once (the fat-tree) return an error,
-	// which the orchestrator treats as a no-op fault.
-	RevokeRegion(task core.TaskID, receiver core.HostID) error
-	// StartTask submits a task without running the simulation.
-	StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*ask.PendingTask, error)
-	// Hosts and Switches enumerate the deployment for invariant checks.
-	Hosts() []core.HostID
-	Switches() []*switchd.Switch
-}
-
-var (
-	_ Fabric = (*ask.Cluster)(nil)
-	_ Fabric = (*ask.FatTreeCluster)(nil)
 )
 
 // Record is one fired injection.
@@ -70,9 +31,12 @@ type Record struct {
 	Desc string
 }
 
-// Orchestrator schedules fault injections against one fabric.
+// Orchestrator schedules fault injections against one deployment: the rack
+// (single switch, address ask.TheSwitch) or a fat-tree (switches at
+// netsim.LeafAddr/SpineAddr; the multi-rack deployment is one, its TORs the
+// leaves).
 type Orchestrator struct {
-	fab Fabric
+	fab *ask.Deployment
 	log []Record
 	// injections counts fired events (chaos.injections on the cluster
 	// registry); tr mirrors every firing into the trace ring. Both are
@@ -84,17 +48,14 @@ type Orchestrator struct {
 // New wraps a deployment in an orchestrator. The deployment should run with
 // Config.Failover on; injecting switch faults into a non-failover cluster
 // deadlocks tasks whose state died with the switch.
-func New(f Fabric) *Orchestrator {
-	o := &Orchestrator{fab: f}
-	if ts := f.TelemetrySet(); ts != nil && ts.Registry != nil {
+func New(d *ask.Deployment) *Orchestrator {
+	o := &Orchestrator{fab: d}
+	if ts := d.Tel; ts != nil && ts.Registry != nil {
 		o.injections = ts.Registry.Counter("chaos.injections")
 		o.tr = ts.Tracer
 	}
 	return o
 }
-
-// Fabric returns the deployment under test.
-func (o *Orchestrator) Fabric() Fabric { return o.fab }
 
 // Log returns the fired injections in firing order.
 func (o *Orchestrator) Log() []Record { return o.log }
@@ -104,7 +65,7 @@ func (o *Orchestrator) Log() []Record { return o.log }
 // between simulation steps, never preempting a running process mid-yield.
 func (o *Orchestrator) At(d time.Duration, desc string, fn func()) {
 	t := sim.Time(0).Add(d)
-	s := o.fab.Simulation()
+	s := o.fab.Sim
 	s.At(t, func() {
 		o.log = append(o.log, Record{At: s.Now(), Desc: desc})
 		o.injections.Inc()
@@ -141,8 +102,9 @@ func (o *Orchestrator) SwitchOutage(addr core.HostID, at, downFor time.Duration)
 func (o *Orchestrator) RevokeRegion(at time.Duration, task core.TaskID, receiver core.HostID) {
 	o.At(at, fmt.Sprintf("revoke region task=%d", task), func() {
 		// The region can legitimately be gone already (task finished or a
-		// reboot wiped it), or the fabric may not support single-point
-		// revocation (the fat-tree); either way it is a no-op fault.
+		// reboot wiped it), or the fabric cannot drain a revoked region
+		// exactly-once (the fat-tree's *ask.UnsupportedError); either way it
+		// is a no-op fault.
 		_ = o.fab.RevokeRegion(task, receiver)
 	})
 }

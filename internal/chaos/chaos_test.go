@@ -77,7 +77,7 @@ func TestEveryScenarioMatchesGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orch := chaos.New(cl)
+			orch := chaos.New(&cl.Deployment)
 			sc.Schedule.Apply(orch, scale)
 			_, streams, _ := buildTask()
 			res, err := cl.Aggregate(spec, streams)
@@ -105,7 +105,7 @@ func TestSwitchRebootDegradesAndReattaches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := chaos.New(cl)
+	orch := chaos.New(&cl.Deployment)
 	const crashAt, rebootAt = 300 * time.Microsecond, 400 * time.Microsecond
 	orch.SwitchOutage(ask.TheSwitch, crashAt, rebootAt-crashAt)
 	var aggAtReboot int64 = -1
@@ -158,7 +158,7 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		orch := chaos.New(cl)
+		orch := chaos.New(&cl.Deployment)
 		// Loss plus an outage: both rng-driven fault paths in one run.
 		orch.LinkDegrade(0, time.Millisecond, spec.Senders[0], netsim.Fault{LossProb: 0.1})
 		orch.SwitchOutage(ask.TheSwitch, 250*time.Microsecond, 150*time.Microsecond)
@@ -198,7 +198,7 @@ func TestRegionRevocationDrainsExactlyOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			orch := chaos.New(cl)
+			orch := chaos.New(&cl.Deployment)
 			revoke(orch)
 			_, streams, _ := buildTask()
 			res, err := cl.Aggregate(spec, streams)
@@ -281,7 +281,7 @@ func TestBoundedRetriesAbortSenderStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := chaos.New(cl)
+	orch := chaos.New(&cl.Deployment)
 	// Let task setup finish, then cut the sender's link until well past the
 	// retry budget (3 retries x 100µs RTO), healing late so control-channel
 	// retransmissions can drain and the simulation quiesces.
@@ -327,7 +327,7 @@ func TestBackToBackOutagesDoNotDoubleCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := chaos.New(cl)
+	orch := chaos.New(&cl.Deployment)
 	orch.SwitchOutage(ask.TheSwitch, frac(94), frac(153-94))
 	orch.SwitchOutage(ask.TheSwitch, frac(342), frac(466-342))
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Senders: []core.HostID{1, 2}}
@@ -369,7 +369,7 @@ func TestBoundedRetriesAbortUnderTotalCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orch := chaos.New(cl)
+	orch := chaos.New(&cl.Deployment)
 	orch.LinkDegrade(300*time.Microsecond, 20*time.Millisecond, 1, netsim.Fault{CorruptProb: 1})
 	w := workload.Uniform(256, 30_000, 3)
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum}

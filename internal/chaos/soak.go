@@ -15,11 +15,11 @@ package chaos
 //     disappearing, and the Report prints the minimal schedule plus a
 //     one-line reproducer (`asksim -soak -soak.seed=N ...`).
 //
-// The harness is topology-blind: it drives any Fabric through StartTask,
+// The harness is topology-blind: it drives an *ask.Deployment through Start,
 // Hosts and Switches. What distinguishes the four kinds — the rack soak,
 // the fat-tree fabric-outage soak, the tenant-kill isolation soak and the
 // multi-rack TOR-outage soak — is data in the kinds table: deployment
-// options, task plans, the event table and its draw order, the invariant
+// options, jobs, the event table and its draw order, the invariant
 // list, and the reproducer flags.
 //
 // Everything is derived from Config.Seed — the workloads, the schedule, the
@@ -28,6 +28,7 @@ package chaos
 // (simdeterminism-checked).
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -114,32 +115,15 @@ type Config struct {
 	Shards int
 }
 
-// Plan is one task of a soak with its host-computed ground truth. The truth
-// comes from the workload spec, never from a cluster run — a broken
-// datapath cannot contaminate it.
-type Plan struct {
-	// Tenant owns the task; 0 on the untenanted rack.
-	Tenant  core.TenantID
-	Spec    core.TaskSpec
-	Streams map[core.HostID]core.Stream
-	Want    core.Result
-}
-
-func (pl Plan) label() string {
-	if pl.Tenant == 0 {
-		return "task"
-	}
-	return fmt.Sprintf("tenant %d", pl.Tenant)
-}
-
 // kind is everything that distinguishes one soak flavour, as data.
 type kind struct {
 	name     string
 	defaults Config
 	// build constructs the deployment under test.
-	build func(Config) (Fabric, error)
-	// plans lays out the tasks (fresh streams on every call).
-	plans func(Config) []Plan
+	build func(Config) (*ask.Deployment, error)
+	// jobs lays out the tasks with their host-computed ground truth (fresh
+	// streams on every call).
+	jobs func(Config) []*ask.Job
 	// events is the table a schedule draws its event kinds from, in draw
 	// order; a one-entry table draws nothing. Start and duration are then
 	// drawn from [startLo, startLo+startSpan) and [durLo, durLo+durSpan)
@@ -175,7 +159,7 @@ func soakConfig(cfg Config) core.Config {
 // fatTree builds the multi-tenant fat-tree both fabric kinds run on: one
 // host per tenant per leaf (leaf-major IDs, so slot i of leaf l is host
 // l·Tenants+i), equal weights.
-func fatTree(cfg Config, c core.Config, spines, leaves int) (Fabric, error) {
+func fatTree(cfg Config, c core.Config, spines, leaves int) (*ask.Deployment, error) {
 	link := netsim.DefaultLinkConfig()
 	link.Fault = cfg.Base
 	opts := ask.FatTreeOptions{
@@ -185,56 +169,47 @@ func fatTree(cfg Config, c core.Config, spines, leaves int) (Fabric, error) {
 	for i := 0; i < cfg.Tenants; i++ {
 		opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
 	}
-	return ask.NewFatTreeCluster(opts)
+	fc, err := ask.NewFatTreeCluster(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &fc.Deployment, nil
 }
 
-// tenantPlans gives every tenant one task: receiver in its slot of leaf 0,
-// a sender in its slot of every leaf in [1, leaves), stream seeds offset by
+// tenantJobs gives every tenant one task: receiver in its slot of leaf 0, a
+// sender in its slot of every leaf in [1, leaves), stream seeds offset by
 // seedOff(tenant index, leaf).
-func tenantPlans(cfg Config, leaves int, seedOff func(i, l int) int64) []Plan {
-	plans := make([]Plan, 0, cfg.Tenants)
+func tenantJobs(cfg Config, leaves int, seedOff func(i, l int) int64) []*ask.Job {
+	jobs := make([]*ask.Job, 0, cfg.Tenants)
 	for i := 0; i < cfg.Tenants; i++ {
-		tn := core.TenantID(i + 1)
-		pl := Plan{
-			Tenant:  tn,
-			Streams: make(map[core.HostID]core.Stream),
-			Want:    make(core.Result),
-			Spec:    core.TaskSpec{ID: core.MakeTaskID(tn, uint32(i+1)), Receiver: core.HostID(i), Op: core.OpSum},
-		}
+		j := ask.NewJob(core.TaskSpec{ID: core.MakeTaskID(core.TenantID(i+1), uint32(i+1)), Receiver: core.HostID(i), Op: core.OpSum})
 		for l := 1; l < leaves; l++ {
-			h := core.HostID(l*cfg.Tenants + i)
-			pl.Spec.Senders = append(pl.Spec.Senders, h)
-			w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+seedOff(i, l))
-			pl.Streams[h] = w.Stream()
-			pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+			j.Send(core.HostID(l*cfg.Tenants+i), workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+seedOff(i, l)))
 		}
-		plans = append(plans, pl)
+		jobs = append(jobs, j)
 	}
-	return plans
+	return jobs
 }
 
 var kinds = [...]kind{
 	Rack: {
 		name:     "soak",
 		defaults: Config{Events: 6, Senders: 2, Tuples: 30_000, Keys: 512},
-		build: func(cfg Config) (Fabric, error) {
+		build: func(cfg Config) (*ask.Deployment, error) {
 			link := netsim.DefaultLinkConfig()
 			link.Fault = cfg.Base
-			return ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: soakConfig(cfg), Link: link, Seed: cfg.Seed})
+			cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: soakConfig(cfg), Link: link, Seed: cfg.Seed})
+			if err != nil {
+				return nil, err
+			}
+			return &cl.Deployment, nil
 		},
-		plans: func(cfg Config) []Plan {
-			pl := Plan{
-				Spec:    core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum},
-				Streams: make(map[core.HostID]core.Stream),
-				Want:    make(core.Result),
-			}
+		jobs: func(cfg Config) []*ask.Job {
+			j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 			for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
-				pl.Spec.Senders = append(pl.Spec.Senders, h)
-				w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h))
-				pl.Streams[h] = w.Stream()
-				pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+				j.Send(h, workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h)))
 			}
-			return []Plan{pl}
+			return []*ask.Job{j}
 		},
 		events:  []EventKind{EvSwitchOutage, EvLinkBlackhole, EvLinkDegrade, EvCorruptBurst, EvHostStall},
 		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
@@ -248,9 +223,11 @@ var kinds = [...]kind{
 	FabricOutage: {
 		name:     "fabric soak",
 		defaults: Config{Events: 6, Spines: 2, Leaves: 3, Tenants: 2, Tuples: 20_000, Keys: 512},
-		build:    func(cfg Config) (Fabric, error) { return fatTree(cfg, soakConfig(cfg), cfg.Spines, cfg.Leaves) },
-		plans: func(cfg Config) []Plan {
-			return tenantPlans(cfg, cfg.Leaves, func(i, l int) int64 { return int64(i*cfg.Leaves + l) })
+		build: func(cfg Config) (*ask.Deployment, error) {
+			return fatTree(cfg, soakConfig(cfg), cfg.Spines, cfg.Leaves)
+		},
+		jobs: func(cfg Config) []*ask.Job {
+			return tenantJobs(cfg, cfg.Leaves, func(i, l int) int64 { return int64(i*cfg.Leaves + l) })
 		},
 		events:  []EventKind{EvSpineOutage, EvLeafOutage, EvLinkBlackhole, EvCorruptBurst},
 		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
@@ -269,13 +246,13 @@ var kinds = [...]kind{
 	TenantKill: {
 		name:     "tenant soak",
 		defaults: Config{Events: 3, Tenants: 3, Victim: 1, Tuples: 20_000, Keys: 512, Retries: 4},
-		build: func(cfg Config) (Fabric, error) {
+		build: func(cfg Config) (*ask.Deployment, error) {
 			c := core.DefaultConfig()
 			c.MaxRetries = cfg.Retries
 			return fatTree(cfg, c, 2, 2)
 		},
-		plans: func(cfg Config) []Plan {
-			return tenantPlans(cfg, 2, func(i, _ int) int64 { return int64(i) })
+		jobs: func(cfg Config) []*ask.Job {
+			return tenantJobs(cfg, 2, func(i, _ int) int64 { return int64(i) })
 		},
 		// Black-hole windows only, long against the retry budget so
 		// mid-stream holes genuinely kill the flow, all on the victim's
@@ -298,30 +275,27 @@ var kinds = [...]kind{
 	MultiRackOutage: {
 		name:     "multirack soak",
 		defaults: Config{Events: 6, Leaves: 3, Tuples: 20_000, Keys: 512},
-		build: func(cfg Config) (Fabric, error) {
+		build: func(cfg Config) (*ask.Deployment, error) {
 			link := netsim.DefaultLinkConfig()
 			link.Fault = cfg.Base
-			return ask.NewMultiRackCluster(ask.MultiRackOptions{
+			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
 				Racks: cfg.Leaves, HostsPerRack: 2, Config: soakConfig(cfg), HostLink: link, Seed: cfg.Seed, Shards: cfg.Shards,
 			})
+			if err != nil {
+				return nil, err
+			}
+			return &fc.Deployment, nil
 		},
 		// Host 0 receives and the second host of every rack sends: its
 		// rack-mate's tuples aggregate at the TOR, the rest cross the core and
 		// merge at the host.
-		plans: func(cfg Config) []Plan {
-			pl := Plan{
-				Spec:    core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum},
-				Streams: make(map[core.HostID]core.Stream),
-				Want:    make(core.Result),
-			}
+		jobs: func(cfg Config) []*ask.Job {
+			j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 			for r := 0; r < cfg.Leaves; r++ {
 				h := core.HostID(2*r + 1)
-				pl.Spec.Senders = append(pl.Spec.Senders, h)
-				w := workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h))
-				pl.Streams[h] = w.Stream()
-				pl.Want.Merge(w.Reference(core.OpSum), core.OpSum)
+				j.Send(h, workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h)))
 			}
-			return []Plan{pl}
+			return []*ask.Job{j}
 		},
 		events:  []EventKind{EvLeafOutage, EvLinkBlackhole, EvLinkDegrade, EvCorruptBurst, EvHostStall},
 		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
@@ -564,18 +538,20 @@ func (o Outcome) OK() bool { return o.Violation == "" }
 // replay is one finished run as the invariants see it.
 type replay struct {
 	cfg   Config
-	fab   Fabric
+	fab   *ask.Deployment
 	sched Schedule
-	plans []Plan
-	// res[i] / errs[i] are plan i's outcome; errs[i] != nil means the task
-	// never completed.
-	res  []*ask.TaskResult
-	errs []error
+	jobs  []*ask.Job
+	// errs[i] != nil means job i never completed; diffs[i] != "" that it
+	// completed with an aggregate other than its ground truth.
+	errs  []error
+	diffs []string
 	// capped is set when the run was cut off at the virtual-time cap.
 	capped bool
 }
 
-func (r *replay) victim(pl Plan) bool { return r.cfg.Kind == TenantKill && pl.Tenant == r.cfg.Victim }
+func (r *replay) victim(j *ask.Job) bool {
+	return r.cfg.Kind == TenantKill && j.Spec.ID.Tenant() == r.cfg.Victim
+}
 
 // aborts sums transport aborts over the channels of the given hosts.
 func (r *replay) aborts(hosts ...core.HostID) int64 {
@@ -589,14 +565,14 @@ func (r *replay) aborts(hosts ...core.HostID) int64 {
 }
 
 // incomplete words the violation for a task that never finished.
-func (r *replay) incomplete(pl Plan, err error) string {
+func (r *replay) incomplete(j *ask.Job, err error) string {
 	if r.capped {
 		// A broken datapath can livelock (e.g. forged sequence state
 		// retransmitting forever); the cap turns that into a verdict.
-		return fmt.Sprintf("%s still running at the virtual-time cap (livelock)", pl.label())
+		return fmt.Sprintf("%s still running at the virtual-time cap (livelock)", j.Label())
 	}
 	// The cluster quiesced with the receiver still waiting.
-	return fmt.Sprintf("%s did not complete: %v", pl.label(), err)
+	return fmt.Sprintf("%s did not complete: %v", j.Label(), err)
 }
 
 // conservation: every task outside the victim's aggregates to exactly its
@@ -605,13 +581,13 @@ func (r *replay) incomplete(pl Plan, err error) string {
 // reboot, spine re-election or leaf heal, none fabricated from corrupted
 // bytes.
 func conservation(r *replay) string {
-	for i, pl := range r.plans {
+	for i, j := range r.jobs {
 		switch {
-		case r.victim(pl):
+		case r.victim(j):
 		case r.errs[i] != nil:
-			return r.incomplete(pl, r.errs[i])
-		case !r.res[i].Result.Equal(pl.Want):
-			return pl.label() + " conservation violated: " + r.res[i].Result.Diff(pl.Want, 5)
+			return r.incomplete(j, r.errs[i])
+		case r.diffs[i] != "":
+			return j.Label() + " conservation violated: " + r.diffs[i]
 		}
 	}
 	return ""
@@ -664,8 +640,8 @@ func fabricEpoch(r *replay) string {
 		}
 	}
 	want := uint32(1 + 2*outages)
-	if fe, ok := r.fab.(interface{ FabricEpoch() uint32 }); ok && fe.FabricEpoch() != want {
-		return fmt.Sprintf("fabric epoch %d != 1+2x%d outages = %d", fe.FabricEpoch(), outages, want)
+	if fe := r.fab.FabricEpoch(); fe != want {
+		return fmt.Sprintf("fabric epoch %d != 1+2x%d outages = %d", fe, outages, want)
 	}
 	for i, sw := range r.fab.Switches() {
 		if got := sw.Epoch(); got != want {
@@ -695,15 +671,15 @@ func transportSanity(r *replay) string {
 // must then still be exact, a partial result would be silent data loss — or
 // aborts on its bounded retry budget; it never just stops.
 func victimContained(r *replay) string {
-	for i, pl := range r.plans {
+	for i, j := range r.jobs {
 		switch {
-		case !r.victim(pl):
+		case !r.victim(j):
 		case r.errs[i] == nil:
-			if !r.res[i].Result.Equal(pl.Want) {
-				return fmt.Sprintf("victim %s completed with a wrong result: %s", pl.label(), r.res[i].Result.Diff(pl.Want, 5))
+			if r.diffs[i] != "" {
+				return fmt.Sprintf("victim %s completed with a wrong result: %s", j.Label(), r.diffs[i])
 			}
-		case r.aborts(pl.Spec.Senders...) == 0:
-			return "victim " + r.incomplete(pl, r.errs[i]) + " without a transport abort"
+		case r.aborts(j.Spec.Senders...) == 0:
+			return "victim " + r.incomplete(j, r.errs[i]) + " without a transport abort"
 		}
 	}
 	return ""
@@ -711,9 +687,9 @@ func victimContained(r *replay) string {
 
 // isolation: no tenant but the victim sees a transport abort on its hosts.
 func isolation(r *replay) string {
-	for _, pl := range r.plans {
-		if n := r.aborts(append(pl.Spec.Senders, pl.Spec.Receiver)...); n != 0 && !r.victim(pl) {
-			return fmt.Sprintf("%s (not the victim) saw %d transport aborts", pl.label(), n)
+	for _, j := range r.jobs {
+		if n := r.aborts(append(j.Spec.Senders, j.Spec.Receiver)...); n != 0 && !r.victim(j) {
+			return fmt.Sprintf("%s (not the victim) saw %d transport aborts", j.Label(), n)
 		}
 	}
 	return ""
@@ -731,26 +707,31 @@ func Run(cfg Config, sched Schedule, scale time.Duration) Outcome {
 	}
 	// The shrinker replays dozens of fabrics; a finished one must not stay
 	// pinned by its parked processes.
-	defer fab.Simulation().Close()
-	r := &replay{cfg: cfg, fab: fab, sched: sched, plans: k.plans(cfg)}
+	defer fab.Sim.Close()
+	r := &replay{cfg: cfg, fab: fab, sched: sched, jobs: k.jobs(cfg)}
 	sched.Apply(New(fab), scale)
-	pending := make([]*ask.PendingTask, len(r.plans))
-	for i, pl := range r.plans {
-		if pending[i], err = fab.StartTask(pl.Spec, pl.Streams); err != nil {
-			return Outcome{Violation: fmt.Sprintf("%s submission failed: %v", pl.label(), err)}
-		}
+	if err := fab.Start(r.jobs...); err != nil {
+		return Outcome{Violation: fmt.Sprintf("submission failed: %v", err)}
 	}
 	// Run under a virtual-time cap: every fault heals by 1.15x scale, so 25x
 	// is far beyond any legitimate recovery tail.
 	deadline := sim.Time(0).Add(25 * scale)
-	r.capped = fab.Simulation().Run(deadline) >= deadline && scale > 0
+	r.capped = fab.Sim.Run(deadline) >= deadline && scale > 0
 
 	var out Outcome
-	r.res, r.errs = make([]*ask.TaskResult, len(r.plans)), make([]error, len(r.plans))
-	for i, pl := range r.plans {
-		if r.res[i], r.errs[i] = pending[i].Get(); r.errs[i] != nil {
-			out.VictimAborted = out.VictimAborted || r.victim(pl) && r.aborts(pl.Spec.Senders...) > 0
-		} else if d := time.Duration(r.res[i].Elapsed); d > out.Elapsed {
+	r.errs, r.diffs = make([]error, len(r.jobs)), make([]string, len(r.jobs))
+	for i, j := range r.jobs {
+		res, err := j.Result()
+		var wrong *core.MismatchError
+		switch {
+		case errors.As(err, &wrong):
+			r.diffs[i] = wrong.Diff
+		case err != nil:
+			r.errs[i] = err
+			out.VictimAborted = out.VictimAborted || r.victim(j) && r.aborts(j.Spec.Senders...) > 0
+			continue
+		}
+		if d := time.Duration(res.Elapsed); d > out.Elapsed {
 			out.Elapsed = d
 		}
 	}

@@ -209,3 +209,20 @@ func TestSoakReportsMatchGolden(t *testing.T) {
 		t.Fatalf("soak reports moved off testdata/soak.golden:\n--- got ---\n%s--- want ---\n%s", got.String(), want)
 	}
 }
+
+// TestRunCapsALivelockedSchedule: Run drives the simulation itself — Start,
+// a run up to the virtual-time cap, Result — instead of to quiescence, so a
+// schedule that never lets the task finish is a verdict, not a hang. A
+// sender's link black-holed for far longer than the cap keeps the unbounded
+// retransmissions going forever.
+func TestRunCapsALivelockedSchedule(t *testing.T) {
+	cfg := chaos.Config{Seed: 3, Tuples: 2000}
+	scale, err := chaos.GoldenScale(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := chaos.Run(cfg, chaos.Schedule{{Kind: chaos.EvLinkBlackhole, StartMil: 100, DurMil: 1_000_000, Host: 1}}, scale)
+	if want := "task still running at the virtual-time cap (livelock)"; out.Violation != want {
+		t.Fatalf("violation %q, want %q", out.Violation, want)
+	}
+}

@@ -30,7 +30,7 @@ func TestTelemetryCoversEveryComponent(t *testing.T) {
 	if cl.Tel == nil {
 		t.Fatal("telemetry-enabled cluster has no Set")
 	}
-	orch := chaos.New(cl)
+	orch := chaos.New(&cl.Deployment)
 	orch.SwitchOutage(ask.TheSwitch, scale/4, scale/4)
 
 	res, err := cl.Aggregate(spec, streams)

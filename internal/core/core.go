@@ -139,20 +139,21 @@ func (r Result) MergeKV(kv KV, op Op) {
 func (r Result) Merge(other Result, op Op) {
 	for k, v := range other {
 		if cur, ok := r[k]; ok {
-			r[k] = combinePartial(op, cur, v)
+			r[k] = op.Combine(cur, v)
 		} else {
 			r[k] = v
 		}
 	}
 }
 
-// combinePartial combines two partial aggregates (as opposed to folding in a
-// raw value). For Count the partials are themselves counts, so they add.
-func combinePartial(op Op, a, b int64) int64 {
-	if op == OpCount {
+// Combine merges two partial aggregates of the same key (as opposed to
+// Apply, which folds in a raw value). For Count the partials are themselves
+// counts, so they add.
+func (o Op) Combine(a, b int64) int64 {
+	if o == OpCount {
 		return a + b
 	}
-	return op.Apply(a, b)
+	return o.Apply(a, b)
 }
 
 // Equal reports whether two results are identical.
@@ -193,6 +194,22 @@ func (r Result) Diff(other Result, max int) string {
 		return "<equal>"
 	}
 	return fmt.Sprintf("%d diffs: %v", len(diffs), diffs)
+}
+
+// MismatchError reports an aggregation result that differs from its
+// reference; match with errors.As. Diff lists the first differences, result
+// against reference, as Result.Diff words them.
+type MismatchError struct{ Diff string }
+
+func (e *MismatchError) Error() string { return "wrong aggregation result: " + e.Diff }
+
+// Verify is the verify step next to Reference: nil when r equals want, a
+// *MismatchError carrying their Diff otherwise.
+func (r Result) Verify(want Result) error {
+	if r.Equal(want) {
+		return nil
+	}
+	return &MismatchError{Diff: r.Diff(want, 8)}
 }
 
 // Reference computes the ground-truth aggregation of the given streams with

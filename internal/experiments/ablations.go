@@ -232,9 +232,9 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		c.SwapThreshold = 0
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 8 * (cfg.Senders + 2) // fit W=1024 pkt_state in a stage
-		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})
 		for i := 1; i <= cfg.Senders; i++ {
-			j.send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, cfg.Seed+int64(i)))
+			j.Send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, cfg.Seed+int64(i)))
 		}
 		res, cl, err := runAggregation(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed, Switch: swOpts}, j)
 		if err != nil {

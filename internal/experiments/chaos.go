@@ -68,33 +68,26 @@ func QuickFabricChaos() FabricChaosConfig {
 	return FabricChaosConfig{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Distinct: 512, Tuples: 20_000, Seed: 1}
 }
 
-// faultable is a deployment the orchestrator can inject into: the union of
-// the two existing views, declaring no method of its own.
-type faultable interface {
-	deployment
-	chaos.Fabric
-}
-
-// chaosStudy is one fault-injection table as data, over cluster type C.
-type chaosStudy[C faultable] struct {
+// chaosStudy is one fault-injection table as data.
+type chaosStudy struct {
 	title, note string
 	// build constructs a fresh deployment with the failover machinery on
 	// (which requires the shadow-copy prioritization off) and unbounded
 	// retries, so faults stretch tasks instead of aborting them.
-	build func() (C, error)
+	build func() (*ask.Deployment, error)
 	// task builds the study's task; streams are single-use generators, so
 	// every run gets its own.
-	task      func() *job
+	task      func() *ask.Job
 	scenarios []chaos.Scenario
 	// tailHeader names the study's trailing columns; tail fills them.
 	tailHeader []string
-	tail       func(fab C, res *ask.TaskResult, orch *chaos.Orchestrator) []any
+	tail       func(fab *ask.Deployment, res *ask.TaskResult, orch *chaos.Orchestrator) []any
 }
 
 // chaosTable runs a study. The first row is the golden run — the empty
 // script — whose elapsed time is the scale every scenario's script is timed
 // in, so faults land mid-task at any workload size.
-func chaosTable[C faultable](st chaosStudy[C]) (*stats.Table, error) {
+func chaosTable(st chaosStudy) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  st.title,
 		Note:   st.note,
@@ -108,10 +101,12 @@ func chaosTable[C faultable](st chaosStudy[C]) (*stats.Table, error) {
 		}
 		orch := chaos.New(fab)
 		sc.Schedule.Apply(orch, golden)
-		res, err := runOne(fab, st.task())
+		results, err := fab.Run(st.task())
+		fab.Sim.Close() // the row below reads counters only
 		if err != nil {
 			return nil, fmt.Errorf("%s: scenario %s: %w", st.title, sc.Name, err)
 		}
+		res := results[0]
 		if golden == 0 {
 			golden = time.Duration(res.Elapsed)
 		}
@@ -141,24 +136,28 @@ func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 	c.ShadowCopy = false
 	c.Failover = true
 	const taskID, receiver, firstSender = 1, 0, 1
-	task := func() *job {
-		j := newJob(core.TaskSpec{ID: taskID, Receiver: receiver, Op: core.OpSum})
+	task := func() *ask.Job {
+		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: receiver, Op: core.OpSum})
 		for h := core.HostID(firstSender); h < firstSender+core.HostID(cfg.Senders); h++ {
-			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
 		}
 		return j
 	}
-	return chaosTable(chaosStudy[*ask.Cluster]{
+	return chaosTable(chaosStudy{
 		title: "Chaos: fault injection vs fault-free golden run",
 		note: fmt.Sprintf("%d senders x %d tuples; every scenario must reproduce the golden result exactly; degraded = host-only time",
 			cfg.Senders, cfg.Tuples),
-		build: func() (*ask.Cluster, error) {
-			return newCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed})
+		build: func() (*ask.Deployment, error) {
+			cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed})
+			if err != nil {
+				return nil, err
+			}
+			return &cl.Deployment, nil
 		},
 		task:       task,
 		scenarios:  chaos.Scenarios(taskID, receiver, firstSender),
 		tailHeader: []string{"sw-aggr", "events"},
-		tail: func(_ *ask.Cluster, res *ask.TaskResult, orch *chaos.Orchestrator) []any {
+		tail: func(_ *ask.Deployment, res *ask.TaskResult, orch *chaos.Orchestrator) []any {
 			return []any{res.Switch.TuplesAggregated, len(orch.Log())}
 		},
 	})
@@ -180,31 +179,37 @@ func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 		Config: c, Seed: cfg.Seed,
 	}
 	const taskID = 1 // the fabric elects spine taskID mod Spines for it
-	task := func() *job {
-		j := newJob(core.TaskSpec{ID: taskID, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
+	task := func() *ask.Job {
+		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
 		for l := 1; l < cfg.Leaves; l++ {
 			h := opts.HostAt(l, 0)
-			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
 		}
 		return j
 	}
 	outage := func(name string, kind chaos.EventKind, addr core.HostID) chaos.Scenario {
 		return chaos.Scenario{Name: name, Schedule: chaos.Schedule{{Kind: kind, StartMil: 400, DurMil: 200, Addr: addr}}}
 	}
-	return chaosTable(chaosStudy[*ask.FatTreeCluster]{
+	return chaosTable(chaosStudy{
 		title: "Fabric chaos: spine/leaf outages vs fault-free golden run",
 		note: fmt.Sprintf("%d spines x %d leaves, %d senders x %d tuples; one crash+reboot window at 40-60%% of golden; every scenario must reproduce the golden result exactly",
 			cfg.Spines, cfg.Leaves, cfg.Leaves-1, cfg.Tuples),
-		build: func() (*ask.FatTreeCluster, error) { return ask.NewFatTreeCluster(opts) },
-		task:  task,
+		build: func() (*ask.Deployment, error) {
+			fc, err := ask.NewFatTreeCluster(opts)
+			if err != nil {
+				return nil, err
+			}
+			return &fc.Deployment, nil
+		},
+		task: task,
 		scenarios: []chaos.Scenario{
 			outage("spine-outage", chaos.EvSpineOutage, netsim.SpineAddr(taskID%cfg.Spines)),
 			outage("standby-spine-outage", chaos.EvSpineOutage, netsim.SpineAddr((taskID+1)%cfg.Spines)),
 			outage("leaf-outage", chaos.EvLeafOutage, netsim.LeafAddr(1)),
 		},
 		tailHeader: []string{"epoch"},
-		tail: func(fc *ask.FatTreeCluster, _ *ask.TaskResult, _ *chaos.Orchestrator) []any {
-			return []any{fc.FabricEpoch()}
+		tail: func(fab *ask.Deployment, _ *ask.TaskResult, _ *chaos.Orchestrator) []any {
+			return []any{fab.FabricEpoch()}
 		},
 	})
 }

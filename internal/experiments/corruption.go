@@ -67,9 +67,9 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 	for _, prob := range cfg.Probs {
 		link := netsim.DefaultLinkConfig()
 		link.Fault.CorruptProb = prob
-		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 		for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
-			j.send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
 		}
 		// The quarantine and retransmission columns come off the cluster
 		// registry, so every run carries one.

@@ -12,19 +12,19 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunRejectsWrongReferenceAndCloses feeds run a deliberately wrong
+// TestRunRejectsWrongReferenceAndCloses feeds runAggregation a deliberately wrong
 // reference: it must return an error carrying the Diff instead of a result,
 // and the cluster must still be released (its goroutines gone).
 func TestRunRejectsWrongReferenceAndCloses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	j := singleSenderTask(workload.Uniform(64, 2000, 1), 0)
 	var victim string
-	for k := range j.want {
+	for k := range j.Want {
 		victim = k
 		break
 	}
-	right := j.want[victim]
-	j.want[victim]++
+	right := j.Want[victim]
+	j.Want[victim]++
 	res, _, err := runAggregation(ask.Options{Hosts: 2, Seed: 1}, j)
 	if err == nil || res != nil {
 		t.Fatalf("wrong reference accepted: res=%v err=%v", res, err)

@@ -62,15 +62,16 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 			}
 		}
 		senders = dedupHosts(senders)
-		j := newJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 		for i, s := range senders {
-			j.send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(i)))
+			j.Send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(i)))
 		}
-		res, err := runOne(fc, j)
+		results, err := fc.Run(j)
+		fc.Sim.Close()
 		if err != nil {
 			return nil, fmt.Errorf("multirack remote=%d: %w", remote, err)
 		}
-		total := cfg.TuplesPerSender * int64(len(senders))
+		res, total := results[0], cfg.TuplesPerSender*int64(len(senders))
 		t.AddRow(remote,
 			100*float64(res.Switch.TuplesAggregated)/float64(total),
 			100*float64(res.Recv.ResidueTuples)/float64(total),

@@ -24,9 +24,9 @@ func seedRunner(seed int64) Runner {
 			Tuples:   6000,
 			Seed:     seed,
 		}
-		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
-		j.send(1, spec)
-		j.send(2, spec)
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		j.Send(1, spec)
+		j.Send(2, spec)
 		res, _, err := runAggregation(ask.Options{Hosts: 3, Seed: seed}, j)
 		if err != nil {
 			return nil, err

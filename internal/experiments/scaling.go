@@ -99,15 +99,16 @@ func runScaling(topology string, cfg ScalingConfig, shards int) (scalingRun, err
 	if err != nil {
 		return scalingRun{}, err
 	}
-	j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 	for g := 1; g < groups; g++ {
-		j.send(core.HostID(g*perGroup), workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(g)))
+		j.Send(core.HostID(g*perGroup), workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(g)))
 	}
-	res, err := runOne(fc, j)
+	defer fc.Sim.Close()
+	results, err := fc.Run(j)
 	if err != nil {
 		return scalingRun{}, err
 	}
-	run := scalingRun{res: res, virtual: fc.Sim.Now()}
+	run := scalingRun{res: results[0], virtual: fc.Sim.Now()}
 	if g := fc.Net.Group(); g != nil {
 		run.stats, run.lanes = g.Stats(), g.Lanes()
 	}

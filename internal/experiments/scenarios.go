@@ -77,15 +77,9 @@ func Scenarios(cfg ScenariosConfig) (*stats.Table, error) {
 		tkvs := core.CollectTimed(s.TimedStream())
 		parts := workload.SplitTimedRoundRobin(tkvs, cfg.Senders)
 
-		j := newJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: cfg.Rows})
-		j.timed = make(map[core.HostID]core.TimedStream, cfg.Senders)
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: cfg.Rows})
 		for i, part := range parts {
-			h := core.HostID(i + 1)
-			j.spec.Senders = append(j.spec.Senders, h)
-			j.timed[h] = core.SliceTimedStream(part)
-			for _, tkv := range part {
-				j.want.MergeKV(tkv.KV, core.OpSum)
-			}
+			j.SendTimed(core.HostID(i+1), part)
 		}
 
 		conf := core.DefaultConfig()

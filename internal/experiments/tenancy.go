@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -92,10 +94,7 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	for _, w := range weights {
 		wsum += w
 	}
-	hostsPerLeaf := k
-	if wsum > hostsPerLeaf {
-		hostsPerLeaf = wsum
-	}
+	hostsPerLeaf := max(k, wsum)
 	opts := ask.FatTreeOptions{
 		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: hostsPerLeaf,
 		Seed: cfg.Seed, Tenants: tenantSpecs(weights),
@@ -104,26 +103,27 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]*job, k)
+	defer fc.Sim.Close()
+	jobs := make([]*ask.Job, k)
 	slot := 0 // next sender slot on each sender leaf (layout identical per leaf)
 	for i, w := range weights {
 		tn := core.TenantID(i + 1)
 		rows := fc.Tenancy.Quota(tn) / cfg.RowFrac
 		rows &^= 1
-		j := newJob(core.TaskSpec{
+		j := ask.NewJob(core.TaskSpec{
 			ID: core.MakeTaskID(tn, uint32(i+1)), Receiver: opts.HostAt(0, i),
 			Op: core.OpSum, Rows: rows,
 		})
 		for l := 1; l < cfg.Leaves; l++ {
 			for s := 0; s < w; s++ {
-				j.send(opts.HostAt(l, slot+s),
+				j.Send(opts.HostAt(l, slot+s),
 					workload.Uniform(cfg.KeysPerRow*rows, cfg.TuplesPerSender, cfg.Seed+int64(i*cfg.Leaves*wsum+l*wsum+s)))
 			}
 		}
 		slot += w
 		jobs[i] = j
 	}
-	results, err := run(fc, jobs...)
+	results, err := fc.Run(jobs...)
 	if err != nil {
 		return nil, fmt.Errorf("tenancy: weights %v: %w", weights, err)
 	}
@@ -132,9 +132,9 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	for i, j := range jobs {
 		runs[i] = tenantRun{
 			weight:   weights[i],
-			rows:     j.spec.Rows,
-			absorbed: fc.TaskSwitchStats(j.spec.ID).TuplesAggregated,
-			offered:  cfg.TuplesPerSender * int64(len(j.spec.Senders)),
+			rows:     j.Spec.Rows,
+			absorbed: fc.TaskSwitchStats(j.Spec.ID).TuplesAggregated,
+			offered:  cfg.TuplesPerSender * int64(len(j.Spec.Senders)),
 			elapsed:  time.Duration(results[i].Elapsed),
 		}
 	}
@@ -174,10 +174,7 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 		return nil, fmt.Errorf("tenancy: fairness needs Leaves >= 2, got %d", cfg.Leaves)
 	}
 	perLeaf := (total + senderLeaves - 1) / senderLeaves
-	hostsPerLeaf := total // receiver slots on leaf 0
-	if perLeaf > hostsPerLeaf {
-		hostsPerLeaf = perLeaf
-	}
+	hostsPerLeaf := max(total, perLeaf) // total: the receiver slots on leaf 0
 
 	opts := ask.FatTreeOptions{
 		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: hostsPerLeaf,
@@ -187,8 +184,10 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer fc.Sim.Close()
 
-	var jobs []*job // every submission, in order
+	var jobs []*ask.Job // every submission, in order
+	probes := make(map[*ask.Job]bool)
 	runs := make([]tenantFairRun, k)
 	t := 0
 	leafSlot := make([]int, cfg.Leaves)
@@ -199,38 +198,46 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 			sender := opts.HostAt(leaf, leafSlot[leaf])
 			leafSlot[leaf]++
 			wl := workload.Uniform(cfg.TaskKeys, cfg.TuplesPerSender, cfg.Seed+int64(t))
-			jobs = append(jobs, &job{
-				spec: core.TaskSpec{
+			jobs = append(jobs, &ask.Job{
+				Spec: core.TaskSpec{
 					ID: core.MakeTaskID(core.TenantID(i+1), uint32(n+1)), Receiver: opts.HostAt(0, t),
 					Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{sender},
 				},
-				timed: map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), cfg.Pace)},
-				want:  wl.Reference(core.OpSum),
+				Streams: map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), cfg.Pace)},
+				Want:    wl.Reference(core.OpSum),
 			})
 			t++
 		}
 		// One task past the quota: its admission runs on the sim clock after
 		// the tenant's real tasks have filled the quota (driver processes run
 		// in submission order), so it must be rejected with the typed
-		// overload error; run enforces that.
-		jobs = append(jobs, &job{
-			spec: core.TaskSpec{
+		// overload error.
+		probe := &ask.Job{
+			Spec: core.TaskSpec{
 				ID: core.MakeTaskID(core.TenantID(i+1), uint32(admitted[i]+1)), Receiver: opts.HostAt(0, 0),
 				Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{opts.HostAt(1, 0)},
 			},
-			timed:   map[core.HostID]core.TimedStream{opts.HostAt(1, 0): core.SliceStream(nil).Timed()},
-			refused: new(*tenancy.OverloadError),
-		})
+			Streams: map[core.HostID]core.TimedStream{opts.HostAt(1, 0): core.SliceStream(nil).Timed()},
+		}
+		jobs, probes[probe] = append(jobs, probe), true
 	}
-	results, err := run(fc, jobs...)
-	if err != nil {
+	if err := fc.Start(jobs...); err != nil {
 		return nil, fmt.Errorf("tenancy: weights %v: %w", weights, err)
 	}
-	for n, res := range results {
-		if res != nil { // nil: the refused probe
-			id := jobs[n].spec.ID
-			runs[id.Tenant()-1].goodputV += float64(fc.TaskSwitchStats(id).TuplesAggregated) / time.Duration(res.Elapsed).Seconds()
+	fc.Sim.Run(0)
+	for _, j := range jobs {
+		id := j.Spec.ID
+		res, err := j.Result()
+		if probes[j] {
+			if !errors.As(err, new(*tenancy.OverloadError)) {
+				return nil, fmt.Errorf("tenancy: weights %v: over-quota task %d returned %v, want a *tenancy.OverloadError", weights, id, err)
+			}
+			continue
 		}
+		if err != nil {
+			return nil, fmt.Errorf("tenancy: weights %v: task %d: %w", weights, id, err)
+		}
+		runs[id.Tenant()-1].goodputV += float64(fc.TaskSwitchStats(id).TuplesAggregated) / time.Duration(res.Elapsed).Seconds()
 	}
 	return runs, nil
 }
@@ -270,18 +277,11 @@ func FairnessDev(runs []tenantFairRun) float64 {
 	for _, r := range runs {
 		want := float64(r.weight) / float64(wsum)
 		got := r.goodput() / gsum
-		if d := abs(got-want) / want; d > dev {
+		if d := math.Abs(got-want) / want; d > dev {
 			dev = d
 		}
 	}
 	return dev
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }
 
 // TenancyFairness sweeps weight vectors over backlogged tenants and checks

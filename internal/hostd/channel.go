@@ -12,14 +12,13 @@ import (
 	"repro/internal/wire"
 )
 
-// sendTask is one application stream queued on a data channel. Exactly one
-// of stream/timed is set: timed streams are paced on the sim clock (trace
-// replay), plain streams are drained back-to-back.
+// sendTask is one application stream queued on a data channel. The stream is
+// paced on the sim clock by its arrival offsets; a plain stream is one whose
+// offsets are all zero, drained back to back.
 type sendTask struct {
 	id       core.TaskID
 	receiver core.HostID
-	stream   core.Stream
-	timed    core.TimedStream
+	stream   core.TimedStream
 	// part is the task's keyspace band from the receiver's notification
 	// (zero = whole keyspace): the packetizer routes only this band's keys
 	// into switch slots.
@@ -183,16 +182,10 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 			ch.retained[task.id] = task
 		}
 
-		var pz *packetizer
-		if task.timed != nil {
-			// Timed replay: arrival offsets anchor at this moment — the
-			// channel is the task's ingress, so "stream start" is when the
-			// channel begins serving it.
-			stream, stall := paceStream(p, task.timed)
-			pz = newPacedPacketizer(ch.d.layout, stream, stall)
-		} else {
-			pz = newPacketizer(ch.d.layout, task.stream)
-		}
+		// Arrival offsets anchor at this moment — the channel is the task's
+		// ingress, so "stream start" is when the channel begins serving it.
+		stream, stall := paceStream(p, task.stream)
+		pz := newPacketizer(ch.d.layout, stream, stall)
 		pz.part = task.part
 		for {
 			pkt, tuples, ok := pz.next()
@@ -209,12 +202,8 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 			_ = tuples
 			// Bounded TX ring: never queue more wire time at the NIC than
 			// a fraction of the retransmission timeout, or acknowledgments
-			// cannot outrun spurious timeouts (DPDK descriptor-ring
-			// backpressure). Drain with hysteresis — down to half the
-			// bound, not to empty — so the wire never idles at line rate.
-			if bound := ch.d.cfg.RetransmitTimeout / 4; ch.d.net.Uplink(ch.d.host).Backlog() > bound {
-				p.SleepUntil(ch.d.net.Uplink(ch.d.host).NextFree().Add(-bound / 2))
-			}
+			// cannot outrun spurious timeouts.
+			ch.d.net.Uplink(ch.d.host).Throttle(p, ch.d.cfg.RetransmitTimeout/4)
 			pkt.Task = task.id
 			pkt.Flow = ch.flow
 			ch.d.met.packetsSent.Inc()

@@ -371,8 +371,7 @@ func (d *Daemon) onRelease(task core.TaskID) {
 		return
 	}
 	delete(d.activeSends, task)
-	ch := d.channels[int(task)%len(d.channels)]
-	delete(ch.retained, task)
+	delete(d.channelFor(task).retained, task)
 	st.history = nil
 	d.bumpActivity(-1)
 }

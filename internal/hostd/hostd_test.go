@@ -45,16 +45,21 @@ type rig struct {
 
 func newRig(t *testing.T, hosts int, link netsim.LinkConfig) *rig {
 	t.Helper()
+	return newRigConfig(t, hosts, link, core.DefaultConfig())
+}
+
+func newRigConfig(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config) *rig {
+	t.Helper()
 	s := sim.New(1)
 	n := netsim.New(s, link)
-	sw, err := switchd.New(s, n, core.DefaultConfig(), switchd.DefaultOptions())
+	sw, err := switchd.New(s, n, cfg, switchd.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := &rig{s: s, sw: sw, daemons: make(map[core.HostID]*hostd.Daemon)}
 	for h := 0; h < hosts; h++ {
 		id := core.HostID(h)
-		d, err := hostd.New(s, n, cpumodel.NewHost(s, 8), core.DefaultConfig(), id, ctrlAdapter{sw}, telemetry.Sink{})
+		d, err := hostd.New(s, n, cpumodel.NewHost(s, 8), cfg, id, ctrlAdapter{sw}, telemetry.Sink{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,6 +92,47 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 	}
 	if want := w.Reference(core.OpSum); !result.Equal(want) {
 		t.Fatalf("result wrong: %s", result.Diff(want, 5))
+	}
+}
+
+// TestReleaseDropsRetainedHistoryOnTenantChannels: with failover on, a sender
+// retains its task's packets on the data channel that sent them until the
+// receiver releases the task. On a daemon with tenant channel ranges the
+// sending channel is picked inside the tenant's range, and the release must
+// find the same one: the task ID below hashes to channel 2 of 4 globally but
+// to channel 0 of tenant 1's range [0, 2).
+func TestReleaseDropsRetainedHistoryOnTenantChannels(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Failover, cfg.ShadowCopy = true, false
+	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
+	for _, d := range r.daemons {
+		if err := d.SetTenantChannels(1, 0, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	id := core.MakeTaskID(1, 2)
+	if global, ranged := int(id)%cfg.DataChannels, int(id)%2; global == ranged {
+		t.Fatalf("task %d hashes to channel %d either way; the test needs the two to differ", id, global)
+	}
+	w := workload.Uniform(256, 3000, 1)
+	var result core.Result
+	r.s.Spawn("driver", func(p *sim.Proc) {
+		h, err := r.daemons[0].Submit(p, core.TaskSpec{ID: id, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		r.daemons[1].SubmitSend(id, w.Stream())
+		result = h.Wait(p)
+	})
+	r.s.Run(0)
+	if err := result.Verify(w.Reference(core.OpSum)); err != nil {
+		t.Fatal(err)
+	}
+	for ch, n := range r.daemons[1].Retained() {
+		if n != 0 {
+			t.Errorf("sender channel %d still retains %d released task(s): %v", ch, n, r.daemons[1].Retained())
+		}
 	}
 }
 

@@ -12,7 +12,10 @@ import (
 // on the sim clock until the next arrival is due, returning false at EOF.
 // Together they make the send loop consume the trace on the sim clock: the
 // packetizer packs whatever has arrived, flushes partial packets on a lull,
-// and parks until the next arrival instead of streaming back-to-back.
+// and parks until the next arrival. A plain stream is the degenerate trace
+// with every arrival at offset zero: every tuple is due at once, so it
+// streams back to back and stall is reached only at EOF, where it never
+// sleeps.
 func paceStream(p *sim.Proc, ts core.TimedStream) (core.Stream, func() bool) {
 	start := p.Now()
 	var pending core.TimedKV

@@ -22,14 +22,16 @@ import (
 // tuple per packet and re-fills faster than the emptiest bucket.
 type packetizer struct {
 	layout *keyspace.Layout
+	// stream is a paced source (paceStream): it yields only tuples already
+	// due, so !ok means "no tuple due yet", not EOF. stall blocks (on the sim
+	// clock) until the next tuple is due and returns true, or returns false
+	// at true EOF. pull consults it only with empty buffers; with tuples
+	// queued it flushes a partial packet first, so a lull in arrivals never
+	// holds aggregated data hostage (NIC-style idle flush). A source whose
+	// arrivals are all at offset zero is never "not due": its stall is
+	// reached once, at EOF.
 	stream core.Stream
-	// stall, when non-nil, marks the stream as paced (a timed replay): a
-	// !ok from the stream means "no tuple due yet", not EOF. stall blocks
-	// (on the sim clock) until the next tuple is due and returns true, or
-	// returns false at true EOF. pull consults it only with empty buffers;
-	// with tuples queued it flushes a partial packet first, so a lull in
-	// arrivals never holds aggregated data hostage (NIC-style idle flush).
-	stall func() bool
+	stall  func() bool
 	// flush marks that the last pull stopped on a not-yet-due tuple with
 	// data buffered: next must emit what it has even though no bucket set
 	// is full.
@@ -57,25 +59,17 @@ const bufferPerUnit = 256
 // maxLongPerPacket keeps long-key packets within the MTU for typical keys.
 const maxLongPerPacket = 32
 
-func newPacketizer(layout *keyspace.Layout, stream core.Stream) *packetizer {
+func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
 	n := uint(8 * layout.Config().KPartBytes)
 	return &packetizer{
 		layout:  layout,
 		stream:  stream,
+		stall:   stall,
 		buckets: make([][]core.KV, layout.LogicalUnits()),
 		maxBuf:  bufferPerUnit * layout.LogicalUnits(),
 		valLo:   -(int64(1) << (n - 1)),
 		valHi:   int64(1)<<(n-1) - 1,
 	}
-}
-
-// newPacedPacketizer builds a packetizer over a paced source: stream yields
-// only tuples already due, stall waits (on the sim clock) for the next
-// arrival. See the stall field for the emission policy.
-func newPacedPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
-	pz := newPacketizer(layout, stream)
-	pz.stall = stall
-	return pz
 }
 
 // pull moves tuples from the stream into buckets until a packet can be
@@ -89,12 +83,9 @@ func (pz *packetizer) pull() {
 		}
 		kv, ok := pz.stream()
 		if !ok {
-			if pz.stall == nil {
-				pz.eof = true
-				return
-			}
-			// Paced source: the next tuple is not due yet. Flush whatever
-			// is queued before waiting; only park with empty buffers.
+			// The next tuple is not due yet (or there is none). Flush
+			// whatever is queued before waiting; only park with empty
+			// buffers.
 			if pz.buffered > 0 || len(pz.longQ) > 0 {
 				pz.flush = true
 				return
@@ -148,10 +139,7 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
 	if len(pz.longQ) >= maxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && len(pz.longQ) > 0) {
-		n := len(pz.longQ)
-		if n > maxLongPerPacket {
-			n = maxLongPerPacket
-		}
+		n := min(len(pz.longQ), maxLongPerPacket)
 		long := append([]wire.LongKV(nil), pz.longQ[:n]...)
 		pz.longQ = pz.longQ[n:]
 		return &wire.Packet{Type: wire.TypeLongKey, Long: long}, n, true

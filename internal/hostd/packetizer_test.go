@@ -3,10 +3,12 @@ package hostd
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/keyspace"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -18,6 +20,10 @@ func testLayout(t *testing.T) *keyspace.Layout {
 	}
 	return l
 }
+
+// atEOF is the stall of a source that is never "not due": the packetizer
+// reaches it only once the stream is exhausted, and it reports EOF.
+func atEOF() bool { return false }
 
 // drainPackets collects every packet a packetizer emits.
 func drainPackets(pz *packetizer) []*wire.Packet {
@@ -81,7 +87,7 @@ func TestPacketizerLossless(t *testing.T) {
 		}
 		in = append(in, core.KV{Key: key, Val: int64(rng.Intn(1000))})
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	out := decodeAll(l, drainPackets(pz))
 	want := core.Reference(core.OpSum, in)
 	got := core.Reference(core.OpSum, out)
@@ -102,7 +108,7 @@ func TestPacketizerUniformFillsPackets(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		in = append(in, core.KV{Key: fmt.Sprintf("k%06d", rng.Intn(10000)), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	var live, dataPkts int
 	for _, p := range pkts {
@@ -126,7 +132,7 @@ func TestPacketizerSkewLeavesBlanks(t *testing.T) {
 	for i := 0; i < 4*bufferPerUnit; i++ {
 		in = append(in, core.KV{Key: "hot", Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	if len(pkts) < 4 {
 		t.Fatalf("packets = %d; bounded buffering not working", len(pkts))
@@ -150,7 +156,7 @@ func TestPacketizerLongKeysBypass(t *testing.T) {
 		{Key: "a_truly_long_key_beyond_groups", Val: 2},
 		{Key: "k", Val: 3},
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	var longPkts, dataPkts int
 	for _, p := range pkts {
@@ -172,7 +178,7 @@ func TestPacketizerLongKeysBypass(t *testing.T) {
 func TestPacketizerHugeValuesBypass(t *testing.T) {
 	l := testLayout(t)
 	in := []core.KV{{Key: "k", Val: 1 << 40}}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	if len(pkts) != 1 || pkts[0].Type != wire.TypeLongKey {
 		t.Fatalf("oversized value not routed to long path: %+v", pkts)
@@ -188,7 +194,7 @@ func TestPacketizerLongPacketMTU(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in = append(in, core.KV{Key: fmt.Sprintf("very_long_key_number_%08d", i), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	for _, p := range drainPackets(pz) {
 		if p.Type != wire.TypeLongKey {
 			t.Fatalf("unexpected %v packet", p.Type)
@@ -201,7 +207,7 @@ func TestPacketizerLongPacketMTU(t *testing.T) {
 
 func TestPacketizerEmptyStream(t *testing.T) {
 	l := testLayout(t)
-	pz := newPacketizer(l, core.SliceStream(nil))
+	pz := newPacketizer(l, core.SliceStream(nil), atEOF)
 	if pkts := drainPackets(pz); len(pkts) != 0 {
 		t.Fatalf("empty stream emitted %d packets", len(pkts))
 	}
@@ -216,7 +222,7 @@ func TestPacketizerSameKeySameSlotAcrossPackets(t *testing.T) {
 		in = append(in, core.KV{Key: "anchor", Val: 1})
 		in = append(in, core.KV{Key: fmt.Sprintf("f%d", i), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in))
+	pz := newPacketizer(l, core.SliceStream(in), atEOF)
 	slot := -1
 	anchorKP := l.Place("anchor").KParts[0]
 	for _, p := range drainPackets(pz) {
@@ -235,5 +241,45 @@ func TestPacketizerSameKeySameSlotAcrossPackets(t *testing.T) {
 	}
 	if slot == -1 {
 		t.Fatal("anchor key never seen")
+	}
+}
+
+// TestPacketizerZeroOffsetPacedSource is the one send path seen from the
+// packetizer: a plain stream lifted to arrival offset zero and paced on the
+// sim clock (what SubmitSend hands txLoop) is never "not due", so stall is
+// reached exactly once, at EOF, the clock does not move, and the packets are
+// the ones the EOF-only source of the tests above emits.
+func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
+	l := testLayout(t)
+	rng := rand.New(rand.NewSource(3))
+	var in []core.KV
+	for i := 0; i < 3000; i++ {
+		key := fmt.Sprintf("s%d", rng.Intn(200))
+		if i%5 == 0 {
+			key = fmt.Sprintf("quite_long_key_%06d", rng.Intn(50))
+		}
+		in = append(in, core.KV{Key: key, Val: int64(rng.Intn(1000))})
+	}
+	want := drainPackets(newPacketizer(l, core.SliceStream(in), atEOF))
+
+	s := sim.New(1)
+	var got []*wire.Packet
+	stalls := 0
+	s.Spawn("tx", func(p *sim.Proc) {
+		stream, stall := paceStream(p, core.SliceStream(in).Timed())
+		got = drainPackets(newPacketizer(l, stream, func() bool { stalls++; return stall() }))
+	})
+	s.Run(0)
+	if stalls != 1 {
+		t.Fatalf("stall called %d times over %d zero-offset tuples, want once (at EOF)", stalls, len(in))
+	}
+	if s.Now() != 0 {
+		t.Fatalf("zero-offset source slept: clock at %v", s.Now())
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("paced zero-offset source emitted %d packets that differ from the EOF-only source's %d", len(got), len(want))
+	}
+	if out := decodeAll(l, got); len(out) != len(in) || !core.Reference(core.OpSum, out).Equal(core.Reference(core.OpSum, in)) {
+		t.Fatalf("%d of %d tuples survived packetization", len(out), len(in))
 	}
 }

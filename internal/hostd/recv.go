@@ -193,23 +193,20 @@ func (d *Daemon) Submit(p *sim.Proc, spec core.TaskSpec) (*RecvHandle, error) {
 	return &RecvHandle{t}, nil
 }
 
-// SubmitSend registers a sender-side stream for a task (§3.1 steps ⑥–⑦).
-// The stream starts flowing once the receiver's notification has arrived;
-// either order works.
+// SubmitSend is SubmitSendTimed with every arrival at offset zero: the
+// stream is drained back to back.
 func (d *Daemon) SubmitSend(task core.TaskID, stream core.Stream) *SendHandle {
-	return d.submitSend(&sendTask{id: task, stream: stream, done: sim.NewSignal(d.sim)})
+	return d.SubmitSendTimed(task, stream.Timed())
 }
 
-// SubmitSendTimed registers a timed sender-side stream for a task: tuples
-// become available to the data channel at their arrival offsets (anchored
-// at the moment the channel starts serving the task) instead of
-// back-to-back, so the whole protocol — packetization, windowing,
+// SubmitSendTimed registers a sender-side stream for a task (§3.1 steps
+// ⑥–⑦). The stream starts flowing once the receiver's notification has
+// arrived; either order works. Tuples become available to the data channel
+// at their arrival offsets (anchored at the moment the channel starts
+// serving the task), so the whole protocol — packetization, windowing,
 // congestion — runs under the trace's temporal shape.
 func (d *Daemon) SubmitSendTimed(task core.TaskID, ts core.TimedStream) *SendHandle {
-	return d.submitSend(&sendTask{id: task, timed: ts, done: sim.NewSignal(d.sim)})
-}
-
-func (d *Daemon) submitSend(st *sendTask) *SendHandle {
+	st := &sendTask{id: task, stream: ts, done: sim.NewSignal(d.sim)}
 	if n, ok := d.notified[st.id]; ok {
 		d.activateSend(st, n)
 	} else {
@@ -228,11 +225,7 @@ func (d *Daemon) onNotify(n taskNotify) {
 	d.notified[n.Task] = n
 }
 
-// activateSend assigns the task to a data channel by hash(ID) (§3.1).
-// Multi-tenant daemons with channel ranges installed (SetTenantChannels)
-// hash within the owning tenant's range instead, so one tenant's backlog
-// never queues behind another's; daemons without ranges keep the exact
-// legacy assignment.
+// activateSend queues the task on its data channel.
 func (d *Daemon) activateSend(st *sendTask, n taskNotify) {
 	st.receiver = n.Receiver
 	st.part = n.Partition
@@ -242,11 +235,20 @@ func (d *Daemon) activateSend(st *sendTask, n taskNotify) {
 			d.bumpActivity(1)
 		}
 	}
-	ch := d.channels[int(st.id)%len(d.channels)]
-	if r, ok := d.tenantCh[st.id.Tenant()]; ok {
-		ch = d.channels[r.lo+int(st.id)%r.n]
+	d.channelFor(st.id).enqueue(st)
+}
+
+// channelFor is the one task→channel assignment, for sending and for the
+// release of what was sent: hash(ID) over the data channels (§3.1).
+// Multi-tenant daemons with channel ranges installed (SetTenantChannels)
+// hash within the owning tenant's range instead, so one tenant's backlog
+// never queues behind another's; daemons without ranges keep the exact
+// legacy assignment.
+func (d *Daemon) channelFor(task core.TaskID) *dataChannel {
+	if r, ok := d.tenantCh[task.Tenant()]; ok {
+		return d.channels[r.lo+int(task)%r.n]
 	}
-	ch.enqueue(st)
+	return d.channels[int(task)%len(d.channels)]
 }
 
 // SetTenantChannels dedicates the contiguous data-channel range [lo, lo+n)
@@ -531,7 +533,7 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 		if e.AA < shortSlots {
 			key := layout.ReconstructShort(e.KPart)
 			if cur, ok := partial[key]; ok {
-				partial[key] = combine(t.spec.Op, cur, e.Val)
+				partial[key] = t.spec.Op.Combine(cur, e.Val)
 			} else {
 				partial[key] = e.Val
 			}
@@ -580,7 +582,7 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 		}
 		key := layout.ReconstructMedium(kparts)
 		if cur, ok := partial[key]; ok {
-			partial[key] = combine(t.spec.Op, cur, val)
+			partial[key] = t.spec.Op.Combine(cur, val)
 		} else {
 			partial[key] = val
 		}
@@ -588,14 +590,6 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 	t.result.Merge(partial, t.spec.Op)
 	t.met.switchEntries.Add(int64(len(entries)))
 	t.d.met.switchTuples.Add(int64(len(entries)))
-}
-
-// combine merges two partial aggregates of the same key (counts add).
-func combine(op core.Op, a, b int64) int64 {
-	if op == core.OpCount {
-		return a + b
-	}
-	return op.Apply(a, b)
 }
 
 // fetchRetry is the receiver's fetch/clear retransmission interval; it must

@@ -317,9 +317,6 @@ func (ft *FatTree) SetLeafDown(l int, down bool) { ft.leafDown[l] = down }
 // SpineIsDown reports spine s's routing down-state.
 func (ft *FatTree) SpineIsDown(s int) bool { return ft.spineDown[s] }
 
-// LeafIsDown reports leaf l's routing down-state.
-func (ft *FatTree) LeafIsDown(l int) bool { return ft.leafDown[l] }
-
 // spineForFrame picks the uplink spine for a fabric-crossing frame.
 func (ft *FatTree) spineForFrame(f *Frame) int {
 	if f.Pkt == nil {

@@ -237,6 +237,16 @@ func (l *Link) Backlog() time.Duration {
 	return l.busyUntil.Sub(l.sim.Now())
 }
 
+// Throttle is the bounded TX ring (DPDK descriptor backpressure): a sender
+// about to queue a frame behind more than bound of wire time sleeps until the
+// backlog has drained to half of it — hysteresis, not to empty, so the wire
+// never idles at line rate.
+func (l *Link) Throttle(p *sim.Proc, bound time.Duration) {
+	if l.Backlog() > bound {
+		p.SleepUntil(l.NextFree().Add(-bound / 2))
+	}
+}
+
 // serialize returns the wire time of n bytes at the link rate, carrying
 // sub-nanosecond remainders across calls.
 func (l *Link) serialize(n int) time.Duration {

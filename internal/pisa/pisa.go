@@ -180,12 +180,6 @@ func (ra *RegisterArray) Name() string { return ra.name }
 // Len returns the number of entries.
 func (ra *RegisterArray) Len() int { return len(ra.entries) }
 
-// WidthBits returns the per-entry width.
-func (ra *RegisterArray) WidthBits() int { return ra.widthBits }
-
-// Accesses returns the total number of data-plane accesses so far.
-func (ra *RegisterArray) Accesses() uint64 { return ra.accesses }
-
 // RMW performs the array's single allowed access for this pass: an atomic
 // read-modify-write of entry idx. action receives the current value and
 // returns the value to store and an arbitrary result to surface (e.g. the

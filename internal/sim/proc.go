@@ -217,9 +217,6 @@ func (sg *Signal) Fire() {
 	sg.waiters = ws[:0]
 }
 
-// Waiting returns the number of pending subscribers.
-func (sg *Signal) Waiting() int { return len(sg.waiters) }
-
 // Resource is a counting semaphore with a FIFO wait queue, used to model
 // contended capacity such as CPU cores. Acquire blocks the calling process
 // until a unit is available.
@@ -313,9 +310,6 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // WaitGroup counts down outstanding work; Wait blocks until the count is 0.
 type WaitGroup struct {

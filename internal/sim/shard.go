@@ -174,9 +174,6 @@ func (g *ShardGroup) SetLookahead(d time.Duration) {
 // Lookahead returns the conservative window width.
 func (g *ShardGroup) Lookahead() time.Duration { return time.Duration(g.look) }
 
-// Root returns the root simulation (drivers, orchestrators, Run).
-func (g *ShardGroup) Root() *Simulation { return g.root }
-
 // Lane returns shard lane i's simulation; model state for shard i must be
 // constructed against it.
 func (g *ShardGroup) Lane(i int) *Simulation { return g.lanes[i] }

@@ -171,10 +171,3 @@ func (t *Table) String() string {
 	}
 	return b.String()
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -116,7 +116,7 @@ func take(s core.Stream, n int64) core.Stream {
 	// Materialize the window eagerly: the underlying stream is shared
 	// across windows and data channels consume them concurrently, so the
 	// slice boundary must be fixed at submission time.
-	kvs := make([]core.KV, 0, min64(n, 1<<16))
+	kvs := make([]core.KV, 0, min(n, 1<<16))
 	for int64(len(kvs)) < n {
 		kv, ok := s()
 		if !ok {
@@ -125,11 +125,4 @@ func take(s core.Stream, n int64) core.Stream {
 		kvs = append(kvs, kv)
 	}
 	return core.SliceStream(kvs)
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

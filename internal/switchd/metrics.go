@@ -127,15 +127,19 @@ func (sw *Switch) taskEntryOf(task core.TaskID) *taskEntry {
 	return te
 }
 
-// cumulative reads the entry's monotonic counters.
+// cumulative reads the entry's monotonic counters. Ingress counts a tuple in
+// before it counts it aggregated or conflicted, and a packet before it counts
+// it ACKed or forwarded, so a reader concurrent with ingress takes them in the
+// opposite order: the snapshot then never shows more outcomes than arrivals
+// (fields of a composite literal are evaluated in source order).
 func (te *taskEntry) cumulative() TaskStats {
 	return TaskStats{
-		TuplesIn:         te.tuplesIn.Value(),
 		TuplesAggregated: te.tuplesAggregated.Value(),
 		TuplesConflicted: te.tuplesConflicted.Value(),
-		DataPackets:      te.dataPackets.Value(),
+		TuplesIn:         te.tuplesIn.Value(),
 		AckedPackets:     te.ackedPackets.Value(),
 		ForwardedPackets: te.forwardedPackets.Value(),
+		DataPackets:      te.dataPackets.Value(),
 	}
 }
 

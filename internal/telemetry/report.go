@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -51,9 +50,6 @@ func Report(r *Registry) *stats.Table {
 	}
 	return t
 }
-
-// DurationRow formats a nanosecond counter as a duration for reports.
-func DurationRow(ns int64) string { return time.Duration(ns).Round(time.Microsecond).String() }
 
 type int64kv struct {
 	k string

@@ -132,9 +132,7 @@ func runPush(cfg pushConfig) (time.Duration, error) {
 						p.Wait(w.ackSig)
 					}
 					thread.Run(p, cpumodel.PacketIOCost)
-					if up.Backlog() > 50*time.Microsecond {
-						p.SleepUntil(up.NextFree().Add(-25 * time.Microsecond))
-					}
+					up.Throttle(p, 50*time.Microsecond)
 					pkt := &wire.Packet{Type: wire.TypeData, Seq: uint32(c)}
 					n.HostSend(&netsim.Frame{
 						Src: w.host, Dst: psHostID, Pkt: pkt,
@@ -193,9 +191,7 @@ func runMulticastPull(workers int, bytes int64, cores int, link netsim.LinkConfi
 		up := n.Uplink(psHostID)
 		for sent := int64(0); sent < bytes; sent += payload {
 			thread.Run(p, cpumodel.PacketIOCost)
-			if up.Backlog() > 50*time.Microsecond {
-				p.SleepUntil(up.NextFree().Add(-25 * time.Microsecond))
-			}
+			up.Throttle(p, 50*time.Microsecond)
 			n.HostSend(&netsim.Frame{
 				Src: psHostID, Dst: core.HostID(1), // replicated by the switch
 				Pkt:       &wire.Packet{Type: wire.TypeData},

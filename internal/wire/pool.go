@@ -46,9 +46,6 @@ var poolPoison atomic.Bool
 // packet free list (debug/test mode; see poolPoison).
 func SetPoolPoison(on bool) { poolPoison.Store(on) }
 
-// PoolPoisonEnabled reports whether release poisoning is active.
-func PoolPoisonEnabled() bool { return poolPoison.Load() }
-
 // Sentinel values stamped by Release under SetPoolPoison(true).
 const (
 	PoisonType  Type   = 0xEE

@@ -134,9 +134,6 @@ type Slot struct {
 	Val   int64
 }
 
-// Blank reports whether the slot carries no key material.
-func (s Slot) Blank() bool { return s.KPart == 0 }
-
 // PackKPart packs up to n bytes of key material (n = KPartBytes) into a
 // left-aligned big-endian uint64, zero-padded on the right.
 func PackKPart(seg []byte, n int) uint64 {
