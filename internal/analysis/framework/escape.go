@@ -45,9 +45,6 @@ const (
 	FlowUnknownCall
 )
 
-// FlowAny covers every escape destination.
-const FlowAny = FlowGlobal | FlowReturn | FlowChannel | FlowCaptured | FlowHeap | FlowUnknownCall
-
 // ArgFlow records one value flowing into a resolved static call.
 type ArgFlow struct {
 	// Callee is the statically-resolved target.

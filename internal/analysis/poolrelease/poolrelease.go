@@ -6,7 +6,7 @@
 // Packet.ClonePooled — under an explicit ownership discipline (see
 // wire/pool.go): every acquisition must end in exactly one Packet.Release,
 // either directly or by handing the packet to something that releases it
-// (an owned netsim.Frame, Daemon.sendOwned, a return to the caller). A
+// (an owned netsim.Frame, Daemon.send, a return to the caller). A
 // packet that is acquired and then simply dropped is not a correctness bug
 // — the GC still reclaims it — but it silently re-introduces the
 // per-packet allocation churn the pool exists to eliminate, which is

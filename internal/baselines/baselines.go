@@ -16,7 +16,6 @@ package baselines
 import (
 	"time"
 
-	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/netsim"
@@ -77,16 +76,20 @@ func RunPreAggr(cfg PreAggrConfig, stream core.Stream) PreAggrReport {
 	tx := &senderHost{}
 	n.AttachHost(1, tx)
 
-	shards := aggregate.Shard(stream, cfg.Threads)
+	shards := shardStream(stream, cfg.Threads)
 	report := PreAggrReport{}
 	for i := 0; i < cfg.Threads; i++ {
 		shard := shards[i]
 		s.Spawn("mapper", func(p *sim.Proc) {
 			// Sort-merge pre-aggregation: calibrated per-tuple cost.
 			senderCPU.Exec(p, time.Duration(len(shard))*cpumodel.HostAggregateCost)
-			partial := aggregate.SortMerge(cfg.Op, shard)
+			// The modeled mapper sorts its shard and merges equal-key
+			// neighbours (§5.1 footnote 7); its cost is the line above, and
+			// every Op is commutative and associative, so the plain keyed
+			// reduce produces the identical partial without the sort.
+			partial := core.Reference(cfg.Op, shard)
 			// Ship the intermediate result in MTU packets.
-			bytes := aggregate.ResultBytes(partial)
+			bytes := partial.WireBytes()
 			report.IntermediateBytes += int64(bytes)
 			thread := senderCPU.NewThread()
 			for sent := 0; sent < bytes || bytes == 0; sent += mtuPayload {
@@ -150,6 +153,19 @@ type senderHost struct{}
 
 func (senderHost) HandleFrame(*netsim.Frame) {}
 
+// shardStream splits a stream round-robin into n sub-slices (mapper partitioning
+// for the PreAggr baseline).
+func shardStream(s core.Stream, n int) [][]core.KV {
+	shards := make([][]core.KV, n)
+	for i := 0; ; i++ {
+		kv, ok := s()
+		if !ok {
+			return shards
+		}
+		shards[i%n] = append(shards[i%n], kv)
+	}
+}
+
 // NoAggrConfig parameterizes a NoAggr transfer.
 type NoAggrConfig struct {
 	// Senders is the number of sending hosts (all toward one receiver).
@@ -188,8 +204,7 @@ func (r *noAggrReceiver) HandleFrame(f *netsim.Frame) {
 	if f.Pkt.Type != wire.TypeData {
 		return
 	}
-	ack := &wire.Packet{Type: wire.TypeAck, AckFor: wire.TypeData, Flow: f.Pkt.Flow, Seq: f.Pkt.Seq}
-	r.net.HostSend(&netsim.Frame{Src: f.Dst, Dst: f.Pkt.Flow.Host, Pkt: ack, WireBytes: wire.PerPacketOverhead})
+	r.net.HostSend(&netsim.Frame{Src: f.Dst, Dst: f.Pkt.Flow.Host, Pkt: wire.NewAck(f.Pkt), WireBytes: wire.PerPacketOverhead, Owned: true})
 }
 
 // noAggrSender routes ACKs back to its channel windows.

@@ -96,3 +96,35 @@ func TestNoAggrUnderLossStillCompletes(t *testing.T) {
 		t.Fatalf("elapsed %v", rep.Elapsed)
 	}
 }
+
+func TestShardPreservesTuples(t *testing.T) {
+	spec := workload.Uniform(50, 1000, 3)
+	var kvs []core.KV
+	for s := spec.Stream(); ; {
+		kv, ok := s()
+		if !ok {
+			break
+		}
+		kvs = append(kvs, kv)
+	}
+	shards := shardStream(core.SliceStream(kvs), 7)
+	var all []core.KV
+	for _, s := range shards {
+		all = append(all, s...)
+	}
+	if len(all) != len(kvs) {
+		t.Fatalf("sharding lost tuples: %d vs %d", len(all), len(kvs))
+	}
+	if !core.Reference(core.OpSum, all).Equal(core.Reference(core.OpSum, kvs)) {
+		t.Fatal("shard content diverges")
+	}
+	// Balanced within 1.
+	for _, s := range shards {
+		if len(s) < len(kvs)/7 || len(s) > len(kvs)/7+1 {
+			t.Fatalf("unbalanced shard: %d", len(s))
+		}
+	}
+	if got := shardStream(core.SliceStream(nil), 3); len(got) != 3 || len(got[0])+len(got[1])+len(got[2]) != 0 {
+		t.Fatalf("sharding an empty stream gave %v", got)
+	}
+}

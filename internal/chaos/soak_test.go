@@ -12,6 +12,7 @@ package chaos_test
 //     seed.
 
 import (
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -72,38 +73,54 @@ func TestSoakCatchesDisabledChecksumVerification(t *testing.T) {
 	// reproducer. The heavy base corruption rate makes every corrupt burst
 	// redundant, so the shrinker should reduce the schedule drastically —
 	// often to empty (the base config alone fails).
-	cfg := chaos.Config{
-		Seed:                  5,
-		Base:                  netsim.Fault{CorruptProb: 5e-3},
-		DisableChecksumVerify: true,
-	}
-	rep, err := chaos.Soak(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Passed() {
-		t.Fatal("soak passed on a build with checksum verification disabled")
-	}
-	if rep.Shrunk == nil {
-		t.Fatal("failing soak did not produce a shrunken schedule")
-	}
-	if len(rep.Shrunk) >= len(rep.Schedule) && len(rep.Schedule) > 1 {
-		t.Fatalf("shrinker removed nothing: %d of %d events kept", len(rep.Shrunk), len(rep.Schedule))
-	}
-	if rep.Runs < 2 {
-		t.Fatalf("shrinking ran only %d replays", rep.Runs)
-	}
-	out := rep.String()
-	if !strings.Contains(out, "reproduce with: asksim -soak -soak.seed=5") {
-		t.Fatalf("report lacks reproducer line:\n%s", out)
-	}
-	if !strings.Contains(out, "minimal failing schedule") {
-		t.Fatalf("report lacks shrunken schedule:\n%s", out)
-	}
-	// The shrunken schedule must still fail on replay — that is what makes
-	// it a reproducer.
-	if out := chaos.Run(cfg, rep.Shrunk, rep.Scale); out.OK() {
-		t.Fatal("shrunken schedule does not reproduce the violation")
+	//
+	// The fabric rows pin the routing-miss policy: a damaged Flow.Host
+	// becomes a switch-generated ACK's destination, which the leaves and
+	// spines must count and drop like the rack does. Before they did, each of
+	// these seeds panicked in leafPort.SwitchSend ("sending to unattached
+	// destination"); a broken build is a violation — or, by luck, a pass —
+	// never a panic.
+	for _, cfg := range []chaos.Config{
+		{Seed: 5, Base: netsim.Fault{CorruptProb: 5e-3}},
+		{Kind: chaos.FabricOutage, Seed: 1, Base: netsim.Fault{CorruptProb: 1e-2}},
+		{Kind: chaos.FabricOutage, Seed: 2, Base: netsim.Fault{CorruptProb: 1e-2}},
+		{Kind: chaos.FabricOutage, Seed: 3, Base: netsim.Fault{CorruptProb: 1e-2}},
+		{Kind: chaos.MultiRackOutage, Seed: 1, Base: netsim.Fault{CorruptProb: 1e-2}},
+		{Kind: chaos.MultiRackOutage, Seed: 2, Base: netsim.Fault{CorruptProb: 1e-2}},
+		{Kind: chaos.MultiRackOutage, Seed: 3, Base: netsim.Fault{CorruptProb: 1e-2}},
+	} {
+		cfg.DisableChecksumVerify = true
+		rep, err := chaos.Soak(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Passed() {
+			if cfg.Kind == chaos.Rack {
+				t.Fatal("soak passed on a build with checksum verification disabled")
+			}
+			continue
+		}
+		if rep.Shrunk == nil {
+			t.Fatal("failing soak did not produce a shrunken schedule")
+		}
+		if len(rep.Shrunk) >= len(rep.Schedule) && len(rep.Schedule) > 1 {
+			t.Fatalf("shrinker removed nothing: %d of %d events kept", len(rep.Shrunk), len(rep.Schedule))
+		}
+		if rep.Runs < 2 {
+			t.Fatalf("shrinking ran only %d replays", rep.Runs)
+		}
+		out := rep.String()
+		if want := fmt.Sprintf("reproduce with: asksim -soak -soak.seed=%d", cfg.Seed); !strings.Contains(out, want) || !strings.Contains(out, "-soak.break-checksums") {
+			t.Fatalf("report lacks reproducer line:\n%s", out)
+		}
+		if !strings.Contains(out, "minimal failing schedule") {
+			t.Fatalf("report lacks shrunken schedule:\n%s", out)
+		}
+		// The shrunken schedule must still fail on replay — that is what makes
+		// it a reproducer.
+		if out := chaos.Run(cfg, rep.Shrunk, rep.Scale); out.OK() {
+			t.Fatal("shrunken schedule does not reproduce the violation")
+		}
 	}
 }
 

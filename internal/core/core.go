@@ -146,6 +146,16 @@ func (r Result) Merge(other Result, op Op) {
 	}
 }
 
+// WireBytes estimates the wire size of shipping the result as (key, value)
+// records: per entry 2 bytes of length, the key, and an 8-byte value.
+func (r Result) WireBytes() int {
+	n := 0
+	for k := range r {
+		n += 2 + len(k) + 8
+	}
+	return n
+}
+
 // Combine merges two partial aggregates of the same key (as opposed to
 // Apply, which folds in a raw value). For Count the partials are themselves
 // counts, so they add.

@@ -159,3 +159,23 @@ func TestTaskAndFlowStrings(t *testing.T) {
 		t.Fatal("unknown op String empty")
 	}
 }
+
+func TestResultWireBytes(t *testing.T) {
+	r := Result{"ab": 1, "cdef": 2}
+	// (2+2+8) + (2+4+8) = 26.
+	if got := r.WireBytes(); got != 26 {
+		t.Fatalf("WireBytes = %d, want 26", got)
+	}
+}
+
+func TestEmptyInputs(t *testing.T) {
+	if got := ReferenceStreams(OpSum, SliceStream(nil)); len(got) != 0 {
+		t.Fatal("ReferenceStreams of an empty stream non-empty")
+	}
+	if got := Reference(OpSum, nil); len(got) != 0 {
+		t.Fatal("Reference of an empty slice non-empty")
+	}
+	if got := (Result{}).WireBytes(); got != 0 {
+		t.Fatalf("empty result ships %d bytes", got)
+	}
+}

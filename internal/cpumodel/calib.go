@@ -19,14 +19,6 @@ const (
 	// channel thread → ≈107 ns per packet.
 	PacketIOCost = 107 * time.Nanosecond
 
-	// TupleMarshalCost is the per-tuple cost of copying a key-value tuple
-	// between application memory and packet slots when that copy is NOT
-	// amortized into a channel thread's batched packet IO (e.g. one-off
-	// result staging). The data-channel fast path charges PacketIOCost
-	// only: the paper's Fig. 8(a) shows the per-channel PPS is constant
-	// across packet sizes, so marshalling rides inside the 107 ns budget.
-	TupleMarshalCost = 2 * time.Nanosecond
-
 	// HostAggregateCost is the per-tuple cost of the host-side aggregation
 	// kernel (hash-map upsert or sort-merge step), used by the PreAggr
 	// baseline, mapper pre-aggregation, and receiver residue aggregation.

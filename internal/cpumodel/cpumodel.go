@@ -24,10 +24,6 @@ func NewHost(s *sim.Simulation, cores int) *Host {
 	return &Host{sim: s, cores: sim.NewResource(s, cores)}
 }
 
-// Cores exposes the underlying resource (for custom acquire patterns such
-// as threads pinned for a task's lifetime).
-func (h *Host) Cores() *sim.Resource { return h.cores }
-
 // NumCores returns the host's core count.
 func (h *Host) NumCores() int { return h.cores.Capacity() }
 

@@ -93,8 +93,7 @@ type dataChannel struct {
 	// incarnation's epoch; recorded per packet in sendTask.history.
 	regEpoch uint32
 
-	rxQ   []*netsim.Frame
-	rxSig *sim.Signal
+	rx rxQueue
 
 	txThread *cpumodel.Thread
 	rxThread *cpumodel.Thread
@@ -105,7 +104,7 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		d:        d,
 		flow:     flow,
 		queueSig: sim.NewSignal(d.sim),
-		rxSig:    sim.NewSignal(d.sim),
+		rx:       rxQueue{sig: sim.NewSignal(d.sim)},
 		retained: make(map[core.TaskID]*sendTask),
 		txThread: d.cpu.NewThread(),
 		rxThread: d.cpu.NewThread(),
@@ -122,7 +121,12 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		ch.win.EnableBackoff()
 	}
 	d.sim.Spawn("tx-"+flow.String(), ch.txLoop)
-	d.sim.Spawn("rx-"+flow.String(), ch.rxLoop)
+	// processInbound copies everything it keeps (residue bitmaps are decoded
+	// into fresh storage, long-key strings are immutable), so serve may
+	// recycle each frame after it.
+	d.sim.Spawn("rx-"+flow.String(), func(p *sim.Proc) {
+		ch.rx.serve(p, func(f *netsim.Frame) { d.processInbound(p, ch, f) })
+	})
 	return ch
 }
 
@@ -140,7 +144,7 @@ func (ch *dataChannel) transmit(pkt *wire.Packet) {
 			good += len(kv.Key) + 8
 		}
 	}
-	ch.d.sendFrame(ch.curDst, pkt, good)
+	ch.d.send(ch.curDst, pkt, good, false)
 }
 
 // enqueue queues a task for sending.
@@ -243,11 +247,7 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 			ch.maybeRecover(p)
 			ch.curDst = task.receiver
 			// FIN: stream complete and fully acknowledged (§3.1 teardown).
-			// OrigSeq carries the FIN generation — the epoch the sender
-			// observed when it cut the FIN.
-			fin := &wire.Packet{Type: wire.TypeFin, Task: task.id, Flow: ch.flow, OrigSeq: ch.d.epoch}
-			ch.txThread.Run(p, cpumodel.PacketIOCost)
-			if err := ch.win.SendBlocking(p, fin); err != nil {
+			if err := ch.sendFin(p, task.id); err != nil {
 				task.err = err
 			} else if err := ch.win.WaitIdle(p); err != nil {
 				task.err = err
@@ -338,9 +338,7 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 				// Re-FIN after the replays are acknowledged so the receiver
 				// processes the new-generation FIN last.
 				if err := ch.win.WaitIdle(p); err == nil {
-					fin := &wire.Packet{Type: wire.TypeFin, Task: t.id, Flow: ch.flow, OrigSeq: ch.d.epoch}
-					ch.txThread.Run(p, cpumodel.PacketIOCost)
-					_ = ch.win.SendBlocking(p, fin)
+					_ = ch.sendFin(p, t.id)
 				}
 			}
 			if err := ch.win.WaitIdle(p); err != nil {
@@ -352,24 +350,36 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 	}
 }
 
-// enqueueRx queues an inbound frame for receive-side processing.
-func (ch *dataChannel) enqueueRx(f *netsim.Frame) {
-	ch.rxQ = append(ch.rxQ, f)
-	ch.rxSig.Fire()
+// sendFin cuts a task's FIN and window-sends it. OrigSeq carries the FIN
+// generation — the epoch the sender had observed when it cut the FIN.
+func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
+	fin := &wire.Packet{Type: wire.TypeFin, Task: task, Flow: ch.flow, OrigSeq: ch.d.epoch}
+	ch.txThread.Run(p, cpumodel.PacketIOCost)
+	return ch.win.SendBlocking(p, fin)
 }
 
-// rxLoop processes inbound flow packets on the channel thread.
-func (ch *dataChannel) rxLoop(p *sim.Proc) {
+// rxQueue is a channel's inbound frame queue, data or control: HandleFrame
+// pushes at arrival, the channel's rx process serves in arrival order.
+type rxQueue struct {
+	q   []*netsim.Frame
+	sig *sim.Signal
+}
+
+func (r *rxQueue) push(f *netsim.Frame) {
+	r.q = append(r.q, f)
+	r.sig.Fire()
+}
+
+// serve handles queued frames forever on the calling process, releasing
+// each frame once handle returns: handle must keep no reference into it.
+func (r *rxQueue) serve(p *sim.Proc, handle func(*netsim.Frame)) {
 	for {
-		for len(ch.rxQ) == 0 {
-			p.Wait(ch.rxSig)
+		for len(r.q) == 0 {
+			p.Wait(r.sig)
 		}
-		f := ch.rxQ[0]
-		ch.rxQ = ch.rxQ[1:]
-		ch.d.processInbound(p, ch, f)
-		// processInbound copies everything it keeps (residue bitmaps are
-		// decoded into fresh storage, long-key strings are immutable), so
-		// the frame and its packet can be recycled here.
+		f := r.q[0]
+		r.q = r.q[1:]
+		handle(f)
 		f.Release()
 	}
 }

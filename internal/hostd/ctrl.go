@@ -43,8 +43,7 @@ type ctrlChannel struct {
 	d      *Daemon
 	flow   core.FlowKey
 	win    *window.Sender
-	rxQ    []*netsim.Frame
-	rxSig  *sim.Signal
+	rx     rxQueue
 	thread *cpumodel.Thread
 }
 
@@ -55,47 +54,30 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	ch := &ctrlChannel{
 		d:      d,
 		flow:   core.FlowKey{Host: d.host, Channel: core.ChannelID(d.cfg.DataChannels)},
-		rxSig:  sim.NewSignal(d.sim),
+		rx:     rxQueue{sig: sim.NewSignal(d.sim)},
 		thread: d.cpu.NewThread(),
 	}
 	// Control messages are far larger-timeout than data: they cross the
 	// switch twice and are not latency critical.
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*d.cfg.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
-	d.sim.Spawn("ctrl-"+ch.flow.String(), ch.rxLoop)
+	// process retains nothing from the packet (ctrl bodies are plain values
+	// and the ack is a fresh packet), so serve may recycle each frame.
+	d.sim.Spawn("ctrl-"+ch.flow.String(), func(p *sim.Proc) {
+		ch.rx.serve(p, func(f *netsim.Frame) { ch.process(p, f.Pkt) })
+	})
 	return ch
 }
 
 func (ch *ctrlChannel) transmit(pkt *wire.Packet) {
 	msg := pkt.Ctrl.(ctrlMsg)
-	ch.d.sendFrame(msg.Dst, pkt, 0)
+	ch.d.send(msg.Dst, pkt, 0, false)
 }
 
 // send reliably delivers a control message (blocks for window space).
 func (ch *ctrlChannel) send(p *sim.Proc, dst core.HostID, body any) {
 	pkt := &wire.Packet{Type: wire.TypeCtrl, Flow: ch.flow, Ctrl: ctrlMsg{Dst: dst, Body: body}}
 	ch.win.SendBlocking(p, pkt)
-}
-
-func (ch *ctrlChannel) enqueue(f *netsim.Frame) {
-	ch.rxQ = append(ch.rxQ, f)
-	ch.rxSig.Fire()
-}
-
-// rxLoop processes inbound control messages on the control thread.
-func (ch *ctrlChannel) rxLoop(p *sim.Proc) {
-	for {
-		for len(ch.rxQ) == 0 {
-			p.Wait(ch.rxSig)
-		}
-		f := ch.rxQ[0]
-		ch.rxQ = ch.rxQ[1:]
-		ch.process(p, f.Pkt)
-		// process retains nothing from the packet (ctrl bodies are plain
-		// values and the ack is a fresh packet), so the frame can go back
-		// to the pool here.
-		f.Release()
-	}
 }
 
 func (ch *ctrlChannel) process(p *sim.Proc, pkt *wire.Packet) {
@@ -118,11 +100,5 @@ func (ch *ctrlChannel) process(p *sim.Proc, pkt *wire.Packet) {
 		// the application (§3.1 step ⑤).
 		p.Sleep(time.Microsecond)
 	}
-	ack := wire.NewPacket()
-	ack.Type = wire.TypeAck
-	ack.AckFor = wire.TypeCtrl
-	ack.Task = pkt.Task
-	ack.Flow = pkt.Flow
-	ack.Seq = pkt.Seq
-	ch.d.sendOwned(pkt.Flow.Host, ack, 0)
+	ch.d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
 }

@@ -206,7 +206,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 		probe.Type = wire.TypeProbe
 		probe.Flow = d.ctrlCh.flow
 		probe.Seq = seq
-		d.sendOwned(d.host, probe, 0)
+		d.send(d.host, probe, 0, true)
 		d.met.probesSent.Inc()
 		timeout := d.cfg.RetransmitTimeout
 		deadline := d.sim.Now().Add(timeout)
@@ -248,19 +248,15 @@ func (d *Daemon) recoverProc(p *sim.Proc, gen uint32) {
 		if gen != d.recoveryGen {
 			return
 		}
-		info, err := d.reallocRegion(p, t, gen)
+		err := d.allocRegion(p, t, gen)
 		if gen != d.recoveryGen {
 			return
 		}
 		if err != nil {
-			// No switch capacity for the re-attach (or the fabric stayed
-			// degraded past the retry budget): the task finishes on the
+			// No switch capacity for the re-attach: the task finishes on the
 			// host-only path (its pre-crash absorbed tuples come via replay).
 			t.noRegion = true
-			continue
 		}
-		t.alloc = info
-		t.regionEpoch = d.epoch
 	}
 	for {
 		if gen != d.recoveryGen {
@@ -284,29 +280,40 @@ func (d *Daemon) recoverProc(p *sim.Proc, gen uint32) {
 	d.exitDegraded()
 }
 
-// reattachRetries bounds how many times a recovery retries a region
-// re-allocation that failed with a transient fabric degradation before the
-// task falls back to host-only for this incarnation.
+// reattachRetries bounds how many times an allocation that failed with a
+// transient fabric degradation is retried before the task falls back to
+// host-only for this incarnation.
 const reattachRetries = 3
 
-// reallocRegion re-allocates one receive task's switch regions during
-// recovery. A *core.DegradedError from the controller means the fabric is
-// (still) partially down rather than out of capacity, so the call is
-// retried with exponential backoff up to reattachRetries times — a bounded
-// budget, because the next fabric epoch re-triggers recovery anyway and an
-// unbounded loop would pin the task off the host-only fallback. Permanent
-// rejections (quota overloads, capacity) are returned immediately.
-func (d *Daemon) reallocRegion(p *sim.Proc, t *recvTask, gen uint32) (AllocInfo, error) {
+// allocRegion is the one region-allocation path: Submit's first allocation
+// (gen 0) and the re-attach of recovery generation gen. It records the
+// allocation in t. Under failover a *core.DegradedError from the controller
+// means the fabric is (still) partially down rather than out of capacity, so
+// the call is retried with exponential backoff up to reattachRetries times,
+// and past that budget the task goes host-only (t.noRegion) — switch state
+// is soft, and correctness never depends on it. The budget is bounded
+// because the next fabric epoch re-triggers recovery anyway and an unbounded
+// loop would pin the task off the host-only fallback. Permanent rejections
+// (quota overloads, capacity) are returned at once: they fail a Submit and
+// send a recovering task host-only. A recovery generation that has been
+// superseded returns early with t untouched; its successor redoes the work.
+func (d *Daemon) allocRegion(p *sim.Proc, t *recvTask, gen uint32) error {
 	backoff := cpumodel.ControlRPCLatency
 	for attempt := 0; ; attempt++ {
 		p.Sleep(cpumodel.ControlRPCLatency)
 		info, err := d.ctrl.AllocRegion(t.spec)
-		if err == nil {
-			return info, nil
-		}
 		var deg *core.DegradedError
-		if !errors.As(err, &deg) || attempt >= reattachRetries || gen != d.recoveryGen {
-			return AllocInfo{}, err
+		switch {
+		case gen != 0 && gen != d.recoveryGen:
+			return nil
+		case err == nil:
+			t.alloc, t.regionEpoch = info, d.epoch
+			return nil
+		case !d.failover || !errors.As(err, &deg):
+			return err
+		case attempt >= reattachRetries:
+			t.noRegion = true
+			return nil
 		}
 		d.tr.Emit(telemetry.CompHostd, "reattach_backoff", int64(t.spec.ID), int64(attempt+1), int64(backoff))
 		p.Sleep(backoff)
@@ -337,21 +344,12 @@ func (t *recvTask) drainRevoked(p *sim.Proc) {
 		t.draining = false
 		t.finSig.Fire()
 	}()
-	e := t.d.epoch
-	copies := 1
-	if t.d.cfg.ShadowCopy {
-		copies = 2
-	}
-	var all []wire.FetchEntry
-	for c := 0; c < copies; c++ {
-		entries := t.d.fetchEntries(p, t.spec.ID, c, false, t.aggPoints()[0])
-		if t.d.epoch != e {
-			// The switch rebooted mid-drain: the region (and its tuples) are
-			// gone from SRAM; the replay protocol recovers them instead.
-			t.noRegion = true
-			return
-		}
-		all = append(all, entries...)
+	all, ok := t.fetchAll(p, t.aggPoints()[:1])
+	if !ok {
+		// The switch rebooted mid-drain: the region (and its tuples) are
+		// gone from SRAM; the replay protocol recovers them instead.
+		t.noRegion = true
+		return
 	}
 	if t.switchCommitted || t.completed {
 		return

@@ -115,9 +115,8 @@ type Daemon struct {
 	// (SetTenantChannels); nil means the legacy global task→channel hash.
 	tenantCh map[core.TenantID]chRange
 
-	fetchReqs  map[uint32]*fetchReq
-	nextFetch  uint32
-	taskSerial uint32
+	fetchReqs map[uint32]*fetchReq
+	nextFetch uint32
 
 	// Telemetry (metrics.go): instruments live on reg; met caches the
 	// hot-path pointers; tel is the sink handed to per-channel windows.
@@ -248,20 +247,10 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 	// before any field — including the epoch beacon — is interpreted. The
 	// drop looks like a loss to the sender, whose retransmission (or the
 	// replay protocol during failover) recovers the tuples.
-	wasRaw := f.Pkt == nil && f.Raw != nil
-	if wasRaw {
-		pkt, err := d.codec.Decode(f.Raw)
-		if err != nil {
-			d.met.corruptDropped.Inc()
-			if d.tr != nil {
-				d.tr.EmitNote(telemetry.CompHostd, "corrupt_drop", 0, err.Error())
-			}
-			f.Release()
-			return
-		}
-		// Only reachable with verification disabled (fault-injection hook)
-		// or a CRC collision: the damaged bytes decoded into a packet.
-		f.Pkt, f.Raw = pkt, nil
+	wasRaw, err := f.Admit(d.codec)
+	if err != nil {
+		d.quarantine(f, err.Error())
+		return
 	}
 	pkt := f.Pkt
 	// Every switch-stamped packet doubles as an epoch beacon; a fresher
@@ -296,7 +285,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// recycles the Packet struct and its Slots array, never the entries).
 		f.Release()
 	case wire.TypeCtrl:
-		d.ctrlCh.enqueue(f) // released by the ctrl rxLoop after processing
+		d.ctrlCh.rx.push(f) // released by the ctrl rx process after processing
 	case wire.TypeProbeReply:
 		if window.SeqLess(d.probeReplySeq, pkt.Seq) {
 			d.probeReplySeq = pkt.Seq
@@ -311,20 +300,16 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// build. Duplicates are still filtered at processing time, so
 		// exactly-once aggregation is unaffected; the packet is owned by
 		// the daemon once acknowledged.
-		d.sendAck(pkt)
+		d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
 		// Spread receive processing across channel threads by flow.
-		// (Released by the channel rxLoop after processInbound.)
+		// (Released by the channel rx process after processInbound.)
 		idx := (int(pkt.Flow.Host)*31 + int(pkt.Flow.Channel)) % len(d.channels)
-		d.channels[idx].enqueueRx(f)
+		d.channels[idx].rx.push(f)
 	default:
 		if wasRaw {
 			// Corruption forged a type a host never receives and
 			// verification let it through: quarantine instead of crashing.
-			d.met.corruptDropped.Inc()
-			if d.tr != nil {
-				d.tr.EmitNote(telemetry.CompHostd, "corrupt_drop", int64(pkt.Task), "forged type")
-			}
-			f.Release()
+			d.quarantine(f, "forged type")
 			return
 		}
 		// Swap/Fetch are switch-terminated and never reach a host.
@@ -332,51 +317,33 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 	}
 }
 
-// sendFrame transmits a packet from this host. The packet is RETAINED by
-// the caller (window retransmission buffers, failover history): the link
-// clones it at delivery. Packets nothing retains go through sendOwned.
-func (d *Daemon) sendFrame(dst core.HostID, pkt *wire.Packet, goodBytes int) {
-	if d.stalled {
-		return // crashed daemon: outbound frames are lost
-	}
-	d.net.HostSend(&netsim.Frame{
+// quarantine counts and drops a frame the integrity check rejected.
+func (d *Daemon) quarantine(f *netsim.Frame, why string) {
+	d.met.corruptDropped.Inc()
+	d.tr.EmitNote(telemetry.CompHostd, "corrupt_drop", f.Task(), why)
+	f.Release()
+}
+
+// send transmits a packet from this host — the one place a daemon builds a
+// frame. owned says nothing here keeps a reference to pkt after the call (a
+// fresh ACK, probe or request clone): the link may then hand the frame
+// through by ownership transfer (clone elision) and the receiver releases
+// it. A packet the caller RETAINS (window retransmission buffers, failover
+// history) is sent with owned false and cloned by the link at delivery.
+func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bool) {
+	f := &netsim.Frame{
 		Src:       d.host,
 		Dst:       dst,
 		Pkt:       pkt,
 		WireBytes: pkt.WireBytes(d.cfg.KPartBytes),
 		GoodBytes: goodBytes,
-	})
-}
-
-// sendOwned transmits a packet this daemon relinquishes: nothing here
-// retains a reference after the call, so the link may hand the frame through
-// by ownership transfer (clone elision) and the receiver releases it.
-func (d *Daemon) sendOwned(dst core.HostID, pkt *wire.Packet, goodBytes int) {
+		Owned:     owned,
+	}
 	if d.stalled {
-		pkt.Release() // lost before the wire; recycle immediately
+		f.Release() // crashed daemon: lost before the wire; an owned packet is recycled
 		return
 	}
-	d.net.HostSend(&netsim.Frame{
-		Src:       d.host,
-		Dst:       dst,
-		Pkt:       pkt,
-		WireBytes: pkt.WireBytes(d.cfg.KPartBytes),
-		GoodBytes: goodBytes,
-		Owned:     true,
-	})
-}
-
-// sendAck acknowledges a received flow packet back to its sender. The ACK
-// comes from the wire free list; the sender host releases it after the
-// window bookkeeping.
-func (d *Daemon) sendAck(pkt *wire.Packet) {
-	ack := wire.NewPacket()
-	ack.Type = wire.TypeAck
-	ack.AckFor = pkt.Type
-	ack.Task = pkt.Task
-	ack.Flow = pkt.Flow
-	ack.Seq = pkt.Seq
-	d.sendOwned(pkt.Flow.Host, ack, 0)
+	d.net.HostSend(f)
 }
 
 // decodeResidueBits reconstructs the tuples of a data (or replay) packet
@@ -401,16 +368,21 @@ func (d *Daemon) decodeResidueBits(pkt *wire.Packet, eff wire.Bitmap) []core.KV 
 		if first >= len(pkt.Slots) || !eff.Test(first) {
 			continue
 		}
-		kparts := make([]uint64, m)
-		for j := 0; j < m; j++ {
-			kparts[j] = pkt.Slots[first+j].KPart
-		}
-		out = append(out, core.KV{
-			Key: d.layout.ReconstructMedium(kparts),
-			Val: pkt.Slots[first+m-1].Val,
-		})
+		out = append(out, d.mediumKV(pkt.Slots[first:first+m]))
 	}
 	return out
+}
+
+// mediumKV reassembles one medium tuple from the slots of its coalesced
+// group, in member order: every member carries a key segment, the last one
+// the value (§3.2.3). Packet residue and fetched aggregator entries both
+// come back through here.
+func (d *Daemon) mediumKV(group []wire.Slot) core.KV {
+	kparts := make([]uint64, len(group))
+	for j, s := range group {
+		kparts[j] = s.KPart
+	}
+	return core.KV{Key: d.layout.ReconstructMedium(kparts), Val: group[len(group)-1].Val}
 }
 
 // ChannelStats returns the sender-window counters of every data channel

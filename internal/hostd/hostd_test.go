@@ -5,6 +5,8 @@ package hostd_test
 // tests poke daemon behaviours the facade hides).
 
 import (
+	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -50,6 +52,13 @@ func newRig(t *testing.T, hosts int, link netsim.LinkConfig) *rig {
 
 func newRigConfig(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config) *rig {
 	t.Helper()
+	return newRigCtrl(t, hosts, link, cfg, func(sw *switchd.Switch) hostd.Controller { return ctrlAdapter{sw} })
+}
+
+// newRigCtrl builds the rig with every daemon talking to the controller mk
+// returns for the rack's switch.
+func newRigCtrl(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller) *rig {
+	t.Helper()
 	s := sim.New(1)
 	n := netsim.New(s, link)
 	sw, err := switchd.New(s, n, cfg, switchd.DefaultOptions())
@@ -59,7 +68,7 @@ func newRigConfig(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Conf
 	r := &rig{s: s, sw: sw, daemons: make(map[core.HostID]*hostd.Daemon)}
 	for h := 0; h < hosts; h++ {
 		id := core.HostID(h)
-		d, err := hostd.New(s, n, cpumodel.NewHost(s, 8), cfg, id, ctrlAdapter{sw}, telemetry.Sink{})
+		d, err := hostd.New(s, n, cpumodel.NewHost(s, 8), cfg, id, mk(sw), telemetry.Sink{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,6 +165,89 @@ func TestSubmitErrors(t *testing.T) {
 		}
 	})
 	r.s.Run(0)
+}
+
+// flakyCtrl fails the first `fail` region allocations with err and counts
+// every attempt.
+type flakyCtrl struct {
+	ctrlAdapter
+	fail, calls int
+	err         error
+}
+
+func (c *flakyCtrl) AllocRegion(spec core.TaskSpec) (hostd.AllocInfo, error) {
+	c.calls++
+	if c.calls <= c.fail {
+		return hostd.AllocInfo{}, c.err
+	}
+	return c.ctrlAdapter.AllocRegion(spec)
+}
+
+// TestSubmitAllocationTakesTheReattachPath: the first region allocation of a
+// task and the re-attach of recovery are one path. With failover on, a
+// *core.DegradedError (the fabric is partially down, not full) is retried
+// with backoff and past the budget the task runs host-only — either way it
+// completes exactly; any other error, and any error with failover off, fails
+// the Submit on the first attempt.
+func TestSubmitAllocationTakesTheReattachPath(t *testing.T) {
+	degraded := &core.DegradedError{Op: "alloc-region", Attempts: 1}
+	for _, tc := range []struct {
+		name      string
+		failover  bool
+		fail      int
+		err       error
+		wantCalls int
+		wantErr   bool
+		hostOnly  bool
+	}{
+		{"degraded twice then up", true, 2, degraded, 3, false, false},
+		{"degraded past the budget", true, 100, degraded, 4, false, true},
+		{"wrapped degraded", true, 1, fmt.Errorf("ctrl: %w", degraded), 2, false, false},
+		{"permanent error", true, 1, errors.New("quota exceeded"), 1, true, false},
+		{"degraded without failover", false, 1, degraded, 1, true, false},
+	} {
+		cfg := core.DefaultConfig()
+		cfg.Failover, cfg.ShadowCopy = tc.failover, false
+		var ctrl *flakyCtrl
+		r := newRigCtrl(t, 2, netsim.DefaultLinkConfig(), cfg, func(sw *switchd.Switch) hostd.Controller {
+			if ctrl == nil {
+				ctrl = &flakyCtrl{ctrlAdapter: ctrlAdapter{sw}, fail: tc.fail, err: tc.err}
+			}
+			return ctrl
+		})
+		w := workload.Uniform(256, 3000, 1)
+		var result core.Result
+		var stats hostd.RecvTaskStats
+		var submitErr error
+		r.s.Spawn("driver", func(p *sim.Proc) {
+			h, err := r.daemons[0].Submit(p, core.TaskSpec{ID: 7, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum})
+			if submitErr = err; err != nil {
+				return
+			}
+			r.daemons[1].SubmitSend(7, w.Stream())
+			result, stats = h.Wait(p), h.Stats()
+		})
+		r.s.Run(0)
+		if ctrl.calls != tc.wantCalls {
+			t.Errorf("%s: %d allocation attempts, want %d", tc.name, ctrl.calls, tc.wantCalls)
+		}
+		if tc.wantErr {
+			if !errors.Is(submitErr, tc.err) {
+				t.Errorf("%s: Submit error %v, want %v", tc.name, submitErr, tc.err)
+			}
+			continue
+		}
+		if submitErr != nil {
+			t.Errorf("%s: Submit failed: %v", tc.name, submitErr)
+			continue
+		}
+		if err := result.Verify(w.Reference(core.OpSum)); err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if hostOnly := stats.SwitchEntries == 0; hostOnly != tc.hostOnly {
+			t.Errorf("%s: %d switch entries merged, host-only want %v", tc.name, stats.SwitchEntries, tc.hostOnly)
+		}
+	}
 }
 
 func TestChannelStatsAndSlotFill(t *testing.T) {

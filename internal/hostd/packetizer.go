@@ -173,7 +173,7 @@ func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 		}
 		if u < shortSlots {
 			pkt.Slots[u] = wire.Slot{
-				KPart: wire.PackKPartString(kv.Key, cfg.KPartBytes),
+				KPart: wire.PackKPart(kv.Key, cfg.KPartBytes),
 				Val:   kv.Val,
 			}
 			pkt.Bitmap = pkt.Bitmap.Set(u)
@@ -189,7 +189,7 @@ func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 					}
 					seg = kv.Key[lo:hi]
 				}
-				slot := wire.Slot{KPart: wire.PackKPartString(seg, cfg.KPartBytes)}
+				slot := wire.Slot{KPart: wire.PackKPart(seg, cfg.KPartBytes)}
 				if j == cfg.MediumSegs-1 {
 					slot.Val = kv.Val
 				}

@@ -166,17 +166,15 @@ func (d *Daemon) Submit(p *sim.Proc, spec core.TaskSpec) (*RecvHandle, error) {
 	if d.failover {
 		t.merged = make(map[pktID]wire.Bitmap)
 	}
-	d.recvTasks[spec.ID] = t
 	if !t.noRegion {
-		p.Sleep(cpumodel.ControlRPCLatency)
-		info, err := d.ctrl.AllocRegion(spec)
-		if err != nil {
-			delete(d.recvTasks, spec.ID)
+		// The task is registered only once it holds its region (or has gone
+		// host-only), so a recovery that starts meanwhile leaves it to this
+		// allocation.
+		if err := d.allocRegion(p, t, 0); err != nil {
 			return nil, err
 		}
-		t.alloc = info
-		t.regionEpoch = d.epoch
 	}
+	d.recvTasks[spec.ID] = t
 	if d.failover {
 		d.bumpActivity(1)
 	}
@@ -372,44 +370,13 @@ func (t *recvTask) teardown(p *sim.Proc) {
 		if t.noRegion || t.switchCommitted {
 			break
 		}
-		e := t.d.epoch
-		copies := 1
-		if t.d.cfg.ShadowCopy {
-			copies = 2
-		}
-		var all []wire.FetchEntry
-		stale := false
-		for pi, point := range t.aggPoints() {
-			for c := 0; c < copies; c++ {
-				entries := t.d.fetchEntries(p, t.spec.ID, c, false, point)
-				if t.d.epoch != e {
-					stale = true
-					break
-				}
-				if pi > 0 {
-					// mergeEntries groups medium entries by (group, row), but
-					// rows fetched from different aggregation points are
-					// unrelated coordinate spaces: a same-row collision across
-					// points would look like an overfull group. Row is only a
-					// grouping key host-side, so offsetting per point keeps
-					// the spaces apart; point 0 stays untouched (identical to
-					// the single-switch path).
-					for i := range entries {
-						entries[i].Row += pi * fetchRowStride
-					}
-				}
-				all = append(all, entries...)
-			}
-			if stale {
-				break
-			}
-		}
-		if stale {
+		all, ok := t.fetchAll(p, t.aggPoints())
+		if !ok {
 			continue
 		}
 		// Commit point: from here on, replays are ignored — every absorbed
 		// tuple is either in `all` or was already claimed on the residue
-		// path. No yields between the epoch check above and this line.
+		// path. No yields between fetchAll's epoch check and this line.
 		t.switchCommitted = true
 		t.mergeEntries(p, all)
 		break
@@ -455,6 +422,37 @@ func (t *recvTask) aggPoints() []core.HostID {
 	return []core.HostID{t.d.host}
 }
 
+// fetchAll reads every copy of the task's region at each of points. ok is
+// false when the switch epoch moved meanwhile: the snapshot then belongs to
+// a dead incarnation (the replay protocol recovers its tuples) and is
+// discarded. No yield separates the last epoch check from the return.
+func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.FetchEntry, ok bool) {
+	e := t.d.epoch
+	copies := 1
+	if t.d.cfg.ShadowCopy {
+		copies = 2
+	}
+	for pi, point := range points {
+		for c := 0; c < copies; c++ {
+			entries := t.d.fetchEntries(p, t.spec.ID, c, false, point)
+			if t.d.epoch != e {
+				return nil, false
+			}
+			// mergeEntries groups medium entries by (group, row), but rows
+			// fetched from different aggregation points are unrelated
+			// coordinate spaces: a same-row collision across points would look
+			// like an overfull group. Row is only a grouping key host-side, so
+			// offsetting per point keeps the spaces apart; point 0 stays
+			// untouched (identical to the single-switch path).
+			for i := range entries {
+				entries[i].Row += pi * fetchRowStride
+			}
+			all = append(all, entries...)
+		}
+	}
+	return all, true
+}
+
 // maybeSwap triggers a shadow-copy swap when enough packets have reached
 // the receiver since the last one (§3.4: forwarded packets indicate
 // aggregator conflicts, i.e. pressure on the active copy).
@@ -494,10 +492,9 @@ func (t *recvTask) runSwap(p *sim.Proc) {
 	// fat-tree) swaps that switch by address; the legacy path stays
 	// self-addressed and is consumed by the switch on the path.
 	dst := t.aggPoints()[0]
-	for window.SeqLess(t.lastSwapAck, seq) {
-		t.d.sendOwned(dst, pkt.ClonePooled(), 0)
-		p.WaitTimeout(t.swapAckSig, t.d.cfg.RetransmitTimeout)
-	}
+	t.d.request(p, dst, pkt, t.swapAckSig, t.d.cfg.RetransmitTimeout, func() bool {
+		return !window.SeqLess(t.lastSwapAck, seq)
+	})
 	t.activeCopy ^= 1
 	entries := t.d.fetchEntries(p, t.spec.ID, old, true, dst)
 	t.mergeEntries(p, entries)
@@ -526,17 +523,19 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 	layout := t.d.layout
 	shortSlots := layout.ShortSlots()
 	m := t.d.cfg.MediumSegs
+	// Entries are partial aggregates, so they Combine (Count adds).
 	partial := make(core.Result)
+	fold := func(key string, val int64) {
+		if cur, ok := partial[key]; ok {
+			val = t.spec.Op.Combine(cur, val)
+		}
+		partial[key] = val
+	}
 	type groupRow struct{ group, row int }
 	groups := make(map[groupRow][]wire.FetchEntry)
 	for _, e := range entries {
 		if e.AA < shortSlots {
-			key := layout.ReconstructShort(e.KPart)
-			if cur, ok := partial[key]; ok {
-				partial[key] = t.spec.Op.Combine(cur, e.Val)
-			} else {
-				partial[key] = e.Val
-			}
+			fold(layout.ReconstructShort(e.KPart), e.Val)
 			continue
 		}
 		g := (e.AA - shortSlots) / m
@@ -555,6 +554,7 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 		}
 		return rows[i].row < rows[j].row
 	})
+	group := make([]wire.Slot, m)
 	for _, gr := range rows {
 		es := groups[gr]
 		if len(es) != m {
@@ -571,21 +571,11 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 			}
 			panic(fmt.Sprintf("hostd: medium group %d row %d has %d of %d members", gr.group, gr.row, len(es), m))
 		}
-		kparts := make([]uint64, m)
-		var val int64
-		lastAA := shortSlots + gr.group*m + m - 1
 		for _, e := range es {
-			kparts[e.AA-shortSlots-gr.group*m] = e.KPart
-			if e.AA == lastAA {
-				val = e.Val
-			}
+			group[e.AA-shortSlots-gr.group*m] = wire.Slot{KPart: e.KPart, Val: e.Val}
 		}
-		key := layout.ReconstructMedium(kparts)
-		if cur, ok := partial[key]; ok {
-			partial[key] = t.spec.Op.Combine(cur, val)
-		} else {
-			partial[key] = val
-		}
+		kv := t.d.mediumKV(group)
+		fold(kv.Key, kv.Val)
 	}
 	t.result.Merge(partial, t.spec.Op)
 	t.met.switchEntries.Add(int64(len(entries)))
@@ -604,6 +594,7 @@ const fetchRowStride = 1 << 20
 // fetchReq tracks one in-flight fetch (or clear) request.
 type fetchReq struct {
 	id       uint32
+	clear    bool
 	chunks   map[uint16][]wire.FetchEntry
 	total    int
 	cleared  bool
@@ -618,55 +609,65 @@ func (fr *fetchReq) addChunk(pkt *wire.Packet) {
 	fr.progress.Fire()
 }
 
-// complete uses >= because a fetch retried across a switch reboot can see a
-// smaller chunk total than an earlier partial reply delivered (the region no
-// longer exists, so the reply is a single empty chunk); callers discard
+// answered reports a clear acknowledged, or a read with every chunk in. The
+// chunk test uses >= because a fetch retried across a switch reboot can see
+// a smaller chunk total than an earlier partial reply delivered (the region
+// no longer exists, so the reply is a single empty chunk); callers discard
 // epoch-crossed snapshots anyway.
-func (fr *fetchReq) complete() bool { return fr.total >= 0 && len(fr.chunks) >= fr.total }
-
-// fetchEntries reliably reads one copy of a task's region (§3.4 Read) at
-// aggregation point dst: an idempotent snapshot fetch retransmitted until
-// all chunks arrive, followed (optionally) by an idempotent clear
-// retransmitted until acknowledged. dst == d.host is the legacy
-// single-switch shape (the request is consumed by the switch on the path);
-// any other address names a leaf or spine on a multi-switch fabric.
-func (d *Daemon) fetchEntries(p *sim.Proc, task core.TaskID, copy int, clear bool, dst core.HostID) []wire.FetchEntry {
-	d.nextFetch++
-	fr := &fetchReq{id: d.nextFetch, chunks: make(map[uint16][]wire.FetchEntry), total: -1, progress: sim.NewSignal(d.sim)}
-	d.fetchReqs[fr.id] = fr
-	req := &wire.Packet{
-		Type:      wire.TypeFetch,
-		Task:      task,
-		Flow:      core.FlowKey{Host: d.host, Channel: d.ctrlCh.flow.Channel},
-		Seq:       fr.id,
-		FetchCopy: copy,
+func (fr *fetchReq) answered() bool {
+	if fr.clear {
+		return fr.cleared
 	}
-	d.sendOwned(dst, req.ClonePooled(), 0)
-	for !fr.complete() {
-		if !p.WaitTimeout(fr.progress, fetchRetry) && !fr.complete() {
-			d.sendOwned(dst, req.ClonePooled(), 0)
+	return fr.total >= 0 && len(fr.chunks) >= fr.total
+}
+
+// request is the one reliable exchange with an aggregation point, used by
+// swap, fetch and clear: send a pooled copy of req to dst, and again every
+// retry interval, until answered reports that the reply — which fires sig —
+// has arrived. The switch makes each of the three idempotent per Seq, so
+// resending is always safe. dst == d.host is the legacy single-switch shape
+// (the request is consumed by the switch on the path); any other address
+// names a leaf or spine on a multi-switch fabric.
+func (d *Daemon) request(p *sim.Proc, dst core.HostID, req *wire.Packet, sig *sim.Signal, retry time.Duration, answered func() bool) {
+	d.send(dst, req.ClonePooled(), 0, true)
+	for !answered() {
+		if !p.WaitTimeout(sig, retry) && !answered() {
+			d.send(dst, req.ClonePooled(), 0, true)
 		}
 	}
+}
+
+// fetch issues one fetch or clear of a task's region copy at dst under a
+// fresh request id and blocks until it is answered. Ids are strictly
+// increasing per daemon, which is what makes a clear exactly-once at the
+// switch (clear_seq).
+func (d *Daemon) fetch(p *sim.Proc, dst core.HostID, task core.TaskID, copy int, clear bool) *fetchReq {
+	d.nextFetch++
+	fr := &fetchReq{id: d.nextFetch, clear: clear, chunks: make(map[uint16][]wire.FetchEntry), total: -1, progress: sim.NewSignal(d.sim)}
+	d.fetchReqs[fr.id] = fr
+	d.request(p, dst, &wire.Packet{
+		Type:       wire.TypeFetch,
+		Task:       task,
+		Flow:       core.FlowKey{Host: d.host, Channel: d.ctrlCh.flow.Channel},
+		Seq:        fr.id,
+		FetchCopy:  copy,
+		FetchClear: clear,
+	}, fr.progress, fetchRetry, fr.answered)
 	delete(d.fetchReqs, fr.id)
+	return fr
+}
+
+// fetchEntries reliably reads one copy of a task's region (§3.4 Read) at
+// aggregation point dst: an idempotent snapshot fetch, followed (optionally)
+// by an idempotent clear.
+func (d *Daemon) fetchEntries(p *sim.Proc, task core.TaskID, copy int, clear bool, dst core.HostID) []wire.FetchEntry {
+	fr := d.fetch(p, dst, task, copy, false)
 	var entries []wire.FetchEntry
 	for c := 0; c < fr.total; c++ {
 		entries = append(entries, fr.chunks[uint16(c)]...)
 	}
-
 	if clear {
-		d.nextFetch++
-		cr := &fetchReq{id: d.nextFetch, chunks: map[uint16][]wire.FetchEntry{}, total: -1, progress: sim.NewSignal(d.sim)}
-		d.fetchReqs[cr.id] = cr
-		creq := req.Clone()
-		creq.Seq = cr.id
-		creq.FetchClear = true
-		d.sendOwned(dst, creq.ClonePooled(), 0)
-		for !cr.cleared {
-			if !p.WaitTimeout(cr.progress, fetchRetry) && !cr.cleared {
-				d.sendOwned(dst, creq.ClonePooled(), 0)
-			}
-		}
-		delete(d.fetchReqs, cr.id)
+		d.fetch(p, dst, task, copy, true)
 	}
 	return entries
 }

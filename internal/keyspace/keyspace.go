@@ -181,7 +181,7 @@ func (l *Layout) PlaceInto(key string, buf []uint64) Placement {
 			Class:     Short,
 			FirstSlot: first,
 			Segs:      1,
-			KParts:    append(buf, wire.PackKPartString(key, l.cfg.KPartBytes)),
+			KParts:    append(buf, wire.PackKPart(key, l.cfg.KPartBytes)),
 			RowHash:   HashRow(key),
 		}
 	case Medium:
@@ -196,7 +196,7 @@ func (l *Layout) PlaceInto(key string, buf []uint64) Placement {
 				}
 				seg = key[lo:hi]
 			}
-			kparts = append(kparts, wire.PackKPartString(seg, l.cfg.KPartBytes))
+			kparts = append(kparts, wire.PackKPart(seg, l.cfg.KPartBytes))
 		}
 		return Placement{
 			Class:     Medium,

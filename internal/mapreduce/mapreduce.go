@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/ask"
-	"repro/internal/aggregate"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/keyspace"
@@ -299,7 +298,7 @@ func runHostShuffle(cfg Config) (Report, error) {
 			s.Spawn(fmt.Sprintf("map-%d-%d", m, t), func(p *sim.Proc) {
 				// Map + pre-aggregation (sort-merge) on one core.
 				cpus[m].Exec(p, time.Duration(cfg.TuplesPerMapper)*(MapTupleCost+cpumodel.HostAggregateCost))
-				partial := aggregate.Map(core.OpSum, spec.Stream())
+				partial := core.ReferenceStreams(core.OpSum, spec.Stream())
 				// Partition the partial by reducer.
 				parts := make([]core.Result, R)
 				for k, v := range partial {
@@ -309,7 +308,7 @@ func runHostShuffle(cfg Config) (Report, error) {
 					}
 					parts[r][k] = v
 				}
-				bytes := aggregate.ResultBytes(partial)
+				bytes := partial.WireBytes()
 				// Vanilla and RDMA spill the intermediate data to disk
 				// (write + read); SHM keeps it in shared memory.
 				if cfg.Transport == Vanilla || cfg.Transport == RDMA {
@@ -320,7 +319,7 @@ func runHostShuffle(cfg Config) (Report, error) {
 				thread := cpus[m].NewThread()
 				for r := 0; r < R; r++ {
 					pr := parts[r]
-					prBytes := aggregate.ResultBytes(pr)
+					prBytes := pr.WireBytes()
 					dst := core.HostID(r / cfg.ReducersPerMachine)
 					sent := 0
 					for {

@@ -103,6 +103,9 @@ type leafPort struct {
 	// switch-latency hops allocate no closures.
 	ingressAny   func(any)
 	fromSpineAny func(any)
+	// unroutable counts this leaf's egress routing misses (per port, so a
+	// sharded build keeps the counter on the leaf's lane).
+	unroutable routingMisses
 }
 
 // spinePort is one spine switch: a per-spine network-state root for the
@@ -118,6 +121,7 @@ type spinePort struct {
 	// down[l] is this spine's link to leaf l.
 	down       []*Link
 	ingressAny func(any)
+	unroutable routingMisses
 }
 
 // NewFatTree builds the fabric. hostLink configures host↔leaf links,
@@ -338,13 +342,9 @@ func (ft *FatTree) AttachHostLeaf(l int, id core.HostID, h HostHandler) {
 	}
 	lp := ft.leaves[l]
 	ls := lp.ls
-	p := &port{host: h}
-	p.up = newLink(ls, ft.hostLink, func(f *Frame) {
+	ft.hostPorts[id] = newPort(ls, ft.hostLink, ft.codec, h, func(f *Frame) {
 		ls.AfterCall(ft.SwitchLatency, lp.ingressAny, f)
 	})
-	p.down = newLink(ls, ft.hostLink, func(f *Frame) { p.host.HandleFrame(f) })
-	p.up.codec, p.down.codec = ft.codec, ft.codec
-	ft.hostPorts[id] = p
 	ft.hostLeaf[id] = l
 }
 
@@ -365,6 +365,20 @@ func (ft *FatTree) Uplink(id core.HostID) *Link { return ft.hostPorts[id].up }
 
 // Downlink returns a host's downlink.
 func (ft *FatTree) Downlink(id core.HostID) *Link { return ft.hostPorts[id].down }
+
+// Unroutable returns the number of frames the fabric's switches dropped at
+// egress because their destination was not attached (see routingMisses).
+// Read it at quiescence: the counters live on the switches' lanes.
+func (ft *FatTree) Unroutable() int64 {
+	var n routingMisses
+	for _, lp := range ft.leaves {
+		n += lp.unroutable
+	}
+	for _, sp := range ft.spines {
+		n += sp.unroutable
+	}
+	return int64(n)
+}
 
 // SpineUplink returns leaf l's link to spine s (for stats).
 func (ft *FatTree) SpineUplink(l, s int) *Link { return ft.leaves[l].up[s] }
@@ -427,7 +441,7 @@ func (lp *leafPort) SwitchSend(f *Frame) {
 		lp.up[ft.spineForFrame(f)].Send(f)
 		return
 	}
-	panic(fmt.Sprintf("netsim: leaf %d sending to unattached destination %d", lp.leaf, f.Dst))
+	lp.unroutable.drop(nil, f)
 }
 
 // ingress runs a frame through the spine's switch program.
@@ -454,5 +468,5 @@ func (sp *spinePort) SwitchSend(f *Frame) {
 		sp.down[l].Send(f)
 		return
 	}
-	panic(fmt.Sprintf("netsim: spine %d sending to unattached destination %d", sp.spine, f.Dst))
+	sp.unroutable.drop(nil, f)
 }

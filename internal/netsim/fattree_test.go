@@ -279,3 +279,23 @@ func TestFatTreePanicsOnMisuse(t *testing.T) {
 		}()
 	}
 }
+
+// TestFatTreeUnroutableIsCountedDrop: a leaf or spine asked to send to a
+// destination that is neither an attached host nor a fabric switch counts
+// and drops the frame, exactly as the rack's Network does — with checksum
+// verification disabled a damaged Flow.Host becomes an ACK's destination.
+func TestFatTreeUnroutableIsCountedDrop(t *testing.T) {
+	s, ft, hosts := buildFatTree(t, 1, 2, 1)
+	ft.Leaf(0).SwitchSend(dataFrame(0, 77, 1))           // host 77 not attached
+	ft.Leaf(1).SwitchSend(dataFrame(1, SpineAddr(5), 1)) // no such spine
+	ft.Spine(0).SwitchSend(dataFrame(0, 78, 1))
+	s.Run(0)
+	if got := ft.Unroutable(); got != 3 {
+		t.Fatalf("Unroutable = %d, want 3", got)
+	}
+	for id, h := range hosts {
+		if len(h.got) != 0 {
+			t.Fatalf("host %d received %d frames of an unroutable send", id, len(h.got))
+		}
+	}
+}

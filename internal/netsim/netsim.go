@@ -70,6 +70,36 @@ func (f *Frame) Release() {
 	}
 }
 
+// Task returns the task of the frame's packet for trace events, or 0 for a
+// damaged frame, which carries raw bytes and no decoded packet.
+func (f *Frame) Task() int64 {
+	if f.Pkt == nil {
+		return 0
+	}
+	return int64(f.Pkt.Task)
+}
+
+// Admit is the one admission of a frame at a receiver, switch or host: a
+// frame damaged in flight arrives as raw bytes and is decoded — checksum
+// verified — before any field is interpreted. It reports whether the frame
+// arrived raw, and the decode error on which the receiver must quarantine it
+// (the drop looks like a loss to the sender). A raw frame that decodes is
+// only reachable with verification disabled, or on a CRC collision.
+func (f *Frame) Admit(c wire.Codec) (wasRaw bool, err error) {
+	if f.Pkt != nil || f.Raw == nil {
+		return false, nil // the per-frame path: kept small enough to inline
+	}
+	return true, f.decode(c)
+}
+
+func (f *Frame) decode(c wire.Codec) error {
+	pkt, err := c.Decode(f.Raw)
+	if err == nil {
+		f.Pkt, f.Raw = pkt, nil
+	}
+	return err
+}
+
 // HostHandler receives frames delivered to a host NIC.
 type HostHandler interface {
 	HandleFrame(f *Frame)
@@ -447,6 +477,15 @@ type port struct {
 	host HostHandler
 }
 
+// newPort attaches host h on simulation s: frames it sends arrive at
+// toSwitch, frames sent down arrive at its HandleFrame.
+func newPort(s *sim.Simulation, cfg LinkConfig, c wire.Codec, h HostHandler, toSwitch func(*Frame)) *port {
+	p := &port{host: h, up: newLink(s, cfg, toSwitch)}
+	p.down = newLink(s, cfg, func(f *Frame) { p.host.HandleFrame(f) })
+	p.up.codec, p.down.codec = c, c
+	return p
+}
+
 // Network is the single-switch fabric.
 type Network struct {
 	sim *sim.Simulation
@@ -458,10 +497,8 @@ type Network struct {
 	defaultLink   LinkConfig
 	codec         wire.Codec
 	// unroutable counts switch egress frames whose destination host is not
-	// attached. With checksum verification disabled (fault-injection hook) a
-	// corrupted header can name a garbage destination; a real switch drops
-	// such frames at the routing table rather than crashing.
-	unroutable int64
+	// attached (routingMisses).
+	unroutable routingMisses
 	// ingressAny is the arg-carrying event adapter for the switch-latency
 	// hop, bound once so the per-frame schedule allocates no closure.
 	ingressAny func(any)
@@ -513,15 +550,12 @@ func (n *Network) AttachHostLink(id core.HostID, h HostHandler, cfg LinkConfig) 
 	if _, dup := n.ports[id]; dup {
 		panic(fmt.Sprintf("netsim: host %d attached twice", id))
 	}
-	p := &port{host: h}
-	p.up = newLink(n.sim, cfg, func(f *Frame) {
+	p := newPort(n.sim, cfg, n.codec, h, func(f *Frame) {
 		if n.handler == nil {
 			panic("netsim: frame arrived with no switch attached")
 		}
 		n.sim.AfterCall(n.SwitchLatency, n.ingressAny, f)
 	})
-	p.down = newLink(n.sim, cfg, func(f *Frame) { p.host.HandleFrame(f) })
-	p.up.codec, p.down.codec = n.codec, n.codec
 	n.ports[id] = p
 	n.instrumentPort(id, p)
 }
@@ -535,30 +569,35 @@ func (n *Network) HostSend(f *Frame) {
 	p.up.Send(f)
 }
 
-// SwitchSend transmits a frame from the switch to f.Dst. A frame addressed
-// to an unattached host is counted and dropped, not a panic: with checksum
-// verification disabled, corruption can forge a destination, and a real
-// switch routing table drops what it cannot match.
+// SwitchSend transmits a frame from the switch to f.Dst; a frame addressed
+// to an unattached host is a routing miss.
 func (n *Network) SwitchSend(f *Frame) {
 	p, ok := n.ports[f.Dst]
 	if !ok {
-		n.unroutable++
-		if n.tel.Tr != nil {
-			var task int64
-			if f.Pkt != nil {
-				task = int64(f.Pkt.Task)
-			}
-			n.tel.Tr.EmitNote(telemetry.CompNetsim, "frame_unroutable", task, fmt.Sprintf("dst=%d", f.Dst))
-		}
-		f.Release() // dropped at the routing table: the packet is unreferenced
+		n.unroutable.drop(n.tel.Tr, f)
 		return
 	}
 	p.down.Send(f)
 }
 
+// routingMisses is the one routing-miss policy of every switch egress, the
+// rack's and the fat-tree's leaves and spines: a frame whose destination is
+// not attached is counted and dropped, not a panic. With checksum
+// verification disabled (fault-injection hook) corruption can forge a
+// destination, and a real switch routing table drops what it cannot match.
+type routingMisses int64
+
+func (m *routingMisses) drop(tr *telemetry.Tracer, f *Frame) {
+	*m++
+	if tr != nil {
+		tr.EmitNote(telemetry.CompNetsim, "frame_unroutable", f.Task(), fmt.Sprintf("dst=%d", f.Dst))
+	}
+	f.Release() // dropped at the routing table: the packet is unreferenced
+}
+
 // Unroutable returns the number of switch egress frames dropped because
 // their destination host was not attached.
-func (n *Network) Unroutable() int64 { return n.unroutable }
+func (n *Network) Unroutable() int64 { return int64(n.unroutable) }
 
 // Uplink returns the host-to-switch link of a host (for stats/backpressure).
 func (n *Network) Uplink(id core.HostID) *Link { return n.ports[id].up }

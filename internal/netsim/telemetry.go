@@ -19,7 +19,7 @@ import (
 func (n *Network) Instrument(sink telemetry.Sink) {
 	n.tel = sink
 	if sink.Reg != nil {
-		sink.Reg.GaugeFunc("netsim.switch_unroutable_frames", func() int64 { return n.unroutable })
+		sink.Reg.GaugeFunc("netsim.switch_unroutable_frames", n.Unroutable)
 	}
 	for _, id := range n.Hosts() {
 		n.instrumentPort(id, n.ports[id])
@@ -58,15 +58,10 @@ func (l *Link) instrument(sink telemetry.Sink, host, dir string) {
 }
 
 // traceFault emits one fault-outcome event (drop/dup/reorder/corrupt) for a
-// frame. Already-damaged frames carry raw bytes and no decoded packet, so
-// the task label falls back to zero.
+// frame (Frame.Task: zero for an already-damaged one).
 func (l *Link) traceFault(kind string, f *Frame) {
 	if l.tr == nil {
 		return
 	}
-	var task int64
-	if f.Pkt != nil {
-		task = int64(f.Pkt.Task)
-	}
-	l.tr.EmitNote(telemetry.CompNetsim, kind, task, l.host+"/"+l.dir)
+	l.tr.EmitNote(telemetry.CompNetsim, kind, f.Task(), l.host+"/"+l.dir)
 }

@@ -182,3 +182,40 @@ func TestSchedulingAllocs(t *testing.T) {
 		t.Fatalf("steady-state AfterCall+Run allocates %.2f objects/op, want 0", avg)
 	}
 }
+
+// TestStatsOnScriptedSchedule pins the kernel's counters on a schedule whose
+// every event is known: a stopped timer counts once as cancelled — when its
+// dead entry surfaces — and never as fired; a process switch is a dispatch
+// and a fired event; a process that Close unwinds is not dispatched again.
+func TestStatsOnScriptedSchedule(t *testing.T) {
+	s := New(1)
+	if got := s.Stats(); got != (Stats{}) {
+		t.Fatalf("fresh simulation has stats %+v", got)
+	}
+	s.At(10, func() {})
+	stopped := s.At(20, func() { t.Error("stopped timer fired") })
+	s.At(30, func() {})
+	sleeper := s.Spawn("sleeper", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start, 5, 10
+	s.Spawn("parked", func(p *Proc) { p.Wait(NewSignal(s)) })               // start, then parked for good
+	if !stopped.Stop() || stopped.Stop() {
+		t.Fatal("Stop did not report exactly one cancellation")
+	}
+	// Queued: three timers and two spawn events; nothing has run yet.
+	if got, want := s.Stats(), (Stats{HeapHigh: 5}); got != want {
+		t.Fatalf("before Run: %+v, want %+v", got, want)
+	}
+	s.Run(0)
+	if !sleeper.done {
+		t.Fatal("sleeper did not finish")
+	}
+	// Fired: 2 live timers + sleeper's 3 dispatches + parked's 1. The heap
+	// never held more than the five entries queued up front.
+	want := Stats{Fired: 6, Cancelled: 1, Dispatches: 4, HeapHigh: 5}
+	if got := s.Stats(); got != want {
+		t.Fatalf("after Run: %+v, want %+v", got, want)
+	}
+	s.Close()
+	if got := s.Stats(); got != want {
+		t.Fatalf("Close moved the counters: %+v, want %+v", got, want)
+	}
+}

@@ -93,6 +93,7 @@ func (p *Proc) dispatch() {
 		return
 	}
 	p.sim.inProc = p
+	p.sim.stats.Dispatches++
 	_, parked := p.resume()
 	p.sim.inProc = nil
 	p.done = !parked

@@ -132,10 +132,9 @@ type ctrlReq struct {
 
 // NewShardGroup wraps root with shards shard lanes. lookahead is the
 // minimum cross-lane model delay (the topology partitioner computes it
-// from the cut links); it may be zero here and set later with
-// SetLookahead, but must be positive before the group runs. Lane rngs are
-// derived deterministically from the root seed, so a sharded run is fully
-// reproducible for a given (seed, shards).
+// from the cut links) and must be positive before the group runs. Lane
+// rngs are derived deterministically from the root seed, so a sharded run
+// is fully reproducible for a given (seed, shards).
 func NewShardGroup(root *Simulation, shards int, lookahead time.Duration) *ShardGroup {
 	if root.group != nil {
 		panic("sim: simulation already belongs to a shard group")
@@ -156,19 +155,6 @@ func NewShardGroup(root *Simulation, shards int, lookahead time.Duration) *Shard
 		g.lanes = append(g.lanes, l)
 	}
 	return g
-}
-
-// SetLookahead installs the conservative window width: the minimum model
-// delay of any cross-lane cut edge. Calling it with a smaller value than
-// a previous call keeps the smaller (several topologies may share a
-// group).
-func (g *ShardGroup) SetLookahead(d time.Duration) {
-	if d <= 0 {
-		panic("sim: non-positive shard lookahead")
-	}
-	if g.look == 0 || Time(d) < g.look {
-		g.look = Time(d)
-	}
 }
 
 // Lookahead returns the conservative window width.
@@ -300,7 +286,7 @@ func (g *ShardGroup) run(limit Time) Time {
 		panic("sim: Run called re-entrantly")
 	}
 	if g.look <= 0 {
-		panic("sim: shard group Run before SetLookahead")
+		panic("sim: shard group Run with no lookahead")
 	}
 	r.running = true
 	defer func() { r.running = false }()
@@ -534,12 +520,10 @@ func (s *Simulation) ShardLane() int { return s.lane }
 func (s *Simulation) peekNext() (Time, bool) {
 	for len(s.heap) > 0 {
 		top := s.heap[0]
-		if s.store[top.idx].dead {
-			s.heapPop()
-			s.recycle(top.idx)
-			continue
+		if !s.store[top.idx].dead {
+			return top.at, true
 		}
-		return top.at, true
+		s.reap(top.idx)
 	}
 	return 0, false
 }
@@ -556,6 +540,7 @@ func (s *Simulation) execOne() {
 	fn, afn, arg := e.fn, e.afn, e.arg
 	s.recycle(top.idx)
 	s.pending--
+	s.stats.Fired++
 	if afn != nil {
 		afn(arg)
 	} else {
@@ -567,14 +552,8 @@ func (s *Simulation) execOne() {
 // exact per-lane (time, seq) order the serial kernel uses. It returns
 // early on a wake fence (windowStop) or Stop.
 func (s *Simulation) window() {
-	for len(s.heap) > 0 && !s.windowStop && !s.stopped {
-		top := s.heap[0]
-		if s.store[top.idx].dead {
-			s.heapPop()
-			s.recycle(top.idx)
-			continue
-		}
-		if top.at >= s.windowBound {
+	for !s.windowStop && !s.stopped {
+		if at, ok := s.peekNext(); !ok || at >= s.windowBound {
 			return
 		}
 		s.execOne()

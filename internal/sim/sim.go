@@ -115,7 +115,7 @@ func heapLess(a, b heapEntry) bool {
 // Simulation is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call New.
 //
-// In the sharded parallel DES (ROADMAP item 1) each rack shard owns one
+// In the sharded parallel DES each rack shard owns one
 // Simulation instance; shardsafety certifies that no state escapes it.
 //
 //askcheck:shard
@@ -130,6 +130,7 @@ type Simulation struct {
 	seed    int64
 	running bool
 	stopped bool
+	stats   Stats
 
 	// inProc is the process whose body is executing, nil inside a plain
 	// event callback; park checks it to reject a blocking call made from
@@ -153,6 +154,27 @@ type Simulation struct {
 	inboxMu     sync.Mutex
 	inbox       []inject
 }
+
+// Stats counts what the kernel has done so far. The counts depend only on
+// the model and its seed — the same numbers on any host — so they can carry
+// an event-diet claim where wall-clock timings cannot.
+type Stats struct {
+	// Fired is the number of event callbacks run.
+	Fired uint64
+	// Cancelled is the number of stopped timers popped dead off the heap: a
+	// Timer.Stop leaves its entry queued until it surfaces, so each costs a
+	// push, a sift and a pop without ever firing.
+	Cancelled uint64
+	// Dispatches is the number of process switches: a Proc resumed from the
+	// event loop. Each is also a fired event.
+	Dispatches uint64
+	// HeapHigh is the event heap's high-water mark, dead entries included.
+	HeapHigh int
+}
+
+// Stats returns the kernel's counters. On a shard group every lane (and the
+// root) counts its own events.
+func (s *Simulation) Stats() Stats { return s.stats }
 
 // New returns a Simulation whose random source is seeded with seed.
 func New(seed int64) *Simulation {
@@ -292,8 +314,7 @@ func (s *Simulation) Run(limit Time) Time {
 		top := s.heap[0]
 		e := &s.store[top.idx]
 		if e.dead {
-			s.heapPop()
-			s.recycle(top.idx)
+			s.reap(top.idx)
 			continue
 		}
 		if limit > 0 && top.at > limit {
@@ -308,6 +329,7 @@ func (s *Simulation) Run(limit Time) Time {
 		fn, afn, arg := e.fn, e.afn, e.arg
 		s.recycle(top.idx)
 		s.pending--
+		s.stats.Fired++
 		if afn != nil {
 			afn(arg)
 		} else {
@@ -315,6 +337,13 @@ func (s *Simulation) Run(limit Time) Time {
 		}
 	}
 	return s.now
+}
+
+// reap pops the head of the heap, a cancelled event at store slot idx.
+func (s *Simulation) reap(idx int32) {
+	s.heapPop()
+	s.recycle(idx)
+	s.stats.Cancelled++
 }
 
 // RunFor runs the simulation for at most d of virtual time from now.
@@ -327,6 +356,9 @@ func (s *Simulation) Pending() int { return s.pending }
 func (s *Simulation) heapPush(e heapEntry) {
 	s.heap = append(s.heap, e)
 	i := len(s.heap) - 1
+	if i >= s.stats.HeapHigh {
+		s.stats.HeapHigh = i + 1
+	}
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !heapLess(s.heap[i], s.heap[parent]) {

@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/telemetry"
 	"repro/internal/window"
-	"repro/internal/wire"
 )
 
 // Switch failure and recovery (failure model, README "Failure model"):
@@ -53,20 +51,17 @@ func (sw *Switch) Reboot() {
 	sw.met.reboots.Inc()
 	sw.tr.Emit(telemetry.CompSwitchd, "epoch_change", 0, int64(sw.epoch), 0)
 
-	w := sw.cfg.Window
-	sw.raMaxSeq.ControlFill(0, sw.opts.MaxFlows, 0)
+	sw.wipeFlows()
 	sw.raSwapSeq.ControlFill(0, sw.opts.MaxRegions, 0)
 	sw.raClearSeq.ControlFill(0, sw.opts.MaxRegions, 0)
 	sw.raCopyInd.ControlFill(0, sw.opts.MaxRegions, 0)
-	sw.raSeen.ControlFill(0, sw.opts.MaxFlows*w, 0)
-	sw.raPktState.ControlFill(0, sw.opts.MaxFlows*w, 0)
-	for _, aa := range sw.raAAs {
-		aa.ControlFill(0, sw.cfg.AARows, 0)
-	}
-	sw.met.aaOccupancy.Set(0)
+	sw.clearAARange(0, sw.cfg.AARows)
+	sw.resetRegions()
+}
 
-	sw.flows = make(map[core.FlowKey]int)
-	sw.nextFlow = 0
+// resetRegions empties the region table and the row allocator: the state
+// of a switch that has allocated nothing (New, Reboot).
+func (sw *Switch) resetRegions() {
 	sw.regions = make(map[core.TaskID]*Region)
 	sw.regionFree = sw.regionFree[:0]
 	for i := sw.opts.MaxRegions - 1; i >= 0; i-- {
@@ -99,13 +94,20 @@ func (sw *Switch) SetEpoch(e uint32) {
 		return
 	}
 	sw.epoch = e
+	sw.wipeFlows()
+	sw.tr.Emit(telemetry.CompSwitchd, "epoch_change", 0, int64(e), 0)
+}
+
+// wipeFlows resets the flow reliability plane — every registration and its
+// max_seq, seen and PktState registers — as a new incarnation requires,
+// whether it arrives by Reboot or by SetEpoch.
+func (sw *Switch) wipeFlows() {
 	w := sw.cfg.Window
 	sw.raMaxSeq.ControlFill(0, sw.opts.MaxFlows, 0)
 	sw.raSeen.ControlFill(0, sw.opts.MaxFlows*w, 0)
 	sw.raPktState.ControlFill(0, sw.opts.MaxFlows*w, 0)
 	sw.flows = make(map[core.FlowKey]int)
 	sw.nextFlow = 0
-	sw.tr.Emit(telemetry.CompSwitchd, "epoch_change", 0, int64(e), 0)
 }
 
 // RegisterFlowAt registers a data-channel flow whose next sequence number is
@@ -161,27 +163,4 @@ func (sw *Switch) RevokeRegion(task core.TaskID) error {
 		sw.tr.Emit(telemetry.CompSwitchd, "region_revoked", int64(task), 0, 0)
 	}
 	return nil
-}
-
-// processProbe answers a host's health probe with the switch's epoch. The
-// probe is switch-terminated (like swap and fetch): the reply goes straight
-// back to the prober.
-func (sw *Switch) processProbe(f *netsim.Frame) {
-	pkt := f.Pkt
-	reply := &wire.Packet{
-		Type: wire.TypeProbeReply,
-		Task: pkt.Task,
-		Flow: pkt.Flow,
-		Seq:  pkt.Seq, // echo so the prober can match request/reply
-	}
-	sw.stamp(reply)
-	sw.met.probes.Inc()
-	sw.net.SwitchSend(&netsim.Frame{
-		Src:       f.Dst,
-		Dst:       f.Src,
-		Pkt:       reply,
-		WireBytes: reply.WireBytes(sw.cfg.KPartBytes),
-		Owned:     true,
-	})
-	f.Release() // probe is switch-terminated
 }

@@ -27,11 +27,10 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 		// Unknown task (e.g. already freed): acknowledge clears so the
 		// receiver does not retry forever; reads return an empty snapshot.
 		if pkt.FetchClear {
-			sw.ackFetch(f, pkt)
+			sw.reply(f, f.Src, wire.NewAck(pkt))
 		} else {
 			sw.sendFetchReplies(f, pkt, nil)
 		}
-		f.Release()
 		return
 	}
 	copyIdx := pkt.FetchCopy
@@ -58,8 +57,7 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 			sw.met.clears.Inc()
 			sw.clearAARange(lo, hi)
 		}
-		sw.ackFetch(f, pkt)
-		f.Release() // fetch is switch-terminated
+		sw.reply(f, f.Src, wire.NewAck(pkt))
 		return
 	}
 
@@ -82,7 +80,6 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 		}
 	}
 	sw.sendFetchReplies(f, pkt, entries)
-	f.Release() // fetch is switch-terminated
 }
 
 // sendFetchReplies streams the snapshot back in MTU-sized chunks. An empty
@@ -98,7 +95,9 @@ func (sw *Switch) sendFetchReplies(f *netsim.Frame, req *wire.Packet, entries []
 		if hi > len(entries) {
 			hi = len(entries)
 		}
-		reply := &wire.Packet{
+		// The receiving host keeps only the FetchEntries (addChunk), which
+		// the packet pool never recycles.
+		sw.reply(f, f.Src, &wire.Packet{
 			Type:         wire.TypeFetchReply,
 			Task:         req.Task,
 			Flow:         req.Flow,
@@ -107,34 +106,6 @@ func (sw *Switch) sendFetchReplies(f *netsim.Frame, req *wire.Packet, entries []
 			FetchChunk:   uint16(c),
 			FetchChunks:  uint16(chunks),
 			FetchEntries: append([]wire.FetchEntry(nil), entries[lo:hi]...),
-		}
-		sw.stamp(reply)
-		// Owned: nothing here retains the reply. The receiving host keeps
-		// the FetchEntries (addChunk) and therefore does NOT release it.
-		sw.net.SwitchSend(&netsim.Frame{
-			Src:       f.Dst,
-			Dst:       f.Src,
-			Pkt:       reply,
-			WireBytes: reply.WireBytes(sw.cfg.KPartBytes),
-			Owned:     true,
 		})
 	}
-}
-
-// ackFetch acknowledges a clear request.
-func (sw *Switch) ackFetch(f *netsim.Frame, req *wire.Packet) {
-	ack := wire.NewPacket()
-	ack.Type = wire.TypeAck
-	ack.AckFor = wire.TypeFetch
-	ack.Task = req.Task
-	ack.Flow = req.Flow
-	ack.Seq = req.Seq
-	sw.stamp(ack)
-	sw.net.SwitchSend(&netsim.Frame{
-		Src:       f.Dst,
-		Dst:       f.Src,
-		Pkt:       ack,
-		WireBytes: ack.WireBytes(sw.cfg.KPartBytes),
-		Owned:     true,
-	})
 }

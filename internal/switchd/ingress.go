@@ -30,50 +30,69 @@ func (sw *Switch) HandleIngress(f *netsim.Frame) {
 	// drop is indistinguishable from a loss to the sender, whose
 	// retransmission recovers the tuples. This covers every ingress type,
 	// including the TypeReplay failover bypass path.
-	wasRaw := f.Pkt == nil && f.Raw != nil
-	if wasRaw {
-		pkt, err := sw.codec.Decode(f.Raw)
-		if err != nil {
-			sw.met.corruptDropped.Inc()
-			sw.tr.EmitNote(telemetry.CompSwitchd, "corrupt_drop", 0, err.Error())
-			return
-		}
-		// Only reachable with verification disabled (or an astronomically
-		// unlikely CRC collision): the damaged bytes decoded to a packet.
-		f.Pkt, f.Raw = pkt, nil
+	wasRaw, err := f.Admit(sw.codec)
+	if err != nil {
+		sw.quarantine(f, err.Error())
+		return
 	}
 	switch f.Pkt.Type {
 	case wire.TypeData, wire.TypeLongKey, wire.TypeFin, wire.TypeReplay:
 		sw.processFlowPacket(f)
-	case wire.TypeSwap:
+	case wire.TypeSwap, wire.TypeFetch:
 		if sw.opts.Addr != 0 && f.Dst != sw.opts.Addr {
-			// Leaf/spine role: the swap is for another aggregation point on
+			// Leaf/spine role: the request is for another aggregation point on
 			// the path (e.g. the receiver swapping its spine region through
 			// this leaf) — pass it along instead of consuming it.
 			sw.forward(f)
 			return
 		}
-		sw.processSwap(f)
-	case wire.TypeFetch:
-		if sw.opts.Addr != 0 && f.Dst != sw.opts.Addr {
-			sw.forward(f)
-			return
+		if f.Pkt.Type == wire.TypeSwap {
+			sw.processSwap(f)
+		} else {
+			sw.processFetch(f)
 		}
-		sw.processFetch(f)
+		f.Release() // switch-terminated: the request packet is done
 	case wire.TypeProbe:
-		sw.processProbe(f)
+		// Switch-terminated like swap and fetch: the reply, carrying the
+		// epoch, goes straight back to the prober, echoing Seq so it can
+		// match request and reply.
+		sw.met.probes.Inc()
+		sw.reply(f, f.Src, &wire.Packet{Type: wire.TypeProbeReply, Task: f.Pkt.Task, Flow: f.Pkt.Flow, Seq: f.Pkt.Seq})
+		f.Release()
 	case wire.TypeAck, wire.TypeCtrl, wire.TypeFetchReply, wire.TypeProbeReply:
 		sw.forward(f)
 	default:
 		if wasRaw {
 			// Corruption forged an unknown type byte and verification let it
 			// through: a real parser drops what it cannot dispatch.
-			sw.met.corruptDropped.Inc()
-			sw.tr.EmitNote(telemetry.CompSwitchd, "corrupt_drop", int64(f.Pkt.Task), "forged type")
+			sw.quarantine(f, "forged type")
 			return
 		}
 		panic(fmt.Sprintf("switchd: unknown packet type %v", f.Pkt.Type))
 	}
+}
+
+// quarantine counts and drops a frame the integrity check rejected.
+func (sw *Switch) quarantine(f *netsim.Frame, why string) {
+	sw.met.corruptDropped.Inc()
+	sw.tr.EmitNote(telemetry.CompSwitchd, "corrupt_drop", f.Task(), why)
+	f.Release()
+}
+
+// reply sends pkt — an ACK, a fetch-reply chunk or a probe reply generated
+// here in answer to frame f — to dst on behalf of f's destination, stamped
+// with the epoch. It is the one place the switch originates a frame. The
+// frame is owned: nothing here retains pkt, so the receiving host recycles
+// it (steady-state acking cycles a handful of pooled packets).
+func (sw *Switch) reply(f *netsim.Frame, dst core.HostID, pkt *wire.Packet) {
+	sw.stamp(pkt)
+	sw.net.SwitchSend(&netsim.Frame{
+		Src:       f.Dst,
+		Dst:       dst,
+		Pkt:       pkt,
+		WireBytes: pkt.WireBytes(sw.cfg.KPartBytes),
+		Owned:     true,
+	})
 }
 
 func (sw *Switch) forward(f *netsim.Frame) {
@@ -192,8 +211,11 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 	// Egress: a data packet whose tuples were all consumed is dropped and
 	// acknowledged to the sender; anything else continues to the receiver.
 	if pkt.Type == wire.TypeData && pkt.Bitmap.Empty() {
+		// The ACK goes to the packet's sender with the same sequence number
+		// (§3.2.1), on behalf of the receiver.
 		sw.taskEntryOf(pkt.Task).ackedPackets.Inc()
-		sw.sendAck(f, pkt)
+		sw.met.switchAcks.Inc()
+		sw.reply(f, pkt.Flow.Host, wire.NewAck(pkt))
 		f.Release() // fully consumed: tuples live in the AAs, packet is done
 		return
 	}
@@ -307,28 +329,6 @@ func (sw *Switch) slotRMW(ps *pisaPass, aa *pisaArray, row int, slot wire.Slot, 
 	return ok == 1
 }
 
-// sendAck emits a switch-generated ACK back to the packet's sender with the
-// same sequence number (§3.2.1). The ACK packet comes from the wire free
-// list and its frame is owned: the receiving host releases it after the
-// window bookkeeping, so steady-state acking recycles a handful of packets.
-func (sw *Switch) sendAck(f *netsim.Frame, pkt *wire.Packet) {
-	ack := wire.NewPacket()
-	ack.Type = wire.TypeAck
-	ack.AckFor = pkt.Type
-	ack.Task = pkt.Task
-	ack.Flow = pkt.Flow
-	ack.Seq = pkt.Seq
-	sw.stamp(ack)
-	sw.met.switchAcks.Inc()
-	sw.net.SwitchSend(&netsim.Frame{
-		Src:       f.Dst, // on behalf of the receiver's address
-		Dst:       pkt.Flow.Host,
-		Pkt:       ack,
-		WireBytes: ack.WireBytes(sw.cfg.KPartBytes),
-		Owned:     true,
-	})
-}
-
 // processSwap flips a region's copy indicator exactly once per swap sequence
 // number (§3.4 Switch()) and acknowledges the receiver.
 func (sw *Switch) processSwap(f *netsim.Frame) {
@@ -352,21 +352,7 @@ func (sw *Switch) processSwap(f *netsim.Frame) {
 			sw.tr.Emit(telemetry.CompSwitchd, "shadow_swap", int64(pkt.Task), int64(pkt.Seq), 0)
 		}
 	}
-	ack := wire.NewPacket()
-	ack.Type = wire.TypeAck
-	ack.AckFor = wire.TypeSwap
-	ack.Task = pkt.Task
-	ack.Flow = pkt.Flow
-	ack.Seq = pkt.Seq
-	sw.stamp(ack)
-	sw.net.SwitchSend(&netsim.Frame{
-		Src:       f.Dst,
-		Dst:       f.Src,
-		Pkt:       ack,
-		WireBytes: ack.WireBytes(sw.cfg.KPartBytes),
-		Owned:     true,
-	})
-	f.Release() // swap is switch-terminated: the request packet is done
+	sw.reply(f, f.Src, wire.NewAck(pkt))
 }
 
 // ActiveCopy returns the region's current write copy (for tests).

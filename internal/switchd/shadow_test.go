@@ -41,7 +41,7 @@ func TestSwapFlipsCopyExactlyOnce(t *testing.T) {
 	// Every swap (including the duplicate) is acknowledged to host 2.
 	acks := 0
 	for _, f := range r.at2 {
-		if f.Pkt.Type == wire.TypeAck && f.Pkt.AckFor == wire.TypeSwap {
+		if [2]wire.Type{f.Pkt.Type, f.Pkt.AckFor} == [2]wire.Type{wire.TypeAck, wire.TypeSwap} {
 			acks++
 		}
 	}

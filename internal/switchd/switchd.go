@@ -171,23 +171,19 @@ func New(s *sim.Simulation, net netsim.SwitchFabric, cfg core.Config, opts Optio
 		pc = pisa.DefaultConfig()
 	}
 	sw := &Switch{
-		sim:     s,
-		net:     net,
-		cfg:     cfg,
-		layout:  layout,
-		opts:    opts,
-		pipe:    pisa.NewPipeline(pc),
-		flows:   make(map[core.FlowKey]int),
-		regions: make(map[core.TaskID]*Region),
-		rows:    newRowAllocator(cfg.AARows),
-		tasks:   make(map[core.TaskID]*taskEntry),
-		codec:   wire.NewCodec(cfg.KPartBytes).WithSkipVerify(cfg.DisableChecksumVerify),
-		epoch:   1,
+		sim:    s,
+		net:    net,
+		cfg:    cfg,
+		layout: layout,
+		opts:   opts,
+		pipe:   pisa.NewPipeline(pc),
+		flows:  make(map[core.FlowKey]int),
+		tasks:  make(map[core.TaskID]*taskEntry),
+		codec:  wire.NewCodec(cfg.KPartBytes).WithSkipVerify(cfg.DisableChecksumVerify),
+		epoch:  1,
 	}
 	sw.initMetrics(opts.Telemetry)
-	for i := opts.MaxRegions - 1; i >= 0; i-- {
-		sw.regionFree = append(sw.regionFree, i)
-	}
+	sw.resetRegions()
 	if err := sw.layoutPipeline(pc); err != nil {
 		return nil, err
 	}

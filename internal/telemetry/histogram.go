@@ -72,14 +72,6 @@ func (h *Histogram) Count() int64 {
 	return h.count.Load()
 }
 
-// Sum returns the sum of all observations (0 for nil).
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
 // HistBucket is one populated histogram bucket: Count observations with
 // values <= UpperEdge (and greater than the previous bucket's edge).
 type HistBucket struct {

@@ -65,6 +65,17 @@ func NewPacket() *Packet {
 	return p
 }
 
+// NewAck returns the acknowledgement of req, drawn from the free list: a
+// TypeAck echoing req's task, flow and sequence number, with AckFor naming
+// the type acknowledged. It is the one place an ACK is built — switch
+// replies, host transport ACKs and the baselines all call it.
+func NewAck(req *Packet) *Packet {
+	ack := NewPacket()
+	ack.Type, ack.AckFor = TypeAck, req.Type
+	ack.Task, ack.Flow, ack.Seq = req.Task, req.Flow, req.Seq
+	return ack
+}
+
 // ClonePooled returns a deep copy of p backed by the free list: the Packet
 // struct and its Slots array are recycled storage when available. The link
 // layer uses it to clone frames at delivery; the copy is exclusively owned

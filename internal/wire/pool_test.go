@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // randPacket builds a data packet with n slots filled from rng.
@@ -190,4 +192,23 @@ func TestClonePooledPreservesScratchCapacity(t *testing.T) {
 		defer r.Release()
 	}
 	t.Skip("pool never returned the recycled storage (valid but unobservable here)")
+}
+
+// TestNewAckEchoesItsRequest: an ACK names the request's type and echoes its
+// task, flow and sequence number — and nothing else of it, whatever packet
+// the free list handed out.
+func TestNewAckEchoesItsRequest(t *testing.T) {
+	flow := core.FlowKey{Host: 7, Channel: 2}
+	for _, typ := range []Type{TypeData, TypeLongKey, TypeFin, TypeReplay, TypeSwap, TypeFetch, TypeCtrl} {
+		req := &Packet{Type: typ, Task: 9, Flow: flow, Seq: 41, Epoch: 3, OrigSeq: 5, Bitmap: 0b101, Slots: make([]Slot, 4), FetchClear: true}
+		ack := NewAck(req)
+		want := Packet{Type: TypeAck, AckFor: typ, Task: 9, Flow: flow, Seq: 41}
+		if ack.Type != want.Type || ack.AckFor != want.AckFor || ack.Task != want.Task || ack.Flow != want.Flow || ack.Seq != want.Seq {
+			t.Fatalf("NewAck(%v) = %+v", typ, ack)
+		}
+		if ack.Epoch != 0 || ack.OrigSeq != 0 || ack.Bitmap != 0 || ack.Slots != nil || ack.FetchClear {
+			t.Fatalf("NewAck(%v) carried request payload over: %+v", typ, ack)
+		}
+		ack.Release()
+	}
 }

@@ -135,8 +135,10 @@ type Slot struct {
 }
 
 // PackKPart packs up to n bytes of key material (n = KPartBytes) into a
-// left-aligned big-endian uint64, zero-padded on the right.
-func PackKPart(seg []byte, n int) uint64 {
+// left-aligned big-endian uint64, zero-padded on the right. The segment may
+// be a string or a byte slice, so hot paths pack directly from key strings
+// without a []byte conversion per call.
+func PackKPart[S ~string | ~[]byte](seg S, n int) uint64 {
 	if len(seg) > n || n > 8 {
 		panic(fmt.Sprintf("wire: segment of %d bytes does not fit kPart of %d", len(seg), n))
 	}
@@ -149,23 +151,6 @@ func PackKPart(seg []byte, n int) uint64 {
 	}
 	// Left-align within the 64-bit container so representations are
 	// independent of n when comparing.
-	return v << uint(8*(8-n))
-}
-
-// PackKPartString is PackKPart for a string segment. Identical packing,
-// but takes the key material as a string slice so hot paths can pack
-// directly from key strings without a []byte conversion per call.
-func PackKPartString(seg string, n int) uint64 {
-	if len(seg) > n || n > 8 {
-		panic(fmt.Sprintf("wire: segment of %d bytes does not fit kPart of %d", len(seg), n))
-	}
-	var v uint64
-	for i := 0; i < n; i++ {
-		v <<= 8
-		if i < len(seg) {
-			v |= uint64(seg[i])
-		}
-	}
 	return v << uint(8*(8-n))
 }
 

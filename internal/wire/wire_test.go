@@ -54,7 +54,7 @@ func TestPackUnpackKPart(t *testing.T) {
 }
 
 func TestPackKPartBlankIsZero(t *testing.T) {
-	if PackKPart(nil, 4) != 0 {
+	if PackKPart("", 4) != 0 {
 		t.Fatal("empty segment should pack to the blank sentinel 0")
 	}
 }
