@@ -71,3 +71,57 @@ func TestPoolPoisonDeterminism(t *testing.T) {
 		t.Fatalf("poison mode changed virtual time: %v vs %v", a.Elapsed, b.Elapsed)
 	}
 }
+
+// TestPoolPoisonFailoverReplay is the poison row for the one packet the
+// sender does not release when its flight is acknowledged: with Failover on a
+// data packet stays in its task's history, and after a switch reboot it is
+// replayed through a packet that aliases its slot array. The switch dies and
+// reboots mid-stream here, so acknowledged packets are replayed long after
+// their ACK; were they (or the arrays the replays alias, when the replays are
+// released in their turn) recycled, the replays would carry sentinels or
+// another packet's tuples and the aggregate would be wrong.
+func TestPoolPoisonFailoverReplay(t *testing.T) {
+	wire.SetPoolPoison(true)
+	defer wire.SetPoolPoison(false)
+
+	cfg := core.DefaultConfig()
+	cfg.Failover, cfg.ShadowCopy = true, false
+	link := netsim.DefaultLinkConfig()
+	link.Fault.LossProb = 0.01
+	link.Fault.DupProb = 0.01
+	cl, err := NewCluster(Options{Hosts: 4, Seed: 31, Config: cfg, Link: link})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Sim.Close()
+	// 20 000 tuples per sender, 50 ns apart: the streams span 1 ms and the
+	// outage over [400 µs, 600 µs) is mid-stream.
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	for h := core.HostID(1); h <= 3; h++ {
+		tkvs := make([]core.TimedKV, 20000)
+		for i, kv := range genStream(300+int64(h), len(tkvs), 300) {
+			tkvs[i] = core.TimedKV{KV: kv, At: time.Duration(i) * 50 * time.Nanosecond}
+		}
+		job.SendTimed(h, tkvs)
+	}
+	cl.Sim.After(400*time.Microsecond, func() {
+		if err := cl.CrashSwitch(TheSwitch); err != nil {
+			t.Error(err)
+		}
+	})
+	cl.Sim.After(600*time.Microsecond, func() {
+		if err := cl.RebootSwitch(TheSwitch); err != nil {
+			t.Error(err)
+		}
+	})
+	if _, err := cl.Run(job); err != nil {
+		t.Fatal(err)
+	}
+	var replays int64
+	for _, h := range cl.Hosts() {
+		replays += cl.Daemon(h).FailoverStats().ReplaysSent
+	}
+	if replays == 0 {
+		t.Fatal("no replays: the outage missed the stream")
+	}
+}

@@ -1,12 +1,13 @@
-// Package poolrelease defines an analyzer that flags packet-pool
+// Package poolrelease defines an analyzer that flags free-list
 // acquisitions that can never be released.
 //
 // The hot-path packages (netsim, switchd, hostd, tenancy) draw wire.Packet
 // objects from a process-wide free list — wire.NewPacket and
-// Packet.ClonePooled — under an explicit ownership discipline (see
-// wire/pool.go): every acquisition must end in exactly one Packet.Release,
-// either directly or by handing the packet to something that releases it
-// (an owned netsim.Frame, Daemon.send, a return to the caller). A
+// Packet.ClonePooled — and netsim.Frame objects from the one beside it —
+// netsim.NewFrame — under an explicit ownership discipline (see
+// wire/pool.go): every acquisition must end in exactly one Release,
+// either directly or by handing the object to something that releases it
+// (an owned netsim.Frame, Daemon.send, a fabric, a return to the caller). A
 // packet that is acquired and then simply dropped is not a correctness bug
 // — the GC still reclaims it — but it silently re-introduces the
 // per-packet allocation churn the pool exists to eliminate, which is
@@ -66,7 +67,7 @@ func (f *releaseFact) at(i int) bool {
 // Analyzer is the poolrelease analyzer.
 var Analyzer = &framework.Analyzer{
 	Name:      "poolrelease",
-	Doc:       "flag wire packet-pool acquisitions that are provably never released or handed off",
+	Doc:       "flag packet and frame free-list acquisitions that are provably never released or handed off",
 	Run:       run,
 	FactTypes: []framework.Fact{(*releaseFact)(nil)},
 }
@@ -93,31 +94,47 @@ func run(pass *framework.Pass) (any, error) {
 	return nil, nil
 }
 
-// isAcquisition reports whether call draws a packet from the pool:
-// wire.NewPacket(...) or (*wire.Packet).ClonePooled(...).
-func isAcquisition(pass *framework.Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
+// acquisitions is the acquisition set: each function that draws an object
+// from a free list, with the package (last path element) declaring it and
+// the noun its diagnostics use.
+var acquisitions = map[string]struct{ pkg, noun string }{
+	"NewPacket":   {"wire", "packet"},
+	"ClonePooled": {"wire", "packet"},
+	"NewFrame":    {"netsim", "frame"},
+}
+
+// acquisition reports whether call draws an object from a free list —
+// wire.NewPacket(...), (*wire.Packet).ClonePooled(...), netsim.NewFrame(...),
+// the last also by its bare name inside netsim — and what it draws.
+func acquisition(pass *framework.Pass, call *ast.CallExpr) (noun string, ok bool) {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	case *ast.Ident:
+		id = fun
+	default:
+		return "", false
+	}
+	acq, ok := acquisitions[id.Name]
 	if !ok {
-		return false
+		return "", false
 	}
-	name := sel.Sel.Name
-	if name != "NewPacket" && name != "ClonePooled" {
-		return false
+	obj := pass.TypesInfo.Uses[id]
+	if obj == nil || obj.Pkg() == nil || lastElem(obj.Pkg().Path()) != acq.pkg {
+		return "", false
 	}
-	obj := pass.TypesInfo.Uses[sel.Sel]
-	if obj == nil || obj.Pkg() == nil {
-		return false
-	}
-	return strings.HasSuffix(obj.Pkg().Path(), "/wire") || obj.Pkg().Path() == "wire"
+	return acq.noun, true
 }
 
 func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
-	type acquisition struct {
-		at ast.Node
-		ve *framework.ValueEscape
+	type obligation struct {
+		at   ast.Node
+		noun string
+		ve   *framework.ValueEscape
 	}
 	seeds := make(map[types.Object]*framework.ValueEscape)
-	var acquired []acquisition
+	var acquired []obligation
 
 	// Pass 1: find acquisitions; discarded results leak unconditionally.
 	// Nested function literals are skipped: the escape walk treats them as
@@ -128,15 +145,21 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 		case *ast.FuncLit:
 			return false
 		case *ast.ExprStmt:
-			if call, ok := n.X.(*ast.CallExpr); ok && isAcquisition(pass, call) {
-				pass.Reportf(call.Pos(), "packet-pool acquisition result is discarded (never released)")
+			if call, ok := n.X.(*ast.CallExpr); ok {
+				if noun, ok := acquisition(pass, call); ok {
+					pass.Reportf(call.Pos(), "%s-pool acquisition result is discarded (never released)", noun)
+				}
 			}
 		case *ast.AssignStmt:
 			if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
 				return true
 			}
 			call, ok := n.Rhs[0].(*ast.CallExpr)
-			if !ok || !isAcquisition(pass, call) {
+			if !ok {
+				return true
+			}
+			noun, ok := acquisition(pass, call)
+			if !ok {
 				return true
 			}
 			id, ok := n.Lhs[0].(*ast.Ident)
@@ -144,7 +167,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 				return true
 			}
 			if id.Name == "_" {
-				pass.Reportf(call.Pos(), "packet-pool acquisition assigned to _ (never released)")
+				pass.Reportf(call.Pos(), "%s-pool acquisition assigned to _ (never released)", noun)
 				return true
 			}
 			obj := pass.TypesInfo.Defs[id]
@@ -159,7 +182,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 					ve = framework.NewValueEscape()
 					seeds[obj] = ve
 				}
-				acquired = append(acquired, acquisition{at: call, ve: ve})
+				acquired = append(acquired, obligation{at: call, noun: noun, ve: ve})
 			}
 		}
 		return true
@@ -178,7 +201,7 @@ func checkFunc(pass *framework.Pass, fd *ast.FuncDecl) {
 	for _, acq := range acquired {
 		ok, _ := satisfied(pass, acq.ve, make(map[*types.Func]bool))
 		if !ok {
-			pass.Reportf(acq.at.Pos(), "packet acquired from the pool is neither released nor handed off")
+			pass.Reportf(acq.at.Pos(), "%s acquired from the pool is neither released nor handed off", acq.noun)
 		}
 	}
 }

@@ -4,7 +4,10 @@
 // count: the analyzer composes escape summaries through the call graph.
 package pool
 
-import "repro/internal/wire"
+import (
+	"repro/internal/netsim"
+	"repro/internal/wire"
+)
 
 type frame struct {
 	Pkt   *wire.Packet
@@ -137,4 +140,23 @@ func okAllowed() {
 	//askcheck:allow(poolrelease)
 	pkt := wire.NewPacket()
 	pkt.Seq = 3
+}
+
+// Frames come from the free list beside the packets' (netsim.NewFrame) under
+// the same obligation: released, or handed to something that releases them.
+func leakFrame(pkt *wire.Packet) {
+	f := netsim.NewFrame() // want `poolrelease: frame acquired from the pool is neither released nor handed off`
+	f.Pkt = pkt
+	_ = f.Corrupted() // read-only method call is not a hand-off
+}
+
+func okFrameReleased() {
+	f := netsim.NewFrame()
+	f.Release()
+}
+
+func okFrameSent(net netsim.HostFabric, pkt *wire.Packet) {
+	f := netsim.NewFrame()
+	f.Pkt, f.Owned = pkt, true
+	net.HostSend(f) // interface dispatch: the fabric owns it now
 }

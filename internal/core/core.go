@@ -252,16 +252,40 @@ func SliceStream(kvs []KV) Stream {
 	}
 }
 
-// Collect drains a stream into a slice (test-sized streams only).
-func Collect(s Stream) []KV {
-	var out []KV
+// Collect drains a stream into a slice (streams that fit in memory only).
+func Collect(s Stream) []KV { return collect(s) }
+
+// collectChunk is the number of elements collect gathers before it starts a
+// new chunk.
+const collectChunk = 4096
+
+// collect drains next into a slice of exactly the stream's length, nil for
+// an empty stream. Growing one slice of string-carrying elements by append's
+// 1.25× steps zeroes, copies and GC-scans about five times the final bytes;
+// here a stream longer than one chunk is gathered into fixed-size chunks,
+// each written once, and copied once into the result.
+func collect[T any](next func() (T, bool)) []T {
+	var full [][]T
+	var cur []T
 	for {
-		kv, ok := s()
+		v, ok := next()
 		if !ok {
-			return out
+			break
 		}
-		out = append(out, kv)
+		if len(cur) == collectChunk {
+			full = append(full, cur)
+			cur = make([]T, 0, collectChunk)
+		}
+		cur = append(cur, v)
 	}
+	if len(full) == 0 {
+		return cur
+	}
+	out := make([]T, 0, len(full)*collectChunk+len(cur))
+	for _, c := range full {
+		out = append(out, c...)
+	}
+	return append(out, cur...)
 }
 
 // ReferenceStreams aggregates streams with a plain map: the ground truth for
@@ -309,17 +333,9 @@ func SliceTimedStream(tkvs []TimedKV) TimedStream {
 	}
 }
 
-// CollectTimed drains a timed stream into a slice (test-sized streams only).
-func CollectTimed(ts TimedStream) []TimedKV {
-	var out []TimedKV
-	for {
-		tkv, ok := ts()
-		if !ok {
-			return out
-		}
-		out = append(out, tkv)
-	}
-}
+// CollectTimed drains a timed stream into a slice (streams that fit in memory
+// only).
+func CollectTimed(ts TimedStream) []TimedKV { return collect(ts) }
 
 // Untimed projects a timed stream onto its tuples, discarding arrival times.
 func (ts TimedStream) Untimed() Stream {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestOpApply(t *testing.T) {
@@ -177,5 +178,42 @@ func TestEmptyInputs(t *testing.T) {
 	}
 	if got := (Result{}).WireBytes(); got != 0 {
 		t.Fatalf("empty result ships %d bytes", got)
+	}
+}
+
+// TestCollectExactAcrossChunks: Collect and CollectTimed hand back exactly
+// the stream's elements, in order, on both sides of every chunk boundary; an
+// empty stream is nil, and a stream longer than one chunk comes back in a
+// slice of exactly its length.
+func TestCollectExactAcrossChunks(t *testing.T) {
+	for _, n := range []int{0, 1, collectChunk - 1, collectChunk, collectChunk + 1, 3*collectChunk + 7} {
+		i := 0
+		timed := func() (TimedKV, bool) {
+			if i >= n {
+				return TimedKV{}, false
+			}
+			i++
+			return TimedKV{KV: KV{Key: fmt.Sprint("k", i), Val: int64(i)}, At: time.Duration(i)}, true
+		}
+		tkvs := CollectTimed(timed)
+		kvs := Collect(SliceTimedStream(tkvs).Untimed())
+		if n == 0 {
+			if tkvs != nil || kvs != nil {
+				t.Fatalf("empty stream collected to %v / %v, want nil", tkvs, kvs)
+			}
+			continue
+		}
+		if len(tkvs) != n || len(kvs) != n {
+			t.Fatalf("n=%d: collected %d timed, %d plain", n, len(tkvs), len(kvs))
+		}
+		if n > collectChunk && (cap(tkvs) != n || cap(kvs) != n) {
+			t.Errorf("n=%d: capacities %d / %d, want exact", n, cap(tkvs), cap(kvs))
+		}
+		for j := range tkvs {
+			want := TimedKV{KV: KV{Key: fmt.Sprint("k", j+1), Val: int64(j + 1)}, At: time.Duration(j + 1)}
+			if tkvs[j] != want || kvs[j] != want.KV {
+				t.Fatalf("n=%d element %d: %v / %v, want %v", n, j, tkvs[j], kvs[j], want)
+			}
+		}
 	}
 }

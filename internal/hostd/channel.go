@@ -75,7 +75,7 @@ type dataChannel struct {
 	flow core.FlowKey
 	win  *window.Sender
 
-	queue    []*sendTask
+	queue    fifo[*sendTask]
 	queueSig *sim.Signal
 	curDst   core.HostID
 
@@ -147,9 +147,21 @@ func (ch *dataChannel) transmit(pkt *wire.Packet) {
 	ch.d.send(ch.curDst, pkt, good, false)
 }
 
+// acked retires the window flight that seq acknowledges and releases its
+// packet — the one release of everything this channel sends. The link cloned
+// the packet inside each transmit, so with the flight gone nothing else points
+// at it. The exception is failover: a data packet then lives on in its task's
+// history for replay (txLoop), whose replays alias its slots, and is left to
+// the garbage collector when the history is dropped.
+func (ch *dataChannel) acked(seq uint32) {
+	if pkt := ch.win.Ack(seq); pkt != nil && !(ch.d.failover && pkt.Type == wire.TypeData) {
+		pkt.Release()
+	}
+}
+
 // enqueue queues a task for sending.
 func (ch *dataChannel) enqueue(t *sendTask) {
-	ch.queue = append(ch.queue, t)
+	ch.queue.push(t)
 	ch.queueSig.Fire()
 }
 
@@ -165,22 +177,21 @@ func (ch *dataChannel) maybeRecover(p *sim.Proc) {
 // txLoop serves queued tasks in FIFO order: packetize, window-send, FIN.
 func (ch *dataChannel) txLoop(p *sim.Proc) {
 	for {
-		for len(ch.queue) == 0 {
+		for ch.queue.len() == 0 {
 			ch.maybeRecover(p)
 			// Re-check before parking: recovery blocks, and an enqueue (or a
 			// fresh recovery request) signalled during it would be lost if we
 			// waited unconditionally.
-			if len(ch.queue) != 0 || ch.recoverReq != 0 {
+			if ch.queue.len() != 0 || ch.recoverReq != 0 {
 				continue
 			}
 			p.Wait(ch.queueSig)
 		}
 		ch.maybeRecover(p)
-		if len(ch.queue) == 0 {
+		if ch.queue.len() == 0 {
 			continue
 		}
-		task := ch.queue[0]
-		ch.queue = ch.queue[1:]
+		task := ch.queue.pop()
 		ch.curDst = task.receiver
 		if ch.d.failover {
 			ch.retained[task.id] = task
@@ -321,14 +332,12 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 				}
 				orig := rec.pkt
 				ch.txThread.Run(p, cpumodel.PacketIOCost)
-				rp := &wire.Packet{
-					Type:    wire.TypeReplay,
-					Task:    t.id,
-					Flow:    ch.flow,
-					OrigSeq: orig.Seq,
-					Bitmap:  orig.Bitmap,
-					Slots:   orig.Slots,
-				}
+				// The replay aliases the retained packet's slot array: Slots a
+				// caller installs are never the pool's to recycle, so releasing
+				// the acknowledged replay leaves the history intact.
+				rp := wire.NewPacket()
+				rp.Type, rp.Task, rp.Flow = wire.TypeReplay, t.id, ch.flow
+				rp.OrigSeq, rp.Bitmap, rp.Slots = orig.Seq, orig.Bitmap, orig.Slots
 				if err := ch.win.SendBlocking(p, rp); err != nil {
 					break
 				}
@@ -353,7 +362,8 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 // sendFin cuts a task's FIN and window-sends it. OrigSeq carries the FIN
 // generation — the epoch the sender had observed when it cut the FIN.
 func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
-	fin := &wire.Packet{Type: wire.TypeFin, Task: task, Flow: ch.flow, OrigSeq: ch.d.epoch}
+	fin := wire.NewPacket()
+	fin.Type, fin.Task, fin.Flow, fin.OrigSeq = wire.TypeFin, task, ch.flow, ch.d.epoch
 	ch.txThread.Run(p, cpumodel.PacketIOCost)
 	return ch.win.SendBlocking(p, fin)
 }
@@ -361,12 +371,12 @@ func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
 // rxQueue is a channel's inbound frame queue, data or control: HandleFrame
 // pushes at arrival, the channel's rx process serves in arrival order.
 type rxQueue struct {
-	q   []*netsim.Frame
+	q   fifo[*netsim.Frame]
 	sig *sim.Signal
 }
 
 func (r *rxQueue) push(f *netsim.Frame) {
-	r.q = append(r.q, f)
+	r.q.push(f)
 	r.sig.Fire()
 }
 
@@ -374,11 +384,10 @@ func (r *rxQueue) push(f *netsim.Frame) {
 // each frame once handle returns: handle must keep no reference into it.
 func (r *rxQueue) serve(p *sim.Proc, handle func(*netsim.Frame)) {
 	for {
-		for len(r.q) == 0 {
+		for r.q.len() == 0 {
 			p.Wait(r.sig)
 		}
-		f := r.q[0]
-		r.q = r.q[1:]
+		f := r.q.pop()
 		handle(f)
 		f.Release()
 	}

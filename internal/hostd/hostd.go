@@ -273,7 +273,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 			d.ctrlCh.win.Ack(pkt.Seq)
 		default: // data, long-key, FIN acks → the sender window
 			if pkt.Flow.Host == d.host && int(pkt.Flow.Channel) < len(d.channels) {
-				d.channels[pkt.Flow.Channel].win.Ack(pkt.Seq)
+				d.channels[pkt.Flow.Channel].acked(pkt.Seq)
 			}
 		}
 		f.Release() // handled inline; nothing retains the ACK
@@ -331,14 +331,9 @@ func (d *Daemon) quarantine(f *netsim.Frame, why string) {
 // it. A packet the caller RETAINS (window retransmission buffers, failover
 // history) is sent with owned false and cloned by the link at delivery.
 func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bool) {
-	f := &netsim.Frame{
-		Src:       d.host,
-		Dst:       dst,
-		Pkt:       pkt,
-		WireBytes: pkt.WireBytes(d.cfg.KPartBytes),
-		GoodBytes: goodBytes,
-		Owned:     owned,
-	}
+	f := netsim.NewFrame()
+	f.Src, f.Dst, f.Pkt = d.host, dst, pkt
+	f.WireBytes, f.GoodBytes, f.Owned = pkt.WireBytes(d.cfg.KPartBytes), goodBytes, owned
 	if d.stalled {
 		f.Release() // crashed daemon: lost before the wire; an owned packet is recycled
 		return
@@ -346,21 +341,18 @@ func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bo
 	d.net.HostSend(f)
 }
 
-// decodeResidueBits reconstructs the tuples of a data (or replay) packet
-// selected by the eff bitmap into key-value pairs for host-side aggregation.
-// eff is normally the packet's own liveness bitmap; under failover it is the
-// packet's bitmap minus the bits the receiver already merged (claimBits).
-func (d *Daemon) decodeResidueBits(pkt *wire.Packet, eff wire.Bitmap) []core.KV {
-	var out []core.KV
+// residue visits, in slot order, the slots of every tuple of a data (or
+// replay) packet that the eff bitmap selects: the one slot of a short key,
+// the coalesced group of a medium one. eff is normally the packet's own
+// liveness bitmap; under failover it is the packet's bitmap minus the bits
+// the receiver already merged (claimBits). Nothing is built per tuple: the
+// receive path counts the tuples with one walk and folds them with another.
+func (d *Daemon) residue(pkt *wire.Packet, eff wire.Bitmap, visit func(group []wire.Slot)) {
 	shortSlots := d.layout.ShortSlots()
 	for i := 0; i < shortSlots && i < len(pkt.Slots); i++ {
-		if !eff.Test(i) {
-			continue
+		if eff.Test(i) {
+			visit(pkt.Slots[i : i+1])
 		}
-		out = append(out, core.KV{
-			Key: d.layout.ReconstructShort(pkt.Slots[i].KPart),
-			Val: pkt.Slots[i].Val,
-		})
 	}
 	m := d.cfg.MediumSegs
 	for g := 0; g < d.cfg.MediumGroups; g++ {
@@ -368,21 +360,8 @@ func (d *Daemon) decodeResidueBits(pkt *wire.Packet, eff wire.Bitmap) []core.KV 
 		if first >= len(pkt.Slots) || !eff.Test(first) {
 			continue
 		}
-		out = append(out, d.mediumKV(pkt.Slots[first:first+m]))
+		visit(pkt.Slots[first : first+m])
 	}
-	return out
-}
-
-// mediumKV reassembles one medium tuple from the slots of its coalesced
-// group, in member order: every member carries a key segment, the last one
-// the value (§3.2.3). Packet residue and fetched aggregator entries both
-// come back through here.
-func (d *Daemon) mediumKV(group []wire.Slot) core.KV {
-	kparts := make([]uint64, len(group))
-	for j, s := range group {
-		kparts[j] = s.KPart
-	}
-	return core.KV{Key: d.layout.ReconstructMedium(kparts), Val: group[len(group)-1].Val}
 }
 
 // ChannelStats returns the sender-window counters of every data channel

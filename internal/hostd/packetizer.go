@@ -42,10 +42,10 @@ type packetizer struct {
 	part keyspace.Partition
 	// buckets[u] queues tuples for logical unit u: units 0..shortSlots-1
 	// are short slots, then one per medium group.
-	buckets  [][]core.KV
+	buckets  []fifo[core.KV]
 	nonEmpty int
 	buffered int
-	longQ    []wire.LongKV
+	longQ    fifo[wire.LongKV]
 	eof      bool
 	maxBuf   int
 	valLo    int64
@@ -65,7 +65,7 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() boo
 		layout:  layout,
 		stream:  stream,
 		stall:   stall,
-		buckets: make([][]core.KV, layout.LogicalUnits()),
+		buckets: make([]fifo[core.KV], layout.LogicalUnits()),
 		maxBuf:  bufferPerUnit * layout.LogicalUnits(),
 		valLo:   -(int64(1) << (n - 1)),
 		valHi:   int64(1)<<(n-1) - 1,
@@ -86,7 +86,7 @@ func (pz *packetizer) pull() {
 			// The next tuple is not due yet (or there is none). Flush
 			// whatever is queued before waiting; only park with empty
 			// buffers.
-			if pz.buffered > 0 || len(pz.longQ) > 0 {
+			if pz.buffered > 0 || pz.longQ.len() > 0 {
 				pz.flush = true
 				return
 			}
@@ -98,8 +98,8 @@ func (pz *packetizer) pull() {
 		}
 		if kv.Val < pz.valLo || kv.Val > pz.valHi {
 			// Value exceeds the aggregator vPart: host-side path.
-			pz.longQ = append(pz.longQ, wire.LongKV{Key: kv.Key, Val: kv.Val})
-			if len(pz.longQ) >= maxLongPerPacket {
+			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
+			if pz.longQ.len() >= maxLongPerPacket {
 				return
 			}
 			continue
@@ -112,16 +112,16 @@ func (pz *packetizer) pull() {
 		case keyspace.Medium:
 			unit = shortSlots + (firstSlot-shortSlots)/pz.layout.Config().MediumSegs
 		default:
-			pz.longQ = append(pz.longQ, wire.LongKV{Key: kv.Key, Val: kv.Val})
-			if len(pz.longQ) >= maxLongPerPacket {
+			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
+			if pz.longQ.len() >= maxLongPerPacket {
 				return
 			}
 			continue
 		}
-		if len(pz.buckets[unit]) == 0 {
+		if pz.buckets[unit].len() == 0 {
 			pz.nonEmpty++
 		}
-		pz.buckets[unit] = append(pz.buckets[unit], kv)
+		pz.buckets[unit].push(kv)
 		pz.buffered++
 		if pz.buffered >= pz.maxBuf {
 			return // buffering bound: emit with blank slots
@@ -132,17 +132,21 @@ func (pz *packetizer) pull() {
 // next returns the next packet to transmit. tuples is the number of logical
 // tuples it carries (for CPU accounting); ok is false when the stream and
 // all buffers are exhausted. The returned packet lacks Task/Flow/Seq, which
-// the data channel assigns.
+// the data channel assigns; it comes from the wire free list, and the channel
+// releases it when its window flight is acknowledged (dataChannel.acked).
 func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	pz.pull()
 	// Long-key packets flush when saturated, at EOF before final data
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
-	if len(pz.longQ) >= maxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && len(pz.longQ) > 0) {
-		n := min(len(pz.longQ), maxLongPerPacket)
-		long := append([]wire.LongKV(nil), pz.longQ[:n]...)
-		pz.longQ = pz.longQ[n:]
-		return &wire.Packet{Type: wire.TypeLongKey, Long: long}, n, true
+	if pz.longQ.len() >= maxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && pz.longQ.len() > 0) {
+		pkt := wire.NewPacket()
+		pkt.Type = wire.TypeLongKey
+		pkt.Long = make([]wire.LongKV, min(pz.longQ.len(), maxLongPerPacket))
+		for i := range pkt.Long {
+			pkt.Long[i] = pz.longQ.pop()
+		}
+		return pkt, len(pkt.Long), true
 	}
 	if pz.nonEmpty == 0 {
 		return nil, 0, false
@@ -159,16 +163,15 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 	cfg := pz.layout.Config()
 	shortSlots := pz.layout.ShortSlots()
-	pkt := &wire.Packet{Type: wire.TypeData, Slots: make([]wire.Slot, cfg.NumAAs)}
+	pkt := wire.NewData(cfg.NumAAs)
 	tuples := 0
 	for u := range pz.buckets {
-		if len(pz.buckets[u]) == 0 {
+		if pz.buckets[u].len() == 0 {
 			continue
 		}
-		kv := pz.buckets[u][0]
-		pz.buckets[u] = pz.buckets[u][1:]
+		kv := pz.buckets[u].pop()
 		pz.buffered--
-		if len(pz.buckets[u]) == 0 {
+		if pz.buckets[u].len() == 0 {
 			pz.nonEmpty--
 		}
 		if u < shortSlots {

@@ -1,8 +1,9 @@
 package hostd
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -45,6 +46,8 @@ type recvTask struct {
 	alloc AllocInfo
 
 	result core.Result // the task's shared-memory segment
+	// keys interns the keys merged into result (recvTask.key).
+	keys map[string]string
 	// finned records, per sender, the generation (sender epoch) of its
 	// latest FIN. A FIN only counts toward completion if its generation
 	// matches the receiver's current epoch: after a switch reboot, stale
@@ -280,54 +283,91 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
 	}
 
 	t := d.recvTasks[pkt.Task]
-	var kvs []core.KV
-	longTuples := 0
+	// eff selects the slotted tuples to merge here, tuples counts them (and a
+	// long-key packet's) for the CPU charge.
+	var eff wire.Bitmap
+	tuples, longTuples := 0, 0
 	switch pkt.Type {
 	case wire.TypeData:
-		eff := pkt.Bitmap
+		eff = pkt.Bitmap
 		if d.failover && t != nil && !t.completed {
 			eff = t.claimBits(pkt.Flow, pkt.Seq, pkt.Bitmap)
 		}
-		kvs = d.decodeResidueBits(pkt, eff)
 	case wire.TypeReplay:
 		// Failover replay: merge only the bits not already counted from the
 		// original packet's residue path, and nothing at all once switch
 		// state has been committed (the replayed tuples were either merged
 		// then or surrendered by the pre-reboot switch — never both).
 		if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
-			eff := t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
-			kvs = d.decodeResidueBits(pkt, eff)
+			eff = t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
 		}
 	case wire.TypeLongKey:
-		for _, lk := range pkt.Long {
-			kvs = append(kvs, core.KV{Key: lk.Key, Val: lk.Val})
-		}
-		longTuples = len(kvs)
+		tuples, longTuples = len(pkt.Long), len(pkt.Long)
 	}
-	cost := cpumodel.PacketIOCost + time.Duration(len(kvs))*cpumodel.HostAggregateCost
+	d.residue(pkt, eff, func([]wire.Slot) { tuples++ })
+	cost := cpumodel.PacketIOCost + time.Duration(tuples)*cpumodel.HostAggregateCost
 	ch.rxThread.Run(p, cost)
 	d.met.packetsReceived.Inc()
 
 	if t != nil && !t.completed {
-		for _, kv := range kvs {
-			t.result.MergeKV(kv, t.spec.Op)
+		// The frame is this process's until it returns (rxQueue.serve), so
+		// the tuples are folded straight out of the packet.
+		d.residue(pkt, eff, t.mergeGroup)
+		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type
+			t.result.MergeKV(core.KV{Key: lk.Key, Val: lk.Val}, t.spec.Op)
 		}
-		t.met.residueTuples.Add(int64(len(kvs)))
+		t.met.residueTuples.Add(int64(tuples))
 		t.met.longTuples.Add(int64(longTuples))
-		d.met.residueTuples.Add(int64(len(kvs)))
+		d.met.residueTuples.Add(int64(tuples))
 		switch pkt.Type {
 		case wire.TypeData:
 			t.met.dataPackets.Inc()
 			t.pktsSinceSwap++
 			t.maybeSwap()
 		case wire.TypeReplay:
-			t.met.replayTuples.Add(int64(len(kvs)))
-			d.met.replayTuplesMerged.Add(int64(len(kvs)))
-			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(pkt.Task), int64(pkt.OrigSeq), int64(len(kvs)))
+			t.met.replayTuples.Add(int64(tuples))
+			d.met.replayTuplesMerged.Add(int64(tuples))
+			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(pkt.Task), int64(pkt.OrigSeq), int64(tuples))
 		case wire.TypeFin:
 			t.onFin(pkt.Flow.Host, pkt.OrigSeq)
 		}
 	}
+}
+
+// key returns the key of a tuple whose packed segments ride in the slots of
+// group: the one slot of a short key, the coalesced group of a medium one
+// (§3.2.3). It is rebuilt in a stack buffer and looked up in keys, which holds
+// the one string of every key met so far — updating a map entry needs the key
+// as a string, and without the lookup every tuple of a hot key, and every
+// swap round over the same aggregators, would allocate fresh copies.
+func (t *recvTask) key(group []wire.Slot) string {
+	var buf [64]byte
+	raw := t.d.layout.AppendKey(buf[:0], group)
+	key, ok := t.keys[string(raw)]
+	if !ok {
+		if t.keys == nil {
+			t.keys = make(map[string]string)
+		}
+		key = string(raw)
+		t.keys[key] = key
+	}
+	return key
+}
+
+// mergeGroup folds one residue tuple — key in the slots of group, value in
+// the last — into the result.
+func (t *recvTask) mergeGroup(group []wire.Slot) {
+	t.result.MergeKV(core.KV{Key: t.key(group), Val: group[len(group)-1].Val}, t.spec.Op)
+}
+
+// combineGroup folds one fetched aggregator — a partial aggregate, so it
+// Combines (Count adds) — into the result.
+func (t *recvTask) combineGroup(group []wire.Slot) {
+	key, val := t.key(group), group[len(group)-1].Val
+	if cur, ok := t.result[key]; ok {
+		val = t.spec.Op.Combine(cur, val)
+	}
+	t.result[key] = val
 }
 
 // onFin records a sender's FIN with its generation; once every sender has
@@ -523,41 +563,34 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 	layout := t.d.layout
 	shortSlots := layout.ShortSlots()
 	m := t.d.cfg.MediumSegs
-	// Entries are partial aggregates, so they Combine (Count adds).
-	partial := make(core.Result)
-	fold := func(key string, val int64) {
-		if cur, ok := partial[key]; ok {
-			val = t.spec.Op.Combine(cur, val)
-		}
-		partial[key] = val
-	}
-	type groupRow struct{ group, row int }
-	groups := make(map[groupRow][]wire.FetchEntry)
+	groupOf := func(e wire.FetchEntry) int { return (e.AA - shortSlots) / m }
+	var medium []wire.FetchEntry
+	var slots [64]wire.Slot // a group is at most NumAAs ≤ 64 slots
+	group := slots[:1]
 	for _, e := range entries {
-		if e.AA < shortSlots {
-			fold(layout.ReconstructShort(e.KPart), e.Val)
+		if e.AA >= shortSlots {
+			medium = append(medium, e)
 			continue
 		}
-		g := (e.AA - shortSlots) / m
-		groups[groupRow{g, e.Row}] = append(groups[groupRow{g, e.Row}], e)
+		group[0] = wire.Slot{KPart: e.KPart, Val: e.Val}
+		t.combineGroup(group)
 	}
-	// Merge groups in a deterministic (group, row) order: for a
-	// non-commutative Op the order in which rows fold into the partial
-	// result is observable, and map iteration order would leak into it.
-	rows := make([]groupRow, 0, len(groups))
-	for gr := range groups {
-		rows = append(rows, gr)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].group != rows[j].group {
-			return rows[i].group < rows[j].group
-		}
-		return rows[i].row < rows[j].row
+	// The members of a medium tuple meet by (group, row), and tuples merge in
+	// that order — a fixed one, whatever order the chunks arrived in. The
+	// sort is stable so that what a forged duplicate member overwrites does
+	// not depend on the sort either.
+	slices.SortStableFunc(medium, func(a, b wire.FetchEntry) int {
+		return cmp.Or(cmp.Compare(groupOf(a), groupOf(b)), cmp.Compare(a.Row, b.Row))
 	})
-	group := make([]wire.Slot, m)
-	for _, gr := range rows {
-		es := groups[gr]
-		if len(es) != m {
+	group = slots[:m]
+	for len(medium) > 0 {
+		g, n := groupOf(medium[0]), 1
+		for n < len(medium) && groupOf(medium[n]) == g && medium[n].Row == medium[0].Row {
+			n++
+		}
+		es := medium[:n]
+		medium = medium[n:]
+		if n != m {
 			// An incomplete medium group is impossible on an honest build:
 			// the switch writes all m members of a group atomically, and the
 			// end-to-end checksum quarantines forged packets before they can
@@ -569,15 +602,13 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 			if t.d.cfg.DisableChecksumVerify {
 				continue
 			}
-			panic(fmt.Sprintf("hostd: medium group %d row %d has %d of %d members", gr.group, gr.row, len(es), m))
+			panic(fmt.Sprintf("hostd: medium group %d row %d has %d of %d members", g, es[0].Row, n, m))
 		}
 		for _, e := range es {
-			group[e.AA-shortSlots-gr.group*m] = wire.Slot{KPart: e.KPart, Val: e.Val}
+			group[e.AA-shortSlots-g*m] = wire.Slot{KPart: e.KPart, Val: e.Val}
 		}
-		kv := t.d.mediumKV(group)
-		fold(kv.Key, kv.Val)
+		t.combineGroup(group)
 	}
-	t.result.Merge(partial, t.spec.Op)
 	t.met.switchEntries.Add(int64(len(entries)))
 	t.d.met.switchTuples.Add(int64(len(entries)))
 }

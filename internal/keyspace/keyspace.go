@@ -221,19 +221,16 @@ func (l *Layout) GroupOfSlot(slot int) (first, segs int) {
 	return l.shortSlots + g*l.cfg.MediumSegs, l.cfg.MediumSegs
 }
 
-// ReconstructShort recovers a short key string from its packed kPart.
-func (l *Layout) ReconstructShort(kpart uint64) string {
-	return string(wire.UnpackKPart(kpart, l.cfg.KPartBytes))
-}
-
-// ReconstructMedium recovers a medium key string from its group's packed
-// kParts (in slot order).
-func (l *Layout) ReconstructMedium(kparts []uint64) string {
-	var b strings.Builder
-	for _, kp := range kparts {
-		b.Write(wire.UnpackKPart(kp, l.cfg.KPartBytes))
+// AppendKey appends to dst the key whose packed segments the slots of group
+// carry, in slot order — the one slot of a short key, or the members of a
+// medium key's coalesced group — and returns the extended buffer. A receiver
+// that merges residue tuple by tuple rebuilds each key in one stack buffer and
+// only materialises a string for a key it has not met.
+func (l *Layout) AppendKey(dst []byte, group []wire.Slot) []byte {
+	for _, s := range group {
+		dst = wire.AppendKPart(dst, s.KPart, l.cfg.KPartBytes)
 	}
-	return b.String()
+	return dst
 }
 
 // LogicalUnits returns the number of logical tuple units a packet can carry:

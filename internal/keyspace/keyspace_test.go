@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 func defaultLayout(t *testing.T) *Layout {
@@ -79,7 +80,7 @@ func TestPlaceMediumGroup(t *testing.T) {
 		t.Fatalf("kparts = %d, want %d", len(p.KParts), cfg.MediumSegs)
 	}
 	// "yours" splits into "your" + "s" (padded).
-	if got := l.ReconstructMedium(p.KParts); got != "yours" {
+	if got := rebuild(l, p.KParts); got != "yours" {
 		t.Fatalf("reconstruct = %q, want %q", got, "yours")
 	}
 }
@@ -113,7 +114,7 @@ func TestReconstructShortRoundtrip(t *testing.T) {
 	l := defaultLayout(t)
 	for _, key := range []string{"a", "ab", "abc", "abcd"} {
 		p := l.Place(key)
-		if got := l.ReconstructShort(p.KParts[0]); got != key {
+		if got := rebuild(l, p.KParts[:1]); got != key {
 			t.Errorf("reconstruct(%q) = %q", key, got)
 		}
 	}
@@ -180,10 +181,10 @@ func TestPlaceQuickProperties(t *testing.T) {
 		case Short:
 			return len(key) <= cfg.KPartBytes &&
 				p.FirstSlot < l.ShortSlots() &&
-				l.ReconstructShort(p.KParts[0]) == key
+				rebuild(l, p.KParts[:1]) == key
 		case Medium:
 			return len(key) > cfg.KPartBytes && len(key) <= cfg.MaxMediumKeyBytes() &&
-				l.ReconstructMedium(p.KParts) == key
+				rebuild(l, p.KParts) == key
 		case Long:
 			return len(key) > cfg.MaxMediumKeyBytes()
 		}
@@ -234,4 +235,14 @@ func TestHashIndependence(t *testing.T) {
 	if frac := float64(same) / float64(n); frac > 0.05 {
 		t.Fatalf("slot/row hash correlation too high: %.3f", frac)
 	}
+}
+
+// rebuild recovers a key from its packed kParts, in slot order, through
+// AppendKey — what a receiver does with the slots of a packet.
+func rebuild(l *Layout, kparts []uint64) string {
+	group := make([]wire.Slot, len(kparts))
+	for i, kp := range kparts {
+		group[i].KPart = kp
+	}
+	return string(l.AppendKey(nil, group))
 }

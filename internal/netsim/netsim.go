@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -53,21 +54,63 @@ type Frame struct {
 	// which may mutate the packet freely and should call Release when no
 	// reference into it survives.
 	Owned bool
+	// pooled marks a frame drawn from the frame free list (NewFrame): only
+	// those are recycled by Release. A frame built as a struct literal stays
+	// with the garbage collector however often it is released or re-sent.
+	pooled bool
+}
+
+// framePool is the frame free list, beside wire's packet free list and under
+// the same rules (wire/pool.go): a frame crosses shard lanes with its packet,
+// hence a sync.Pool, and is zeroed on reuse, so which physical frame carries
+// a packet is unobservable. Internally synchronised, so every shard's
+// handlers may draw from it.
+//
+//askcheck:shared
+var framePool = sync.Pool{New: func() any { return new(Frame) }}
+
+// Sentinels stamped over a recycled frame under wire.SetPoolPoison(true): a
+// stale holder routes to an address no fabric attaches, loudly.
+const (
+	PoisonAddr      core.HostID = 0xEEEE
+	PoisonWireBytes             = -0x0EADBEEF
+)
+
+// NewFrame returns a zeroed frame from the free list — the one acquisition:
+// a daemon's send, a switch's reply and the link's delivery clone draw their
+// frame here and fill it in. Whoever ends up holding the frame hands it back
+// with Release.
+func NewFrame() *Frame {
+	f := framePool.Get().(*Frame)
+	*f = Frame{pooled: true}
+	return f
 }
 
 // Corrupted reports whether the frame was damaged in flight and carries raw
 // bytes instead of a decoded packet.
 func (f *Frame) Corrupted() bool { return f.Raw != nil }
 
-// Release recycles the frame's packet into the wire free list when the
-// caller owns it (see Owned). Receivers call it once they retain no
-// reference into the packet; it is a no-op for frames that are not owned or
-// already released, so calling it defensively is safe.
+// Release is the one line that ends a frame's life: its packet goes back to
+// the wire free list when the caller owns it (see Owned), and the frame itself
+// to the frame free list when it was drawn from there (NewFrame). Receivers
+// call it once they retain no reference into the frame or its packet; the
+// link calls it on a frame it dropped, or cloned instead of delivering. It is
+// a no-op for a struct-literal frame that is not owned or already released, so
+// calling it defensively is safe — and such a frame, with the packet it does
+// not own, can be sent again as often as its builder likes.
 func (f *Frame) Release() {
 	if f.Owned && f.Pkt != nil {
 		f.Pkt.Release()
 		f.Pkt = nil
 	}
+	if !f.pooled {
+		return
+	}
+	*f = Frame{}
+	if wire.PoolPoison() {
+		f.Src, f.Dst, f.WireBytes = PoisonAddr, PoisonAddr, PoisonWireBytes
+	}
+	framePool.Put(f)
 }
 
 // Task returns the task of the frame's packet for trace events, or 0 for a
@@ -376,8 +419,9 @@ func (l *Link) Send(f *Frame) {
 			g = &Frame{Src: f.Src, Dst: f.Dst, WireBytes: f.WireBytes, GoodBytes: f.GoodBytes,
 				Raw: append([]byte(nil), f.Raw...), Owned: true}
 		} else {
-			g = &Frame{Src: f.Src, Dst: f.Dst, WireBytes: f.WireBytes, GoodBytes: f.GoodBytes,
-				Pkt: f.Pkt.ClonePooled(), Owned: true}
+			g = NewFrame()
+			g.Src, g.Dst, g.WireBytes, g.GoodBytes = f.Src, f.Dst, f.WireBytes, f.GoodBytes
+			g.Pkt, g.Owned = f.Pkt.ClonePooled(), true
 		}
 		if l.xroute != nil {
 			l.xroute(g).InjectCall(l.sim, arrive.Add(l.xdelay), l.deliverAny, g)
@@ -386,8 +430,8 @@ func (l *Link) Send(f *Frame) {
 		}
 	}
 	if !handedOff {
-		// Every delivered copy was a clone (or dropped); if the sender
-		// relinquished f, its packet is now unreferenced.
+		// Every delivered copy was a clone (or dropped): a free-list frame is
+		// done, and if the sender relinquished f its packet is unreferenced.
 		f.Release()
 	}
 }

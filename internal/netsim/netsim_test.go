@@ -21,6 +21,15 @@ func (c *collector) HandleFrame(f *Frame) {
 	c.at = append(c.at, c.s.Now())
 }
 
+// releasingHost is a receiver that keeps nothing: every delivered frame goes
+// straight back to the free lists, as hostd and switchd do.
+type releasingHost struct{ got int }
+
+func (h *releasingHost) HandleFrame(f *Frame) {
+	h.got++
+	f.Release()
+}
+
 func testNet(seed int64, cfg LinkConfig, hosts ...core.HostID) (*sim.Simulation, *Network, map[core.HostID]*collector) {
 	s := sim.New(seed)
 	n := New(s, cfg)
@@ -400,5 +409,44 @@ func TestDuplicatedSiblingFramesAreIndependent(t *testing.T) {
 		if !g.Pkt.Bitmap.Test(0) || g.Pkt.Slots[0].Val != 100 || g.Pkt.Slots[1].Val != 200 {
 			t.Fatalf("sibling %d shares slot storage with the mutated copy", i+1)
 		}
+	}
+}
+
+// TestLiteralFrameNeverRecycled: only a frame drawn from the free list goes
+// back to it. A frame built as a struct literal — even an owned one, released
+// twice and sent again, as bench/ and the baselines do with theirs — is never
+// handed out by NewFrame, so its builder can keep using it.
+func TestLiteralFrameNeverRecycled(t *testing.T) {
+	wire.SetPoolPoison(true)
+	defer wire.SetPoolPoison(false)
+	s, n, _ := testNet(1, DefaultLinkConfig())
+	h := &releasingHost{}
+	n.AttachHost(1, h)
+	n.AttachHost(2, h)
+
+	lit := &Frame{Src: 1, Dst: 2, Pkt: wire.NewPacket(), WireBytes: 100, Owned: true}
+	lit.Release()
+	lit.Release()
+	if lit.Pkt != nil || lit.Src != 1 || lit.Dst != 2 || lit.WireBytes != 100 {
+		t.Fatalf("released literal frame = %+v: packet must be gone, the rest intact", lit)
+	}
+	lit.Pkt = wire.NewPacket()
+	n.HostSend(lit) // owned, one copy: handed through to host 2, which releases it
+	s.Run(0)
+	if h.got != 1 || lit.Pkt != nil || lit.Dst != 2 {
+		t.Fatalf("re-sent literal frame: delivered %d, frame %+v", h.got, lit)
+	}
+	for i := 0; i < 64; i++ {
+		if f := NewFrame(); f == lit {
+			t.Fatal("the free list handed out a struct-literal frame")
+		}
+	}
+
+	// A free-list frame does go back, poisoned: a stale holder sees sentinels.
+	f := NewFrame()
+	f.Src, f.Dst, f.WireBytes = 1, 2, 100
+	f.Release()
+	if f.Src != PoisonAddr || f.Dst != PoisonAddr || f.WireBytes != PoisonWireBytes || f.Pkt != nil {
+		t.Fatalf("released free-list frame not poisoned: %+v", f)
 	}
 }

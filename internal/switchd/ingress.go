@@ -86,13 +86,10 @@ func (sw *Switch) quarantine(f *netsim.Frame, why string) {
 // it (steady-state acking cycles a handful of pooled packets).
 func (sw *Switch) reply(f *netsim.Frame, dst core.HostID, pkt *wire.Packet) {
 	sw.stamp(pkt)
-	sw.net.SwitchSend(&netsim.Frame{
-		Src:       f.Dst,
-		Dst:       dst,
-		Pkt:       pkt,
-		WireBytes: pkt.WireBytes(sw.cfg.KPartBytes),
-		Owned:     true,
-	})
+	r := netsim.NewFrame()
+	r.Src, r.Dst, r.Pkt = f.Dst, dst, pkt
+	r.WireBytes, r.Owned = pkt.WireBytes(sw.cfg.KPartBytes), true
+	sw.net.SwitchSend(r)
 }
 
 func (sw *Switch) forward(f *netsim.Frame) {
@@ -260,6 +257,8 @@ func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copy
 	// Medium groups: m adjacent AAs with a unified row index. The value
 	// rides in the last member; earlier members carry (segment, 0).
 	m := sw.cfg.MediumSegs
+	var scratch [64]uint64 // a group is at most NumAAs ≤ 64 slots: stays on the stack
+	kparts := scratch[:m]
 	for g := gLo; g < gHi; g++ {
 		first := shortSlots + g*m
 		if first >= len(pkt.Slots) {
@@ -269,7 +268,6 @@ func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copy
 			continue
 		}
 		ts.tuplesIn.Inc()
-		kparts := make([]uint64, m)
 		for j := 0; j < m; j++ {
 			kparts[j] = pkt.Slots[first+j].KPart
 		}

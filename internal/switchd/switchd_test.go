@@ -129,7 +129,7 @@ func (r *testRig) fetchAll(task core.TaskID) core.Result {
 			for row := lo; row < hi; row++ {
 				cur := r.sw.raAAs[ai].ControlRead(row)
 				if kp := cur >> n; kp != 0 {
-					key := r.layout.ReconstructShort(kp << (64 - n))
+					key := string(r.layout.AppendKey(nil, []wire.Slot{{KPart: kp << (64 - n)}}))
 					res.Merge(core.Result{key: r.sw.decodeVal(cur & r.sw.nMask())}, reg.Op)
 				}
 			}
@@ -138,7 +138,7 @@ func (r *testRig) fetchAll(task core.TaskID) core.Result {
 		for g := 0; g < r.sw.cfg.MediumGroups; g++ {
 			first := shortSlots + g*m
 			for row := lo; row < hi; row++ {
-				kparts := make([]uint64, m)
+				group := make([]wire.Slot, m)
 				blank := false
 				for j := 0; j < m; j++ {
 					cur := r.sw.raAAs[first+j].ControlRead(row)
@@ -147,12 +147,12 @@ func (r *testRig) fetchAll(task core.TaskID) core.Result {
 						blank = true
 						break
 					}
-					kparts[j] = kp << (64 - n)
+					group[j].KPart = kp << (64 - n)
 				}
 				if blank {
 					continue
 				}
-				key := r.layout.ReconstructMedium(kparts)
+				key := string(r.layout.AppendKey(nil, group))
 				last := r.sw.raAAs[first+m-1].ControlRead(row)
 				res.Merge(core.Result{key: r.sw.decodeVal(last & r.sw.nMask())}, reg.Op)
 			}

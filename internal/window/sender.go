@@ -85,9 +85,15 @@ type Sender struct {
 	timeout  time.Duration
 	transmit func(*wire.Packet)
 
-	nextSeq  uint32
-	base     uint32 // lowest unacked sequence
-	inflight map[uint32]*flight
+	nextSeq uint32
+	base    uint32 // lowest unacked sequence
+	// ring holds the flights, slot seq & (w-1): the live sequence numbers
+	// lie in [base, nextSeq), at most W of them, so no two share a slot and a
+	// flight needs neither a map entry nor an allocation of its own. It is
+	// made by the first Send (a sender that never sends pays nothing) and
+	// never moves afterwards: an armed timer carries a pointer to its slot.
+	ring []flight
+	live int // flights in the ring: sent, not yet acknowledged
 
 	spaceSig *sim.Signal // fired when window space opens
 	idleSig  *sim.Signal // fired when nothing is in flight
@@ -110,11 +116,31 @@ type Sender struct {
 	flow string // label for trace events; set by Instrument
 }
 
+// flight is one ring slot. pkt is nil while the slot is free: a stopped timer
+// is dead in the kernel and never reaches its slot again, so a slot is reused
+// by seq+W as soon as seq is retired.
 type flight struct {
 	pkt    *wire.Packet
 	timer  sim.Timer
 	tries  int      // retransmissions so far
 	sentAt sim.Time // first transmission time (RTT sampling)
+}
+
+// slot returns the ring slot of seq.
+func (s *Sender) slot(seq uint32) *flight { return &s.ring[seq&(s.w-1)] }
+
+// retire frees f's slot and returns the packet it carried. With the free
+// lists poisoned (wire.SetPoolPoison) the slot is stamped too, so a timer
+// that did reach a retired slot would report the sentinel sequence number.
+func (s *Sender) retire(f *flight) *wire.Packet {
+	pkt := f.pkt
+	f.timer.Stop()
+	*f = flight{}
+	if wire.PoolPoison() {
+		f.tries = int(wire.PoisonSeq)
+	}
+	s.live--
+	return pkt
 }
 
 // NewSender returns a sender window. transmit is invoked for every
@@ -134,7 +160,6 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 		w:        uint32(w),
 		timeout:  timeout,
 		transmit: transmit,
-		inflight: make(map[uint32]*flight),
 		spaceSig: sim.NewSignal(s),
 		idleSig:  sim.NewSignal(s),
 		met: senderMetrics{
@@ -170,7 +195,7 @@ func (s *Sender) Instrument(sink telemetry.Sink, flow string) {
 		rtt:         sink.Reg.Histogram("window.rtt_ns", l),
 		tries:       sink.Reg.Histogram("window.flight_tries", l),
 	}
-	sink.Reg.GaugeFunc("window.in_flight", func() int64 { return int64(len(s.inflight)) }, l)
+	sink.Reg.GaugeFunc("window.in_flight", func() int64 { return int64(s.live) }, l)
 	s.tr = sink.Tr
 	s.flow = flow
 }
@@ -188,10 +213,10 @@ func (s *Sender) Stats() SenderStats {
 }
 
 // InFlight returns the number of unacknowledged packets.
-func (s *Sender) InFlight() int { return len(s.inflight) }
+func (s *Sender) InFlight() int { return s.live }
 
 // Idle reports whether every sent packet has been acknowledged.
-func (s *Sender) Idle() bool { return len(s.inflight) == 0 }
+func (s *Sender) Idle() bool { return s.live == 0 }
 
 // EnableCongestionControl turns on the AIMD congestion window (§7). Call
 // before the first Send.
@@ -225,11 +250,10 @@ func (s *Sender) fail(err error) {
 	s.err = err
 	s.met.aborts.Inc()
 	s.tr.EmitNote(telemetry.CompWindow, "window_abort", 0, s.flow)
-	// Timer.Stop only marks the event dead; stops of distinct timers
-	// commute, so this iteration's order cannot escape.
-	//askcheck:allow(simdeterminism)
-	for _, f := range s.inflight {
-		f.timer.Stop()
+	// The flights stay in flight (a late ACK still retires them, Reset
+	// abandons them); only their timers stop.
+	for seq := s.base; seq != s.nextSeq; seq++ {
+		s.slot(seq).timer.Stop()
 	}
 	s.spaceSig.Fire()
 	s.idleSig.Fire()
@@ -241,12 +265,11 @@ func (s *Sender) fail(err error) {
 // anyway (reboot) and the flow is about to be replayed out of band; sequence
 // numbers are NOT reused, so receiver-side dedup state stays valid.
 func (s *Sender) Reset() {
-	// Timer stops commute (see fail); iteration order cannot escape.
-	//askcheck:allow(simdeterminism)
-	for _, f := range s.inflight {
-		f.timer.Stop()
+	for seq := s.base; seq != s.nextSeq; seq++ {
+		if f := s.slot(seq); f.pkt != nil {
+			s.retire(f)
+		}
 	}
-	s.inflight = make(map[uint32]*flight)
 	s.base = s.nextSeq
 	s.err = nil
 	s.met.resets.Inc()
@@ -282,10 +305,14 @@ func (s *Sender) Send(pkt *wire.Packet) {
 	if !s.CanSend() {
 		panic(fmt.Sprintf("window: Send with full window (base=%d next=%d)", s.base, s.nextSeq))
 	}
+	if s.ring == nil {
+		s.ring = make([]flight, s.w)
+	}
 	pkt.Seq = s.nextSeq
 	s.nextSeq++
-	f := &flight{pkt: pkt, sentAt: s.sim.Now()}
-	s.inflight[pkt.Seq] = f
+	f := s.slot(pkt.Seq)
+	*f = flight{pkt: pkt, sentAt: s.sim.Now()}
+	s.live++
 	s.met.sent.Inc()
 	s.transmit(pkt)
 	s.arm(f)
@@ -358,23 +385,29 @@ func (s *Sender) onTimeout(arg any) {
 	s.arm(f)
 }
 
-// Ack processes an acknowledgment for seq. Duplicate or unknown ACKs are
-// counted and ignored.
-func (s *Sender) Ack(seq uint32) {
-	f, ok := s.inflight[seq]
-	if !ok {
-		s.met.dupAcks.Inc()
-		return
+// Ack processes an acknowledgment for seq and returns the packet of the
+// flight it retired, which the window no longer references — the caller that
+// drew it from a free list may release it now. Duplicate or unknown ACKs are
+// counted and ignored (nil): a sequence number outside [base, nextSeq) names
+// no live flight even when seq+W has since taken its ring slot.
+func (s *Sender) Ack(seq uint32) *wire.Packet {
+	var f *flight
+	if seq-s.base < s.nextSeq-s.base {
+		f = s.slot(seq)
 	}
-	f.timer.Stop()
-	delete(s.inflight, seq)
+	if f == nil || f.pkt == nil {
+		s.met.dupAcks.Inc()
+		return nil
+	}
+	tries, sentAt := f.tries, f.sentAt
+	pkt := s.retire(f)
 	s.met.acked.Inc()
 	// RTT histogram under Karn's rule: retransmitted flights are ambiguous
 	// (the ACK may answer any copy), so only clean flights are sampled.
-	if f.tries == 0 {
-		s.met.rtt.Record(int64(s.sim.Now() - f.sentAt))
+	if tries == 0 {
+		s.met.rtt.Record(int64(s.sim.Now() - sentAt))
 	}
-	s.met.tries.Record(int64(f.tries))
+	s.met.tries.Record(int64(tries))
 	ccGrew := false
 	if s.cc != nil {
 		before := s.cc.allow()
@@ -383,17 +416,15 @@ func (s *Sender) Ack(seq uint32) {
 	}
 	// Advance the base over the acknowledged prefix.
 	advanced := false
-	for s.base != s.nextSeq {
-		if _, live := s.inflight[s.base]; live {
-			break
-		}
+	for s.base != s.nextSeq && s.slot(s.base).pkt == nil {
 		s.base++
 		advanced = true
 	}
 	if advanced || ccGrew {
 		s.spaceSig.Fire()
 	}
-	if len(s.inflight) == 0 {
+	if s.live == 0 {
 		s.idleSig.Fire()
 	}
+	return pkt
 }

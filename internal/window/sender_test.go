@@ -198,3 +198,96 @@ func TestSenderConstructorValidation(t *testing.T) {
 		}()
 	}
 }
+
+// TestSenderRingWrapAround drives the flight ring three times round under
+// out-of-order ACKs and checks the window against the model the ring replaced
+// — a map of the unacknowledged sequence numbers: same in-flight count, same
+// base (the lowest unacknowledged number, or nextSeq), the acknowledged packet
+// handed back exactly once, after every step.
+func TestSenderRingWrapAround(t *testing.T) {
+	const w = 8
+	s := sim.New(1)
+	snd := NewSender(s, w, 100*time.Microsecond, func(*wire.Packet) {})
+	rng := s.Rand()
+	unacked := map[uint32]*wire.Packet{} // the old map semantics
+	check := func(step string) {
+		t.Helper()
+		base := snd.NextSeq()
+		for seq := range unacked {
+			if SeqLess(seq, base) {
+				base = seq
+			}
+		}
+		if snd.InFlight() != len(unacked) || snd.base != base {
+			t.Fatalf("%s: in flight %d base %d, model %d base %d", step, snd.InFlight(), snd.base, len(unacked), base)
+		}
+		if snd.CanSend() != (snd.NextSeq()-base < w) {
+			t.Fatalf("%s: CanSend %v with span %d of %d", step, snd.CanSend(), snd.NextSeq()-base, w)
+		}
+	}
+	for snd.NextSeq() < 3*w+5 {
+		for snd.CanSend() && rng.Intn(4) != 0 {
+			p := mkPkt()
+			snd.Send(p)
+			unacked[p.Seq] = p
+			check("send")
+		}
+		// Acknowledge a random live flight, not the oldest first.
+		for seq, p := range unacked {
+			if got := snd.Ack(seq); got != p {
+				t.Fatalf("Ack(%d) returned %v, want the flight's packet", seq, got)
+			}
+			delete(unacked, seq)
+			check("ack")
+			if got := snd.Ack(seq); got != nil {
+				t.Fatalf("second Ack(%d) retired %v", seq, got)
+			}
+			break
+		}
+	}
+	for seq := range unacked {
+		snd.Ack(seq)
+	}
+	if !snd.Idle() || snd.base != snd.NextSeq() {
+		t.Fatalf("not idle after every ACK: in flight %d, base %d, next %d", snd.InFlight(), snd.base, snd.NextSeq())
+	}
+	if st := snd.Stats(); st.Acked != st.Sent || st.DupAcks == 0 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSenderLateAckForReusedSlot: a duplicate ACK for seq arriving after
+// seq+W has taken its ring slot is a duplicate — it must not retire the new
+// flight, stop its timer, or move the window.
+func TestSenderLateAckForReusedSlot(t *testing.T) {
+	const w = 4
+	s := sim.New(1)
+	tx := 0
+	snd := NewSender(s, w, 100*time.Microsecond, func(*wire.Packet) { tx++ })
+	for i := 0; i < w; i++ {
+		snd.Send(mkPkt())
+	}
+	for seq := uint32(0); seq < w; seq++ {
+		snd.Ack(seq)
+	}
+	reuse := mkPkt()
+	snd.Send(reuse) // seq W, in seq 0's slot
+	if reuse.Seq != w {
+		t.Fatalf("reused slot carries seq %d, want %d", reuse.Seq, w)
+	}
+	if got := snd.Ack(0); got != nil {
+		t.Fatalf("late ACK for seq 0 retired %v", got)
+	}
+	if st := snd.Stats(); st.DupAcks != 1 || st.Acked != w || snd.InFlight() != 1 {
+		t.Fatalf("after late ACK: stats %+v, in flight %d", st, snd.InFlight())
+	}
+	// The new flight's timer is still armed: it retransmits.
+	before := tx
+	s.Run(sim.Time(150 * time.Microsecond))
+	if tx != before+1 {
+		t.Fatalf("flight in the reused slot retransmitted %d times, want 1", tx-before)
+	}
+	if got := snd.Ack(w); got != reuse {
+		t.Fatalf("Ack(%d) returned %v, want the reused slot's packet", w, got)
+	}
+}

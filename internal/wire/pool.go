@@ -5,29 +5,47 @@ import (
 	"sync/atomic"
 )
 
-// Packet free list.
+// Packet free list — and the rules every free list on the per-packet path
+// follows (frames: netsim.NewFrame / Frame.Release; window flights: a ring in
+// window.Sender, no list at all).
 //
 // The delivery fast path used to deep-copy every frame (Packet struct + slot
 // array) and let the garbage collector reclaim it after the receiver was
-// done — tens of millions of short-lived objects per simulated second. The
-// free list recycles both: NewPacket/ClonePooled draw from a sync.Pool, and
-// receivers call Release at the point where they provably hold the last
-// reference (switchd ingress after consumption, hostd after inline handling
-// or processInbound).
+// done, and the sending side built a packet, a frame and a flight per
+// transmission — tens of millions of short-lived objects per simulated
+// second. Each of those objects is now recycled at the line where its owner
+// already lets go of it:
 //
-// Ownership rules (see also netsim.Frame.Owned and DESIGN.md):
+//   - acquire: NewPacket (blank), NewData (blank, with a pool-owned slot
+//     array: the packetizer's data packets), NewAck, ClonePooled (the link's
+//     delivery clone, a daemon's request copy);
+//   - release: Packet.Release, called by whoever holds the last reference —
+//     switchd ingress after consuming a packet, hostd after inline handling
+//     or processInbound (both through the owned netsim.Frame's Release), the
+//     link on a frame it dropped, and the sending data channel when its
+//     window flight is acknowledged (hostd's dataChannel.acked).
+//
+// Ownership rules (see also netsim.Frame.Owned and DESIGN.md "Performance
+// engineering"):
 //
 //   - Release requires exclusive ownership: no other live reference into the
-//     packet or its Slots array may exist. Window retransmission buffers and
-//     failover history therefore NEVER release — their packets are cloned at
-//     link delivery instead.
-//   - A pooled packet's Slots array is recycled with it (pooledSlots); slot
-//     arrays installed by callers (struct literals, history aliases) are left
-//     to the garbage collector, so releasing a packet can never free memory
-//     the releaser did not allocate through the pool.
+//     packet or its Slots array may exist. A sender keeps its packet for
+//     retransmission while the flight is live — frames carrying it are sent
+//     un-owned and the link clones at delivery, inside Link.Send — so when
+//     the ACK retires the flight nothing else points at the packet. The
+//     exception is failover: a data packet then passes to the task's replay
+//     history and is never released (replays alias its Slots).
+//   - Only what was drawn from a free list goes back to one. A pooled
+//     packet's Slots array is recycled with it (pooledSlots); slot arrays
+//     installed by callers (struct literals, history aliases) are left to
+//     the garbage collector, so releasing a packet can never free memory the
+//     releaser did not allocate through the pool. Frames follow the same rule
+//     as a whole: a struct-literal netsim.Frame is never recycled.
 //   - Long, FetchEntries, and Ctrl are not pooled: Release drops the
 //     references and the GC reclaims them. LongKey strings handed out of a
 //     released packet stay valid (strings are immutable).
+//   - Nothing is filled ahead of use: lists and rings grow on first use, so
+//     an idle deployment costs what it did before.
 //
 // Determinism: pooling cannot perturb simulation results. Every object is
 // field-wise reset on reuse, so model code observes identical values no
@@ -36,15 +54,21 @@ import (
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
 // poolPoison, when set, makes Release stamp recognizable sentinel values
-// over the packet and its pooled slot array before recycling. A reader
+// over the packet and its pooled slot array before recycling (and a released
+// frame and a retired window flight slot likewise). A reader
 // holding a stale reference then sees PoisonType/PoisonKPart instead of
 // plausible data, turning silent use-after-release aliasing into a loud,
 // testable signal. Enabled by tests via SetPoolPoison.
 var poolPoison atomic.Bool
 
 // SetPoolPoison toggles use-after-release poisoning for the process-wide
-// packet free list (debug/test mode; see poolPoison).
+// free lists (debug/test mode; see poolPoison): the packets here, and the
+// frames (netsim.Frame.Release) and retired flight slots (window.Sender.Ack)
+// recycled beside them, which read the switch through PoolPoison.
 func SetPoolPoison(on bool) { poolPoison.Store(on) }
+
+// PoolPoison reports whether use-after-release poisoning is on.
+func PoolPoison() bool { return poolPoison.Load() }
 
 // Sentinel values stamped by Release under SetPoolPoison(true).
 const (
@@ -62,6 +86,25 @@ func NewPacket() *Packet {
 	scratch := p.scratch
 	*p = Packet{}
 	p.scratch = scratch
+	return p
+}
+
+// NewData returns a TypeData packet from the free list with n blank slots
+// owned by the pool: the sender-side acquisition (hostd's packetizer). The
+// sender keeps it for retransmission while its window flight is live — the
+// link clones it at every delivery — and releases it when the flight is
+// acknowledged, unless failover history retains it for replay.
+func NewData(n int) *Packet {
+	p := NewPacket()
+	p.Type = TypeData
+	if cap(p.scratch) >= n {
+		p.Slots = p.scratch[:n]
+		clear(p.Slots)
+	} else {
+		p.Slots = make([]Slot, n)
+	}
+	p.scratch = nil
+	p.pooledSlots = true
 	return p
 }
 
@@ -85,12 +128,12 @@ func (p *Packet) ClonePooled() *Packet {
 	q := packetPool.Get().(*Packet)
 	scratch := q.scratch
 	*q = *p
-	q.scratch = nil
+	q.scratch = scratch // a slot-less clone (long-key, FIN) keeps the stash for the next user
 	q.pooledSlots = false
 	if p.Slots != nil {
 		n := len(p.Slots)
 		if cap(scratch) >= n {
-			q.Slots = scratch[:n]
+			q.Slots, q.scratch = scratch[:n], nil
 		} else {
 			q.Slots = make([]Slot, n)
 		}

@@ -154,21 +154,22 @@ func PackKPart[S ~string | ~[]byte](seg S, n int) uint64 {
 	return v << uint(8*(8-n))
 }
 
-// UnpackKPart reverses PackKPart, trimming the right zero padding. The
-// result is exact for NUL-free keys (keys containing 0x00 take the long-key
-// bypass; see internal/keyspace).
-func UnpackKPart(v uint64, n int) []byte {
-	out := make([]byte, 0, n)
+// AppendKPart reverses PackKPart into caller-provided storage: it appends the
+// n key bytes of v to dst with the right zero padding trimmed and returns the
+// extended buffer, so a receiver reassembling keys per tuple can unpack into
+// one stack buffer instead of allocating per segment. The result is exact for
+// NUL-free keys (keys containing 0x00 take the long-key bypass; see
+// internal/keyspace).
+func AppendKPart(dst []byte, v uint64, n int) []byte {
+	start := len(dst)
 	for i := 0; i < n; i++ {
-		b := byte(v >> uint(8*(7-i)))
-		out = append(out, b)
+		dst = append(dst, byte(v>>uint(8*(7-i))))
 	}
-	// Trim right zero padding.
-	end := len(out)
-	for end > 0 && out[end-1] == 0 {
+	end := len(dst)
+	for end > start && dst[end-1] == 0 {
 		end--
 	}
-	return out[:end:end]
+	return dst[:end]
 }
 
 // LongKV is a variable-length tuple carried by a TypeLongKey packet.
@@ -232,7 +233,8 @@ type Packet struct {
 	// Free-list bookkeeping (pool.go). pooledSlots marks Slots as owned by
 	// the packet free list, so Release recycles the array; slices installed
 	// by callers stay GC-owned. scratch stashes retained slot capacity while
-	// the packet rests in the pool and is nil on live packets.
+	// the packet rests in the pool, and rides along on a live packet that has
+	// no use for it (an ACK, a long-key clone) so that it is not lost.
 	pooledSlots bool
 	scratch     []Slot
 }

@@ -46,7 +46,7 @@ func TestPackUnpackKPart(t *testing.T) {
 	}
 	for _, c := range cases {
 		v := PackKPart([]byte(c.seg), c.n)
-		got := UnpackKPart(v, c.n)
+		got := AppendKPart(nil, v, c.n)
 		if string(got) != c.seg {
 			t.Errorf("roundtrip(%q, n=%d) = %q", c.seg, c.n, got)
 		}
@@ -89,7 +89,7 @@ func TestPackKPartQuick(t *testing.T) {
 			}
 		}
 		v := PackKPart(seg, n)
-		return string(UnpackKPart(v, n)) == string(seg)
+		return string(AppendKPart(nil, v, n)) == string(seg)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)

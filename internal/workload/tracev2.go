@@ -201,10 +201,15 @@ func ReadTrace(r io.Reader) (TraceHeader, []core.TimedKV, error) {
 }
 
 // SplitTimedRoundRobin deals a timed trace to n senders, preserving
-// per-sender order (and therefore per-sender arrival monotonicity).
+// per-sender order (and therefore per-sender arrival monotonicity). Each
+// sender's share is sized once, to the ⌈len/n⌉ it can receive; a sender that
+// receives nothing keeps a nil share.
 func SplitTimedRoundRobin(tkvs []core.TimedKV, n int) [][]core.TimedKV {
 	out := make([][]core.TimedKV, n)
 	for i, tkv := range tkvs {
+		if out[i%n] == nil {
+			out[i%n] = make([]core.TimedKV, 0, (len(tkvs)+n-1)/n)
+		}
 		out[i%n] = append(out[i%n], tkv)
 	}
 	return out

@@ -211,3 +211,32 @@ func BenchmarkReadTimedTrace(b *testing.B) {
 		}
 	}
 }
+
+// TestSplitTimedRoundRobinShares: record i goes to sender i mod n in arrival
+// order, every share that receives anything is sized once to ⌈len/n⌉, and a
+// sender that receives nothing keeps a nil share.
+func TestSplitTimedRoundRobinShares(t *testing.T) {
+	tkvs := make([]core.TimedKV, 7)
+	for i := range tkvs {
+		tkvs[i] = core.TimedKV{KV: core.KV{Key: "k", Val: int64(i)}, At: time.Duration(i)}
+	}
+	parts := SplitTimedRoundRobin(tkvs, 3)
+	for s, part := range parts {
+		if cap(part) != 3 {
+			t.Errorf("sender %d: share capacity %d, want ⌈7/3⌉ = 3", s, cap(part))
+		}
+		for j, tkv := range part {
+			if tkv != tkvs[j*3+s] {
+				t.Errorf("sender %d record %d = %v, want %v", s, j, tkv, tkvs[j*3+s])
+			}
+		}
+	}
+	if got := len(parts[0]) + len(parts[1]) + len(parts[2]); got != len(tkvs) {
+		t.Errorf("shares hold %d records, want %d", got, len(tkvs))
+	}
+	for s, part := range SplitTimedRoundRobin(tkvs[:2], 4) {
+		if (part == nil) != (s >= 2) {
+			t.Errorf("2 records over 4 senders: sender %d share %v", s, part)
+		}
+	}
+}
