@@ -10,7 +10,7 @@
 
 GO ?= go
 
-.PHONY: all vet lint test race soak examples ci
+.PHONY: all vet lint test race soak examples ci lines
 
 all: ci
 
@@ -19,8 +19,8 @@ all: ci
 vet:
 	$(GO) vet ./...
 
-# 2 s. The only run of the static-analysis suite (cmd/askcheck): PISA access
-# legality, sim-clock determinism, metric-name hygiene, packet-pool ownership,
+# 2 s. The only run of the static-analysis suite (cmd/askcheck), five
+# analyzers: PISA access legality, sim-clock determinism, metric-name hygiene,
 # shard safety, error taxonomy — over every package, the analyzers' own
 # included. See DESIGN.md "Static verification".
 lint:
@@ -76,3 +76,10 @@ examples:
 	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 
 ci: vet lint test race soak examples
+
+# Not a check: the north star's "less code" number (ROADMAP "Quality of
+# design") — non-blank, non-comment lines of every non-test, non-testdata .go
+# file outside bench/. `make lines DIR=internal/analysis` counts one directory.
+DIR ?= .
+lines:
+	@find $(DIR) -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './bench/*' -print0 | xargs -0 cat | grep -v '^\s*$$' | grep -v '^\s*//' | wc -l

@@ -67,7 +67,7 @@ type FatTreeOptions struct {
 // NewMultiRackCluster returns the same type configured as §7's TORs under a
 // forwarding core. Renaming it, or folding the rack's Cluster into it, is out
 // of scope here: bench/ compiles against both shells' topology fields
-// (ROADMAP 6(a)).
+// (ROADMAP 8(a)).
 type FatTreeCluster struct {
 	Deployment
 	Net    *netsim.FatTree

@@ -21,9 +21,9 @@ type result struct {
 // analyze expands patterns, loads every matched package, and runs the
 // analyzers over them in directory order.
 //
-// Loading completes before any analyzer runs, so whole-universe analyzers
-// (shardsafety's annotation scan, poolrelease's cross-package facts) see the
-// full load universe no matter which package is analyzed first. Each
+// Loading completes before any analyzer runs, so a whole-universe analyzer
+// (shardsafety's annotation scan and call graph) sees the full load universe
+// no matter which package is analyzed first. Each
 // package's diagnostics are already position-sorted by RunAnalyzers.
 func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer) (*result, error) {
 	dirs, err := framework.ExpandPatterns(cwd, patterns)

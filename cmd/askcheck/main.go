@@ -11,15 +11,14 @@
 // Packages follow go-tool patterns: "./..." (the default) walks every
 // package under the current module, the analyzers' own sources included; a
 // plain path names one directory. All matched packages are loaded before any
-// analyzer runs, giving the interprocedural analyzers the whole load
-// universe. Loading dominates the run (≈ 1.5 s for the repository).
+// analyzer runs, giving shardsafety's call graph the whole load universe.
+// Loading dominates the run (≈ 1.5 s for the repository).
 //
 // Analyzers:
 //
 //	pisaaccess      PISA single-RMW-per-pass and stage-order violations
 //	simdeterminism  wall-clock, global rand, order-leaking map iteration
 //	telemetrynames  metric-name shape + DESIGN.md inventory
-//	poolrelease     packet-pool acquisitions never released, through calls
 //	shardsafety     shard-root state crossing the partition outside mailboxes
 //	errtaxonomy     typed errors matched without errors.Is/As; undocumented
 //	                error-returning APIs in ask/
@@ -39,7 +38,6 @@ import (
 	"repro/internal/analysis/errtaxonomy"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/pisaaccess"
-	"repro/internal/analysis/poolrelease"
 	"repro/internal/analysis/shardsafety"
 	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/telemetrynames"
@@ -49,7 +47,6 @@ var all = []*framework.Analyzer{
 	pisaaccess.Analyzer,
 	simdeterminism.Analyzer,
 	telemetrynames.Analyzer,
-	poolrelease.Analyzer,
 	shardsafety.Analyzer,
 	errtaxonomy.Analyzer,
 }

@@ -1,4 +1,4 @@
-// Call graph construction for the interprocedural engine.
+// The static call graph, the framework's one interprocedural layer.
 //
 // The graph covers every function with a body in the loader's universe —
 // all module-internal packages type-checked so far — and records only
@@ -63,6 +63,20 @@ func (g *CallGraph) Node(fn *types.Func) *CallNode {
 
 // Nodes returns every node in deterministic source order.
 func (g *CallGraph) Nodes() []*CallNode { return g.ordered }
+
+// CallGraph returns the static call graph over every package the loader
+// has type-checked so far (rebuilt lazily when new packages have loaded
+// since the last call). Nil only for passes with no loader.
+func (p *Pass) CallGraph() *CallGraph {
+	l := p.loader()
+	if l == nil {
+		return nil
+	}
+	if l.graph == nil {
+		l.graph = buildCallGraph(l.loadedPackages())
+	}
+	return l.graph
+}
 
 // FuncOf resolves the *types.Func a call expression statically targets, or
 // nil for dynamic calls (interface methods, function values, built-ins,

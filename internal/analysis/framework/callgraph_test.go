@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// engineModule is a two-package sandbox exercising every escape-lattice
-// destination and a cross-package call edge.
+// engineModule is a two-package sandbox with a cross-package call edge and
+// a three-deep call chain.
 var engineModule = map[string]string{
 	"go.mod": sandboxMod,
 	"b/b.go": `package b
@@ -16,27 +16,7 @@ type Box struct{ N int }
 
 var Global *Box
 
-func (x *Box) Reset() { x.N = 0 }
-
 func G(x *Box) { Global = x }
-
-func Ret(x *Box) *Box { return x }
-
-func Send(ch chan *Box, x *Box) { ch <- x }
-
-func Capture(x *Box) func() int { return func() int { return x.N } }
-
-func Store(holder *struct{ P *Box }, x *Box) { holder.P = x }
-
-type I interface{ M(*Box) }
-
-func Dyn(i I, x *Box) { i.M(x) }
-
-func Call(x *Box) { x.Reset() }
-
-func Read(x *Box) int { return x.N }
-
-func Alias(x *Box) { y := x; y.Reset() }
 
 func C1() { C2() }
 func C2() { C3() }
@@ -133,94 +113,6 @@ func TestCallGraphReachableFromStopsAtBoundary(t *testing.T) {
 	}
 	if reach[c3] {
 		t.Error("reachability descended through the stop boundary into C3")
-	}
-}
-
-func TestEscapeLattice(t *testing.T) {
-	_, _, pkgB := loadEngineModule(t)
-	pass := passFor(pkgB, "test")
-	g := pass.CallGraph()
-
-	cases := []struct {
-		fn    string
-		param int
-		want  Flow
-	}{
-		{"G", 0, FlowGlobal},
-		{"Ret", 0, FlowReturn},
-		{"Send", 1, FlowChannel},
-		{"Capture", 0, FlowCaptured},
-		{"Store", 1, FlowHeap},
-		{"Dyn", 1, FlowUnknownCall},
-		{"Read", 0, 0}, // field read is not a flow of the value
-	}
-	for _, c := range cases {
-		fe := pass.EscapeOf(g.Node(funcNamed(t, pkgB, c.fn)))
-		ve := fe.Value(c.param)
-		if ve == nil {
-			t.Fatalf("%s: no summary for param %d", c.fn, c.param)
-		}
-		if ve.Flow != c.want {
-			t.Errorf("%s param %d: Flow = %b, want %b", c.fn, c.param, ve.Flow, c.want)
-		}
-		if c.want != 0 && ve.Sites[c.want] == nil {
-			t.Errorf("%s param %d: no diagnostic site recorded for flow %b", c.fn, c.param, c.want)
-		}
-	}
-}
-
-func TestEscapeMethodAndAlias(t *testing.T) {
-	_, _, pkgB := loadEngineModule(t)
-	pass := passFor(pkgB, "test")
-	g := pass.CallGraph()
-
-	call := pass.EscapeOf(g.Node(funcNamed(t, pkgB, "Call"))).Value(0)
-	if !call.Methods["Reset"] {
-		t.Error("Call: Reset not recorded in Methods")
-	}
-	var edge bool
-	for _, af := range call.Calls {
-		if af.Param == -1 && af.Callee.Name() == "Reset" {
-			edge = true
-		}
-	}
-	if !edge {
-		t.Error("Call: no receiver ArgFlow edge to Reset")
-	}
-
-	alias := pass.EscapeOf(g.Node(funcNamed(t, pkgB, "Alias"))).Value(0)
-	if !alias.Methods["Reset"] {
-		t.Error("Alias: method call through a local alias was not attributed to the original value")
-	}
-}
-
-type testFact struct{ V int }
-
-func (*testFact) AFact() {}
-
-func TestFactsCrossPackageAndNamespaced(t *testing.T) {
-	_, pkgA, pkgB := loadEngineModule(t)
-	target := funcNamed(t, pkgB, "G")
-
-	// Exported while analyzing package a...
-	passA := passFor(pkgA, "alpha")
-	passA.ExportObjectFact(target, &testFact{V: 42})
-
-	// ...visible from a pass over package b under the same analyzer,
-	// because type-checker objects are canonical across the load universe.
-	passB := passFor(pkgB, "alpha")
-	var got testFact
-	if !passB.ImportObjectFact(target, &got) {
-		t.Fatal("fact exported from package a's pass not importable from package b's pass")
-	}
-	if got.V != 42 {
-		t.Errorf("imported fact = %+v, want V=42", got)
-	}
-
-	// Another analyzer must not observe it.
-	passC := passFor(pkgB, "beta")
-	if passC.ImportObjectFact(target, new(testFact)) {
-		t.Error("fact leaked across analyzer namespaces")
 	}
 }
 

@@ -41,14 +41,9 @@ type Analyzer struct {
 	// Doc is the analyzer's documentation (first sentence is the summary).
 	Doc string
 	// Run applies the analyzer to one package and reports diagnostics via
-	// pass.Report. The return value is reserved for inter-analyzer facts
-	// and is currently unused.
+	// pass.Report. The signature is analysis.Analyzer.Run's; the result
+	// value is ignored, there being no Requires/ResultOf here.
 	Run func(pass *Pass) (any, error)
-	// FactTypes declares the Fact types the analyzer exports (one zero
-	// value per type), mirroring analysis.Analyzer.FactTypes. Purely
-	// declarative here — the in-memory store needs no gob registration —
-	// but kept so the analyzers port to go/analysis unchanged.
-	FactTypes []Fact
 }
 
 // Pass carries one type-checked package through an Analyzer's Run,
@@ -76,19 +71,9 @@ func (p *Pass) loader() *Loader {
 	return p.pkg.loader
 }
 
-// engine returns the interprocedural engine shared across the load
-// universe, nil when the pass has no loader.
-func (p *Pass) engine() *engine {
-	l := p.loader()
-	if l == nil {
-		return nil
-	}
-	return l.eng
-}
-
 // Universe returns every package the pass's loader has type-checked so
-// far, in import-path order — the scope the interprocedural engine (call
-// graph, facts) covers. Nil for passes without a loader. Drivers that want
+// far, in import-path order — the scope the call graph covers. Nil for
+// passes without a loader. Drivers that want
 // whole-program context (e.g. shardsafety's annotation scan) must load all
 // packages before running analyzers.
 func (p *Pass) Universe() []*Package {

@@ -23,8 +23,7 @@ type Package struct {
 	Info  *types.Info
 
 	// loader links back to the Loader that produced the package, giving
-	// analyzers access to the interprocedural engine (call graph, escape
-	// summaries, fact store) over the whole load universe.
+	// analyzers the call graph over the whole load universe.
 	loader *Loader
 }
 
@@ -41,11 +40,11 @@ type Loader struct {
 	std  types.ImporterFrom
 	pkgs map[string]*loadEntry
 
-	// gen counts completed loads; the engine uses it to notice a stale call
-	// graph. Loads and passes are single-threaded (the recursive
-	// type-checker is not safe to share).
-	gen int
-	eng *engine
+	// graph is the call graph over everything loaded, built on demand by
+	// Pass.CallGraph and dropped by the next completed load. Loads and
+	// passes are single-threaded (the recursive type-checker is not safe to
+	// share).
+	graph *CallGraph
 }
 
 type loadEntry struct {
@@ -76,7 +75,6 @@ func NewLoader(dir string) (*Loader, error) {
 		ModPath: modPath,
 		std:     std,
 		pkgs:    make(map[string]*loadEntry),
-		eng:     &engine{facts: make(map[factKey]Fact)},
 	}, nil
 }
 
@@ -173,12 +171,12 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	if pkg != nil {
 		pkg.loader = l
 	}
-	l.gen++
+	l.graph = nil
 	return pkg, err
 }
 
 // loadedPackages returns every successfully loaded package, sorted by
-// import path for deterministic engine construction.
+// import path for deterministic call-graph construction.
 func (l *Loader) loadedPackages() []*Package {
 	var out []*Package
 	for _, e := range l.pkgs {

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // TestOneTuplePacketTxAllocs pins the daemon's share of the per-packet path
@@ -65,4 +66,27 @@ func TestOneTuplePacketTxAllocs(t *testing.T) {
 	} else {
 		t.Logf("%.3f heap objects per tuple", perTuple)
 	}
+
+	// The replies HandleFrame handles inline and lets go of on the spot (the
+	// ACKs among them are counted above), each in the form nobody is waiting
+	// for — a late duplicate — so that the daemon's Release of the frame is all
+	// that happens; and, last, any frame at a stalled daemon. Fed as the link
+	// delivers them: a free-list frame owning a pooled packet.
+	inline := func(name string, pkt *wire.Packet) {
+		deliver := func() {
+			f := netsim.NewFrame()
+			f.Src, f.Dst, f.Pkt, f.Owned = 1, 0, pkt.ClonePooled(), true
+			r.daemons[0].HandleFrame(f)
+		}
+		for i := 0; i < 100; i++ {
+			deliver()
+		}
+		if a := testing.AllocsPerRun(200, deliver); a != 0 {
+			t.Errorf("%s frame handled inline allocates %v objects, want 0", name, a)
+		}
+	}
+	inline("fetch reply", &wire.Packet{Type: wire.TypeFetchReply, Seq: 1 << 30})
+	inline("probe reply", &wire.Packet{Type: wire.TypeProbeReply})
+	r.daemons[0].Stall()
+	inline("stalled", &wire.Packet{Type: wire.TypeAck, AckFor: wire.TypeData})
 }

@@ -47,6 +47,15 @@ import (
 //   - Nothing is filled ahead of use: lists and rings grow on first use, so
 //     an idle deployment costs what it did before.
 //
+// What holds the rules is measurement, not a static check. A Release that
+// goes missing is a count: ask's TestAllocGate (heap objects per tuple on the
+// four contract shapes) and the layer pins — TestSenderCycleAllocatesNothing
+// (window), TestHopAllocatesNothing (netsim), TestIngressAllocatesNothing
+// (switchd), TestOneTuplePacketTxAllocs (hostd) — feed free-list frames down
+// the delivered and the dropped paths and fail when a holder stops letting
+// go. A Release that comes too early is a wrong aggregate under
+// SetPoolPoison: ask's TestPoolPoison* run whole tasks that way.
+//
 // Determinism: pooling cannot perturb simulation results. Every object is
 // field-wise reset on reuse, so model code observes identical values no
 // matter which physical allocation the pool hands out; scheduling order
