@@ -4,9 +4,8 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test;
-# last taken when the soak was widened to 200 seeds per kind) stands next to
-# it and sums to 5 min 42 s; no target is a subset of another, and each says
-# why.
+# last taken in PR 25) stands next to it and sums to 5 min 17 s; no target is
+# a subset of another, and each says why.
 
 GO ?= go
 
@@ -26,7 +25,7 @@ vet:
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# 33 s. The whole suite once, in shuffled order (which also catches
+# 29 s. The whole suite once, in shuffled order (which also catches
 # inter-test state dependencies). The only step that runs the experiment
 # registry: internal/experiments' TestQuickGolden runs every quick preset once
 # (≈ 23 s) and requires `askbench -run all -quick -json` to equal
@@ -38,25 +37,25 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# 3 min 17 s. The same suite under the race detector, in source order — what
+# 3 min 13 s. The same suite under the race detector, in source order — what
 # `test` cannot see. The registry run is skipped by build tag here (22
 # single-goroutine simulations: minutes of detector time that race nothing;
 # the sharded lanes and the experiment worker pool keep their raced tests),
 # -short is not used. The timeout is per package and equals go test's
 # default; it is written down so the budget is a reviewed number. The slowest
-# package under the detector is internal/chaos: 91 s inside this target on
-# the 2-vCPU host (ask 67 s, internal/wire 57 s, internal/experiments 6 s —
+# package under the detector is internal/chaos: 93 s inside this target on
+# the 2-vCPU host (internal/wire 73 s, ask 69 s, internal/experiments 6 s —
 # 426 s until PR 17).
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# 1 min 39 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
+# 1 min 23 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
 # kind of randomized fault schedules, each run end-to-end against the analytic
 # ground truth with a continuous per-link corruption baseline — the rack
-# (switch outages, black-holes, loss/corruption bursts, host stalls; 16 s), the
+# (switch outages, black-holes, loss/corruption bursts, host stalls; 13 s), the
 # fat-tree (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md
-# "Fabric soak"; 39 s, plus one seed on four shards), and multi-rack (TOR
-# outages under the forwarding core; 34 s). The tests pin the first seeds of
+# "Fabric soak"; 34 s, plus one seed on four shards), and multi-rack (TOR
+# outages under the forwarding core; 29 s). The tests pin the first seeds of
 # each kind (internal/chaos/testdata/soak.golden) and the seeds that have
 # found bugs; this is the wider seed range, through the asksim command line.
 # A failure prints a shrunken schedule and a reproducer line carrying the
@@ -67,7 +66,7 @@ soak:
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 
-# 10 s. The library surface, run: vet only compiles the programs under
+# 9 s. The library surface, run: vet only compiles the programs under
 # examples/. Every one of them, whatever is added there, is run, and exits
 # non-zero on an error — which for those that carry a reference (an ask.Job in
 # groupby and multirack, a per-window Verify in streaming) includes a wrong

@@ -9,6 +9,8 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hostd"
+	"repro/internal/keyspace"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -89,4 +91,76 @@ func TestOneTuplePacketTxAllocs(t *testing.T) {
 	inline("probe reply", &wire.Packet{Type: wire.TypeProbeReply})
 	r.daemons[0].Stall()
 	inline("stalled", &wire.Packet{Type: wire.TypeAck, AckFor: wire.TypeData})
+}
+
+// TestSwapRoundAllocatesNothing pins the shadow copy's swap → fetch → clear
+// round (§3.4) at zero on a warm daemon. Each run hands the switch a data
+// packet whose three tuples it absorbs into the active copy, and the receiver
+// a residue packet, which at SwapThreshold 1 starts a round on the task's swap
+// process: the swap request and its ACK, a snapshot fetch of the copy just
+// retired, answered in pooled reply chunks and merged into the result, then
+// the clear and its ACK. Both packets arrive as a link delivers them, a
+// free-list frame owning a pooled packet. The keys repeat, so neither the
+// result nor its interned keys grow: what is counted is the round.
+func TestSwapRoundAllocatesNothing(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SwapThreshold = 1
+	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
+	layout, err := keyspace.NewLayout(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h *hostd.RecvHandle
+	r.s.Spawn("driver", func(p *sim.Proc) {
+		var err error
+		if h, err = r.daemons[0].Submit(p, core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum, Rows: 64}); err != nil {
+			t.Error(err)
+		}
+	})
+	r.s.Run(0)
+	if h == nil {
+		t.Fatal("task not submitted")
+	}
+	// data builds a one-value-per-key data packet of the task on flow.
+	data := func(flow core.FlowKey, keys ...string) *wire.Packet {
+		pkt := &wire.Packet{Type: wire.TypeData, Task: 1, Flow: flow, Slots: make([]wire.Slot, cfg.NumAAs)}
+		for _, k := range keys {
+			pl := layout.Place(k)
+			if pl.Class != keyspace.Short || pkt.Bitmap.Test(pl.FirstSlot) {
+				t.Fatalf("key %q: class %v, slot %d taken: pick another", k, pl.Class, pl.FirstSlot)
+			}
+			pkt.Slots[pl.FirstSlot] = wire.Slot{KPart: pl.KParts[0], Val: 1}
+			pkt.Bitmap = pkt.Bitmap.Set(pl.FirstSlot)
+		}
+		return pkt
+	}
+	absorbed := data(core.FlowKey{Host: 1, Channel: 0}, "a", "bb", "ccc")
+	residue := data(core.FlowKey{Host: 1, Channel: 1}, "z")
+	deliver := func(pkt *wire.Packet, to func(*netsim.Frame)) {
+		f := netsim.NewFrame()
+		f.Src, f.Dst, f.WireBytes = 1, 0, pkt.WireBytes(cfg.KPartBytes)
+		f.Pkt, f.Owned = pkt.ClonePooled(), true
+		to(f)
+	}
+	var seq uint32
+	round := func() {
+		absorbed.Seq, residue.Seq = seq, seq
+		seq++
+		deliver(absorbed, r.sw.HandleIngress)
+		deliver(residue, r.daemons[0].HandleFrame)
+		r.s.Run(0)
+	}
+	const warm, runs = 100, 200
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if a := testing.AllocsPerRun(runs, round); a != 0 {
+		t.Errorf("swap round allocates %v objects, want 0", a)
+	}
+	const each = warm + runs + 1 // AllocsPerRun adds one warm-up run
+	st, sw := h.Stats(), r.sw.Stats()
+	if st.Swaps != each || st.SwitchEntries != 3*each || st.ResidueTuples != each || sw.Fetches != each || sw.Clears != each {
+		t.Errorf("swaps %d, entries merged %d, residue tuples %d, fetches %d, clears %d; want %d rounds of 3 entries and 1 residue tuple",
+			st.Swaps, st.SwitchEntries, st.ResidueTuples, sw.Fetches, sw.Clears, each)
+	}
 }

@@ -116,6 +116,7 @@ type Daemon struct {
 	tenantCh map[core.TenantID]chRange
 
 	fetchReqs map[uint32]*fetchReq
+	fetchFree []*fetchReq
 	nextFetch uint32
 
 	// Telemetry (metrics.go): instruments live on reg; met caches the
@@ -281,9 +282,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		if fr := d.fetchReqs[pkt.Seq]; fr != nil {
 			fr.addChunk(pkt)
 		}
-		// addChunk keeps only pkt.FetchEntries, which is GC-owned (the pool
-		// recycles the Packet struct and its Slots array, never the entries).
-		f.Release()
+		f.Release() // addChunk copied the entries out
 	case wire.TypeCtrl:
 		d.ctrlCh.rx.push(f) // released by the ctrl rx process after processing
 	case wire.TypeProbeReply:

@@ -56,9 +56,6 @@ type packetizer struct {
 // tuples may be held before a packet is emitted with blank slots.
 const bufferPerUnit = 256
 
-// maxLongPerPacket keeps long-key packets within the MTU for typical keys.
-const maxLongPerPacket = 32
-
 func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
 	n := uint(8 * layout.Config().KPartBytes)
 	return &packetizer{
@@ -99,7 +96,7 @@ func (pz *packetizer) pull() {
 		if kv.Val < pz.valLo || kv.Val > pz.valHi {
 			// Value exceeds the aggregator vPart: host-side path.
 			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
-			if pz.longQ.len() >= maxLongPerPacket {
+			if pz.longQ.len() >= wire.MaxLongPerPacket {
 				return
 			}
 			continue
@@ -113,7 +110,7 @@ func (pz *packetizer) pull() {
 			unit = shortSlots + (firstSlot-shortSlots)/pz.layout.Config().MediumSegs
 		default:
 			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
-			if pz.longQ.len() >= maxLongPerPacket {
+			if pz.longQ.len() >= wire.MaxLongPerPacket {
 				return
 			}
 			continue
@@ -139,10 +136,8 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	// Long-key packets flush when saturated, at EOF before final data
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
-	if pz.longQ.len() >= maxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && pz.longQ.len() > 0) {
-		pkt := wire.NewPacket()
-		pkt.Type = wire.TypeLongKey
-		pkt.Long = make([]wire.LongKV, min(pz.longQ.len(), maxLongPerPacket))
+	if pz.longQ.len() >= wire.MaxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && pz.longQ.len() > 0) {
+		pkt := wire.NewLong(min(pz.longQ.len(), wire.MaxLongPerPacket))
 		for i := range pkt.Long {
 			pkt.Long[i] = pz.longQ.pop()
 		}

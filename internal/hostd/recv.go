@@ -64,11 +64,14 @@ type recvTask struct {
 
 	pktsSinceSwap int
 	swapping      bool
-	swapDone      *sim.Signal
-	swapAckSig    *sim.Signal
-	lastSwapAck   uint32
-	swapSeqNum    uint32
-	activeCopy    int
+	// swapSig wakes the task's swap process (swapLoop) for the next round;
+	// nil until the first swap starts it.
+	swapSig     *sim.Signal
+	swapDone    *sim.Signal
+	swapAckSig  *sim.Signal
+	lastSwapAck uint32
+	swapSeqNum  uint32
+	activeCopy  int
 
 	noRegion bool
 	// regionEpoch is the switch incarnation under which the task's region
@@ -85,6 +88,12 @@ type recvTask struct {
 	tearingDown bool
 	completed   bool
 	done        *sim.Signal
+
+	// fetched is the scratch the swap rounds and the teardown read their
+	// snapshots into (fetchEntries) and mergeEntries consumes. The two never
+	// overlap: teardown waits out a running swap, and no swap starts once it
+	// has begun.
+	fetched []wire.FetchEntry
 
 	met recvMetrics
 	// degraded is how long the task ran host-only after a region
@@ -472,9 +481,12 @@ func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.Fetch
 	if t.d.cfg.ShadowCopy {
 		copies = 2
 	}
+	all = t.fetched[:0]
 	for pi, point := range points {
 		for c := 0; c < copies; c++ {
-			entries := t.d.fetchEntries(p, t.spec.ID, c, false, point)
+			n := len(all)
+			all = t.d.fetchEntries(p, all, t.spec.ID, c, false, point)
+			t.fetched = all
 			if t.d.epoch != e {
 				return nil, false
 			}
@@ -484,10 +496,9 @@ func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.Fetch
 			// like an overfull group. Row is only a grouping key host-side, so
 			// offsetting per point keeps the spaces apart; point 0 stays
 			// untouched (identical to the single-switch path).
-			for i := range entries {
-				entries[i].Row += pi * fetchRowStride
+			for i := n; i < len(all); i++ {
+				all[i].Row += pi * fetchRowStride
 			}
-			all = append(all, entries...)
 		}
 	}
 	return all, true
@@ -512,7 +523,23 @@ func (t *recvTask) maybeSwap() {
 	t.swapping = true
 	t.pktsSinceSwap = 0
 	t.d.met.swapsTriggered.Inc()
-	t.d.sim.Spawn(fmt.Sprintf("swap-task%d", t.spec.ID), t.runSwap)
+	if t.swapSig == nil {
+		t.swapSig = sim.NewSignal(t.d.sim)
+		t.d.sim.Spawn(fmt.Sprintf("swap-task%d", t.spec.ID), t.swapLoop)
+		return
+	}
+	t.swapSig.Fire()
+}
+
+// swapLoop is the task's swap process, started by its first swap: one round
+// per wake-up. Waking it schedules one event at the current instant, exactly
+// as spawning a process per round did, so the event order is unchanged. It
+// stays parked once the task is torn down, until Simulation.Close.
+func (t *recvTask) swapLoop(p *sim.Proc) {
+	for {
+		t.runSwap(p)
+		p.Wait(t.swapSig)
+	}
 }
 
 // runSwap executes one swap: notify the switch (exactly-once via the swap
@@ -522,7 +549,7 @@ func (t *recvTask) runSwap(p *sim.Proc) {
 	t.swapSeqNum++
 	seq := t.swapSeqNum
 	old := t.activeCopy
-	pkt := &wire.Packet{
+	pkt := wire.Packet{
 		Type: wire.TypeSwap,
 		Task: t.spec.ID,
 		Flow: core.FlowKey{Host: t.d.host, Channel: t.d.ctrlCh.flow.Channel},
@@ -532,14 +559,14 @@ func (t *recvTask) runSwap(p *sim.Proc) {
 	// fat-tree) swaps that switch by address; the legacy path stays
 	// self-addressed and is consumed by the switch on the path.
 	dst := t.aggPoints()[0]
-	t.d.request(p, dst, pkt, t.swapAckSig, t.d.cfg.RetransmitTimeout, func() bool {
+	t.d.request(p, dst, &pkt, t.swapAckSig, t.d.cfg.RetransmitTimeout, func() bool {
 		return !window.SeqLess(t.lastSwapAck, seq)
 	})
 	t.activeCopy ^= 1
-	entries := t.d.fetchEntries(p, t.spec.ID, old, true, dst)
-	t.mergeEntries(p, entries)
+	t.fetched = t.d.fetchEntries(p, t.fetched[:0], t.spec.ID, old, true, dst)
+	t.mergeEntries(p, t.fetched)
 	t.met.swaps.Inc()
-	t.d.tr.Emit(telemetry.CompHostd, "swap_complete", int64(t.spec.ID), int64(seq), int64(len(entries)))
+	t.d.tr.Emit(telemetry.CompHostd, "swap_complete", int64(t.spec.ID), int64(seq), int64(len(t.fetched)))
 	t.swapping = false
 	t.swapDone.Fire()
 }
@@ -554,7 +581,8 @@ func (t *recvTask) onSwapAck(seq uint32) {
 
 // mergeEntries folds fetched aggregator entries into the task result,
 // reconstructing short keys directly and medium keys from their coalesced
-// group members.
+// group members. It consumes entries: the medium ones are gathered and sorted
+// at its front.
 func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 	if len(entries) == 0 {
 		return
@@ -564,7 +592,7 @@ func (t *recvTask) mergeEntries(p *sim.Proc, entries []wire.FetchEntry) {
 	shortSlots := layout.ShortSlots()
 	m := t.d.cfg.MediumSegs
 	groupOf := func(e wire.FetchEntry) int { return (e.AA - shortSlots) / m }
-	var medium []wire.FetchEntry
+	medium := entries[:0]   // behind the range below: it only overwrites entries already read
 	var slots [64]wire.Slot // a group is at most NumAAs ≤ 64 slots
 	group := slots[:1]
 	for _, e := range entries {
@@ -622,20 +650,37 @@ const fetchRetry = 500 * time.Microsecond
 // to exceed any region's CopyRows.
 const fetchRowStride = 1 << 20
 
-// fetchReq tracks one in-flight fetch (or clear) request.
+// fetchReq tracks one in-flight fetch (or clear) request. Requests come from
+// the daemon's free list (newFetchReq), chunk buffers and signal included.
 type fetchReq struct {
-	id       uint32
-	clear    bool
-	chunks   map[uint16][]wire.FetchEntry
+	id    uint32
+	clear bool
+	// chunks[c] is reply chunk c, copied out of its packet; got counts the
+	// distinct chunks in.
+	chunks   []fetchChunk
+	got      int
 	total    int
 	cleared  bool
 	progress *sim.Signal
 }
 
+type fetchChunk struct {
+	in      bool
+	entries []wire.FetchEntry
+}
+
+// addChunk copies a reply chunk in — the frame is released on return — and
+// keeps the first copy of each.
 func (fr *fetchReq) addChunk(pkt *wire.Packet) {
 	fr.total = int(pkt.FetchChunks)
-	if _, dup := fr.chunks[pkt.FetchChunk]; !dup {
-		fr.chunks[pkt.FetchChunk] = pkt.FetchEntries
+	c := int(pkt.FetchChunk)
+	if c >= len(fr.chunks) {
+		fr.chunks = append(fr.chunks, make([]fetchChunk, c+1-len(fr.chunks))...)
+	}
+	if ch := &fr.chunks[c]; !ch.in {
+		ch.in = true
+		ch.entries = append(ch.entries, pkt.FetchEntries...)
+		fr.got++
 	}
 	fr.progress.Fire()
 }
@@ -649,7 +694,7 @@ func (fr *fetchReq) answered() bool {
 	if fr.clear {
 		return fr.cleared
 	}
-	return fr.total >= 0 && len(fr.chunks) >= fr.total
+	return fr.total >= 0 && fr.got >= fr.total
 }
 
 // request is the one reliable exchange with an aggregation point, used by
@@ -671,34 +716,54 @@ func (d *Daemon) request(p *sim.Proc, dst core.HostID, req *wire.Packet, sig *si
 // fetch issues one fetch or clear of a task's region copy at dst under a
 // fresh request id and blocks until it is answered. Ids are strictly
 // increasing per daemon, which is what makes a clear exactly-once at the
-// switch (clear_seq).
+// switch (clear_seq). The caller hands the answered request back to
+// d.fetchFree once it has read the chunks.
 func (d *Daemon) fetch(p *sim.Proc, dst core.HostID, task core.TaskID, copy int, clear bool) *fetchReq {
-	d.nextFetch++
-	fr := &fetchReq{id: d.nextFetch, clear: clear, chunks: make(map[uint16][]wire.FetchEntry), total: -1, progress: sim.NewSignal(d.sim)}
+	fr := d.newFetchReq(clear)
 	d.fetchReqs[fr.id] = fr
-	d.request(p, dst, &wire.Packet{
+	req := wire.Packet{
 		Type:       wire.TypeFetch,
 		Task:       task,
 		Flow:       core.FlowKey{Host: d.host, Channel: d.ctrlCh.flow.Channel},
 		Seq:        fr.id,
 		FetchCopy:  copy,
 		FetchClear: clear,
-	}, fr.progress, fetchRetry, fr.answered)
+	}
+	d.request(p, dst, &req, fr.progress, fetchRetry, fr.answered)
 	delete(d.fetchReqs, fr.id)
 	return fr
 }
 
+// newFetchReq draws a blank request under the next id from the daemon's free
+// list. A request goes back on it answered, and an answer fires its signal —
+// which empties the signal's waiters — so a reused signal wakes nobody left
+// over from an earlier request.
+func (d *Daemon) newFetchReq(clear bool) *fetchReq {
+	var fr *fetchReq
+	if n := len(d.fetchFree); n > 0 {
+		fr, d.fetchFree = d.fetchFree[n-1], d.fetchFree[:n-1]
+	} else {
+		fr = &fetchReq{progress: sim.NewSignal(d.sim)}
+	}
+	d.nextFetch++
+	fr.id, fr.clear, fr.got, fr.total, fr.cleared = d.nextFetch, clear, 0, -1, false
+	for i := range fr.chunks {
+		fr.chunks[i].in, fr.chunks[i].entries = false, fr.chunks[i].entries[:0]
+	}
+	return fr
+}
+
 // fetchEntries reliably reads one copy of a task's region (§3.4 Read) at
-// aggregation point dst: an idempotent snapshot fetch, followed (optionally)
-// by an idempotent clear.
-func (d *Daemon) fetchEntries(p *sim.Proc, task core.TaskID, copy int, clear bool, dst core.HostID) []wire.FetchEntry {
+// aggregation point dst, appending the snapshot to buf: an idempotent
+// snapshot fetch, followed (optionally) by an idempotent clear.
+func (d *Daemon) fetchEntries(p *sim.Proc, buf []wire.FetchEntry, task core.TaskID, copy int, clear bool, dst core.HostID) []wire.FetchEntry {
 	fr := d.fetch(p, dst, task, copy, false)
-	var entries []wire.FetchEntry
-	for c := 0; c < fr.total; c++ {
-		entries = append(entries, fr.chunks[uint16(c)]...)
+	for c := 0; c < fr.total && c < len(fr.chunks); c++ {
+		buf = append(buf, fr.chunks[c].entries...)
 	}
+	d.fetchFree = append(d.fetchFree, fr)
 	if clear {
-		d.fetch(p, dst, task, copy, true)
+		d.fetchFree = append(d.fetchFree, d.fetch(p, dst, task, copy, true))
 	}
-	return entries
+	return buf
 }

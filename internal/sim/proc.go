@@ -28,6 +28,8 @@ type Proc struct {
 	// caching the bound method avoids materializing a fresh method value —
 	// one heap allocation — per block.
 	dispatchFn func()
+	// timedWaits is WaitTimeout's free list of wait records.
+	timedWaits []*timedWait
 }
 
 // procClosed is the panic value park raises to unwind a body on Close. It
@@ -152,26 +154,48 @@ func (p *Proc) Wait(sg *Signal) {
 // reporting whether the signal fired first. Exactly one waker dispatches
 // the process; the loser becomes a no-op.
 func (p *Proc) WaitTimeout(sg *Signal, d time.Duration) (fired bool) {
-	done := false
-	var tm Timer
-	sg.subscribeFrom(p.sim, func() {
-		if done {
-			return
-		}
-		done = true
-		fired = true
-		tm.Stop()
-		p.dispatch()
-	})
-	tm = p.sim.After(d, func() {
-		if done {
-			return
-		}
-		done = true
-		p.dispatch()
-	})
+	var w *timedWait
+	if n := len(p.timedWaits); n > 0 {
+		w, p.timedWaits = p.timedWaits[n-1], p.timedWaits[:n-1]
+	} else {
+		w = &timedWait{p: p}
+		w.onFireFn, w.onTimeoutFn = w.onFire, w.onTimeout
+	}
+	w.done, w.fired = false, false
+	sg.subscribeFrom(p.sim, w.onFireFn)
+	w.tm = p.sim.After(d, w.onTimeoutFn)
 	p.park()
-	return fired
+	return w.fired
+}
+
+// timedWait is one WaitTimeout call: two wakers, the signal's subscription
+// and the timer, of which the first dispatches the process and the other
+// becomes a no-op. Its callbacks are bound once per record, and a record is
+// reused once its subscription has run — by then the timer has fired or been
+// stopped — so a process that waits with a timeout again and again allocates
+// nothing after its first waits. A timed-out wait's record stays with the
+// signal until that fires.
+type timedWait struct {
+	p                     *Proc
+	tm                    Timer
+	done, fired           bool
+	onFireFn, onTimeoutFn func()
+}
+
+func (w *timedWait) onFire() {
+	if !w.done {
+		w.done, w.fired = true, true
+		w.tm.Stop()
+		w.p.dispatch()
+	}
+	w.p.timedWaits = append(w.p.timedWaits, w)
+}
+
+func (w *timedWait) onTimeout() {
+	if !w.done {
+		w.done = true
+		w.p.dispatch()
+	}
 }
 
 // waiter is one pending wake-up: the callback plus the simulation whose

@@ -6,9 +6,6 @@ import (
 	"repro/internal/wire"
 )
 
-// maxFetchEntriesPerReply keeps each fetch-reply packet within the MTU.
-const maxFetchEntriesPerReply = (wire.MTU - wire.HeaderBytes - 4) / (1 + 4 + 8 + 8)
-
 // processFetch serves the receiver's read of one shadow copy of a task's
 // region (§3.4 Read(), and task teardown §3.1 step ⑨).
 //
@@ -63,7 +60,7 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 
 	sw.met.fetches.Inc()
 	n := uint(8 * sw.cfg.KPartBytes)
-	var entries []wire.FetchEntry
+	entries := sw.fetchBuf[:0]
 	for ai, aa := range sw.raAAs {
 		for row := lo; row < hi; row++ {
 			cur := aa.ControlRead(row)
@@ -80,32 +77,16 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 		}
 	}
 	sw.sendFetchReplies(f, pkt, entries)
+	sw.fetchBuf = entries[:0]
 }
 
 // sendFetchReplies streams the snapshot back in MTU-sized chunks. An empty
 // snapshot still produces one (empty) reply so the receiver can finish.
 func (sw *Switch) sendFetchReplies(f *netsim.Frame, req *wire.Packet, entries []wire.FetchEntry) {
-	chunks := (len(entries) + maxFetchEntriesPerReply - 1) / maxFetchEntriesPerReply
-	if chunks == 0 {
-		chunks = 1
-	}
+	chunks := max(1, (len(entries)+wire.MaxFetchEntriesPerReply-1)/wire.MaxFetchEntriesPerReply)
 	for c := 0; c < chunks; c++ {
-		lo := c * maxFetchEntriesPerReply
-		hi := lo + maxFetchEntriesPerReply
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		// The receiving host keeps only the FetchEntries (addChunk), which
-		// the packet pool never recycles.
-		sw.reply(f, f.Src, &wire.Packet{
-			Type:         wire.TypeFetchReply,
-			Task:         req.Task,
-			Flow:         req.Flow,
-			Seq:          req.Seq, // echo the request id
-			FetchCopy:    req.FetchCopy,
-			FetchChunk:   uint16(c),
-			FetchChunks:  uint16(chunks),
-			FetchEntries: append([]wire.FetchEntry(nil), entries[lo:hi]...),
-		})
+		lo := c * wire.MaxFetchEntriesPerReply
+		hi := min(lo+wire.MaxFetchEntriesPerReply, len(entries))
+		sw.reply(f, f.Src, wire.NewFetchReply(req, c, chunks, entries[lo:hi]))
 	}
 }

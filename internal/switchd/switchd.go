@@ -112,6 +112,11 @@ type Switch struct {
 	// the soak harness's deliberately-broken-build hook.
 	codec wire.Codec
 
+	// fetchBuf is processFetch's snapshot scratch, reused by every fetch: the
+	// replies carry copies (wire.NewFetchReply), so nothing points into it
+	// once processFetch returns.
+	fetchBuf []wire.FetchEntry
+
 	// Failure model (failover.go): incarnation epoch stamped on non-data
 	// egress packets, and the crashed flag that black-holes all traffic.
 	epoch uint32

@@ -178,6 +178,16 @@ type LongKV struct {
 	Val int64
 }
 
+// MaxLongPerPacket keeps long-key packets within the MTU for typical keys: the
+// packetizer cuts a packet at this many tuples, and NewLong's pooled arrays
+// hold this many.
+const MaxLongPerPacket = 32
+
+// MaxFetchEntriesPerReply keeps each fetch-reply packet within the MTU: the
+// switch cuts a snapshot into chunks of this many entries, and
+// NewFetchReply's pooled arrays hold this many.
+const MaxFetchEntriesPerReply = (MTU - HeaderBytes - 4) / fetchEntryWireBytes
+
 // FetchEntry is one aggregator read out by a fetch.
 type FetchEntry struct {
 	AA    int    // aggregator array index
@@ -230,12 +240,17 @@ type Packet struct {
 	// charged CtrlBytes on the wire).
 	Ctrl any
 
-	// Free-list bookkeeping (pool.go). pooledSlots marks Slots as owned by
-	// the packet free list, so Release recycles the array; slices installed
-	// by callers stay GC-owned. scratch stashes retained slot capacity while
-	// the packet rests in the pool, and rides along on a live packet that has
-	// no use for it (an ACK, a long-key clone) so that it is not lost.
+	// Free-list bookkeeping (pool.go). pooledSlots, pooledLong and pooledFetch
+	// mark Slots, Long and FetchEntries as owned by the free lists, so Release
+	// recycles the array; slices installed by callers or decoded by the codec
+	// stay GC-owned. scratch stashes retained slot capacity while the packet
+	// rests in the pool, and rides along on a live packet that has no use for
+	// it (an ACK, a long-key clone) so that it is not lost. The three flags
+	// sit in the padding before scratch: Packet stays in its 176-byte size
+	// class (TestPacketSizeClass).
 	pooledSlots bool
+	pooledLong  bool
+	pooledFetch bool
 	scratch     []Slot
 }
 
@@ -306,7 +321,7 @@ func (p *Packet) String() string {
 // callers that keep the copy indefinitely (retransmission buffers, tests).
 func (p *Packet) Clone() *Packet {
 	q := *p
-	q.pooledSlots = false
+	q.pooledSlots, q.pooledLong, q.pooledFetch = false, false, false
 	q.scratch = nil
 	if p.Slots != nil {
 		q.Slots = append([]Slot(nil), p.Slots...)
