@@ -18,10 +18,12 @@ all: ci
 vet:
 	$(GO) vet ./...
 
-# 2 s. The only run of the static-analysis suite (cmd/askcheck), five
-# analyzers: PISA access legality, sim-clock determinism, metric-name hygiene,
-# shard safety, error taxonomy — over every package, the analyzers' own
-# included. See DESIGN.md "Static verification".
+# 2 s (1.5–1.9 s over three runs, re-timed in PR 27). The only run of the
+# static-analysis suite (cmd/askcheck), four analyzers: sim-clock
+# determinism, the metric inventory, shard safety, error taxonomy — over
+# every package, the analyzers' own included. PISA access legality is not
+# among them: internal/pisa panics on it, and `test` trips every access.
+# See DESIGN.md "Static verification".
 lint:
 	$(GO) run ./cmd/askcheck ./...
 

@@ -16,9 +16,8 @@
 //
 // Analyzers:
 //
-//	pisaaccess      PISA single-RMW-per-pass and stage-order violations
 //	simdeterminism  wall-clock, global rand, order-leaking map iteration
-//	telemetrynames  metric-name shape + DESIGN.md inventory
+//	telemetrynames  registered metrics documented in DESIGN.md's inventory
 //	shardsafety     shard-root state crossing the partition outside mailboxes
 //	errtaxonomy     typed errors matched without errors.Is/As; undocumented
 //	                error-returning APIs in ask/
@@ -37,14 +36,12 @@ import (
 
 	"repro/internal/analysis/errtaxonomy"
 	"repro/internal/analysis/framework"
-	"repro/internal/analysis/pisaaccess"
 	"repro/internal/analysis/shardsafety"
 	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/telemetrynames"
 )
 
 var all = []*framework.Analyzer{
-	pisaaccess.Analyzer,
 	simdeterminism.Analyzer,
 	telemetrynames.Analyzer,
 	shardsafety.Analyzer,
@@ -53,7 +50,6 @@ var all = []*framework.Analyzer{
 
 func main() {
 	runList := flag.String("run", "", "comma-separated analyzer names to run (default: all)")
-	list := flag.Bool("list", false, "list analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: askcheck [-run name,name] [packages]\n\nanalyzers:\n")
 		for _, a := range all {
@@ -61,13 +57,6 @@ func main() {
 		}
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range all {
-			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	analyzers, err := selectAnalyzers(*runList)
 	if err != nil {

@@ -1,6 +1,5 @@
-// Package agreement is the shardsafety agreement corpus (ISSUE 8, in the
-// style of pisaaccess's ISSUE-3 agreement test): the SAME construct — an
-// event handler mutating its neighbour shard through the shared grid —
+// Package agreement is the shardsafety agreement corpus: the SAME
+// construct — an event handler mutating its neighbour shard through the shared grid —
 // must be flagged statically by the analyzer (the want comment below) and
 // dynamically by the race detector when two shards' handlers run
 // concurrently (TestAgreementRace runs Race under `go run -race`).

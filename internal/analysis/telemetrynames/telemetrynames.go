@@ -1,13 +1,15 @@
 // Package telemetrynames defines an analyzer enforcing the repository's
-// metric-name hygiene, replacing the standalone cmd/telemetrylint binary:
+// metric inventory, replacing the standalone cmd/telemetrylint binary:
+// every metric registered via telemetry.Registry.Counter / Gauge /
+// Histogram / GaugeFunc with a literal name is documented in DESIGN.md's
+// metric inventory (a `name` code span inside the "## Observability"
+// section).
 //
-//  1. every metric registered via telemetry.Registry.Counter / Gauge /
-//     Histogram / GaugeFunc with a literal name matches the canonical
-//     component.snake_case shape (two or more dot-separated lowercase
-//     segments), and
-//  2. every registered metric is documented in DESIGN.md's metric
-//     inventory (a `name` code span inside the "## Observability"
-//     section).
+// The name's component.snake_case shape is not checked here: the registry
+// panics on a malformed name at registration, and every constructor
+// registers its metrics, so tier-1 trips it. Only well-shaped names count
+// as inventory entries, so a malformed literal is also reported as
+// undocumented.
 //
 // Unlike the old binary, registrar calls are resolved through the type
 // checker — only methods on repro/internal/telemetry.Registry count, so an
@@ -35,14 +37,13 @@ import (
 // Analyzer is the telemetrynames analyzer.
 var Analyzer = &framework.Analyzer{
 	Name: "telemetrynames",
-	Doc:  "enforce component.snake_case metric names documented in DESIGN.md's Observability section",
+	Doc:  "every registered metric is documented in DESIGN.md's Observability section",
 	Run:  run,
 }
 
 const telemetryPath = "repro/internal/telemetry"
 
 var (
-	nameRE      = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$`)
 	registrars  = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "GaugeFunc": true}
 	docMetricRE = regexp.MustCompile("`([a-z][a-z0-9_]*(?:\\.[a-z][a-z0-9_]*)+)`")
 )
@@ -87,8 +88,6 @@ func run(pass *framework.Pass) (any, error) {
 	docs, docErr := documented(pass.Dir)
 	for _, s := range sites {
 		switch {
-		case !nameRE.MatchString(s.name):
-			pass.Reportf(s.pos, "metric %q is not component.snake_case (want at least two dot-separated lowercase segments)", s.name)
 		case docErr != nil:
 			pass.Reportf(s.pos, "metric %q cannot be checked against the inventory: %v", s.name, docErr)
 		case !docs[s.name]:

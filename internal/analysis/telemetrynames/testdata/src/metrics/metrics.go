@@ -5,13 +5,13 @@ package metrics
 import "repro/internal/telemetry"
 
 func register(reg *telemetry.Registry) {
-	reg.Counter("demo.frames_total")       // documented: fine
-	reg.Gauge("demo.queue_depth")          // documented: fine
-	reg.Histogram("demo.latency_ns")       // documented: fine
-	reg.Counter("BadName")                 // want `telemetrynames: metric "BadName" is not component\.snake_case`
-	reg.Counter("demo.not_in_design")      // want `telemetrynames: metric "demo\.not_in_design" is not documented in DESIGN\.md`
-	reg.Counter("demo.after_section")      // want `telemetrynames: metric "demo\.after_section" is not documented in DESIGN\.md`
-	reg.GaugeFunc("demo.Mixed_Case", nil)  // want `telemetrynames: metric "demo\.Mixed_Case" is not component\.snake_case`
+	reg.Counter("demo.frames_total")      // documented: fine
+	reg.Gauge("demo.queue_depth")         // documented: fine
+	reg.Histogram("demo.latency_ns")      // documented: fine
+	reg.Counter("BadName")                // want `telemetrynames: metric "BadName" is not documented in DESIGN\.md`
+	reg.Counter("demo.not_in_design")     // want `telemetrynames: metric "demo\.not_in_design" is not documented in DESIGN\.md`
+	reg.Counter("demo.after_section")     // want `telemetrynames: metric "demo\.after_section" is not documented in DESIGN\.md`
+	reg.GaugeFunc("demo.Mixed_Case", nil) // want `telemetrynames: metric "demo\.Mixed_Case" is not documented in DESIGN\.md`
 	//askcheck:allow(telemetrynames)
 	reg.Counter("demo.suppressed_metric") // suppressed by the escape hatch
 

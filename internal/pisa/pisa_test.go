@@ -102,6 +102,48 @@ func TestStageOrderEnforced(t *testing.T) {
 	early.RMW(ps, 0, func(cur uint64) (uint64, uint64) { return cur, cur })
 }
 
+// twoStageProgram is the smallest switch program that can break either
+// PISA rule: one array in stage 0, one in stage 1.
+func twoStageProgram() (low, high *RegisterArray, ps *Pass) {
+	p := NewPipeline(Config{Stages: 2, MaxArraysPerStage: 4, SRAMPerStageBytes: 1 << 20})
+	low = p.MustAddArray(0, "low", 8, 32)
+	high = p.MustAddArray(1, "high", 8, 32)
+	return low, high, p.Begin()
+}
+
+func keep(cur uint64) (uint64, uint64) { return cur, cur }
+
+// expectPanic runs f and fails unless it panics with a string holding want.
+func expectPanic(t *testing.T, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatalf("no panic; want one containing %q", want)
+		}
+		if msg, ok := r.(string); !ok || !strings.Contains(msg, want) {
+			t.Fatalf("unexpected panic %v; want one containing %q", r, want)
+		}
+	}()
+	f()
+}
+
+// TestDoubleAccessPanics: a second RMW on one array in one pass (§2.2.1,
+// §3.2) trips the single-access panic, message and all.
+func TestDoubleAccessPanics(t *testing.T) {
+	low, _, ps := twoStageProgram()
+	low.RMW(ps, 0, keep)
+	expectPanic(t, "accessed twice in one pass", func() { low.RMW(ps, 1, keep) })
+}
+
+// TestStageBackwardsPanics: visiting stage 0 after stage 1 in one pass
+// trips the stage-order panic, message and all.
+func TestStageBackwardsPanics(t *testing.T) {
+	low, high, ps := twoStageProgram()
+	high.RMW(ps, 0, keep)
+	expectPanic(t, "moved backwards", func() { low.RMW(ps, 0, keep) })
+}
+
 func TestSameStageMultipleArrays(t *testing.T) {
 	// Distinct arrays in one stage may each be accessed once in a pass.
 	p := NewPipeline(DefaultConfig())

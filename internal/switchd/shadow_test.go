@@ -2,6 +2,7 @@ package switchd
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -317,5 +318,42 @@ func TestDuplicatedClearCannotWipeLiveCopy(t *testing.T) {
 	r.sim.Run(0)
 	if got := r.fetchAll(7); got["live"] != 0 {
 		t.Fatalf("fresh clear did not apply: %v", got)
+	}
+
+	// The passes above drove a fresh swap, a fresh and a stale clear and a
+	// fresh data packet. The rest of the program's passes — a repeated swap,
+	// a packet live in every slot, its duplicate, and a stale packet — leave
+	// no register array unaccessed: internal/pisa's single-access and
+	// stage-order panics guard only the accesses a test runs.
+	r.sendSwap(7, 2)
+	full := &wire.Packet{Type: wire.TypeData, Task: 7, Flow: core.FlowKey{Host: 1, Channel: 0},
+		Slots: make([]wire.Slot, r.sw.cfg.NumAAs)}
+	for i := range full.Slots {
+		full.Slots[i] = wire.Slot{KPart: uint64(i+1) << 32, Val: 1}
+		full.Bitmap = full.Bitmap.Set(i)
+	}
+	r.send(full)
+	r.resend(full.Clone())
+	ahead := r.packetize(7, []core.KV{{Key: "live", Val: 1}})
+	ahead.Seq = full.Seq + uint32(r.sw.cfg.Window)
+	r.resend(ahead)
+	late := r.packetize(7, []core.KV{{Key: "live", Val: 1}})
+	late.Seq = full.Seq
+	r.resend(late)
+	if st := r.sw.Stats(); st.Swaps != 2 || st.DupPackets != 1 || st.StaleDropped != 1 {
+		t.Fatalf("swaps/dups/stale = %d/%d/%d, want 2/1/1", st.Swaps, st.DupPackets, st.StaleDropped)
+	}
+	arrays := 0
+	for name, n := range r.sw.Registry().GaugeValues() {
+		if strings.HasPrefix(name, "pisa.array_accesses{") {
+			arrays++
+			if n == 0 {
+				t.Errorf("%s = 0: no pass of this test reaches the array", name)
+			}
+		}
+	}
+	// max_seq, swap_seq, clear_seq, copy_indicator, seen, pkt_state, the AAs.
+	if want := 6 + r.sw.cfg.NumAAs; arrays != want {
+		t.Fatalf("%d pisa.array_accesses gauges, want one per register array (%d)", arrays, want)
 	}
 }

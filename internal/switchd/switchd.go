@@ -89,16 +89,17 @@ type Switch struct {
 	opts   Options
 	pipe   *pisa.Pipeline
 
-	// Register arrays (data-plane state).
-	// The askcheck:stage annotations mirror layoutPipeline and feed the
-	// pisaaccess analyzer's static stage-order check; keep both in sync.
-	raMaxSeq   *pisa.RegisterArray   // per flow: 32-bit max_seq (askcheck:stage=0)
-	raSwapSeq  *pisa.RegisterArray   // per region: 32-bit swap sequence (askcheck:stage=0)
-	raClearSeq *pisa.RegisterArray   // per region: 32-bit clear sequence (askcheck:stage=0)
-	raCopyInd  *pisa.RegisterArray   // per region: 1-bit copy indicator (askcheck:stage=1)
-	raSeen     *pisa.RegisterArray   // per flow × W: compact or seq-tagged seen (askcheck:stage=1)
-	raPktState *pisa.RegisterArray   // per flow × W: NumAAs-bit bitmap (askcheck:stage=2+)
-	raAAs      []*pisa.RegisterArray // four per stage from stage 2 (askcheck:stage=2+)
+	// Register arrays (data-plane state). layoutPipeline is the one place
+	// that decides each array's stage; the stages below are its layout, in
+	// words. internal/pisa panics on a pass that accesses an array twice or
+	// visits an earlier stage after a later one.
+	raMaxSeq   *pisa.RegisterArray   // per flow: 32-bit max_seq (stage 0)
+	raSwapSeq  *pisa.RegisterArray   // per region: 32-bit swap sequence (stage 0)
+	raClearSeq *pisa.RegisterArray   // per region: 32-bit clear sequence (stage 0)
+	raCopyInd  *pisa.RegisterArray   // per region: 1-bit copy indicator (stage 1)
+	raSeen     *pisa.RegisterArray   // per flow × W: compact or seq-tagged seen (stage 1)
+	raPktState *pisa.RegisterArray   // per flow × W: NumAAs-bit bitmap (the stage after the last AA)
+	raAAs      []*pisa.RegisterArray // four per stage from stage 2
 
 	// Control-plane state (match-action table contents, not SRAM registers).
 	flows      map[core.FlowKey]int

@@ -1,6 +1,7 @@
 package switchd
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -98,6 +99,26 @@ func (r *testRig) resend(pkt *wire.Packet) {
 	})
 	r.sim.Run(0)
 }
+
+// sameSlotKeys returns two distinct keys from keyf(0), keyf(1), ... that the
+// layout places in the same slot (short keys) or slot group (medium keys), so
+// that on a one-row region the second conflicts with the first.
+func (r *testRig) sameSlotKeys(keyf func(int) string) (string, string) {
+	r.t.Helper()
+	bySlot := make(map[int]string)
+	for i := 0; i < 1000; i++ {
+		k := keyf(i)
+		slot := r.layout.Place(k).FirstSlot
+		if prev, ok := bySlot[slot]; ok {
+			return prev, k
+		}
+		bySlot[slot] = k
+	}
+	r.t.Fatal("no two keys share a slot")
+	return "", ""
+}
+
+func shortKey(i int) string { return fmt.Sprint("k", i) }
 
 func smallConfig() core.Config {
 	cfg := core.DefaultConfig()
@@ -237,19 +258,7 @@ func TestConflictForwardsResidue(t *testing.T) {
 	cfg.ShadowCopy = false
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1) // one row per AA: same-slot distinct keys must collide
-	// Find two short keys in the same slot.
-	var k1, k2 string
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l"}
-	for _, a := range keys {
-		for _, b := range keys {
-			if a != b && r.layout.Place(a).FirstSlot == r.layout.Place(b).FirstSlot {
-				k1, k2 = a, b
-			}
-		}
-	}
-	if k1 == "" {
-		t.Skip("no same-slot key pair found")
-	}
+	k1, k2 := r.sameSlotKeys(shortKey)
 	r.send(r.packetize(7, []core.KV{{Key: k1, Val: 1}}))
 	r.at1, r.at2 = nil, nil
 	pkt := r.packetize(7, []core.KV{{Key: k2, Val: 9}})
@@ -304,23 +313,10 @@ func TestRetransmitPartialRestoresBitmap(t *testing.T) {
 	cfg.ShadowCopy = false
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1)
-	var k1, k2, other string
-	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l", "m", "n"}
-	for _, a := range keys {
-		for _, b := range keys {
-			if a != b && r.layout.Place(a).FirstSlot == r.layout.Place(b).FirstSlot {
-				k1, k2 = a, b
-			}
-		}
-	}
-	for _, c := range keys {
-		if c != k1 && c != k2 && r.layout.Place(c).FirstSlot != r.layout.Place(k1).FirstSlot {
-			other = c
-			break
-		}
-	}
-	if k1 == "" || other == "" {
-		t.Skip("needed key pattern not found")
+	k1, k2 := r.sameSlotKeys(shortKey)
+	other := shortKey(0)
+	for i := 1; r.layout.Place(other).FirstSlot == r.layout.Place(k1).FirstSlot; i++ {
+		other = shortKey(i)
 	}
 	r.send(r.packetize(7, []core.KV{{Key: k1, Val: 1}}))
 	// Packet with one aggregatable tuple (other) and one conflicting (k2).
@@ -331,8 +327,10 @@ func TestRetransmitPartialRestoresBitmap(t *testing.T) {
 	if len(r.at2) != 1 || r.at2[0].Pkt.LiveTuples() != 1 {
 		t.Fatalf("first pass: receiver frames %+v", r.at2)
 	}
-	// Retransmit the ORIGINAL (both bits set): switch must restore the
-	// post-aggregation bitmap, not re-aggregate.
+	// Retransmit the ORIGINAL (both bits set) under the sequence number send
+	// gave it: switch must restore the post-aggregation bitmap, not
+	// re-aggregate.
+	orig.Seq = pkt.Seq
 	r.at2 = nil
 	r.resend(orig)
 	if len(r.at2) != 1 {
@@ -361,17 +359,13 @@ func TestMediumKeyAggregation(t *testing.T) {
 }
 
 func TestMediumKeySharedPrefixNoFalseMatch(t *testing.T) {
-	// "yourself" must not be absorbed by "yoursabc"'s aggregators even
-	// though both share the first segment "your" (§3.2.3).
+	// A medium key must not be absorbed by another's aggregators in the same
+	// slot group even though both share the first segment "your" (§3.2.3).
 	cfg := smallConfig()
 	cfg.ShadowCopy = false
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1) // force same row for everything
-	a, b := "yoursabc", "yourself"
-	if r.layout.Place(a).FirstSlot != r.layout.Place(b).FirstSlot {
-		// Find another pair in the same group.
-		t.Skipf("keys map to different groups; adjust test keys")
-	}
+	a, b := r.sameSlotKeys(func(i int) string { return fmt.Sprintf("your%04d", i) })
 	r.send(r.packetize(7, []core.KV{{Key: a, Val: 1}}))
 	r.at2 = nil
 	r.send(r.packetize(7, []core.KV{{Key: b, Val: 100}}))

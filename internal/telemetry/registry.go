@@ -26,7 +26,7 @@ var (
 )
 
 // ValidName reports whether name matches the component.snake_case
-// convention enforced by Registry (and by cmd/telemetrylint).
+// convention Registry enforces at registration.
 func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // fullName renders name{k1="v1",k2="v2"} with label keys sorted, the
