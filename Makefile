@@ -3,9 +3,9 @@
 #
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
-# measured for each target (warm build cache, nothing cached by go test;
-# last taken in PR 25) stands next to it and sums to 5 min 17 s; no target is
-# a subset of another, and each says why.
+# measured for each target (warm build cache, nothing cached by go test)
+# stands next to it and sums to 5 min 16 s; no target is a subset of another,
+# and each says why.
 
 GO ?= go
 
@@ -27,15 +27,16 @@ vet:
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# 29 s. The whole suite once, in shuffled order (which also catches
-# inter-test state dependencies). The only step that runs the experiment
-# registry: internal/experiments' TestQuickGolden runs every quick preset once
-# (≈ 23 s) and requires `askbench -run all -quick -json` to equal
+# 27 s (25–31 s over three runs). The whole suite once, in shuffled order (which
+# also catches inter-test state dependencies). The only step that runs the
+# experiment registry: internal/experiments' TestQuickGolden runs every quick
+# preset once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
 # internal/experiments/testdata/quick.json byte for byte; the shape tests
 # judge the committed tables, the scenario corpus round trip (ask's
-# TestScenarioCorpus*, scenario's TestCorpusDeterminism/TestTraceRoundTripCorpus)
-# is part of it. After an intended table change regenerate the file with the
-# command the failure prints and review the diff.
+# TestScenarioCorpus*, scenario's
+# TestCorpusDeterminism/TestTraceRoundTripCorpus) is part of it. After an
+# intended table change regenerate the file with the command the failure
+# prints and review the diff.
 test:
 	$(GO) test -shuffle=on ./...
 
@@ -68,11 +69,11 @@ soak:
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 
-# 9 s. The library surface, run: vet only compiles the programs under
-# examples/. Every one of them, whatever is added there, is run, and exits
-# non-zero on an error — which for those that carry a reference (an ask.Job in
-# groupby and multirack, a per-window Verify in streaming) includes a wrong
-# aggregate: a *core.MismatchError.
+# 10 s (9.0–10.2 s over three runs). The library surface, run: vet only compiles
+# the programs under examples/. Every one of them, whatever is added there, is
+# run, and exits non-zero on an error — which for those that run an ask.Job
+# (quickstart, streaming with one per window, groupby, multirack) includes a
+# wrong aggregate: the *core.MismatchError from Run.
 examples:
 	for e in examples/*/; do $(GO) run ./$$e > /dev/null || exit 1; done
 

@@ -30,14 +30,10 @@ type allocShape struct {
 
 const allocSeed = 1
 
-// materialised is a sender's input generated before the measured span, as
-// bench/ does: the deployment only ever sees a slice stream, so generating
-// the keys is not counted against the per-packet path.
-type materialised []core.KV
-
-func (m materialised) Stream() core.Stream { return core.SliceStream(m) }
-
-func materialise(spec workload.Spec) materialised { return core.Collect(spec.Stream()) }
+// materialise generates a sender's input before the measured span, as bench/
+// does: the deployment only ever sees a slice stream, so generating the keys
+// is not counted against the per-packet path.
+func materialise(spec workload.Spec) kvs { return core.Collect(spec.Stream()) }
 
 func allocStreamSeed(task, sender int) int64 { return allocSeed<<20 + int64(task)<<10 + int64(sender) }
 

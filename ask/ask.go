@@ -28,8 +28,8 @@
 // reliability, shadow-copy hot-key prioritization, FIN-driven teardown, and
 // the switch-state fetch/merge — returning the exact aggregation of all
 // streams. Start, Sim.Run and Job.Result are its three steps for callers that
-// run the clock themselves; Aggregate and StartTask take bare streams without
-// a reference. A stream is a sequence of arrivals on the sim clock
+// run the clock themselves (a task that runs past a deadline, tasks started
+// at different instants). A stream is a sequence of arrivals on the sim clock
 // (core.TimedStream); a plain core.Stream is the same thing with every
 // arrival at offset zero, and takes the same path. Everything executes on
 // deterministic virtual time, so results and performance measurements are
@@ -72,8 +72,8 @@ type Options struct {
 }
 
 // Cluster is a simulated rack running the ASK service: the Deployment over a
-// one-switch fabric. The core supplies the task API (Run, StartTask,
-// Aggregate, ...), the accessors, and the promoted fields Sim (the
+// one-switch fabric. The core supplies the task API (Run, Start), the
+// accessors, and the promoted fields Sim (the
 // simulation) and Tel (the telemetry set, nil when disabled).
 type Cluster struct {
 	Deployment

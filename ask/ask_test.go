@@ -3,11 +3,13 @@ package ask
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 )
 
 // genStream builds a deterministic random stream: keys drawn from a pool of
@@ -32,40 +34,47 @@ func genStream(seed int64, n, distinct int) []core.KV {
 	return kvs
 }
 
+// kvs is one sender's stream as a slice, the source Job.Send takes.
+type kvs []core.KV
+
+func (s kvs) Stream() core.Stream { return core.SliceStream(s) }
+
+// jobOf is the Job for spec in which each of spec's senders streams its slice
+// of perSender.
+func jobOf(spec core.TaskSpec, perSender map[core.HostID][]core.KV) *Job {
+	j := NewJob(spec)
+	j.Spec.Senders = nil
+	for _, h := range spec.Senders {
+		j.Send(h, kvs(perSender[h]))
+	}
+	return j
+}
+
+// runJob runs j alone on d and fails the test on any error, a result that
+// differs from the job's reference included.
+func runJob(t *testing.T, d *Deployment, j *Job) *TaskResult {
+	t.Helper()
+	results, err := d.Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
+}
+
+// run builds a rack and runs spec on it to an exact result.
 func run(t *testing.T, opts Options, spec core.TaskSpec, perSender map[core.HostID][]core.KV) *TaskResult {
 	t.Helper()
 	cl, err := NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := make(map[core.HostID]core.Stream, len(perSender))
-	for h, kvs := range perSender {
-		streams[h] = core.SliceStream(kvs)
-	}
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-func checkExact(t *testing.T, res *TaskResult, op core.Op, perSender map[core.HostID][]core.KV) {
-	t.Helper()
-	var all [][]core.KV
-	for _, kvs := range perSender {
-		all = append(all, kvs)
-	}
-	want := core.Reference(op, all...)
-	if !res.Result.Equal(want) {
-		t.Fatalf("aggregation incorrect: %s", res.Result.Diff(want, 8))
-	}
+	return runJob(t, &cl.Deployment, jobOf(spec, perSender))
 }
 
 func TestSingleSenderExact(t *testing.T) {
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 	data := map[core.HostID][]core.KV{1: genStream(1, 20000, 500)}
 	res := run(t, Options{Hosts: 2, Seed: 1}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	if res.Switch.TuplesAggregated == 0 {
 		t.Fatal("switch aggregated nothing")
 	}
@@ -81,8 +90,7 @@ func TestMultiSenderExact(t *testing.T) {
 		2: genStream(2, 8000, 300),
 		3: genStream(3, 8000, 300),
 	}
-	res := run(t, Options{Hosts: 4, Seed: 2}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 4, Seed: 2}, spec, data)
 }
 
 func TestColocatedSenderReceiver(t *testing.T) {
@@ -93,8 +101,7 @@ func TestColocatedSenderReceiver(t *testing.T) {
 		0: genStream(4, 5000, 200),
 		1: genStream(5, 5000, 200),
 	}
-	res := run(t, Options{Hosts: 2, Seed: 3}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 2, Seed: 3}, spec, data)
 }
 
 func TestExactUnderLoss(t *testing.T) {
@@ -105,8 +112,7 @@ func TestExactUnderLoss(t *testing.T) {
 		1: genStream(6, 6000, 250),
 		2: genStream(7, 6000, 250),
 	}
-	res := run(t, Options{Hosts: 3, Seed: 4, Link: link}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 3, Seed: 4, Link: link}, spec, data)
 }
 
 func TestExactUnderLossDupReorder(t *testing.T) {
@@ -120,8 +126,7 @@ func TestExactUnderLossDupReorder(t *testing.T) {
 		1: genStream(8, 5000, 200),
 		2: genStream(9, 5000, 200),
 	}
-	res := run(t, Options{Hosts: 3, Seed: 5, Link: link}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 3, Seed: 5, Link: link}, spec, data)
 }
 
 func TestExactUnderHeavyLossManySeeds(t *testing.T) {
@@ -136,8 +141,7 @@ func TestExactUnderHeavyLossManySeeds(t *testing.T) {
 		link.Fault.ReorderDelay = 50 * time.Microsecond
 		spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 		data := map[core.HostID][]core.KV{1: genStream(100+seed, 3000, 150)}
-		res := run(t, Options{Hosts: 2, Seed: seed, Link: link}, spec, data)
-		checkExact(t, res, core.OpSum, data)
+		run(t, Options{Hosts: 2, Seed: seed, Link: link}, spec, data)
 	}
 }
 
@@ -147,8 +151,7 @@ func TestShadowCopyDisabledStillExact(t *testing.T) {
 	cfg.SwapThreshold = 0
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 	data := map[core.HostID][]core.KV{1: genStream(10, 10000, 400)}
-	res := run(t, Options{Hosts: 2, Seed: 6, Config: cfg}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 2, Seed: 6, Config: cfg}, spec, data)
 }
 
 func TestSwapsHappenAndStayExact(t *testing.T) {
@@ -158,7 +161,6 @@ func TestSwapsHappenAndStayExact(t *testing.T) {
 	// Many distinct keys + tiny region: constant conflicts → many swaps.
 	data := map[core.HostID][]core.KV{1: genStream(11, 20000, 5000)}
 	res := run(t, Options{Hosts: 2, Seed: 7, Config: cfg}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	if res.Recv.Swaps == 0 {
 		t.Fatal("no swaps occurred despite aggressive threshold")
 	}
@@ -175,7 +177,6 @@ func TestSwapsUnderLossStayExact(t *testing.T) {
 		2: genStream(13, 8000, 3000),
 	}
 	res := run(t, Options{Hosts: 3, Seed: 8, Config: cfg, Link: link}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	if res.Recv.Swaps == 0 {
 		t.Fatal("expected swaps")
 	}
@@ -187,7 +188,6 @@ func TestTinyRegionExact(t *testing.T) {
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Rows: 2}
 	data := map[core.HostID][]core.KV{1: genStream(14, 5000, 1000)}
 	res := run(t, Options{Hosts: 2, Seed: 9}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	if res.Recv.ResidueTuples == 0 {
 		t.Fatal("expected host-side residue with a tiny region")
 	}
@@ -198,7 +198,6 @@ func TestTransportOnlyTask(t *testing.T) {
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Rows: -1}
 	data := map[core.HostID][]core.KV{1: genStream(15, 5000, 200)}
 	res := run(t, Options{Hosts: 2, Seed: 10}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	if res.Switch.TuplesAggregated != 0 {
 		t.Fatal("transport-only task used switch aggregators")
 	}
@@ -214,8 +213,7 @@ func TestAllOperators(t *testing.T) {
 			1: genStream(20, 4000, 150),
 			2: genStream(21, 4000, 150),
 		}
-		res := run(t, Options{Hosts: 3, Seed: 11}, spec, data)
-		checkExact(t, res, op, data)
+		run(t, Options{Hosts: 3, Seed: 11}, spec, data)
 	}
 }
 
@@ -232,32 +230,89 @@ func TestSequentialTasksReuseChannels(t *testing.T) {
 			1: genStream(int64(30+i), 3000, 100),
 			2: genStream(int64(40+i), 3000, 100),
 		}
-		streams := map[core.HostID]core.Stream{
-			1: core.SliceStream(data[1]),
-			2: core.SliceStream(data[2]),
-		}
-		res, err := cl.Aggregate(spec, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkExact(t, res, core.OpSum, data)
+		runJob(t, &cl.Deployment, jobOf(spec, data))
 	}
 }
 
 func TestDeterministicRuns(t *testing.T) {
-	make_ := func() *TaskResult {
-		link := netsim.DefaultLinkConfig()
-		link.Fault.LossProb = 0.02
-		spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
-		data := map[core.HostID][]core.KV{1: genStream(60, 4000, 200)}
-		return run(t, Options{Hosts: 2, Seed: 42, Link: link}, spec, data)
-	}
-	a, b := make_(), make_()
-	if a.Elapsed != b.Elapsed {
-		t.Fatalf("non-deterministic elapsed: %v vs %v", a.Elapsed, b.Elapsed)
-	}
-	if !a.Result.Equal(b.Result) {
-		t.Fatal("non-deterministic result")
+	t.Run("lossy", func(t *testing.T) {
+		make_ := func() *TaskResult {
+			link := netsim.DefaultLinkConfig()
+			link.Fault.LossProb = 0.02
+			spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
+			data := map[core.HostID][]core.KV{1: genStream(60, 4000, 200)}
+			return run(t, Options{Hosts: 2, Seed: 42, Link: link}, spec, data)
+		}
+		a, b := make_(), make_()
+		if a.Elapsed != b.Elapsed {
+			t.Fatalf("non-deterministic elapsed: %v vs %v", a.Elapsed, b.Elapsed)
+		}
+		if !a.Result.Equal(b.Result) {
+			t.Fatal("non-deterministic result")
+		}
+	})
+	// A switch outage while six tasks stream into host 0: at the reboot the
+	// receiver's daemon re-allocates regions for several unfinished tasks,
+	// and each sender channel replays the history of several, so the order
+	// of both recoveries reaches the event sequence.
+	for _, channels := range []int{4, 1} {
+		t.Run(fmt.Sprintf("recovery/channels=%d", channels), func(t *testing.T) {
+			make_ := func() (sim.Stats, []sim.Time) {
+				cfg := core.DefaultConfig()
+				cfg.Failover, cfg.ShadowCopy, cfg.DataChannels = true, false, channels
+				cl, err := NewCluster(Options{Hosts: 4, Seed: 61, Config: cfg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer cl.Sim.Close()
+				jobs := make([]*Job, 6)
+				for i := range jobs {
+					jobs[i] = NewJob(core.TaskSpec{ID: core.TaskID(i + 1), Receiver: 0, Op: core.OpSum, Rows: 2048})
+					for h := core.HostID(1); h <= 3; h++ {
+						jobs[i].Send(h, kvs(genStream(int64(10*i)+int64(h), 4000, 300)))
+					}
+				}
+				cl.Sim.After(300*time.Microsecond, func() {
+					if err := cl.CrashSwitch(TheSwitch); err != nil {
+						t.Error(err)
+					}
+				})
+				cl.Sim.After(500*time.Microsecond, func() {
+					if err := cl.RebootSwitch(TheSwitch); err != nil {
+						t.Error(err)
+					}
+				})
+				results, err := cl.Run(jobs...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				elapsed := make([]sim.Time, len(results))
+				unfinished := 0
+				for i, res := range results {
+					elapsed[i] = res.Elapsed
+					if res.Elapsed > sim.Time(500*time.Microsecond) {
+						unfinished++
+					}
+				}
+				if unfinished < 2 || cl.Daemon(0).FailoverStats().EpochChanges == 0 {
+					t.Fatalf("%d tasks unfinished at the reboot, host 0 saw %d: the outage missed the tasks",
+						unfinished, cl.Daemon(0).FailoverStats().EpochChanges)
+				}
+				return cl.Sim.Stats(), elapsed
+			}
+			// A map-order leak changes the run only when the two iteration
+			// orders differ, so compare several runs against the first.
+			statsA, elapsedA := make_()
+			for range 4 {
+				statsB, elapsedB := make_()
+				if statsA != statsB {
+					t.Fatalf("non-deterministic event kernel: %+v vs %+v", statsA, statsB)
+				}
+				if !slices.Equal(elapsedA, elapsedB) {
+					t.Fatalf("non-deterministic task times: %v vs %v", elapsedA, elapsedB)
+				}
+			}
+		})
 	}
 }
 
@@ -271,8 +326,7 @@ func TestLargeValuesBypassSwitch(t *testing.T) {
 	}
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 	data := map[core.HostID][]core.KV{1: kvs}
-	res := run(t, Options{Hosts: 2, Seed: 14}, spec, data)
-	checkExact(t, res, core.OpSum, data)
+	run(t, Options{Hosts: 2, Seed: 14}, spec, data)
 }
 
 func TestEmptyStream(t *testing.T) {
@@ -290,7 +344,6 @@ func TestSwitchAbsorbsMostTraffic(t *testing.T) {
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 	data := map[core.HostID][]core.KV{1: genStream(70, 20000, 64)}
 	res := run(t, Options{Hosts: 2, Seed: 16}, spec, data)
-	checkExact(t, res, core.OpSum, data)
 	// A third of keys are long (bypass); of switch-eligible tuples, nearly
 	// all must aggregate.
 	if ratio := res.Switch.AggregatedTupleRatio(); ratio < 0.95 {
@@ -321,16 +374,10 @@ func TestTaskChurnLeavesNoLeaks(t *testing.T) {
 			Rows:     []int{0, 2, 128, -1}[rng.Intn(4)],
 		}
 		data := make(map[core.HostID][]core.KV)
-		streams := make(map[core.HostID]core.Stream)
 		for _, s := range senders {
 			data[s] = genStream(int64(1000*i)+int64(s), 1000+rng.Intn(2000), 100+rng.Intn(400))
-			streams[s] = core.SliceStream(data[s])
 		}
-		res, err := cl.Aggregate(spec, streams)
-		if err != nil {
-			t.Fatalf("task %d: %v", i, err)
-		}
-		checkExact(t, res, spec.Op, data)
+		runJob(t, &cl.Deployment, jobOf(spec, data))
 	}
 	if got := cl.Switch.FreeRows(); got != freeBefore {
 		t.Fatalf("aggregator rows leaked: %d free, started with %d", got, freeBefore)

@@ -36,16 +36,10 @@ func TestCloseReleasesFinishedClusters(t *testing.T) {
 			t.Fatal(err)
 		}
 		w := workload.Uniform(128, 2000, int64(i))
-		res, err := cl.Aggregate(core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1, 2}, Op: core.OpSum},
-			map[core.HostID]core.Stream{1: w.Stream(), 2: w.Stream()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := w.Reference(core.OpSum)
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
-		if !res.Result.Equal(want) {
-			t.Fatalf("rack %d: %s", i, res.Result.Diff(want, 5))
-		}
+		job := NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		job.Send(1, w)
+		job.Send(2, w)
+		runJob(t, &cl.Deployment, job)
 		cl.Sim.Close()
 
 		opts := FatTreeOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 2, Seed: int64(i), Shards: 4}
@@ -53,14 +47,10 @@ func TestCloseReleasesFinishedClusters(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err = fc.Aggregate(core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{opts.HostAt(1, 0), opts.HostAt(3, 1)}, Op: core.OpSum},
-			map[core.HostID]core.Stream{opts.HostAt(1, 0): w.Stream(), opts.HostAt(3, 1): w.Stream()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.Result.Equal(want) {
-			t.Fatalf("fat-tree %d: %s", i, res.Result.Diff(want, 5))
-		}
+		job = NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+		job.Send(opts.HostAt(1, 0), w)
+		job.Send(opts.HostAt(3, 1), w)
+		runJob(t, &fc.Deployment, job)
 		fc.Sim.Close()
 	}
 	settleGoroutines(t, before)
@@ -80,18 +70,17 @@ func TestCloseMidRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec, streams, _ := ftFailoverWorkload(opts)
+		job := ftFailoverWorkload(opts)
 		fc.Sim.At(sim.Time(0).Add(scale*2/5), func() {
 			if err := fc.CrashSwitch(netsim.LeafAddr(1)); err != nil {
 				t.Error(err)
 			}
 		})
-		pt, err := fc.StartTask(spec, streams)
-		if err != nil {
+		if err := fc.Start(job); err != nil {
 			t.Fatal(err)
 		}
 		fc.Sim.Run(sim.Time(0).Add(10 * scale)) // the leaf never comes back; three probe misses take ≈ 1.7 ms
-		if _, err := pt.Get(); err == nil {
+		if _, err := job.Result(); err == nil {
 			t.Fatalf("shards=%d: task finished; the outage window missed the stream", shards)
 		}
 		degraded := false

@@ -10,7 +10,6 @@ import (
 	"repro/internal/hostd"
 	"repro/internal/netsim"
 	"repro/internal/sim"
-	"repro/internal/streaming"
 	"repro/internal/switchd"
 	"repro/internal/telemetry"
 )
@@ -210,8 +209,9 @@ type TaskResult struct {
 	Degraded time.Duration
 }
 
-// PendingTask is a task started with StartTask whose result becomes
-// available after the simulation runs.
+// PendingTask is a task started with StartTask or StartTaskTimed whose result
+// becomes available after the simulation runs. Job wraps it; bench/ is the only
+// code outside this package that holds one directly, until it moves onto Job.
 type PendingTask struct {
 	spec   core.TaskSpec
 	start  sim.Time
@@ -232,7 +232,8 @@ func (pt *PendingTask) Get() (*TaskResult, error) {
 
 // StartTask is StartTaskTimed for plain streams: every arrival at offset
 // zero, so each sender drains its stream back to back. Its error behaviour
-// matches StartTaskTimed.
+// matches StartTaskTimed. Outside tests bench/ is its only caller, until it
+// moves onto Job.
 func (c *Deployment) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
 	return c.StartTaskTimed(spec, timedStreams(streams))
 }
@@ -246,9 +247,10 @@ func timedStreams(streams map[core.HostID]core.Stream) map[core.HostID]core.Time
 	return timed
 }
 
-// StartTaskTimed submits a task and its sender streams without running the
-// simulation, so several tasks (e.g. one per tenant) can run concurrently;
-// call Sim.Run(0) (or Aggregate another task) and then Get. Each daemon
+// StartTaskTimed is the low-level start under Job.Start; outside tests its
+// only other caller is bench/, until it moves onto Job. It submits a task and its sender
+// streams without running the simulation, so several tasks (e.g. one per
+// tenant) can run concurrently; call Sim.Run(0) and then Get. Each daemon
 // consumes its stream on the sim clock — tuples enter the packetizer at their
 // arrival offsets, partial packets flush on lulls — so the task experiences
 // the trace's temporal shape (bursts, diurnal cycles, idle gaps). It returns
@@ -307,27 +309,6 @@ func (c *Deployment) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]
 	return pt, nil
 }
 
-// Aggregate is AggregateTimed for plain streams (see StartTask). Its error
-// behaviour matches AggregateTimed.
-func (c *Deployment) Aggregate(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*TaskResult, error) {
-	return c.AggregateTimed(spec, timedStreams(streams))
-}
-
-// AggregateTimed runs one complete aggregation task to completion: the
-// receiver submits the task, each sender streams its tuples at their arrival
-// offsets, and the merged result is returned once every FIN is in and switch
-// state is fetched. It blocks until the virtual cluster quiesces. Setup
-// errors are returned as from StartTaskTimed, task-execution errors as from
-// Get.
-func (c *Deployment) AggregateTimed(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) (*TaskResult, error) {
-	pt, err := c.StartTaskTimed(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	c.Sim.Run(0)
-	return pt.Get()
-}
-
 // validate is the one task validator: same checks, same order, same errors
 // on every fabric.
 func (c *Deployment) validate(spec core.TaskSpec, streams map[core.HostID]core.TimedStream) error {
@@ -346,32 +327,4 @@ func (c *Deployment) validate(spec core.TaskSpec, streams map[core.HostID]core.T
 		return fmt.Errorf("ask: receiver host %d not in cluster", spec.Receiver)
 	}
 	return nil
-}
-
-// Streaming adapts the cluster to the windowed-stream API of
-// internal/streaming: unbounded per-source streams are aggregated in
-// tumbling windows, one ASK task per window, pipelined over the persistent
-// channels.
-func (c *Deployment) Streaming() streaming.Service { return clusterStream{c} }
-
-type clusterStream struct{ c *Deployment }
-
-func (cs clusterStream) Start(spec core.TaskSpec, streams map[core.HostID]core.Stream) (streaming.Pending, error) {
-	pt, err := cs.c.StartTask(spec, streams)
-	if err != nil {
-		return nil, err
-	}
-	return pendingAdapter{pt}, nil
-}
-
-func (cs clusterStream) Run() { cs.c.Sim.Run(0) }
-
-type pendingAdapter struct{ pt *PendingTask }
-
-func (pa pendingAdapter) Result() (core.Result, sim.Time, error) {
-	res, err := pa.pt.Get()
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Result, res.Elapsed, nil
 }

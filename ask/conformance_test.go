@@ -106,25 +106,33 @@ func conformanceTask(i, tenants int, seed int64) (core.TaskSpec, map[core.HostID
 	return spec, data
 }
 
-func plain(data map[core.HostID][]core.KV) map[core.HostID]core.Stream {
-	m := make(map[core.HostID]core.Stream, len(data))
-	for h, kvs := range data {
-		m[h] = core.SliceStream(kvs)
+// job is the Job for spec in which each of spec's senders streams its slice
+// of data: back to back, or, paced, spread over the sim clock 50 ns apart.
+func job(spec core.TaskSpec, data map[core.HostID][]core.KV, paced bool) *ask.Job {
+	j := ask.NewJob(spec)
+	j.Spec.Senders = nil
+	for _, h := range spec.Senders {
+		tkvs := make([]core.TimedKV, len(data[h]))
+		for i, kv := range data[h] {
+			tkvs[i] = core.TimedKV{KV: kv}
+			if paced {
+				tkvs[i].At = time.Duration(i) * 50 * time.Nanosecond
+			}
+		}
+		j.SendTimed(h, tkvs)
 	}
-	return m
+	return j
 }
 
-// timed spreads each sender's tuples over the sim clock, 50 ns apart.
-func timed(data map[core.HostID][]core.KV) map[core.HostID]core.TimedStream {
-	m := make(map[core.HostID]core.TimedStream, len(data))
-	for h, kvs := range data {
-		tkvs := make([]core.TimedKV, len(kvs))
-		for i, kv := range kvs {
-			tkvs[i] = core.TimedKV{KV: kv, At: time.Duration(i) * 50 * time.Nanosecond}
-		}
-		m[h] = core.SliceTimedStream(tkvs)
+// runJob runs j alone on d; a result that differs from the job's reference
+// is an error.
+func runJob(t *testing.T, d *ask.Deployment, j *ask.Job) *ask.TaskResult {
+	t.Helper()
+	results, err := d.Run(j)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return m
+	return results[0]
 }
 
 func checkExact(t *testing.T, what string, res *ask.TaskResult, data map[core.HostID][]core.KV) {
@@ -150,41 +158,33 @@ func TestConformance(t *testing.T) {
 		}
 		t.Run(fab.name+"/plain", func(t *testing.T) {
 			spec, data := conformanceTask(0, fab.tenants, 1)
-			res, err := build(t).Aggregate(spec, plain(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkExact(t, "Aggregate", res, data)
+			checkExact(t, "plain", runJob(t, build(t), job(spec, data, false)), data)
 		})
 		t.Run(fab.name+"/timed", func(t *testing.T) {
 			spec, data := conformanceTask(0, fab.tenants, 2)
-			res, err := build(t).AggregateTimed(spec, timed(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkExact(t, "AggregateTimed", res, data)
+			res := runJob(t, build(t), job(spec, data, true))
+			checkExact(t, "timed", res, data)
 			if span := 3999 * 50 * time.Nanosecond; time.Duration(res.Elapsed) < span {
 				t.Fatalf("timed task finished in %v, before its last arrival at %v", time.Duration(res.Elapsed), span)
 			}
 		})
 		t.Run(fab.name+"/concurrent", func(t *testing.T) {
 			s := build(t)
-			var pending [2]*ask.PendingTask
+			var jobs [2]*ask.Job
 			var inputs [2]map[core.HostID][]core.KV
-			for i := range pending {
+			for i := range jobs {
 				spec, data := conformanceTask(i, fab.tenants, int64(3+i))
-				pt, err := s.StartTask(spec, plain(data))
-				if err != nil {
-					t.Fatal(err)
-				}
-				pending[i], inputs[i] = pt, data
+				jobs[i], inputs[i] = job(spec, data, false), data
 			}
-			if _, err := pending[0].Get(); err == nil {
-				t.Fatal("Get succeeded before the simulation ran")
+			if err := s.Start(jobs[:]...); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := jobs[0].Result(); err == nil {
+				t.Fatal("Result succeeded before the simulation ran")
 			}
 			s.Sim.Run(0)
-			for i, pt := range pending {
-				res, err := pt.Get()
+			for i, j := range jobs {
+				res, err := j.Result()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -220,8 +220,12 @@ func TestInvalidSubmissions(t *testing.T) {
 			if _, err := s.StartTask(tc.spec, tc.streams); err == nil || err.Error() != tc.want {
 				t.Errorf("%s on %s: StartTask returned %v, want %q", tc.name, fab.name, err, tc.want)
 			}
-			if _, err := s.Aggregate(tc.spec, tc.streams); err == nil || err.Error() != tc.want {
-				t.Errorf("%s on %s: Aggregate returned %v, want %q", tc.name, fab.name, err, tc.want)
+			j := &ask.Job{Spec: tc.spec, Streams: make(map[core.HostID]core.TimedStream)}
+			for h, s := range tc.streams {
+				j.Streams[h] = s.Timed()
+			}
+			if _, err := s.Run(j); err == nil || err.Error() != "ask: task 1: "+tc.want {
+				t.Errorf("%s on %s: Run returned %v, want %q", tc.name, fab.name, err, tc.want)
 			}
 		}
 	}
@@ -284,10 +288,7 @@ func TestMultiRackUnderChaos(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec, data := conformanceTask(0, 0, 5)
-	res, err := golden.Aggregate(spec, plain(data))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, golden, job(spec, data, false))
 	checkExact(t, "golden run", res, data)
 	scale := time.Duration(res.Elapsed)
 
@@ -315,10 +316,7 @@ func TestMultiRackUnderChaos(t *testing.T) {
 			}
 			orch := chaos.New(mc)
 			sc.inject(orch)
-			res, err := mc.Aggregate(spec, plain(data))
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runJob(t, mc, job(spec, data, false))
 			if want := reduceByKey(data); !res.Result.Equal(want) {
 				t.Fatalf("conservation violated: %s", res.Result.Diff(want, 8))
 			}
@@ -399,10 +397,7 @@ func TestMultiRackTOROutage(t *testing.T) {
 		}
 		orch := chaos.New(&fc.Deployment)
 		orch.SwitchOutage(netsim.LeafAddr(tor), 400*time.Microsecond, 200*time.Microsecond)
-		res, err := fc.AggregateTimed(spec, timed(data))
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runJob(t, &fc.Deployment, job(spec, data, true))
 		if want := reduceByKey(data); !res.Result.Equal(want) {
 			t.Fatalf("conservation violated: %s", res.Result.Diff(want, 8))
 		}

@@ -10,6 +10,11 @@ import (
 	"repro/internal/netsim"
 )
 
+// words is one sender's stream, the source Job.Send takes.
+type words []core.KV
+
+func (w words) Stream() core.Stream { return core.SliceStream(w) }
+
 // The smallest complete use of the service: three senders, one receiver,
 // exact word counts out.
 func ExampleCluster_aggregate() {
@@ -17,16 +22,15 @@ func ExampleCluster_aggregate() {
 	if err != nil {
 		panic(err)
 	}
-	res, err := cluster.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: 0, Senders: []core.HostID{1, 2, 3}, Op: core.OpSum,
-	}, map[core.HostID]core.Stream{
-		1: core.SliceStream([]core.KV{{Key: "go", Val: 3}, {Key: "gopher", Val: 1}}),
-		2: core.SliceStream([]core.KV{{Key: "go", Val: 4}}),
-		3: core.SliceStream([]core.KV{{Key: "gopher", Val: 7}}),
-	})
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	job.Send(1, words{{Key: "go", Val: 3}, {Key: "gopher", Val: 1}})
+	job.Send(2, words{{Key: "go", Val: 4}})
+	job.Send(3, words{{Key: "gopher", Val: 7}})
+	results, err := cluster.Run(job) // a wrong aggregate is a *core.MismatchError
 	if err != nil {
 		panic(err)
 	}
+	res := results[0]
 	keys := make([]string, 0, len(res.Result))
 	for k := range res.Result {
 		keys = append(keys, k)
@@ -54,17 +58,17 @@ func ExampleOptions_faultInjection() {
 	if err != nil {
 		panic(err)
 	}
-	var kvs []core.KV
+	var kvs words
 	for i := 0; i < 10000; i++ {
 		kvs = append(kvs, core.KV{Key: fmt.Sprintf("k%d", i%100), Val: 1})
 	}
-	res, err := cluster.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: 0, Senders: []core.HostID{1},
-	}, map[core.HostID]core.Stream{1: core.SliceStream(kvs)})
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0})
+	job.Send(1, kvs)
+	results, err := cluster.Run(job)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(res.Result["k0"] == 100, len(res.Result))
+	fmt.Println(results[0].Result["k0"] == 100, len(results[0].Result))
 	// Output:
 	// true 100
 }

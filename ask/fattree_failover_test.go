@@ -21,18 +21,12 @@ func ftFailoverOptions(seed int64) FatTreeOptions {
 
 // ftFailoverWorkload is a cross-leaf task (receiver on leaf 0, one sender
 // each on leaves 1 and 2) whose residue exercises every tier.
-func ftFailoverWorkload(opts FatTreeOptions) (core.TaskSpec, map[core.HostID]core.Stream, core.Result) {
-	spec := core.TaskSpec{ID: 1, Receiver: opts.HostAt(0, 0), Op: core.OpSum}
-	streams := make(map[core.HostID]core.Stream)
-	want := make(core.Result)
+func ftFailoverWorkload(opts FatTreeOptions) *Job {
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
 	for l := 1; l < opts.Leaves; l++ {
-		h := opts.HostAt(l, 0)
-		spec.Senders = append(spec.Senders, h)
-		w := workload.Uniform(512, 20000, int64(30+l))
-		streams[h] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
+		job.Send(opts.HostAt(l, 0), workload.Uniform(512, 20000, int64(30+l)))
 	}
-	return spec, streams, want
+	return job
 }
 
 // ftGoldenScale measures the fault-free task duration for the failover
@@ -45,15 +39,7 @@ func ftGoldenScale(t *testing.T, opts FatTreeOptions) time.Duration {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, streams, want := ftFailoverWorkload(opts)
-	res, err := fc.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("golden run violates conservation: %s", res.Result.Diff(want, 5))
-	}
-	return time.Duration(res.Elapsed)
+	return time.Duration(runJob(t, &fc.Deployment, ftFailoverWorkload(opts)).Elapsed)
 }
 
 // ftOutageRun replays the failover workload with one switch outage window
@@ -70,7 +56,8 @@ func ftOutageRun(t *testing.T, opts FatTreeOptions, addr core.HostID, crash, reb
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, streams, want := ftFailoverWorkload(opts)
+	job := ftFailoverWorkload(opts)
+	spec := job.Spec
 	fc.Sim.At(sim.Time(0).Add(crash), func() {
 		if err := fc.CrashSwitch(addr); err != nil {
 			t.Errorf("CrashSwitch(%#x): %v", uint16(addr), err)
@@ -81,20 +68,13 @@ func ftOutageRun(t *testing.T, opts FatTreeOptions, addr core.HostID, crash, reb
 			t.Errorf("RebootSwitch(%#x): %v", uint16(addr), err)
 		}
 	})
-	pt, err := fc.StartTask(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc.Sim.Run(0)
-	res, err := pt.Get()
-	if err != nil {
-		t.Fatalf("task did not complete across the outage: %v", err)
-	}
 	// Zero tuples lost, none double-counted: the result is exactly the
 	// host-computed ground truth.
-	if !res.Result.Equal(want) {
-		t.Fatalf("conservation violated across outage of %#x: %s", uint16(addr), res.Result.Diff(want, 5))
+	results, err := fc.Run(job)
+	if err != nil {
+		t.Fatalf("task did not complete exactly across the outage of %#x: %v", uint16(addr), err)
 	}
+	res := results[0]
 	out := ftOutageOutcome{res: res, epoch: fc.FabricEpoch()}
 	hosts := append([]core.HostID{spec.Receiver}, spec.Senders...)
 	for _, h := range hosts {
@@ -117,7 +97,7 @@ func ftOutageRun(t *testing.T, opts FatTreeOptions, addr core.HostID, crash, reb
 func TestFatTreeSpineOutageConservation(t *testing.T) {
 	opts := ftFailoverOptions(41)
 	scale := ftGoldenScale(t, opts)
-	spec, _, _ := ftFailoverWorkload(opts)
+	spec := ftFailoverWorkload(opts).Spec
 	spine := netsim.SpineAddr(int(uint32(spec.ID)) % opts.Spines)
 	out := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
 	// A crash and a reboot each advance the fabric epoch once.
@@ -138,7 +118,7 @@ func TestFatTreeSpineOutageConservation(t *testing.T) {
 func TestFatTreeSpineOutageDeterministic(t *testing.T) {
 	opts := ftFailoverOptions(43)
 	scale := ftGoldenScale(t, opts)
-	spec, _, _ := ftFailoverWorkload(opts)
+	spec := ftFailoverWorkload(opts).Spec
 	spine := netsim.SpineAddr(int(uint32(spec.ID)) % opts.Spines)
 	a := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
 	b := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
@@ -229,7 +209,7 @@ func TestFatTreeAllocRegionDegraded(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spec, _, _ := ftFailoverWorkload(opts)
+	spec := ftFailoverWorkload(opts).Spec
 	_, err = fc.allocRegion(0, spec)
 	var deg *DegradedError
 	if !errors.As(err, &deg) {

@@ -23,22 +23,11 @@ func TestFatTreeExactAcrossLeaves(t *testing.T) {
 	}
 	receiver := opts.HostAt(0, 0)
 	senders := []core.HostID{opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 2)}
-	streams := make(map[core.HostID]core.Stream)
-	want := make(core.Result)
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 	for i, s := range senders {
-		w := workload.Uniform(1024, 8000, int64(10+i))
-		streams[s] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
+		job.Send(s, workload.Uniform(1024, 8000, int64(10+i)))
 	}
-	res, err := fc.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum,
-	}, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("fat-tree aggregation wrong: %s", res.Result.Diff(want, 8))
-	}
+	res := runJob(t, &fc.Deployment, job)
 	// Unlike the multi-rack forwarding core, every sender's leaf aggregates:
 	// the fabric as a whole should absorb the bulk of all 24000 tuples.
 	if res.Switch.TuplesAggregated < 20000 {
@@ -54,17 +43,14 @@ func TestFatTreeSpineReaggregatesCrossLeafResidue(t *testing.T) {
 	}
 	receiver := opts.HostAt(0, 0)
 	senders := []core.HostID{opts.HostAt(1, 0), opts.HostAt(2, 0)}
-	streams := make(map[core.HostID]core.Stream)
+	job := NewJob(core.TaskSpec{ID: 5, Receiver: receiver, Op: core.OpSum, Rows: 64})
 	for i, s := range senders {
 		// Many distinct keys against a tiny region: the sender leaves
 		// conflict heavily and push residue across the fabric.
-		streams[s] = workload.Uniform(4096, 20000, int64(20+i)).Stream()
+		job.Send(s, workload.Uniform(4096, 20000, int64(20+i)))
 	}
-	spec := core.TaskSpec{ID: 5, Receiver: receiver, Senders: senders, Op: core.OpSum, Rows: 64}
-	res, err := fc.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, &fc.Deployment, job)
+	spec := job.Spec
 	spine := fc.Spines[fc.Net.SpineFor(spec.ID)].TaskStatsOf(spec.ID)
 	if spine.TuplesAggregated == 0 {
 		t.Fatal("spine absorbed nothing; hierarchical re-aggregation is not happening")
@@ -89,16 +75,9 @@ func TestFatTreeSingleLeafTaskNeedsNoSpineRegion(t *testing.T) {
 		t.Fatal(err)
 	}
 	receiver := opts.HostAt(1, 0)
-	sender := opts.HostAt(1, 1)
-	w := workload.Uniform(512, 6000, 7)
-	res, err := fc.Aggregate(core.TaskSpec{ID: 2, Receiver: receiver, Senders: []core.HostID{sender}, Op: core.OpSum},
-		map[core.HostID]core.Stream{sender: w.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(w.Reference(core.OpSum)) {
-		t.Fatal("wrong result")
-	}
+	job := NewJob(core.TaskSpec{ID: 2, Receiver: receiver, Op: core.OpSum})
+	job.Send(opts.HostAt(1, 1), workload.Uniform(512, 6000, 7))
+	runJob(t, &fc.Deployment, job)
 	for sp, sw := range fc.Spines {
 		if sw.RegionOf(2) != nil {
 			t.Fatalf("spine %d holds a region for a single-leaf task", sp)
@@ -220,10 +199,9 @@ func TestFatTreeOverQuotaRejectsTyped(t *testing.T) {
 	receiver := opts.HostAt(0, 0)
 	sender := opts.HostAt(1, 0)
 	w := workload.Uniform(64, 100, 3)
-	_, err = fc.Aggregate(core.TaskSpec{
-		ID: core.MakeTaskID(1, 1), Receiver: receiver, Senders: []core.HostID{sender},
-		Op: core.OpSum, Rows: quota*2 + 2,
-	}, map[core.HostID]core.Stream{sender: w.Stream()})
+	over := NewJob(core.TaskSpec{ID: core.MakeTaskID(1, 1), Receiver: receiver, Op: core.OpSum, Rows: quota*2 + 2})
+	over.Send(sender, w)
+	_, err = fc.Run(over)
 	var ov *tenancy.OverloadError
 	if !errors.As(err, &ov) {
 		t.Fatalf("want tenancy.OverloadError, got %v", err)
@@ -232,16 +210,9 @@ func TestFatTreeOverQuotaRejectsTyped(t *testing.T) {
 		t.Fatalf("overload names tenant %d quota %d, want 1/%d", ov.Tenant, ov.Quota, quota)
 	}
 	// The rejection left nothing allocated: the same task fits in quota.
-	res, err := fc.Aggregate(core.TaskSpec{
-		ID: core.MakeTaskID(1, 2), Receiver: receiver, Senders: []core.HostID{sender},
-		Op: core.OpSum, Rows: quota &^ 1,
-	}, map[core.HostID]core.Stream{sender: w.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(w.Reference(core.OpSum)) {
-		t.Fatal("post-rejection task computed a wrong result")
-	}
+	fits := NewJob(core.TaskSpec{ID: core.MakeTaskID(1, 2), Receiver: receiver, Op: core.OpSum, Rows: quota &^ 1})
+	fits.Send(sender, w)
+	runJob(t, &fc.Deployment, fits)
 }
 
 func TestFatTreeHotTenantBorrowsAtAdmission(t *testing.T) {

@@ -18,16 +18,9 @@ func TestMultiRackRemoteTORsHoldNoTaskState(t *testing.T) {
 		t.Fatal(err)
 	}
 	receiver := opts.HostAt(0, 0)
-	senders := []core.HostID{opts.HostAt(1, 0)}
-	w := workload.Uniform(512, 4000, 5)
-	res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum},
-		map[core.HostID]core.Stream{senders[0]: w.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(w.Reference(core.OpSum)) {
-		t.Fatal("wrong result")
-	}
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
+	job.Send(opts.HostAt(1, 0), workload.Uniform(512, 4000, 5))
+	res := runJob(t, &mc.Deployment, job)
 	// The remote sender's TOR never allocated a region for the task and
 	// aggregated nothing; it only maintained its own rack's flow state.
 	remote := mc.Leaves[1].TaskStatsOf(1)
@@ -54,17 +47,10 @@ func TestMultiRackLocalSendersGetINA(t *testing.T) {
 	}
 	receiver := opts.HostAt(1, 0)
 	local, remote := opts.HostAt(1, 1), opts.HostAt(2, 2)
-	wl, wr := workload.Uniform(512, 6000, 7), workload.Uniform(512, 8000, 8)
-	res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: []core.HostID{local, remote}, Op: core.OpSum},
-		map[core.HostID]core.Stream{local: wl.Stream(), remote: wr.Stream()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wl.Reference(core.OpSum)
-	want.Merge(wr.Reference(core.OpSum), core.OpSum)
-	if !res.Result.Equal(want) {
-		t.Fatalf("wrong result: %s", res.Result.Diff(want, 8))
-	}
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
+	job.Send(local, workload.Uniform(512, 6000, 7))
+	job.Send(remote, workload.Uniform(512, 8000, 8))
+	res := runJob(t, &mc.Deployment, job)
 	if res.Switch.TuplesIn != 6000 {
 		t.Fatalf("receiver TOR saw %d tuples; want the local sender's 6000 only", res.Switch.TuplesIn)
 	}
@@ -89,14 +75,11 @@ func TestMultiRackTaskStatsAreTheReceiverTORs(t *testing.T) {
 	}
 	receiver := opts.HostAt(0, 0)
 	senders := []core.HostID{opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 0)}
-	streams := make(map[core.HostID]core.Stream)
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 	for i, s := range senders {
-		streams[s] = workload.Uniform(512, 5000, int64(9+i)).Stream()
+		job.Send(s, workload.Uniform(512, 5000, int64(9+i)))
 	}
-	res, err := mc.Aggregate(core.TaskSpec{ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum}, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runJob(t, &mc.Deployment, job)
 	recvTOR := *mc.Leaves[0].TaskStatsOf(1)
 	if res.Switch != recvTOR {
 		t.Fatalf("TaskResult.Switch is not the receiver TOR's stats:\n got: %+v\nwant: %+v", res.Switch, recvTOR)

@@ -49,12 +49,9 @@ func TestAggregationExactUnderRandomConditions(t *testing.T) {
 			Op:       core.OpSum,
 			Rows:     []int{0, 2, 64, 1024}[rng.Intn(4)],
 		}
-		streams := make(map[core.HostID]core.Stream)
-		want := make(core.Result)
+		job := NewJob(spec)
 		for i := 1; i <= senders; i++ {
-			h := core.HostID(i)
-			spec.Senders = append(spec.Senders, h)
-			w := workload.Spec{
+			job.Send(core.HostID(i), workload.Spec{
 				Name:     "prop",
 				Distinct: 1 + rng.Intn(3000),
 				Tuples:   int64(500 + rng.Intn(4000)),
@@ -62,17 +59,10 @@ func TestAggregationExactUnderRandomConditions(t *testing.T) {
 				Order:    workload.Order(rng.Intn(3)),
 				KeyLens:  workload.NaturalLanguage(rng.Intn(3)),
 				Seed:     seed + int64(i),
-			}
-			streams[h] = w.Stream()
-			want.Merge(w.Reference(core.OpSum), core.OpSum)
+			})
 		}
-		res, err := cl.Aggregate(spec, streams)
-		if err != nil {
-			t.Logf("seed %d: aggregate: %v", seed, err)
-			return false
-		}
-		if !res.Result.Equal(want) {
-			t.Logf("seed %d: MISMATCH: %s", seed, res.Result.Diff(want, 8))
+		if _, err := cl.Run(job); err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
 		return true

@@ -33,17 +33,11 @@ func runMultiRackWorkload(t *testing.T, shards int) (*TaskResult, int64) {
 	senders := []core.HostID{
 		opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 1), opts.HostAt(3, 0),
 	}
-	streams := make(map[core.HostID]core.Stream)
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 	for i, s := range senders {
-		streams[s] = workload.Uniform(768, 6000, int64(20+i)).Stream()
+		job.Send(s, workload.Uniform(768, 6000, int64(20+i)))
 	}
-	res, err := mc.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum,
-	}, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, int64(mc.Sim.Now())
+	return runJob(t, &mc.Deployment, job), int64(mc.Sim.Now())
 }
 
 // TestMultiRackShardedByteIdentical pins the parallel scheduler to the
@@ -101,15 +95,11 @@ func TestMultiRackShardedParallelWindows(t *testing.T) {
 	}
 	receiver := opts.HostAt(0, 0)
 	senders := []core.HostID{opts.HostAt(1, 0), opts.HostAt(2, 0), opts.HostAt(3, 0)}
-	streams := make(map[core.HostID]core.Stream)
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 	for i, s := range senders {
-		streams[s] = workload.Uniform(512, 4000, int64(40+i)).Stream()
+		job.Send(s, workload.Uniform(512, 4000, int64(40+i)))
 	}
-	if _, err := mc.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum,
-	}, streams); err != nil {
-		t.Fatal(err)
-	}
+	runJob(t, &mc.Deployment, job)
 	st := mc.Net.Group().Stats()
 	if st.Windows == 0 || st.Injects == 0 {
 		t.Fatalf("sharded run scheduled no windows/injects: %+v", st)
@@ -132,17 +122,11 @@ func runFatTreeWorkload(t *testing.T, shards int) (*TaskResult, int64) {
 	senders := []core.HostID{
 		opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 0), opts.HostAt(3, 1),
 	}
-	streams := make(map[core.HostID]core.Stream)
+	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 	for i, s := range senders {
-		streams[s] = workload.Uniform(768, 6000, int64(60+i)).Stream()
+		job.Send(s, workload.Uniform(768, 6000, int64(60+i)))
 	}
-	res, err := fc.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: receiver, Senders: senders, Op: core.OpSum,
-	}, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, int64(fc.Sim.Now())
+	return runJob(t, &fc.Deployment, job), int64(fc.Sim.Now())
 }
 
 // TestFatTreeShardedByteIdentical pins the sharded fat-tree to its serial
@@ -271,7 +255,7 @@ func TestFatTreeShardedSpineOutageDeterministic(t *testing.T) {
 	opts := ftFailoverOptions(43)
 	opts.Shards = 3
 	scale := ftGoldenScale(t, opts)
-	spec, _, _ := ftFailoverWorkload(opts)
+	spec := ftFailoverWorkload(opts).Spec
 	spine := netsim.SpineAddr(int(uint32(spec.ID)) % opts.Spines)
 	a := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
 	b := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)

@@ -69,29 +69,15 @@ func TestTenantRegionExhaustionIsContained(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := cl.Config()
-	hog := core.TaskSpec{
-		ID: tenantTask(1, 1), Receiver: 0, Senders: []core.HostID{1},
-		Rows: cfg.AARows, // everything
-	}
-	data := []core.KV{{Key: "x", Val: 1}}
-	res, err := cl.Aggregate(hog, map[core.HostID]core.Stream{1: core.SliceStream(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Result["x"] != 1 {
-		t.Fatal("hog task wrong")
-	}
+	data := kvs{{Key: "x", Val: 1}}
+	hog := NewJob(core.TaskSpec{ID: tenantTask(1, 1), Receiver: 0, Rows: cfg.AARows}) // everything
+	hog.Send(1, data)
+	runJob(t, &cl.Deployment, hog)
 	// The hog completed (regions are freed at teardown), so the next tenant
 	// allocates again.
-	res2, err := cl.Aggregate(core.TaskSpec{
-		ID: tenantTask(2, 1), Receiver: 0, Senders: []core.HostID{1}, Rows: cfg.AARows,
-	}, map[core.HostID]core.Stream{1: core.SliceStream(data)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.Result["x"] != 1 {
-		t.Fatal("second tenant wrong")
-	}
+	next := NewJob(core.TaskSpec{ID: tenantTask(2, 1), Receiver: 0, Rows: cfg.AARows})
+	next.Send(1, data)
+	runJob(t, &cl.Deployment, next)
 }
 
 func TestConcurrentOverAllocationFails(t *testing.T) {

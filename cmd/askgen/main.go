@@ -99,7 +99,7 @@ func main() {
 		printStats(spec)
 	default:
 		n, err := writeOut(*out, func(w io.Writer) (int64, error) {
-			return writeTSV(w, spec)
+			return workload.WriteTSV(w, spec.Stream())
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "askgen:", err)
@@ -167,19 +167,6 @@ func emit(spec workload.Spec, f func(core.KV)) {
 		}
 		f(kv)
 	}
-}
-
-// writeTSV writes the classic v1 trace: key<TAB>value, no header.
-func writeTSV(w io.Writer, spec workload.Spec) (int64, error) {
-	var n int64
-	var err error
-	emit(spec, func(kv core.KV) {
-		if err == nil {
-			_, err = fmt.Fprintf(w, "%s\t%d\n", kv.Key, kv.Val)
-			n++
-		}
-	})
-	return n, err
 }
 
 func printStats(spec workload.Spec) {

@@ -17,7 +17,7 @@ func TestSeedReproducibility(t *testing.T) {
 		spec := workload.Zipf(512, 2_000, 1.1, workload.Shuffled, seed)
 		spec.KeyLens = workload.NaturalLanguage(0)
 		var buf bytes.Buffer
-		if _, err := writeTSV(&buf, spec); err != nil {
+		if _, err := workload.WriteTSV(&buf, spec.Stream()); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()

@@ -17,6 +17,11 @@ import (
 	"repro/internal/core"
 )
 
+// words is one sender's key-value stream.
+type words []core.KV
+
+func (w words) Stream() core.Stream { return core.SliceStream(w) }
+
 func main() {
 	// A rack with four servers: host 0 is the receiver, 1..3 send.
 	cluster, err := ask.NewCluster(ask.Options{Hosts: 4, Seed: 42})
@@ -24,31 +29,22 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Each sender's key-value stream. Keys may be any NUL-free bytes; the
-	// daemon routes short keys (≤4 B) and medium keys (≤8 B) through switch
-	// aggregators and longer ones through the host bypass automatically.
-	streams := map[core.HostID]core.Stream{
-		1: core.SliceStream([]core.KV{
-			{Key: "go", Val: 3}, {Key: "gopher", Val: 1}, {Key: "switch", Val: 2},
-		}),
-		2: core.SliceStream([]core.KV{
-			{Key: "go", Val: 4}, {Key: "pipeline", Val: 5},
-		}),
-		3: core.SliceStream([]core.KV{
-			{Key: "gopher", Val: 7}, {Key: "switch", Val: 1}, {Key: "go", Val: 1},
-		}),
-	}
+	// One aggregation task; each Send adds a sender and its stream. Keys may
+	// be any NUL-free bytes; the daemon routes short keys (≤4 B) and medium
+	// keys (≤8 B) through switch aggregators and longer ones through the host
+	// bypass automatically.
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	job.Send(1, words{{Key: "go", Val: 3}, {Key: "gopher", Val: 1}, {Key: "switch", Val: 2}})
+	job.Send(2, words{{Key: "go", Val: 4}, {Key: "pipeline", Val: 5}})
+	job.Send(3, words{{Key: "gopher", Val: 7}, {Key: "switch", Val: 1}, {Key: "go", Val: 1}})
 
-	spec := core.TaskSpec{
-		ID:       1,
-		Receiver: 0,
-		Senders:  []core.HostID{1, 2, 3},
-		Op:       core.OpSum,
-	}
-	res, err := cluster.Aggregate(spec, streams)
+	// Run returns the result only if it equals the plain keyed reduce of the
+	// three streams (a *core.MismatchError otherwise).
+	results, err := cluster.Run(job)
 	if err != nil {
 		log.Fatal(err)
 	}
+	res := results[0]
 
 	fmt.Println("aggregated result:")
 	keys := make([]string, 0, len(res.Result))

@@ -1,8 +1,8 @@
 // Streaming: the asynchronous-aggregation scenario that motivates ASK
 // (§2.1.3) — an unbounded real-time key-value stream aggregated in tumbling
-// windows over a lossy network, via the windowed-streaming library built on
-// the service. Keys are unordered and unforeseeable; every window's result
-// is verified exact despite 2% packet loss and reordering.
+// windows over a lossy network, one ASK task per window. Keys are unordered
+// and unforeseeable; every window's result is verified exact despite 2%
+// packet loss and reordering.
 //
 //	go run ./examples/streaming
 package main
@@ -15,9 +15,22 @@ import (
 	"repro/ask"
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/streaming"
 	"repro/internal/workload"
 )
+
+// window is one source's slice of a tumbling window.
+type window []core.KV
+
+func (w window) Stream() core.Stream { return core.SliceStream(w) }
+
+// cut takes the next n tuples of an unbounded source as one window.
+func cut(src core.Stream, n int) window {
+	w := make(window, n)
+	for i := range w {
+		w[i], _ = src()
+	}
+	return w
+}
 
 func main() {
 	link := netsim.DefaultLinkConfig()
@@ -36,39 +49,27 @@ func main() {
 
 	const windows = 5
 	const eventsPerWindow = 50_000
-	// Two unbounded event sources; reference copies window them identically.
-	src1 := workload.Zipf(4096, 1<<30, 1.1, workload.Shuffled, 1000)
-	src2 := workload.Zipf(4096, 1<<30, 1.1, workload.Shuffled, 2000)
-	ref1, ref2 := src1.Stream(), src2.Stream()
-
-	results, err := streaming.Run(cluster.Streaming(), streaming.Config{
-		Receiver:     0,
-		Sources:      []core.HostID{1, 2},
-		WindowTuples: eventsPerWindow,
-		Windows:      windows,
-		Op:           core.OpSum,
-		BaseTask:     1,
+	// Two unbounded event sources, cut into consecutive windows.
+	src1 := workload.Zipf(4096, 1<<30, 1.1, workload.Shuffled, 1000).Stream()
+	src2 := workload.Zipf(4096, 1<<30, 1.1, workload.Shuffled, 2000).Stream()
+	jobs := make([]*ask.Job, windows)
+	for w := range jobs {
 		// All windows run concurrently and share the switch's 32768
 		// aggregator rows; size each window's region accordingly.
-		Rows: 4096,
-	}, map[core.HostID]core.Stream{1: src1.Stream(), 2: src2.Stream()})
+		jobs[w] = ask.NewJob(core.TaskSpec{ID: core.TaskID(1 + w), Receiver: 0, Op: core.OpSum, Rows: 4096})
+		jobs[w].Send(1, cut(src1, eventsPerWindow))
+		jobs[w].Send(2, cut(src2, eventsPerWindow))
+	}
+
+	// Run returns the windows only if each equals the keyed reduce of its
+	// own slices (a *core.MismatchError otherwise).
+	results, err := cluster.Run(jobs...)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	for _, res := range results {
-		want := make(core.Result)
-		for i := 0; i < eventsPerWindow; i++ {
-			kv, _ := ref1()
-			want.MergeKV(kv, core.OpSum)
-			kv, _ = ref2()
-			want.MergeKV(kv, core.OpSum)
-		}
-		if err := res.Result.Verify(want); err != nil {
-			log.Fatalf("window %d: %v", res.Index, err)
-		}
+	for w, res := range results {
 		fmt.Printf("window %d: %6d events  %4d keys  %9v  [EXACT]\n",
-			res.Index, 2*eventsPerWindow, len(res.Result),
+			w, 2*eventsPerWindow, len(res.Result),
 			time.Duration(res.Elapsed).Round(time.Microsecond))
 	}
 	fmt.Println("\nevery window exact: the sliding window + compact seen + PktState")

@@ -4,8 +4,9 @@
 // subsystems both depend on this — golden-output tests, trace rings and
 // failover reconciliation all compare seeded runs.
 //
-// Inside the deterministic packages (sim, netsim, switchd, hostd, window,
-// chaos, experiments) the analyzer reports:
+// Inside the deterministic packages (deterministicPkgs: the simulation
+// layers, the ask service, chaos, experiments, tenancy and the workload
+// generators) the analyzer reports:
 //
 //   - calls to wall-clock time sources (time.Now, time.Since, time.Until)
 //     and host-clock blocking (time.Sleep, time.After, time.Tick,
@@ -53,6 +54,9 @@ var Analyzer = &framework.Analyzer{
 var deterministicPkgs = map[string]bool{
 	"sim": true, "netsim": true, "switchd": true, "hostd": true,
 	"window": true, "chaos": true, "experiments": true, "tenancy": true,
+	// The service layer runs the fabric controller (failover epochs, path
+	// pinning) on the sim clock.
+	"ask": true,
 	// The workload generators: traces regenerate byte-identically from a
 	// seed, so wall-clock and global-rand reads are just as forbidden as in
 	// the simulation packages.

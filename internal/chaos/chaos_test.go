@@ -31,36 +31,37 @@ func failoverOptions() ask.Options {
 	return ask.Options{Hosts: testSenders + 1, Config: c, Seed: testSeed}
 }
 
-func buildTask() (core.TaskSpec, map[core.HostID]core.Stream, core.Result) {
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum}
-	streams := make(map[core.HostID]core.Stream)
-	want := make(core.Result)
+// buildTask is the test task: testSenders uniform streams into host 0, with
+// its reference.
+func buildTask() *ask.Job {
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 	for i := 0; i < testSenders; i++ {
 		h := core.HostID(i + 1)
-		spec.Senders = append(spec.Senders, h)
-		w := workload.Uniform(512, testTuples, testSeed+int64(h))
-		streams[h] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
+		job.Send(h, workload.Uniform(512, testTuples, testSeed+int64(h)))
 	}
-	return spec, streams, want
+	return job
+}
+
+// runJob runs j alone on cl and fails the test on any error, a result that
+// differs from the job's reference included.
+func runJob(t *testing.T, cl *ask.Cluster, j *ask.Job) *ask.TaskResult {
+	t.Helper()
+	results, err := cl.Run(j)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return results[0]
 }
 
 // goldenElapsed runs the fault-free task once and returns its duration, the
 // timing scale the scenarios use to land faults mid-task.
 func goldenElapsed(t *testing.T) time.Duration {
 	t.Helper()
-	spec, streams, want := buildTask()
 	cl, err := ask.NewCluster(failoverOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("golden run wrong: %s", res.Result.Diff(want, 5))
-	}
+	res := runJob(t, cl, buildTask())
 	if res.Degraded != 0 {
 		t.Fatalf("golden run reports degraded time %v", res.Degraded)
 	}
@@ -69,7 +70,7 @@ func goldenElapsed(t *testing.T) time.Duration {
 
 func TestEveryScenarioMatchesGolden(t *testing.T) {
 	scale := goldenElapsed(t)
-	spec, _, want := buildTask()
+	spec := buildTask().Spec
 	for _, sc := range chaos.Scenarios(spec.ID, spec.Receiver, spec.Senders[0]) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
@@ -79,14 +80,7 @@ func TestEveryScenarioMatchesGolden(t *testing.T) {
 			}
 			orch := chaos.New(&cl.Deployment)
 			sc.Schedule.Apply(orch, scale)
-			_, streams, _ := buildTask()
-			res, err := cl.Aggregate(spec, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Result.Equal(want) {
-				t.Fatalf("scenario diverged from golden: %s", res.Result.Diff(want, 5))
-			}
+			runJob(t, cl, buildTask())
 			if len(orch.Log()) == 0 {
 				t.Fatal("scenario injected no events")
 			}
@@ -100,7 +94,7 @@ func TestSwitchRebootDegradesAndReattaches(t *testing.T) {
 	// must replay their history to reconcile lost in-switch state, and the
 	// switch's per-task aggregation counter must resume increasing after the
 	// reboot — the re-attach.
-	spec, streams, want := buildTask()
+	spec := buildTask().Spec
 	cl, err := ask.NewCluster(failoverOptions())
 	if err != nil {
 		t.Fatal(err)
@@ -112,13 +106,7 @@ func TestSwitchRebootDegradesAndReattaches(t *testing.T) {
 	cl.Sim.At(cl.Sim.Now().Add(rebootAt+time.Microsecond), func() {
 		aggAtReboot = cl.Switch.TaskStatsOf(spec.ID).TuplesAggregated
 	})
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("reboot run diverged: %s", res.Result.Diff(want, 5))
-	}
+	res := runJob(t, cl, buildTask())
 	if res.Degraded <= 0 {
 		t.Fatalf("Degraded = %v, want > 0", res.Degraded)
 	}
@@ -152,7 +140,7 @@ func TestSwitchRebootDegradesAndReattaches(t *testing.T) {
 }
 
 func TestChaosRunsAreDeterministic(t *testing.T) {
-	spec, _, _ := buildTask()
+	spec := buildTask().Spec
 	run := func() (time.Duration, int64) {
 		cl, err := ask.NewCluster(failoverOptions())
 		if err != nil {
@@ -162,11 +150,7 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 		// Loss plus an outage: both rng-driven fault paths in one run.
 		orch.LinkDegrade(0, time.Millisecond, spec.Senders[0], netsim.Fault{LossProb: 0.1})
 		orch.SwitchOutage(ask.TheSwitch, 250*time.Microsecond, 150*time.Microsecond)
-		_, streams, _ := buildTask()
-		res, err := cl.Aggregate(spec, streams)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := runJob(t, cl, buildTask())
 		return time.Duration(res.Elapsed), cl.Switch.TaskStatsOf(spec.ID).TuplesAggregated
 	}
 	e1, a1 := run()
@@ -182,7 +166,7 @@ func TestChaosRunsAreDeterministic(t *testing.T) {
 // partials exactly once.
 func TestRegionRevocationDrainsExactlyOnce(t *testing.T) {
 	scale := goldenElapsed(t)
-	spec, _, want := buildTask()
+	spec := buildTask().Spec
 	for _, inject := range []struct {
 		name   string
 		revoke func(*chaos.Orchestrator)
@@ -200,14 +184,7 @@ func TestRegionRevocationDrainsExactlyOnce(t *testing.T) {
 			}
 			orch := chaos.New(&cl.Deployment)
 			revoke(orch)
-			_, streams, _ := buildTask()
-			res, err := cl.Aggregate(spec, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Result.Equal(want) {
-				t.Fatalf("revocation run diverged: %s", res.Result.Diff(want, 5))
-			}
+			res := runJob(t, cl, buildTask())
 			if cl.Switch.Stats().Revocations != 1 || len(orch.Log()) != 1 {
 				t.Fatalf("Revocations = %d, injections = %d", cl.Switch.Stats().Revocations, len(orch.Log()))
 			}
@@ -330,21 +307,12 @@ func TestBackToBackOutagesDoNotDoubleCount(t *testing.T) {
 	orch := chaos.New(&cl.Deployment)
 	orch.SwitchOutage(ask.TheSwitch, frac(94), frac(153-94))
 	orch.SwitchOutage(ask.TheSwitch, frac(342), frac(466-342))
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Senders: []core.HostID{1, 2}}
-	streams := make(map[core.HostID]core.Stream)
-	want := make(core.Result)
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 	for i := 1; i <= 2; i++ {
-		w := workload.Uniform(512, 30_000, 9+int64(i))
-		streams[core.HostID(i)] = w.Stream()
-		want.Merge(w.Reference(core.OpSum), core.OpSum)
+		job.Send(core.HostID(i), workload.Uniform(512, 30_000, 9+int64(i)))
 	}
-	res, err := cl.Aggregate(spec, streams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Result.Equal(want) {
-		t.Fatalf("back-to-back outages diverged (replay double-count?): %s", res.Result.Diff(want, 5))
-	}
+	// An exact result: no replay double-counted across the two outages.
+	runJob(t, cl, job)
 	if got := cl.Switch.Stats().Reboots; got != 2 {
 		t.Fatalf("expected 2 reboots, got %d", got)
 	}

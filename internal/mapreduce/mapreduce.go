@@ -166,6 +166,22 @@ func concat(streams ...core.Stream) core.Stream {
 	}
 }
 
+// reducerShare is the map output one machine ships to one reducer: its
+// mappers' tuples that partition to the reducer, in mapper order. Each Stream
+// call re-creates it from the workload specs.
+type reducerShare struct {
+	cfg              *Config
+	machine, reducer int
+}
+
+func (s reducerShare) Stream() core.Stream {
+	parts := make([]core.Stream, s.cfg.MappersPerMachine)
+	for t := range parts {
+		parts[t] = filtered(s.cfg.Workload(s.machine, t), s.reducer, s.cfg.reducers())
+	}
+	return concat(parts...)
+}
+
 // Run executes the job under the configured transport.
 func Run(cfg Config) (Report, error) {
 	cfg.defaults()
@@ -208,10 +224,6 @@ func runASK(cfg Config) (Report, error) {
 	}
 
 	var rep Report
-	hosts := make([]core.HostID, cfg.Machines)
-	for m := range hosts {
-		hosts[m] = core.HostID(m)
-	}
 
 	// Map tasks: pure map CPU (the daemon's channel threads carry the IO).
 	mapDone := make([]sim.Time, cfg.Machines*cfg.MappersPerMachine)
@@ -226,36 +238,29 @@ func runASK(cfg Config) (Report, error) {
 		}
 	}
 
-	// Reduce tasks: one ASK aggregation task per reducer.
-	pending := make([]*ask.PendingTask, R)
-	for r := 0; r < R; r++ {
-		streams := make(map[core.HostID]core.Stream, cfg.Machines)
-		for m := 0; m < cfg.Machines; m++ {
-			parts := make([]core.Stream, cfg.MappersPerMachine)
-			for t := 0; t < cfg.MappersPerMachine; t++ {
-				parts[t] = filtered(cfg.Workload(m, t), r, R)
-			}
-			streams[core.HostID(m)] = concat(parts...)
-		}
-		spec := core.TaskSpec{
+	// Reduce tasks: one ASK aggregation task per reducer, each verified
+	// against the keyed reduce of its own input.
+	jobs := make([]*ask.Job, R)
+	for r := range jobs {
+		jobs[r] = ask.NewJob(core.TaskSpec{
 			ID:       core.TaskID(r + 1),
 			Receiver: core.HostID(r / cfg.ReducersPerMachine),
-			Senders:  hosts,
 			Op:       core.OpSum,
 			Rows:     rows,
+		})
+		for m := 0; m < cfg.Machines; m++ {
+			jobs[r].Send(core.HostID(m), reducerShare{cfg: &cfg, machine: m, reducer: r})
 		}
-		pt, err := cl.StartTask(spec, streams)
-		if err != nil {
-			return Report{}, err
-		}
-		pending[r] = pt
+	}
+	if err := cl.Start(jobs...); err != nil {
+		return Report{}, err
 	}
 
 	end := cl.Sim.Run(0)
 	rep.JCT = time.Duration(end)
 	rep.Result = make(core.Result)
-	for _, pt := range pending {
-		res, err := pt.Get()
+	for _, j := range jobs {
+		res, err := j.Result()
 		if err != nil {
 			return Report{}, err
 		}

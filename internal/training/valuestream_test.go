@@ -59,6 +59,11 @@ func TestParseIndexKeyErrors(t *testing.T) {
 	}
 }
 
+// tensor is one worker's gradient, the source Job.Send takes.
+type tensor []int64
+
+func (g tensor) Stream() core.Stream { return TensorStream(g) }
+
 func TestValueStreamThroughASK(t *testing.T) {
 	// §5.6 backward compatibility: gradient tensors from three workers,
 	// pushed through the generic asynchronous KV path, must sum
@@ -81,16 +86,15 @@ func TestValueStreamThroughASK(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Aggregate(core.TaskSpec{
-		ID: 1, Receiver: 0, Senders: []core.HostID{1, 2, 3}, Op: core.OpSum,
-	}, map[core.HostID]core.Stream{
-		1: TensorStream(tensors[0]),
-		2: TensorStream(tensors[1]),
-		3: TensorStream(tensors[2]),
-	})
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	for w, g := range tensors {
+		job.Send(core.HostID(w+1), tensor(g))
+	}
+	results, err := cl.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := results[0]
 	got, err := DecodeTensor(res.Result, n)
 	if err != nil {
 		t.Fatal(err)

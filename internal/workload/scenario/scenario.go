@@ -9,7 +9,7 @@
 //
 // A Scenario records to the versioned trace format via
 // workload.WriteTimedTrace (cmd/askgen -scenario) and replays through the
-// full protocol stack via ask.AggregateTimed (cmd/asksim -replay).
+// full protocol stack via ask.Job.SendTimed (cmd/asksim -replay).
 package scenario
 
 import (
