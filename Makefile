@@ -4,7 +4,7 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test)
-# stands next to it and sums to 5 min 16 s; no target is a subset of another,
+# stands next to it and sums to 5 min 39 s; no target is a subset of another,
 # and each says why.
 
 GO ?= go
@@ -18,12 +18,13 @@ all: ci
 vet:
 	$(GO) vet ./...
 
-# 2 s (1.5–1.9 s over three runs, re-timed in PR 27). The only run of the
-# static-analysis suite (cmd/askcheck), four analyzers: sim-clock
-# determinism, the metric inventory, shard safety, error taxonomy — over
-# every package, the analyzers' own included. PISA access legality is not
-# among them: internal/pisa panics on it, and `test` trips every access.
-# See DESIGN.md "Static verification".
+# 2 s (1.4–1.7 s over three runs, 37 packages). The only run of the
+# static-analysis suite (cmd/askcheck), three analyzers: sim-clock
+# determinism, the metric inventory, error taxonomy — over every package,
+# the analyzers' own included. PISA access legality is not among them:
+# internal/pisa panics on it, and `test` trips every access. Nor is shard
+# safety: `race` on the sharded goldens holds the lanes. See DESIGN.md
+# "Static verification".
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
@@ -40,11 +41,14 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# 3 min 13 s. The same suite under the race detector, in source order — what
+# 3 min 36 s. The same suite under the race detector, in source order — what
 # `test` cannot see. The registry run is skipped by build tag here (22
 # single-goroutine simulations: minutes of detector time that race nothing;
 # the sharded lanes and the experiment worker pool keep their raced tests),
-# -short is not used. The timeout is per package and equals go test's
+# -short is not used. It is the only guard of the sharded scheduler's lanes:
+# the sharded goldens (ask's shard_golden_test.go, internal/sim's
+# shard_test.go) fail here when a lane touches another lane's state outside a
+# mailbox or the control rendezvous (DESIGN.md "Parallel DES"). The timeout is per package and equals go test's
 # default; it is written down so the budget is a reviewed number. The slowest
 # package under the detector is internal/chaos: 93 s inside this target on
 # the 2-vCPU host (internal/wire 73 s, ask 69 s, internal/experiments 6 s —

@@ -115,7 +115,7 @@ var allocShapes = []allocShape{
 	{"fattree-serial", 1.52 /* 1.32 */, allocFatTree},
 }
 
-// TestAllocGate is the allocation gate CI holds (ROADMAP "Allocation diet"):
+// TestAllocGate is the allocation gate CI holds:
 // each contract shape runs twice with the collector off — the first rep fills
 // the packet and frame free lists, which a collection would empty — and the
 // second rep's heap objects per input tuple, from submitting the tasks to
@@ -123,7 +123,7 @@ var allocShapes = []allocShape{
 // count depends on the model and the seed only, so it holds on any host; what
 // it cannot see is cluster construction, which is outside the measured span
 // as it is in bench/. Beside it the test logs the event kernel's counts per
-// tuple (sim.Stats) — the baseline of ROADMAP item 4 — which it does not hold.
+// tuple (sim.Stats) — the event-count baseline — which it does not hold.
 func TestAllocGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, sh := range allocShapes {

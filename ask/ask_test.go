@@ -145,9 +145,8 @@ func TestExactUnderHeavyLossManySeeds(t *testing.T) {
 	}
 }
 
-func TestShadowCopyDisabledStillExact(t *testing.T) {
+func TestSwapsDisabledStillExact(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.ShadowCopy = false
 	cfg.SwapThreshold = 0
 	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}}
 	data := map[core.HostID][]core.KV{1: genStream(10, 10000, 400)}
@@ -259,7 +258,7 @@ func TestDeterministicRuns(t *testing.T) {
 		t.Run(fmt.Sprintf("recovery/channels=%d", channels), func(t *testing.T) {
 			make_ := func() (sim.Stats, []sim.Time) {
 				cfg := core.DefaultConfig()
-				cfg.Failover, cfg.ShadowCopy, cfg.DataChannels = true, false, channels
+				cfg.Failover, cfg.SwapThreshold, cfg.DataChannels = true, 0, channels
 				cl, err := NewCluster(Options{Hosts: 4, Seed: 61, Config: cfg})
 				if err != nil {
 					t.Fatal(err)

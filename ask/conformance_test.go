@@ -252,7 +252,7 @@ func TestInvalidTopologies(t *testing.T) {
 		{"too many spines", ask.FatTreeOptions{Spines: 0x801, Leaves: 2, HostsPerLeaf: 1}, "fabric address space"},
 		{"host IDs reach the switch range", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 0xF000/2 + 1}, "fabric address space"},
 		{"host count overflows", ask.FatTreeOptions{Spines: 1, Leaves: 0x800, HostsPerLeaf: 1 << 62}, "fabric address space"},
-		{"failover with shadow copies", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 1, Config: failoverWithShadow}, "ShadowCopy off"},
+		{"failover with shadow copies", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 1, Config: failoverWithShadow}, "Failover requires SwapThreshold 0"},
 	} {
 		if _, err := ask.NewFatTreeCluster(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("fat-tree, %s: got %v, want an error containing %q", tc.name, err, tc.want)
@@ -267,7 +267,7 @@ func TestInvalidTopologies(t *testing.T) {
 		{"negative hosts", ask.MultiRackOptions{Racks: 2, HostsPerRack: -1}, "need positive Racks"},
 		{"too many racks", ask.MultiRackOptions{Racks: 0x801, HostsPerRack: 1}, "fabric address space"},
 		{"host IDs reach the switch range", ask.MultiRackOptions{Racks: 3, HostsPerRack: 0xF000/3 + 1}, "fabric address space"},
-		{"failover with shadow copies", ask.MultiRackOptions{Racks: 2, HostsPerRack: 1, Config: failoverWithShadow}, "ShadowCopy off"},
+		{"failover with shadow copies", ask.MultiRackOptions{Racks: 2, HostsPerRack: 1, Config: failoverWithShadow}, "Failover requires SwapThreshold 0"},
 	} {
 		if _, err := ask.NewMultiRackCluster(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("multi-rack, %s: got %v, want an error containing %q", tc.name, err, tc.want)
@@ -282,7 +282,7 @@ func TestInvalidTopologies(t *testing.T) {
 func TestMultiRackUnderChaos(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Failover = true
-	cfg.ShadowCopy = false
+	cfg.SwapThreshold = 0
 	golden, err := conformanceFabrics[1].build(7, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestMultiRackUnderChaos(t *testing.T) {
 func TestMultiRackTOROutage(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Failover = true
-	cfg.ShadowCopy = false
+	cfg.SwapThreshold = 0
 	// Receiver 0 and sender 2 share rack 0; senders 3 and 6 sit in racks 1
 	// and 2. 20 000 tuples per sender arrive 50 ns apart, so the streams span
 	// exactly 1 ms and an outage over [400 µs, 600 µs) is mid-stream.

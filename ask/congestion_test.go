@@ -21,7 +21,6 @@ func congestedRun(t *testing.T, cc bool) (retransmits, sent int64) {
 	cfg.CongestionControl = cc
 	cfg.MediumGroups = 0
 	cfg.MediumSegs = 0
-	cfg.ShadowCopy = false
 	cfg.SwapThreshold = 0
 	// W=1024 needs a smaller flow table to fit pkt_state in one PISA
 	// stage (the SRAM budget is enforced): 9 hosts × 5 channels < 64.

@@ -65,9 +65,8 @@ type FatTreeOptions struct {
 // gauges.
 //
 // NewMultiRackCluster returns the same type configured as §7's TORs under a
-// forwarding core. Renaming it, or folding the rack's Cluster into it, is out
-// of scope here: bench/ compiles against both shells' topology fields
-// (ROADMAP 8(a)).
+// forwarding core. Renaming it, or folding the rack's Cluster into it, waits
+// until bench/ stops compiling against both shells' topology fields.
 type FatTreeCluster struct {
 	Deployment
 	Net    *netsim.FatTree
@@ -112,8 +111,9 @@ func (o FatTreeOptions) HostAt(l, i int) core.HostID {
 // NewFatTreeCluster builds the deployment. Host IDs are assigned leaf-major:
 // leaf l holds IDs [l·HostsPerLeaf, (l+1)·HostsPerLeaf). It returns an
 // error only for invalid options (topology dimensions that are not positive
-// or overflow the fabric address space, Failover with ShadowCopy, or a
-// tenant configuration the keyspace cannot be partitioned for).
+// or overflow the fabric address space, a Config that core.Config.Validate
+// rejects — Failover with swaps among them — or a tenant configuration the
+// keyspace cannot be partitioned for).
 func NewFatTreeCluster(opts FatTreeOptions) (*FatTreeCluster, error) {
 	return newFatTreeCluster(opts, false)
 }
@@ -133,12 +133,6 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 			opts.Spines, opts.Leaves, opts.HostsPerLeaf, perTier, hostIDs)
 	}
 	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.FabricLink)
-	if opts.Config.Failover && opts.Config.ShadowCopy {
-		// Same restriction the rack soak runs under: failover replay cannot
-		// attribute swap fetches, so hierarchical failover requires shadow
-		// copies off.
-		return nil, fmt.Errorf("ask: fat-tree failover requires Config.ShadowCopy off (replay cannot attribute swap fetches)")
-	}
 	fc := &FatTreeCluster{
 		tenants:     opts.Tenants,
 		allocs:      make(map[core.TaskID]fatAlloc),
@@ -289,10 +283,9 @@ func (lf leafFabric) Uplink(id core.HostID) *netsim.Link { return lf.ft.Uplink(i
 // Every method here touches switches and cluster maps owned by other shard
 // lanes, so on a sharded fabric each method first enters the group's
 // control rendezvous: the calling lane suspends its window and the operation
-// executes while no other lane runs. Fault-free runs never take this path
-// during a parallel window (registration and allocation are driven by root
-// procs, which force serial windows); only failover recovery does, which is
-// why chaos runs are deterministic-per-shard-count rather than byte-identical.
+// executes while no other lane runs. Recovery's rendezvous orders events
+// differently from the serial build, which is why chaos runs are
+// deterministic per shard count rather than byte-identical.
 type fabricController struct {
 	fc   *FatTreeCluster
 	leaf int
@@ -301,6 +294,20 @@ type fabricController struct {
 // control enters the fabric-wide control rendezvous when the calling leaf's
 // lane is inside a parallel window (a no-op on serial builds and in serial
 // windows). Call as `defer c.control()()`.
+//
+// Task setup never needs it: the first allocation is driven by a root proc,
+// which forces serial windows. Three methods are entered from a lane inside a
+// parallel window, and for each a sharded golden fails under `go test -race`
+// when its rendezvous is removed:
+//   - FreeRegion, at a receiver's teardown (TestFatTreeShardedMirroredTeardown);
+//   - RegisterFlowAt, at a sender's failover recovery
+//     (TestFatTreeShardedSpineOutageDeterministic);
+//   - AllocRegion, at a receiver's failover recovery
+//     (TestFatTreeShardedReceiverLeafOutage).
+//
+// RegisterFlow is called only by hostd.New while the fabric is built, before
+// any window runs, so its rendezvous is always a no-op. It stays so that a
+// caller on a lane would be safe.
 func (c fabricController) control() func() {
 	if g := c.fc.Net.Group(); g != nil {
 		return g.EnterControlFrom(c.fc.Net.LeafSim(c.leaf))

@@ -13,7 +13,7 @@ import (
 
 func ftFailoverOptions(seed int64) FatTreeOptions {
 	c := core.DefaultConfig()
-	c.ShadowCopy = false // fat-tree failover precondition
+	c.SwapThreshold = 0 // fat-tree failover precondition
 	c.Failover = true
 	c.MaxRetries = 0 // outage windows must be bridged, not aborted
 	return FatTreeOptions{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Config: c, Seed: seed}

@@ -13,8 +13,8 @@ import (
 type MultiRackOptions struct {
 	Racks        int
 	HostsPerRack int
-	// Config is the ASK configuration. As on the fat-tree, Failover requires
-	// ShadowCopy off (failover replay cannot attribute swap fetches).
+	// Config is the ASK configuration. As everywhere, Failover requires
+	// SwapThreshold 0 (failover replay cannot attribute swap fetches).
 	Config core.Config
 	// HostLink configures host↔TOR links, CoreLink the TOR↔core links.
 	HostLink netsim.LinkConfig

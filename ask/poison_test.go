@@ -84,7 +84,7 @@ func TestPoolPoisonFailoverReplay(t *testing.T) {
 	defer wire.SetPoolPoison(false)
 
 	cfg := core.DefaultConfig()
-	cfg.Failover, cfg.ShadowCopy = true, false
+	cfg.Failover, cfg.SwapThreshold = true, 0
 	link := netsim.DefaultLinkConfig()
 	link.Fault.LossProb = 0.01
 	link.Fault.DupProb = 0.01

@@ -24,11 +24,9 @@ func TestAggregationExactUnderRandomConditions(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.DataChannels = 1 + rng.Intn(4)
 		cfg.Window = 1 << (5 + rng.Intn(4)) // 32..256
-		cfg.ShadowCopy = rng.Intn(2) == 0
-		if cfg.ShadowCopy {
+		cfg.SwapThreshold = 0               // no shadow copies
+		if rng.Intn(2) == 0 {
 			cfg.SwapThreshold = 16 << rng.Intn(5)
-		} else {
-			cfg.SwapThreshold = 0
 		}
 		link := netsim.DefaultLinkConfig()
 		link.Fault.LossProb = float64(rng.Intn(8)) / 100

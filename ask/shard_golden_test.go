@@ -11,9 +11,11 @@ package ask
 import (
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/tenancy"
 	"repro/internal/workload"
 	"repro/internal/workload/scenario"
@@ -270,5 +272,110 @@ func TestFatTreeShardedSpineOutageDeterministic(t *testing.T) {
 	}
 	if a.replays == 0 {
 		t.Fatal("no replays sent: the sharded outage did not exercise recovery")
+	}
+}
+
+// TestFatTreeShardedMirroredTeardown holds the rendezvous around region
+// release (fabricController.FreeRegion), which a receiver calls from its lane
+// at teardown. Two tasks mirror each other across the lanes of a 2-shard
+// fat-tree: task 1 streams from leaves 2 and 3 (lane 1) to leaf 0 (lane 0),
+// task 2 from leaves 0 and 1 to leaf 2, with the same streams. They finish at
+// the same instant, so both receivers free their regions in one parallel
+// window; without the rendezvous the two lanes write the controller's maps
+// at once, which `go test -race` reports. The results must equal the serial
+// build's byte for byte.
+func TestFatTreeShardedMirroredTeardown(t *testing.T) {
+	run := func(shards int) ([]*TaskResult, int64) {
+		opts := FatTreeOptions{Spines: 2, Leaves: 4, HostsPerLeaf: 2, Seed: 13, Shards: shards}
+		fc, err := NewFatTreeCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jobs []*Job
+		for i, leaves := range [][3]int{{0, 2, 3}, {2, 0, 1}} {
+			job := NewJob(core.TaskSpec{ID: core.TaskID(1 + i), Receiver: opts.HostAt(leaves[0], 1), Op: core.OpSum})
+			for j, l := range leaves[1:] {
+				job.Send(opts.HostAt(l, 0), workload.Uniform(768, 6000, int64(90+j)))
+			}
+			jobs = append(jobs, job)
+		}
+		results, err := fc.Run(jobs...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := fc.Net.Group(); g != nil && g.Stats().ControlRendezvs == 0 {
+			t.Fatalf("shards=%d: no teardown ran in a parallel window: %+v", shards, g.Stats())
+		}
+		return results, int64(fc.Sim.Now())
+	}
+	golden, goldenNow := run(0)
+	if golden[0].Elapsed != golden[1].Elapsed {
+		t.Fatalf("the mirrored tasks finish apart: %v and %v", golden[0].Elapsed, golden[1].Elapsed)
+	}
+	got, gotNow := run(2)
+	if !reflect.DeepEqual(got, golden) || gotNow != goldenNow {
+		t.Fatalf("sharded run diverged from serial:\n got: %+v (clock %d)\nwant: %+v (clock %d)", got, gotNow, golden, goldenNow)
+	}
+}
+
+// TestFatTreeShardedReceiverLeafOutage holds the rendezvous around region
+// re-allocation (fabricController.AllocRegion), which failover recovery calls
+// from a lane process. Task 1's receiver sits on leaf 0 (lane 0) and its
+// senders on leaves 2 and 3 (lane 1); task 2 runs on lane 1 alone, leaf 2 to
+// leaf 3, with a stream long enough to outlast the recovery. Leaf 0 crashes
+// and reboots mid-stream, and both receivers re-allocate their regions in one
+// parallel window: task 1's at the leaves lane 1 owns, while task 2's traffic
+// crosses them. A re-allocation that skips the rendezvous touches lane 1's
+// switches and the controller's maps concurrently with lane 1, which
+// `go test -race` reports. The run must stay exact, serve rendezvous, and
+// repeat byte for byte per (seed, shards).
+func TestFatTreeShardedReceiverLeafOutage(t *testing.T) {
+	opts := ftFailoverOptions(67)
+	opts.Leaves, opts.Shards = 4, 2
+	type outcome struct {
+		elapsed []sim.Time
+		replays int64
+		rendezv int64
+	}
+	run := func() outcome {
+		fc, err := NewFatTreeCluster(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fc.Sim.At(sim.Time(0).Add(300*time.Microsecond), func() {
+			if err := fc.CrashSwitch(netsim.LeafAddr(0)); err != nil {
+				t.Error(err)
+			}
+		})
+		fc.Sim.At(sim.Time(0).Add(400*time.Microsecond), func() {
+			if err := fc.RebootSwitch(netsim.LeafAddr(0)); err != nil {
+				t.Error(err)
+			}
+		})
+		cross := NewJob(core.TaskSpec{ID: 1, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
+		cross.Send(opts.HostAt(2, 0), workload.Uniform(512, 20000, 72))
+		cross.Send(opts.HostAt(3, 0), workload.Uniform(512, 20000, 73))
+		local := NewJob(core.TaskSpec{ID: 2, Receiver: opts.HostAt(3, 1), Op: core.OpSum})
+		local.Send(opts.HostAt(2, 1), workload.Uniform(512, 60000, 82))
+		results, err := fc.Run(cross, local)
+		if err != nil {
+			t.Fatalf("tasks did not complete exactly across the receiver-leaf outage: %v", err)
+		}
+		var out outcome
+		for _, res := range results {
+			out.elapsed = append(out.elapsed, res.Elapsed)
+		}
+		for _, h := range fc.Hosts() {
+			out.replays += fc.Daemon(h).FailoverStats().ReplaysSent
+		}
+		out.rendezv = fc.Net.Group().Stats().ControlRendezvs
+		return out
+	}
+	a := run()
+	if a.replays == 0 || a.rendezv == 0 {
+		t.Fatalf("the outage exercised no recovery from a lane: %d replays, %d rendezvous", a.replays, a.rendezv)
+	}
+	if b := run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("two identical sharded runs differ:\n%+v\n%+v", a, b)
 	}
 }

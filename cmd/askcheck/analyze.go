@@ -18,13 +18,10 @@ type result struct {
 	diags []framework.Diagnostic
 }
 
-// analyze expands patterns, loads every matched package, and runs the
-// analyzers over them in directory order.
-//
-// Loading completes before any analyzer runs, so a whole-universe analyzer
-// (shardsafety's annotation scan and call graph) sees the full load universe
-// no matter which package is analyzed first. Each
-// package's diagnostics are already position-sorted by RunAnalyzers.
+// analyze expands patterns, then loads each matched package and runs the
+// analyzers over it, in directory order. Every analyzer is per-package, so a
+// package is analyzed as soon as it is loaded. Each package's diagnostics
+// are already position-sorted by RunAnalyzers.
 func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer) (*result, error) {
 	dirs, err := framework.ExpandPatterns(cwd, patterns)
 	if err != nil {
@@ -34,14 +31,12 @@ func analyze(cwd string, patterns []string, analyzers []*framework.Analyzer) (*r
 	if err != nil {
 		return nil, err
 	}
-	pkgs := make([]*framework.Package, len(dirs))
-	for i, dir := range dirs {
-		if pkgs[i], err = loader.LoadDir(dir); err != nil {
+	res := &result{fset: loader.Fset, pkgs: len(dirs)}
+	for _, dir := range dirs {
+		pkg, err := loader.LoadDir(dir)
+		if err != nil {
 			return nil, err
 		}
-	}
-	res := &result{fset: loader.Fset, pkgs: len(pkgs)}
-	for _, pkg := range pkgs {
 		diags, err := framework.RunAnalyzers(pkg, analyzers...)
 		if err != nil {
 			return nil, err

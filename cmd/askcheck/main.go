@@ -10,15 +10,13 @@
 //
 // Packages follow go-tool patterns: "./..." (the default) walks every
 // package under the current module, the analyzers' own sources included; a
-// plain path names one directory. All matched packages are loaded before any
-// analyzer runs, giving shardsafety's call graph the whole load universe.
-// Loading dominates the run (≈ 1.5 s for the repository).
+// plain path names one directory. Each package is loaded and then analyzed,
+// in directory order. Loading dominates the run.
 //
 // Analyzers:
 //
 //	simdeterminism  wall-clock, global rand, order-leaking map iteration
 //	telemetrynames  registered metrics documented in DESIGN.md's inventory
-//	shardsafety     shard-root state crossing the partition outside mailboxes
 //	errtaxonomy     typed errors matched without errors.Is/As; undocumented
 //	                error-returning APIs in ask/
 //
@@ -36,7 +34,6 @@ import (
 
 	"repro/internal/analysis/errtaxonomy"
 	"repro/internal/analysis/framework"
-	"repro/internal/analysis/shardsafety"
 	"repro/internal/analysis/simdeterminism"
 	"repro/internal/analysis/telemetrynames"
 )
@@ -44,7 +41,6 @@ import (
 var all = []*framework.Analyzer{
 	simdeterminism.Analyzer,
 	telemetrynames.Analyzer,
-	shardsafety.Analyzer,
 	errtaxonomy.Analyzer,
 }
 

@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-var fixturePatterns = []string{"./testdata/src/hostd", "./testdata/src/toy"}
+var fixturePatterns = []string{"./testdata/src/hostd"}
 
 // TestAnalyzeGolden pins the exact driver output over the fixture tree —
 // file, position, analyzer, and message for every diagnostic, in order.

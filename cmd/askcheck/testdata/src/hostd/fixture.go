@@ -1,7 +1,7 @@
 // Package fixture seeds a known diagnostic for the driver's determinism
 // golden test: one errtaxonomy finding beside the accepted form of the same
-// comparison, which must stay silent. It sits in a second directory, next to
-// toy, so the golden also pins the order of diagnostics across packages.
+// comparison, which must stay silent. The golden pins the finding's file,
+// position, analyzer and message as the driver prints them.
 package fixture
 
 import (

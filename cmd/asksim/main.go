@@ -258,7 +258,6 @@ func main() {
 	}
 	s.cfg.DataChannels = *channels
 	s.cfg.SwapThreshold = *swap
-	s.cfg.ShadowCopy = *swap > 0
 	s.link.Fault.LossProb = *loss
 	s.link.Fault.DupProb = *dup
 	switch {

@@ -58,30 +58,7 @@ type Pass struct {
 	// that consult repository-level context such as DESIGN.md).
 	Dir string
 
-	pkg   *Package
 	diags *[]Diagnostic
-}
-
-// loader returns the Loader behind the pass's package, nil for packages
-// not produced by a Loader.
-func (p *Pass) loader() *Loader {
-	if p.pkg == nil {
-		return nil
-	}
-	return p.pkg.loader
-}
-
-// Universe returns every package the pass's loader has type-checked so
-// far, in import-path order — the scope the call graph covers. Nil for
-// passes without a loader. Drivers that want
-// whole-program context (e.g. shardsafety's annotation scan) must load all
-// packages before running analyzers.
-func (p *Pass) Universe() []*Package {
-	l := p.loader()
-	if l == nil {
-		return nil
-	}
-	return l.loadedPackages()
 }
 
 // Diagnostic is one finding at a source position.
@@ -211,7 +188,6 @@ func RunAnalyzers(pkg *Package, analyzers ...*Analyzer) ([]Diagnostic, error) {
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			Dir:       pkg.Dir,
-			pkg:       pkg,
 			diags:     &raw,
 		}
 		if _, err := a.Run(pass); err != nil {

@@ -21,10 +21,6 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
-
-	// loader links back to the Loader that produced the package, giving
-	// analyzers the call graph over the whole load universe.
-	loader *Loader
 }
 
 // Loader parses and type-checks packages of one module without external
@@ -39,12 +35,6 @@ type Loader struct {
 
 	std  types.ImporterFrom
 	pkgs map[string]*loadEntry
-
-	// graph is the call graph over everything loaded, built on demand by
-	// Pass.CallGraph and dropped by the next completed load. Loads and
-	// passes are single-threaded (the recursive type-checker is not safe to
-	// share).
-	graph *CallGraph
 }
 
 type loadEntry struct {
@@ -168,24 +158,7 @@ func (l *Loader) load(dir, path string) (*Package, error) {
 	l.pkgs[path] = e
 	pkg, err := l.loadUncached(dir, path)
 	e.pkg, e.err, e.loading = pkg, err, false
-	if pkg != nil {
-		pkg.loader = l
-	}
-	l.graph = nil
 	return pkg, err
-}
-
-// loadedPackages returns every successfully loaded package, sorted by
-// import path for deterministic call-graph construction.
-func (l *Loader) loadedPackages() []*Package {
-	var out []*Package
-	for _, e := range l.pkgs {
-		if e.pkg != nil && !e.loading {
-			out = append(out, e.pkg)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
 }
 
 func (l *Loader) loadUncached(dir, path string) (*Package, error) {

@@ -26,7 +26,7 @@ const (
 
 func failoverOptions() ask.Options {
 	c := core.DefaultConfig()
-	c.ShadowCopy = false // failover replay cannot attribute swap fetches
+	c.SwapThreshold = 0 // failover replay cannot attribute swap fetches
 	c.Failover = true
 	return ask.Options{Hosts: testSenders + 1, Config: c, Seed: testSeed}
 }
@@ -298,7 +298,7 @@ func TestBackToBackOutagesDoNotDoubleCount(t *testing.T) {
 	scale := 778044 * time.Nanosecond
 	frac := func(m int64) time.Duration { return scale * time.Duration(m) / 1000 }
 	c := core.DefaultConfig()
-	c.ShadowCopy = false
+	c.SwapThreshold = 0
 	c.Failover = true
 	cl, err := ask.NewCluster(ask.Options{Hosts: 3, Config: c, Seed: 9})
 	if err != nil {

@@ -149,7 +149,7 @@ type kind struct {
 // in.
 func soakConfig(cfg Config) core.Config {
 	c := core.DefaultConfig()
-	c.ShadowCopy = false
+	c.SwapThreshold = 0
 	c.Failover = true
 	c.MaxRetries = 0
 	c.DisableChecksumVerify = cfg.DisableChecksumVerify

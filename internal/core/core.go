@@ -396,10 +396,11 @@ type Config struct {
 	// (default 4, §5.1).
 	DataChannels int
 	// SwapThreshold is the number of received packets after which the host
-	// receiver triggers a shadow-copy swap (§3.4). Zero disables swapping.
+	// receiver triggers a shadow-copy swap (§3.4), the hot-key agnostic
+	// prioritization mechanism. Shadow copies are on exactly when it is
+	// positive: every switch region is then split into two copies. Zero
+	// disables the mechanism, and a region is one copy of all its rows.
 	SwapThreshold int
-	// ShadowCopy enables the hot-key agnostic prioritization mechanism.
-	ShadowCopy bool
 	// CongestionControl enables the loss-based AIMD congestion window of
 	// §7 on every data channel, bounded by Window as the paper requires.
 	CongestionControl bool
@@ -407,9 +408,9 @@ type Config struct {
 	// probe the switch for liveness, detect reboots via the epoch stamped in
 	// ACKs and probe replies, degrade to host-only aggregation while the
 	// switch is unavailable, and re-attach (replaying absorbed history) when
-	// it recovers. Requires ShadowCopy off: mid-task swap fetches cannot be
-	// attributed to individual packets, which the exactly-once replay
-	// reconciliation needs.
+	// it recovers. Requires SwapThreshold 0 (no shadow copies): mid-task swap
+	// fetches cannot be attributed to individual packets, which the
+	// exactly-once replay reconciliation needs.
 	Failover bool
 	// MaxRetries bounds per-packet retransmissions on the data channels
 	// before the sender aborts the window (the degradation ladder's last
@@ -436,7 +437,6 @@ func DefaultConfig() Config {
 		RetransmitTimeout: 100 * time.Microsecond,
 		DataChannels:      4,
 		SwapThreshold:     4096,
-		ShadowCopy:        true,
 	}
 }
 
@@ -471,11 +471,14 @@ func (c Config) Validate() error {
 	if c.DataChannels <= 0 {
 		return fmt.Errorf("core: DataChannels must be positive")
 	}
-	if c.ShadowCopy && c.AARows%2 != 0 {
-		return fmt.Errorf("core: AARows must be even when ShadowCopy is on")
+	if c.SwapThreshold < 0 {
+		return fmt.Errorf("core: SwapThreshold must be non-negative")
 	}
-	if c.Failover && c.ShadowCopy {
-		return fmt.Errorf("core: Failover requires ShadowCopy off (replay reconciliation cannot attribute swap fetches to packets)")
+	if c.SwapThreshold > 0 && c.AARows%2 != 0 {
+		return fmt.Errorf("core: AARows must be even with shadow copies (SwapThreshold > 0)")
+	}
+	if c.Failover && c.SwapThreshold > 0 {
+		return fmt.Errorf("core: Failover requires SwapThreshold 0 (replay reconciliation cannot attribute swap fetches to packets)")
 	}
 	if c.MaxRetries < 0 {
 		return fmt.Errorf("core: MaxRetries must be non-negative")

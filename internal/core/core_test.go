@@ -140,7 +140,9 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.MediumGroups = 1; c.MediumSegs = 1 },
 		func(c *Config) { c.Window = 0 },
 		func(c *Config) { c.DataChannels = 0 },
-		func(c *Config) { c.AARows = 3; c.ShadowCopy = true },
+		func(c *Config) { c.AARows = 3 }, // odd rows with shadow copies on
+		func(c *Config) { c.SwapThreshold = -1 },
+		func(c *Config) { c.Failover = true }, // failover with shadow copies on
 	}
 	for i, mut := range bad {
 		cfg := DefaultConfig()

@@ -2,10 +2,10 @@ package core
 
 import "fmt"
 
-// DegradedError is the typed degradation signal of the failure model
-// (ROADMAP item 3's DEGRADED rung): a control-plane operation could not be
-// served in-network because the switches it needs are down, and the caller
-// must fall back to host-only aggregation until the fabric heals. It is a
+// DegradedError is the typed degradation signal of the failure model (the
+// host-only rung of README's degradation ladder): a control-plane operation
+// could not be served in-network because the switches it needs are down, and
+// the caller must fall back to host-only aggregation until the fabric heals. It is a
 // transient condition — the next fabric epoch (a reboot) re-opens the
 // in-network path — which distinguishes it from permanent rejections such as
 // quota overloads (tenancy.OverloadError). Match with errors.As.

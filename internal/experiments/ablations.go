@@ -65,7 +65,6 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 		c.NumAAs = fig9AAs
 		c.MediumGroups = 0
 		c.MediumSegs = 0
-		c.ShadowCopy = th > 0
 		c.SwapThreshold = th
 		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, cfg.Skew, workload.ColdFirst, cfg.Seed)
 		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, rows))
@@ -116,7 +115,6 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 		c.Window = w
 		c.MediumGroups = 0
 		c.MediumSegs = 0
-		c.ShadowCopy = false
 		c.SwapThreshold = 0
 		link := netsim.DefaultLinkConfig()
 		link.Fault.LossProb = cfg.LossProb
@@ -228,7 +226,6 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		c.CongestionControl = cc
 		c.MediumGroups = 0
 		c.MediumSegs = 0
-		c.ShadowCopy = false
 		c.SwapThreshold = 0
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 8 * (cfg.Senders + 2) // fit W=1024 pkt_state in a stage

@@ -133,7 +133,7 @@ func chaosTable(st chaosStudy) (*stats.Table, error) {
 // library.
 func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 	c := core.DefaultConfig()
-	c.ShadowCopy = false
+	c.SwapThreshold = 0
 	c.Failover = true
 	const taskID, receiver, firstSender = 1, 0, 1
 	task := func() *ask.Job {
@@ -171,7 +171,7 @@ func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 // middle of the interval and earlier windows would miss it.
 func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 	c := core.DefaultConfig()
-	c.ShadowCopy = false
+	c.SwapThreshold = 0
 	c.Failover = true
 	c.MaxRetries = 0
 	opts := ask.FatTreeOptions{

@@ -62,7 +62,6 @@ func fig13ASKRun(tuples int64, distinct, channels int, seed int64) (good, wire f
 	c.DataChannels = channels
 	c.MediumGroups = 0
 	c.MediumSegs = 0
-	c.ShadowCopy = false
 	c.SwapThreshold = 0
 	rows := (c.AARows / channels) &^ 1
 	cl, elapsed, err := runParallelTasks(
@@ -125,7 +124,6 @@ func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
 	c := core.DefaultConfig()
 	c.MediumGroups = 0
 	c.MediumSegs = 0
-	c.ShadowCopy = false
 	c.SwapThreshold = 0
 	hosts := make([]core.HostID, senders)
 	for i := range hosts {

@@ -65,7 +65,6 @@ func Fig3(cfg Fig3Config) (*stats.Table, error) {
 func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
 	c := core.DefaultConfig()
 	c.DataChannels = cores
-	c.ShadowCopy = false
 	c.SwapThreshold = 0
 	if strawman {
 		// One tuple slot per packet, no medium groups, every key resident.

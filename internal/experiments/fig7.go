@@ -67,7 +67,6 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 		c.DataChannels = ch
 		c.MediumGroups = 0
 		c.MediumSegs = 0
-		c.ShadowCopy = false
 		c.SwapThreshold = 0
 		rows := (c.AARows / ch) &^ 1
 		cl, elapsed, err := runParallelTasks(

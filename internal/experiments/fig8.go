@@ -53,7 +53,6 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 		c.NumAAs = x
 		c.MediumGroups = 0
 		c.MediumSegs = 0
-		c.ShadowCopy = false
 		c.SwapThreshold = 0
 		ch := c.DataChannels
 		// Ample rows per task: conflicts would shift work to the receiver

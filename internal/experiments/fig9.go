@@ -101,7 +101,6 @@ func fig9Run(cfg Fig9Config, spec workload.Spec, rows int, prio bool) (float64, 
 	c.NumAAs = fig9AAs
 	c.MediumGroups = 0
 	c.MediumSegs = 0
-	c.ShadowCopy = prio
 	c.SwapThreshold = 0
 	if prio {
 		c.SwapThreshold = cfg.SwapThreshold

@@ -83,10 +83,9 @@ type Stats struct {
 }
 
 // Daemon is the per-host ASK service. Each Daemon is per-host (hence
-// per-rack) state — a shard root for the parallel DES; frames leave it
-// only through the HostFabric interface.
-//
-//askcheck:shard
+// per-rack) state and lives on its leaf's lane of a sharded fabric: frames
+// leave it only through the HostFabric interface, and control calls only
+// through the Controller.
 type Daemon struct {
 	sim    *sim.Simulation
 	net    netsim.HostFabric

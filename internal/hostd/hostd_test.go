@@ -112,7 +112,7 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 // to channel 0 of tenant 1's range [0, 2).
 func TestReleaseDropsRetainedHistoryOnTenantChannels(t *testing.T) {
 	cfg := core.DefaultConfig()
-	cfg.Failover, cfg.ShadowCopy = true, false
+	cfg.Failover, cfg.SwapThreshold = true, 0
 	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
 	for _, d := range r.daemons {
 		if err := d.SetTenantChannels(1, 0, 2); err != nil {
@@ -207,7 +207,7 @@ func TestSubmitAllocationTakesTheReattachPath(t *testing.T) {
 		{"degraded without failover", false, 1, degraded, 1, true, false},
 	} {
 		cfg := core.DefaultConfig()
-		cfg.Failover, cfg.ShadowCopy = tc.failover, false
+		cfg.Failover, cfg.SwapThreshold = tc.failover, 0
 		var ctrl *flakyCtrl
 		r := newRigCtrl(t, 2, netsim.DefaultLinkConfig(), cfg, func(sw *switchd.Switch) hostd.Controller {
 			if ctrl == nil {

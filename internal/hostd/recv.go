@@ -478,7 +478,7 @@ func (t *recvTask) aggPoints() []core.HostID {
 func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.FetchEntry, ok bool) {
 	e := t.d.epoch
 	copies := 1
-	if t.d.cfg.ShadowCopy {
+	if t.d.cfg.SwapThreshold > 0 { // shadow copies on
 		copies = 2
 	}
 	all = t.fetched[:0]
@@ -515,7 +515,7 @@ func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.Fetch
 // argument only covers the single-switch deployment. Their hot-set relief
 // comes from the cross-tenant borrowing policy instead (internal/tenancy).
 func (t *recvTask) maybeSwap() {
-	if !t.d.cfg.ShadowCopy || t.d.cfg.SwapThreshold == 0 || t.noRegion ||
+	if t.d.cfg.SwapThreshold == 0 || t.noRegion ||
 		len(t.alloc.FetchFrom) > 1 ||
 		t.swapping || t.tearingDown || t.pktsSinceSwap < t.d.cfg.SwapThreshold {
 		return

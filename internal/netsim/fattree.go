@@ -85,11 +85,10 @@ type FatTree struct {
 }
 
 // leafPort is one leaf switch: the SwitchFabric its ASK program attaches
-// to. It is a per-leaf network-state root for the parallel DES; traffic
+// to. Its state lives on the leaf's lane of a sharded build, and traffic
 // leaves it only over the host links and the leaf↔spine mesh, which the
-// sharded build rewires into mailbox cuts.
-//
-//askcheck:shard
+// sharded build rewires into mailbox cuts: a port never reaches a sibling
+// port's state directly.
 type leafPort struct {
 	ft      *FatTree
 	leaf    int
@@ -108,10 +107,7 @@ type leafPort struct {
 	unroutable routingMisses
 }
 
-// spinePort is one spine switch: a per-spine network-state root for the
-// parallel DES (see leafPort).
-//
-//askcheck:shard
+// spinePort is one spine switch, on the spine's lane (see leafPort).
 type spinePort struct {
 	ft      *FatTree
 	spine   int

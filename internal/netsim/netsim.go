@@ -65,8 +65,6 @@ type Frame struct {
 // hence a sync.Pool, and is zeroed on reuse, so which physical frame carries
 // a packet is unobservable. Internally synchronised, so every shard's
 // handlers may draw from it.
-//
-//askcheck:shared
 var framePool = sync.Pool{New: func() any { return new(Frame) }}
 
 // Sentinels stamped over a recycled frame under wire.SetPoolPoison(true): a

@@ -1,11 +1,12 @@
-// Conservative parallel sharded execution (ROADMAP item 1).
+// Conservative parallel sharded execution.
 //
 // A ShardGroup partitions one simulated system into K shard lanes plus a
 // root lane. Each lane is a full Simulation — its own clock, event store,
 // heap, and rng — owning a disjoint slice of the model state (one rack or
-// leaf block of the fabric, certified by the shardsafety analyzer). The
-// group executes the union of the lanes under a conservative barrier
-// protocol:
+// leaf block of the fabric). No lane's events may touch another lane's state
+// except through the mailboxes and the control rendezvous below; the sharded
+// goldens under the race detector are what hold that. The group executes the
+// union of the lanes under a conservative barrier protocol:
 //
 //   - Lookahead. Every cross-lane interaction travels over a declared cut
 //     edge (a netsim link whose delivery is a mailbox) with a minimum
@@ -273,13 +274,9 @@ func (g *ShardGroup) stoppedAny() bool {
 // Semantics match the serial Run: execute until quiescent, Stop, or the
 // clock would pass limit (limit <= 0: no limit).
 //
-// The mailbox marker declares the Run→coordinator hand-off to the
-// shardsafety analyzer: the barrier scheduler below this point owns every
-// lane by design (it is what serializes cross-shard access), so the
-// caller's shard context must not propagate into it — exactly like a
-// mailbox delivery, the coordinator is the other side of the fence.
-//
-//askcheck:mailbox
+// The coordinator touches every lane, which is sound because it runs only
+// between windows, when no lane worker is executing: it is what serializes
+// cross-shard access.
 func (g *ShardGroup) run(limit Time) Time {
 	r := g.root
 	if r.running {
@@ -327,8 +324,6 @@ func (g *ShardGroup) run(limit Time) Time {
 // closeLanes ends the unfinished processes of every shard lane; the root's
 // Close delegates here. Like run, this is the coordinator's side of the
 // fence: Close requires a group that is not running, so no lane is executing.
-//
-//askcheck:mailbox
 func (g *ShardGroup) closeLanes() {
 	for _, l := range g.lanes {
 		l.Close()
@@ -480,8 +475,6 @@ func (g *ShardGroup) worker(i int, l *Simulation, start <-chan struct{}, done ch
 // The calling goroutine blocks until every other lane has finished the
 // current window; rendezvous are granted in deterministic lane order, so
 // results do not depend on goroutine interleaving.
-//
-//askcheck:mailbox
 func (g *ShardGroup) EnterControlFrom(s *Simulation) func() {
 	if g == nil || !g.parallel || s.lane == laneRoot {
 		return func() {}
@@ -576,8 +569,6 @@ func (s *Simulation) enqueueInject(in inject) {
 // lane, source seq) order; t must respect the group lookahead (t at or
 // beyond the window bound), which the cut-link delay guarantees by
 // construction.
-//
-//askcheck:mailbox
 func (s *Simulation) InjectCall(src *Simulation, t Time, fn func(any), arg any) {
 	if s == src || src.group == nil || src.group != s.group {
 		s.AtCall(t, fn, arg)
@@ -612,8 +603,6 @@ func (s *Simulation) InjectCall(src *Simulation, t Time, fn func(any), arg any) 
 // Fire/Release must be invoked from s's own event context — true for all
 // model code, where signals and resources are owned by the lane that
 // fires them, with the root driver as the only cross-lane waiter.
-//
-//askcheck:mailbox
 func (s *Simulation) wakeTo(home *Simulation, fn func()) {
 	if home == s || s.group == nil || home.group != s.group {
 		s.At(s.now, fn)

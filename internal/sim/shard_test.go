@@ -128,6 +128,34 @@ func TestShardWakeFence(t *testing.T) {
 	}
 }
 
+// TestShardConcurrentRootWakes: two lanes wake root processes at the same
+// instant, inside one parallel window. The wakes travel the root's mailbox
+// and drain in lane order, so the drivers resume in that order on every run.
+// Waking the root directly from both lane workers would race on the root's
+// event heap, which `go test -race` reports.
+func TestShardConcurrentRootWakes(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		root := New(int64(round))
+		g := NewShardGroup(root, 2, time.Microsecond)
+		var woke []int
+		for i := 0; i < 2; i++ {
+			i, sg := i, NewSignal(g.Lane(i))
+			g.Lane(i).At(Time(3*Microsecond), sg.Fire)
+			root.Spawn(fmt.Sprintf("driver%d", i), func(p *Proc) {
+				p.Wait(sg)
+				woke = append(woke, i)
+			})
+		}
+		root.Run(0)
+		if !reflect.DeepEqual(woke, []int{0, 1}) {
+			t.Fatalf("round %d: drivers resumed in order %v, want [0 1]", round, woke)
+		}
+		if g.Stats().ParallelWindows == 0 {
+			t.Fatalf("round %d: the wakes never ran in a parallel window: %+v", round, g.Stats())
+		}
+	}
+}
+
 // TestShardRunLimit checks serial Run limit semantics survive sharding:
 // events at exactly the limit run, later ones do not, and every lane's
 // clock ends at the limit.

@@ -115,10 +115,9 @@ func heapLess(a, b heapEntry) bool {
 // Simulation is a discrete-event scheduler with a virtual clock.
 // The zero value is not usable; call New.
 //
-// In the sharded parallel DES each rack shard owns one
-// Simulation instance; shardsafety certifies that no state escapes it.
-//
-//askcheck:shard
+// In the sharded parallel DES each lane is one Simulation instance. Only the
+// lane's own events touch it; another lane reaches it through InjectCall or a
+// wake, which are mailboxes during a parallel window (shard.go).
 type Simulation struct {
 	now     Time
 	heap    []heapEntry

@@ -53,6 +53,8 @@ func (sw *Switch) AllocRegionPartition(task core.TaskID, receiver core.HostID, o
 	if len(sw.regionFree) == 0 {
 		return nil, fmt.Errorf("switchd: region table full (%d regions)", sw.opts.MaxRegions)
 	}
+	// Shadow copies are on exactly when receivers swap (core.Config).
+	shadow := sw.cfg.SwapThreshold > 0
 	if totalRows == 0 {
 		// Default sizing: a quarter of the AA depth, so several tenants fit
 		// without explicit coordination, bounded by what is actually free.
@@ -60,7 +62,7 @@ func (sw *Switch) AllocRegionPartition(task core.TaskID, receiver core.HostID, o
 		if free := sw.rows.largestFree(); totalRows > free {
 			totalRows = free
 		}
-		if sw.cfg.ShadowCopy {
+		if shadow {
 			totalRows &^= 1
 		}
 	}
@@ -69,7 +71,7 @@ func (sw *Switch) AllocRegionPartition(task core.TaskID, receiver core.HostID, o
 	}
 	copies := 1
 	copyRows := totalRows
-	if sw.cfg.ShadowCopy {
+	if shadow {
 		if totalRows%2 != 0 {
 			return nil, fmt.Errorf("switchd: totalRows %d must be even with shadow copies", totalRows)
 		}

@@ -68,7 +68,6 @@ func TestNarrowKPartConfig(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.KPartBytes = 2
 	cfg.AARows = 64
-	cfg.ShadowCopy = false
 	cfg.SwapThreshold = 0
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 32)

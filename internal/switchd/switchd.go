@@ -77,10 +77,9 @@ func DefaultOptions() Options {
 
 // Switch is the ASK switch: a netsim.SwitchHandler running the ASK pipeline
 // program plus its control plane. One Switch is one rack's TOR program
-// state — a shard root for the parallel DES (everything it reaches beyond
-// its own fields goes through the fabric interface).
-//
-//askcheck:shard
+// state and lives on one lane of a sharded fabric: its data path reaches
+// beyond its own fields only through the fabric interface, and its control
+// plane is called from the fabric's control rendezvous.
 type Switch struct {
 	sim    *sim.Simulation
 	net    netsim.SwitchFabric

@@ -122,8 +122,7 @@ func shortKey(i int) string { return fmt.Sprint("k", i) }
 
 func smallConfig() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.AARows = 64
-	cfg.SwapThreshold = 0
+	cfg.AARows = 64 // two shadow copies of 32 rows (SwapThreshold > 0)
 	return cfg
 }
 
@@ -255,7 +254,7 @@ func TestRepeatedKeyAccumulates(t *testing.T) {
 
 func TestConflictForwardsResidue(t *testing.T) {
 	cfg := smallConfig()
-	cfg.ShadowCopy = false
+	cfg.SwapThreshold = 0
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1) // one row per AA: same-slot distinct keys must collide
 	k1, k2 := r.sameSlotKeys(shortKey)
@@ -310,7 +309,7 @@ func TestRetransmitPartialRestoresBitmap(t *testing.T) {
 	// The §3.3 motivating example: [(a,1),(b,1)] with (a,1) aggregated and
 	// (b,1) conflicted; the retransmission must carry only (b,1).
 	cfg := smallConfig()
-	cfg.ShadowCopy = false
+	cfg.SwapThreshold = 0
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1)
 	k1, k2 := r.sameSlotKeys(shortKey)
@@ -362,7 +361,7 @@ func TestMediumKeySharedPrefixNoFalseMatch(t *testing.T) {
 	// A medium key must not be absorbed by another's aggregators in the same
 	// slot group even though both share the first segment "your" (§3.2.3).
 	cfg := smallConfig()
-	cfg.ShadowCopy = false
+	cfg.SwapThreshold = 0
 	r := newRig(t, cfg)
 	r.mustAlloc(7, 1) // force same row for everything
 	a, b := r.sameSlotKeys(func(i int) string { return fmt.Sprintf("your%04d", i) })

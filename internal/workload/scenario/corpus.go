@@ -7,7 +7,7 @@ import (
 )
 
 // The committed scenario corpus: named, seed-pinned workload shapes that
-// every perf and chaos PR runs against (ROADMAP item 3). Rates are scaled
+// the performance and chaos measurements run against. Rates are scaled
 // to the simulator's virtual-time regime — megatuples per second against
 // the 100 Gbps rack — so a corpus stream spans tens of milliseconds of
 // virtual time; "diurnal" periods are scaled-down stand-ins for daily and
