@@ -25,7 +25,14 @@ type allocShape struct {
 	// change that makes the per-packet path allocate again trips it; after an
 	// intended change re-measure with -v and commit the new number.
 	ceiling float64
-	build   func(t *testing.T) (*Deployment, []*Job, int64)
+	// events, dispatches and heapHigh bound the event kernel's counts the same
+	// way (sim.Stats, measured values beside them): kernel events per tuple,
+	// fired plus popped dead, process switches per tuple, and the heap's
+	// high-water mark. A per-packet retransmission timer or switch-hop event
+	// that comes back trips them.
+	events, dispatches float64
+	heapHigh           int
+	build              func(t *testing.T) (*Deployment, []*Job, int64)
 }
 
 const allocSeed = 1
@@ -105,14 +112,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 1.04 /* measured 0.90 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 1.04 /* measured 0.90 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 1.11 /* 0.97 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 1.11 /* 0.97 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.58 /* 0.50 */, allocRackTimed},
-	{"fattree-serial", 1.52 /* 1.32 */, allocFatTree},
+	{"rack-timed", 0.58 /* 0.50 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
+	{"fattree-serial", 1.52 /* 1.32 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds:
@@ -122,8 +129,8 @@ var allocShapes = []allocShape{
 // reading the last result, must stay under the shape's committed ceiling. The
 // count depends on the model and the seed only, so it holds on any host; what
 // it cannot see is cluster construction, which is outside the measured span
-// as it is in bench/. Beside it the test logs the event kernel's counts per
-// tuple (sim.Stats) — the event-count baseline — which it does not hold.
+// as it is in bench/. The event kernel's counts of the same rep (sim.Stats)
+// are held beside it, against the shape's event ceilings.
 func TestAllocGate(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, sh := range allocShapes {
@@ -144,11 +151,16 @@ func TestAllocGate(t *testing.T) {
 				n = float64(tuples)
 				perTuple = float64(after.Mallocs-before.Mallocs) / n
 			}
+			events, dispatches := float64(ks.Fired+ks.Cancelled)/n, float64(ks.Dispatches)/n
 			t.Logf("%s: %.3f heap objects per tuple (ceiling %.3f); kernel per tuple: %.3f fired, %.3f cancelled, %.3f dispatches; heap high-water %d",
-				sh.name, perTuple, sh.ceiling, float64(ks.Fired)/n, float64(ks.Cancelled)/n, float64(ks.Dispatches)/n, ks.HeapHigh)
+				sh.name, perTuple, sh.ceiling, float64(ks.Fired)/n, float64(ks.Cancelled)/n, dispatches, ks.HeapHigh)
 			if perTuple > sh.ceiling {
 				t.Errorf("%s allocates %.3f objects per tuple on a warm rep, ceiling %.3f: the per-packet path allocates again (or re-measure and commit the ceiling after an intended change)",
 					sh.name, perTuple, sh.ceiling)
+			}
+			if events > sh.events || dispatches > sh.dispatches || ks.HeapHigh > sh.heapHigh {
+				t.Errorf("%s: %.3f kernel events and %.3f dispatches per tuple, heap high-water %d; ceilings %.3f, %.3f, %d: a per-packet event is back (or re-measure and commit the ceilings after an intended change)",
+					sh.name, events, dispatches, ks.HeapHigh, sh.events, sh.dispatches, sh.heapHigh)
 			}
 		})
 	}

@@ -11,7 +11,7 @@ import (
 
 // TestHopAllocatesNothing pins the fabric's share of the per-packet path: a
 // free-list frame from a host through the forwarding switch toward host 2 —
-// uplink, switch-latency hop, downlink — allocates nothing in steady state,
+// uplink with its switch hop, downlink — allocates nothing in steady state,
 // whichever way it ends. Delivered: the sender relinquishes the packet
 // (ownership transfer end to end) or retains it (one pooled clone at the first
 // link, handed through after that). Dropped, where the link or the routing

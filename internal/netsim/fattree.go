@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -58,16 +57,14 @@ func SpineIndex(addr core.HostID, spines int) (int, bool) {
 // Task ID (SpineFor), so a task's packet order is preserved end to end and
 // its spine-side region lives on exactly one spine.
 type FatTree struct {
-	sim *sim.Simulation
-	// SwitchLatency applies per switch traversal (leaf or spine).
-	SwitchLatency time.Duration
-	leaves        []*leafPort
-	spines        []*spinePort
-	hostLeaf      map[core.HostID]int
-	hostPorts     map[core.HostID]*port
-	hostLink      LinkConfig
-	fabricLink    LinkConfig
-	codec         wire.Codec
+	sim        *sim.Simulation
+	leaves     []*leafPort
+	spines     []*spinePort
+	hostLeaf   map[core.HostID]int
+	hostPorts  map[core.HostID]*port
+	hostLink   LinkConfig
+	fabricLink LinkConfig
+	codec      wire.Codec
 	// leafDown / spineDown mirror the switches' crash state into the fabric
 	// so routing can re-elect around dead spines and a dead leaf's
 	// host-delivery path (which bypasses the switch program, §7) black-holes
@@ -98,10 +95,6 @@ type leafPort struct {
 	ls *sim.Simulation
 	// up[s] is this leaf's link to spine s.
 	up []*Link
-	// Arg-carrying event adapters, bound once per port so the per-frame
-	// switch-latency hops allocate no closures.
-	ingressAny   func(any)
-	fromSpineAny func(any)
 	// unroutable counts this leaf's egress routing misses (per port, so a
 	// sharded build keeps the counter on the leaf's lane).
 	unroutable routingMisses
@@ -116,7 +109,6 @@ type spinePort struct {
 	ls *sim.Simulation
 	// down[l] is this spine's link to leaf l.
 	down       []*Link
-	ingressAny func(any)
 	unroutable routingMisses
 }
 
@@ -130,7 +122,7 @@ func NewFatTree(s *sim.Simulation, spines, leaves int, hostLink, fabricLink Link
 // under root's conservative shard group: leaves form contiguous lane
 // blocks, spines are spread round-robin over the lanes, and the whole
 // leaf↔spine mesh becomes mailbox cuts with lookahead
-// fabricLink.Propagation + SwitchLatency. A request that EffectiveShards
+// fabricLink.Propagation + the switch latency. A request that EffectiveShards
 // clamps to serial (shards <= 1, or a single leaf) returns a fabric built
 // by the exact serial path and a nil group.
 func NewFatTreeSharded(s *sim.Simulation, spines, leaves, shards int, hostLink, fabricLink LinkConfig) (*FatTree, *sim.ShardGroup) {
@@ -138,7 +130,7 @@ func NewFatTreeSharded(s *sim.Simulation, spines, leaves, shards int, hostLink, 
 	if eff == 0 {
 		return newFatTree(s, nil, spines, leaves, hostLink, fabricLink), nil
 	}
-	g := sim.NewShardGroup(s, eff, cutDelay(fabricLink, defaultSwitchLatency))
+	g := sim.NewShardGroup(s, eff, cutDelay(fabricLink))
 	return newFatTree(s, g, spines, leaves, hostLink, fabricLink), g
 }
 
@@ -150,15 +142,14 @@ func newFatTree(s *sim.Simulation, g *sim.ShardGroup, spines, leaves int, hostLi
 		panic("netsim: fat-tree exceeds the fabric address space")
 	}
 	ft := &FatTree{
-		sim:           s,
-		SwitchLatency: defaultSwitchLatency,
-		hostLeaf:      make(map[core.HostID]int),
-		hostPorts:     make(map[core.HostID]*port),
-		hostLink:      hostLink,
-		fabricLink:    fabricLink,
-		leafDown:      make([]bool, leaves),
-		spineDown:     make([]bool, spines),
-		group:         g,
+		sim:        s,
+		hostLeaf:   make(map[core.HostID]int),
+		hostPorts:  make(map[core.HostID]*port),
+		hostLink:   hostLink,
+		fabricLink: fabricLink,
+		leafDown:   make([]bool, leaves),
+		spineDown:  make([]bool, spines),
+		group:      g,
 	}
 	leafSim, spineSim := shardSims(g, leaves, spines)
 	for l := 0; l < leaves; l++ {
@@ -166,8 +157,6 @@ func newFatTree(s *sim.Simulation, g *sim.ShardGroup, spines, leaves int, hostLi
 		if leafSim != nil {
 			lp.ls = leafSim[l]
 		}
-		lp.ingressAny = func(a any) { lp.ingress(a.(*Frame)) }
-		lp.fromSpineAny = func(a any) { lp.fromSpine(a.(*Frame)) }
 		ft.leaves = append(ft.leaves, lp)
 	}
 	for sp := 0; sp < spines; sp++ {
@@ -175,46 +164,30 @@ func newFatTree(s *sim.Simulation, g *sim.ShardGroup, spines, leaves int, hostLi
 		if spineSim != nil {
 			spp.ls = spineSim[sp]
 		}
-		spp.ingressAny = func(a any) { spp.ingress(a.(*Frame)) }
 		ft.spines = append(ft.spines, spp)
 	}
 	// Full bipartite mesh: one directed link per (leaf, spine) per
-	// direction. In a sharded build every mesh link is a mailbox cut with
-	// the receiving switch's pipeline hop folded into the cut delay; the
-	// static per-link target degrades to a plain local schedule when both
-	// endpoints share a lane.
+	// direction, each delivering one switch hop after arrival. In a sharded
+	// build every mesh link is also a mailbox cut; the static per-link target
+	// degrades to a plain local schedule when both endpoints share a lane.
+	mesh := func(from, to *sim.Simulation, deliver func(*Frame)) *Link {
+		lk := newLink(from, fabricLink, defaultSwitchLatency, deliver)
+		if g != nil {
+			lk.xroute = func(*Frame) *sim.Simulation { return to }
+			ft.cutLinks++
+		}
+		return lk
+	}
 	for _, lp := range ft.leaves {
-		lp := lp
 		lp.up = make([]*Link, spines)
-		for sp := 0; sp < spines; sp++ {
-			spp := ft.spines[sp]
-			if g == nil {
-				lp.up[sp] = newLink(s, fabricLink, func(f *Frame) {
-					s.AfterCall(ft.SwitchLatency, spp.ingressAny, f)
-				})
-			} else {
-				lp.up[sp] = newLink(lp.ls, fabricLink, func(f *Frame) { spp.ingress(f) })
-				lp.up[sp].xroute = func(*Frame) *sim.Simulation { return spp.ls }
-				lp.up[sp].xdelay = ft.SwitchLatency
-				ft.cutLinks++
-			}
+		for sp, spp := range ft.spines {
+			lp.up[sp] = mesh(lp.ls, spp.ls, spp.ingress)
 		}
 	}
 	for _, spp := range ft.spines {
-		spp := spp
 		spp.down = make([]*Link, leaves)
-		for l := 0; l < leaves; l++ {
-			lp := ft.leaves[l]
-			if g == nil {
-				spp.down[l] = newLink(s, fabricLink, func(f *Frame) {
-					s.AfterCall(ft.SwitchLatency, lp.fromSpineAny, f)
-				})
-			} else {
-				spp.down[l] = newLink(spp.ls, fabricLink, func(f *Frame) { lp.fromSpine(f) })
-				spp.down[l].xroute = func(*Frame) *sim.Simulation { return lp.ls }
-				spp.down[l].xdelay = ft.SwitchLatency
-				ft.cutLinks++
-			}
+		for l, lp := range ft.leaves {
+			spp.down[l] = mesh(spp.ls, lp.ls, lp.fromSpine)
 		}
 	}
 	return ft
@@ -337,10 +310,7 @@ func (ft *FatTree) AttachHostLeaf(l int, id core.HostID, h HostHandler) {
 		panic(fmt.Sprintf("netsim: host ID %#x collides with the fabric address range", id))
 	}
 	lp := ft.leaves[l]
-	ls := lp.ls
-	ft.hostPorts[id] = newPort(ls, ft.hostLink, ft.codec, h, func(f *Frame) {
-		ls.AfterCall(ft.SwitchLatency, lp.ingressAny, f)
-	})
+	ft.hostPorts[id] = newPort(lp.ls, ft.hostLink, ft.codec, h, lp.ingress)
 	ft.hostLeaf[id] = l
 }
 

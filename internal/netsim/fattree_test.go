@@ -223,9 +223,13 @@ func TestFatTreeForwardingSpine(t *testing.T) {
 		// latency, core→TOR ser + prop, TOR latency, TOR→host ser + prop.
 		bw := 100e9
 		ser := time.Duration(float64(334*8) / bw * float64(time.Second))
-		want := sim.Time(0).Add(4*ser + 4*time.Microsecond + 3*ft.SwitchLatency)
+		want := sim.Time(0).Add(4*ser + 4*time.Microsecond + 3*defaultSwitchLatency)
 		if got := cs[3].at[0]; got != want {
 			t.Fatalf("arrival %v, want %v", got, want)
+		}
+		// One event per link: each switch hop rides its link's delivery.
+		if fired := s.Stats().Fired; fired != 4 {
+			t.Fatalf("%d events for one frame across four links, want 4", fired)
 		}
 	})
 	t.Run("core-link bottleneck", func(t *testing.T) {

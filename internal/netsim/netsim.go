@@ -247,16 +247,17 @@ type Link struct {
 	// deliverAny adapts deliver to the kernel's arg-carrying event form so
 	// the frame-delivery hot path schedules without a per-event closure.
 	deliverAny func(any)
-	// xroute marks this link as a cross-shard cut (sharded fabrics): it
-	// returns the lane simulation that owns the frame's next hop, and the
-	// delivery event is injected there xdelay later than the normal arrival
-	// time — the switch-latency hop the serial wiring schedules separately
-	// on arrival, folded into the cut so the total cross-lane delay is the
-	// full propagation + pipeline latency the group's lookahead declares.
-	// nil on every link of a serial (ungrouped) fabric, which therefore
-	// takes the exact pre-shard delivery path.
-	xroute func(*Frame) *sim.Simulation
+	// xdelay is the switch hop of a link into a switch (defaultSwitchLatency,
+	// zero on a link into a host): a frame is handed to the switch program
+	// xdelay after it arrives, by the one delivery event, so the pipeline
+	// traversal costs no event of its own.
 	xdelay time.Duration
+	// xroute marks this link as a cross-shard cut (sharded fabrics): it
+	// returns the lane simulation that owns the frame's next hop, where the
+	// delivery event is injected. The cut's delay is the full propagation +
+	// pipeline latency the group's lookahead declares. nil on every link of a
+	// serial (ungrouped) fabric.
+	xroute func(*Frame) *sim.Simulation
 	// Telemetry (telemetry.go): fault-outcome trace events. host/dir label
 	// the link in traces; tr is nil unless the network is instrumented.
 	tr   *telemetry.Tracer
@@ -264,11 +265,12 @@ type Link struct {
 	dir  string
 }
 
-func newLink(s *sim.Simulation, cfg LinkConfig, deliver func(*Frame)) *Link {
+// newLink returns a link on s that delivers each frame hop after it arrives.
+func newLink(s *sim.Simulation, cfg LinkConfig, hop time.Duration, deliver func(*Frame)) *Link {
 	if cfg.BandwidthBps <= 0 {
 		panic("netsim: non-positive bandwidth")
 	}
-	l := &Link{sim: s, cfg: cfg, deliver: deliver}
+	l := &Link{sim: s, cfg: cfg, deliver: deliver, xdelay: hop}
 	l.deliverAny = func(a any) { l.deliver(a.(*Frame)) }
 	return l
 }
@@ -421,10 +423,10 @@ func (l *Link) Send(f *Frame) {
 			g.Src, g.Dst, g.WireBytes, g.GoodBytes = f.Src, f.Dst, f.WireBytes, f.GoodBytes
 			g.Pkt, g.Owned = f.Pkt.ClonePooled(), true
 		}
-		if l.xroute != nil {
-			l.xroute(g).InjectCall(l.sim, arrive.Add(l.xdelay), l.deliverAny, g)
+		if at := arrive.Add(l.xdelay); l.xroute != nil {
+			l.xroute(g).InjectCall(l.sim, at, l.deliverAny, g)
 		} else {
-			l.sim.AtCall(arrive, l.deliverAny, g)
+			l.sim.AtCall(at, l.deliverAny, g)
 		}
 	}
 	if !handedOff {
@@ -512,6 +514,11 @@ func (l *Link) rawCopy(f *Frame, buf []byte, inPlace bool) *Frame {
 		Raw: append([]byte(nil), buf...), Owned: true}
 }
 
+// defaultSwitchLatency is the fixed pipeline traversal latency of every
+// switch, rack, leaf or spine: the hop of every link into a switch (Link's
+// xdelay), and part of a sharded fabric's lookahead (cutDelay).
+const defaultSwitchLatency = 800 * time.Nanosecond
+
 // port is the pair of directed links for one host.
 type port struct {
 	up   *Link // host -> switch
@@ -519,31 +526,28 @@ type port struct {
 	host HostHandler
 }
 
-// newPort attaches host h on simulation s: frames it sends arrive at
-// toSwitch, frames sent down arrive at its HandleFrame.
+// newPort attaches host h on simulation s: frames it sends reach toSwitch
+// one switch hop after they arrive, frames sent down arrive at its
+// HandleFrame.
 func newPort(s *sim.Simulation, cfg LinkConfig, c wire.Codec, h HostHandler, toSwitch func(*Frame)) *port {
-	p := &port{host: h, up: newLink(s, cfg, toSwitch)}
-	p.down = newLink(s, cfg, func(f *Frame) { p.host.HandleFrame(f) })
+	p := &port{host: h, up: newLink(s, cfg, defaultSwitchLatency, toSwitch)}
+	p.down = newLink(s, cfg, 0, func(f *Frame) { p.host.HandleFrame(f) })
 	p.up.codec, p.down.codec = c, c
 	return p
 }
 
-// Network is the single-switch fabric.
+// Network is the single-switch fabric. Every frame entering the switch
+// reaches the handler defaultSwitchLatency after it arrives, the fixed
+// pipeline traversal latency.
 type Network struct {
-	sim *sim.Simulation
-	// SwitchLatency is the fixed pipeline traversal latency applied to
-	// every frame entering the switch before the handler sees it.
-	SwitchLatency time.Duration
-	handler       SwitchHandler
-	ports         map[core.HostID]*port
-	defaultLink   LinkConfig
-	codec         wire.Codec
+	sim         *sim.Simulation
+	handler     SwitchHandler
+	ports       map[core.HostID]*port
+	defaultLink LinkConfig
+	codec       wire.Codec
 	// unroutable counts switch egress frames whose destination host is not
 	// attached (routingMisses).
 	unroutable routingMisses
-	// ingressAny is the arg-carrying event adapter for the switch-latency
-	// hop, bound once so the per-frame schedule allocates no closure.
-	ingressAny func(any)
 	// tel is the observability sink (telemetry.go); zero unless Instrument
 	// was called.
 	tel telemetry.Sink
@@ -552,14 +556,7 @@ type Network struct {
 // New creates a network on s where every subsequently attached host gets a
 // link with the given configuration.
 func New(s *sim.Simulation, link LinkConfig) *Network {
-	n := &Network{
-		sim:           s,
-		SwitchLatency: 800 * time.Nanosecond,
-		ports:         make(map[core.HostID]*port),
-		defaultLink:   link,
-	}
-	n.ingressAny = func(a any) { n.handler.HandleIngress(a.(*Frame)) }
-	return n
+	return &Network{sim: s, ports: make(map[core.HostID]*port), defaultLink: link}
 }
 
 // Sim returns the simulation the network runs on.
@@ -596,7 +593,7 @@ func (n *Network) AttachHostLink(id core.HostID, h HostHandler, cfg LinkConfig) 
 		if n.handler == nil {
 			panic("netsim: frame arrived with no switch attached")
 		}
-		n.sim.AfterCall(n.SwitchLatency, n.ingressAny, f)
+		n.handler.HandleIngress(f)
 	})
 	n.ports[id] = p
 	n.instrumentPort(id, p)

@@ -62,9 +62,13 @@ func TestDeliveryAndLatency(t *testing.T) {
 	// + switch latency. 334B at 100Gbps = 26.72ns each.
 	bw := 100e9
 	ser := time.Duration(float64(334*8) / bw * float64(time.Second))
-	want := sim.Time(0).Add(2*ser + 2*time.Microsecond + n.SwitchLatency)
+	want := sim.Time(0).Add(2*ser + 2*time.Microsecond + defaultSwitchLatency)
 	if cs[2].at[0] != want {
 		t.Fatalf("arrival at %v, want %v", cs[2].at[0], want)
+	}
+	// One event per link: the switch hop rides the uplink's delivery.
+	if fired := s.Stats().Fired; fired != 2 {
+		t.Fatalf("%d events for one frame across the rack, want 2", fired)
 	}
 }
 

@@ -49,18 +49,12 @@ type ShardLayout struct {
 	Lookahead time.Duration
 }
 
-// defaultSwitchLatency is the pipeline traversal latency the fat-tree
-// starts with; the shard lookahead is computed from it at construction, so
-// lowering SwitchLatency on a sharded fabric afterwards is rejected by
-// the kernel's lookahead check at the first cut delivery.
-const defaultSwitchLatency = 800 * time.Nanosecond
-
 // cutDelay returns the conservative lookahead of a fabric cut over links
 // with the given config: one-way propagation plus the switch pipeline
-// latency folded into the cut delivery. Serialization time is additive on
-// top and therefore not part of the guarantee.
-func cutDelay(link LinkConfig, switchLatency time.Duration) time.Duration {
-	return link.Propagation + switchLatency
+// latency of the delivery. Serialization time is additive on top and
+// therefore not part of the guarantee.
+func cutDelay(link LinkConfig) time.Duration {
+	return link.Propagation + defaultSwitchLatency
 }
 
 // shardSims resolves the per-block and per-spine lane simulations for a

@@ -134,7 +134,7 @@ func TestFatTreePartition(t *testing.T) {
 				t.Fatalf("layout lanes = %d, want %d", lay.Lanes, c.wantLanes)
 			}
 			checkLayout(t, lay)
-			if want := fabricLink.Propagation + ft.SwitchLatency; lay.Lookahead != want {
+			if want := fabricLink.Propagation + defaultSwitchLatency; lay.Lookahead != want {
 				t.Fatalf("lookahead = %v, want %v", lay.Lookahead, want)
 			}
 			// The whole bipartite mesh is cut: 2 directed links per
@@ -154,7 +154,7 @@ func TestFatTreePartition(t *testing.T) {
 					t.Fatalf("leaf %d state not on its lane", l)
 				}
 				for s, lk := range lp.up {
-					if lk.sim != lane || lk.xroute == nil || lk.xdelay != ft.SwitchLatency {
+					if lk.sim != lane || lk.xroute == nil || lk.xdelay != defaultSwitchLatency {
 						t.Fatalf("leaf %d uplink %d not a cut on its lane", l, s)
 					}
 					if got := lk.xroute(nil); got != ft.spines[s].ls {
@@ -169,7 +169,7 @@ func TestFatTreePartition(t *testing.T) {
 					t.Fatalf("spine %d state not on its lane", s)
 				}
 				for l, lk := range spp.down {
-					if lk.sim != lane || lk.xroute == nil || lk.xdelay != ft.SwitchLatency {
+					if lk.sim != lane || lk.xroute == nil || lk.xdelay != defaultSwitchLatency {
 						t.Fatalf("spine %d downlink %d not a cut on its lane", s, l)
 					}
 					if got := lk.xroute(nil); got != ft.leaves[l].ls {

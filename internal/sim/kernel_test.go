@@ -186,7 +186,8 @@ func TestSchedulingAllocs(t *testing.T) {
 // TestStatsOnScriptedSchedule pins the kernel's counters on a schedule whose
 // every event is known: a stopped timer counts once as cancelled — when its
 // dead entry surfaces — and never as fired; a process switch is a dispatch
-// and a fired event; a process that Close unwinds is not dispatched again.
+// and a fired event; a sleep that is next in line is neither; a process that
+// Close unwinds is not dispatched again.
 func TestStatsOnScriptedSchedule(t *testing.T) {
 	s := New(1)
 	if got := s.Stats(); got != (Stats{}) {
@@ -195,8 +196,9 @@ func TestStatsOnScriptedSchedule(t *testing.T) {
 	s.At(10, func() {})
 	stopped := s.At(20, func() { t.Error("stopped timer fired") })
 	s.At(30, func() {})
-	sleeper := s.Spawn("sleeper", func(p *Proc) { p.Sleep(5); p.Sleep(5) }) // start, 5, 10
-	s.Spawn("parked", func(p *Proc) { p.Wait(NewSignal(s)) })               // start, then parked for good
+	var slept Time
+	sleeper := s.Spawn("sleeper", func(p *Proc) { p.Sleep(5); p.Sleep(5); p.Sleep(12); slept = p.Now() })
+	s.Spawn("parked", func(p *Proc) { p.Wait(NewSignal(s)) }) // start, then parked for good
 	if !stopped.Stop() || stopped.Stop() {
 		t.Fatal("Stop did not report exactly one cancellation")
 	}
@@ -205,11 +207,16 @@ func TestStatsOnScriptedSchedule(t *testing.T) {
 		t.Fatalf("before Run: %+v, want %+v", got, want)
 	}
 	s.Run(0)
-	if !sleeper.done {
-		t.Fatal("sleeper did not finish")
+	if !sleeper.done || slept != 22 {
+		t.Fatalf("sleeper done %v at %v, want done at 22", sleeper.done, slept)
 	}
-	// Fired: 2 live timers + sleeper's 3 dispatches + parked's 1. The heap
-	// never held more than the five entries queued up front.
+	// The sleeper is dispatched at its start, at 5 (parked's start was queued
+	// at 0) and at 10 (the timer at 10 was queued there first). Its third
+	// sleep, to 22, is next in line — the stopped timer at 20 is dead, reaped
+	// then, and the next live event is at 30 — so it advances in place: no
+	// event, no dispatch, where the kernel used to count one of each (7 fired,
+	// 5 dispatches). Fired: 2 live timers + sleeper's 3 dispatches + parked's
+	// 1. The heap never held more than the five entries queued up front.
 	want := Stats{Fired: 6, Cancelled: 1, Dispatches: 4, HeapHigh: 5}
 	if got := s.Stats(); got != want {
 		t.Fatalf("after Run: %+v, want %+v", got, want)
@@ -217,5 +224,111 @@ func TestStatsOnScriptedSchedule(t *testing.T) {
 	s.Close()
 	if got := s.Stats(); got != want {
 		t.Fatalf("Close moved the counters: %+v, want %+v", got, want)
+	}
+}
+
+// TestSleepAdvancesInPlace: a sleep whose wake-up would be the next event
+// moves the clock and returns, with no event and no process switch.
+func TestSleepAdvancesInPlace(t *testing.T) {
+	s := New(1)
+	var woke []Time
+	s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(5)
+		woke = append(woke, p.Now())
+		p.SleepUntil(40)
+		woke = append(woke, p.Now())
+	})
+	if end := s.Run(0); end != 40 || fmt.Sprint(woke) != "[5ns 40ns]" {
+		t.Fatalf("Run ended at %v with wake-ups %v, want 40ns and [5ns 40ns]", end, woke)
+	}
+	// The spawn event is the only event and the only dispatch.
+	if got, want := s.Stats(), (Stats{Fired: 1, Dispatches: 1, HeapHigh: 1}); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
+	}
+}
+
+// TestSleepYieldsToEventAtWakeInstant: an event already queued at exactly the
+// wake instant runs before the sleeper resumes, as it did when every sleep
+// was an event; so does an earlier one.
+func TestSleepYieldsToEventAtWakeInstant(t *testing.T) {
+	for _, at := range []Time{7, 10} {
+		s := New(1)
+		var order []string
+		s.At(at, func() { order = append(order, "event") })
+		s.Spawn("sleeper", func(p *Proc) {
+			p.Sleep(10)
+			order = append(order, fmt.Sprintf("proc@%v", p.Now()))
+		})
+		s.Run(0)
+		if fmt.Sprint(order) != "[event proc@10ns]" {
+			t.Fatalf("event at %v: order %v, want [event proc@10ns]", at, order)
+		}
+		if got := s.Stats().Dispatches; got != 2 {
+			t.Fatalf("event at %v: %d dispatches, want 2 (the sleep parks)", at, got)
+		}
+	}
+}
+
+// TestSleepRespectsRunLimit: a wake-up past Run's limit is not advanced to;
+// Run stops at the limit and the process resumes on the next Run.
+func TestSleepRespectsRunLimit(t *testing.T) {
+	s := New(1)
+	var resumed Time = -1
+	s.Spawn("sleeper", func(p *Proc) {
+		p.Sleep(100)
+		resumed = p.Now()
+	})
+	if end := s.Run(50); end != 50 || s.Now() != 50 || resumed != -1 {
+		t.Fatalf("Run(50) ended at %v (now %v), sleeper resumed at %v; want 50, not resumed", end, s.Now(), resumed)
+	}
+	if s.Run(0); resumed != 100 {
+		t.Fatalf("sleeper resumed at %v on the next Run, want 100", resumed)
+	}
+	// A wake-up exactly at the limit is within it, and advances in place.
+	s2 := New(1)
+	s2.Spawn("sleeper", func(p *Proc) { p.Sleep(50); resumed = p.Now() })
+	if end := s2.Run(50); end != 50 || resumed != 50 || s2.Stats().Dispatches != 1 {
+		t.Fatalf("Run(50): ended %v, resumed %v, %d dispatches; want 50, 50, 1", end, resumed, s2.Stats().Dispatches)
+	}
+}
+
+// TestSleepParksAfterStopAndOnLanes: a stopped run, and every simulation of a
+// shard group, keep scheduling the wake-up as an event.
+func TestSleepParksAfterStopAndOnLanes(t *testing.T) {
+	s := New(1)
+	var resumed Time = -1
+	s.Spawn("stopper", func(p *Proc) {
+		p.Sim().Stop()
+		p.Sleep(5)
+		resumed = p.Now()
+	})
+	if end := s.Run(0); end != 0 || resumed != -1 {
+		t.Fatalf("stopped Run ended at %v with the sleeper resumed at %v, want 0, not resumed", end, resumed)
+	}
+	if s.Run(0); resumed != 5 || s.Stats().Dispatches != 2 {
+		t.Fatalf("sleeper resumed at %v after %d dispatches, want 5 after 2", resumed, s.Stats().Dispatches)
+	}
+
+	// The root's own heap says nothing about the lanes' events: a root
+	// process must not skip past the lane event at 3µs.
+	root := New(1)
+	g := NewShardGroup(root, 2, time.Microsecond)
+	lane := g.Lane(1)
+	laneRan, observed := false, false
+	lane.At(Time(3*Microsecond), func() { laneRan = true })
+	root.Spawn("driver", func(p *Proc) {
+		p.Sleep(5 * Microsecond)
+		observed = laneRan
+	})
+	lane.Spawn("lane-sleeper", func(p *Proc) {
+		p.Sleep(5)
+		resumed = p.Now()
+	})
+	root.Run(0)
+	if !observed || root.Stats().Dispatches != 2 {
+		t.Fatalf("root driver saw the lane event %v after %d dispatches, want true after 2", observed, root.Stats().Dispatches)
+	}
+	if resumed != 5 || lane.Stats().Dispatches != 2 {
+		t.Fatalf("lane sleeper resumed at %v after %d dispatches, want 5 after 2", resumed, lane.Stats().Dispatches)
 	}
 }

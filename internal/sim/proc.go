@@ -9,8 +9,9 @@ import (
 // Proc is a coroutine-backed simulation process. A Proc's body runs
 // interleaved with the event loop: whenever it blocks (Sleep, Wait, Acquire)
 // it schedules its own wake-up and parks, switching straight back to the
-// event callback that resumed it. At most one Proc or event callback runs at
-// any moment.
+// event callback that resumed it — except a sleep whose wake-up would be the
+// next event, which advances the clock in place. At most one Proc or event
+// callback runs at any moment.
 type Proc struct {
 	sim  *Simulation
 	name string
@@ -128,16 +129,18 @@ func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: proc %s sleeping for negative duration %v", p.name, d))
 	}
-	if d == 0 {
-		return
-	}
-	p.sim.After(d, p.dispatchFn)
-	p.park()
+	p.SleepUntil(p.sim.now.Add(d))
 }
 
 // SleepUntil suspends the process until virtual time t (no-op if t <= now).
+// When its wake-up would be the next event anyway, the clock moves to t in
+// place and the process carries on with no event and no switch (package doc,
+// "Event kernel").
 func (p *Proc) SleepUntil(t Time) {
 	if t <= p.sim.now {
+		return
+	}
+	if p.sim.inProc == p && p.sim.advance(t) {
 		return
 	}
 	p.sim.At(t, p.dispatchFn)

@@ -45,6 +45,18 @@
 // events execute in strictly increasing (time, sequence) order and the
 // sequence counter is unique per event, so the execution order is a total
 // order independent of heap internals.
+//
+// A process that sleeps until an instant nothing else precedes is not
+// scheduled at all: Sleep and SleepUntil move the clock forward in place and
+// return without an event or a process switch when the run is serial, has not
+// been stopped, the wake instant is within Run's limit, and no live event is
+// queued at or before it. The wake-up event would have carried a fresh
+// sequence number, larger than every queued one, at a time earlier than every
+// queued event's, so it would have been the next event popped, and the
+// process is the only code that would have run in between; skipping it leaves
+// every other event's (time, sequence) order, and so the execution order,
+// unchanged. An event already queued at exactly the wake instant still runs
+// first: the process parks behind it as before.
 package sim
 
 import (
@@ -129,6 +141,7 @@ type Simulation struct {
 	seed    int64
 	running bool
 	stopped bool
+	limit   Time // the running Run's limit (<= 0: none), for advance
 	stats   Stats
 
 	// inProc is the process whose body is executing, nil inside a plain
@@ -309,6 +322,7 @@ func (s *Simulation) Run(limit Time) Time {
 	s.running = true
 	defer func() { s.running = false }()
 	s.stopped = false
+	s.limit = limit
 	for len(s.heap) > 0 && !s.stopped {
 		top := s.heap[0]
 		e := &s.store[top.idx]
@@ -343,6 +357,23 @@ func (s *Simulation) reap(idx int32) {
 	s.heapPop()
 	s.recycle(idx)
 	s.stats.Cancelled++
+}
+
+// advance moves the clock to t in place, reporting whether it did: only when
+// an event at t would be the next one Run pops (package doc, "Event kernel").
+// Dead entries at the head are reaped here as Run would reap them.
+func (s *Simulation) advance(t Time) bool {
+	if s.group != nil || !s.running || s.stopped || (s.limit > 0 && t > s.limit) {
+		return false
+	}
+	for len(s.heap) > 0 && s.store[s.heap[0].idx].dead {
+		s.reap(s.heap[0].idx)
+	}
+	if len(s.heap) > 0 && s.heap[0].at <= t {
+		return false
+	}
+	s.now = t
+	return true
 }
 
 // RunFor runs the simulation for at most d of virtual time from now.

@@ -77,6 +77,13 @@ func (c *congestion) onTimeout() {
 // paper), and no reaction to out-of-order ACKs — the switch and the host
 // receiver both emit ACKs, so ordering carries no loss signal.
 //
+// Every flight has its own deadline, its last transmission plus the timeout
+// (times 2^k with backoff), but the window keeps one kernel timer: armed no
+// later than the earliest live deadline and stopped whenever nothing is in
+// flight. When it fires it retransmits every flight that is due, in sequence
+// order, and re-arms for the earliest deadline left, so each retransmission
+// happens at its flight's own deadline while an ACK costs no timer event.
+//
 // Sequence numbers are assigned by the window so the in-flight span never
 // exceeds W, which the switch's receive window requires.
 type Sender struct {
@@ -90,25 +97,30 @@ type Sender struct {
 	// ring holds the flights, slot seq & (w-1): the live sequence numbers
 	// lie in [base, nextSeq), at most W of them, so no two share a slot and a
 	// flight needs neither a map entry nor an allocation of its own. It is
-	// made by the first Send (a sender that never sends pays nothing) and
-	// never moves afterwards: an armed timer carries a pointer to its slot.
+	// made by the first Send (a sender that never sends pays nothing).
 	ring []flight
 	live int // flights in the ring: sent, not yet acknowledged
+
+	// timer is the window's one retransmission timer: pending at timerAt, no
+	// later than the earliest live deadline, whenever a flight is live and the
+	// window has not failed.
+	timer   sim.Timer
+	timerAt sim.Time
 
 	spaceSig *sim.Signal // fired when window space opens
 	idleSig  *sim.Signal // fired when nothing is in flight
 
 	// maxRetries bounds per-packet retransmissions (0 = unlimited, the
-	// paper's behavior). When a flight exhausts it the window fails: all
-	// timers stop and blocked senders observe Err() instead of retrying
+	// paper's behavior). When a flight exhausts it the window fails: the
+	// timer stops and blocked senders observe Err() instead of retrying
 	// into a dead peer forever.
 	maxRetries int
 	backoff    bool // exponential per-flight retransmission backoff
 	err        error
 
 	// onTimeoutFn is the method value s.onTimeout, bound once at NewSender
-	// so arming a flight's timer allocates no closure per packet.
-	onTimeoutFn func(any)
+	// so arming the timer allocates no closure.
+	onTimeoutFn func()
 
 	cc   *congestion // nil unless EnableCongestionControl
 	met  senderMetrics
@@ -116,12 +128,11 @@ type Sender struct {
 	flow string // label for trace events; set by Instrument
 }
 
-// flight is one ring slot. pkt is nil while the slot is free: a stopped timer
-// is dead in the kernel and never reaches its slot again, so a slot is reused
-// by seq+W as soon as seq is retired.
+// flight is one ring slot. pkt is nil while the slot is free, and a slot is
+// reused by seq+W as soon as seq is retired.
 type flight struct {
 	pkt    *wire.Packet
-	timer  sim.Timer
+	due    sim.Time // retransmission deadline
 	tries  int      // retransmissions so far
 	sentAt sim.Time // first transmission time (RTT sampling)
 }
@@ -129,17 +140,19 @@ type flight struct {
 // slot returns the ring slot of seq.
 func (s *Sender) slot(seq uint32) *flight { return &s.ring[seq&(s.w-1)] }
 
-// retire frees f's slot and returns the packet it carried. With the free
-// lists poisoned (wire.SetPoolPoison) the slot is stamped too, so a timer
-// that did reach a retired slot would report the sentinel sequence number.
+// retire frees f's slot and returns the packet it carried, stopping the timer
+// when no flight is left. With the free lists poisoned (wire.SetPoolPoison)
+// the slot is stamped too, so a timeout that did read a retired slot would
+// report the sentinel sequence number.
 func (s *Sender) retire(f *flight) *wire.Packet {
 	pkt := f.pkt
-	f.timer.Stop()
 	*f = flight{}
 	if wire.PoolPoison() {
 		f.tries = int(wire.PoisonSeq)
 	}
-	s.live--
+	if s.live--; s.live == 0 {
+		s.timer.Stop()
+	}
 	return pkt
 }
 
@@ -241,8 +254,9 @@ func (s *Sender) Err() error { return s.err }
 // NextSeq returns the sequence number the next Send will use.
 func (s *Sender) NextSeq() uint32 { return s.nextSeq }
 
-// fail aborts the window: all retransmission timers stop and every blocked
-// SendBlocking/WaitIdle caller wakes up observing Err().
+// fail aborts the window from its timer, which is then not re-armed: every
+// blocked SendBlocking/WaitIdle caller wakes up observing Err(). The flights
+// stay in flight (a late ACK still retires them, Reset abandons them).
 func (s *Sender) fail(err error) {
 	if s.err != nil {
 		return
@@ -250,20 +264,15 @@ func (s *Sender) fail(err error) {
 	s.err = err
 	s.met.aborts.Inc()
 	s.tr.EmitNote(telemetry.CompWindow, "window_abort", 0, s.flow)
-	// The flights stay in flight (a late ACK still retires them, Reset
-	// abandons them); only their timers stop.
-	for seq := s.base; seq != s.nextSeq; seq++ {
-		s.slot(seq).timer.Stop()
-	}
 	s.spaceSig.Fire()
 	s.idleSig.Fire()
 }
 
-// Reset abandons all in-flight packets and clears a previous failure: timers
-// stop, the base jumps to nextSeq, and blocked callers wake. The failover
-// machinery calls it when the switch's receive-window state has been lost
-// anyway (reboot) and the flow is about to be replayed out of band; sequence
-// numbers are NOT reused, so receiver-side dedup state stays valid.
+// Reset abandons all in-flight packets and clears a previous failure: the
+// timer stops, the base jumps to nextSeq, and blocked callers wake. The
+// failover machinery calls it when the switch's receive-window state has been
+// lost anyway (reboot) and the flow is about to be replayed out of band;
+// sequence numbers are NOT reused, so receiver-side dedup state stays valid.
 func (s *Sender) Reset() {
 	for seq := s.base; seq != s.nextSeq; seq++ {
 		if f := s.slot(seq); f.pkt != nil {
@@ -298,9 +307,9 @@ func (s *Sender) CanSend() bool {
 	return s.nextSeq-s.base < limit
 }
 
-// Send assigns the next sequence number to pkt, transmits it, and arms its
-// retransmission timer. The caller must ensure CanSend; blocking callers use
-// SendBlocking.
+// Send assigns the next sequence number to pkt, transmits it, and sets its
+// retransmission deadline. The caller must ensure CanSend; blocking callers
+// use SendBlocking.
 func (s *Sender) Send(pkt *wire.Packet) {
 	if !s.CanSend() {
 		panic(fmt.Sprintf("window: Send with full window (base=%d next=%d)", s.base, s.nextSeq))
@@ -311,11 +320,11 @@ func (s *Sender) Send(pkt *wire.Packet) {
 	pkt.Seq = s.nextSeq
 	s.nextSeq++
 	f := s.slot(pkt.Seq)
-	*f = flight{pkt: pkt, sentAt: s.sim.Now()}
+	*f = flight{pkt: pkt, sentAt: s.sim.Now(), due: s.deadline(0)}
 	s.live++
 	s.met.sent.Inc()
 	s.transmit(pkt)
-	s.arm(f)
+	s.pull(f.due)
 }
 
 // SendBlocking is Send for process-style callers: it blocks p until window
@@ -355,34 +364,61 @@ func (s *Sender) WaitIdle(p *sim.Proc) error {
 	return s.err
 }
 
-func (s *Sender) arm(f *flight) {
+// deadline returns when a flight transmitted now with tries retransmissions
+// behind it times out: one timeout later, or timeout·2^min(tries,6) with
+// backoff.
+func (s *Sender) deadline(tries int) sim.Time {
 	to := s.timeout
-	if s.backoff && f.tries > 0 {
-		shift := f.tries
-		if shift > 6 {
-			shift = 6
-		}
-		to = s.timeout << uint(shift)
+	if s.backoff {
+		to <<= uint(min(tries, 6))
 	}
-	f.timer = s.sim.AfterCall(to, s.onTimeoutFn, f)
+	return s.sim.Now().Add(to)
 }
 
-// onTimeout is a flight's retransmission timer firing, with the *flight as
-// argument. Still unacked: retransmit and re-arm, unless the retry budget is
-// exhausted — then the peer is presumed dead and the window aborts.
-func (s *Sender) onTimeout(arg any) {
-	f := arg.(*flight)
-	if s.maxRetries > 0 && f.tries >= s.maxRetries {
-		s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
+// pull makes the timer fire by at: it arms an idle timer, or moves one set
+// later forward.
+func (s *Sender) pull(at sim.Time) {
+	if s.timer.Pending() && s.timerAt <= at {
 		return
 	}
-	f.tries++
-	s.met.retransmits.Inc()
-	if s.cc != nil {
-		s.cc.onTimeout()
+	s.timer.Stop()
+	s.timerAt, s.timer = at, s.sim.At(at, s.onTimeoutFn)
+}
+
+// onTimeout is the window's timer firing. Every live flight whose deadline
+// has come is retransmitted, in sequence order, unless its retry budget is
+// exhausted — then the peer is presumed dead and the window aborts. The timer
+// re-arms for the earliest deadline still live; when the flights it was set
+// for have been acknowledged meanwhile, nothing is due and it just moves on.
+func (s *Sender) onTimeout() {
+	now := s.sim.Now()
+	var next sim.Time
+	found := false
+	for seq := s.base; seq != s.nextSeq; seq++ {
+		f := s.slot(seq)
+		if f.pkt == nil {
+			continue
+		}
+		if f.due <= now {
+			if s.maxRetries > 0 && f.tries >= s.maxRetries {
+				s.fail(fmt.Errorf("window: packet seq=%d unacknowledged after %d retransmissions", f.pkt.Seq, f.tries))
+				return
+			}
+			f.tries++
+			s.met.retransmits.Inc()
+			if s.cc != nil {
+				s.cc.onTimeout()
+			}
+			s.transmit(f.pkt)
+			f.due = s.deadline(f.tries)
+		}
+		if !found || f.due < next {
+			next, found = f.due, true
+		}
 	}
-	s.transmit(f.pkt)
-	s.arm(f)
+	if found {
+		s.pull(next)
+	}
 }
 
 // Ack processes an acknowledgment for seq and returns the packet of the

@@ -291,3 +291,115 @@ func TestSenderLateAckForReusedSlot(t *testing.T) {
 		t.Fatalf("Ack(%d) returned %v, want the reused slot's packet", w, got)
 	}
 }
+
+// TestSenderRetransmitsAtFlightDeadlines holds the window's one timer to the
+// schedule a timer per flight gives: under chosen losses and out-of-order
+// ACKs, with and without backoff, a flight's k-th retransmission happens
+// exactly at its previous transmission + timeout·2^min(k-1,6) (no backoff:
+// + timeout), only while the flight is unacknowledged, and no deadline of an
+// unacknowledged flight passes without one. After the last ACK nothing is
+// left scheduled, so Run(0) ends at that ACK.
+func TestSenderRetransmitsAtFlightDeadlines(t *testing.T) {
+	const timeout = 100 * time.Microsecond
+	lost := func(seq uint32, try int) bool { return (seq%4 == 1 && try == 0) || (seq%9 == 2 && try < 3) }
+	for _, backoff := range []bool{false, true} {
+		s := sim.New(1)
+		sends := map[uint32][]sim.Time{}
+		acked := map[uint32]sim.Time{}
+		var lastAck sim.Time
+		var w *Sender
+		w = NewSender(s, 8, timeout, func(p *wire.Packet) {
+			seq := p.Seq
+			sends[seq] = append(sends[seq], s.Now())
+			if lost(seq, len(sends[seq])-1) {
+				return
+			}
+			// The ACK delay varies with seq, so ACKs overtake each other.
+			d := 3*time.Microsecond + time.Duration(seq%5)*2300*time.Nanosecond
+			s.After(d, func() {
+				if w.Ack(seq) != nil {
+					acked[seq], lastAck = s.Now(), s.Now()
+				}
+			})
+		})
+		if backoff {
+			w.EnableBackoff()
+		}
+		s.Spawn("sender", func(p *sim.Proc) {
+			for i := 0; i < 64; i++ {
+				w.SendBlocking(p, mkPkt())
+			}
+			w.WaitIdle(p)
+		})
+		end := s.Run(0)
+		rto := func(tries int) time.Duration {
+			if backoff {
+				return timeout << min(tries, 6)
+			}
+			return timeout
+		}
+		retx, maxTries := 0, 0
+		for seq, ts := range sends {
+			a, ok := acked[seq]
+			if !ok {
+				t.Fatalf("backoff %v: seq %d never acknowledged", backoff, seq)
+			}
+			for k := 1; k < len(ts); k++ {
+				if want := ts[k-1].Add(rto(k - 1)); ts[k] != want {
+					t.Fatalf("backoff %v: seq %d transmission %d at %v, want %v", backoff, seq, k, ts[k], want)
+				}
+				if a <= ts[k] {
+					t.Fatalf("backoff %v: seq %d retransmitted at %v, acknowledged at %v", backoff, seq, ts[k], a)
+				}
+			}
+			last := len(ts) - 1
+			if deadline := ts[last].Add(rto(last)); a >= deadline {
+				t.Fatalf("backoff %v: seq %d acknowledged at %v, past its deadline %v with no retransmission", backoff, seq, a, deadline)
+			}
+			retx += last
+			maxTries = max(maxTries, last)
+		}
+		if int64(retx) != w.Stats().Retransmits || maxTries != 3 {
+			t.Fatalf("backoff %v: %d retransmissions, at most %d per flight; counter %d, want 3 at most", backoff, retx, maxTries, w.Stats().Retransmits)
+		}
+		if end != lastAck || s.Pending() != 0 {
+			t.Fatalf("backoff %v: Run ended at %v with %d events pending, last ACK at %v", backoff, end, s.Pending(), lastAck)
+		}
+	}
+}
+
+// TestSenderStopsTimerWhenIdle: after Reset and after a MaxRetries abort no
+// retransmission timer is left live, so the run ends where the window went
+// quiet instead of up to a timeout later.
+func TestSenderStopsTimerWhenIdle(t *testing.T) {
+	const timeout = 100 * time.Microsecond
+	s := sim.New(1)
+	w := NewSender(s, 4, timeout, func(*wire.Packet) {})
+	for i := 0; i < 3; i++ {
+		w.Send(mkPkt())
+	}
+	reset := sim.Time(150 * time.Microsecond) // after one round of retransmissions
+	s.At(reset, w.Reset)
+	if end := s.Run(0); end != reset || s.Pending() != 0 || !w.Idle() || w.Stats().Retransmits != 3 {
+		t.Fatalf("after Reset: Run ended at %v with %d pending, idle %v, %d retransmits; want %v, 0, true, 3",
+			end, s.Pending(), w.Idle(), w.Stats().Retransmits, reset)
+	}
+
+	s = sim.New(1)
+	w = NewSender(s, 4, timeout, func(*wire.Packet) {})
+	w.SetMaxRetries(2)
+	w.Send(mkPkt())
+	w.Send(mkPkt())
+	// Retransmissions at 100 and 200 µs; the third deadline aborts.
+	abort := sim.Time(3 * timeout)
+	if end := s.Run(0); end != abort || s.Pending() != 0 || w.Err() == nil || w.Stats().Retransmits != 4 {
+		t.Fatalf("after abort: Run ended at %v with %d pending, err %v, %d retransmits; want %v, 0, an error, 4",
+			end, s.Pending(), w.Err(), w.Stats().Retransmits, abort)
+	}
+	// A late ACK still retires an aborted flight, and arms nothing.
+	w.Ack(0)
+	w.Ack(1)
+	if !w.Idle() || s.Pending() != 0 {
+		t.Fatalf("late ACKs left idle %v with %d pending", w.Idle(), s.Pending())
+	}
+}
