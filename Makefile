@@ -4,8 +4,9 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test)
-# stands next to it and sums to 5 min 39 s; no target is a subset of another,
-# and each says why.
+# stands next to it and sums to 6 min 40 s; no target is a subset of another,
+# and each says why. The host was slower at the last measurement than at the
+# one before: `race` at the previous commit took 4 min 36 s there.
 
 GO ?= go
 
@@ -13,12 +14,12 @@ GO ?= go
 
 all: ci
 
-# 1 s. Type-checks and builds every package and every test (so there is no
+# 1.5 s. Type-checks and builds every package and every test (so there is no
 # separate build step) and is the only run of go vet's own analyzers.
 vet:
 	$(GO) vet ./...
 
-# 2 s (1.4–1.7 s over three runs, 37 packages). The only run of the
+# 2.8 s (37 packages). The only run of the
 # static-analysis suite (cmd/askcheck), three analyzers: sim-clock
 # determinism, the metric inventory, error taxonomy — over every package,
 # the analyzers' own included. PISA access legality is not among them:
@@ -28,7 +29,7 @@ vet:
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# 27 s (25–31 s over three runs). The whole suite once, in shuffled order (which
+# 41 s. The whole suite once, in shuffled order (which
 # also catches inter-test state dependencies). The only step that runs the
 # experiment registry: internal/experiments' TestQuickGolden runs every quick
 # preset once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
@@ -41,28 +42,29 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# 3 min 36 s. The same suite under the race detector, in source order — what
-# `test` cannot see. The registry run is skipped by build tag here (22
+# 4 min 9 s. The same suite under the race detector, in source order — what
+# `test` cannot see. The registry run is skipped by build tag here (21
 # single-goroutine simulations: minutes of detector time that race nothing;
-# the sharded lanes and the experiment worker pool keep their raced tests),
-# -short is not used. It is the only guard of the sharded scheduler's lanes:
-# the sharded goldens (ask's shard_golden_test.go, internal/sim's
-# shard_test.go) fail here when a lane touches another lane's state outside a
-# mailbox or the control rendezvous (DESIGN.md "Parallel DES"). The timeout is per package and equals go test's
-# default; it is written down so the budget is a reviewed number. The slowest
-# package under the detector is internal/chaos: 93 s inside this target on
-# the 2-vCPU host (internal/wire 73 s, ask 69 s, internal/experiments 6 s —
-# 426 s until PR 17).
+# the experiment worker pool keeps its raced test), -short is not used. It is
+# the only guard of the sharded scheduler's lanes, which only bench/'s
+# fattree-sharded workload still builds outside tests: ask's fat-tree sharded
+# goldens (shard_golden_test.go) and internal/sim's shard_test.go fail here
+# when a lane touches another lane's state outside a mailbox or the control
+# rendezvous (DESIGN.md "Parallel DES"). The timeout is per package and equals
+# go test's default; it is written down so the budget is a reviewed number.
+# The slowest package under the detector is internal/chaos: 114 s inside this
+# target on the 2-vCPU host (internal/wire 100 s, ask 79 s,
+# internal/experiments 10 s — 426 s until PR 17).
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# 1 min 23 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
+# 1 min 33 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
 # kind of randomized fault schedules, each run end-to-end against the analytic
 # ground truth with a continuous per-link corruption baseline — the rack
-# (switch outages, black-holes, loss/corruption bursts, host stalls; 13 s), the
+# (switch outages, black-holes, loss/corruption bursts, host stalls; 15 s), the
 # fat-tree (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md
-# "Fabric soak"; 34 s, plus one seed on four shards), and multi-rack (TOR
-# outages under the forwarding core; 29 s). The tests pin the first seeds of
+# "Fabric soak"; 40 s), and multi-rack (TOR outages under the forwarding core;
+# 35 s). The tests pin the first seeds of
 # each kind (internal/chaos/testdata/soak.golden) and the seeds that have
 # found bugs; this is the wider seed range, through the asksim command line.
 # A failure prints a shrunken schedule and a reproducer line carrying the
@@ -70,10 +72,9 @@ race:
 soak:
 	$(GO) run ./cmd/asksim -soak -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
-	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=1 -soak.corrupt=1e-3 -soak.shards=4
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 
-# 10 s (9.0–10.2 s over three runs). The library surface, run: vet only compiles
+# 13 s. The library surface, run: vet only compiles
 # the programs under examples/. Every one of them, whatever is added there, is
 # run, and exits non-zero on an error — which for those that run an ask.Job
 # (quickstart, streaming with one per window, groupby, multirack) includes a

@@ -365,8 +365,8 @@ func TestMultiRackUnderChaos(t *testing.T) {
 // fat-tree buys: a TOR crashes and reboots mid-stream — the receiver's, then
 // a remote sender's — and the task, with one rack-local and two remote
 // senders, still aggregates exactly, through the fat-tree's fabric-wide epoch
-// and replay recovery and no multi-rack failover code. Serial and on two
-// shard lanes (the latter is what `go test -race` watches).
+// and replay recovery and no multi-rack failover code. Two runs of each
+// outage are byte-identical.
 func TestMultiRackTOROutage(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Failover = true
@@ -389,9 +389,9 @@ func TestMultiRackTOROutage(t *testing.T) {
 		now     int64
 		replays int64
 	}
-	run := func(t *testing.T, tor, shards int) outcome {
+	run := func(t *testing.T, tor int) outcome {
 		t.Helper()
-		fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: 5, Config: cfg, Shards: shards})
+		fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{Racks: 3, HostsPerRack: 3, Seed: 5, Config: cfg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,14 +428,11 @@ func TestMultiRackTOROutage(t *testing.T) {
 		name string
 		tor  int
 	}{{"receiver-TOR", 0}, {"remote-sender-TOR", 2}} {
-		for _, shards := range []int{0, 2} {
-			tc, shards := tc, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", tc.name, shards), func(t *testing.T) {
-				first, second := run(t, tc.tor, shards), run(t, tc.tor, shards)
-				if !reflect.DeepEqual(first, second) {
-					t.Fatalf("two runs of the same outage differ:\n%+v\n%+v", first, second)
-				}
-			})
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			first, second := run(t, tc.tor), run(t, tc.tor)
+			if !reflect.DeepEqual(first, second) {
+				t.Fatalf("two runs of the same outage differ:\n%+v\n%+v", first, second)
+			}
+		})
 	}
 }

@@ -52,6 +52,10 @@ type FatTreeOptions struct {
 	// control rendezvous the recovery path needs reorders same-window events
 	// relative to serial. Values <= 1, or topologies with a single leaf,
 	// take the exact serial code path (netsim.EffectiveShards).
+	//
+	// No command, experiment or soak sets it: it exists for bench/'s
+	// fattree-sharded workload and the scheduler's own tests, and it goes
+	// with the scheduler (ROADMAP "Delete the sharded scheduler").
 	Shards int
 }
 

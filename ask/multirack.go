@@ -24,9 +24,6 @@ type MultiRackOptions struct {
 	// Switch sizes each TOR's state tables; MaxFlows bounds only that
 	// rack's channels (the state-explosion containment of §7).
 	Switch switchd.Options
-	// Shards, when > 1, partitions the fabric into that many parallel event
-	// lanes of contiguous racks; see FatTreeOptions.Shards.
-	Shards int
 }
 
 // HostAt returns the host ID of slot i in rack r.
@@ -41,7 +38,7 @@ func (o MultiRackOptions) HostAt(r, i int) core.HostID {
 // there; cross-rack traffic bypasses the receiver's TOR program and is
 // aggregated at the receiver host, so no TOR ever holds task state for
 // another rack. Everything else — TOR crash/reboot under the fabric-wide
-// epoch, replay recovery, sharding — is the fat-tree's. Host IDs are
+// epoch, replay recovery — is the fat-tree's. Host IDs are
 // rack-major: rack r holds [r·HostsPerRack, (r+1)·HostsPerRack). It returns
 // an error under the same conditions as NewFatTreeCluster.
 func NewMultiRackCluster(opts MultiRackOptions) (*FatTreeCluster, error) {
@@ -51,6 +48,6 @@ func NewMultiRackCluster(opts MultiRackOptions) (*FatTreeCluster, error) {
 	return newFatTreeCluster(FatTreeOptions{
 		Spines: 1, Leaves: opts.Racks, HostsPerLeaf: opts.HostsPerRack,
 		Config: opts.Config, HostLink: opts.HostLink, FabricLink: opts.CoreLink,
-		Cores: opts.Cores, Seed: opts.Seed, Switch: opts.Switch, Shards: opts.Shards,
+		Cores: opts.Cores, Seed: opts.Seed, Switch: opts.Switch,
 	}, true)
 }

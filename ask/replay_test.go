@@ -55,7 +55,7 @@ func TestScenarioCorpusReplayMatchesDirect(t *testing.T) {
 			if _, err := workload.WriteTimedTrace(&buf, s.Header(), s.TimedStream()); err != nil {
 				t.Fatal(err)
 			}
-			hdr, tkvs, err := workload.ReadTrace(&buf)
+			hdr, tkvs, err := workload.ReadTimedTrace(&buf)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,7 +110,7 @@ func TestScenarioCorpusFatTreeTenantRoundTrip(t *testing.T) {
 		if _, err := workload.WriteTimedTrace(&buf, s.Header(), s.TimedStream()); err != nil {
 			t.Fatal(err)
 		}
-		hdr, tkvs, err := workload.ReadTrace(&buf)
+		hdr, tkvs, err := workload.ReadTimedTrace(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}

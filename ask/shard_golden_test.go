@@ -1,12 +1,13 @@
 package ask
 
 // Golden equality for the conservative parallel DES (DESIGN.md "Parallel
-// DES"): a sharded cluster must produce byte-identical results, counters and
+// DES"): a sharded fat-tree must produce byte-identical results, counters and
 // virtual-time measurements to the serial build, for every shard count. These
 // tests are the determinism contract's enforcement point — they compare
 // complete TaskResult values (aggregation output, elapsed virtual time,
 // receiver and switch counters) across shard counts, and they run under
-// `make race`.
+// `make race`. FatTreeOptions.Shards is the only way to ask for lanes; the
+// multi-rack preset always runs serial.
 
 import (
 	"reflect"
@@ -20,96 +21,6 @@ import (
 	"repro/internal/workload"
 	"repro/internal/workload/scenario"
 )
-
-// runMultiRackWorkload builds a 4-rack cluster with the given shard count and
-// runs one cross-rack aggregation; hosts and streams are identical across
-// calls so any divergence is the scheduler's.
-func runMultiRackWorkload(t *testing.T, shards int) (*TaskResult, int64) {
-	t.Helper()
-	opts := MultiRackOptions{Racks: 4, HostsPerRack: 2, Seed: 7, Shards: shards}
-	mc, err := NewMultiRackCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver := opts.HostAt(0, 0)
-	senders := []core.HostID{
-		opts.HostAt(0, 1), opts.HostAt(1, 0), opts.HostAt(2, 1), opts.HostAt(3, 0),
-	}
-	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
-	for i, s := range senders {
-		job.Send(s, workload.Uniform(768, 6000, int64(20+i)))
-	}
-	return runJob(t, &mc.Deployment, job), int64(mc.Sim.Now())
-}
-
-// TestMultiRackShardedByteIdentical pins the parallel scheduler to the
-// serial golden: shard counts 2 and 4 must reproduce the serial run's
-// TaskResult and final clock exactly.
-func TestMultiRackShardedByteIdentical(t *testing.T) {
-	golden, goldenNow := runMultiRackWorkload(t, 0)
-	for _, shards := range []int{2, 4} {
-		got, gotNow := runMultiRackWorkload(t, shards)
-		if !got.Result.Equal(golden.Result) {
-			t.Fatalf("shards=%d: aggregation diverged from serial: %s",
-				shards, got.Result.Diff(golden.Result, 8))
-		}
-		if !reflect.DeepEqual(got, golden) {
-			t.Errorf("shards=%d: TaskResult diverged from serial:\n got: %+v\nwant: %+v",
-				shards, got, golden)
-		}
-		if gotNow != goldenNow {
-			t.Errorf("shards=%d: final clock %d != serial %d", shards, gotNow, goldenNow)
-		}
-	}
-}
-
-// TestMultiRackShardsOneIsSerialSeam verifies the serial fallback seam:
-// Shards values of 0 and 1 (and over-asking a single-rack topology) must not
-// construct a shard group at all — the exact pre-shard code path runs.
-func TestMultiRackShardsOneIsSerialSeam(t *testing.T) {
-	for _, tc := range []struct {
-		racks, shards int
-	}{{4, 0}, {4, 1}, {1, 8}} {
-		mc, err := NewMultiRackCluster(MultiRackOptions{
-			Racks: tc.racks, HostsPerRack: 2, Seed: 3, Shards: tc.shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mc.Net.Group() != nil {
-			t.Errorf("racks=%d shards=%d: expected serial build, got shard group",
-				tc.racks, tc.shards)
-		}
-		if mc.Sim.ShardLane() != -1 || mc.Sim.Group() != nil {
-			t.Errorf("racks=%d shards=%d: root sim is grouped", tc.racks, tc.shards)
-		}
-	}
-}
-
-// TestMultiRackShardedParallelWindows asserts the sharded run actually
-// exercises the parallel scheduler (guards against a silently-serial build
-// making the golden test vacuous).
-func TestMultiRackShardedParallelWindows(t *testing.T) {
-	opts := MultiRackOptions{Racks: 4, HostsPerRack: 2, Seed: 7, Shards: 4}
-	mc, err := NewMultiRackCluster(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver := opts.HostAt(0, 0)
-	senders := []core.HostID{opts.HostAt(1, 0), opts.HostAt(2, 0), opts.HostAt(3, 0)}
-	job := NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
-	for i, s := range senders {
-		job.Send(s, workload.Uniform(512, 4000, int64(40+i)))
-	}
-	runJob(t, &mc.Deployment, job)
-	st := mc.Net.Group().Stats()
-	if st.Windows == 0 || st.Injects == 0 {
-		t.Fatalf("sharded run scheduled no windows/injects: %+v", st)
-	}
-	if st.ParallelWindows+st.InlineWindows == 0 {
-		t.Fatalf("no shard-resident windows ran (all serial): %+v", st)
-	}
-}
 
 // runFatTreeWorkload builds a 2×4 fat-tree with the given shard count and
 // runs one cross-leaf aggregation with a sender on every leaf.

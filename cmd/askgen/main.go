@@ -1,5 +1,6 @@
 // Command askgen generates and inspects the key-value stream workloads used
-// throughout the evaluation, and records corpus scenarios to timed traces.
+// throughout the evaluation and writes them as v2 traces: corpus scenarios
+// at their timed arrivals, datasets and synthetic streams at offset zero.
 //
 // Determinism contract: the -seed flag pins every random choice the
 // generator makes (key order, values, arrival times). The same flags with
@@ -10,7 +11,7 @@
 //
 // Examples:
 //
-//	askgen -dataset yelp -tuples 100000 -out trace.tsv   # write a v1 trace
+//	askgen -dataset yelp -tuples 100000 -out yelp.askt   # untimed v2 trace
 //	askgen -dataset yelp -tuples 1000000 -stats          # summarize skew/lengths
 //	askgen -distinct 4096 -skew 1.2 -order hot -stats    # synthetic Zipf
 //	askgen -list-scenarios                               # corpus registry
@@ -98,9 +99,7 @@ func main() {
 	case *show:
 		printStats(spec)
 	default:
-		n, err := writeOut(*out, func(w io.Writer) (int64, error) {
-			return workload.WriteTSV(w, spec.Stream())
-		})
+		n, err := writeOut(*out, func(w io.Writer) (int64, error) { return writeSpec(w, spec) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "askgen:", err)
 			os.Exit(1)
@@ -129,6 +128,13 @@ func writeOut(path string, write func(io.Writer) (int64, error)) (int64, error) 
 		return n, err
 	}
 	return n, w.Flush()
+}
+
+// writeSpec streams a dataset or synthetic workload as a v2 trace with every
+// arrival at offset zero; the header names the generator and its seed.
+func writeSpec(w io.Writer, spec workload.Spec) (int64, error) {
+	hdr := workload.TraceHeader{Seed: spec.Seed, Meta: map[string]string{"generator": spec.Name}}
+	return workload.WriteTimedTrace(w, hdr, spec.Stream().Timed())
 }
 
 // recordScenario resolves a corpus scenario and streams it as a v2 timed
@@ -197,7 +203,7 @@ func printStats(spec workload.Spec) {
 	fmt.Printf("  key length mean/p50/p90: %.1f / %.0f / %.0f bytes\n",
 		lens.Mean(), lens.Quantile(0.5), lens.Quantile(0.9))
 	short, medium, long := 0.0, 0.0, 0.0
-	for l, n := 0.0, lens.N(); l <= 64; l++ {
+	for l := 0.0; l <= 64; l++ {
 		frac := lens.At(l) - lens.At(l-1)
 		switch {
 		case l <= 4:
@@ -207,7 +213,6 @@ func printStats(spec workload.Spec) {
 		default:
 			long += frac
 		}
-		_ = n
 	}
 	fmt.Printf("  length classes (default config): short %.1f%%, medium %.1f%%, long %.1f%%\n",
 		100*short, 100*medium, 100*long)

@@ -11,22 +11,22 @@ import (
 
 // TestSeedReproducibility locks askgen's determinism contract: the same
 // flags with the same seed produce byte-identical output, for both the
-// classic TSV path and scenario recording.
+// untimed synthetic path and scenario recording.
 func TestSeedReproducibility(t *testing.T) {
 	gen := func(seed int64) []byte {
 		spec := workload.Zipf(512, 2_000, 1.1, workload.Shuffled, seed)
 		spec.KeyLens = workload.NaturalLanguage(0)
 		var buf bytes.Buffer
-		if _, err := workload.WriteTSV(&buf, spec.Stream()); err != nil {
+		if _, err := writeSpec(&buf, spec); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
 	}
 	if !bytes.Equal(gen(7), gen(7)) {
-		t.Error("same seed produced different TSV traces")
+		t.Error("same seed produced different synthetic traces")
 	}
 	if bytes.Equal(gen(7), gen(8)) {
-		t.Error("different seeds produced identical TSV traces")
+		t.Error("different seeds produced identical synthetic traces")
 	}
 
 	rec := func(seed int64) []byte {

@@ -9,8 +9,8 @@
 //
 //	askgen -scenario flash-crowd -out flash.askt
 //	asksim -replay flash.askt          # timed replay on the sim clock
-//	askgen -dataset yelp -out yelp.tsv
-//	asksim -replay yelp.tsv            # plain TSV: the same path, back to back
+//	askgen -dataset yelp -out yelp.askt
+//	asksim -replay yelp.askt           # zero offsets: the same path, back to back
 //
 // Every -topology (rack, multirack, fattree) runs the same path: build the
 // deployment, lay out one ask.Job per tenant (or a single one), start, run,
@@ -72,11 +72,11 @@ func writeSnapshot(path string, write func(w io.Writer) error) {
 // (the rack is one group; -leaves racks or leaves otherwise), the ASK
 // configuration and the fault model of every link.
 type shape struct {
-	groups, hosts, spines, tenants, shards int
-	seed                                   int64
-	cfg                                    core.Config
-	link                                   netsim.LinkConfig
-	tel                                    telemetry.Config
+	groups, hosts, spines, tenants int
+	seed                           int64
+	cfg                            core.Config
+	link                           netsim.LinkConfig
+	tel                            telemetry.Config
 }
 
 // topology is one -topology table entry.
@@ -94,7 +94,7 @@ var topologies = map[string]topology{
 	"rack": {
 		rejects: map[string]string{
 			"spines": "a rack has one switch", "leaves": "a rack is a single group of -hosts",
-			"tenants": "tenancy runs on the fat-tree", "shards": "a single rack has no partition boundary to cut",
+			"tenants": "tenancy runs on the fat-tree",
 		},
 		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			cl, err := ask.NewCluster(ask.Options{Hosts: s.hosts, Config: s.cfg, Link: s.link, Seed: s.seed, Telemetry: s.tel})
@@ -113,7 +113,7 @@ var topologies = map[string]topology{
 		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
 				Racks: s.groups, HostsPerRack: s.hosts, Config: s.cfg,
-				HostLink: s.link, CoreLink: s.link, Seed: s.seed, Shards: s.shards,
+				HostLink: s.link, CoreLink: s.link, Seed: s.seed,
 			})
 			if err != nil {
 				return nil, nil, err
@@ -127,7 +127,7 @@ var topologies = map[string]topology{
 		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			opts := ask.FatTreeOptions{
 				Spines: s.spines, Leaves: s.groups, HostsPerLeaf: s.hosts, Config: s.cfg,
-				HostLink: s.link, FabricLink: s.link, Seed: s.seed, Telemetry: s.tel, Shards: s.shards,
+				HostLink: s.link, FabricLink: s.link, Seed: s.seed, Telemetry: s.tel,
 			}
 			for i := 0; i < s.tenants; i++ {
 				opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
@@ -202,7 +202,7 @@ func main() {
 		rows     = flag.Int("rows", 0, "switch region rows (0 = default)")
 		seed     = flag.Int64("seed", 1, "simulation seed")
 		verify   = flag.Bool("verify", true, "check the result against a host-computed reference")
-		replay   = flag.String("replay", "", "replay a trace from askgen instead of generating, dealt round-robin across the senders: a timed trace (-scenario) enters at its recorded arrival offsets on the sim clock, a plain TSV back to back")
+		replay   = flag.String("replay", "", "replay a trace from askgen instead of generating, dealt round-robin across the senders: every tuple enters at its recorded arrival offset on the sim clock (a trace of zero offsets runs back to back)")
 		layoutF  = flag.Bool("layout", false, "print the switch pipeline layout and exit")
 		telem    = flag.Bool("telemetry", false, "enable the cluster telemetry stack and print the metric report")
 		promOut  = flag.String("prom", "", "write a Prometheus text snapshot to this file ('-' = stdout; implies -telemetry)")
@@ -212,7 +212,6 @@ func main() {
 		spines   = flag.Int("spines", 2, "fat-tree spine switches (topology=fattree)")
 		leaves   = flag.Int("leaves", 3, "host groups: fat-tree leaves or multirack racks, of -hosts each")
 		tenants  = flag.Int("tenants", 0, "tenants sharing the fat-tree, one task each, equal weights (0 = untenanted; topology=fattree)")
-		shards   = flag.Int("shards", 0, "parallel event-loop shards; <= 1 runs the serial scheduler, as do fabrics with a single rack/leaf (DESIGN.md \"Parallel DES\")")
 
 		soak        = flag.Bool("soak", false, "run the chaos soak harness instead of a single task (honors -topology)")
 		soakRuns    = flag.Int("soak.runs", 1, "consecutive soak seeds to run (soak.seed, soak.seed+1, ...)")
@@ -224,13 +223,12 @@ func main() {
 		soakBreak   = flag.Bool("soak.break-checksums", false, "disable checksum verification (fault hook) to demo harness detection (topology=rack)")
 		soakSpines  = flag.Int("soak.spines", 0, "fat-tree soak spine switches (0 = default 2; topology=fattree)")
 		soakLeaves  = flag.Int("soak.leaves", 0, "fat-tree soak leaf switches or multi-rack soak racks (0 = default 3; topology=fattree or multirack)")
-		soakShards  = flag.Int("soak.shards", 0, "run the fat-tree or multi-rack soak on the parallel scheduler with this many shards (0/1 = serial)")
 	)
 	flag.Parse()
 	if *soak {
 		runSoak(*topoName, *soakRuns, chaos.Config{
 			Seed: *soakSeed, Events: *soakEvents, Senders: *soakSenders, Tuples: *soakTuples,
-			Spines: *soakSpines, Leaves: *soakLeaves, Shards: *soakShards,
+			Spines: *soakSpines, Leaves: *soakLeaves,
 			Base: netsim.Fault{CorruptProb: *soakCorrupt}, DisableChecksumVerify: *soakBreak,
 		})
 		return
@@ -249,7 +247,7 @@ func main() {
 		}, "-replay")
 	}
 	s := shape{
-		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, shards: *shards, seed: *seed,
+		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, seed: *seed,
 		cfg: core.DefaultConfig(), link: netsim.DefaultLinkConfig(),
 		tel: telemetry.Config{Enabled: *telem || *promOut != "" || *jsonOut != ""},
 	}
@@ -294,7 +292,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		hdr, tkvs, err := workload.ReadTrace(f)
+		hdr, tkvs, err := workload.ReadTimedTrace(f)
 		f.Close()
 		if err != nil {
 			fail("%v", err)

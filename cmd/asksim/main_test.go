@@ -5,8 +5,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // TestMain lets the tests drive the real main, exit status included: the
@@ -61,26 +66,55 @@ func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
 	}
 }
 
-// TestReplayAcceptsPlainTSV replays an untimed askgen-style trace: -replay
-// sniffs the format, deals the tuples across the senders and verifies the
-// aggregate against the fold of the file.
-func TestReplayAcceptsPlainTSV(t *testing.T) {
-	var tsv strings.Builder
-	for i := 0; i < 300; i++ {
-		tsv.WriteString([]string{"alpha", "beta", "gamma", "a-rather-longer-key"}[i%4] + "\t1\n")
+// traceFile writes kvs as a v2 trace in a temporary file, their arrivals
+// spread evenly over span (zero: every offset zero), and returns its path.
+func traceFile(t *testing.T, kvs []core.KV, span time.Duration) string {
+	t.Helper()
+	tkvs := make([]core.TimedKV, len(kvs))
+	for i, kv := range kvs {
+		tkvs[i] = core.TimedKV{KV: kv, At: span * time.Duration(i) / time.Duration(len(kvs))}
 	}
-	path := filepath.Join(t.TempDir(), "p.tsv")
-	if err := os.WriteFile(path, []byte(tsv.String()), 0o644); err != nil {
+	var buf bytes.Buffer
+	if _, err := workload.WriteTimedTrace(&buf, workload.TraceHeader{}, core.SliceTimedStream(tkvs)); err != nil {
 		t.Fatal(err)
 	}
-	stdout, stderr, exit := asksim(t, "-replay", path, "-hosts", "3", "-senders", "2")
-	if exit != 0 || stderr != "" {
-		t.Fatalf("exit %d, stderr %q", exit, stderr)
+	path := filepath.Join(t.TempDir(), "t.askt")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, want := range []string{"result verified exact against host-computed reference ✓", "distinct result keys:  4\n"} {
-		if !strings.Contains(stdout, want) {
-			t.Fatalf("output lacks %q:\n%s", want, stdout)
+	return path
+}
+
+// TestReplayZeroOffsetTraceBackToBack replays an untimed trace — every
+// arrival at offset zero, as askgen writes a dataset: -replay deals the
+// tuples across the senders, verifies the aggregate against the fold of the
+// file, and streams them back to back, finishing well before the same
+// records spread over 5 ms can.
+func TestReplayZeroOffsetTraceBackToBack(t *testing.T) {
+	kvs := make([]core.KV, 300)
+	for i := range kvs {
+		kvs[i] = core.KV{Key: []string{"alpha", "beta", "gamma", "a-rather-longer-key"}[i%4], Val: 1}
+	}
+	const span = 5 * time.Millisecond
+	elapsed := func(over time.Duration) time.Duration {
+		stdout, stderr, exit := asksim(t, "-replay", traceFile(t, kvs, over), "-hosts", "3", "-senders", "2")
+		if exit != 0 || stderr != "" {
+			t.Fatalf("exit %d, stderr %q", exit, stderr)
 		}
+		for _, want := range []string{"result verified exact against host-computed reference ✓", "distinct result keys:  4\n"} {
+			if !strings.Contains(stdout, want) {
+				t.Fatalf("output lacks %q:\n%s", want, stdout)
+			}
+		}
+		_, rest, _ := strings.Cut(stdout, "task completed in ")
+		d, err := time.ParseDuration(strings.SplitN(rest, " ", 2)[0])
+		if err != nil {
+			t.Fatalf("no completion time in:\n%s", stdout)
+		}
+		return d
+	}
+	if zero, paced := elapsed(0), elapsed(span); zero >= span || paced < span*299/300 {
+		t.Fatalf("zero offsets completed in %v, the same records over %v in %v", zero, span, paced)
 	}
 }
 
@@ -91,10 +125,7 @@ func TestReplayAcceptsPlainTSV(t *testing.T) {
 // with the Diff, -verify=false prints the report instead, and an error that
 // is not a mismatch still fails under -verify=false.
 func TestVerifyFalseIgnoresExactlyTheMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "wraps.tsv")
-	if err := os.WriteFile(path, []byte(strings.Repeat("k\t2000000000\n", 6)), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	path := traceFile(t, slices.Repeat([]core.KV{{Key: "k", Val: 2_000_000_000}}, 6), 0)
 	args := []string{"-replay", path, "-hosts", "2", "-senders", "1"}
 	stdout, stderr, exit := asksim(t, args...)
 	if want := "asksim: RESULT MISMATCH (task): 1 diffs: [\"k\": -884901888 vs 12000000000]\n"; exit != 1 || stdout != "" || stderr != want {

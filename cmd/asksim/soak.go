@@ -15,7 +15,6 @@ var soaks = map[string]struct {
 }{
 	"rack": {chaos.Rack, map[string]string{
 		"soak.spines": "the rack has a single switch", "soak.leaves": "the rack has a single switch",
-		"soak.shards": "a single rack has no partition boundary to cut",
 	}},
 	"fattree": {chaos.FabricOutage, map[string]string{
 		"soak.senders":         "the fat-tree soak derives its senders from -soak.leaves (one per non-receiver leaf, per tenant)",

@@ -139,8 +139,8 @@ func TestFabricReproducerCarriesTopologyFlags(t *testing.T) {
 		}
 	}
 	// The multi-rack row names its topology and rack count the same way.
-	mr := chaos.Report{Cfg: chaos.Config{Kind: chaos.MultiRackOutage, Seed: 3, Events: 6, Leaves: 5, Tuples: 1000, Shards: 2}}
-	for _, want := range []string{"-topology multirack", "-soak.seed=3", "-soak.leaves=5", "-soak.shards=2"} {
+	mr := chaos.Report{Cfg: chaos.Config{Kind: chaos.MultiRackOutage, Seed: 3, Events: 6, Leaves: 5, Tuples: 1000}}
+	for _, want := range []string{"-topology multirack", "-soak.seed=3", "-soak.leaves=5"} {
 		if !strings.Contains(mr.Reproducer(), want) {
 			t.Errorf("reproducer %q lacks %q", mr.Reproducer(), want)
 		}
@@ -182,8 +182,8 @@ func TestFabricSpineOutageScheduleReplays(t *testing.T) {
 
 // TestMultiRackSoak is the multi-rack row of the kinds table end to end: its
 // schedules draw TOR outages (the receiver's rack included) and host faults
-// on sender hosts only, and the soak passes — serial and on two shard lanes —
-// with replay evidence, i.e. TOR outages really hit the stream.
+// on sender hosts only, and the soak passes with replay evidence, i.e. TOR
+// outages really hit the stream.
 func TestMultiRackSoak(t *testing.T) {
 	senders := map[core.HostID]bool{1: true, 3: true, 5: true} // withDefaults: 3 racks of 2, second host sends
 	outageAt := make(map[int]int)
@@ -214,7 +214,7 @@ func TestMultiRackSoak(t *testing.T) {
 	// task with "alloc-region degraded", as it did until the two paths were
 	// made one (hostd.allocRegion).
 	var replays int64
-	for _, cfg := range []chaos.Config{{Seed: 2}, {Seed: 4}, {Seed: 2, Shards: 2}, {Seed: 20}, {Seed: 55}, {Seed: 180}} {
+	for _, cfg := range []chaos.Config{{Seed: 2}, {Seed: 4}, {Seed: 20}, {Seed: 55}, {Seed: 180}} {
 		cfg.Kind, cfg.Base = chaos.MultiRackOutage, netsim.Fault{CorruptProb: 1e-3}
 		rep, err := chaos.Soak(cfg)
 		if err != nil {

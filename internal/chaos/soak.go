@@ -66,9 +66,9 @@ const (
 	MultiRackOutage
 )
 
-// Config parameterizes one soak. Zero fields other than Kind, Seed, Base,
-// DisableChecksumVerify and Shards are replaced by the kind's defaults; two
-// runs with equal configs are identical.
+// Config parameterizes one soak. Zero fields other than Kind, Seed, Base and
+// DisableChecksumVerify are replaced by the kind's defaults; two runs with
+// equal configs are identical.
 type Config struct {
 	Kind Kind
 	// Seed drives everything: workload contents, schedule generation, and
@@ -108,11 +108,6 @@ type Config struct {
 	// the rack under test: the deliberately-broken build the harness must
 	// catch. Never set outside tests of the harness itself.
 	DisableChecksumVerify bool
-	// Shards, when > 1, runs the FabricOutage fat-tree or the MultiRackOutage
-	// racks on the conservative parallel scheduler: the soak then
-	// additionally proves that failover epochs, replay, and conservation
-	// survive parallel execution and its control rendezvous.
-	Shards int
 }
 
 // kind is everything that distinguishes one soak flavour, as data.
@@ -164,7 +159,7 @@ func fatTree(cfg Config, c core.Config, spines, leaves int) (*ask.Deployment, er
 	link.Fault = cfg.Base
 	opts := ask.FatTreeOptions{
 		Spines: spines, Leaves: leaves, HostsPerLeaf: cfg.Tenants,
-		Config: c, HostLink: link, Seed: cfg.Seed, Shards: cfg.Shards,
+		Config: c, HostLink: link, Seed: cfg.Seed,
 	}
 	for i := 0; i < cfg.Tenants; i++ {
 		opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
@@ -279,7 +274,7 @@ var kinds = [...]kind{
 			link := netsim.DefaultLinkConfig()
 			link.Fault = cfg.Base
 			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
-				Racks: cfg.Leaves, HostsPerRack: 2, Config: soakConfig(cfg), HostLink: link, Seed: cfg.Seed, Shards: cfg.Shards,
+				Racks: cfg.Leaves, HostsPerRack: 2, Config: soakConfig(cfg), HostLink: link, Seed: cfg.Seed,
 			})
 			if err != nil {
 				return nil, err
@@ -835,9 +830,6 @@ func (r Report) Reproducer() string {
 		r.Cfg.Seed, r.Cfg.Events, r.Cfg.Tuples, flags)
 	if r.Cfg.Base.CorruptProb != 0 {
 		s += fmt.Sprintf(" -soak.corrupt=%g", r.Cfg.Base.CorruptProb)
-	}
-	if r.Cfg.Shards > 1 {
-		s += fmt.Sprintf(" -soak.shards=%d", r.Cfg.Shards)
 	}
 	if r.Cfg.DisableChecksumVerify {
 		s += " -soak.break-checksums"

@@ -261,7 +261,7 @@ func TestAblations(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if len(All()) != 22 {
+	if len(All()) != 21 {
 		t.Fatalf("registry has %d experiments", len(All()))
 	}
 	if _, err := ByName("fig9"); err != nil {
@@ -280,9 +280,6 @@ func TestRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := ByName("corruption"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ByName("scaling"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ByName("nope"); err == nil {
@@ -312,36 +309,6 @@ func TestMultiRackShape(t *testing.T) {
 		res := cell(t, tb, r, 2)
 		if agg+res < 95 || agg+res > 105 {
 			t.Fatalf("row %d: absorption %.1f + residue %.1f ≉ 100:\n%s", r, agg, res, tb.String())
-		}
-	}
-}
-
-// TestScalingShape judges the quick shard sweep: serial equivalence is
-// enforced inside Scaling (any divergence errors out, which TestQuickGolden
-// would report), and the structural counters prove the sharded rows actually
-// ran the parallel scheduler.
-func TestScalingShape(t *testing.T) {
-	cfg := QuickScaling()
-	tb := pinned(t, "scaling", 0)
-	want := 2 * len(cfg.Shards)
-	if len(tb.Rows) != want {
-		t.Fatalf("scaling table has %d rows, want %d:\n%s", len(tb.Rows), want, tb.String())
-	}
-	for r, row := range tb.Rows {
-		shards := cell(t, tb, r, 1)
-		injects := cell(t, tb, r, 5)
-		if shards > 1 && injects == 0 {
-			t.Fatalf("row %d: sharded run drained no mailbox injects:\n%s", r, tb.String())
-		}
-		if shards == 1 && injects != 0 {
-			t.Fatalf("row %d: serial baseline reports injects:\n%s", r, tb.String())
-		}
-		// Virtual elapsed must be byte-identical down each topology block
-		// (Scaling itself enforces the underlying values; this pins the
-		// printed column too).
-		block := (r / len(cfg.Shards)) * len(cfg.Shards)
-		if row[6] != tb.Rows[block][6] {
-			t.Fatalf("row %d: virtual elapsed %q differs from its serial baseline %q", r, row[6], tb.Rows[block][6])
 		}
 	}
 }

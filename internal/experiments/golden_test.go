@@ -52,12 +52,12 @@ func pinned(t *testing.T, name string, k int) *stats.Table {
 //
 // Under the race detector the run is skipped (by build tag, not -short, which
 // would also drop ask's property tests): each simulation is single-goroutine,
-// the sharded lanes are raced by ask's sharded goldens and
-// TestRegistryJSONIsDeterministic, the worker pool by
-// TestParallelMatchesSerialGolden.
+// the worker pool is raced by TestParallelMatchesSerialGolden. The sharded
+// lanes are not built here; ask's fat-tree sharded goldens and
+// internal/sim's shard_test.go race them.
 func TestQuickGolden(t *testing.T) {
 	if raceEnabled {
-		t.Skip("22 single-goroutine simulations under -race cost minutes and race nothing")
+		t.Skip("21 single-goroutine simulations under -race cost minutes and race nothing")
 	}
 	want, wantOutcomes := readGolden(t)
 	outcomes := RunParallel(All(), true, runtime.NumCPU())

@@ -40,11 +40,12 @@ func TestRunRejectsWrongReferenceAndCloses(t *testing.T) {
 	}
 }
 
-// TestRegistryJSONIsDeterministic runs the scaling experiment — the one that
-// used to print wall-clock columns — twice in-process and requires
-// byte-equal JSON: a run is a function of (experiment, preset, seed) alone.
+// TestRegistryJSONIsDeterministic runs the fabric-chaos experiment — spine
+// and leaf outages, re-election and replay, the most state a run carries —
+// twice in-process and requires byte-equal JSON: a run is a function of
+// (experiment, preset, seed) alone.
 func TestRegistryJSONIsDeterministic(t *testing.T) {
-	r, err := ByName("scaling")
+	r, err := ByName("fabric-chaos")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,6 +59,6 @@ func TestRegistryJSONIsDeterministic(t *testing.T) {
 		t.Fatalf("two runs of one binary differ:\n%s\nvs\n%s", runs[0], runs[1])
 	}
 	if bytes.Contains(runs[0], []byte(`"error"`)) {
-		t.Fatalf("scaling failed:\n%s", runs[0])
+		t.Fatalf("fabric-chaos failed:\n%s", runs[0])
 	}
 }

@@ -62,7 +62,6 @@ func All() []Runner {
 		runner("chaos", "fault injection: switch failover + degradation vs golden run", QuickChaos, DefaultChaos, one(Chaos)),
 		runner("fabric-chaos", "fat-tree fault injection: spine re-election + leaf recovery vs golden run", QuickFabricChaos, DefaultFabricChaos, one(FabricChaos)),
 		runner("tenancy", "multi-tenant fabric: weighted goodput fairness + AA pool utilization", QuickTenancy, DefaultTenancy, Tenancy),
-		runner("scaling", "parallel DES: shard-count sweep, serial-equivalence + scheduler structure per topology", QuickScaling, DefaultScaling, one(Scaling)),
 		runner("corruption", "link corruption sweep: CRC32C quarantine cost vs goodput", QuickCorruption, DefaultCorruption, one(Corruption)),
 	}
 }

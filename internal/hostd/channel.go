@@ -214,7 +214,6 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 			// channel independent of tuples per packet (Fig. 8(a)'s
 			// PPS-bound linear region).
 			ch.txThread.Run(p, cpumodel.PacketIOCost)
-			_ = tuples
 			// Bounded TX ring: never queue more wire time at the NIC than
 			// a fraction of the retransmission timeout, or acknowledgments
 			// cannot outrun spurious timeouts.

@@ -34,8 +34,7 @@ func laneOfBlock(i, n, shards int) int {
 }
 
 // ShardLayout describes the lane assignment of a sharded fabric, for the
-// partitioner tests and the -shards diagnostics. A serial fabric reports
-// the zero value (Lanes == 0).
+// partitioner tests. A serial fabric reports the zero value (Lanes == 0).
 type ShardLayout struct {
 	// Lanes is the shard count (0 = serial).
 	Lanes int

@@ -82,8 +82,8 @@ type inject struct {
 	arg     any
 }
 
-// ShardGroupStats counts scheduler activity, for experiment tables and
-// the -shards diagnostic output.
+// ShardGroupStats counts scheduler activity, for the sharded tests and
+// bench/'s fattree-sharded counts.
 type ShardGroupStats struct {
 	Windows         int64 // total conservative windows executed
 	ParallelWindows int64 // windows fanned out to lane workers

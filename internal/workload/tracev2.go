@@ -27,11 +27,8 @@ import (
 // arrival offset in nanoseconds (non-decreasing), key, value, separated by
 // tabs. The header's record count makes truncation detectable: a reader
 // that sees fewer (or more) records than announced errors out instead of
-// silently replaying a prefix.
-//
-// v1 traces (plain "key<TAB>value" lines, WriteTSV) remain readable:
-// ReadTrace sniffs the magic and falls back to the v1 parser with every
-// arrival at offset zero.
+// silently replaying a prefix. A stream with no arrival times is written
+// with every offset zero (core.Stream.Timed) and replays back to back.
 
 // TraceMagic starts the header line of every versioned trace.
 const TraceMagic = "#askt"
@@ -178,26 +175,6 @@ func readTimedRecords(br *bufio.Reader, hdr TraceHeader) ([]core.TimedKV, error)
 		return nil, err
 	}
 	return out, nil
-}
-
-// ReadTrace reads a trace of either version, sniffing the header: v2 traces
-// parse fully timed; v1 TSV traces (no magic) parse with every arrival at
-// offset zero and a zero-value header with Version 1.
-func ReadTrace(r io.Reader) (TraceHeader, []core.TimedKV, error) {
-	br := bufio.NewReader(r)
-	magic, err := br.Peek(len(TraceMagic))
-	if err == nil && string(magic) == TraceMagic {
-		return ReadTimedTrace(br)
-	}
-	kvs, err := ReadTSV(br)
-	if err != nil {
-		return TraceHeader{}, nil, err
-	}
-	tkvs := make([]core.TimedKV, len(kvs))
-	for i, kv := range kvs {
-		tkvs[i] = core.TimedKV{KV: kv}
-	}
-	return TraceHeader{Version: 1, Records: int64(len(kvs))}, tkvs, nil
 }
 
 // SplitTimedRoundRobin deals a timed trace to n senders, preserving

@@ -50,40 +50,6 @@ func TestTimedTraceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReadTraceSniffsV1(t *testing.T) {
-	var buf bytes.Buffer
-	kvs := []core.KV{{Key: "a", Val: 1}, {Key: "b", Val: 2}}
-	if _, err := WriteTSV(&buf, core.SliceStream(kvs)); err != nil {
-		t.Fatal(err)
-	}
-	hdr, tkvs, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Version != 1 || hdr.Records != 2 {
-		t.Fatalf("v1 sniff header: %+v", hdr)
-	}
-	for i, kv := range kvs {
-		if tkvs[i].KV != kv || tkvs[i].At != 0 {
-			t.Fatalf("record %d: %+v", i, tkvs[i])
-		}
-	}
-}
-
-func TestReadTraceSniffsV2(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteTimedTrace(&buf, TraceHeader{Seed: 9}, core.SliceTimedStream(timedFixture())); err != nil {
-		t.Fatal(err)
-	}
-	hdr, tkvs, err := ReadTrace(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hdr.Version != TraceVersion || len(tkvs) != 4 {
-		t.Fatalf("v2 sniff: hdr %+v, %d records", hdr, len(tkvs))
-	}
-}
-
 func TestTimedTraceCorruptionErrors(t *testing.T) {
 	var buf bytes.Buffer
 	if _, err := WriteTimedTrace(&buf, TraceHeader{}, core.SliceTimedStream(timedFixture())); err != nil {
@@ -142,32 +108,36 @@ func TestWriteTimedTraceRejectsBadInput(t *testing.T) {
 	}
 }
 
+// v2 builds a trace from a minimal header and the given record lines.
+func v2(records ...string) string {
+	return fmt.Sprintf("%s\tv%d\t{\"version\":%d,\"records\":%d}\n", TraceMagic, TraceVersion, TraceVersion, len(records)) +
+		strings.Join(records, "\n") + "\n"
+}
+
 func TestReadTSVErrorLineNumbers(t *testing.T) {
-	_, err := ReadTSV(strings.NewReader("a\t1\nnotab\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 error, got %v", err)
-	}
-	_, err = ReadTSV(strings.NewReader("a\t1\nb\tx\n"))
-	if err == nil || !strings.Contains(err.Error(), "line 2") {
-		t.Fatalf("want line-2 error, got %v", err)
+	for _, in := range []string{v2("0\ta\t1", "0\tnotab"), v2("0\ta\t1", "0\tb\tx"), v2("0\ta\t1", "x\tb\t1")} {
+		_, _, err := ReadTimedTrace(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Fatalf("%q: want line-3 error, got %v", in, err)
+		}
 	}
 }
 
 func TestReadTSVTooLongLine(t *testing.T) {
-	long := strings.Repeat("k", maxTSVLine+1)
-	_, err := ReadTSV(strings.NewReader("ok\t1\n" + long + "\t2\n"))
+	long := strings.Repeat("k", maxTraceLine+1)
+	_, _, err := ReadTimedTrace(strings.NewReader(v2("0\tok\t1", "0\t"+long+"\t2")))
 	if err == nil {
 		t.Fatal("over-long line silently accepted")
 	}
-	for _, want := range []string{"line 2", "exceeds"} {
+	for _, want := range []string{"line 3", "exceeds"} {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }
 
-// FuzzReadTrace asserts the sniffing reader never panics and either parses
-// or errors on arbitrary bytes; whatever parses must re-encode cleanly.
+// FuzzReadTrace asserts the reader never panics and either parses or errors
+// on arbitrary bytes; whatever parses must re-encode cleanly.
 func FuzzReadTrace(f *testing.F) {
 	var buf bytes.Buffer
 	if _, err := WriteTimedTrace(&buf, TraceHeader{Scenario: "seed", Seed: 3}, core.SliceTimedStream(timedFixture())); err != nil {
@@ -180,15 +150,13 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte("#askt\tv9\tjunk\n"))
 	f.Add([]byte(""))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, tkvs, err := ReadTrace(bytes.NewReader(data))
+		hdr, tkvs, err := ReadTimedTrace(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		if hdr.Version == TraceVersion {
-			var out bytes.Buffer
-			if _, werr := WriteTimedTrace(&out, hdr, core.SliceTimedStream(tkvs)); werr != nil {
-				t.Fatalf("parsed trace failed to re-encode: %v", werr)
-			}
+		var out bytes.Buffer
+		if _, werr := WriteTimedTrace(&out, hdr, core.SliceTimedStream(tkvs)); werr != nil {
+			t.Fatalf("parsed trace failed to re-encode: %v", werr)
 		}
 	})
 }
