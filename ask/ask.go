@@ -56,8 +56,6 @@ type Options struct {
 	Config core.Config
 	// Link configures every host's link (zero value: 100 Gbps, 1 µs).
 	Link netsim.LinkConfig
-	// Cores is the per-host core count (zero: the paper's 56).
-	Cores int
 	// Seed drives all randomness (fault injection); runs with equal seeds
 	// are identical.
 	Seed int64
@@ -117,9 +115,12 @@ func NewCluster(opts Options) (*Cluster, error) {
 	if opts.Hosts <= 0 {
 		return nil, fmt.Errorf("ask: Hosts must be positive")
 	}
-	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.Link)
+	defaults(&opts.Config, &opts.Link)
+	if opts.Switch.MaxFlows == 0 {
+		opts.Switch = switchd.DefaultOptions()
+	}
 	cl := &Cluster{}
-	cl.Deployment = newDeployment(cl, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	cl.Deployment = newDeployment(cl, opts.Seed, opts.Config, opts.Telemetry)
 	// Construction order — network, switch, hosts in ID order — is part of
 	// the simulated record: bench/'s traced rack rebuilds it step for step.
 	sink := cl.Tel.Sink()

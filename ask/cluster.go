@@ -64,7 +64,6 @@ type Deployment struct {
 	Tel *telemetry.Set
 
 	cfg     core.Config
-	cores   int
 	fab     fabric
 	hosts   []core.HostID
 	daemons map[core.HostID]*hostd.Daemon
@@ -75,17 +74,10 @@ type Deployment struct {
 }
 
 // defaults fills the zero values every deployment's options share: the
-// paper's configuration, 56 cores, default switch tables, 100 Gbps / 1 µs
-// links.
-func defaults(cfg *core.Config, cores *int, sw *switchd.Options, links ...*netsim.LinkConfig) {
+// paper's configuration and 100 Gbps / 1 µs links.
+func defaults(cfg *core.Config, links ...*netsim.LinkConfig) {
 	if cfg.NumAAs == 0 {
 		*cfg = core.DefaultConfig()
-	}
-	if *cores == 0 {
-		*cores = cpumodel.DefaultCores
-	}
-	if sw.MaxFlows == 0 {
-		*sw = switchd.DefaultOptions()
 	}
 	for _, l := range links {
 		if l.BandwidthBps == 0 {
@@ -94,25 +86,24 @@ func defaults(cfg *core.Config, cores *int, sw *switchd.Options, links ...*netsi
 	}
 }
 
-func newDeployment(fab fabric, seed int64, cfg core.Config, cores int, tel telemetry.Config) Deployment {
+func newDeployment(fab fabric, seed int64, cfg core.Config, tel telemetry.Config) Deployment {
 	s := sim.New(seed)
 	return Deployment{
 		Sim:     s,
 		Tel:     telemetry.NewSet(s, tel),
 		cfg:     cfg,
-		cores:   cores,
 		fab:     fab,
 		daemons: make(map[core.HostID]*hostd.Daemon),
 		cpus:    make(map[core.HostID]*cpumodel.Host),
 	}
 }
 
-// addHost builds one server — CPU model, then daemon — on simulation lane s,
-// attached to the network at `at` with ctrl as its control plane.
-// Constructors call it in host-ID order; that order is part of the simulated
-// record bench/ reproduces.
+// addHost builds one server — a CPU model with the paper's 56 cores, then
+// its daemon — on simulation lane s, attached to the network at `at` with
+// ctrl as its control plane. Constructors call it in host-ID order; that
+// order is part of the simulated record bench/ reproduces.
 func (c *Deployment) addHost(s *sim.Simulation, at netsim.HostFabric, id core.HostID, ctrl hostd.Controller, sink telemetry.Sink) (*hostd.Daemon, error) {
-	cpu := cpumodel.NewHost(s, c.cores)
+	cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
 	d, err := hostd.New(s, at, cpu, c.cfg, id, ctrl, sink)
 	if err != nil {
 		return nil, err
@@ -232,8 +223,8 @@ func (pt *PendingTask) Get() (*TaskResult, error) {
 
 // StartTask is StartTaskTimed for plain streams: every arrival at offset
 // zero, so each sender drains its stream back to back. Its error behaviour
-// matches StartTaskTimed. Outside tests bench/ is its only caller, until it
-// moves onto Job.
+// matches StartTaskTimed. Its callers are bench/ and the submission-error case
+// of the conformance tests, until bench/ moves onto Job.
 func (c *Deployment) StartTask(spec core.TaskSpec, streams map[core.HostID]core.Stream) (*PendingTask, error) {
 	return c.StartTaskTimed(spec, timedStreams(streams))
 }
@@ -247,8 +238,8 @@ func timedStreams(streams map[core.HostID]core.Stream) map[core.HostID]core.Time
 	return timed
 }
 
-// StartTaskTimed is the low-level start under Job.Start; outside tests its
-// only other caller is bench/, until it moves onto Job. It submits a task and its sender
+// StartTaskTimed is the low-level start under Job.Start; its only other
+// caller is bench/, until it moves onto Job. It submits a task and its sender
 // streams without running the simulation, so several tasks (e.g. one per
 // tenant) can run concurrently; call Sim.Run(0) and then Get. Each daemon
 // consumes its stream on the sim clock — tuples enter the packetizer at their

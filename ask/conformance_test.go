@@ -253,6 +253,9 @@ func TestInvalidTopologies(t *testing.T) {
 		{"host IDs reach the switch range", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 0xF000/2 + 1}, "fabric address space"},
 		{"host count overflows", ask.FatTreeOptions{Spines: 1, Leaves: 0x800, HostsPerLeaf: 1 << 62}, "fabric address space"},
 		{"failover with shadow copies", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 1, Config: failoverWithShadow}, "Failover requires SwapThreshold 0"},
+		// A spine registers every host's flows: 130 hosts × 4 channels are
+		// 520 flows against its 512-entry table (switchd.DefaultOptions).
+		{"spine flow table overflows", ask.FatTreeOptions{Spines: 1, Leaves: 2, HostsPerLeaf: 65}, "spine 0: switchd: flow table full"},
 	} {
 		if _, err := ask.NewFatTreeCluster(tc.opts); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("fat-tree, %s: got %v, want an error containing %q", tc.name, err, tc.want)

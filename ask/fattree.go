@@ -26,12 +26,7 @@ type FatTreeOptions struct {
 	// HostLink configures host↔leaf links, FabricLink the leaf↔spine links.
 	HostLink   netsim.LinkConfig
 	FabricLink netsim.LinkConfig
-	Cores      int
 	Seed       int64
-	// Switch sizes every switch's state tables. Spines run the same
-	// hardware profile as leaves: a spine sees every host's flows, so
-	// MaxFlows must cover the whole fabric, not one leaf's worth.
-	Switch switchd.Options
 	// Tenants, when non-empty, partitions the keyspace and each switch's AA
 	// rows between the listed tenants proportionally to weight. Task IDs must
 	// then carry a listed tenant (core.MakeTaskID); admission control rejects
@@ -136,7 +131,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		return nil, fmt.Errorf("ask: %d spines, %d leaves × %d hosts exceed the fabric address space (%d switches per tier, %d hosts)",
 			opts.Spines, opts.Leaves, opts.HostsPerLeaf, perTier, hostIDs)
 	}
-	defaults(&opts.Config, &opts.Cores, &opts.Switch, &opts.HostLink, &opts.FabricLink)
+	defaults(&opts.Config, &opts.HostLink, &opts.FabricLink)
 	fc := &FatTreeCluster{
 		tenants:     opts.Tenants,
 		allocs:      make(map[core.TaskID]fatAlloc),
@@ -147,7 +142,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		// task state only at the receiver's TOR.
 		receiverLeafOnly: forwardingCore,
 	}
-	fc.Deployment = newDeployment(fc, opts.Seed, opts.Config, opts.Cores, opts.Telemetry)
+	fc.Deployment = newDeployment(fc, opts.Seed, opts.Config, opts.Telemetry)
 	ft, _ := netsim.NewFatTreeSharded(fc.Sim, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
 	ft.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
 	fc.Net = ft
@@ -165,7 +160,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 	for l := 0; l < opts.Leaves; l++ {
 		// Zero telemetry sink: every switch keeps a private registry (shared
 		// label sets would collide).
-		lo := opts.Switch
+		lo := switchd.DefaultOptions()
 		lo.Addr = netsim.LeafAddr(l)
 		// LeafSim/SpineSim are the switch's shard lane on a sharded build,
 		// the fabric-wide simulation otherwise; each switch program schedules
@@ -183,7 +178,9 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 			ft.Spine(sp).AttachSwitch(&netsim.ForwardingSwitch{Net: ft.Spine(sp)})
 			continue
 		}
-		so := opts.Switch
+		// A spine registers every host's flows, so its flow table bounds the
+		// whole fabric's channels: past it, adding a host fails.
+		so := switchd.DefaultOptions()
 		so.Addr = netsim.SpineAddr(sp)
 		// Spines aggregate the leaves' conflict residuals, whose sequence
 		// numbers skip: the compact parity seen would alias, so spines run

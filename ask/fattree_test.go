@@ -94,32 +94,27 @@ func fatTreeTenantOpts(seed int64, weights ...int) FatTreeOptions {
 }
 
 // runTenantTasks runs one cross-leaf task per tenant concurrently and
-// returns each tenant's result alongside its host-computed reference.
+// returns each tenant's result, verified exact against its host-computed
+// reference.
 func runTenantTasks(t *testing.T, fc *FatTreeCluster, opts FatTreeOptions) map[core.TenantID]*TaskResult {
 	t.Helper()
-	pending := make(map[core.TenantID]*PendingTask)
+	jobs := make([]*Job, len(opts.Tenants))
 	for i, ts := range opts.Tenants {
-		receiver := opts.HostAt(0, i%opts.HostsPerLeaf)
-		senders := []core.HostID{opts.HostAt(1, i%opts.HostsPerLeaf)}
-		w := workload.Uniform(512, 5000, int64(40+i))
-		pt, err := fc.StartTask(core.TaskSpec{
-			ID: core.MakeTaskID(ts.ID, uint32(100+i)), Receiver: receiver, Senders: senders, Op: core.OpSum,
-		}, map[core.HostID]core.Stream{senders[0]: w.Stream()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pending[ts.ID] = pt
+		jobs[i] = NewJob(core.TaskSpec{
+			ID: core.MakeTaskID(ts.ID, uint32(100+i)), Receiver: opts.HostAt(0, i%opts.HostsPerLeaf), Op: core.OpSum,
+		})
+		jobs[i].Send(opts.HostAt(1, i%opts.HostsPerLeaf), workload.Uniform(512, 5000, int64(40+i)))
+	}
+	if err := fc.Start(jobs...); err != nil {
+		t.Fatal(err)
 	}
 	fc.Sim.Run(0)
 	out := make(map[core.TenantID]*TaskResult)
 	for i, ts := range opts.Tenants {
-		res, err := pending[ts.ID].Get()
+		// A wrong result is a *core.MismatchError carrying the diff.
+		res, err := jobs[i].Result()
 		if err != nil {
 			t.Fatalf("tenant %d: %v", ts.ID, err)
-		}
-		want := workload.Uniform(512, 5000, int64(40+i)).Reference(core.OpSum)
-		if !res.Result.Equal(want) {
-			t.Fatalf("tenant %d result wrong: %s", ts.ID, res.Result.Diff(want, 8))
 		}
 		out[ts.ID] = res
 	}

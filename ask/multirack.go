@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
-	"repro/internal/switchd"
 )
 
 // MultiRackOptions configures the §7 multi-rack deployment: several racks,
@@ -19,11 +18,7 @@ type MultiRackOptions struct {
 	// HostLink configures host↔TOR links, CoreLink the TOR↔core links.
 	HostLink netsim.LinkConfig
 	CoreLink netsim.LinkConfig
-	Cores    int
 	Seed     int64
-	// Switch sizes each TOR's state tables; MaxFlows bounds only that
-	// rack's channels (the state-explosion containment of §7).
-	Switch switchd.Options
 }
 
 // HostAt returns the host ID of slot i in rack r.
@@ -37,7 +32,8 @@ func (o MultiRackOptions) HostAt(r, i int) core.HostID {
 // sits at the receiver's TOR. Rack-local senders get in-network aggregation
 // there; cross-rack traffic bypasses the receiver's TOR program and is
 // aggregated at the receiver host, so no TOR ever holds task state for
-// another rack. Everything else — TOR crash/reboot under the fabric-wide
+// another rack, and each TOR's flow table holds only its own rack's channels
+// (the state-explosion containment of §7). Everything else — TOR crash/reboot under the fabric-wide
 // epoch, replay recovery — is the fat-tree's. Host IDs are
 // rack-major: rack r holds [r·HostsPerRack, (r+1)·HostsPerRack). It returns
 // an error under the same conditions as NewFatTreeCluster.
@@ -48,6 +44,6 @@ func NewMultiRackCluster(opts MultiRackOptions) (*FatTreeCluster, error) {
 	return newFatTreeCluster(FatTreeOptions{
 		Spines: 1, Leaves: opts.Racks, HostsPerLeaf: opts.HostsPerRack,
 		Config: opts.Config, HostLink: opts.HostLink, FabricLink: opts.CoreLink,
-		Cores: opts.Cores, Seed: opts.Seed, Switch: opts.Switch,
+		Seed: opts.Seed,
 	}, true)
 }

@@ -111,27 +111,22 @@ func TestFatTreeShardedTenantTimedReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pending := make(map[core.TenantID]*PendingTask)
+		jobs := make(map[core.TenantID]*Job)
 		for i, tn := range []core.TenantID{1, 2} {
-			spec := core.TaskSpec{
+			jobs[tn] = NewJob(core.TaskSpec{
 				ID: core.MakeTaskID(tn, 1), Receiver: opts.HostAt(0, i), Op: core.OpSum,
-			}
-			streams := make(map[core.HostID]core.TimedStream, senders)
+			})
 			for j, part := range parts[tn] {
-				h := opts.HostAt(1+j, i)
-				spec.Senders = append(spec.Senders, h)
-				streams[h] = core.SliceTimedStream(part)
+				jobs[tn].SendTimed(opts.HostAt(1+j, i), part)
 			}
-			pt, err := fc.StartTaskTimed(spec, streams)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pending[tn] = pt
+		}
+		if err := fc.Start(jobs[1], jobs[2]); err != nil {
+			t.Fatal(err)
 		}
 		fc.Sim.Run(0)
 		out := make(map[core.TenantID]*TaskResult)
-		for tn, pt := range pending {
-			res, err := pt.Get()
+		for tn, j := range jobs {
+			res, err := j.Result()
 			if err != nil {
 				t.Fatalf("shards=%d tenant %d: %v", shards, tn, err)
 			}

@@ -31,8 +31,6 @@ const mtuPayload = wire.MTU - wire.HeaderBytes
 type PreAggrConfig struct {
 	Op      core.Op
 	Threads int // mapper threads on the sender = reducer threads on the receiver
-	Cores   int // cores per host (0: paper default 56)
-	Link    netsim.LinkConfig
 	Seed    int64
 }
 
@@ -49,20 +47,15 @@ type PreAggrReport struct {
 }
 
 // RunPreAggr executes the PreAggr baseline: one sending host with
-// cfg.Threads mapper threads, one receiving host merging partials.
+// cfg.Threads mapper threads, one receiving host merging partials, both
+// with the paper's 56 cores on 100 Gbps links.
 func RunPreAggr(cfg PreAggrConfig, stream core.Stream) PreAggrReport {
-	if cfg.Cores == 0 {
-		cfg.Cores = cpumodel.DefaultCores
-	}
-	if cfg.Link.BandwidthBps == 0 {
-		cfg.Link = netsim.DefaultLinkConfig()
-	}
 	s := sim.New(cfg.Seed)
-	n := netsim.New(s, cfg.Link)
+	n := netsim.New(s, netsim.DefaultLinkConfig())
 	n.AttachSwitch(&netsim.ForwardingSwitch{Net: n})
 
-	senderCPU := cpumodel.NewHost(s, cfg.Cores)
-	recvCPU := cpumodel.NewHost(s, cfg.Cores)
+	senderCPU := cpumodel.NewHost(s, cpumodel.DefaultCores)
+	recvCPU := cpumodel.NewHost(s, cpumodel.DefaultCores)
 
 	rx := &preAggrReceiver{
 		s:      s,
@@ -174,10 +167,9 @@ type NoAggrConfig struct {
 	ChannelsPerSender int
 	// BytesPerSender is each sender's application payload volume.
 	BytesPerSender int64
-	Cores          int
-	Link           netsim.LinkConfig
-	Window         int
-	Seed           int64
+	// Link configures every host's link (zero value: 100 Gbps, 1 µs).
+	Link netsim.LinkConfig
+	Seed int64
 }
 
 // NoAggrReport is the outcome of a NoAggr transfer.
@@ -218,17 +210,14 @@ func (h *noAggrSender) HandleFrame(f *netsim.Frame) {
 	}
 }
 
-// RunNoAggr executes a NoAggr bulk transfer and reports throughput.
+// RunNoAggr executes a NoAggr bulk transfer and reports throughput. Hosts
+// have the paper's 56 cores, and every channel a window of 256 packets, the
+// paper's W.
 func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
-	if cfg.Cores == 0 {
-		cfg.Cores = cpumodel.DefaultCores
-	}
 	if cfg.Link.BandwidthBps == 0 {
 		cfg.Link = netsim.DefaultLinkConfig()
 	}
-	if cfg.Window == 0 {
-		cfg.Window = 256
-	}
+	const noAggrWindow = 256
 	// Bulk MTU transfers queue far more wire time than ASK's small
 	// packets, so the retransmission timeout must cover NIC queueing.
 	const bulkTimeout = 2 * time.Millisecond
@@ -240,14 +229,14 @@ func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
 	var senderCPUs []*cpumodel.Host
 	for i := 1; i <= cfg.Senders; i++ {
 		host := core.HostID(i)
-		cpu := cpumodel.NewHost(s, cfg.Cores)
+		cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
 		senderCPUs = append(senderCPUs, cpu)
 		h := &noAggrSender{}
 		n.AttachHost(host, h)
 		share := cfg.BytesPerSender / int64(cfg.ChannelsPerSender)
 		for c := 0; c < cfg.ChannelsPerSender; c++ {
 			flow := core.FlowKey{Host: host, Channel: core.ChannelID(c)}
-			win := window.NewSender(s, cfg.Window, bulkTimeout, func(pkt *wire.Packet) {
+			win := window.NewSender(s, noAggrWindow, bulkTimeout, func(pkt *wire.Packet) {
 				n.HostSend(&netsim.Frame{
 					Src: host, Dst: 0, Pkt: pkt,
 					WireBytes: mtuPayload + wire.PerPacketOverhead,

@@ -6,6 +6,7 @@ package chaos_test
 // replays, bounded retries) must reflect what the script injected.
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -263,15 +264,17 @@ func TestBoundedRetriesAbortSenderStream(t *testing.T) {
 	// retry budget (3 retries x 100µs RTO), healing late so control-channel
 	// retransmissions can drain and the simulation quiesces.
 	orch.LinkBlackhole(300*time.Microsecond, 20*time.Millisecond, 1)
-	w := workload.Uniform(256, 30_000, 3)
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum}
-	pt, err := cl.StartTask(spec, map[core.HostID]core.Stream{1: w.Stream()})
-	if err != nil {
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	job.Send(1, workload.Uniform(256, 30_000, 3))
+	if err := cl.Start(job); err != nil {
 		t.Fatal(err)
 	}
 	cl.Sim.Run(0)
-	if _, err := pt.Get(); err == nil {
-		t.Fatal("task completed despite an aborted sender stream")
+	// Only the task's own failure counts: a silent partial result surfaces
+	// as a *core.MismatchError from Result and must fail the test.
+	var m *core.MismatchError
+	if _, err := job.Result(); err == nil || errors.As(err, &m) {
+		t.Fatalf("task completed despite an aborted sender stream: %v", err)
 	}
 	st := cl.Daemon(1).ChannelStats()
 	var aborts int64
@@ -339,15 +342,15 @@ func TestBoundedRetriesAbortUnderTotalCorruption(t *testing.T) {
 	}
 	orch := chaos.New(&cl.Deployment)
 	orch.LinkDegrade(300*time.Microsecond, 20*time.Millisecond, 1, netsim.Fault{CorruptProb: 1})
-	w := workload.Uniform(256, 30_000, 3)
-	spec := core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum}
-	pt, err := cl.StartTask(spec, map[core.HostID]core.Stream{1: w.Stream()})
-	if err != nil {
+	job := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
+	job.Send(1, workload.Uniform(256, 30_000, 3))
+	if err := cl.Start(job); err != nil {
 		t.Fatal(err)
 	}
 	cl.Sim.Run(0)
-	if _, err := pt.Get(); err == nil {
-		t.Fatal("task completed despite a fully-corrupted sender link")
+	var m *core.MismatchError
+	if _, err := job.Result(); err == nil || errors.As(err, &m) {
+		t.Fatalf("task completed despite a fully-corrupted sender link: %v", err)
 	}
 	var aborts int64
 	for _, cs := range cl.Daemon(1).ChannelStats() {

@@ -84,17 +84,9 @@ type Config struct {
 	// cross-leaf residue for the spine tier). TenantKill runs on 2×2.
 	// MultiRackOutage has Leaves racks of two hosts under its forwarding core.
 	Spines, Leaves int
-	// Tenants is the number of concurrent fat-tree tenants (FabricOutage
-	// default 2, TenantKill 3), each with weight 1, one host per leaf, and
-	// one task.
-	Tenants int
-	// Victim is the TenantKill tenant whose sender gets black-holed
-	// (default 1).
-	Victim core.TenantID
 	// Tuples per sender (default 30 000 on the rack, 20 000 on the fat-tree)
-	// over Keys distinct keys (default 512).
+	// over soakKeys distinct keys.
 	Tuples int64
-	Keys   int
 	// Retries bounds TenantKill's per-packet retransmissions (default 4): a
 	// hole longer than the budget aborts the victim's stream instead of
 	// stalling the fabric forever. The other kinds retry without bound — an
@@ -109,6 +101,17 @@ type Config struct {
 	// catch. Never set outside tests of the harness itself.
 	DisableChecksumVerify bool
 }
+
+// soakKeys is every soak stream's distinct-key count. FabricOutage runs
+// fabricTenants concurrent tenants and TenantKill killTenants, each with
+// weight 1, one host per leaf, and one task; victim is the TenantKill tenant
+// whose sender gets black-holed.
+const (
+	soakKeys                    = 512
+	fabricTenants               = 2
+	killTenants                 = 3
+	victim        core.TenantID = 1
+)
 
 // kind is everything that distinguishes one soak flavour, as data.
 type kind struct {
@@ -146,22 +149,22 @@ func soakConfig(cfg Config) core.Config {
 	c := core.DefaultConfig()
 	c.SwapThreshold = 0
 	c.Failover = true
-	c.MaxRetries = 0
+	// MaxRetries stays 0: retries unbounded.
 	c.DisableChecksumVerify = cfg.DisableChecksumVerify
 	return c
 }
 
 // fatTree builds the multi-tenant fat-tree both fabric kinds run on: one
 // host per tenant per leaf (leaf-major IDs, so slot i of leaf l is host
-// l·Tenants+i), equal weights.
-func fatTree(cfg Config, c core.Config, spines, leaves int) (*ask.Deployment, error) {
+// l·tenants+i), equal weights.
+func fatTree(cfg Config, c core.Config, spines, leaves, tenants int) (*ask.Deployment, error) {
 	link := netsim.DefaultLinkConfig()
 	link.Fault = cfg.Base
 	opts := ask.FatTreeOptions{
-		Spines: spines, Leaves: leaves, HostsPerLeaf: cfg.Tenants,
+		Spines: spines, Leaves: leaves, HostsPerLeaf: tenants,
 		Config: c, HostLink: link, Seed: cfg.Seed,
 	}
-	for i := 0; i < cfg.Tenants; i++ {
+	for i := 0; i < tenants; i++ {
 		opts.Tenants = append(opts.Tenants, tenancy.TenantSpec{ID: core.TenantID(i + 1), Weight: 1})
 	}
 	fc, err := ask.NewFatTreeCluster(opts)
@@ -171,15 +174,15 @@ func fatTree(cfg Config, c core.Config, spines, leaves int) (*ask.Deployment, er
 	return &fc.Deployment, nil
 }
 
-// tenantJobs gives every tenant one task: receiver in its slot of leaf 0, a
-// sender in its slot of every leaf in [1, leaves), stream seeds offset by
-// seedOff(tenant index, leaf).
-func tenantJobs(cfg Config, leaves int, seedOff func(i, l int) int64) []*ask.Job {
-	jobs := make([]*ask.Job, 0, cfg.Tenants)
-	for i := 0; i < cfg.Tenants; i++ {
+// tenantJobs gives each of the tenants one task: receiver in its slot of
+// leaf 0, a sender in its slot of every leaf in [1, leaves), stream seeds
+// offset by seedOff(tenant index, leaf).
+func tenantJobs(cfg Config, leaves, tenants int, seedOff func(i, l int) int64) []*ask.Job {
+	jobs := make([]*ask.Job, 0, tenants)
+	for i := 0; i < tenants; i++ {
 		j := ask.NewJob(core.TaskSpec{ID: core.MakeTaskID(core.TenantID(i+1), uint32(i+1)), Receiver: core.HostID(i), Op: core.OpSum})
 		for l := 1; l < leaves; l++ {
-			j.Send(core.HostID(l*cfg.Tenants+i), workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+seedOff(i, l)))
+			j.Send(core.HostID(l*tenants+i), workload.Uniform(soakKeys, cfg.Tuples, cfg.Seed+seedOff(i, l)))
 		}
 		jobs = append(jobs, j)
 	}
@@ -189,7 +192,7 @@ func tenantJobs(cfg Config, leaves int, seedOff func(i, l int) int64) []*ask.Job
 var kinds = [...]kind{
 	Rack: {
 		name:     "soak",
-		defaults: Config{Events: 6, Senders: 2, Tuples: 30_000, Keys: 512},
+		defaults: Config{Events: 6, Senders: 2, Tuples: 30_000},
 		build: func(cfg Config) (*ask.Deployment, error) {
 			link := netsim.DefaultLinkConfig()
 			link.Fault = cfg.Base
@@ -202,7 +205,7 @@ var kinds = [...]kind{
 		jobs: func(cfg Config) []*ask.Job {
 			j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 			for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
-				j.Send(h, workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h)))
+				j.Send(h, workload.Uniform(soakKeys, cfg.Tuples, cfg.Seed+int64(h)))
 			}
 			return []*ask.Job{j}
 		},
@@ -217,22 +220,22 @@ var kinds = [...]kind{
 	},
 	FabricOutage: {
 		name:     "fabric soak",
-		defaults: Config{Events: 6, Spines: 2, Leaves: 3, Tenants: 2, Tuples: 20_000, Keys: 512},
+		defaults: Config{Events: 6, Spines: 2, Leaves: 3, Tuples: 20_000},
 		build: func(cfg Config) (*ask.Deployment, error) {
-			return fatTree(cfg, soakConfig(cfg), cfg.Spines, cfg.Leaves)
+			return fatTree(cfg, soakConfig(cfg), cfg.Spines, cfg.Leaves, fabricTenants)
 		},
 		jobs: func(cfg Config) []*ask.Job {
-			return tenantJobs(cfg, cfg.Leaves, func(i, l int) int64 { return int64(i*cfg.Leaves + l) })
+			return tenantJobs(cfg, cfg.Leaves, fabricTenants, func(i, l int) int64 { return int64(i*cfg.Leaves + l) })
 		},
 		events:  []EventKind{EvSpineOutage, EvLeafOutage, EvLinkBlackhole, EvCorruptBurst},
 		startLo: 50, startSpan: 850, durLo: 50, durSpan: 200,
 		// Senders are exactly the hosts of leaves 1 and up.
 		host: func(rng *rand.Rand, cfg Config) core.HostID {
-			return core.HostID(cfg.Tenants + rng.Intn((cfg.Leaves-1)*cfg.Tenants))
+			return core.HostID(fabricTenants + rng.Intn((cfg.Leaves-1)*fabricTenants))
 		},
 		invariants: []func(*replay) string{conservation, recovery, fabricEpoch, transportSanity},
 		note: func(r Report) string {
-			return fmt.Sprintf(" (%d spines, %d leaves, %d tenants)", r.Cfg.Spines, r.Cfg.Leaves, r.Cfg.Tenants)
+			return fmt.Sprintf(" (%d spines, %d leaves, %d tenants)", r.Cfg.Spines, r.Cfg.Leaves, fabricTenants)
 		},
 		flags: func(cfg Config) string {
 			return fmt.Sprintf(" -topology fattree -soak.spines=%d -soak.leaves=%d", cfg.Spines, cfg.Leaves)
@@ -240,14 +243,14 @@ var kinds = [...]kind{
 	},
 	TenantKill: {
 		name:     "tenant soak",
-		defaults: Config{Events: 3, Tenants: 3, Victim: 1, Tuples: 20_000, Keys: 512, Retries: 4},
+		defaults: Config{Events: 3, Tuples: 20_000, Retries: 4},
 		build: func(cfg Config) (*ask.Deployment, error) {
 			c := core.DefaultConfig()
 			c.MaxRetries = cfg.Retries
-			return fatTree(cfg, c, 2, 2)
+			return fatTree(cfg, c, 2, 2, killTenants)
 		},
 		jobs: func(cfg Config) []*ask.Job {
-			return tenantJobs(cfg, 2, func(i, _ int) int64 { return int64(i) })
+			return tenantJobs(cfg, 2, killTenants, func(i, _ int) int64 { return int64(i) })
 		},
 		// Black-hole windows only, long against the retry budget so
 		// mid-stream holes genuinely kill the flow, all on the victim's
@@ -255,7 +258,7 @@ var kinds = [...]kind{
 		events:  []EventKind{EvLinkBlackhole},
 		startLo: 100, startSpan: 700, durLo: 100, durSpan: 200,
 		host: func(_ *rand.Rand, cfg Config) core.HostID {
-			return core.HostID(cfg.Tenants) + core.HostID(cfg.Victim) - 1
+			return core.HostID(killTenants) + core.HostID(victim) - 1
 		},
 		invariants: []func(*replay) string{conservation, victimContained, isolation},
 		note: func(r Report) string {
@@ -263,13 +266,13 @@ var kinds = [...]kind{
 			if r.Outcome.VictimAborted {
 				verdict = "aborted cleanly"
 			}
-			return fmt.Sprintf(" (%d tenants, victim %d %s)", r.Cfg.Tenants, r.Cfg.Victim, verdict)
+			return fmt.Sprintf(" (%d tenants, victim %d %s)", killTenants, victim, verdict)
 		},
 		flags: func(Config) string { return "" },
 	},
 	MultiRackOutage: {
 		name:     "multirack soak",
-		defaults: Config{Events: 6, Leaves: 3, Tuples: 20_000, Keys: 512},
+		defaults: Config{Events: 6, Leaves: 3, Tuples: 20_000},
 		build: func(cfg Config) (*ask.Deployment, error) {
 			link := netsim.DefaultLinkConfig()
 			link.Fault = cfg.Base
@@ -288,7 +291,7 @@ var kinds = [...]kind{
 			j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 			for r := 0; r < cfg.Leaves; r++ {
 				h := core.HostID(2*r + 1)
-				j.Send(h, workload.Uniform(cfg.Keys, cfg.Tuples, cfg.Seed+int64(h)))
+				j.Send(h, workload.Uniform(soakKeys, cfg.Tuples, cfg.Seed+int64(h)))
 			}
 			return []*ask.Job{j}
 		},
@@ -307,10 +310,7 @@ func (c Config) withDefaults() Config {
 	c.Senders = or(c.Senders, d.Senders)
 	c.Spines = or(c.Spines, d.Spines)
 	c.Leaves = or(c.Leaves, d.Leaves)
-	c.Tenants = or(c.Tenants, d.Tenants)
-	c.Victim = or(c.Victim, d.Victim)
 	c.Tuples = or(c.Tuples, d.Tuples)
-	c.Keys = or(c.Keys, d.Keys)
 	c.Retries = or(c.Retries, d.Retries)
 	return c
 }
@@ -545,7 +545,7 @@ type replay struct {
 }
 
 func (r *replay) victim(j *ask.Job) bool {
-	return r.cfg.Kind == TenantKill && j.Spec.ID.Tenant() == r.cfg.Victim
+	return r.cfg.Kind == TenantKill && j.Spec.ID.Tenant() == victim
 }
 
 // aborts sums transport aborts over the channels of the given hosts.

@@ -14,7 +14,7 @@ func TestTenantSoakVictimKilledOthersExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := Schedule{{Kind: EvLinkBlackhole, Host: core.HostID(cfg.Tenants), StartMil: 200, DurMil: 500}}
+	sched := Schedule{{Kind: EvLinkBlackhole, Host: core.HostID(killTenants), StartMil: 200, DurMil: 500}}
 	out := Run(cfg, sched, scale)
 	if !out.OK() {
 		t.Fatalf("isolation violated: %s", out.Violation)

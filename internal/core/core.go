@@ -389,9 +389,6 @@ type Config struct {
 	MediumSegs   int
 	// Window is the sender sliding-window size W in packets (§3.3).
 	Window int
-	// RetransmitTimeout is the sender's fine-grained per-packet timeout
-	// (100µs in the paper vs. Linux's default 200ms).
-	RetransmitTimeout time.Duration
 	// DataChannels is the number of data channels per host daemon
 	// (default 4, §5.1).
 	DataChannels int
@@ -428,15 +425,14 @@ type Config struct {
 // DefaultConfig returns the paper's prototype configuration.
 func DefaultConfig() Config {
 	return Config{
-		NumAAs:            32,
-		AARows:            32768,
-		KPartBytes:        4,
-		MediumGroups:      8,
-		MediumSegs:        2,
-		Window:            256,
-		RetransmitTimeout: 100 * time.Microsecond,
-		DataChannels:      4,
-		SwapThreshold:     4096,
+		NumAAs:        32,
+		AARows:        32768,
+		KPartBytes:    4,
+		MediumGroups:  8,
+		MediumSegs:    2,
+		Window:        256,
+		DataChannels:  4,
+		SwapThreshold: 4096,
 	}
 }
 
@@ -485,6 +481,11 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
+
+// RetransmitTimeout is the sender's fine-grained per-packet timeout (100µs
+// in the paper, §3.3, vs. Linux's default 200ms). A constant, not a Config
+// field: no deployment sets another.
+const RetransmitTimeout = 100 * time.Microsecond
 
 // The failover prober (Config.Failover): DefaultProbeInterval is the idle
 // spacing between health probes, DefaultProbeMisses the number of consecutive

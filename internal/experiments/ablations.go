@@ -22,29 +22,29 @@ import (
 type AblationSwapConfig struct {
 	Distinct   int
 	Tuples     int64
-	Ratio      float64 // aggregators per distinct key
-	Thresholds []int   // 0 disables the shadow copy
-	Skew       float64
-	Seed       int64
+	Thresholds []int // 0 disables the shadow copy
 }
+
+// The swap ablation at every scale: ablationSwapRatio aggregators per
+// distinct key, Zipf skew ablationSwapSkew.
+const (
+	ablationSwapRatio = 1.0 / 16
+	ablationSwapSkew  = 1.05
+)
 
 // DefaultAblationSwap is the benchmark-scale preset.
 func DefaultAblationSwap() AblationSwapConfig {
 	return AblationSwapConfig{
 		Distinct:   8192,
 		Tuples:     1_000_000,
-		Ratio:      1.0 / 16,
 		Thresholds: []int{0, 32, 128, 512, 2048},
-		Skew:       1.05,
-		Seed:       1,
 	}
 }
 
 // QuickAblationSwap is the test-scale preset.
 func QuickAblationSwap() AblationSwapConfig {
 	return AblationSwapConfig{
-		Distinct: 2048, Tuples: 120_000, Ratio: 1.0 / 16,
-		Thresholds: []int{0, 256, 1024}, Skew: 1.05, Seed: 1,
+		Distinct: 2048, Tuples: 120_000, Thresholds: []int{0, 256, 1024},
 	}
 }
 
@@ -55,7 +55,7 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 		Note:   "threshold 0 disables prioritization entirely",
 		Header: []string{"threshold", "aggregated %", "swaps"},
 	}
-	rows := int(cfg.Ratio*float64(cfg.Distinct)) / fig9AAs
+	rows := int(ablationSwapRatio*float64(cfg.Distinct)) / fig9AAs
 	if rows < 2 {
 		rows = 2
 	}
@@ -66,8 +66,8 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 		c.MediumGroups = 0
 		c.MediumSegs = 0
 		c.SwapThreshold = th
-		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, cfg.Skew, workload.ColdFirst, cfg.Seed)
-		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, rows))
+		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, ablationSwapSkew, workload.ColdFirst, seed)
+		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, rows))
 		if err != nil {
 			return nil, fmt.Errorf("threshold %d: %w", th, err)
 		}
@@ -82,15 +82,16 @@ type AblationWindowConfig struct {
 	Windows  []int
 	Tuples   int64
 	Distinct int
-	LossProb float64
-	Seed     int64
 }
+
+// The window ablation at every scale: ablationWindowLoss is the loss
+// probability on each direction of every link.
+const ablationWindowLoss = 0.01
 
 // DefaultAblationWindow is the benchmark-scale preset.
 func DefaultAblationWindow() AblationWindowConfig {
 	return AblationWindowConfig{
 		Windows: []int{32, 64, 256, 1024}, Tuples: 800_000, Distinct: 4096,
-		LossProb: 0.01, Seed: 1,
 	}
 }
 
@@ -98,7 +99,6 @@ func DefaultAblationWindow() AblationWindowConfig {
 func QuickAblationWindow() AblationWindowConfig {
 	return AblationWindowConfig{
 		Windows: []int{32, 256}, Tuples: 80_000, Distinct: 1024,
-		LossProb: 0.01, Seed: 1,
 	}
 }
 
@@ -107,7 +107,7 @@ func QuickAblationWindow() AblationWindowConfig {
 func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  "Ablation: sliding-window size W under loss",
-		Note:   fmt.Sprintf("%.1f%% loss each direction; per-flow switch state = W + W×32 bits", 100*cfg.LossProb),
+		Note:   fmt.Sprintf("%.1f%% loss each direction; per-flow switch state = W + W×32 bits", 100*ablationWindowLoss),
 		Header: []string{"W", "elapsed", "per-flow state (B)", "throughput Gbps"},
 	}
 	for _, w := range cfg.Windows {
@@ -117,14 +117,14 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 		c.MediumSegs = 0
 		c.SwapThreshold = 0
 		link := netsim.DefaultLinkConfig()
-		link.Fault.LossProb = cfg.LossProb
+		link.Fault.LossProb = ablationWindowLoss
 		// Large windows need a smaller flow table so W×NumAAs bits of
 		// pkt_state fit one PISA stage (the budget the paper's W=256
 		// respects with 512 flows; W=1024 trades flows for window).
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 64
-		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Link: link, Seed: cfg.Seed, Switch: swOpts},
-			singleSenderTask(workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed), 0))
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Link: link, Seed: seed, Switch: swOpts},
+			singleSenderTask(workload.Uniform(cfg.Distinct, cfg.Tuples, seed), 0))
 		if err != nil {
 			return nil, fmt.Errorf("W=%d: %w", w, err)
 		}
@@ -140,17 +140,16 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 // pushes more keys to the long bypass; large m wastes slots on padding.
 type AblationMediumConfig struct {
 	Tuples int64
-	Seed   int64
 }
 
 // DefaultAblationMedium is the benchmark-scale preset.
 func DefaultAblationMedium() AblationMediumConfig {
-	return AblationMediumConfig{Tuples: 1_000_000, Seed: 1}
+	return AblationMediumConfig{Tuples: 1_000_000}
 }
 
 // QuickAblationMedium is the test-scale preset.
 func QuickAblationMedium() AblationMediumConfig {
-	return AblationMediumConfig{Tuples: 80_000, Seed: 1}
+	return AblationMediumConfig{Tuples: 80_000}
 }
 
 // AblationMedium compares m = 2 (the paper's choice) with m = 4 and no
@@ -172,9 +171,9 @@ func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
 			Tuples:   cfg.Tuples,
 			Skew:     1.1,
 			KeyLens:  workload.NaturalLanguage(2),
-			Seed:     cfg.Seed,
+			Seed:     seed,
 		}
-		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, 0))
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, 0))
 		if err != nil {
 			return nil, fmt.Errorf("m=%d: %w", v.m, err)
 		}
@@ -195,20 +194,25 @@ func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
 // N transport-only senders incast one receiver whose downlink queueing
 // exceeds the 100 µs retransmission timeout.
 type AblationCongestionConfig struct {
-	Senders         int
 	TuplesPerSender int64
-	Window          int
-	Seed            int64
 }
+
+// The incast at every scale: ablationCongestionSenders senders, each with a
+// reliability window of ablationCongestionWindow packets.
+const (
+	ablationCongestionSenders = 8
+	ablationCongestionWindow  = 1024
+	ablationCongestionSeed    = 3
+)
 
 // DefaultAblationCongestion is the benchmark-scale preset.
 func DefaultAblationCongestion() AblationCongestionConfig {
-	return AblationCongestionConfig{Senders: 8, TuplesPerSender: 150_000, Window: 1024, Seed: 3}
+	return AblationCongestionConfig{TuplesPerSender: 150_000}
 }
 
 // QuickAblationCongestion is the test-scale preset.
 func QuickAblationCongestion() AblationCongestionConfig {
-	return AblationCongestionConfig{Senders: 8, TuplesPerSender: 60_000, Window: 1024, Seed: 3}
+	return AblationCongestionConfig{TuplesPerSender: 60_000}
 }
 
 // AblationCongestion compares the fixed reliability window against the AIMD
@@ -217,28 +221,28 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Ablation: loss-based congestion control under incast (§7)",
 		Note: fmt.Sprintf("%d transport-only senders → 1 receiver, W=%d, timeout 100µs",
-			cfg.Senders, cfg.Window),
+			ablationCongestionSenders, ablationCongestionWindow),
 		Header: []string{"congestion control", "retransmit ratio", "elapsed", "app Gbps"},
 	}
 	for _, cc := range []bool{false, true} {
 		c := core.DefaultConfig()
-		c.Window = cfg.Window
+		c.Window = ablationCongestionWindow
 		c.CongestionControl = cc
 		c.MediumGroups = 0
 		c.MediumSegs = 0
 		c.SwapThreshold = 0
 		swOpts := switchd.DefaultOptions()
-		swOpts.MaxFlows = 8 * (cfg.Senders + 2) // fit W=1024 pkt_state in a stage
+		swOpts.MaxFlows = 8 * (ablationCongestionSenders + 2) // fit W=1024 pkt_state in a stage
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})
-		for i := 1; i <= cfg.Senders; i++ {
-			j.Send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, cfg.Seed+int64(i)))
+		for i := 1; i <= ablationCongestionSenders; i++ {
+			j.Send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, ablationCongestionSeed+int64(i)))
 		}
-		res, cl, err := runAggregation(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed, Switch: swOpts}, j)
+		res, cl, err := runAggregation(ask.Options{Hosts: ablationCongestionSenders + 1, Config: c, Seed: ablationCongestionSeed, Switch: swOpts}, j)
 		if err != nil {
 			return nil, fmt.Errorf("congestion cc=%v: %w", cc, err)
 		}
 		var retrans, sent int64
-		for i := 1; i <= cfg.Senders; i++ {
+		for i := 1; i <= ablationCongestionSenders; i++ {
 			for _, s := range cl.Daemon(core.HostID(i)).ChannelStats() {
 				retrans += s.Retransmits
 				sent += s.Sent
@@ -251,7 +255,7 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		// Application throughput: unique tuple bytes over completion time
 		// (receiver-side byte counters would double-count the duplicates
 		// the storm produces).
-		appBytes := 8 * cfg.TuplesPerSender * int64(cfg.Senders)
+		appBytes := 8 * cfg.TuplesPerSender * ablationCongestionSenders
 		t.AddRow(label, float64(retrans)/float64(sent), time.Duration(res.Elapsed),
 			stats.Gbps(appBytes, time.Duration(res.Elapsed)))
 	}

@@ -29,43 +29,45 @@ type ChaosConfig struct {
 	Distinct int
 	// Tuples is the per-sender stream length.
 	Tuples int64
-	Seed   int64
 }
 
 // DefaultChaos is the benchmark-scale preset: streams long enough that a
 // switch outage spans several probe intervals, so silence detection (probe
 // timeouts) engages as well as epoch detection.
 func DefaultChaos() ChaosConfig {
-	return ChaosConfig{Senders: 3, Distinct: 2048, Tuples: 300_000, Seed: 1}
+	return ChaosConfig{Senders: 3, Distinct: 2048, Tuples: 300_000}
 }
 
 // QuickChaos is the test-scale preset.
 func QuickChaos() ChaosConfig {
-	return ChaosConfig{Senders: 2, Distinct: 512, Tuples: 40_000, Seed: 1}
+	return ChaosConfig{Senders: 2, Distinct: 512, Tuples: 40_000}
 }
 
 // FabricChaosConfig parameterizes the hierarchical study: one cross-leaf
 // task on the spine/leaf fabric under each switch outage scenario.
 type FabricChaosConfig struct {
-	Spines       int
-	Leaves       int
-	HostsPerLeaf int
 	// Distinct is the per-sender distinct-key count.
 	Distinct int
 	// Tuples is the per-sender stream length.
 	Tuples int64
-	Seed   int64
 }
+
+// The fabric of the hierarchical study at every scale.
+const (
+	fabricChaosSpines       = 2
+	fabricChaosLeaves       = 3
+	fabricChaosHostsPerLeaf = 2
+)
 
 // DefaultFabricChaos is the benchmark-scale preset: streams long enough that
 // an outage window spans several probe intervals on every affected host.
 func DefaultFabricChaos() FabricChaosConfig {
-	return FabricChaosConfig{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Distinct: 2048, Tuples: 200_000, Seed: 1}
+	return FabricChaosConfig{Distinct: 2048, Tuples: 200_000}
 }
 
 // QuickFabricChaos is the test-scale preset.
 func QuickFabricChaos() FabricChaosConfig {
-	return FabricChaosConfig{Spines: 2, Leaves: 3, HostsPerLeaf: 2, Distinct: 512, Tuples: 20_000, Seed: 1}
+	return FabricChaosConfig{Distinct: 512, Tuples: 20_000}
 }
 
 // chaosStudy is one fault-injection table as data.
@@ -139,7 +141,7 @@ func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 	task := func() *ask.Job {
 		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: receiver, Op: core.OpSum})
 		for h := core.HostID(firstSender); h < firstSender+core.HostID(cfg.Senders); h++ {
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
 		}
 		return j
 	}
@@ -148,7 +150,7 @@ func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 		note: fmt.Sprintf("%d senders x %d tuples; every scenario must reproduce the golden result exactly; degraded = host-only time",
 			cfg.Senders, cfg.Tuples),
 		build: func() (*ask.Deployment, error) {
-			cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: cfg.Seed})
+			cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -173,17 +175,17 @@ func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 	c := core.DefaultConfig()
 	c.SwapThreshold = 0
 	c.Failover = true
-	c.MaxRetries = 0
+	// MaxRetries stays 0, retries unbounded: the replay protocol recovers.
 	opts := ask.FatTreeOptions{
-		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: cfg.HostsPerLeaf,
-		Config: c, Seed: cfg.Seed,
+		Spines: fabricChaosSpines, Leaves: fabricChaosLeaves, HostsPerLeaf: fabricChaosHostsPerLeaf,
+		Config: c, Seed: seed,
 	}
 	const taskID = 1 // the fabric elects spine taskID mod Spines for it
 	task := func() *ask.Job {
 		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
-		for l := 1; l < cfg.Leaves; l++ {
+		for l := 1; l < fabricChaosLeaves; l++ {
 			h := opts.HostAt(l, 0)
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
 		}
 		return j
 	}
@@ -193,7 +195,7 @@ func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 	return chaosTable(chaosStudy{
 		title: "Fabric chaos: spine/leaf outages vs fault-free golden run",
 		note: fmt.Sprintf("%d spines x %d leaves, %d senders x %d tuples; one crash+reboot window at 40-60%% of golden; every scenario must reproduce the golden result exactly",
-			cfg.Spines, cfg.Leaves, cfg.Leaves-1, cfg.Tuples),
+			fabricChaosSpines, fabricChaosLeaves, fabricChaosLeaves-1, cfg.Tuples),
 		build: func() (*ask.Deployment, error) {
 			fc, err := ask.NewFatTreeCluster(opts)
 			if err != nil {
@@ -203,8 +205,8 @@ func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 		},
 		task: task,
 		scenarios: []chaos.Scenario{
-			outage("spine-outage", chaos.EvSpineOutage, netsim.SpineAddr(taskID%cfg.Spines)),
-			outage("standby-spine-outage", chaos.EvSpineOutage, netsim.SpineAddr((taskID+1)%cfg.Spines)),
+			outage("spine-outage", chaos.EvSpineOutage, netsim.SpineAddr(taskID%fabricChaosSpines)),
+			outage("standby-spine-outage", chaos.EvSpineOutage, netsim.SpineAddr((taskID+1)%fabricChaosSpines)),
 			outage("leaf-outage", chaos.EvLeafOutage, netsim.LeafAddr(1)),
 		},
 		tailHeader: []string{"epoch"},

@@ -25,35 +25,27 @@ type CorruptionConfig struct {
 	Distinct int
 	// Tuples is the per-sender stream length.
 	Tuples int64
-	Seed   int64
-	// Probs is the per-link corruption-probability sweep; the first entry
-	// should be 0 (the clean baseline every other row is normalized to).
-	Probs []float64
 }
+
+// corruptionProbs is the per-link corruption-probability sweep at every
+// scale; the first entry is 0, the clean baseline every other row is
+// normalized to.
+var corruptionProbs = []float64{0, 1e-5, 1e-3}
 
 // DefaultCorruption is the benchmark-scale preset.
 func DefaultCorruption() CorruptionConfig {
-	return CorruptionConfig{
-		Senders: 3, Distinct: 2048, Tuples: 300_000, Seed: 1,
-		Probs: []float64{0, 1e-5, 1e-3},
-	}
+	return CorruptionConfig{Senders: 3, Distinct: 2048, Tuples: 300_000}
 }
 
 // QuickCorruption is the test-scale preset.
 func QuickCorruption() CorruptionConfig {
-	return CorruptionConfig{
-		Senders: 2, Distinct: 512, Tuples: 40_000, Seed: 1,
-		Probs: []float64{0, 1e-5, 1e-3},
-	}
+	return CorruptionConfig{Senders: 2, Distinct: 512, Tuples: 40_000}
 }
 
 // Corruption runs the sweep. Every row must reproduce the clean row's result
 // exactly: the integrity path converts byte damage into retransmissions, so
 // correctness is flat while goodput and latency degrade.
 func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
-	if len(cfg.Probs) == 0 || cfg.Probs[0] != 0 {
-		return nil, fmt.Errorf("corruption: Probs must start with the clean baseline 0")
-	}
 	total := int64(cfg.Senders) * cfg.Tuples
 
 	t := &stats.Table{
@@ -64,17 +56,17 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 	}
 
 	var cleanElapsed time.Duration
-	for _, prob := range cfg.Probs {
+	for _, prob := range corruptionProbs {
 		link := netsim.DefaultLinkConfig()
 		link.Fault.CorruptProb = prob
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
 		for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed+int64(h)))
+			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
 		}
 		// The quarantine and retransmission columns come off the cluster
 		// registry, so every run carries one.
 		res, cl, err := runAggregation(ask.Options{
-			Hosts: cfg.Senders + 1, Link: link, Seed: cfg.Seed,
+			Hosts: cfg.Senders + 1, Link: link, Seed: seed,
 			Telemetry: telemetry.Config{Enabled: true},
 		}, j)
 		if err != nil {

@@ -18,6 +18,10 @@ import (
 	"repro/internal/workload"
 )
 
+// seed is every experiment's workload and cluster seed (the congestion
+// ablation alone keeps its own, ablationCongestionSeed).
+const seed = 1
+
 // runAggregation builds a rack and runs one task on it, returning the
 // outcome — only if it equals the job's reference (ask.Deployment.Run):
 // experiments fail loudly rather than report timings for wrong answers — plus

@@ -10,7 +10,6 @@ import (
 // Fig10Config parameterizes the WordCount job-completion-time comparison
 // (Fig. 10) and the task-completion-time breakdown (Fig. 11).
 type Fig10Config struct {
-	Machines           int
 	MappersPerMachine  int
 	ReducersPerMachine int
 	// Volumes is the x-axis: tuples per mapper (paper: 5/10/15/20 ×10⁷;
@@ -18,31 +17,31 @@ type Fig10Config struct {
 	Volumes []int64
 	// DistinctKeys per mapper (paper: 2¹⁸; scaled with volume).
 	DistinctKeys int
-	Seed         int64
 }
+
+const (
+	// fig10Machines is the cluster size at every scale.
+	fig10Machines = 3
+)
 
 // DefaultFig10 is the benchmark-scale preset (1/500 of the paper's volume,
 // 8 mappers/reducers per machine instead of 32).
 func DefaultFig10() Fig10Config {
 	return Fig10Config{
-		Machines:           3,
 		MappersPerMachine:  8,
 		ReducersPerMachine: 8,
 		Volumes:            []int64{60_000, 120_000, 180_000},
 		DistinctKeys:       16_384,
-		Seed:               1,
 	}
 }
 
 // QuickFig10 is the test-scale preset.
 func QuickFig10() Fig10Config {
 	return Fig10Config{
-		Machines:           3,
 		MappersPerMachine:  2,
 		ReducersPerMachine: 2,
 		Volumes:            []int64{60_000},
 		DistinctKeys:       4_096,
-		Seed:               1,
 	}
 }
 
@@ -56,7 +55,7 @@ func Fig10(cfg Fig10Config) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Fig. 10: WordCount job completion time",
 		Note: fmt.Sprintf("%d machines × %d mappers, %d reducers/machine",
-			cfg.Machines, cfg.MappersPerMachine, cfg.ReducersPerMachine),
+			fig10Machines, cfg.MappersPerMachine, cfg.ReducersPerMachine),
 		Header: []string{"tuples/mapper", "Spark", "SparkSHM", "SparkRDMA", "ASK", "ASK gain"},
 	}
 	for _, vol := range cfg.Volumes {
@@ -106,13 +105,13 @@ func Fig11(cfg Fig10Config) (*stats.Table, error) {
 
 func fig10Run(cfg Fig10Config, vol int64, tr mapreduce.Transport) (mapreduce.Report, error) {
 	rep, err := mapreduce.Run(mapreduce.Config{
-		Machines:           cfg.Machines,
+		Machines:           fig10Machines,
 		MappersPerMachine:  cfg.MappersPerMachine,
 		ReducersPerMachine: cfg.ReducersPerMachine,
 		TuplesPerMapper:    vol,
 		DistinctKeys:       cfg.DistinctKeys,
 		Transport:          tr,
-		Seed:               cfg.Seed,
+		Seed:               seed,
 	})
 	if err != nil {
 		return rep, fmt.Errorf("fig10 %v vol=%d: %w", tr, vol, err)

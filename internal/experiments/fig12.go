@@ -12,14 +12,13 @@ type Fig12Config struct {
 	Workers int
 	// GradScale divides the simulated gradient volume (see training.Options).
 	GradScale int64
-	Seed      int64
 }
 
 // DefaultFig12 is the benchmark-scale preset.
-func DefaultFig12() Fig12Config { return Fig12Config{Workers: 8, GradScale: 64, Seed: 1} }
+func DefaultFig12() Fig12Config { return Fig12Config{Workers: 8, GradScale: 64} }
 
 // QuickFig12 is the test-scale preset.
-func QuickFig12() Fig12Config { return Fig12Config{Workers: 4, GradScale: 1024, Seed: 1} }
+func QuickFig12() Fig12Config { return Fig12Config{Workers: 4, GradScale: 1024} }
 
 // Fig12 measures training throughput (images/s) of every zoo model under
 // ASK's value-stream mode, ATP-like and SwitchML-like synchronous INA, and
@@ -37,7 +36,7 @@ func Fig12(cfg Fig12Config) (*stats.Table, error) {
 			rep, err := training.Train(m, sys, training.Options{
 				Workers:   cfg.Workers,
 				GradScale: cfg.GradScale,
-				Seed:      cfg.Seed,
+				Seed:      seed,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("fig12 %s/%v: %w", m.Name, sys, err)

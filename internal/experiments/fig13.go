@@ -17,17 +17,16 @@ type Fig13aConfig struct {
 	Channels []int
 	Tuples   int64
 	Distinct int
-	Seed     int64
 }
 
 // DefaultFig13a is the benchmark-scale preset.
 func DefaultFig13a() Fig13aConfig {
-	return Fig13aConfig{Channels: []int{1, 2, 4, 8}, Tuples: 8_000_000, Distinct: 8192, Seed: 1}
+	return Fig13aConfig{Channels: []int{1, 2, 4, 8}, Tuples: 8_000_000, Distinct: 8192}
 }
 
 // QuickFig13a is the test-scale preset.
 func QuickFig13a() Fig13aConfig {
-	return Fig13aConfig{Channels: []int{1, 4}, Tuples: 4_000_000, Distinct: 2048, Seed: 1}
+	return Fig13aConfig{Channels: []int{1, 4}, Tuples: 4_000_000, Distinct: 2048}
 }
 
 // Fig13a reports goodput (filled bar) and total wire rate (bar outline) per
@@ -39,7 +38,7 @@ func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
 		Header: []string{"channels", "ASK good Gbps", "ASK wire Gbps", "NoAggr good Gbps", "NoAggr wire Gbps"},
 	}
 	for _, ch := range cfg.Channels {
-		askGood, askWire, err := fig13ASKRun(cfg.Tuples, cfg.Distinct, ch, cfg.Seed)
+		askGood, askWire, err := fig13ASKRun(cfg.Tuples, cfg.Distinct, ch)
 		if err != nil {
 			return nil, err
 		}
@@ -48,7 +47,7 @@ func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
 			Senders:           1,
 			ChannelsPerSender: ch,
 			BytesPerSender:    cfg.Tuples * 8,
-			Seed:              cfg.Seed,
+			Seed:              seed,
 		})
 		t.AddRow(ch, askGood, askWire, na.GoodputGbps, na.WireGbps)
 	}
@@ -57,7 +56,7 @@ func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
 
 // fig13ASKRun measures ASK sender-side goodput/wire rate for one channel
 // count, striping the workload across one task per channel.
-func fig13ASKRun(tuples int64, distinct, channels int, seed int64) (good, wire float64, err error) {
+func fig13ASKRun(tuples int64, distinct, channels int) (good, wire float64, err error) {
 	c := core.DefaultConfig()
 	c.DataChannels = channels
 	c.MediumGroups = 0
@@ -84,17 +83,16 @@ type Fig13bConfig struct {
 	Senders         []int
 	TuplesPerSender int64
 	Distinct        int
-	Seed            int64
 }
 
 // DefaultFig13b is the benchmark-scale preset.
 func DefaultFig13b() Fig13bConfig {
-	return Fig13bConfig{Senders: []int{1, 2, 4, 8}, TuplesPerSender: 2_000_000, Distinct: 4096, Seed: 1}
+	return Fig13bConfig{Senders: []int{1, 2, 4, 8}, TuplesPerSender: 2_000_000, Distinct: 4096}
 }
 
 // QuickFig13b is the test-scale preset.
 func QuickFig13b() Fig13bConfig {
-	return Fig13bConfig{Senders: []int{1, 4}, TuplesPerSender: 400_000, Distinct: 1024, Seed: 1}
+	return Fig13bConfig{Senders: []int{1, 4}, TuplesPerSender: 400_000, Distinct: 1024}
 }
 
 // Fig13b reports per-sender goodput: ASK stays flat (the switch absorbs the
@@ -113,7 +111,7 @@ func Fig13b(cfg Fig13bConfig) (*stats.Table, error) {
 			Senders:           n,
 			ChannelsPerSender: 4,
 			BytesPerSender:    cfg.TuplesPerSender * 8,
-			Seed:              cfg.Seed,
+			Seed:              seed,
 		})
 		t.AddRow(n, askRate, na.PerSenderGoodbps)
 	}
@@ -133,10 +131,10 @@ func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
 	const k = 4
 	rows := (c.AARows / k) &^ 1
 	cl, elapsed, err := runParallelTasks(
-		ask.Options{Hosts: senders + 1, Config: c, Seed: cfg.Seed},
+		ask.Options{Hosts: senders + 1, Config: c, Seed: seed},
 		k, rows, hosts, 0,
 		func(task int, h core.HostID) workload.Spec {
-			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.TuplesPerSender/k, cfg.Seed+int64(task)*100+int64(h), rows)
+			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.TuplesPerSender/k, seed+int64(task)*100+int64(h), rows)
 		})
 	if err != nil {
 		return 0, fmt.Errorf("fig13b n=%d: %w", senders, err)

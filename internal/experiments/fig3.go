@@ -13,23 +13,25 @@ import (
 type Fig3Config struct {
 	// Tuples is the stream length (paper: enough to saturate; scaled).
 	Tuples int64
-	// Distinct keys; the strawman assumes all fit in switch memory (§2.2.2
-	// assumption 3), so the region is sized to hold them.
-	Distinct int
 	// Cores is the x-axis: CPU cores devoted to aggregation. For the INA
 	// systems, cores map to data channels (one DPDK thread per channel).
 	Cores []int
-	Seed  int64
 }
+
+const (
+	// fig3Distinct keys; the strawman assumes all fit in switch memory
+	// (§2.2.2 assumption 3), so the region is sized to hold them.
+	fig3Distinct = 2048
+)
 
 // DefaultFig3 is the benchmark-scale preset.
 func DefaultFig3() Fig3Config {
-	return Fig3Config{Tuples: 2_000_000, Distinct: 2048, Cores: []int{1, 2, 4, 8, 16}, Seed: 1}
+	return Fig3Config{Tuples: 2_000_000, Cores: []int{1, 2, 4, 8, 16}}
 }
 
 // QuickFig3 is the test-scale preset.
 func QuickFig3() Fig3Config {
-	return Fig3Config{Tuples: 150_000, Distinct: 2048, Cores: []int{1, 4}, Seed: 1}
+	return Fig3Config{Tuples: 150_000, Cores: []int{1, 4}}
 }
 
 // Fig3 measures aggregated key-value tuples per second on a single machine
@@ -86,11 +88,11 @@ func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
 	}
 	// One task per data channel: cores channels aggregate in parallel.
 	_, elapsed, err := runParallelTasks(
-		ask.Options{Hosts: 1, Config: c, Seed: cfg.Seed},
+		ask.Options{Hosts: 1, Config: c, Seed: seed},
 		cores, rows,
 		[]core.HostID{0}, 0,
 		func(task int, _ core.HostID) workload.Spec {
-			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, tuples/int64(cores), cfg.Seed+int64(task), rows)
+			return balancedUniformRows(shortLayout(c.NumAAs), fig3Distinct, tuples/int64(cores), seed+int64(task), rows)
 		})
 	if err != nil {
 		return 0, err

@@ -13,7 +13,8 @@ import (
 
 // Fig7Config parameterizes the computation-offload comparison (Fig. 7):
 // ASK with 1/2/4 data channels vs. the host-only PreAggr baseline with
-// 8..56 threads, one sender and one receiver host.
+// 8..56 threads, one sender and one receiver host. Hosts have
+// cpumodel.DefaultCores, the paper's 56.
 type Fig7Config struct {
 	// Tuples is the stream length (paper: 6.4 G tuples = 51.2 GB; scaled).
 	Tuples int64
@@ -22,8 +23,6 @@ type Fig7Config struct {
 	Distinct int
 	Channels []int
 	Threads  []int
-	Cores    int
-	Seed     int64
 }
 
 // DefaultFig7 is the benchmark-scale preset (1/1000 of the paper's volume).
@@ -33,8 +32,6 @@ func DefaultFig7() Fig7Config {
 		Distinct: 16_000,
 		Channels: []int{1, 2, 4},
 		Threads:  []int{8, 16, 32, 56},
-		Cores:    cpumodel.DefaultCores,
-		Seed:     1,
 	}
 }
 
@@ -45,8 +42,6 @@ func QuickFig7() Fig7Config {
 		Distinct: 5_000,
 		Channels: []int{1, 4},
 		Threads:  []int{8, 32},
-		Cores:    cpumodel.DefaultCores,
-		Seed:     1,
 	}
 }
 
@@ -60,7 +55,7 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 		Note:   fmt.Sprintf("%d tuples, %d distinct keys, 1 sender + 1 receiver", cfg.Tuples, cfg.Distinct),
 		Header: []string{"system", "JCT", "CPU%", "CPU busy"},
 	}
-	spec := workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed)
+	spec := workload.Uniform(cfg.Distinct, cfg.Tuples, seed)
 
 	for _, ch := range cfg.Channels {
 		c := core.DefaultConfig()
@@ -70,24 +65,24 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 		c.SwapThreshold = 0
 		rows := (c.AARows / ch) &^ 1
 		cl, elapsed, err := runParallelTasks(
-			ask.Options{Hosts: 2, Config: c, Cores: cfg.Cores, Seed: cfg.Seed},
+			ask.Options{Hosts: 2, Config: c, Seed: seed},
 			ch, rows,
 			[]core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
-				return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.Tuples/int64(ch), cfg.Seed+int64(task), rows)
+				return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.Tuples/int64(ch), seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("ASK %d dCh: %w", ch, err)
 		}
 		t.AddRow(fmt.Sprintf("ASK %d dCh", ch),
 			elapsed,
-			100*float64(ch)/float64(cfg.Cores),
+			100*float64(ch)/float64(cpumodel.DefaultCores),
 			cl.CPU(1).BusyTime()) // sender-side work
 	}
 
 	for _, th := range cfg.Threads {
 		rep := baselines.RunPreAggr(baselines.PreAggrConfig{
-			Op: core.OpSum, Threads: th, Cores: cfg.Cores, Seed: cfg.Seed,
+			Op: core.OpSum, Threads: th, Seed: seed,
 		}, spec.Stream())
 		want := spec.Reference(core.OpSum)
 		if !rep.Result.Equal(want) {
@@ -95,7 +90,7 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 		}
 		util := 0.0
 		if rep.JCT > 0 {
-			util = 100 * rep.SenderBusy.Seconds() / (rep.JCT.Seconds() * float64(cfg.Cores))
+			util = 100 * rep.SenderBusy.Seconds() / (rep.JCT.Seconds() * float64(cpumodel.DefaultCores))
 		}
 		t.AddRow(fmt.Sprintf("PreAggr %d thr", th), rep.JCT, util, rep.SenderBusy)
 	}

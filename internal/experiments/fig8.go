@@ -19,25 +19,25 @@ type Fig8aConfig struct {
 	// TuplesPerPacket is the x-axis (1..64; above 32 emulates chained
 	// pipelines, §5.7.2, by extending the PISA stage budget).
 	TuplesPerPacket []int
-	// Tuples per measurement point.
-	Tuples   int64
-	Distinct int
-	Seed     int64
+	Distinct        int
 }
+
+const (
+	// fig8aTuples per measurement point.
+	fig8aTuples = 4_000_000
+)
 
 // DefaultFig8a is the benchmark-scale preset.
 func DefaultFig8a() Fig8aConfig {
 	return Fig8aConfig{
 		TuplesPerPacket: []int{1, 2, 4, 8, 16, 24, 32, 48, 64},
-		Tuples:          4_000_000,
 		Distinct:        8192,
-		Seed:            1,
 	}
 }
 
 // QuickFig8a is the test-scale preset.
 func QuickFig8a() Fig8aConfig {
-	return Fig8aConfig{TuplesPerPacket: []int{1, 8, 32}, Tuples: 4_000_000, Distinct: 2048, Seed: 1}
+	return Fig8aConfig{TuplesPerPacket: []int{1, 8, 32}, Distinct: 2048}
 }
 
 // Fig8a measures actual sender goodput per packet geometry and compares it
@@ -58,7 +58,7 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 		// Ample rows per task: conflicts would shift work to the receiver
 		// and pollute the pure-goodput measurement.
 		rows := (c.AARows / ch) &^ 1
-		opts := ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}
+		opts := ask.Options{Hosts: 2, Config: c, Seed: seed}
 		if x > 32 {
 			// Chained pipelines: more stages available (§5.7.2).
 			pc := pisa.DefaultConfig()
@@ -69,7 +69,7 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 		// One task per data channel (see runParallelTasks).
 		cl, elapsed, err := runParallelTasks(opts, ch, rows, []core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
-				return balancedUniformRows(shortLayout(x), cfg.Distinct, cfg.Tuples/int64(ch), cfg.Seed+int64(task), rows)
+				return balancedUniformRows(shortLayout(x), cfg.Distinct, fig8aTuples/int64(ch), seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("x=%d: %w", x, err)
@@ -84,14 +84,13 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 // Fig8bConfig parameterizes the packet-fill CDF per dataset (Fig. 8(b)).
 type Fig8bConfig struct {
 	Tuples int64
-	Seed   int64
 }
 
 // DefaultFig8b is the benchmark-scale preset.
-func DefaultFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 1_500_000, Seed: 1} }
+func DefaultFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 1_500_000} }
 
 // QuickFig8b is the test-scale preset.
-func QuickFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 100_000, Seed: 1} }
+func QuickFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 100_000} }
 
 // Fig8b measures the distribution of non-blank tuple slots per data packet
 // for each corpus stand-in plus the uniform reference.
@@ -103,10 +102,10 @@ func Fig8b(cfg Fig8bConfig) (*stats.Table, error) {
 	}
 	specs := []workload.Spec{uniformMixedKeys(cfg)}
 	for _, name := range workload.DatasetNames() {
-		specs = append(specs, workload.Dataset(name, cfg.Tuples, cfg.Seed))
+		specs = append(specs, workload.Dataset(name, cfg.Tuples, seed))
 	}
 	for _, spec := range specs {
-		_, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: cfg.Seed}, singleSenderTask(spec, 0))
+		_, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: seed}, singleSenderTask(spec, 0))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", spec.Name, err)
 		}
@@ -136,6 +135,6 @@ func uniformMixedKeys(cfg Fig8bConfig) workload.Spec {
 			}
 			return 4 // short
 		},
-		Seed: cfg.Seed,
+		Seed: seed,
 	}
 }

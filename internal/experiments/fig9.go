@@ -23,10 +23,12 @@ type Fig9Config struct {
 	Ratios []float64
 	// SwapThreshold is the receiver packet count that triggers a swap.
 	SwapThreshold int
-	// Skew is the Zipf exponent.
-	Skew float64
-	Seed int64
 }
+
+const (
+	// fig9Skew is the Zipf exponent.
+	fig9Skew = 1.05
+)
 
 // DefaultFig9 is the benchmark-scale preset.
 func DefaultFig9() Fig9Config {
@@ -35,8 +37,6 @@ func DefaultFig9() Fig9Config {
 		Tuples:        700_000,
 		Ratios:        []float64{1.0 / 256, 1.0 / 64, 1.0 / 16, 1.0 / 4, 1},
 		SwapThreshold: 128,
-		Skew:          1.05,
-		Seed:          1,
 	}
 }
 
@@ -47,8 +47,6 @@ func QuickFig9() Fig9Config {
 		Tuples:        150_000,
 		Ratios:        []float64{1.0 / 16, 1},
 		SwapThreshold: 64,
-		Skew:          1.05,
-		Seed:          1,
 	}
 }
 
@@ -67,9 +65,9 @@ func Fig9(cfg Fig9Config) (*stats.Table, error) {
 			"Zipf%+prio", "Zipf(rev)%+prio", "Uniform%+prio"},
 	}
 	orders := []workload.Spec{
-		workload.Zipf(cfg.Distinct, cfg.Tuples, cfg.Skew, workload.HotFirst, cfg.Seed),
-		workload.Zipf(cfg.Distinct, cfg.Tuples, cfg.Skew, workload.ColdFirst, cfg.Seed),
-		workload.Uniform(cfg.Distinct, cfg.Tuples, cfg.Seed),
+		workload.Zipf(cfg.Distinct, cfg.Tuples, fig9Skew, workload.HotFirst, seed),
+		workload.Zipf(cfg.Distinct, cfg.Tuples, fig9Skew, workload.ColdFirst, seed),
+		workload.Uniform(cfg.Distinct, cfg.Tuples, seed),
 	}
 	for _, ratio := range cfg.Ratios {
 		aggs := int(ratio * float64(cfg.Distinct))
@@ -105,7 +103,7 @@ func fig9Run(cfg Fig9Config, spec workload.Spec, rows int, prio bool) (float64, 
 	if prio {
 		c.SwapThreshold = cfg.SwapThreshold
 	}
-	res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: cfg.Seed}, singleSenderTask(spec, rows))
+	res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, rows))
 	if err != nil {
 		return 0, err
 	}

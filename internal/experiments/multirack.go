@@ -14,22 +14,26 @@ import (
 // receiver's rack to remote racks (whose traffic bypasses the receiver's
 // TOR and is aggregated at the host).
 type MultiRackConfig struct {
-	Racks           int
-	HostsPerRack    int
-	Senders         int
 	TuplesPerSender int64
 	Distinct        int
-	Seed            int64
 }
+
+// The deployment and the task at every scale: multiRackSenders senders over
+// multiRackRacks racks of multiRackHostsPerRack hosts.
+const (
+	multiRackRacks        = 4
+	multiRackHostsPerRack = 4
+	multiRackSenders      = 6
+)
 
 // DefaultMultiRack is the benchmark-scale preset.
 func DefaultMultiRack() MultiRackConfig {
-	return MultiRackConfig{Racks: 4, HostsPerRack: 4, Senders: 6, TuplesPerSender: 400_000, Distinct: 4096, Seed: 1}
+	return MultiRackConfig{TuplesPerSender: 400_000, Distinct: 4096}
 }
 
 // QuickMultiRack is the test-scale preset.
 func QuickMultiRack() MultiRackConfig {
-	return MultiRackConfig{Racks: 4, HostsPerRack: 4, Senders: 6, TuplesPerSender: 30_000, Distinct: 1024, Seed: 1}
+	return MultiRackConfig{TuplesPerSender: 30_000, Distinct: 1024}
 }
 
 // MultiRack sweeps the number of remote senders from 0 (all rack-local,
@@ -38,14 +42,14 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Extension (§7): multi-rack deployment — remote senders bypass the receiver TOR",
 		Note: fmt.Sprintf("%d racks × %d hosts, %d senders, %d tuples each",
-			cfg.Racks, cfg.HostsPerRack, cfg.Senders, cfg.TuplesPerSender),
+			multiRackRacks, multiRackHostsPerRack, multiRackSenders, cfg.TuplesPerSender),
 		Header: []string{"remote senders", "switch-aggregated %", "host residue %", "elapsed"},
 	}
-	for remote := 0; remote <= cfg.Senders; remote += 2 {
+	for remote := 0; remote <= multiRackSenders; remote += 2 {
 		opts := ask.MultiRackOptions{
-			Racks:        cfg.Racks,
-			HostsPerRack: cfg.HostsPerRack,
-			Seed:         cfg.Seed,
+			Racks:        multiRackRacks,
+			HostsPerRack: multiRackHostsPerRack,
+			Seed:         seed,
 		}
 		fc, err := ask.NewMultiRackCluster(opts)
 		if err != nil {
@@ -53,18 +57,18 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 		}
 		receiver := opts.HostAt(0, 0)
 		var senders []core.HostID
-		for i := 0; i < cfg.Senders; i++ {
-			if i < cfg.Senders-remote {
+		for i := 0; i < multiRackSenders; i++ {
+			if i < multiRackSenders-remote {
 				// Rack-local sender (skipping the receiver's slot).
-				senders = append(senders, opts.HostAt(0, 1+i%(cfg.HostsPerRack-1)))
+				senders = append(senders, opts.HostAt(0, 1+i%(multiRackHostsPerRack-1)))
 			} else {
-				senders = append(senders, opts.HostAt(1+i%(cfg.Racks-1), i%cfg.HostsPerRack))
+				senders = append(senders, opts.HostAt(1+i%(multiRackRacks-1), i%multiRackHostsPerRack))
 			}
 		}
 		senders = dedupHosts(senders)
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 		for i, s := range senders {
-			j.Send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, cfg.Seed+int64(i)))
+			j.Send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, seed+int64(i)))
 		}
 		results, err := fc.Run(j)
 		fc.Sim.Close()

@@ -13,14 +13,13 @@ import (
 type Table1Config struct {
 	// Tuples per dataset (scaled from the paper's full corpus replays).
 	Tuples int64
-	Seed   int64
 }
 
 // DefaultTable1 is the benchmark-scale preset.
-func DefaultTable1() Table1Config { return Table1Config{Tuples: 1_500_000, Seed: 1} }
+func DefaultTable1() Table1Config { return Table1Config{Tuples: 1_500_000} }
 
 // QuickTable1 is the test-scale preset.
-func QuickTable1() Table1Config { return Table1Config{Tuples: 120_000, Seed: 1} }
+func QuickTable1() Table1Config { return Table1Config{Tuples: 120_000} }
 
 // Table1 replays each corpus stand-in through the full ASK stack and
 // reports how much the switch absorbs: the fraction of switch-eligible
@@ -34,8 +33,8 @@ func Table1(cfg Table1Config) (*stats.Table, error) {
 		Header: []string{"dataset", "aggregated tuples %", "switch-ACKed packets %", "long-key bypass %"},
 	}
 	for _, name := range workload.DatasetNames() {
-		spec := workload.Dataset(name, cfg.Tuples, cfg.Seed)
-		res, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: cfg.Seed}, singleSenderTask(spec, 0))
+		spec := workload.Dataset(name, cfg.Tuples, seed)
+		res, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: seed}, singleSenderTask(spec, 0))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
 		}

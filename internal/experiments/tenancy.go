@@ -22,52 +22,52 @@ import (
 //
 // Fairness is measured the way the allocator actually shares the pool:
 // admission control over fixed-size tasks. Every task is identical
-// (RowsPerTask rows, one sender, the same hot-set shape), so per-task
+// (tenancyRowsPerTask rows, one sender, the same hot-set shape), so per-task
 // goodput is statistically equal and a tenant's aggregate goodput is set by
 // how many tasks its quota admits — which is what the weights apportion.
 // Tenants submit one task beyond their quota to exercise the typed OVERLOAD
 // rejection.
 type TenancyConfig struct {
-	Spines int
-	// Leaves includes the receiver leaf: all receivers sit on leaf 0 and
-	// tasks' senders round-robin over leaves 1..Leaves-1 (needs ≥ 2).
-	Leaves int
 	// TuplesPerSender is each sender's stream length.
 	TuplesPerSender int64
-	// TaskKeys is each fairness task's hot-set size, small enough to fit the
-	// narrowest tenant's partition band so every admitted task aggregates at
-	// full absorption and goodput is set purely by admitted capacity.
-	TaskKeys int
-	// Pace is the inter-arrival gap of each fairness sender's timed stream.
-	// Senders are paced below the wire capacity of the narrowest partition
-	// band (a narrow band fills fewer packet slots, §3.2.3, so a backlogged
-	// narrow sender is wire-limited): the stream's rate, not its band width,
-	// then sets per-task goodput, and a tenant's aggregate goodput is purely
-	// its admitted capacity.
-	Pace time.Duration
-	// KeysPerRow sets each utilization tenant's hot set to KeysPerRow × its
-	// region rows: more keys than rows, so absorption is limited by the AA
-	// rows rather than the offered load.
-	KeysPerRow int
-	// RowsPerTask is the fixed region size of every fairness task; tenant
-	// quotas are divided into tasks of this size.
-	RowsPerTask int
-	// RowFrac sets each tenant's region to quota/RowFrac rows in the
-	// utilization sweep, keeping total pinned rows constant across tenant
-	// counts.
-	RowFrac int
-	Seed    int64
 }
+
+// The fabric and the tasks of the tenancy study at every scale.
+const (
+	tenancySpines = 2
+	// tenancyLeaves includes the receiver leaf: all receivers sit on leaf 0
+	// and tasks' senders round-robin over leaves 1..tenancyLeaves-1.
+	tenancyLeaves = 3
+	// tenancyTaskKeys is each fairness task's hot-set size, small enough to
+	// fit the narrowest tenant's partition band so every admitted task
+	// aggregates at full absorption and goodput is set purely by admitted
+	// capacity.
+	tenancyTaskKeys = 256
+	// tenancyPace is the inter-arrival gap of each fairness sender's timed
+	// stream. Senders are paced below the wire capacity of the narrowest
+	// partition band (a narrow band fills fewer packet slots, §3.2.3, so a
+	// backlogged narrow sender is wire-limited): the stream's rate, not its
+	// band width, then sets per-task goodput, and a tenant's aggregate
+	// goodput is purely its admitted capacity.
+	tenancyPace = 250 * time.Nanosecond
+	// tenancyKeysPerRow sets each utilization tenant's hot set to
+	// tenancyKeysPerRow × its region rows: more keys than rows, so
+	// absorption is limited by the AA rows rather than the offered load.
+	tenancyKeysPerRow = 4
+	// tenancyRowsPerTask is the fixed region size of every fairness task;
+	// tenant quotas are divided into tasks of this size.
+	tenancyRowsPerTask = 2048
+	// tenancyRowFrac sets each tenant's region to quota/tenancyRowFrac rows
+	// in the utilization sweep, keeping total pinned rows constant across
+	// tenant counts.
+	tenancyRowFrac = 8
+)
 
 // DefaultTenancy is the benchmark-scale preset.
-func DefaultTenancy() TenancyConfig {
-	return TenancyConfig{Spines: 2, Leaves: 3, TuplesPerSender: 100_000, TaskKeys: 256, Pace: 250 * time.Nanosecond, KeysPerRow: 4, RowsPerTask: 2048, RowFrac: 8, Seed: 1}
-}
+func DefaultTenancy() TenancyConfig { return TenancyConfig{TuplesPerSender: 100_000} }
 
 // QuickTenancy is the test-scale preset.
-func QuickTenancy() TenancyConfig {
-	return TenancyConfig{Spines: 2, Leaves: 3, TuplesPerSender: 20_000, TaskKeys: 256, Pace: 250 * time.Nanosecond, KeysPerRow: 4, RowsPerTask: 2048, RowFrac: 8, Seed: 1}
-}
+func QuickTenancy() TenancyConfig { return TenancyConfig{TuplesPerSender: 20_000} }
 
 // tenantRun is one tenant's outcome in a concurrent multi-tenant run.
 type tenantRun struct {
@@ -76,12 +76,6 @@ type tenantRun struct {
 	absorbed int64 // tuples the fabric aggregated for this tenant
 	offered  int64
 	elapsed  time.Duration
-}
-
-// goodput is the rate at which the fabric aggregated on the tenant's behalf
-// — the share of the contended AA capacity the tenant actually received.
-func (r tenantRun) goodput() float64 {
-	return float64(r.absorbed) / r.elapsed.Seconds()
 }
 
 // runTenants drives one concurrent run: len(weights) tenants, each with a
@@ -96,8 +90,8 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	}
 	hostsPerLeaf := max(k, wsum)
 	opts := ask.FatTreeOptions{
-		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: hostsPerLeaf,
-		Seed: cfg.Seed, Tenants: tenantSpecs(weights),
+		Spines: tenancySpines, Leaves: tenancyLeaves, HostsPerLeaf: hostsPerLeaf,
+		Seed: seed, Tenants: tenantSpecs(weights),
 	}
 	fc, err := ask.NewFatTreeCluster(opts)
 	if err != nil {
@@ -108,16 +102,16 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 	slot := 0 // next sender slot on each sender leaf (layout identical per leaf)
 	for i, w := range weights {
 		tn := core.TenantID(i + 1)
-		rows := fc.Tenancy.Quota(tn) / cfg.RowFrac
+		rows := fc.Tenancy.Quota(tn) / tenancyRowFrac
 		rows &^= 1
 		j := ask.NewJob(core.TaskSpec{
 			ID: core.MakeTaskID(tn, uint32(i+1)), Receiver: opts.HostAt(0, i),
 			Op: core.OpSum, Rows: rows,
 		})
-		for l := 1; l < cfg.Leaves; l++ {
+		for l := 1; l < tenancyLeaves; l++ {
 			for s := 0; s < w; s++ {
 				j.Send(opts.HostAt(l, slot+s),
-					workload.Uniform(cfg.KeysPerRow*rows, cfg.TuplesPerSender, cfg.Seed+int64(i*cfg.Leaves*wsum+l*wsum+s)))
+					workload.Uniform(tenancyKeysPerRow*rows, cfg.TuplesPerSender, seed+int64(i*tenancyLeaves*wsum+l*wsum+s)))
 			}
 		}
 		slot += w
@@ -166,19 +160,16 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 	total := 0
 	admitted := make([]int, k)
 	for i := range weights {
-		admitted[i] = probe.Quota(core.TenantID(i+1)) / cfg.RowsPerTask
+		admitted[i] = probe.Quota(core.TenantID(i+1)) / tenancyRowsPerTask
 		total += admitted[i]
 	}
-	senderLeaves := cfg.Leaves - 1
-	if senderLeaves < 1 {
-		return nil, fmt.Errorf("tenancy: fairness needs Leaves >= 2, got %d", cfg.Leaves)
-	}
+	const senderLeaves = tenancyLeaves - 1
 	perLeaf := (total + senderLeaves - 1) / senderLeaves
 	hostsPerLeaf := max(total, perLeaf) // total: the receiver slots on leaf 0
 
 	opts := ask.FatTreeOptions{
-		Spines: cfg.Spines, Leaves: cfg.Leaves, HostsPerLeaf: hostsPerLeaf,
-		Seed: cfg.Seed, Tenants: tenantSpecs(weights),
+		Spines: tenancySpines, Leaves: tenancyLeaves, HostsPerLeaf: hostsPerLeaf,
+		Seed: seed, Tenants: tenantSpecs(weights),
 	}
 	fc, err := ask.NewFatTreeCluster(opts)
 	if err != nil {
@@ -190,20 +181,20 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 	probes := make(map[*ask.Job]bool)
 	runs := make([]tenantFairRun, k)
 	t := 0
-	leafSlot := make([]int, cfg.Leaves)
+	leafSlot := make([]int, tenancyLeaves)
 	for i, w := range weights {
 		runs[i] = tenantFairRun{weight: w, admitted: admitted[i], rejected: 1}
 		for n := 0; n < admitted[i]; n++ {
 			leaf := 1 + t%senderLeaves
 			sender := opts.HostAt(leaf, leafSlot[leaf])
 			leafSlot[leaf]++
-			wl := workload.Uniform(cfg.TaskKeys, cfg.TuplesPerSender, cfg.Seed+int64(t))
+			wl := workload.Uniform(tenancyTaskKeys, cfg.TuplesPerSender, seed+int64(t))
 			jobs = append(jobs, &ask.Job{
 				Spec: core.TaskSpec{
 					ID: core.MakeTaskID(core.TenantID(i+1), uint32(n+1)), Receiver: opts.HostAt(0, t),
-					Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{sender},
+					Op: core.OpSum, Rows: tenancyRowsPerTask, Senders: []core.HostID{sender},
 				},
-				Streams: map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), cfg.Pace)},
+				Streams: map[core.HostID]core.TimedStream{sender: paced(wl.Stream(), tenancyPace)},
 				Want:    wl.Reference(core.OpSum),
 			})
 			t++
@@ -215,7 +206,7 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 		probe := &ask.Job{
 			Spec: core.TaskSpec{
 				ID: core.MakeTaskID(core.TenantID(i+1), uint32(admitted[i]+1)), Receiver: opts.HostAt(0, 0),
-				Op: core.OpSum, Rows: cfg.RowsPerTask, Senders: []core.HostID{opts.HostAt(1, 0)},
+				Op: core.OpSum, Rows: tenancyRowsPerTask, Senders: []core.HostID{opts.HostAt(1, 0)},
 			},
 			Streams: map[core.HostID]core.TimedStream{opts.HostAt(1, 0): core.SliceStream(nil).Timed()},
 		}
@@ -292,7 +283,7 @@ func TenancyFairness(cfg TenancyConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Tenancy: weighted fairness of in-network aggregation goodput",
 		Note: fmt.Sprintf("%d spines × %d leaves; quotas filled with identical %d-row, %d-key tasks (%d tuples/sender), +1 over-quota submission each",
-			cfg.Spines, cfg.Leaves, cfg.RowsPerTask, cfg.TaskKeys, cfg.TuplesPerSender),
+			tenancySpines, tenancyLeaves, tenancyRowsPerTask, tenancyTaskKeys, cfg.TuplesPerSender),
 		Header: []string{"weights", "admitted (rejected)", "per-tenant goodput (Mtuples/s)", "goodput shares", "weight shares", "max dev %"},
 	}
 	for _, weights := range [][]int{{1, 1}, {1, 1, 1, 1}, {1, 3}, {1, 1, 2, 4}} {
@@ -327,7 +318,7 @@ func TenancyUtilization(cfg TenancyConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Tenancy: AA pool utilization vs concurrent tenants (disjoint hot sets)",
 		Note: fmt.Sprintf("%d spines × %d leaves; equal weights; regions = quota/%d so total pinned rows stay constant",
-			cfg.Spines, cfg.Leaves, cfg.RowFrac),
+			tenancySpines, tenancyLeaves, tenancyRowFrac),
 		Header: []string{"tenants", "pinned rows", "aggregate absorbed (Mtuples/s)", "absorbed % of offered"},
 	}
 	for _, k := range []int{1, 2, 4} {

@@ -109,7 +109,7 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		txThread: d.cpu.NewThread(),
 		rxThread: d.cpu.NewThread(),
 	}
-	ch.win = window.NewSender(d.sim, d.cfg.Window, d.cfg.RetransmitTimeout, ch.transmit)
+	ch.win = window.NewSender(d.sim, d.cfg.Window, core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, flow.String())
 	if d.cfg.CongestionControl {
 		ch.win.EnableCongestionControl()
@@ -217,7 +217,7 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 			// Bounded TX ring: never queue more wire time at the NIC than
 			// a fraction of the retransmission timeout, or acknowledgments
 			// cannot outrun spurious timeouts.
-			ch.d.net.Uplink(ch.d.host).Throttle(p, ch.d.cfg.RetransmitTimeout/4)
+			ch.d.net.Uplink(ch.d.host).Throttle(p, core.RetransmitTimeout/4)
 			pkt.Task = task.id
 			pkt.Flow = ch.flow
 			ch.d.met.packetsSent.Inc()

@@ -59,7 +59,7 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	}
 	// Control messages are far larger-timeout than data: they cross the
 	// switch twice and are not latency critical.
-	ch.win = window.NewSender(d.sim, ctrlWindow, 10*d.cfg.RetransmitTimeout, ch.transmit)
+	ch.win = window.NewSender(d.sim, ctrlWindow, 10*core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
 	// process retains nothing from the packet (ctrl bodies are plain values
 	// and the ack is a fresh packet), so serve may recycle each frame.

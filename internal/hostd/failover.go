@@ -208,7 +208,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 		probe.Seq = seq
 		d.send(d.host, probe, 0, true)
 		d.met.probesSent.Inc()
-		timeout := d.cfg.RetransmitTimeout
+		timeout := core.RetransmitTimeout
 		deadline := d.sim.Now().Add(timeout)
 		for window.SeqLess(d.probeReplySeq, seq) && d.sim.Now() < deadline {
 			if !p.WaitTimeout(d.probeSig, deadline.Sub(d.sim.Now())) {

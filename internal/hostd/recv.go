@@ -559,7 +559,7 @@ func (t *recvTask) runSwap(p *sim.Proc) {
 	// fat-tree) swaps that switch by address; the legacy path stays
 	// self-addressed and is consumed by the switch on the path.
 	dst := t.aggPoints()[0]
-	t.d.request(p, dst, &pkt, t.swapAckSig, t.d.cfg.RetransmitTimeout, func() bool {
+	t.d.request(p, dst, &pkt, t.swapAckSig, core.RetransmitTimeout, func() bool {
 		return !window.SeqLess(t.lastSwapAck, seq)
 	})
 	t.activeCopy ^= 1

@@ -77,13 +77,10 @@ type Config struct {
 	// 2¹⁸ distinct keys per mapper).
 	DistinctKeys int
 	Transport    Transport
-	Cores        int
 	Seed         int64
 	// Workload overrides the default uniform WordCount input; it must be a
 	// fresh spec per (machine, mapper).
 	Workload func(machine, mapper int) workload.Spec
-	// RowsPerTask overrides the per-reduce-task switch region size (ASK).
-	RowsPerTask int
 }
 
 // Report is the outcome of a job.
@@ -116,9 +113,6 @@ func meanDur(ds []time.Duration) time.Duration {
 }
 
 func (c *Config) defaults() {
-	if c.Cores == 0 {
-		c.Cores = cpumodel.DefaultCores
-	}
 	if c.Workload == nil {
 		c.Workload = func(machine, mapper int) workload.Spec {
 			return workload.Uniform(c.DistinctKeys, c.TuplesPerMapper,
@@ -204,7 +198,6 @@ func runASK(cfg Config) (Report, error) {
 	askCfg := core.DefaultConfig()
 	cl, err := ask.NewCluster(ask.Options{
 		Hosts:  cfg.Machines,
-		Cores:  cfg.Cores,
 		Seed:   cfg.Seed,
 		Config: askCfg,
 		Switch: swOpts,
@@ -214,13 +207,9 @@ func runASK(cfg Config) (Report, error) {
 	}
 	defer cl.Sim.Close() // a finished cluster must not stay pinned by its parked daemons
 	R := cfg.reducers()
-	rows := cfg.RowsPerTask
+	rows := (askCfg.AARows / R) &^ 1
 	if rows == 0 {
-		rows = askCfg.AARows / R
-		rows &^= 1
-		if rows == 0 {
-			rows = 2
-		}
+		rows = 2
 	}
 
 	var rep Report
@@ -288,7 +277,7 @@ func runHostShuffle(cfg Config) (Report, error) {
 	disks := make([]*sim.Resource, cfg.Machines)
 	recvs := make([]*shuffleReceiver, cfg.Machines)
 	for m := 0; m < cfg.Machines; m++ {
-		cpus[m] = cpumodel.NewHost(s, cfg.Cores)
+		cpus[m] = cpumodel.NewHost(s, cpumodel.DefaultCores)
 		disks[m] = sim.NewResource(s, 1)
 		recvs[m] = newShuffleReceiver(s, cpus[m], cfg.ReducersPerMachine, cfg.Machines*cfg.MappersPerMachine)
 		n.AttachHost(core.HostID(m), recvs[m])

@@ -14,8 +14,6 @@ type Config struct {
 	Enabled bool
 	// TraceCapacity bounds the event ring (default 4096).
 	TraceCapacity int
-	// TraceMask selects which components may emit events (default CompAll).
-	TraceMask Component
 	// SampleInterval is the gauge sampling period on the virtual clock
 	// (default DefaultSampleInterval). Sampling runs only while tasks are
 	// in flight.
@@ -50,13 +48,10 @@ func NewSet(s *sim.Simulation, cfg Config) *Set {
 	if cfg.TraceCapacity <= 0 {
 		cfg.TraceCapacity = 4096
 	}
-	if cfg.TraceMask == 0 {
-		cfg.TraceMask = CompAll
-	}
 	reg := NewRegistry()
 	return &Set{
 		Registry: reg,
-		Tracer:   NewTracer(s.Now, cfg.TraceCapacity, cfg.TraceMask),
+		Tracer:   NewTracer(s.Now, cfg.TraceCapacity),
 		Sampler:  NewSampler(s, reg, cfg.SampleInterval),
 	}
 }

@@ -17,7 +17,7 @@
 //   - Tracer keeps a bounded ring of structured events (packet-drop
 //     reasons, compact-seen replay decisions, shadow-copy swaps, epoch
 //     changes, failover enter/exit, window stall/resume) stamped with the
-//     virtual clock, filtered by a per-component enable mask.
+//     virtual clock and labeled with the emitting component.
 //   - Sampler snapshots every gauge on a fixed virtual-time period into
 //     time series, so experiments can plot aggregator occupancy or window
 //     fill over time deterministically: two runs with equal seeds produce

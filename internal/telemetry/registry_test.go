@@ -3,8 +3,6 @@ package telemetry
 import (
 	"sync"
 	"testing"
-
-	"repro/internal/sim"
 )
 
 func TestRegistryIdempotentLookup(t *testing.T) {
@@ -150,13 +148,5 @@ func BenchmarkHistogramRecord(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Record(int64(i))
-	}
-}
-
-func BenchmarkTracerEmitMaskedOff(b *testing.B) {
-	tr := NewTracer(func() sim.Time { return 0 }, 16, CompSwitchd)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.Emit(CompHostd, "masked", 1, 2, 3)
 	}
 }

@@ -1,55 +1,36 @@
 package telemetry
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/sim"
 )
 
-// Component identifies the layer emitting a trace event; components are
-// bits so a Tracer mask can enable any subset.
+// Component identifies the layer emitting a trace event.
 type Component uint8
 
 const (
-	CompSim Component = 1 << iota
+	CompSim Component = iota
 	CompPisa
 	CompSwitchd
 	CompHostd
 	CompWindow
 	CompNetsim
 	CompChaos
-
-	// CompAll enables every component.
-	CompAll Component = 0xff
 )
 
-var compNames = []struct {
-	c Component
-	s string
-}{
-	{CompSim, "sim"},
-	{CompPisa, "pisa"},
-	{CompSwitchd, "switchd"},
-	{CompHostd, "hostd"},
-	{CompWindow, "window"},
-	{CompNetsim, "netsim"},
-	{CompChaos, "chaos"},
+var compNames = [...]string{
+	CompSim:     "sim",
+	CompPisa:    "pisa",
+	CompSwitchd: "switchd",
+	CompHostd:   "hostd",
+	CompWindow:  "window",
+	CompNetsim:  "netsim",
+	CompChaos:   "chaos",
 }
 
-// String renders a component set as "switchd" or "hostd|window".
-func (c Component) String() string {
-	var parts []string
-	for _, cn := range compNames {
-		if c&cn.c != 0 {
-			parts = append(parts, cn.s)
-		}
-	}
-	if len(parts) == 0 {
-		return "none"
-	}
-	return strings.Join(parts, "|")
-}
+// String renders the component's name.
+func (c Component) String() string { return compNames[c] }
 
 // MarshalText lets events JSON-encode with readable component names.
 func (c Component) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
@@ -67,13 +48,11 @@ type Event struct {
 	Note string    `json:"note,omitempty"`
 }
 
-// Tracer keeps the most recent events in a fixed ring. Emitting an event
-// whose component is masked off is a two-instruction no-op; a nil Tracer
-// ignores everything. Emit is safe for concurrent use so -race tests can
-// hammer components from multiple goroutines.
+// Tracer keeps the most recent events from every component in a fixed
+// ring; a nil Tracer ignores everything. Emit is safe for concurrent use so
+// -race tests can hammer components from multiple goroutines.
 type Tracer struct {
 	clock func() sim.Time
-	mask  Component
 
 	mu      sync.Mutex
 	ring    []Event
@@ -82,17 +61,11 @@ type Tracer struct {
 	dropped int64 // events overwritten
 }
 
-// NewTracer builds a tracer holding the last capacity events from the
-// components in mask, timestamped via clock (usually Simulation.Now).
-func NewTracer(clock func() sim.Time, capacity int, mask Component) *Tracer {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &Tracer{clock: clock, mask: mask, ring: make([]Event, capacity)}
+// NewTracer builds a tracer holding the last capacity (> 0) events,
+// timestamped via clock (usually Simulation.Now).
+func NewTracer(clock func() sim.Time, capacity int) *Tracer {
+	return &Tracer{clock: clock, ring: make([]Event, capacity)}
 }
-
-// Enabled reports whether events from comp are recorded.
-func (t *Tracer) Enabled(comp Component) bool { return t != nil && t.mask&comp != 0 }
 
 // Emit records an event with numeric arguments.
 func (t *Tracer) Emit(comp Component, kind string, task, a, b int64) {
@@ -105,7 +78,7 @@ func (t *Tracer) EmitNote(comp Component, kind string, task int64, note string) 
 }
 
 func (t *Tracer) emit(e Event) {
-	if t == nil || t.mask&e.Comp == 0 {
+	if t == nil {
 		return
 	}
 	e.At = t.clock()

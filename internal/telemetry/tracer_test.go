@@ -12,7 +12,7 @@ func fixedClock() sim.Time { return 42 }
 // window is the most recent events in oldest-first order.
 func TestTracerWraparound(t *testing.T) {
 	const cap = 8
-	tr := NewTracer(fixedClock, cap, CompAll)
+	tr := NewTracer(fixedClock, cap)
 	for i := 0; i < 2*cap+3; i++ {
 		tr.Emit(CompSwitchd, "e", int64(i), 0, 0)
 	}
@@ -33,7 +33,7 @@ func TestTracerWraparound(t *testing.T) {
 }
 
 func TestTracerPartialFill(t *testing.T) {
-	tr := NewTracer(fixedClock, 16, CompAll)
+	tr := NewTracer(fixedClock, 16)
 	tr.Emit(CompHostd, "a", 1, 2, 3)
 	tr.EmitNote(CompChaos, "inject", 0, "link down")
 	evs := tr.Events()
@@ -51,41 +51,18 @@ func TestTracerPartialFill(t *testing.T) {
 	}
 }
 
-func TestTracerMask(t *testing.T) {
-	tr := NewTracer(fixedClock, 8, CompSwitchd|CompWindow)
-	tr.Emit(CompHostd, "masked", 0, 0, 0)
-	tr.Emit(CompSwitchd, "kept", 0, 0, 0)
-	tr.Emit(CompNetsim, "masked", 0, 0, 0)
-	tr.Emit(CompWindow, "kept", 0, 0, 0)
-	evs := tr.Events()
-	if len(evs) != 2 {
-		t.Fatalf("events = %d, want 2 (mask filters)", len(evs))
-	}
-	for _, e := range evs {
-		if e.Kind != "kept" {
-			t.Fatalf("masked event leaked: %+v", e)
-		}
-	}
-	if !tr.Enabled(CompSwitchd) || tr.Enabled(CompHostd) {
-		t.Fatal("Enabled mask check wrong")
-	}
-}
-
 func TestTracerNil(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(CompAll, "x", 0, 0, 0)
-	tr.EmitNote(CompAll, "x", 0, "n")
-	if tr.Events() != nil || tr.Dropped() != 0 || tr.Enabled(CompAll) {
+	tr.Emit(CompSim, "x", 0, 0, 0)
+	tr.EmitNote(CompSim, "x", 0, "n")
+	if tr.Events() != nil || tr.Dropped() != 0 {
 		t.Fatal("nil tracer must be inert")
 	}
 }
 
 func TestComponentString(t *testing.T) {
-	if got := (CompHostd | CompWindow).String(); got != "hostd|window" {
+	if got := CompHostd.String(); got != "hostd" {
 		t.Fatalf("String = %q", got)
-	}
-	if got := Component(0).String(); got != "none" {
-		t.Fatalf("zero String = %q", got)
 	}
 	b, err := CompChaos.MarshalText()
 	if err != nil || string(b) != "chaos" {

@@ -28,8 +28,6 @@ type pushConfig struct {
 	workers int
 	chunks  int // gradient length in packets per worker
 	geom    geometry
-	cores   int
-	link    netsim.LinkConfig
 	seed    int64
 }
 
@@ -104,7 +102,7 @@ func (p *psSink) HandleFrame(f *netsim.Frame) {
 // runPush simulates one gradient push and returns its duration.
 func runPush(cfg pushConfig) (time.Duration, error) {
 	s := sim.New(cfg.seed)
-	n := netsim.New(s, cfg.link)
+	n := netsim.New(s, netsim.DefaultLinkConfig())
 	sw := &syncSwitch{net: n, workers: cfg.workers, slots: cfg.geom.slots, count: make(map[uint32]int), onDone: func(uint32) {}}
 	n.AttachSwitch(sw)
 	ps := &psSink{}
@@ -116,7 +114,7 @@ func runPush(cfg pushConfig) (time.Duration, error) {
 		w := &pushWorker{host: core.HostID(wi), ackSig: sim.NewSignal(s)}
 		workers[wi-1] = w
 		n.AttachHost(w.host, w)
-		cpu := cpumodel.NewHost(s, cfg.cores)
+		cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
 		// Four NIC threads per worker share the packet-IO load (§4: the
 		// daemon thread pool); each packet costs PacketIOCost on one.
 		const nicThreads = 4
@@ -174,9 +172,9 @@ func (b *bcastSink) HandleFrame(f *netsim.Frame) { b.bytes += int64(f.GoodBytes)
 
 // runMulticastPull simulates the PS broadcasting `bytes` of updated
 // parameters to all workers via switch replication, returning its duration.
-func runMulticastPull(workers int, bytes int64, cores int, link netsim.LinkConfig, seed int64) (time.Duration, error) {
+func runMulticastPull(workers int, bytes, seed int64) (time.Duration, error) {
 	s := sim.New(seed)
-	n := netsim.New(s, link)
+	n := netsim.New(s, netsim.DefaultLinkConfig())
 	n.AttachSwitch(&bcastSwitch{net: n, workers: workers})
 	sinks := make([]*bcastSink, workers)
 	for w := 1; w <= workers; w++ {
@@ -184,7 +182,7 @@ func runMulticastPull(workers int, bytes int64, cores int, link netsim.LinkConfi
 		n.AttachHost(core.HostID(w), sinks[w-1])
 	}
 	n.AttachHost(psHostID, &psSink{})
-	cpu := cpumodel.NewHost(s, cores)
+	cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
 	thread := cpu.NewThread()
 	const payload = wire.MTU - wire.HeaderBytes
 	s.Spawn("ps-pull", func(p *sim.Proc) {

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"repro/internal/baselines"
-	"repro/internal/cpumodel"
-	"repro/internal/netsim"
 )
 
 // Report is one training-throughput measurement.
@@ -24,8 +22,6 @@ type Report struct {
 // Options tunes a training run.
 type Options struct {
 	Workers int
-	Cores   int
-	Link    netsim.LinkConfig
 	// GradScale divides the simulated gradient length; the measured
 	// communication time is multiplied back. Push/pull times are linear in
 	// volume once the pipeline is full, so scaling preserves them while
@@ -38,12 +34,6 @@ type Options struct {
 func (o *Options) defaults() {
 	if o.Workers == 0 {
 		o.Workers = 8
-	}
-	if o.Cores == 0 {
-		o.Cores = cpumodel.DefaultCores
-	}
-	if o.Link.BandwidthBps == 0 {
-		o.Link = netsim.DefaultLinkConfig()
 	}
 	if o.GradScale == 0 {
 		o.GradScale = 64
@@ -73,8 +63,6 @@ func Train(m Model, sys System, opts Options) (Report, error) {
 			Senders:           opts.Workers,
 			ChannelsPerSender: 4,
 			BytesPerSender:    simBytes,
-			Cores:             opts.Cores,
-			Link:              opts.Link,
 			Seed:              opts.Seed,
 		})
 		push = r.Elapsed
@@ -86,15 +74,13 @@ func Train(m Model, sys System, opts Options) (Report, error) {
 			workers: opts.Workers,
 			chunks:  chunks,
 			geom:    g,
-			cores:   opts.Cores,
-			link:    opts.Link,
 			seed:    opts.Seed,
 		})
 		if err != nil {
 			return rep, err
 		}
 		// INA systems pull via switch replication: the PS sends once.
-		pull, err = runMulticastPull(opts.Workers, simBytes, opts.Cores, opts.Link, opts.Seed)
+		pull, err = runMulticastPull(opts.Workers, simBytes, opts.Seed)
 		if err != nil {
 			return rep, err
 		}

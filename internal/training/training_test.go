@@ -3,8 +3,6 @@ package training
 import (
 	"testing"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 func TestModelZoo(t *testing.T) {
@@ -37,8 +35,6 @@ func TestPushAggregatesExactlyOnce(t *testing.T) {
 		workers: 4,
 		chunks:  2000,
 		geom:    SysSwitchML.geometry(),
-		cores:   8,
-		link:    netsim.DefaultLinkConfig(),
 		seed:    1,
 	})
 	if err != nil {
@@ -53,11 +49,11 @@ func TestPushScalesWithWorkersGently(t *testing.T) {
 	// INA: push time is nearly independent of worker count (each worker
 	// pushes on its own link; the switch absorbs the fan-in).
 	g := SysASK.geometry()
-	d2, err := runPush(pushConfig{workers: 2, chunks: 3000, geom: g, cores: 8, link: netsim.DefaultLinkConfig(), seed: 1})
+	d2, err := runPush(pushConfig{workers: 2, chunks: 3000, geom: g, seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d8, err := runPush(pushConfig{workers: 8, chunks: 3000, geom: g, cores: 8, link: netsim.DefaultLinkConfig(), seed: 1})
+	d8, err := runPush(pushConfig{workers: 8, chunks: 3000, geom: g, seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +63,7 @@ func TestPushScalesWithWorkersGently(t *testing.T) {
 }
 
 func TestMulticastPull(t *testing.T) {
-	d, err := runMulticastPull(8, 10<<20, 8, netsim.DefaultLinkConfig(), 1)
+	d, err := runMulticastPull(8, 10<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +72,7 @@ func TestMulticastPull(t *testing.T) {
 	if d <= 0 || d > 5*time.Millisecond {
 		t.Fatalf("pull time %v", d)
 	}
-	d2, err := runMulticastPull(2, 10<<20, 8, netsim.DefaultLinkConfig(), 1)
+	d2, err := runMulticastPull(2, 10<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
