@@ -8,13 +8,12 @@
 //	askbench -run scenarios -quick      # whole scenario corpus
 //	askbench -scenario flash-crowd      # one corpus scenario
 //	askbench -run all -quick
-//	askbench -run all -quick -parallel 8
 //	askbench -run all -json > results.json
 //
 // Each experiment prints the same rows/series the paper reports; -quick
 // uses the test-scale presets (seconds instead of minutes).
 //
-// -parallel N runs independent experiments on a worker pool. Every
+// Independent experiments run on a worker pool, one worker per CPU. Every
 // simulation is single-goroutine deterministic and shares no state with its
 // siblings, so the output is byte-identical to a serial run (outcomes are
 // printed in registry order regardless of completion order); only the wall
@@ -28,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"time"
 
 	"repro/internal/experiments"
@@ -35,12 +35,11 @@ import (
 
 func main() {
 	var (
-		run      = flag.String("run", "", "experiment to run (or 'all')")
-		quick    = flag.Bool("quick", false, "use test-scale presets")
-		list     = flag.Bool("list", false, "list available experiments")
-		parallel = flag.Int("parallel", 1, "run up to N experiments concurrently (results stay in order and byte-identical)")
-		jsonOut  = flag.Bool("json", false, "emit outcomes as deterministic JSON instead of tables")
-		scen     = flag.String("scenario", "", "run the scenario-corpus sweep for one named scenario (see askgen -list-scenarios)")
+		run     = flag.String("run", "", "experiment to run (or 'all')")
+		quick   = flag.Bool("quick", false, "use test-scale presets")
+		list    = flag.Bool("list", false, "list available experiments")
+		jsonOut = flag.Bool("json", false, "emit outcomes as deterministic JSON instead of tables")
+		scen    = flag.String("scenario", "", "run the scenario-corpus sweep for one named scenario (see askgen -list-scenarios)")
 	)
 	flag.Parse()
 
@@ -50,7 +49,7 @@ func main() {
 			fmt.Printf("  %-16s %s\n", r.Name, r.Desc)
 		}
 		if *run == "" {
-			fmt.Println("\nRun one with: askbench -run <name> [-quick] [-parallel N] [-json]")
+			fmt.Println("\nRun one with: askbench -run <name> [-quick] [-json]")
 		}
 		return
 	}
@@ -76,7 +75,7 @@ func main() {
 	}
 
 	start := time.Now()
-	outcomes := experiments.RunParallel(runners, *quick, *parallel)
+	outcomes := experiments.RunParallel(runners, *quick, runtime.NumCPU())
 
 	failed := false
 	if *jsonOut {
@@ -100,8 +99,8 @@ func main() {
 				fmt.Println(t.String())
 			}
 		}
-		fmt.Printf("(%d experiment(s) completed in %v wall time, parallel=%d)\n",
-			len(outcomes), time.Since(start).Round(time.Millisecond), *parallel)
+		fmt.Printf("(%d experiment(s) completed in %v wall time)\n",
+			len(outcomes), time.Since(start).Round(time.Millisecond))
 	}
 	if failed {
 		os.Exit(1)

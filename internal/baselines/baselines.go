@@ -10,7 +10,10 @@
 //
 // Both run on the same simulated substrate (virtual time, byte-accurate
 // links, calibrated CPU costs) as ASK, so completion times and goodput are
-// directly comparable.
+// directly comparable. The forwarding rack (NewRack), the MTU result
+// shipper (ShipResult) and the merging receiver (Merger) are shared with the
+// other host-only systems: mapreduce's Spark shuffles and training's
+// parameter server.
 package baselines
 
 import (
@@ -24,8 +27,98 @@ import (
 	"repro/internal/wire"
 )
 
-// mtuPayload is the usable payload of a 1500-byte MTU packet after headers.
-const mtuPayload = wire.MTU - wire.HeaderBytes
+// MTUPayload is the usable payload of a 1500-byte MTU packet after headers.
+const MTUPayload = wire.MTU - wire.HeaderBytes
+
+// NewRack returns a simulation and a one-switch network on link whose switch
+// only forwards: the rack every host-only system runs on.
+func NewRack(seed int64, link netsim.LinkConfig) (*sim.Simulation, *netsim.Network) {
+	s := sim.New(seed)
+	n := netsim.New(s, link)
+	n.AttachSwitch(&netsim.ForwardingSwitch{Net: n})
+	return s, n
+}
+
+// ShipResult sends a result of bytes wire bytes from src to dst in MTU
+// frames. Each frame costs one PacketIOCost on thread; a nil thread is a
+// zero-copy (RDMA) sender and charges nothing. The last frame carries final
+// as its payload, and an empty result still takes one frame.
+func ShipResult(p *sim.Proc, n *netsim.Network, thread *cpumodel.Thread, src, dst core.HostID, bytes int, final any) {
+	for sent := 0; ; sent += MTUPayload {
+		if thread != nil {
+			thread.Run(p, cpumodel.PacketIOCost)
+		}
+		pay := min(bytes-sent, MTUPayload)
+		last := sent+pay >= bytes
+		pkt := &wire.Packet{Type: wire.TypeCtrl}
+		if last {
+			pkt.Ctrl = final
+		}
+		n.HostSend(&netsim.Frame{
+			Src: src, Dst: dst, Pkt: pkt,
+			WireBytes: pay + wire.PerPacketOverhead,
+			GoodBytes: pay,
+		})
+		if last {
+			return
+		}
+	}
+}
+
+// Partial is one sender's share of one reducer's result: the payload of the
+// final frame ShipResult sends to a Merger.
+type Partial struct {
+	Reducer int
+	Data    core.Result
+}
+
+// Merger is a receiving host running reducers. Every arriving Partial
+// spawns one merge proc, which costs HostAggregateCost per key on the
+// host's cores; a reducer is done at the instant its expected-th merge
+// finishes. Other frames carry bytes the wire already accounted.
+type Merger struct {
+	Results []core.Result
+	DoneAt  []sim.Time
+
+	s        *sim.Simulation
+	cpu      *cpumodel.Host
+	op       core.Op
+	expected []int
+	got      []int
+}
+
+// NewMerger returns a Merger on cpu with one reducer per entry of expected,
+// reducer r waiting for expected[r] partials.
+func NewMerger(s *sim.Simulation, cpu *cpumodel.Host, op core.Op, expected ...int) *Merger {
+	m := &Merger{
+		Results:  make([]core.Result, len(expected)),
+		DoneAt:   make([]sim.Time, len(expected)),
+		s:        s,
+		cpu:      cpu,
+		op:       op,
+		expected: expected,
+		got:      make([]int, len(expected)),
+	}
+	for r := range m.Results {
+		m.Results[r] = make(core.Result)
+	}
+	return m
+}
+
+func (m *Merger) HandleFrame(f *netsim.Frame) {
+	pt, ok := f.Pkt.Ctrl.(Partial)
+	if !ok {
+		return
+	}
+	m.s.Spawn("merge", func(p *sim.Proc) {
+		m.cpu.Exec(p, time.Duration(len(pt.Data))*cpumodel.HostAggregateCost)
+		m.Results[pt.Reducer].Merge(pt.Data, m.op)
+		m.got[pt.Reducer]++
+		if m.got[pt.Reducer] == m.expected[pt.Reducer] {
+			m.DoneAt[pt.Reducer] = p.Now()
+		}
+	})
+}
 
 // PreAggrConfig parameterizes a PreAggr run.
 type PreAggrConfig struct {
@@ -50,29 +143,15 @@ type PreAggrReport struct {
 // cfg.Threads mapper threads, one receiving host merging partials, both
 // with the paper's 56 cores on 100 Gbps links.
 func RunPreAggr(cfg PreAggrConfig, stream core.Stream) PreAggrReport {
-	s := sim.New(cfg.Seed)
-	n := netsim.New(s, netsim.DefaultLinkConfig())
-	n.AttachSwitch(&netsim.ForwardingSwitch{Net: n})
-
+	s, n := NewRack(cfg.Seed, netsim.DefaultLinkConfig())
 	senderCPU := cpumodel.NewHost(s, cpumodel.DefaultCores)
 	recvCPU := cpumodel.NewHost(s, cpumodel.DefaultCores)
-
-	rx := &preAggrReceiver{
-		s:      s,
-		cpu:    recvCPU,
-		op:     cfg.Op,
-		result: make(core.Result),
-		wg:     sim.NewWaitGroup(s),
-	}
-	rx.wg.Add(cfg.Threads)
+	rx := NewMerger(s, recvCPU, cfg.Op, cfg.Threads)
 	n.AttachHost(0, rx)
-	tx := &senderHost{}
-	n.AttachHost(1, tx)
+	n.AttachHost(1, senderHost{})
 
-	shards := shardStream(stream, cfg.Threads)
 	report := PreAggrReport{}
-	for i := 0; i < cfg.Threads; i++ {
-		shard := shards[i]
+	for _, shard := range shardStream(stream, cfg.Threads) {
 		s.Spawn("mapper", func(p *sim.Proc) {
 			// Sort-merge pre-aggregation: calibrated per-tuple cost.
 			senderCPU.Exec(p, time.Duration(len(shard))*cpumodel.HostAggregateCost)
@@ -81,64 +160,17 @@ func RunPreAggr(cfg PreAggrConfig, stream core.Stream) PreAggrReport {
 			// every Op is commutative and associative, so the plain keyed
 			// reduce produces the identical partial without the sort.
 			partial := core.Reference(cfg.Op, shard)
-			// Ship the intermediate result in MTU packets.
 			bytes := partial.WireBytes()
 			report.IntermediateBytes += int64(bytes)
-			thread := senderCPU.NewThread()
-			for sent := 0; sent < bytes || bytes == 0; sent += mtuPayload {
-				last := sent+mtuPayload >= bytes
-				thread.Run(p, cpumodel.PacketIOCost)
-				pay := mtuPayload
-				if bytes-sent < pay {
-					pay = bytes - sent
-				}
-				pkt := &wire.Packet{Type: wire.TypeCtrl}
-				if last {
-					pkt.Ctrl = partial
-				}
-				n.HostSend(&netsim.Frame{
-					Src: 1, Dst: 0, Pkt: pkt,
-					WireBytes: pay + wire.PerPacketOverhead,
-					GoodBytes: pay,
-				})
-				if bytes == 0 {
-					break
-				}
-			}
+			ShipResult(p, n, senderCPU.NewThread(), 1, 0, bytes, Partial{Data: partial})
 		})
 	}
-	var done sim.Time
-	s.Spawn("join", func(p *sim.Proc) {
-		rx.wg.Wait(p)
-		done = p.Now()
-	})
 	s.Run(0)
-	report.Result = rx.result
-	report.JCT = time.Duration(done)
+	report.Result = rx.Results[0]
+	report.JCT = time.Duration(rx.DoneAt[0])
 	report.SenderBusy = senderCPU.BusyTime()
 	report.ReceiverBusy = recvCPU.BusyTime()
 	return report
-}
-
-// preAggrReceiver merges arriving partial results.
-type preAggrReceiver struct {
-	s      *sim.Simulation
-	cpu    *cpumodel.Host
-	op     core.Op
-	result core.Result
-	wg     *sim.WaitGroup
-}
-
-func (r *preAggrReceiver) HandleFrame(f *netsim.Frame) {
-	partial, ok := f.Pkt.Ctrl.(core.Result)
-	if !ok {
-		return // non-final chunk: bytes already accounted on the wire
-	}
-	r.s.Spawn("reducer", func(p *sim.Proc) {
-		r.cpu.Exec(p, time.Duration(len(partial))*cpumodel.HostAggregateCost)
-		r.result.Merge(partial, r.op)
-		r.wg.Done()
-	})
 }
 
 // senderHost absorbs stray frames at a sending-only host.
@@ -221,9 +253,7 @@ func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
 	// Bulk MTU transfers queue far more wire time than ASK's small
 	// packets, so the retransmission timeout must cover NIC queueing.
 	const bulkTimeout = 2 * time.Millisecond
-	s := sim.New(cfg.Seed)
-	n := netsim.New(s, cfg.Link)
-	n.AttachSwitch(&netsim.ForwardingSwitch{Net: n})
+	s, n := NewRack(cfg.Seed, cfg.Link)
 	n.AttachHost(0, &noAggrReceiver{net: n})
 
 	var senderCPUs []*cpumodel.Host
@@ -239,15 +269,15 @@ func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
 			win := window.NewSender(s, noAggrWindow, bulkTimeout, func(pkt *wire.Packet) {
 				n.HostSend(&netsim.Frame{
 					Src: host, Dst: 0, Pkt: pkt,
-					WireBytes: mtuPayload + wire.PerPacketOverhead,
-					GoodBytes: mtuPayload,
+					WireBytes: MTUPayload + wire.PerPacketOverhead,
+					GoodBytes: MTUPayload,
 				})
 			})
 			h.wins = append(h.wins, win)
 			thread := cpu.NewThread()
 			up := n.Uplink(host)
 			s.Spawn("noaggr-tx", func(p *sim.Proc) {
-				for sent := int64(0); sent < share; sent += mtuPayload {
+				for sent := int64(0); sent < share; sent += MTUPayload {
 					thread.Run(p, cpumodel.PacketIOCost)
 					up.Throttle(p, 50*time.Microsecond)
 					win.SendBlocking(p, &wire.Packet{Type: wire.TypeData, Flow: flow})

@@ -5,9 +5,106 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpumodel"
 	"repro/internal/netsim"
+	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
+
+// frameLog records every frame a host receives.
+type frameLog struct{ frames []netsim.Frame }
+
+func (l *frameLog) HandleFrame(f *netsim.Frame) { l.frames = append(l.frames, *f) }
+
+func TestShipResultFrames(t *testing.T) {
+	for _, tc := range []struct {
+		bytes, frames int
+	}{
+		{0, 1},
+		{1, 1},
+		{MTUPayload, 1},
+		{MTUPayload + 1, 2},
+		{2 * MTUPayload, 2},
+	} {
+		for _, rdma := range []bool{false, true} {
+			s, n := NewRack(1, netsim.DefaultLinkConfig())
+			rx := &frameLog{}
+			n.AttachHost(0, rx)
+			n.AttachHost(1, senderHost{})
+			cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
+			var thread *cpumodel.Thread
+			if !rdma {
+				thread = cpu.NewThread()
+			}
+			s.Spawn("ship", func(p *sim.Proc) { ShipResult(p, n, thread, 1, 0, tc.bytes, "final") })
+			s.Run(0)
+
+			if len(rx.frames) != tc.frames {
+				t.Fatalf("bytes=%d rdma=%v: %d frames, want %d", tc.bytes, rdma, len(rx.frames), tc.frames)
+			}
+			good := 0
+			for i, f := range rx.frames {
+				good += f.GoodBytes
+				if f.WireBytes != f.GoodBytes+wire.PerPacketOverhead {
+					t.Errorf("bytes=%d frame %d: WireBytes %d, GoodBytes %d", tc.bytes, i, f.WireBytes, f.GoodBytes)
+				}
+				if last := i == len(rx.frames)-1; (f.Pkt.Ctrl == "final") != last {
+					t.Errorf("bytes=%d frame %d of %d carries %v", tc.bytes, i, len(rx.frames), f.Pkt.Ctrl)
+				}
+			}
+			if good != tc.bytes {
+				t.Errorf("bytes=%d: frames carry %d good bytes", tc.bytes, good)
+			}
+			want := time.Duration(tc.frames) * cpumodel.PacketIOCost
+			if rdma {
+				want = 0
+			}
+			if got := cpu.BusyTime(); got != want {
+				t.Errorf("bytes=%d rdma=%v: sender busy %v, want %v", tc.bytes, rdma, got, want)
+			}
+		}
+	}
+}
+
+func TestMergerDoneAtLastMerge(t *testing.T) {
+	s, _ := NewRack(1, netsim.DefaultLinkConfig())
+	cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
+	m := NewMerger(s, cpu, core.OpSum, 2, 1)
+	result := func(n int) core.Result {
+		r := make(core.Result)
+		for i := 0; i < n; i++ {
+			r[string(rune('a'+i))] = 1
+		}
+		return r
+	}
+	deliver := func(at time.Duration, ctrl any) {
+		s.After(at, func() { m.HandleFrame(&netsim.Frame{Pkt: &wire.Packet{Type: wire.TypeCtrl, Ctrl: ctrl}}) })
+	}
+	cost := cpumodel.HostAggregateCost
+	// Reducer 0's first partial arrives first but merges longest, so its
+	// second merge is not its last.
+	deliver(0, Partial{Reducer: 0, Data: result(20)})
+	deliver(cost, Partial{Reducer: 0, Data: result(2)})
+	deliver(0, Partial{Reducer: 1, Data: result(3)})
+	deliver(0, nil) // a non-final frame: nothing to merge
+	s.Run(0)
+
+	if want := sim.Time(20 * cost); m.DoneAt[0] != want {
+		t.Errorf("reducer 0 done at %v, want %v", m.DoneAt[0], want)
+	}
+	if want := sim.Time(3 * cost); m.DoneAt[1] != want {
+		t.Errorf("reducer 1 done at %v, want %v", m.DoneAt[1], want)
+	}
+	want0 := result(20)
+	want0.Merge(result(2), core.OpSum)
+	if !m.Results[0].Equal(want0) || !m.Results[1].Equal(result(3)) {
+		t.Errorf("merged results %v, %v", m.Results[0], m.Results[1])
+	}
+	if got, want := cpu.BusyTime(), 25*cost; got != want {
+		t.Errorf("receiver busy %v, want %v", got, want)
+	}
+}
 
 func TestPreAggrExact(t *testing.T) {
 	spec := workload.Uniform(500, 50000, 1)

@@ -61,10 +61,8 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 	}
 	rows &^= 1
 	for _, th := range cfg.Thresholds {
-		c := core.DefaultConfig()
+		c := microConfig()
 		c.NumAAs = fig9AAs
-		c.MediumGroups = 0
-		c.MediumSegs = 0
 		c.SwapThreshold = th
 		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, ablationSwapSkew, workload.ColdFirst, seed)
 		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, rows))
@@ -111,11 +109,8 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 		Header: []string{"W", "elapsed", "per-flow state (B)", "throughput Gbps"},
 	}
 	for _, w := range cfg.Windows {
-		c := core.DefaultConfig()
+		c := microConfig()
 		c.Window = w
-		c.MediumGroups = 0
-		c.MediumSegs = 0
-		c.SwapThreshold = 0
 		link := netsim.DefaultLinkConfig()
 		link.Fault.LossProb = ablationWindowLoss
 		// Large windows need a smaller flow table so W×NumAAs bits of
@@ -225,12 +220,9 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		Header: []string{"congestion control", "retransmit ratio", "elapsed", "app Gbps"},
 	}
 	for _, cc := range []bool{false, true} {
-		c := core.DefaultConfig()
+		c := microConfig()
 		c.Window = ablationCongestionWindow
 		c.CongestionControl = cc
-		c.MediumGroups = 0
-		c.MediumSegs = 0
-		c.SwapThreshold = 0
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 8 * (ablationCongestionSenders + 2) // fit W=1024 pkt_state in a stage
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})

@@ -137,13 +137,25 @@ func balancedUniformRows(layout *keyspace.Layout, distinct int, tuples, seed int
 	}
 }
 
+// microConfig is the configuration of the goodput microbenchmarks and the
+// transport ablations: core.DefaultConfig with no medium groups and no shadow
+// copies. The microbenchmarks use 4-byte keys, every one of which owns an
+// aggregator (§2.2.2, see balancedUniformRows), so neither medium-key
+// coalescing nor hot-key swapping has anything to do; the transport ablations
+// hold the aggregation layout fixed while they vary the transport.
+func microConfig() core.Config {
+	c := core.DefaultConfig()
+	c.MediumGroups = 0
+	c.MediumSegs = 0
+	c.SwapThreshold = 0
+	return c
+}
+
 // shortLayout builds the all-short-slot layout used by the 4-byte-key
 // microbenchmarks.
 func shortLayout(numAAs int) *keyspace.Layout {
-	c := core.DefaultConfig()
+	c := microConfig()
 	c.NumAAs = numAAs
-	c.MediumGroups = 0
-	c.MediumSegs = 0
 	layout, err := keyspace.NewLayout(c)
 	if err != nil {
 		panic(err)

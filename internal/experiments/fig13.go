@@ -57,11 +57,8 @@ func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
 // fig13ASKRun measures ASK sender-side goodput/wire rate for one channel
 // count, striping the workload across one task per channel.
 func fig13ASKRun(tuples int64, distinct, channels int) (good, wire float64, err error) {
-	c := core.DefaultConfig()
+	c := microConfig()
 	c.DataChannels = channels
-	c.MediumGroups = 0
-	c.MediumSegs = 0
-	c.SwapThreshold = 0
 	rows := (c.AARows / channels) &^ 1
 	cl, elapsed, err := runParallelTasks(
 		ask.Options{Hosts: 2, Config: c, Seed: seed},
@@ -119,10 +116,7 @@ func Fig13b(cfg Fig13bConfig) (*stats.Table, error) {
 }
 
 func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
-	c := core.DefaultConfig()
-	c.MediumGroups = 0
-	c.MediumSegs = 0
-	c.SwapThreshold = 0
+	c := microConfig()
 	hosts := make([]core.HostID, senders)
 	for i := range hosts {
 		hosts[i] = core.HostID(i + 1)

@@ -65,18 +65,11 @@ func Fig3(cfg Fig3Config) (*stats.Table, error) {
 // measures a proportionally shorter stream (AKV/s is a rate; both systems
 // run long past pipeline fill).
 func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
-	c := core.DefaultConfig()
+	c := microConfig()
 	c.DataChannels = cores
-	c.SwapThreshold = 0
 	if strawman {
-		// One tuple slot per packet, no medium groups, every key resident.
+		// One tuple slot per packet, every key resident.
 		c.NumAAs = 1
-		c.MediumGroups = 0
-		c.MediumSegs = 0
-	} else {
-		// All-short-key layout to match the 4-byte-key microbenchmark.
-		c.MediumGroups = 0
-		c.MediumSegs = 0
 	}
 	// Maximal per-task regions: the paper's microbenchmark assumes every
 	// key fits an aggregator (§2.2.2), so rows are sized to keep row-hash

@@ -58,11 +58,8 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 	spec := workload.Uniform(cfg.Distinct, cfg.Tuples, seed)
 
 	for _, ch := range cfg.Channels {
-		c := core.DefaultConfig()
+		c := microConfig()
 		c.DataChannels = ch
-		c.MediumGroups = 0
-		c.MediumSegs = 0
-		c.SwapThreshold = 0
 		rows := (c.AARows / ch) &^ 1
 		cl, elapsed, err := runParallelTasks(
 			ask.Options{Hosts: 2, Config: c, Seed: seed},

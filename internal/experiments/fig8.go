@@ -49,11 +49,8 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 		Header: []string{"tuples/pkt", "measured Gbps", "ideal Gbps", "measured/ideal"},
 	}
 	for _, x := range cfg.TuplesPerPacket {
-		c := core.DefaultConfig()
+		c := microConfig()
 		c.NumAAs = x
-		c.MediumGroups = 0
-		c.MediumSegs = 0
-		c.SwapThreshold = 0
 		ch := c.DataChannels
 		// Ample rows per task: conflicts would shift work to the receiver
 		// and pollute the pure-goodput measurement.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/ask"
-	"repro/internal/core"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -95,11 +94,8 @@ func Fig9(cfg Fig9Config) (*stats.Table, error) {
 }
 
 func fig9Run(cfg Fig9Config, spec workload.Spec, rows int, prio bool) (float64, error) {
-	c := core.DefaultConfig()
+	c := microConfig()
 	c.NumAAs = fig9AAs
-	c.MediumGroups = 0
-	c.MediumSegs = 0
-	c.SwapThreshold = 0
 	if prio {
 		c.SwapThreshold = cfg.SwapThreshold
 	}

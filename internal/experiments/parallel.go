@@ -7,7 +7,7 @@ import (
 	"repro/internal/stats"
 )
 
-// Parallel experiment runner (cmd/askbench -parallel N).
+// Parallel experiment runner (cmd/askbench, one worker per CPU).
 //
 // Experiment points are embarrassingly parallel: each builds its own
 // cluster, its own simulation, its own RNGs — the simdeterminism analyzer
@@ -18,8 +18,8 @@ import (
 //
 // Determinism contract: RunParallel's result depends only on the runner
 // list, never on worker count or scheduling order. Outcomes are stored by
-// input position, so askbench -parallel 8 and -parallel 1 print (and
-// OutcomesJSON serializes) byte-identical output. The golden test in
+// input position, so any worker count prints (and OutcomesJSON
+// serializes) byte-identical output. The golden test in
 // parallel_test.go enforces this.
 
 // Outcome is one experiment's result: the rendered tables, or the error

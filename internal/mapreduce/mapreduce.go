@@ -18,16 +18,17 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/ask"
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/keyspace"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/switchd"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -268,18 +269,18 @@ func runASK(cfg Config) (Report, error) {
 // runHostShuffle executes the Vanilla/SHM/RDMA variants: mappers
 // pre-aggregate, spill (Vanilla/RDMA), and ship per-reducer partials.
 func runHostShuffle(cfg Config) (Report, error) {
-	s := sim.New(cfg.Seed)
-	n := netsim.New(s, netsim.DefaultLinkConfig())
-	n.AttachSwitch(&netsim.ForwardingSwitch{Net: n})
+	s, n := baselines.NewRack(cfg.Seed, netsim.DefaultLinkConfig())
 
 	R := cfg.reducers()
 	cpus := make([]*cpumodel.Host, cfg.Machines)
 	disks := make([]*sim.Resource, cfg.Machines)
-	recvs := make([]*shuffleReceiver, cfg.Machines)
+	recvs := make([]*baselines.Merger, cfg.Machines)
+	// Every reducer merges one partial from each mapper.
+	expected := slices.Repeat([]int{cfg.Machines * cfg.MappersPerMachine}, cfg.ReducersPerMachine)
 	for m := 0; m < cfg.Machines; m++ {
 		cpus[m] = cpumodel.NewHost(s, cpumodel.DefaultCores)
 		disks[m] = sim.NewResource(s, 1)
-		recvs[m] = newShuffleReceiver(s, cpus[m], cfg.ReducersPerMachine, cfg.Machines*cfg.MappersPerMachine)
+		recvs[m] = baselines.NewMerger(s, cpus[m], core.OpSum, expected...)
 		n.AttachHost(core.HostID(m), recvs[m])
 	}
 
@@ -309,37 +310,16 @@ func runHostShuffle(cfg Config) (Report, error) {
 					disks[m].Use(p, time.Duration(float64(2*bytes)/DiskBandwidth*float64(time.Second)))
 				}
 				mapDone[idx] = p.Now()
-				// Ship each reducer's slice.
-				thread := cpus[m].NewThread()
-				for r := 0; r < R; r++ {
-					pr := parts[r]
-					prBytes := pr.WireBytes()
+				// Ship each reducer's slice. RDMA is zero-copy: no
+				// per-packet CPU, so no thread.
+				var thread *cpumodel.Thread
+				if cfg.Transport != RDMA {
+					thread = cpus[m].NewThread()
+				}
+				for r, pr := range parts {
 					dst := core.HostID(r / cfg.ReducersPerMachine)
-					sent := 0
-					for {
-						pay := prBytes - sent
-						if pay > mtuPayload {
-							pay = mtuPayload
-						}
-						// RDMA: zero-copy, no per-packet CPU.
-						if cfg.Transport != RDMA {
-							thread.Run(p, cpumodel.PacketIOCost)
-						}
-						last := sent+pay >= prBytes
-						pkt := &wire.Packet{Type: wire.TypeCtrl}
-						if last {
-							pkt.Ctrl = shufflePartial{reducer: r % cfg.ReducersPerMachine, data: pr}
-						}
-						n.HostSend(&netsim.Frame{
-							Src: core.HostID(m), Dst: dst, Pkt: pkt,
-							WireBytes: pay + wire.PerPacketOverhead,
-							GoodBytes: pay,
-						})
-						sent += pay
-						if last {
-							break
-						}
-					}
+					final := baselines.Partial{Reducer: r % cfg.ReducersPerMachine, Data: pr}
+					baselines.ShipResult(p, n, thread, core.HostID(m), dst, pr.WireBytes(), final)
 				}
 			})
 		}
@@ -352,56 +332,12 @@ func runHostShuffle(cfg Config) (Report, error) {
 	}
 	for _, rx := range recvs {
 		for r := 0; r < cfg.ReducersPerMachine; r++ {
-			rep.Result.Merge(rx.results[r], core.OpSum)
-			rep.ReducerTCT = append(rep.ReducerTCT, time.Duration(rx.doneAt[r]))
+			rep.Result.Merge(rx.Results[r], core.OpSum)
+			rep.ReducerTCT = append(rep.ReducerTCT, time.Duration(rx.DoneAt[r]))
 		}
 	}
 	for _, c := range cpus {
 		rep.CPUBusy += c.BusyTime()
 	}
 	return rep, nil
-}
-
-const mtuPayload = wire.MTU - wire.HeaderBytes
-
-// shufflePartial is a mapper's slice of one reducer's partition.
-type shufflePartial struct {
-	reducer int
-	data    core.Result
-}
-
-// shuffleReceiver hosts a machine's reduce tasks for the host-shuffle
-// variants: it merges arriving partials per reducer.
-type shuffleReceiver struct {
-	s        *sim.Simulation
-	cpu      *cpumodel.Host
-	results  []core.Result
-	doneAt   []sim.Time
-	expected int // partials per reducer = total mappers
-	got      []int
-}
-
-func newShuffleReceiver(s *sim.Simulation, cpu *cpumodel.Host, reducers, mappers int) *shuffleReceiver {
-	rx := &shuffleReceiver{s: s, cpu: cpu, expected: mappers}
-	for i := 0; i < reducers; i++ {
-		rx.results = append(rx.results, make(core.Result))
-		rx.doneAt = append(rx.doneAt, 0)
-		rx.got = append(rx.got, 0)
-	}
-	return rx
-}
-
-func (rx *shuffleReceiver) HandleFrame(f *netsim.Frame) {
-	sp, ok := f.Pkt.Ctrl.(shufflePartial)
-	if !ok {
-		return
-	}
-	rx.s.Spawn("reduce-merge", func(p *sim.Proc) {
-		rx.cpu.Exec(p, time.Duration(len(sp.data))*cpumodel.HostAggregateCost)
-		rx.results[sp.reducer].Merge(sp.data, core.OpSum)
-		rx.got[sp.reducer]++
-		if rx.got[sp.reducer] == rx.expected {
-			rx.doneAt[sp.reducer] = rx.s.Now()
-		}
-	})
 }

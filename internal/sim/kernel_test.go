@@ -144,7 +144,7 @@ func TestSlotReuseChurn(t *testing.T) {
 				cancelled++
 			}
 		}
-		s.RunFor(time.Duration(rng.Intn(30)) * time.Nanosecond)
+		s.Run(s.Now().Add(time.Duration(rng.Intn(30)) * time.Nanosecond))
 	}
 	s.Run(0)
 	expectFired = len(timers) - cancelled

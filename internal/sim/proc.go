@@ -223,12 +223,8 @@ type Signal struct {
 // NewSignal returns a Signal bound to s.
 func NewSignal(s *Simulation) *Signal { return &Signal{sim: s} }
 
-// Subscribe registers fn to be scheduled on the next Fire. The callback's
-// home is the signal's own simulation; process waits use subscribeFrom so
-// cross-lane waiters wake on their own lane.
-func (sg *Signal) Subscribe(fn func()) { sg.waiters = append(sg.waiters, waiter{fn: fn, home: sg.sim}) }
-
-// subscribeFrom registers fn with an explicit home simulation.
+// subscribeFrom registers fn to be scheduled on the next Fire, on home's
+// event loop, so cross-lane waiters wake on their own lane.
 func (sg *Signal) subscribeFrom(home *Simulation, fn func()) {
 	sg.waiters = append(sg.waiters, waiter{fn: fn, home: home})
 }
@@ -305,16 +301,6 @@ func (r *Resource) Acquire(p *Proc) {
 	// Ownership was transferred to us by Release before dispatch.
 }
 
-// TryAcquire takes a unit without blocking, reporting success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.capacity {
-		r.account()
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Release returns one unit, waking the oldest waiter if any.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -337,38 +323,4 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	r.Acquire(p)
 	p.Sleep(d)
 	r.Release()
-}
-
-// WaitGroup counts down outstanding work; Wait blocks until the count is 0.
-type WaitGroup struct {
-	sim   *Simulation
-	count int
-	sg    *Signal
-}
-
-// NewWaitGroup returns a WaitGroup bound to s.
-func NewWaitGroup(s *Simulation) *WaitGroup {
-	return &WaitGroup{sim: s, sg: NewSignal(s)}
-}
-
-// Add increments the counter by n.
-func (wg *WaitGroup) Add(n int) { wg.count += n }
-
-// Done decrements the counter; at zero it releases all waiters.
-func (wg *WaitGroup) Done() {
-	wg.count--
-	if wg.count < 0 {
-		panic("sim: WaitGroup count below zero")
-	}
-	if wg.count == 0 {
-		wg.sg.Fire()
-	}
-}
-
-// Wait blocks p until the counter reaches zero.
-func (wg *WaitGroup) Wait(p *Proc) {
-	if wg.count == 0 {
-		return
-	}
-	p.Wait(wg.sg)
 }

@@ -113,21 +113,6 @@ func TestResourceContention(t *testing.T) {
 	}
 }
 
-func TestResourceTryAcquire(t *testing.T) {
-	s := New(1)
-	r := NewResource(s, 1)
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire on idle resource failed")
-	}
-	if r.TryAcquire() {
-		t.Fatal("TryAcquire on full resource succeeded")
-	}
-	r.Release()
-	if !r.TryAcquire() {
-		t.Fatal("TryAcquire after release failed")
-	}
-}
-
 func TestResourceFIFO(t *testing.T) {
 	s := New(1)
 	r := NewResource(s, 1)
@@ -157,42 +142,6 @@ func TestReleaseIdlePanics(t *testing.T) {
 	}()
 	s := New(1)
 	NewResource(s, 1).Release()
-}
-
-func TestWaitGroup(t *testing.T) {
-	s := New(1)
-	wg := NewWaitGroup(s)
-	wg.Add(3)
-	var doneAt Time
-	for i := 1; i <= 3; i++ {
-		d := time.Duration(i) * Microsecond
-		s.Spawn("w", func(p *Proc) {
-			p.Sleep(d)
-			wg.Done()
-		})
-	}
-	s.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p)
-		doneAt = p.Now()
-	})
-	s.Run(0)
-	if doneAt != Time(3*Microsecond) {
-		t.Fatalf("doneAt = %v, want 3µs", doneAt)
-	}
-}
-
-func TestWaitGroupAlreadyZero(t *testing.T) {
-	s := New(1)
-	wg := NewWaitGroup(s)
-	ran := false
-	s.Spawn("waiter", func(p *Proc) {
-		wg.Wait(p) // must not block
-		ran = true
-	})
-	s.Run(0)
-	if !ran {
-		t.Fatal("Wait on zero WaitGroup blocked")
-	}
 }
 
 func TestManyProcsDeterministic(t *testing.T) {
@@ -352,7 +301,7 @@ func TestCloseParkedStates(t *testing.T) {
 		p.Sleep(time.Second)
 		t.Error("sleeping process resumed")
 	})
-	s.RunFor(time.Millisecond)
+	s.Run(s.Now().Add(time.Millisecond))
 	s.Close()
 	if got, want := fmt.Sprint(unwound), "[timeout spawner]"; got != want {
 		t.Fatalf("unwound %s, want %s", got, want)
@@ -371,7 +320,7 @@ func TestSpawnCloseCyclesLeakNoGoroutines(t *testing.T) {
 		s := New(int64(i))
 		s.Spawn("parked", func(p *Proc) { p.Sleep(time.Second) })
 		s.Spawn("finished", func(p *Proc) {})
-		s.RunFor(time.Millisecond)
+		s.Run(s.Now().Add(time.Millisecond))
 		s.Spawn("unstarted", func(p *Proc) {})
 		s.Close()
 	}
@@ -454,7 +403,7 @@ func TestSignalWaitSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(1000, cycle); avg != 0 {
 		t.Fatalf("steady-state Wait+Fire allocates %.2f objects/op, want 0", avg)
 	}
-	sg.Subscribe(func() {})
+	sg.subscribeFrom(s, func() {})
 	sg.Fire()
 	if w := sg.waiters[:1][0]; w.fn != nil || w.home != nil {
 		t.Fatalf("Fire left a fired waiter in the spare capacity: %+v", w)

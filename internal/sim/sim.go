@@ -376,9 +376,6 @@ func (s *Simulation) advance(t Time) bool {
 	return true
 }
 
-// RunFor runs the simulation for at most d of virtual time from now.
-func (s *Simulation) RunFor(d time.Duration) Time { return s.Run(s.now.Add(d)) }
-
 // Pending returns the number of scheduled (non-cancelled) events.
 func (s *Simulation) Pending() int { return s.pending }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/netsim"
@@ -38,12 +39,9 @@ const psHostID core.HostID = 0
 type syncSwitch struct {
 	net     *netsim.Network
 	workers int
-	slots   int
 	// count[c] tracks contributions of in-flight chunk c.
 	count     map[uint32]int
 	completed int
-	wireBytes int
-	onDone    func(chunk uint32)
 }
 
 func (sw *syncSwitch) HandleIngress(f *netsim.Frame) {
@@ -68,7 +66,6 @@ func (sw *syncSwitch) HandleIngress(f *netsim.Frame) {
 		ack := &wire.Packet{Type: wire.TypeAck, AckFor: wire.TypeData, Seq: c}
 		sw.net.SwitchSend(&netsim.Frame{Src: psHostID, Dst: core.HostID(w), Pkt: ack, WireBytes: wire.PerPacketOverhead})
 	}
-	sw.onDone(c)
 }
 
 // pushWorker is one training worker's NIC-side state.
@@ -103,7 +100,7 @@ func (p *psSink) HandleFrame(f *netsim.Frame) {
 func runPush(cfg pushConfig) (time.Duration, error) {
 	s := sim.New(cfg.seed)
 	n := netsim.New(s, netsim.DefaultLinkConfig())
-	sw := &syncSwitch{net: n, workers: cfg.workers, slots: cfg.geom.slots, count: make(map[uint32]int), onDone: func(uint32) {}}
+	sw := &syncSwitch{net: n, workers: cfg.workers, count: make(map[uint32]int)}
 	n.AttachSwitch(sw)
 	ps := &psSink{}
 	n.AttachHost(psHostID, ps)
@@ -184,17 +181,16 @@ func runMulticastPull(workers int, bytes, seed int64) (time.Duration, error) {
 	n.AttachHost(psHostID, &psSink{})
 	cpu := cpumodel.NewHost(s, cpumodel.DefaultCores)
 	thread := cpu.NewThread()
-	const payload = wire.MTU - wire.HeaderBytes
 	s.Spawn("ps-pull", func(p *sim.Proc) {
 		up := n.Uplink(psHostID)
-		for sent := int64(0); sent < bytes; sent += payload {
+		for sent := int64(0); sent < bytes; sent += baselines.MTUPayload {
 			thread.Run(p, cpumodel.PacketIOCost)
 			up.Throttle(p, 50*time.Microsecond)
 			n.HostSend(&netsim.Frame{
 				Src: psHostID, Dst: core.HostID(1), // replicated by the switch
 				Pkt:       &wire.Packet{Type: wire.TypeData},
-				WireBytes: payload + wire.PerPacketOverhead,
-				GoodBytes: payload,
+				WireBytes: baselines.MTUPayload + wire.PerPacketOverhead,
+				GoodBytes: baselines.MTUPayload,
 			})
 		}
 	})
