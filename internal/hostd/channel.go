@@ -123,9 +123,9 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 	d.sim.Spawn("tx-"+flow.String(), ch.txLoop)
 	// processInbound copies everything it keeps (residue bitmaps are decoded
 	// into fresh storage, long-key strings are immutable), so serve may
-	// recycle each frame after it.
+	// recycle each packet after it.
 	d.sim.Spawn("rx-"+flow.String(), func(p *sim.Proc) {
-		ch.rx.serve(p, func(f *netsim.Frame) { d.processInbound(p, ch, f) })
+		ch.rx.serve(p, func(pkt *wire.Packet) { d.processInbound(p, ch, pkt) })
 	})
 	return ch
 }
@@ -367,27 +367,32 @@ func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
 	return ch.win.SendBlocking(p, fin)
 }
 
-// rxQueue is a channel's inbound frame queue, data or control: HandleFrame
-// pushes at arrival, the channel's rx process serves in arrival order.
+// rxQueue is a channel's inbound packet queue, data or control: HandleFrame
+// pushes at arrival, the channel's rx process serves in arrival order. The
+// queue holds packets, not frames: a receiver that falls behind keeps a
+// backlog of packets, and each frame shell goes back to the free list the
+// moment it arrives.
 type rxQueue struct {
-	q   fifo[*netsim.Frame]
+	q   fifo[*wire.Packet]
 	sig *sim.Signal
 }
 
+// push moves the packet out of its delivered frame (netsim.Frame.TakePacket)
+// and queues it; the queue owns it from here.
 func (r *rxQueue) push(f *netsim.Frame) {
-	r.q.push(f)
+	r.q.push(f.TakePacket())
 	r.sig.Fire()
 }
 
-// serve handles queued frames forever on the calling process, releasing
-// each frame once handle returns: handle must keep no reference into it.
-func (r *rxQueue) serve(p *sim.Proc, handle func(*netsim.Frame)) {
+// serve handles queued packets forever on the calling process, releasing
+// each packet once handle returns: handle must keep no reference into it.
+func (r *rxQueue) serve(p *sim.Proc, handle func(*wire.Packet)) {
 	for {
 		for r.q.len() == 0 {
 			p.Wait(r.sig)
 		}
-		f := r.q.pop()
-		handle(f)
-		f.Release()
+		pkt := r.q.pop()
+		handle(pkt)
+		pkt.Release()
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cpumodel"
 	"repro/internal/keyspace"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/window"
 	"repro/internal/wire"
@@ -62,9 +61,9 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
 	// process retains nothing from the packet (ctrl bodies are plain values
-	// and the ack is a fresh packet), so serve may recycle each frame.
+	// and the ack is a fresh packet), so serve may recycle each packet.
 	d.sim.Spawn("ctrl-"+ch.flow.String(), func(p *sim.Proc) {
-		ch.rx.serve(p, func(f *netsim.Frame) { ch.process(p, f.Pkt) })
+		ch.rx.serve(p, func(pkt *wire.Packet) { ch.process(p, pkt) })
 	})
 	return ch
 }

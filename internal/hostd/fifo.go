@@ -2,8 +2,8 @@ package hostd
 
 // fifo is a first-in-first-out queue that reuses its backing array. The slice
 // idiom it replaces — append to push, q = q[1:] to pop — walks the array's
-// capacity away, so a queue that holds one element at a time (a packetizer
-// bucket at one tuple per packet, a receive queue that keeps up) reallocates
+// capacity away, so a queue that holds one element at a time (a receive
+// queue that keeps up, a long-key queue between packets) reallocates
 // on every push. Here pop advances a head index, a drained queue rewinds to
 // the start of its array, and push slides the live elements down before it
 // would grow an array whose front half is dead: steady-state traffic

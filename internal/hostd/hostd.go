@@ -283,7 +283,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		}
 		f.Release() // addChunk copied the entries out
 	case wire.TypeCtrl:
-		d.ctrlCh.rx.push(f) // released by the ctrl rx process after processing
+		d.ctrlCh.rx.push(f) // the packet is released by the ctrl rx process after processing
 	case wire.TypeProbeReply:
 		if window.SeqLess(d.probeReplySeq, pkt.Seq) {
 			d.probeReplySeq = pkt.Seq
@@ -299,8 +299,9 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// exactly-once aggregation is unaffected; the packet is owned by
 		// the daemon once acknowledged.
 		d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
-		// Spread receive processing across channel threads by flow.
-		// (Released by the channel rx process after processInbound.)
+		// Spread receive processing across channel threads by flow. The
+		// queue keeps the packet and frees the frame shell now; the channel
+		// rx process releases the packet after processInbound.
 		idx := (int(pkt.Flow.Host)*31 + int(pkt.Flow.Channel)) % len(d.channels)
 		d.channels[idx].rx.push(f)
 	default:

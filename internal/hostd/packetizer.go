@@ -22,6 +22,7 @@ import (
 // tuple per packet and re-fills faster than the emptiest bucket.
 type packetizer struct {
 	layout *keyspace.Layout
+	cfg    core.Config // the layout's, read per tuple
 	// stream is a paced source (paceStream): it yields only tuples already
 	// due, so !ok means "no tuple due yet", not EOF. stall blocks (on the sim
 	// clock) until the next tuple is due and returns true, or returns false
@@ -40,9 +41,9 @@ type packetizer struct {
 	// (or of a class the band does not cover) take the long-key bypass. The
 	// zero value routes over the whole keyspace, exactly as before.
 	part keyspace.Partition
-	// buckets[u] queues tuples for logical unit u: units 0..shortSlots-1
-	// are short slots, then one per medium group.
-	buckets  []fifo[core.KV]
+	// buckets queues tuples per logical unit u: units 0..shortSlots-1 are
+	// short slots, then one per medium group.
+	buckets  bucketArena
 	nonEmpty int
 	buffered int
 	longQ    fifo[wire.LongKV]
@@ -57,25 +58,93 @@ type packetizer struct {
 const bufferPerUnit = 256
 
 func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
-	n := uint(8 * layout.Config().KPartBytes)
+	cfg := layout.Config()
+	n := uint(8 * cfg.KPartBytes)
+	units := layout.LogicalUnits()
+	maxBuf := bufferPerUnit * units
 	return &packetizer{
 		layout:  layout,
+		cfg:     cfg,
 		stream:  stream,
 		stall:   stall,
-		buckets: make([]fifo[core.KV], layout.LogicalUnits()),
-		maxBuf:  bufferPerUnit * layout.LogicalUnits(),
+		buckets: newBucketArena(units, maxBuf),
+		maxBuf:  maxBuf,
 		valLo:   -(int64(1) << (n - 1)),
 		valHi:   int64(1)<<(n-1) - 1,
 	}
 }
 
+// bucketArena holds every unit's bucket in one shared array: a bucket is a
+// FIFO chained through the entries' next links, and a popped entry goes on a
+// free list for the next push. The array grows only as far as the most tuples
+// buffered at once, which the packetizer bounds by maxBuf, however the keys
+// skew across units — one growing slice per unit would each keep its own
+// peak.
+type bucketArena struct {
+	entries    []bucketEntry
+	head, tail []int32 // per unit; head < 0 is an empty bucket
+	free       int32   // first free entry, or -1
+	limit      int     // the buffering bound: the array never grows past it
+}
+
+type bucketEntry struct {
+	kv   core.KV
+	next int32 // the next entry of the same bucket, or of the free list; -1 ends either
+}
+
+func newBucketArena(units, limit int) bucketArena {
+	a := bucketArena{head: make([]int32, units), tail: make([]int32, units), free: -1, limit: limit}
+	for u := range a.head {
+		a.head[u] = -1
+	}
+	return a
+}
+
+func (a *bucketArena) units() int { return len(a.head) }
+
+func (a *bucketArena) empty(u int) bool { return a.head[u] < 0 }
+
+// push appends kv to unit u's bucket.
+func (a *bucketArena) push(u int, kv core.KV) {
+	i := a.free
+	if i >= 0 {
+		a.free = a.entries[i].next
+	} else {
+		if len(a.entries) == cap(a.entries) {
+			grown := make([]bucketEntry, len(a.entries), min(max(2*cap(a.entries), 64), a.limit))
+			copy(grown, a.entries)
+			a.entries = grown
+		}
+		i = int32(len(a.entries))
+		a.entries = append(a.entries, bucketEntry{})
+	}
+	a.entries[i] = bucketEntry{kv: kv, next: -1}
+	if a.head[u] < 0 {
+		a.head[u] = i
+	} else {
+		a.entries[a.tail[u]].next = i
+	}
+	a.tail[u] = i
+}
+
+// pop removes and returns the oldest tuple of unit u's bucket, which must not
+// be empty. The freed entry is zeroed so it pins no key.
+func (a *bucketArena) pop(u int) core.KV {
+	i := a.head[u]
+	e := &a.entries[i]
+	kv := e.kv
+	a.head[u] = e.next
+	*e = bucketEntry{next: a.free}
+	a.free = i
+	return kv
+}
+
 // pull moves tuples from the stream into buckets until a packet can be
 // emitted or the stream ends.
 func (pz *packetizer) pull() {
-	shortSlots := pz.layout.ShortSlots()
 	pz.flush = false
 	for !pz.eof {
-		if pz.nonEmpty == len(pz.buckets) && len(pz.buckets) > 0 {
+		if pz.nonEmpty == pz.buckets.units() && pz.nonEmpty > 0 {
 			return // full packet available
 		}
 		kv, ok := pz.stream()
@@ -93,37 +162,41 @@ func (pz *packetizer) pull() {
 			}
 			continue
 		}
-		if kv.Val < pz.valLo || kv.Val > pz.valHi {
-			// Value exceeds the aggregator vPart: host-side path.
+		unit, ok := pz.unitOf(kv)
+		if !ok {
 			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
 			if pz.longQ.len() >= wire.MaxLongPerPacket {
 				return
 			}
 			continue
 		}
-		class, firstSlot, _ := pz.layout.LocateIn(pz.part, kv.Key)
-		var unit int
-		switch class {
-		case keyspace.Short:
-			unit = firstSlot
-		case keyspace.Medium:
-			unit = shortSlots + (firstSlot-shortSlots)/pz.layout.Config().MediumSegs
-		default:
-			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
-			if pz.longQ.len() >= wire.MaxLongPerPacket {
-				return
-			}
-			continue
-		}
-		if pz.buckets[unit].len() == 0 {
+		if pz.buckets.empty(unit) {
 			pz.nonEmpty++
 		}
-		pz.buckets[unit].push(kv)
+		pz.buckets.push(unit, kv)
 		pz.buffered++
 		if pz.buffered >= pz.maxBuf {
 			return // buffering bound: emit with blank slots
 		}
 	}
+}
+
+// unitOf returns the logical unit whose bucket kv queues in, or false when kv
+// takes the long-key bypass: a long key, a key outside the partition's band,
+// or a value that exceeds the aggregator vPart.
+func (pz *packetizer) unitOf(kv core.KV) (int, bool) {
+	if kv.Val < pz.valLo || kv.Val > pz.valHi {
+		return 0, false
+	}
+	class, firstSlot, _ := pz.layout.LocateIn(pz.part, kv.Key)
+	switch class {
+	case keyspace.Short:
+		return firstSlot, true
+	case keyspace.Medium:
+		shortSlots := pz.layout.ShortSlots()
+		return shortSlots + (firstSlot-shortSlots)/pz.cfg.MediumSegs, true
+	}
+	return 0, false
 }
 
 // next returns the next packet to transmit. tuples is the number of logical
@@ -150,52 +223,56 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 }
 
 // emitData builds one data packet taking at most one tuple per unit.
-//
-// The unit index already encodes the placement — unit u < shortSlots IS the
-// short slot, and a medium unit's group is u − shortSlots — so tuples are
-// packed straight from the key string without re-classifying or re-hashing
-// (pull's Locate call did that once when bucketing).
 func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
-	cfg := pz.layout.Config()
-	shortSlots := pz.layout.ShortSlots()
-	pkt := wire.NewData(cfg.NumAAs)
+	pkt := wire.NewData(pz.cfg.NumAAs)
 	tuples := 0
-	for u := range pz.buckets {
-		if pz.buckets[u].len() == 0 {
+	for u := range pz.buckets.units() {
+		if pz.buckets.empty(u) {
 			continue
 		}
-		kv := pz.buckets[u].pop()
+		pz.fill(pkt, u, pz.buckets.pop(u))
 		pz.buffered--
-		if pz.buckets[u].len() == 0 {
+		if pz.buckets.empty(u) {
 			pz.nonEmpty--
-		}
-		if u < shortSlots {
-			pkt.Slots[u] = wire.Slot{
-				KPart: wire.PackKPart(kv.Key, cfg.KPartBytes),
-				Val:   kv.Val,
-			}
-			pkt.Bitmap = pkt.Bitmap.Set(u)
-		} else {
-			first := shortSlots + (u-shortSlots)*cfg.MediumSegs
-			for j := 0; j < cfg.MediumSegs; j++ {
-				lo := j * cfg.KPartBytes
-				hi := lo + cfg.KPartBytes
-				var seg string
-				if lo < len(kv.Key) {
-					if hi > len(kv.Key) {
-						hi = len(kv.Key)
-					}
-					seg = kv.Key[lo:hi]
-				}
-				slot := wire.Slot{KPart: wire.PackKPart(seg, cfg.KPartBytes)}
-				if j == cfg.MediumSegs-1 {
-					slot.Val = kv.Val
-				}
-				pkt.Slots[first+j] = slot
-				pkt.Bitmap = pkt.Bitmap.Set(first + j)
-			}
 		}
 		tuples++
 	}
 	return pkt, tuples, true
+}
+
+// fill packs kv into unit u's slots of pkt and marks them live.
+//
+// The unit index already encodes the placement — unit u < shortSlots IS the
+// short slot, and a medium unit's group is u − shortSlots — so tuples are
+// packed straight from the key string without re-classifying or re-hashing
+// (pull's unitOf did that once when bucketing).
+func (pz *packetizer) fill(pkt *wire.Packet, u int, kv core.KV) {
+	cfg := &pz.cfg
+	shortSlots := pz.layout.ShortSlots()
+	if u < shortSlots {
+		pkt.Slots[u] = wire.Slot{
+			KPart: wire.PackKPart(kv.Key, cfg.KPartBytes),
+			Val:   kv.Val,
+		}
+		pkt.Bitmap = pkt.Bitmap.Set(u)
+		return
+	}
+	first := shortSlots + (u-shortSlots)*cfg.MediumSegs
+	for j := 0; j < cfg.MediumSegs; j++ {
+		lo := j * cfg.KPartBytes
+		hi := lo + cfg.KPartBytes
+		var seg string
+		if lo < len(kv.Key) {
+			if hi > len(kv.Key) {
+				hi = len(kv.Key)
+			}
+			seg = kv.Key[lo:hi]
+		}
+		slot := wire.Slot{KPart: wire.PackKPart(seg, cfg.KPartBytes)}
+		if j == cfg.MediumSegs-1 {
+			slot.Val = kv.Val
+		}
+		pkt.Slots[first+j] = slot
+		pkt.Bitmap = pkt.Bitmap.Set(first + j)
+	}
 }

@@ -288,3 +288,148 @@ func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
 		t.Fatalf("%d of %d tuples survived packetization", len(out), len(in))
 	}
 }
+
+// refPacketizer is the packetizer's emission policy over one plain slice per
+// unit, as the buckets were before they shared one arena. It borrows only the
+// placement (unitOf) and the slot packing (fill) of the packetizer it wraps,
+// so a change in which tuple leaves which bucket when shows as a difference.
+type refPacketizer struct {
+	pz                 *packetizer
+	queues             [][]core.KV
+	longQ              []wire.LongKV
+	buffered, nonEmpty int
+	eof, flush         bool
+}
+
+func (r *refPacketizer) pull() {
+	r.flush = false
+	for !r.eof && !(r.nonEmpty == len(r.queues) && r.nonEmpty > 0) {
+		kv, ok := r.pz.stream()
+		if !ok {
+			if r.flush = r.buffered > 0 || len(r.longQ) > 0; r.flush {
+				return
+			}
+			r.eof = !r.pz.stall()
+			continue
+		}
+		u, ok := r.pz.unitOf(kv)
+		if !ok {
+			if r.longQ = append(r.longQ, wire.LongKV{Key: kv.Key, Val: kv.Val}); len(r.longQ) >= wire.MaxLongPerPacket {
+				return
+			}
+			continue
+		}
+		if len(r.queues[u]) == 0 {
+			r.nonEmpty++
+		}
+		r.queues[u] = append(r.queues[u], kv)
+		if r.buffered++; r.buffered >= r.pz.maxBuf {
+			return
+		}
+	}
+}
+
+func (r *refPacketizer) next() (*wire.Packet, int, bool) {
+	r.pull()
+	if len(r.longQ) >= wire.MaxLongPerPacket || ((r.eof || r.flush) && r.nonEmpty == 0 && len(r.longQ) > 0) {
+		pkt := wire.NewLong(min(len(r.longQ), wire.MaxLongPerPacket))
+		r.longQ = r.longQ[copy(pkt.Long, r.longQ):]
+		return pkt, len(pkt.Long), true
+	}
+	if r.nonEmpty == 0 {
+		return nil, 0, false
+	}
+	pkt, tuples := wire.NewData(r.pz.cfg.NumAAs), 0
+	for u, q := range r.queues {
+		if len(q) > 0 {
+			r.pz.fill(pkt, u, q[0])
+			r.queues[u], r.buffered, tuples = q[1:], r.buffered-1, tuples+1
+			if len(q) == 1 {
+				r.nonEmpty--
+			}
+		}
+	}
+	return pkt, tuples, true
+}
+
+// pacedSource is a deterministic paced stream: each step is a tuple or a lull
+// (the next tuple not due yet), and stall reports whether steps remain.
+type pacedSource struct {
+	steps []core.KV
+	lull  []bool
+	i     int
+}
+
+func (s *pacedSource) stream() (core.KV, bool) {
+	if s.i >= len(s.steps) {
+		return core.KV{}, false
+	}
+	s.i++
+	return s.steps[s.i-1], !s.lull[s.i-1]
+}
+
+func (s *pacedSource) stall() bool { return s.i < len(s.steps) }
+
+// TestPacketizerArenaIsPerUnitQueues holds the shared bucket arena to the
+// per-unit queues it replaced: over seeded streams that mix short, medium and
+// long keys, values outside the vPart and random lulls, with a hot key share
+// that drives the buffer to its bound, both emit the same packets in the same
+// order, and the arena never holds more entries than the buffering bound.
+func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
+	l := testLayout(t)
+	reachedBound := false
+	for seed := int64(1); seed <= 9; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		src := pacedSource{}
+		hot := rng.Float64() // share of tuples on one hot short key
+		lulls := []float64{0, 0.001, 0.05}[seed%3]
+		for i := 0; i < 20000; i++ {
+			var key string
+			switch r := rng.Float64(); {
+			case r < hot:
+				key = "hot"
+			case r < hot+(1-hot)*0.4:
+				key = fmt.Sprintf("s%d", rng.Intn(300))
+			case r < hot+(1-hot)*0.8:
+				key = fmt.Sprintf("med%04d", rng.Intn(3000))
+			default:
+				key = fmt.Sprintf("quite_long_key_%06d", rng.Intn(500))
+			}
+			val := int64(rng.Intn(1000))
+			if rng.Intn(200) == 0 {
+				val = 1 << 40 // past a 4-byte vPart: the long-key path
+			}
+			src.steps = append(src.steps, core.KV{Key: key, Val: val})
+			src.lull = append(src.lull, rng.Float64() < lulls)
+		}
+		refSrc := src
+		pz := newPacketizer(l, src.stream, src.stall)
+		ref := &refPacketizer{pz: newPacketizer(l, refSrc.stream, refSrc.stall), queues: make([][]core.KV, l.LogicalUnits())}
+		for n := 0; ; n++ {
+			got, gotTuples, gotOK := pz.next()
+			want, wantTuples, wantOK := ref.next()
+			if gotOK != wantOK || gotTuples != wantTuples {
+				t.Fatalf("seed %d packet %d: (%d tuples, %v), per-unit queues give (%d, %v)", seed, n, gotTuples, gotOK, wantTuples, wantOK)
+			}
+			if len(pz.buckets.entries) > pz.maxBuf {
+				t.Fatalf("seed %d packet %d: arena holds %d entries, bound %d", seed, n, len(pz.buckets.entries), pz.maxBuf)
+			}
+			if !gotOK {
+				break
+			}
+			if !reflect.DeepEqual(got.Clone(), want.Clone()) {
+				t.Fatalf("seed %d packet %d differs:\n got %v bitmap %x slots %v long %v\nwant %v bitmap %x slots %v long %v",
+					seed, n, got.Type, got.Bitmap, got.Slots, got.Long, want.Type, want.Bitmap, want.Slots, want.Long)
+			}
+		}
+		reachedBound = reachedBound || len(pz.buckets.entries) == pz.maxBuf
+		for i, e := range pz.buckets.entries {
+			if e.kv != (core.KV{}) {
+				t.Fatalf("seed %d: drained arena entry %d still holds %+v", seed, i, e.kv)
+			}
+		}
+	}
+	if !reachedBound {
+		t.Error("no seed drove the buffer to its bound: raise the hot share")
+	}
+}

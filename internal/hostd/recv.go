@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
-	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/window"
@@ -278,8 +277,7 @@ func (d *Daemon) SetTenantChannels(tenant core.TenantID, lo, n int) error {
 }
 
 // processInbound handles one flow packet on a channel's receive thread.
-func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
-	pkt := f.Pkt
+func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, pkt *wire.Packet) {
 	// The transport ACK went out at arrival (HandleFrame); here the packet
 	// is classified and merged exactly once.
 	verdict := d.dedupFor(pkt.Flow).Observe(pkt.Seq)
@@ -319,7 +317,7 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, f *netsim.Frame) {
 	d.met.packetsReceived.Inc()
 
 	if t != nil && !t.completed {
-		// The frame is this process's until it returns (rxQueue.serve), so
+		// The packet is this process's until it returns (rxQueue.serve), so
 		// the tuples are folded straight out of the packet.
 		d.residue(pkt, eff, t.mergeGroup)
 		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type

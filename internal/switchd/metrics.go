@@ -165,18 +165,24 @@ func (sw *Switch) resetTaskStats(task core.TaskID) {
 }
 
 // clearAARange zeroes rows [lo,hi) of every AA, keeping the occupancy
-// gauge consistent by counting the non-blank entries wiped. Control-plane
-// only — never on the per-packet path.
+// gauge consistent by counting the non-blank entries wiped. One pass reads
+// each row and writes only the rows that are not already zero, so clearing a
+// region that holds nothing — every allocation on a fresh switch — writes
+// nothing. Control-plane only — never on the per-packet path.
 func (sw *Switch) clearAARange(lo, hi int) {
 	n := uint(8 * sw.cfg.KPartBytes)
 	var wiped int64
 	for _, aa := range sw.raAAs {
 		for row := lo; row < hi; row++ {
-			if aa.ControlRead(row)>>n != 0 {
+			cur := aa.ControlRead(row)
+			if cur == 0 {
+				continue
+			}
+			if cur>>n != 0 {
 				wiped++
 			}
+			aa.ControlWrite(row, 0)
 		}
-		aa.ControlFill(lo, hi, 0)
 	}
 	sw.met.aaOccupancy.Add(-wiped)
 }

@@ -2,6 +2,7 @@ package switchd
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -355,5 +356,70 @@ func TestDuplicatedClearCannotWipeLiveCopy(t *testing.T) {
 	// max_seq, swap_seq, clear_seq, copy_indicator, seen, pkt_state, the AAs.
 	if want := 6 + r.sw.cfg.NumAAs; arrays != want {
 		t.Fatalf("%d pisa.array_accesses gauges, want one per register array (%d)", arrays, want)
+	}
+}
+
+// TestRegionCyclesLeaveNothingBehind runs alloc → absorb → free → alloc
+// cycles over regions of varying size and position: every row of every AA in
+// a freshly allocated or freed region reads zero — including a row whose key
+// part is blank but whose value is not, which no occupancy count sees — and
+// the occupancy gauge returns to zero once nothing is allocated.
+func TestRegionCyclesLeaveNothingBehind(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.AARows = 1024
+	r := newRig(t, cfg)
+	rng := rand.New(rand.NewSource(1))
+	blank := func(when string, reg *Region) {
+		t.Helper()
+		for ai, aa := range r.sw.raAAs {
+			for row := reg.Lo; row < reg.Lo+reg.TotalRows; row++ {
+				if v := aa.ControlRead(row); v != 0 {
+					t.Fatalf("%s task %d: AA %d row %d reads %#x", when, reg.Task, ai, row, v)
+				}
+			}
+		}
+	}
+	var live []*Region
+	for cycle := 1; cycle <= 24; cycle++ {
+		reg := r.mustAlloc(core.TaskID(cycle), 2*(1+rng.Intn(96)))
+		blank("allocated", reg)
+		before := r.sw.met.aaOccupancy.Value()
+		for p := 0; p < 6; p++ {
+			var kvs []core.KV
+			used := make(map[int]bool)
+			for i := 0; i < 40; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(5000))
+				if i%2 == 1 {
+					key = fmt.Sprintf("m%06d", rng.Intn(5000)) // medium
+				}
+				if slot := r.layout.Place(key).FirstSlot; !used[slot] {
+					used[slot] = true
+					kvs = append(kvs, core.KV{Key: key, Val: 1 + rng.Int63n(100)})
+				}
+			}
+			r.send(r.packetize(reg.Task, kvs))
+		}
+		if r.sw.met.aaOccupancy.Value() == before {
+			t.Fatalf("cycle %d absorbed nothing", cycle)
+		}
+		r.sw.raAAs[rng.Intn(len(r.sw.raAAs))].ControlWrite(reg.Lo+rng.Intn(reg.TotalRows), 1)
+		live = append(live, reg)
+		if len(live) > 2 || rng.Intn(2) == 0 {
+			old := live[0]
+			live = live[1:]
+			if err := r.sw.FreeRegion(old.Task); err != nil {
+				t.Fatal(err)
+			}
+			blank("freed", old)
+		}
+	}
+	for _, reg := range live {
+		if err := r.sw.FreeRegion(reg.Task); err != nil {
+			t.Fatal(err)
+		}
+		blank("freed", reg)
+	}
+	if occ := r.sw.met.aaOccupancy.Value(); occ != 0 {
+		t.Fatalf("occupancy %d with no region allocated, want 0", occ)
 	}
 }
