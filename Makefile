@@ -36,8 +36,8 @@ lint:
 
 # 41 s. The whole suite once, in shuffled order (which
 # also catches inter-test state dependencies). The only step that runs the
-# experiment registry: internal/experiments' TestQuickGolden runs every quick
-# preset once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
+# experiment registry: internal/experiments' TestQuickGolden runs every experiment
+# at quick scale once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
 # internal/experiments/testdata/quick.json byte for byte; the shape tests
 # judge the committed tables, the scenario corpus round trip (ask's
 # TestScenarioCorpus*, scenario's

@@ -43,7 +43,6 @@ import (
 	"repro/internal/hostd"
 	"repro/internal/netsim"
 	"repro/internal/switchd"
-	"repro/internal/telemetry"
 	"repro/internal/wire"
 )
 
@@ -64,9 +63,9 @@ type Options struct {
 	// Telemetry enables the cluster-wide observability stack: a shared
 	// metrics registry across switch, daemons, transport windows and
 	// network, a sim-clock trace ring, and a gauge sampler that runs while
-	// tasks are active. Zero value: disabled (components fall back to
-	// private registries so Stats accessors still work).
-	Telemetry telemetry.Config
+	// tasks are active. Off, components fall back to private registries so
+	// Stats accessors still work.
+	Telemetry bool
 }
 
 // Cluster is a simulated rack running the ASK service: the Deployment over a

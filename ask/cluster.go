@@ -86,16 +86,18 @@ func defaults(cfg *core.Config, links ...*netsim.LinkConfig) {
 	}
 }
 
-func newDeployment(fab fabric, seed int64, cfg core.Config, tel telemetry.Config) Deployment {
-	s := sim.New(seed)
-	return Deployment{
-		Sim:     s,
-		Tel:     telemetry.NewSet(s, tel),
+func newDeployment(fab fabric, seed int64, cfg core.Config, tel bool) Deployment {
+	d := Deployment{
+		Sim:     sim.New(seed),
 		cfg:     cfg,
 		fab:     fab,
 		daemons: make(map[core.HostID]*hostd.Daemon),
 		cpus:    make(map[core.HostID]*cpumodel.Host),
 	}
+	if tel {
+		d.Tel = telemetry.NewSet(d.Sim)
+	}
+	return d
 }
 
 // addHost builds one server — a CPU model with the paper's 56 cores, then

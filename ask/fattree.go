@@ -38,7 +38,7 @@ type FatTreeOptions struct {
 	// flight as on the rack. Switches and daemons keep their private
 	// registries either way — their unlabeled instrument names would collide
 	// across the fabric.
-	Telemetry telemetry.Config
+	Telemetry bool
 	// Shards, when > 1, partitions the fabric into that many parallel event
 	// lanes of contiguous leaves (spines spread round-robin); the leaf↔spine
 	// mesh becomes conservative mailbox cuts (DESIGN.md "Parallel DES").

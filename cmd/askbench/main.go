@@ -11,7 +11,7 @@
 //	askbench -run all -json > results.json
 //
 // Each experiment prints the same rows/series the paper reports; -quick
-// uses the test-scale presets (seconds instead of minutes).
+// runs the test scale (seconds instead of minutes).
 //
 // Independent experiments run on a worker pool, one worker per CPU. Every
 // simulation is single-goroutine deterministic and shares no state with its
@@ -19,7 +19,7 @@
 // printed in registry order regardless of completion order); only the wall
 // clock shrinks. -json emits the outcomes as deterministic JSON instead of
 // the human-readable tables: a function of the code, the experiment and the
-// preset alone, so two runs are byte-identical and `-run all -quick -json`
+// scale alone, so two runs are byte-identical and `-run all -quick -json`
 // equals the committed internal/experiments/testdata/quick.json.
 package main
 
@@ -36,7 +36,7 @@ import (
 func main() {
 	var (
 		run     = flag.String("run", "", "experiment to run (or 'all')")
-		quick   = flag.Bool("quick", false, "use test-scale presets")
+		quick   = flag.Bool("quick", false, "run at test scale")
 		list    = flag.Bool("list", false, "list available experiments")
 		jsonOut = flag.Bool("json", false, "emit outcomes as deterministic JSON instead of tables")
 		scen    = flag.String("scenario", "", "run the scenario-corpus sweep for one named scenario (see askgen -list-scenarios)")

@@ -76,7 +76,7 @@ type shape struct {
 	seed                           int64
 	cfg                            core.Config
 	link                           netsim.LinkConfig
-	tel                            telemetry.Config
+	tel                            bool
 }
 
 // topology is one -topology table entry.
@@ -249,7 +249,7 @@ func main() {
 	s := shape{
 		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, seed: *seed,
 		cfg: core.DefaultConfig(), link: netsim.DefaultLinkConfig(),
-		tel: telemetry.Config{Enabled: *telem || *promOut != "" || *jsonOut != ""},
+		tel: *telem || *promOut != "" || *jsonOut != "",
 	}
 	if _, single := topo.rejects["leaves"]; !single {
 		s.groups = *leaves

@@ -140,16 +140,25 @@ type kind struct {
 	flags func(Config) string
 }
 
-// soakConfig is the configuration the outage soaks run under: failover on
-// (switch outages must not deadlock), shadow copies off (failover replay
-// cannot attribute swap fetches), retries unbounded (black-holes must be
-// bridged, not aborted), and the checksum-verification fault hook mirrored
-// in.
-func soakConfig(cfg Config) core.Config {
+// OutageConfig is the configuration every switch-outage run starts from —
+// the outage soaks and the chaos and fabric-chaos experiments: failover on,
+// so a switch outage degrades tasks to host-only aggregation instead of
+// deadlocking them; retries unbounded (MaxRetries 0), so black-holes are
+// bridged, not aborted; and shadow copies off, because core.Config.Validate
+// rejects Failover with SwapThreshold > 0 (replay reconciliation cannot
+// attribute swap fetches to packets). ROADMAP items 6 and 11(c) track
+// lifting that rule, which puts the shadow copies back here.
+func OutageConfig() core.Config {
 	c := core.DefaultConfig()
 	c.SwapThreshold = 0
 	c.Failover = true
-	// MaxRetries stays 0: retries unbounded.
+	return c
+}
+
+// soakConfig is OutageConfig with the checksum-verification fault hook
+// mirrored in.
+func soakConfig(cfg Config) core.Config {
+	c := OutageConfig()
 	c.DisableChecksumVerify = cfg.DisableChecksumVerify
 	return c
 }

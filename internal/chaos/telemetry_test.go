@@ -21,7 +21,7 @@ func TestTelemetryCoversEveryComponent(t *testing.T) {
 	scale := goldenElapsed(t)
 
 	opts := failoverOptions()
-	opts.Telemetry = telemetry.Config{Enabled: true}
+	opts.Telemetry = true
 	cl, err := ask.NewCluster(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -12,19 +12,6 @@ import (
 	"repro/internal/workload"
 )
 
-// AblationSwapConfig sweeps the shadow-copy swap threshold (§3.4 calls it
-// "tunable") on the adversarial cold-first ordering, where cold keys seize
-// every aggregator before any hot key arrives: too small a threshold wastes
-// fetch bandwidth and churns the copies, too large converges to no
-// prioritization. (On shuffled arrivals FCFS already favors hot keys — they
-// appear early by weight — so prioritization is about the orderings FCFS
-// gets wrong.)
-type AblationSwapConfig struct {
-	Distinct   int
-	Tuples     int64
-	Thresholds []int // 0 disables the shadow copy
-}
-
 // The swap ablation at every scale: ablationSwapRatio aggregators per
 // distinct key, Zipf skew ablationSwapSkew.
 const (
@@ -32,39 +19,34 @@ const (
 	ablationSwapSkew  = 1.05
 )
 
-// DefaultAblationSwap is the benchmark-scale preset.
-func DefaultAblationSwap() AblationSwapConfig {
-	return AblationSwapConfig{
-		Distinct:   8192,
-		Tuples:     1_000_000,
-		Thresholds: []int{0, 32, 128, 512, 2048},
+// ablationSwap sweeps the shadow-copy swap threshold (§3.4 calls it
+// "tunable") on the adversarial cold-first ordering, where cold keys seize
+// every aggregator before any hot key arrives: too small a threshold wastes
+// fetch bandwidth and churns the copies, too large converges to no
+// prioritization. (On shuffled arrivals FCFS already favors hot keys — they
+// appear early by weight — so prioritization is about the orderings FCFS
+// gets wrong.) It measures switch absorption per threshold.
+func ablationSwap(quick bool) (*stats.Table, error) {
+	// Thresholds: 0 disables the shadow copy.
+	distinct, tuples, thresholds := 8192, int64(1_000_000), []int{0, 32, 128, 512, 2048}
+	if quick {
+		distinct, tuples, thresholds = 2048, 120_000, []int{0, 256, 1024}
 	}
-}
-
-// QuickAblationSwap is the test-scale preset.
-func QuickAblationSwap() AblationSwapConfig {
-	return AblationSwapConfig{
-		Distinct: 2048, Tuples: 120_000, Thresholds: []int{0, 256, 1024},
-	}
-}
-
-// AblationSwap measures switch absorption across swap thresholds.
-func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  "Ablation: shadow-copy swap threshold (cold-first Zipf, ratio 1/16)",
 		Note:   "threshold 0 disables prioritization entirely",
 		Header: []string{"threshold", "aggregated %", "swaps"},
 	}
-	rows := int(ablationSwapRatio*float64(cfg.Distinct)) / fig9AAs
+	rows := int(ablationSwapRatio*float64(distinct)) / fig9AAs
 	if rows < 2 {
 		rows = 2
 	}
 	rows &^= 1
-	for _, th := range cfg.Thresholds {
+	for _, th := range thresholds {
 		c := microConfig()
 		c.NumAAs = fig9AAs
 		c.SwapThreshold = th
-		spec := workload.Zipf(cfg.Distinct, cfg.Tuples, ablationSwapSkew, workload.ColdFirst, seed)
+		spec := workload.Zipf(distinct, tuples, ablationSwapSkew, workload.ColdFirst, seed)
 		res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, rows))
 		if err != nil {
 			return nil, fmt.Errorf("threshold %d: %w", th, err)
@@ -74,41 +56,24 @@ func AblationSwap(cfg AblationSwapConfig) (*stats.Table, error) {
 	return t, nil
 }
 
-// AblationWindowConfig sweeps the sliding-window size W under loss: the
-// window bounds in-flight data (and the switch's per-flow SRAM, §3.3).
-type AblationWindowConfig struct {
-	Windows  []int
-	Tuples   int64
-	Distinct int
-}
-
 // The window ablation at every scale: ablationWindowLoss is the loss
 // probability on each direction of every link.
 const ablationWindowLoss = 0.01
 
-// DefaultAblationWindow is the benchmark-scale preset.
-func DefaultAblationWindow() AblationWindowConfig {
-	return AblationWindowConfig{
-		Windows: []int{32, 64, 256, 1024}, Tuples: 800_000, Distinct: 4096,
+// ablationWindow sweeps the sliding-window size W under loss: the window
+// bounds in-flight data (and the switch's per-flow SRAM, §3.3). It measures
+// completion time and switch SRAM cost per window size.
+func ablationWindow(quick bool) (*stats.Table, error) {
+	windows, tuples, distinct := []int{32, 64, 256, 1024}, int64(800_000), 4096
+	if quick {
+		windows, tuples, distinct = []int{32, 256}, 80_000, 1024
 	}
-}
-
-// QuickAblationWindow is the test-scale preset.
-func QuickAblationWindow() AblationWindowConfig {
-	return AblationWindowConfig{
-		Windows: []int{32, 256}, Tuples: 80_000, Distinct: 1024,
-	}
-}
-
-// AblationWindow measures completion time and switch SRAM cost per window
-// size.
-func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  "Ablation: sliding-window size W under loss",
 		Note:   fmt.Sprintf("%.1f%% loss each direction; per-flow switch state = W + W×32 bits", 100*ablationWindowLoss),
 		Header: []string{"W", "elapsed", "per-flow state (B)", "throughput Gbps"},
 	}
-	for _, w := range cfg.Windows {
+	for _, w := range windows {
 		c := microConfig()
 		c.Window = w
 		link := netsim.DefaultLinkConfig()
@@ -119,7 +84,7 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 		swOpts := switchd.DefaultOptions()
 		swOpts.MaxFlows = 64
 		res, cl, err := runAggregation(ask.Options{Hosts: 2, Config: c, Link: link, Seed: seed, Switch: swOpts},
-			singleSenderTask(workload.Uniform(cfg.Distinct, cfg.Tuples, seed), 0))
+			singleSenderTask(workload.Uniform(distinct, tuples, seed), 0))
 		if err != nil {
 			return nil, fmt.Errorf("W=%d: %w", w, err)
 		}
@@ -131,25 +96,15 @@ func AblationWindow(cfg AblationWindowConfig) (*stats.Table, error) {
 	return t, nil
 }
 
-// AblationMediumConfig sweeps the coalesced-group width m (§3.2.3): small m
-// pushes more keys to the long bypass; large m wastes slots on padding.
-type AblationMediumConfig struct {
-	Tuples int64
-}
-
-// DefaultAblationMedium is the benchmark-scale preset.
-func DefaultAblationMedium() AblationMediumConfig {
-	return AblationMediumConfig{Tuples: 1_000_000}
-}
-
-// QuickAblationMedium is the test-scale preset.
-func QuickAblationMedium() AblationMediumConfig {
-	return AblationMediumConfig{Tuples: 80_000}
-}
-
-// AblationMedium compares m = 2 (the paper's choice) with m = 4 and no
-// medium groups at all on a long-tailed natural-language workload.
-func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
+// ablationMedium sweeps the coalesced-group width m (§3.2.3): small m
+// pushes more keys to the long bypass; large m wastes slots on padding. It
+// compares m = 2 (the paper's choice) with m = 4 and no medium groups at
+// all on a long-tailed natural-language workload.
+func ablationMedium(quick bool) (*stats.Table, error) {
+	tuples := int64(1_000_000)
+	if quick {
+		tuples = 80_000
+	}
 	t := &stats.Table{
 		Title:  "Ablation: coalesced medium-key group width m (§3.2.3)",
 		Note:   "natural-language keys with a heavy long tail",
@@ -163,7 +118,7 @@ func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
 		spec := workload.Spec{
 			Name:     "longtail",
 			Distinct: 60_000,
-			Tuples:   cfg.Tuples,
+			Tuples:   tuples,
 			Skew:     1.1,
 			KeyLens:  workload.NaturalLanguage(2),
 			Seed:     seed,
@@ -178,18 +133,11 @@ func AblationMedium(cfg AblationMediumConfig) (*stats.Table, error) {
 			cdf.AddN(float64(fill), n)
 		}
 		t.AddRow(v.m, v.k, c.MaxMediumKeyBytes(),
-			100*float64(ds.LongTuplesSent)/float64(cfg.Tuples),
+			100*float64(ds.LongTuplesSent)/float64(tuples),
 			100*res.Switch.AggregatedTupleRatio(),
 			cdf.Mean())
 	}
 	return t, nil
-}
-
-// AblationCongestionConfig exercises the §7 congestion-control discussion:
-// N transport-only senders incast one receiver whose downlink queueing
-// exceeds the 100 µs retransmission timeout.
-type AblationCongestionConfig struct {
-	TuplesPerSender int64
 }
 
 // The incast at every scale: ablationCongestionSenders senders, each with a
@@ -200,19 +148,15 @@ const (
 	ablationCongestionSeed    = 3
 )
 
-// DefaultAblationCongestion is the benchmark-scale preset.
-func DefaultAblationCongestion() AblationCongestionConfig {
-	return AblationCongestionConfig{TuplesPerSender: 150_000}
-}
-
-// QuickAblationCongestion is the test-scale preset.
-func QuickAblationCongestion() AblationCongestionConfig {
-	return AblationCongestionConfig{TuplesPerSender: 60_000}
-}
-
-// AblationCongestion compares the fixed reliability window against the AIMD
-// congestion window under incast.
-func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
+// ablationCongestion exercises the §7 congestion-control discussion: N
+// transport-only senders incast one receiver whose downlink queueing exceeds
+// the 100 µs retransmission timeout. It compares the fixed reliability
+// window against the AIMD congestion window.
+func ablationCongestion(quick bool) (*stats.Table, error) {
+	perSender := int64(150_000)
+	if quick {
+		perSender = 60_000
+	}
 	t := &stats.Table{
 		Title: "Ablation: loss-based congestion control under incast (§7)",
 		Note: fmt.Sprintf("%d transport-only senders → 1 receiver, W=%d, timeout 100µs",
@@ -227,7 +171,7 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		swOpts.MaxFlows = 8 * (ablationCongestionSenders + 2) // fit W=1024 pkt_state in a stage
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: -1})
 		for i := 1; i <= ablationCongestionSenders; i++ {
-			j.Send(core.HostID(i), workload.Uniform(2048, cfg.TuplesPerSender, ablationCongestionSeed+int64(i)))
+			j.Send(core.HostID(i), workload.Uniform(2048, perSender, ablationCongestionSeed+int64(i)))
 		}
 		res, cl, err := runAggregation(ask.Options{Hosts: ablationCongestionSenders + 1, Config: c, Seed: ablationCongestionSeed, Switch: swOpts}, j)
 		if err != nil {
@@ -247,7 +191,7 @@ func AblationCongestion(cfg AblationCongestionConfig) (*stats.Table, error) {
 		// Application throughput: unique tuple bytes over completion time
 		// (receiver-side byte counters would double-count the duplicates
 		// the storm produces).
-		appBytes := 8 * cfg.TuplesPerSender * ablationCongestionSenders
+		appBytes := 8 * perSender * ablationCongestionSenders
 		t.AddRow(label, float64(retrans)/float64(sent), time.Duration(res.Elapsed),
 			stats.Gbps(appBytes, time.Duration(res.Elapsed)))
 	}

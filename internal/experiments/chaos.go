@@ -20,38 +20,6 @@ import (
 // traffic) plus the study's own trailing columns. They run a fixed task, not
 // chaos.Run's soak workloads — moving them there would move their tables.
 
-// ChaosConfig parameterizes the rack study: every scenario of the standard
-// chaos library against one multi-sender aggregation task.
-type ChaosConfig struct {
-	// Senders is the number of sending hosts (receiver is host 0).
-	Senders int
-	// Distinct is the per-sender distinct-key count.
-	Distinct int
-	// Tuples is the per-sender stream length.
-	Tuples int64
-}
-
-// DefaultChaos is the benchmark-scale preset: streams long enough that a
-// switch outage spans several probe intervals, so silence detection (probe
-// timeouts) engages as well as epoch detection.
-func DefaultChaos() ChaosConfig {
-	return ChaosConfig{Senders: 3, Distinct: 2048, Tuples: 300_000}
-}
-
-// QuickChaos is the test-scale preset.
-func QuickChaos() ChaosConfig {
-	return ChaosConfig{Senders: 2, Distinct: 512, Tuples: 40_000}
-}
-
-// FabricChaosConfig parameterizes the hierarchical study: one cross-leaf
-// task on the spine/leaf fabric under each switch outage scenario.
-type FabricChaosConfig struct {
-	// Distinct is the per-sender distinct-key count.
-	Distinct int
-	// Tuples is the per-sender stream length.
-	Tuples int64
-}
-
 // The fabric of the hierarchical study at every scale.
 const (
 	fabricChaosSpines       = 2
@@ -59,23 +27,11 @@ const (
 	fabricChaosHostsPerLeaf = 2
 )
 
-// DefaultFabricChaos is the benchmark-scale preset: streams long enough that
-// an outage window spans several probe intervals on every affected host.
-func DefaultFabricChaos() FabricChaosConfig {
-	return FabricChaosConfig{Distinct: 2048, Tuples: 200_000}
-}
-
-// QuickFabricChaos is the test-scale preset.
-func QuickFabricChaos() FabricChaosConfig {
-	return FabricChaosConfig{Distinct: 512, Tuples: 20_000}
-}
-
 // chaosStudy is one fault-injection table as data.
 type chaosStudy struct {
 	title, note string
-	// build constructs a fresh deployment with the failover machinery on
-	// (which requires the shadow-copy prioritization off) and unbounded
-	// retries, so faults stretch tasks instead of aborting them.
+	// build constructs a fresh deployment on chaos.OutageConfig, so faults
+	// stretch tasks instead of aborting them.
 	build func() (*ask.Deployment, error)
 	// task builds the study's task; streams are single-use generators, so
 	// every run gets its own.
@@ -131,26 +87,31 @@ func chaosTable(st chaosStudy) (*stats.Table, error) {
 	return t, nil
 }
 
-// Chaos runs the rack fault-injection sweep over the standard scenario
-// library.
-func Chaos(cfg ChaosConfig) (*stats.Table, error) {
-	c := core.DefaultConfig()
-	c.SwapThreshold = 0
-	c.Failover = true
+// rackChaos runs the rack study: every scenario of the standard chaos library
+// against one multi-sender aggregation task.
+func rackChaos(quick bool) (*stats.Table, error) {
+	// Sending hosts (the receiver is host 0), and each one's distinct keys
+	// and stream length. The full scale's streams are long enough that a
+	// switch outage spans several probe intervals, so silence detection
+	// (probe timeouts) engages as well as epoch detection.
+	senders, distinct, tuples := 3, 2048, int64(300_000)
+	if quick {
+		senders, distinct, tuples = 2, 512, 40_000
+	}
 	const taskID, receiver, firstSender = 1, 0, 1
 	task := func() *ask.Job {
 		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: receiver, Op: core.OpSum})
-		for h := core.HostID(firstSender); h < firstSender+core.HostID(cfg.Senders); h++ {
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
+		for h := core.HostID(firstSender); h < firstSender+core.HostID(senders); h++ {
+			j.Send(h, workload.Uniform(distinct, tuples, seed+int64(h)))
 		}
 		return j
 	}
 	return chaosTable(chaosStudy{
 		title: "Chaos: fault injection vs fault-free golden run",
 		note: fmt.Sprintf("%d senders x %d tuples; every scenario must reproduce the golden result exactly; degraded = host-only time",
-			cfg.Senders, cfg.Tuples),
+			senders, tuples),
 		build: func() (*ask.Deployment, error) {
-			cl, err := ask.NewCluster(ask.Options{Hosts: cfg.Senders + 1, Config: c, Seed: seed})
+			cl, err := ask.NewCluster(ask.Options{Hosts: senders + 1, Config: chaos.OutageConfig(), Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -165,27 +126,31 @@ func Chaos(cfg ChaosConfig) (*stats.Table, error) {
 	})
 }
 
-// FabricChaos runs the hierarchical sweep: receiver on leaf 0, one sender on
-// every other leaf, and one crash+reboot window per scenario against the
-// task's elected spine (forcing re-election onto the alternate), the standby
-// spine, and a sender's leaf. Outages land at 40–60% of the golden elapsed:
-// task setup costs two control RPCs, so the stream occupies roughly the
-// middle of the interval and earlier windows would miss it.
-func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
-	c := core.DefaultConfig()
-	c.SwapThreshold = 0
-	c.Failover = true
-	// MaxRetries stays 0, retries unbounded: the replay protocol recovers.
+// fabricChaos runs the hierarchical study, one cross-leaf task on the
+// spine/leaf fabric: receiver on leaf 0, one sender on every other leaf, and
+// one crash+reboot window per scenario against the task's elected spine
+// (forcing re-election onto the alternate), the standby spine, and a
+// sender's leaf. Outages land at 40–60% of the golden elapsed: task setup
+// costs two control RPCs, so the stream occupies roughly the middle of the
+// interval and earlier windows would miss it.
+func fabricChaos(quick bool) (*stats.Table, error) {
+	// Each sender's distinct keys and stream length. The full scale's
+	// streams are long enough that an outage window spans several probe
+	// intervals on every affected host.
+	distinct, tuples := 2048, int64(200_000)
+	if quick {
+		distinct, tuples = 512, 20_000
+	}
 	opts := ask.FatTreeOptions{
 		Spines: fabricChaosSpines, Leaves: fabricChaosLeaves, HostsPerLeaf: fabricChaosHostsPerLeaf,
-		Config: c, Seed: seed,
+		Config: chaos.OutageConfig(), Seed: seed,
 	}
 	const taskID = 1 // the fabric elects spine taskID mod Spines for it
 	task := func() *ask.Job {
 		j := ask.NewJob(core.TaskSpec{ID: taskID, Receiver: opts.HostAt(0, 0), Op: core.OpSum})
 		for l := 1; l < fabricChaosLeaves; l++ {
 			h := opts.HostAt(l, 0)
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
+			j.Send(h, workload.Uniform(distinct, tuples, seed+int64(h)))
 		}
 		return j
 	}
@@ -195,7 +160,7 @@ func FabricChaos(cfg FabricChaosConfig) (*stats.Table, error) {
 	return chaosTable(chaosStudy{
 		title: "Fabric chaos: spine/leaf outages vs fault-free golden run",
 		note: fmt.Sprintf("%d spines x %d leaves, %d senders x %d tuples; one crash+reboot window at 40-60%% of golden; every scenario must reproduce the golden result exactly",
-			fabricChaosSpines, fabricChaosLeaves, fabricChaosLeaves-1, cfg.Tuples),
+			fabricChaosSpines, fabricChaosLeaves, fabricChaosLeaves-1, tuples),
 		build: func() (*ask.Deployment, error) {
 			fc, err := ask.NewFatTreeCluster(opts)
 			if err != nil {

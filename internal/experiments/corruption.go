@@ -8,50 +8,34 @@ import (
 	"repro/internal/core"
 	"repro/internal/netsim"
 	"repro/internal/stats"
-	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
-
-// CorruptionConfig parameterizes the link-corruption sweep: the same
-// aggregation task runs at increasing per-link corruption probabilities, and
-// the table reports what the end-to-end integrity machinery costs — every
-// damaged frame is quarantined by the CRC32C check at its receiver and looks
-// like a loss to the sliding window, so corruption shows up as retransmission
-// traffic and elapsed-time inflation, never as a wrong result.
-type CorruptionConfig struct {
-	// Senders is the number of sending hosts (receiver is host 0).
-	Senders int
-	// Distinct is the per-sender distinct-key count.
-	Distinct int
-	// Tuples is the per-sender stream length.
-	Tuples int64
-}
 
 // corruptionProbs is the per-link corruption-probability sweep at every
 // scale; the first entry is 0, the clean baseline every other row is
 // normalized to.
 var corruptionProbs = []float64{0, 1e-5, 1e-3}
 
-// DefaultCorruption is the benchmark-scale preset.
-func DefaultCorruption() CorruptionConfig {
-	return CorruptionConfig{Senders: 3, Distinct: 2048, Tuples: 300_000}
-}
-
-// QuickCorruption is the test-scale preset.
-func QuickCorruption() CorruptionConfig {
-	return CorruptionConfig{Senders: 2, Distinct: 512, Tuples: 40_000}
-}
-
-// Corruption runs the sweep. Every row must reproduce the clean row's result
-// exactly: the integrity path converts byte damage into retransmissions, so
-// correctness is flat while goodput and latency degrade.
-func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
-	total := int64(cfg.Senders) * cfg.Tuples
+// corruption runs the link-corruption sweep: the same aggregation task runs
+// at increasing per-link corruption probabilities, and the table reports
+// what the end-to-end integrity machinery costs — every damaged frame is
+// quarantined by the CRC32C check at its receiver and looks like a loss to
+// the sliding window, so corruption shows up as retransmission traffic and
+// elapsed-time inflation, never as a wrong result. Every row must reproduce
+// the clean row's result exactly.
+func corruption(quick bool) (*stats.Table, error) {
+	// Sending hosts (the receiver is host 0), and each one's distinct keys
+	// and stream length.
+	senders, distinct, tuples := 3, 2048, int64(300_000)
+	if quick {
+		senders, distinct, tuples = 2, 512, 40_000
+	}
+	total := int64(senders) * tuples
 
 	t := &stats.Table{
 		Title: "Corruption: per-link byte damage vs goodput and retransmissions",
 		Note: fmt.Sprintf("%d senders x %d tuples; CRC32C quarantines every damaged frame, so results stay exact while retransmissions absorb the damage",
-			cfg.Senders, cfg.Tuples),
+			senders, tuples),
 		Header: []string{"corrupt-prob", "elapsed", "x clean", "Mtuple/s", "goodput-Gbps", "corrupted", "sw-drop", "host-drop", "retransmits", "exact"},
 	}
 
@@ -60,15 +44,12 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 		link := netsim.DefaultLinkConfig()
 		link.Fault.CorruptProb = prob
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum})
-		for h := core.HostID(1); h <= core.HostID(cfg.Senders); h++ {
-			j.Send(h, workload.Uniform(cfg.Distinct, cfg.Tuples, seed+int64(h)))
+		for h := core.HostID(1); h <= core.HostID(senders); h++ {
+			j.Send(h, workload.Uniform(distinct, tuples, seed+int64(h)))
 		}
 		// The quarantine and retransmission columns come off the cluster
 		// registry, so every run carries one.
-		res, cl, err := runAggregation(ask.Options{
-			Hosts: cfg.Senders + 1, Link: link, Seed: seed,
-			Telemetry: telemetry.Config{Enabled: true},
-		}, j)
+		res, cl, err := runAggregation(ask.Options{Hosts: senders + 1, Link: link, Seed: seed, Telemetry: true}, j)
 		if err != nil {
 			return nil, fmt.Errorf("corruption: prob %g: %w", prob, err)
 		}
@@ -77,12 +58,12 @@ func Corruption(cfg CorruptionConfig) (*stats.Table, error) {
 			cleanElapsed = elapsed
 		}
 		var goodBytes, corrupted int64
-		for i := 0; i < cfg.Senders; i++ {
+		for i := 0; i < senders; i++ {
 			goodBytes += cl.Net.Uplink(core.HostID(i + 1)).Stats().TxGoodBytes
 		}
 		// Frame damage is counted at the links (uplinks and downlinks both
 		// carry checksummed traffic; returning ACKs get damaged too).
-		for h := 0; h <= cfg.Senders; h++ {
+		for h := 0; h <= senders; h++ {
 			corrupted += cl.Net.Uplink(core.HostID(h)).Stats().Corrupted
 			corrupted += cl.Net.Downlink(core.HostID(h)).Stats().Corrupted
 		}

@@ -1,6 +1,8 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation (§5). Each experiment has a config struct with two presets —
-// Default (benchmark scale) and Quick (test scale) — and returns printable
+// evaluation (§5), plus ablations and extensions. Each experiment is a
+// function of one flag, quick: it sets every value that depends on scale at
+// its top — the benchmark-scale value, the test-scale one, and what the
+// paper used — keeps the rest as package constants, and returns printable
 // stats.Tables whose rows/series mirror what the paper reports.
 //
 // Workload volumes are scaled down from the paper's testbed sizes (the

@@ -10,7 +10,7 @@ import (
 )
 
 // The shape tests state what each reproduced figure must show — the paper's
-// orderings, monotonicities and regimes — over the quick-preset tables
+// orderings, monotonicities and regimes — over the quick-scale tables
 // committed in testdata/quick.json (see pinned).
 
 // cell parses a numeric table cell.
@@ -104,7 +104,7 @@ func TestFig8aShape(t *testing.T) {
 	}
 	// At 32 tuples/packet the measured goodput approaches the ideal. At
 	// quick scale, task setup/teardown overhead (~0.5 ms of control-plane
-	// RPCs and fetches) still costs a few points; the Default preset gets
+	// RPCs and fetches) still costs a few points; the full scale gets
 	// closer.
 	last := len(tb.Rows) - 1
 	if ratio := cell(t, tb, last, 3); ratio < 0.75 {
@@ -290,6 +290,37 @@ func TestRegistry(t *testing.T) {
 			t.Fatalf("incomplete runner %+v", r)
 		}
 	}
+}
+
+// TestScenarioRunner runs askbench -scenario's path at quick scale: one
+// table with one row, the scenario's row of the committed corpus table. An
+// unknown name is an error.
+func TestScenarioRunner(t *testing.T) {
+	if _, err := ScenarioRunner("nope"); err == nil {
+		t.Fatal("unknown scenario accepted")
+	}
+	r, err := ScenarioRunner("flash-crowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables, err := r.Run(true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || len(tables[0].Rows) != 1 {
+		t.Fatalf("want one table of one row, got %d tables:\n%v", len(tables), tables)
+	}
+	got := strings.Join(tables[0].Rows[0], "|")
+	corpus := pinned(t, "scenarios", 0)
+	for _, row := range corpus.Rows {
+		if row[0] == "flash-crowd" {
+			if want := strings.Join(row, "|"); got != want {
+				t.Fatalf("flash-crowd row %s, committed %s", got, want)
+			}
+			return
+		}
+	}
+	t.Fatalf("committed scenarios table has no flash-crowd row:\n%s", corpus)
 }
 
 func TestMultiRackShape(t *testing.T) {

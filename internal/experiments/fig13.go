@@ -10,35 +10,21 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig13aConfig parameterizes the bandwidth-overhead study (Fig. 13(a)):
-// goodput and wire overhead of ASK vs. pure NoAggr transmission between one
-// sender and one receiver, sweeping data channels.
-type Fig13aConfig struct {
-	Channels []int
-	Tuples   int64
-	Distinct int
-}
-
-// DefaultFig13a is the benchmark-scale preset.
-func DefaultFig13a() Fig13aConfig {
-	return Fig13aConfig{Channels: []int{1, 2, 4, 8}, Tuples: 8_000_000, Distinct: 8192}
-}
-
-// QuickFig13a is the test-scale preset.
-func QuickFig13a() Fig13aConfig {
-	return Fig13aConfig{Channels: []int{1, 4}, Tuples: 4_000_000, Distinct: 2048}
-}
-
-// Fig13a reports goodput (filled bar) and total wire rate (bar outline) per
-// channel count for both systems.
-func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
+// fig13a is the bandwidth-overhead study (Fig. 13(a)): goodput (filled
+// bar) and total wire rate (bar outline) of ASK vs. pure NoAggr
+// transmission between one sender and one receiver, per data channel count.
+func fig13a(quick bool) (*stats.Table, error) {
+	channels, tuples, distinct := []int{1, 2, 4, 8}, int64(8_000_000), 8192
+	if quick {
+		channels, tuples, distinct = []int{1, 4}, 4_000_000, 2048
+	}
 	t := &stats.Table{
 		Title:  "Fig. 13(a): aggregation throughput and bandwidth overhead, 1 sender",
 		Note:   "ASK: 32-slot 334 B packets (76.6% goodput ceiling); NoAggr: 1500 B MTU (94.9%)",
 		Header: []string{"channels", "ASK good Gbps", "ASK wire Gbps", "NoAggr good Gbps", "NoAggr wire Gbps"},
 	}
-	for _, ch := range cfg.Channels {
-		askGood, askWire, err := fig13ASKRun(cfg.Tuples, cfg.Distinct, ch)
+	for _, ch := range channels {
+		askGood, askWire, err := fig13ASKRun(tuples, distinct, ch)
 		if err != nil {
 			return nil, err
 		}
@@ -46,7 +32,7 @@ func Fig13a(cfg Fig13aConfig) (*stats.Table, error) {
 		na := baselines.RunNoAggr(baselines.NoAggrConfig{
 			Senders:           1,
 			ChannelsPerSender: ch,
-			BytesPerSender:    cfg.Tuples * 8,
+			BytesPerSender:    tuples * 8,
 			Seed:              seed,
 		})
 		t.AddRow(ch, askGood, askWire, na.GoodputGbps, na.WireGbps)
@@ -74,40 +60,27 @@ func fig13ASKRun(tuples int64, distinct, channels int) (good, wire float64, err 
 	return stats.Gbps(up.TxGoodBytes, elapsed), stats.Gbps(up.TxWireBytes, elapsed), nil
 }
 
-// Fig13bConfig parameterizes the scalability study (Fig. 13(b)): average
-// per-sender throughput as the sender count grows.
-type Fig13bConfig struct {
-	Senders         []int
-	TuplesPerSender int64
-	Distinct        int
-}
-
-// DefaultFig13b is the benchmark-scale preset.
-func DefaultFig13b() Fig13bConfig {
-	return Fig13bConfig{Senders: []int{1, 2, 4, 8}, TuplesPerSender: 2_000_000, Distinct: 4096}
-}
-
-// QuickFig13b is the test-scale preset.
-func QuickFig13b() Fig13bConfig {
-	return Fig13bConfig{Senders: []int{1, 4}, TuplesPerSender: 400_000, Distinct: 1024}
-}
-
-// Fig13b reports per-sender goodput: ASK stays flat (the switch absorbs the
+// fig13b is the scalability study (Fig. 13(b)): average per-sender
+// goodput as the sender count grows. ASK stays flat (the switch absorbs the
 // fan-in) while NoAggr decays as 1/N (the receiver link is the bottleneck).
-func Fig13b(cfg Fig13bConfig) (*stats.Table, error) {
+func fig13b(quick bool) (*stats.Table, error) {
+	senders, perSender, distinct := []int{1, 2, 4, 8}, int64(2_000_000), 4096
+	if quick {
+		senders, perSender, distinct = []int{1, 4}, 400_000, 1024
+	}
 	t := &stats.Table{
 		Title:  "Fig. 13(b): average per-sender throughput vs sender count",
 		Header: []string{"senders", "ASK Gbps/sender", "NoAggr Gbps/sender"},
 	}
-	for _, n := range cfg.Senders {
-		askRate, err := fig13bASKRun(cfg, n)
+	for _, n := range senders {
+		askRate, err := fig13bASKRun(n, perSender, distinct)
 		if err != nil {
 			return nil, err
 		}
 		na := baselines.RunNoAggr(baselines.NoAggrConfig{
 			Senders:           n,
 			ChannelsPerSender: 4,
-			BytesPerSender:    cfg.TuplesPerSender * 8,
+			BytesPerSender:    perSender * 8,
 			Seed:              seed,
 		})
 		t.AddRow(n, askRate, na.PerSenderGoodbps)
@@ -115,7 +88,7 @@ func Fig13b(cfg Fig13bConfig) (*stats.Table, error) {
 	return t, nil
 }
 
-func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
+func fig13bASKRun(senders int, perSender int64, distinct int) (float64, error) {
 	c := microConfig()
 	hosts := make([]core.HostID, senders)
 	for i := range hosts {
@@ -128,7 +101,7 @@ func fig13bASKRun(cfg Fig13bConfig, senders int) (float64, error) {
 		ask.Options{Hosts: senders + 1, Config: c, Seed: seed},
 		k, rows, hosts, 0,
 		func(task int, h core.HostID) workload.Spec {
-			return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.TuplesPerSender/k, seed+int64(task)*100+int64(h), rows)
+			return balancedUniformRows(shortLayout(c.NumAAs), distinct, perSender/k, seed+int64(task)*100+int64(h), rows)
 		})
 	if err != nil {
 		return 0, fmt.Errorf("fig13b n=%d: %w", senders, err)

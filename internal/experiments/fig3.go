@@ -8,50 +8,38 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig3Config parameterizes the single-machine AKV/s comparison (Fig. 3):
-// vanilla Spark vs. the strawman single-tuple INA vs. full multi-key ASK.
-type Fig3Config struct {
-	// Tuples is the stream length (paper: enough to saturate; scaled).
-	Tuples int64
-	// Cores is the x-axis: CPU cores devoted to aggregation. For the INA
-	// systems, cores map to data channels (one DPDK thread per channel).
-	Cores []int
-}
-
 const (
 	// fig3Distinct keys; the strawman assumes all fit in switch memory
 	// (§2.2.2 assumption 3), so the region is sized to hold them.
 	fig3Distinct = 2048
 )
 
-// DefaultFig3 is the benchmark-scale preset.
-func DefaultFig3() Fig3Config {
-	return Fig3Config{Tuples: 2_000_000, Cores: []int{1, 2, 4, 8, 16}}
-}
-
-// QuickFig3 is the test-scale preset.
-func QuickFig3() Fig3Config {
-	return Fig3Config{Tuples: 150_000, Cores: []int{1, 4}}
-}
-
-// Fig3 measures aggregated key-value tuples per second on a single machine
-// for the three systems of Fig. 3. Spark's curve is the calibrated
+// fig3 measures aggregated key-value tuples per second on a single machine
+// for the three systems of Fig. 3: vanilla Spark vs. the strawman
+// single-tuple INA vs. full multi-key ASK. Spark's curve is the calibrated
 // analytical model (cpumodel.SparkAggregateRate); the strawman and ASK
 // curves are measured on the simulated data path.
-func Fig3(cfg Fig3Config) (*stats.Table, error) {
+func fig3(quick bool) (*stats.Table, error) {
+	// The stream length (paper: enough to saturate; scaled) and the x-axis:
+	// CPU cores devoted to aggregation. For the INA systems, cores map to
+	// data channels (one DPDK thread per channel).
+	tuples, coreCounts := int64(2_000_000), []int{1, 2, 4, 8, 16}
+	if quick {
+		tuples, coreCounts = 150_000, []int{1, 4}
+	}
 	t := &stats.Table{
 		Title:  "Fig. 3: single-machine aggregation throughput (AKV/s)",
 		Note:   "strawman = 1 tuple/packet INA (§2.2.2); ASK = 32-slot multi-key packets",
 		Header: []string{"cores", "Spark AKV/s", "Strawman AKV/s", "ASK AKV/s", "ASK/Spark"},
 	}
-	for _, cores := range cfg.Cores {
+	for _, cores := range coreCounts {
 		spark := cpumodel.SparkAggregateRate(cores)
 
-		straw, err := fig3Run(cfg, cores, true)
+		straw, err := fig3Run(tuples, cores, true)
 		if err != nil {
 			return nil, err
 		}
-		full, err := fig3Run(cfg, cores, false)
+		full, err := fig3Run(tuples, cores, false)
 		if err != nil {
 			return nil, err
 		}
@@ -64,7 +52,7 @@ func Fig3(cfg Fig3Config) (*stats.Table, error) {
 // single-tuple packets make a run 32× more packet-events than ASK's, so it
 // measures a proportionally shorter stream (AKV/s is a rate; both systems
 // run long past pipeline fill).
-func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
+func fig3Run(tuples int64, cores int, strawman bool) (float64, error) {
 	c := microConfig()
 	c.DataChannels = cores
 	if strawman {
@@ -75,7 +63,6 @@ func fig3Run(cfg Fig3Config, cores int, strawman bool) (float64, error) {
 	// key fits an aggregator (§2.2.2), so rows are sized to keep row-hash
 	// collisions negligible.
 	rows := (c.AARows / cores) &^ 1
-	tuples := cfg.Tuples
 	if strawman {
 		tuples /= 8
 	}

@@ -11,53 +11,30 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig7Config parameterizes the computation-offload comparison (Fig. 7):
-// ASK with 1/2/4 data channels vs. the host-only PreAggr baseline with
-// 8..56 threads, one sender and one receiver host. Hosts have
-// cpumodel.DefaultCores, the paper's 56.
-type Fig7Config struct {
-	// Tuples is the stream length (paper: 6.4 G tuples = 51.2 GB; scaled).
-	Tuples int64
-	// Distinct keys: the paper's pre-aggregation shrinks 51.2 GB to 256 MB,
-	// a 200× reduction, so Distinct ≈ Tuples/200.
-	Distinct int
-	Channels []int
-	Threads  []int
-}
-
-// DefaultFig7 is the benchmark-scale preset (1/1000 of the paper's volume).
-func DefaultFig7() Fig7Config {
-	return Fig7Config{
-		Tuples:   3_200_000,
-		Distinct: 16_000,
-		Channels: []int{1, 2, 4},
-		Threads:  []int{8, 16, 32, 56},
+// fig7 compares job completion time and CPU cost of ASK with 1/2/4 data
+// channels against the host-only PreAggr baseline with 8..56 threads, one
+// sender and one receiver host (Fig. 7). Hosts have cpumodel.DefaultCores,
+// the paper's 56. CPU% follows the paper's accounting: an ASK data channel
+// pins one DPDK core (channels/cores); PreAggr's utilization is measured
+// busy time over the job.
+func fig7(quick bool) (*stats.Table, error) {
+	// The stream length (paper: 6.4 G tuples = 51.2 GB; 1/2000 of it) and
+	// the distinct keys: the paper's pre-aggregation shrinks 51.2 GB to
+	// 256 MB, a 200× reduction, so distinct ≈ tuples/200.
+	tuples, distinct := int64(3_200_000), 16_000
+	channels, threads := []int{1, 2, 4}, []int{8, 16, 32, 56}
+	if quick {
+		tuples, distinct = 1_000_000, 5_000
+		channels, threads = []int{1, 4}, []int{8, 32}
 	}
-}
-
-// QuickFig7 is the test-scale preset.
-func QuickFig7() Fig7Config {
-	return Fig7Config{
-		Tuples:   1_000_000,
-		Distinct: 5_000,
-		Channels: []int{1, 4},
-		Threads:  []int{8, 32},
-	}
-}
-
-// Fig7 compares job completion time and CPU cost of ASK against PreAggr.
-// CPU% follows the paper's accounting: an ASK data channel pins one DPDK
-// core (channels/cores); PreAggr's utilization is measured busy time over
-// the job.
-func Fig7(cfg Fig7Config) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  "Fig. 7: JCT and CPU usage — ASK data channels vs PreAggr threads",
-		Note:   fmt.Sprintf("%d tuples, %d distinct keys, 1 sender + 1 receiver", cfg.Tuples, cfg.Distinct),
+		Note:   fmt.Sprintf("%d tuples, %d distinct keys, 1 sender + 1 receiver", tuples, distinct),
 		Header: []string{"system", "JCT", "CPU%", "CPU busy"},
 	}
-	spec := workload.Uniform(cfg.Distinct, cfg.Tuples, seed)
+	spec := workload.Uniform(distinct, tuples, seed)
 
-	for _, ch := range cfg.Channels {
+	for _, ch := range channels {
 		c := microConfig()
 		c.DataChannels = ch
 		rows := (c.AARows / ch) &^ 1
@@ -66,7 +43,7 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 			ch, rows,
 			[]core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
-				return balancedUniformRows(shortLayout(c.NumAAs), cfg.Distinct, cfg.Tuples/int64(ch), seed+int64(task), rows)
+				return balancedUniformRows(shortLayout(c.NumAAs), distinct, tuples/int64(ch), seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("ASK %d dCh: %w", ch, err)
@@ -77,7 +54,7 @@ func Fig7(cfg Fig7Config) (*stats.Table, error) {
 			cl.CPU(1).BusyTime()) // sender-side work
 	}
 
-	for _, th := range cfg.Threads {
+	for _, th := range threads {
 		rep := baselines.RunPreAggr(baselines.PreAggrConfig{
 			Op: core.OpSum, Threads: th, Seed: seed,
 		}, spec.Stream())

@@ -12,43 +12,26 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig8aConfig parameterizes the multi-key goodput sweep (Fig. 8(a)):
-// goodput between two servers as a function of tuples per packet, against
-// the ideal 8x/(8x+78)·100 Gbps curve.
-type Fig8aConfig struct {
-	// TuplesPerPacket is the x-axis (1..64; above 32 emulates chained
-	// pipelines, §5.7.2, by extending the PISA stage budget).
-	TuplesPerPacket []int
-	Distinct        int
-}
-
 const (
 	// fig8aTuples per measurement point.
 	fig8aTuples = 4_000_000
 )
 
-// DefaultFig8a is the benchmark-scale preset.
-func DefaultFig8a() Fig8aConfig {
-	return Fig8aConfig{
-		TuplesPerPacket: []int{1, 2, 4, 8, 16, 24, 32, 48, 64},
-		Distinct:        8192,
+// fig8a measures sender goodput between two servers per packet geometry
+// (Fig. 8(a)) and compares it with the ideal 8x/(8x+78)·100 Gbps curve.
+func fig8a(quick bool) (*stats.Table, error) {
+	// The x-axis: tuples per packet (1..64; above 32 emulates chained
+	// pipelines, §5.7.2, by extending the PISA stage budget).
+	perPacket, distinct := []int{1, 2, 4, 8, 16, 24, 32, 48, 64}, 8192
+	if quick {
+		perPacket, distinct = []int{1, 8, 32}, 2048
 	}
-}
-
-// QuickFig8a is the test-scale preset.
-func QuickFig8a() Fig8aConfig {
-	return Fig8aConfig{TuplesPerPacket: []int{1, 8, 32}, Distinct: 2048}
-}
-
-// Fig8a measures actual sender goodput per packet geometry and compares it
-// with the theoretical ideal.
-func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 	t := &stats.Table{
 		Title:  "Fig. 8(a): goodput vs key-value tuples per packet (4 data channels)",
 		Note:   "ideal = 8x/(8x+78) × 100 Gbps; below 32 tuples the host PPS bounds goodput",
 		Header: []string{"tuples/pkt", "measured Gbps", "ideal Gbps", "measured/ideal"},
 	}
-	for _, x := range cfg.TuplesPerPacket {
+	for _, x := range perPacket {
 		c := microConfig()
 		c.NumAAs = x
 		ch := c.DataChannels
@@ -66,7 +49,7 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 		// One task per data channel (see runParallelTasks).
 		cl, elapsed, err := runParallelTasks(opts, ch, rows, []core.HostID{1}, 0,
 			func(task int, _ core.HostID) workload.Spec {
-				return balancedUniformRows(shortLayout(x), cfg.Distinct, fig8aTuples/int64(ch), seed+int64(task), rows)
+				return balancedUniformRows(shortLayout(x), distinct, fig8aTuples/int64(ch), seed+int64(task), rows)
 			})
 		if err != nil {
 			return nil, fmt.Errorf("x=%d: %w", x, err)
@@ -78,28 +61,22 @@ func Fig8a(cfg Fig8aConfig) (*stats.Table, error) {
 	return t, nil
 }
 
-// Fig8bConfig parameterizes the packet-fill CDF per dataset (Fig. 8(b)).
-type Fig8bConfig struct {
-	Tuples int64
-}
-
-// DefaultFig8b is the benchmark-scale preset.
-func DefaultFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 1_500_000} }
-
-// QuickFig8b is the test-scale preset.
-func QuickFig8b() Fig8bConfig { return Fig8bConfig{Tuples: 100_000} }
-
-// Fig8b measures the distribution of non-blank tuple slots per data packet
-// for each corpus stand-in plus the uniform reference.
-func Fig8b(cfg Fig8bConfig) (*stats.Table, error) {
+// fig8b measures the distribution of non-blank tuple slots per data packet
+// (Fig. 8(b)) for each corpus stand-in plus the uniform reference.
+func fig8b(quick bool) (*stats.Table, error) {
+	// Tuples per dataset.
+	tuples := int64(1_500_000)
+	if quick {
+		tuples = 100_000
+	}
 	t := &stats.Table{
 		Title:  "Fig. 8(b): non-blank tuple slots per packet (of 32)",
 		Note:   "key-space partition leaves slots blank under key skew (§3.2.2)",
 		Header: []string{"dataset", "mean", "P10", "P50", "P90"},
 	}
-	specs := []workload.Spec{uniformMixedKeys(cfg)}
+	specs := []workload.Spec{uniformMixedKeys(tuples)}
 	for _, name := range workload.DatasetNames() {
-		specs = append(specs, workload.Dataset(name, cfg.Tuples, seed))
+		specs = append(specs, workload.Dataset(name, tuples, seed))
 	}
 	for _, spec := range specs {
 		_, cl, err := runAggregation(ask.Options{Hosts: 2, Seed: seed}, singleSenderTask(spec, 0))
@@ -121,11 +98,11 @@ func Fig8b(cfg Fig8bConfig) (*stats.Table, error) {
 // want 2/3 of the tuple mass, 8 two-slot medium groups the remaining 1/3 —
 // so packets pack nearly full (the paper's "no blank tuple in almost every
 // packet").
-func uniformMixedKeys(cfg Fig8bConfig) workload.Spec {
+func uniformMixedKeys(tuples int64) workload.Spec {
 	return workload.Spec{
 		Name:     "Uniform",
 		Distinct: 12_000, // small enough that 4-byte names exist for all ranks
-		Tuples:   cfg.Tuples,
+		Tuples:   tuples,
 		KeyLens: func(rank int) int {
 			if rank%3 == 2 {
 				return 8 // medium

@@ -8,68 +8,45 @@ import (
 	"repro/internal/workload"
 )
 
-// Fig9Config parameterizes the hot-key prioritization study (Fig. 9): the
-// fraction of tuples the switch aggregates as a function of the
-// aggregator-to-distinct-key ratio, with and without the shadow-copy
-// mechanism, on Zipf (hot-first), Zipf (reverse), and Uniform streams.
-type Fig9Config struct {
-	// Distinct is the distinct-key count (paper: 2¹⁶; scaled so keys stay
-	// 4-byte short keys for the all-short layout).
-	Distinct int
-	// Tuples is the stream length (paper: ~10⁸; scaled).
-	Tuples int64
-	// Ratios sweeps total aggregators / distinct keys.
-	Ratios []float64
-	// SwapThreshold is the receiver packet count that triggers a swap.
-	SwapThreshold int
-}
-
 const (
 	// fig9Skew is the Zipf exponent.
 	fig9Skew = 1.05
 )
 
-// DefaultFig9 is the benchmark-scale preset.
-func DefaultFig9() Fig9Config {
-	return Fig9Config{
-		Distinct:      8192,
-		Tuples:        700_000,
-		Ratios:        []float64{1.0 / 256, 1.0 / 64, 1.0 / 16, 1.0 / 4, 1},
-		SwapThreshold: 128,
-	}
-}
-
-// QuickFig9 is the test-scale preset.
-func QuickFig9() Fig9Config {
-	return Fig9Config{
-		Distinct:      2048,
-		Tuples:        150_000,
-		Ratios:        []float64{1.0 / 16, 1},
-		SwapThreshold: 64,
-	}
-}
-
 // fig9AAs is the AA count for this experiment: an all-short-key layout so
 // "total aggregators" maps cleanly to AAs × rows.
 const fig9AAs = 8
 
-// Fig9 runs the sweep. Each cell is the percentage of switch-eligible
-// tuples aggregated in-network.
-func Fig9(cfg Fig9Config) (*stats.Table, error) {
+// fig9 is the hot-key prioritization study (Fig. 9): the fraction of
+// tuples the switch aggregates as a function of the aggregator-to-distinct-key
+// ratio, with and without the shadow-copy mechanism, on Zipf (hot-first),
+// Zipf (reverse), and Uniform streams. Each cell is the percentage of
+// switch-eligible tuples aggregated in-network.
+func fig9(quick bool) (*stats.Table, error) {
+	// The distinct-key count (paper: 2¹⁶; scaled so keys stay 4-byte short
+	// keys for the all-short layout), the stream length (paper: ~10⁸;
+	// scaled), the sweep of total aggregators / distinct keys, and the
+	// receiver packet count that triggers a swap.
+	distinct, tuples, swap := 8192, int64(700_000), 128
+	ratios := []float64{1.0 / 256, 1.0 / 64, 1.0 / 16, 1.0 / 4, 1}
+	if quick {
+		distinct, tuples, swap = 2048, 150_000, 64
+		ratios = []float64{1.0 / 16, 1}
+	}
 	t := &stats.Table{
 		Title: "Fig. 9: switch-aggregated tuples vs aggregator:distinct-key ratio",
 		Note: fmt.Sprintf("%d distinct keys, %d tuples, swap threshold %d packets",
-			cfg.Distinct, cfg.Tuples, cfg.SwapThreshold),
+			distinct, tuples, swap),
 		Header: []string{"agg/keys", "Zipf%", "Zipf(rev)%", "Uniform%",
 			"Zipf%+prio", "Zipf(rev)%+prio", "Uniform%+prio"},
 	}
 	orders := []workload.Spec{
-		workload.Zipf(cfg.Distinct, cfg.Tuples, fig9Skew, workload.HotFirst, seed),
-		workload.Zipf(cfg.Distinct, cfg.Tuples, fig9Skew, workload.ColdFirst, seed),
-		workload.Uniform(cfg.Distinct, cfg.Tuples, seed),
+		workload.Zipf(distinct, tuples, fig9Skew, workload.HotFirst, seed),
+		workload.Zipf(distinct, tuples, fig9Skew, workload.ColdFirst, seed),
+		workload.Uniform(distinct, tuples, seed),
 	}
-	for _, ratio := range cfg.Ratios {
-		aggs := int(ratio * float64(cfg.Distinct))
+	for _, ratio := range ratios {
+		aggs := int(ratio * float64(distinct))
 		rows := aggs / fig9AAs
 		if rows < 2 {
 			rows = 2
@@ -81,7 +58,7 @@ func Fig9(cfg Fig9Config) (*stats.Table, error) {
 		}
 		for _, prio := range []bool{false, true} {
 			for _, spec := range orders {
-				pct, err := fig9Run(cfg, spec, rows, prio)
+				pct, err := fig9Run(spec, rows, prio, swap)
 				if err != nil {
 					return nil, fmt.Errorf("ratio %v %s prio=%v: %w", ratio, spec.Name, prio, err)
 				}
@@ -93,11 +70,12 @@ func Fig9(cfg Fig9Config) (*stats.Table, error) {
 	return t, nil
 }
 
-func fig9Run(cfg Fig9Config, spec workload.Spec, rows int, prio bool) (float64, error) {
+// fig9Run measures one cell: prio turns the shadow copies on at swap.
+func fig9Run(spec workload.Spec, rows int, prio bool, swap int) (float64, error) {
 	c := microConfig()
 	c.NumAAs = fig9AAs
 	if prio {
-		c.SwapThreshold = cfg.SwapThreshold
+		c.SwapThreshold = swap
 	}
 	res, _, err := runAggregation(ask.Options{Hosts: 2, Config: c, Seed: seed}, singleSenderTask(spec, rows))
 	if err != nil {

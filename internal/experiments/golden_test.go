@@ -29,7 +29,7 @@ func readGolden(t *testing.T) ([]byte, []Outcome) {
 	return raw, outcomes
 }
 
-// pinned returns table k of one experiment's quick preset as committed.
+// pinned returns table k of one experiment at quick scale as committed.
 // TestQuickGolden proves the committed tables are what the code produces, so
 // the shape tests judge them instead of running each experiment a second
 // time.
@@ -46,7 +46,7 @@ func pinned(t *testing.T, name string, k int) *stats.Table {
 }
 
 // TestQuickGolden is the one run of every experiment per `go test`: the whole
-// registry at its quick presets on a worker per CPU, byte-equal to the file
+// registry at quick scale on a worker per CPU, byte-equal to the file
 // the serial CLI wrote — so it pins every cell of every table and proves
 // serial ≡ parallel on the real registry in one pass.
 //

@@ -43,7 +43,7 @@ func TestRunRejectsWrongReferenceAndCloses(t *testing.T) {
 // TestRegistryJSONIsDeterministic runs the fabric-chaos experiment — spine
 // and leaf outages, re-election and replay, the most state a run carries —
 // twice in-process and requires byte-equal JSON: a run is a function of
-// (experiment, preset, seed) alone.
+// (experiment, scale, seed) alone.
 func TestRegistryJSONIsDeterministic(t *testing.T) {
 	r, err := ByName("fabric-chaos")
 	if err != nil {

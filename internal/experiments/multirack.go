@@ -9,15 +9,6 @@ import (
 	"repro/internal/workload"
 )
 
-// MultiRackConfig parameterizes the §7 multi-rack study: how in-network
-// absorption and completion time change as the task's senders move from the
-// receiver's rack to remote racks (whose traffic bypasses the receiver's
-// TOR and is aggregated at the host).
-type MultiRackConfig struct {
-	TuplesPerSender int64
-	Distinct        int
-}
-
 // The deployment and the task at every scale: multiRackSenders senders over
 // multiRackRacks racks of multiRackHostsPerRack hosts.
 const (
@@ -26,23 +17,20 @@ const (
 	multiRackSenders      = 6
 )
 
-// DefaultMultiRack is the benchmark-scale preset.
-func DefaultMultiRack() MultiRackConfig {
-	return MultiRackConfig{TuplesPerSender: 400_000, Distinct: 4096}
-}
-
-// QuickMultiRack is the test-scale preset.
-func QuickMultiRack() MultiRackConfig {
-	return MultiRackConfig{TuplesPerSender: 30_000, Distinct: 1024}
-}
-
-// MultiRack sweeps the number of remote senders from 0 (all rack-local,
-// full INA) to all-remote (pure host aggregation).
-func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
+// multiRack is the §7 multi-rack study: how in-network absorption and
+// completion time change as the task's senders move from the receiver's
+// rack to remote racks (whose traffic bypasses the receiver's TOR and is
+// aggregated at the host). It sweeps the number of remote senders from 0
+// (all rack-local, full INA) to all-remote (pure host aggregation).
+func multiRack(quick bool) (*stats.Table, error) {
+	perSender, distinct := int64(400_000), 4096
+	if quick {
+		perSender, distinct = 30_000, 1024
+	}
 	t := &stats.Table{
 		Title: "Extension (§7): multi-rack deployment — remote senders bypass the receiver TOR",
 		Note: fmt.Sprintf("%d racks × %d hosts, %d senders, %d tuples each",
-			multiRackRacks, multiRackHostsPerRack, multiRackSenders, cfg.TuplesPerSender),
+			multiRackRacks, multiRackHostsPerRack, multiRackSenders, perSender),
 		Header: []string{"remote senders", "switch-aggregated %", "host residue %", "elapsed"},
 	}
 	for remote := 0; remote <= multiRackSenders; remote += 2 {
@@ -68,14 +56,14 @@ func MultiRack(cfg MultiRackConfig) (*stats.Table, error) {
 		senders = dedupHosts(senders)
 		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: receiver, Op: core.OpSum})
 		for i, s := range senders {
-			j.Send(s, workload.Uniform(cfg.Distinct, cfg.TuplesPerSender, seed+int64(i)))
+			j.Send(s, workload.Uniform(distinct, perSender, seed+int64(i)))
 		}
 		results, err := fc.Run(j)
 		fc.Sim.Close()
 		if err != nil {
 			return nil, fmt.Errorf("multirack remote=%d: %w", remote, err)
 		}
-		res, total := results[0], cfg.TuplesPerSender*int64(len(senders))
+		res, total := results[0], perSender*int64(len(senders))
 		t.AddRow(remote,
 			100*float64(res.Switch.TuplesAggregated)/float64(total),
 			100*float64(res.Recv.ResidueTuples)/float64(total),

@@ -32,7 +32,7 @@ type Outcome struct {
 
 // RunParallel runs the given experiments on a pool of `workers` goroutines
 // (workers <= 1 degenerates to strictly serial, in order) and returns their
-// outcomes in input order. quick selects the test-scale presets.
+// outcomes in input order. quick selects the test scale.
 func RunParallel(runners []Runner, quick bool, workers int) []Outcome {
 	out := make([]Outcome, len(runners))
 	runOne := func(i int) {

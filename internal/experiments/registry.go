@@ -12,26 +12,15 @@ import (
 type Runner struct {
 	Name string
 	Desc string
-	// Run runs the experiment at its test-scale preset (quick) or its
-	// benchmark-scale one.
+	// Run runs the experiment at test scale (quick) or at benchmark
+	// scale.
 	Run func(quick bool) ([]*stats.Table, error)
 }
 
-// runner is the one adapter from an experiment's documented preset pair and
-// its function to a registry entry.
-func runner[C any](name, desc string, quick, full func() C, run func(C) ([]*stats.Table, error)) Runner {
-	return Runner{Name: name, Desc: desc, Run: func(q bool) ([]*stats.Table, error) {
-		if q {
-			return run(quick())
-		}
-		return run(full())
-	}}
-}
-
 // one lifts a single-table experiment to the registry's table list.
-func one[C any](f func(C) (*stats.Table, error)) func(C) ([]*stats.Table, error) {
-	return func(cfg C) ([]*stats.Table, error) {
-		t, err := f(cfg)
+func one(f func(quick bool) (*stats.Table, error)) func(bool) ([]*stats.Table, error) {
+	return func(quick bool) ([]*stats.Table, error) {
+		t, err := f(quick)
 		if err != nil {
 			return nil, err
 		}
@@ -42,27 +31,27 @@ func one[C any](f func(C) (*stats.Table, error)) func(C) ([]*stats.Table, error)
 // All lists every experiment, in the paper's order.
 func All() []Runner {
 	return []Runner{
-		runner("fig3", "single-machine AKV/s: Spark vs strawman INA vs ASK", QuickFig3, DefaultFig3, one(Fig3)),
-		runner("fig7", "computation offload: ASK data channels vs PreAggr threads", QuickFig7, DefaultFig7, one(Fig7)),
-		runner("table1", "traffic reduction on production-corpus stand-ins", QuickTable1, DefaultTable1, one(Table1)),
-		runner("fig8a", "goodput vs tuples per packet", QuickFig8a, DefaultFig8a, one(Fig8a)),
-		runner("fig8b", "non-blank tuple slots per packet per dataset", QuickFig8b, DefaultFig8b, one(Fig8b)),
-		runner("fig9", "hot-key prioritization vs aggregator:key ratio", QuickFig9, DefaultFig9, one(Fig9)),
-		runner("fig10", "WordCount JCT: Spark/SHM/RDMA/ASK", QuickFig10, DefaultFig10, one(Fig10)),
-		runner("fig11", "mapper/reducer task completion times", QuickFig10, DefaultFig10, one(Fig11)),
-		runner("fig12", "distributed training throughput: ASK/ATP/SwitchML/HostPS", QuickFig12, DefaultFig12, one(Fig12)),
-		runner("fig13a", "throughput and bandwidth overhead vs data channels", QuickFig13a, DefaultFig13a, one(Fig13a)),
-		runner("fig13b", "per-sender throughput vs sender count", QuickFig13b, DefaultFig13b, one(Fig13b)),
-		runner("ablation-swap", "shadow-copy swap threshold sweep", QuickAblationSwap, DefaultAblationSwap, one(AblationSwap)),
-		runner("ablation-window", "sliding-window size under loss", QuickAblationWindow, DefaultAblationWindow, one(AblationWindow)),
-		runner("ablation-congestion", "AIMD congestion window vs fixed window under incast", QuickAblationCongestion, DefaultAblationCongestion, one(AblationCongestion)),
-		runner("multirack", "§7 multi-rack: absorption vs remote-sender fraction", QuickMultiRack, DefaultMultiRack, one(MultiRack)),
-		runner("ablation-medium", "coalesced medium-key group width", QuickAblationMedium, DefaultAblationMedium, one(AblationMedium)),
-		runner("scenarios", "scenario corpus: AA hit rate / promotions / goodput per shape", QuickScenarios, DefaultScenarios, one(Scenarios)),
-		runner("chaos", "fault injection: switch failover + degradation vs golden run", QuickChaos, DefaultChaos, one(Chaos)),
-		runner("fabric-chaos", "fat-tree fault injection: spine re-election + leaf recovery vs golden run", QuickFabricChaos, DefaultFabricChaos, one(FabricChaos)),
-		runner("tenancy", "multi-tenant fabric: weighted goodput fairness + AA pool utilization", QuickTenancy, DefaultTenancy, Tenancy),
-		runner("corruption", "link corruption sweep: CRC32C quarantine cost vs goodput", QuickCorruption, DefaultCorruption, one(Corruption)),
+		{"fig3", "single-machine AKV/s: Spark vs strawman INA vs ASK", one(fig3)},
+		{"fig7", "computation offload: ASK data channels vs PreAggr threads", one(fig7)},
+		{"table1", "traffic reduction on production-corpus stand-ins", one(table1)},
+		{"fig8a", "goodput vs tuples per packet", one(fig8a)},
+		{"fig8b", "non-blank tuple slots per packet per dataset", one(fig8b)},
+		{"fig9", "hot-key prioritization vs aggregator:key ratio", one(fig9)},
+		{"fig10", "WordCount JCT: Spark/SHM/RDMA/ASK", one(fig10)},
+		{"fig11", "mapper/reducer task completion times", one(fig11)},
+		{"fig12", "distributed training throughput: ASK/ATP/SwitchML/HostPS", one(fig12)},
+		{"fig13a", "throughput and bandwidth overhead vs data channels", one(fig13a)},
+		{"fig13b", "per-sender throughput vs sender count", one(fig13b)},
+		{"ablation-swap", "shadow-copy swap threshold sweep", one(ablationSwap)},
+		{"ablation-window", "sliding-window size under loss", one(ablationWindow)},
+		{"ablation-congestion", "AIMD congestion window vs fixed window under incast", one(ablationCongestion)},
+		{"multirack", "§7 multi-rack: absorption vs remote-sender fraction", one(multiRack)},
+		{"ablation-medium", "coalesced medium-key group width", one(ablationMedium)},
+		{"scenarios", "scenario corpus: AA hit rate / promotions / goodput per shape", one(func(quick bool) (*stats.Table, error) { return scenarios(quick) })},
+		{"chaos", "fault injection: switch failover + degradation vs golden run", one(rackChaos)},
+		{"fabric-chaos", "fat-tree fault injection: spine re-election + leaf recovery vs golden run", one(fabricChaos)},
+		{"tenancy", "multi-tenant fabric: weighted goodput fairness + AA pool utilization", multiTenant},
+		{"corruption", "link corruption sweep: CRC32C quarantine cost vs goodput", one(corruption)},
 	}
 }
 
@@ -73,11 +62,8 @@ func ScenarioRunner(name string) (Runner, error) {
 	if _, err := scenario.ByName(name); err != nil {
 		return Runner{}, err
 	}
-	return runner("scenario:"+name, "scenario corpus sweep restricted to "+name, QuickScenarios, DefaultScenarios,
-		one(func(cfg ScenariosConfig) (*stats.Table, error) {
-			cfg.Names = []string{name}
-			return Scenarios(cfg)
-		})), nil
+	return Runner{"scenario:" + name, "scenario corpus sweep restricted to " + name,
+		one(func(quick bool) (*stats.Table, error) { return scenarios(quick, name) })}, nil
 }
 
 // ByName finds an experiment runner.

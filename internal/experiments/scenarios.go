@@ -11,52 +11,31 @@ import (
 	"repro/internal/workload/scenario"
 )
 
-// ScenariosConfig parameterizes the scenario-corpus sweep: every named
-// workload shape in the committed corpus replayed through the full stack on
-// the sim clock (timed streams), one cluster per scenario.
-type ScenariosConfig struct {
-	// Senders splits each scenario's stream round-robin across this many
-	// sending hosts.
-	Senders int
-	// Tuples, when positive, overrides each scenario's stream length (the
-	// quick preset scales the corpus down without redefining it).
-	Tuples int64
-	// Swap is the shadow-copy swap threshold (packets between promotion
-	// rounds). The corpus streams are much shorter than the paper's full
-	// replays, so the sweep lowers it below DefaultConfig's to keep the
-	// promotion machinery exercised at this scale.
-	Swap int
-	// Rows caps the switch region rows (even, for the shadow copies). The
-	// default layout holds every corpus vocabulary outright; capping rows
-	// keeps aggregators scarce so hit rate and promotions respond to the
+// scenarios sweeps the committed scenario corpus (names restricts it to
+// those scenarios): each shape is generated from its seed, split across the
+// senders, and replayed with arrival timestamps on the sim clock, one
+// cluster per scenario, so the cluster experiences the shape's temporal
+// structure (bursts, lulls, diurnal cycles) rather than back-to-back
+// pressure. Per shape it reports what the paper's steady-state figures
+// cannot show: how the switch-AA hit rate, shadow-copy promotion churn, and
+// goodput fraction respond to arrival dynamics and key churn.
+func scenarios(quick bool, names ...string) (*stats.Table, error) {
+	// senders share each scenario's stream round-robin. tuples, when
+	// positive, overrides each scenario's stream length (the full scale
+	// replays the corpus as committed). swap is the shadow-copy swap
+	// threshold: the corpus streams are much shorter than the paper's full
+	// replays, so it sits below DefaultConfig's to keep promotions
+	// exercised. rows caps the switch region (even, for the shadow copies)
+	// so aggregators stay scarce and hit rate and promotions respond to the
 	// shapes' churn.
-	Rows int
-	// Names restricts the sweep to these scenarios (empty = whole corpus).
-	Names []string
-}
-
-// DefaultScenarios is the benchmark-scale preset: the corpus as committed.
-func DefaultScenarios() ScenariosConfig {
-	return ScenariosConfig{Senders: 3, Swap: 256, Rows: 64}
-}
-
-// QuickScenarios is the test-scale preset.
-func QuickScenarios() ScenariosConfig {
-	return ScenariosConfig{Senders: 2, Tuples: 6_000, Swap: 64, Rows: 32}
-}
-
-// Scenarios sweeps the committed scenario corpus: each shape is generated
-// from its seed, split across the senders, and replayed with arrival
-// timestamps on the sim clock, so the cluster experiences the shape's
-// temporal structure (bursts, lulls, diurnal cycles) rather than
-// back-to-back pressure. Per shape it reports what the paper's steady-state
-// figures cannot show: how the switch-AA hit rate, shadow-copy promotion
-// churn, and goodput fraction respond to arrival dynamics and key churn.
-func Scenarios(cfg ScenariosConfig) (*stats.Table, error) {
+	senders, tuples, swap, rows := 3, int64(0), 256, 64
+	if quick {
+		senders, tuples, swap, rows = 2, 6_000, 64, 32
+	}
 	corpus := scenario.All()
-	if len(cfg.Names) > 0 {
-		picked := make([]scenario.Scenario, 0, len(cfg.Names))
-		for _, name := range cfg.Names {
+	if len(names) > 0 {
+		picked := make([]scenario.Scenario, 0, len(names))
+		for _, name := range names {
 			s, err := scenario.ByName(name)
 			if err != nil {
 				return nil, err
@@ -67,26 +46,24 @@ func Scenarios(cfg ScenariosConfig) (*stats.Table, error) {
 	}
 	t := &stats.Table{
 		Title:  "Scenario corpus: AA hit rate, promotions, goodput per workload shape",
-		Note:   fmt.Sprintf("%d senders, timed replay on the sim clock; GF = goodput/wire bytes on sender uplinks", cfg.Senders),
+		Note:   fmt.Sprintf("%d senders, timed replay on the sim clock; GF = goodput/wire bytes on sender uplinks", senders),
 		Header: []string{"scenario", "tuples", "AA hit %", "swaps", "GF %", "elapsed ms"},
 	}
 	for _, s := range corpus {
-		if cfg.Tuples > 0 {
-			s = s.WithTuples(cfg.Tuples)
+		if tuples > 0 {
+			s = s.WithTuples(tuples)
 		}
 		tkvs := core.CollectTimed(s.TimedStream())
-		parts := workload.SplitTimedRoundRobin(tkvs, cfg.Senders)
+		parts := workload.SplitTimedRoundRobin(tkvs, senders)
 
-		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: cfg.Rows})
+		j := ask.NewJob(core.TaskSpec{ID: 1, Receiver: 0, Op: core.OpSum, Rows: rows})
 		for i, part := range parts {
 			j.SendTimed(core.HostID(i+1), part)
 		}
 
 		conf := core.DefaultConfig()
-		if cfg.Swap > 0 {
-			conf.SwapThreshold = cfg.Swap
-		}
-		res, cl, err := runAggregation(ask.Options{Hosts: cfg.Senders + 1, Config: conf, Seed: s.Seed}, j)
+		conf.SwapThreshold = swap
+		res, cl, err := runAggregation(ask.Options{Hosts: senders + 1, Config: conf, Seed: s.Seed}, j)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
 		}

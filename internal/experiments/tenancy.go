@@ -14,24 +14,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TenancyConfig parameterizes the multi-tenant fabric study: concurrent
-// backlogged tenants share one spine/leaf fabric's AA pool under weighted
-// allocation, and we measure how fairly the in-network aggregation capacity
-// tracks the weights, and how much more work the pool does than under the
-// paper's one-job-owns-the-switch model.
-//
-// Fairness is measured the way the allocator actually shares the pool:
-// admission control over fixed-size tasks. Every task is identical
-// (tenancyRowsPerTask rows, one sender, the same hot-set shape), so per-task
-// goodput is statistically equal and a tenant's aggregate goodput is set by
-// how many tasks its quota admits — which is what the weights apportion.
-// Tenants submit one task beyond their quota to exercise the typed OVERLOAD
-// rejection.
-type TenancyConfig struct {
-	// TuplesPerSender is each sender's stream length.
-	TuplesPerSender int64
-}
-
 // The fabric and the tasks of the tenancy study at every scale.
 const (
 	tenancySpines = 2
@@ -63,11 +45,35 @@ const (
 	tenancyRowFrac = 8
 )
 
-// DefaultTenancy is the benchmark-scale preset.
-func DefaultTenancy() TenancyConfig { return TenancyConfig{TuplesPerSender: 100_000} }
-
-// QuickTenancy is the test-scale preset.
-func QuickTenancy() TenancyConfig { return TenancyConfig{TuplesPerSender: 20_000} }
+// multiTenant is the multi-tenant fabric study: concurrent backlogged tenants
+// share one spine/leaf fabric's AA pool under weighted allocation, and it
+// measures how fairly the in-network aggregation capacity tracks the
+// weights, and how much more work the pool does than under the paper's
+// one-job-owns-the-switch model.
+//
+// Fairness is measured the way the allocator actually shares the pool:
+// admission control over fixed-size tasks. Every task is identical
+// (tenancyRowsPerTask rows, one sender, the same hot-set shape), so per-task
+// goodput is statistically equal and a tenant's aggregate goodput is set by
+// how many tasks its quota admits — which is what the weights apportion.
+// Tenants submit one task beyond their quota to exercise the typed OVERLOAD
+// rejection.
+func multiTenant(quick bool) ([]*stats.Table, error) {
+	// Each sender's stream length.
+	perSender := int64(100_000)
+	if quick {
+		perSender = 20_000
+	}
+	fair, err := tenancyFairness(perSender)
+	if err != nil {
+		return nil, err
+	}
+	util, err := tenancyUtilization(perSender)
+	if err != nil {
+		return nil, err
+	}
+	return []*stats.Table{fair, util}, nil
+}
 
 // tenantRun is one tenant's outcome in a concurrent multi-tenant run.
 type tenantRun struct {
@@ -82,7 +88,7 @@ type tenantRun struct {
 // receiver on leaf 0 and weight-many senders on every other leaf, all
 // interleaved on the sim clock. Every result is verified exact before the
 // stats are trusted.
-func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
+func runTenants(perSender int64, weights []int) ([]tenantRun, error) {
 	k := len(weights)
 	wsum := 0
 	for _, w := range weights {
@@ -111,7 +117,7 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 		for l := 1; l < tenancyLeaves; l++ {
 			for s := 0; s < w; s++ {
 				j.Send(opts.HostAt(l, slot+s),
-					workload.Uniform(tenancyKeysPerRow*rows, cfg.TuplesPerSender, seed+int64(i*tenancyLeaves*wsum+l*wsum+s)))
+					workload.Uniform(tenancyKeysPerRow*rows, perSender, seed+int64(i*tenancyLeaves*wsum+l*wsum+s)))
 			}
 		}
 		slot += w
@@ -128,7 +134,7 @@ func runTenants(cfg TenancyConfig, weights []int) ([]tenantRun, error) {
 			weight:   weights[i],
 			rows:     j.Spec.Rows,
 			absorbed: fc.TaskSwitchStats(j.Spec.ID).TuplesAggregated,
-			offered:  cfg.TuplesPerSender * int64(len(j.Spec.Senders)),
+			offered:  perSender * int64(len(j.Spec.Senders)),
 			elapsed:  time.Duration(results[i].Elapsed),
 		}
 	}
@@ -148,7 +154,7 @@ func (r tenantFairRun) goodput() float64 { return r.goodputV }
 // runTenantTasks fills every tenant's quota with identical fixed-size tasks
 // (admission decides how many fit), submits one more to confirm the typed
 // OVERLOAD rejection, and runs all admitted tasks concurrently.
-func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
+func runTenantTasks(perSender int64, weights []int) ([]tenantFairRun, error) {
 	k := len(weights)
 
 	// First pass sizes the cluster: admitted counts follow from the quotas,
@@ -188,7 +194,7 @@ func runTenantTasks(cfg TenancyConfig, weights []int) ([]tenantFairRun, error) {
 			leaf := 1 + t%senderLeaves
 			sender := opts.HostAt(leaf, leafSlot[leaf])
 			leafSlot[leaf]++
-			wl := workload.Uniform(tenancyTaskKeys, cfg.TuplesPerSender, seed+int64(t))
+			wl := workload.Uniform(tenancyTaskKeys, perSender, seed+int64(t))
 			jobs = append(jobs, &ask.Job{
 				Spec: core.TaskSpec{
 					ID: core.MakeTaskID(core.TenantID(i+1), uint32(n+1)), Receiver: opts.HostAt(0, t),
@@ -255,9 +261,9 @@ func tenantSpecs(weights []int) []tenancy.TenantSpec {
 	return specs
 }
 
-// FairnessDev returns the largest relative deviation of any tenant's
+// fairnessDev returns the largest relative deviation of any tenant's
 // goodput share from its weight share (0.05 = 5%).
-func FairnessDev(runs []tenantFairRun) float64 {
+func fairnessDev(runs []tenantFairRun) float64 {
 	var wsum int
 	var gsum float64
 	for _, r := range runs {
@@ -275,19 +281,19 @@ func FairnessDev(runs []tenantFairRun) float64 {
 	return dev
 }
 
-// TenancyFairness sweeps weight vectors over backlogged tenants and checks
+// tenancyFairness sweeps weight vectors over backlogged tenants and checks
 // weighted max-min fairness: each tenant's share of the fabric's aggregation
 // goodput should track its weight share, with over-quota submissions
 // rejected by typed admission control.
-func TenancyFairness(cfg TenancyConfig) (*stats.Table, error) {
+func tenancyFairness(perSender int64) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Tenancy: weighted fairness of in-network aggregation goodput",
 		Note: fmt.Sprintf("%d spines × %d leaves; quotas filled with identical %d-row, %d-key tasks (%d tuples/sender), +1 over-quota submission each",
-			tenancySpines, tenancyLeaves, tenancyRowsPerTask, tenancyTaskKeys, cfg.TuplesPerSender),
+			tenancySpines, tenancyLeaves, tenancyRowsPerTask, tenancyTaskKeys, perSender),
 		Header: []string{"weights", "admitted (rejected)", "per-tenant goodput (Mtuples/s)", "goodput shares", "weight shares", "max dev %"},
 	}
 	for _, weights := range [][]int{{1, 1}, {1, 1, 1, 1}, {1, 3}, {1, 1, 2, 4}} {
-		runs, err := runTenantTasks(cfg, weights)
+		runs, err := runTenantTasks(perSender, weights)
 		if err != nil {
 			return nil, err
 		}
@@ -305,16 +311,16 @@ func TenancyFairness(cfg TenancyConfig) (*stats.Table, error) {
 			ws = append(ws, fmt.Sprintf("%.1f%%", 100*float64(r.weight)/float64(wsum)))
 		}
 		t.AddRow(joinInts(weights), strings.Join(ad, " "), strings.Join(gp, " "), strings.Join(gs, " "),
-			strings.Join(ws, " "), 100*FairnessDev(runs))
+			strings.Join(ws, " "), 100*fairnessDev(runs))
 	}
 	return t, nil
 }
 
-// TenancyUtilization contrasts the paper's one-job-owns-the-switch model
+// tenancyUtilization contrasts the paper's one-job-owns-the-switch model
 // with a shared pool: tenants' hot sets are disjoint by construction (the
 // keyspace is partitioned), so concurrent tenants multiply the useful work
 // the same AA pool performs while pinning no more rows than the single job.
-func TenancyUtilization(cfg TenancyConfig) (*stats.Table, error) {
+func tenancyUtilization(perSender int64) (*stats.Table, error) {
 	t := &stats.Table{
 		Title: "Tenancy: AA pool utilization vs concurrent tenants (disjoint hot sets)",
 		Note: fmt.Sprintf("%d spines × %d leaves; equal weights; regions = quota/%d so total pinned rows stay constant",
@@ -326,7 +332,7 @@ func TenancyUtilization(cfg TenancyConfig) (*stats.Table, error) {
 		for i := range weights {
 			weights[i] = 1
 		}
-		runs, err := runTenants(cfg, weights)
+		runs, err := runTenants(perSender, weights)
 		if err != nil {
 			return nil, err
 		}
@@ -344,19 +350,6 @@ func TenancyUtilization(cfg TenancyConfig) (*stats.Table, error) {
 		t.AddRow(k, rows, float64(absorbed)/last.Seconds()/1e6, 100*float64(absorbed)/float64(offered))
 	}
 	return t, nil
-}
-
-// Tenancy runs both halves of the sweep (registry entry "tenancy").
-func Tenancy(cfg TenancyConfig) ([]*stats.Table, error) {
-	fair, err := TenancyFairness(cfg)
-	if err != nil {
-		return nil, err
-	}
-	util, err := TenancyUtilization(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return []*stats.Table{fair, util}, nil
 }
 
 func joinInts(ws []int) string {

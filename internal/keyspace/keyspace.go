@@ -55,12 +55,12 @@ func (c Class) String() string {
 	}
 }
 
-// FNV-1a 64-bit, with distinct offset bases so slot addressing and row
-// addressing are independent hash functions.
+// FNV-1a 64-bit, with distinct offset bases so slot addressing and key
+// ordering are independent hash functions. Row addressing is the switch's
+// own hash over the packed kParts (switchd.RowIndex).
 const (
 	fnvPrime       = 1099511628211
 	fnvOffsetSlot  = 14695981039346656037
-	fnvOffsetRow   = 0x9e3779b97f4a7c15
 	fnvOffsetOrder = 0xc2b2ae3d27d4eb4f
 )
 
@@ -76,10 +76,7 @@ func fnv64(offset uint64, s string) uint64 {
 // HashSlot is the subspace-partition hash 𝔽 of §3.2.2.
 func HashSlot(key string) uint64 { return fnv64(fnvOffsetSlot, key) }
 
-// HashRow is the in-AA aggregator addressing hash of §3.2.1.
-func HashRow(key string) uint64 { return fnv64(fnvOffsetRow, key) }
-
-// HashOrder is a third independent hash used by workload generators.
+// HashOrder is a second independent hash used by workload generators.
 func HashOrder(key string) uint64 { return fnv64(fnvOffsetOrder, key) }
 
 // Layout precomputes the slot map for a configuration.
@@ -139,11 +136,9 @@ type Placement struct {
 	FirstSlot int
 	// Segs is the number of slots/AAs used (1 for short).
 	Segs int
-	// KParts are the packed key segments, one per used slot.
+	// KParts are the packed key segments, one per used slot; the switch
+	// hashes all of them into one row index (§3.2.3's unified index).
 	KParts []uint64
-	// RowHash is the unified aggregator row hash (whole-key hash); the
-	// switch reduces it modulo the live region size.
-	RowHash uint64
 }
 
 // Locate computes where key goes without packing its kParts: the class,
@@ -163,17 +158,9 @@ func (l *Layout) Locate(key string) (class Class, firstSlot, segs int) {
 }
 
 // Place computes the placement for key. Long keys get Placement{Class: Long}
-// with no slots.
+// with no slots. Segments are packed straight from the key string — no
+// intermediate []byte conversions.
 func (l *Layout) Place(key string) Placement {
-	return l.PlaceInto(key, nil)
-}
-
-// PlaceInto is Place with caller-provided kPart storage: the packed
-// segments are appended to buf (usually scratch[:0]), so a hot loop that
-// consumes each Placement before computing the next can reuse one buffer
-// and avoid a heap allocation per tuple. Segments are packed straight from
-// the key string — no intermediate []byte conversions.
-func (l *Layout) PlaceInto(key string, buf []uint64) Placement {
 	class, first, segs := l.Locate(key)
 	switch class {
 	case Short:
@@ -181,11 +168,10 @@ func (l *Layout) PlaceInto(key string, buf []uint64) Placement {
 			Class:     Short,
 			FirstSlot: first,
 			Segs:      1,
-			KParts:    append(buf, wire.PackKPart(key, l.cfg.KPartBytes)),
-			RowHash:   HashRow(key),
+			KParts:    []uint64{wire.PackKPart(key, l.cfg.KPartBytes)},
 		}
 	case Medium:
-		kparts := buf
+		kparts := make([]uint64, 0, segs)
 		for i := 0; i < segs; i++ {
 			lo := i * l.cfg.KPartBytes
 			hi := lo + l.cfg.KPartBytes
@@ -203,22 +189,10 @@ func (l *Layout) PlaceInto(key string, buf []uint64) Placement {
 			FirstSlot: first,
 			Segs:      segs,
 			KParts:    kparts,
-			RowHash:   HashRow(key),
 		}
 	default:
 		return Placement{Class: Long}
 	}
-}
-
-// GroupOfSlot returns, for a packet slot index, which logical unit it belongs
-// to: unit index, the unit's first slot, and the unit's width in slots.
-// Short slots are single-slot units; medium slots belong to their group.
-func (l *Layout) GroupOfSlot(slot int) (first, segs int) {
-	if slot < l.shortSlots {
-		return slot, 1
-	}
-	g := (slot - l.shortSlots) / l.cfg.MediumSegs
-	return l.shortSlots + g*l.cfg.MediumSegs, l.cfg.MediumSegs
 }
 
 // AppendKey appends to dst the key whose packed segments the slots of group

@@ -2,7 +2,6 @@ package keyspace
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -85,62 +84,12 @@ func TestPlaceMediumGroup(t *testing.T) {
 	}
 }
 
-func TestMediumSharedPrefixDistinctRows(t *testing.T) {
-	l := defaultLayout(t)
-	// "yours" and "yourself" share the "your" first segment but must use
-	// different unified row hashes (§3.2.3: "yourself" reserves a different
-	// aggregator than "yours").
-	a, b := l.Place("yours"), l.Place("yourself")
-	if a.RowHash == b.RowHash {
-		t.Fatal("distinct medium keys share a row hash")
-	}
-	if a.KParts[0] != b.KParts[0] {
-		t.Fatal(`"yours" and "yourself" should share the "your" segment packing`)
-	}
-}
-
-func TestNaiveSegmentAmbiguityAvoided(t *testing.T) {
-	l := defaultLayout(t)
-	// The naïve design's failure case: X1X2 and Y1Y2 reserved, then X1Y2
-	// must NOT be recognized. With unified whole-key hashing, X1Y2's row
-	// hash differs from both.
-	x, y, xy := l.Place("aaaabbbb"), l.Place("ccccdddd"), l.Place("aaaadddd")
-	if xy.RowHash == x.RowHash || xy.RowHash == y.RowHash {
-		t.Fatal("composite key collides with component keys' rows")
-	}
-}
-
 func TestReconstructShortRoundtrip(t *testing.T) {
 	l := defaultLayout(t)
 	for _, key := range []string{"a", "ab", "abc", "abcd"} {
 		p := l.Place(key)
 		if got := rebuild(l, p.KParts[:1]); got != key {
 			t.Errorf("reconstruct(%q) = %q", key, got)
-		}
-	}
-}
-
-func TestGroupOfSlot(t *testing.T) {
-	l := defaultLayout(t)
-	cfg := l.Config()
-	// Short slots are their own unit.
-	for s := 0; s < l.ShortSlots(); s++ {
-		first, segs := l.GroupOfSlot(s)
-		if first != s || segs != 1 {
-			t.Fatalf("GroupOfSlot(%d) = (%d,%d), want (%d,1)", s, first, segs, s)
-		}
-	}
-	// Medium slots map to their group start.
-	for s := l.ShortSlots(); s < cfg.NumAAs; s++ {
-		first, segs := l.GroupOfSlot(s)
-		if segs != cfg.MediumSegs {
-			t.Fatalf("GroupOfSlot(%d) segs = %d", s, segs)
-		}
-		if s < first || s >= first+segs {
-			t.Fatalf("GroupOfSlot(%d) = (%d,%d) does not contain slot", s, first, segs)
-		}
-		if (first-l.ShortSlots())%cfg.MediumSegs != 0 {
-			t.Fatalf("GroupOfSlot(%d) start %d misaligned", s, first)
 		}
 	}
 }
@@ -216,24 +165,6 @@ func TestInvalidConfigRejected(t *testing.T) {
 	cfg.MediumGroups = 20 // 20×2 = 40 > 32 AAs
 	if _, err := NewLayout(cfg); err == nil {
 		t.Fatal("oversubscribed medium groups accepted")
-	}
-}
-
-func TestHashIndependence(t *testing.T) {
-	// HashSlot and HashRow must be effectively independent: keys colliding
-	// in one should mostly not collide in the other.
-	rng := rand.New(rand.NewSource(2))
-	same := 0
-	n := 20000
-	for i := 0; i < n; i++ {
-		k := fmt.Sprintf("key-%d-%d", i, rng.Int())
-		if HashSlot(k)%32 == HashRow(k)%32 {
-			same++
-		}
-	}
-	// Expect ~1/32 ≈ 3.1%; fail above 5%.
-	if frac := float64(same) / float64(n); frac > 0.05 {
-		t.Fatalf("slot/row hash correlation too high: %.3f", frac)
 	}
 }
 

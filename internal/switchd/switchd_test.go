@@ -380,6 +380,66 @@ func TestMediumKeySharedPrefixNoFalseMatch(t *testing.T) {
 	}
 }
 
+// TestMediumKeyUnifiedRowIndex holds §3.2.3's unified index on the hash the
+// switch addresses rows with: a medium key's members share one row, hashed
+// from all of its kParts. With aaaabbbb and ccccdddd absorbed in one group,
+// aaaadddd — the first's first segment, the second's second — must match
+// neither: a row per member would find "aaaa" and "dddd" each resident and
+// fold its value into ccccdddd (the naïve design's ambiguity). Nor may the
+// shared first segment pull it onto aaaabbbb's row, where it would conflict:
+// it reserves a row of its own.
+func TestMediumKeyUnifiedRowIndex(t *testing.T) {
+	cfg := smallConfig()
+	cfg.SwapThreshold = 0
+	r := newRig(t, cfg)
+	r.mustAlloc(7, 32)
+	kvs := []core.KV{{Key: "aaaabbbb", Val: 1}, {Key: "ccccdddd", Val: 10}, {Key: "aaaadddd", Val: 100}}
+	// All three ride medium group 0, whatever group the layout hashes each
+	// to: the switch aggregates the members it is handed.
+	first, m := r.layout.ShortSlots(), cfg.MediumSegs
+	for _, kv := range kvs {
+		pkt := &wire.Packet{
+			Type: wire.TypeData, Task: 7, Flow: core.FlowKey{Host: 1, Channel: 0},
+			Slots: make([]wire.Slot, cfg.NumAAs),
+		}
+		for j, kp := range r.layout.Place(kv.Key).KParts {
+			pkt.Slots[first+j].KPart = kp
+			pkt.Bitmap = pkt.Bitmap.Set(first + j)
+		}
+		pkt.Slots[first+m-1].Val = kv.Val
+		r.send(pkt)
+		if len(r.at2) != 0 {
+			t.Fatalf("%q was forwarded, not absorbed into a row of its own", kv.Key)
+		}
+	}
+	if got, want := r.fetchAll(7), core.Reference(core.OpSum, kvs); !got.Equal(want) {
+		t.Fatalf("switch state differs from the reference: %s", got.Diff(want, 5))
+	}
+}
+
+// TestRowIndexIndependentOfSlot: a key's packet slot (keyspace.HashSlot over
+// the key) and its aggregator row (the switch's hash over the packed kPart)
+// must be effectively independent, or the keys sharing a slot would crowd
+// into a few of its rows.
+func TestRowIndexIndependentOfSlot(t *testing.T) {
+	l, err := keyspace.NewLayout(core.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots := l.ShortSlots()
+	same, n := 0, 20000
+	for i := 0; i < n; i++ {
+		p := l.Place(fmt.Sprintf("%04x", i))
+		if p.FirstSlot == RowIndex(p.KParts, slots) {
+			same++
+		}
+	}
+	// Expect 1/slots; fail above 1.3/slots.
+	if frac, limit := float64(same)/float64(n), 1.3/float64(slots); frac > limit {
+		t.Fatalf("slot/row agreement %.3f above %.3f", frac, limit)
+	}
+}
+
 func TestStalePacketDroppedSilently(t *testing.T) {
 	r := newRig(t, smallConfig())
 	r.mustAlloc(7, 32)

@@ -1,24 +1,6 @@
 package telemetry
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
-
-// Config selects what a deployment records.
-type Config struct {
-	// Enabled turns on the registry, tracer, and sampler. When false the
-	// cluster hands components a zero Sink and every instrument is nil —
-	// recording calls are no-ops the inliner removes.
-	Enabled bool
-	// TraceCapacity bounds the event ring (default 4096).
-	TraceCapacity int
-	// SampleInterval is the gauge sampling period on the virtual clock
-	// (default DefaultSampleInterval). Sampling runs only while tasks are
-	// in flight.
-	SampleInterval time.Duration
-}
+import "repro/internal/sim"
 
 // Sink is the handle a component records through: a registry for
 // instruments and a tracer for events. The zero Sink is valid and
@@ -38,21 +20,16 @@ type Set struct {
 	Sampler  *Sampler
 }
 
-// NewSet builds the telemetry for one cluster. Returns nil when cfg is
-// disabled; a nil *Set is safe to use everywhere (Sink() returns a zero
-// sink).
-func NewSet(s *sim.Simulation, cfg Config) *Set {
-	if !cfg.Enabled {
-		return nil
-	}
-	if cfg.TraceCapacity <= 0 {
-		cfg.TraceCapacity = 4096
-	}
+// NewSet builds the telemetry for one cluster: a registry, a 4096-event
+// trace ring and a sampler ticking every DefaultSampleInterval while tasks
+// are in flight. A disabled cluster holds a nil *Set, which is safe to use
+// everywhere (Sink() returns a zero sink).
+func NewSet(s *sim.Simulation) *Set {
 	reg := NewRegistry()
 	return &Set{
 		Registry: reg,
-		Tracer:   NewTracer(s.Now, cfg.TraceCapacity),
-		Sampler:  NewSampler(s, reg, cfg.SampleInterval),
+		Tracer:   NewTracer(s.Now, 4096),
+		Sampler:  NewSampler(s, reg, DefaultSampleInterval),
 	}
 }
 

@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite exporter golden files")
 // histograms (with labels), sampled series, and trace events.
 func goldenSet() *Set {
 	s := sim.New(1)
-	set := NewSet(s, Config{Enabled: true, TraceCapacity: 8, SampleInterval: 100 * time.Microsecond})
-	r := set.Registry
+	r := NewRegistry()
+	set := &Set{Registry: r, Tracer: NewTracer(s.Now, 8), Sampler: NewSampler(s, r, 100*time.Microsecond)}
 	r.Counter("switchd.tuples_in", L("task", "1")).Add(1000)
 	r.Counter("switchd.tuples_in", L("task", "2")).Add(500)
 	r.Counter("hostd.pkts_sent", L("host", "0")).Add(64)

@@ -32,19 +32,15 @@ type Sampler struct {
 	series  map[string][]Point
 }
 
-// DefaultSampleInterval is the default gauge sampling period (virtual).
+// DefaultSampleInterval is a cluster's gauge sampling period (virtual).
 const DefaultSampleInterval = 100 * time.Microsecond
 
 // defaultMaxSamples bounds a runaway series; at the default interval this
 // covers 10 virtual seconds, far beyond any experiment in the repo.
 const defaultMaxSamples = 100_000
 
-// NewSampler builds a sampler over reg ticking every interval
-// (DefaultSampleInterval if <= 0).
+// NewSampler builds a sampler over reg ticking every interval.
 func NewSampler(s *sim.Simulation, reg *Registry, interval time.Duration) *Sampler {
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
 	return &Sampler{s: s, reg: reg, interval: interval, max: defaultMaxSamples, series: make(map[string][]Point)}
 }
 
