@@ -25,9 +25,13 @@ type allocShape struct {
 	// beside them), of a rep that starts with empty free lists and of one that
 	// starts with the lists its predecessor filled. A change that makes the
 	// per-packet path allocate again trips warm; one that makes each packet in
-	// flight or queued hold more objects trips cold, which counts every object
-	// live at the rep's peak. After an intended change re-measure with -v and
-	// commit the new numbers.
+	// flight hold more objects trips cold, which counts every object live at
+	// the rep's peak. What each packet in a receive queue holds barely shows
+	// here: at this scale the receive backlogs are too short, and taking the
+	// packets out of them moved these cold counts by under 3% while it halved
+	// the full-scale ones. hostd's TestReceiveBacklogHoldsNoPacket guards the
+	// backlog instead. After an intended change re-measure with -v and commit
+	// the new numbers.
 	cold, warm float64
 	// events, dispatches and heapHigh bound the event kernel's counts the same
 	// way (sim.Stats, measured values beside them): kernel events per tuple,
@@ -116,14 +120,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 1.10 /* measured 0.96 */, 0.93 /* 0.81 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 1.10 /* measured 0.956 */, 0.93 /* 0.810 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 1.43 /* 1.24 */, 0.86 /* 0.75 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 1.39 /* 1.208 */, 0.88 /* 0.765 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.67 /* 0.58 */, 0.56 /* 0.48 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
-	{"fattree-serial", 1.74 /* 1.51 */, 1.41 /* 1.22 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
+	{"rack-timed", 0.67 /* 0.586 */, 0.56 /* 0.488 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
+	{"fattree-serial", 1.74 /* 1.511 */, 1.41 /* 1.224 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs
@@ -165,7 +169,7 @@ func TestAllocGate(t *testing.T) {
 			t.Logf("%s: %.3f heap objects per tuple cold (ceiling %.3f), %.3f warm (ceiling %.3f); kernel per tuple: %.3f fired, %.3f cancelled, %.3f dispatches; heap high-water %d",
 				sh.name, cold, sh.cold, warm, sh.warm, float64(ks.Fired)/n, float64(ks.Cancelled)/n, dispatches, ks.HeapHigh)
 			if cold > sh.cold {
-				t.Errorf("%s allocates %.3f objects per tuple on a cold rep, ceiling %.3f: each packet in flight or queued holds more objects (or re-measure and commit the ceiling after an intended change)",
+				t.Errorf("%s allocates %.3f objects per tuple on a cold rep, ceiling %.3f: each packet in flight holds more objects (or re-measure and commit the ceiling after an intended change)",
 					sh.name, cold, sh.cold)
 			}
 			if warm > sh.warm {

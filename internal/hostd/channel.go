@@ -1,6 +1,7 @@
 package hostd
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/core"
@@ -104,7 +105,7 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		d:        d,
 		flow:     flow,
 		queueSig: sim.NewSignal(d.sim),
-		rx:       rxQueue{sig: sim.NewSignal(d.sim)},
+		rx:       newRxQueue(d),
 		retained: make(map[core.TaskID]*sendTask),
 		txThread: d.cpu.NewThread(),
 		rxThread: d.cpu.NewThread(),
@@ -121,9 +122,9 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		ch.win.EnableBackoff()
 	}
 	d.sim.Spawn("tx-"+flow.String(), ch.txLoop)
-	// processInbound copies everything it keeps (residue bitmaps are decoded
-	// into fresh storage, long-key strings are immutable), so serve may
-	// recycle each packet after it.
+	// processInbound keeps nothing of the packet it is handed (keys are
+	// interned strings, long-key strings are immutable), so serve may rebuild
+	// its one view packet for the next entry.
 	d.sim.Spawn("rx-"+flow.String(), func(p *sim.Proc) {
 		ch.rx.serve(p, func(pkt *wire.Packet) { d.processInbound(p, ch, pkt) })
 	})
@@ -367,32 +368,128 @@ func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
 	return ch.win.SendBlocking(p, fin)
 }
 
-// rxQueue is a channel's inbound packet queue, data or control: HandleFrame
-// pushes at arrival, the channel's rx process serves in arrival order. The
-// queue holds packets, not frames: a receiver that falls behind keeps a
-// backlog of packets, and each frame shell goes back to the free list the
-// moment it arrives.
+// rxQueue is a channel's inbound queue, data or control: HandleFrame pushes
+// at arrival, the channel's rx process serves in arrival order. The queue
+// holds no packet: push copies out what the handlers read and releases the
+// frame, packet included, so a receiver that falls behind keeps a backlog of
+// queue entries while the frames and packets go back to the free lists the
+// moment they arrive.
 type rxQueue struct {
-	q   fifo[*wire.Packet]
-	sig *sim.Signal
+	d     *Daemon
+	sig   *sim.Signal
+	items fifo[rxItem]
+	// slots holds each queued data or replay packet's live slot groups as
+	// one run, and long each long-key packet's tuples.
+	slots fifo[wire.Slot]
+	long  fifo[wire.LongKV]
+	// view is the one packet serve hands to its handler, rebuilt from an
+	// entry in the buffers below. The queue owns it: it is never drawn from
+	// or released to a free list.
+	view     wire.Packet
+	viewSlot []wire.Slot
+	viewLong []wire.LongKV
 }
 
-// push moves the packet out of its delivered frame (netsim.Frame.TakePacket)
-// and queues it; the queue owns it from here.
+// rxItem is a queued packet's header: what processInbound and
+// ctrlChannel.process read, besides the runs in the slot and long-key stores.
+type rxItem struct {
+	typ          wire.Type
+	task         core.TaskID
+	flow         core.FlowKey
+	seq, origSeq uint32
+	bitmap       wire.Bitmap
+	width        int32 // len(Slots) of the arrived packet
+	slots, long  int32 // run lengths in the slot and long-key stores
+	ctrl         any
+}
+
+func newRxQueue(d *Daemon) rxQueue { return rxQueue{d: d, sig: sim.NewSignal(d.sim)} }
+
+// push queues what the handlers read of a delivered frame's packet and
+// releases the frame. Of a data or replay packet it keeps every slot group
+// live in the packet's bitmap — the effective bitmap a handler merges is a
+// subset of it, failover's claimBits included. A frame that does not own
+// its packet (built by hand, never through a link) leaves the packet with
+// its builder, as Frame.Release does.
 func (r *rxQueue) push(f *netsim.Frame) {
-	r.q.push(f.TakePacket())
+	pkt := f.Pkt
+	it := rxItem{
+		typ: pkt.Type, task: pkt.Task, flow: pkt.Flow, seq: pkt.Seq, origSeq: pkt.OrigSeq,
+		bitmap: pkt.Bitmap, width: int32(len(pkt.Slots)), long: int32(len(pkt.Long)), ctrl: pkt.Ctrl,
+	}
+	if pkt.Type == wire.TypeData || pkt.Type == wire.TypeReplay {
+		short, medium := r.d.groupStarts(len(pkt.Slots))
+		n := bits.OnesCount64(uint64(pkt.Bitmap&short)) + r.d.cfg.MediumSegs*bits.OnesCount64(uint64(pkt.Bitmap&medium))
+		it.slots = int32(n)
+	}
+	if it.slots > 0 {
+		r.d.moveGroups(r.slots.reserve(int(it.slots)), pkt.Slots, pkt.Bitmap, true)
+	}
+	if it.long > 0 {
+		copy(r.long.reserve(int(it.long)), pkt.Long)
+	}
+	r.items.push(it)
+	f.Release()
 	r.sig.Fire()
 }
 
-// serve handles queued packets forever on the calling process, releasing
-// each packet once handle returns: handle must keep no reference into it.
+// serve handles queued packets forever on the calling process, one view at a
+// time: handle must keep no reference into the packet it is given.
 func (r *rxQueue) serve(p *sim.Proc, handle func(*wire.Packet)) {
 	for {
-		for r.q.len() == 0 {
+		for r.items.len() == 0 {
 			p.Wait(r.sig)
 		}
-		pkt := r.q.pop()
-		handle(pkt)
-		pkt.Release()
+		it := r.items.pop()
+		v := &r.view
+		*v = wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq, OrigSeq: it.origSeq, Bitmap: it.bitmap, Ctrl: it.ctrl}
+		if it.width > 0 {
+			if int(it.width) > cap(r.viewSlot) {
+				r.viewSlot = make([]wire.Slot, it.width)
+			}
+			v.Slots = r.viewSlot[:it.width]
+			clear(v.Slots)
+		}
+		if it.slots > 0 {
+			r.d.moveGroups(r.slots.take(int(it.slots)), v.Slots, it.bitmap, false)
+		}
+		if it.long > 0 {
+			if int(it.long) > cap(r.viewLong) {
+				r.viewLong = make([]wire.LongKV, it.long)
+			}
+			run := r.long.take(int(it.long))
+			v.Long = r.viewLong[:copy(r.viewLong[:it.long], run)]
+			clear(run) // a kept block pins no key
+		}
+		handle(v)
+		clear(v.Long) // an idle queue pins no key or control body
+		*v = wire.Packet{}
+	}
+}
+
+// moveGroups copies the slot groups b selects between a packet's slot array
+// and run, which holds them back to back in Daemon.residue's order: out of
+// the packet into run when pack is set, back into their slots otherwise.
+func (d *Daemon) moveGroups(run, slots []wire.Slot, b wire.Bitmap, pack bool) {
+	short, medium := d.groupStarts(len(slots))
+	n := 0
+	for s := b & short; s != 0; s &= s - 1 {
+		i := bits.TrailingZeros64(uint64(s))
+		if pack {
+			run[n] = slots[i]
+		} else {
+			slots[i] = run[n]
+		}
+		n++
+	}
+	m := d.cfg.MediumSegs
+	for s := b & medium; s != 0; s &= s - 1 {
+		g := slots[bits.TrailingZeros64(uint64(s)):][:m]
+		if pack {
+			copy(run[n:], g)
+		} else {
+			copy(g, run[n:n+m])
+		}
+		n += m
 	}
 }

@@ -53,7 +53,7 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	ch := &ctrlChannel{
 		d:      d,
 		flow:   core.FlowKey{Host: d.host, Channel: core.ChannelID(d.cfg.DataChannels)},
-		rx:     rxQueue{sig: sim.NewSignal(d.sim)},
+		rx:     newRxQueue(d),
 		thread: d.cpu.NewThread(),
 	}
 	// Control messages are far larger-timeout than data: they cross the
@@ -61,7 +61,7 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
 	// process retains nothing from the packet (ctrl bodies are plain values
-	// and the ack is a fresh packet), so serve may recycle each packet.
+	// and the ack is a fresh packet), so serve may reuse its view packet.
 	d.sim.Spawn("ctrl-"+ch.flow.String(), func(p *sim.Proc) {
 		ch.rx.serve(p, func(pkt *wire.Packet) { ch.process(p, pkt) })
 	})

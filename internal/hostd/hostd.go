@@ -14,6 +14,7 @@ package hostd
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
@@ -94,6 +95,8 @@ type Daemon struct {
 	layout *keyspace.Layout
 	host   core.HostID
 	ctrl   Controller
+	// shortStarts and mediumStarts are groupStarts of a full slot array.
+	shortStarts, mediumStarts wire.Bitmap
 
 	channels []*dataChannel
 	ctrlCh   *ctrlChannel
@@ -177,6 +180,7 @@ func New(s *sim.Simulation, net netsim.HostFabric, cpu *cpumodel.Host, cfg core.
 		chRecoverSig: sim.NewSignal(s),
 		activeSends:  make(map[core.TaskID]*sendTask),
 	}
+	d.shortStarts, d.mediumStarts = groupStarts(layout, cfg.NumAAs)
 	d.tel = tel
 	d.initMetrics(tel)
 	net.AttachHost(host, d)
@@ -283,7 +287,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		}
 		f.Release() // addChunk copied the entries out
 	case wire.TypeCtrl:
-		d.ctrlCh.rx.push(f) // the packet is released by the ctrl rx process after processing
+		d.ctrlCh.rx.push(f) // queues what the ctrl rx process reads and releases the frame
 	case wire.TypeProbeReply:
 		if window.SeqLess(d.probeReplySeq, pkt.Seq) {
 			d.probeReplySeq = pkt.Seq
@@ -300,8 +304,8 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// the daemon once acknowledged.
 		d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
 		// Spread receive processing across channel threads by flow. The
-		// queue keeps the packet and frees the frame shell now; the channel
-		// rx process releases the packet after processInbound.
+		// queue copies out the header and the live slots and releases the
+		// frame and its packet now; the channel rx process merges later.
 		idx := (int(pkt.Flow.Host)*31 + int(pkt.Flow.Channel)) % len(d.channels)
 		d.channels[idx].rx.push(f)
 	default:
@@ -344,23 +348,45 @@ func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bo
 // replay) packet that the eff bitmap selects: the one slot of a short key,
 // the coalesced group of a medium one. eff is normally the packet's own
 // liveness bitmap; under failover it is the packet's bitmap minus the bits
-// the receiver already merged (claimBits). Nothing is built per tuple: the
-// receive path counts the tuples with one walk and folds them with another.
+// the receiver already merged (claimBits). Only the selected groups are
+// visited and nothing is built per tuple: the receive path counts the tuples
+// with one walk and folds them with another.
 func (d *Daemon) residue(pkt *wire.Packet, eff wire.Bitmap, visit func(group []wire.Slot)) {
-	shortSlots := d.layout.ShortSlots()
-	for i := 0; i < shortSlots && i < len(pkt.Slots); i++ {
-		if eff.Test(i) {
-			visit(pkt.Slots[i : i+1])
-		}
+	short, medium := d.groupStarts(len(pkt.Slots))
+	for b := eff & short; b != 0; b &= b - 1 {
+		i := bits.TrailingZeros64(uint64(b))
+		visit(pkt.Slots[i : i+1])
 	}
 	m := d.cfg.MediumSegs
-	for g := 0; g < d.cfg.MediumGroups; g++ {
-		first := shortSlots + g*m
-		if first >= len(pkt.Slots) || !eff.Test(first) {
-			continue
-		}
+	for b := eff & medium; b != 0; b &= b - 1 {
+		first := bits.TrailingZeros64(uint64(b))
 		visit(pkt.Slots[first : first+m])
 	}
+}
+
+// groupStarts is the package's groupStarts for the daemon's layout, read
+// from the daemon for a full slot array.
+func (d *Daemon) groupStarts(n int) (short, medium wire.Bitmap) {
+	if n == d.cfg.NumAAs {
+		return d.shortStarts, d.mediumStarts
+	}
+	return groupStarts(d.layout, n)
+}
+
+// groupStarts returns the bits that start a tuple's slot group in a packet
+// of n slots: every short slot, and the first slot of every medium group.
+// A medium group that runs past the slot array — a frame truncated in
+// flight, admitted only with verification off — has no start.
+func groupStarts(l *keyspace.Layout, n int) (short, medium wire.Bitmap) {
+	cfg := l.Config()
+	shortSlots, m := l.ShortSlots(), cfg.MediumSegs
+	short = wire.Bitmap(1)<<uint(min(shortSlots, n)) - 1
+	for g := range cfg.MediumGroups {
+		if first := shortSlots + g*m; first+m <= n {
+			medium = medium.Set(first)
+		}
+	}
+	return short, medium
 }
 
 // ChannelStats returns the sender-window counters of every data channel

@@ -317,8 +317,9 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, pkt *wire.Packet) 
 	d.met.packetsReceived.Inc()
 
 	if t != nil && !t.completed {
-		// The packet is this process's until it returns (rxQueue.serve), so
-		// the tuples are folded straight out of the packet.
+		// The packet is the receive queue's view, rebuilt from the queued
+		// entry and this process's until it returns (rxQueue.serve), so the
+		// tuples are folded straight out of it.
 		d.residue(pkt, eff, t.mergeGroup)
 		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type
 			t.result.MergeKV(core.KV{Key: lk.Key, Val: lk.Val}, t.spec.Op)

@@ -16,9 +16,9 @@ import (
 // FIN that ends them, to a receiver whose channel thread has not yet run:
 // each arrives as a link delivers it, a free-list frame owning a pooled
 // packet. Under pool poisoning every frame reads poisoned the moment
-// HandleFrame returns — the receive queue kept the packet and gave the frame
-// back — while the queued packets stay intact: once the simulation runs, the
-// task's result is exactly the reference fold of what was sent.
+// HandleFrame returns — the receive queue gave the frame back at arrival —
+// while what it queued stays intact: once the simulation runs, the task's
+// result is exactly the reference fold of what was sent.
 func TestQueuedPacketHoldsNoFrame(t *testing.T) {
 	wire.SetPoolPoison(true)
 	defer wire.SetPoolPoison(false)

@@ -52,8 +52,7 @@ type Frame struct {
 	//
 	// Every delivered frame is therefore exclusively owned by its receiver,
 	// which may mutate the packet freely and should call Release when no
-	// reference into it survives — or, to keep the packet past delivery,
-	// take it out with TakePacket.
+	// reference into it survives.
 	Owned bool
 	// pooled marks a frame drawn from the frame free list (NewFrame): only
 	// those are recycled by Release. A frame built as a struct literal stays
@@ -110,25 +109,6 @@ func (f *Frame) Release() {
 		f.Src, f.Dst, f.WireBytes = PoisonAddr, PoisonAddr, PoisonWireBytes
 	}
 	framePool.Put(f)
-}
-
-// TakePacket is the one place a packet leaves its frame: it returns the
-// frame's packet and releases the frame shell, so a receiver that keeps the
-// packet past delivery (hostd's receive queues) holds a packet, not a frame.
-// The caller owns what it returns and hands it back with Packet.Release.
-// Every delivered frame is Owned, and then the packet itself moves out. A
-// frame that is not Owned — built by hand, never through a link — yields a
-// pooled clone and, like Release, leaves the frame and its packet with their
-// builder, so the caller can never release a packet its sender still holds.
-func (f *Frame) TakePacket() *wire.Packet {
-	pkt := f.Pkt
-	if f.Owned {
-		f.Pkt = nil // moved out: Release must not recycle it
-	} else {
-		pkt = pkt.ClonePooled()
-	}
-	f.Release()
-	return pkt
 }
 
 // Task returns the task of the frame's packet for trace events, or 0 for a

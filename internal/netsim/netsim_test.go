@@ -454,35 +454,3 @@ func TestLiteralFrameNeverRecycled(t *testing.T) {
 		t.Fatalf("released free-list frame not poisoned: %+v", f)
 	}
 }
-
-// TestTakePacket pins the one way a packet leaves its frame. From a delivered
-// (owned, free-list) frame the packet itself moves out untouched and the
-// frame goes back to the list at once, poisoned; from a frame its builder
-// keeps — not owned, a struct literal — the caller gets a pooled clone it may
-// release, and the frame and its packet stay exactly as they were, ready to be
-// sent again.
-func TestTakePacket(t *testing.T) {
-	wire.SetPoolPoison(true)
-	defer wire.SetPoolPoison(false)
-	pkt := wire.NewData(4)
-	pkt.Seq, pkt.Slots[2] = 7, wire.Slot{KPart: 1, Val: 9}
-	f := NewFrame()
-	f.Src, f.Dst, f.Pkt, f.Owned = 1, 2, pkt, true
-	if got := f.TakePacket(); got != pkt || got.Type != wire.TypeData || got.Seq != 7 || got.Slots[2].Val != 9 {
-		t.Fatalf("owned frame: took %p (%v seq %d), want the packet itself %p intact", got, got.Type, got.Seq, pkt)
-	}
-	if f.Src != PoisonAddr || f.Pkt != nil {
-		t.Fatalf("owned frame not released when its packet was taken: %+v", f)
-	}
-
-	sent := &wire.Packet{Type: wire.TypeData, Seq: 3, Slots: []wire.Slot{{KPart: 5, Val: 6}}}
-	lit := &Frame{Src: 1, Dst: 2, Pkt: sent, WireBytes: 100}
-	got := lit.TakePacket()
-	if got == sent || got.Seq != 3 || got.Slots[0] != sent.Slots[0] {
-		t.Fatalf("literal frame: took %p seq %d slots %v, want a clone of %p", got, got.Seq, got.Slots, sent)
-	}
-	got.Release()
-	if lit.Pkt != sent || lit.Src != 1 || lit.WireBytes != 100 || sent.Type != wire.TypeData || sent.Slots[0].Val != 6 {
-		t.Fatalf("literal frame or its packet changed: frame %+v, packet %v slots %v", lit, sent.Type, sent.Slots)
-	}
-}

@@ -25,11 +25,10 @@ import (
 //   - release: Packet.Release, called by whoever holds the last reference —
 //     switchd ingress after consuming a packet and hostd after inline
 //     handling (both through the owned netsim.Frame's Release), the link on
-//     a frame it dropped, hostd's receive queue after processInbound or a
-//     control message (the packet left its frame at arrival through
-//     netsim.Frame.TakePacket, which released the frame), and the sending
-//     data channel when its window flight is acknowledged (hostd's
-//     dataChannel.acked).
+//     a frame it dropped, hostd's receive queue at arrival (rxQueue.push
+//     copies out what the channel thread will read and releases the frame,
+//     packet included), and the sending data channel when its window flight
+//     is acknowledged (hostd's dataChannel.acked).
 //
 // Ownership rules (see also netsim.Frame.Owned and DESIGN.md "Performance
 // engineering"):
