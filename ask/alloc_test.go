@@ -120,14 +120,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 1.10 /* measured 0.956 */, 0.93 /* 0.810 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 0.28 /* measured 0.245 */, 0.116 /* 0.098–0.101 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 1.39 /* 1.208 */, 0.88 /* 0.765 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 0.80 /* 0.694 */, 0.29 /* 0.245–0.251 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.67 /* 0.586 */, 0.56 /* 0.488 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
-	{"fattree-serial", 1.74 /* 1.511 */, 1.41 /* 1.224 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
+	{"rack-timed", 0.345 /* 0.300 */, 0.22 /* 0.190–0.203 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
+	{"fattree-serial", 0.62 /* 0.535 */, 0.29 /* 0.245–0.250 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs

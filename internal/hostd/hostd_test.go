@@ -7,6 +7,7 @@ package hostd_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -84,7 +85,7 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 	w := workload.Uniform(256, 3000, 1)
 	// SubmitSend first, at t=0, from outside any task context.
 	sh := r.daemons[1].SubmitSend(42, w.Stream())
-	var result core.Result
+	var result, again core.Result
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		h, err := r.daemons[0].Submit(p, core.TaskSpec{
 			ID: 42, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum,
@@ -93,11 +94,14 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		result = h.Wait(p)
+		result, again = h.Wait(p), h.Wait(p)
 	})
 	r.s.Run(0)
 	if !sh.Done() {
 		t.Fatal("send handle not done")
+	}
+	if reflect.ValueOf(result).UnsafePointer() != reflect.ValueOf(again).UnsafePointer() {
+		t.Fatal("a second Wait returned another map")
 	}
 	if want := w.Reference(core.OpSum); !result.Equal(want) {
 		t.Fatalf("result wrong: %s", result.Diff(want, 5))

@@ -36,7 +36,7 @@ type pktID struct {
 }
 
 // recvTask is the receiver-side state of one aggregation task: the shared
-// memory segment (result map), FIN tracking, and the shadow-copy machinery.
+// memory segment, FIN tracking, and the shadow-copy machinery.
 type recvTask struct {
 	d    *Daemon
 	spec core.TaskSpec
@@ -44,9 +44,9 @@ type recvTask struct {
 	// points); the zero value is the single-switch legacy shape.
 	alloc AllocInfo
 
-	result core.Result // the task's shared-memory segment
-	// keys interns the keys merged into result (recvTask.key).
-	keys map[string]string
+	seg segment // the task's shared-memory segment, until completion
+	// result is what Wait returns: built from seg once, at completion.
+	result core.Result
 	// finned records, per sender, the generation (sender epoch) of its
 	// latest FIN. A FIN only counts toward completion if its generation
 	// matches the receiver's current epoch: after a switch reboot, stale
@@ -165,7 +165,7 @@ func (d *Daemon) Submit(p *sim.Proc, spec core.TaskSpec) (*RecvHandle, error) {
 	t := &recvTask{
 		d:          d,
 		spec:       spec,
-		result:     make(core.Result),
+		seg:        segment{op: spec.Op},
 		finned:     make(map[core.HostID]uint32),
 		noRegion:   spec.Rows < 0,
 		swapDone:   sim.NewSignal(d.sim),
@@ -322,7 +322,7 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, pkt *wire.Packet) 
 		// tuples are folded straight out of it.
 		d.residue(pkt, eff, t.mergeGroup)
 		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type
-			t.result.MergeKV(core.KV{Key: lk.Key, Val: lk.Val}, t.spec.Op)
+			t.seg.addLong(lk)
 		}
 		t.met.residueTuples.Add(int64(tuples))
 		t.met.longTuples.Add(int64(longTuples))
@@ -342,41 +342,13 @@ func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, pkt *wire.Packet) 
 	}
 }
 
-// key returns the key of a tuple whose packed segments ride in the slots of
-// group: the one slot of a short key, the coalesced group of a medium one
-// (§3.2.3). It is rebuilt in a stack buffer and looked up in keys, which holds
-// the one string of every key met so far — updating a map entry needs the key
-// as a string, and without the lookup every tuple of a hot key, and every
-// swap round over the same aggregators, would allocate fresh copies.
-func (t *recvTask) key(group []wire.Slot) string {
-	var buf [64]byte
-	raw := t.d.layout.AppendKey(buf[:0], group)
-	key, ok := t.keys[string(raw)]
-	if !ok {
-		if t.keys == nil {
-			t.keys = make(map[string]string)
-		}
-		key = string(raw)
-		t.keys[key] = key
-	}
-	return key
-}
-
 // mergeGroup folds one residue tuple — key in the slots of group, value in
-// the last — into the result.
-func (t *recvTask) mergeGroup(group []wire.Slot) {
-	t.result.MergeKV(core.KV{Key: t.key(group), Val: group[len(group)-1].Val}, t.spec.Op)
-}
+// the last — into the segment.
+func (t *recvTask) mergeGroup(group []wire.Slot) { t.seg.addGroup(t.d.layout, group, false) }
 
 // combineGroup folds one fetched aggregator — a partial aggregate, so it
-// Combines (Count adds) — into the result.
-func (t *recvTask) combineGroup(group []wire.Slot) {
-	key, val := t.key(group), group[len(group)-1].Val
-	if cur, ok := t.result[key]; ok {
-		val = t.spec.Op.Combine(cur, val)
-	}
-	t.result[key] = val
-}
+// Combines (Count adds) — into the segment.
+func (t *recvTask) combineGroup(group []wire.Slot) { t.seg.addGroup(t.d.layout, group, true) }
 
 // onFin records a sender's FIN with its generation; once every sender has
 // finished under the current switch incarnation, teardown begins (§3.1
@@ -440,6 +412,9 @@ func (t *recvTask) teardown(p *sim.Proc) {
 	if t.revoked {
 		t.degraded = t.d.sim.Now().Sub(t.revokedAt)
 	}
+	// Nothing merges into a completed task, so the segment is read once and
+	// let go.
+	t.result, t.seg = t.seg.result(), segment{}
 	t.completed = true
 	if t.d.failover {
 		// Release the senders' retained replay history: the result is final.

@@ -198,8 +198,9 @@ func (l *Layout) Place(key string) Placement {
 // AppendKey appends to dst the key whose packed segments the slots of group
 // carry, in slot order — the one slot of a short key, or the members of a
 // medium key's coalesced group — and returns the extended buffer. A receiver
-// that merges residue tuple by tuple rebuilds each key in one stack buffer and
-// only materialises a string for a key it has not met.
+// that merges tuple by tuple rebuilds each key in one stack buffer, looks it
+// up without copying it, and copies only the bytes of a key it has not met
+// into its result segment's arena — no string is allocated per key.
 func (l *Layout) AppendKey(dst []byte, group []wire.Slot) []byte {
 	for _, s := range group {
 		dst = wire.AppendKPart(dst, s.KPart, l.cfg.KPartBytes)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,24 +31,32 @@ var (
 func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // fullName renders name{k1="v1",k2="v2"} with label keys sorted, the
-// canonical identity of an instrument.
+// canonical identity of an instrument. It allocates the string and nothing
+// else: label indices are insertion-sorted on the stack, and each value is
+// quoted as %q quotes it (strconv.Quote) into a stack buffer.
 func fullName(name string, labels []Label) string {
 	if len(labels) == 0 {
 		return name
 	}
-	ls := append([]Label(nil), labels...)
-	sort.Slice(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range ls {
-		if i > 0 {
-			b.WriteByte(',')
+	var order [8]int
+	idx := order[:0]
+	for i := range labels {
+		j := len(idx)
+		idx = append(idx, i)
+		for ; j > 0 && labels[idx[j-1]].Key > labels[i].Key; j-- {
+			idx[j] = idx[j-1]
 		}
-		fmt.Fprintf(&b, "%s=%q", l.Key, l.Value)
+		idx[j] = i
 	}
-	b.WriteByte('}')
-	return b.String()
+	var buf [128]byte
+	b := append(append(buf[:0], name...), '{')
+	for n, i := range idx {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendQuote(append(append(b, labels[i].Key...), '='), labels[i].Value)
+	}
+	return string(append(b, '}'))
 }
 
 func checkName(name string, labels []Label) {

@@ -1,6 +1,9 @@
 package telemetry
 
 import (
+	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -20,6 +23,41 @@ func TestRegistryIdempotentLookup(t *testing.T) {
 	}
 	if got := fullName("hostd.queue_depth", []Label{L("host", "0"), L("chan", "1")}); got != `hostd.queue_depth{chan="1",host="0"}` {
 		t.Fatalf("fullName = %q", got)
+	}
+}
+
+// TestFullNameMatchesFmt holds fullName to the rendering it replaced —
+// labels sorted by key, each value through fmt's %q — byte for byte, at one
+// allocation per name.
+func TestFullNameMatchesFmt(t *testing.T) {
+	fmtName := func(name string, labels []Label) string {
+		ls := append([]Label(nil), labels...)
+		sort.SliceStable(ls, func(i, j int) bool { return ls[i].Key < ls[j].Key })
+		parts := make([]string, len(ls))
+		for i, l := range ls {
+			parts[i] = fmt.Sprintf("%s=%q", l.Key, l.Value)
+		}
+		return name + "{" + strings.Join(parts, ",") + "}"
+	}
+	var many []Label // more labels than the index array on the stack holds
+	for i := 11; i > 0; i-- {
+		many = append(many, L(fmt.Sprintf("k%02d", i), fmt.Sprint(i*i)))
+	}
+	for _, c := range [][]Label{
+		{L("task", `say "hi"`)},
+		{L("path", `C:\dir\n`), L("nl", "a\nb\tc")},
+		{L("name", "zürich ✓"), L("bad", "\xff\xfe"), L("ctl", "\x00\x7f")},
+		{L("z", "1"), L("a", "2"), L("m", "3"), L("b", "4")},
+		{L("tenant", strings.Repeat("long value ", 20))},
+		many,
+	} {
+		if got, want := fullName("hostd.slot_fill", c), fmtName("hostd.slot_fill", c); got != want {
+			t.Errorf("fullName = %q, want %q", got, want)
+		}
+	}
+	labels, name := []Label{L("task", "7"), L("host", "2"), L("chan", "1")}, ""
+	if a := testing.AllocsPerRun(100, func() { name = fullName("switchd.tuples_in", labels) }); a != 1 || name == "" {
+		t.Errorf("fullName allocates %v objects per name, want 1", a)
 	}
 }
 
