@@ -33,7 +33,7 @@ type FatTreeOptions struct {
 	// a tenant's over-quota regions with tenancy.OverloadError.
 	Tenants []tenancy.TenantSpec
 	// Telemetry, when enabled, builds a cluster-level telemetry.Set carrying
-	// the tenancy allocator's per-tenant gauges (quota/in-use/borrowed rows,
+	// the tenancy allocator's per-tenant gauges (quota and in-use rows,
 	// admission outcomes, labeled `tenant`), sampled while tasks are in
 	// flight as on the rack. Switches and daemons keep their private
 	// registries either way — their unlabeled instrument names would collide
@@ -81,9 +81,6 @@ type FatTreeCluster struct {
 	// all live switches (see bumpFabricEpoch), so the whole fabric presents
 	// hosts with one coherent epoch sequence.
 	fabricEpoch uint32
-	// tenantTasks lists each tenant's live tasks in admission order, for the
-	// telemetry-driven hotness callback (slice, not map: iterated).
-	tenantTasks map[core.TenantID][]core.TaskID
 	// taskPoints remembers every aggregation point a task was ever placed
 	// at — past teardown and across the re-allocations an epoch bump forces —
 	// so TaskSwitchStats sums exactly the switches that held its state.
@@ -95,9 +92,11 @@ type FatTreeCluster struct {
 	receiverLeafOnly bool
 }
 
-// fatAlloc records where a task's regions live, for teardown and release.
+// fatAlloc records where a task's regions live, for teardown, release and
+// a re-attach within the same fabric epoch.
 type fatAlloc struct {
 	points []core.HostID
+	part   keyspace.Partition
 	rows   int
 	tenant core.TenantID
 }
@@ -135,7 +134,6 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 	fc := &FatTreeCluster{
 		tenants:     opts.Tenants,
 		allocs:      make(map[core.TaskID]fatAlloc),
-		tenantTasks: make(map[core.TenantID][]core.TaskID),
 		taskPoints:  make(map[core.TaskID][]core.HostID),
 		fabricEpoch: 1,
 		// The two halves of §7 go together: a core that only forwards, and
@@ -151,7 +149,6 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		if err != nil {
 			return nil, err
 		}
-		mgr.SetHotness(fc.tenantHotness)
 		if fc.Tel != nil {
 			mgr.Instrument(fc.Tel.Registry)
 		}
@@ -231,25 +228,6 @@ func (fc *FatTreeCluster) assignTenantChannels(d *hostd.Daemon) error {
 		}
 	}
 	return nil
-}
-
-// tenantHotness is the borrowing policy's telemetry probe: the fraction of a
-// tenant's switch-bound tuples that hit an aggregator conflict (a hot
-// working set keeps losing the row race, which is exactly the pressure the
-// §3.4 shadow machinery measures), taken across the tenant's live regions.
-func (fc *FatTreeCluster) tenantHotness(tn core.TenantID) float64 {
-	var in, conflicted int64
-	for _, task := range fc.tenantTasks[tn] {
-		for _, addr := range fc.allocs[task].points {
-			st := fc.switchAt(addr).TaskStatsOf(task)
-			in += st.TuplesIn
-			conflicted += st.TuplesConflicted
-		}
-	}
-	if in == 0 {
-		return 0
-	}
-	return float64(conflicted) / float64(in)
 }
 
 // switchAt resolves a fabric address to its switch, nil when addr names
@@ -373,6 +351,12 @@ func (c fabricController) FreeRegion(task core.TaskID) error {
 // The returned AllocInfo carries the tenant's keyspace partition and the
 // fetch points in allocation order.
 //
+// A task that already holds a placement gets that placement back, charged
+// once: every fabric-epoch bump empties allocs, so an entry is always the
+// live incarnation's, and its switches would answer a second allocation
+// idempotently anyway. Freeing and re-placing instead would clear tuples
+// absorbed under the live registration, which replay skips.
+//
 // Crashed switches are skipped rather than failing the allocation — this is
 // the re-attach path during a fabric outage, and partial in-network
 // coverage still beats none: a dead sender leaf carries no traffic anyway,
@@ -381,6 +365,9 @@ func (c fabricController) FreeRegion(task core.TaskID) error {
 // Only when EVERY aggregation point is down does the call fail, with a
 // *core.DegradedError the receiver retries under a bounded backoff budget.
 func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.AllocInfo, error) {
+	if a, ok := fc.allocs[spec.ID]; ok {
+		return hostd.AllocInfo{Partition: a.part, FetchFrom: a.points}, nil
+	}
 	var part keyspace.Partition
 	tenant := spec.ID.Tenant()
 	rows := spec.Rows
@@ -476,14 +463,11 @@ func (fc *FatTreeCluster) allocRegion(recvLeaf int, spec core.TaskSpec) (hostd.A
 		release()
 		return hostd.AllocInfo{}, &core.DegradedError{Op: "alloc-region", Attempts: skipped}
 	}
-	fc.allocs[spec.ID] = fatAlloc{points: points, rows: rows, tenant: tenant}
+	fc.allocs[spec.ID] = fatAlloc{points: points, part: part, rows: rows, tenant: tenant}
 	for _, a := range points {
 		if !slices.Contains(fc.taskPoints[spec.ID], a) {
 			fc.taskPoints[spec.ID] = append(fc.taskPoints[spec.ID], a)
 		}
-	}
-	if fc.Tenancy != nil {
-		fc.tenantTasks[tenant] = append(fc.tenantTasks[tenant], spec.ID)
 	}
 	return hostd.AllocInfo{Partition: part, FetchFrom: points}, nil
 }
@@ -507,13 +491,6 @@ func (fc *FatTreeCluster) freeRegion(task core.TaskID) error {
 	}
 	if fc.Tenancy != nil {
 		fc.Tenancy.Release(a.tenant, a.rows)
-		live := fc.tenantTasks[a.tenant][:0]
-		for _, t := range fc.tenantTasks[a.tenant] {
-			if t != task {
-				live = append(live, t)
-			}
-		}
-		fc.tenantTasks[a.tenant] = live
 	}
 	return first
 }

@@ -210,43 +210,71 @@ func TestFatTreeOverQuotaRejectsTyped(t *testing.T) {
 	runJob(t, &fc.Deployment, fits)
 }
 
-func TestFatTreeHotTenantBorrowsAtAdmission(t *testing.T) {
+// crossLeafSpec is a task of the given tenant whose one sender sits on
+// leaf 1 and whose receiver sits on leaf 0, so it is placed at leaf 1 and at
+// its spine.
+func crossLeafSpec(opts FatTreeOptions, tenant core.TenantID, seq uint32, rows int) core.TaskSpec {
+	return core.TaskSpec{
+		ID: core.MakeTaskID(tenant, seq), Receiver: opts.HostAt(0, 0),
+		Senders: []core.HostID{opts.HostAt(1, 0)}, Op: core.OpSum, Rows: rows,
+	}
+}
+
+// A receiver that re-attaches while it still holds a placement of the live
+// fabric epoch gets that placement back: its tenant is charged once, and
+// the one teardown returns every row.
+func TestFatTreeReattachChargesRowsOnce(t *testing.T) {
+	opts := fatTreeTenantOpts(3, 1, 1)
+	fc, err := NewFatTreeCluster(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := crossLeafSpec(opts, 1, 1, 64)
+	first, err := fc.allocRegion(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, err := fc.allocRegion(0, spec)
+	if err != nil {
+		t.Fatalf("re-attach: %v", err)
+	}
+	if fmt.Sprint(again) != fmt.Sprint(first) {
+		t.Fatalf("re-attach placed %+v, want the held placement %+v", again, first)
+	}
+	if err := fc.freeRegion(spec.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := fc.Tenancy.InUse(1); got != 0 {
+		t.Fatalf("tenant 1 holds %d rows after teardown, want 0", got)
+	}
+	for i, sw := range fc.switches() {
+		if got := sw.FreeRows(); got != fc.cfg.AARows {
+			t.Fatalf("switch %d (leaves, then spines) has %d free rows after teardown, want %d", i, got, fc.cfg.AARows)
+		}
+	}
+}
+
+// Admission is the quota: a tenant that has filled its quota is refused,
+// and its refusal leaves a peer's full quota free at every aggregation point.
+func TestFatTreePeerInQuotaFitsAfterRefusal(t *testing.T) {
 	opts := fatTreeTenantOpts(9, 1, 1)
 	fc, err := NewFatTreeCluster(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	quota := fc.Tenancy.Quota(1)
-	spec := func(seq uint32, rows int) core.TaskSpec {
-		return core.TaskSpec{
-			ID: core.MakeTaskID(1, seq), Receiver: opts.HostAt(0, 0),
-			Senders: []core.HostID{opts.HostAt(1, 0)}, Op: core.OpSum, Rows: rows,
-		}
-	}
-	// Fill the tenant's quota, then ask for more while cold: typed rejection.
-	if _, err := fc.allocRegion(0, spec(1, quota&^1)); err != nil {
+	if _, err := fc.allocRegion(0, crossLeafSpec(opts, 1, 1, fc.Tenancy.Quota(1)&^1)); err != nil {
 		t.Fatal(err)
 	}
-	_, err = fc.allocRegion(0, spec(2, 10))
+	_, err = fc.allocRegion(0, crossLeafSpec(opts, 1, 2, 2))
 	var ov *tenancy.OverloadError
-	if !errors.As(err, &ov) {
-		t.Fatalf("cold over-quota alloc: want OverloadError, got %v", err)
+	if !errors.As(err, &ov) || ov.Tenant != 1 {
+		t.Fatalf("tenant 1 past its quota: want its *tenancy.OverloadError, got %v", err)
 	}
-	// A hot tenant (shadow conflict ratio past the threshold) borrows the
-	// idle rows instead. The stubbed probe stands in for the telemetry-fed
-	// conflict ratio the cluster wires up by default.
-	fc.Tenancy.SetHotness(func(core.TenantID) float64 { return 1.0 })
-	if _, err := fc.allocRegion(0, spec(2, 10)); err != nil {
-		t.Fatalf("hot over-quota alloc failed: %v", err)
+	info, err := fc.allocRegion(0, crossLeafSpec(opts, 2, 1, fc.Tenancy.Quota(2)&^1))
+	if err != nil {
+		t.Fatalf("tenant 2's in-quota request: %v", err)
 	}
-	if got := fc.Tenancy.Borrowed(1); got != 10 {
-		t.Fatalf("Borrowed = %d, want 10", got)
-	}
-	// Releasing the borrower's regions returns the rows.
-	if err := fc.freeRegion(core.MakeTaskID(1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := fc.Tenancy.Borrowed(1); got != 0 {
-		t.Fatalf("Borrowed after free = %d, want 0", got)
+	if len(info.FetchFrom) != 2 {
+		t.Fatalf("tenant 2 placed at %v, want its sender leaf and its spine", info.FetchFrom)
 	}
 }

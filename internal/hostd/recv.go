@@ -486,8 +486,9 @@ func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.Fetch
 // re-aggregation) never swap: one swap packet flips one switch's copy
 // indicator, and flipping the points one by one would let a sender's packet
 // meet different active copies at different tiers — the §3.4 quiescence
-// argument only covers the single-switch deployment. Their hot-set relief
-// comes from the cross-tenant borrowing policy instead (internal/tenancy).
+// argument only covers the single-switch deployment. A leaf's conflict
+// residue gets its second chance at the task's spine instead, and the
+// receiver merges the rest.
 func (t *recvTask) maybeSwap() {
 	if t.d.cfg.SwapThreshold == 0 || t.noRegion ||
 		len(t.alloc.FetchFrom) > 1 ||

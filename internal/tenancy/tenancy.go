@@ -4,16 +4,11 @@
 // weight — so tenants never contend for the same AA columns — and (b) a row
 // quota proportional to its weight over the switch's AA row pool, enforced
 // at admission. A task whose region would push its tenant past the quota is
-// rejected with a typed *OverloadError unless the borrowing policy lets the
-// tenant take idle rows from underloaded peers.
-//
-// Borrowing extends the hot-key shadow mechanism (§3.4) across tenants: a
-// tenant whose shadow telemetry shows a hot working set (conflict ratio at
-// or above BorrowThreshold) may run past its quota using rows its peers are
-// not occupying, bounded by its own quota (so a weight-1 tenant can at most
-// double, never squeeze a weight-8 peer). The manager is pure bookkeeping —
-// deterministic, no clocks, no goroutines — so simulations that consult it
-// stay byte-identical across runs.
+// rejected with a typed *OverloadError; quotas cover the pool exactly, so a
+// request within quota always fits. There is no cross-tenant borrowing: the
+// only hot-key remedy is the per-task shadow copy (§3.4). The manager is
+// pure bookkeeping — deterministic, no clocks, no goroutines — so
+// simulations that consult it stay byte-identical across runs.
 package tenancy
 
 import (
@@ -35,35 +30,21 @@ type TenantSpec struct {
 }
 
 // OverloadError is the typed admission rejection: the tenant's region
-// request does not fit its quota (plus whatever borrowing allows). Callers
-// surface it to the application as the OVERLOAD condition; it is a signal
-// to shed load or retry later, not a fault.
+// request does not fit its quota. Callers surface it to the application as
+// the OVERLOAD condition; it is a signal to shed load or retry later, not a
+// fault.
 type OverloadError struct {
 	Tenant core.TenantID
 	// Need is the row count the rejected request asked for.
 	Need int
 	// InUse and Quota describe the tenant's occupancy at rejection time.
 	InUse, Quota int
-	// Idle is how many pool rows were unoccupied; non-zero Idle means the
-	// request was refused by policy (not hot enough, or borrow cap), not by
-	// physical exhaustion.
-	Idle int
 }
 
 func (e *OverloadError) Error() string {
-	return fmt.Sprintf("tenancy: OVERLOAD tenant %d: need %d rows, %d/%d in use, %d idle in pool",
-		e.Tenant, e.Need, e.InUse, e.Quota, e.Idle)
+	return fmt.Sprintf("tenancy: OVERLOAD tenant %d: need %d rows, %d/%d in use",
+		e.Tenant, e.Need, e.InUse, e.Quota)
 }
-
-// HotnessFunc reports a tenant's shadow conflict ratio in [0,1] — the
-// fraction of its traffic hitting hot-key shadows — typically wired to
-// telemetry counters. The manager consults it only at admission time for
-// requests that overflow the quota.
-type HotnessFunc func(core.TenantID) float64
-
-// BorrowThreshold is the conflict ratio at or above which an over-quota
-// tenant may borrow idle rows.
-const BorrowThreshold = 0.5
 
 type tenantState struct {
 	spec  TenantSpec
@@ -81,8 +62,6 @@ type tenantState struct {
 type Manager struct {
 	tenants []tenantState // in declaration order (partition order)
 	index   map[core.TenantID]int
-	pool    int // total rows (cfg.AARows)
-	hotness HotnessFunc
 }
 
 // NewManager partitions the keyspace and row pool of cfg between tenants
@@ -114,7 +93,6 @@ func NewManager(tenants []TenantSpec, cfg core.Config) (*Manager, error) {
 	m := &Manager{
 		tenants: make([]tenantState, len(tenants)),
 		index:   index,
-		pool:    cfg.AARows,
 	}
 	// Row quotas use the same cumulative cut as the keyspace bands: exact
 	// cover, no rounding loss, deterministic.
@@ -124,17 +102,13 @@ func NewManager(tenants []TenantSpec, cfg core.Config) (*Manager, error) {
 	}
 	cum := 0
 	for i, t := range tenants {
-		lo := m.pool * cum / sum
+		lo := cfg.AARows * cum / sum
 		cum += t.Weight
-		hi := m.pool * cum / sum
+		hi := cfg.AARows * cum / sum
 		m.tenants[i] = tenantState{spec: t, part: parts[i], quota: hi - lo}
 	}
 	return m, nil
 }
-
-// SetHotness installs the telemetry callback consulted by the borrowing
-// policy. Without one, over-quota requests are always rejected.
-func (m *Manager) SetHotness(f HotnessFunc) { m.hotness = f }
 
 // Partition returns the keyspace band owned by tenant t.
 func (m *Manager) Partition(t core.TenantID) (keyspace.Partition, error) {
@@ -161,30 +135,9 @@ func (m *Manager) InUse(t core.TenantID) int {
 	return 0
 }
 
-// Borrowed returns how many rows of t's occupancy exceed its quota.
-func (m *Manager) Borrowed(t core.TenantID) int {
-	if i, ok := m.index[t]; ok {
-		if b := m.tenants[i].inUse - m.tenants[i].quota; b > 0 {
-			return b
-		}
-	}
-	return 0
-}
-
-// idle returns pool rows not occupied by any tenant.
-func (m *Manager) idle() int {
-	used := 0
-	for i := range m.tenants {
-		used += m.tenants[i].inUse
-	}
-	return m.pool - used
-}
-
-// Admit charges rows to tenant t, or rejects with *OverloadError. Requests
-// within quota always succeed (quotas cover the pool exactly, so in-quota
-// rows are physically available). Over-quota requests succeed only when the
-// tenant is hot (conflict ratio ≥ BorrowThreshold), enough idle rows exist,
-// and total borrowing stays within the tenant's own quota.
+// Admit charges rows to tenant t, or rejects an over-quota request with
+// *OverloadError. Requests within quota always succeed (quotas cover the
+// pool exactly, so in-quota rows are physically available).
 func (m *Manager) Admit(t core.TenantID, rows int) error {
 	i, ok := m.index[t]
 	if !ok {
@@ -194,24 +147,9 @@ func (m *Manager) Admit(t core.TenantID, rows int) error {
 		return fmt.Errorf("tenancy: tenant %d requested %d rows", t, rows)
 	}
 	st := &m.tenants[i]
-	if st.inUse+rows <= st.quota {
-		st.inUse += rows
-		st.admitted++
-		return nil
-	}
-	overload := &OverloadError{Tenant: t, Need: rows, InUse: st.inUse, Quota: st.quota, Idle: m.idle()}
-	borrowedAfter := st.inUse + rows - st.quota
-	if borrowedAfter > st.quota {
+	if st.inUse+rows > st.quota {
 		st.rejected++
-		return overload // borrow cap: never exceed own quota in borrowed rows
-	}
-	if m.hotness == nil || m.hotness(t) < BorrowThreshold {
-		st.rejected++
-		return overload
-	}
-	if rows > overload.Idle {
-		st.rejected++
-		return overload // peers are using their rows; nothing idle to lend
+		return &OverloadError{Tenant: t, Need: rows, InUse: st.inUse, Quota: st.quota}
 	}
 	st.inUse += rows
 	st.admitted++
@@ -231,20 +169,12 @@ func (m *Manager) Instrument(reg *telemetry.Registry) {
 		lbl := telemetry.L("tenant", strconv.FormatUint(uint64(st.spec.ID), 10))
 		reg.GaugeFunc("tenancy.quota_rows", func() int64 { return int64(st.quota) }, lbl)
 		reg.GaugeFunc("tenancy.rows_in_use", func() int64 { return int64(st.inUse) }, lbl)
-		reg.GaugeFunc("tenancy.rows_borrowed", func() int64 {
-			if b := st.inUse - st.quota; b > 0 {
-				return int64(b)
-			}
-			return 0
-		}, lbl)
 		reg.GaugeFunc("tenancy.admissions", func() int64 { return st.admitted }, lbl)
 		reg.GaugeFunc("tenancy.rejections", func() int64 { return st.rejected }, lbl)
 	}
 }
 
-// Release returns rows charged by a successful Admit. Borrowed rows are
-// implicitly returned first: occupancy simply drops, and once it falls to
-// the quota the tenant is no longer a borrower.
+// Release returns rows charged by a successful Admit.
 func (m *Manager) Release(t core.TenantID, rows int) {
 	if i, ok := m.index[t]; ok {
 		m.tenants[i].inUse -= rows
@@ -254,7 +184,9 @@ func (m *Manager) Release(t core.TenantID, rows int) {
 	}
 }
 
-// Usage is a point-in-time view of one tenant's allocation state.
+// Usage is a point-in-time view of one tenant's allocation state. Borrowed
+// is the occupancy beyond quota, which Admit never grants: it reads 0
+// unless the accounting leaks.
 type Usage struct {
 	Tenant   core.TenantID
 	Weight   int

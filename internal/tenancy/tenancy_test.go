@@ -95,73 +95,8 @@ func TestAdmitOverQuotaRejectsTyped(t *testing.T) {
 	if ov.Tenant != 1 || ov.Need != q+1 || ov.Quota != q || ov.InUse != 0 {
 		t.Fatalf("bad overload fields: %+v", ov)
 	}
-	if ov.Idle != m.Quota(1)+m.Quota(2) {
-		t.Fatalf("Idle %d, want whole pool %d", ov.Idle, m.Quota(1)+m.Quota(2))
-	}
 	if m.InUse(1) != 0 {
 		t.Fatal("rejected admit must not charge rows")
-	}
-}
-
-func TestHotTenantBorrowsIdleRows(t *testing.T) {
-	m := mgr(t, TenantSpec{ID: 1, Weight: 1}, TenantSpec{ID: 2, Weight: 1})
-	q := m.Quota(1)
-
-	// Not hot: over-quota rejected even with the whole pool idle.
-	m.SetHotness(func(core.TenantID) float64 { return 0.1 })
-	if err := m.Admit(1, q+10); err == nil {
-		t.Fatal("cold tenant must not borrow")
-	}
-
-	// Hot: the same request rides on tenant 2's idle rows.
-	m.SetHotness(func(core.TenantID) float64 { return 0.9 })
-	if err := m.Admit(1, q+10); err != nil {
-		t.Fatalf("hot borrow failed: %v", err)
-	}
-	if got := m.Borrowed(1); got != 10 {
-		t.Fatalf("Borrowed %d, want 10", got)
-	}
-
-	// Release returns borrowed rows first.
-	m.Release(1, 10)
-	if got := m.Borrowed(1); got != 0 {
-		t.Fatalf("Borrowed after release %d, want 0", got)
-	}
-}
-
-func TestBorrowBoundedByOwnQuota(t *testing.T) {
-	m := mgr(t, TenantSpec{ID: 1, Weight: 1}, TenantSpec{ID: 2, Weight: 3})
-	m.SetHotness(func(core.TenantID) float64 { return 1.0 })
-	q := m.Quota(1)
-	// 2q total = q own + q borrowed: allowed (pool is idle).
-	if err := m.Admit(1, 2*q); err != nil {
-		t.Fatalf("borrow up to own quota failed: %v", err)
-	}
-	// One more row would exceed the borrow cap even though idle rows remain.
-	err := m.Admit(1, 1)
-	var ov *OverloadError
-	if !errors.As(err, &ov) {
-		t.Fatalf("want *OverloadError past borrow cap, got %v", err)
-	}
-	if ov.Idle == 0 {
-		t.Fatal("rejection should report idle rows (policy, not exhaustion)")
-	}
-}
-
-func TestBorrowNeedsIdleRows(t *testing.T) {
-	m := mgr(t, TenantSpec{ID: 1, Weight: 1}, TenantSpec{ID: 2, Weight: 1})
-	m.SetHotness(func(core.TenantID) float64 { return 1.0 })
-	if err := m.Admit(2, m.Quota(2)); err != nil {
-		t.Fatal(err)
-	}
-	// Tenant 2 holds all its rows; tenant 1 over-quota has nothing to borrow.
-	err := m.Admit(1, m.Quota(1)+1)
-	var ov *OverloadError
-	if !errors.As(err, &ov) {
-		t.Fatalf("want *OverloadError, got %v", err)
-	}
-	if ov.Idle != m.Quota(1) {
-		t.Fatalf("Idle %d, want %d (only tenant 1's own unused rows)", ov.Idle, m.Quota(1))
 	}
 }
 
@@ -192,14 +127,13 @@ func TestInstrumentPerTenantGauges(t *testing.T) {
 	}
 	g := reg.GaugeValues()
 	for k, want := range map[string]int64{
-		`tenancy.quota_rows{tenant="1"}`:    int64(m.Quota(1)),
-		`tenancy.quota_rows{tenant="2"}`:    int64(m.Quota(2)),
-		`tenancy.rows_in_use{tenant="2"}`:   5,
-		`tenancy.rows_borrowed{tenant="2"}`: 0,
-		`tenancy.admissions{tenant="2"}`:    1,
-		`tenancy.admissions{tenant="1"}`:    0,
-		`tenancy.rejections{tenant="1"}`:    1,
-		`tenancy.rejections{tenant="2"}`:    0,
+		`tenancy.quota_rows{tenant="1"}`:  int64(m.Quota(1)),
+		`tenancy.quota_rows{tenant="2"}`:  int64(m.Quota(2)),
+		`tenancy.rows_in_use{tenant="2"}`: 5,
+		`tenancy.admissions{tenant="2"}`:  1,
+		`tenancy.admissions{tenant="1"}`:  0,
+		`tenancy.rejections{tenant="1"}`:  1,
+		`tenancy.rejections{tenant="2"}`:  0,
 	} {
 		got, ok := g[k]
 		if !ok {

@@ -9,16 +9,6 @@ import (
 	"time"
 )
 
-// KeyModel describes a (possibly time-varying) key-popularity process.
-// Picker instantiates a deterministic rank picker bound to one seeded RNG.
-type KeyModel interface {
-	Picker(rng *rand.Rand) Picker
-	// MaxKeys is the largest key index the model can emit plus one (sizes
-	// vocabulary caches).
-	MaxKeys() int
-	String() string
-}
-
 // Picker returns the key index of the tuple arriving at stream time now.
 type Picker func(now time.Duration) int
 
@@ -49,6 +39,8 @@ type ZipfChurn struct {
 	DriftRate    float64       // random permutation swaps per second
 }
 
+// MaxKeys is the largest key index the model can emit plus one (sizes
+// vocabulary caches).
 func (z ZipfChurn) MaxKeys() int {
 	if z.MaxDistinct > z.Distinct {
 		return z.MaxDistinct
@@ -70,6 +62,7 @@ func (z ZipfChurn) cardinality(t time.Duration) int {
 	return k
 }
 
+// Picker instantiates a deterministic rank picker bound to one seeded RNG.
 func (z ZipfChurn) Picker(rng *rand.Rand) Picker {
 	max := z.MaxKeys()
 	if max <= 0 {

@@ -49,7 +49,7 @@ type Scenario struct {
 	// Arrival is the temporal process; Keys the popularity process; Burst
 	// an optional correlated-burst overlay.
 	Arrival Arrival
-	Keys    KeyModel
+	Keys    ZipfChurn
 	Burst   *Burst
 
 	// Tuples is the stream length; Seed drives every RNG stream.
@@ -94,7 +94,7 @@ func (s Scenario) WithSeed(seed int64) Scenario {
 // scenario: Tuples arrivals in non-decreasing time order, keys named by the
 // rank-correlated length model.
 func (s Scenario) TimedStream() core.TimedStream {
-	if s.Tuples < 0 || s.Arrival == nil || s.Keys == nil {
+	if s.Tuples < 0 || s.Arrival == nil {
 		panic(fmt.Sprintf("scenario: invalid scenario %+v", s))
 	}
 	clock := s.Arrival.Clock(s.rng(saltArrival))

@@ -109,7 +109,8 @@ func Word(rank int, lens KeyLenModel) string {
 	return string(out)
 }
 
-// Spec describes one generated stream.
+// Spec describes one generated stream. Every tuple carries value 1
+// (WordCount semantics).
 type Spec struct {
 	// Name labels the workload in reports.
 	Name string
@@ -127,9 +128,6 @@ type Spec struct {
 	// Keys overrides the generated vocabulary: rank r uses Keys[r]. Used by
 	// microbenchmarks that need slot-balanced key pools.
 	Keys []string
-	// Value returns the tuple value for the i-th emission (nil: always 1,
-	// WordCount semantics).
-	Value func(i int64) int64
 	// Seed drives sampling.
 	Seed int64
 }
@@ -180,10 +178,6 @@ func (s Spec) Stream() core.Stream {
 	if s.Keys != nil && len(s.Keys) < s.Distinct {
 		panic(fmt.Sprintf("workload: %d keys for %d distinct", len(s.Keys), s.Distinct))
 	}
-	value := s.Value
-	if value == nil {
-		value = func(int64) int64 { return 1 }
-	}
 	lens := s.lens()
 	// Key-string cache: rank → word, built lazily (hot ranks dominate).
 	// Rank-indexed slice, not a map: the lookup is on the per-tuple fast
@@ -202,7 +196,6 @@ func (s Spec) Stream() core.Stream {
 		cache[rank] = w
 		return w
 	}
-	_ = lens
 
 	var i int64
 	switch s.Order {
@@ -226,7 +219,7 @@ func (s Spec) Stream() core.Stream {
 			} else {
 				rank = rng.Intn(s.Distinct)
 			}
-			kv := core.KV{Key: key(rank), Val: value(i)}
+			kv := core.KV{Key: key(rank), Val: 1}
 			i++
 			return kv, true
 		}
@@ -256,7 +249,7 @@ func (s Spec) Stream() core.Stream {
 				return core.KV{}, false
 			}
 			left--
-			kv := core.KV{Key: key(idx), Val: value(i)}
+			kv := core.KV{Key: key(idx), Val: 1}
 			i++
 			return kv, true
 		}

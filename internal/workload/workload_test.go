@@ -180,19 +180,6 @@ func TestUnknownDatasetPanics(t *testing.T) {
 	Dataset("nope", 10, 1)
 }
 
-func TestValueFunction(t *testing.T) {
-	spec := Uniform(10, 100, 1)
-	spec.Value = func(i int64) int64 { return i }
-	kvs := core.Collect(spec.Stream())
-	var sum int64
-	for _, kv := range kvs {
-		sum += kv.Val
-	}
-	if sum != 99*100/2 {
-		t.Fatalf("value function not applied: sum %d", sum)
-	}
-}
-
 // BenchmarkWorkloadZipf measures the Zipf stream generator.
 func BenchmarkWorkloadZipf(b *testing.B) {
 	s := Zipf(1<<16, int64(b.N)+1, 1.1, Shuffled, 1).Stream()
