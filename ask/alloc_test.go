@@ -120,14 +120,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 0.28 /* measured 0.245 */, 0.116 /* 0.098–0.101 */, 0.37 /* 0.318 */, 0.127 /* 0.110 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 0.27 /* measured 0.235 */, 0.104 /* 0.088–0.090 */, 0.37 /* 0.316 */, 0.019 /* 0.0165 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 0.80 /* 0.694 */, 0.29 /* 0.245–0.251 */, 0.82 /* 0.716 */, 0.28 /* 0.243 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 0.77 /* 0.667 */, 0.26 /* 0.217–0.223 */, 0.82 /* 0.712 */, 0.026 /* 0.0223 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.345 /* 0.300 */, 0.22 /* 0.190–0.203 */, 5.37 /* 4.674 */, 2.02 /* 1.760 */, 91 /* 79 */, allocRackTimed},
-	{"fattree-serial", 0.62 /* 0.535 */, 0.29 /* 0.245–0.250 */, 0.90 /* 0.779 */, 0.29 /* 0.249 */, 493 /* 429 */, allocFatTree},
+	{"rack-timed", 0.30 /* 0.260 */, 0.19 /* 0.149–0.162 */, 5.37 /* 4.663 */, 0.024 /* 0.0205 */, 91 /* 79 */, allocRackTimed},
+	{"fattree-serial", 0.58 /* 0.500 */, 0.245 /* 0.211–0.213 */, 0.90 /* 0.767 */, 0.043 /* 0.0376 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs

@@ -3,6 +3,7 @@ package hostd
 import (
 	"math/bits"
 	"sort"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
@@ -69,12 +70,18 @@ func (h *SendHandle) Done() bool { return h.t.finished }
 func (h *SendHandle) Err() error { return h.t.err }
 
 // dataChannel is one duplex persistent channel: a send loop draining queued
-// tasks through the sliding window, and a receive loop processing inbound
-// flow packets, each charged to the channel's CPU thread.
+// tasks through the sliding window, and a receive queue processing inbound
+// flow packets, each charged to the channel's CPU thread. Per-packet work runs
+// to completion as chains of events (the DPDK run-to-completion model,
+// §3.1): the receive queue's (rxQueue.run) and, for the task txLoop is
+// serving, the send chain (txRun); txLoop stays a process for the task
+// boundaries, the FIN and failover recovery.
 type dataChannel struct {
 	d    *Daemon
 	flow core.FlowKey
 	win  *window.Sender
+	// uplink is the host's NIC link, for the TX-ring throttle.
+	uplink *netsim.Link
 
 	queue    fifo[*sendTask]
 	queueSig *sim.Signal
@@ -95,21 +102,66 @@ type dataChannel struct {
 	regEpoch uint32
 
 	rx rxQueue
+	// rxTask, rxEff, rxTuples and rxLong carry a data packet's service from
+	// its start to its merge (serveInbound); rxMerge says whether the packet
+	// was fresh.
+	rxTask           *recvTask
+	rxEff            wire.Bitmap
+	rxTuples, rxLong int
+	rxMerge          bool
+
+	// tx is the send chain of the task txLoop serves.
+	tx txChain
 
 	txThread *cpumodel.Thread
 	rxThread *cpumodel.Thread
 }
 
+// txChain is the per-packet part of txLoop for one task: the pacing stall,
+// the PacketIOCost charge, the TX-ring throttle and the wait for window
+// space, run as a chain of events while txLoop is parked. Each wait is
+// scheduled where the process would have scheduled its own wake-up, so the
+// chain's events are the process's, in the same order; only the switches
+// go. The chain hands control back to txLoop (resume) at stream end, at a
+// transport abort and when a failover recovery is pending.
+type txChain struct {
+	task    *sendTask
+	pace    pacer
+	pz      *packetizer
+	stage   txStage
+	pkt     *wire.Packet
+	tuples  int
+	stalled bool // pkt waited for window space (SendFunc's trace state)
+	ended   bool // the stream is done: every packet sent, or the window aborted
+	// stepFn is ch.txStep and resume txLoop's Resumer, both bound once.
+	stepFn, resume func()
+}
+
+// txStage is the step of the send chain a packet is at.
+type txStage uint8
+
+const (
+	txNext     txStage = iota // packetize, stall until a tuple is due, charge PacketIOCost
+	txThrottle                // wait for the TX ring to drain below its bound
+	txSend                    // hand the packet to the window, waiting for space
+)
+
 func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 	ch := &dataChannel{
 		d:        d,
 		flow:     flow,
+		uplink:   d.net.Uplink(d.host),
 		queueSig: sim.NewSignal(d.sim),
-		rx:       newRxQueue(d),
 		retained: make(map[core.TaskID]*sendTask),
 		txThread: d.cpu.NewThread(),
 		rxThread: d.cpu.NewThread(),
 	}
+	ch.tx.stepFn = ch.txStep
+	// serveInbound keeps nothing of the packet it is handed (keys are
+	// interned strings, long-key strings are immutable), so the queue may
+	// rebuild its one view packet for the next entry.
+	ch.rx = rxQueue{d: d, thread: ch.rxThread, handle: ch.serveInbound}
+	ch.rx.runFn = ch.rx.run
 	ch.win = window.NewSender(d.sim, d.cfg.Window, core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, flow.String())
 	if d.cfg.CongestionControl {
@@ -122,12 +174,6 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		ch.win.EnableBackoff()
 	}
 	d.sim.Spawn("tx-"+flow.String(), ch.txLoop)
-	// processInbound keeps nothing of the packet it is handed (keys are
-	// interned strings, long-key strings are immutable), so serve may rebuild
-	// its one view packet for the next entry.
-	d.sim.Spawn("rx-"+flow.String(), func(p *sim.Proc) {
-		ch.rx.serve(p, func(pkt *wire.Packet) { d.processInbound(p, ch, pkt) })
-	})
 	return ch
 }
 
@@ -176,7 +222,11 @@ func (ch *dataChannel) maybeRecover(p *sim.Proc) {
 }
 
 // txLoop serves queued tasks in FIFO order: packetize, window-send, FIN.
+// The packets of a task go out through the send chain (txRun), which
+// returns control here at stream end, at an abort, or for a recovery.
 func (ch *dataChannel) txLoop(p *sim.Proc) {
+	tx := &ch.tx
+	tx.resume = p.Resumer()
 	for {
 		for ch.queue.len() == 0 {
 			ch.maybeRecover(p)
@@ -200,52 +250,23 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 
 		// Arrival offsets anchor at this moment — the channel is the task's
 		// ingress, so "stream start" is when the channel begins serving it.
-		stream, stall := paceStream(p, task.stream)
-		pz := newPacketizer(ch.d.layout, stream, stall)
-		pz.part = task.part
+		tx.task, tx.stage, tx.ended = task, txNext, false
+		tx.pace = pacer{sim: ch.d.sim, ts: task.stream, start: p.Now()}
+		tx.pz = newPacketizer(ch.d.layout, tx.pace.next, tx.pace.more)
+		tx.pz.part = task.part
 		for {
-			pkt, tuples, ok := pz.next()
-			if !ok {
+			if !ch.txRun() {
+				p.Park() // until the chain hands back
+			}
+			if tx.ended {
 				break
-			}
-			// PacketIOCost covers the whole per-packet lifecycle on the
-			// channel thread — shared-memory read, slot marshalling
-			// (SIMD-copied in batches on real DPDK), descriptor work, and
-			// ACK bookkeeping — keeping the calibrated 9.35 Mpps per
-			// channel independent of tuples per packet (Fig. 8(a)'s
-			// PPS-bound linear region).
-			ch.txThread.Run(p, cpumodel.PacketIOCost)
-			// Bounded TX ring: never queue more wire time at the NIC than
-			// a fraction of the retransmission timeout, or acknowledgments
-			// cannot outrun spurious timeouts.
-			ch.d.net.Uplink(ch.d.host).Throttle(p, core.RetransmitTimeout/4)
-			pkt.Task = task.id
-			pkt.Flow = ch.flow
-			ch.d.met.packetsSent.Inc()
-			ch.d.met.tuplesSent.Add(int64(tuples))
-			ch.d.met.batchTuples.Record(int64(tuples))
-			if pkt.Type == wire.TypeLongKey {
-				ch.d.met.longTuplesSent.Add(int64(tuples))
-			} else {
-				ch.d.slotFillCounter(pkt.Bitmap.Count()).Inc()
-			}
-			if err := ch.win.SendBlocking(p, pkt); err != nil {
-				task.err = err
-				break
-			}
-			if ch.d.failover && pkt.Type == wire.TypeData {
-				// The sender-side packet struct is never mutated by the
-				// network (frames clone at delivery), so the original slots
-				// and liveness bitmap are intact for replay. regEpoch tags
-				// the incarnation whose reliability state covered the first
-				// transmission (see historyRec).
-				task.history = append(task.history, historyRec{pkt, ch.regEpoch})
 			}
 			ch.maybeRecover(p)
 			// Recovery may have changed curDst while replaying other
 			// retained tasks; restore it for this task's next packet.
 			ch.curDst = task.receiver
 		}
+		tx.task, tx.pz, tx.pace = nil, nil, pacer{}
 		if task.err == nil {
 			if err := ch.win.WaitIdle(p); err != nil {
 				task.err = err
@@ -273,6 +294,97 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 
 		task.finished = true
 		task.done.Fire()
+	}
+}
+
+// txStep is the send chain's continuation event: it carries the chain on and
+// resumes txLoop within the same event when the chain hands back.
+func (ch *dataChannel) txStep() {
+	if ch.txRun() {
+		ch.tx.resume()
+	}
+}
+
+// txRun runs the send chain from its current step until it waits — its
+// continuation scheduled, it reports false — or hands control back to
+// txLoop, reporting true. A wait whose wake-up would be the next event
+// anyway is passed in place (sim.Simulation.Advance), as a process's sleep
+// is; so is a packetizing step that finds nothing to wait for.
+func (ch *dataChannel) txRun() bool {
+	tx, s := &ch.tx, ch.d.sim
+	for {
+		switch tx.stage {
+		case txNext:
+			pkt, tuples, ok := tx.pz.next()
+			if !ok {
+				if tx.pz.eof {
+					tx.ended = true
+					return true
+				}
+				// No tuple is due yet and nothing is buffered: the pacing
+				// stall, until the next arrival.
+				if at := tx.pace.dueAt(); !s.Advance(at) {
+					s.At(at, tx.stepFn)
+					return false
+				}
+				continue
+			}
+			// PacketIOCost covers the whole per-packet lifecycle on the
+			// channel thread — shared-memory read, slot marshalling
+			// (SIMD-copied in batches on real DPDK), descriptor work, and
+			// ACK bookkeeping — keeping the calibrated 9.35 Mpps per
+			// channel independent of tuples per packet (Fig. 8(a)'s
+			// PPS-bound linear region).
+			tx.pkt, tx.tuples, tx.stage = pkt, tuples, txThrottle
+			if !ch.txThread.Charge(cpumodel.PacketIOCost, tx.stepFn) {
+				return false
+			}
+			fallthrough
+		case txThrottle:
+			// Bounded TX ring: never queue more wire time at the NIC than
+			// a fraction of the retransmission timeout, or acknowledgments
+			// cannot outrun spurious timeouts.
+			tx.stage = txSend
+			if at := ch.uplink.ThrottleUntil(core.RetransmitTimeout / 4); !s.Advance(at) {
+				s.At(at, tx.stepFn)
+				return false
+			}
+			fallthrough
+		case txSend:
+			pkt := tx.pkt
+			if !tx.stalled { // the first attempt: stamp and count the packet
+				pkt.Task = tx.task.id
+				pkt.Flow = ch.flow
+				ch.d.met.packetsSent.Inc()
+				ch.d.met.tuplesSent.Add(int64(tx.tuples))
+				ch.d.met.batchTuples.Record(int64(tx.tuples))
+				if pkt.Type == wire.TypeLongKey {
+					ch.d.met.longTuplesSent.Add(int64(tx.tuples))
+				} else {
+					ch.d.slotFillCounter(pkt.Bitmap.Count()).Inc()
+				}
+			}
+			done, err := ch.win.SendFunc(pkt, &tx.stalled, tx.stepFn)
+			if !done {
+				return false
+			}
+			tx.pkt, tx.stalled, tx.stage = nil, false, txNext
+			if err != nil {
+				tx.task.err, tx.ended = err, true
+				return true
+			}
+			if ch.d.failover && pkt.Type == wire.TypeData {
+				// The sender-side packet struct is never mutated by the
+				// network (frames clone at delivery), so the original slots
+				// and liveness bitmap are intact for replay. regEpoch tags
+				// the incarnation whose reliability state covered the first
+				// transmission (see historyRec).
+				tx.task.history = append(tx.task.history, historyRec{pkt, ch.regEpoch})
+			}
+			if ch.recoverReq != 0 {
+				return true
+			}
+		}
 	}
 }
 
@@ -369,20 +481,31 @@ func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
 }
 
 // rxQueue is a channel's inbound queue, data or control: HandleFrame pushes
-// at arrival, the channel's rx process serves in arrival order. The queue
-// holds no packet: push copies out what the handlers read and releases the
-// frame, packet included, so a receiver that falls behind keeps a backlog of
-// queue entries while the frames and packets go back to the free lists the
-// moment they arrive.
+// at arrival, and the queue serves in arrival order, one packet at a time, as
+// a chain of events over the channel's thread (run). The queue holds no
+// packet: push copies out what the handlers read and releases the frame,
+// packet included, so a receiver that falls behind keeps a backlog of queue
+// entries while the frames and packets go back to the free lists the moment
+// they arrive.
 type rxQueue struct {
-	d     *Daemon
-	sig   *sim.Signal
-	items fifo[rxItem]
+	d      *Daemon
+	thread *cpumodel.Thread
+	// handle serves the view packet from the given step (0 for a new
+	// packet) up to its next wait, which it returns; it must keep no
+	// reference into the packet.
+	handle func(v *wire.Packet, step int) rxWait
+	items  fifo[rxItem]
 	// slots holds each queued data or replay packet's live slot groups as
 	// one run, and long each long-key packet's tuples.
 	slots fifo[wire.Slot]
 	long  fifo[wire.LongKV]
-	// view is the one packet serve hands to its handler, rebuilt from an
+	// busy is set from the push that finds the queue idle until run finds it
+	// empty; step is the served packet's next step, 0 between packets.
+	busy bool
+	step int
+	// runFn is r.run, bound once.
+	runFn func()
+	// view is the one packet run hands to its handler, rebuilt from an
 	// entry in the buffers below. The queue owns it: it is never drawn from
 	// or released to a free list.
 	view     wire.Packet
@@ -390,8 +513,13 @@ type rxQueue struct {
 	viewLong []wire.LongKV
 }
 
-// rxItem is a queued packet's header: what processInbound and
-// ctrlChannel.process read, besides the runs in the slot and long-key stores.
+// rxWait is what a packet's service waits for before its next step: a CPU
+// charge on the queue's thread or a plain delay. The zero value ends the
+// packet's service.
+type rxWait struct{ charge, delay time.Duration }
+
+// rxItem is a queued packet's header: what the handlers read, besides the
+// runs in the slot and long-key stores.
 type rxItem struct {
 	typ          wire.Type
 	task         core.TaskID
@@ -403,14 +531,14 @@ type rxItem struct {
 	ctrl         any
 }
 
-func newRxQueue(d *Daemon) rxQueue { return rxQueue{d: d, sig: sim.NewSignal(d.sim)} }
-
 // push queues what the handlers read of a delivered frame's packet and
 // releases the frame. Of a data or replay packet it keeps every slot group
 // live in the packet's bitmap — the effective bitmap a handler merges is a
 // subset of it, failover's claimBits included. A frame that does not own
 // its packet (built by hand, never through a link) leaves the packet with
-// its builder, as Frame.Release does.
+// its builder, as Frame.Release does. An idle queue starts serving at this
+// instant, in an event of its own scheduled here: the wake-up a receive
+// process waiting for the arrival would have had.
 func (r *rxQueue) push(f *netsim.Frame) {
 	pkt := f.Pkt
 	it := rxItem{
@@ -430,40 +558,64 @@ func (r *rxQueue) push(f *netsim.Frame) {
 	}
 	r.items.push(it)
 	f.Release()
-	r.sig.Fire()
+	if !r.busy {
+		r.busy = true
+		r.d.sim.At(r.d.sim.Now(), r.runFn)
+	}
 }
 
-// serve handles queued packets forever on the calling process, one view at a
-// time: handle must keep no reference into the packet it is given.
-func (r *rxQueue) serve(p *sim.Proc, handle func(*wire.Packet)) {
+// run serves queued packets until the queue is empty or a packet waits; the
+// wait's completion event runs it again. A loop, not a recursion, however
+// long the backlog: a wait whose wake-up would be the next event anyway is
+// passed in place (sim.Simulation.Advance), and the next packet starts in the
+// event that ends the last.
+func (r *rxQueue) run() {
+	s := r.d.sim
 	for {
-		for r.items.len() == 0 {
-			p.Wait(r.sig)
-		}
-		it := r.items.pop()
-		v := &r.view
-		*v = wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq, OrigSeq: it.origSeq, Bitmap: it.bitmap, Ctrl: it.ctrl}
-		if it.width > 0 {
-			if int(it.width) > cap(r.viewSlot) {
-				r.viewSlot = make([]wire.Slot, it.width)
+		if r.step == 0 {
+			if r.items.len() == 0 {
+				r.busy = false
+				return
 			}
-			v.Slots = r.viewSlot[:it.width]
-			clear(v.Slots)
-		}
-		if it.slots > 0 {
-			r.d.moveGroups(r.slots.take(int(it.slots)), v.Slots, it.bitmap, false)
-		}
-		if it.long > 0 {
-			if int(it.long) > cap(r.viewLong) {
-				r.viewLong = make([]wire.LongKV, it.long)
+			it := r.items.pop()
+			v := &r.view
+			*v = wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq, OrigSeq: it.origSeq, Bitmap: it.bitmap, Ctrl: it.ctrl}
+			if it.width > 0 {
+				if int(it.width) > cap(r.viewSlot) {
+					r.viewSlot = make([]wire.Slot, it.width)
+				}
+				v.Slots = r.viewSlot[:it.width]
+				clear(v.Slots)
 			}
-			run := r.long.take(int(it.long))
-			v.Long = r.viewLong[:copy(r.viewLong[:it.long], run)]
-			clear(run) // a kept block pins no key
+			if it.slots > 0 {
+				r.d.moveGroups(r.slots.take(int(it.slots)), v.Slots, it.bitmap, false)
+			}
+			if it.long > 0 {
+				if int(it.long) > cap(r.viewLong) {
+					r.viewLong = make([]wire.LongKV, it.long)
+				}
+				run := r.long.take(int(it.long))
+				v.Long = r.viewLong[:copy(r.viewLong[:it.long], run)]
+				clear(run) // a kept block pins no key
+			}
 		}
-		handle(v)
-		clear(v.Long) // an idle queue pins no key or control body
-		*v = wire.Packet{}
+		w := r.handle(&r.view, r.step)
+		r.step++
+		switch {
+		case w.charge > 0:
+			if !r.thread.Charge(w.charge, r.runFn) {
+				return
+			}
+		case w.delay > 0:
+			if at := s.Now().Add(w.delay); !s.Advance(at) {
+				s.At(at, r.runFn)
+				return
+			}
+		default:
+			r.step = 0
+			clear(r.view.Long) // an idle queue pins no key or control body
+			r.view = wire.Packet{}
+		}
 	}
 }
 

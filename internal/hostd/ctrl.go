@@ -39,11 +39,12 @@ type taskRelease struct {
 // ctrlChannel is the daemon's persistent control channel: one dedicated
 // thread, reliable delivery via the same sliding-window machinery as data.
 type ctrlChannel struct {
-	d      *Daemon
-	flow   core.FlowKey
-	win    *window.Sender
-	rx     rxQueue
-	thread *cpumodel.Thread
+	d    *Daemon
+	flow core.FlowKey
+	win  *window.Sender
+	rx   rxQueue
+	// fresh carries the served message's verdict across its CPU charge.
+	fresh bool
 }
 
 // ctrlWindow is the control channel's (small) sliding window.
@@ -51,20 +52,17 @@ const ctrlWindow = 64
 
 func newCtrlChannel(d *Daemon) *ctrlChannel {
 	ch := &ctrlChannel{
-		d:      d,
-		flow:   core.FlowKey{Host: d.host, Channel: core.ChannelID(d.cfg.DataChannels)},
-		rx:     newRxQueue(d),
-		thread: d.cpu.NewThread(),
+		d:    d,
+		flow: core.FlowKey{Host: d.host, Channel: core.ChannelID(d.cfg.DataChannels)},
 	}
 	// Control messages are far larger-timeout than data: they cross the
 	// switch twice and are not latency critical.
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
 	// process retains nothing from the packet (ctrl bodies are plain values
-	// and the ack is a fresh packet), so serve may reuse its view packet.
-	d.sim.Spawn("ctrl-"+ch.flow.String(), func(p *sim.Proc) {
-		ch.rx.serve(p, func(pkt *wire.Packet) { ch.process(p, pkt) })
-	})
+	// and the ack is a fresh packet), so the queue may reuse its view packet.
+	ch.rx = rxQueue{d: d, thread: d.cpu.NewThread(), handle: ch.process}
+	ch.rx.runFn = ch.rx.run
 	return ch
 }
 
@@ -79,25 +77,33 @@ func (ch *ctrlChannel) send(p *sim.Proc, dst core.HostID, body any) {
 	ch.win.SendBlocking(p, pkt)
 }
 
-func (ch *ctrlChannel) process(p *sim.Proc, pkt *wire.Packet) {
-	verdict := ch.d.dedupFor(pkt.Flow).Observe(pkt.Seq)
-	if verdict == window.Stale {
-		return
-	}
-	ch.thread.Run(p, cpumodel.PacketIOCost)
-	if verdict == window.Fresh {
-		msg := pkt.Ctrl.(ctrlMsg)
-		switch body := msg.Body.(type) {
-		case taskNotify:
-			ch.d.onNotify(body)
-		case taskRelease:
-			ch.d.onRelease(body.Task)
-		default:
-			// Unknown control bodies are ignored (forward compatibility).
+// process serves one control message in three steps: classify it and
+// charge its PacketIOCost; apply a fresh one and let a small queueing delay
+// stand in for the local message queue to the application (§3.1 step ⑤);
+// acknowledge it.
+func (ch *ctrlChannel) process(pkt *wire.Packet, step int) rxWait {
+	switch step {
+	case 0:
+		verdict := ch.d.dedupFor(pkt.Flow).Observe(pkt.Seq)
+		if verdict == window.Stale {
+			return rxWait{}
 		}
-		// A small queueing delay stands in for the local message queue to
-		// the application (§3.1 step ⑤).
-		p.Sleep(time.Microsecond)
+		ch.fresh = verdict == window.Fresh
+		return rxWait{charge: cpumodel.PacketIOCost}
+	case 1:
+		if ch.fresh {
+			msg := pkt.Ctrl.(ctrlMsg)
+			switch body := msg.Body.(type) {
+			case taskNotify:
+				ch.d.onNotify(body)
+			case taskRelease:
+				ch.d.onRelease(body.Task)
+			default:
+				// Unknown control bodies are ignored (forward compatibility).
+			}
+			return rxWait{delay: time.Microsecond}
+		}
 	}
 	ch.d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
+	return rxWait{}
 }

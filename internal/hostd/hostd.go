@@ -287,7 +287,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		}
 		f.Release() // addChunk copied the entries out
 	case wire.TypeCtrl:
-		d.ctrlCh.rx.push(f) // queues what the ctrl rx process reads and releases the frame
+		d.ctrlCh.rx.push(f) // queues what the control handler reads and releases the frame
 	case wire.TypeProbeReply:
 		if window.SeqLess(d.probeReplySeq, pkt.Seq) {
 			d.probeReplySeq = pkt.Seq
@@ -305,7 +305,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
 		// Spread receive processing across channel threads by flow. The
 		// queue copies out the header and the live slots and releases the
-		// frame and its packet now; the channel rx process merges later.
+		// frame and its packet now; the channel's receive chain merges later.
 		idx := (int(pkt.Flow.Host)*31 + int(pkt.Flow.Channel)) % len(d.channels)
 		d.channels[idx].rx.push(f)
 	default:

@@ -44,6 +44,7 @@ type rig struct {
 	s       *sim.Simulation
 	sw      *switchd.Switch
 	daemons map[core.HostID]*hostd.Daemon
+	cpus    map[core.HostID]*cpumodel.Host
 }
 
 func newRig(t *testing.T, hosts int, link netsim.LinkConfig) *rig {
@@ -60,16 +61,23 @@ func newRigConfig(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Conf
 // returns for the rack's switch.
 func newRigCtrl(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller) *rig {
 	t.Helper()
+	return newRigCores(t, hosts, link, cfg, mk, 8)
+}
+
+// newRigCores builds the rig with cores CPU cores per host.
+func newRigCores(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller, cores int) *rig {
+	t.Helper()
 	s := sim.New(1)
 	n := netsim.New(s, link)
 	sw, err := switchd.New(s, n, cfg, switchd.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{s: s, sw: sw, daemons: make(map[core.HostID]*hostd.Daemon)}
+	r := &rig{s: s, sw: sw, daemons: make(map[core.HostID]*hostd.Daemon), cpus: make(map[core.HostID]*cpumodel.Host)}
 	for h := 0; h < hosts; h++ {
 		id := core.HostID(h)
-		d, err := hostd.New(s, n, cpumodel.NewHost(s, 8), cfg, id, mk(sw), telemetry.Sink{})
+		r.cpus[id] = cpumodel.NewHost(s, cores)
+		d, err := hostd.New(s, n, r.cpus[id], cfg, id, mk(sw), telemetry.Sink{})
 		if err != nil {
 			t.Fatal(err)
 		}

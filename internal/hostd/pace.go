@@ -5,42 +5,48 @@ import (
 	"repro/internal/sim"
 )
 
-// paceStream adapts a timed stream to the packetizer's paced-source
-// contract, anchoring the stream's arrival offsets at the virtual time the
-// channel starts serving the task. The returned stream yields only tuples
-// whose arrival time has passed (and reports !ok otherwise); stall sleeps
-// on the sim clock until the next arrival is due, returning false at EOF.
-// Together they make the send loop consume the trace on the sim clock: the
-// packetizer packs whatever has arrived, flushes partial packets on a lull,
-// and parks until the next arrival. A plain stream is the degenerate trace
-// with every arrival at offset zero: every tuple is due at once, so it
-// streams back to back and stall is reached only at EOF, where it never
-// sleeps.
-func paceStream(p *sim.Proc, ts core.TimedStream) (core.Stream, func() bool) {
-	start := p.Now()
-	var pending core.TimedKV
-	has, eof := false, false
-	fetch := func() {
-		if !has && !eof {
-			pending, has = ts()
-			eof = !has
-		}
-	}
-	stream := func() (core.KV, bool) {
-		fetch()
-		if has && start.Add(pending.At) <= p.Now() {
-			has = false
-			return pending.KV, true
-		}
-		return core.KV{}, false
-	}
-	stall := func() bool {
-		fetch()
-		if !has {
-			return false
-		}
-		p.SleepUntil(start.Add(pending.At))
-		return true
-	}
-	return stream, stall
+// pacer adapts a timed stream to the packetizer's paced-source contract,
+// anchoring the stream's arrival offsets at start, the virtual time the
+// channel starts serving the task. next yields only tuples whose arrival time
+// has passed (and reports !ok otherwise); more reports whether a tuple is
+// still to come, and dueAt when it arrives — the send chain's pacing stall
+// waits until then. Together they make the send loop consume the trace on the
+// sim clock: the packetizer packs whatever has arrived, flushes partial
+// packets on a lull, and waits for the next arrival. A plain stream is the
+// degenerate trace with every arrival at offset zero: every tuple is due at
+// once, so it streams back to back and more is reached only at EOF, where it
+// reports false.
+type pacer struct {
+	sim      *sim.Simulation
+	ts       core.TimedStream
+	start    sim.Time
+	pending  core.TimedKV
+	has, eof bool
 }
+
+func (pc *pacer) fetch() {
+	if !pc.has && !pc.eof {
+		pc.pending, pc.has = pc.ts()
+		pc.eof = !pc.has
+	}
+}
+
+// next is the packetizer's stream: the next tuple, if it is due.
+func (pc *pacer) next() (core.KV, bool) {
+	pc.fetch()
+	if pc.has && pc.dueAt() <= pc.sim.Now() {
+		pc.has = false
+		return pc.pending.KV, true
+	}
+	return core.KV{}, false
+}
+
+// more reports whether a tuple is still to come.
+func (pc *pacer) more() bool {
+	pc.fetch()
+	return pc.has
+}
+
+// dueAt is the arrival time of the pending tuple (more must have reported
+// true).
+func (pc *pacer) dueAt() sim.Time { return pc.start.Add(pc.pending.At) }

@@ -23,16 +23,16 @@ import (
 type packetizer struct {
 	layout *keyspace.Layout
 	cfg    core.Config // the layout's, read per tuple
-	// stream is a paced source (paceStream): it yields only tuples already
-	// due, so !ok means "no tuple due yet", not EOF. stall blocks (on the sim
-	// clock) until the next tuple is due and returns true, or returns false
-	// at true EOF. pull consults it only with empty buffers; with tuples
-	// queued it flushes a partial packet first, so a lull in arrivals never
-	// holds aggregated data hostage (NIC-style idle flush). A source whose
-	// arrivals are all at offset zero is never "not due": its stall is
-	// reached once, at EOF.
+	// stream is a paced source (pacer): it yields only tuples already due,
+	// so !ok means "no tuple due yet", not EOF. more reports whether a tuple
+	// is still to come: false at true EOF. pull consults it only with empty
+	// buffers, and then returns — next reports nothing to send, and the
+	// caller waits for the next arrival; with tuples queued it flushes a
+	// partial packet first, so a lull in arrivals never holds aggregated data
+	// hostage (NIC-style idle flush). A source whose arrivals are all at
+	// offset zero is never "not due": its more is reached once, at EOF.
 	stream core.Stream
-	stall  func() bool
+	more   func() bool
 	// flush marks that the last pull stopped on a not-yet-due tuple with
 	// data buffered: next must emit what it has even though no bucket set
 	// is full.
@@ -57,7 +57,7 @@ type packetizer struct {
 // tuples may be held before a packet is emitted with blank slots.
 const bufferPerUnit = 256
 
-func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() bool) *packetizer {
+func newPacketizer(layout *keyspace.Layout, stream core.Stream, more func() bool) *packetizer {
 	cfg := layout.Config()
 	n := uint(8 * cfg.KPartBytes)
 	units := layout.LogicalUnits()
@@ -66,7 +66,7 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream, stall func() boo
 		layout:  layout,
 		cfg:     cfg,
 		stream:  stream,
-		stall:   stall,
+		more:    more,
 		buckets: newBucketArena(units, maxBuf),
 		maxBuf:  maxBuf,
 		valLo:   -(int64(1) << (n - 1)),
@@ -140,7 +140,7 @@ func (a *bucketArena) pop(u int) core.KV {
 }
 
 // pull moves tuples from the stream into buckets until a packet can be
-// emitted or the stream ends.
+// emitted, the stream ends, or no tuple is due with nothing buffered.
 func (pz *packetizer) pull() {
 	pz.flush = false
 	for !pz.eof {
@@ -150,17 +150,14 @@ func (pz *packetizer) pull() {
 		kv, ok := pz.stream()
 		if !ok {
 			// The next tuple is not due yet (or there is none). Flush
-			// whatever is queued before waiting; only park with empty
+			// whatever is queued before waiting; only wait with empty
 			// buffers.
 			if pz.buffered > 0 || pz.longQ.len() > 0 {
 				pz.flush = true
 				return
 			}
-			if !pz.stall() {
-				pz.eof = true
-				return
-			}
-			continue
+			pz.eof = !pz.more()
+			return
 		}
 		unit, ok := pz.unitOf(kv)
 		if !ok {
@@ -200,8 +197,10 @@ func (pz *packetizer) unitOf(kv core.KV) (int, bool) {
 }
 
 // next returns the next packet to transmit. tuples is the number of logical
-// tuples it carries (for CPU accounting); ok is false when the stream and
-// all buffers are exhausted. The returned packet lacks Task/Flow/Seq, which
+// tuples it carries (for CPU accounting); ok is false when there is nothing
+// to send: the stream and all buffers are exhausted (pz.eof), or no tuple is
+// due yet and nothing is buffered — the caller waits until the source's next
+// arrival and calls next again. The returned packet lacks Task/Flow/Seq, which
 // the data channel assigns; it comes from the wire free list, and the channel
 // releases it when its window flight is acknowledged (dataChannel.acked).
 func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {

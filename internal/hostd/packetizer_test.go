@@ -21,7 +21,7 @@ func testLayout(t *testing.T) *keyspace.Layout {
 	return l
 }
 
-// atEOF is the stall of a source that is never "not due": the packetizer
+// atEOF is the more of a source that is never "not due": the packetizer
 // reaches it only once the stream is exhausted, and it reports EOF.
 func atEOF() bool { return false }
 
@@ -243,9 +243,9 @@ func TestPacketizerSameKeySameSlotAcrossPackets(t *testing.T) {
 
 // TestPacketizerZeroOffsetPacedSource is the one send path seen from the
 // packetizer: a plain stream lifted to arrival offset zero and paced on the
-// sim clock (what SubmitSend hands txLoop) is never "not due", so stall is
-// reached exactly once, at EOF, the clock does not move, and the packets are
-// the ones the EOF-only source of the tests above emits.
+// sim clock (what SubmitSend hands txLoop) is never "not due", so more is
+// reached exactly once, at EOF — the send chain never stalls — and the
+// packets are the ones the EOF-only source of the tests above emits.
 func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
 	l := testLayout(t)
 	rng := rand.New(rand.NewSource(3))
@@ -259,19 +259,12 @@ func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
 	}
 	want := drainPackets(newPacketizer(l, core.SliceStream(in), atEOF))
 
-	s := sim.New(1)
-	var got []*wire.Packet
-	stalls := 0
-	s.Spawn("tx", func(p *sim.Proc) {
-		stream, stall := paceStream(p, core.SliceStream(in).Timed())
-		got = drainPackets(newPacketizer(l, stream, func() bool { stalls++; return stall() }))
-	})
-	s.Run(0)
-	if stalls != 1 {
-		t.Fatalf("stall called %d times over %d zero-offset tuples, want once (at EOF)", stalls, len(in))
-	}
-	if s.Now() != 0 {
-		t.Fatalf("zero-offset source slept: clock at %v", s.Now())
+	pc := pacer{sim: sim.New(1), ts: core.SliceStream(in).Timed()}
+	mores := 0
+	pz := newPacketizer(l, pc.next, func() bool { mores++; return pc.more() })
+	got := drainPackets(pz)
+	if mores != 1 || !pz.eof {
+		t.Fatalf("more called %d times over %d zero-offset tuples, want once (at EOF); eof %v", mores, len(in), pz.eof)
 	}
 	// Clone strips the free-list bookkeeping, which depends on what the pool
 	// happened to hand out, and keeps every field of the packet itself.
@@ -309,8 +302,8 @@ func (r *refPacketizer) pull() {
 			if r.flush = r.buffered > 0 || len(r.longQ) > 0; r.flush {
 				return
 			}
-			r.eof = !r.pz.stall()
-			continue
+			r.eof = !r.pz.more()
+			return
 		}
 		u, ok := r.pz.unitOf(kv)
 		if !ok {
@@ -353,7 +346,7 @@ func (r *refPacketizer) next() (*wire.Packet, int, bool) {
 }
 
 // pacedSource is a deterministic paced stream: each step is a tuple or a lull
-// (the next tuple not due yet), and stall reports whether steps remain.
+// (the next tuple not due yet), and more reports whether steps remain.
 type pacedSource struct {
 	steps []core.KV
 	lull  []bool
@@ -368,7 +361,7 @@ func (s *pacedSource) stream() (core.KV, bool) {
 	return s.steps[s.i-1], !s.lull[s.i-1]
 }
 
-func (s *pacedSource) stall() bool { return s.i < len(s.steps) }
+func (s *pacedSource) more() bool { return s.i < len(s.steps) }
 
 // TestPacketizerArenaIsPerUnitQueues holds the shared bucket arena to the
 // per-unit queues it replaced: over seeded streams that mix short, medium and
@@ -403,19 +396,22 @@ func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 			src.lull = append(src.lull, rng.Float64() < lulls)
 		}
 		refSrc := src
-		pz := newPacketizer(l, src.stream, src.stall)
-		ref := &refPacketizer{pz: newPacketizer(l, refSrc.stream, refSrc.stall), queues: make([][]core.KV, l.LogicalUnits())}
+		pz := newPacketizer(l, src.stream, src.more)
+		ref := &refPacketizer{pz: newPacketizer(l, refSrc.stream, refSrc.more), queues: make([][]core.KV, l.LogicalUnits())}
 		for n := 0; ; n++ {
 			got, gotTuples, gotOK := pz.next()
 			want, wantTuples, wantOK := ref.next()
-			if gotOK != wantOK || gotTuples != wantTuples {
-				t.Fatalf("seed %d packet %d: (%d tuples, %v), per-unit queues give (%d, %v)", seed, n, gotTuples, gotOK, wantTuples, wantOK)
+			if gotOK != wantOK || gotTuples != wantTuples || pz.eof != ref.eof {
+				t.Fatalf("seed %d packet %d: (%d tuples, %v, eof %v), per-unit queues give (%d, %v, eof %v)", seed, n, gotTuples, gotOK, pz.eof, wantTuples, wantOK, ref.eof)
 			}
 			if len(pz.buckets.entries) > pz.maxBuf {
 				t.Fatalf("seed %d packet %d: arena holds %d entries, bound %d", seed, n, len(pz.buckets.entries), pz.maxBuf)
 			}
 			if !gotOK {
-				break
+				if pz.eof {
+					break
+				}
+				continue // a lull with nothing buffered: the sender waits, then asks again
 			}
 			if !reflect.DeepEqual(got.Clone(), want.Clone()) {
 				t.Fatalf("seed %d packet %d differs:\n got %v bitmap %x slots %v long %v\nwant %v bitmap %x slots %v long %v",

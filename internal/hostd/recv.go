@@ -276,70 +276,81 @@ func (d *Daemon) SetTenantChannels(tenant core.TenantID, lo, n int) error {
 	return nil
 }
 
-// processInbound handles one flow packet on a channel's receive thread.
-func (d *Daemon) processInbound(p *sim.Proc, ch *dataChannel, pkt *wire.Packet) {
-	// The transport ACK went out at arrival (HandleFrame); here the packet
-	// is classified and merged exactly once.
-	verdict := d.dedupFor(pkt.Flow).Observe(pkt.Seq)
-	if verdict == window.Stale {
-		return
-	}
-	if verdict == window.Duplicate {
-		ch.rxThread.Run(p, cpumodel.PacketIOCost)
-		return
-	}
-
-	t := d.recvTasks[pkt.Task]
-	// eff selects the slotted tuples to merge here, tuples counts them (and a
-	// long-key packet's) for the CPU charge.
-	var eff wire.Bitmap
-	tuples, longTuples := 0, 0
-	switch pkt.Type {
-	case wire.TypeData:
-		eff = pkt.Bitmap
-		if d.failover && t != nil && !t.completed {
-			eff = t.claimBits(pkt.Flow, pkt.Seq, pkt.Bitmap)
+// serveInbound serves one flow packet of a channel's receive queue in two
+// steps. The first runs the instant the packet reaches the head of the
+// queue: the transport ACK went out at arrival (HandleFrame); here the packet
+// is classified exactly once, the failover ledger claims its bits
+// (claimBits) and its CPU cost is reckoned. The second, once the charge is
+// paid, merges a fresh packet with what the first reckoned.
+func (ch *dataChannel) serveInbound(pkt *wire.Packet, step int) rxWait {
+	d := ch.d
+	if step == 0 {
+		ch.rxMerge = false
+		verdict := d.dedupFor(pkt.Flow).Observe(pkt.Seq)
+		if verdict == window.Stale {
+			return rxWait{}
 		}
-	case wire.TypeReplay:
-		// Failover replay: merge only the bits not already counted from the
-		// original packet's residue path, and nothing at all once switch
-		// state has been committed (the replayed tuples were either merged
-		// then or surrendered by the pre-reboot switch — never both).
-		if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
-			eff = t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
+		if verdict == window.Duplicate {
+			return rxWait{charge: cpumodel.PacketIOCost}
 		}
-	case wire.TypeLongKey:
-		tuples, longTuples = len(pkt.Long), len(pkt.Long)
+		t := d.recvTasks[pkt.Task]
+		// eff selects the slotted tuples to merge here, tuples counts them
+		// (and a long-key packet's) for the CPU charge.
+		var eff wire.Bitmap
+		tuples, longTuples := 0, 0
+		switch pkt.Type {
+		case wire.TypeData:
+			eff = pkt.Bitmap
+			if d.failover && t != nil && !t.completed {
+				eff = t.claimBits(pkt.Flow, pkt.Seq, pkt.Bitmap)
+			}
+		case wire.TypeReplay:
+			// Failover replay: merge only the bits not already counted from
+			// the original packet's residue path, and nothing at all once
+			// switch state has been committed (the replayed tuples were
+			// either merged then or surrendered by the pre-reboot switch —
+			// never both).
+			if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
+				eff = t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
+			}
+		case wire.TypeLongKey:
+			tuples, longTuples = len(pkt.Long), len(pkt.Long)
+		}
+		d.residue(pkt, eff, func([]wire.Slot) { tuples++ })
+		ch.rxMerge, ch.rxTask, ch.rxEff, ch.rxTuples, ch.rxLong = true, t, eff, tuples, longTuples
+		return rxWait{charge: cpumodel.PacketIOCost + time.Duration(tuples)*cpumodel.HostAggregateCost}
 	}
-	d.residue(pkt, eff, func([]wire.Slot) { tuples++ })
-	cost := cpumodel.PacketIOCost + time.Duration(tuples)*cpumodel.HostAggregateCost
-	ch.rxThread.Run(p, cost)
+	t, tuples := ch.rxTask, int64(ch.rxTuples)
+	ch.rxTask = nil
+	if !ch.rxMerge {
+		return rxWait{}
+	}
 	d.met.packetsReceived.Inc()
-
 	if t != nil && !t.completed {
 		// The packet is the receive queue's view, rebuilt from the queued
-		// entry and this process's until it returns (rxQueue.serve), so the
-		// tuples are folded straight out of it.
-		d.residue(pkt, eff, t.mergeGroup)
+		// entry and the queue's until this packet is served (rxQueue.run),
+		// so the tuples are folded straight out of it.
+		d.residue(pkt, ch.rxEff, t.mergeGroup)
 		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type
 			t.seg.addLong(lk)
 		}
-		t.met.residueTuples.Add(int64(tuples))
-		t.met.longTuples.Add(int64(longTuples))
-		d.met.residueTuples.Add(int64(tuples))
+		t.met.residueTuples.Add(tuples)
+		t.met.longTuples.Add(int64(ch.rxLong))
+		d.met.residueTuples.Add(tuples)
 		switch pkt.Type {
 		case wire.TypeData:
 			t.met.dataPackets.Inc()
 			t.pktsSinceSwap++
 			t.maybeSwap()
 		case wire.TypeReplay:
-			t.met.replayTuples.Add(int64(tuples))
-			d.met.replayTuplesMerged.Add(int64(tuples))
-			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(pkt.Task), int64(pkt.OrigSeq), int64(tuples))
+			t.met.replayTuples.Add(tuples)
+			d.met.replayTuplesMerged.Add(tuples)
+			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(pkt.Task), int64(pkt.OrigSeq), tuples)
 		case wire.TypeFin:
 			t.onFin(pkt.Flow.Host, pkt.OrigSeq)
 		}
 	}
+	return rxWait{}
 }
 
 // mergeGroup folds one residue tuple — key in the slots of group, value in

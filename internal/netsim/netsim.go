@@ -314,10 +314,15 @@ func (l *Link) Backlog() time.Duration {
 // about to queue a frame behind more than bound of wire time sleeps until the
 // backlog has drained to half of it — hysteresis, not to empty, so the wire
 // never idles at line rate.
-func (l *Link) Throttle(p *sim.Proc, bound time.Duration) {
+func (l *Link) Throttle(p *sim.Proc, bound time.Duration) { p.SleepUntil(l.ThrottleUntil(bound)) }
+
+// ThrottleUntil is the instant Throttle sleeps until, for callback chains:
+// now, unless more than bound of wire time is queued.
+func (l *Link) ThrottleUntil(bound time.Duration) sim.Time {
 	if l.Backlog() > bound {
-		p.SleepUntil(l.NextFree().Add(-bound / 2))
+		return l.NextFree().Add(-bound / 2)
 	}
+	return l.sim.Now()
 }
 
 // serialize returns the wire time of n bytes at the link rate, carrying

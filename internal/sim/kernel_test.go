@@ -332,3 +332,160 @@ func TestSleepParksAfterStopAndOnLanes(t *testing.T) {
 		t.Fatalf("lane sleeper resumed at %v after %d dispatches, want 5 after 2", resumed, lane.Stats().Dispatches)
 	}
 }
+
+// TestAdvanceInPlaceRule holds Advance, the continuation rule callback chains
+// share with SleepUntil, to its definition: a continuation at t runs in place
+// exactly when nothing live is queued at or before t (a stopped timer there
+// does not count), the run is serial and not stopped, and t is within Run's
+// limit; an instant not in the future always passes.
+func TestAdvanceInPlaceRule(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		setup func(s *Simulation) // queues what the continuation at 10 meets
+		limit Time
+		want  bool
+	}{
+		{"nothing queued", func(*Simulation) {}, 0, true},
+		{"event later", func(s *Simulation) { s.At(11, func() {}) }, 0, true},
+		{"event at the instant", func(s *Simulation) { s.At(10, func() {}) }, 0, false},
+		{"event before", func(s *Simulation) { s.At(7, func() {}) }, 0, false},
+		{"stopped timer before", func(s *Simulation) { s.At(7, func() {}).Stop() }, 0, true},
+		{"past the limit", func(*Simulation) {}, 9, false},
+		{"at the limit", func(*Simulation) {}, 10, true},
+		{"run stopped", func(s *Simulation) { s.Stop() }, 0, false},
+	} {
+		s := New(1)
+		var got, past bool
+		now := Time(-1)
+		s.At(2, func() {
+			tc.setup(s)
+			past = s.Advance(1) && s.Advance(2)
+			got = s.Advance(10)
+			now = s.Now()
+		})
+		s.Run(tc.limit)
+		if got != tc.want || !past {
+			t.Errorf("%s: Advance(10) = %v, want %v (instants not in the future: %v)", tc.name, got, tc.want, past)
+		}
+		if want := map[bool]Time{true: 10, false: 2}[tc.want]; now != want {
+			t.Errorf("%s: clock at %v after Advance, want %v", tc.name, now, want)
+		}
+	}
+	if s := New(1); s.Advance(10) || s.Now() != 0 {
+		t.Error("Advance outside Run moved the clock")
+	}
+}
+
+// TestChainYieldsToEventAtItsInstant: a callback chain that finds an event
+// queued at exactly its instant schedules its continuation there, which runs
+// after that event — the order a process sleeping to the instant sees — and
+// in place it passes only where that process would not have parked.
+func TestChainYieldsToEventAtItsInstant(t *testing.T) {
+	s := New(1)
+	var order []string
+	var step func()
+	n := 0
+	step = func() {
+		for n < 3 {
+			order = append(order, fmt.Sprintf("chain%d@%v", n, s.Now()))
+			n++
+			if at := s.Now() + 10; !s.Advance(at) {
+				s.At(at, step)
+				return
+			}
+		}
+	}
+	s.At(20, func() { order = append(order, "event@20ns") })
+	s.At(0, step)
+	s.Run(0)
+	if got, want := fmt.Sprint(order), "[chain0@0s chain1@10ns event@20ns chain2@20ns]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	// The continuation at 20 was an event; the one at 10 was not.
+	if got := s.Stats().Fired; got != 3 {
+		t.Fatalf("%d events fired, want 3", got)
+	}
+}
+
+// TestResourceGrantsMixedWaitersInOrder: processes (Acquire) and callbacks
+// (AcquireFunc) wait for a contended unit in one FIFO and are granted it in
+// arrival order, each at the instant the previous holder releases.
+func TestResourceGrantsMixedWaitersInOrder(t *testing.T) {
+	s := New(1)
+	r := NewResource(s, 1)
+	var order []string
+	hold := func(name string) { order = append(order, fmt.Sprintf("%s@%v", name, s.Now())) }
+	callback := func(name string) func() {
+		return func() {
+			hold(name)
+			s.After(10, r.Release)
+		}
+	}
+	proc := func(name string) func(p *Proc) {
+		return func(p *Proc) {
+			r.Acquire(p)
+			hold(name)
+			p.Sleep(10)
+			r.Release()
+		}
+	}
+	s.Spawn("p0", proc("p0")) // takes the unit at 0
+	s.At(1, func() {
+		if r.AcquireFunc(callback("c1")) {
+			t.Error("AcquireFunc granted a held unit")
+		}
+	})
+	s.At(2, func() { s.Spawn("p2", proc("p2")) })
+	s.At(3, func() { r.AcquireFunc(callback("c3")) })
+	s.Run(0)
+	if got, want := fmt.Sprint(order), "[p0@0s c1@10ns p2@20ns c3@30ns]"; got != want {
+		t.Fatalf("grants %s, want %s", got, want)
+	}
+	if r.InUse() != 0 || r.BusyTime() != 40 {
+		t.Fatalf("in use %d, busy %v after the run; want 0, 40ns", r.InUse(), r.BusyTime())
+	}
+}
+
+// TestHandBackResumesBeforeLaterEvents: a process parked for a callback chain
+// and handed control back with its Resumer runs within the chain's event,
+// before an event already queued behind it at the same instant — which a wake
+// through Signal.Fire, an event of its own, would follow.
+func TestHandBackResumesBeforeLaterEvents(t *testing.T) {
+	s := New(1)
+	var order []string
+	s.Spawn("loop", func(p *Proc) {
+		resume := p.Resumer()
+		s.At(5, func() {
+			order = append(order, "chain")
+			s.At(5, func() { order = append(order, "later") })
+			resume()
+		})
+		p.Park()
+		order = append(order, fmt.Sprintf("loop@%v", p.Now()))
+	})
+	s.Run(0)
+	if got, want := fmt.Sprint(order), "[chain loop@5ns later]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+	// Dispatched at its start and by the hand-back; no wake-up event.
+	if st := s.Stats(); st.Dispatches != 2 || st.Fired != 3 {
+		t.Fatalf("%d dispatches, %d events; want 2, 3", st.Dispatches, st.Fired)
+	}
+}
+
+// TestSubscribeRunsWithWaitersInOrder: a callback subscribed to a signal runs
+// as its own event at the Fire, in subscription order with waiting
+// processes, once.
+func TestSubscribeRunsWithWaitersInOrder(t *testing.T) {
+	s := New(1)
+	sg := NewSignal(s)
+	var order []string
+	s.Spawn("p", func(p *Proc) { p.Wait(sg); order = append(order, "p") })
+	s.At(1, func() { sg.Subscribe(func() { order = append(order, "cb") }) })
+	s.At(2, sg.Fire)
+	s.At(3, sg.Fire)
+	s.Run(0)
+	if got, want := fmt.Sprint(order), "[p cb]"; got != want {
+		t.Fatalf("order %s, want %s", got, want)
+	}
+}

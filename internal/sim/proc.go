@@ -115,6 +115,19 @@ func (p *Proc) park() {
 	}
 }
 
+// Park suspends the process with nothing scheduled to wake it: the caller
+// has already handed Resumer's function to the callback code that will
+// resume it. Like every blocking call it may only be made from the
+// process's own body.
+func (p *Proc) Park() { p.park() }
+
+// Resumer returns the function that resumes the parked process directly,
+// within the event that calls it, and returns when the process parks again
+// or finishes — the hand-over WaitTimeout's signal wake makes, with no event
+// of its own. It is bound once at Spawn, so handing it out allocates
+// nothing.
+func (p *Proc) Resumer() func() { return p.dispatchFn }
+
 // Sim returns the simulation this process belongs to.
 func (p *Proc) Sim() *Simulation { return p.sim }
 
@@ -137,10 +150,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // place and the process carries on with no event and no switch (package doc,
 // "Event kernel").
 func (p *Proc) SleepUntil(t Time) {
-	if t <= p.sim.now {
-		return
-	}
-	if p.sim.inProc == p && p.sim.advance(t) {
+	if t <= p.sim.now || p.sim.inProc == p && p.sim.Advance(t) {
 		return
 	}
 	p.sim.At(t, p.dispatchFn)
@@ -223,6 +233,11 @@ type Signal struct {
 // NewSignal returns a Signal bound to s.
 func NewSignal(s *Simulation) *Signal { return &Signal{sim: s} }
 
+// Subscribe registers fn to run once, as its own event at the instant of the
+// next Fire, in subscription order with the processes waiting on sg: the
+// callback form of Wait.
+func (sg *Signal) Subscribe(fn func()) { sg.subscribeFrom(sg.sim, fn) }
+
 // subscribeFrom registers fn to be scheduled on the next Fire, on home's
 // event loop, so cross-lane waiters wake on their own lane.
 func (sg *Signal) subscribeFrom(home *Simulation, fn func()) {
@@ -291,14 +306,27 @@ func (r *Resource) Utilization() float64 {
 
 // Acquire blocks p until one unit is available, then holds it.
 func (r *Resource) Acquire(p *Proc) {
+	if !r.acquire(waiter{fn: p.dispatchFn, home: p.sim}) {
+		p.park()
+		// Ownership was transferred to us by Release before dispatch.
+	}
+}
+
+// AcquireFunc is the callback form of Acquire: it takes a unit and reports
+// true when one is free; otherwise it queues fn in the same FIFO as waiting
+// processes and reports false, and fn runs, holding the unit, as its own
+// event at the instant a Release hands it over.
+func (r *Resource) AcquireFunc(fn func()) bool { return r.acquire(waiter{fn: fn, home: r.sim}) }
+
+// acquire takes a free unit, or queues w for the next Release.
+func (r *Resource) acquire(w waiter) bool {
 	if r.inUse < r.capacity {
 		r.account()
 		r.inUse++
-		return
+		return true
 	}
-	r.queue = append(r.queue, waiter{fn: p.dispatchFn, home: p.sim})
-	p.park()
-	// Ownership was transferred to us by Release before dispatch.
+	r.queue = append(r.queue, w)
+	return false
 }
 
 // Release returns one unit, waking the oldest waiter if any.

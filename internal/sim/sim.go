@@ -9,10 +9,18 @@
 // Two programming styles are supported:
 //
 //   - Callback style: schedule closures with At/After and build state
-//     machines (used by the network and switch models).
+//     machines (used by the network and switch models, and by the host
+//     daemon's per-packet work, which runs to completion as chains of
+//     events). A chain waits the way a process does, in the same order:
+//     Advance is the in-place rule of SleepUntil, Resource.AcquireFunc
+//     queues in the same FIFO as Acquire, and Signal.Subscribe runs with the
+//     signal's waiting processes.
 //   - Process style: Spawn a coroutine-backed Proc that can Sleep, wait on
 //     Signals, and acquire Resources, which reads like straight-line code
-//     (used by host threads, mappers, reducers, and trainers).
+//     (used by drivers, control and recovery: the daemon's send loop between
+//     tasks and its failover replay, mappers, reducers and trainers). A
+//     process can hand its per-packet work to a chain and Park until the
+//     chain calls its Resumer, which resumes it within the chain's event.
 //
 // Only one thread of control executes simulation logic at any moment: a
 // process is an iter.Pull coroutine that the event loop resumes and that
@@ -56,7 +64,8 @@
 // process is the only code that would have run in between; skipping it leaves
 // every other event's (time, sequence) order, and so the execution order,
 // unchanged. An event already queued at exactly the wake instant still runs
-// first: the process parks behind it as before.
+// first: the process parks behind it as before. A callback chain applies the
+// same rule through Advance before it schedules its next step.
 package sim
 
 import (
@@ -141,7 +150,7 @@ type Simulation struct {
 	seed    int64
 	running bool
 	stopped bool
-	limit   Time // the running Run's limit (<= 0: none), for advance
+	limit   Time // the running Run's limit (<= 0: none), for Advance
 	stats   Stats
 
 	// inProc is the process whose body is executing, nil inside a plain
@@ -359,10 +368,20 @@ func (s *Simulation) reap(idx int32) {
 	s.stats.Cancelled++
 }
 
-// advance moves the clock to t in place, reporting whether it did: only when
-// an event at t would be the next one Run pops (package doc, "Event kernel").
-// Dead entries at the head are reaped here as Run would reap them.
-func (s *Simulation) advance(t Time) bool {
+// Advance is the in-place rule for code about to wait until t: it reports
+// whether that code may carry on at once instead of being woken by an event.
+// It may when t is not in the future, or when an event at t would be the next
+// one Run pops (package doc, "Event kernel"); the clock then moves to t here.
+// Dead entries at the head are reaped as Run would reap them. When it reports
+// false the caller schedules its continuation at t, which is then the event
+// the rule skips when it reports true. The caller must be the last code of
+// its event to run before that continuation: a callback chain at the point
+// where it would schedule its next step, or a process about to sleep
+// (SleepUntil).
+func (s *Simulation) Advance(t Time) bool {
+	if t <= s.now {
+		return true
+	}
 	if s.group != nil || !s.running || s.stopped || (s.limit > 0 && t > s.limit) {
 		return false
 	}

@@ -5,27 +5,38 @@ package window
 // a persistent data channel serves many tasks, and consecutive tasks may have
 // different receivers, so each receiver sees only a subset of the flow's
 // sequence space. The compact seen's parity alternation requires observing
-// every sequence, so hosts — which have plentiful memory — instead keep an
-// exact set of the sequences seen inside the live window (at most W entries),
-// guarded by the same max_seq staleness rule.
+// every sequence, so hosts instead keep, for each residue class mod W, the
+// last sequence number seen in it — one W-slot ring, no map — guarded by the
+// same max_seq staleness rule.
+//
+// Exactness: the sequence numbers that are not stale lie in (max_seq − W,
+// max_seq], W consecutive numbers, so no two of them share a slot, and a
+// slot's sequence is only ever replaced by one W or more apart — which makes
+// one of the two stale. A non-stale sequence therefore finds itself in its
+// slot if and only if it was seen before: the verdicts are those of an exact
+// set of the in-window sequences.
 //
 // Safety of the stale verdict: the sender never has more than W packets in
 // flight, so any packet that still needs processing satisfies
 // seq > maxSeqGlobal − W ≥ maxSeqLocal − W and is never classified stale.
 type HostDedup struct {
-	w      uint32
-	guard  *StaleGuard
-	inWin  map[uint32]struct{}
-	pruned uint32 // all seqs <= pruned (serially) are evicted
-	primed bool
+	guard *StaleGuard
+	mask  uint32
+	// last holds slot seq & mask: the sequence number last seen in that
+	// residue class, with hostSeen set; zero while none has been.
+	last []uint64
 }
 
-// NewHostDedup returns host-side dedup state for window size w.
+// hostSeen marks a ring slot that holds a sequence number.
+const hostSeen = 1 << 32
+
+// NewHostDedup returns host-side dedup state for window size w, a power of
+// two (Config.Validate requires that of Window).
 func NewHostDedup(w int) *HostDedup {
-	if w <= 0 {
-		panic("window: size must be positive")
+	if w <= 0 || w&(w-1) != 0 {
+		panic("window: size must be a positive power of two")
 	}
-	return &HostDedup{w: uint32(w), guard: NewStaleGuard(w), inWin: make(map[uint32]struct{})}
+	return &HostDedup{guard: NewStaleGuard(w), mask: uint32(w - 1), last: make([]uint64, w)}
 }
 
 // Observe classifies seq and updates the state.
@@ -33,41 +44,22 @@ func (h *HostDedup) Observe(seq uint32) Verdict {
 	if h.guard.Check(seq) {
 		return Stale
 	}
-	if _, dup := h.inWin[seq]; dup {
+	slot := &h.last[seq&h.mask]
+	if *slot == hostSeen|uint64(seq) {
 		return Duplicate
 	}
-	h.inWin[seq] = struct{}{}
-	h.prune()
+	*slot = hostSeen | uint64(seq)
 	return Fresh
 }
 
-// prune evicts sequences that fell out of the live window, bounding memory
-// at W entries. Eviction walks forward from the last pruned point so the
-// total work is O(1) amortized per observation.
-func (h *HostDedup) prune() {
-	max := h.guard.MaxSeq()
-	floor := max - h.w // everything <= floor is stale now
-	if !h.primed {
-		h.primed = true
-		h.pruned = floor
-		return
-	}
-	if floor-h.pruned > 2*h.w {
-		// The flow jumped far ahead (this receiver saw only a subset of the
-		// sequence space); sweep the ≤W-entry map instead of walking the gap.
-		for s := range h.inWin {
-			if !SeqLess(floor, s) { // s <= floor
-				delete(h.inWin, s)
-			}
+// Len returns the number of ring slots holding a sequence number, at most W
+// (for tests).
+func (h *HostDedup) Len() int {
+	n := 0
+	for _, v := range h.last {
+		if v&hostSeen != 0 {
+			n++
 		}
-		h.pruned = floor
-		return
 	}
-	for SeqLess(h.pruned, floor) {
-		h.pruned++
-		delete(h.inWin, h.pruned)
-	}
+	return n
 }
-
-// Len returns the number of tracked in-window sequences (for tests).
-func (h *HostDedup) Len() int { return len(h.inWin) }

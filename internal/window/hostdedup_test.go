@@ -108,3 +108,116 @@ func TestHostDedupValidation(t *testing.T) {
 	}()
 	NewHostDedup(0)
 }
+
+// mapDedup is the exact-set host dedup the ring replaced: the sequences seen
+// inside the live window in a map, pruned as the window moves. It is the
+// reference of TestHostDedupMatchesMapSet.
+type mapDedup struct {
+	w      uint32
+	guard  *StaleGuard
+	inWin  map[uint32]struct{}
+	pruned uint32 // all seqs <= pruned (serially) are evicted
+	primed bool
+}
+
+func newMapDedup(w int) *mapDedup {
+	return &mapDedup{w: uint32(w), guard: NewStaleGuard(w), inWin: make(map[uint32]struct{})}
+}
+
+func (h *mapDedup) Observe(seq uint32) Verdict {
+	if h.guard.Check(seq) {
+		return Stale
+	}
+	if _, dup := h.inWin[seq]; dup {
+		return Duplicate
+	}
+	h.inWin[seq] = struct{}{}
+	floor := h.guard.MaxSeq() - h.w // everything <= floor is stale now
+	switch {
+	case !h.primed:
+		h.primed = true
+	case floor-h.pruned > 2*h.w:
+		for s := range h.inWin {
+			if !SeqLess(floor, s) {
+				delete(h.inWin, s)
+			}
+		}
+	default:
+		for SeqLess(h.pruned, floor) {
+			h.pruned++
+			delete(h.inWin, h.pruned)
+		}
+		return Fresh
+	}
+	h.pruned = floor
+	return Fresh
+}
+
+// TestHostDedupMatchesMapSet holds the ring to the exact in-window set it
+// replaced, verdict for verdict, over seeded streams of each shape a host
+// receiver meets: a flow seen whole with duplicates and reordering, one seen
+// only in part (the channel's other tasks went to other receivers), stale
+// arrivals from far behind, and each of them across the 2^32 wrap.
+func TestHostDedupMatchesMapSet(t *testing.T) {
+	type shape struct {
+		name string
+		// next returns the arrival after one at seq, the flow's highest
+		// sequence sent so far being max.
+		next func(rng *rand.Rand, seq, max uint32, w int) uint32
+	}
+	shapes := []shape{
+		{"whole-flow-dups", func(rng *rand.Rand, seq, max uint32, w int) uint32 {
+			if rng.Intn(4) == 0 {
+				return max - uint32(rng.Intn(w)) // a duplicate or a reordered one
+			}
+			return max + 1
+		}},
+		{"partial-flow", func(rng *rand.Rand, seq, max uint32, w int) uint32 {
+			if rng.Intn(6) == 0 {
+				return max - uint32(rng.Intn(w)) // a repeat inside the window
+			}
+			return max + 1 + uint32(rng.Intn(3*w)) // the gap went to other receivers
+		}},
+		{"stale", func(rng *rand.Rand, seq, max uint32, w int) uint32 {
+			switch rng.Intn(5) {
+			case 0:
+				return max - uint32(w+rng.Intn(4*w)) // from before the window
+			case 1:
+				return max - uint32(rng.Intn(2*w)) // either side of its edge
+			}
+			return max + 1 + uint32(rng.Intn(w))
+		}},
+		{"far-jumps", func(rng *rand.Rand, seq, max uint32, w int) uint32 {
+			if rng.Intn(10) == 0 {
+				return max + uint32(rng.Intn(1<<20)) // far past every slot's sequence
+			}
+			return max - uint32(rng.Intn(w)) + uint32(rng.Intn(w))
+		}},
+	}
+	for _, sh := range shapes {
+		for seed := int64(1); seed <= 6; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			w := 1 << (2 + rng.Intn(6))
+			start := rng.Uint32()
+			if seed%2 == 0 {
+				start = 0 - uint32(rng.Intn(50*w)) // crosses 2^32 early on
+			}
+			ring, ref := NewHostDedup(w), newMapDedup(w)
+			seq, max := start, start
+			wrapped := false
+			for i := 0; i < 20000; i++ {
+				if got, want := ring.Observe(seq), ref.Observe(seq); got != want {
+					t.Fatalf("%s seed %d (W=%d) arrival %d seq %#x: ring %v, map %v", sh.name, seed, w, i, seq, got, want)
+				}
+				if SeqLess(max, seq) {
+					wrapped = wrapped || seq < max
+					max = seq
+				}
+				seq = sh.next(rng, seq, max, w)
+			}
+			if seed%2 == 0 && !wrapped {
+				t.Fatalf("%s seed %d: stream never crossed 2^32", sh.name, seed)
+			}
+		}
+	}
+}

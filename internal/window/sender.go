@@ -332,24 +332,43 @@ func (s *Sender) Send(pkt *wire.Packet) {
 // fails while blocked (or already has).
 func (s *Sender) SendBlocking(p *sim.Proc, pkt *wire.Packet) error {
 	stalled := false
-	for !s.CanSend() {
-		if s.err != nil {
-			return s.err
-		}
-		if !stalled {
-			stalled = true
-			s.tr.Emit(telemetry.CompWindow, "window_stall", int64(pkt.Task), int64(s.nextSeq-s.base), 0)
+	for {
+		if done, err := s.SendFunc(pkt, &stalled, nil); done {
+			return err
 		}
 		p.Wait(s.spaceSig)
 	}
-	if stalled {
+}
+
+// SendFunc is SendBlocking for callback chains, and its one implementation.
+// It reports done when pkt was sent, or with the abort error when the window
+// has failed; otherwise it subscribes wake to the window's next opening (a
+// nil wake: the caller waits for it itself), and the chain calls it again
+// with the same stalled flag when wake runs. stalled starts false for each
+// packet and carries the window_stall / window_resume trace state between
+// calls.
+func (s *Sender) SendFunc(pkt *wire.Packet, stalled *bool, wake func()) (done bool, err error) {
+	if !s.CanSend() {
+		if s.err != nil {
+			return true, s.err
+		}
+		if !*stalled {
+			*stalled = true
+			s.tr.Emit(telemetry.CompWindow, "window_stall", int64(pkt.Task), int64(s.nextSeq-s.base), 0)
+		}
+		if wake != nil {
+			s.spaceSig.Subscribe(wake)
+		}
+		return false, nil
+	}
+	if *stalled {
 		s.tr.Emit(telemetry.CompWindow, "window_resume", int64(pkt.Task), int64(s.nextSeq-s.base), 0)
 	}
 	if s.err != nil {
-		return s.err
+		return true, s.err
 	}
 	s.Send(pkt)
-	return nil
+	return true, nil
 }
 
 // WaitIdle blocks p until all sent packets are acknowledged, or returns the

@@ -1,0 +1,78 @@
+#!/usr/bin/env bash
+# Compares two revisions of this repository on one bench workload, in pairs:
+#
+#   make pairs A=<rev> B=<rev> W=rack-timed SEED=1 N=10
+#   bash scripts/pairs.sh <rev A> <rev B> <workload> <seed> <pairs> [seconds]
+#
+# Each side's ./bench binary is built once, from a git worktree of its
+# revision in a temporary directory that is removed afterwards. Pair i runs A
+# first when i is odd and B first when it is even; every run is
+# `bench -workload W -seed SEED -seconds S -trace 0` (S = 28, the benchmark's
+# run length, unless given). For every run it prints host_tuples_per_s,
+# cpu_s_per_mtuple and the steal jiffies /proc/stat counted while it ran (a
+# noisy neighbour shows there); then each side's median and quartiles of both
+# metrics, and the pairs B won on each.
+set -euo pipefail
+if [ $# -lt 5 ]; then
+	echo "usage: $0 <rev A> <rev B> <workload> <seed> <pairs> [seconds]" >&2
+	exit 2
+fi
+A=$1 B=$2 W=$3 SEED=$4 N=$5 SECS=${6:-28}
+root=$(git rev-parse --show-toplevel)
+tmp=$(mktemp -d)
+cleanup() {
+	for s in a b; do
+		git -C "$root" worktree remove --force "$tmp/$s" 2>/dev/null || true
+	done
+	git -C "$root" worktree prune
+	rm -rf "$tmp"
+}
+trap cleanup EXIT
+for s in a b; do
+	rev=$A
+	[ "$s" = b ] && rev=$B
+	git -C "$root" worktree add --detach --quiet "$tmp/$s" "$rev"
+	(cd "$tmp/$s" && go build -buildvcs=false -o "$tmp/bench-$s" ./bench)
+done
+
+steal() { awk '$1 == "cpu" { print $9 }' /proc/stat; }
+metric() { sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"; }
+run() { # run <side> <pair>
+	local s0 s1 last
+	s0=$(steal)
+	last=$("$tmp/bench-$1" -workload "$W" -seed "$SEED" -seconds "$SECS" -trace 0 | tail -n 1)
+	s1=$(steal)
+	printf '%s\t%s\t%s\t%s\t%s\n' "$2" "$1" "$(echo "$last" | metric host_tuples_per_s)" \
+		"$(echo "$last" | metric cpu_s_per_mtuple)" "$((s1 - s0))" | tee -a "$tmp/runs"
+}
+printf 'pair\tside\thost_tuples_per_s\tcpu_s_per_mtuple\tsteal_jiffies\n'
+for i in $(seq 1 "$N"); do
+	if [ $((i % 2)) -eq 1 ]; then run a "$i"; run b "$i"; else run b "$i"; run a "$i"; fi
+done
+
+# quartiles <side> <column>: q1, median and q3 (linear interpolation).
+quartiles() {
+	awk -F'\t' -v s="$1" -v c="$2" '$2 == s { print $c }' "$tmp/runs" | sort -g |
+		awk '{ v[NR] = $1 } END {
+			split("0.25 0.5 0.75", q, " ")
+			for (i = 1; i <= 3; i++) {
+				p = 1 + q[i] * (NR - 1); lo = int(p)
+				x = v[lo] + (p - lo) * (v[lo + (lo < NR)] - v[lo])
+				printf "%s%.6g", (i > 1 ? " " : ""), x
+			}
+		}'
+}
+echo
+echo "A = $A, B = $B; $W, seed $SEED, $N pairs of ${SECS} s runs"
+for c in 3 4; do
+	name=host_tuples_per_s better=higher
+	[ "$c" -eq 4 ] && name=cpu_s_per_mtuple better=lower
+	won=$(awk -F'\t' -v c="$c" -v hi="$better" '
+		{ x[$1, $2] = $c }
+		END {
+			for (i = 1; x[i, "a"] != ""; i++)
+				n += (hi == "higher") ? (x[i, "b"] > x[i, "a"]) : (x[i, "b"] < x[i, "a"])
+			print n + 0
+		}' "$tmp/runs")
+	echo "$name ($better is better), q1 median q3: A $(quartiles a "$c"), B $(quartiles b "$c"); B ahead in $won of $N pairs"
+done
