@@ -107,15 +107,17 @@ unexercised:
 	$(GO) test -count=1 -coverpkg=./ask/...,./internal/... -coverprofile="$$dir/cover.out" ./internal/experiments ./internal/chaos ./bench && \
 	$(GO) tool cover -func="$$dir/cover.out" | grep -v '/internal/analysis/' | awk '$$NF == "0.0%"'
 
-# Not a check: N alternating pairs of bench runs of revisions A and B on
-# workload W at seed SEED (scripts/pairs.sh builds each side once, from a git
-# worktree in a temporary directory): every run's host_tuples_per_s,
-# cpu_s_per_mtuple and steal jiffies, each side's median and quartiles, and
-# the pairs B won. A run takes about 35 s at the benchmark's 28 s length.
+# Not a check: N alternating pairs of SECS-second bench runs of revisions A
+# and B on workload W at seed SEED (scripts/pairs.sh builds each side once,
+# from a git worktree in a temporary directory): every run's
+# host_tuples_per_s, cpu_s_per_mtuple and steal jiffies, each side's median
+# and quartiles, the pairs B won, the median ratio B/A and A's quartile
+# distance. A run takes about 35 s at the benchmark's 28 s length.
 A ?= HEAD
 B ?= HEAD
 W ?= rack-timed
 SEED ?= 1
 N ?= 10
+SECS ?= 28
 pairs:
-	bash scripts/pairs.sh $(A) $(B) $(W) $(SEED) $(N)
+	bash scripts/pairs.sh $(A) $(B) $(W) $(SEED) $(N) $(SECS)

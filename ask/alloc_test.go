@@ -120,14 +120,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 0.27 /* measured 0.235 */, 0.104 /* 0.088–0.090 */, 0.37 /* 0.316 */, 0.019 /* 0.0165 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 0.27 /* measured 0.235 */, 0.104 /* 0.088–0.090 */, 0.36 /* 0.314 */, 0.019 /* 0.0165 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 0.77 /* 0.667 */, 0.26 /* 0.217–0.223 */, 0.82 /* 0.712 */, 0.026 /* 0.0223 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 0.77 /* 0.667 */, 0.26 /* 0.217–0.223 */, 0.81 /* 0.703 */, 0.026 /* 0.0223 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.30 /* 0.260 */, 0.19 /* 0.149–0.162 */, 5.37 /* 4.663 */, 0.024 /* 0.0205 */, 91 /* 79 */, allocRackTimed},
-	{"fattree-serial", 0.58 /* 0.500 */, 0.245 /* 0.211–0.213 */, 0.90 /* 0.767 */, 0.043 /* 0.0376 */, 493 /* 429 */, allocFatTree},
+	{"rack-timed", 0.30 /* 0.260 */, 0.19 /* 0.149–0.162 */, 4.63 /* 4.026 */, 0.024 /* 0.0205 */, 43 /* 37 */, allocRackTimed},
+	{"fattree-serial", 0.58 /* 0.500 */, 0.245 /* 0.211–0.213 */, 0.87 /* 0.760 */, 0.043 /* 0.0376 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs

@@ -537,8 +537,11 @@ type rxItem struct {
 // subset of it, failover's claimBits included. A frame that does not own
 // its packet (built by hand, never through a link) leaves the packet with
 // its builder, as Frame.Release does. An idle queue starts serving at this
-// instant, in an event of its own scheduled here: the wake-up a receive
-// process waiting for the arrival would have had.
+// instant: the wake-up a receive process waiting for the arrival would have
+// had, an event of its own scheduled here, or — when that event would be the
+// next one popped (sim.Simulation.InPlace) — this one. Either way push must be
+// the last code of its event: both callers in HandleFrame end with it, and
+// the link's delivery does nothing after HandleFrame returns.
 func (r *rxQueue) push(f *netsim.Frame) {
 	pkt := f.Pkt
 	it := rxItem{
@@ -560,7 +563,11 @@ func (r *rxQueue) push(f *netsim.Frame) {
 	f.Release()
 	if !r.busy {
 		r.busy = true
-		r.d.sim.At(r.d.sim.Now(), r.runFn)
+		if s := r.d.sim; s.InPlace() {
+			r.run()
+		} else {
+			s.At(s.Now(), r.runFn)
+		}
 	}
 }
 

@@ -57,11 +57,12 @@ func SpineIndex(addr core.HostID, spines int) (int, bool) {
 // Task ID (SpineFor), so a task's packet order is preserved end to end and
 // its spine-side region lives on exactly one spine.
 type FatTree struct {
-	sim        *sim.Simulation
-	leaves     []*leafPort
-	spines     []*spinePort
-	hostLeaf   map[core.HostID]int
-	hostPorts  map[core.HostID]*port
+	sim    *sim.Simulation
+	leaves []*leafPort
+	spines []*spinePort
+	// hostPorts is indexed by host ID: a host's port, which knows its leaf,
+	// or nil where none is attached.
+	hostPorts  []*port
 	hostLink   LinkConfig
 	fabricLink LinkConfig
 	codec      wire.Codec
@@ -73,7 +74,7 @@ type FatTree struct {
 	spineDown []bool
 	// group is non-nil for a sharded fabric (NewFatTreeSharded): each leaf
 	// block and spine lives on a lane simulation and the leaf↔spine mesh is
-	// mailbox cuts. hostLeaf/hostPorts stay read-only after construction;
+	// mailbox cuts. hostPorts stays read-only after construction;
 	// leafDown/spineDown are written only from root context (chaos), which
 	// the group serializes.
 	group *sim.ShardGroup
@@ -143,8 +144,6 @@ func newFatTree(s *sim.Simulation, g *sim.ShardGroup, spines, leaves int, hostLi
 	}
 	ft := &FatTree{
 		sim:        s,
-		hostLeaf:   make(map[core.HostID]int),
-		hostPorts:  make(map[core.HostID]*port),
 		hostLink:   hostLink,
 		fabricLink: fabricLink,
 		leafDown:   make([]bool, leaves),
@@ -237,11 +236,10 @@ func (ft *FatTree) SetCodec(c wire.Codec) {
 			l.codec = c
 		}
 	}
-	// Assigning the same codec to every port commutes; no event is
-	// scheduled here, so this iteration's order cannot escape.
-	//askcheck:allow(simdeterminism)
 	for _, p := range ft.hostPorts {
-		p.up.codec, p.down.codec = c, c
+		if p != nil {
+			p.up.codec, p.down.codec = c, c
+		}
 	}
 }
 
@@ -257,8 +255,8 @@ func (ft *FatTree) Leaf(l int) SwitchFabric { return ft.leaves[l] }
 // Spine returns spine s's switch attachment point (a SwitchFabric).
 func (ft *FatTree) Spine(s int) SwitchFabric { return ft.spines[s] }
 
-// LeafOf returns the leaf a host is attached to.
-func (ft *FatTree) LeafOf(id core.HostID) int { return ft.hostLeaf[id] }
+// LeafOf returns the leaf an attached host is attached to.
+func (ft *FatTree) LeafOf(id core.HostID) int { return ft.hostPorts[id].leaf }
 
 // SpineFor returns the spine that carries (and, for cross-leaf tasks, holds
 // the re-aggregation region of) task t: the first LIVE candidate in the
@@ -300,7 +298,7 @@ func (ft *FatTree) spineForFrame(f *Frame) int {
 
 // AttachHostLeaf connects a host to leaf l.
 func (ft *FatTree) AttachHostLeaf(l int, id core.HostID, h HostHandler) {
-	if _, dup := ft.hostPorts[id]; dup {
+	if portAt(ft.hostPorts, id) != nil {
 		panic(fmt.Sprintf("netsim: host %d attached twice", id))
 	}
 	if l < 0 || l >= len(ft.leaves) {
@@ -310,8 +308,9 @@ func (ft *FatTree) AttachHostLeaf(l int, id core.HostID, h HostHandler) {
 		panic(fmt.Sprintf("netsim: host ID %#x collides with the fabric address range", id))
 	}
 	lp := ft.leaves[l]
+	ft.hostPorts = growTo(ft.hostPorts, id)
 	ft.hostPorts[id] = newPort(lp.ls, ft.hostLink, ft.codec, h, lp.ingress)
-	ft.hostLeaf[id] = l
+	ft.hostPorts[id].leaf = l
 }
 
 // AttachHost implements HostFabric for single-leaf convenience (leaf 0).
@@ -319,8 +318,8 @@ func (ft *FatTree) AttachHost(id core.HostID, h HostHandler) { ft.AttachHostLeaf
 
 // HostSend transmits a frame from its Src host toward its leaf.
 func (ft *FatTree) HostSend(f *Frame) {
-	p, ok := ft.hostPorts[f.Src]
-	if !ok {
+	p := portAt(ft.hostPorts, f.Src)
+	if p == nil {
 		panic(fmt.Sprintf("netsim: send from unattached host %d", f.Src))
 	}
 	p.up.Send(f)
@@ -375,8 +374,8 @@ func (lp *leafPort) fromSpine(f *Frame) {
 		lp.ingress(f)
 		return
 	}
-	p, ok := lp.ft.hostPorts[f.Dst]
-	if !ok || lp.ft.hostLeaf[f.Dst] != lp.leaf {
+	p := portAt(lp.ft.hostPorts, f.Dst)
+	if p == nil || p.leaf != lp.leaf {
 		panic(fmt.Sprintf("netsim: leaf %d asked to deliver to foreign host %d", lp.leaf, f.Dst))
 	}
 	p.down.Send(f)
@@ -390,9 +389,9 @@ func (lp *leafPort) AttachSwitch(h SwitchHandler) { lp.handler = h }
 // the task's spine toward a remote leaf.
 func (lp *leafPort) SwitchSend(f *Frame) {
 	ft := lp.ft
-	if l, ok := ft.hostLeaf[f.Dst]; ok {
-		if l == lp.leaf {
-			ft.hostPorts[f.Dst].down.Send(f)
+	if p := portAt(ft.hostPorts, f.Dst); p != nil {
+		if p.leaf == lp.leaf {
+			p.down.Send(f)
 			return
 		}
 		lp.up[ft.spineForFrame(f)].Send(f)
@@ -426,8 +425,8 @@ func (sp *spinePort) AttachSwitch(h SwitchHandler) { sp.handler = h }
 // fetch/swap requests).
 func (sp *spinePort) SwitchSend(f *Frame) {
 	ft := sp.ft
-	if l, ok := ft.hostLeaf[f.Dst]; ok {
-		sp.down[l].Send(f)
+	if p := portAt(ft.hostPorts, f.Dst); p != nil {
+		sp.down[p.leaf].Send(f)
 		return
 	}
 	if l, ok := LeafIndex(f.Dst, len(ft.leaves)); ok {

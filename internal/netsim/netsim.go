@@ -16,7 +16,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
@@ -529,6 +528,7 @@ type port struct {
 	up   *Link // host -> switch
 	down *Link // switch -> host
 	host HostHandler
+	leaf int // a fat-tree host's leaf
 }
 
 // newPort attaches host h on simulation s: frames it sends reach toSwitch
@@ -547,7 +547,7 @@ func newPort(s *sim.Simulation, cfg LinkConfig, c wire.Codec, h HostHandler, toS
 type Network struct {
 	sim         *sim.Simulation
 	handler     SwitchHandler
-	ports       map[core.HostID]*port
+	ports       []*port // indexed by host ID, nil where none is attached
 	defaultLink LinkConfig
 	codec       wire.Codec
 	// unroutable counts switch egress frames whose destination host is not
@@ -561,7 +561,7 @@ type Network struct {
 // New creates a network on s where every subsequently attached host gets a
 // link with the given configuration.
 func New(s *sim.Simulation, link LinkConfig) *Network {
-	return &Network{sim: s, ports: make(map[core.HostID]*port), defaultLink: link}
+	return &Network{sim: s, defaultLink: link}
 }
 
 // Sim returns the simulation the network runs on.
@@ -573,11 +573,10 @@ func (n *Network) Sim() *sim.Simulation { return n.sim }
 // byte-encode packets without knowing KPartBytes.
 func (n *Network) SetCodec(c wire.Codec) {
 	n.codec = c
-	// Assigning the same codec to every port commutes; no event is
-	// scheduled here, so this iteration's order cannot escape.
-	//askcheck:allow(simdeterminism)
 	for _, p := range n.ports {
-		p.up.codec, p.down.codec = c, c
+		if p != nil {
+			p.up.codec, p.down.codec = c, c
+		}
 	}
 }
 
@@ -591,7 +590,7 @@ func (n *Network) AttachHost(id core.HostID, h HostHandler) {
 
 // AttachHostLink connects a host with a specific link configuration.
 func (n *Network) AttachHostLink(id core.HostID, h HostHandler, cfg LinkConfig) {
-	if _, dup := n.ports[id]; dup {
+	if portAt(n.ports, id) != nil {
 		panic(fmt.Sprintf("netsim: host %d attached twice", id))
 	}
 	p := newPort(n.sim, cfg, n.codec, h, func(f *Frame) {
@@ -600,14 +599,32 @@ func (n *Network) AttachHostLink(id core.HostID, h HostHandler, cfg LinkConfig) 
 		}
 		n.handler.HandleIngress(f)
 	})
+	n.ports = growTo(n.ports, id)
 	n.ports[id] = p
 	n.instrumentPort(id, p)
 }
 
+// portAt returns host id's entry of a host-indexed port table, nil when id
+// was never attached.
+func portAt(ports []*port, id core.HostID) *port {
+	if int(id) < len(ports) {
+		return ports[id]
+	}
+	return nil
+}
+
+// growTo returns s long enough to index by id.
+func growTo[T any](s []T, id core.HostID) []T {
+	if n := int(id) + 1; n > len(s) {
+		s = append(s, make([]T, n-len(s))...)
+	}
+	return s
+}
+
 // HostSend transmits a frame from its Src host toward the switch.
 func (n *Network) HostSend(f *Frame) {
-	p, ok := n.ports[f.Src]
-	if !ok {
+	p := portAt(n.ports, f.Src)
+	if p == nil {
 		panic(fmt.Sprintf("netsim: send from unattached host %d", f.Src))
 	}
 	p.up.Send(f)
@@ -616,8 +633,8 @@ func (n *Network) HostSend(f *Frame) {
 // SwitchSend transmits a frame from the switch to f.Dst; a frame addressed
 // to an unattached host is a routing miss.
 func (n *Network) SwitchSend(f *Frame) {
-	p, ok := n.ports[f.Dst]
-	if !ok {
+	p := portAt(n.ports, f.Dst)
+	if p == nil {
 		n.unroutable.drop(n.tel.Tr, f)
 		return
 	}
@@ -649,14 +666,14 @@ func (n *Network) Uplink(id core.HostID) *Link { return n.ports[id].up }
 // Downlink returns the switch-to-host link of a host.
 func (n *Network) Downlink(id core.HostID) *Link { return n.ports[id].down }
 
-// Hosts returns the IDs of all attached hosts in ascending order (sorted so
-// callers that iterate hosts stay deterministic across runs).
+// Hosts returns the IDs of all attached hosts in ascending order.
 func (n *Network) Hosts() []core.HostID {
-	ids := make([]core.HostID, 0, len(n.ports))
-	for id := range n.ports {
-		ids = append(ids, id)
+	var ids []core.HostID
+	for id, p := range n.ports {
+		if p != nil {
+			ids = append(ids, core.HostID(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 

@@ -100,6 +100,9 @@ func TestFatTreePartition(t *testing.T) {
 				// Serial seam: every link lives on the root simulation with no
 				// mailbox rewiring.
 				for id, p := range ft.hostPorts {
+					if p == nil {
+						continue
+					}
 					if p.up.sim != root || p.down.sim != root || p.up.xroute != nil || p.down.xroute != nil {
 						t.Fatalf("serial host %d link rewired", id)
 					}
@@ -178,7 +181,10 @@ func TestFatTreePartition(t *testing.T) {
 				}
 			}
 			for id, p := range ft.hostPorts {
-				lane := g.Lane(lay.BlockLane[ft.hostLeaf[id]])
+				if p == nil {
+					continue
+				}
+				lane := g.Lane(lay.BlockLane[p.leaf])
 				if p.up.sim != lane || p.down.sim != lane || p.up.xroute != nil || p.down.xroute != nil {
 					t.Fatalf("host %d links not lane-local", id)
 				}

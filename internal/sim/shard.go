@@ -237,6 +237,14 @@ func (g *ShardGroup) minNext() (Time, bool) {
 	return best, found
 }
 
+// anyStrong reports whether a strong event is queued on any lane: the group's
+// run ends, as the serial one does, once every queued event is weak.
+func (g *ShardGroup) anyStrong() bool {
+	n := 0
+	g.each(func(s *Simulation) { n += s.Pending() })
+	return n > 0
+}
+
 // maxNow returns the latest lane clock.
 func (g *ShardGroup) maxNow() Time {
 	m := g.root.now
@@ -292,10 +300,10 @@ func (g *ShardGroup) run(limit Time) Time {
 	defer g.stopWorkers()
 	for {
 		g.drainInjects()
-		t, ok := g.minNext()
-		if !ok {
+		if !g.anyStrong() {
 			break
 		}
+		t, _ := g.minNext()
 		if limit > 0 && t > limit {
 			g.syncNowAll(limit)
 			return limit
@@ -307,7 +315,7 @@ func (g *ShardGroup) run(limit Time) Time {
 			safe = limit + 1
 		}
 		g.stats.Windows++
-		if g.rootBusy(safe) {
+		if g.needsMerge(safe) {
 			g.runSerialWindow(safe)
 		} else {
 			g.runParallelWindow(safe)
@@ -330,19 +338,27 @@ func (g *ShardGroup) closeLanes() {
 	}
 }
 
-// rootBusy reports whether the root lane has an event inside the window.
-func (g *ShardGroup) rootBusy(safe Time) bool {
-	t, ok := g.root.peekNext()
-	return ok && t < safe
+// needsMerge reports whether the window must run serially: the root lane has
+// an event inside it, or a shard lane whose events are all weak does. Such a
+// lane cannot tell on its own whether a strong event follows its weak ones
+// anywhere in the group, which decides whether they fire; the merge can.
+func (g *ShardGroup) needsMerge(safe Time) bool {
+	merge := false
+	g.each(func(s *Simulation) {
+		t, ok := s.peekNext()
+		merge = merge || ok && t < safe && (s.lane == laneRoot || s.Pending() == 0)
+	})
+	return merge
 }
 
 // runSerialWindow executes every lane's events below safe on the calling
 // goroutine, merged in (time, lane, seq) order with all clocks slaved to
 // the merge point — the exact-semantics fallback for windows where the
-// zero-lookahead root lane is active.
+// zero-lookahead root lane is active or a lane holds weak events only. Like
+// the serial Run, it stops once no strong event is queued anywhere.
 func (g *ShardGroup) runSerialWindow(safe Time) {
 	g.stats.SerialWindows++
-	for {
+	for g.anyStrong() {
 		var pick *Simulation
 		var at Time
 		g.each(func(s *Simulation) {
@@ -522,7 +538,8 @@ func (s *Simulation) peekNext() (Time, bool) {
 }
 
 // execOne pops and executes the head event, which the caller has verified
-// to be live. Body is identical to the serial Run loop's execute step.
+// to be live. Body is identical to the serial Run loop's execute step; the
+// strong count is kept by recycle.
 func (s *Simulation) execOne() {
 	top := s.heap[0]
 	e := &s.store[top.idx]
@@ -532,7 +549,6 @@ func (s *Simulation) execOne() {
 	// rationale as in Run).
 	fn, afn, arg := e.fn, e.afn, e.arg
 	s.recycle(top.idx)
-	s.pending--
 	s.stats.Fired++
 	if afn != nil {
 		afn(arg)
@@ -543,9 +559,11 @@ func (s *Simulation) execOne() {
 
 // window executes this lane's events strictly below windowBound, in the
 // exact per-lane (time, seq) order the serial kernel uses. It returns
-// early on a wake fence (windowStop) or Stop.
+// early on a wake fence (windowStop) or Stop, and when the lane holds no
+// strong event of its own: a weak event left behind is decided by the next
+// window, a serial one (needsMerge).
 func (s *Simulation) window() {
-	for !s.windowStop && !s.stopped {
+	for !s.windowStop && !s.stopped && s.Pending() > 0 {
 		if at, ok := s.peekNext(); !ok || at >= s.windowBound {
 			return
 		}

@@ -65,7 +65,19 @@
 // every other event's (time, sequence) order, and so the execution order,
 // unchanged. An event already queued at exactly the wake instant still runs
 // first: the process parks behind it as before. A callback chain applies the
-// same rule through Advance before it schedules its next step.
+// same rule through Advance before it schedules its next step, and code about
+// to schedule a callback at the current instant through InPlace: when nothing
+// live is queued at or before now, it runs the callback inline instead.
+//
+// A pending event can be marked weak (Timer.SetWeak): it does not keep the run
+// going. Run returns once every live queued event is weak, without firing
+// them, and the clock stays at the last event it fired; a weak event that
+// precedes a strong one fires in its (time, seq) place as usual. A timer that
+// usually turns out to be stale — a retransmission timer whose flights were
+// all acknowledged — can so stay queued instead of being stopped and re-armed,
+// and still not keep the run from ending on time. Everything that looks at the
+// queue's head (Advance, the in-place sleep, InPlace, a shard group's windows)
+// treats a weak event as live; Pending counts strong events only.
 package sim
 
 import (
@@ -116,6 +128,8 @@ type event struct {
 	live bool
 	// dead marks a cancelled event awaiting lazy removal at pop time.
 	dead bool
+	// weak marks a live event that does not keep the run going (Timer.SetWeak).
+	weak bool
 }
 
 // heapEntry is one priority-queue node. The ordering key (at, seq) is
@@ -145,7 +159,7 @@ type Simulation struct {
 	store   []event
 	free    []int32
 	seq     uint64
-	pending int // scheduled, non-cancelled events
+	strong  int // scheduled, non-cancelled events that are not weak
 	rng     *rand.Rand
 	seed    int64
 	running bool
@@ -229,8 +243,29 @@ func (t Timer) Stop() bool {
 		return false
 	}
 	e.dead = true
-	t.s.pending--
+	if !e.weak {
+		t.s.strong--
+	}
 	return true
+}
+
+// SetWeak marks the timer's pending event weak, or strong again. A weak event
+// does not keep the run going: Run returns, without firing it, once every
+// live queued event is weak, and the clock stays at the last event it fired.
+// While a strong event is queued a weak one fires in its (time, seq) place as
+// usual, and Advance, the in-place sleep and a shard group's windows treat it
+// as any live event. Pending counts strong events only. Setting an inert
+// timer is a no-op.
+func (t Timer) SetWeak(weak bool) {
+	if !t.Pending() || t.s.store[t.idx].weak == weak {
+		return
+	}
+	t.s.store[t.idx].weak = weak
+	if weak {
+		t.s.strong--
+	} else {
+		t.s.strong++
+	}
 }
 
 // Pending reports whether the timer's callback has not yet run or been stopped.
@@ -253,15 +288,18 @@ func (s *Simulation) alloc() int32 {
 	return int32(len(s.store) - 1)
 }
 
-// recycle returns a popped event slot to the free list. Bumping gen
-// invalidates every Timer pointing at the old occupant; clearing the
+// recycle returns a popped event slot to the free list, and takes a live
+// strong event off the strong count (a stopped one left it at Stop). Bumping
+// gen invalidates every Timer pointing at the old occupant; clearing the
 // callback fields drops references so pooled frames and closures do not
 // outlive their event.
 func (s *Simulation) recycle(idx int32) {
 	e := &s.store[idx]
+	if !e.dead && !e.weak {
+		s.strong--
+	}
 	e.gen++
-	e.live = false
-	e.dead = false
+	e.live, e.dead, e.weak = false, false, false
 	e.fn, e.afn, e.arg = nil, nil, nil
 	s.free = append(s.free, idx)
 }
@@ -275,7 +313,7 @@ func (s *Simulation) schedule(t Time, fn func(), afn func(any), arg any) Timer {
 	e := &s.store[idx]
 	e.fn, e.afn, e.arg = fn, afn, arg
 	e.live = true
-	s.pending++
+	s.strong++
 	s.heapPush(heapEntry{at: t, seq: s.seq, idx: idx})
 	s.seq++
 	return Timer{s: s, idx: idx, gen: e.gen}
@@ -315,9 +353,10 @@ func (s *Simulation) AfterCall(d time.Duration, fn func(any), arg any) Timer {
 // Stop makes Run return after the currently executing event completes.
 func (s *Simulation) Stop() { s.stopped = true }
 
-// Run executes events until the queue is empty, Stop is called, or the
-// virtual clock would pass limit (limit <= 0 means no limit). It returns the
-// virtual time at which the run ended.
+// Run executes events until no strong event is queued (every one left, if
+// any, is weak: see Timer.SetWeak), Stop is called, or the virtual clock would
+// pass limit (limit <= 0 means no limit). It returns the virtual time at which
+// the run ended.
 func (s *Simulation) Run(limit Time) Time {
 	if s.group != nil {
 		if s.lane != laneRoot {
@@ -332,7 +371,7 @@ func (s *Simulation) Run(limit Time) Time {
 	defer func() { s.running = false }()
 	s.stopped = false
 	s.limit = limit
-	for len(s.heap) > 0 && !s.stopped {
+	for s.strong > 0 && !s.stopped {
 		top := s.heap[0]
 		e := &s.store[top.idx]
 		if e.dead {
@@ -350,7 +389,6 @@ func (s *Simulation) Run(limit Time) Time {
 		// immediately reusable (its generation already advanced).
 		fn, afn, arg := e.fn, e.afn, e.arg
 		s.recycle(top.idx)
-		s.pending--
 		s.stats.Fired++
 		if afn != nil {
 			afn(arg)
@@ -372,31 +410,45 @@ func (s *Simulation) reap(idx int32) {
 // whether that code may carry on at once instead of being woken by an event.
 // It may when t is not in the future, or when an event at t would be the next
 // one Run pops (package doc, "Event kernel"); the clock then moves to t here.
-// Dead entries at the head are reaped as Run would reap them. When it reports
-// false the caller schedules its continuation at t, which is then the event
-// the rule skips when it reports true. The caller must be the last code of
-// its event to run before that continuation: a callback chain at the point
-// where it would schedule its next step, or a process about to sleep
-// (SleepUntil).
+// When it reports false the caller schedules its continuation at t, which is
+// then the event the rule skips when it reports true. The caller must be the
+// last code of its event to run before that continuation: a callback chain at
+// the point where it would schedule its next step, or a process about to
+// sleep (SleepUntil).
 func (s *Simulation) Advance(t Time) bool {
 	if t <= s.now {
 		return true
 	}
-	if s.group != nil || !s.running || s.stopped || (s.limit > 0 && t > s.limit) {
-		return false
-	}
-	for len(s.heap) > 0 && s.store[s.heap[0].idx].dead {
-		s.reap(s.heap[0].idx)
-	}
-	if len(s.heap) > 0 && s.heap[0].at <= t {
+	if !s.nextAt(t) {
 		return false
 	}
 	s.now = t
 	return true
 }
 
-// Pending returns the number of scheduled (non-cancelled) events.
-func (s *Simulation) Pending() int { return s.pending }
+// InPlace is the in-place rule at t = now, which Advance answers true without
+// looking at the queue: it reports whether an event scheduled now would be
+// the next one Run pops — nothing live queued at or before now, a serial run,
+// not stopped — so code about to schedule one may run its body inline
+// instead. Like Advance's caller, it must be the last code of its event.
+func (s *Simulation) InPlace() bool { return s.nextAt(s.now) }
+
+// nextAt reports whether an event scheduled at t would be the next one Run
+// pops. Dead entries at the head are reaped as Run would reap them; a weak
+// event is live.
+func (s *Simulation) nextAt(t Time) bool {
+	if s.group != nil || !s.running || s.stopped || (s.limit > 0 && t > s.limit) {
+		return false
+	}
+	for len(s.heap) > 0 && s.store[s.heap[0].idx].dead {
+		s.reap(s.heap[0].idx)
+	}
+	return len(s.heap) == 0 || s.heap[0].at > t
+}
+
+// Pending returns the number of scheduled, non-cancelled strong events: weak
+// ones (Timer.SetWeak) keep no run going and are not counted.
+func (s *Simulation) Pending() int { return s.strong }
 
 // heapPush inserts an entry and sifts it up.
 func (s *Simulation) heapPush(e heapEntry) {

@@ -143,6 +143,9 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 		f.Release()
 		return
 	}
+	// The task's counters, resolved once: every packet that gets this far
+	// counts as acknowledged or forwarded below.
+	te := sw.taskEntryOf(pkt.Task)
 
 	// Stage 1: copy indicator (data packets of live regions) and seen.
 	copyIdx := 0
@@ -179,10 +182,10 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 	// tuples belong to the host-only bypass path — and revoked regions no
 	// longer aggregate (the degradation ladder's host-only rung).
 	if pkt.Type == wire.TypeData && !observed && region != nil && !region.Revoked {
-		sw.aggregate(ps, pkt, region, copyIdx)
+		sw.aggregate(ps, pkt, region, copyIdx, te)
 	}
 	if pkt.Type == wire.TypeData && !observed {
-		sw.taskEntryOf(pkt.Task).dataPackets.Inc()
+		te.dataPackets.Inc()
 	}
 
 	// Stage 10: PktState — record on first appearance, restore on
@@ -210,21 +213,20 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 	if pkt.Type == wire.TypeData && pkt.Bitmap.Empty() {
 		// The ACK goes to the packet's sender with the same sequence number
 		// (§3.2.1), on behalf of the receiver.
-		sw.taskEntryOf(pkt.Task).ackedPackets.Inc()
+		te.ackedPackets.Inc()
 		sw.met.switchAcks.Inc()
 		sw.reply(f, pkt.Flow.Host, wire.NewAck(pkt))
 		f.Release() // fully consumed: tuples live in the AAs, packet is done
 		return
 	}
-	sw.taskEntryOf(pkt.Task).forwardedPackets.Inc()
+	te.forwardedPackets.Inc()
 	sw.forward(f)
 }
 
 // aggregate runs the AA stages for one packet: each logical tuple unit
 // (short slot or medium group) is matched against its AA(s); consumed
-// tuples have their bitmap bits cleared (§3.2.1).
-func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copyIdx int) {
-	ts := sw.taskEntryOf(pkt.Task)
+// tuples have their bitmap bits cleared (§3.2.1). ts is the task's counters.
+func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copyIdx int, ts *taskEntry) {
 	rowBase := region.Lo + copyIdx*region.CopyRows
 	if region.Copies == 1 {
 		rowBase = region.Lo

@@ -78,11 +78,15 @@ func (c *congestion) onTimeout() {
 // receiver both emit ACKs, so ordering carries no loss signal.
 //
 // Every flight has its own deadline, its last transmission plus the timeout
-// (times 2^k with backoff), but the window keeps one kernel timer: armed no
-// later than the earliest live deadline and stopped whenever nothing is in
-// flight. When it fires it retransmits every flight that is due, in sequence
-// order, and re-arms for the earliest deadline left, so each retransmission
-// happens at its flight's own deadline while an ACK costs no timer event.
+// (times 2^k with backoff), but the window keeps one kernel timer: armed, and
+// strong, no later than the earliest live deadline whenever a flight is live,
+// and left armed as a weak event (sim.Timer.SetWeak) when nothing is in
+// flight, so a paced window that drains between packets neither stops it nor
+// re-arms it, and an idle window does not keep Run from ending. When it fires
+// it retransmits every flight that is due, in sequence order, and re-arms for
+// the earliest deadline left, so each retransmission happens at its flight's
+// own deadline while an ACK costs no timer event; a fire that finds nothing
+// in flight does nothing.
 //
 // Sequence numbers are assigned by the window so the in-flight span never
 // exceeds W, which the switch's receive window requires.
@@ -101,9 +105,9 @@ type Sender struct {
 	ring []flight
 	live int // flights in the ring: sent, not yet acknowledged
 
-	// timer is the window's one retransmission timer: pending at timerAt, no
-	// later than the earliest live deadline, whenever a flight is live and the
-	// window has not failed.
+	// timer is the window's one retransmission timer: pending and strong at
+	// timerAt, no later than the earliest live deadline, whenever a flight is
+	// live and the window has not failed; weak, if still pending, when none is.
 	timer   sim.Timer
 	timerAt sim.Time
 
@@ -140,8 +144,8 @@ type flight struct {
 // slot returns the ring slot of seq.
 func (s *Sender) slot(seq uint32) *flight { return &s.ring[seq&(s.w-1)] }
 
-// retire frees f's slot and returns the packet it carried, stopping the timer
-// when no flight is left. With the free lists poisoned (wire.SetPoolPoison)
+// retire frees f's slot and returns the packet it carried, marking the timer
+// weak when no flight is left. With the free lists poisoned (wire.SetPoolPoison)
 // the slot is stamped too, so a timeout that did read a retired slot would
 // report the sentinel sequence number.
 func (s *Sender) retire(f *flight) *wire.Packet {
@@ -151,7 +155,7 @@ func (s *Sender) retire(f *flight) *wire.Packet {
 		f.tries = int(wire.PoisonSeq)
 	}
 	if s.live--; s.live == 0 {
-		s.timer.Stop()
+		s.timer.SetWeak(true)
 	}
 	return pkt
 }
@@ -279,6 +283,7 @@ func (s *Sender) Reset() {
 			s.retire(f)
 		}
 	}
+	s.timer.Stop()
 	s.base = s.nextSeq
 	s.err = nil
 	s.met.resets.Inc()
@@ -394,10 +399,11 @@ func (s *Sender) deadline(tries int) sim.Time {
 	return s.sim.Now().Add(to)
 }
 
-// pull makes the timer fire by at: it arms an idle timer, or moves one set
-// later forward.
+// pull makes the timer fire by at, strong: it keeps a pending timer set no
+// later, weak or not, and otherwise arms one, stopping one set later.
 func (s *Sender) pull(at sim.Time) {
 	if s.timer.Pending() && s.timerAt <= at {
+		s.timer.SetWeak(false)
 		return
 	}
 	s.timer.Stop()

@@ -403,3 +403,33 @@ func TestSenderStopsTimerWhenIdle(t *testing.T) {
 		t.Fatalf("late ACKs left idle %v with %d pending", w.Idle(), s.Pending())
 	}
 }
+
+// TestDrainedWindowKeepsItsTimer: a paced window that drains between sends
+// spaced closer than the timeout keeps its one timer queued, weak while
+// nothing is in flight, instead of stopping it at each drain and re-arming it
+// at the next Send: the first Send's timer is the only one pushed, it never
+// fires or pops dead, and Run(0) still ends at the last ACK.
+func TestDrainedWindowKeepsItsTimer(t *testing.T) {
+	const timeout = 100 * time.Microsecond
+	const n = 8
+	s := sim.New(1)
+	var w *Sender
+	var lastAck sim.Time
+	w = NewSender(s, 4, timeout, func(p *wire.Packet) {
+		seq := p.Seq
+		s.After(3*time.Microsecond, func() { w.Ack(seq); lastAck = s.Now() })
+	})
+	for i := 0; i < n; i++ {
+		s.At(sim.Time(i)*sim.Time(10*time.Microsecond), func() { w.Send(mkPkt()) })
+	}
+	end := s.Run(0)
+	if st := s.Stats(); st.Fired != 2*n || st.Cancelled != 0 {
+		t.Fatalf("%d events fired and %d popped dead, want the %d sends and ACKs and none", st.Fired, st.Cancelled, 2*n)
+	}
+	if !w.timer.Pending() || w.timerAt != sim.Time(timeout) {
+		t.Fatalf("timer pending %v at %v, want the first Send's, at %v", w.timer.Pending(), w.timerAt, timeout)
+	}
+	if end != lastAck || s.Pending() != 0 || !w.Idle() {
+		t.Fatalf("Run ended at %v with %d pending, idle %v; last ACK at %v", end, s.Pending(), w.Idle(), lastAck)
+	}
+}

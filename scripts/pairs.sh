@@ -10,8 +10,10 @@
 # `bench -workload W -seed SEED -seconds S -trace 0` (S = 28, the benchmark's
 # run length, unless given). For every run it prints host_tuples_per_s,
 # cpu_s_per_mtuple and the steal jiffies /proc/stat counted while it ran (a
-# noisy neighbour shows there); then each side's median and quartiles of both
-# metrics, and the pairs B won on each.
+# noisy neighbour shows there); then for both metrics each side's median and
+# quartiles, the pairs B won, and the effect size: the ratio of B's median to
+# A's, and A's quartile distance (q3 - q1), which the medians' difference
+# must exceed for the change to be told apart from A's spread.
 set -euo pipefail
 if [ $# -lt 5 ]; then
 	echo "usage: $0 <rev A> <rev B> <workload> <seed> <pairs> [seconds]" >&2
@@ -74,5 +76,7 @@ for c in 3 4; do
 				n += (hi == "higher") ? (x[i, "b"] > x[i, "a"]) : (x[i, "b"] < x[i, "a"])
 			print n + 0
 		}' "$tmp/runs")
-	echo "$name ($better is better), q1 median q3: A $(quartiles a "$c"), B $(quartiles b "$c"); B ahead in $won of $N pairs"
+	qa=$(quartiles a "$c") qb=$(quartiles b "$c")
+	effect=$(echo "$qa $qb" | awk '{ printf "median B/A %.4g, A q3-q1 %.4g, |median B - median A| %.4g", $5 / $2, $3 - $1, ($5 > $2 ? $5 - $2 : $2 - $5) }')
+	echo "$name ($better is better), q1 median q3: A $qa, B $qb; B ahead in $won of $N pairs; $effect"
 done
