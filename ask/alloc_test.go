@@ -33,6 +33,10 @@ type allocShape struct {
 	// backlog instead. After an intended change re-measure with -v and commit
 	// the new numbers.
 	cold, warm float64
+	// coldBytes bounds the same cold rep's heap bytes per tuple, ≈ 15% above
+	// the value measured when it was last set: a change that makes each packet
+	// in flight, or a sender's buffered tuples, hold more bytes trips it.
+	coldBytes float64
 	// events, dispatches and heapHigh bound the event kernel's counts the same
 	// way (sim.Stats, measured values beside them): kernel events per tuple,
 	// fired plus popped dead, process switches per tuple, and the heap's
@@ -120,14 +124,14 @@ func allocFatTree(t *testing.T) (*Deployment, []*Job, int64) {
 }
 
 var allocShapes = []allocShape{
-	{"rack-absorb", 0.27 /* measured 0.235 */, 0.104 /* 0.088–0.090 */, 0.36 /* 0.314 */, 0.019 /* 0.0165 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
+	{"rack-absorb", 0.27 /* measured 0.235 */, 0.104 /* 0.088–0.090 */, 373 /* 324.4 */, 0.35 /* 0.304 */, 0.019 /* 0.0165 */, 493 /* 429 */, allocRack(0, 1250, func(n, seed int64) workload.Spec {
 		return workload.Uniform(4096, n, seed)
 	})},
-	{"rack-residue", 0.77 /* 0.667 */, 0.26 /* 0.217–0.223 */, 0.81 /* 0.703 */, 0.026 /* 0.0223 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
+	{"rack-residue", 0.77 /* 0.667 */, 0.26 /* 0.217–0.223 */, 414 /* 360.3 */, 0.81 /* 0.703 */, 0.026 /* 0.0223 */, 632 /* 550 */, allocRack(64, 500, func(n, seed int64) workload.Spec {
 		return workload.Dataset("yelp", n, seed)
 	})},
-	{"rack-timed", 0.30 /* 0.260 */, 0.19 /* 0.149–0.162 */, 4.63 /* 4.026 */, 0.024 /* 0.0205 */, 43 /* 37 */, allocRackTimed},
-	{"fattree-serial", 0.58 /* 0.500 */, 0.245 /* 0.211–0.213 */, 0.87 /* 0.760 */, 0.043 /* 0.0376 */, 493 /* 429 */, allocFatTree},
+	{"rack-timed", 0.30 /* 0.260 */, 0.19 /* 0.149–0.162 */, 202 /* 176.0 */, 4.63 /* 4.026 */, 0.024 /* 0.0205 */, 43 /* 37 */, allocRackTimed},
+	{"fattree-serial", 0.58 /* 0.500 */, 0.245 /* 0.211–0.213 */, 502 /* 436.7 */, 0.85 /* 0.743 */, 0.043 /* 0.0376 */, 493 /* 429 */, allocFatTree},
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs
@@ -135,10 +139,13 @@ var allocShapes = []allocShape{
 // twice, which empties the packet and frame free lists (sync.Pools) as bench/
 // does before every rep, so that rep's heap objects per input tuple — from
 // submitting the tasks to reading the last result — count every per-packet
-// object live at once, and must stay under the shape's cold ceiling. The
-// second rep starts with the lists the first one filled, and its count must
-// stay under the warm ceiling. The counts depend on the model and the seed
-// only, so they hold on any host; what they cannot see is cluster
+// object live at once, and must stay under the shape's cold ceiling; its
+// heap bytes per tuple, which count what a sender's buffered tuples and each
+// packet in flight hold, stay under the cold bytes ceiling. The second rep
+// starts with the lists the first one filled, and its count must stay under
+// the warm ceiling. The counts depend on the model and the seed only, so they
+// hold on any host (the bytes on the Go runtime's size classes too, which the
+// ceiling's margin absorbs); what they cannot see is cluster
 // construction, which is outside the measured span as it is in bench/. The
 // event kernel's counts of the warm rep (sim.Stats) are held beside them,
 // against the shape's event ceilings.
@@ -148,7 +155,7 @@ func TestAllocGate(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			runtime.GC()
 			runtime.GC()
-			var perTuple [2]float64
+			var perTuple, bytesPerTuple [2]float64
 			var n float64
 			var ks sim.Stats
 			for rep := range perTuple {
@@ -163,14 +170,19 @@ func TestAllocGate(t *testing.T) {
 				cl.Sim.Close()
 				n = float64(tuples)
 				perTuple[rep] = float64(after.Mallocs-before.Mallocs) / n
+				bytesPerTuple[rep] = float64(after.TotalAlloc-before.TotalAlloc) / n
 			}
-			cold, warm := perTuple[0], perTuple[1]
+			cold, warm, coldBytes := perTuple[0], perTuple[1], bytesPerTuple[0]
 			events, dispatches := float64(ks.Fired+ks.Cancelled)/n, float64(ks.Dispatches)/n
-			t.Logf("%s: %.3f heap objects per tuple cold (ceiling %.3f), %.3f warm (ceiling %.3f); kernel per tuple: %.3f fired, %.3f cancelled, %.3f dispatches; heap high-water %d",
-				sh.name, cold, sh.cold, warm, sh.warm, float64(ks.Fired)/n, float64(ks.Cancelled)/n, dispatches, ks.HeapHigh)
+			t.Logf("%s: %.3f heap objects and %.1f bytes per tuple cold (ceilings %.3f, %.1f), %.3f objects warm (ceiling %.3f); kernel per tuple: %.3f fired, %.3f cancelled, %.3f dispatches; heap high-water %d",
+				sh.name, cold, coldBytes, sh.cold, sh.coldBytes, warm, sh.warm, float64(ks.Fired)/n, float64(ks.Cancelled)/n, dispatches, ks.HeapHigh)
 			if cold > sh.cold {
 				t.Errorf("%s allocates %.3f objects per tuple on a cold rep, ceiling %.3f: each packet in flight holds more objects (or re-measure and commit the ceiling after an intended change)",
 					sh.name, cold, sh.cold)
+			}
+			if coldBytes > sh.coldBytes {
+				t.Errorf("%s allocates %.1f bytes per tuple on a cold rep, ceiling %.1f: each packet in flight or each buffered tuple holds more bytes (or re-measure and commit the ceiling after an intended change)",
+					sh.name, coldBytes, sh.coldBytes)
 			}
 			if warm > sh.warm {
 				t.Errorf("%s allocates %.3f objects per tuple on a warm rep, ceiling %.3f: the per-packet path allocates again (or re-measure and commit the ceiling after an intended change)",

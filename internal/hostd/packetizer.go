@@ -1,6 +1,8 @@
 package hostd
 
 import (
+	"math/bits"
+
 	"repro/internal/core"
 	"repro/internal/keyspace"
 	"repro/internal/wire"
@@ -41,10 +43,14 @@ type packetizer struct {
 	// (or of a class the band does not cover) take the long-key bypass. The
 	// zero value routes over the whole keyspace, exactly as before.
 	part keyspace.Partition
-	// buckets queues tuples per logical unit u: units 0..shortSlots-1 are
-	// short slots, then one per medium group.
-	buckets  bucketArena
-	nonEmpty int
+	// buckets queues tuples per logical unit u, packed into the slots they
+	// ride in: units 0..shortSlots-1 are short slots, one slot a tuple, then
+	// one unit per medium group, MediumSegs slots a tuple. occupied has bit u
+	// set while unit u holds a tuple, and full is its value when every unit
+	// does (units <= NumAAs <= 64).
+	buckets  slotBuckets
+	occupied uint64
+	full     uint64
 	buffered int
 	longQ    fifo[wire.LongKV]
 	eof      bool
@@ -67,76 +73,105 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream, more func() bool
 		cfg:     cfg,
 		stream:  stream,
 		more:    more,
-		buckets: newBucketArena(units, maxBuf),
+		buckets: newSlotBuckets(units, maxBuf, max(1, cfg.MediumSegs)),
+		full:    1<<uint(units) - 1,
 		maxBuf:  maxBuf,
 		valLo:   -(int64(1) << (n - 1)),
 		valHi:   int64(1)<<(n-1) - 1,
 	}
 }
 
-// bucketArena holds every unit's bucket in one shared array: a bucket is a
-// FIFO chained through the entries' next links, and a popped entry goes on a
-// free list for the next push. The array grows only as far as the most tuples
-// buffered at once, which the packetizer bounds by maxBuf, however the keys
-// skew across units — one growing slice per unit would each keep its own
-// peak.
-type bucketArena struct {
-	entries    []bucketEntry
-	head, tail []int32 // per unit; head < 0 is an empty bucket
-	free       int32   // first free entry, or -1
-	limit      int     // the buffering bound: the array never grows past it
+// chunkSlots is the size of one bucket chunk in slots (16 bytes each).
+const chunkSlots = 16
+
+// firstSlab is the number of chunks in a packetizer's first slab. Each slab
+// after it is twice the one before, short of the most chunks the buckets can
+// hold at once, so a packetizer holds at most about twice the chunks it ever had in
+// use at once, in a handful of allocations, and a paced sender that buffers a
+// few tuples at a time allocates a few chunks.
+const firstSlab = 4
+
+// slotBuckets holds every unit's bucket of packed slots. A bucket is a FIFO of
+// slots in a chain of fixed-size chunks; every chunk comes from one free list
+// that all units share, which is refilled by carving a new slab. Slabs are
+// never copied or moved, and a tuple's slots may span two chunks. A chunk goes
+// back on the free list as soon as its last slot is read, and a unit with no
+// slot queued holds no chunk.
+type slotBuckets struct {
+	q    []slotQueue // per unit
+	free *slotChunk  // the free list, chained through next
+	slab int         // chunks in the next slab
+	// carved counts the chunks of every slab so far, and limit is the most
+	// the buckets can hold at once: a unit's slots span at most two chunks
+	// more than they fill (a partly read head, a partly filled tail), and
+	// the buffering bound holds at most maxBuf tuples of up to width slots.
+	// No slab is carved past limit.
+	carved, limit int
 }
 
-type bucketEntry struct {
-	kv   core.KV
-	next int32 // the next entry of the same bucket, or of the free list; -1 ends either
+type slotChunk struct {
+	slots [chunkSlots]wire.Slot
+	next  *slotChunk // the next chunk of the same bucket, or of the free list
 }
 
-func newBucketArena(units, limit int) bucketArena {
-	a := bucketArena{head: make([]int32, units), tail: make([]int32, units), free: -1, limit: limit}
-	for u := range a.head {
-		a.head[u] = -1
-	}
-	return a
+// slotQueue is one unit's bucket: its slots run from slot rd of head to slot
+// wr-1 of tail. head is nil when the bucket is empty.
+type slotQueue struct {
+	head, tail *slotChunk
+	rd, wr     int
 }
 
-func (a *bucketArena) units() int { return len(a.head) }
+func newSlotBuckets(units, maxBuf, width int) slotBuckets {
+	limit := (maxBuf*width+chunkSlots-1)/chunkSlots + 2*units
+	return slotBuckets{q: make([]slotQueue, units), slab: firstSlab, limit: limit}
+}
 
-func (a *bucketArena) empty(u int) bool { return a.head[u] < 0 }
-
-// push appends kv to unit u's bucket.
-func (a *bucketArena) push(u int, kv core.KV) {
-	i := a.free
-	if i >= 0 {
-		a.free = a.entries[i].next
-	} else {
-		if len(a.entries) == cap(a.entries) {
-			grown := make([]bucketEntry, len(a.entries), min(max(2*cap(a.entries), 64), a.limit))
-			copy(grown, a.entries)
-			a.entries = grown
+// take returns a zeroed chunk off the free list, carving a new slab when the
+// list is empty.
+func (b *slotBuckets) take() *slotChunk {
+	if b.free == nil {
+		n := min(b.slab, b.limit-b.carved)
+		slab := make([]slotChunk, n)
+		for i := range slab[:n-1] {
+			slab[i].next = &slab[i+1]
 		}
-		i = int32(len(a.entries))
-		a.entries = append(a.entries, bucketEntry{})
+		b.free, b.slab, b.carved = &slab[0], 2*b.slab, b.carved+n
 	}
-	a.entries[i] = bucketEntry{kv: kv, next: -1}
-	if a.head[u] < 0 {
-		a.head[u] = i
-	} else {
-		a.entries[a.tail[u]].next = i
-	}
-	a.tail[u] = i
+	c := b.free
+	b.free, c.next = c.next, nil
+	return c
 }
 
-// pop removes and returns the oldest tuple of unit u's bucket, which must not
-// be empty. The freed entry is zeroed so it pins no key.
-func (a *bucketArena) pop(u int) core.KV {
-	i := a.head[u]
-	e := &a.entries[i]
-	kv := e.kv
-	a.head[u] = e.next
-	*e = bucketEntry{next: a.free}
-	a.free = i
-	return kv
+// push appends s to unit u's bucket.
+func (b *slotBuckets) push(u int, s wire.Slot) {
+	q := &b.q[u]
+	if q.head == nil {
+		c := b.take()
+		q.head, q.tail, q.rd, q.wr = c, c, 0, 0
+	} else if q.wr == chunkSlots {
+		c := b.take()
+		q.tail.next, q.tail, q.wr = c, c, 0
+	}
+	q.tail.slots[q.wr] = s
+	q.wr++
+}
+
+// pop moves the oldest len(dst) slots of unit u's bucket, which holds at least
+// that many, into dst and reports whether the bucket is now empty. A read slot
+// is zeroed, and a chunk goes back on the free list once its last slot is
+// read, so a free chunk holds no stale slot.
+func (b *slotBuckets) pop(u int, dst []wire.Slot) (empty bool) {
+	q := &b.q[u]
+	for i := range dst {
+		c := q.head
+		dst[i], c.slots[q.rd] = c.slots[q.rd], wire.Slot{}
+		q.rd++
+		if q.rd == chunkSlots || c == q.tail && q.rd == q.wr {
+			q.head, q.rd = c.next, 0
+			c.next, b.free = b.free, c
+		}
+	}
+	return q.head == nil
 }
 
 // pull moves tuples from the stream into buckets until a packet can be
@@ -144,7 +179,7 @@ func (a *bucketArena) pop(u int) core.KV {
 func (pz *packetizer) pull() {
 	pz.flush = false
 	for !pz.eof {
-		if pz.nonEmpty == pz.buckets.units() && pz.nonEmpty > 0 {
+		if pz.occupied == pz.full && pz.occupied != 0 {
 			return // full packet available
 		}
 		kv, ok := pz.stream()
@@ -159,18 +194,13 @@ func (pz *packetizer) pull() {
 			pz.eof = !pz.more()
 			return
 		}
-		unit, ok := pz.unitOf(kv)
-		if !ok {
+		if !pz.queue(kv) {
 			pz.longQ.push(wire.LongKV{Key: kv.Key, Val: kv.Val})
 			if pz.longQ.len() >= wire.MaxLongPerPacket {
 				return
 			}
 			continue
 		}
-		if pz.buckets.empty(unit) {
-			pz.nonEmpty++
-		}
-		pz.buckets.push(unit, kv)
 		pz.buffered++
 		if pz.buffered >= pz.maxBuf {
 			return // buffering bound: emit with blank slots
@@ -178,22 +208,37 @@ func (pz *packetizer) pull() {
 	}
 }
 
-// unitOf returns the logical unit whose bucket kv queues in, or false when kv
-// takes the long-key bypass: a long key, a key outside the partition's band,
-// or a value that exceeds the aggregator vPart.
-func (pz *packetizer) unitOf(kv core.KV) (int, bool) {
+// queue packs kv into the slot(s) it will ride in and appends them to its
+// logical unit's bucket, or reports false when kv takes the long-key bypass:
+// a long key, a key outside the partition's band, or a value that exceeds the
+// aggregator vPart. The key is read here once, while it is hot: a short key
+// is one slot, a medium key MediumSegs slots with the value in the last.
+func (pz *packetizer) queue(kv core.KV) bool {
 	if kv.Val < pz.valLo || kv.Val > pz.valHi {
-		return 0, false
+		return false
 	}
-	class, firstSlot, _ := pz.layout.LocateIn(pz.part, kv.Key)
+	class, first, _ := pz.layout.LocateIn(pz.part, kv.Key)
+	kb := pz.cfg.KPartBytes
+	u := first
 	switch class {
 	case keyspace.Short:
-		return firstSlot, true
+		pz.buckets.push(u, wire.Slot{KPart: wire.PackKPart(kv.Key, kb), Val: kv.Val})
 	case keyspace.Medium:
-		shortSlots := pz.layout.ShortSlots()
-		return shortSlots + (firstSlot-shortSlots)/pz.cfg.MediumSegs, true
+		shortSlots, segs := pz.layout.ShortSlots(), pz.cfg.MediumSegs
+		u = shortSlots + (first-shortSlots)/segs
+		for j := range segs {
+			lo := min(j*kb, len(kv.Key))
+			slot := wire.Slot{KPart: wire.PackKPart(kv.Key[lo:min(lo+kb, len(kv.Key))], kb)}
+			if j == segs-1 {
+				slot.Val = kv.Val
+			}
+			pz.buckets.push(u, slot)
+		}
+	default:
+		return false
 	}
-	return 0, false
+	pz.occupied |= 1 << uint(u)
+	return true
 }
 
 // next returns the next packet to transmit. tuples is the number of logical
@@ -208,70 +253,40 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	// Long-key packets flush when saturated, at EOF before final data
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
-	if pz.longQ.len() >= wire.MaxLongPerPacket || ((pz.eof || pz.flush) && pz.nonEmpty == 0 && pz.longQ.len() > 0) {
+	if pz.longQ.len() >= wire.MaxLongPerPacket || ((pz.eof || pz.flush) && pz.occupied == 0 && pz.longQ.len() > 0) {
 		pkt := wire.NewLong(min(pz.longQ.len(), wire.MaxLongPerPacket))
 		for i := range pkt.Long {
 			pkt.Long[i] = pz.longQ.pop()
 		}
 		return pkt, len(pkt.Long), true
 	}
-	if pz.nonEmpty == 0 {
+	if pz.occupied == 0 {
 		return nil, 0, false
 	}
 	return pz.emitData()
 }
 
-// emitData builds one data packet taking at most one tuple per unit.
+// emitData builds one data packet taking at most one tuple per unit: it
+// visits only the occupied units and copies each one's next tuple's slots
+// into the unit's place in the packet. The unit index encodes the placement —
+// unit u < shortSlots IS the short slot, and a medium unit's group is
+// u − shortSlots — and the slots were packed when the tuple was queued.
 func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
 	pkt := wire.NewData(pz.cfg.NumAAs)
+	shortSlots, segs := pz.layout.ShortSlots(), pz.cfg.MediumSegs
 	tuples := 0
-	for u := range pz.buckets.units() {
-		if pz.buckets.empty(u) {
-			continue
+	for occ := pz.occupied; occ != 0; occ &= occ - 1 {
+		u := bits.TrailingZeros64(occ)
+		first, width := u, 1
+		if u >= shortSlots {
+			first, width = shortSlots+(u-shortSlots)*segs, segs
 		}
-		pz.fill(pkt, u, pz.buckets.pop(u))
-		pz.buffered--
-		if pz.buckets.empty(u) {
-			pz.nonEmpty--
+		if pz.buckets.pop(u, pkt.Slots[first:first+width]) {
+			pz.occupied &^= 1 << uint(u)
 		}
+		pkt.Bitmap |= (1<<uint(width) - 1) << uint(first)
 		tuples++
 	}
+	pz.buffered -= tuples
 	return pkt, tuples, true
-}
-
-// fill packs kv into unit u's slots of pkt and marks them live.
-//
-// The unit index already encodes the placement — unit u < shortSlots IS the
-// short slot, and a medium unit's group is u − shortSlots — so tuples are
-// packed straight from the key string without re-classifying or re-hashing
-// (pull's unitOf did that once when bucketing).
-func (pz *packetizer) fill(pkt *wire.Packet, u int, kv core.KV) {
-	cfg := &pz.cfg
-	shortSlots := pz.layout.ShortSlots()
-	if u < shortSlots {
-		pkt.Slots[u] = wire.Slot{
-			KPart: wire.PackKPart(kv.Key, cfg.KPartBytes),
-			Val:   kv.Val,
-		}
-		pkt.Bitmap = pkt.Bitmap.Set(u)
-		return
-	}
-	first := shortSlots + (u-shortSlots)*cfg.MediumSegs
-	for j := 0; j < cfg.MediumSegs; j++ {
-		lo := j * cfg.KPartBytes
-		hi := lo + cfg.KPartBytes
-		var seg string
-		if lo < len(kv.Key) {
-			if hi > len(kv.Key) {
-				hi = len(kv.Key)
-			}
-			seg = kv.Key[lo:hi]
-		}
-		slot := wire.Slot{KPart: wire.PackKPart(seg, cfg.KPartBytes)}
-		if j == cfg.MediumSegs-1 {
-			slot.Val = kv.Val
-		}
-		pkt.Slots[first+j] = slot
-		pkt.Bitmap = pkt.Bitmap.Set(first + j)
-	}
 }

@@ -282,30 +282,87 @@ func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
 	}
 }
 
-// refPacketizer is the packetizer's emission policy over one plain slice per
-// unit, as the buckets were before they shared one arena. It borrows only the
-// placement (unitOf) and the slot packing (fill) of the packetizer it wraps,
-// so a change in which tuple leaves which bucket when shows as a difference.
+// refPacketizer is the packetizer's emission policy over one plain slice of
+// tuples per unit, with its own placement (unitOf) and its own packing, from
+// the key string at emission (refFill), so it shares no code with the
+// packetizer's packed-slot buckets: a change in which tuple leaves which
+// bucket when, or in how a tuple is packed, shows as a difference.
 type refPacketizer struct {
-	pz                 *packetizer
+	layout             *keyspace.Layout
+	part               keyspace.Partition
+	stream             core.Stream
+	more               func() bool
+	maxBuf             int
 	queues             [][]core.KV
 	longQ              []wire.LongKV
 	buffered, nonEmpty int
 	eof, flush         bool
 }
 
+func newRefPacketizer(l *keyspace.Layout, part keyspace.Partition, stream core.Stream, more func() bool) *refPacketizer {
+	units := l.LogicalUnits()
+	return &refPacketizer{layout: l, part: part, stream: stream, more: more, maxBuf: bufferPerUnit * units, queues: make([][]core.KV, units)}
+}
+
+// unitOf returns the logical unit kv queues in, or false for the long-key
+// bypass: a value past the vPart, a long key or one outside the band.
+func (r *refPacketizer) unitOf(kv core.KV) (int, bool) {
+	cfg := r.layout.Config()
+	bound := int64(1) << (8*cfg.KPartBytes - 1)
+	if kv.Val < -bound || kv.Val >= bound {
+		return 0, false
+	}
+	switch class, first, _ := r.layout.LocateIn(r.part, kv.Key); class {
+	case keyspace.Short:
+		return first, true
+	case keyspace.Medium:
+		return r.layout.ShortSlots() + (first-r.layout.ShortSlots())/cfg.MediumSegs, true
+	}
+	return 0, false
+}
+
+// refFill packs kv into unit u's slots of pkt from the key string and marks
+// them live: a short unit is its slot; a medium unit's group is cut into
+// KPartBytes segments, the value in the group's last slot.
+func refFill(l *keyspace.Layout, pkt *wire.Packet, u int, kv core.KV) {
+	cfg := l.Config()
+	if u < l.ShortSlots() {
+		pkt.Slots[u] = wire.Slot{KPart: wire.PackKPart(kv.Key, cfg.KPartBytes), Val: kv.Val}
+		pkt.Bitmap = pkt.Bitmap.Set(u)
+		return
+	}
+	first := l.ShortSlots() + (u-l.ShortSlots())*cfg.MediumSegs
+	for j := 0; j < cfg.MediumSegs; j++ {
+		lo := j * cfg.KPartBytes
+		hi := lo + cfg.KPartBytes
+		var seg string
+		if lo < len(kv.Key) {
+			if hi > len(kv.Key) {
+				hi = len(kv.Key)
+			}
+			seg = kv.Key[lo:hi]
+		}
+		slot := wire.Slot{KPart: wire.PackKPart(seg, cfg.KPartBytes)}
+		if j == cfg.MediumSegs-1 {
+			slot.Val = kv.Val
+		}
+		pkt.Slots[first+j] = slot
+		pkt.Bitmap = pkt.Bitmap.Set(first + j)
+	}
+}
+
 func (r *refPacketizer) pull() {
 	r.flush = false
 	for !r.eof && !(r.nonEmpty == len(r.queues) && r.nonEmpty > 0) {
-		kv, ok := r.pz.stream()
+		kv, ok := r.stream()
 		if !ok {
 			if r.flush = r.buffered > 0 || len(r.longQ) > 0; r.flush {
 				return
 			}
-			r.eof = !r.pz.more()
+			r.eof = !r.more()
 			return
 		}
-		u, ok := r.pz.unitOf(kv)
+		u, ok := r.unitOf(kv)
 		if !ok {
 			if r.longQ = append(r.longQ, wire.LongKV{Key: kv.Key, Val: kv.Val}); len(r.longQ) >= wire.MaxLongPerPacket {
 				return
@@ -316,7 +373,7 @@ func (r *refPacketizer) pull() {
 			r.nonEmpty++
 		}
 		r.queues[u] = append(r.queues[u], kv)
-		if r.buffered++; r.buffered >= r.pz.maxBuf {
+		if r.buffered++; r.buffered >= r.maxBuf {
 			return
 		}
 	}
@@ -332,10 +389,10 @@ func (r *refPacketizer) next() (*wire.Packet, int, bool) {
 	if r.nonEmpty == 0 {
 		return nil, 0, false
 	}
-	pkt, tuples := wire.NewData(r.pz.cfg.NumAAs), 0
+	pkt, tuples := wire.NewData(r.layout.Config().NumAAs), 0
 	for u, q := range r.queues {
 		if len(q) > 0 {
-			r.pz.fill(pkt, u, q[0])
+			refFill(r.layout, pkt, u, q[0])
 			r.queues[u], r.buffered, tuples = q[1:], r.buffered-1, tuples+1
 			if len(q) == 1 {
 				r.nonEmpty--
@@ -363,69 +420,125 @@ func (s *pacedSource) stream() (core.KV, bool) {
 
 func (s *pacedSource) more() bool { return s.i < len(s.steps) }
 
-// TestPacketizerArenaIsPerUnitQueues holds the shared bucket arena to the
-// per-unit queues it replaced: over seeded streams that mix short, medium and
-// long keys, values outside the vPart and random lulls, with a hot key share
-// that drives the buffer to its bound, both emit the same packets in the same
-// order, and the arena never holds more entries than the buffering bound.
-func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
-	l := testLayout(t)
-	reachedBound := false
-	for seed := int64(1); seed <= 9; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		src := pacedSource{}
-		hot := rng.Float64() // share of tuples on one hot short key
-		lulls := []float64{0, 0.001, 0.05}[seed%3]
-		for i := 0; i < 20000; i++ {
-			var key string
-			switch r := rng.Float64(); {
-			case r < hot:
-				key = "hot"
-			case r < hot+(1-hot)*0.4:
-				key = fmt.Sprintf("s%d", rng.Intn(300))
-			case r < hot+(1-hot)*0.8:
-				key = fmt.Sprintf("med%04d", rng.Intn(3000))
-			default:
-				key = fmt.Sprintf("quite_long_key_%06d", rng.Intn(500))
-			}
-			val := int64(rng.Intn(1000))
-			if rng.Intn(200) == 0 {
-				val = 1 << 40 // past a 4-byte vPart: the long-key path
-			}
-			src.steps = append(src.steps, core.KV{Key: key, Val: val})
-			src.lull = append(src.lull, rng.Float64() < lulls)
+// chunksInUse counts the chunks the packetizer's buckets hold, checking that
+// no slot already read is left behind: none on a bucket's head chunk before
+// its read position, and none on the free list's first free chunks — which,
+// the list being LIFO, include every chunk the last packet drained (a tuple
+// of the layouts below spans at most two chunks).
+func chunksInUse(t *testing.T, b *slotBuckets, free int) int {
+	t.Helper()
+	n := 0
+	for u, q := range b.q {
+		for c := q.head; c != nil; c = c.next {
+			n++
 		}
-		refSrc := src
-		pz := newPacketizer(l, src.stream, src.more)
-		ref := &refPacketizer{pz: newPacketizer(l, refSrc.stream, refSrc.more), queues: make([][]core.KV, l.LogicalUnits())}
-		for n := 0; ; n++ {
-			got, gotTuples, gotOK := pz.next()
-			want, wantTuples, wantOK := ref.next()
-			if gotOK != wantOK || gotTuples != wantTuples || pz.eof != ref.eof {
-				t.Fatalf("seed %d packet %d: (%d tuples, %v, eof %v), per-unit queues give (%d, %v, eof %v)", seed, n, gotTuples, gotOK, pz.eof, wantTuples, wantOK, ref.eof)
-			}
-			if len(pz.buckets.entries) > pz.maxBuf {
-				t.Fatalf("seed %d packet %d: arena holds %d entries, bound %d", seed, n, len(pz.buckets.entries), pz.maxBuf)
-			}
-			if !gotOK {
-				if pz.eof {
-					break
-				}
-				continue // a lull with nothing buffered: the sender waits, then asks again
-			}
-			if !reflect.DeepEqual(got.Clone(), want.Clone()) {
-				t.Fatalf("seed %d packet %d differs:\n got %v bitmap %x slots %v long %v\nwant %v bitmap %x slots %v long %v",
-					seed, n, got.Type, got.Bitmap, got.Slots, got.Long, want.Type, want.Bitmap, want.Slots, want.Long)
-			}
-		}
-		reachedBound = reachedBound || len(pz.buckets.entries) == pz.maxBuf
-		for i, e := range pz.buckets.entries {
-			if e.kv != (core.KV{}) {
-				t.Fatalf("seed %d: drained arena entry %d still holds %+v", seed, i, e.kv)
+		for i := 0; q.head != nil && i < q.rd; i++ {
+			if s := q.head.slots[i]; s != (wire.Slot{}) {
+				t.Fatalf("unit %d: slot %d read off its head chunk still holds %+v", u, i, s)
 			}
 		}
 	}
-	if !reachedBound {
-		t.Error("no seed drove the buffer to its bound: raise the hot share")
+	for c := b.free; c != nil && free > 0; c, free = c.next, free-1 {
+		if c.slots != ([chunkSlots]wire.Slot{}) {
+			t.Fatalf("a drained chunk holds stale slots %v", c.slots)
+		}
+	}
+	return n
+}
+
+// TestPacketizerArenaIsPerUnitQueues holds the packed-slot buckets to the
+// per-unit tuple queues they replaced: over seeded streams that mix short,
+// medium and long keys, values outside the vPart and random lulls, with a hot
+// key share that drives the buffer to its bound, both emit the same packets in
+// the same order — on the default layout, with 4-slot medium groups, and with
+// 3-slot groups (a tuple spans two chunks) under a tenant's band of the key
+// space. The buckets never hold more than ceil(maxBuf·width/chunkSlots) +
+// units chunks, width being the most slots a tuple takes, and no chunk holds a
+// slot that has been read.
+func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
+	segs4 := core.DefaultConfig()
+	segs4.MediumGroups, segs4.MediumSegs = 4, 4
+	segs3 := core.DefaultConfig()
+	segs3.MediumGroups, segs3.MediumSegs = 6, 3
+	parts, err := keyspace.PartitionsFor([]int{3, 1}, segs3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		part keyspace.Partition
+	}{
+		{"default", core.DefaultConfig(), keyspace.Partition{}},
+		{"segs4", segs4, keyspace.Partition{}},
+		{"segs3-tenant", segs3, parts[0]},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := keyspace.NewLayout(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			width := max(1, tc.cfg.MediumSegs)
+			reachedBound := false
+			for seed := int64(1); seed <= 9; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				src := pacedSource{}
+				hot := rng.Float64() // share of tuples on one hot short key
+				lulls := []float64{0, 0.001, 0.05}[seed%3]
+				for i := 0; i < 20000; i++ {
+					var key string
+					switch r := rng.Float64(); {
+					case r < hot:
+						key = "hot"
+					case r < hot+(1-hot)*0.4:
+						key = fmt.Sprintf("s%d", rng.Intn(300))
+					case r < hot+(1-hot)*0.8:
+						key = fmt.Sprintf("med%04d", rng.Intn(3000))
+					default:
+						key = fmt.Sprintf("quite_long_key_%06d", rng.Intn(500))
+					}
+					val := int64(rng.Intn(1000))
+					if rng.Intn(200) == 0 {
+						val = 1 << 40 // past a 4-byte vPart: the long-key path
+					}
+					src.steps = append(src.steps, core.KV{Key: key, Val: val})
+					src.lull = append(src.lull, rng.Float64() < lulls)
+				}
+				refSrc := src
+				pz := newPacketizer(l, src.stream, src.more)
+				pz.part = tc.part
+				ref := newRefPacketizer(l, tc.part, refSrc.stream, refSrc.more)
+				bound := (pz.maxBuf*width+chunkSlots-1)/chunkSlots + l.LogicalUnits()
+				for n := 0; ; n++ {
+					got, gotTuples, gotOK := pz.next()
+					want, wantTuples, wantOK := ref.next()
+					if gotOK != wantOK || gotTuples != wantTuples || pz.eof != ref.eof {
+						t.Fatalf("seed %d packet %d: (%d tuples, %v, eof %v), per-unit queues give (%d, %v, eof %v)", seed, n, gotTuples, gotOK, pz.eof, wantTuples, wantOK, ref.eof)
+					}
+					if chunks := chunksInUse(t, &pz.buckets, 2*l.LogicalUnits()); chunks > bound {
+						t.Fatalf("seed %d packet %d: buckets hold %d chunks, bound %d", seed, n, chunks, bound)
+					}
+					if gotOK && got.Type == wire.TypeData {
+						reachedBound = reachedBound || pz.buffered+gotTuples == pz.maxBuf
+					}
+					if !gotOK {
+						if pz.eof {
+							break
+						}
+						continue // a lull with nothing buffered: the sender waits, then asks again
+					}
+					if !reflect.DeepEqual(got.Clone(), want.Clone()) {
+						t.Fatalf("seed %d packet %d differs:\n got %v bitmap %x slots %v long %v\nwant %v bitmap %x slots %v long %v",
+							seed, n, got.Type, got.Bitmap, got.Slots, got.Long, want.Type, want.Bitmap, want.Slots, want.Long)
+					}
+				}
+				if chunksInUse(t, &pz.buckets, pz.buckets.carved) != 0 || pz.occupied != 0 {
+					t.Fatalf("seed %d: drained buckets still hold chunks (occupied %b)", seed, pz.occupied)
+				}
+			}
+			if !reachedBound {
+				t.Error("no seed drove the buffer to its bound: raise the hot share")
+			}
+		})
 	}
 }

@@ -31,6 +31,15 @@ type Proc struct {
 	dispatchFn func()
 	// timedWaits is WaitTimeout's free list of wait records.
 	timedWaits []*timedWait
+	// waitTimer is WaitTimeout's one timer, as a window keeps one: while a
+	// timed wait (waiting) is in progress it is pending and strong at
+	// waitTimerAt, no later than the wait's deadline; when the signal wins it
+	// stays queued as a weak event, for the next wait to keep.
+	waitTimer     Timer
+	waitTimerAt   Time
+	waiting       *timedWait
+	waitDeadline  Time
+	onWaitTimerFn func()
 }
 
 // procClosed is the panic value park raises to unwind a body on Close. It
@@ -165,50 +174,71 @@ func (p *Proc) Wait(sg *Signal) {
 
 // WaitTimeout suspends the process until the signal fires or d elapses,
 // reporting whether the signal fired first. Exactly one waker dispatches
-// the process; the loser becomes a no-op.
+// the process; the loser becomes a no-op. The timeout rides the process's one
+// wait timer: a pending one set no later than the deadline is kept (it fires,
+// finds the deadline still ahead and re-arms for it), so a process that waits
+// again and again before its deadlines pays no timer stop per wait.
 func (p *Proc) WaitTimeout(sg *Signal, d time.Duration) (fired bool) {
 	var w *timedWait
 	if n := len(p.timedWaits); n > 0 {
 		w, p.timedWaits = p.timedWaits[n-1], p.timedWaits[:n-1]
 	} else {
 		w = &timedWait{p: p}
-		w.onFireFn, w.onTimeoutFn = w.onFire, w.onTimeout
+		w.onFireFn = w.onFire
+	}
+	if p.onWaitTimerFn == nil {
+		p.onWaitTimerFn = p.onWaitTimer
 	}
 	w.done, w.fired = false, false
 	sg.subscribeFrom(p.sim, w.onFireFn)
-	w.tm = p.sim.After(d, w.onTimeoutFn)
+	at := p.sim.now.Add(d)
+	p.waiting, p.waitDeadline = w, at
+	if p.waitTimer.Pending() && p.waitTimerAt <= at {
+		p.waitTimer.SetWeak(false)
+	} else {
+		p.waitTimer.Stop()
+		p.waitTimerAt, p.waitTimer = at, p.sim.At(at, p.onWaitTimerFn)
+	}
 	p.park()
 	return w.fired
 }
 
-// timedWait is one WaitTimeout call: two wakers, the signal's subscription
-// and the timer, of which the first dispatches the process and the other
-// becomes a no-op. Its callbacks are bound once per record, and a record is
-// reused once its subscription has run — by then the timer has fired or been
-// stopped — so a process that waits with a timeout again and again allocates
+// timedWait is one WaitTimeout call's subscription to its signal, which
+// dispatches the process unless the wait timer already has. Its callback is
+// bound once per record, and a record is reused once its subscription has
+// run, so a process that waits with a timeout again and again allocates
 // nothing after its first waits. A timed-out wait's record stays with the
 // signal until that fires.
 type timedWait struct {
-	p                     *Proc
-	tm                    Timer
-	done, fired           bool
-	onFireFn, onTimeoutFn func()
+	p           *Proc
+	done, fired bool
+	onFireFn    func()
 }
 
 func (w *timedWait) onFire() {
 	if !w.done {
 		w.done, w.fired = true, true
-		w.tm.Stop()
+		w.p.waiting = nil
+		w.p.waitTimer.SetWeak(true)
 		w.p.dispatch()
 	}
 	w.p.timedWaits = append(w.p.timedWaits, w)
 }
 
-func (w *timedWait) onTimeout() {
-	if !w.done {
-		w.done = true
-		w.p.dispatch()
+// onWaitTimer is the wait timer firing: a no-op when no timed wait is in
+// progress (the signal won), a re-arm when the wait's deadline is still
+// ahead, and the wait's timeout otherwise.
+func (p *Proc) onWaitTimer() {
+	w := p.waiting
+	if w == nil {
+		return
 	}
+	if p.sim.now < p.waitDeadline {
+		p.waitTimerAt, p.waitTimer = p.waitDeadline, p.sim.At(p.waitDeadline, p.onWaitTimerFn)
+		return
+	}
+	p.waiting, w.done = nil, true
+	p.dispatch()
 }
 
 // waiter is one pending wake-up: the callback plus the simulation whose

@@ -230,6 +230,45 @@ func TestWaitTimeoutRepeated(t *testing.T) {
 	}
 }
 
+// TestWaitTimeoutKeepsOneTimer: a process whose signal wins wait after wait
+// keeps its one wait timer as a weak event instead of stopping it, so no
+// event is cancelled; the wait the signal does not end still times out
+// exactly at its own deadline; and a run whose last strong event was a won
+// wait ends there, with the weak timer unfired.
+func TestWaitTimeoutKeepsOneTimer(t *testing.T) {
+	s := New(1)
+	sg := NewSignal(s)
+	for i := 1; i <= 5; i++ {
+		s.At(Time(i)*Time(10*Microsecond), sg.Fire)
+	}
+	var woke []Time
+	var timedOut Time
+	s.Spawn("w", func(p *Proc) {
+		for p.WaitTimeout(sg, 30*Microsecond) {
+			woke = append(woke, p.Now())
+		}
+		timedOut = p.Now()
+	})
+	s.Run(0)
+	if len(woke) != 5 || woke[4] != Time(50*Microsecond) {
+		t.Fatalf("signal wakes at %v, want five, the last at 50µs", woke)
+	}
+	if timedOut != Time(80*Microsecond) {
+		t.Fatalf("timed out at %v, want 80µs (the last wait's own deadline)", timedOut)
+	}
+	if st := s.Stats(); st.Cancelled != 0 {
+		t.Fatalf("%d events cancelled, want 0: a won wait stopped its timer", st.Cancelled)
+	}
+
+	s = New(1)
+	sg = NewSignal(s)
+	s.At(Time(10*Microsecond), sg.Fire)
+	s.Spawn("w", func(p *Proc) { p.WaitTimeout(sg, 30*Microsecond) })
+	if end := s.Run(0); end != Time(10*Microsecond) || s.Stats().Cancelled != 0 {
+		t.Fatalf("run ended at %v with %d events cancelled, want 10µs and none", end, s.Stats().Cancelled)
+	}
+}
+
 // TestCloseUnwindsUnfinishedProcs covers the three states Close meets — a
 // process that never started, one parked mid-body and one that finished —
 // on a standalone simulation and on a shard group's root and lanes: every
