@@ -4,9 +4,10 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test)
-# stands next to it and sums to 6 min 40 s; no target is a subset of another,
-# and each says why. The host was slower at the last measurement than at the
-# one before: `race` at the previous commit took 4 min 36 s there.
+# stands next to it and sums to 8 min 32 s, over both budgets; no target is a
+# subset of another, and each says why. The host's speed varies from one
+# measurement to the next: `race` took 4 min 9 s, 5 min 13 s and 6 min 57 s
+# at three earlier ones.
 
 GO ?= go
 
@@ -14,7 +15,7 @@ GO ?= go
 
 all: ci
 
-# 1.5 s. Type-checks and builds every package and every test (so there is no
+# 1.9 s. Type-checks and builds every package and every test (so there is no
 # separate build step) and is the only run of go vet's own analyzers. It also
 # fails when gofmt -l names a .go file of a package `go list ./...` returns:
 # go list skips testdata, whose analyzer sources keep their `// want`
@@ -24,7 +25,7 @@ vet:
 	@unformatted=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
-# 2.8 s (37 packages). The only run of the
+# 2.5 s (37 packages). The only run of the
 # static-analysis suite (cmd/askcheck), three analyzers: sim-clock
 # determinism, the metric inventory, error taxonomy — over every package,
 # the analyzers' own included. PISA access legality is not among them:
@@ -34,7 +35,7 @@ vet:
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# 41 s. The whole suite once, in shuffled order (which
+# 38 s. The whole suite once, in shuffled order (which
 # also catches inter-test state dependencies). The only step that runs the
 # experiment registry: internal/experiments' TestQuickGolden runs every experiment
 # at quick scale once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
@@ -47,7 +48,7 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# 4 min 9 s. The same suite under the race detector, in source order — what
+# 6 min 10 s. The same suite under the race detector, in source order — what
 # `test` cannot see. The registry run is skipped by build tag here (21
 # single-goroutine simulations: minutes of detector time that race nothing;
 # the experiment worker pool keeps its raced test), -short is not used. It is
@@ -57,13 +58,13 @@ test:
 # when a lane touches another lane's state outside a mailbox or the control
 # rendezvous (DESIGN.md "Parallel DES"). The timeout is per package and equals
 # go test's default; it is written down so the budget is a reviewed number.
-# The slowest package under the detector is internal/chaos: 114 s inside this
-# target on the 2-vCPU host (internal/wire 100 s, ask 79 s,
-# internal/experiments 10 s — 426 s until PR 17).
+# The slowest packages under the detector are internal/wire and
+# internal/chaos: 129 s and 117 s inside this target on the 2-vCPU host (ask
+# 94 s, internal/experiments 12 s).
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# 1 min 33 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
+# 1 min 26 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
 # kind of randomized fault schedules, each run end-to-end against the analytic
 # ground truth with a continuous per-link corruption baseline — the rack
 # (switch outages, black-holes, loss/corruption bursts, host stalls; 15 s), the
@@ -79,7 +80,7 @@ soak:
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 
-# 13 s. The library surface, run: vet only compiles
+# 14 s. The library surface, run: vet only compiles
 # the programs under examples/. Every one of them, whatever is added there, is
 # run, and exits non-zero on an error — which for those that run an ask.Job
 # (quickstart, streaming with one per window, groupby, multirack) includes a

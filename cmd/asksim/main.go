@@ -396,7 +396,7 @@ func main() {
 	if tenancyMgr != nil {
 		fmt.Printf("\ntenancy (AA rows of %d):\n", d.Config().AARows)
 		for _, u := range tenancyMgr.Snapshot() {
-			fmt.Printf("  tenant %d: quota %5d rows, in use %d, borrowed %d\n",
+			fmt.Printf("  tenant %d: quota %5d rows, in use %d, over quota %d\n",
 				u.Tenant, u.Quota, u.InUse, u.Borrowed)
 		}
 	}

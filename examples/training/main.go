@@ -1,6 +1,7 @@
-// Training: ASK's backward compatibility with value-stream aggregation
-// (§5.6) — a BytePS-style parameter-server round whose gradient push is
-// aggregated in-network, compared with a plain parameter server.
+// Training: a BytePS-style parameter-server round (§5.6) whose gradient push
+// is aggregated in-network, compared with a plain parameter server. The ASK
+// row is the synchronous-INA push model that ATP and SwitchML run, with ASK's
+// packet geometry; it is not a value stream through ask.Deployment.
 //
 //	go run ./examples/training
 package main

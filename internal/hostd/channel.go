@@ -102,13 +102,13 @@ type dataChannel struct {
 	regEpoch uint32
 
 	rx rxQueue
-	// rxTask, rxEff, rxTuples and rxLong carry a data packet's service from
-	// its start to its merge (serveInbound); rxMerge says whether the packet
-	// was fresh.
-	rxTask           *recvTask
-	rxEff            wire.Bitmap
-	rxTuples, rxLong int
-	rxMerge          bool
+	// rxTask, rxEff and rxTuples carry a data packet's service from its
+	// start to its merge (serveInbound); rxMerge says whether the packet was
+	// fresh.
+	rxTask   *recvTask
+	rxEff    wire.Bitmap
+	rxTuples int
+	rxMerge  bool
 
 	// tx is the send chain of the task txLoop serves.
 	tx txChain
@@ -157,9 +157,6 @@ func newDataChannel(d *Daemon, flow core.FlowKey) *dataChannel {
 		rxThread: d.cpu.NewThread(),
 	}
 	ch.tx.stepFn = ch.txStep
-	// serveInbound keeps nothing of the packet it is handed (keys are
-	// interned strings, long-key strings are immutable), so the queue may
-	// rebuild its one view packet for the next entry.
 	ch.rx = rxQueue{d: d, thread: ch.rxThread, handle: ch.serveInbound}
 	ch.rx.runFn = ch.rx.run
 	ch.win = window.NewSender(d.sim, d.cfg.Window, core.RetransmitTimeout, ch.transmit)
@@ -486,17 +483,18 @@ func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
 // packet: push copies out what the handlers read and releases the frame,
 // packet included, so a receiver that falls behind keeps a backlog of queue
 // entries while the frames and packets go back to the free lists the moment
-// they arrive.
+// they arrive. The handlers read each entry where push stored it.
 type rxQueue struct {
 	d      *Daemon
 	thread *cpumodel.Thread
-	// handle serves the view packet from the given step (0 for a new
-	// packet) up to its next wait, which it returns; it must keep no
-	// reference into the packet.
-	handle func(v *wire.Packet, step int) rxWait
+	// handle serves the head entry, with its runs in the slot and long-key
+	// stores, from the given step (0 for a new packet) up to its next wait,
+	// which it returns; it must keep no reference into the entry or its runs.
+	handle func(it *rxItem, slots []wire.Slot, long []wire.LongKV, step int) rxWait
 	items  fifo[rxItem]
 	// slots holds each queued data or replay packet's live slot groups as
-	// one run, and long each long-key packet's tuples.
+	// one run, in Daemon.residue's order, and long each long-key packet's
+	// tuples.
 	slots fifo[wire.Slot]
 	long  fifo[wire.LongKV]
 	// busy is set from the push that finds the queue idle until run finds it
@@ -505,12 +503,6 @@ type rxQueue struct {
 	step int
 	// runFn is r.run, bound once.
 	runFn func()
-	// view is the one packet run hands to its handler, rebuilt from an
-	// entry in the buffers below. The queue owns it: it is never drawn from
-	// or released to a free list.
-	view     wire.Packet
-	viewSlot []wire.Slot
-	viewLong []wire.LongKV
 }
 
 // rxWait is what a packet's service waits for before its next step: a CPU
@@ -554,7 +546,7 @@ func (r *rxQueue) push(f *netsim.Frame) {
 		it.slots = int32(n)
 	}
 	if it.slots > 0 {
-		r.d.moveGroups(r.slots.reserve(int(it.slots)), pkt.Slots, pkt.Bitmap, true)
+		r.d.moveGroups(r.slots.reserve(int(it.slots)), pkt.Slots, pkt.Bitmap)
 	}
 	if it.long > 0 {
 		copy(r.long.reserve(int(it.long)), pkt.Long)
@@ -575,38 +567,17 @@ func (r *rxQueue) push(f *netsim.Frame) {
 // wait's completion event runs it again. A loop, not a recursion, however
 // long the backlog: a wait whose wake-up would be the next event anyway is
 // passed in place (sim.Simulation.Advance), and the next packet starts in the
-// event that ends the last.
+// event that ends the last. An entry and its runs leave the queue only when
+// its service ends: a push during one of its waits reserves behind them.
 func (r *rxQueue) run() {
 	s := r.d.sim
 	for {
-		if r.step == 0 {
-			if r.items.len() == 0 {
-				r.busy = false
-				return
-			}
-			it := r.items.pop()
-			v := &r.view
-			*v = wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq, OrigSeq: it.origSeq, Bitmap: it.bitmap, Ctrl: it.ctrl}
-			if it.width > 0 {
-				if int(it.width) > cap(r.viewSlot) {
-					r.viewSlot = make([]wire.Slot, it.width)
-				}
-				v.Slots = r.viewSlot[:it.width]
-				clear(v.Slots)
-			}
-			if it.slots > 0 {
-				r.d.moveGroups(r.slots.take(int(it.slots)), v.Slots, it.bitmap, false)
-			}
-			if it.long > 0 {
-				if int(it.long) > cap(r.viewLong) {
-					r.viewLong = make([]wire.LongKV, it.long)
-				}
-				run := r.long.take(int(it.long))
-				v.Long = r.viewLong[:copy(r.viewLong[:it.long], run)]
-				clear(run) // a kept block pins no key
-			}
+		if r.items.len() == 0 {
+			r.busy = false
+			return
 		}
-		w := r.handle(&r.view, r.step)
+		it := &r.items.peek(1)[0]
+		w := r.handle(it, r.slots.peek(int(it.slots)), r.long.peek(int(it.long)), r.step)
 		r.step++
 		switch {
 		case w.charge > 0:
@@ -620,35 +591,28 @@ func (r *rxQueue) run() {
 			}
 		default:
 			r.step = 0
-			clear(r.view.Long) // an idle queue pins no key or control body
-			r.view = wire.Packet{}
+			if it.slots > 0 {
+				r.slots.take(int(it.slots))
+			}
+			if it.long > 0 {
+				clear(r.long.take(int(it.long))) // a kept block pins no key
+			}
+			r.items.pop() // zeroes the entry: an idle queue pins no control body
 		}
 	}
 }
 
-// moveGroups copies the slot groups b selects between a packet's slot array
-// and run, which holds them back to back in Daemon.residue's order: out of
-// the packet into run when pack is set, back into their slots otherwise.
-func (d *Daemon) moveGroups(run, slots []wire.Slot, b wire.Bitmap, pack bool) {
+// moveGroups packs the slot groups b selects out of a packet's slot array
+// into run, back to back in Daemon.residue's order.
+func (d *Daemon) moveGroups(run, slots []wire.Slot, b wire.Bitmap) {
 	short, medium := d.groupStarts(len(slots))
 	n := 0
 	for s := b & short; s != 0; s &= s - 1 {
-		i := bits.TrailingZeros64(uint64(s))
-		if pack {
-			run[n] = slots[i]
-		} else {
-			slots[i] = run[n]
-		}
+		run[n] = slots[bits.TrailingZeros64(uint64(s))]
 		n++
 	}
 	m := d.cfg.MediumSegs
 	for s := b & medium; s != 0; s &= s - 1 {
-		g := slots[bits.TrailingZeros64(uint64(s)):][:m]
-		if pack {
-			copy(run[n:], g)
-		} else {
-			copy(g, run[n:n+m])
-		}
-		n += m
+		n += copy(run[n:], slots[bits.TrailingZeros64(uint64(s)):][:m])
 	}
 }

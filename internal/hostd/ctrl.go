@@ -59,8 +59,6 @@ func newCtrlChannel(d *Daemon) *ctrlChannel {
 	// switch twice and are not latency critical.
 	ch.win = window.NewSender(d.sim, ctrlWindow, 10*core.RetransmitTimeout, ch.transmit)
 	ch.win.Instrument(d.tel, ch.flow.String())
-	// process retains nothing from the packet (ctrl bodies are plain values
-	// and the ack is a fresh packet), so the queue may reuse its view packet.
 	ch.rx = rxQueue{d: d, thread: d.cpu.NewThread(), handle: ch.process}
 	ch.rx.runFn = ch.rx.run
 	return ch
@@ -77,14 +75,14 @@ func (ch *ctrlChannel) send(p *sim.Proc, dst core.HostID, body any) {
 	ch.win.SendBlocking(p, pkt)
 }
 
-// process serves one control message in three steps: classify it and
-// charge its PacketIOCost; apply a fresh one and let a small queueing delay
-// stand in for the local message queue to the application (§3.1 step ⑤);
-// acknowledge it.
-func (ch *ctrlChannel) process(pkt *wire.Packet, step int) rxWait {
+// process serves one control message, the receive queue's head entry, in
+// three steps: classify it and charge its PacketIOCost; apply a fresh one and
+// let a small queueing delay stand in for the local message queue to the
+// application (§3.1 step ⑤); acknowledge it.
+func (ch *ctrlChannel) process(it *rxItem, _ []wire.Slot, _ []wire.LongKV, step int) rxWait {
 	switch step {
 	case 0:
-		verdict := ch.d.dedupFor(pkt.Flow).Observe(pkt.Seq)
+		verdict := ch.d.dedupFor(it.flow).Observe(it.seq)
 		if verdict == window.Stale {
 			return rxWait{}
 		}
@@ -92,7 +90,7 @@ func (ch *ctrlChannel) process(pkt *wire.Packet, step int) rxWait {
 		return rxWait{charge: cpumodel.PacketIOCost}
 	case 1:
 		if ch.fresh {
-			msg := pkt.Ctrl.(ctrlMsg)
+			msg := it.ctrl.(ctrlMsg)
 			switch body := msg.Body.(type) {
 			case taskNotify:
 				ch.d.onNotify(body)
@@ -104,6 +102,6 @@ func (ch *ctrlChannel) process(pkt *wire.Packet, step int) rxWait {
 			return rxWait{delay: time.Microsecond}
 		}
 	}
-	ch.d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
+	ch.d.send(it.flow.Host, wire.NewAck(&wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq}), 0, true)
 	return rxWait{}
 }

@@ -67,11 +67,16 @@ func (q *fifo[T]) reserve(k int) []T {
 	return (*tail)[n : n+k : n+k]
 }
 
+// peek returns the oldest run, which must have been reserved with the same
+// k, and leaves it queued: it stays intact, whatever is reserved behind it,
+// until take removes it.
+func (q *fifo[T]) peek(k int) []T { return q.head[q.lo : q.lo+k : q.lo+k] }
+
 // take removes the oldest run, which must have been reserved with the same
 // k, and returns it. The run's storage is the queue's again: it keeps its
 // contents only until the next reserve.
 func (q *fifo[T]) take(k int) []T {
-	r := q.head[q.lo : q.lo+k : q.lo+k]
+	r := q.peek(k)
 	q.lo += k
 	q.n -= k
 	if q.lo == len(q.head) {

@@ -78,8 +78,8 @@ func TestFifoMatchesSliceQueue(t *testing.T) {
 
 // TestFifoRunsAreContiguous pins the slot store's contiguity rule: a run
 // that does not fit in the rest of the newest block starts the next block,
-// and the take that matches it finds it there, intact. Random runs of 1–64
-// elements then round-trip in order.
+// and the take that matches it finds it there, intact. A peeked run stays
+// queued. Random runs of 1–64 elements then round-trip in order.
 func TestFifoRunsAreContiguous(t *testing.T) {
 	var q fifo[int]
 	a := q.reserve(5)
@@ -99,6 +99,18 @@ func TestFifoRunsAreContiguous(t *testing.T) {
 	if q.len() != 0 {
 		t.Fatalf("len %d after taking every run", q.len())
 	}
+	// A peeked run stays queued: what is reserved behind it lands behind it,
+	// even when it is the only run left in its block.
+	copy(q.reserve(3), []int{11, 12, 13})
+	p := q.peek(3)
+	copy(q.reserve(3), []int{14, 15, 16})
+	if !slices.Equal(p, []int{11, 12, 13}) || q.len() != 6 {
+		t.Fatalf("peeked run reads %v with %d queued after a reserve behind it", p, q.len())
+	}
+	if got := q.take(3); &got[0] != &p[0] {
+		t.Fatal("take did not return the peeked run")
+	}
+	q.take(3)
 
 	rng := rand.New(rand.NewSource(2))
 	var runs [][]int
@@ -116,6 +128,9 @@ func TestFifoRunsAreContiguous(t *testing.T) {
 			}
 			runs = append(runs, slices.Clone(r))
 		} else if len(runs) > 0 {
+			if got := q.peek(len(runs[0])); !slices.Equal(got, runs[0]) {
+				t.Fatalf("step %d: peeked %v, want %v", step, got, runs[0])
+			}
 			if got := q.take(len(runs[0])); !slices.Equal(got, runs[0]) {
 				t.Fatalf("step %d: took %v, want %v", step, got, runs[0])
 			}

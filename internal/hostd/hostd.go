@@ -14,7 +14,6 @@ package hostd
 
 import (
 	"fmt"
-	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/cpumodel"
@@ -344,23 +343,28 @@ func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bo
 	d.net.HostSend(f)
 }
 
-// residue visits, in slot order, the slots of every tuple of a data (or
-// replay) packet that the eff bitmap selects: the one slot of a short key,
-// the coalesced group of a medium one. eff is normally the packet's own
-// liveness bitmap; under failover it is the packet's bitmap minus the bits
-// the receiver already merged (claimBits). Only the selected groups are
-// visited and nothing is built per tuple: the receive path counts the tuples
-// with one walk and folds them with another.
-func (d *Daemon) residue(pkt *wire.Packet, eff wire.Bitmap, visit func(group []wire.Slot)) {
-	short, medium := d.groupStarts(len(pkt.Slots))
-	for b := eff & short; b != 0; b &= b - 1 {
-		i := bits.TrailingZeros64(uint64(b))
-		visit(pkt.Slots[i : i+1])
+// residue visits, in slot order, the slots of every tuple of a queued data
+// (or replay) packet that the eff bitmap selects: the one slot of a short
+// key, the coalesced group of a medium one. run holds the groups live in the
+// packet's bitmap b back to back (rxQueue.push), and width is the packet's
+// slot count. eff is normally b itself; under failover it is b minus the bits
+// the receiver already merged (claimBits), always a subset of b. Nothing is
+// built per tuple.
+func (d *Daemon) residue(run []wire.Slot, b, eff wire.Bitmap, width int, visit func(group []wire.Slot)) {
+	short, medium := d.groupStarts(width)
+	n := 0
+	for s := b & short; s != 0; s &= s - 1 {
+		if s&-s&eff != 0 { // the lowest set bit, a short tuple's slot, is selected
+			visit(run[n : n+1])
+		}
+		n++
 	}
 	m := d.cfg.MediumSegs
-	for b := eff & medium; b != 0; b &= b - 1 {
-		first := bits.TrailingZeros64(uint64(b))
-		visit(pkt.Slots[first : first+m])
+	for s := b & medium; s != 0; s &= s - 1 {
+		if s&-s&eff != 0 {
+			visit(run[n : n+m])
+		}
+		n += m
 	}
 }
 

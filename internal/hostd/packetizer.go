@@ -84,12 +84,18 @@ func newPacketizer(layout *keyspace.Layout, stream core.Stream, more func() bool
 // chunkSlots is the size of one bucket chunk in slots (16 bytes each).
 const chunkSlots = 16
 
-// firstSlab is the number of chunks in a packetizer's first slab. Each slab
-// after it is twice the one before, short of the most chunks the buckets can
-// hold at once, so a packetizer holds at most about twice the chunks it ever had in
-// use at once, in a handful of allocations, and a paced sender that buffers a
-// few tuples at a time allocates a few chunks.
-const firstSlab = 4
+// firstSlab is the number of chunks in a packetizer's first slab, and
+// maxSlab the most in any. Each slab after the first is twice the one
+// before, up to maxSlab, short of the most chunks the buckets can hold at
+// once. A slab is carved only when every chunk carved before is in use, so a
+// packetizer holds fewer than maxSlab chunks more than it ever had in use at
+// once, and a paced sender that buffers a few tuples at a time allocates a
+// few chunks. 192 holds a batch sender's peak of 400–550 chunks in 7 or 8
+// slabs.
+const (
+	firstSlab = 4
+	maxSlab   = 192
+)
 
 // slotBuckets holds every unit's bucket of packed slots. A bucket is a FIFO of
 // slots in a chain of fixed-size chunks; every chunk comes from one free list
@@ -135,7 +141,7 @@ func (b *slotBuckets) take() *slotChunk {
 		for i := range slab[:n-1] {
 			slab[i].next = &slab[i+1]
 		}
-		b.free, b.slab, b.carved = &slab[0], 2*b.slab, b.carved+n
+		b.free, b.slab, b.carved = &slab[0], min(2*b.slab, maxSlab), b.carved+n
 	}
 	c := b.free
 	b.free, c.next = c.next, nil

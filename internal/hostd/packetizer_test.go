@@ -453,8 +453,9 @@ func chunksInUse(t *testing.T, b *slotBuckets, free int) int {
 // the same order — on the default layout, with 4-slot medium groups, and with
 // 3-slot groups (a tuple spans two chunks) under a tenant's band of the key
 // space. The buckets never hold more than ceil(maxBuf·width/chunkSlots) +
-// units chunks, width being the most slots a tuple takes, and no chunk holds a
-// slot that has been read.
+// units chunks, width being the most slots a tuple takes, no chunk holds a
+// slot that has been read, and fewer than maxSlab chunks are carved beyond
+// the most ever in use at once.
 func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 	segs4 := core.DefaultConfig()
 	segs4.MediumGroups, segs4.MediumSegs = 4, 4
@@ -505,7 +506,19 @@ func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 					src.lull = append(src.lull, rng.Float64() < lulls)
 				}
 				refSrc := src
-				pz := newPacketizer(l, src.stream, src.more)
+				// peak is the most chunks seen in use: off the free list at
+				// every tuple the packetizer pulls, and after every packet.
+				var pz *packetizer
+				peak := 0
+				stream := func() (core.KV, bool) {
+					n := pz.buckets.carved
+					for c := pz.buckets.free; c != nil; c = c.next {
+						n--
+					}
+					peak = max(peak, n)
+					return src.stream()
+				}
+				pz = newPacketizer(l, stream, src.more)
 				pz.part = tc.part
 				ref := newRefPacketizer(l, tc.part, refSrc.stream, refSrc.more)
 				bound := (pz.maxBuf*width+chunkSlots-1)/chunkSlots + l.LogicalUnits()
@@ -515,9 +528,11 @@ func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 					if gotOK != wantOK || gotTuples != wantTuples || pz.eof != ref.eof {
 						t.Fatalf("seed %d packet %d: (%d tuples, %v, eof %v), per-unit queues give (%d, %v, eof %v)", seed, n, gotTuples, gotOK, pz.eof, wantTuples, wantOK, ref.eof)
 					}
-					if chunks := chunksInUse(t, &pz.buckets, 2*l.LogicalUnits()); chunks > bound {
+					chunks := chunksInUse(t, &pz.buckets, 2*l.LogicalUnits())
+					if chunks > bound {
 						t.Fatalf("seed %d packet %d: buckets hold %d chunks, bound %d", seed, n, chunks, bound)
 					}
+					peak = max(peak, chunks)
 					if gotOK && got.Type == wire.TypeData {
 						reachedBound = reachedBound || pz.buffered+gotTuples == pz.maxBuf
 					}
@@ -534,6 +549,9 @@ func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 				}
 				if chunksInUse(t, &pz.buckets, pz.buckets.carved) != 0 || pz.occupied != 0 {
 					t.Fatalf("seed %d: drained buckets still hold chunks (occupied %b)", seed, pz.occupied)
+				}
+				if pz.buckets.carved-peak >= maxSlab {
+					t.Fatalf("seed %d: %d chunks carved for a peak of %d in use, a slab (%d) or more to spare", seed, pz.buckets.carved, peak, maxSlab)
 				}
 			}
 			if !reachedBound {

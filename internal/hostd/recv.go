@@ -276,33 +276,33 @@ func (d *Daemon) SetTenantChannels(tenant core.TenantID, lo, n int) error {
 	return nil
 }
 
-// serveInbound serves one flow packet of a channel's receive queue in two
-// steps. The first runs the instant the packet reaches the head of the
-// queue: the transport ACK went out at arrival (HandleFrame); here the packet
-// is classified exactly once, the failover ledger claims its bits
-// (claimBits) and its CPU cost is reckoned. The second, once the charge is
-// paid, merges a fresh packet with what the first reckoned.
-func (ch *dataChannel) serveInbound(pkt *wire.Packet, step int) rxWait {
+// serveInbound serves one flow packet, the receive queue's head entry with
+// its slot and long-key runs, in two steps. The first runs the instant the
+// packet reaches the head of the queue: the transport ACK went out at arrival
+// (HandleFrame); here the packet is classified exactly once, the failover
+// ledger claims its bits (claimBits) and its CPU cost is reckoned. The
+// second, once the charge is paid, merges a fresh packet with what the first
+// reckoned.
+func (ch *dataChannel) serveInbound(it *rxItem, slots []wire.Slot, long []wire.LongKV, step int) rxWait {
 	d := ch.d
 	if step == 0 {
 		ch.rxMerge = false
-		verdict := d.dedupFor(pkt.Flow).Observe(pkt.Seq)
+		verdict := d.dedupFor(it.flow).Observe(it.seq)
 		if verdict == window.Stale {
 			return rxWait{}
 		}
 		if verdict == window.Duplicate {
 			return rxWait{charge: cpumodel.PacketIOCost}
 		}
-		t := d.recvTasks[pkt.Task]
-		// eff selects the slotted tuples to merge here, tuples counts them
-		// (and a long-key packet's) for the CPU charge.
+		t := d.recvTasks[it.task]
+		// eff selects the slotted tuples to merge here; they and a long-key
+		// packet's tuples are what the CPU charge counts.
 		var eff wire.Bitmap
-		tuples, longTuples := 0, 0
-		switch pkt.Type {
+		switch it.typ {
 		case wire.TypeData:
-			eff = pkt.Bitmap
+			eff = it.bitmap
 			if d.failover && t != nil && !t.completed {
-				eff = t.claimBits(pkt.Flow, pkt.Seq, pkt.Bitmap)
+				eff = t.claimBits(it.flow, it.seq, it.bitmap)
 			}
 		case wire.TypeReplay:
 			// Failover replay: merge only the bits not already counted from
@@ -311,13 +311,12 @@ func (ch *dataChannel) serveInbound(pkt *wire.Packet, step int) rxWait {
 			// either merged then or surrendered by the pre-reboot switch —
 			// never both).
 			if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
-				eff = t.claimBits(pkt.Flow, pkt.OrigSeq, pkt.Bitmap)
+				eff = t.claimBits(it.flow, it.origSeq, it.bitmap)
 			}
-		case wire.TypeLongKey:
-			tuples, longTuples = len(pkt.Long), len(pkt.Long)
 		}
-		d.residue(pkt, eff, func([]wire.Slot) { tuples++ })
-		ch.rxMerge, ch.rxTask, ch.rxEff, ch.rxTuples, ch.rxLong = true, t, eff, tuples, longTuples
+		short, medium := d.groupStarts(int(it.width))
+		tuples := (eff & short).Count() + (eff & medium).Count() + len(long)
+		ch.rxMerge, ch.rxTask, ch.rxEff, ch.rxTuples = true, t, eff, tuples
 		return rxWait{charge: cpumodel.PacketIOCost + time.Duration(tuples)*cpumodel.HostAggregateCost}
 	}
 	t, tuples := ch.rxTask, int64(ch.rxTuples)
@@ -327,17 +326,14 @@ func (ch *dataChannel) serveInbound(pkt *wire.Packet, step int) rxWait {
 	}
 	d.met.packetsReceived.Inc()
 	if t != nil && !t.completed {
-		// The packet is the receive queue's view, rebuilt from the queued
-		// entry and the queue's until this packet is served (rxQueue.run),
-		// so the tuples are folded straight out of it.
-		d.residue(pkt, ch.rxEff, t.mergeGroup)
-		for _, lk := range pkt.Long { // a long-key packet's tuples; nil on every other type
+		d.residue(slots, it.bitmap, ch.rxEff, int(it.width), t.mergeGroup)
+		for _, lk := range long { // a long-key packet's tuples; empty on every other type
 			t.seg.addLong(lk)
 		}
 		t.met.residueTuples.Add(tuples)
-		t.met.longTuples.Add(int64(ch.rxLong))
+		t.met.longTuples.Add(int64(len(long)))
 		d.met.residueTuples.Add(tuples)
-		switch pkt.Type {
+		switch it.typ {
 		case wire.TypeData:
 			t.met.dataPackets.Inc()
 			t.pktsSinceSwap++
@@ -345,9 +341,9 @@ func (ch *dataChannel) serveInbound(pkt *wire.Packet, step int) rxWait {
 		case wire.TypeReplay:
 			t.met.replayTuples.Add(tuples)
 			d.met.replayTuplesMerged.Add(tuples)
-			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(pkt.Task), int64(pkt.OrigSeq), tuples)
+			d.tr.Emit(telemetry.CompHostd, "replay_merged", int64(it.task), int64(it.origSeq), tuples)
 		case wire.TypeFin:
-			t.onFin(pkt.Flow.Host, pkt.OrigSeq)
+			t.onFin(it.flow.Host, it.origSeq)
 		}
 	}
 	return rxWait{}

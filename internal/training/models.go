@@ -68,7 +68,9 @@ func ModelByName(name string) (Model, error) {
 type System uint8
 
 const (
-	// SysASK is ASK's backward-compatible value-stream mode (§5.6).
+	// SysASK stands for ASK's value-stream mode (§5.6). It runs the same
+	// synchronous-INA push model as ATP and SwitchML (runPush) with ASK's
+	// packet geometry, not a value stream through ask.Deployment.
 	SysASK System = iota
 	// SysATP is an ATP-like synchronous INA with dynamic slot allocation.
 	SysATP

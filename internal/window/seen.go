@@ -1,10 +1,11 @@
 // Package window implements ASK's reliability machinery for asynchronous
 // aggregation (§3.3): the host sender's sliding window with fine-grained
-// timeout retransmission, and the receive-window deduplication state used by
-// both the switch (via register arrays in internal/switchd) and the host
-// receiver — the naïve 2W-bit seen array and the memory-compact W-bit seen
-// built on atomic set_bit/clr_bitc, plus the max_seq stale-packet guard and
-// the PktState store for partially-aggregated packet replay.
+// timeout retransmission, and the receive-window deduplication state. The
+// switch's (kept in register arrays by internal/switchd) is the naïve 2W-bit
+// seen array and the memory-compact W-bit seen built on atomic
+// set_bit/clr_bitc, plus the max_seq stale-packet guard and the PktState
+// store for partially-aggregated packet replay; the host receiver's is
+// HostDedup.
 //
 // Sequence numbers are 32-bit and compared with serial arithmetic, so
 // persistent data channels may wrap; the window size W must be a power of
@@ -201,8 +202,9 @@ func (g *StaleGuard) Check(seq uint32) (stale bool) {
 func (g *StaleGuard) MaxSeq() uint32 { return g.maxSeq }
 
 // Dedup combines the stale guard with the compact seen: the complete
-// receive-window logic of a flow endpoint. Both the host receiver and the
-// reference model of the switch's per-flow state use it.
+// receive-window logic of a switch flow endpoint. The tests use it as the
+// reference model of the switch's per-flow state; the host receiver uses
+// HostDedup.
 type Dedup struct {
 	guard *StaleGuard
 	seen  *CompactSeen
