@@ -4,7 +4,7 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test)
-# stands next to it and sums to 8 min 32 s, over both budgets; no target is a
+# stands next to it and sums to 5 min 4 s, within both budgets; no target is a
 # subset of another, and each says why. The host's speed varies from one
 # measurement to the next: `race` took 4 min 9 s, 5 min 13 s and 6 min 57 s
 # at three earlier ones.
@@ -15,7 +15,7 @@ GO ?= go
 
 all: ci
 
-# 1.9 s. Type-checks and builds every package and every test (so there is no
+# 1.5 s. Type-checks and builds every package and every test (so there is no
 # separate build step) and is the only run of go vet's own analyzers. It also
 # fails when gofmt -l names a .go file of a package `go list ./...` returns:
 # go list skips testdata, whose analyzer sources keep their `// want`
@@ -25,7 +25,7 @@ vet:
 	@unformatted=$$(gofmt -l $$($(GO) list -f '{{.Dir}}/*.go' ./...)); \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l:"; echo "$$unformatted"; exit 1; fi
 
-# 2.5 s (37 packages). The only run of the
+# 2.3 s (37 packages). The only run of the
 # static-analysis suite (cmd/askcheck), three analyzers: sim-clock
 # determinism, the metric inventory, error taxonomy — over every package,
 # the analyzers' own included. PISA access legality is not among them:
@@ -35,10 +35,10 @@ vet:
 lint:
 	$(GO) run ./cmd/askcheck ./...
 
-# 38 s. The whole suite once, in shuffled order (which
+# 28 s. The whole suite once, in shuffled order (which
 # also catches inter-test state dependencies). The only step that runs the
 # experiment registry: internal/experiments' TestQuickGolden runs every experiment
-# at quick scale once (≈ 23 s) and requires `askbench -run all -quick -json` to equal
+# at quick scale once (≈ 18 s) and requires `askbench -run all -quick -json` to equal
 # internal/experiments/testdata/quick.json byte for byte; the shape tests
 # judge the committed tables, the scenario corpus round trip (ask's
 # TestScenarioCorpus*, scenario's
@@ -48,7 +48,7 @@ lint:
 test:
 	$(GO) test -shuffle=on ./...
 
-# 6 min 10 s. The same suite under the race detector, in source order — what
+# 3 min 0 s. The same suite under the race detector, in source order — what
 # `test` cannot see. The registry run is skipped by build tag here (21
 # single-goroutine simulations: minutes of detector time that race nothing;
 # the experiment worker pool keeps its raced test), -short is not used. It is
@@ -58,19 +58,19 @@ test:
 # when a lane touches another lane's state outside a mailbox or the control
 # rendezvous (DESIGN.md "Parallel DES"). The timeout is per package and equals
 # go test's default; it is written down so the budget is a reviewed number.
-# The slowest packages under the detector are internal/wire and
-# internal/chaos: 129 s and 117 s inside this target on the 2-vCPU host (ask
-# 94 s, internal/experiments 12 s).
+# The slowest packages under the detector are internal/chaos and ask: 96 s
+# and 67 s inside this target on the 2-vCPU host (internal/hostd 46 s,
+# internal/experiments 9 s, internal/wire 8 s).
 race:
 	$(GO) test -race -timeout 10m ./...
 
-# 1 min 26 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
+# 1 min 17 s. Bounded chaos soak (README "Failure model"): 200 fixed seeds per
 # kind of randomized fault schedules, each run end-to-end against the analytic
 # ground truth with a continuous per-link corruption baseline — the rack
-# (switch outages, black-holes, loss/corruption bursts, host stalls; 15 s), the
+# (switch outages, black-holes, loss/corruption bursts, host stalls; 17 s), the
 # fat-tree (spine/leaf outages over the multi-tenant fabric, EXPERIMENTS.md
-# "Fabric soak"; 40 s), and multi-rack (TOR outages under the forwarding core;
-# 35 s). The tests pin the first seeds of
+# "Fabric soak"; 35 s), and multi-rack (TOR outages under the forwarding core;
+# 32 s). The tests pin the first seeds of
 # each kind (internal/chaos/testdata/soak.golden) and the seeds that have
 # found bugs; this is the wider seed range, through the asksim command line.
 # A failure prints a shrunken schedule and a reproducer line carrying the
@@ -80,7 +80,7 @@ soak:
 	$(GO) run ./cmd/asksim -soak -topology fattree -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 	$(GO) run ./cmd/asksim -soak -topology multirack -soak.seed=1 -soak.runs=200 -soak.corrupt=1e-3
 
-# 14 s. The library surface, run: vet only compiles
+# 15 s. The library surface, run: vet only compiles
 # the programs under examples/. Every one of them, whatever is added there, is
 # run, and exits non-zero on an error — which for those that run an ask.Job
 # (quickstart, streaming with one per window, groupby, multirack) includes a

@@ -22,7 +22,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -52,8 +51,8 @@ func rejectFlags(table map[string]string, context string) {
 	})
 }
 
-// writeSnapshot writes one exporter's output to path ("-" = stdout).
-func writeSnapshot(path string, write func(w io.Writer) error) {
+// writeJSON writes the JSON telemetry snapshot to path ("-" = stdout).
+func writeJSON(path string, tel *telemetry.Set) {
 	out := os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)
@@ -63,7 +62,7 @@ func writeSnapshot(path string, write func(w io.Writer) error) {
 		defer f.Close()
 		out = f
 	}
-	if err := write(out); err != nil {
+	if err := tel.WriteJSON(out); err != nil {
 		fail("%v", err)
 	}
 }
@@ -107,8 +106,7 @@ var topologies = map[string]topology{
 	"multirack": {
 		rejects: map[string]string{
 			"spines": "the racks join at one forwarding core", "tenants": "tenancy runs on the fat-tree",
-			"telemetry": "the multi-rack deployment has no cluster telemetry set", "prom": "the multi-rack deployment has no cluster telemetry set",
-			"json": "the multi-rack deployment has no cluster telemetry set",
+			"telemetry": "the multi-rack deployment has no cluster telemetry set", "json": "the multi-rack deployment has no cluster telemetry set",
 		},
 		build: func(s shape) (*ask.Deployment, *tenancy.Manager, error) {
 			fc, err := ask.NewMultiRackCluster(ask.MultiRackOptions{
@@ -205,7 +203,6 @@ func main() {
 		replay   = flag.String("replay", "", "replay a trace from askgen instead of generating, dealt round-robin across the senders: every tuple enters at its recorded arrival offset on the sim clock (a trace of zero offsets runs back to back)")
 		layoutF  = flag.Bool("layout", false, "print the switch pipeline layout and exit")
 		telem    = flag.Bool("telemetry", false, "enable the cluster telemetry stack and print the metric report")
-		promOut  = flag.String("prom", "", "write a Prometheus text snapshot to this file ('-' = stdout; implies -telemetry)")
 		jsonOut  = flag.String("json", "", "write a JSON telemetry snapshot (metrics, series, trace events) to this file ('-' = stdout; implies -telemetry)")
 
 		topoName = flag.String("topology", "rack", "deployment: rack (single switch), multirack (TORs under a forwarding core) or fattree (spine/leaf fabric)")
@@ -239,6 +236,10 @@ func main() {
 		fail("unknown -topology %q (rack, multirack or fattree)", *topoName)
 	}
 	rejectFlags(topo.rejects, "-topology "+*topoName)
+	if *topoName == "fattree" && *tenants == 0 {
+		why := "the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries"
+		rejectFlags(map[string]string{"telemetry": why, "json": why}, "-topology fattree without -tenants")
+	}
 	if *replay != "" {
 		rejectFlags(map[string]string{
 			"tuples":   "the trace supplies the tuples",
@@ -249,7 +250,7 @@ func main() {
 	s := shape{
 		groups: 1, hosts: *hosts, spines: *spines, tenants: *tenants, seed: *seed,
 		cfg: core.DefaultConfig(), link: netsim.DefaultLinkConfig(),
-		tel: *telem || *promOut != "" || *jsonOut != "",
+		tel: *telem || *jsonOut != "",
 	}
 	if _, single := topo.rejects["leaves"]; !single {
 		s.groups = *leaves
@@ -402,15 +403,9 @@ func main() {
 	}
 
 	if tel := d.Tel; tel != nil {
-		if *promOut != "" {
-			writeSnapshot(*promOut, func(w io.Writer) error {
-				return telemetry.WritePrometheus(w, tel.Registry)
-			})
-		}
 		if *jsonOut != "" {
-			writeSnapshot(*jsonOut, tel.WriteJSON)
-		}
-		if *promOut == "" && *jsonOut == "" {
+			writeJSON(*jsonOut, tel)
+		} else {
 			fmt.Println()
 			fmt.Println(telemetry.Report(tel.Registry).String())
 			if tr := tel.Tracer; tr != nil {

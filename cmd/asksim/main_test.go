@@ -55,6 +55,8 @@ func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
 		{[]string{"-replay", "f.askt", "-skew", "2"}, "asksim: -skew does not apply to -replay: the trace supplies the key distribution\n"},
 		{[]string{"-spines", "3"}, "asksim: -spines does not apply to -topology rack: a rack has one switch\n"},
 		{[]string{"-topology", "multirack", "-telemetry"}, "asksim: -telemetry does not apply to -topology multirack: the multi-rack deployment has no cluster telemetry set\n"},
+		{[]string{"-topology", "fattree", "-telemetry"}, "asksim: -telemetry does not apply to -topology fattree without -tenants: the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries\n"},
+		{[]string{"-topology", "fattree", "-json", "-"}, "asksim: -json does not apply to -topology fattree without -tenants: the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries\n"},
 		{[]string{"-topology", "fattree", "-senders", "2"}, "asksim: -senders does not apply to a run over several groups: every task sends from one host per other group\n"},
 		{[]string{"-soak", "-soak.spines", "3"}, "asksim: -soak.spines does not apply to the rack soak: the rack has a single switch\n"},
 	} {

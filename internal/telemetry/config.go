@@ -10,9 +10,6 @@ type Sink struct {
 	Tr  *Tracer
 }
 
-// Enabled reports whether the sink records metrics.
-func (sk Sink) Enabled() bool { return sk.Reg != nil }
-
 // Set bundles the live telemetry of one cluster.
 type Set struct {
 	Registry *Registry

@@ -1,6 +1,6 @@
 // Package telemetry is the observability substrate of the ASK reproduction:
 // a dependency-free metrics registry, a sim-clock event tracer, and a
-// periodic gauge sampler, with Prometheus-text and JSON exporters.
+// periodic gauge sampler, with a JSON snapshot export.
 //
 // The paper (He et al., ASPLOS 2023) evaluates ASK almost entirely through
 // switch and host counters — aggregation throughput and effectiveness
@@ -22,8 +22,8 @@
 //     time series, so experiments can plot aggregator occupancy or window
 //     fill over time deterministically: two runs with equal seeds produce
 //     byte-identical series.
-//   - WritePrometheus and Snapshot/WriteJSON export the registry; Report
-//     renders a human table via internal/stats.
+//   - TakeSnapshot/WriteJSON export the registry, series and trace events;
+//     Report renders a human table via internal/stats.
 //
 // Components receive a Sink{Reg, Tr}. A zero Sink is valid everywhere and
 // disables that component's telemetry.

@@ -2,116 +2,8 @@ package telemetry
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"strings"
 )
-
-// Exporters. The registry's dotted names become Prometheus families by
-// replacing '.' with '_' and prefixing "ask_"; label blocks pass through
-// unchanged since the registry already renders them in exposition syntax
-// (sorted keys, %q-escaped values).
-
-// promName converts "switchd.tuples_in" to "ask_switchd_tuples_in".
-func promName(base string) string { return "ask_" + strings.ReplaceAll(base, ".", "_") }
-
-// splitKey splits a full instrument name into base name and label block
-// ("" when unlabeled; otherwise including braces).
-func splitKey(key string) (base, labels string) {
-	if i := strings.IndexByte(key, '{'); i >= 0 {
-		return key[:i], key[i:]
-	}
-	return key, ""
-}
-
-// WritePrometheus writes the registry in the Prometheus text exposition
-// format: counters, gauges (callback gauges polled now), and histograms
-// with cumulative le buckets. Output is sorted and deterministic.
-func WritePrometheus(w io.Writer, r *Registry) error {
-	if r == nil {
-		return nil
-	}
-	// row carries an explicit sort key so histogram buckets keep numeric
-	// le order (with +Inf last, then _sum/_count) instead of lexical order.
-	type row struct {
-		sortKey string
-		line    string
-	}
-	type family struct {
-		kind string
-		rows []row
-	}
-	fams := make(map[string]*family)
-	add := func(base, kind, sortKey, line string) {
-		f := fams[base]
-		if f == nil {
-			f = &family{kind: kind}
-			fams[base] = f
-		}
-		f.rows = append(f.rows, row{sortKey, line})
-	}
-	for key, v := range r.CounterValues() {
-		base, labels := splitKey(key)
-		line := fmt.Sprintf("%s%s %d", promName(base), labels, v)
-		add(base, "counter", line, line)
-	}
-	for key, v := range r.GaugeValues() {
-		base, labels := splitKey(key)
-		line := fmt.Sprintf("%s%s %d", promName(base), labels, v)
-		add(base, "gauge", line, line)
-	}
-	hists := r.histSnapshots()
-	histKeys := make([]string, 0, len(hists))
-	for key := range hists {
-		histKeys = append(histKeys, key)
-	}
-	sort.Strings(histKeys)
-	for _, key := range histKeys {
-		s := hists[key]
-		base, labels := splitKey(key)
-		pn := promName(base)
-		inner := strings.TrimSuffix(strings.TrimPrefix(labels, "{"), "}")
-		var cum int64
-		for i, b := range s.Buckets {
-			cum += b.Count
-			lb := fmt.Sprintf(`le="%d"`, b.UpperEdge)
-			if inner != "" {
-				lb = inner + "," + lb
-			}
-			add(base, "histogram", fmt.Sprintf("%s|%06d", labels, i),
-				fmt.Sprintf("%s_bucket{%s} %d", pn, lb, cum))
-		}
-		lb := `le="+Inf"`
-		if inner != "" {
-			lb = inner + "," + lb
-		}
-		add(base, "histogram", labels+"|~0inf",
-			fmt.Sprintf("%s_bucket{%s} %d", pn, lb, s.Count))
-		add(base, "histogram", labels+"|~1sum",
-			fmt.Sprintf("%s_sum%s %d", pn, labels, s.Sum))
-		add(base, "histogram", labels+"|~2count",
-			fmt.Sprintf("%s_count%s %d", pn, labels, s.Count))
-	}
-	bases := make([]string, 0, len(fams))
-	for b := range fams {
-		bases = append(bases, b)
-	}
-	sort.Strings(bases)
-	for _, base := range bases {
-		f := fams[base]
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", promName(base), f.kind); err != nil {
-			return err
-		}
-		sort.Slice(f.rows, func(i, j int) bool { return f.rows[i].sortKey < f.rows[j].sortKey })
-		for _, row := range f.rows {
-			if _, err := fmt.Fprintln(w, row.line); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
 
 // Snapshot is the JSON export shape: every instrument, the sampled
 // series, and the retained trace events.

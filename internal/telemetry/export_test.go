@@ -6,17 +6,16 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
 )
 
-var update = flag.Bool("update", false, "rewrite exporter golden files")
+var update = flag.Bool("update", false, "rewrite the snapshot golden file")
 
 // goldenSet builds a small fixed telemetry set covering every instrument
-// kind, so the exporter goldens exercise counters, gauges, gauge funcs,
+// kind, so the snapshot golden exercises counters, gauges, gauge funcs,
 // histograms (with labels), sampled series, and trace events.
 func goldenSet() *Set {
 	s := sim.New(1)
@@ -61,27 +60,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 	}
 }
 
-func TestPrometheusGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, goldenSet().Registry); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	// Structural sanity independent of the golden bytes.
-	for _, want := range []string{
-		"# TYPE ask_switchd_tuples_in counter",
-		"# TYPE ask_switchd_aa_occupancy gauge",
-		"# TYPE ask_window_rtt_ns histogram",
-		`ask_window_rtt_ns_bucket{flow="h1/ch0",le="+Inf"} 8`,
-		`ask_window_rtt_ns_count{flow="h1/ch0"} 8`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q", want)
-		}
-	}
-	checkGolden(t, "prometheus.golden", buf.Bytes())
-}
-
 func TestJSONGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenSet().WriteJSON(&buf); err != nil {
@@ -98,12 +76,4 @@ func TestJSONGolden(t *testing.T) {
 		}
 	}
 	checkGolden(t, "snapshot.golden.json", buf.Bytes())
-}
-
-// TestWritePrometheusNil: a nil registry exports nothing, without error.
-func TestWritePrometheusNil(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, nil); err != nil || buf.Len() != 0 {
-		t.Fatalf("nil registry: err=%v len=%d", err, buf.Len())
-	}
 }

@@ -110,24 +110,11 @@ func (c Codec) AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
 			binary.BigEndian.PutUint32(body[0:], p.OrigSeq)
 			off = 4
 		}
-		// The deployed width (DefaultConfig's 4) gets a specialized slot
-		// loop: the generic putUintN byte loop costs ~2N data-dependent
-		// iterations per slot, this one compiles to single bounds-checked
-		// stores.
-		switch k {
-		case 4:
-			for _, s := range p.Slots {
-				binary.BigEndian.PutUint32(body[off:], uint32(s.KPart>>32))
-				binary.BigEndian.PutUint32(body[off+4:], uint32(s.Val))
-				off += 8
-			}
-		default:
-			for _, s := range p.Slots {
-				putUintN(body[off:], s.KPart>>uint(8*(8-k)), k)
-				off += k
-				putUintN(body[off:], uint64(s.Val)&mask(k), k)
-				off += k
-			}
+		for _, s := range p.Slots {
+			putUintN(body[off:], s.KPart>>uint(8*(8-k)), k)
+			off += k
+			putUintN(body[off:], uint64(s.Val)&mask(k), k)
+			off += k
 		}
 	case TypeLongKey:
 		off := 0
@@ -205,20 +192,11 @@ func (c Codec) Unmarshal(buf []byte) (*Packet, error) {
 		}
 		n := (len(body) - off) / slotBytes
 		p.Slots = make([]Slot, n)
-		switch k {
-		case 4:
-			for i := 0; i < n; i++ {
-				p.Slots[i].KPart = uint64(binary.BigEndian.Uint32(body[off:])) << 32
-				p.Slots[i].Val = int64(int32(binary.BigEndian.Uint32(body[off+4:])))
-				off += 8
-			}
-		default:
-			for i := 0; i < n; i++ {
-				p.Slots[i].KPart = getUintN(body[off:], k) << uint(8*(8-k))
-				off += k
-				p.Slots[i].Val = signExtend(getUintN(body[off:], k), k)
-				off += k
-			}
+		for i := 0; i < n; i++ {
+			p.Slots[i].KPart = getUintN(body[off:], k) << uint(8*(8-k))
+			off += k
+			p.Slots[i].Val = signExtend(getUintN(body[off:], k), k)
+			off += k
 		}
 	case TypeLongKey:
 		// Counting pre-pass so the container is allocated capacity-exact;

@@ -127,8 +127,8 @@ func randomDataPacket(rng *rand.Rand, numSlots, kPartBytes int) *Packet {
 	return p
 }
 
-// TestCodecDataRoundtrip covers every width core.Config.Validate accepts:
-// 4 takes the specialized slot loop, 1..3 the generic one.
+// TestCodecDataRoundtrip covers every width core.Config.Validate accepts,
+// 1..4, through the codec's one slot loop per direction.
 func TestCodecDataRoundtrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for k := 1; k <= 4; k++ {
