@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/tenancy"
 	"repro/internal/workload"
@@ -135,15 +136,16 @@ var allocShapes = []allocShape{
 }
 
 // TestAllocGate is the allocation gate CI holds: each contract shape runs
-// twice with the collector off. Before the first rep the heap is collected
-// twice, which empties the packet and frame free lists (sync.Pools) as bench/
-// does before every rep, so that rep's heap objects per input tuple — from
+// twice with the collector off, on a fresh deployment each time. The first
+// rep starts with the empty free lists its run owns (netsim.PoolOf), as every
+// rep of bench/ does, so that rep's heap objects per input tuple — from
 // submitting the tasks to reading the last result — count every per-packet
 // object live at once, and must stay under the shape's cold ceiling; its
 // heap bytes per tuple, which count what a sender's buffered tuples and each
 // packet in flight hold, stay under the cold bytes ceiling. The second rep
 // starts with the lists the first one filled, and its count must stay under
-// the warm ceiling. The counts depend on the model and the seed only, so they
+// the warm ceiling: the test moves the first run's lists into the second
+// run's before it starts. The counts depend on the model and the seed only, so they
 // hold on any host (the bytes on the Go runtime's size classes too, which the
 // ceiling's margin absorbs); what they cannot see is cluster
 // construction, which is outside the measured span as it is in bench/. The
@@ -158,8 +160,13 @@ func TestAllocGate(t *testing.T) {
 			var perTuple, bytesPerTuple [2]float64
 			var n float64
 			var ks sim.Stats
+			var lists netsim.Pool // what the first rep's run left on its free lists
 			for rep := range perTuple {
 				cl, jobs, tuples := sh.build(t)
+				pool := netsim.PoolOf(cl.Sim)
+				if rep > 0 {
+					*pool = lists
+				}
 				var before, after runtime.MemStats
 				runtime.ReadMemStats(&before)
 				if _, err := cl.Run(jobs...); err != nil {
@@ -168,6 +175,7 @@ func TestAllocGate(t *testing.T) {
 				runtime.ReadMemStats(&after)
 				ks = cl.Sim.Stats()
 				cl.Sim.Close()
+				lists = *pool
 				n = float64(tuples)
 				perTuple[rep] = float64(after.Mallocs-before.Mallocs) / n
 				bytesPerTuple[rep] = float64(after.TotalAlloc-before.TotalAlloc) / n

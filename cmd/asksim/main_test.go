@@ -46,6 +46,7 @@ func asksim(t *testing.T, args ...string) (stdout, stderr string, exit int) {
 // flag the topology, the layout, the soak kind or the workload source would
 // ignore exits 1 naming the flag and the reason, before anything runs.
 func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
+	const soakOwnsRun = "a soak builds its deployments and workloads from -topology and the -soak.* flags\n"
 	for _, c := range []struct {
 		args []string
 		want string
@@ -59,6 +60,12 @@ func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
 		{[]string{"-topology", "fattree", "-json", "-"}, "asksim: -json does not apply to -topology fattree without -tenants: the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries\n"},
 		{[]string{"-topology", "fattree", "-senders", "2"}, "asksim: -senders does not apply to a run over several groups: every task sends from one host per other group\n"},
 		{[]string{"-soak", "-soak.spines", "3"}, "asksim: -soak.spines does not apply to the rack soak: the rack has a single switch\n"},
+		{[]string{"-soak", "-soak.runs", "1", "-json", "f", "-telemetry", "-tuples", "5", "-loss", "0.5"}, "asksim: -json does not apply to -soak: " + soakOwnsRun},
+		{[]string{"-soak", "-telemetry"}, "asksim: -telemetry does not apply to -soak: " + soakOwnsRun},
+		{[]string{"-soak", "-topology", "fattree", "-tuples", "5"}, "asksim: -tuples does not apply to -soak: " + soakOwnsRun},
+		{[]string{"-soak", "-loss", "0.5"}, "asksim: -loss does not apply to -soak: " + soakOwnsRun},
+		{[]string{"-soak", "-seed", "2"}, "asksim: -seed does not apply to -soak: " + soakOwnsRun},
+		{[]string{"-soak", "-layout"}, "asksim: -layout does not apply to -soak: " + soakOwnsRun},
 	} {
 		stdout, stderr, exit := asksim(t, c.args...)
 		if exit != 1 || stdout != "" || stderr != c.want {

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/chaos"
 )
@@ -28,8 +30,17 @@ var soaks = map[string]struct {
 }
 
 // runSoak runs the topology's soak kind on `runs` consecutive seeds starting
-// at cfg.Seed.
+// at cfg.Seed. A soak builds its deployments and workloads from -topology and
+// the -soak.* flags alone, so every other flag set on the command line is
+// rejected rather than ignored.
 func runSoak(topology string, runs int, cfg chaos.Config) {
+	single := make(map[string]string)
+	flag.VisitAll(func(f *flag.Flag) {
+		if f.Name != "topology" && !strings.HasPrefix(f.Name, "soak") {
+			single[f.Name] = "a soak builds its deployments and workloads from -topology and the -soak.* flags"
+		}
+	})
+	rejectFlags(single, "-soak")
 	soak, ok := soaks[topology]
 	if !ok {
 		fail("-soak has no %q schedule (rack, multirack or fattree)", topology)

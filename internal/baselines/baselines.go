@@ -221,14 +221,15 @@ type NoAggrReport struct {
 
 // noAggrReceiver acknowledges every data frame.
 type noAggrReceiver struct {
-	net *netsim.Network
+	net  *netsim.Network
+	pool *netsim.Pool
 }
 
 func (r *noAggrReceiver) HandleFrame(f *netsim.Frame) {
 	if f.Pkt.Type != wire.TypeData {
 		return
 	}
-	r.net.HostSend(&netsim.Frame{Src: f.Dst, Dst: f.Pkt.Flow.Host, Pkt: wire.NewAck(f.Pkt), WireBytes: wire.PerPacketOverhead, Owned: true})
+	r.net.HostSend(&netsim.Frame{Src: f.Dst, Dst: f.Pkt.Flow.Host, Pkt: r.pool.NewAck(f.Pkt), WireBytes: wire.PerPacketOverhead, Owned: true})
 }
 
 // noAggrSender routes ACKs back to its channel windows.
@@ -254,7 +255,7 @@ func RunNoAggr(cfg NoAggrConfig) NoAggrReport {
 	// packets, so the retransmission timeout must cover NIC queueing.
 	const bulkTimeout = 2 * time.Millisecond
 	s, n := NewRack(cfg.Seed, cfg.Link)
-	n.AttachHost(0, &noAggrReceiver{net: n})
+	n.AttachHost(0, &noAggrReceiver{net: n, pool: netsim.PoolOf(s)})
 
 	var senderCPUs []*cpumodel.Host
 	for i := 1; i <= cfg.Senders; i++ {

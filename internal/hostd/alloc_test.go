@@ -74,10 +74,11 @@ func TestOneTuplePacketTxAllocs(t *testing.T) {
 	// for — a late duplicate — so that the daemon's Release of the frame is all
 	// that happens; and, last, any frame at a stalled daemon. Fed as the link
 	// delivers them: a free-list frame owning a pooled packet.
+	pool := netsim.PoolOf(r.s)
 	inline := func(name string, pkt *wire.Packet) {
 		deliver := func() {
-			f := netsim.NewFrame()
-			f.Src, f.Dst, f.Pkt, f.Owned = 1, 0, pkt.ClonePooled(), true
+			f := pool.NewFrame()
+			f.Src, f.Dst, f.Pkt, f.Owned = 1, 0, pool.Clone(pkt), true
 			r.daemons[0].HandleFrame(f)
 		}
 		for i := 0; i < 100; i++ {
@@ -136,10 +137,11 @@ func TestSwapRoundAllocatesNothing(t *testing.T) {
 	}
 	absorbed := data(core.FlowKey{Host: 1, Channel: 0}, "a", "bb", "ccc")
 	residue := data(core.FlowKey{Host: 1, Channel: 1}, "z")
+	pool := netsim.PoolOf(r.s)
 	deliver := func(pkt *wire.Packet, to func(*netsim.Frame)) {
-		f := netsim.NewFrame()
+		f := pool.NewFrame()
 		f.Src, f.Dst, f.WireBytes = 1, 0, pkt.WireBytes(cfg.KPartBytes)
-		f.Pkt, f.Owned = pkt.ClonePooled(), true
+		f.Pkt, f.Owned = pool.Clone(pkt), true
 		to(f)
 	}
 	var seq uint32

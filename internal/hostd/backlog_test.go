@@ -31,8 +31,8 @@ import (
 // the simulation runs, the task's result is exactly the reference fold of
 // what the backlog carries.
 //
-// It switches the process-global pool poisoning and the collector, so it must
-// not run in parallel with other tests.
+// It switches the collector off, so it must not run in parallel with other
+// tests.
 func TestReceiveBacklogHoldsNoPacket(t *testing.T) {
 	for _, failover := range []bool{false, true} {
 		t.Run(fmt.Sprintf("failover=%v", failover), func(t *testing.T) {
@@ -42,14 +42,14 @@ func TestReceiveBacklogHoldsNoPacket(t *testing.T) {
 }
 
 func testReceiveBacklog(t *testing.T, failover bool) {
-	wire.SetPoolPoison(true)
-	defer wire.SetPoolPoison(false)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection empties the free lists
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := core.DefaultConfig()
 	if failover {
 		cfg.Failover, cfg.SwapThreshold = true, 0
 	}
 	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
+	pool := netsim.PoolOf(r.s)
+	pool.Poison = true
 	layout, err := keyspace.NewLayout(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +146,8 @@ func testReceiveBacklog(t *testing.T, failover bool) {
 	// the simulation runs.
 	warm := make([]*netsim.Frame, 2*len(backlog)+64)
 	for i := range warm {
-		warm[i] = netsim.NewFrame()
-		warm[i].Pkt, warm[i].Owned = wire.NewData(cfg.NumAAs), true
+		warm[i] = pool.NewFrame()
+		warm[i].Pkt, warm[i].Owned = pool.NewData(cfg.NumAAs), true
 	}
 	for _, f := range warm {
 		f.Release()
@@ -170,9 +170,9 @@ func testReceiveBacklog(t *testing.T, failover bool) {
 			}
 			continue
 		}
-		f := netsim.NewFrame()
+		f := pool.NewFrame()
 		f.Src, f.Dst, f.WireBytes = 1, 0, src.WireBytes(cfg.KPartBytes)
-		f.Pkt, f.Owned = src.ClonePooled(), true
+		f.Pkt, f.Owned = pool.Clone(src), true
 		pkt := f.Pkt
 		r.daemons[0].HandleFrame(f)
 		if pkt.Type != wire.PoisonType || pkt.Seq != wire.PoisonSeq || f.Pkt != nil {

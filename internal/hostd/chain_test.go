@@ -122,7 +122,7 @@ func TestReplayServedAfterCommitStaysUnmerged(t *testing.T) {
 		return pkt
 	}
 	deliver := func(pkt *wire.Packet) {
-		f := netsim.NewFrame()
+		f := netsim.PoolOf(r.s).NewFrame()
 		f.Src, f.Dst, f.WireBytes = 1, 0, pkt.WireBytes(cfg.KPartBytes)
 		f.Pkt, f.Owned = pkt, true
 		r.daemons[0].HandleFrame(f)

@@ -199,7 +199,7 @@ func (ch *dataChannel) transmit(pkt *wire.Packet) {
 // the garbage collector when the history is dropped.
 func (ch *dataChannel) acked(seq uint32) {
 	if pkt := ch.win.Ack(seq); pkt != nil && !(ch.d.failover && pkt.Type == wire.TypeData) {
-		pkt.Release()
+		ch.d.pool.Release(pkt)
 	}
 }
 
@@ -249,7 +249,7 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 		// ingress, so "stream start" is when the channel begins serving it.
 		tx.task, tx.stage, tx.ended = task, txNext, false
 		tx.pace = pacer{sim: ch.d.sim, ts: task.stream, start: p.Now()}
-		tx.pz = newPacketizer(ch.d.layout, tx.pace.next, tx.pace.more)
+		tx.pz = newPacketizer(&ch.d.pool.Pool, ch.d.layout, tx.pace.next, tx.pace.more)
 		tx.pz.part = task.part
 		for {
 			if !ch.txRun() {
@@ -444,7 +444,7 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 				// The replay aliases the retained packet's slot array: Slots a
 				// caller installs are never the pool's to recycle, so releasing
 				// the acknowledged replay leaves the history intact.
-				rp := wire.NewPacket()
+				rp := ch.d.pool.NewPacket()
 				rp.Type, rp.Task, rp.Flow = wire.TypeReplay, t.id, ch.flow
 				rp.OrigSeq, rp.Bitmap, rp.Slots = orig.Seq, orig.Bitmap, orig.Slots
 				if err := ch.win.SendBlocking(p, rp); err != nil {
@@ -471,7 +471,7 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 // sendFin cuts a task's FIN and window-sends it. OrigSeq carries the FIN
 // generation — the epoch the sender had observed when it cut the FIN.
 func (ch *dataChannel) sendFin(p *sim.Proc, task core.TaskID) error {
-	fin := wire.NewPacket()
+	fin := ch.d.pool.NewPacket()
 	fin.Type, fin.Task, fin.Flow, fin.OrigSeq = wire.TypeFin, task, ch.flow, ch.d.epoch
 	ch.txThread.Run(p, cpumodel.PacketIOCost)
 	return ch.win.SendBlocking(p, fin)

@@ -102,6 +102,6 @@ func (ch *ctrlChannel) process(it *rxItem, _ []wire.Slot, _ []wire.LongKV, step 
 			return rxWait{delay: time.Microsecond}
 		}
 	}
-	ch.d.send(it.flow.Host, wire.NewAck(&wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq}), 0, true)
+	ch.d.send(it.flow.Host, ch.d.pool.NewAck(&wire.Packet{Type: it.typ, Task: it.task, Flow: it.flow, Seq: it.seq}), 0, true)
 	return rxWait{}
 }

@@ -202,7 +202,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 		}
 		d.probeSeq++
 		seq := d.probeSeq
-		probe := wire.NewPacket()
+		probe := d.pool.NewPacket()
 		probe.Type = wire.TypeProbe
 		probe.Flow = d.ctrlCh.flow
 		probe.Seq = seq

@@ -89,6 +89,7 @@ type Stats struct {
 type Daemon struct {
 	sim    *sim.Simulation
 	net    netsim.HostFabric
+	pool   *netsim.Pool // the run's free lists: every packet and frame the daemon sends or lets go of
 	cpu    *cpumodel.Host
 	cfg    core.Config
 	layout *keyspace.Layout
@@ -161,6 +162,7 @@ func New(s *sim.Simulation, net netsim.HostFabric, cpu *cpumodel.Host, cfg core.
 	d := &Daemon{
 		sim:          s,
 		net:          net,
+		pool:         netsim.PoolOf(s),
 		cpu:          cpu,
 		cfg:          cfg,
 		layout:       layout,
@@ -301,7 +303,7 @@ func (d *Daemon) HandleFrame(f *netsim.Frame) {
 		// build. Duplicates are still filtered at processing time, so
 		// exactly-once aggregation is unaffected; the packet is owned by
 		// the daemon once acknowledged.
-		d.send(pkt.Flow.Host, wire.NewAck(pkt), 0, true)
+		d.send(pkt.Flow.Host, d.pool.NewAck(pkt), 0, true)
 		// Spread receive processing across channel threads by flow. The
 		// queue copies out the header and the live slots and releases the
 		// frame and its packet now; the channel's receive chain merges later.
@@ -333,7 +335,7 @@ func (d *Daemon) quarantine(f *netsim.Frame, why string) {
 // it. A packet the caller RETAINS (window retransmission buffers, failover
 // history) is sent with owned false and cloned by the link at delivery.
 func (d *Daemon) send(dst core.HostID, pkt *wire.Packet, goodBytes int, owned bool) {
-	f := netsim.NewFrame()
+	f := d.pool.NewFrame()
 	f.Src, f.Dst, f.Pkt = d.host, dst, pkt
 	f.WireBytes, f.GoodBytes, f.Owned = pkt.WireBytes(d.cfg.KPartBytes), goodBytes, owned
 	if d.stalled {

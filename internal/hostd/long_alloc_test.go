@@ -23,7 +23,7 @@ func (h *releasingHost) HandleFrame(f *netsim.Frame) {
 
 // TestLongKeyPacketAllocatesNothing pins the long-key bypass (§3.2.3) at zero
 // in steady state: a packet the packetizer cuts around one long key
-// (wire.NewLong), sent the way a data channel sends it — in a free-list frame
+// (Pool.NewLong), sent the way a data channel sends it — in a free-list frame
 // the sender does not own, so the first link delivers a pooled clone, which
 // the switch forwards and the receiving host releases — and then released by
 // the sender, as the ACK of its flight does (dataChannel.acked). Without the
@@ -38,7 +38,8 @@ func TestLongKeyPacketAllocatesNothing(t *testing.T) {
 	n.AttachHost(2, rx)
 	key := strings.Repeat("long-key/", 8)
 	due := false
-	pz := newPacketizer(testLayout(t), func() (core.KV, bool) {
+	pool := netsim.PoolOf(s)
+	pz := newPacketizer(&pool.Pool, testLayout(t), func() (core.KV, bool) {
 		due = !due // one tuple, then a lull: the packetizer flushes it alone
 		return core.KV{Key: key, Val: 1}, due
 	}, atEOF)
@@ -47,11 +48,11 @@ func TestLongKeyPacketAllocatesNothing(t *testing.T) {
 		if !ok || pkt.Type != wire.TypeLongKey || tuples != 1 || pkt.Long[0].Key != key {
 			t.Fatalf("packetizer gave %v (%d tuples, ok %v), want a one-tuple long-key packet", pkt, tuples, ok)
 		}
-		f := netsim.NewFrame()
+		f := pool.NewFrame()
 		f.Src, f.Dst, f.Pkt, f.WireBytes = 1, 2, pkt, pkt.WireBytes(4)
 		n.HostSend(f) // not owned: the sender keeps pkt for retransmission
 		s.Run(0)
-		pkt.Release()
+		pool.Release(pkt)
 	}
 	const warm, runs = 100, 200
 	for i := 0; i < warm; i++ {

@@ -23,6 +23,7 @@ import (
 // partial-packet regime, because the fullest bucket drains at most one
 // tuple per packet and re-fills faster than the emptiest bucket.
 type packetizer struct {
+	lists  *wire.Pool // the run's packet free lists (nil outside a run: packets are allocated)
 	layout *keyspace.Layout
 	cfg    core.Config // the layout's, read per tuple
 	// stream is a paced source (pacer): it yields only tuples already due,
@@ -63,12 +64,13 @@ type packetizer struct {
 // tuples may be held before a packet is emitted with blank slots.
 const bufferPerUnit = 256
 
-func newPacketizer(layout *keyspace.Layout, stream core.Stream, more func() bool) *packetizer {
+func newPacketizer(lists *wire.Pool, layout *keyspace.Layout, stream core.Stream, more func() bool) *packetizer {
 	cfg := layout.Config()
 	n := uint(8 * cfg.KPartBytes)
 	units := layout.LogicalUnits()
 	maxBuf := bufferPerUnit * units
 	return &packetizer{
+		lists:   lists,
 		layout:  layout,
 		cfg:     cfg,
 		stream:  stream,
@@ -252,7 +254,7 @@ func (pz *packetizer) queue(kv core.KV) bool {
 // to send: the stream and all buffers are exhausted (pz.eof), or no tuple is
 // due yet and nothing is buffered — the caller waits until the source's next
 // arrival and calls next again. The returned packet lacks Task/Flow/Seq, which
-// the data channel assigns; it comes from the wire free list, and the channel
+// the data channel assigns; it comes from the run's free lists, and the channel
 // releases it when its window flight is acknowledged (dataChannel.acked).
 func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	pz.pull()
@@ -260,7 +262,7 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 	// packets (order is irrelevant; both are reliable), or on an arrival
 	// lull when only long keys are queued.
 	if pz.longQ.len() >= wire.MaxLongPerPacket || ((pz.eof || pz.flush) && pz.occupied == 0 && pz.longQ.len() > 0) {
-		pkt := wire.NewLong(min(pz.longQ.len(), wire.MaxLongPerPacket))
+		pkt := pz.lists.NewLong(min(pz.longQ.len(), wire.MaxLongPerPacket))
 		for i := range pkt.Long {
 			pkt.Long[i] = pz.longQ.pop()
 		}
@@ -278,7 +280,7 @@ func (pz *packetizer) next() (pkt *wire.Packet, tuples int, ok bool) {
 // unit u < shortSlots IS the short slot, and a medium unit's group is
 // u − shortSlots — and the slots were packed when the tuple was queued.
 func (pz *packetizer) emitData() (*wire.Packet, int, bool) {
-	pkt := wire.NewData(pz.cfg.NumAAs)
+	pkt := pz.lists.NewData(pz.cfg.NumAAs)
 	shortSlots, segs := pz.layout.ShortSlots(), pz.cfg.MediumSegs
 	tuples := 0
 	for occ := pz.occupied; occ != 0; occ &= occ - 1 {

@@ -84,7 +84,7 @@ func TestPacketizerLossless(t *testing.T) {
 		}
 		in = append(in, core.KV{Key: key, Val: int64(rng.Intn(1000))})
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	out := decodeAll(l, drainPackets(pz))
 	want := core.Reference(core.OpSum, in)
 	got := core.Reference(core.OpSum, out)
@@ -105,7 +105,7 @@ func TestPacketizerUniformFillsPackets(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		in = append(in, core.KV{Key: fmt.Sprintf("k%06d", rng.Intn(10000)), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	var live, dataPkts int
 	for _, p := range pkts {
@@ -129,7 +129,7 @@ func TestPacketizerSkewLeavesBlanks(t *testing.T) {
 	for i := 0; i < 4*bufferPerUnit; i++ {
 		in = append(in, core.KV{Key: "hot", Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	if len(pkts) < 4 {
 		t.Fatalf("packets = %d; bounded buffering not working", len(pkts))
@@ -153,7 +153,7 @@ func TestPacketizerLongKeysBypass(t *testing.T) {
 		{Key: "a_truly_long_key_beyond_groups", Val: 2},
 		{Key: "k", Val: 3},
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	var longPkts, dataPkts int
 	for _, p := range pkts {
@@ -175,7 +175,7 @@ func TestPacketizerLongKeysBypass(t *testing.T) {
 func TestPacketizerHugeValuesBypass(t *testing.T) {
 	l := testLayout(t)
 	in := []core.KV{{Key: "k", Val: 1 << 40}}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	pkts := drainPackets(pz)
 	if len(pkts) != 1 || pkts[0].Type != wire.TypeLongKey {
 		t.Fatalf("oversized value not routed to long path: %+v", pkts)
@@ -191,7 +191,7 @@ func TestPacketizerLongPacketMTU(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		in = append(in, core.KV{Key: fmt.Sprintf("very_long_key_number_%08d", i), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	for _, p := range drainPackets(pz) {
 		if p.Type != wire.TypeLongKey {
 			t.Fatalf("unexpected %v packet", p.Type)
@@ -204,7 +204,7 @@ func TestPacketizerLongPacketMTU(t *testing.T) {
 
 func TestPacketizerEmptyStream(t *testing.T) {
 	l := testLayout(t)
-	pz := newPacketizer(l, core.SliceStream(nil), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(nil), atEOF)
 	if pkts := drainPackets(pz); len(pkts) != 0 {
 		t.Fatalf("empty stream emitted %d packets", len(pkts))
 	}
@@ -219,7 +219,7 @@ func TestPacketizerSameKeySameSlotAcrossPackets(t *testing.T) {
 		in = append(in, core.KV{Key: "anchor", Val: 1})
 		in = append(in, core.KV{Key: fmt.Sprintf("f%d", i), Val: 1})
 	}
-	pz := newPacketizer(l, core.SliceStream(in), atEOF)
+	pz := newPacketizer(nil, l, core.SliceStream(in), atEOF)
 	slot := -1
 	anchorKP := l.Place("anchor").KParts[0]
 	for _, p := range drainPackets(pz) {
@@ -257,11 +257,11 @@ func TestPacketizerZeroOffsetPacedSource(t *testing.T) {
 		}
 		in = append(in, core.KV{Key: key, Val: int64(rng.Intn(1000))})
 	}
-	want := drainPackets(newPacketizer(l, core.SliceStream(in), atEOF))
+	want := drainPackets(newPacketizer(nil, l, core.SliceStream(in), atEOF))
 
 	pc := pacer{sim: sim.New(1), ts: core.SliceStream(in).Timed()}
 	mores := 0
-	pz := newPacketizer(l, pc.next, func() bool { mores++; return pc.more() })
+	pz := newPacketizer(nil, l, pc.next, func() bool { mores++; return pc.more() })
 	got := drainPackets(pz)
 	if mores != 1 || !pz.eof {
 		t.Fatalf("more called %d times over %d zero-offset tuples, want once (at EOF); eof %v", mores, len(in), pz.eof)
@@ -382,14 +382,14 @@ func (r *refPacketizer) pull() {
 func (r *refPacketizer) next() (*wire.Packet, int, bool) {
 	r.pull()
 	if len(r.longQ) >= wire.MaxLongPerPacket || ((r.eof || r.flush) && r.nonEmpty == 0 && len(r.longQ) > 0) {
-		pkt := wire.NewLong(min(len(r.longQ), wire.MaxLongPerPacket))
+		pkt := (*wire.Pool)(nil).NewLong(min(len(r.longQ), wire.MaxLongPerPacket))
 		r.longQ = r.longQ[copy(pkt.Long, r.longQ):]
 		return pkt, len(pkt.Long), true
 	}
 	if r.nonEmpty == 0 {
 		return nil, 0, false
 	}
-	pkt, tuples := wire.NewData(r.layout.Config().NumAAs), 0
+	pkt, tuples := (*wire.Pool)(nil).NewData(r.layout.Config().NumAAs), 0
 	for u, q := range r.queues {
 		if len(q) > 0 {
 			refFill(r.layout, pkt, u, q[0])
@@ -518,7 +518,7 @@ func TestPacketizerArenaIsPerUnitQueues(t *testing.T) {
 					peak = max(peak, n)
 					return src.stream()
 				}
-				pz = newPacketizer(l, stream, src.more)
+				pz = newPacketizer(nil, l, stream, src.more)
 				pz.part = tc.part
 				ref := newRefPacketizer(l, tc.part, refSrc.stream, refSrc.more)
 				bound := (pz.maxBuf*width+chunkSlots-1)/chunkSlots + l.LogicalUnits()

@@ -687,10 +687,10 @@ func (fr *fetchReq) answered() bool {
 // (the request is consumed by the switch on the path); any other address
 // names a leaf or spine on a multi-switch fabric.
 func (d *Daemon) request(p *sim.Proc, dst core.HostID, req *wire.Packet, sig *sim.Signal, retry time.Duration, answered func() bool) {
-	d.send(dst, req.ClonePooled(), 0, true)
+	d.send(dst, d.pool.Clone(req), 0, true)
 	for !answered() {
 		if !p.WaitTimeout(sig, retry) && !answered() {
-			d.send(dst, req.ClonePooled(), 0, true)
+			d.send(dst, d.pool.Clone(req), 0, true)
 		}
 	}
 }

@@ -20,10 +20,10 @@ import (
 // while what it queued stays intact: once the simulation runs, the task's
 // result is exactly the reference fold of what was sent.
 func TestQueuedPacketHoldsNoFrame(t *testing.T) {
-	wire.SetPoolPoison(true)
-	defer wire.SetPoolPoison(false)
 	cfg := core.DefaultConfig()
 	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
+	pool := netsim.PoolOf(r.s)
+	pool.Poison = true
 	layout, err := keyspace.NewLayout(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -43,9 +43,9 @@ func TestQueuedPacketHoldsNoFrame(t *testing.T) {
 	flow := core.FlowKey{Host: 1, Channel: 0}
 	var sent []core.KV
 	deliver := func(pkt *wire.Packet) {
-		f := netsim.NewFrame()
+		f := pool.NewFrame()
 		f.Src, f.Dst, f.WireBytes = 1, 0, pkt.WireBytes(cfg.KPartBytes)
-		f.Pkt, f.Owned = pkt.ClonePooled(), true
+		f.Pkt, f.Owned = pool.Clone(pkt), true
 		r.daemons[0].HandleFrame(f)
 		if f.Src != netsim.PoisonAddr || f.WireBytes != netsim.PoisonWireBytes || f.Pkt != nil {
 			t.Fatalf("seq %d: the receive queue still holds the frame it arrived in", pkt.Seq)

@@ -24,8 +24,6 @@
 package keyspace
 
 import (
-	"strings"
-
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -104,10 +102,37 @@ func (l *Layout) MediumGroups() int { return l.cfg.MediumGroups }
 
 // Classify returns the length class of key.
 func (l *Layout) Classify(key string) Class {
-	if strings.IndexByte(key, 0) >= 0 || len(key) == 0 {
+	c, _ := l.classify(key)
+	return c
+}
+
+// classify returns the class of key and, unless it is Long, HashSlot(key),
+// reading the key once: the NUL test that sends a key to the bypass (a NUL
+// byte would read as padding in a packed kPart) rides in the hash loop, and a
+// key whose length alone makes it Long is not read at all.
+func (l *Layout) classify(key string) (Class, uint64) {
+	c := l.classByLen(len(key))
+	if c == Long {
+		return Long, 0
+	}
+	h := uint64(fnvOffsetSlot)
+	for i := 0; i < len(key); i++ {
+		b := key[i]
+		if b == 0 {
+			return Long, 0
+		}
+		h ^= uint64(b)
+		h *= fnvPrime
+	}
+	return c, h
+}
+
+// classByLen is the class of a NUL-free key of n bytes.
+func (l *Layout) classByLen(n int) Class {
+	if n == 0 {
 		return Long
 	}
-	if len(key) <= l.cfg.KPartBytes {
+	if n <= l.cfg.KPartBytes {
 		if l.shortSlots == 0 {
 			return Long
 		}
@@ -120,8 +145,8 @@ func (l *Layout) Classify(key string) Class {
 	// sacrifices the middle lengths to the bypass (see the medium-key
 	// ablation).
 	if l.cfg.MediumGroups > 0 &&
-		len(key) > l.cfg.KPartBytes*(l.cfg.MediumSegs-1) &&
-		len(key) <= l.cfg.MaxMediumKeyBytes() {
+		n > l.cfg.KPartBytes*(l.cfg.MediumSegs-1) &&
+		n <= l.cfg.MaxMediumKeyBytes() {
 		return Medium
 	}
 	return Long
@@ -146,11 +171,12 @@ type Placement struct {
 // paths that only need routing (which bucket / unit a key belongs to) can
 // skip the kPart packing entirely. firstSlot and segs are 0 for Long.
 func (l *Layout) Locate(key string) (class Class, firstSlot, segs int) {
-	switch l.Classify(key) {
+	c, h := l.classify(key)
+	switch c {
 	case Short:
-		return Short, int(HashSlot(key) % uint64(l.shortSlots)), 1
+		return Short, int(h % uint64(l.shortSlots)), 1
 	case Medium:
-		group := int(HashSlot(key) % uint64(l.cfg.MediumGroups))
+		group := int(h % uint64(l.cfg.MediumGroups))
 		return Medium, l.shortSlots + group*l.cfg.MediumSegs, l.cfg.MediumSegs
 	default:
 		return Long, 0, 0

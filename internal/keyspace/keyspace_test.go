@@ -177,3 +177,99 @@ func rebuild(l *Layout, kparts []uint64) string {
 	}
 	return string(l.AppendKey(nil, group))
 }
+
+// refClassify is Classify as two passes over the key: a NUL scan, then the
+// length rules.
+func refClassify(l *Layout, key string) Class {
+	cfg := l.Config()
+	switch n := len(key); {
+	case n == 0 || strings.IndexByte(key, 0) >= 0:
+		return Long
+	case n <= cfg.KPartBytes:
+		if l.ShortSlots() == 0 {
+			return Long
+		}
+		return Short
+	case cfg.MediumGroups > 0 && n > cfg.KPartBytes*(cfg.MediumSegs-1) && n <= cfg.MaxMediumKeyBytes():
+		return Medium
+	}
+	return Long
+}
+
+// refLocateIn is LocateIn from the reference class and a second read of the
+// key by HashSlot.
+func refLocateIn(l *Layout, p Partition, key string) (Class, int, int) {
+	cfg := l.Config()
+	shortLo, shortW, groupLo, groupW := 0, l.ShortSlots(), 0, cfg.MediumGroups
+	if !p.IsZero() {
+		shortLo, shortW, groupLo, groupW = p.ShortLo, p.ShortWidth, p.GroupLo, p.GroupWidth
+	}
+	switch c := refClassify(l, key); {
+	case c == Short && shortW > 0:
+		return Short, shortLo + int(HashSlot(key)%uint64(shortW)), 1
+	case c == Medium && groupW > 0:
+		group := groupLo + int(HashSlot(key)%uint64(groupW))
+		return Medium, l.ShortSlots() + group*cfg.MediumSegs, cfg.MediumSegs
+	}
+	return Long, 0, 0
+}
+
+// TestLocateReadsKeyOnce: the one-pass classification (the NUL test inside
+// the slot hash loop, Long on length alone) places every key exactly where a
+// NUL scan followed by HashSlot does — the empty key, every length from 1 to
+// 2·KPartBytes+1 (short, medium and the first long length), and each of those
+// with a NUL at every position — on the paper's layout, one with m = 3 (whose
+// middle lengths are long), one without short slots, and on every band of a
+// partitioned layout.
+func TestLocateReadsKeyOnce(t *testing.T) {
+	def := core.DefaultConfig()
+	m3 := def
+	m3.MediumSegs, m3.MediumGroups = 3, 5
+	noShort := def
+	noShort.MediumGroups = def.NumAAs / def.MediumSegs
+	var keys []string
+	for n := 0; n <= 2*def.KPartBytes+1; n++ {
+		key := []byte(strings.Repeat("k", n))
+		for i := range key {
+			key[i] = byte('a' + (n*7+i*3)%26)
+		}
+		keys = append(keys, string(key))
+		for i := range key {
+			withNUL := append([]byte(nil), key...)
+			withNUL[i] = 0
+			keys = append(keys, string(withNUL))
+		}
+	}
+	keys = append(keys, strings.Repeat("long/", 3*def.KPartBytes))
+	for _, cfg := range []core.Config{def, m3, noShort} {
+		l, err := NewLayout(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := []Partition{{}}
+		if ps, err := PartitionsFor([]int{3, 1, 1}, cfg); err != nil {
+			t.Fatal(err)
+		} else {
+			parts = append(parts, ps...)
+		}
+		for _, key := range keys {
+			if got, want := l.Classify(key), refClassify(l, key); got != want {
+				t.Errorf("m=%d: Classify(%q) = %v, want %v", cfg.MediumSegs, key, got, want)
+			}
+			for _, p := range parts {
+				c, first, segs := l.LocateIn(p, key)
+				wc, wfirst, wsegs := refLocateIn(l, p, key)
+				if c != wc || first != wfirst || segs != wsegs {
+					t.Errorf("m=%d, %v: LocateIn(%q) = (%v, %d, %d), want (%v, %d, %d)",
+						cfg.MediumSegs, p, key, c, first, segs, wc, wfirst, wsegs)
+				}
+				if p.IsZero() {
+					if c, first, segs := l.Locate(key); c != wc || first != wfirst || segs != wsegs {
+						t.Errorf("m=%d: Locate(%q) = (%v, %d, %d), want (%v, %d, %d)",
+							cfg.MediumSegs, key, c, first, segs, wc, wfirst, wsegs)
+					}
+				}
+			}
+		}
+	}
+}

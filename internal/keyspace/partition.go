@@ -69,11 +69,11 @@ func (l *Layout) LocateIn(p Partition, key string) (class Class, firstSlot, segs
 	if p.IsZero() {
 		return l.Locate(key)
 	}
-	switch l.ClassifyIn(p, key) {
-	case Short:
-		return Short, p.ShortLo + int(HashSlot(key)%uint64(p.ShortWidth)), 1
-	case Medium:
-		group := p.GroupLo + int(HashSlot(key)%uint64(p.GroupWidth))
+	switch c, h := l.classify(key); {
+	case c == Short && p.ShortWidth > 0:
+		return Short, p.ShortLo + int(h%uint64(p.ShortWidth)), 1
+	case c == Medium && p.GroupWidth > 0:
+		group := p.GroupLo + int(h%uint64(p.GroupWidth))
 		return Medium, l.shortSlots + group*l.cfg.MediumSegs, l.cfg.MediumSegs
 	default:
 		return Long, 0, 0

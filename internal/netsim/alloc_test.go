@@ -35,26 +35,27 @@ func TestHopAllocatesNothing(t *testing.T) {
 	rows := []struct {
 		name      string
 		send      func(*Frame) // sends the frame and runs its fabric dry
+		pool      *Pool        // the free lists of that fabric's run
 		src, dst  core.HostID
 		owned     bool
 		delivered int
 	}{
-		{"owned", rack, 1, 2, true, 1},
-		{"cloned", rack, 1, 2, false, 1},
-		{"lost", rack, 3, 2, true, 0},
-		{"black-holed", rack, 4, 2, true, 0},
-		{"duplicated", rack, 5, 2, true, 2},
-		{"unroutable", rack, 1, 99, true, 0},
-		{"crashed-leaf", func(f *Frame) { tree.HostSend(f); treeSim.Run(0) }, 0, 1, true, 0},
+		{"owned", rack, PoolOf(s), 1, 2, true, 1},
+		{"cloned", rack, PoolOf(s), 1, 2, false, 1},
+		{"lost", rack, PoolOf(s), 3, 2, true, 0},
+		{"black-holed", rack, PoolOf(s), 4, 2, true, 0},
+		{"duplicated", rack, PoolOf(s), 5, 2, true, 2},
+		{"unroutable", rack, PoolOf(s), 1, 99, true, 0},
+		{"crashed-leaf", func(f *Frame) { tree.HostSend(f); treeSim.Run(0) }, PoolOf(treeSim), 0, 1, true, 0},
 	}
 	const warm, runs = 100, 200
 	want := 0
 	for _, row := range rows {
 		hop := func() {
-			f := NewFrame()
+			f := row.pool.NewFrame()
 			f.Src, f.Dst, f.Pkt, f.Owned = row.src, row.dst, retained, row.owned
 			if row.owned {
-				f.Pkt = wire.NewData(32)
+				f.Pkt = row.pool.NewData(32)
 			}
 			f.WireBytes = f.Pkt.WireBytes(4)
 			row.send(f)

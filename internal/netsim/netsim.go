@@ -16,7 +16,6 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/core"
@@ -53,21 +52,51 @@ type Frame struct {
 	// which may mutate the packet freely and should call Release when no
 	// reference into it survives.
 	Owned bool
-	// pooled marks a frame drawn from the frame free list (NewFrame): only
-	// those are recycled by Release. A frame built as a struct literal stays
-	// with the garbage collector however often it is released or re-sent.
-	pooled bool
+	// pool is the run's free lists the frame was drawn from (Pool.NewFrame),
+	// which take it back on Release; nil for a frame built as a struct
+	// literal, which stays with the garbage collector however often it is
+	// released or re-sent.
+	pool *Pool
 }
 
-// framePool is the frame free list, beside wire's packet free list and under
-// the same rules (wire/pool.go): a frame crosses shard lanes with its packet,
-// hence a sync.Pool, and is zeroed on reuse, so which physical frame carries
-// a packet is unobservable. Internally synchronised, so every shard's
-// handlers may draw from it.
-var framePool = sync.Pool{New: func() any { return new(Frame) }}
+// Pool is one run's free lists for the per-packet path: wire's packet lists
+// and, beside them, the frames. It follows wire's rules (wire/pool.go): a
+// simulation runs on one goroutine, so the lists are plain stacks with no
+// locking, and every object is zeroed on reuse, so which physical frame
+// carries a packet is unobservable. PoolOf hands the same Pool to every
+// component built on one simulation; the component that releases a frame or
+// packet puts it back there (a frame remembers its Pool, so f.Release needs
+// no argument; a packet does not).
+type Pool struct {
+	wire.Pool
+	frames []*Frame
+	// off marks the Pool of a sharded run, whose lanes execute at once while
+	// a frame crosses lanes with its packet: it recycles nothing, so every
+	// acquisition allocates and is left to the garbage collector, and all the
+	// lanes can share it.
+	off bool
+}
 
-// Sentinels stamped over a recycled frame under wire.SetPoolPoison(true): a
-// stale holder routes to an address no fabric attaches, loudly.
+// poolKey is the key of a simulation's Pool in sim.Simulation.Local.
+type poolKey struct{}
+
+// unpooled is the Pool of every sharded simulation (see Pool.off). Its lists
+// stay empty: nothing ever writes to it.
+var unpooled = &Pool{off: true}
+
+// PoolOf returns the free lists of the run s drives, creating them on first
+// use: every link, switch and daemon built on s draws from and releases to
+// the same Pool. A simulation of a shard group gets a Pool that recycles
+// nothing.
+func PoolOf(s *sim.Simulation) *Pool {
+	if s.Group() != nil {
+		return unpooled
+	}
+	return s.Local(poolKey{}, func() any { return new(Pool) }).(*Pool)
+}
+
+// Sentinels stamped over a recycled frame under Pool.Poison: a stale holder
+// routes to an address no fabric attaches, loudly.
 const (
 	PoisonAddr      core.HostID = 0xEEEE
 	PoisonWireBytes             = -0x0EADBEEF
@@ -77,10 +106,26 @@ const (
 // a daemon's send, a switch's reply and the link's delivery clone draw their
 // frame here and fill it in. Whoever ends up holding the frame hands it back
 // with Release.
-func NewFrame() *Frame {
-	f := framePool.Get().(*Frame)
-	*f = Frame{pooled: true}
+func (p *Pool) NewFrame() *Frame {
+	if p.off {
+		return new(Frame)
+	}
+	var f *Frame
+	if n := len(p.frames) - 1; n >= 0 {
+		f, p.frames[n], p.frames = p.frames[n], nil, p.frames[:n]
+	} else {
+		f = new(Frame)
+	}
+	*f = Frame{pool: p}
 	return f
+}
+
+// Release hands pkt back to the packet free lists (wire.Pool.Release); on a
+// sharded run's Pool it leaves pkt to the garbage collector.
+func (p *Pool) Release(pkt *wire.Packet) {
+	if !p.off {
+		p.Pool.Release(pkt)
+	}
 }
 
 // Corrupted reports whether the frame was damaged in flight and carries raw
@@ -88,26 +133,30 @@ func NewFrame() *Frame {
 func (f *Frame) Corrupted() bool { return f.Raw != nil }
 
 // Release is the one line that ends a frame's life: its packet goes back to
-// the wire free list when the caller owns it (see Owned), and the frame itself
-// to the frame free list when it was drawn from there (NewFrame). Receivers
-// call it once they retain no reference into the frame or its packet; the
-// link calls it on a frame it dropped, or cloned instead of delivering. It is
-// a no-op for a struct-literal frame that is not owned or already released, so
-// calling it defensively is safe — and such a frame, with the packet it does
-// not own, can be sent again as often as its builder likes.
+// the frame's Pool when the caller owns it (see Owned), and the frame itself
+// too when it was drawn from there (Pool.NewFrame). Receivers call it once
+// they retain no reference into the frame or its packet; the link calls it on
+// a frame it dropped, or cloned instead of delivering. It is a no-op for a
+// struct-literal frame that is not owned or already released, so calling it
+// defensively is safe — and such a frame, with the packet it does not own,
+// can be sent again as often as its builder likes. An owned struct-literal
+// frame has no Pool to give its packet to and leaves it to the collector.
 func (f *Frame) Release() {
+	p := f.pool
 	if f.Owned && f.Pkt != nil {
-		f.Pkt.Release()
+		if p != nil {
+			p.Release(f.Pkt)
+		}
 		f.Pkt = nil
 	}
-	if !f.pooled {
+	if p == nil {
 		return
 	}
 	*f = Frame{}
-	if wire.PoolPoison() {
+	if p.Poison {
 		f.Src, f.Dst, f.WireBytes = PoisonAddr, PoisonAddr, PoisonWireBytes
 	}
-	framePool.Put(f)
+	p.frames = append(p.frames, f)
 }
 
 // Task returns the task of the frame's packet for trace events, or 0 for a
@@ -221,6 +270,7 @@ type LinkStats struct {
 // Link is one direction of a point-to-point link.
 type Link struct {
 	sim       *sim.Simulation
+	pool      *Pool // the run's free lists: delivery clones are drawn here
 	cfg       LinkConfig
 	deliver   func(*Frame)
 	busyUntil sim.Time
@@ -269,7 +319,7 @@ func newLink(s *sim.Simulation, cfg LinkConfig, hop time.Duration, deliver func(
 	if cfg.BandwidthBps <= 0 {
 		panic("netsim: non-positive bandwidth")
 	}
-	l := &Link{sim: s, cfg: cfg, deliver: deliver, xdelay: hop}
+	l := &Link{sim: s, pool: PoolOf(s), cfg: cfg, deliver: deliver, xdelay: hop}
 	l.deliverAny = func(a any) { l.deliver(a.(*Frame)) }
 	return l
 }
@@ -423,9 +473,9 @@ func (l *Link) Send(f *Frame) {
 			g = &Frame{Src: f.Src, Dst: f.Dst, WireBytes: f.WireBytes, GoodBytes: f.GoodBytes,
 				Raw: append([]byte(nil), f.Raw...), Owned: true}
 		} else {
-			g = NewFrame()
+			g = l.pool.NewFrame()
 			g.Src, g.Dst, g.WireBytes, g.GoodBytes = f.Src, f.Dst, f.WireBytes, f.GoodBytes
-			g.Pkt, g.Owned = f.Pkt.ClonePooled(), true
+			g.Pkt, g.Owned = l.pool.Clone(f.Pkt), true
 		}
 		if at := arrive.Add(l.xdelay); l.xroute != nil {
 			l.xroute(g).InjectCall(l.sim, at, l.deliverAny, g)

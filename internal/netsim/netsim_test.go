@@ -421,9 +421,9 @@ func TestDuplicatedSiblingFramesAreIndependent(t *testing.T) {
 // twice and sent again, as bench/ and the baselines do with theirs — is never
 // handed out by NewFrame, so its builder can keep using it.
 func TestLiteralFrameNeverRecycled(t *testing.T) {
-	wire.SetPoolPoison(true)
-	defer wire.SetPoolPoison(false)
 	s, n, _ := testNet(1, DefaultLinkConfig())
+	pool := PoolOf(s)
+	pool.Poison = true
 	h := &releasingHost{}
 	n.AttachHost(1, h)
 	n.AttachHost(2, h)
@@ -441,13 +441,13 @@ func TestLiteralFrameNeverRecycled(t *testing.T) {
 		t.Fatalf("re-sent literal frame: delivered %d, frame %+v", h.got, lit)
 	}
 	for i := 0; i < 64; i++ {
-		if f := NewFrame(); f == lit {
+		if f := pool.NewFrame(); f == lit {
 			t.Fatal("the free list handed out a struct-literal frame")
 		}
 	}
 
 	// A free-list frame does go back, poisoned: a stale holder sees sentinels.
-	f := NewFrame()
+	f := pool.NewFrame()
 	f.Src, f.Dst, f.WireBytes = 1, 2, 100
 	f.Release()
 	if f.Src != PoisonAddr || f.Dst != PoisonAddr || f.WireBytes != PoisonWireBytes || f.Pkt != nil {

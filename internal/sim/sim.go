@@ -173,6 +173,8 @@ type Simulation struct {
 	inProc *Proc
 	// procs lists every spawned process, for Close.
 	procs []*Proc
+	// locals holds what Local keeps for the layers above the kernel.
+	locals map[any]any
 
 	// Sharded parallel execution (see shard.go). group and lane are fixed at
 	// construction: nil/laneRoot for a standalone serial simulation, which
@@ -218,6 +220,23 @@ func New(seed int64) *Simulation {
 
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
+
+// Local returns the value s keeps under key, storing mk() there first if
+// there is none: per-run state that a layer above the kernel shares between
+// every component built on s, without the kernel knowing its type (netsim
+// keeps the run's packet and frame free lists here). key should be a
+// comparable value of a type private to that layer.
+func (s *Simulation) Local(key any, mk func() any) any {
+	v, ok := s.locals[key]
+	if !ok {
+		if s.locals == nil {
+			s.locals = make(map[any]any)
+		}
+		v = mk()
+		s.locals[key] = v
+	}
+	return v
+}
 
 // Rand returns the simulation's deterministic random source. Model code must
 // use this source (never the global one) so runs stay reproducible.

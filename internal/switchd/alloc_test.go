@@ -40,11 +40,12 @@ func TestIngressAllocatesNothing(t *testing.T) {
 	pkt := r.packetize(1, []core.KV{{Key: "a", Val: 1}, {Key: "bb", Val: 2}, {Key: "medium", Val: 3}})
 	pkt.Flow = flow
 	swap := &wire.Packet{Type: wire.TypeSwap, Task: 1, Flow: flow}
+	pool := netsim.PoolOf(r.sim)
 	ingress := func(pkt *wire.Packet, seq uint32) {
 		pkt.Seq = seq
-		f := netsim.NewFrame()
+		f := pool.NewFrame()
 		f.Src, f.Dst, f.WireBytes = 3, 2, pkt.WireBytes(r.sw.cfg.KPartBytes)
-		f.Pkt, f.Owned = pkt.ClonePooled(), true
+		f.Pkt, f.Owned = pool.Clone(pkt), true
 		r.sw.HandleIngress(f)
 		r.sim.Run(0)
 	}

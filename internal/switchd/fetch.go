@@ -24,7 +24,7 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 		// Unknown task (e.g. already freed): acknowledge clears so the
 		// receiver does not retry forever; reads return an empty snapshot.
 		if pkt.FetchClear {
-			sw.reply(f, f.Src, wire.NewAck(pkt))
+			sw.reply(f, f.Src, sw.pool.NewAck(pkt))
 		} else {
 			sw.sendFetchReplies(f, pkt, nil)
 		}
@@ -54,7 +54,7 @@ func (sw *Switch) processFetch(f *netsim.Frame) {
 			sw.met.clears.Inc()
 			sw.clearAARange(lo, hi)
 		}
-		sw.reply(f, f.Src, wire.NewAck(pkt))
+		sw.reply(f, f.Src, sw.pool.NewAck(pkt))
 		return
 	}
 
@@ -87,6 +87,6 @@ func (sw *Switch) sendFetchReplies(f *netsim.Frame, req *wire.Packet, entries []
 	for c := 0; c < chunks; c++ {
 		lo := c * wire.MaxFetchEntriesPerReply
 		hi := min(lo+wire.MaxFetchEntriesPerReply, len(entries))
-		sw.reply(f, f.Src, wire.NewFetchReply(req, c, chunks, entries[lo:hi]))
+		sw.reply(f, f.Src, sw.pool.NewFetchReply(req, c, chunks, entries[lo:hi]))
 	}
 }

@@ -86,7 +86,7 @@ func (sw *Switch) quarantine(f *netsim.Frame, why string) {
 // it (steady-state acking cycles a handful of pooled packets).
 func (sw *Switch) reply(f *netsim.Frame, dst core.HostID, pkt *wire.Packet) {
 	sw.stamp(pkt)
-	r := netsim.NewFrame()
+	r := sw.pool.NewFrame()
 	r.Src, r.Dst, r.Pkt = f.Dst, dst, pkt
 	r.WireBytes, r.Owned = pkt.WireBytes(sw.cfg.KPartBytes), true
 	sw.net.SwitchSend(r)
@@ -215,7 +215,7 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 		// (§3.2.1), on behalf of the receiver.
 		te.ackedPackets.Inc()
 		sw.met.switchAcks.Inc()
-		sw.reply(f, pkt.Flow.Host, wire.NewAck(pkt))
+		sw.reply(f, pkt.Flow.Host, sw.pool.NewAck(pkt))
 		f.Release() // fully consumed: tuples live in the AAs, packet is done
 		return
 	}
@@ -226,7 +226,11 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 // aggregate runs the AA stages for one packet: each logical tuple unit
 // (short slot or medium group) is matched against its AA(s); consumed
 // tuples have their bitmap bits cleared (§3.2.1). ts is the task's counters.
+// The tuples are tallied in locals and each counter is added to once per
+// packet, tuplesIn first: a concurrent reader (TaskStatsOf) loads aggregated
+// before in, so it never sees more tuples aggregated than arrived.
 func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copyIdx int, ts *taskEntry) {
+	var in, aggregated, conflicted, reserved int64
 	rowBase := region.Lo + copyIdx*region.CopyRows
 	if region.Copies == 1 {
 		rowBase = region.Lo
@@ -246,13 +250,13 @@ func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copy
 		if !pkt.Bitmap.Test(i) {
 			continue
 		}
-		ts.tuplesIn.Inc()
+		in++
 		row := rowBase + int(rowHash(pkt.Slots[i].KPart)%uint64(region.CopyRows))
-		if sw.slotRMW(ps, sw.raAAs[i], row, pkt.Slots[i], region.Op, true) {
+		if sw.slotRMW(ps, sw.raAAs[i], row, pkt.Slots[i], region.Op, true, &reserved) {
 			pkt.Bitmap = pkt.Bitmap.Clear(i)
-			ts.tuplesAggregated.Inc()
+			aggregated++
 		} else {
-			ts.tuplesConflicted.Inc()
+			conflicted++
 		}
 	}
 
@@ -269,7 +273,7 @@ func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copy
 		if !pkt.Bitmap.Test(first) {
 			continue
 		}
-		ts.tuplesIn.Inc()
+		in++
 		for j := 0; j < m; j++ {
 			kparts[j] = pkt.Slots[first+j].KPart
 		}
@@ -282,32 +286,47 @@ func (sw *Switch) aggregate(ps *pisaPass, pkt *wire.Packet, region *Region, copy
 			// invariant a group either fully matches/reserves or fails at
 			// its first conflicting member without partial writes.
 			if ok {
-				ok = sw.slotRMW(ps, sw.raAAs[first+j], row, slot, region.Op, last)
+				ok = sw.slotRMW(ps, sw.raAAs[first+j], row, slot, region.Op, last, &reserved)
 			}
 		}
 		if ok {
 			for j := 0; j < m; j++ {
 				pkt.Bitmap = pkt.Bitmap.Clear(first + j)
 			}
-			ts.tuplesAggregated.Inc()
+			aggregated++
 		} else {
-			ts.tuplesConflicted.Inc()
+			conflicted++
 		}
+	}
+	if in == 0 {
+		return
+	}
+	ts.tuplesIn.Add(in)
+	// A packet of one or two tuples (rack-timed's) counts as few atomics as
+	// per-tuple counting did: a total that stayed zero is not added.
+	if aggregated > 0 {
+		ts.tuplesAggregated.Add(aggregated)
+	}
+	if conflicted > 0 {
+		ts.tuplesConflicted.Add(conflicted)
+	}
+	if reserved > 0 {
+		sw.met.aaOccupancy.Add(reserved)
 	}
 }
 
 // slotRMW performs one aggregator register action: match-or-reserve the key
-// part, and fold the value if applyVal. It reports success.
-func (sw *Switch) slotRMW(ps *pisaPass, aa *pisaArray, row int, slot wire.Slot, op core.Op, applyVal bool) bool {
+// part, and fold the value if applyVal. It reports success, and counts a
+// reservation of a blank entry in *reserved.
+func (sw *Switch) slotRMW(ps *pisaPass, aa *pisaArray, row int, slot wire.Slot, op core.Op, applyVal bool, reserved *int64) bool {
 	kp := sw.kPartN(slot.KPart)
 	n := uint(8 * sw.cfg.KPartBytes)
-	reserved := false
 	ok := aa.RMW(ps, row, func(cur uint64) (uint64, uint64) {
 		curKP := cur >> n
 		curV := cur & sw.nMask()
 		switch {
 		case curKP == 0: // blank: reserve
-			reserved = true
+			*reserved++
 			v := uint64(0)
 			if applyVal {
 				v = sw.encodeVal(op.Apply(op.Identity(), slot.Val))
@@ -323,9 +342,6 @@ func (sw *Switch) slotRMW(ps *pisaPass, aa *pisaArray, row int, slot wire.Slot, 
 			return cur, 0
 		}
 	})
-	if reserved {
-		sw.met.aaOccupancy.Add(1)
-	}
 	return ok == 1
 }
 
@@ -352,7 +368,7 @@ func (sw *Switch) processSwap(f *netsim.Frame) {
 			sw.tr.Emit(telemetry.CompSwitchd, "shadow_swap", int64(pkt.Task), int64(pkt.Seq), 0)
 		}
 	}
-	sw.reply(f, f.Src, wire.NewAck(pkt))
+	sw.reply(f, f.Src, sw.pool.NewAck(pkt))
 }
 
 // ActiveCopy returns the region's current write copy (for tests).

@@ -83,6 +83,7 @@ func DefaultOptions() Options {
 type Switch struct {
 	sim    *sim.Simulation
 	net    netsim.SwitchFabric
+	pool   *netsim.Pool // the run's free lists: replies and their frames
 	cfg    core.Config
 	layout *keyspace.Layout
 	opts   Options
@@ -113,7 +114,7 @@ type Switch struct {
 	codec wire.Codec
 
 	// fetchBuf is processFetch's snapshot scratch, reused by every fetch: the
-	// replies carry copies (wire.NewFetchReply), so nothing points into it
+	// replies carry copies (Pool.NewFetchReply), so nothing points into it
 	// once processFetch returns.
 	fetchBuf []wire.FetchEntry
 
@@ -178,6 +179,7 @@ func New(s *sim.Simulation, net netsim.SwitchFabric, cfg core.Config, opts Optio
 	sw := &Switch{
 		sim:    s,
 		net:    net,
+		pool:   netsim.PoolOf(s),
 		cfg:    cfg,
 		layout: layout,
 		opts:   opts,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/wire"
@@ -95,6 +96,8 @@ type Sender struct {
 	w        uint32
 	timeout  time.Duration
 	transmit func(*wire.Packet)
+	// lists are the run's packet free lists, read for their Poison switch.
+	lists *wire.Pool
 
 	nextSeq uint32
 	base    uint32 // lowest unacked sequence
@@ -145,13 +148,13 @@ type flight struct {
 func (s *Sender) slot(seq uint32) *flight { return &s.ring[seq&(s.w-1)] }
 
 // retire frees f's slot and returns the packet it carried, marking the timer
-// weak when no flight is left. With the free lists poisoned (wire.SetPoolPoison)
+// weak when no flight is left. With the run's free lists poisoned (Pool.Poison)
 // the slot is stamped too, so a timeout that did read a retired slot would
 // report the sentinel sequence number.
 func (s *Sender) retire(f *flight) *wire.Packet {
 	pkt := f.pkt
 	*f = flight{}
-	if wire.PoolPoison() {
+	if s.lists.Poison {
 		f.tries = int(wire.PoisonSeq)
 	}
 	if s.live--; s.live == 0 {
@@ -177,6 +180,7 @@ func NewSender(s *sim.Simulation, w int, timeout time.Duration, transmit func(*w
 		w:        uint32(w),
 		timeout:  timeout,
 		transmit: transmit,
+		lists:    &netsim.PoolOf(s).Pool,
 		spaceSig: sim.NewSignal(s),
 		idleSig:  sim.NewSignal(s),
 		met: senderMetrics{
