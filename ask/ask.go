@@ -83,19 +83,12 @@ type Cluster struct {
 // switch.
 type controllerAdapter struct{ sw *switchd.Switch }
 
-func (c controllerAdapter) RegisterFlow(fk core.FlowKey) (uint32, error) {
-	if _, err := c.sw.RegisterFlow(fk); err != nil {
-		return 0, err
-	}
-	// The control plane is synchronous in the simulation, so the epoch read
-	// here is exactly the incarnation the registration landed on.
-	return c.sw.Epoch(), nil
-}
-
 func (c controllerAdapter) RegisterFlowAt(fk core.FlowKey, start uint32) (uint32, error) {
 	if _, err := c.sw.RegisterFlowAt(fk, start); err != nil {
 		return 0, err
 	}
+	// The control plane is synchronous in the simulation, so the epoch read
+	// here is exactly the incarnation the registration landed on.
 	return c.sw.Epoch(), nil
 }
 

@@ -178,11 +178,9 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		// A spine registers every host's flows, so its flow table bounds the
 		// whole fabric's channels: past it, adding a host fails.
 		so := switchd.DefaultOptions()
+		// A spine's address selects the sequence-tagged seen: it aggregates
+		// the leaves' conflict residuals, whose sequence numbers skip.
 		so.Addr = netsim.SpineAddr(sp)
-		// Spines aggregate the leaves' conflict residuals, whose sequence
-		// numbers skip: the compact parity seen would alias, so spines run
-		// the sequence-tagged variant (see switchd.Options).
-		so.SeqTaggedSeen = true
 		sw, err := switchd.New(ft.SpineSim(sp), ft.Spine(sp), opts.Config, so)
 		if err != nil {
 			return nil, fmt.Errorf("ask: spine %d: %w", sp, err)
@@ -274,42 +272,21 @@ type fabricController struct {
 // lane is inside a parallel window (a no-op on serial builds and in serial
 // windows). Call as `defer c.control()()`.
 //
-// Task setup never needs it: the first allocation is driven by a root proc,
-// which forces serial windows. Three methods are entered from a lane inside a
-// parallel window, and for each a sharded golden fails under `go test -race`
-// when its rendezvous is removed:
+// Setup never needs it: hostd.New registers a host's flows while the fabric
+// is built, before any window runs, and the first allocation is driven by a
+// root proc, which forces serial windows. Three methods are entered from a
+// lane inside a parallel window, and for each a sharded golden fails under
+// `go test -race` when its rendezvous is removed:
 //   - FreeRegion, at a receiver's teardown (TestFatTreeShardedMirroredTeardown);
 //   - RegisterFlowAt, at a sender's failover recovery
 //     (TestFatTreeShardedSpineOutageDeterministic);
 //   - AllocRegion, at a receiver's failover recovery
 //     (TestFatTreeShardedReceiverLeafOutage).
-//
-// RegisterFlow is called only by hostd.New while the fabric is built, before
-// any window runs, so its rendezvous is always a no-op. It stays so that a
-// caller on a lane would be safe.
 func (c fabricController) control() func() {
 	if g := c.fc.Net.Group(); g != nil {
 		return g.EnterControlFrom(c.fc.Net.LeafSim(c.leaf))
 	}
 	return func() {}
-}
-
-func (c fabricController) RegisterFlow(fk core.FlowKey) (uint32, error) {
-	defer c.control()()
-	if _, err := c.fc.Leaves[c.leaf].RegisterFlow(fk); err != nil {
-		return 0, err
-	}
-	for sp, sw := range c.fc.Spines {
-		if sw.Down() {
-			// A crashed spine has no control plane; its reboot wipes flow
-			// state, and the heal-time epoch bump re-registers everything.
-			continue
-		}
-		if _, err := sw.RegisterFlow(fk); err != nil {
-			return 0, fmt.Errorf("ask: registering flow at spine %d: %w", sp, err)
-		}
-	}
-	return c.fc.fabricEpoch, nil
 }
 
 func (c fabricController) RegisterFlowAt(fk core.FlowKey, start uint32) (uint32, error) {
@@ -325,6 +302,8 @@ func (c fabricController) RegisterFlowAt(fk core.FlowKey, start uint32) (uint32,
 	}
 	for sp, sw := range c.fc.Spines {
 		if sw.Down() {
+			// A crashed spine has no control plane; its reboot wipes flow
+			// state, and the heal-time epoch bump re-registers everything.
 			continue
 		}
 		if _, err := sw.RegisterFlowAt(fk, start); err != nil {

@@ -6,12 +6,14 @@
 //	askbench -list
 //	askbench -run fig9
 //	askbench -run scenarios -quick      # whole scenario corpus
-//	askbench -scenario flash-crowd      # one corpus scenario
+//	askbench -run scenario:flash-crowd  # one corpus scenario
 //	askbench -run all -quick
 //	askbench -run all -json > results.json
 //
 // Each experiment prints the same rows/series the paper reports; -quick
-// runs the test scale (seconds instead of minutes).
+// runs the test scale (seconds instead of minutes). The listing (-list, or
+// no -run) takes no other flag: -run, -quick or -json beside it exits 1
+// rather than being ignored.
 //
 // Independent experiments run on a worker pool, one worker per CPU. Every
 // simulation is single-goroutine deterministic and shares no state with its
@@ -35,41 +37,32 @@ import (
 
 func main() {
 	var (
-		run     = flag.String("run", "", "experiment to run (or 'all')")
+		run     = flag.String("run", "", "experiment to run ('all', or scenario:<name> for one corpus scenario, see askgen -list-scenarios)")
 		quick   = flag.Bool("quick", false, "run at test scale")
 		list    = flag.Bool("list", false, "list available experiments")
 		jsonOut = flag.Bool("json", false, "emit outcomes as deterministic JSON instead of tables")
-		scen    = flag.String("scenario", "", "run the scenario-corpus sweep for one named scenario (see askgen -list-scenarios)")
 	)
 	flag.Parse()
 
-	if *list || (*run == "" && *scen == "") {
+	if *list || *run == "" {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "list" {
+				fail("askbench: -%s does not apply to the experiment listing", f.Name)
+			}
+		})
 		fmt.Println("Available experiments:")
 		for _, r := range experiments.All() {
 			fmt.Printf("  %-16s %s\n", r.Name, r.Desc)
 		}
-		if *run == "" {
-			fmt.Println("\nRun one with: askbench -run <name> [-quick] [-json]")
-		}
+		fmt.Println("\nRun one with: askbench -run <name> [-quick] [-json]")
 		return
 	}
 
-	var runners []experiments.Runner
-	switch {
-	case *scen != "":
-		r, err := experiments.ScenarioRunner(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runners = []experiments.Runner{r}
-	case *run == "all":
-		runners = experiments.All()
-	default:
+	runners := experiments.All()
+	if *run != "all" {
 		r, err := experiments.ByName(*run)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		runners = []experiments.Runner{r}
 	}
@@ -81,8 +74,7 @@ func main() {
 	if *jsonOut {
 		b, err := experiments.OutcomesJSON(outcomes)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		os.Stdout.Write(b)
 		for _, o := range outcomes {
@@ -105,4 +97,9 @@ func main() {
 	if failed {
 		os.Exit(1)
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(1)
 }

@@ -83,3 +83,44 @@ func TestUnknownExperimentExits1EnumeratingTheRegistry(t *testing.T) {
 		}
 	}
 }
+
+// TestRunScenarioNamesOneCorpusScenario drives the one-scenario sweep through
+// -run: "scenario:<name>" is the outcome's name, and there is no separate
+// -scenario flag.
+func TestRunScenarioNamesOneCorpusScenario(t *testing.T) {
+	stdout, stderr, exit := askbench(t, "-run", "scenario:flash-crowd", "-quick", "-json")
+	if exit != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", exit, stderr)
+	}
+	var got []experiments.Outcome
+	if err := json.Unmarshal([]byte(stdout), &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Name != "scenario:flash-crowd" || len(got[0].Tables) != 1 || len(got[0].Tables[0].Rows) != 1 {
+		t.Fatalf("want one outcome scenario:flash-crowd with a one-row table, got %s", stdout)
+	}
+	if _, stderr, exit := askbench(t, "-run", "scenario:nope"); exit != 1 || !strings.Contains(stderr, "flash-crowd") {
+		t.Fatalf("unknown scenario: exit %d, stderr %q; want exit 1 naming the corpus", exit, stderr)
+	}
+	if _, _, exit := askbench(t, "-scenario", "flash-crowd"); exit != 2 {
+		t.Fatalf("-scenario: exit %d, want 2 (no such flag)", exit)
+	}
+}
+
+// TestListingRejectsRunFlags: the listing ignores -run, -quick and -json,
+// so each of them beside it exits 1 instead.
+func TestListingRejectsRunFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-list", "-run", "fig12"},
+		{"-list", "-quick"},
+		{"-json"},
+	} {
+		stdout, stderr, exit := askbench(t, args...)
+		if exit != 1 || stdout != "" || !strings.Contains(stderr, "does not apply to the experiment listing") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and a rejection", args, exit, stdout, stderr)
+		}
+	}
+	if stdout, _, exit := askbench(t, "-list"); exit != 0 || !strings.Contains(stdout, "fig12") {
+		t.Fatalf("-list: exit %d, stdout %q", exit, stdout)
+	}
+}

@@ -20,10 +20,7 @@
 //	errtaxonomy     typed errors matched without errors.Is/As; undocumented
 //	                error-returning APIs in ask/
 //
-// A diagnostic can be suppressed with
-// //askcheck:allow(<analyzer>[,<analyzer>...]) on the offending line or
-// the line above. Exit status: 0 clean, 1 diagnostics reported, 2
-// operational failure.
+// Exit status: 0 clean, 1 diagnostics reported, 2 operational failure.
 package main
 
 import (

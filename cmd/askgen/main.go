@@ -6,8 +6,12 @@
 // generator makes (key order, values, arrival times). The same flags with
 // the same seed always produce byte-identical output — traces are safe to
 // regenerate instead of archive, and a seed in a bug report reproduces the
-// exact stream. Corpus scenarios (-scenario) carry their own pinned seed;
-// -seed overrides it when nonzero.
+// exact stream. Corpus scenarios (-scenario) carry their own pinned seed and
+// length; -seed and -tuples override them when given explicitly.
+//
+// Each mode takes only the flags it honours; any other flag given beside
+// it exits 1 rather than being ignored (-dataset with -scenario, -distinct
+// with -dataset, -out with -stats, anything with -list-scenarios).
 //
 // Examples:
 //
@@ -32,51 +36,76 @@ import (
 	"repro/internal/workload/scenario"
 )
 
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "askgen: "+format+"\n", args...)
+	os.Exit(1)
+}
+
+// rejectFlags fails on the first explicitly set flag that table lists: a
+// silently ignored flag would make the command line lie about what ran.
+func rejectFlags(table map[string]string, context string) {
+	flag.Visit(func(f *flag.Flag) {
+		if why, bad := table[f.Name]; bad {
+			fail("-%s does not apply to %s: %s", f.Name, context, why)
+		}
+	})
+}
+
 func main() {
 	var (
 		dataset  = flag.String("dataset", "", "corpus stand-in (yelp, NG, BAC, LMDB); empty = synthetic")
 		distinct = flag.Int("distinct", 8192, "distinct keys (synthetic)")
 		skew     = flag.Float64("skew", 0, "Zipf exponent (synthetic; 0 = uniform)")
 		order    = flag.String("order", "shuffled", "arrival order: shuffled, hot, cold")
-		tuples   = flag.Int64("tuples", 100_000, "stream length")
-		seed     = flag.Int64("seed", 1, "generator seed: same flags + same seed = byte-identical output")
+		tuples   = flag.Int64("tuples", 100_000, "stream length (given with -scenario, overrides the scenario's)")
+		seed     = flag.Int64("seed", 1, "generator seed: same flags + same seed = byte-identical output (given with -scenario, overrides the scenario's)")
 		out      = flag.String("out", "", "write the trace to this file instead of stdout")
 		show     = flag.Bool("stats", false, "print stream statistics instead of a trace")
 
-		scen     = flag.String("scenario", "", "record a corpus scenario (timed v2 trace; see -list-scenarios)")
-		scenSeed = flag.Int64("scenario-seed", 0, "override the scenario's pinned seed (0 = keep)")
-		list     = flag.Bool("list-scenarios", false, "list the scenario corpus and exit")
+		scen = flag.String("scenario", "", "record a corpus scenario (timed v2 trace; see -list-scenarios)")
+		list = flag.Bool("list-scenarios", false, "list the scenario corpus and exit")
 	)
 	flag.Parse()
-	// -tuples has a non-zero default; a scenario keeps its own length
-	// unless the flag was given explicitly.
-	scenTuples := int64(0)
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "tuples" {
-			scenTuples = *tuples
-		}
-	})
 
 	if *list {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "list-scenarios" {
+				fail("-%s does not apply to -list-scenarios", f.Name)
+			}
+		})
 		listScenarios(os.Stdout)
 		return
 	}
 	if *scen != "" {
+		const why = "a scenario generates its own keys and arrivals"
+		rejectFlags(map[string]string{"dataset": why, "distinct": why, "skew": why, "order": why,
+			"stats": "-stats summarizes a dataset or synthetic stream"}, "-scenario")
+		// -tuples and -seed have non-zero defaults; a scenario keeps its own
+		// length and seed unless the flag was given explicitly.
+		var scenTuples, scenSeed int64
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "tuples":
+				scenTuples = *tuples
+			case "seed":
+				scenSeed = *seed
+			}
+		})
 		n, err := writeOut(*out, func(w io.Writer) (int64, error) {
-			return recordScenario(w, *scen, scenTuples, *scenSeed)
+			return recordScenario(w, *scen, scenTuples, scenSeed)
 		})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "askgen:", err)
-			os.Exit(1)
+			fail("%v", err)
 		}
 		if *out != "" {
 			fmt.Printf("recorded %d timed tuples of scenario %q to %s\n", n, *scen, *out)
 		}
 		return
 	}
-
 	var spec workload.Spec
 	if *dataset != "" {
+		const why = "a dataset fixes its own keys and order"
+		rejectFlags(map[string]string{"distinct": why, "skew": why, "order": why}, "-dataset")
 		spec = workload.Dataset(*dataset, *tuples, *seed)
 	} else {
 		var o workload.Order
@@ -88,25 +117,23 @@ func main() {
 		case "cold":
 			o = workload.ColdFirst
 		default:
-			fmt.Fprintf(os.Stderr, "askgen: unknown order %q\n", *order)
-			os.Exit(1)
+			fail("unknown order %q", *order)
 		}
 		spec = workload.Zipf(*distinct, *tuples, *skew, o, *seed)
 		spec.KeyLens = workload.NaturalLanguage(0)
 	}
 
-	switch {
-	case *show:
+	if *show {
+		rejectFlags(map[string]string{"out": "-stats prints to stdout"}, "-stats")
 		printStats(spec)
-	default:
-		n, err := writeOut(*out, func(w io.Writer) (int64, error) { return writeSpec(w, spec) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "askgen:", err)
-			os.Exit(1)
-		}
-		if *out != "" {
-			fmt.Printf("wrote %d tuples to %s\n", n, *out)
-		}
+		return
+	}
+	n, err := writeOut(*out, func(w io.Writer) (int64, error) { return writeSpec(w, spec) })
+	if err != nil {
+		fail("%v", err)
+	}
+	if *out != "" {
+		fmt.Printf("wrote %d tuples to %s\n", n, *out)
 	}
 }
 

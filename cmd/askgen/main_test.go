@@ -2,12 +2,42 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"os/exec"
 	"strings"
 	"testing"
 
 	"repro/internal/workload"
 	"repro/internal/workload/scenario"
 )
+
+// TestMain lets the tests drive the real main, exit status included: the
+// test binary re-executed with "-askgen" as its first argument is the
+// command.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-askgen" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// askgen runs the command with args and returns its output and exit status.
+func askgen(t *testing.T, args ...string) (stdout, stderr string, exit int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-askgen"}, args...)...)
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	if err := cmd.Run(); err != nil {
+		ee, ok := err.(*exec.ExitError)
+		if !ok {
+			t.Fatal(err)
+		}
+		exit = ee.ExitCode()
+	}
+	return out.String(), errb.String(), exit
+}
 
 // TestSeedReproducibility locks askgen's determinism contract: the same
 // flags with the same seed produce byte-identical output, for both the
@@ -79,6 +109,56 @@ func TestListScenarios(t *testing.T) {
 	for _, name := range scenario.Names() {
 		if !strings.Contains(buf.String(), name) {
 			t.Errorf("listing is missing scenario %q", name)
+		}
+	}
+}
+
+// TestSeedOverridesScenarioOnlyWhenGiven: -seed, like -tuples, replaces a
+// scenario's pinned value only when given on the command line.
+func TestSeedOverridesScenarioOnlyWhenGiven(t *testing.T) {
+	pinned, err := scenario.ByName("steady-poisson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args []string
+		seed int64
+	}{
+		{[]string{"-scenario", "steady-poisson", "-tuples", "200"}, pinned.Seed},
+		{[]string{"-scenario", "steady-poisson", "-tuples", "200", "-seed", "99"}, 99},
+	} {
+		stdout, stderr, exit := askgen(t, c.args...)
+		if exit != 0 || stderr != "" {
+			t.Fatalf("%v: exit %d, stderr %q", c.args, exit, stderr)
+		}
+		hdr, _, err := workload.ReadTimedTrace(strings.NewReader(stdout))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hdr.Seed != c.seed || hdr.Records != 200 {
+			t.Errorf("%v: header seed %d records %d, want seed %d records 200", c.args, hdr.Seed, hdr.Records, c.seed)
+		}
+	}
+	if _, _, exit := askgen(t, "-scenario", "steady-poisson", "-scenario-seed", "5"); exit != 2 {
+		t.Errorf("-scenario-seed: exit %d, want 2 (no such flag)", exit)
+	}
+}
+
+// TestFlagsAModeIgnoresAreRejected: a flag the chosen mode would ignore exits
+// 1 naming it, and writes nothing to stdout.
+func TestFlagsAModeIgnoresAreRejected(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scenario", "steady-poisson", "-dataset", "yelp"},
+		{"-scenario", "steady-poisson", "-skew", "1.2"},
+		{"-scenario", "steady-poisson", "-stats"},
+		{"-dataset", "yelp", "-distinct", "64"},
+		{"-dataset", "yelp", "-order", "hot"},
+		{"-tuples", "100", "-stats", "-out", "x.askt"},
+		{"-list-scenarios", "-seed", "3"},
+	} {
+		stdout, stderr, exit := askgen(t, args...)
+		if exit != 1 || stdout != "" || !strings.Contains(stderr, "does not apply to") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %q; want exit 1 and a rejection", args, exit, stdout, stderr)
 		}
 	}
 }

@@ -2,15 +2,18 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -147,5 +150,58 @@ func TestVerifyFalseIgnoresExactlyTheMismatch(t *testing.T) {
 	_, stderr, exit = asksim(t, append(args, "-verify=false", "-rows", "1073741824")...)
 	if exit != 1 || !strings.HasPrefix(stderr, "asksim: task: ") {
 		t.Fatalf("-verify=false with a region no switch can allocate: exit %d, stderr %q; want the task's own error", exit, stderr)
+	}
+}
+
+// TestTelemetryOutputs runs both telemetry outputs of a small rack run end to
+// end: -json - appends a telemetry.Snapshot holding every layer's metric
+// family to the run report, and -telemetry prints the metric table and the
+// trace line.
+func TestTelemetryOutputs(t *testing.T) {
+	run := []string{"-tuples", "2000", "-distinct", "256"}
+	stdout, stderr, exit := asksim(t, append(run, "-json", "-")...)
+	if exit != 0 || stderr != "" {
+		t.Fatalf("-json -: exit %d, stderr %q", exit, stderr)
+	}
+	i := strings.Index(stdout, "\n{\n")
+	if i < 0 {
+		t.Fatalf("-json -: no JSON object after the report:\n%s", stdout)
+	}
+	var snap telemetry.Snapshot
+	if err := json.Unmarshal([]byte(stdout[i+1:]), &snap); err != nil {
+		t.Fatalf("-json -: %v", err)
+	}
+	for _, family := range []string{"switchd.", "hostd.", "window.", "netsim."} {
+		found := false
+		for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range m {
+				found = found || strings.HasPrefix(name, family)
+			}
+		}
+		for name := range snap.Histograms {
+			found = found || strings.HasPrefix(name, family)
+		}
+		if !found {
+			t.Errorf("-json -: snapshot has no %s metric", family)
+		}
+	}
+	if got := snap.Counters[`switchd.tuples_in{task="1"}`]; got != 3*2000 {
+		t.Errorf(`-json -: switchd.tuples_in{task="1"} = %d, want 6000 (three senders)`, got)
+	}
+
+	stdout, stderr, exit = asksim(t, append(run, "-telemetry")...)
+	if exit != 0 || stderr != "" {
+		t.Fatalf("-telemetry: exit %d, stderr %q", exit, stderr)
+	}
+	for _, re := range []string{
+		`(?m)^== Telemetry ==$`,
+		`(?m)^switchd\.tuples_in\{task="1"\} +counter +6000 *$`,
+		`(?m)^hostd\.tuples_sent\{host="1"\} +counter +2000 *$`,
+		`(?m)^window\.rtt_ns\{flow="h1/ch1"\} +histogram +n=\d+`,
+		`(?m)^trace: \d+ events captured \(\d+ dropped\)$`,
+	} {
+		if !regexp.MustCompile(re).MatchString(stdout) {
+			t.Errorf("-telemetry output lacks %s:\n%s", re, stdout)
+		}
 	}
 }

@@ -10,11 +10,6 @@
 // must match the message of exactly one diagnostic on that line, prefixed
 // with its analyzer name as "name: message". Diagnostics without a
 // matching want, and wants without a matching diagnostic, fail the test.
-//
-// Because the harness runs analyzers through framework.RunAnalyzers, the
-// //askcheck:allow(<name>) escape hatch is honoured: a violating line that
-// carries an allow annotation and no want comment asserts the suppression
-// path.
 package analysistest
 
 import (

@@ -90,8 +90,3 @@ func okNonErrorSwitch(v any) int {
 	}
 	return 0
 }
-
-func okAllowed(err error) bool {
-	//askcheck:allow(errtaxonomy)
-	return err == io.EOF
-}

@@ -28,9 +28,7 @@
 // loop body, an append to a slice that is subsequently passed to a sort
 // call in the same function (the collect-then-sort idiom), an assignment to
 // a map indexed directly by the range key variable, or control flow
-// (if/for/block/break/continue) over those. Everything else needs either a
-// sort or an explicit //askcheck:allow(simdeterminism) annotation with a
-// justification.
+// (if/for/block/break/continue) over those. Everything else needs a sort.
 package simdeterminism
 
 import (
@@ -160,7 +158,7 @@ func checkMapRanges(pass *framework.Pass, body *ast.BlockStmt) {
 			return true
 		}
 		pass.Reportf(rs.Pos(),
-			"iteration over map %s has nondeterministic order that can escape this loop; collect and sort the keys, or annotate //askcheck:allow(simdeterminism) with a justification",
+			"iteration over map %s has nondeterministic order that can escape this loop; collect and sort the keys",
 			exprString(rs.X))
 		return true
 	})

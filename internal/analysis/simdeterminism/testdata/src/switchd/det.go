@@ -74,11 +74,3 @@ func keyedCopy(m map[int]int) map[int]int {
 	}
 	return out
 }
-
-func suppressed(m map[int]int) {
-	// Provably order-insensitive for reasons the analyzer can't see.
-	//askcheck:allow(simdeterminism)
-	for k := range m {
-		emit(k)
-	}
-}

@@ -12,8 +12,7 @@ func register(reg *telemetry.Registry) {
 	reg.Counter("demo.not_in_design")     // want `telemetrynames: metric "demo\.not_in_design" is not documented in DESIGN\.md`
 	reg.Counter("demo.after_section")     // want `telemetrynames: metric "demo\.after_section" is not documented in DESIGN\.md`
 	reg.GaugeFunc("demo.Mixed_Case", nil) // want `telemetrynames: metric "demo\.Mixed_Case" is not documented in DESIGN\.md`
-	//askcheck:allow(telemetrynames)
-	reg.Counter("demo.suppressed_metric") // suppressed by the escape hatch
+	reg.Counter("demo.prose_only")        // want `telemetrynames: metric "demo\.prose_only" is not documented in DESIGN\.md`
 
 	name := "demo.dynamic"
 	reg.Counter(name) // non-literal names are out of scope by design

@@ -107,7 +107,13 @@ func TestSwitchRebootDegradesAndReattaches(t *testing.T) {
 	cl.Sim.At(cl.Sim.Now().Add(rebootAt+time.Microsecond), func() {
 		aggAtReboot = cl.Switch.TaskStatsOf(spec.ID).TuplesAggregated
 	})
+	if e := cl.FabricEpoch(); e != 1 {
+		t.Fatalf("FabricEpoch before the outage = %d, want 1", e)
+	}
 	res := runJob(t, cl, buildTask())
+	if e := cl.FabricEpoch(); e != 2 {
+		t.Fatalf("FabricEpoch after one crash and reboot = %d, want 2", e)
+	}
 	if res.Degraded <= 0 {
 		t.Fatalf("Degraded = %v, want > 0", res.Degraded)
 	}

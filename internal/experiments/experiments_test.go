@@ -292,16 +292,19 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
-// TestScenarioRunner runs askbench -scenario's path at quick scale: one
-// table with one row, the scenario's row of the committed corpus table. An
-// unknown name is an error.
+// TestScenarioRunner runs askbench -run scenario:<name>'s path at quick
+// scale: one table with one row, the scenario's row of the committed corpus
+// table. An unknown scenario is an error.
 func TestScenarioRunner(t *testing.T) {
-	if _, err := ScenarioRunner("nope"); err == nil {
+	if _, err := ByName("scenario:nope"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
-	r, err := ScenarioRunner("flash-crowd")
+	r, err := ByName("scenario:flash-crowd")
 	if err != nil {
 		t.Fatal(err)
+	}
+	if r.Name != "scenario:flash-crowd" {
+		t.Fatalf("runner name %q", r.Name)
 	}
 	tables, err := r.Run(true)
 	if err != nil {

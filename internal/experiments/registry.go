@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/stats"
 	"repro/internal/workload/scenario"
@@ -55,19 +56,17 @@ func All() []Runner {
 	}
 }
 
-// ScenarioRunner builds a Runner sweeping a single named corpus scenario
-// (cmd/askbench -scenario). The name is validated here so the CLI fails
-// fast instead of mid-sweep.
-func ScenarioRunner(name string) (Runner, error) {
-	if _, err := scenario.ByName(name); err != nil {
-		return Runner{}, err
-	}
-	return Runner{"scenario:" + name, "scenario corpus sweep restricted to " + name,
-		one(func(quick bool) (*stats.Table, error) { return scenarios(quick, name) })}, nil
-}
-
-// ByName finds an experiment runner.
+// ByName finds an experiment runner: a registry entry, or "scenario:<name>"
+// for the corpus sweep restricted to one scenario. The scenario name is
+// validated here so the CLI fails fast instead of mid-sweep.
 func ByName(name string) (Runner, error) {
+	if scen, ok := strings.CutPrefix(name, "scenario:"); ok {
+		if _, err := scenario.ByName(scen); err != nil {
+			return Runner{}, err
+		}
+		return Runner{name, "scenario corpus sweep restricted to " + scen,
+			one(func(quick bool) (*stats.Table, error) { return scenarios(quick, scen) })}, nil
+	}
 	var names []string
 	for _, r := range All() {
 		if r.Name == name {

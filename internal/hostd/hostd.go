@@ -28,16 +28,13 @@ import (
 // Controller is the switch control-plane interface (implemented by
 // internal/switchd, adapted in the public ask package).
 type Controller interface {
-	// RegisterFlow registers a fresh flow and returns the epoch of the
-	// switch incarnation the registration landed on.
-	RegisterFlow(fk core.FlowKey) (uint32, error)
 	// RegisterFlowAt registers a flow whose next sequence number is start —
-	// the re-attach path after a switch reboot, where the flow's window is
-	// mid-stream rather than at zero. Like RegisterFlow it returns the live
-	// incarnation's epoch: control RPCs land on whatever switch is up NOW,
-	// which may be newer than the reboot the caller is recovering from
-	// (detection lag), and the sender must know which incarnation will be
-	// absorbing its packets to replay correctly after the next reboot.
+	// 0 at boot, mid-stream when re-attaching after a switch reboot — and
+	// returns the live incarnation's epoch: control RPCs land on whatever
+	// switch is up NOW, which may be newer than the reboot the caller is
+	// recovering from (detection lag), and the sender must know which
+	// incarnation will be absorbing its packets to replay correctly after
+	// the next reboot.
 	RegisterFlowAt(fk core.FlowKey, start uint32) (uint32, error)
 	// AllocRegion reserves switch memory for a task and describes the
 	// resulting allocation. Single-switch controllers return the zero
@@ -187,7 +184,7 @@ func New(s *sim.Simulation, net netsim.HostFabric, cpu *cpumodel.Host, cfg core.
 	net.AttachHost(host, d)
 	for i := 0; i < cfg.DataChannels; i++ {
 		fk := core.FlowKey{Host: host, Channel: core.ChannelID(i)}
-		ep, err := ctrl.RegisterFlow(fk)
+		ep, err := ctrl.RegisterFlowAt(fk, 0)
 		if err != nil {
 			return nil, fmt.Errorf("hostd: registering %v: %w", fk, err)
 		}
@@ -201,9 +198,6 @@ func New(s *sim.Simulation, net netsim.HostFabric, cpu *cpumodel.Host, cfg core.
 	}
 	return d, nil
 }
-
-// Host returns the daemon's host ID.
-func (d *Daemon) Host() core.HostID { return d.host }
 
 // Stats returns a snapshot of the daemon counters (atomic reads of the
 // registry instruments).
@@ -224,9 +218,6 @@ func (d *Daemon) Stats() Stats {
 	}
 	return s
 }
-
-// Config returns the deployment configuration.
-func (d *Daemon) Config() core.Config { return d.cfg }
 
 // dedupFor returns the receive window for a remote flow.
 func (d *Daemon) dedupFor(fk core.FlowKey) *window.HostDedup {

@@ -22,12 +22,6 @@ import (
 
 type ctrlAdapter struct{ sw *switchd.Switch }
 
-func (c ctrlAdapter) RegisterFlow(fk core.FlowKey) (uint32, error) {
-	if _, err := c.sw.RegisterFlow(fk); err != nil {
-		return 0, err
-	}
-	return c.sw.Epoch(), nil
-}
 func (c ctrlAdapter) RegisterFlowAt(fk core.FlowKey, start uint32) (uint32, error) {
 	if _, err := c.sw.RegisterFlowAt(fk, start); err != nil {
 		return 0, err

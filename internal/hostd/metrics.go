@@ -111,7 +111,3 @@ func (d *Daemon) newRecvMetrics(task core.TaskID) recvMetrics {
 		swaps:         d.reg.Counter("hostd.recv_swaps", l),
 	}
 }
-
-// Registry exposes the daemon's metric registry (the cluster registry when
-// telemetry is enabled).
-func (d *Daemon) Registry() *telemetry.Registry { return d.reg }

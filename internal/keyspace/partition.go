@@ -41,27 +41,6 @@ func (p Partition) String() string {
 		p.ShortLo, p.ShortLo+p.ShortWidth, p.GroupLo, p.GroupLo+p.GroupWidth)
 }
 
-// ClassifyIn is Classify restricted to partition p: keys whose length class
-// has no slots inside p take the long-key bypass (aggregated at the
-// receiver) instead of a slot the tenant does not own.
-func (l *Layout) ClassifyIn(p Partition, key string) Class {
-	c := l.Classify(key)
-	if p.IsZero() {
-		return c
-	}
-	switch c {
-	case Short:
-		if p.ShortWidth == 0 {
-			return Long
-		}
-	case Medium:
-		if p.GroupWidth == 0 {
-			return Long
-		}
-	}
-	return c
-}
-
 // LocateIn is Locate restricted to partition p: short keys hash onto the
 // partition's slot band, medium keys onto its group band. The zero partition
 // is exactly Locate. Like Locate it performs no heap allocation.

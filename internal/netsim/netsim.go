@@ -614,9 +614,6 @@ func New(s *sim.Simulation, link LinkConfig) *Network {
 	return &Network{sim: s, defaultLink: link}
 }
 
-// Sim returns the simulation the network runs on.
-func (n *Network) Sim() *sim.Simulation { return n.sim }
-
 // SetCodec installs the byte codec used by the corruption fault path
 // (Fault.CorruptProb/TruncateProb) on every attached and future link. Until
 // it is called, corruption degrades to frame loss because links cannot

@@ -81,9 +81,6 @@ func NewPipeline(cfg Config) *Pipeline {
 	return p
 }
 
-// Config returns the pipeline's resource configuration.
-func (p *Pipeline) Config() Config { return p.cfg }
-
 // AddArray declares a register array with entries×widthBits of SRAM in the
 // given stage. It returns an error if the program no longer fits: too many
 // arrays in the stage, SRAM budget exceeded, or the pipeline is sealed.
@@ -173,12 +170,6 @@ func (p *Pipeline) Begin() *Pass {
 	p.passes++
 	return &Pass{pipe: p, id: p.passes, curStage: -1}
 }
-
-// Name returns the array's name.
-func (ra *RegisterArray) Name() string { return ra.name }
-
-// Len returns the number of entries.
-func (ra *RegisterArray) Len() int { return len(ra.entries) }
 
 // RMW performs the array's single allowed access for this pass: an atomic
 // read-modify-write of entry idx. action receives the current value and

@@ -143,9 +143,6 @@ func (p *Proc) Sim() *Simulation { return p.sim }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {

@@ -94,6 +94,7 @@ func (sw *Switch) AllocRegionPartition(task core.TaskID, receiver core.HostID, o
 		Copies:    copies,
 		Partition: part,
 		idx:       idx,
+		te:        sw.taskEntryOf(task),
 	}
 	// Reset the region's data-plane state from the control plane.
 	sw.raSwapSeq.ControlWrite(idx, 0)
@@ -103,7 +104,7 @@ func (sw *Switch) AllocRegionPartition(task core.TaskID, receiver core.HostID, o
 	sw.regions[task] = r
 	// A fresh allocation restarts the task's stats view; the underlying
 	// registry counters stay monotonic (metrics.go).
-	sw.resetTaskStats(task)
+	sw.resetTaskStats(r.te)
 	return r, nil
 }
 

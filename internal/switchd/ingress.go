@@ -144,8 +144,14 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 		return
 	}
 	// The task's counters, resolved once: every packet that gets this far
-	// counts as acknowledged or forwarded below.
-	te := sw.taskEntryOf(pkt.Task)
+	// counts as acknowledged or forwarded below. A region carries its
+	// task's entry; only a task without one takes the lookup's lock.
+	var te *taskEntry
+	if region != nil {
+		te = region.te
+	} else {
+		te = sw.taskEntryOf(pkt.Task)
+	}
 
 	// Stage 1: copy indicator (data packets of live regions) and seen.
 	copyIdx := 0
@@ -156,7 +162,7 @@ func (sw *Switch) processFlowPacket(f *netsim.Frame) {
 	}
 	seenSlot := fi*sw.cfg.Window + int(pkt.Seq%w)
 	var observed bool
-	if sw.opts.SeqTaggedSeen {
+	if sw.seqTagged {
 		// Residual streams skip sequence numbers, so the parity seen would
 		// alias; match the full tag instead (window.SeenTagUpdate).
 		observed = sw.raSeen.RMW(ps, seenSlot, func(cur uint64) (uint64, uint64) {

@@ -94,8 +94,9 @@ func (sw *Switch) initMetrics(sink telemetry.Sink) {
 func (sw *Switch) Registry() *telemetry.Registry { return sw.reg }
 
 // taskEntryOf returns the task's instrument bundle, creating it on first
-// use. The read path is an RLock so ingress and concurrent TaskStatsOf
-// readers do not serialize.
+// use. The read path is an RLock so concurrent TaskStatsOf readers do not
+// serialize; ingress takes a task's entry from its region and calls this
+// only for a packet of a task that has none.
 func (sw *Switch) taskEntryOf(task core.TaskID) *taskEntry {
 	sw.tasksMu.RLock()
 	te := sw.tasks[task]
@@ -154,11 +155,10 @@ func sub(a, b TaskStats) TaskStats {
 	}
 }
 
-// resetTaskStats rebases the task's view counters at the current
-// cumulative values: TaskStatsOf starts over at zero while the registry
-// export stays monotonic.
-func (sw *Switch) resetTaskStats(task core.TaskID) {
-	te := sw.taskEntryOf(task)
+// resetTaskStats rebases a task's view counters at the current cumulative
+// values: TaskStatsOf starts over at zero while the registry export stays
+// monotonic.
+func (sw *Switch) resetTaskStats(te *taskEntry) {
 	sw.tasksMu.Lock()
 	te.base = te.cumulative()
 	sw.tasksMu.Unlock()

@@ -58,15 +58,9 @@ type Options struct {
 	// switch terminates every Fetch/Swap it sees, whatever the frame's
 	// destination. Non-zero, it terminates only requests addressed to it
 	// and forwards the rest toward their destination — which is what lets
-	// a receiver read a spine's region through its leaf.
+	// a receiver read a spine's region through its leaf. A spine's address
+	// (netsim.SpineAddr) also selects the sequence-tagged seen.
 	Addr core.HostID
-	// SeqTaggedSeen switches the receive window from the 1-bit compact
-	// parity seen (§3.3, Eq. 8) to a 33-bit sequence-tagged seen. The
-	// compact design assumes the switch observes every sequence number of
-	// a flow; a re-aggregation tier (a fat-tree spine) sees only the
-	// leaves' conflict residuals, where sequence gaps alias the parity
-	// trick into false duplicates. First-hop switches leave this off.
-	SeqTaggedSeen bool
 }
 
 // DefaultOptions supports the paper's deployment scale: a 64-server rack
@@ -88,6 +82,12 @@ type Switch struct {
 	layout *keyspace.Layout
 	opts   Options
 	pipe   *pisa.Pipeline
+	// seqTagged selects a 33-bit sequence-tagged seen over the 1-bit compact
+	// parity seen (§3.3, Eq. 8), and is set exactly on spines. The compact
+	// design assumes the switch observes every sequence number of a flow; a
+	// spine sees only the leaves' conflict residuals, where sequence gaps
+	// alias the parity trick into false duplicates.
+	seqTagged bool
 
 	// Register arrays (data-plane state). layoutPipeline is the one place
 	// that decides each array's stage; the stages below are its layout, in
@@ -157,7 +157,8 @@ type Region struct {
 	// [Lo, Lo+TotalRows) stay safe whatever the column band: columns
 	// outside the partition are simply never written in those rows.
 	Partition keyspace.Partition
-	idx       int // index into copy_indicator/swap_seq
+	idx       int        // index into copy_indicator/swap_seq
+	te        *taskEntry // the task's counters, so ingress takes no lock for them
 }
 
 // New builds the ASK switch program for cfg and attaches it to the network.
@@ -177,17 +178,18 @@ func New(s *sim.Simulation, net netsim.SwitchFabric, cfg core.Config, opts Optio
 		pc = pisa.DefaultConfig()
 	}
 	sw := &Switch{
-		sim:    s,
-		net:    net,
-		pool:   netsim.PoolOf(s),
-		cfg:    cfg,
-		layout: layout,
-		opts:   opts,
-		pipe:   pisa.NewPipeline(pc),
-		flows:  make(map[core.FlowKey]int),
-		tasks:  make(map[core.TaskID]*taskEntry),
-		codec:  wire.NewCodec(cfg.KPartBytes).WithSkipVerify(cfg.DisableChecksumVerify),
-		epoch:  1,
+		sim:       s,
+		net:       net,
+		pool:      netsim.PoolOf(s),
+		cfg:       cfg,
+		layout:    layout,
+		opts:      opts,
+		pipe:      pisa.NewPipeline(pc),
+		seqTagged: opts.Addr >= netsim.SpineAddr(0),
+		flows:     make(map[core.FlowKey]int),
+		tasks:     make(map[core.TaskID]*taskEntry),
+		codec:     wire.NewCodec(cfg.KPartBytes).WithSkipVerify(cfg.DisableChecksumVerify),
+		epoch:     1,
 	}
 	sw.initMetrics(opts.Telemetry)
 	sw.resetRegions()
@@ -217,7 +219,7 @@ func (sw *Switch) layoutPipeline(pc pisa.Config) error {
 	sw.raClearSeq = add(0, "clear_seq", sw.opts.MaxRegions, 32)
 	sw.raCopyInd = add(1, "copy_indicator", sw.opts.MaxRegions, 1)
 	seenWidth := 1
-	if sw.opts.SeqTaggedSeen {
+	if sw.seqTagged {
 		// Gap-tolerant seen for re-aggregation tiers: 32-bit tag + valid.
 		seenWidth = 33
 	}
@@ -240,9 +242,6 @@ func (sw *Switch) layoutPipeline(pc pisa.Config) error {
 // Pipeline exposes the underlying PISA pipeline (for resource assertions in
 // tests and the SRAM accounting in EXPERIMENTS.md).
 func (sw *Switch) Pipeline() *pisa.Pipeline { return sw.pipe }
-
-// Config returns the deployment configuration.
-func (sw *Switch) Config() core.Config { return sw.cfg }
 
 // kPartN extracts the n-bit key part from a packed 64-bit kPart.
 func (sw *Switch) kPartN(kp uint64) uint64 {

@@ -3,9 +3,9 @@
 // timeout retransmission, and the receive-window deduplication state. The
 // switch's (kept in register arrays by internal/switchd) is the naïve 2W-bit
 // seen array and the memory-compact W-bit seen built on atomic
-// set_bit/clr_bitc, plus the max_seq stale-packet guard and the PktState
-// store for partially-aggregated packet replay; the host receiver's is
-// HostDedup.
+// set_bit/clr_bitc, plus the max_seq stale-packet guard; the host
+// receiver's is HostDedup. The PktState store for partially-aggregated
+// packet replay (Eq. 9–10) exists only as internal/switchd's register array.
 //
 // Sequence numbers are 32-bit and compared with serial arithmetic, so
 // persistent data channels may wrap; the window size W must be a power of
@@ -136,9 +136,6 @@ func (t *TagSeen) Observe(seq uint32) (observed bool) {
 	return observed
 }
 
-// Bits returns the backing storage size in bits.
-func (t *TagSeen) Bits() int { return 33 * t.w }
-
 // NaiveSeen is the straightforward 2W-bit receive window of Eq. 5–7: a
 // circularly used bit array where each packet records its own appearance and
 // clears the bit one window ahead for a future packet. It costs twice the
@@ -255,28 +252,3 @@ func (d *Dedup) Observe(seq uint32) Verdict {
 	}
 	return Fresh
 }
-
-// PktState is the circular per-window store of packet aggregation bitmaps
-// (Eq. 9–10): on a packet's first appearance the switch records the
-// post-aggregation bitmap; on a retransmission it rewrites the packet's
-// bitmap from the store so already-aggregated tuples are not re-aggregated
-// downstream. The switch realizes this as a register array; this struct is
-// the shared algorithm and host-side reference.
-type PktState struct {
-	w      uint32
-	states []uint64
-}
-
-// NewPktState returns a store for window size w.
-func NewPktState(w int) *PktState {
-	if w <= 0 {
-		panic("window: size must be positive")
-	}
-	return &PktState{w: uint32(w), states: make([]uint64, w)}
-}
-
-// Record stores the bitmap for a first-appearance packet (Eq. 9).
-func (ps *PktState) Record(seq uint32, bitmap uint64) { ps.states[seq%ps.w] = bitmap }
-
-// Lookup returns the stored bitmap for a retransmitted packet (Eq. 10).
-func (ps *PktState) Lookup(seq uint32) uint64 { return ps.states[seq%ps.w] }

@@ -262,28 +262,6 @@ func TestDedupEveryLivePacketFreshOnce(t *testing.T) {
 	}
 }
 
-func TestPktState(t *testing.T) {
-	ps := NewPktState(8)
-	ps.Record(5, 0b1010)
-	if got := ps.Lookup(5); got != 0b1010 {
-		t.Fatalf("Lookup = %b", got)
-	}
-	// Same slot one window later overwrites (circular reuse).
-	ps.Record(13, 0b0001)
-	if got := ps.Lookup(5); got != 0b0001 {
-		t.Fatalf("circular reuse broken: %b", got)
-	}
-}
-
-func TestPktStateValidation(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewPktState(0) did not panic")
-		}
-	}()
-	NewPktState(0)
-}
-
 func TestCompactSeenAliasesOnGappedStreams(t *testing.T) {
 	// The compact seen's known limitation (and why re-aggregation tiers use
 	// TagSeen): when a slot's next touch lands an even number of windows

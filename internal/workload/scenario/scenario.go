@@ -198,11 +198,6 @@ func (s Scenario) TimedStream() core.TimedStream {
 // dropped) — for reference aggregation and stats.
 func (s Scenario) Stream() core.Stream { return s.TimedStream().Untimed() }
 
-// Reference replays a fresh stream and returns the exact aggregation.
-func (s Scenario) Reference(op core.Op) core.Result {
-	return core.ReferenceStreams(op, s.Stream())
-}
-
 // Header returns the trace header recording this scenario's identity and
 // generator parameters — what cmd/askgen stamps on recorded traces.
 func (s Scenario) Header() workload.TraceHeader {
