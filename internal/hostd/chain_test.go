@@ -43,7 +43,7 @@ func TestContendedCoresQueueChains(t *testing.T) {
 	run := func(cores int) outcome {
 		cfg := core.DefaultConfig()
 		cfg.DataChannels = 6
-		r := newRigCores(t, 4, netsim.DefaultLinkConfig(), cfg, func(sw *switchd.Switch) hostd.Controller { return ctrlAdapter{sw} }, cores)
+		r := newRigCores(t, 4, netsim.DefaultLinkConfig(), cfg, func(sw *switchd.Switch) hostd.Controller { return ctrlAdapter{sw} }, cores, 0)
 		defer r.s.Close()
 		senders := []core.HostID{1, 2, 3}
 		var end sim.Time

@@ -1,8 +1,9 @@
 package hostd
 
 import (
+	"maps"
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -24,8 +25,9 @@ type sendTask struct {
 	// part is the task's keyspace band from the receiver's notification
 	// (zero = whole keyspace): the packetizer routes only this band's keys
 	// into switch slots.
-	part     keyspace.Partition
-	done     *sim.Signal
+	part keyspace.Partition
+	// finished is set once the stream and its FIN are acknowledged, or the
+	// transport aborted: a recovery re-FINs only a finished task.
 	finished bool
 	// err records a transport abort (MaxRetries exhausted); the stream was
 	// not fully delivered.
@@ -49,25 +51,6 @@ type historyRec struct {
 	pkt         *wire.Packet
 	absorbEpoch uint32
 }
-
-// SendHandle lets the sending application wait for its stream to be fully
-// aggregated and acknowledged (data + FIN).
-type SendHandle struct{ t *sendTask }
-
-// Wait blocks until the task's FIN is acknowledged (or the transport
-// aborts; check Err).
-func (h *SendHandle) Wait(p *sim.Proc) {
-	for !h.t.finished {
-		p.Wait(h.t.done)
-	}
-}
-
-// Done reports whether the stream completed (successfully or not).
-func (h *SendHandle) Done() bool { return h.t.finished }
-
-// Err returns the transport abort error, or nil if the stream was fully
-// delivered.
-func (h *SendHandle) Err() error { return h.t.err }
 
 // dataChannel is one duplex persistent channel: a send loop draining queued
 // tasks through the sliding window, and a receive queue processing inbound
@@ -290,7 +273,6 @@ func (ch *dataChannel) txLoop(p *sim.Proc) {
 		}
 
 		task.finished = true
-		task.done.Fire()
 	}
 }
 
@@ -421,12 +403,7 @@ func (ch *dataChannel) doRecover(p *sim.Proc) {
 			ch.d.observeEpoch(ep)
 		}
 		saved := ch.curDst
-		ids := make([]core.TaskID, 0, len(ch.retained))
-		for id := range ch.retained {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range slices.Sorted(maps.Keys(ch.retained)) {
 			t := ch.retained[id]
 			ch.curDst = t.receiver
 			for _, rec := range t.history {

@@ -24,6 +24,13 @@ func (d *Daemon) WrapHandBacks(wrap func(ch int, resume func()) func()) {
 // requested that txLoop has not yet begun.
 func (d *Daemon) RecoveryPending(ch int) bool { return d.channels[ch].recoverReq != 0 }
 
-// CommitSwitchState marks a receiving task's switch state committed, as its
-// teardown does once the final fetch is in.
-func (d *Daemon) CommitSwitchState(task core.TaskID) { d.recvTasks[task].switchCommitted = true }
+// CommitSwitchState commits a streaming task's switch state, as a drain does
+// once its read of the revoked region is in.
+func (d *Daemon) CommitSwitchState(task core.TaskID) {
+	t := d.recvTasks[task]
+	t.enter(revoked)
+	t.enter(draining)
+}
+
+// PhaseName names the phase a task_phase trace event carries in a or b.
+func PhaseName(p int64) string { return phaseNames[p] }

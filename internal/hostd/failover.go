@@ -3,7 +3,8 @@ package hostd
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -86,7 +87,7 @@ func (d *Daemon) FailoverStats() FailoverStats {
 		ReplayTuplesMerged: m.replayTuplesMerged.Value(),
 		DegradedTime:       time.Duration(m.degradedTimeNs.Value()),
 	}
-	if d.degraded {
+	if d.health != healthy {
 		fs.DegradedTime += d.sim.Now().Sub(d.degradedAt)
 	}
 	return fs
@@ -97,7 +98,7 @@ func (d *Daemon) Epoch() uint32 { return d.epoch }
 
 // Degraded reports whether the daemon currently considers the switch
 // unavailable (or is mid-recovery).
-func (d *Daemon) Degraded() bool { return d.degraded }
+func (d *Daemon) Degraded() bool { return d.health != healthy }
 
 // Stall freezes the daemon: every inbound and outbound frame is dropped
 // until Resume. It models a host daemon crash where the shared-memory state
@@ -130,7 +131,7 @@ func (d *Daemon) observeEpoch(e uint32) {
 		return
 	}
 	if !window.SeqLess(d.epoch, e) {
-		if e == d.epoch && d.degraded && !d.recovering {
+		if e == d.epoch && d.health == silent {
 			d.exitDegraded()
 		}
 		return
@@ -138,8 +139,7 @@ func (d *Daemon) observeEpoch(e uint32) {
 	d.epoch = e
 	d.met.epochChanges.Inc()
 	d.tr.Emit(telemetry.CompHostd, "epoch_change", int64(d.host), int64(e), 0)
-	d.enterDegraded()
-	d.recovering = true
+	d.enterDegraded(recovering)
 	d.recoveryGen++
 	gen := d.recoveryGen
 	// Channel recovery runs INLINE in each txLoop (no concurrent sender on
@@ -154,24 +154,36 @@ func (d *Daemon) observeEpoch(e uint32) {
 	})
 }
 
-func (d *Daemon) enterDegraded() {
-	if d.degraded {
-		return
+// health is the daemon's view of its switch: healthy, silent (probes went
+// unanswered) or recovering (a reboot was seen; recoverProc re-attaches).
+type health uint8
+
+const (
+	healthy health = iota
+	silent
+	recovering
+)
+
+// enterDegraded moves the daemon to h, never back from recovering to
+// silent; leaving healthy opens a degraded interval.
+func (d *Daemon) enterDegraded(h health) {
+	if d.health == healthy {
+		d.degradedAt = d.sim.Now()
+		d.met.failovers.Inc()
+		d.met.degraded.Set(1)
+		d.tr.Emit(telemetry.CompHostd, "failover_enter", int64(d.host), int64(d.epoch), 0)
 	}
-	d.degraded = true
-	d.degradedAt = d.sim.Now()
-	d.met.failovers.Inc()
-	d.met.degraded.Set(1)
-	d.tr.Emit(telemetry.CompHostd, "failover_enter", int64(d.host), int64(d.epoch), 0)
+	d.health = max(d.health, h)
 }
 
+// exitDegraded returns the daemon to healthy and closes the interval.
 func (d *Daemon) exitDegraded() {
-	if !d.degraded {
+	if d.health == healthy {
 		return
 	}
 	interval := d.sim.Now().Sub(d.degradedAt)
 	d.met.degradedTimeNs.Add(int64(interval))
-	d.degraded = false
+	d.health = healthy
 	d.met.degraded.Set(0)
 	d.tr.Emit(telemetry.CompHostd, "failover_exit", int64(d.host), int64(d.epoch), int64(interval))
 }
@@ -222,7 +234,7 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 		misses++
 		d.met.probeTimeouts.Inc()
 		if misses >= core.DefaultProbeMisses {
-			d.enterDegraded()
+			d.enterDegraded(silent)
 		}
 	}
 }
@@ -232,18 +244,10 @@ func (d *Daemon) probeLoop(p *sim.Proc) {
 // inline replay to finish. A newer generation (another reboot) abandons this
 // one — its successor redoes the work.
 func (d *Daemon) recoverProc(p *sim.Proc, gen uint32) {
-	ids := make([]core.TaskID, 0, len(d.recvTasks))
-	for id := range d.recvTasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(d.recvTasks)) {
 		t := d.recvTasks[id]
-		if t.completed || t.noRegion || t.switchCommitted || t.revoked {
-			continue
-		}
-		if t.regionEpoch == d.epoch {
-			continue // already re-allocated under this incarnation
+		if t.progress >= committed || t.region != held || t.regionEpoch == d.epoch {
+			continue // past its commit, without a region, or re-allocated under this incarnation
 		}
 		if gen != d.recoveryGen {
 			return
@@ -255,26 +259,18 @@ func (d *Daemon) recoverProc(p *sim.Proc, gen uint32) {
 		if err != nil {
 			// No switch capacity for the re-attach: the task finishes on the
 			// host-only path (its pre-crash absorbed tuples come via replay).
-			t.noRegion = true
-		}
-	}
-	for {
-		if gen != d.recoveryGen {
-			return
-		}
-		all := true
-		for _, ch := range d.channels {
-			if ch.recoveredGen < gen {
-				all = false
-				break
+			// A task a drain has taken off its region stays where it is.
+			if t.region == held {
+				t.enter(hostOnly)
 			}
 		}
-		if all {
-			break
-		}
+	}
+	for gen == d.recoveryGen && slices.ContainsFunc(d.channels, func(ch *dataChannel) bool { return ch.recoveredGen < gen }) {
 		p.Wait(d.chRecoverSig)
 	}
-	d.recovering = false
+	if gen != d.recoveryGen {
+		return
+	}
 	d.met.reattaches.Inc()
 	d.tr.Emit(telemetry.CompHostd, "reattach", int64(d.host), int64(d.epoch), int64(gen))
 	d.exitDegraded()
@@ -290,7 +286,7 @@ const reattachRetries = 3
 // allocation in t. Under failover a *core.DegradedError from the controller
 // means the fabric is (still) partially down rather than out of capacity, so
 // the call is retried with exponential backoff up to reattachRetries times,
-// and past that budget the task goes host-only (t.noRegion) — switch state
+// and past that budget the task goes host-only — switch state
 // is soft, and correctness never depends on it. The budget is bounded
 // because the next fabric epoch re-triggers recovery anyway and an unbounded
 // loop would pin the task off the host-only fallback. Permanent rejections
@@ -312,7 +308,9 @@ func (d *Daemon) allocRegion(p *sim.Proc, t *recvTask, gen uint32) error {
 		case !d.failover || !errors.As(err, &deg):
 			return err
 		case attempt >= reattachRetries:
-			t.noRegion = true
+			if t.region == held {
+				t.enter(hostOnly)
+			}
 			return nil
 		}
 		d.tr.Emit(telemetry.CompHostd, "reattach_backoff", int64(t.spec.ID), int64(attempt+1), int64(backoff))
@@ -327,38 +325,30 @@ func (d *Daemon) allocRegion(p *sim.Proc, t *recvTask, gen uint32) error {
 // on the host-only path. Safe to call more than once.
 func (d *Daemon) OnRegionRevoked(task core.TaskID) {
 	t := d.recvTasks[task]
-	if t == nil || t.completed || t.noRegion || t.revoked || t.tearingDown {
+	if t == nil || t.progress != streaming || t.region != held {
 		return
 	}
-	t.revoked = true
 	t.revokedAt = d.sim.Now()
+	t.enter(revoked)
 	d.sim.Spawn(fmt.Sprintf("drain-task%d", task), t.drainRevoked)
 }
 
 // drainRevoked fetches a revoked region (aggregation already disabled on the
-// switch), commits it into the host result, and frees the rows. The draining
-// flag holds off a concurrent teardown until the drain settles.
+// switch), commits it into the host result, and frees the rows. A teardown
+// waits until the drain settles.
 func (t *recvTask) drainRevoked(p *sim.Proc) {
-	t.draining = true
-	defer func() {
-		t.draining = false
-		t.finSig.Fire()
-	}()
 	all, ok := t.fetchAll(p, t.aggPoints()[:1])
 	if !ok {
 		// The switch rebooted mid-drain: the region (and its tuples) are
 		// gone from SRAM; the replay protocol recovers them instead.
-		t.noRegion = true
+		t.enter(hostOnly)
 		return
 	}
-	if t.switchCommitted || t.completed {
-		return
-	}
-	t.switchCommitted = true
+	t.enter(draining)
 	t.mergeEntries(p, all)
-	t.noRegion = true
 	p.Sleep(cpumodel.ControlRPCLatency)
 	_ = t.d.ctrl.FreeRegion(t.spec.ID) // tolerated: a reboot may have freed it
+	t.enter(drained)
 }
 
 // onRelease drops a completed task's retained replay history at a sender

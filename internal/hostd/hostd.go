@@ -130,9 +130,8 @@ type Daemon struct {
 	// incarnation; all other fields are idle unless cfg.Failover is set.
 	failover      bool
 	epoch         uint32
-	degraded      bool
+	health        health
 	degradedAt    sim.Time
-	recovering    bool
 	recoveryGen   uint32
 	stalled       bool
 	probeSig      *sim.Signal

@@ -39,6 +39,7 @@ type rig struct {
 	sw      *switchd.Switch
 	daemons map[core.HostID]*hostd.Daemon
 	cpus    map[core.HostID]*cpumodel.Host
+	tr      *telemetry.Tracer // the daemons' trace ring; nil unless asked for
 }
 
 func newRig(t *testing.T, hosts int, link netsim.LinkConfig) *rig {
@@ -55,11 +56,12 @@ func newRigConfig(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Conf
 // returns for the rack's switch.
 func newRigCtrl(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller) *rig {
 	t.Helper()
-	return newRigCores(t, hosts, link, cfg, mk, 8)
+	return newRigCores(t, hosts, link, cfg, mk, 8, 0)
 }
 
-// newRigCores builds the rig with cores CPU cores per host.
-func newRigCores(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller, cores int) *rig {
+// newRigCores builds the rig with cores CPU cores per host; with ring > 0 its
+// daemons trace into one ring of that many events.
+func newRigCores(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Config, mk func(*switchd.Switch) hostd.Controller, cores, ring int) *rig {
 	t.Helper()
 	s := sim.New(1)
 	n := netsim.New(s, link)
@@ -68,10 +70,13 @@ func newRigCores(t *testing.T, hosts int, link netsim.LinkConfig, cfg core.Confi
 		t.Fatal(err)
 	}
 	r := &rig{s: s, sw: sw, daemons: make(map[core.HostID]*hostd.Daemon), cpus: make(map[core.HostID]*cpumodel.Host)}
+	if ring > 0 {
+		r.tr = telemetry.NewTracer(s.Now, ring)
+	}
 	for h := 0; h < hosts; h++ {
 		id := core.HostID(h)
 		r.cpus[id] = cpumodel.NewHost(s, cores)
-		d, err := hostd.New(s, n, r.cpus[id], cfg, id, mk(sw), telemetry.Sink{})
+		d, err := hostd.New(s, n, r.cpus[id], cfg, id, mk(sw), telemetry.Sink{Tr: r.tr})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +91,7 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 	r := newRig(t, 2, netsim.DefaultLinkConfig())
 	w := workload.Uniform(256, 3000, 1)
 	// SubmitSend first, at t=0, from outside any task context.
-	sh := r.daemons[1].SubmitSend(42, w.Stream())
+	r.daemons[1].SubmitSend(42, w.Stream())
 	var result, again core.Result
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		h, err := r.daemons[0].Submit(p, core.TaskSpec{
@@ -99,8 +104,8 @@ func TestSendSubmittedBeforeNotify(t *testing.T) {
 		result, again = h.Wait(p), h.Wait(p)
 	})
 	r.s.Run(0)
-	if !sh.Done() {
-		t.Fatal("send handle not done")
+	if result == nil {
+		t.Fatal("task did not complete")
 	}
 	if reflect.ValueOf(result).UnsafePointer() != reflect.ValueOf(again).UnsafePointer() {
 		t.Fatal("a second Wait returned another map")
@@ -335,6 +340,7 @@ func TestManySequentialTasksOneChannelFIFO(t *testing.T) {
 	r := newRig(t, 2, netsim.DefaultLinkConfig())
 	const n = 5
 	var handles [n]*hostd.RecvHandle
+	var results [n]core.Result
 	var specs [n]workload.Spec
 	r.s.Spawn("driver", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
@@ -350,13 +356,13 @@ func TestManySequentialTasksOneChannelFIFO(t *testing.T) {
 			r.daemons[1].SubmitSend(id, specs[i].Stream())
 		}
 		for i := 0; i < n; i++ {
-			handles[i].Wait(p)
+			results[i] = handles[i].Wait(p)
 		}
 	})
 	r.s.Run(0)
 	for i := 0; i < n; i++ {
-		if handles[i] == nil || !handles[i].Done() {
-			t.Fatalf("task %d incomplete", i)
+		if err := results[i].Verify(specs[i].Reference(core.OpSum)); err != nil {
+			t.Fatalf("task %d: %v", i, err)
 		}
 	}
 	// Only channel 0 (and no other) carried data.

@@ -36,13 +36,20 @@ type pktID struct {
 }
 
 // recvTask is the receiver-side state of one aggregation task: the shared
-// memory segment, FIN tracking, and the shadow-copy machinery.
+// memory segment, FIN tracking, and the shadow-copy machinery. Its lifecycle
+// is its phase, two axes moved only through enter (phase.go).
 type recvTask struct {
 	d    *Daemon
 	spec core.TaskSpec
 	// alloc describes the switch allocation (partition + aggregation
 	// points); the zero value is the single-switch legacy shape.
 	alloc AllocInfo
+
+	progress, region phase
+	// changed fires on every move and every FIN: the teardown waits on it.
+	changed *sim.Signal
+	// done fires once, when the task reaches done: the application waits on it.
+	done *sim.Signal
 
 	seg segment // the task's shared-memory segment, until completion
 	// result is what Wait returns: built from seg once, at completion.
@@ -53,7 +60,6 @@ type recvTask struct {
 	// FINs cut before the sender replayed its history must not trigger the
 	// final fetch (the replays have not arrived yet).
 	finned map[core.HostID]uint32
-	finSig *sim.Signal
 
 	// merged is the per-packet reconciliation ledger (failover mode): which
 	// slot bits of each sent packet this receiver has already counted. A
@@ -62,31 +68,21 @@ type recvTask struct {
 	merged map[pktID]wire.Bitmap
 
 	pktsSinceSwap int
-	swapping      bool
-	// swapSig wakes the task's swap process (swapLoop) for the next round;
-	// nil until the first swap starts it.
+	// swapSig wakes the task's swap process (swapLoop) for the next round,
+	// and once more when the task is done; nil until the first swap starts it.
 	swapSig     *sim.Signal
-	swapDone    *sim.Signal
 	swapAckSig  *sim.Signal
 	lastSwapAck uint32
 	swapSeqNum  uint32
 	activeCopy  int
 
-	noRegion bool
 	// regionEpoch is the switch incarnation under which the task's region
 	// was (re-)allocated; recovery skips tasks already re-attached.
 	regionEpoch uint32
-	// switchCommitted marks the point after which switch state has been (or
-	// is being) folded into the result; later replays are ignored.
-	switchCommitted bool
-	// revoked/draining track a controller region revocation (failover.go).
-	revoked   bool
+	// revokedAt is when the controller revoked the region (failover.go);
+	// zero if it never did — a task holds a region only after Submit's
+	// allocation has slept, so a revocation is never at time zero.
 	revokedAt sim.Time
-	draining  bool
-
-	tearingDown bool
-	completed   bool
-	done        *sim.Signal
 
 	// fetched is the scratch the swap rounds and the teardown read their
 	// snapshots into (fetchEntries) and mergeEntries consumes. The two never
@@ -127,14 +123,11 @@ type RecvHandle struct{ t *recvTask }
 
 // Wait blocks until the aggregation completes and returns the final result.
 func (h *RecvHandle) Wait(p *sim.Proc) core.Result {
-	for !h.t.completed {
+	for h.t.progress != done {
 		p.Wait(h.t.done)
 	}
 	return h.t.result
 }
-
-// Done reports whether the task completed.
-func (h *RecvHandle) Done() bool { return h.t.completed }
 
 // Stats returns a snapshot of the receiver-side counters.
 func (h *RecvHandle) Stats() RecvTaskStats {
@@ -165,19 +158,22 @@ func (d *Daemon) Submit(p *sim.Proc, spec core.TaskSpec) (*RecvHandle, error) {
 	t := &recvTask{
 		d:          d,
 		spec:       spec,
+		progress:   streaming,
+		region:     held,
+		changed:    sim.NewSignal(d.sim),
+		done:       sim.NewSignal(d.sim),
 		seg:        segment{op: spec.Op},
 		finned:     make(map[core.HostID]uint32),
-		noRegion:   spec.Rows < 0,
-		swapDone:   sim.NewSignal(d.sim),
 		swapAckSig: sim.NewSignal(d.sim),
-		finSig:     sim.NewSignal(d.sim),
-		done:       sim.NewSignal(d.sim),
 		met:        d.newRecvMetrics(spec.ID),
+	}
+	if spec.Rows < 0 {
+		t.region = hostOnly
 	}
 	if d.failover {
 		t.merged = make(map[pktID]wire.Bitmap)
 	}
-	if !t.noRegion {
+	if t.region == held {
 		// The task is registered only once it holds its region (or has gone
 		// host-only), so a recovery that starts meanwhile leaves it to this
 		// allocation.
@@ -204,8 +200,8 @@ func (d *Daemon) Submit(p *sim.Proc, spec core.TaskSpec) (*RecvHandle, error) {
 
 // SubmitSend is SubmitSendTimed with every arrival at offset zero: the
 // stream is drained back to back.
-func (d *Daemon) SubmitSend(task core.TaskID, stream core.Stream) *SendHandle {
-	return d.SubmitSendTimed(task, stream.Timed())
+func (d *Daemon) SubmitSend(task core.TaskID, stream core.Stream) {
+	d.SubmitSendTimed(task, stream.Timed())
 }
 
 // SubmitSendTimed registers a sender-side stream for a task (§3.1 steps
@@ -214,14 +210,13 @@ func (d *Daemon) SubmitSend(task core.TaskID, stream core.Stream) *SendHandle {
 // at their arrival offsets (anchored at the moment the channel starts
 // serving the task), so the whole protocol — packetization, windowing,
 // congestion — runs under the trace's temporal shape.
-func (d *Daemon) SubmitSendTimed(task core.TaskID, ts core.TimedStream) *SendHandle {
-	st := &sendTask{id: task, stream: ts, done: sim.NewSignal(d.sim)}
+func (d *Daemon) SubmitSendTimed(task core.TaskID, ts core.TimedStream) {
+	st := &sendTask{id: task, stream: ts}
 	if n, ok := d.notified[st.id]; ok {
 		d.activateSend(st, n)
 	} else {
 		d.sendReady[st.id] = st
 	}
-	return &SendHandle{st}
 }
 
 // onNotify handles a task notification at a sender daemon.
@@ -301,7 +296,7 @@ func (ch *dataChannel) serveInbound(it *rxItem, slots []wire.Slot, long []wire.L
 		switch it.typ {
 		case wire.TypeData:
 			eff = it.bitmap
-			if d.failover && t != nil && !t.completed {
+			if d.failover && t != nil && t.progress != done {
 				eff = t.claimBits(it.flow, it.seq, it.bitmap)
 			}
 		case wire.TypeReplay:
@@ -310,7 +305,7 @@ func (ch *dataChannel) serveInbound(it *rxItem, slots []wire.Slot, long []wire.L
 			// switch state has been committed (the replayed tuples were
 			// either merged then or surrendered by the pre-reboot switch —
 			// never both).
-			if t != nil && !t.completed && !t.switchCommitted && t.merged != nil {
+			if t != nil && t.merged != nil && !t.switchCommitted() {
 				eff = t.claimBits(it.flow, it.origSeq, it.bitmap)
 			}
 		}
@@ -325,7 +320,7 @@ func (ch *dataChannel) serveInbound(it *rxItem, slots []wire.Slot, long []wire.L
 		return rxWait{}
 	}
 	d.met.packetsReceived.Inc()
-	if t != nil && !t.completed {
+	if t != nil && t.progress != done {
 		d.residue(slots, it.bitmap, ch.rxEff, int(it.width), t.mergeGroup)
 		for _, lk := range long { // a long-key packet's tuples; empty on every other type
 			t.seg.addLong(lk)
@@ -367,48 +362,36 @@ func (t *recvTask) onFin(sender core.HostID, gen uint32) {
 	if t.finned[sender] < gen {
 		t.finned[sender] = gen
 	}
-	t.finSig.Fire()
-	if !t.allFinned() || t.tearingDown {
-		return
+	t.changed.Fire()
+	if t.progress == streaming && t.allFinned() {
+		t.enter(finishing)
+		t.d.sim.Spawn(fmt.Sprintf("teardown-task%d", t.spec.ID), t.teardown)
 	}
-	t.tearingDown = true
-	t.d.sim.Spawn(fmt.Sprintf("teardown-task%d", t.spec.ID), t.teardown)
 }
 
 // teardown fetches the remaining switch state, merges it with the local
-// result, and releases the switch region. Under failover the loop re-arms:
-// a switch reboot observed mid-fetch invalidates the FIN set (senders will
-// replay and re-FIN under the new epoch), and the fetched entries of the
-// dead incarnation are discarded.
+// result, and releases the switch region. It waits for every FIN under the
+// current switch incarnation and for a running swap round or drain to end.
+// Under failover the wait re-arms: a switch reboot observed mid-fetch
+// invalidates the FIN set (senders will replay and re-FIN under the new
+// epoch), and the fetched entries of the dead incarnation are discarded.
 func (t *recvTask) teardown(p *sim.Proc) {
-	for {
-		if !t.allFinned() {
-			p.Wait(t.finSig)
-			continue
+	var all []wire.FetchEntry
+	for ok := false; !ok; {
+		for !t.allFinned() || t.region == swapping || t.region == revoked || t.region == draining {
+			p.Wait(t.changed)
 		}
-		if t.swapping {
-			p.Wait(t.swapDone)
-			continue
+		if t.region != held {
+			break // host-only or drained: the switch holds nothing of the result
 		}
-		if t.draining {
-			p.Wait(t.finSig)
-			continue
-		}
-		if t.noRegion || t.switchCommitted {
-			break
-		}
-		all, ok := t.fetchAll(p, t.aggPoints())
-		if !ok {
-			continue
-		}
-		// Commit point: from here on, replays are ignored — every absorbed
-		// tuple is either in `all` or was already claimed on the residue
-		// path. No yields between fetchAll's epoch check and this line.
-		t.switchCommitted = true
-		t.mergeEntries(p, all)
-		break
+		all, ok = t.fetchAll(p, t.aggPoints())
 	}
-	if !t.noRegion {
+	// Commit point: from here on, replays are ignored — every absorbed
+	// tuple is either in `all` or was already claimed on the residue
+	// path. No yields between fetchAll's epoch check and this line.
+	t.enter(committed)
+	t.mergeEntries(p, all)
+	if t.region == held {
 		p.Sleep(cpumodel.ControlRPCLatency)
 		if err := t.d.ctrl.FreeRegion(t.spec.ID); err != nil && !t.d.failover {
 			// Under failover a reboot may have freed the region already;
@@ -416,21 +399,19 @@ func (t *recvTask) teardown(p *sim.Proc) {
 			panic(fmt.Sprintf("hostd: freeing region of task %d: %v", t.spec.ID, err))
 		}
 	}
-	if t.revoked {
+	if t.revokedAt != 0 {
 		t.degraded = t.d.sim.Now().Sub(t.revokedAt)
 	}
 	// Nothing merges into a completed task, so the segment is read once and
 	// let go.
 	t.result, t.seg = t.seg.result(), segment{}
-	t.completed = true
+	t.enter(done)
 	if t.d.failover {
 		// Release the senders' retained replay history: the result is final.
-		released := make(map[core.HostID]bool)
-		for _, s := range t.spec.Senders {
-			if released[s] {
-				continue
+		for i, s := range t.spec.Senders {
+			if slices.Contains(t.spec.Senders[:i], s) {
+				continue // released already
 			}
-			released[s] = true
 			if s == t.d.host {
 				t.d.onRelease(t.spec.ID)
 			} else {
@@ -440,6 +421,9 @@ func (t *recvTask) teardown(p *sim.Proc) {
 		t.d.bumpActivity(-1)
 	}
 	t.done.Fire()
+	if t.swapSig != nil {
+		t.swapSig.Fire() // the swap process returns
+	}
 }
 
 // aggPoints lists the task's aggregation points: the fabric addresses to
@@ -497,12 +481,11 @@ func (t *recvTask) fetchAll(p *sim.Proc, points []core.HostID) (all []wire.Fetch
 // residue gets its second chance at the task's spine instead, and the
 // receiver merges the rest.
 func (t *recvTask) maybeSwap() {
-	if t.d.cfg.SwapThreshold == 0 || t.noRegion ||
-		len(t.alloc.FetchFrom) > 1 ||
-		t.swapping || t.tearingDown || t.pktsSinceSwap < t.d.cfg.SwapThreshold {
+	if t.d.cfg.SwapThreshold == 0 || t.region != held || t.progress != streaming ||
+		len(t.alloc.FetchFrom) > 1 || t.pktsSinceSwap < t.d.cfg.SwapThreshold {
 		return
 	}
-	t.swapping = true
+	t.enter(swapping)
 	t.pktsSinceSwap = 0
 	t.d.met.swapsTriggered.Inc()
 	if t.swapSig == nil {
@@ -515,10 +498,11 @@ func (t *recvTask) maybeSwap() {
 
 // swapLoop is the task's swap process, started by its first swap: one round
 // per wake-up. Waking it schedules one event at the current instant, exactly
-// as spawning a process per round did, so the event order is unchanged. It
-// stays parked once the task is torn down, until Simulation.Close.
+// as spawning a process per round did, so the event order is unchanged. The
+// teardown wakes it once more when the task is done, with no round to run,
+// and it returns.
 func (t *recvTask) swapLoop(p *sim.Proc) {
-	for {
+	for t.region == swapping {
 		t.runSwap(p)
 		p.Wait(t.swapSig)
 	}
@@ -549,8 +533,7 @@ func (t *recvTask) runSwap(p *sim.Proc) {
 	t.mergeEntries(p, t.fetched)
 	t.met.swaps.Inc()
 	t.d.tr.Emit(telemetry.CompHostd, "swap_complete", int64(t.spec.ID), int64(seq), int64(len(t.fetched)))
-	t.swapping = false
-	t.swapDone.Fire()
+	t.enter(held)
 }
 
 // onSwapAck records the switch's swap acknowledgment.

@@ -2,7 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -19,25 +20,21 @@ func Report(r *Registry) *stats.Table {
 	if r == nil {
 		return t
 	}
-	for _, kv := range sortedInt64(r.CounterValues()) {
-		t.AddRow(kv.k, "counter", kv.v)
+	counters, gauges := r.CounterValues(), r.GaugeValues()
+	for _, k := range slices.Sorted(maps.Keys(counters)) {
+		t.AddRow(k, "counter", counters[k])
 	}
-	for _, kv := range sortedInt64(r.GaugeValues()) {
-		t.AddRow(kv.k, "gauge", kv.v)
+	for _, k := range slices.Sorted(maps.Keys(gauges)) {
+		t.AddRow(k, "gauge", gauges[k])
 	}
 	hists := r.histSnapshots()
-	keys := make([]string, 0, len(hists))
-	for k := range hists {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	r.mu.RLock()
 	hs := make(map[string]*Histogram, len(r.hists))
 	for k, h := range r.hists {
 		hs[k] = h
 	}
 	r.mu.RUnlock()
-	for _, k := range keys {
+	for _, k := range slices.Sorted(maps.Keys(hists)) {
 		s := hists[k]
 		h := hs[k]
 		mean := "0"
@@ -49,18 +46,4 @@ func Report(r *Registry) *stats.Table {
 				s.Count, mean, h.Quantile(0.50), h.Quantile(0.99), h.Quantile(1)))
 	}
 	return t
-}
-
-type int64kv struct {
-	k string
-	v int64
-}
-
-func sortedInt64(m map[string]int64) []int64kv {
-	out := make([]int64kv, 0, len(m))
-	for k, v := range m {
-		out = append(out, int64kv{k, v})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].k < out[j].k })
-	return out
 }

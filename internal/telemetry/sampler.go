@@ -1,7 +1,8 @@
 package telemetry
 
 import (
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -81,12 +82,7 @@ func (sp *Sampler) tick() {
 func (sp *Sampler) sample() {
 	now := sp.s.Now()
 	vals := sp.reg.GaugeValues()
-	names := make([]string, 0, len(vals))
-	for k := range vals {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
+	for _, k := range slices.Sorted(maps.Keys(vals)) {
 		pts := sp.series[k]
 		// Collapse same-instant duplicates (Stop immediately after a tick).
 		if n := len(pts); n > 0 && pts[n-1].At == now {

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -34,6 +36,17 @@ func (c Component) String() string { return compNames[c] }
 
 // MarshalText lets events JSON-encode with readable component names.
 func (c Component) MarshalText() ([]byte, error) { return []byte(c.String()), nil }
+
+// UnmarshalText reads a component back from its name, so a snapshot holding
+// events decodes.
+func (c *Component) UnmarshalText(b []byte) error {
+	i := slices.Index(compNames[:], string(b))
+	if i < 0 {
+		return fmt.Errorf("telemetry: unknown component %q", b)
+	}
+	*c = Component(i)
+	return nil
+}
 
 // Event is one structured trace record. A and B are event-specific
 // numeric arguments (documented per Kind in DESIGN.md); Note is optional
