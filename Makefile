@@ -4,7 +4,7 @@
 # Every check has one entry point and runs once. Budget, on the 2-vCPU
 # development host: `make ci` ≤ 8 min, `make race` ≤ 6 min. The wall time
 # measured for each target (warm build cache, nothing cached by go test)
-# stands next to it and sums to 5 min 56 s (the six checks before
+# stands next to it and sums to 5 min 43 s (the six checks before
 # `unexercised` 5 min 19 s), within both budgets; no target is a subset of
 # another, and each says why. The host's speed varies from one
 # measurement to the next: `race` took 4 min 9 s, 5 min 13 s and 6 min 57 s
@@ -102,18 +102,21 @@ lines:
 # soaks and bench/'s tests never run (0.0% statement coverage), as
 # candidates for deletion — a function only its own unit tests reach is
 # code no result depends on — prints their count, and fails when the count
-# is above the ceiling written here. Lower the ceiling when a change lowers
-# the count; never raise it. internal/analysis is skipped: the analyzers run
-# in lint, not here. The coverage profile goes to a temporary directory
-# outside the checkout and is removed afterwards. It reruns the tests of
-# three packages, which `test` runs too, for a different check: the count
-# under coverage, which no other target takes. 37 s.
+# is above the ceiling written here, once, as a shell variable (so no make
+# command line can override it). Lower the ceiling when a change lowers the
+# count; never raise it. Every function it still lists is named, with its
+# reader, in DESIGN.md "What `make unexercised` still lists".
+# internal/analysis is skipped: the analyzers run in lint, not here. The
+# coverage profile goes to a temporary directory outside the checkout and is
+# removed afterwards. It reruns the tests of three packages, which `test`
+# runs too, for a different check: the count under coverage, which no other
+# target takes. 24 s.
 unexercised:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; ceiling=56; \
 	$(GO) test -count=1 -coverpkg=./ask/...,./internal/... -coverprofile="$$dir/cover.out" ./internal/experiments ./internal/chaos ./bench && \
 	$(GO) tool cover -func="$$dir/cover.out" | grep -v '/internal/analysis/' | awk '$$NF == "0.0%"' > "$$dir/zero" && \
-	cat "$$dir/zero" && n=$$(wc -l < "$$dir/zero") && echo "unexercised: $$n functions (ceiling 94)" && \
-	if [ "$$n" -gt 94 ]; then echo "unexercised: $$n is above the ceiling 94"; exit 1; fi
+	cat "$$dir/zero" && n=$$(wc -l < "$$dir/zero") && echo "unexercised: $$n functions (ceiling $$ceiling)" && \
+	if [ "$$n" -gt "$$ceiling" ]; then echo "unexercised: $$n is above the ceiling $$ceiling"; exit 1; fi
 
 # Not a check: N alternating pairs of SECS-second bench runs of revisions A
 # and B on workload W at seed SEED (scripts/pairs.sh builds each side once,

@@ -77,9 +77,13 @@ func TestFatTreeSingleLeafTaskNeedsNoSpineRegion(t *testing.T) {
 	receiver := opts.HostAt(1, 0)
 	job := NewJob(core.TaskSpec{ID: 2, Receiver: receiver, Op: core.OpSum})
 	job.Send(opts.HostAt(1, 1), workload.Uniform(512, 6000, 7))
+	free := make([]int, len(fc.Spines))
+	for sp, sw := range fc.Spines {
+		free[sp] = sw.FreeRows()
+	}
 	runJob(t, &fc.Deployment, job)
 	for sp, sw := range fc.Spines {
-		if sw.RegionOf(2) != nil {
+		if sw.FreeRows() != free[sp] {
 			t.Fatalf("spine %d holds a region for a single-leaf task", sp)
 		}
 	}
@@ -244,8 +248,8 @@ func TestFatTreeReattachChargesRowsOnce(t *testing.T) {
 	if err := fc.freeRegion(spec.ID); err != nil {
 		t.Fatal(err)
 	}
-	if got := fc.Tenancy.InUse(1); got != 0 {
-		t.Fatalf("tenant 1 holds %d rows after teardown, want 0", got)
+	if got := fc.Tenancy.Snapshot()[0]; got.Tenant != 1 || got.InUse != 0 {
+		t.Fatalf("first tenant after teardown: %+v, want tenant 1 holding 0 rows", got)
 	}
 	for i, sw := range fc.switches() {
 		if got := sw.FreeRows(); got != fc.cfg.AARows {

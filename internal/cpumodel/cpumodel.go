@@ -3,8 +3,7 @@
 // The paper's testbed servers have 56 Xeon Gold 5120T cores (§5.1). Each
 // simulated host owns a sim.Resource of that many cores; model code runs
 // work as processes that hold a core for the operation's calibrated virtual
-// duration. Utilization and busy-time metrics fall out of the resource
-// accounting and reproduce the paper's CPU-usage comparisons (Fig. 7).
+// duration. Busy-time metrics fall out of the resource accounting and reproduce the paper's CPU-usage comparisons (Fig. 7).
 package cpumodel
 
 import (
@@ -24,14 +23,8 @@ func NewHost(s *sim.Simulation, cores int) *Host {
 	return &Host{sim: s, cores: sim.NewResource(s, cores)}
 }
 
-// NumCores returns the host's core count.
-func (h *Host) NumCores() int { return h.cores.Capacity() }
-
 // Exec runs d of CPU work on one core, blocking p for queueing plus d.
 func (h *Host) Exec(p *sim.Proc, d time.Duration) { h.cores.Use(p, d) }
-
-// Utilization returns the average busy fraction of the host's cores.
-func (h *Host) Utilization() float64 { return h.cores.Utilization() }
 
 // BusyTime returns aggregate core-busy time.
 func (h *Host) BusyTime() time.Duration { return h.cores.BusyTime() }

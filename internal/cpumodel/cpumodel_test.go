@@ -32,11 +32,8 @@ func TestUtilization(t *testing.T) {
 	s.Spawn("w", func(p *sim.Proc) { h.Exec(p, 10*time.Microsecond) })
 	s.Run(0)
 	// 1 core busy 10µs of 4 cores × 10µs = 25%.
-	if u := h.Utilization(); u < 0.249 || u > 0.251 {
-		t.Fatalf("Utilization = %v, want 0.25", u)
-	}
-	if h.NumCores() != 4 {
-		t.Fatalf("NumCores = %d", h.NumCores())
+	if u := float64(h.BusyTime()) / (4 * float64(s.Now())); u < 0.249 || u > 0.251 {
+		t.Fatalf("utilization = %v, want 0.25", u)
 	}
 }
 

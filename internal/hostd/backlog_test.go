@@ -8,6 +8,7 @@ import (
 	"runtime/debug"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/hostd"
@@ -60,9 +61,12 @@ func testReceiveBacklog(t *testing.T, failover bool) {
 		if h, err = r.daemons[0].Submit(p, core.TaskSpec{ID: 1, Receiver: 0, Senders: []core.HostID{1}, Op: core.OpSum}); err != nil {
 			t.Error(err)
 		}
-		r.s.Stop() // with failover on, health probes never let the queue run dry
 	})
-	r.s.Run(0)
+	// With failover on, the prober keeps an open task's run going: run in
+	// microsecond steps until Submit has returned.
+	for h == nil && r.s.Now() < sim.Time(time.Millisecond) {
+		r.s.Run(r.s.Now().Add(time.Microsecond))
+	}
 	if h == nil {
 		t.Fatal("task not submitted")
 	}

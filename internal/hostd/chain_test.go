@@ -191,7 +191,6 @@ func TestRecoveryMidStreamHandsBack(t *testing.T) {
 		}
 		sender.SubmitSendTimed(1, stream)
 		result = h.Wait(p)
-		r.s.Stop() // health probes never let the run drain
 	})
 	r.s.At(sim.Time(600*time.Microsecond), r.sw.Crash)
 	r.s.At(sim.Time(700*time.Microsecond), r.sw.Reboot)

@@ -124,7 +124,6 @@ func TestTaskLifecycle(t *testing.T) {
 				}
 				r.daemons[1].SubmitSendTimed(1, stream)
 				result, stats = h.Wait(p), h.Stats()
-				r.s.Stop() // health probes never let a failover run drain
 			})
 			if tc.faults != nil {
 				tc.faults(r)

@@ -97,15 +97,6 @@ func (l *Layout) Config() core.Config { return l.cfg }
 // ShortSlots returns the number of packet slots serving short keys.
 func (l *Layout) ShortSlots() int { return l.shortSlots }
 
-// MediumGroups returns the number of coalesced medium-key groups.
-func (l *Layout) MediumGroups() int { return l.cfg.MediumGroups }
-
-// Classify returns the length class of key.
-func (l *Layout) Classify(key string) Class {
-	c, _ := l.classify(key)
-	return c
-}
-
 // classify returns the class of key and, unless it is Long, HashSlot(key),
 // reading the key once: the NUL test that sends a key to the bypass (a NUL
 // byte would read as padding in a packed kPart) rides in the hash loop, and a

@@ -35,8 +35,8 @@ func TestClassify(t *testing.T) {
 		{"", Long},
 	}
 	for _, c := range cases {
-		if got := l.Classify(c.key); got != c.want {
-			t.Errorf("Classify(%q) = %v, want %v", c.key, got, c.want)
+		if got, _ := l.classify(c.key); got != c.want {
+			t.Errorf("classify(%q) = %v, want %v", c.key, got, c.want)
 		}
 	}
 }
@@ -152,7 +152,7 @@ func TestNoMediumGroupsConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := l.Classify("abcde"); got != Long {
+	if got, _ := l.classify("abcde"); got != Long {
 		t.Fatalf("with no medium groups, 5-byte key class = %v, want Long", got)
 	}
 	if l.LogicalUnits() != cfg.NumAAs {
@@ -253,8 +253,8 @@ func TestLocateReadsKeyOnce(t *testing.T) {
 			parts = append(parts, ps...)
 		}
 		for _, key := range keys {
-			if got, want := l.Classify(key), refClassify(l, key); got != want {
-				t.Errorf("m=%d: Classify(%q) = %v, want %v", cfg.MediumSegs, key, got, want)
+			if got, _ := l.classify(key); got != refClassify(l, key) {
+				t.Errorf("m=%d: classify(%q) = %v, want %v", cfg.MediumSegs, key, got, refClassify(l, key))
 			}
 			for _, p := range parts {
 				c, first, segs := l.LocateIn(p, key)

@@ -114,9 +114,9 @@ func TestPartitionBoundaryStraddle(t *testing.T) {
 		wantShort += p.ShortWidth
 		wantGroup += p.GroupWidth
 	}
-	if wantShort != l.ShortSlots() || wantGroup != l.MediumGroups() {
+	if wantShort != l.ShortSlots() || wantGroup != l.cfg.MediumGroups {
 		t.Fatalf("bands cover %d short / %d groups, want %d / %d",
-			wantShort, wantGroup, l.ShortSlots(), l.MediumGroups())
+			wantShort, wantGroup, l.ShortSlots(), l.cfg.MediumGroups)
 	}
 	// Hash a spread of short and medium keys into every tenant's band and
 	// verify each stays inside its own tenant's slot range.

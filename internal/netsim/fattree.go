@@ -78,8 +78,6 @@ type FatTree struct {
 	// leafDown/spineDown are written only from root context (chaos), which
 	// the group serializes.
 	group *sim.ShardGroup
-	// cutLinks counts directed links rewired into cross-lane mailboxes.
-	cutLinks int
 }
 
 // leafPort is one leaf switch: the SwitchFabric its ASK program attaches
@@ -173,7 +171,6 @@ func newFatTree(s *sim.Simulation, g *sim.ShardGroup, spines, leaves int, hostLi
 		lk := newLink(from, fabricLink, defaultSwitchLatency, deliver)
 		if g != nil {
 			lk.xroute = func(*Frame) *sim.Simulation { return to }
-			ft.cutLinks++
 		}
 		return lk
 	}
@@ -201,27 +198,6 @@ func (ft *FatTree) LeafSim(l int) *sim.Simulation { return ft.leaves[l].ls }
 // SpineSim returns the simulation spine s's state must be constructed on.
 func (ft *FatTree) SpineSim(s int) *sim.Simulation { return ft.spines[s].ls }
 
-// Layout reports the lane assignment (zero value when serial).
-func (ft *FatTree) Layout() ShardLayout {
-	if ft.group == nil {
-		return ShardLayout{}
-	}
-	lay := ShardLayout{
-		Lanes:     ft.group.Lanes(),
-		BlockLane: make([]int, len(ft.leaves)),
-		SpineLane: make([]int, len(ft.spines)),
-		CutLinks:  ft.cutLinks,
-		Lookahead: ft.group.Lookahead(),
-	}
-	for l, lp := range ft.leaves {
-		lay.BlockLane[l] = lp.ls.ShardLane()
-	}
-	for s, spp := range ft.spines {
-		lay.SpineLane[s] = spp.ls.ShardLane()
-	}
-	return lay
-}
-
 // SetCodec installs the byte codec used by the corruption fault path on
 // every link in the fabric (host↔leaf and leaf↔spine, attached and future).
 func (ft *FatTree) SetCodec(c wire.Codec) {
@@ -242,12 +218,6 @@ func (ft *FatTree) SetCodec(c wire.Codec) {
 		}
 	}
 }
-
-// Leaves returns the leaf count.
-func (ft *FatTree) Leaves() int { return len(ft.leaves) }
-
-// Spines returns the spine count.
-func (ft *FatTree) Spines() int { return len(ft.spines) }
 
 // Leaf returns leaf l's switch attachment point (a SwitchFabric).
 func (ft *FatTree) Leaf(l int) SwitchFabric { return ft.leaves[l] }
@@ -312,9 +282,6 @@ func (ft *FatTree) AttachHostLeaf(l int, id core.HostID, h HostHandler) {
 	ft.hostPorts[id] = newPort(lp.ls, ft.hostLink, ft.codec, h, lp.ingress)
 	ft.hostPorts[id].leaf = l
 }
-
-// AttachHost implements HostFabric for single-leaf convenience (leaf 0).
-func (ft *FatTree) AttachHost(id core.HostID, h HostHandler) { ft.AttachHostLeaf(0, id, h) }
 
 // HostSend transmits a frame from its Src host toward its leaf.
 func (ft *FatTree) HostSend(f *Frame) {

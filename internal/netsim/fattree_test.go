@@ -66,7 +66,7 @@ func TestFatTreeCrossLeafTraversesOneSpine(t *testing.T) {
 		t.Fatalf("host 5 got %d frames, want 1", len(hosts[5].got))
 	}
 	want := ft.SpineFor(7)
-	for sp := 0; sp < ft.Spines(); sp++ {
+	for sp := 0; sp < len(ft.spines); sp++ {
 		tx := ft.SpineUplink(0, sp).Stats().TxFrames
 		if sp == want && tx != 1 {
 			t.Fatalf("spine %d carried %d frames, want 1", sp, tx)
@@ -84,7 +84,7 @@ func TestFatTreeLocalDeliveryStaysOnLeaf(t *testing.T) {
 	if len(hosts[1].got) != 1 {
 		t.Fatalf("host 1 got %d frames, want 1", len(hosts[1].got))
 	}
-	for sp := 0; sp < ft.Spines(); sp++ {
+	for sp := 0; sp < len(ft.spines); sp++ {
 		if tx := ft.SpineUplink(0, sp).Stats().TxFrames; tx != 0 {
 			t.Fatalf("local delivery crossed spine %d (%d frames)", sp, tx)
 		}
@@ -247,8 +247,8 @@ func TestFatTreeForwardingSpine(t *testing.T) {
 	})
 	t.Run("lookups", func(t *testing.T) {
 		_, ft, _, _ := buildForwardingCore(t)
-		if ft.Leaves() != 2 || ft.Spines() != 1 {
-			t.Fatalf("Leaves, Spines = %d, %d", ft.Leaves(), ft.Spines())
+		if len(ft.leaves) != 2 || len(ft.spines) != 1 {
+			t.Fatalf("leaves, spines = %d, %d", len(ft.leaves), len(ft.spines))
 		}
 		if ft.LeafOf(0) != 0 || ft.LeafOf(3) != 1 {
 			t.Fatal("LeafOf wrong")

@@ -128,10 +128,6 @@ func (p *Pool) Release(pkt *wire.Packet) {
 	}
 }
 
-// Corrupted reports whether the frame was damaged in flight and carries raw
-// bytes instead of a decoded packet.
-func (f *Frame) Corrupted() bool { return f.Raw != nil }
-
 // Release is the one line that ends a frame's life: its packet goes back to
 // the frame's Pool when the caller owns it (see Owned), and the frame itself
 // too when it was drawn from there (Pool.NewFrame). Receivers call it once

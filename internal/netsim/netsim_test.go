@@ -89,7 +89,7 @@ func TestSerializationThroughput(t *testing.T) {
 	}
 	// Implied wire throughput ≈ 100Gbps on the uplink.
 	st := n.Uplink(1).Stats()
-	gbps := float64(st.TxWireBytes*8) / serAll.Seconds() / 1e9
+	gbps := float64(st.TxWireBytes*8) / time.Duration(serAll).Seconds() / 1e9
 	if gbps < 99.99 || gbps > 100.01 {
 		t.Fatalf("uplink rate %.4f Gbps, want ~100", gbps)
 	}
@@ -262,7 +262,7 @@ func TestCorruptionDeliversDamagedBytes(t *testing.T) {
 		t.Fatalf("delivered %d frames, want %d (corruption must deliver, not drop)", len(cs[2].frames), N)
 	}
 	for i, g := range cs[2].frames {
-		if !g.Corrupted() || g.Pkt != nil {
+		if g.Raw == nil || g.Pkt != nil {
 			t.Fatalf("frame %d: corrupted frame must carry Raw and nil Pkt", i)
 		}
 		if _, err := codec.Decode(g.Raw); !errors.Is(err, wire.ErrChecksum) {
@@ -291,7 +291,7 @@ func TestTruncationDeliversTypedError(t *testing.T) {
 		t.Fatalf("delivered %d frames, want %d", len(cs[2].frames), N)
 	}
 	for i, g := range cs[2].frames {
-		if !g.Corrupted() {
+		if g.Raw == nil {
 			t.Fatalf("frame %d not marked corrupted", i)
 		}
 		full := frame(1, 2, 4).Pkt.BufferBytes(4) + wire.ChecksumBytes

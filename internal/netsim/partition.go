@@ -33,21 +33,6 @@ func laneOfBlock(i, n, shards int) int {
 	return i * shards / n
 }
 
-// ShardLayout describes the lane assignment of a sharded fabric, for the
-// partitioner tests. A serial fabric reports the zero value (Lanes == 0).
-type ShardLayout struct {
-	// Lanes is the shard count (0 = serial).
-	Lanes int
-	// BlockLane maps leaf index to its lane.
-	BlockLane []int
-	// SpineLane maps spine index to its lane.
-	SpineLane []int
-	// CutLinks counts directed links rewired into cross-lane mailboxes.
-	CutLinks int
-	// Lookahead is the minimum cross-lane model delay the cuts guarantee.
-	Lookahead time.Duration
-}
-
 // cutDelay returns the conservative lookahead of a fabric cut over links
 // with the given config: one-way propagation plus the switch pipeline
 // latency of the delivery. Serialization time is additive on top and

@@ -13,34 +13,31 @@ type nullHost struct{}
 func (nullHost) HandleFrame(f *Frame) {}
 
 // checkLayout verifies the invariants every sharded layout must satisfy:
-// lanes cover [0, Lanes), block assignment is contiguous and every lane
+// lanes cover [0, lanes), block assignment is contiguous and every lane
 // owns at least one block.
-func checkLayout(t *testing.T, lay ShardLayout) {
+func checkLayout(t *testing.T, lanes int, blockLane, spineLane []int) {
 	t.Helper()
-	used := make([]bool, lay.Lanes)
+	used := make([]bool, lanes)
 	prev := 0
-	for i, lane := range lay.BlockLane {
-		if lane < 0 || lane >= lay.Lanes {
-			t.Fatalf("block %d on lane %d, want [0,%d)", i, lane, lay.Lanes)
+	for i, lane := range blockLane {
+		if lane < 0 || lane >= lanes {
+			t.Fatalf("block %d on lane %d, want [0,%d)", i, lane, lanes)
 		}
 		if lane < prev {
-			t.Fatalf("block lanes not contiguous: %v", lay.BlockLane)
+			t.Fatalf("block lanes not contiguous: %v", blockLane)
 		}
 		prev = lane
 		used[lane] = true
 	}
 	for lane, u := range used {
 		if !u {
-			t.Fatalf("lane %d owns no blocks: %v", lane, lay.BlockLane)
+			t.Fatalf("lane %d owns no blocks: %v", lane, blockLane)
 		}
 	}
-	for _, lane := range lay.SpineLane {
-		if lane < 0 || lane >= lay.Lanes {
-			t.Fatalf("spine lane %d out of range [0,%d)", lane, lay.Lanes)
+	for _, lane := range spineLane {
+		if lane < 0 || lane >= lanes {
+			t.Fatalf("spine lane %d out of range [0,%d)", lane, lanes)
 		}
-	}
-	if lay.Lookahead <= 0 {
-		t.Fatalf("non-positive lookahead %v", lay.Lookahead)
 	}
 }
 
@@ -94,9 +91,6 @@ func TestFatTreePartition(t *testing.T) {
 				if g != nil || ft.Group() != nil {
 					t.Fatalf("expected serial build, got group %v", g)
 				}
-				if lay := ft.Layout(); lay.Lanes != 0 {
-					t.Fatalf("serial layout reports %d lanes", lay.Lanes)
-				}
 				// Serial seam: every link lives on the root simulation with no
 				// mailbox rewiring.
 				for id, p := range ft.hostPorts {
@@ -132,27 +126,28 @@ func TestFatTreePartition(t *testing.T) {
 			if g == nil || g.Lanes() != c.wantLanes {
 				t.Fatalf("got group %v, want %d lanes", g, c.wantLanes)
 			}
-			lay := ft.Layout()
-			if lay.Lanes != c.wantLanes {
-				t.Fatalf("layout lanes = %d, want %d", lay.Lanes, c.wantLanes)
+			blockLane := make([]int, c.leaves)
+			for l, lp := range ft.leaves {
+				blockLane[l] = lp.ls.ShardLane()
 			}
-			checkLayout(t, lay)
-			if want := fabricLink.Propagation + defaultSwitchLatency; lay.Lookahead != want {
-				t.Fatalf("lookahead = %v, want %v", lay.Lookahead, want)
+			spineLane := make([]int, c.spines)
+			for s, spp := range ft.spines {
+				spineLane[s] = spp.ls.ShardLane()
 			}
-			// The whole bipartite mesh is cut: 2 directed links per
-			// (leaf, spine) pair.
-			if want := 2 * c.spines * c.leaves; lay.CutLinks != want {
-				t.Fatalf("cut links = %d, want %d", lay.CutLinks, want)
+			checkLayout(t, g.Lanes(), blockLane, spineLane)
+			if want := fabricLink.Propagation + defaultSwitchLatency; g.Lookahead() != want {
+				t.Fatalf("lookahead = %v, want %v", g.Lookahead(), want)
 			}
 			for s := 0; s < c.spines; s++ {
-				if want := s % c.wantLanes; lay.SpineLane[s] != want {
-					t.Fatalf("spine %d on lane %d, want %d", s, lay.SpineLane[s], want)
+				if want := s % c.wantLanes; spineLane[s] != want {
+					t.Fatalf("spine %d on lane %d, want %d", s, spineLane[s], want)
 				}
 			}
+			// The whole bipartite mesh is cut: every leaf uplink and spine
+			// downlink below is a cross-lane mailbox.
 			for l := 0; l < c.leaves; l++ {
 				lp := ft.leaves[l]
-				lane := g.Lane(lay.BlockLane[l])
+				lane := g.Lane(blockLane[l])
 				if lp.ls != lane || ft.LeafSim(l) != lane {
 					t.Fatalf("leaf %d state not on its lane", l)
 				}
@@ -167,7 +162,7 @@ func TestFatTreePartition(t *testing.T) {
 			}
 			for s := 0; s < c.spines; s++ {
 				spp := ft.spines[s]
-				lane := g.Lane(lay.SpineLane[s])
+				lane := g.Lane(spineLane[s])
 				if spp.ls != lane || ft.SpineSim(s) != lane {
 					t.Fatalf("spine %d state not on its lane", s)
 				}
@@ -184,7 +179,7 @@ func TestFatTreePartition(t *testing.T) {
 				if p == nil {
 					continue
 				}
-				lane := g.Lane(lay.BlockLane[p.leaf])
+				lane := g.Lane(blockLane[p.leaf])
 				if p.up.sim != lane || p.down.sim != lane || p.up.xroute != nil || p.down.xroute != nil {
 					t.Fatalf("host %d links not lane-local", id)
 				}

@@ -146,9 +146,6 @@ func (p *Pipeline) SRAMBytes() int {
 	return total
 }
 
-// StageSRAMBytes returns the SRAM declared in one stage.
-func (p *Pipeline) StageSRAMBytes(stageIdx int) int { return p.stages[stageIdx].sramBytes }
-
 // Passes returns the number of packet passes begun so far.
 func (p *Pipeline) Passes() uint64 { return p.passes }
 

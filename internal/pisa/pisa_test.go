@@ -40,7 +40,7 @@ func TestSRAMAccounting(t *testing.T) {
 	p := NewPipeline(DefaultConfig())
 	// An ASK aggregator array: 32768 × 64-bit = 256 KB.
 	p.MustAddArray(0, "aa0", 32768, 64)
-	if got := p.StageSRAMBytes(0); got != 256<<10 {
+	if got := p.stages[0].sramBytes; got != 256<<10 {
 		t.Fatalf("stage SRAM = %d, want %d", got, 256<<10)
 	}
 	// Four fit in one stage within the 1280 KB budget.
@@ -48,7 +48,7 @@ func TestSRAMAccounting(t *testing.T) {
 	p.MustAddArray(1, "aa2", 32768, 64)
 	p.MustAddArray(1, "aa3", 32768, 64)
 	p.MustAddArray(1, "aa4", 32768, 64)
-	if got := p.StageSRAMBytes(1); got != 1024<<10 {
+	if got := p.stages[1].sramBytes; got != 1024<<10 {
 		t.Fatalf("stage 1 SRAM = %d, want 1 MB", got)
 	}
 	if got := p.SRAMBytes(); got != 1280<<10 {

@@ -292,23 +292,10 @@ func TestSleepRespectsRunLimit(t *testing.T) {
 	}
 }
 
-// TestSleepParksAfterStopAndOnLanes: a stopped run, and every simulation of a
-// shard group, keep scheduling the wake-up as an event.
-func TestSleepParksAfterStopAndOnLanes(t *testing.T) {
-	s := New(1)
+// TestSleepParksOnLanes: every simulation of a shard group keeps scheduling
+// the wake-up as an event.
+func TestSleepParksOnLanes(t *testing.T) {
 	var resumed Time = -1
-	s.Spawn("stopper", func(p *Proc) {
-		p.Sim().Stop()
-		p.Sleep(5)
-		resumed = p.Now()
-	})
-	if end := s.Run(0); end != 0 || resumed != -1 {
-		t.Fatalf("stopped Run ended at %v with the sleeper resumed at %v, want 0, not resumed", end, resumed)
-	}
-	if s.Run(0); resumed != 5 || s.Stats().Dispatches != 2 {
-		t.Fatalf("sleeper resumed at %v after %d dispatches, want 5 after 2", resumed, s.Stats().Dispatches)
-	}
-
 	// The root's own heap says nothing about the lanes' events: a root
 	// process must not skip past the lane event at 3µs.
 	root := New(1)
@@ -336,8 +323,8 @@ func TestSleepParksAfterStopAndOnLanes(t *testing.T) {
 // TestAdvanceInPlaceRule holds Advance, the continuation rule callback chains
 // share with SleepUntil, to its definition: a continuation at t runs in place
 // exactly when nothing live is queued at or before t (a stopped timer there
-// does not count), the run is serial and not stopped, and t is within Run's
-// limit; an instant not in the future always passes.
+// does not count), the run is serial, and t is within Run's limit; an
+// instant not in the future always passes.
 func TestAdvanceInPlaceRule(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -352,7 +339,6 @@ func TestAdvanceInPlaceRule(t *testing.T) {
 		{"stopped timer before", func(s *Simulation) { s.At(7, func() {}).Stop() }, 0, true},
 		{"past the limit", func(*Simulation) {}, 9, false},
 		{"at the limit", func(*Simulation) {}, 10, true},
-		{"run stopped", func(s *Simulation) { s.Stop() }, 0, false},
 	} {
 		s := New(1)
 		var got, past bool
@@ -441,8 +427,8 @@ func TestResourceGrantsMixedWaitersInOrder(t *testing.T) {
 	if got, want := fmt.Sprint(order), "[p0@0s c1@10ns p2@20ns c3@30ns]"; got != want {
 		t.Fatalf("grants %s, want %s", got, want)
 	}
-	if r.InUse() != 0 || r.BusyTime() != 40 {
-		t.Fatalf("in use %d, busy %v after the run; want 0, 40ns", r.InUse(), r.BusyTime())
+	if r.inUse != 0 || r.BusyTime() != 40 {
+		t.Fatalf("in use %d, busy %v after the run; want 0, 40ns", r.inUse, r.BusyTime())
 	}
 }
 

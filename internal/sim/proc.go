@@ -137,9 +137,6 @@ func (p *Proc) Park() { p.park() }
 // nothing.
 func (p *Proc) Resumer() func() { return p.dispatchFn }
 
-// Sim returns the simulation this process belongs to.
-func (p *Proc) Sim() *Simulation { return p.sim }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
@@ -304,12 +301,6 @@ func NewResource(s *Simulation, capacity int) *Resource {
 	return &Resource{sim: s, capacity: capacity}
 }
 
-// Capacity returns the total number of units.
-func (r *Resource) Capacity() int { return r.capacity }
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
 func (r *Resource) account() {
 	now := r.sim.now
 	r.busyNs += int64(r.inUse) * int64(now-r.lastChange)
@@ -321,14 +312,6 @@ func (r *Resource) account() {
 func (r *Resource) BusyTime() time.Duration {
 	r.account()
 	return time.Duration(r.busyNs)
-}
-
-// Utilization returns average busy fraction over [0, now].
-func (r *Resource) Utilization() float64 {
-	if r.sim.now == 0 {
-		return 0
-	}
-	return float64(r.BusyTime()) / (float64(r.sim.now) * float64(r.capacity))
 }
 
 // Acquire blocks p until one unit is available, then holds it.

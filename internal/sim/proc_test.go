@@ -104,12 +104,9 @@ func TestResourceContention(t *testing.T) {
 			t.Fatalf("ends = %v, want %v", ends, want)
 		}
 	}
+	// 40µs of busy over 20µs × 2 capacity: fully utilized.
 	if got := r.BusyTime(); got != 40*Microsecond {
 		t.Fatalf("BusyTime = %v, want 40µs", got)
-	}
-	// 40µs of busy over 20µs × 2 capacity = fully utilized.
-	if u := r.Utilization(); u < 0.999 || u > 1.001 {
-		t.Fatalf("Utilization = %v, want 1.0", u)
 	}
 }
 
@@ -151,7 +148,7 @@ func TestManyProcsDeterministic(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			s.Spawn("w", func(p *Proc) {
 				for j := 0; j < 5; j++ {
-					r.Use(p, time.Duration(1+p.Sim().Rand().Intn(10))*Microsecond)
+					r.Use(p, time.Duration(1+s.Rand().Intn(10))*Microsecond)
 				}
 			})
 		}

@@ -174,7 +174,7 @@ func (g *ShardGroup) Stats() ShardGroupStats { return g.stats }
 // laneKey orders simulations inside a serial window: shard lanes by
 // index, the root last. A root event at time t must run after shard
 // events at t that were pending when the root was woken (the wake fence
-// stopped the firing lane exactly there), which the root-last rule
+// ended the firing lane's window exactly there), which the root-last rule
 // reproduces.
 func (g *ShardGroup) laneKey(s *Simulation) int {
 	if s.lane == laneRoot {
@@ -265,22 +265,9 @@ func (g *ShardGroup) syncNowAll(t Time) {
 	})
 }
 
-// stoppedAny reports whether Stop was called anywhere in the group.
-func (g *ShardGroup) stoppedAny() bool {
-	if g.root.stopped {
-		return true
-	}
-	for _, l := range g.lanes {
-		if l.stopped {
-			return true
-		}
-	}
-	return false
-}
-
 // run is the group scheduler; Simulation.Run on the root delegates here.
-// Semantics match the serial Run: execute until quiescent, Stop, or the
-// clock would pass limit (limit <= 0: no limit).
+// Semantics match the serial Run: execute until quiescent or the clock
+// would pass limit (limit <= 0: no limit).
 //
 // The coordinator touches every lane, which is sound because it runs only
 // between windows, when no lane worker is executing: it is what serializes
@@ -295,7 +282,6 @@ func (g *ShardGroup) run(limit Time) Time {
 	}
 	r.running = true
 	defer func() { r.running = false }()
-	g.each(func(s *Simulation) { s.stopped = false })
 	g.startWorkers()
 	defer g.stopWorkers()
 	for {
@@ -321,9 +307,6 @@ func (g *ShardGroup) run(limit Time) Time {
 			g.runParallelWindow(safe)
 		}
 		g.grantControl()
-		if g.stoppedAny() {
-			break
-		}
 	}
 	g.syncNowAll(g.maxNow())
 	return r.now
@@ -378,9 +361,6 @@ func (g *ShardGroup) runSerialWindow(safe Time) {
 		// schedule at the merge time on any lane.
 		g.syncNowAll(at)
 		pick.execOne()
-		if g.stoppedAny() {
-			return
-		}
 	}
 }
 
@@ -447,8 +427,8 @@ func (g *ShardGroup) grantControl() {
 	for _, req := range reqs {
 		g.stats.ControlRendezvs++
 		close(req.grant)
-		// The lane finishes the suspended event (and its stopped window)
-		// before signalling done.
+		// The lane finishes the suspended event (and the rest of its
+		// window) before signalling done.
 		<-g.done
 		req.lane.suspended = false
 	}
@@ -559,11 +539,11 @@ func (s *Simulation) execOne() {
 
 // window executes this lane's events strictly below windowBound, in the
 // exact per-lane (time, seq) order the serial kernel uses. It returns
-// early on a wake fence (windowStop) or Stop, and when the lane holds no
+// early on a wake fence (windowStop), and when the lane holds no
 // strong event of its own: a weak event left behind is decided by the next
 // window, a serial one (needsMerge).
 func (s *Simulation) window() {
-	for !s.windowStop && !s.stopped && s.Pending() > 0 {
+	for !s.windowStop && s.Pending() > 0 {
 		if at, ok := s.peekNext(); !ok || at >= s.windowBound {
 			return
 		}

@@ -183,23 +183,6 @@ func TestShardRunLimit(t *testing.T) {
 	}
 }
 
-// TestShardStop verifies Stop from a lane event ends the group run after
-// the current event.
-func TestShardStop(t *testing.T) {
-	root := New(1)
-	g := NewShardGroup(root, 2, time.Microsecond)
-	hits := 0
-	g.Lane(0).At(Time(1*Microsecond), func() {
-		hits++
-		g.Lane(0).Stop()
-	})
-	g.Lane(1).At(Time(30*Microsecond), func() { hits++ })
-	root.Run(0)
-	if hits != 1 {
-		t.Fatalf("hits = %d after Stop, want 1", hits)
-	}
-}
-
 // TestShardEnterControlOrder pins the control rendezvous: when several
 // lanes suspend for an exclusive section in one window, grants are served
 // in lane order regardless of goroutine interleaving.

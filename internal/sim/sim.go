@@ -56,11 +56,11 @@
 //
 // A process that sleeps until an instant nothing else precedes is not
 // scheduled at all: Sleep and SleepUntil move the clock forward in place and
-// return without an event or a process switch when the run is serial, has not
-// been stopped, the wake instant is within Run's limit, and no live event is
-// queued at or before it. The wake-up event would have carried a fresh
-// sequence number, larger than every queued one, at a time earlier than every
-// queued event's, so it would have been the next event popped, and the
+// return without an event or a process switch when the run is serial, the
+// wake instant is within Run's limit, and no live event is queued at or
+// before it. The wake-up event would have carried a fresh sequence number,
+// larger than every queued one, at a time earlier than every queued event's,
+// so it would have been the next event popped, and the
 // process is the only code that would have run in between; skipping it leaves
 // every other event's (time, sequence) order, and so the execution order,
 // unchanged. An event already queued at exactly the wake instant still runs
@@ -103,9 +103,6 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // Sub returns the duration from u to t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Seconds returns t expressed in seconds.
-func (t Time) Seconds() float64 { return float64(t) / float64(time.Second) }
 
 // String formats the time as a duration since the start of the run.
 func (t Time) String() string { return time.Duration(t).String() }
@@ -163,7 +160,6 @@ type Simulation struct {
 	rng     *rand.Rand
 	seed    int64
 	running bool
-	stopped bool
 	limit   Time // the running Run's limit (<= 0: none), for Advance
 	stats   Stats
 
@@ -369,13 +365,10 @@ func (s *Simulation) AfterCall(d time.Duration, fn func(any), arg any) Timer {
 	return s.AtCall(s.now.Add(d), fn, arg)
 }
 
-// Stop makes Run return after the currently executing event completes.
-func (s *Simulation) Stop() { s.stopped = true }
-
 // Run executes events until no strong event is queued (every one left, if
-// any, is weak: see Timer.SetWeak), Stop is called, or the virtual clock would
-// pass limit (limit <= 0 means no limit). It returns the virtual time at which
-// the run ended.
+// any, is weak: see Timer.SetWeak) or the virtual clock would pass limit
+// (limit <= 0 means no limit). It returns the virtual time at which the run
+// ended.
 func (s *Simulation) Run(limit Time) Time {
 	if s.group != nil {
 		if s.lane != laneRoot {
@@ -388,9 +381,8 @@ func (s *Simulation) Run(limit Time) Time {
 	}
 	s.running = true
 	defer func() { s.running = false }()
-	s.stopped = false
 	s.limit = limit
-	for s.strong > 0 && !s.stopped {
+	for s.strong > 0 {
 		top := s.heap[0]
 		e := &s.store[top.idx]
 		if e.dead {
@@ -447,8 +439,8 @@ func (s *Simulation) Advance(t Time) bool {
 
 // InPlace is the in-place rule at t = now, which Advance answers true without
 // looking at the queue: it reports whether an event scheduled now would be
-// the next one Run pops — nothing live queued at or before now, a serial run,
-// not stopped — so code about to schedule one may run its body inline
+// the next one Run pops — nothing live queued at or before now, a serial
+// run — so code about to schedule one may run its body inline
 // instead. Like Advance's caller, it must be the last code of its event.
 func (s *Simulation) InPlace() bool { return s.nextAt(s.now) }
 
@@ -456,7 +448,7 @@ func (s *Simulation) InPlace() bool { return s.nextAt(s.now) }
 // pops. Dead entries at the head are reaped as Run would reap them; a weak
 // event is live.
 func (s *Simulation) nextAt(t Time) bool {
-	if s.group != nil || !s.running || s.stopped || (s.limit > 0 && t > s.limit) {
+	if s.group != nil || !s.running || (s.limit > 0 && t > s.limit) {
 		return false
 	}
 	for len(s.heap) > 0 && s.store[s.heap[0].idx].dead {

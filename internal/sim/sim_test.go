@@ -107,24 +107,6 @@ func TestSchedulePastPanics(t *testing.T) {
 	s.Run(0)
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if n == 5 {
-			s.Stop()
-		}
-		s.After(time.Microsecond, tick)
-	}
-	s.After(time.Microsecond, tick)
-	s.Run(0)
-	if n != 5 {
-		t.Fatalf("n = %d, want 5", n)
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	run := func() []int64 {
 		s := New(42)

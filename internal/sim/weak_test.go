@@ -170,7 +170,7 @@ func TestShardGroupEndsAtSerialClock(t *testing.T) {
 }
 
 // TestInPlaceStartRule: InPlace reports true exactly when nothing live is
-// queued at or before now in a serial, unstopped run, so code that starts
+// queued at or before now in a serial run, so code that starts
 // its body inline when it does, and schedules it at now when it does not,
 // runs the body where an event at now would have run: after every event
 // already queued at now.
@@ -185,7 +185,6 @@ func TestInPlaceStartRule(t *testing.T) {
 		{"event at now", func(s *Simulation) { s.At(5, func() {}) }, false},
 		{"weak event at now", func(s *Simulation) { s.At(5, func() {}).SetWeak(true) }, false},
 		{"stopped timer at now", func(s *Simulation) { s.At(5, func() {}).Stop() }, true},
-		{"run stopped", func(s *Simulation) { s.Stop() }, false},
 	} {
 		s := New(1)
 		got := !tc.want

@@ -19,14 +19,6 @@ func Gbps(bytes int64, d time.Duration) float64 {
 	return float64(bytes) * 8 / d.Seconds() / 1e9
 }
 
-// Rate converts a count over a duration to events per second.
-func Rate(count int64, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(count) / d.Seconds()
-}
-
 // CDF is an empirical cumulative distribution over float64 samples.
 type CDF struct {
 	samples []float64
@@ -46,9 +38,6 @@ func (c *CDF) AddN(x float64, n int64) {
 	}
 	c.sorted = false
 }
-
-// N returns the sample count.
-func (c *CDF) N() int { return len(c.samples) }
 
 func (c *CDF) sort() {
 	if !c.sorted {

@@ -122,9 +122,6 @@ func (sw *Switch) FreeRegion(task core.TaskID) error {
 	return nil
 }
 
-// RegionOf returns a task's live region, or nil.
-func (sw *Switch) RegionOf(task core.TaskID) *Region { return sw.regions[task] }
-
 // rowAllocator hands out contiguous row ranges first-fit and coalesces on
 // free.
 type rowAllocator struct {

@@ -376,12 +376,3 @@ func (sw *Switch) processSwap(f *netsim.Frame) {
 	}
 	sw.reply(f, f.Src, sw.pool.NewAck(pkt))
 }
-
-// ActiveCopy returns the region's current write copy (for tests).
-func (sw *Switch) ActiveCopy(task core.TaskID) int {
-	r := sw.regions[task]
-	if r == nil {
-		return -1
-	}
-	return int(sw.raCopyInd.ControlRead(r.idx))
-}

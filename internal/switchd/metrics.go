@@ -89,10 +89,6 @@ func (sw *Switch) initMetrics(sink telemetry.Sink) {
 	})
 }
 
-// Registry exposes the switch's metric registry (the cluster registry when
-// telemetry is enabled).
-func (sw *Switch) Registry() *telemetry.Registry { return sw.reg }
-
 // taskEntryOf returns the task's instrument bundle, creating it on first
 // use. The read path is an RLock so concurrent TaskStatsOf readers do not
 // serialize; ingress takes a task's entry from its region and calls this

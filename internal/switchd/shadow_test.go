@@ -20,21 +20,22 @@ func (r *testRig) sendSwap(task core.TaskID, seq uint32) {
 func TestSwapFlipsCopyExactlyOnce(t *testing.T) {
 	r := newRig(t, smallConfig())
 	r.mustAlloc(7, 32)
-	if got := r.sw.ActiveCopy(7); got != 0 {
+	activeCopy := func() uint64 { return r.sw.raCopyInd.ControlRead(r.sw.regions[7].idx) }
+	if got := activeCopy(); got != 0 {
 		t.Fatalf("initial copy = %d", got)
 	}
 	r.sendSwap(7, 1)
-	if got := r.sw.ActiveCopy(7); got != 1 {
+	if got := activeCopy(); got != 1 {
 		t.Fatalf("copy after swap = %d", got)
 	}
 	// Duplicate (retransmitted) swap must not flip again.
 	r.sendSwap(7, 1)
-	if got := r.sw.ActiveCopy(7); got != 1 {
+	if got := activeCopy(); got != 1 {
 		t.Fatal("duplicate swap flipped the copy")
 	}
 	// Next swap seq flips back.
 	r.sendSwap(7, 2)
-	if got := r.sw.ActiveCopy(7); got != 0 {
+	if got := activeCopy(); got != 0 {
 		t.Fatal("second swap did not flip")
 	}
 	if r.sw.Stats().Swaps != 2 {
@@ -345,7 +346,7 @@ func TestDuplicatedClearCannotWipeLiveCopy(t *testing.T) {
 		t.Fatalf("swaps/dups/stale = %d/%d/%d, want 2/1/1", st.Swaps, st.DupPackets, st.StaleDropped)
 	}
 	arrays := 0
-	for name, n := range r.sw.Registry().GaugeValues() {
+	for name, n := range r.sw.reg.GaugeValues() {
 		if strings.HasPrefix(name, "pisa.array_accesses{") {
 			arrays++
 			if n == 0 {

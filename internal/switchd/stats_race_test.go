@@ -31,7 +31,7 @@ func TestTaskStatsOfConcurrent(t *testing.T) {
 					return
 				}
 				_ = r.sw.Stats()
-				_ = r.sw.Registry().Total("switchd.tuples_in")
+				_ = r.sw.reg.Total("switchd.tuples_in")
 			}
 		}()
 	}
@@ -58,7 +58,7 @@ func TestTaskStatsOfConcurrent(t *testing.T) {
 	if ts2 := r.sw.TaskStatsOf(7); ts2.TuplesIn != 0 {
 		t.Fatalf("TaskStatsOf after re-alloc = %d, want 0 (reset view)", ts2.TuplesIn)
 	}
-	if total := r.sw.Registry().Total("switchd.tuples_in"); total != int64(300*len(keys)) {
+	if total := r.sw.reg.Total("switchd.tuples_in"); total != int64(300*len(keys)) {
 		t.Fatalf("registry total = %d, want monotonic %d", total, 300*len(keys))
 	}
 }

@@ -140,7 +140,7 @@ func (r *testRig) mustAlloc(task core.TaskID, rows int) *Region {
 // protocol, which hostd exercises end to end).
 func (r *testRig) fetchAll(task core.TaskID) core.Result {
 	r.t.Helper()
-	reg := r.sw.RegionOf(task)
+	reg := r.sw.regions[task]
 	res := make(core.Result)
 	n := uint(8 * r.sw.cfg.KPartBytes)
 	collect := func(lo, hi int) {

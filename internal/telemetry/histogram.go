@@ -64,14 +64,6 @@ func (h *Histogram) Record(v int64) {
 	h.sum.Add(v)
 }
 
-// Count returns the number of observations (0 for nil).
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
 // HistBucket is one populated histogram bucket: Count observations with
 // values <= UpperEdge (and greater than the previous bucket's edge).
 type HistBucket struct {
@@ -126,16 +118,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return bucketUpperEdge(numBuckets - 1)
-}
-
-// Mean returns the mean observation, or 0 when empty.
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
 }

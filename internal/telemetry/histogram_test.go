@@ -61,10 +61,10 @@ func TestHistogramZeroNegativeAndMax(t *testing.T) {
 	h.Record(0)
 	h.Record(-5) // clamps to bucket 0
 	h.Record(math.MaxInt64)
-	if got := h.Count(); got != 3 {
-		t.Fatalf("count = %d, want 3", got)
-	}
 	s := h.Snapshot()
+	if s.Count != 3 {
+		t.Fatalf("count = %d, want 3", s.Count)
+	}
 	if len(s.Buckets) != 2 {
 		t.Fatalf("populated buckets = %d, want 2 (zero + top)", len(s.Buckets))
 	}
@@ -84,8 +84,8 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 	for v := int64(1); v <= 100; v++ {
 		h.Record(v)
 	}
-	if m := h.Mean(); m != 50.5 {
-		t.Fatalf("mean = %v, want 50.5", m)
+	if s := h.Snapshot(); float64(s.Sum)/float64(s.Count) != 50.5 {
+		t.Fatalf("mean = %d/%d, want 50.5", s.Sum, s.Count)
 	}
 	// p50 of 1..100 is rank 50; its bucket edge must cover >= 50 and stay
 	// within the 12.5% relative-error bound.
@@ -100,7 +100,7 @@ func TestHistogramQuantileAndMean(t *testing.T) {
 		t.Fatalf("p0 = %d, want 1 (rank clamps to 1)", p0)
 	}
 	var nilH *Histogram
-	if nilH.Quantile(0.5) != 0 || nilH.Mean() != 0 {
+	if nilH.Quantile(0.5) != 0 || nilH.Snapshot().Count != 0 {
 		t.Fatal("nil histogram must read zero")
 	}
 }

@@ -3,7 +3,6 @@ package telemetry
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,10 +24,6 @@ var (
 	nameRE = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$`)
 	keyRE  = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
 )
-
-// ValidName reports whether name matches the component.snake_case
-// convention Registry enforces at registration.
-func ValidName(name string) bool { return nameRE.MatchString(name) }
 
 // fullName renders name{k1="v1",k2="v2"} with label keys sorted, the
 // canonical identity of an instrument. It allocates the string and nothing
@@ -252,30 +247,6 @@ func (r *Registry) checkKindLocked(key, kind string) {
 	if _, ok := r.gaugeFuncs[key]; ok && kind != "gaugefunc" {
 		panic(fmt.Sprintf("telemetry: %q already registered as a gauge func", key))
 	}
-}
-
-// Names returns every registered full instrument name, sorted.
-func (r *Registry) Names() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists)+len(r.gaugeFuncs))
-	for k := range r.counters {
-		names = append(names, k)
-	}
-	for k := range r.gauges {
-		names = append(names, k)
-	}
-	for k := range r.hists {
-		names = append(names, k)
-	}
-	for k := range r.gaugeFuncs {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // CounterValues returns the current value of every counter, keyed by full

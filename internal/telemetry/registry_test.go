@@ -71,11 +71,11 @@ func TestRegistryNilNoOps(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	h.Record(42)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	r.GaugeFunc("x.y", func() int64 { return 1 })
-	if r.Names() != nil || r.Total("x.y") != 0 || r.Max("x.y") != 0 {
+	if r.GaugeValues() != nil || r.Total("x.y") != 0 || r.Max("x.y") != 0 {
 		t.Fatal("nil registry accessors must be empty")
 	}
 }
@@ -100,8 +100,8 @@ func TestRegistryNameValidation(t *testing.T) {
 		}()
 		r.Counter("a.b", L("Bad-Key", "v"))
 	}()
-	if !ValidName("switchd.tuples_in") || ValidName("tuples") {
-		t.Fatal("ValidName convention check wrong")
+	if !nameRE.MatchString("switchd.tuples_in") || nameRE.MatchString("tuples") {
+		t.Fatal("name convention check wrong")
 	}
 }
 
@@ -155,7 +155,7 @@ func TestRegistryConcurrent(t *testing.T) {
 	if got := r.Counter("stress.hits").Value(); got != workers*perWorker {
 		t.Fatalf("counter = %d, want %d", got, workers*perWorker)
 	}
-	if got := r.Histogram("stress.lat_ns").Count(); got != workers*perWorker {
+	if got := r.Histogram("stress.lat_ns").Snapshot().Count; got != workers*perWorker {
 		t.Fatalf("histogram count = %d, want %d", got, workers*perWorker)
 	}
 }

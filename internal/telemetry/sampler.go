@@ -67,9 +67,6 @@ func (sp *Sampler) Stop() {
 	sp.sample()
 }
 
-// Running reports whether the sampler is active.
-func (sp *Sampler) Running() bool { return sp != nil && sp.running }
-
 func (sp *Sampler) tick() {
 	sp.sample()
 	if sp.count() >= sp.max {
@@ -102,15 +99,6 @@ func (sp *Sampler) count() int {
 		}
 	}
 	return n
-}
-
-// Series returns the sampled time series of one gauge (nil if never
-// sampled).
-func (sp *Sampler) Series(name string, labels ...Label) []Point {
-	if sp == nil {
-		return nil
-	}
-	return sp.series[fullName(name, labels)]
 }
 
 // AllSeries returns every sampled series keyed by full gauge name.

@@ -71,12 +71,12 @@ func TestSamplerStopQuiesces(t *testing.T) {
 	reg.Gauge("test.level").Set(1)
 	sp := NewSampler(s, reg, 50*time.Microsecond)
 	sp.Start()
-	if !sp.Running() {
+	if !sp.running {
 		t.Fatal("sampler should run after Start")
 	}
 	s.At(sim.Time(0).Add(200*time.Microsecond), sp.Stop)
 	end := s.Run(0)
-	if sp.Running() {
+	if sp.running {
 		t.Fatal("sampler should stop after Stop")
 	}
 	if end != sim.Time(0).Add(200*time.Microsecond) {
@@ -86,7 +86,7 @@ func TestSamplerStopQuiesces(t *testing.T) {
 	sp.Start()
 	s.At(sim.Time(0).Add(400*time.Microsecond), sp.Stop)
 	s.Run(0)
-	pts := sp.Series("test.level")
+	pts := sp.AllSeries()["test.level"]
 	if len(pts) < 2 {
 		t.Fatalf("series too short after restart: %d", len(pts))
 	}
@@ -96,7 +96,7 @@ func TestSamplerNil(t *testing.T) {
 	var sp *Sampler
 	sp.Start()
 	sp.Stop()
-	if sp.Running() || sp.Series("a.b") != nil || sp.AllSeries() != nil {
+	if sp.AllSeries() != nil {
 		t.Fatal("nil sampler must be inert")
 	}
 }

@@ -127,14 +127,6 @@ func (m *Manager) Quota(t core.TenantID) int {
 	return 0
 }
 
-// InUse returns the rows tenant t currently occupies.
-func (m *Manager) InUse(t core.TenantID) int {
-	if i, ok := m.index[t]; ok {
-		return m.tenants[i].inUse
-	}
-	return 0
-}
-
 // Admit charges rows to tenant t, or rejects an over-quota request with
 // *OverloadError. Requests within quota always succeed (quotas cover the
 // pool exactly, so in-quota rows are physically available).

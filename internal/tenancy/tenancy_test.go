@@ -75,12 +75,12 @@ func TestAdmitWithinQuota(t *testing.T) {
 	if err := m.Admit(1, q); err != nil {
 		t.Fatalf("full-quota admit failed: %v", err)
 	}
-	if m.InUse(1) != q {
-		t.Fatalf("InUse %d, want %d", m.InUse(1), q)
+	if m.tenants[m.index[1]].inUse != q {
+		t.Fatalf("in use %d, want %d", m.tenants[m.index[1]].inUse, q)
 	}
 	m.Release(1, q)
-	if m.InUse(1) != 0 {
-		t.Fatalf("after release InUse %d, want 0", m.InUse(1))
+	if m.tenants[m.index[1]].inUse != 0 {
+		t.Fatalf("after release in use %d, want 0", m.tenants[m.index[1]].inUse)
 	}
 }
 
@@ -95,7 +95,7 @@ func TestAdmitOverQuotaRejectsTyped(t *testing.T) {
 	if ov.Tenant != 1 || ov.Need != q+1 || ov.Quota != q || ov.InUse != 0 {
 		t.Fatalf("bad overload fields: %+v", ov)
 	}
-	if m.InUse(1) != 0 {
+	if m.tenants[m.index[1]].inUse != 0 {
 		t.Fatal("rejected admit must not charge rows")
 	}
 }

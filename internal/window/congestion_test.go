@@ -12,7 +12,7 @@ func TestCongestionWindowGrowth(t *testing.T) {
 	s := sim.New(1)
 	w := NewSender(s, 256, 100*time.Microsecond, func(*wire.Packet) {})
 	w.EnableCongestionControl()
-	if got := w.Cwnd(); got != 2 {
+	if got := w.cc.allow(); got != 2 {
 		t.Fatalf("initial cwnd = %d, want 2", got)
 	}
 	// Slow start: +1 per ACK until ssthresh (128).
@@ -25,14 +25,14 @@ func TestCongestionWindowGrowth(t *testing.T) {
 	for i := 0; i < 126; i++ {
 		sendAck()
 	}
-	if got := w.Cwnd(); got != 128 {
+	if got := w.cc.allow(); got != 128 {
 		t.Fatalf("cwnd after slow start = %d, want 128", got)
 	}
 	// Congestion avoidance: sub-linear growth.
 	for i := 0; i < 128; i++ {
 		sendAck()
 	}
-	if got := w.Cwnd(); got < 128 || got > 130 {
+	if got := w.cc.allow(); got < 128 || got > 130 {
 		t.Fatalf("cwnd in avoidance = %d, want ~129", got)
 	}
 }
@@ -48,7 +48,7 @@ func TestCongestionCappedAtW(t *testing.T) {
 		seq++
 	}
 	// §7: the congestion window must never exceed the reliability window.
-	if got := w.Cwnd(); got != 32 {
+	if got := w.cc.allow(); got != 32 {
 		t.Fatalf("cwnd = %d, want capped at W=32", got)
 	}
 }
@@ -64,13 +64,13 @@ func TestCongestionTimeoutBackoff(t *testing.T) {
 		w.Ack(seq)
 		seq++
 	}
-	if w.Cwnd() != 64 {
-		t.Fatalf("setup cwnd = %d", w.Cwnd())
+	if w.cc.allow() != 64 {
+		t.Fatalf("setup cwnd = %d", w.cc.allow())
 	}
 	// Leave one packet unacked past its timeout.
 	w.Send(mkPkt())
 	s.Run(sim.Time(150 * time.Microsecond))
-	if got := w.Cwnd(); got != 2 {
+	if got := w.cc.allow(); got != 2 {
 		t.Fatalf("cwnd after timeout = %d, want 2", got)
 	}
 	// Recovery is slow-start up to half the old cwnd (ssthresh 32).
@@ -81,7 +81,7 @@ func TestCongestionTimeoutBackoff(t *testing.T) {
 		w.Ack(seq)
 		seq++
 	}
-	if got := w.Cwnd(); got != 32 {
+	if got := w.cc.allow(); got != 32 {
 		t.Fatalf("cwnd at recovered ssthresh = %d, want 32", got)
 	}
 	// Beyond ssthresh, growth is additive: ~+1 per window of ACKs, far
@@ -91,7 +91,7 @@ func TestCongestionTimeoutBackoff(t *testing.T) {
 		w.Ack(seq)
 		seq++
 	}
-	if got := w.Cwnd(); got != 33 {
+	if got := w.cc.allow(); got != 33 {
 		t.Fatalf("avoidance cwnd = %d, want 33", got)
 	}
 }
@@ -113,8 +113,8 @@ func TestCongestionLimitsInflight(t *testing.T) {
 func TestCongestionOffUnlimitedToW(t *testing.T) {
 	s := sim.New(1)
 	w := NewSender(s, 64, time.Second, func(*wire.Packet) {})
-	if w.Cwnd() != 64 {
-		t.Fatalf("Cwnd without CC = %d, want W", w.Cwnd())
+	if w.cc != nil {
+		t.Fatal("congestion control on without EnableCongestionControl")
 	}
 	n := 0
 	for w.CanSend() {

@@ -19,7 +19,6 @@ func ExampleCompactSeen() {
 		c, n := compact.Observe(seq), naive.Observe(seq)
 		fmt.Printf("seq %d: dup=%v (agree=%v)\n", seq, c, c == n)
 	}
-	fmt.Printf("state: %d vs %d bits\n", compact.Bits(), naive.Bits())
 	// Output:
 	// seq 0: dup=false (agree=true)
 	// seq 1: dup=false (agree=true)
@@ -27,7 +26,6 @@ func ExampleCompactSeen() {
 	// seq 2: dup=false (agree=true)
 	// seq 0: dup=true (agree=true)
 	// seq 3: dup=false (agree=true)
-	// state: 8 vs 16 bits
 }
 
 // A sender window retransmits unacknowledged packets on a fine-grained

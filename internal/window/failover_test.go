@@ -25,7 +25,7 @@ func TestSenderMaxRetriesAborts(t *testing.T) {
 	if tx != 4 {
 		t.Fatalf("transmissions = %d, want 4 (1 initial + 3 retries)", tx)
 	}
-	if !w.Failed() || w.Err() == nil {
+	if w.err == nil {
 		t.Fatal("window did not fail after exhausting retries")
 	}
 	if w.Stats().Aborts != 1 {
@@ -74,12 +74,12 @@ func TestSenderResetRestoresService(t *testing.T) {
 	w.SetMaxRetries(2)
 	w.Send(mkPkt())
 	s.Run(0)
-	if !w.Failed() {
+	if w.err == nil {
 		t.Fatal("window should have failed")
 	}
 	next := w.NextSeq()
 	w.Reset()
-	if w.Failed() || w.InFlight() != 0 {
+	if w.err != nil || w.live != 0 {
 		t.Fatal("Reset did not clear the failure")
 	}
 	if w.NextSeq() != next {

@@ -51,15 +51,3 @@ func (h *HostDedup) Observe(seq uint32) Verdict {
 	*slot = hostSeen | uint64(seq)
 	return Fresh
 }
-
-// Len returns the number of ring slots holding a sequence number, at most W
-// (for tests).
-func (h *HostDedup) Len() int {
-	n := 0
-	for _, v := range h.last {
-		if v&hostSeen != 0 {
-			n++
-		}
-	}
-	return n
-}

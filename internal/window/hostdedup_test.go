@@ -47,8 +47,8 @@ func TestHostDedupMemoryBounded(t *testing.T) {
 	for i := uint32(0); i < 100000; i++ {
 		h.Observe(i)
 	}
-	if h.Len() > 64+1 {
-		t.Fatalf("dedup holds %d entries, window is 64", h.Len())
+	if len(h.last) != 64 {
+		t.Fatalf("dedup holds %d slots, window is 64", len(h.last))
 	}
 }
 
@@ -60,8 +60,8 @@ func TestHostDedupMemoryBoundedWithGaps(t *testing.T) {
 		seq += uint32(1 + rng.Intn(100000)) // large jumps
 		h.Observe(seq)
 	}
-	if h.Len() > 65 {
-		t.Fatalf("dedup holds %d entries after gappy flow", h.Len())
+	if len(h.last) != 64 {
+		t.Fatalf("dedup holds %d slots after gappy flow, window is 64", len(h.last))
 	}
 }
 
@@ -132,7 +132,7 @@ func (h *mapDedup) Observe(seq uint32) Verdict {
 		return Duplicate
 	}
 	h.inWin[seq] = struct{}{}
-	floor := h.guard.MaxSeq() - h.w // everything <= floor is stale now
+	floor := h.guard.maxSeq - h.w // everything <= floor is stale now
 	switch {
 	case !h.primed:
 		h.primed = true

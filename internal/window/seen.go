@@ -89,9 +89,6 @@ func (c *CompactSeen) Observe(seq uint32) (observed bool) {
 	return observed
 }
 
-// Bits returns the backing storage size in bits.
-func (c *CompactSeen) Bits() int { return c.w }
-
 // seenTagValid marks a TagSeen slot as written; it keeps sequence 0
 // distinguishable from a never-touched slot.
 const seenTagValid = uint64(1) << 32
@@ -194,9 +191,6 @@ func (g *StaleGuard) Check(seq uint32) (stale bool) {
 	// stale iff seq <= maxSeq - W, i.e. maxSeq - seq >= W in serial space.
 	return g.maxSeq-seq >= g.w
 }
-
-// MaxSeq returns the largest sequence observed (serial order).
-func (g *StaleGuard) MaxSeq() uint32 { return g.maxSeq }
 
 // Dedup combines the stale guard with the compact seen: the complete
 // receive-window logic of a switch flow endpoint. The tests use it as the

@@ -30,7 +30,7 @@ func TestSeenUpdateFourCases(t *testing.T) {
 
 func TestCompactHalvesMemory(t *testing.T) {
 	w := 256
-	if NewCompactSeen(w).Bits() != w || NewNaiveSeen(w).Bits() != 2*w {
+	if len(NewCompactSeen(w).bits) != w || NewNaiveSeen(w).Bits() != 2*w {
 		t.Fatal("memory accounting wrong: compact must be W bits, naive 2W")
 	}
 }
@@ -149,8 +149,8 @@ func TestStaleGuard(t *testing.T) {
 	if g.Check(105) {
 		t.Fatal("in-window packet stale")
 	}
-	if g.MaxSeq() != 105 {
-		t.Fatalf("MaxSeq = %d", g.MaxSeq())
+	if g.maxSeq != 105 {
+		t.Fatalf("MaxSeq = %d", g.maxSeq)
 	}
 	// Window is (105-8, 105] = (97,105]: 98 is live, 97 is stale.
 	if g.Check(98) {
@@ -160,8 +160,8 @@ func TestStaleGuard(t *testing.T) {
 		t.Fatal("seq 97 should be stale")
 	}
 	// Stale check must not regress max_seq.
-	if g.MaxSeq() != 105 {
-		t.Fatalf("MaxSeq moved to %d", g.MaxSeq())
+	if g.maxSeq != 105 {
+		t.Fatalf("MaxSeq moved to %d", g.maxSeq)
 	}
 }
 
@@ -173,8 +173,8 @@ func TestStaleGuardWraparound(t *testing.T) {
 	if g.Check(4) { // wrapped forward
 		t.Fatal("wrapped packet stale")
 	}
-	if g.MaxSeq() != 4 {
-		t.Fatalf("MaxSeq = %d, want 4", g.MaxSeq())
+	if g.maxSeq != 4 {
+		t.Fatalf("MaxSeq = %d, want 4", g.maxSeq)
 	}
 	// Live window is (4-16, 4] = (0xfffffff4, 4]: 0xfffffff5 is live,
 	// 0xfffffff4 is stale.

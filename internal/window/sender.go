@@ -119,7 +119,7 @@ type Sender struct {
 
 	// maxRetries bounds per-packet retransmissions (0 = unlimited, the
 	// paper's behavior). When a flight exhausts it the window fails: the
-	// timer stops and blocked senders observe Err() instead of retrying
+	// timer stops and blocked senders return err instead of retrying
 	// into a dead peer forever.
 	maxRetries int
 	backoff    bool // exponential per-flight retransmission backoff
@@ -233,9 +233,6 @@ func (s *Sender) Stats() SenderStats {
 	}
 }
 
-// InFlight returns the number of unacknowledged packets.
-func (s *Sender) InFlight() int { return s.live }
-
 // Idle reports whether every sent packet has been acknowledged.
 func (s *Sender) Idle() bool { return s.live == 0 }
 
@@ -244,8 +241,8 @@ func (s *Sender) Idle() bool { return s.live == 0 }
 func (s *Sender) EnableCongestionControl() { s.cc = newCongestion(int(s.w)) }
 
 // SetMaxRetries bounds per-packet retransmissions; after n unanswered
-// retransmissions of any one packet the window fails (Err() != nil) and all
-// blocked senders are released. n = 0 restores unlimited retries.
+// retransmissions of any one packet the window fails and all blocked senders
+// are released with its error. n = 0 restores unlimited retries.
 func (s *Sender) SetMaxRetries(n int) { s.maxRetries = n }
 
 // EnableBackoff switches retransmission to exponential backoff: the k-th
@@ -253,17 +250,11 @@ func (s *Sender) SetMaxRetries(n int) { s.maxRetries = n }
 // the paper's fixed fine-grained timeout is preserved.
 func (s *Sender) EnableBackoff() { s.backoff = true }
 
-// Failed reports whether the window has aborted.
-func (s *Sender) Failed() bool { return s.err != nil }
-
-// Err returns the abort error, or nil.
-func (s *Sender) Err() error { return s.err }
-
 // NextSeq returns the sequence number the next Send will use.
 func (s *Sender) NextSeq() uint32 { return s.nextSeq }
 
 // fail aborts the window from its timer, which is then not re-armed: every
-// blocked SendBlocking/WaitIdle caller wakes up observing Err(). The flights
+// blocked SendBlocking/WaitIdle caller wakes up returning err. The flights
 // stay in flight (a late ACK still retires them, Reset abandons them).
 func (s *Sender) fail(err error) {
 	if s.err != nil {
@@ -294,15 +285,6 @@ func (s *Sender) Reset() {
 	s.tr.EmitNote(telemetry.CompWindow, "window_reset", 0, s.flow)
 	s.spaceSig.Fire()
 	s.idleSig.Fire()
-}
-
-// Cwnd returns the current congestion window in packets (W when congestion
-// control is off).
-func (s *Sender) Cwnd() int {
-	if s.cc == nil {
-		return int(s.w)
-	}
-	return s.cc.allow()
 }
 
 // CanSend reports whether the window has room for another packet.

@@ -22,8 +22,8 @@ func TestSenderAssignsSequences(t *testing.T) {
 			t.Fatalf("sent = %v, want 0..4", sent)
 		}
 	}
-	if w.InFlight() != 5 {
-		t.Fatalf("InFlight = %d", w.InFlight())
+	if w.live != 5 {
+		t.Fatalf("in flight = %d", w.live)
 	}
 }
 
@@ -218,8 +218,8 @@ func TestSenderRingWrapAround(t *testing.T) {
 				base = seq
 			}
 		}
-		if snd.InFlight() != len(unacked) || snd.base != base {
-			t.Fatalf("%s: in flight %d base %d, model %d base %d", step, snd.InFlight(), snd.base, len(unacked), base)
+		if snd.live != len(unacked) || snd.base != base {
+			t.Fatalf("%s: in flight %d base %d, model %d base %d", step, snd.live, snd.base, len(unacked), base)
 		}
 		if snd.CanSend() != (snd.NextSeq()-base < w) {
 			t.Fatalf("%s: CanSend %v with span %d of %d", step, snd.CanSend(), snd.NextSeq()-base, w)
@@ -249,7 +249,7 @@ func TestSenderRingWrapAround(t *testing.T) {
 		snd.Ack(seq)
 	}
 	if !snd.Idle() || snd.base != snd.NextSeq() {
-		t.Fatalf("not idle after every ACK: in flight %d, base %d, next %d", snd.InFlight(), snd.base, snd.NextSeq())
+		t.Fatalf("not idle after every ACK: in flight %d, base %d, next %d", snd.live, snd.base, snd.NextSeq())
 	}
 	if st := snd.Stats(); st.Acked != st.Sent || st.DupAcks == 0 {
 		t.Fatalf("stats = %+v", st)
@@ -278,8 +278,8 @@ func TestSenderLateAckForReusedSlot(t *testing.T) {
 	if got := snd.Ack(0); got != nil {
 		t.Fatalf("late ACK for seq 0 retired %v", got)
 	}
-	if st := snd.Stats(); st.DupAcks != 1 || st.Acked != w || snd.InFlight() != 1 {
-		t.Fatalf("after late ACK: stats %+v, in flight %d", st, snd.InFlight())
+	if st := snd.Stats(); st.DupAcks != 1 || st.Acked != w || snd.live != 1 {
+		t.Fatalf("after late ACK: stats %+v, in flight %d", st, snd.live)
 	}
 	// The new flight's timer is still armed: it retransmits.
 	before := tx
@@ -392,9 +392,9 @@ func TestSenderStopsTimerWhenIdle(t *testing.T) {
 	w.Send(mkPkt())
 	// Retransmissions at 100 and 200 µs; the third deadline aborts.
 	abort := sim.Time(3 * timeout)
-	if end := s.Run(0); end != abort || s.Pending() != 0 || w.Err() == nil || w.Stats().Retransmits != 4 {
+	if end := s.Run(0); end != abort || s.Pending() != 0 || w.err == nil || w.Stats().Retransmits != 4 {
 		t.Fatalf("after abort: Run ended at %v with %d pending, err %v, %d retransmits; want %v, 0, an error, 4",
-			end, s.Pending(), w.Err(), w.Stats().Retransmits, abort)
+			end, s.Pending(), w.err, w.Stats().Retransmits, abort)
 	}
 	// A late ACK still retires an aborted flight, and arms nothing.
 	w.Ack(0)

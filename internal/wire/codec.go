@@ -15,8 +15,8 @@ import (
 // simulation objects and cannot be marshalled.
 //
 // Construct codecs with NewCodec: KPartBytes validation happens once there
-// instead of on every Marshal call (the corruption fault path encodes every
-// damaged frame, so per-call validation was measurable). A zero or
+// instead of on every AppendMarshal call (the corruption fault path encodes
+// every damaged frame, so per-call validation was measurable). A zero or
 // out-of-range width is a configuration bug, not a runtime condition.
 type Codec struct {
 	// KPartBytes is the per-slot key-part width (Config.KPartBytes).
@@ -61,15 +61,8 @@ func grow(dst []byte, n int) (all, region []byte) {
 	return all, region
 }
 
-// Marshal encodes p into a fresh buffer of exactly p.BufferBytes(KPartBytes)
-// bytes (headers + payload, no L1 framing). It is AppendMarshal with a
-// capacity-exact fresh buffer.
-func (c Codec) Marshal(p *Packet) ([]byte, error) {
-	return c.AppendMarshal(make([]byte, 0, p.BufferBytes(c.KPartBytes)), p)
-}
-
 // AppendMarshal appends the encoding of p to dst and returns the extended
-// slice. Hot callers (the per-link corruption scratch buffer, Encode) reuse
+// slice (headers + payload, no L1 framing). Hot callers (the per-link corruption scratch buffer, Encode) reuse
 // dst's capacity across packets, so steady-state marshalling allocates
 // nothing. The appended region is exactly p.BufferBytes(KPartBytes) bytes.
 func (c Codec) AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
@@ -149,9 +142,9 @@ func (c Codec) AppendMarshal(dst []byte, p *Packet) ([]byte, error) {
 	return out, nil
 }
 
-// Unmarshal decodes a buffer produced by Marshal. Payload containers are
-// preallocated capacity-exact (the entry counts are implied by the buffer
-// length), so decoding performs at most one allocation per container.
+// Unmarshal decodes a buffer produced by AppendMarshal. Payload containers
+// are preallocated capacity-exact (the entry counts are implied by the
+// buffer length), so decoding performs at most one allocation per container.
 func (c Codec) Unmarshal(buf []byte) (*Packet, error) {
 	if len(buf) < HeaderBytes {
 		return nil, fmt.Errorf("wire: buffer of %d bytes shorter than header", len(buf))

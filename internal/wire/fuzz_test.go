@@ -37,7 +37,7 @@ func TestUnmarshalNeverPanics(t *testing.T) {
 		{Type: TypeFetch, FetchCopy: 1, FetchClear: true},
 		{Type: TypeFetchReply, FetchEntries: []FetchEntry{{AA: 1, Row: 2, KPart: 3, Val: 4}}},
 	} {
-		buf, err := c.Marshal(p)
+		buf, err := c.AppendMarshal(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestMarshalUnmarshalFuzzRoundtrip(t *testing.T) {
 	c := Codec{KPartBytes: 4}
 	for trial := 0; trial < 500; trial++ {
 		p := randomDataPacket(rng, 1+rng.Intn(64), 4)
-		buf, err := c.Marshal(p)
+		buf, err := c.AppendMarshal(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestMarshalUnmarshalFuzzRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buf2, err := c.Marshal(q)
+		buf2, err := c.AppendMarshal(nil, q)
 		if err != nil {
 			t.Fatal(err)
 		}

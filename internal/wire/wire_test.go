@@ -135,7 +135,7 @@ func TestCodecDataRoundtrip(t *testing.T) {
 		c := NewCodec(k)
 		for trial := 0; trial < 200; trial++ {
 			p := randomDataPacket(rng, 32, k)
-			buf, err := c.Marshal(p)
+			buf, err := c.AppendMarshal(nil, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestCodecNegativeValues(t *testing.T) {
 		Bitmap: Bitmap(0).Set(0),
 		Slots:  []Slot{{KPart: PackKPart([]byte("k"), 4), Val: -12345}},
 	}
-	buf, err := c.Marshal(p)
+	buf, err := c.AppendMarshal(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestCodecLongKeyRoundtrip(t *testing.T) {
 			{Key: "a-rather-long-key-indeed", Val: -7},
 		},
 	}
-	buf, err := c.Marshal(p)
+	buf, err := c.AppendMarshal(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestCodecFetchReplyRoundtrip(t *testing.T) {
 			{AA: 31, Row: 0, KPart: 0, Val: 0},
 		},
 	}
-	buf, err := c.Marshal(p)
+	buf, err := c.AppendMarshal(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestCodecHeaderOnlyTypes(t *testing.T) {
 	c := Codec{KPartBytes: 4}
 	for _, typ := range []Type{TypeAck, TypeFin, TypeSwap} {
 		p := &Packet{Type: typ, Task: 5, Flow: core.FlowKey{Host: 2, Channel: 3}, Seq: 17}
-		buf, err := c.Marshal(p)
+		buf, err := c.AppendMarshal(nil, p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,7 +268,7 @@ func TestWireBytesMatchesPaperModel(t *testing.T) {
 
 func TestCtrlNotMarshallable(t *testing.T) {
 	c := Codec{KPartBytes: 4}
-	if _, err := c.Marshal(&Packet{Type: TypeCtrl}); err == nil {
+	if _, err := c.AppendMarshal(nil, &Packet{Type: TypeCtrl}); err == nil {
 		t.Fatal("marshalling TypeCtrl should fail")
 	}
 }
@@ -285,7 +285,7 @@ func TestUnmarshalErrors(t *testing.T) {
 		t.Error("unknown type should fail")
 	}
 	// Data payload not a multiple of slot size.
-	good, _ := c.Marshal(&Packet{Type: TypeData, Slots: make([]Slot, 2)})
+	good, _ := c.AppendMarshal(nil, &Packet{Type: TypeData, Slots: make([]Slot, 2)})
 	if _, err := c.Unmarshal(good[:len(good)-3]); err == nil {
 		t.Error("ragged data payload should fail")
 	}

@@ -194,10 +194,6 @@ func (s Scenario) TimedStream() core.TimedStream {
 	}
 }
 
-// Stream is the untimed projection (arrival order preserved, times
-// dropped) — for reference aggregation and stats.
-func (s Scenario) Stream() core.Stream { return s.TimedStream().Untimed() }
-
 // Header returns the trace header recording this scenario's identity and
 // generator parameters — what cmd/askgen stamps on recorded traces.
 func (s Scenario) Header() workload.TraceHeader {

@@ -140,14 +140,6 @@ func (s Spec) lens() KeyLenModel {
 	return ShortKeys(4)
 }
 
-// Key returns the rank-th key of this workload.
-func (s Spec) Key(rank int) string {
-	if s.Keys != nil {
-		return s.Keys[rank]
-	}
-	return Word(rank, s.lens())
-}
-
 // counts returns the exact per-rank tuple counts for ordered emission:
 // cumulative rounding keeps the total exactly Tuples.
 func (s Spec) counts() []int64 {

@@ -87,8 +87,8 @@ func TestHotFirstOrdering(t *testing.T) {
 	// The first key must be rank 0 (the hottest), and all its occurrences
 	// must be contiguous at the front.
 	first := kvs[0].Key
-	if first != spec.Key(0) {
-		t.Fatalf("first key %q, want rank-0 %q", first, spec.Key(0))
+	if first != Word(0, spec.lens()) {
+		t.Fatalf("first key %q, want rank-0 %q", first, Word(0, spec.lens()))
 	}
 	i := 0
 	for i < len(kvs) && kvs[i].Key == first {
@@ -122,7 +122,7 @@ func TestColdFirstIsReverse(t *testing.T) {
 func TestZipfSkewShape(t *testing.T) {
 	spec := Zipf(1000, 100000, 1.3, Shuffled, 3)
 	ref := spec.Reference(core.OpSum)
-	hot := ref[spec.Key(0)]
+	hot := ref[Word(0, spec.lens())]
 	// The hottest key should dominate: at s=1.3 over 1000 keys, rank 0
 	// holds a large share.
 	if hot < 20000 {
