@@ -121,10 +121,11 @@ unexercised:
 # Not a check: N alternating pairs of SECS-second bench runs of revisions A
 # and B on workload W at seed SEED (scripts/pairs.sh builds each side once,
 # from a git worktree in a temporary directory): every run's
-# host_tuples_per_s, cpu_s_per_mtuple, allocs_per_tuple, alloc_bytes_per_tuple
-# and steal jiffies, each side's median and quartiles of the four metrics, the
-# pairs B won, the median ratio B/A and A's quartile distance. A run takes
-# about 35 s at the benchmark's 28 s length.
+# host_tuples_per_s, cpu_s_per_mtuple, allocs_per_tuple, alloc_bytes_per_tuple,
+# setup_s and peak_rss_mb (the six host metrics of BENCHMARK.json) and steal
+# jiffies, each side's median and quartiles of the six metrics, the pairs B
+# won, the median ratio B/A and A's quartile distance. A run takes about 35 s
+# at the benchmark's 28 s length.
 A ?= HEAD
 B ?= HEAD
 W ?= rack-timed

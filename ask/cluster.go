@@ -260,7 +260,7 @@ func (c *Deployment) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]
 	// tasks are in flight: left running on an idle cluster it would keep
 	// Sim.Run(0) from quiescing.
 	c.activeTasks++
-	if c.activeTasks == 1 && c.Tel != nil && c.Tel.Sampler != nil {
+	if c.activeTasks == 1 && c.Tel != nil {
 		c.Tel.Sampler.Start()
 	}
 	// The driver proc: submit at the receiver, start the senders in host-ID
@@ -268,7 +268,7 @@ func (c *Deployment) StartTaskTimed(spec core.TaskSpec, streams map[core.HostID]
 	c.Sim.Spawn(fmt.Sprintf("driver-task%d", spec.ID), func(p *sim.Proc) {
 		defer func() {
 			c.activeTasks--
-			if c.activeTasks == 0 && c.Tel != nil && c.Tel.Sampler != nil {
+			if c.activeTasks == 0 && c.Tel != nil {
 				c.Tel.Sampler.Stop()
 			}
 		}()

@@ -10,7 +10,6 @@ import (
 	"repro/internal/keyspace"
 	"repro/internal/netsim"
 	"repro/internal/switchd"
-	"repro/internal/telemetry"
 	"repro/internal/tenancy"
 	"repro/internal/wire"
 )
@@ -32,12 +31,12 @@ type FatTreeOptions struct {
 	// then carry a listed tenant (core.MakeTaskID); admission control rejects
 	// a tenant's over-quota regions with tenancy.OverloadError.
 	Tenants []tenancy.TenantSpec
-	// Telemetry, when enabled, builds a cluster-level telemetry.Set carrying
-	// the tenancy allocator's per-tenant gauges (quota and in-use rows,
-	// admission outcomes, labeled `tenant`), sampled while tasks are in
-	// flight as on the rack. Switches and daemons keep their private
-	// registries either way — their unlabeled instrument names would collide
-	// across the fabric.
+	// Telemetry enables the cluster-wide observability stack: a shared
+	// metrics registry across switches (each labeled `switch` with its
+	// fabric address), daemons, transport windows and the tenancy
+	// allocator, a sim-clock trace ring, and a gauge sampler that runs while
+	// tasks are active. Off, components fall back to private registries so
+	// Stats accessors still work. The fabric's links are not instrumented.
 	Telemetry bool
 	// Shards, when > 1, partitions the fabric into that many parallel event
 	// lanes of contiguous leaves (spines spread round-robin); the leaf↔spine
@@ -46,7 +45,9 @@ type FatTreeOptions struct {
 	// failover chaos are deterministic per (Seed, Shards) — the fabric-wide
 	// control rendezvous the recovery path needs reorders same-window events
 	// relative to serial. Values <= 1, or topologies with a single leaf,
-	// take the exact serial code path (netsim.EffectiveShards).
+	// take the exact serial code path (netsim.EffectiveShards). Shards > 1
+	// with Telemetry is refused: lanes would stamp trace events with the
+	// root's clock and interleave the trace ring in scheduling order.
 	//
 	// No command, experiment or soak sets it: it exists for bench/'s
 	// fattree-sharded workload and the scheduler's own tests, and it goes
@@ -60,8 +61,7 @@ type FatTreeOptions struct {
 // task's spine, and the receiver merges the remaining residue plus the
 // entries fetched from every aggregation point. Each tuple is absorbed at
 // exactly one switch, so the partial aggregates compose without double
-// counting. With Telemetry enabled, Tel carries the per-tenant allocation
-// gauges.
+// counting.
 //
 // NewMultiRackCluster returns the same type configured as §7's TORs under a
 // forwarding core. Renaming it, or folding the rack's Cluster into it, waits
@@ -130,6 +130,9 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		return nil, fmt.Errorf("ask: %d spines, %d leaves × %d hosts exceed the fabric address space (%d switches per tier, %d hosts)",
 			opts.Spines, opts.Leaves, opts.HostsPerLeaf, perTier, hostIDs)
 	}
+	if opts.Telemetry && opts.Shards > 1 {
+		return nil, fmt.Errorf("ask: Telemetry needs the serial scheduler, not %d shards: lanes would interleave the trace ring", opts.Shards)
+	}
 	defaults(&opts.Config, &opts.HostLink, &opts.FabricLink)
 	fc := &FatTreeCluster{
 		tenants:     opts.Tenants,
@@ -144,6 +147,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 	ft, _ := netsim.NewFatTreeSharded(fc.Sim, opts.Spines, opts.Leaves, opts.Shards, opts.HostLink, opts.FabricLink)
 	ft.SetCodec(wire.NewCodec(opts.Config.KPartBytes))
 	fc.Net = ft
+	sink := fc.Tel.Sink()
 	if len(opts.Tenants) > 0 {
 		mgr, err := tenancy.NewManager(opts.Tenants, opts.Config)
 		if err != nil {
@@ -155,10 +159,9 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		fc.Tenancy = mgr
 	}
 	for l := 0; l < opts.Leaves; l++ {
-		// Zero telemetry sink: every switch keeps a private registry (shared
-		// label sets would collide).
 		lo := switchd.DefaultOptions()
 		lo.Addr = netsim.LeafAddr(l)
+		lo.Telemetry = sink
 		// LeafSim/SpineSim are the switch's shard lane on a sharded build,
 		// the fabric-wide simulation otherwise; each switch program schedules
 		// only on its own lane.
@@ -181,6 +184,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 		// A spine's address selects the sequence-tagged seen: it aggregates
 		// the leaves' conflict residuals, whose sequence numbers skip.
 		so.Addr = netsim.SpineAddr(sp)
+		so.Telemetry = sink
 		sw, err := switchd.New(ft.SpineSim(sp), ft.Spine(sp), opts.Config, so)
 		if err != nil {
 			return nil, fmt.Errorf("ask: spine %d: %w", sp, err)
@@ -189,7 +193,7 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 	}
 	for l := 0; l < opts.Leaves; l++ {
 		for i := 0; i < opts.HostsPerLeaf; i++ {
-			d, err := fc.addHost(ft.LeafSim(l), leafFabric{ft, l}, opts.HostAt(l, i), fabricController{fc, l}, telemetry.Sink{})
+			d, err := fc.addHost(ft.LeafSim(l), leafFabric{ft, l}, opts.HostAt(l, i), fabricController{fc, l}, sink)
 			if err != nil {
 				return nil, err
 			}
@@ -202,24 +206,20 @@ func newFatTreeCluster(opts FatTreeOptions, forwardingCore bool) (*FatTreeCluste
 }
 
 // assignTenantChannels dedicates a contiguous data-channel band to each
-// tenant, sized by weight with the same cumulative cut as the keyspace
-// partitions, so one tenant's backlog never queues behind another's.
-// Tenants whose cut rounds to zero channels keep the legacy global hash.
+// tenant, sized by weight with the keyspace partitions' cut (keyspace.Cut),
+// so one tenant's backlog never queues behind another's. Tenants whose cut
+// rounds to zero channels keep the legacy global hash.
 func (fc *FatTreeCluster) assignTenantChannels(d *hostd.Daemon) error {
 	if fc.Tenancy == nil {
 		return nil
 	}
-	total := fc.cfg.DataChannels
-	sum := 0
-	for _, t := range fc.tenants {
-		sum += t.Weight
+	weights := make([]int, len(fc.tenants))
+	for i, t := range fc.tenants {
+		weights[i] = t.Weight
 	}
-	cum := 0
-	for _, t := range fc.tenants {
-		lo := total * cum / sum
-		cum += t.Weight
-		hi := total * cum / sum
-		if hi > lo {
+	band := keyspace.Cut(fc.cfg.DataChannels, weights)
+	for i, t := range fc.tenants {
+		if lo, hi := band[i], band[i+1]; hi > lo {
 			if err := d.SetTenantChannels(t.ID, lo, hi-lo); err != nil {
 				return err
 			}

@@ -2,6 +2,9 @@ package ask
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -45,6 +48,7 @@ func ftGoldenScale(t *testing.T, opts FatTreeOptions) time.Duration {
 // ftOutageRun replays the failover workload with one switch outage window
 // [crash, reboot) against the switch at addr, and returns the outcome.
 type ftOutageOutcome struct {
+	fc      *FatTreeCluster
 	res     *TaskResult
 	epoch   uint32
 	replays int64
@@ -75,7 +79,7 @@ func ftOutageRun(t *testing.T, opts FatTreeOptions, addr core.HostID, crash, reb
 		t.Fatalf("task did not complete exactly across the outage of %#x: %v", uint16(addr), err)
 	}
 	res := results[0]
-	out := ftOutageOutcome{res: res, epoch: fc.FabricEpoch()}
+	out := ftOutageOutcome{fc: fc, res: res, epoch: fc.FabricEpoch()}
 	hosts := append([]core.HostID{spec.Receiver}, spec.Senders...)
 	for _, h := range hosts {
 		d := fc.Daemon(h)
@@ -109,6 +113,81 @@ func TestFatTreeSpineOutageConservation(t *testing.T) {
 	}
 	if out.res.Degraded == 0 {
 		t.Fatal("no degraded interval recorded: the outage was not observed")
+	}
+}
+
+// TestFatTreeTelemetryLabelsEverySwitch runs the spine-outage task with
+// Telemetry off and on. The runs must agree on the task's result and on every
+// switch's Stats and TaskStatsOf, which a switch label missing from the shared
+// registry would break by merging two switches' counters; and the snapshot
+// must hold switchd.* and pisa.* families for every leaf and spine, and
+// hostd.* and window.* families for every host.
+func TestFatTreeTelemetryLabelsEverySwitch(t *testing.T) {
+	opts := ftFailoverOptions(41)
+	scale := ftGoldenScale(t, opts)
+	spine := netsim.SpineAddr(int(uint32(ftFailoverWorkload(opts).Spec.ID)) % opts.Spines)
+	off := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
+	opts.Telemetry = true
+	on := ftOutageRun(t, opts, spine, scale*2/5, scale*3/5)
+	if off.fc.Tel != nil || on.fc.Tel == nil {
+		t.Fatal("Telemetry does not decide whether the fat-tree has a telemetry set")
+	}
+	a, b := *off.res, *on.res
+	if !a.Result.Equal(b.Result) {
+		t.Fatalf("telemetry changed the aggregate: %s", a.Result.Diff(b.Result, 5))
+	}
+	a.Result, b.Result = nil, nil
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("telemetry changed the task result:\noff %+v\non  %+v", a, b)
+	}
+	id := ftFailoverWorkload(opts).Spec.ID
+	onSw := on.fc.Switches()
+	for i, sw := range off.fc.Switches() {
+		if a, b := sw.Stats(), onSw[i].Stats(); a != b {
+			t.Errorf("switch %d Stats: off %+v, on %+v", i, a, b)
+		}
+		if a, b := *sw.TaskStatsOf(id), *onSw[i].TaskStatsOf(id); a != b {
+			t.Errorf("switch %d TaskStatsOf: off %+v, on %+v", i, a, b)
+		}
+	}
+	snap := on.fc.Tel.TakeSnapshot()
+	has := func(family, label string) bool {
+		for _, m := range []map[string]int64{snap.Counters, snap.Gauges} {
+			for name := range m {
+				if strings.HasPrefix(name, family) && strings.Contains(name, label) {
+					return true
+				}
+			}
+		}
+		for name := range snap.Histograms {
+			if strings.HasPrefix(name, family) && strings.Contains(name, label) {
+				return true
+			}
+		}
+		return false
+	}
+	var addrs []core.HostID
+	for l := 0; l < opts.Leaves; l++ {
+		addrs = append(addrs, netsim.LeafAddr(l))
+	}
+	for sp := 0; sp < opts.Spines; sp++ {
+		addrs = append(addrs, netsim.SpineAddr(sp))
+	}
+	for _, a := range addrs {
+		label := fmt.Sprintf(`switch="%#x"`, uint16(a))
+		for _, family := range []string{"switchd.", "pisa."} {
+			if !has(family, label) {
+				t.Errorf("snapshot has no %s metric labeled %s", family, label)
+			}
+		}
+	}
+	for _, h := range on.fc.Hosts() {
+		if !has("hostd.", fmt.Sprintf(`host="%d"`, h)) {
+			t.Errorf("snapshot has no hostd. metric of host %d", h)
+		}
+		if !has("window.", fmt.Sprintf(`flow="h%d/`, h)) {
+			t.Errorf("snapshot has no window. metric of host %d", h)
+		}
 	}
 }
 

@@ -282,3 +282,14 @@ func TestFatTreePeerInQuotaFitsAfterRefusal(t *testing.T) {
 		t.Fatalf("tenant 2 placed at %v, want its sender leaf and its spine", info.FetchFrom)
 	}
 }
+
+// TestFatTreeTelemetryRefusesShards: a sharded fabric's lanes would stamp
+// trace events with the root's clock and interleave the trace ring, so
+// Telemetry with Shards > 1 is an error.
+func TestFatTreeTelemetryRefusesShards(t *testing.T) {
+	opts := ftOptions(1)
+	opts.Telemetry, opts.Shards = true, 2
+	if _, err := NewFatTreeCluster(opts); err == nil {
+		t.Fatal("Telemetry with Shards 2 was accepted")
+	}
+}

@@ -236,10 +236,6 @@ func main() {
 		fail("unknown -topology %q (rack, multirack or fattree)", *topoName)
 	}
 	rejectFlags(topo.rejects, "-topology "+*topoName)
-	if *topoName == "fattree" && *tenants == 0 {
-		why := "the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries"
-		rejectFlags(map[string]string{"telemetry": why, "json": why}, "-topology fattree without -tenants")
-	}
 	if *replay != "" {
 		rejectFlags(map[string]string{
 			"tuples":   "the trace supplies the tuples",

@@ -59,8 +59,6 @@ func TestFlagsThatCannotBeHonouredAreRejected(t *testing.T) {
 		{[]string{"-replay", "f.askt", "-skew", "2"}, "asksim: -skew does not apply to -replay: the trace supplies the key distribution\n"},
 		{[]string{"-spines", "3"}, "asksim: -spines does not apply to -topology rack: a rack has one switch\n"},
 		{[]string{"-topology", "multirack", "-telemetry"}, "asksim: -telemetry does not apply to -topology multirack: the multi-rack deployment has no cluster telemetry set\n"},
-		{[]string{"-topology", "fattree", "-telemetry"}, "asksim: -telemetry does not apply to -topology fattree without -tenants: the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries\n"},
-		{[]string{"-topology", "fattree", "-json", "-"}, "asksim: -json does not apply to -topology fattree without -tenants: the fat-tree's telemetry set carries only the tenancy gauges; its switches and daemons keep private registries\n"},
 		{[]string{"-topology", "fattree", "-senders", "2"}, "asksim: -senders does not apply to a run over several groups: every task sends from one host per other group\n"},
 		{[]string{"-soak", "-soak.spines", "3"}, "asksim: -soak.spines does not apply to the rack soak: the rack has a single switch\n"},
 		{[]string{"-soak", "-soak.runs", "1", "-json", "f", "-telemetry", "-tuples", "5", "-loss", "0.5"}, "asksim: -json does not apply to -soak: " + soakOwnsRun},
@@ -156,7 +154,8 @@ func TestVerifyFalseIgnoresExactlyTheMismatch(t *testing.T) {
 // TestTelemetryOutputs runs both telemetry outputs of a small rack run end to
 // end: -json - appends a telemetry.Snapshot holding every layer's metric
 // family to the run report, and -telemetry prints the metric table and the
-// trace line.
+// trace line; on a fat-tree, -telemetry labels each switch's counters with
+// its address.
 func TestTelemetryOutputs(t *testing.T) {
 	run := []string{"-tuples", "2000", "-distinct", "256"}
 	stdout, stderr, exit := asksim(t, append(run, "-json", "-")...)
@@ -202,6 +201,25 @@ func TestTelemetryOutputs(t *testing.T) {
 	} {
 		if !regexp.MustCompile(re).MatchString(stdout) {
 			t.Errorf("-telemetry output lacks %s:\n%s", re, stdout)
+		}
+	}
+
+	// A fat-tree reports every leaf's and spine's counters under its
+	// address: the two senders' leaves absorb 2000 tuples each.
+	stdout, stderr, exit = asksim(t, append(run, "-topology", "fattree", "-telemetry")...)
+	if exit != 0 || stderr != "" {
+		t.Fatalf("-topology fattree -telemetry: exit %d, stderr %q", exit, stderr)
+	}
+	for _, re := range []string{
+		`(?m)^switchd\.tuples_in\{switch="0xf000",task="1"\} +counter +0 *$`,
+		`(?m)^switchd\.tuples_in\{switch="0xf001",task="1"\} +counter +2000 *$`,
+		`(?m)^switchd\.tuples_in\{switch="0xf002",task="1"\} +counter +2000 *$`,
+		`(?m)^switchd\.swaps\{switch="0xf800"\} +counter +0 *$`,
+		`(?m)^switchd\.swaps\{switch="0xf801"\} +counter +0 *$`,
+		`(?m)^hostd\.tuples_sent\{host="4"\} +counter +2000 *$`,
+	} {
+		if !regexp.MustCompile(re).MatchString(stdout) {
+			t.Errorf("-topology fattree -telemetry output lacks %s:\n%s", re, stdout)
 		}
 	}
 }

@@ -50,7 +50,7 @@ type Orchestrator struct {
 // deadlocks tasks whose state died with the switch.
 func New(d *ask.Deployment) *Orchestrator {
 	o := &Orchestrator{fab: d}
-	if ts := d.Tel; ts != nil && ts.Registry != nil {
+	if ts := d.Tel; ts != nil {
 		o.injections = ts.Registry.Counter("chaos.injections")
 		o.tr = ts.Tracer
 	}

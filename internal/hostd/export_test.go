@@ -32,5 +32,15 @@ func (d *Daemon) CommitSwitchState(task core.TaskID) {
 	t.enter(draining)
 }
 
+// Notified counts the task notifications no stream has consumed yet.
+func (d *Daemon) Notified() int { return len(d.notified) }
+
+// TaskState sizes what a receiving task holds per packet: its failover
+// ledger, its FIN generations and its fetch scratch.
+func (d *Daemon) TaskState(task core.TaskID) (merged, finned, fetched int) {
+	t := d.recvTasks[task]
+	return len(t.merged), len(t.finned), cap(t.fetched)
+}
+
 // PhaseName names the phase a task_phase trace event carries in a or b.
 func PhaseName(p int64) string { return phaseNames[p] }

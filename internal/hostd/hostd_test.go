@@ -156,6 +156,48 @@ func TestReleaseDropsRetainedHistoryOnTenantChannels(t *testing.T) {
 	}
 }
 
+// TestFinishedTaskLetsGoOfItsState: a receiver that also sends gets its own
+// notification before its stream (Submit notifies a local sender directly),
+// and the stream consumes it; a finished failover task keeps its ID for
+// Submit's duplicate check but drops its ledger, FIN generations and fetch
+// scratch.
+func TestFinishedTaskLetsGoOfItsState(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Failover, cfg.SwapThreshold = true, 0
+	r := newRigConfig(t, 2, netsim.DefaultLinkConfig(), cfg)
+	spec := core.TaskSpec{ID: 5, Receiver: 0, Senders: []core.HostID{0, 1}, Op: core.OpSum}
+	ws := []workload.Spec{workload.Uniform(50000, 20000, 1), workload.Uniform(50000, 20000, 2)}
+	var result core.Result
+	r.s.Spawn("driver", func(p *sim.Proc) {
+		h, err := r.daemons[0].Submit(p, spec)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		for i, s := range spec.Senders {
+			r.daemons[s].SubmitSend(spec.ID, ws[i].Stream())
+		}
+		result = h.Wait(p)
+	})
+	r.s.Run(0)
+	want := ws[0].Reference(core.OpSum)
+	want.Merge(ws[1].Reference(core.OpSum), core.OpSum)
+	if err := result.Verify(want); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.daemons[0].Stats().PacketsReceived; got == 0 {
+		t.Fatal("no packet reached the receiver: the ledger was never written")
+	}
+	for h, d := range r.daemons {
+		if n := d.Notified(); n != 0 {
+			t.Errorf("host %d keeps %d consumed notification(s)", h, n)
+		}
+	}
+	if merged, finned, fetched := r.daemons[0].TaskState(spec.ID); merged+finned+fetched != 0 {
+		t.Errorf("finished task holds %d ledger entries, %d FIN generations, %d fetch slots", merged, finned, fetched)
+	}
+}
+
 func TestSubmitErrors(t *testing.T) {
 	r := newRig(t, 2, netsim.DefaultLinkConfig())
 	r.s.Spawn("driver", func(p *sim.Proc) {

@@ -8,9 +8,9 @@ import (
 )
 
 // The daemon's counters live on a telemetry.Registry (the cluster-wide
-// one when telemetry is enabled, a private one otherwise); the Stats,
-// FailoverStats, and RecvHandle.Stats accessors are views over those
-// instruments.
+// one when telemetry is enabled, a private one otherwise: Sink.Registry);
+// the Stats, FailoverStats, and RecvHandle.Stats accessors are views over
+// those instruments.
 
 // hostMetrics caches per-daemon instrument pointers (all labeled
 // host=<id>), so hot paths pay one atomic add per event.
@@ -58,10 +58,7 @@ type recvMetrics struct {
 }
 
 func (d *Daemon) initMetrics(sink telemetry.Sink) {
-	reg := sink.Reg
-	if reg == nil {
-		reg = telemetry.NewRegistry()
-	}
+	reg := sink.Registry()
 	d.reg = reg
 	d.tr = sink.Tr
 	d.hostLbl = telemetry.L("host", strconv.Itoa(int(d.host)))

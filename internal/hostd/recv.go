@@ -58,7 +58,8 @@ type recvTask struct {
 	// latest FIN. A FIN only counts toward completion if its generation
 	// matches the receiver's current epoch: after a switch reboot, stale
 	// FINs cut before the sender replayed its history must not trigger the
-	// final fetch (the replays have not arrived yet).
+	// final fetch (the replays have not arrived yet). It, merged and
+	// fetched are dropped when the task is done.
 	finned map[core.HostID]uint32
 
 	// merged is the per-packet reconciliation ledger (failover mode): which
@@ -213,6 +214,7 @@ func (d *Daemon) SubmitSend(task core.TaskID, stream core.Stream) {
 func (d *Daemon) SubmitSendTimed(task core.TaskID, ts core.TimedStream) {
 	st := &sendTask{id: task, stream: ts}
 	if n, ok := d.notified[st.id]; ok {
+		delete(d.notified, st.id)
 		d.activateSend(st, n)
 	} else {
 		d.sendReady[st.id] = st
@@ -352,13 +354,10 @@ func (t *recvTask) mergeGroup(group []wire.Slot) { t.seg.addGroup(t.d.layout, gr
 // Combines (Count adds) — into the segment.
 func (t *recvTask) combineGroup(group []wire.Slot) { t.seg.addGroup(t.d.layout, group, true) }
 
-// onFin records a sender's FIN with its generation; once every sender has
-// finished under the current switch incarnation, teardown begins (§3.1
-// steps ⑨–⑫).
+// onFin records a sender's FIN with its generation (the sender's epoch, from
+// 1); once every sender has finished under the current switch incarnation,
+// teardown begins (§3.1 steps ⑨–⑫).
 func (t *recvTask) onFin(sender core.HostID, gen uint32) {
-	if gen == 0 {
-		gen = 1 // pre-failover senders carry no generation
-	}
 	if t.finned[sender] < gen {
 		t.finned[sender] = gen
 	}
@@ -406,6 +405,10 @@ func (t *recvTask) teardown(p *sim.Proc) {
 	// let go.
 	t.result, t.seg = t.seg.result(), segment{}
 	t.enter(done)
+	// The task stays in recvTasks for Submit's duplicate check; its
+	// per-packet state goes. Every reader is guarded by progress != done or
+	// switchCommitted.
+	t.merged, t.finned, t.fetched = nil, nil, nil
 	if t.d.failover {
 		// Release the senders' retained replay history: the result is final.
 		for i, s := range t.spec.Senders {

@@ -59,38 +59,50 @@ func (l *Layout) LocateIn(p Partition, key string) (class Class, firstSlot, segs
 	}
 }
 
+// Cut splits total into contiguous bands proportional to the positive
+// weights, in order, and returns the n+1 band boundaries: band i is
+// [b[i], b[i+1]), with
+//
+//	b[i] = floor(total · Σw_{<i} / Σw)
+//
+// so bands are disjoint, cover [0, total) exactly, and a band depends only
+// on the weights up to it — deterministic regardless of map iteration
+// anywhere upstream. A small weight share can receive an empty band. Tenancy
+// cuts the key space, the AA rows and the data channels with it.
+func Cut(total int, weights []int) []int {
+	sum := 0
+	for _, w := range weights {
+		sum += w
+	}
+	b := make([]int, len(weights)+1)
+	cum := 0
+	for i, w := range weights {
+		cum += w
+		b[i+1] = total * cum / sum
+	}
+	return b
+}
+
 // PartitionsFor divides the key space of cfg into contiguous per-tenant
-// bands proportional to weights, in tenant order. Both the short slots and
-// the medium groups are split with the same cumulative rule
-//
-//	lo_i = floor(total · Σw_{<i} / Σw)
-//
-// so bands are disjoint, cover the space exactly, and a tenant's band
-// depends only on the weights before it — deterministic regardless of map
-// iteration anywhere upstream. Tenants with tiny weight shares can receive
-// an empty band (their keys of that class then take the host bypass).
+// bands proportional to weights, in tenant order: the short slots and the
+// medium groups are each split by Cut. Tenants with tiny weight shares can
+// receive an empty band (their keys of that class then take the host
+// bypass).
 func PartitionsFor(weights []int, cfg core.Config) ([]Partition, error) {
 	if len(weights) == 0 {
 		return nil, fmt.Errorf("keyspace: no tenants")
 	}
-	var sum int
 	for i, w := range weights {
 		if w <= 0 {
 			return nil, fmt.Errorf("keyspace: tenant %d has non-positive weight %d", i, w)
 		}
-		sum += w
 	}
-	shortSlots, groups := cfg.ShortSlots(), cfg.MediumGroups
+	short, groups := Cut(cfg.ShortSlots(), weights), Cut(cfg.MediumGroups, weights)
 	parts := make([]Partition, len(weights))
-	cut := func(total, cum int) int { return total * cum / sum }
-	cum := 0
-	for i, w := range weights {
-		sLo, gLo := cut(shortSlots, cum), cut(groups, cum)
-		cum += w
-		sHi, gHi := cut(shortSlots, cum), cut(groups, cum)
+	for i := range parts {
 		parts[i] = Partition{
-			ShortLo: sLo, ShortWidth: sHi - sLo,
-			GroupLo: gLo, GroupWidth: gHi - gLo,
+			ShortLo: short[i], ShortWidth: short[i+1] - short[i],
+			GroupLo: groups[i], GroupWidth: groups[i+1] - groups[i],
 		}
 		if parts[i].IsZero() {
 			// An empty band at position 0 must not collide with the

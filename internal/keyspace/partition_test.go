@@ -143,6 +143,42 @@ func TestPartitionBoundaryStraddle(t *testing.T) {
 	}
 }
 
+// TestCut pins the one weighted cut: n+1 boundaries from 0 to total, bands in
+// weight order, and an empty band where a share rounds down to nothing.
+func TestCut(t *testing.T) {
+	for _, c := range []struct {
+		total   int
+		weights []int
+		want    []int
+	}{
+		{total: 16, weights: []int{1}, want: []int{0, 16}},
+		{total: 16, weights: []int{1, 1}, want: []int{0, 8, 16}},
+		{total: 16, weights: []int{3, 1}, want: []int{0, 12, 16}},
+		{total: 10, weights: []int{1, 1, 1}, want: []int{0, 3, 6, 10}},
+		{total: 4, weights: []int{2, 1}, want: []int{0, 2, 4}},
+		// Empty bands: the small share first, in the middle, last.
+		{total: 2, weights: []int{1, 9}, want: []int{0, 0, 2}},
+		{total: 2, weights: []int{5, 1, 5}, want: []int{0, 0, 1, 2}},
+		{total: 2, weights: []int{9, 1}, want: []int{0, 1, 2}},
+		{total: 3, weights: []int{1, 1, 1, 1, 1}, want: []int{0, 0, 1, 1, 2, 3}},
+		{total: 0, weights: []int{1, 2}, want: []int{0, 0, 0}},
+		{total: 5, weights: nil, want: []int{0}},
+	} {
+		got := Cut(c.total, c.weights)
+		if fmt.Sprint(got) != fmt.Sprint(c.want) {
+			t.Errorf("Cut(%d, %v) = %v, want %v", c.total, c.weights, got, c.want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i] < got[i-1] {
+				t.Errorf("Cut(%d, %v) = %v: band %d is negative", c.total, c.weights, got, i-1)
+			}
+		}
+		if len(c.weights) > 0 && got[len(got)-1] != c.total {
+			t.Errorf("Cut(%d, %v) = %v does not cover the total", c.total, c.weights, got)
+		}
+	}
+}
+
 func TestPartitionsForEmptyBandIsNotZero(t *testing.T) {
 	// 17 tenants over 16 short slots / 8 groups: some tenant's bands are
 	// empty; the empty partition must not alias the whole-keyspace zero

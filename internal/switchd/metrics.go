@@ -8,9 +8,9 @@ import (
 )
 
 // The switch's counters live on a telemetry.Registry (the cluster-wide one
-// when telemetry is enabled, a private one otherwise), so the Stats/
-// TaskStats accessors are views over the same numbers the exporters see —
-// no call site can silently diverge from the monitoring plane.
+// when telemetry is enabled, a private one otherwise: Sink.Registry), so the
+// Stats/TaskStats accessors are views over the same numbers the exporters
+// see — no call site can silently diverge from the monitoring plane.
 
 // switchMetrics caches the switch-global instrument pointers so the
 // per-packet path pays one atomic add per event, never a registry lookup.
@@ -52,41 +52,44 @@ type taskEntry struct {
 }
 
 func (sw *Switch) initMetrics(sink telemetry.Sink) {
-	reg := sink.Reg
-	if reg == nil {
-		// Private registry: Stats views keep working without cluster-wide
-		// telemetry (unit tests, multirack per-TOR switches).
-		reg = telemetry.NewRegistry()
-	}
+	reg := sink.Registry()
 	sw.reg = reg
 	sw.tr = sink.Tr
-	sw.met = switchMetrics{
-		forwarded:       reg.Counter("switchd.forwarded_pkts"),
-		unregisteredFwd: reg.Counter("switchd.unregistered_fwd_pkts"),
-		staleDropped:    reg.Counter("switchd.stale_dropped_pkts"),
-		dupPackets:      reg.Counter("switchd.dup_pkts"),
-		switchAcks:      reg.Counter("switchd.switch_acks"),
-		swaps:           reg.Counter("switchd.swaps"),
-		fetches:         reg.Counter("switchd.fetches"),
-		clears:          reg.Counter("switchd.clears"),
-		crashes:         reg.Counter("switchd.crashes"),
-		reboots:         reg.Counter("switchd.reboots"),
-		droppedDown:     reg.Counter("switchd.dropped_down_pkts"),
-		corruptDropped:  reg.Counter("switchd.corrupt_dropped"),
-		probes:          reg.Counter("switchd.probes_answered"),
-		revocations:     reg.Counter("switchd.revocations"),
-		aaOccupancy:     reg.Gauge("switchd.aa_occupancy"),
+	if a := sw.opts.Addr; a != 0 && sink.Reg != nil {
+		// A fabric switch on a shared registry labels every instrument with
+		// its address, so the switches of one tree do not merge counters.
+		// The rack's switch (address 0) and a switch on a private registry
+		// keep the unlabeled names.
+		sw.lbl = []telemetry.Label{telemetry.L("switch", "0x"+strconv.FormatUint(uint64(a), 16))}
 	}
-	reg.GaugeFunc("switchd.free_rows", func() int64 { return int64(sw.rows.totalFree()) })
-	reg.GaugeFunc("switchd.regions_active", func() int64 { return int64(len(sw.regions)) })
-	reg.GaugeFunc("switchd.flows_registered", func() int64 { return int64(len(sw.flows)) })
-	reg.GaugeFunc("switchd.epoch", func() int64 { return int64(sw.epoch) })
+	l := sw.lbl
+	sw.met = switchMetrics{
+		forwarded:       reg.Counter("switchd.forwarded_pkts", l...),
+		unregisteredFwd: reg.Counter("switchd.unregistered_fwd_pkts", l...),
+		staleDropped:    reg.Counter("switchd.stale_dropped_pkts", l...),
+		dupPackets:      reg.Counter("switchd.dup_pkts", l...),
+		switchAcks:      reg.Counter("switchd.switch_acks", l...),
+		swaps:           reg.Counter("switchd.swaps", l...),
+		fetches:         reg.Counter("switchd.fetches", l...),
+		clears:          reg.Counter("switchd.clears", l...),
+		crashes:         reg.Counter("switchd.crashes", l...),
+		reboots:         reg.Counter("switchd.reboots", l...),
+		droppedDown:     reg.Counter("switchd.dropped_down_pkts", l...),
+		corruptDropped:  reg.Counter("switchd.corrupt_dropped", l...),
+		probes:          reg.Counter("switchd.probes_answered", l...),
+		revocations:     reg.Counter("switchd.revocations", l...),
+		aaOccupancy:     reg.Gauge("switchd.aa_occupancy", l...),
+	}
+	reg.GaugeFunc("switchd.free_rows", func() int64 { return int64(sw.rows.totalFree()) }, l...)
+	reg.GaugeFunc("switchd.regions_active", func() int64 { return int64(len(sw.regions)) }, l...)
+	reg.GaugeFunc("switchd.flows_registered", func() int64 { return int64(len(sw.flows)) }, l...)
+	reg.GaugeFunc("switchd.epoch", func() int64 { return int64(sw.epoch) }, l...)
 	reg.GaugeFunc("switchd.down", func() int64 {
 		if sw.down {
 			return 1
 		}
 		return 0
-	})
+	}, l...)
 }
 
 // taskEntryOf returns the task's instrument bundle, creating it on first
@@ -105,7 +108,8 @@ func (sw *Switch) taskEntryOf(task core.TaskID) *taskEntry {
 	if te = sw.tasks[task]; te != nil {
 		return te
 	}
-	labels := []telemetry.Label{telemetry.L("task", strconv.FormatUint(uint64(task), 10))}
+	var buf [3]telemetry.Label
+	labels := append(append(buf[:0], sw.lbl...), telemetry.L("task", strconv.FormatUint(uint64(task), 10)))
 	if tn := task.Tenant(); tn != 0 {
 		// Multi-tenant fabrics slice every per-task series by tenant too;
 		// untenanted tasks keep the exact single-label identity they always

@@ -123,10 +123,12 @@ type Switch struct {
 	epoch uint32
 	down  bool
 
-	// Telemetry (metrics.go): instruments live on reg; met caches the
+	// Telemetry (metrics.go): instruments live on reg, labeled lbl (the
+	// switch's address on a fabric, nothing on the rack); met caches the
 	// hot-path pointers; tasks maps task → per-task counters. tasksMu also
 	// guards each entry's base snapshot.
 	reg     *telemetry.Registry
+	lbl     []telemetry.Label
 	tr      *telemetry.Tracer
 	met     switchMetrics
 	tasksMu sync.RWMutex
@@ -196,7 +198,7 @@ func New(s *sim.Simulation, net netsim.SwitchFabric, cfg core.Config, opts Optio
 	if err := sw.layoutPipeline(pc); err != nil {
 		return nil, err
 	}
-	sw.pipe.AttachTelemetry(sw.reg)
+	sw.pipe.AttachTelemetry(sw.reg, sw.lbl...)
 	net.AttachSwitch(sw)
 	return sw, nil
 }

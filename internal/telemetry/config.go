@@ -3,11 +3,22 @@ package telemetry
 import "repro/internal/sim"
 
 // Sink is the handle a component records through: a registry for
-// instruments and a tracer for events. The zero Sink is valid and
-// disables both.
+// instruments and a tracer for events. The zero Sink is valid: the
+// component counts on a private registry (Registry) and traces nothing,
+// and instruments that only exporters read stay unregistered.
 type Sink struct {
 	Reg *Registry
 	Tr  *Tracer
+}
+
+// Registry returns the registry a component counts on: the sink's, or for
+// the zero Sink a private one, so the component's Stats views work with
+// telemetry off.
+func (s Sink) Registry() *Registry {
+	if s.Reg == nil {
+		return NewRegistry()
+	}
+	return s.Reg
 }
 
 // Set bundles the live telemetry of one cluster.
@@ -19,8 +30,8 @@ type Set struct {
 
 // NewSet builds the telemetry for one cluster: a registry, a 4096-event
 // trace ring and a sampler ticking every DefaultSampleInterval while tasks
-// are in flight. A disabled cluster holds a nil *Set, which is safe to use
-// everywhere (Sink() returns a zero sink).
+// are in flight. A disabled cluster holds a nil *Set, whose Sink is the
+// zero Sink.
 func NewSet(s *sim.Simulation) *Set {
 	reg := NewRegistry()
 	return &Set{

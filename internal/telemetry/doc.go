@@ -11,9 +11,7 @@
 //   - Registry hands out typed Counter, Gauge, and log-linear Histogram
 //     instruments under hierarchical dotted names with labels, e.g.
 //     switchd.tuples_aggregated{task="1"}. Hot paths touch a single
-//     atomic; a nil instrument (telemetry fully disabled) is a no-op
-//     whose calls the inliner erases, so experiment throughput is
-//     unaffected.
+//     atomic; a nil instrument is a no-op whose calls the inliner erases.
 //   - Tracer keeps a bounded ring of structured events (packet-drop
 //     reasons, compact-seen replay decisions, shadow-copy swaps, epoch
 //     changes, failover enter/exit, window stall/resume) stamped with the
@@ -26,5 +24,7 @@
 //     Report renders a human table via internal/stats.
 //
 // Components receive a Sink{Reg, Tr}. A zero Sink is valid everywhere and
-// disables that component's telemetry.
+// means one thing: the component counts on a private registry
+// (Sink.Registry), so its Stats views work, while what only an exporter
+// reads — trace events, link gauges, window histograms — is left out.
 package telemetry

@@ -16,11 +16,8 @@ type Snapshot struct {
 	DroppedEvents int64                   `json:"dropped_events,omitempty"`
 }
 
-// TakeSnapshot captures the full state of a telemetry set. Nil-safe.
+// TakeSnapshot captures the full state of a telemetry set.
 func (ts *Set) TakeSnapshot() Snapshot {
-	if ts == nil {
-		return Snapshot{}
-	}
 	return Snapshot{
 		Counters:      ts.Registry.CounterValues(),
 		Gauges:        ts.Registry.GaugeValues(),

@@ -120,8 +120,6 @@ func (g *Gauge) Value() int64 {
 // Registry owns every instrument of one deployment. Instrument lookup is
 // mutex-guarded and idempotent — the same (name, labels) always returns
 // the same instrument — while instrument updates are lock-free atomics.
-// A nil *Registry returns nil instruments, turning all downstream
-// recording into no-ops.
 type Registry struct {
 	mu         sync.RWMutex
 	counters   map[string]*Counter
@@ -144,9 +142,6 @@ func NewRegistry() *Registry {
 // on first use. Panics if the name violates the component.snake_case
 // convention or collides with another instrument kind.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
 	checkName(name, labels)
 	key := fullName(name, labels)
 	r.mu.RLock()
@@ -169,9 +164,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 // Gauge returns the gauge registered under name+labels, creating it on
 // first use.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
 	checkName(name, labels)
 	key := fullName(name, labels)
 	r.mu.RLock()
@@ -194,9 +186,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // Histogram returns the log-linear histogram registered under
 // name+labels, creating it on first use.
 func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	checkName(name, labels)
 	key := fullName(name, labels)
 	r.mu.RLock()
@@ -221,9 +210,6 @@ func (r *Registry) Histogram(name string, labels ...Label) *Histogram {
 // costs nothing on the hot path. fn runs on the simulation goroutine.
 // Re-registering the same name replaces the callback.
 func (r *Registry) GaugeFunc(name string, fn func() int64, labels ...Label) {
-	if r == nil {
-		return
-	}
 	checkName(name, labels)
 	key := fullName(name, labels)
 	r.mu.Lock()
@@ -252,9 +238,6 @@ func (r *Registry) checkKindLocked(key, kind string) {
 // CounterValues returns the current value of every counter, keyed by full
 // name.
 func (r *Registry) CounterValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]int64, len(r.counters))
@@ -268,9 +251,6 @@ func (r *Registry) CounterValues() map[string]int64 {
 // keyed by full name. Callback gauges are polled; call only from the
 // simulation goroutine.
 func (r *Registry) GaugeValues() map[string]int64 {
-	if r == nil {
-		return nil
-	}
 	r.mu.RLock()
 	fns := make(map[string]func() int64, len(r.gaugeFuncs))
 	for k, fn := range r.gaugeFuncs {
@@ -289,9 +269,6 @@ func (r *Registry) GaugeValues() map[string]int64 {
 
 // histSnapshots returns a snapshot of every histogram, keyed by full name.
 func (r *Registry) histSnapshots() map[string]HistSnapshot {
-	if r == nil {
-		return nil
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	out := make(map[string]HistSnapshot, len(r.hists))
@@ -310,9 +287,6 @@ func matches(key, base string) bool {
 // Total sums every counter whose base name is base across all label
 // combinations — e.g. Total("hostd.replays_sent") over all hosts.
 func (r *Registry) Total(base string) int64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var t int64
@@ -328,9 +302,6 @@ func (r *Registry) Total(base string) int64 {
 // is base across all label combinations — e.g. the worst per-host
 // degraded time.
 func (r *Registry) Max(base string) int64 {
-	if r == nil {
-		return 0
-	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	var m int64

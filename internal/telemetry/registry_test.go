@@ -62,10 +62,11 @@ func TestFullNameMatchesFmt(t *testing.T) {
 }
 
 func TestRegistryNilNoOps(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x.y")
-	g := r.Gauge("x.y")
-	h := r.Histogram("x.y")
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
@@ -74,9 +75,23 @@ func TestRegistryNilNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
-	r.GaugeFunc("x.y", func() int64 { return 1 })
-	if r.GaugeValues() != nil || r.Total("x.y") != 0 || r.Max("x.y") != 0 {
-		t.Fatal("nil registry accessors must be empty")
+}
+
+// TestZeroSinkCountsPrivately holds the one meaning of a zero Sink: each
+// component that asks gets a registry of its own, and a cluster's sink hands
+// out its shared one.
+func TestZeroSinkCountsPrivately(t *testing.T) {
+	a, b := Sink{}.Registry(), Sink{}.Registry()
+	if a == nil || a == b {
+		t.Fatal("a zero Sink must give each component its own registry")
+	}
+	a.Counter("x.y").Inc()
+	if b.Total("x.y") != 0 {
+		t.Fatal("private registries share a counter")
+	}
+	shared := NewRegistry()
+	if (Sink{Reg: shared}).Registry() != shared {
+		t.Fatal("a cluster sink must hand out its registry")
 	}
 }
 
@@ -169,12 +184,9 @@ func BenchmarkCounterInc(b *testing.B) {
 	}
 }
 
-// BenchmarkCounterIncDisabled measures the telemetry-off hot path: nil
-// instruments from a nil registry.
+// BenchmarkCounterIncDisabled measures a nil instrument's hot path.
 func BenchmarkCounterIncDisabled(b *testing.B) {
-	var r *Registry
-	c := r.Counter("bench.hits")
-	b.ResetTimer()
+	var c *Counter
 	for i := 0; i < b.N; i++ {
 		c.Inc()
 	}

@@ -94,18 +94,11 @@ func NewManager(tenants []TenantSpec, cfg core.Config) (*Manager, error) {
 		tenants: make([]tenantState, len(tenants)),
 		index:   index,
 	}
-	// Row quotas use the same cumulative cut as the keyspace bands: exact
-	// cover, no rounding loss, deterministic.
-	sum := 0
-	for _, w := range weights {
-		sum += w
-	}
-	cum := 0
+	// Row quotas are cut like the keyspace bands: exact cover, no rounding
+	// loss, deterministic.
+	rows := keyspace.Cut(cfg.AARows, weights)
 	for i, t := range tenants {
-		lo := cfg.AARows * cum / sum
-		cum += t.Weight
-		hi := cfg.AARows * cum / sum
-		m.tenants[i] = tenantState{spec: t, part: parts[i], quota: hi - lo}
+		m.tenants[i] = tenantState{spec: t, part: parts[i], quota: rows[i+1] - rows[i]}
 	}
 	return m, nil
 }
@@ -151,11 +144,8 @@ func (m *Manager) Admit(t core.TenantID, rows int) error {
 // Instrument registers the manager's per-tenant allocation state on reg as
 // callback gauges labeled `tenant` — polled at sample/export time only, so
 // the admission path itself stays instrument-free. Safe to call once per
-// registry; a nil registry is a no-op.
+// registry.
 func (m *Manager) Instrument(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
 	for i := range m.tenants {
 		st := &m.tenants[i]
 		lbl := telemetry.L("tenant", strconv.FormatUint(uint64(st.spec.ID), 10))

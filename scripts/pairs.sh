@@ -8,13 +8,14 @@
 # revision in a temporary directory that is removed afterwards. Pair i runs A
 # first when i is odd and B first when it is even; every run is
 # `bench -workload W -seed SEED -seconds S -trace 0` (S = 28, the benchmark's
-# run length, unless given). For every run it prints host_tuples_per_s,
-# cpu_s_per_mtuple, allocs_per_tuple, alloc_bytes_per_tuple and the steal
-# jiffies /proc/stat counted while it ran (a noisy neighbour shows there);
-# then for each of the four metrics each side's median and quartiles, the
-# pairs B won, and the effect size: the ratio of B's median to A's, and A's
-# quartile distance (q3 - q1), which the medians' difference must exceed for
-# the change to be told apart from A's spread.
+# run length, unless given). For every run it prints the six host metrics of
+# BENCHMARK.json — host_tuples_per_s, cpu_s_per_mtuple, allocs_per_tuple,
+# alloc_bytes_per_tuple, setup_s and peak_rss_mb — and the steal jiffies
+# /proc/stat counted while it ran (a noisy neighbour shows there); then for
+# each of the six metrics each side's median and quartiles, the pairs B won,
+# and the effect size: the ratio of B's median to A's, and A's quartile
+# distance (q3 - q1), which the medians' difference must exceed for the
+# change to be told apart from A's spread.
 set -euo pipefail
 if [ $# -lt 5 ]; then
 	echo "usage: $0 <rev A> <rev B> <workload> <seed> <pairs> [seconds]" >&2
@@ -45,11 +46,12 @@ run() { # run <side> <pair>
 	s0=$(steal)
 	last=$("$tmp/bench-$1" -workload "$W" -seed "$SEED" -seconds "$SECS" -trace 0 | tail -n 1)
 	s1=$(steal)
-	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$2" "$1" "$(echo "$last" | metric host_tuples_per_s)" \
+	printf '%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n' "$2" "$1" "$(echo "$last" | metric host_tuples_per_s)" \
 		"$(echo "$last" | metric cpu_s_per_mtuple)" "$(echo "$last" | metric allocs_per_tuple)" \
-		"$(echo "$last" | metric alloc_bytes_per_tuple)" "$((s1 - s0))" | tee -a "$tmp/runs"
+		"$(echo "$last" | metric alloc_bytes_per_tuple)" "$(echo "$last" | metric setup_s)" \
+		"$(echo "$last" | metric peak_rss_mb)" "$((s1 - s0))" | tee -a "$tmp/runs"
 }
-printf 'pair\tside\thost_tuples_per_s\tcpu_s_per_mtuple\tallocs_per_tuple\talloc_bytes_per_tuple\tsteal_jiffies\n'
+printf 'pair\tside\thost_tuples_per_s\tcpu_s_per_mtuple\tallocs_per_tuple\talloc_bytes_per_tuple\tsetup_s\tpeak_rss_mb\tsteal_jiffies\n'
 for i in $(seq 1 "$N"); do
 	if [ $((i % 2)) -eq 1 ]; then run a "$i"; run b "$i"; else run b "$i"; run a "$i"; fi
 done
@@ -68,8 +70,8 @@ quartiles() {
 }
 echo
 echo "A = $A, B = $B; $W, seed $SEED, $N pairs of ${SECS} s runs"
-names=(host_tuples_per_s cpu_s_per_mtuple allocs_per_tuple alloc_bytes_per_tuple)
-for c in 3 4 5 6; do
+names=(host_tuples_per_s cpu_s_per_mtuple allocs_per_tuple alloc_bytes_per_tuple setup_s peak_rss_mb)
+for c in 3 4 5 6 7 8; do
 	name=${names[c - 3]} better=lower
 	[ "$c" -eq 3 ] && better=higher
 	won=$(awk -F'\t' -v c="$c" -v hi="$better" '
